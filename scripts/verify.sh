@@ -360,10 +360,9 @@ PY
 
 echo
 echo "== batch-parity gate (lockstep batches must not change results) =="
-# Engine-level differential matrix first (fast, pinpoints the layer on
-# failure) ...
-python scripts/check_batch_parity.py
-# ... then end to end: the replicas campaign -- seed-replica sweeps
+# The engine- and driver-level differential matrix is tier-1
+# (tests/test_batch_parity.py, run above); this stage is the end-to-end
+# half: the replicas campaign -- seed-replica sweeps
 # over E1/E8/E9, the shape batch mode groups -- run scenario-at-a-time
 # and in lockstep batches through the supervised executor.  The two
 # stores must hold the same keys with byte-identical result payloads

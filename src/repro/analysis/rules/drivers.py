@@ -21,7 +21,12 @@ statically on every ``experiments/e*.py`` module:
   other required parameters -- the lockstep batch entry point the
   runner's ``--batch`` grouping calls as ``run_batch(params_list)``,
   so its surface must stay a superset of what ``run`` needs with
-  everything extra defaulted.
+  everything extra defaulted;
+* a driver that exports ``run_batch`` defines no ``_bind_defaults`` /
+  ``_compatible`` of its own: default binding and "same except seed"
+  grouping live once, in
+  :func:`repro.experiments.common.run_batch_by_seed`, so the runner's
+  grouping and the drivers' cannot drift apart.
 """
 
 from __future__ import annotations
@@ -173,4 +178,12 @@ class DriverContractRule(Rule):
                     f"run_batch() parameters {extra_required} have no defaults; "
                     "the runner only ever passes params_list",
                 )
+            for private in ("_bind_defaults", "_compatible"):
+                if private in functions:
+                    report(
+                        functions[private].lineno,
+                        f"batch-capable driver defines its own {private}(); "
+                        "repro.experiments.common.run_batch_by_seed is the "
+                        "only grouping code",
+                    )
         return findings

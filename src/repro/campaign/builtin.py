@@ -25,10 +25,11 @@ Three ship with the toolkit:
   placed either selectively (only the inner stage -- the FGMRES inner
   solve or ``M^{-1} v`` -- runs low) or on the whole solve -- the
   selective-precision claim as a grid, with and without faults.
-* ``replicas`` -- seed-replica sweeps over the batch-capable drivers
-  (E1/E8/E9); identical parameters except ``seed``, so ``--batch``
-  groups each sweep into one lockstep batch.  The batch benchmark and
-  the verify batch-parity gate run this campaign.
+* ``replicas`` -- seed-replica sweeps over three of the four
+  batch-capable drivers (E1/E8/E9); identical parameters except
+  ``seed``, so ``--batch`` groups each sweep into one lockstep batch.
+  The batch benchmark and the verify batch-parity gate run this
+  campaign.
 
 Campaigns are plain lists of scenarios produced by declarative
 :class:`~repro.campaign.spec.Sweep` specs, so adding a campaign is
@@ -220,8 +221,9 @@ def _precision() -> List[Scenario]:
 
 
 def _replicas() -> List[Scenario]:
-    # Seed-replica sweeps over the batchable drivers (E1/E8/E9): every
-    # scenario in a sweep shares all parameters except ``seed``, so
+    # Seed-replica sweeps over three of the four batch-capable drivers
+    # (E1/E8/E9; E10 exports run_batch too): every scenario in a sweep
+    # shares all parameters except ``seed``, so
     # ``campaign run --campaign replicas --batch 0`` groups each sweep
     # into a single lockstep batch.  This is the shape batch mode is
     # built for -- Monte-Carlo replication of one configuration -- and

@@ -47,9 +47,9 @@ from repro.campaign.executor import (
     default_execute,
 )
 from repro.campaign.registry import ExperimentRegistry, default_registry
-from repro.campaign.spec import Scenario, canonical_json, scenario_key
+from repro.campaign.spec import Scenario, scenario_key
 from repro.campaign.store import ResultStore
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, batch_signature
 
 # The per-scenario seed derivation is shared with the reliability
 # layer (repro.reliability.seeding), so fault models built from a
@@ -113,9 +113,10 @@ def plan_batch_groups(
 
     Returns index groups covering every scenario exactly once (no
     drops, no duplicates), ordered by first member.  Scenarios share a
-    group exactly when their driver exposes ``run_batch`` and they
-    agree on every declared parameter except ``seed`` -- the driver
-    batch protocol's compatibility contract -- so a group can be
+    group exactly when their driver exposes ``run_batch`` and their
+    :func:`~repro.experiments.common.batch_signature` agrees (every
+    declared parameter except ``seed``) -- the same function the
+    drivers' ``run_batch`` groups by -- so a group can be
     executed as one lockstep ``run_batch`` call.  Everything else
     (no batch driver, or a unique parameter signature) stays a
     singleton.  ``limit`` caps the group size (``0`` = unbounded);
@@ -123,20 +124,13 @@ def plan_batch_groups(
     """
     registry = registry or default_registry()
     groups: List[List[int]] = []
-    slots: Dict[str, int] = {}
+    slots: Dict[Tuple[str, str], int] = {}
     for index, scenario in enumerate(scenarios):
         driver = registry.get(scenario.experiment)
         if driver.run_batch is None:
             groups.append([index])
             continue
-        signature = canonical_json(
-            {
-                "experiment": driver.experiment,
-                "params": {
-                    k: v for k, v in scenario.params.items() if k != "seed"
-                },
-            }
-        )
+        signature = (driver.experiment, batch_signature(scenario.params))
         at = slots.get(signature)
         if at is None:
             slots[signature] = len(groups)

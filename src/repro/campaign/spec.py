@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.utils.serialization import jsonify
+from repro.utils.serialization import canonical_json
 from repro.utils.tables import one_line
 
 __all__ = [
@@ -32,16 +31,6 @@ __all__ = [
     "scenario_key",
     "canonical_json",
 ]
-
-
-def canonical_json(value: Any) -> str:
-    """Canonical (sorted-key, compact) JSON text of ``value``.
-
-    Scenario keys hash this form, and the supervised executor
-    (:mod:`repro.campaign.executor`) checksums result payloads with it
-    to detect corruption in transit from a worker.
-    """
-    return json.dumps(jsonify(value), sort_keys=True, separators=(",", ":"))
 
 
 def scenario_key(experiment: str, params: Mapping[str, Any]) -> str:

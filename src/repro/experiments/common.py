@@ -1,6 +1,6 @@
 """Shared experiment infrastructure.
 
-Two pieces live here:
+Three pieces live here:
 
 * :class:`ExperimentResult` -- the value every driver's ``run()``
   returns, now JSON round-trippable (:meth:`ExperimentResult.to_dict` /
@@ -13,17 +13,27 @@ Two pieces live here:
   by the golden regression tests.  :mod:`repro.campaign.registry`
   auto-discovers drivers by scanning this package for modules that
   define both ``SPEC`` and ``run(**params) -> ExperimentResult``.
+* :func:`run_batch_by_seed` -- the one ``run_batch`` every
+  batch-capable driver exports, and :func:`batch_signature`, the one
+  definition of "same except ``seed``" it shares with the campaign
+  runner's :func:`~repro.campaign.runner.plan_batch_groups`.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.utils.serialization import jsonify
+from repro.utils.serialization import canonical_json, jsonify
 from repro.utils.tables import Table, one_line
 
-__all__ = ["ExperimentResult", "ExperimentSpec"]
+__all__ = [
+    "ExperimentResult",
+    "ExperimentSpec",
+    "batch_signature",
+    "run_batch_by_seed",
+]
 
 # Parameter/summary lines longer than this are wrapped one-per-line.
 _WRAP_WIDTH = 88
@@ -140,3 +150,49 @@ class ExperimentSpec:
     tags: Tuple[str, ...] = ()
     smoke: Mapping[str, Any] = field(default_factory=dict)
     golden: Mapping[str, Any] = field(default_factory=dict)
+
+
+def batch_signature(params: Mapping[str, Any]) -> str:
+    """What two scenarios must share to run as lanes of one batch.
+
+    The canonical JSON of every parameter except ``seed``, so container
+    flavour does not matter: ``("gmres",)`` and ``["gmres"]`` (params
+    reloaded from JSON) sign alike.
+    """
+    return canonical_json({k: v for k, v in params.items() if k != "seed"})
+
+
+def _bind_defaults(
+    signature: inspect.Signature, params: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """Apply ``run``'s keyword defaults to one scenario's parameters."""
+    bound = signature.bind(**dict(params))
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def run_batch_by_seed(
+    run: Callable[..., ExperimentResult],
+    run_lanes: Callable[..., List[ExperimentResult]],
+    params_list: Sequence[Mapping[str, Any]],
+) -> List[ExperimentResult]:
+    """The ``run_batch`` of every driver whose body is written over seeds.
+
+    ``run_lanes(seeds, **shared)`` is the driver's one body: it returns
+    one result per seed, each identical to ``run(seed=seed, **shared)``
+    (which is that body with a single lane).  Scenarios are bound to
+    ``run``'s defaults, grouped by :func:`batch_signature`, and each
+    group is one ``run_lanes`` call; results come back in input order.
+    """
+    signature = inspect.signature(run)
+    resolved = [_bind_defaults(signature, params) for params in params_list]
+    groups: Dict[str, List[int]] = {}
+    for index, params in enumerate(resolved):
+        groups.setdefault(batch_signature(params), []).append(index)
+    results: List[Optional[ExperimentResult]] = [None] * len(resolved)
+    for members in groups.values():
+        shared = {k: v for k, v in resolved[members[0]].items() if k != "seed"}
+        seeds = [resolved[index]["seed"] for index in members]
+        for index, result in zip(members, run_lanes(seeds, **shared)):
+            results[index] = result
+    return results

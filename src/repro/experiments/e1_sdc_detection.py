@@ -15,13 +15,16 @@ same faults (how many silently wrong answers it returns).
 
 from __future__ import annotations
 
-import inspect
-from typing import List, Mapping, Optional
+from typing import List, Mapping
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
-from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_batch_by_seed,
+)
+from repro.krylov.registry import batch_solve
 from repro.linalg.matgen import poisson_2d
 from repro.reliability.events import FaultEvent, FaultRecord
 from repro.reliability.registry import resolve_faults
@@ -84,30 +87,6 @@ def _record_from_result(matrix, b, result, injected, detected, *, tol, skeptical
     )
 
 
-def _solve_with_injection(
-    matrix, b, x_true, *, fault_model, inject_at, rng, skeptical: bool, tol: float,
-    check_period: int,
-):
-    """One faulty run; returns a FaultRecord."""
-    fault_hook, injected = _make_hook(fault_model, rng, inject_at)
-
-    solvers = default_solver_registry()
-    if skeptical:
-        result = solvers.get("sdc_gmres").solve(
-            matrix, b, policy="skeptical_restart", tol=tol, restart=30, maxiter=600,
-            check_period=check_period, fault_hook=fault_hook,
-        )
-        detected = result.detected_faults > 0
-    else:
-        result = solvers.get("gmres").solve(
-            matrix, b, tol=tol, restart=30, maxiter=600, iteration_hook=fault_hook
-        )
-        detected = False
-    return _record_from_result(
-        matrix, b, result, injected, detected, tol=tol, skeptical=skeptical
-    )
-
-
 def run(
     *,
     grid: int = 20,
@@ -141,85 +120,45 @@ def run(
     seed:
         Root seed.
     """
-    fault_template, faults_label = _resolve_template(faults)
-    matrix = poisson_2d(grid)
-    factory = RngFactory(seed)
-    rng_rhs = factory.spawn("rhs")
-    b = rng_rhs.standard_normal(matrix.n_rows)
-    x_true = None
-
-    baseline = default_solver_registry().get("gmres").solve(
-        matrix, b, tol=tol, restart=30, maxiter=600
-    )
-    solver_flops = 2.0 * matrix.nnz * max(baseline.iterations, 1)
-
-    table = _result_table()
-    summary = {}
-    for class_name, bit_range in _BIT_CLASSES.items():
-        class_model = (
-            fault_template
-            if fault_template.is_null
-            else fault_template.with_params(bits=bit_range)
-        )
-        for skeptical in (False, True):
-            rng = factory.spawn(f"{class_name}-{skeptical}")
-
-            def run_once(trial, _rng=rng, _model=class_model, _skeptical=skeptical):
-                return _solve_with_injection(
-                    matrix, b, x_true, fault_model=_model, inject_at=inject_at,
-                    rng=_rng, skeptical=_skeptical, tol=tol, check_period=check_period,
-                )
-
-            campaign = SdcCampaign(run_once, n_trials).run(
-                metadata={"bit_class": class_name, "skeptical": skeptical}
-            )
-            _add_cell(table, summary, campaign, class_name, skeptical, solver_flops)
-    return _finish_result(
-        table, summary, baseline.iterations,
-        grid=grid, n_trials=n_trials, inject_at=inject_at,
-        check_period=check_period, seed=seed, faults_label=faults_label,
-    )
+    return _run_lanes(
+        [seed], grid=grid, n_trials=n_trials, inject_at=inject_at, tol=tol,
+        check_period=check_period, faults=faults,
+    )[0]
 
 
 def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E1 scenarios in lockstep; results identical to :func:`run`.
+    """Run several E1 scenarios; results identical to per-scenario :func:`run`.
 
-    The scenarios (typically one per seed) must agree on every
-    parameter except ``seed``; incompatible sets fall back to
-    sequential :func:`run` calls.  Each (bit-class, solver) cell of
-    every trial solves all scenarios as one batched
-    :func:`repro.krylov.registry.batch_solve` call, with per-scenario
-    fault hooks drawing from per-scenario RNG streams in the exact
-    sequential order (hook creation before the trial's solve, victim
+    Scenarios that agree on everything except ``seed`` share one pass
+    of the driver body, one lane each (see
+    :func:`repro.experiments.common.run_batch_by_seed`).
+    """
+    return run_batch_by_seed(run, _run_lanes, params_list)
+
+
+def _run_lanes(
+    seeds, *, grid, n_trials, inject_at, tol, check_period, faults,
+) -> List[ExperimentResult]:
+    """The one E1 body: one lane per seed, everything else shared.
+
+    Each (bit-class, solver) cell of every trial solves all lanes as
+    one :func:`repro.krylov.registry.batch_solve` call, with per-lane
+    fault hooks drawing from per-lane RNG streams in the exact
+    single-lane order (hook creation before the trial's solve, victim
     draw at fire time inside it).
     """
-    resolved = [_bind_defaults(p) for p in params_list]
-    if not resolved:
-        return []
-    if len(resolved) == 1 or not _compatible(resolved):
-        return [run(**dict(p)) for p in params_list]
-
-    shared = resolved[0]
-    grid = shared["grid"]
-    n_trials = shared["n_trials"]
-    inject_at = shared["inject_at"]
-    tol = shared["tol"]
-    check_period = shared["check_period"]
-    faults = shared["faults"]
-    n_scenarios = len(resolved)
-
     fault_template, faults_label = _resolve_template(faults)
     matrix = poisson_2d(grid)
-    factories = [RngFactory(p["seed"]) for p in resolved]
+    factories = [RngFactory(seed) for seed in seeds]
     b_list = [f.spawn("rhs").standard_normal(matrix.n_rows) for f in factories]
+    lanes = range(len(seeds))
+    solve_params = {"tol": tol, "restart": 30, "maxiter": 600}
 
-    baselines = batch_solve(
-        "gmres", matrix, b_list, tol=tol, restart=30, maxiter=600
-    )
+    baselines = batch_solve("gmres", matrix, b_list, **solve_params)
     solver_flops = [2.0 * matrix.nnz * max(r.iterations, 1) for r in baselines]
 
-    tables = [_result_table() for _ in range(n_scenarios)]
-    summaries: List[dict] = [{} for _ in range(n_scenarios)]
+    tables = [_result_table() for _ in lanes]
+    summaries: List[dict] = [{} for _ in lanes]
     for class_name, bit_range in _BIT_CLASSES.items():
         class_model = (
             fault_template
@@ -228,38 +167,36 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
         )
         for skeptical in (False, True):
             rngs = [f.spawn(f"{class_name}-{skeptical}") for f in factories]
-            records: List[List[FaultRecord]] = [[] for _ in range(n_scenarios)]
-            for _trial in range(n_trials):
-                hooks = []
-                injected = []
-                for rng in rngs:
-                    hook, inj = _make_hook(class_model, rng, inject_at)
-                    hooks.append(hook)
-                    injected.append(inj)
-                if skeptical:
-                    results = batch_solve(
-                        "sdc_gmres", matrix, b_list, policy="skeptical_restart",
-                        tol=tol, restart=30, maxiter=600, check_period=check_period,
-                        lane_params=[{"fault_hook": hook} for hook in hooks],
+            records: List[List[FaultRecord]] = [[] for _ in lanes]
+            # Overflow/NaN *is* the injected fault's expected effect.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _trial in range(n_trials):
+                    hooks, injected = zip(
+                        *(_make_hook(class_model, rng, inject_at) for rng in rngs)
                     )
-                    detected = [r.detected_faults > 0 for r in results]
-                else:
-                    results = batch_solve(
-                        "gmres", matrix, b_list, tol=tol, restart=30, maxiter=600,
-                        lane_params=[{"iteration_hook": hook} for hook in hooks],
-                    )
-                    detected = [False] * n_scenarios
-                for s in range(n_scenarios):
-                    records[s].append(
-                        _record_from_result(
-                            matrix, b_list[s], results[s], injected[s],
-                            detected[s], tol=tol, skeptical=skeptical,
+                    if skeptical:
+                        results = batch_solve(
+                            "sdc_gmres", matrix, b_list, policy="skeptical_restart",
+                            check_period=check_period, **solve_params,
+                            lane_params=[{"fault_hook": hook} for hook in hooks],
                         )
-                    )
-            for s in range(n_scenarios):
-                campaign = SdcCampaign(
-                    lambda trial, _records=records[s]: _records[trial], n_trials
-                ).run(metadata={"bit_class": class_name, "skeptical": skeptical})
+                    else:
+                        results = batch_solve(
+                            "gmres", matrix, b_list, **solve_params,
+                            lane_params=[{"iteration_hook": hook} for hook in hooks],
+                        )
+                    for s in lanes:
+                        records[s].append(
+                            _record_from_result(
+                                matrix, b_list[s], results[s], injected[s],
+                                skeptical and results[s].detected_faults > 0,
+                                tol=tol, skeptical=skeptical,
+                            )
+                        )
+            for s in lanes:
+                campaign = SdcCampaign(records[s].__getitem__, n_trials).run(
+                    metadata={"bit_class": class_name, "skeptical": skeptical}
+                )
                 _add_cell(
                     tables[s], summaries[s], campaign, class_name, skeptical,
                     solver_flops[s],
@@ -268,27 +205,11 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
         _finish_result(
             tables[s], summaries[s], baselines[s].iterations,
             grid=grid, n_trials=n_trials, inject_at=inject_at,
-            check_period=check_period, seed=resolved[s]["seed"],
+            check_period=check_period, seed=seeds[s],
             faults_label=faults_label,
         )
-        for s in range(n_scenarios)
+        for s in lanes
     ]
-
-
-def _bind_defaults(params: Mapping) -> dict:
-    """Apply :func:`run`'s keyword defaults to one scenario's parameters."""
-    bound = inspect.signature(run).bind(**dict(params))
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-
-def _compatible(resolved: List[dict]) -> bool:
-    """Whether the scenarios agree on everything except the seed."""
-    reference = {k: v for k, v in resolved[0].items() if k != "seed"}
-    return all(
-        {k: v for k, v in p.items() if k != "seed"} == reference
-        for p in resolved[1:]
-    )
 
 
 def _resolve_template(faults):

@@ -31,12 +31,15 @@ the trusted-error classification of
 
 from __future__ import annotations
 
-import inspect
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_batch_by_seed,
+)
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.matgen import poisson_2d
 from repro.reliability.registry import resolve_faults
@@ -101,6 +104,42 @@ def run(
     seed:
         Root seed: right-hand side and per-solver fault streams.
     """
+    return _run_lanes(
+        [seed], grid=grid, solvers=solvers, policy=policy, faults=faults,
+        fault_probability=fault_probability, bit_range=bit_range, tol=tol,
+        maxiter=maxiter, error_tolerance=error_tolerance,
+    )[0]
+
+
+def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
+    """Run several E8 scenarios; results identical to per-scenario :func:`run`.
+
+    Scenarios that agree on everything except ``seed`` share one pass
+    of the driver body, one lane each (see
+    :func:`repro.experiments.common.run_batch_by_seed`).
+    """
+    return run_batch_by_seed(run, _run_lanes, params_list)
+
+
+_CLAIM = (
+    "Resilience is an algorithmic layer: one solver engine composes every "
+    "registered solver with pluggable resilience policies, so solver choice, "
+    "policy and fault schedule are independent sweep axes."
+)
+
+
+def _run_lanes(
+    seeds, *, grid, solvers, policy, faults, fault_probability, bit_range,
+    tol, maxiter, error_tolerance,
+) -> List[ExperimentResult]:
+    """The one E8 body: one lane per seed, everything else shared.
+
+    Each solver row solves all lanes as one
+    :func:`repro.krylov.registry.batch_solve` call, with per-lane
+    fault-injecting operators and per-lane trusted ``operator_norm``
+    estimates carried as lane parameters so every lane draws the fault
+    stream of its own seed.
+    """
     registry = default_solver_registry()
     if solvers is None:
         names = registry.names()
@@ -124,195 +163,17 @@ def run(
     fault_bits = soft_model.bits if soft_model is not None else None
 
     matrix = poisson_2d(grid)
-    factory = RngFactory(seed)
-    b = factory.spawn("rhs").standard_normal(matrix.n_rows)
-    x_ref = np.linalg.solve(matrix.to_dense(), b)
-    x_ref_norm = float(np.linalg.norm(x_ref))
-    # Setup runs in reliable mode (the SkP assumption): the skeptical
-    # solvers get their ||A|| estimate from the *clean* matrix, never
-    # through the fault-injecting operator wrapper.
-    trusted_norm = estimate_operator_norm(matrix, b)
-
-    table = Table(
-        ["solver", "policy", "iterations", "converged", "faults", "detected",
-         "error", "outcome"],
-        title="E8: solver x resilience-policy x fault-schedule matrix",
-    )
-
-    n_correct = 0
-    n_detected = 0
-    n_silent = 0
-    total_faults = 0
-    for name in names:
-        solver = registry.get(name)
-        fault_seed = derive_fault_seed(seed, name)
-        environment = None
-        params = {"tol": tol}
-        if solver.name == "ft_gmres":
-            # Selective reliability: faults go to the unreliable inner
-            # domain, the outer iteration stays reliable.
-            operator = matrix
-            params.update(
-                outer_maxiter=min(maxiter, 50),
-                inner_maxiter=20,
-                fault_probability=fault_p,
-                bit_range=fault_bits,
-                seed=fault_seed,
-            )
-            if soft_model is not None and soft_model.kind != "bitflip":
-                # Non-bit-flip fault kinds (e.g. value perturbation)
-                # supply the whole SRP environment themselves, so
-                # ft_gmres sees the same fault model as every other
-                # solver in the row.
-                params["environment"] = soft_model.environment(seed=fault_seed)
-        else:
-            params["maxiter"] = maxiter
-            if soft_model is not None:
-                environment = soft_model.environment(seed=fault_seed)
-                operator = environment.unreliable_operator(
-                    matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                )
-            else:
-                operator = matrix
-
-        effective_policy = solver.resolve_policy(policy)
-        policy_options = (
-            {"operator_norm": trusted_norm}
-            if effective_policy in ("skeptical_restart", "skeptical_abort")
-            else None
-        )
-        result = solver.solve(
-            operator, b, policy=policy, policy_options=policy_options, **params
-        )
-
-        if solver.name == "ft_gmres":
-            faults_hit = int(result.info["srp_summary"]["faults_injected"])
-        else:
-            faults_hit = environment.faults_injected() if environment is not None else 0
-        x = np.asarray(result.x, dtype=np.float64)
-        finite = bool(np.all(np.isfinite(x)))
-        error = (
-            float(np.linalg.norm(x - x_ref)) / x_ref_norm if finite else float("inf")
-        )
-        outcome = classify_outcome(
-            converged=result.converged,
-            error_norm=error,
-            tolerance=error_tolerance,
-            detected=result.detected_faults > 0,
-        )
-        table.add_row(
-            solver.name,
-            result.info["policy_name"],
-            result.iterations,
-            result.converged,
-            faults_hit,
-            result.detected_faults,
-            f"{error:.3e}" if finite else "inf",
-            outcome,
-        )
-        total_faults += faults_hit
-        n_detected += int(result.detected_faults > 0)
-        n_silent += int(outcome == "sdc")
-        n_correct += int(result.converged and error <= error_tolerance)
-
-    summary = {
-        "n_solvers": len(names),
-        "n_correct": n_correct,
-        "n_detected_runs": n_detected,
-        "n_silent_corruptions": n_silent,
-        "total_faults_injected": total_faults,
-        "policy": policy,
-        "fault_probability": fault_probability if faults is None else fault_p,
-    }
-    parameters = {
-        "grid": grid,
-        "solvers": tuple(names),
-        "policy": policy,
-        "fault_probability": fault_probability,
-        "bit_range": tuple(bit_range) if bit_range is not None else None,
-        "tol": tol,
-        "maxiter": maxiter,
-        "error_tolerance": error_tolerance,
-        "seed": seed,
-    }
-    if faults is not None:
-        summary["faults"] = fault_model.describe()
-        parameters["faults"] = fault_model.describe()
-    return ExperimentResult(
-        experiment="E8",
-        claim=_CLAIM,
-        table=table,
-        summary=summary,
-        parameters=parameters,
-    )
-
-
-_CLAIM = (
-    "Resilience is an algorithmic layer: one solver engine composes every "
-    "registered solver with pluggable resilience policies, so solver choice, "
-    "policy and fault schedule are independent sweep axes."
-)
-
-
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E8 scenarios in lockstep; results identical to :func:`run`.
-
-    The scenarios (typically one per seed) must agree on every
-    parameter except ``seed``; incompatible sets fall back to
-    sequential :func:`run` calls.  Each batchable solver row solves all
-    scenarios as one :func:`repro.krylov.registry.batch_solve` call,
-    with per-scenario fault-injecting operators and per-scenario
-    trusted ``operator_norm`` estimates carried as lane parameters so
-    every lane draws the exact fault stream its sequential run would.
-    FT-GMRES keeps its selective-reliability wiring and runs
-    sequentially per lane, exactly as :func:`run` builds it.
-    """
-    resolved = [_bind_defaults(p) for p in params_list]
-    if not resolved:
-        return []
-    if len(resolved) == 1 or not _compatible(resolved):
-        return [run(**dict(p)) for p in params_list]
-
-    shared = resolved[0]
-    grid = shared["grid"]
-    solvers = shared["solvers"]
-    policy = shared["policy"]
-    faults = shared["faults"]
-    fault_probability = shared["fault_probability"]
-    bit_range = shared["bit_range"]
-    tol = shared["tol"]
-    maxiter = shared["maxiter"]
-    error_tolerance = shared["error_tolerance"]
-    seeds = [p["seed"] for p in resolved]
-    n_scenarios = len(resolved)
-
-    registry = default_solver_registry()
-    if solvers is None:
-        names = registry.names()
-    elif isinstance(solvers, str):
-        names = [solvers]
-    else:
-        names = list(solvers)
-
-    if faults is None:
-        fault_model = resolve_faults(
-            "bitflip:p=0.0",
-            p=float(fault_probability),
-            bits=tuple(bit_range) if bit_range is not None else None,
-        )
-    else:
-        fault_model = resolve_faults(faults)
-    soft_model = fault_model.soft_component()
-    fault_p = soft_model.probability if soft_model is not None else 0.0
-    fault_bits = soft_model.bits if soft_model is not None else None
-
-    matrix = poisson_2d(grid)
     dense = matrix.to_dense()
+    lanes = range(len(seeds))
     b_list = [
-        RngFactory(s).spawn("rhs").standard_normal(matrix.n_rows) for s in seeds
+        RngFactory(seed).spawn("rhs").standard_normal(matrix.n_rows)
+        for seed in seeds
     ]
     x_refs = [np.linalg.solve(dense, b) for b in b_list]
     x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
+    # Setup runs in reliable mode (the SkP assumption): the skeptical
+    # solvers get their ||A|| estimate from the *clean* matrix, never
+    # through the fault-injecting operator wrapper.
     trusted_norms = [estimate_operator_norm(matrix, b) for b in b_list]
 
     tables = [
@@ -321,54 +182,49 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
              "error", "outcome"],
             title="E8: solver x resilience-policy x fault-schedule matrix",
         )
-        for _ in range(n_scenarios)
+        for _ in lanes
     ]
     counters = [
         {"n_correct": 0, "n_detected": 0, "n_silent": 0, "total_faults": 0}
-        for _ in range(n_scenarios)
+        for _ in lanes
     ]
 
     for name in names:
         solver = registry.get(name)
-        fault_seeds = [derive_fault_seed(s, name) for s in seeds]
-        effective_policy = solver.resolve_policy(policy)
-        skeptical = effective_policy in ("skeptical_restart", "skeptical_abort")
+        fault_seeds = [derive_fault_seed(seed, name) for seed in seeds]
+        # Per-lane ||A|| estimates ride as lane parameters (the shared
+        # policy_options route cannot hold per-lane values).
+        skeptical = solver.resolve_policy(policy) in (
+            "skeptical_restart", "skeptical_abort"
+        )
+        lane_params = [
+            {"operator_norm": norm} if skeptical else {} for norm in trusted_norms
+        ]
+        environments = None
+        operators = None
         if solver.name == "ft_gmres":
-            # Selective reliability is this solver's policy; its SRP
-            # environment wiring is per-scenario state, so the lanes
-            # run sequentially, built exactly as run() builds them.
-            results = []
-            faults_hits = []
-            for s in range(n_scenarios):
-                params = {
-                    "tol": tol,
-                    "outer_maxiter": min(maxiter, 50),
-                    "inner_maxiter": 20,
-                    "fault_probability": fault_p,
-                    "bit_range": fault_bits,
-                    "seed": fault_seeds[s],
-                }
+            # Selective reliability: faults go to the unreliable inner
+            # domain, the outer iteration stays reliable.
+            params = {
+                "outer_maxiter": min(maxiter, 50),
+                "inner_maxiter": 20,
+                "fault_probability": fault_p,
+                "bit_range": fault_bits,
+            }
+            for lane, fault_seed in zip(lane_params, fault_seeds):
+                lane["seed"] = fault_seed
                 if soft_model is not None and soft_model.kind != "bitflip":
-                    params["environment"] = soft_model.environment(
-                        seed=fault_seeds[s]
-                    )
-                policy_options = (
-                    {"operator_norm": trusted_norms[s]} if skeptical else None
-                )
-                result = solver.solve(
-                    matrix, b_list[s], policy=policy,
-                    policy_options=policy_options, **params,
-                )
-                results.append(result)
-                faults_hits.append(
-                    int(result.info["srp_summary"]["faults_injected"])
-                )
+                    # Non-bit-flip fault kinds (e.g. value perturbation)
+                    # supply the whole SRP environment themselves, so
+                    # ft_gmres sees the same fault model as every other
+                    # solver in the row.
+                    lane["environment"] = soft_model.environment(seed=fault_seed)
         else:
-            environments = None
-            operators = None
+            params = {"maxiter": maxiter}
             if soft_model is not None:
                 environments = [
-                    soft_model.environment(seed=fs) for fs in fault_seeds
+                    soft_model.environment(seed=fault_seed)
+                    for fault_seed in fault_seeds
                 ]
                 operators = [
                     env.unreliable_operator(
@@ -376,24 +232,22 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
                     )
                     for env in environments
                 ]
-            # Per-lane ||A|| estimates ride as lane parameters (the
-            # shared policy_options route cannot hold per-lane values).
-            lane_params = (
-                [{"operator_norm": tn} for tn in trusted_norms]
-                if skeptical
-                else None
-            )
+
+        # Overflow/NaN *is* the injected fault's expected effect.
+        with np.errstate(over="ignore", invalid="ignore"):
             results = batch_solve(
                 name, matrix, b_list, policy=policy, lane_params=lane_params,
-                operators=operators, registry=registry, tol=tol, maxiter=maxiter,
+                operators=operators, tol=tol, **params,
             )
-            if environments is not None:
-                faults_hits = [env.faults_injected() for env in environments]
-            else:
-                faults_hits = [0] * n_scenarios
 
-        for s in range(n_scenarios):
+        for s in lanes:
             result = results[s]
+            if solver.name == "ft_gmres":
+                faults_hit = int(result.info["srp_summary"]["faults_injected"])
+            elif environments is not None:
+                faults_hit = environments[s].faults_injected()
+            else:
+                faults_hit = 0
             x = np.asarray(result.x, dtype=np.float64)
             finite = bool(np.all(np.isfinite(x)))
             error = (
@@ -412,19 +266,19 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
                 result.info["policy_name"],
                 result.iterations,
                 result.converged,
-                faults_hits[s],
+                faults_hit,
                 result.detected_faults,
                 f"{error:.3e}" if finite else "inf",
                 outcome,
             )
             cell = counters[s]
-            cell["total_faults"] += faults_hits[s]
+            cell["total_faults"] += faults_hit
             cell["n_detected"] += int(result.detected_faults > 0)
             cell["n_silent"] += int(outcome == "sdc")
             cell["n_correct"] += int(result.converged and error <= error_tolerance)
 
     out = []
-    for s in range(n_scenarios):
+    for s in lanes:
         cell = counters[s]
         summary = {
             "n_solvers": len(names),
@@ -459,19 +313,3 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
             )
         )
     return out
-
-
-def _bind_defaults(params: Mapping) -> dict:
-    """Apply :func:`run`'s keyword defaults to one scenario's parameters."""
-    bound = inspect.signature(run).bind(**dict(params))
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-
-def _compatible(resolved: List[dict]) -> bool:
-    """Whether the scenarios agree on everything except the seed."""
-    reference = {k: v for k, v in resolved[0].items() if k != "seed"}
-    return all(
-        {k: v for k, v in p.items() if k != "seed"} == reference
-        for p in resolved[1:]
-    )

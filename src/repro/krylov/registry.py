@@ -470,7 +470,10 @@ def batch_solve(
     :func:`~repro.krylov.engine.batch.run_cg_batch`; anything else
     (``skeptical_abort``, ``gram_schmidt="modified"``, the pipelined /
     flexible / distributed solvers) falls back to per-lane sequential
-    solves, so callers never need to special-case batchability.
+    solves, so callers never need to special-case batchability.  So
+    does a single lane: the lockstep engine only pays for itself from
+    two lanes up (one lane through it costs 2-5x the sequential engine,
+    see PERFORMANCE.md), so the engine is picked by the lane count.
 
     ``precision`` (batch-wide, or per lane via a ``"precision"`` key in
     ``lane_params``) is the same declarative axis as
@@ -510,11 +513,11 @@ def batch_solve(
 
     merged_all = [dict(params, **dict(extra)) for extra in lane_params]
     lane_precisions = [merged.pop("precision", precision) for merged in merged_all]
-    if not (
+    if n_lanes == 1 or not (
         all(_default_precision(value) for value in lane_precisions)
         and all(_is_batchable(entry, effective, merged) for merged in merged_all)
     ):
-        # Sequential fallback: exactly S independent solve() calls.
+        # Sequential engine: exactly S independent solve() calls.
         return [
             entry.solve(
                 lane_op if lane_op is not None else operator,

@@ -19,11 +19,12 @@ IEEE-754 doubles bit-for-bit).
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["jsonify"]
+__all__ = ["jsonify", "canonical_json"]
 
 
 def jsonify(value: Any) -> Any:
@@ -54,3 +55,15 @@ def jsonify(value: Any) -> Any:
         # still serialize, and element order stays deterministic.
         return sorted((jsonify(v) for v in value), key=repr)
     return str(value)
+
+
+def canonical_json(value: Any) -> str:
+    """Canonical (sorted-key, compact) JSON text of ``value``.
+
+    Scenario keys hash this form, batch grouping compares it
+    (:func:`repro.experiments.common.batch_signature`), and the
+    supervised executor (:mod:`repro.campaign.executor`) checksums
+    result payloads with it to detect corruption in transit from a
+    worker.
+    """
+    return json.dumps(jsonify(value), sort_keys=True, separators=(",", ":"))

@@ -340,6 +340,45 @@ class TestDriverContractRule:
         assert "have no defaults" in messages
         assert "*args/**kwargs" in messages
 
+    def test_batch_driver_may_not_own_grouping_code(self, tmp_path):
+        report = run_rules(
+            tmp_path,
+            {
+                "experiments/e5_demo.py": """\
+                SPEC = ExperimentSpec(experiment="E5")
+
+                def run(n=8, seed=1):
+                    return n
+
+                def run_batch(params_list):
+                    resolved = [_bind_defaults(p) for p in params_list]
+                    assert _compatible(resolved)
+                    return [run(**p) for p in resolved]
+
+                def _bind_defaults(params):
+                    return dict(params)
+
+                def _compatible(resolved):
+                    return True
+                """,
+                # Without run_batch the names are just private helpers.
+                "experiments/e6_demo.py": """\
+                SPEC = ExperimentSpec(experiment="E6")
+
+                def run(n=8):
+                    return _compatible(n)
+
+                def _compatible(n):
+                    return n
+                """,
+            },
+            ["driver-contract"],
+        )
+        assert [f.path for f in report.findings] == ["experiments/e5_demo.py"] * 2
+        messages = "\n".join(f.message for f in report.findings)
+        assert "its own _bind_defaults()" in messages
+        assert "its own _compatible()" in messages
+
     def test_missing_spec_and_non_driver_files(self, tmp_path):
         report = run_rules(
             tmp_path,

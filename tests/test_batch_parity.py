@@ -9,7 +9,7 @@ every layer:
 * engine -- the solver x policy x preconditioner x fault-hook matrix,
   including mid-batch divergence (mixed per-lane tolerances) and a
   non-converging lane;
-* drivers -- E1/E8/E9 ``run_batch`` against sequential ``run``;
+* drivers -- E1/E8/E9/E10 ``run_batch`` against sequential ``run``;
 * runner -- ``CampaignRunner(batch=...)`` store contents against the
   scenario-at-a-time run, mixed batchable/non-batchable campaigns
   included;
@@ -31,7 +31,13 @@ from repro.campaign.registry import default_registry
 from repro.campaign.runner import CampaignRunner, plan_batch_groups
 from repro.campaign.spec import Scenario, canonical_json
 from repro.campaign.store import ResultStore
-from repro.experiments import e1_sdc_detection, e8_solvers, e9_precond
+from repro.experiments import (
+    e1_sdc_detection,
+    e8_solvers,
+    e9_precond,
+    e10_precision,
+)
+from repro.krylov.engine import batch as batch_engine
 from repro.krylov.engine.batch import CgLaneSpec, run_cg_batch
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.matgen import poisson_2d
@@ -97,6 +103,32 @@ class TestEngineParity:
         batched = batch_solve(solver, matrix, rhs, **kwargs)
         sequential = [registry.get(solver).solve(matrix, b, **kwargs) for b in rhs]
         assert_lane_parity(batched, sequential)
+
+    @pytest.mark.parametrize(
+        "solver,kwargs",
+        [
+            ("gmres", dict(tol=1e-8, restart=30, maxiter=600)),
+            ("cg", dict(tol=1e-10, maxiter=400)),
+            ("sdc_gmres", dict(policy="skeptical_restart", tol=1e-8, restart=30,
+                               maxiter=600, check_period=2)),
+        ],
+        ids=["gmres", "cg", "sdc"],
+    )
+    def test_single_lane_takes_the_sequential_engine(
+        self, matrix, rhs, solver, kwargs, monkeypatch
+    ):
+        # One lane through the lockstep engine costs 2-5x the sequential
+        # one (PERFORMANCE.md), so batch_solve picks by lane count.
+        def lockstep(*args, **kw):
+            raise AssertionError("a single lane entered the lockstep engine")
+
+        monkeypatch.setattr(batch_engine, "run_arnoldi_batch", lockstep)
+        monkeypatch.setattr(batch_engine, "run_cg_batch", lockstep)
+        batched = batch_solve(solver, matrix, rhs[:1], **kwargs)
+        sequential = default_solver_registry().get(solver).solve(
+            matrix, rhs[0], **kwargs
+        )
+        assert_lane_parity(batched, [sequential])
 
     def test_fault_hooks_draw_identical_streams(self, matrix, rhs):
         registry = default_solver_registry()
@@ -202,6 +234,15 @@ class TestDriverParity:
             seeds=[101, 102, 103],
         )
 
+    def test_e10_matches_sequential(self):
+        assert_driver_parity(
+            e10_precision,
+            dict(grid=6, solvers=("gmres", "cg"), precisions=("fp64", "fp32"),
+                 preconds=("none", "jacobi"),
+                 faults="bitflip:p=0.05,bits=52..62", target="inner"),
+            seeds=[2013, 2014, 2015],
+        )
+
     def test_empty_and_singleton_batches(self):
         assert e8_solvers.run_batch([]) == []
         config = dict(grid=6, solvers=("gmres",), policy="none", seed=77)
@@ -210,17 +251,43 @@ class TestDriverParity:
             e8_solvers.run(**config).to_dict()
         )
 
-    def test_incompatible_scenarios_fall_back(self):
-        # Differing non-seed parameters cannot share a lockstep batch;
-        # the driver must fall back to per-scenario runs, not group them.
-        params = [
-            dict(grid=6, solvers=("gmres",), policy="none", seed=1),
-            dict(grid=6, solvers=("cg",), policy="none", seed=1),
-        ]
+    def test_mixed_signatures_keep_input_order(self):
+        # Two signatures interleaved: each forms its own lockstep group,
+        # and the results come back in input order.
+        gmres = dict(grid=6, solvers=("gmres",), policy="none")
+        cg = dict(grid=6, solvers=("cg",), policy="none")
+        params = [dict(gmres, seed=1), dict(cg, seed=1),
+                  dict(gmres, seed=2), dict(cg, seed=2)]
         batched = e8_solvers.run_batch(params)
         sequential = [e8_solvers.run(**p) for p in params]
-        for b, s in zip(batched, sequential):
-            assert canonical_json(b.to_dict()) == canonical_json(s.to_dict())
+        assert [canonical_json(b.to_dict()) for b in batched] == [
+            canonical_json(s.to_dict()) for s in sequential
+        ]
+
+    def test_tuple_and_list_params_share_a_lockstep_group(self, monkeypatch):
+        # Params reloaded from JSON carry lists where the spec had
+        # tuples; the runner's grouping and the drivers' must agree that
+        # those are the same scenario shape.
+        params = [
+            dict(grid=6, solvers=("gmres",), policy="none", seed=1),
+            dict(grid=6, solvers=["gmres"], policy="none", seed=2),
+        ]
+        assert plan_batch_groups([Scenario("E8", p) for p in params]) == [[0, 1]]
+
+        lane_counts = []
+        lockstep = batch_engine.run_arnoldi_batch
+
+        def spy(operator, specs, *args, **kw):
+            lane_counts.append(len(specs))
+            return lockstep(operator, specs, *args, **kw)
+
+        monkeypatch.setattr(batch_engine, "run_arnoldi_batch", spy)
+        batched = e8_solvers.run_batch(params)
+        assert lane_counts == [2]
+        sequential = [e8_solvers.run(**p) for p in params]
+        assert [canonical_json(b.to_dict()) for b in batched] == [
+            canonical_json(s.to_dict()) for s in sequential
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ Excluded from the golden text (and only these):
 from __future__ import annotations
 
 import pathlib
+import warnings
 
 import pytest
 
@@ -108,3 +109,13 @@ def test_golden_text_is_deterministic_in_process(driver):
 
 def test_goldens_cover_all_seven_experiments():
     assert {d.experiment for d in _DRIVERS} >= {f"E{i}" for i in range(1, 8)}
+
+
+@pytest.mark.parametrize("experiment", ["E1", "E8"])
+def test_fault_drivers_scope_their_floating_point_warnings(experiment):
+    # Overflow/NaN is the injected fault's expected effect inside these
+    # drivers' solves; they must not leak it as RuntimeWarnings.
+    driver = default_registry().get(experiment)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        driver.run(**driver.spec.golden)

@@ -335,19 +335,3 @@ class TestSelectivePrecisionClaim:
         }
         assert by_cell[("gmres", "fp32")] == "crash"
         assert by_cell[("fgmres", "fp32")] == "crash"
-
-    def test_run_batch_matches_run(self):
-        base = dict(
-            grid=6,
-            solvers=("gmres", "cg"),
-            precisions=("fp64", "fp32"),
-            preconds=("none", "jacobi"),
-            faults="bitflip:p=0.05,bits=52..62",
-            target="inner",
-        )
-        params_list = [dict(base, seed=seed) for seed in (2013, 2014, 2015)]
-        batched = e10_precision.run_batch(params_list)
-        for params, result in zip(params_list, batched):
-            sequential = e10_precision.run(**params)
-            assert result.table.rows == sequential.table.rows
-            assert result.summary == sequential.summary
