@@ -5,6 +5,28 @@ problems and solvers of the toolkit.  The data layout is the usual
 triplet of arrays (``indptr``, ``indices``, ``data``); matvec is
 vectorized with :func:`numpy.add.reduceat` so it stays fast enough for
 the benchmark sizes without compiled extensions.
+
+Two things keep the bandwidth-bound sizes fast in pure NumPy:
+
+* **Slab reduce plan.**  ``reduceat`` pays a fixed cost per segment,
+  which on short rows (five entries for a 2-D stencil) is most of a
+  matvec.  From :data:`_SLAB_MIN_ROWS` rows on, and only when no row
+  holds more than :data:`_SLAB_MAX_ROW_LENGTH` entries, ``matvec``
+  instead reduces through a lazily built sliced-ELL layout
+  (:class:`_SlabLayout`): rows are bucketed by length and the j-th
+  entries of a bucket's rows are stored contiguously, so a row sum is
+  a few contiguous vector adds.  The adds are ordered exactly as
+  ``reduceat`` orders them, so both paths give the same bits; which
+  one runs is decided by the matrix alone.
+* **Shared structure.**  ``indptr``/``indices`` (read-only from
+  construction) and everything derived from them, the slab layout
+  included, live in one :class:`_Pattern` that ``copy()``,
+  ``astype()``, ``scale_rows()`` and scalar multiplication share;
+  those only copy ``data``.  The slab plan keeps a permuted copy of
+  ``data``, so building it marks that matrix's ``data`` read-only: an
+  in-place write afterwards raises instead of leaving the plan stale.
+  Write to ``data`` before the first large matvec, or build a new
+  matrix from the changed values.
 """
 
 from __future__ import annotations
@@ -22,6 +44,164 @@ __all__ = ["CsrMatrix"]
 #: allowed as a *storage* dtype (entries are widened on multiply).
 _COMPUTE_DTYPES = (np.float32, np.float64)
 _STORAGE_DTYPES = (np.float16, np.float32, np.float64)
+
+
+#: Row count from which ``matvec`` reduces through the slab layout
+#: rather than ``reduceat``.  Measured crossover on a five-entry stencil
+#: (PERFORMANCE.md, PR 13 note): ``reduceat`` still wins at 576 rows
+#: (11 vs 13 us), the slab path from 1 024 on (19 vs 17 us, 253 vs 133
+#: at 16 384).
+_SLAB_MIN_ROWS = 1024
+
+#: Longest row the slab path may reduce.  Not a tunable: ``reduceat``
+#: sums a segment as ``first + pairwise_sum(rest)`` and NumPy's pairwise
+#: sum is a plain left-to-right loop only below 8 addends, so longer
+#: rows would no longer be bit-equal.
+_SLAB_MAX_ROW_LENGTH = 8
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class _SlabLayout:
+    """Sliced-ELL arrangement of a pattern's entries for short rows.
+
+    Rows are bucketed by length (row order kept inside a bucket); for a
+    bucket of ``m`` rows of length ``k`` the entries are laid out as
+    ``k`` contiguous *slabs* of ``m`` values, slab ``j`` holding every
+    row's ``j``-th entry.  :meth:`reduce` then sums each bucket as
+    ``slab0 + (slab1 + slab2 + ...)`` -- the order ``np.add.reduceat``
+    uses inside a segment (plain left-to-right is not bit-equal).
+    """
+
+    __slots__ = ("indices", "_first", "_buckets", "_row_slots", "_empty_rows")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        lengths = np.diff(indptr)
+        order = np.argsort(lengths, kind="stable")
+        # Position, in CSR order, of the first entry of each row, rows
+        # taken bucket by bucket.
+        self._first = indptr[:-1][order]
+        ks, starts = np.unique(lengths[order], return_index=True)
+        stops = np.append(starts[1:], lengths.size)
+        #: (row length, rows, offset of slab 0, first row in bucket order)
+        self._buckets = []
+        # Where each row's sum ends up: its place in its bucket's slab 0.
+        slots = np.zeros(lengths.size, dtype=np.int64)
+        offset = 0
+        for k, start, stop in zip(ks.tolist(), starts.tolist(), stops.tolist()):
+            if k:
+                self._buckets.append((k, stop - start, offset, start))
+                slots[start:stop] = np.arange(
+                    offset, offset + stop - start, dtype=np.int64
+                )
+                offset += k * (stop - start)
+        self._row_slots = np.empty_like(slots)
+        self._row_slots[order] = slots
+        # Empty rows own no slot; they borrow slot 0 and are zeroed after.
+        self._empty_rows = np.flatnonzero(lengths == 0)
+        self.indices = self.permute(indices)
+
+    def permute(self, entries: np.ndarray) -> np.ndarray:
+        """A CSR-ordered per-entry array rearranged into slab order."""
+        out = np.empty_like(entries)
+        for k, rows, offset, start in self._buckets:
+            first = self._first[start : start + rows]
+            for j in range(k):
+                out[offset + j * rows : offset + (j + 1) * rows] = entries[first + j]
+        return out
+
+    def reduce(self, products: np.ndarray) -> np.ndarray:
+        """Row sums of slab-ordered ``products`` (which is overwritten).
+
+        Sums are accumulated inside ``products`` and gathered into one
+        fresh row-ordered vector, so a matvec allocates nothing else.
+        """
+        if not products.size:
+            return np.zeros(self._row_slots.size, dtype=products.dtype)
+        for k, rows, offset, _ in self._buckets:
+            if k == 1:
+                continue
+            slabs = products[offset : offset + k * rows].reshape(k, rows)
+            rest = slabs[1]
+            for j in range(2, k):
+                np.add(rest, slabs[j], out=rest)
+            np.add(slabs[0], rest, out=slabs[0])
+        sums = products.take(self._row_slots)
+        if self._empty_rows.size:
+            sums[self._empty_rows] = 0.0
+        return sums
+
+
+class _Pattern:
+    """Immutable sparsity structure of a matrix, shared by its value-copies."""
+
+    __slots__ = (
+        "indptr", "indices", "shape",
+        "nonempty_rows", "reduce_starts", "has_empty_rows",
+        "slab_eligible", "_slabs",
+    )
+
+    def __init__(self, indptr, indices, shape: Tuple[int, int]):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        self.indptr = _read_only(indptr)
+        self.indices = _read_only(np.asarray(indices, dtype=np.int64))
+        n_rows, n_cols = int(shape[0]), int(shape[1])
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("shape entries must be non-negative")
+        self.shape = (n_rows, n_cols)
+        if self.indptr.ndim != 1 or self.indptr.size != n_rows + 1:
+            raise ValueError(
+                f"indptr must have length n_rows+1={n_rows + 1}, got {self.indptr.size}"
+            )
+        if self.indptr[0] != 0:
+            raise ValueError("indptr[0] must be 0")
+        lengths = np.diff(self.indptr)
+        if np.any(lengths < 0):
+            raise ValueError("indptr must be non-decreasing")
+        nnz = int(self.indptr[-1])
+        if self.indices.size != nnz:
+            raise ValueError(
+                f"indices must have length indptr[-1]={nnz}, got {self.indices.size}"
+            )
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= n_cols):
+            raise ValueError("column indices out of range")
+        # reduceat must only see strictly increasing indices -- repeated
+        # indptr entries (empty rows) would make it return a neighbouring
+        # segment's value instead of 0, so empty rows are masked out and
+        # left at zero in the output.
+        self.nonempty_rows = np.flatnonzero(lengths > 0)
+        self.has_empty_rows = self.nonempty_rows.size != n_rows
+        # Sliced from the writeable array: reduceat copies a read-only
+        # index array on every call (+0.3 us, a tenth of a matvec at n=64).
+        self.reduce_starts = (
+            indptr[self.nonempty_rows] if self.has_empty_rows else indptr[:-1]
+        )
+        self.slab_eligible = bool(
+            n_rows >= _SLAB_MIN_ROWS and lengths.max() <= _SLAB_MAX_ROW_LENGTH
+        )
+        self._slabs: Optional[_SlabLayout] = None
+
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry, in CSR order."""
+        return np.repeat(
+            np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
+        )
+
+    def slabs(self) -> _SlabLayout:
+        """The slab layout, built on first use.
+
+        Rank threads of the sim backend may race here; each would build
+        an equal layout and publication is one attribute assignment, so
+        the race is harmless.
+        """
+        layout = self._slabs
+        if layout is None:
+            layout = self._slabs = _SlabLayout(self.indptr, self.indices)
+        return layout
 
 
 def _check_compute_dtype(dtype) -> np.dtype:
@@ -85,49 +265,45 @@ class CsrMatrix:
         dtype=np.float64,
         storage=None,
     ):
-        self.dtype = _check_compute_dtype(dtype)
-        storage_dtype = (
-            self.dtype if storage is None else _check_storage_dtype(storage)
+        self._set_values(
+            _Pattern(indptr, indices, shape), data,
+            _check_compute_dtype(dtype), storage,
         )
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        if self.data.size != self.nnz:
+            raise ValueError(
+                f"data must have length indptr[-1]={self.nnz}, "
+                f"got {self.data.size}"
+            )
+
+    def _set_values(self, pattern: _Pattern, data, dtype: np.dtype, storage) -> None:
+        self._pattern = pattern
+        self.indptr = pattern.indptr
+        self.indices = pattern.indices
+        self.shape = pattern.shape
+        self.dtype = dtype
+        storage_dtype = dtype if storage is None else _check_storage_dtype(storage)
         self.data = np.asarray(data, dtype=storage_dtype)
         # Dtype of matvec products: NumPy promotion of storage x compute
         # (float16 storage widens to the compute dtype, never narrows it).
         self._result_dtype = np.result_type(self.data.dtype, self.dtype)
-        n_rows, n_cols = int(shape[0]), int(shape[1])
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("shape entries must be non-negative")
-        self.shape = (n_rows, n_cols)
-        self._validate()
-        # Cached matvec reduce plan (structure is immutable): the rows
-        # with at least one stored entry and their segment starts.
-        # reduceat must only see strictly increasing indices -- repeated
-        # indptr entries (empty rows) would make it return a neighbouring
-        # segment's value instead of 0, so empty rows are masked out and
-        # left at zero in the output.
-        self._nonempty_rows = np.flatnonzero(np.diff(self.indptr) > 0)
-        self._reduce_starts = self.indptr[self._nonempty_rows]
-        self._has_empty_rows = self._nonempty_rows.size != n_rows
+        # ``data`` in slab order, built by the first slab matvec.
+        self._slab_data: Optional[np.ndarray] = None
 
-    def _validate(self) -> None:
-        n_rows, n_cols = self.shape
-        if self.indptr.ndim != 1 or self.indptr.size != n_rows + 1:
-            raise ValueError(
-                f"indptr must have length n_rows+1={n_rows + 1}, got {self.indptr.size}"
-            )
-        if self.indptr[0] != 0:
-            raise ValueError("indptr[0] must be 0")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        nnz = int(self.indptr[-1])
-        if self.indices.size != nnz or self.data.size != nnz:
-            raise ValueError(
-                f"indices/data must have length indptr[-1]={nnz}, "
-                f"got {self.indices.size}/{self.data.size}"
-            )
-        if nnz and (self.indices.min() < 0 or self.indices.max() >= n_cols):
-            raise ValueError("column indices out of range")
+    def _with_values(self, data: np.ndarray, *, dtype=None, storage=None) -> "CsrMatrix":
+        """A matrix over the same (shared, already validated) pattern."""
+        twin = object.__new__(CsrMatrix)
+        twin._set_values(
+            self._pattern,
+            data,
+            self.dtype if dtype is None else dtype,
+            self.data.dtype if storage is None else storage,
+        )
+        return twin
+
+    def __getstate__(self):
+        # pickle and deepcopy hand back writeable arrays, so the twin
+        # has to re-arm the stale-plan guard itself.
+        return {**self.__dict__, "_slab_data": None}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -247,22 +423,16 @@ class CsrMatrix:
     def astype(self, dtype, *, storage=None) -> "CsrMatrix":
         """Return a copy with the given compute (and optional storage) dtype.
 
-        The structure arrays are shared (they are immutable by
-        convention); only ``data`` is converted.  ``astype(np.float64)``
-        on a float64 matrix is still a new object, matching
-        :meth:`copy` semantics for the data array.
+        The pattern is shared; only ``data`` is converted.
+        ``astype(np.float64)`` on a float64 matrix is still a new object
+        with its own data array, matching :meth:`copy`.
         """
         resolved = _check_compute_dtype(dtype)
         storage_dtype = (
             resolved if storage is None else _check_storage_dtype(storage)
         )
-        return CsrMatrix(
-            self.indptr,
-            self.indices,
-            self.data.astype(storage_dtype),
-            self.shape,
-            dtype=resolved,
-            storage=storage_dtype,
+        return self._with_values(
+            self.data.astype(storage_dtype), dtype=resolved, storage=storage_dtype
         )
 
     # ------------------------------------------------------------------
@@ -275,17 +445,38 @@ class CsrMatrix:
             raise ValueError(
                 f"x must be a vector of length {self.n_cols}, got shape {x.shape}"
             )
-        products = self.data * x[self.indices]
-        if not self._has_empty_rows:
+        pattern = self._pattern
+        if pattern.slab_eligible:
+            return self._slab_matvec(x)
+        products = self.data * x[pattern.indices]
+        if not pattern.has_empty_rows:
             if self.n_rows == 0:
                 return np.zeros(0, dtype=self._result_dtype)
-            return np.add.reduceat(products, self._reduce_starts)
+            return np.add.reduceat(products, pattern.reduce_starts)
         result = np.zeros(self.n_rows, dtype=self._result_dtype)
         if products.size:
-            result[self._nonempty_rows] = np.add.reduceat(
-                products, self._reduce_starts
+            result[pattern.nonempty_rows] = np.add.reduceat(
+                products, pattern.reduce_starts
             )
         return result
+
+    def _slab_matvec(self, x: np.ndarray) -> np.ndarray:
+        layout = self._pattern.slabs()
+        values = self._slab_data
+        if values is None:
+            # The plan multiplies by its own permuted copy of ``data``;
+            # freezing ``data`` first makes a later in-place write raise
+            # instead of leaving that copy stale.  Racing rank threads
+            # publish equal arrays with one assignment each.
+            self.data.flags.writeable = False
+            values = self._slab_data = layout.permute(self.data)
+        # Gather into ONE fresh nnz-sized array and multiply in place: a
+        # second nnz-sized temporary per call costs most of the gain
+        # (glibc trims and re-faults the heap top every time), and a
+        # buffer kept on the matrix would not be safe under rank threads.
+        products = x.astype(self._result_dtype, copy=False).take(layout.indices)
+        np.multiply(values, products, out=products)
+        return layout.reduce(products)
 
     def matvec_block(self, X: np.ndarray) -> np.ndarray:
         """Return ``(A @ X.T).T`` for a stack of vectors ``X`` of shape ``(S, n)``.
@@ -300,15 +491,16 @@ class CsrMatrix:
             raise ValueError(
                 f"X must have shape (S, {self.n_cols}), got {X.shape}"
             )
-        products = self.data * X[:, self.indices]
-        if not self._has_empty_rows:
+        pattern = self._pattern
+        products = self.data * X[:, pattern.indices]
+        if not pattern.has_empty_rows:
             if self.n_rows == 0:
                 return np.zeros((X.shape[0], 0), dtype=self._result_dtype)
-            return np.add.reduceat(products, self._reduce_starts, axis=1)
+            return np.add.reduceat(products, pattern.reduce_starts, axis=1)
         result = np.zeros((X.shape[0], self.n_rows), dtype=self._result_dtype)
         if products.size:
-            result[:, self._nonempty_rows] = np.add.reduceat(
-                products, self._reduce_starts, axis=1
+            result[:, pattern.nonempty_rows] = np.add.reduceat(
+                products, pattern.reduce_starts, axis=1
             )
         return result
 
@@ -320,8 +512,7 @@ class CsrMatrix:
                 f"y must be a vector of length {self.n_rows}, got shape {y.shape}"
             )
         result = np.zeros(self.n_cols, dtype=self._result_dtype)
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        np.add.at(result, self.indices, self.data * y[row_ids])
+        np.add.at(result, self.indices, self.data * y[self._pattern.row_ids()])
         return result
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -330,12 +521,10 @@ class CsrMatrix:
     def diagonal_values(self) -> np.ndarray:
         """Extract the main diagonal (zeros where no entry is stored)."""
         diag = np.zeros(min(self.shape), dtype=self.dtype)
-        for i in range(min(self.shape)):
-            start, end = self.indptr[i], self.indptr[i + 1]
-            row_cols = self.indices[start:end]
-            hits = np.nonzero(row_cols == i)[0]
-            if hits.size:
-                diag[i] = self.data[start:end][hits].sum()
+        row_ids = self._pattern.row_ids()
+        hits = np.flatnonzero(row_ids == self.indices)
+        # add.at, not assignment: duplicate diagonal entries are summed.
+        np.add.at(diag, row_ids[hits], self.data[hits])
         return diag
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -363,15 +552,14 @@ class CsrMatrix:
     def to_dense(self) -> np.ndarray:
         """Return the dense equivalent (use only for small matrices/tests)."""
         dense = np.zeros(self.shape, dtype=self.dtype)
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        np.add.at(dense, (row_ids, self.indices), self.data)
+        np.add.at(dense, (self._pattern.row_ids(), self.indices), self.data)
         return dense
 
     def transpose(self) -> "CsrMatrix":
         """Return the transpose as a new CSR matrix."""
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
         return CsrMatrix.from_coo(
-            self.indices, row_ids, self.data, (self.n_cols, self.n_rows),
+            self.indices, self._pattern.row_ids(), self.data,
+            (self.n_cols, self.n_rows),
             dtype=self.dtype, storage=self.data.dtype,
         )
 
@@ -380,29 +568,19 @@ class CsrMatrix:
         factors = np.asarray(factors, dtype=self.dtype)
         if factors.shape != (self.n_rows,):
             raise ValueError("factors must have one entry per row")
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        return CsrMatrix(
-            self.indptr.copy(), self.indices.copy(), self.data * factors[row_ids],
-            self.shape,
-            dtype=self.dtype, storage=self.data.dtype,
-        )
+        return self._with_values(self.data * factors[self._pattern.row_ids()])
 
     def copy(self) -> "CsrMatrix":
-        """Deep copy."""
-        return CsrMatrix(
-            self.indptr.copy(), self.indices.copy(), self.data.copy(), self.shape,
-            dtype=self.dtype, storage=self.data.dtype,
-        )
+        """A matrix with its own ``data`` over the shared, immutable pattern."""
+        return self._with_values(self.data.copy())
 
     def __add__(self, other: "CsrMatrix") -> "CsrMatrix":
         if not isinstance(other, CsrMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("matrix shapes must match for addition")
-        self_rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        other_rows = np.repeat(np.arange(other.n_rows), np.diff(other.indptr))
         return CsrMatrix.from_coo(
-            np.concatenate([self_rows, other_rows]),
+            np.concatenate([self._pattern.row_ids(), other._pattern.row_ids()]),
             np.concatenate([self.indices, other.indices]),
             np.concatenate([self.data, other.data]),
             self.shape,
@@ -412,11 +590,7 @@ class CsrMatrix:
     def __mul__(self, scalar: Union[int, float]) -> "CsrMatrix":
         if not isinstance(scalar, (int, float, np.floating, np.integer)):
             return NotImplemented
-        return CsrMatrix(
-            self.indptr.copy(), self.indices.copy(), self.data * float(scalar),
-            self.shape,
-            dtype=self.dtype, storage=self.data.dtype,
-        )
+        return self._with_values(self.data * float(scalar))
 
     __rmul__ = __mul__
 

@@ -16,9 +16,16 @@ All generators return :class:`~repro.linalg.csr.CsrMatrix`.
 The deterministic generators (Poisson, convection-diffusion,
 tridiagonal) are memoized: multi-trial experiments rebuild the same
 operator dozens of times per campaign, and assembly is a pure function
-of the parameters.  Cached matrices are returned as deep copies so
-callers can mutate their copy (fault injection!) without poisoning the
-cache; use :func:`clear_matrix_cache` to drop the memo.
+of the parameters.  A cached matrix is handed out as a
+:meth:`~repro.linalg.csr.CsrMatrix.copy`: the caller owns its ``data``
+array and may overwrite it (fault injection!) without poisoning the
+cache, but ``indptr``/``indices`` are shared with the cache and every
+other caller and are read-only.  Writes to ``data`` must come before
+the matrix's first matvec at or above the slab-plan size
+(``csr._SLAB_MIN_ROWS`` rows): that matvec freezes ``data``, and a later
+in-place write raises ``ValueError`` -- build a new matrix from the
+changed values instead.  Use :func:`clear_matrix_cache` to drop the
+memo.
 """
 
 from __future__ import annotations
@@ -52,9 +59,9 @@ def _memoize_matrix(builder):
     """LRU-cache a deterministic CsrMatrix generator.
 
     The wrapped function returns a defensive :meth:`CsrMatrix.copy` of
-    the cached instance, so in-place corruption of a returned matrix
-    (the fault-injection experiments do exactly that) never leaks into
-    later trials.
+    the cached instance -- own values, shared pattern -- so in-place
+    corruption of a returned matrix's ``data`` (the fault-injection
+    experiments do exactly that) never leaks into later trials.
     """
     cached = functools.lru_cache(maxsize=_CACHE_MAXSIZE)(builder)
     _cached_builders.append(cached)

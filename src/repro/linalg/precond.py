@@ -150,8 +150,14 @@ class NeumannPolynomialPreconditioner(Preconditioner):
         result = z.copy()
         term = z
         for _ in range(self._degree):
-            # G term = D^{-1} (D - A) term = term - D^{-1} A term
-            term = term - self._inv_diag * self._matrix.matvec(term)
+            # G term = D^{-1} (D - A) term = term - D^{-1} A term, computed
+            # in matvec's fresh output rather than in two more temporaries.
+            scaled = self._matrix.matvec(term)
+            np.multiply(self._inv_diag, scaled, out=scaled)
+            if scaled.dtype == term.dtype:
+                term = np.subtract(term, scaled, out=scaled)
+            else:  # reduced-precision matrix: the difference widens to float64
+                term = term - scaled
             result += term
         return result
 
