@@ -27,6 +27,13 @@ Two things keep the bandwidth-bound sizes fast in pure NumPy:
   in-place write afterwards raises instead of leaving the plan stale.
   Write to ``data`` before the first large matvec, or build a new
   matrix from the changed values.
+
+The pattern also carries the **sweep schedule** of the triangular
+solves SSOR needs (:class:`_SweepSchedule`): rows grouped into levels
+by dependency depth in the strictly lower and the strictly upper part,
+so a Gauss-Seidel sweep is a few whole-level vector operations per
+level instead of a Python loop over rows.  Like the slab layout it is
+structure only, built on first use and shared by every value-copy.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ _SLAB_MIN_ROWS = 1024
 #: sum is a plain left-to-right loop only below 8 addends, so longer
 #: rows would no longer be bit-equal.
 _SLAB_MAX_ROW_LENGTH = 8
+
+
+_ZERO = np.zeros((), dtype=np.float64)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -136,13 +146,134 @@ class _SlabLayout:
         return sums
 
 
+class _LevelSchedule:
+    """Wavefront order of one strictly triangular part of a square pattern.
+
+    A row's *depth* is one more than the deepest row it reads (0 when it
+    reads none), so the rows of one level depend only on earlier levels
+    and are solved together.  Rows are renumbered level by level and,
+    inside a level, by falling entry count: the rows that own a ``j``-th
+    entry are then a prefix of their level, and the level's entries are
+    stored as contiguous slabs (slab ``j`` = every such row's ``j``-th
+    entry, in CSR order within the row) with no padding.  Nothing is ever
+    multiplied against a slot the row does not own, so an infinite
+    neighbour cannot turn into ``0 * inf``.
+
+    Everything here is in the schedule's own numbering: ``order[p]`` is
+    the row at position ``p``, ``position`` its inverse, ``entries`` the
+    CSR positions of the scheduled entries in slab order.
+    """
+
+    __slots__ = ("order", "position", "entries", "_first", "_levels")
+
+    def __init__(self, pattern: "_Pattern", lower: bool):
+        n = pattern.shape[0]
+        row_ids = pattern.row_ids()
+        chosen = np.flatnonzero(
+            pattern.indices < row_ids if lower else pattern.indices > row_ids
+        )
+        rows, cols = row_ids[chosen], pattern.indices[chosen]
+        counts = np.bincount(rows, minlength=n)
+        stops = np.cumsum(counts, dtype=np.int64)
+        # Depth is a recurrence along the sweep direction: one pass over
+        # plain lists, O(entries), instead of one masked scan per level.
+        ptr, reads = [0] + stops.tolist(), cols.tolist()
+        depth_of = [0] * n
+        for i in range(n) if lower else range(n - 1, -1, -1):
+            if ptr[i + 1] > ptr[i]:
+                depth_of[i] = 1 + max([depth_of[j] for j in reads[ptr[i] : ptr[i + 1]]])
+        depth = np.array(depth_of, dtype=np.int64)
+        self.order = np.lexsort((-counts, depth))
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = np.arange(n, dtype=np.int64)
+        # Entries sorted by (level, place within the row, row position).
+        place = np.arange(chosen.size, dtype=np.int64) - (stops - counts)[rows]
+        level = depth[rows]
+        by = np.lexsort((self.position[rows], place, level))
+        self.entries = chosen[by]
+        cols = self.position[cols[by]]
+        level, place = level[by], place[by]
+        new_slab = np.ones(chosen.size, dtype=bool)
+        new_slab[1:] = (level[1:] != level[:-1]) | (place[1:] != place[:-1])
+        slab_starts = np.flatnonzero(new_slab)
+        slab_level = level[slab_starts].tolist() + [-1]
+        slab_starts = slab_starts.tolist() + [chosen.size]
+        row_stops = np.cumsum(np.bincount(depth, minlength=1), dtype=np.int64).tolist()
+        #: Rows [0, _first) read nothing.
+        self._first = row_stops[0]
+        #: (first row, end row, first entry, end entry, positions the
+        #: entries read, slabs after the first as (start, stop) offsets
+        #: into the level's entries)
+        self._levels = []
+        k = 0
+        for d in range(1, len(row_stops)):
+            begin = slab_starts[k]
+            k += 1  # slab 0: every row of a level past the first reads something
+            tails = []
+            while slab_level[k] == d:
+                tails.append((slab_starts[k] - begin, slab_starts[k + 1] - begin))
+                k += 1
+            end = slab_starts[k]
+            self._levels.append(
+                (row_stops[d - 1], row_stops[d], begin, end, cols[begin:end], tails)
+            )
+
+    def solve(
+        self, values: np.ndarray, diag: np.ndarray, omega: float, x: np.ndarray
+    ) -> np.ndarray:
+        """Solve ``(D/omega + T) x = rhs`` in place for the scheduled triangle ``T``.
+
+        ``x`` holds the right-hand side on entry and the solution on
+        return; it and ``diag`` are in ``order``, ``values`` are T's
+        entries in ``entries`` order, all float64.  Per row this is
+        ``x = omega * (rhs - s) / diag`` with ``s = 0.0 + v0*x[c0] +
+        v1*x[c1] + ...`` summed left to right in CSR order.
+        """
+        multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+        omega = np.asarray(omega, dtype=np.float64)
+        out = x[: self._first]
+        multiply(out, omega, out)
+        divide(out, diag[: self._first], out)
+        # Inside the loop no ufunc writes into one of its own operands
+        # (NumPy's overlap handling doubles the cost of a small call):
+        # results alternate between the gather's array and the products'.
+        for lo, hi, begin, end, cols, tails in self._levels:
+            gathered = x.take(cols)
+            products = multiply(values[begin:end], gathered)
+            rows = hi - lo
+            sums, scratch = gathered[:rows], products[:rows]
+            # 0.0 + p: a lone -0.0 product must not flip the sign of a
+            # zero right-hand side (-0.0 - -0.0 is +0.0, -0.0 - 0.0 is not).
+            add(scratch, _ZERO, sums)
+            for start, stop in tails:
+                head = sums[: stop - start]
+                add(head, products[start:stop], head)
+            out = x[lo:hi]
+            subtract(out, sums, scratch)
+            multiply(scratch, omega, sums)
+            divide(sums, diag[lo:hi], out)
+        return x
+
+
+class _SweepSchedule:
+    """Both triangular level schedules of a square pattern (for SSOR)."""
+
+    __slots__ = ("forward", "backward", "forward_to_backward")
+
+    def __init__(self, pattern: "_Pattern"):
+        self.forward = _LevelSchedule(pattern, lower=True)
+        self.backward = _LevelSchedule(pattern, lower=False)
+        #: Gathers a forward-ordered vector into backward order.
+        self.forward_to_backward = self.forward.position[self.backward.order]
+
+
 class _Pattern:
     """Immutable sparsity structure of a matrix, shared by its value-copies."""
 
     __slots__ = (
         "indptr", "indices", "shape",
         "nonempty_rows", "reduce_starts", "has_empty_rows",
-        "slab_eligible", "_slabs",
+        "slab_eligible", "_slabs", "_sweeps",
     )
 
     def __init__(self, indptr, indices, shape: Tuple[int, int]):
@@ -184,6 +315,7 @@ class _Pattern:
             n_rows >= _SLAB_MIN_ROWS and lengths.max() <= _SLAB_MAX_ROW_LENGTH
         )
         self._slabs: Optional[_SlabLayout] = None
+        self._sweeps: Optional[_SweepSchedule] = None
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry, in CSR order."""
@@ -202,6 +334,17 @@ class _Pattern:
         if layout is None:
             layout = self._slabs = _SlabLayout(self.indptr, self.indices)
         return layout
+
+    def sweeps(self) -> _SweepSchedule:
+        """The triangular sweep schedule (square patterns), built on first use.
+
+        Racing rank threads publish equal schedules with one attribute
+        assignment each, as for :meth:`slabs`.
+        """
+        schedule = self._sweeps
+        if schedule is None:
+            schedule = self._sweeps = _SweepSchedule(self)
+        return schedule
 
 
 def _check_compute_dtype(dtype) -> np.dtype:
@@ -526,6 +669,18 @@ class CsrMatrix:
         # add.at, not assignment: duplicate diagonal entries are summed.
         np.add.at(diag, row_ids[hits], self.data[hits])
         return diag
+
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry, in CSR order (COO-style rows)."""
+        return self._pattern.row_ids()
+
+    def sweep_schedule(self) -> _SweepSchedule:
+        """The level schedule of the triangular sweeps (square matrices).
+
+        Structure only: built once per pattern and shared by every
+        value-copy, so asking again is free.
+        """
+        return self._pattern.sweeps()
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(columns, values)`` of row ``i``."""

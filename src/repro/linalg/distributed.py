@@ -215,12 +215,12 @@ class DistributedRowMatrix:
 
     def diagonal(self) -> DistributedVector:
         """The locally owned part of the global diagonal."""
+        block = self.local_block
         diag_local = np.zeros(self.local_rows, dtype=np.float64)
-        for i in range(self.local_rows):
-            cols, vals = self.local_block.row(i)
-            hits = np.nonzero(cols == i + self.row_offset)[0]
-            if hits.size:
-                diag_local[i] = vals[hits].sum()
+        rows = block.row_ids()
+        hits = np.flatnonzero(block.indices == rows + self.row_offset)
+        # add.at, not assignment: duplicate diagonal entries are summed.
+        np.add.at(diag_local, rows[hits], block.data[hits])
         return DistributedVector(self.comm, diag_local, self.global_shape[0], self.row_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,6 +9,16 @@ mode under SRP, since a corrupted preconditioner application changes
 only the rate of convergence, never the correctness of a converged
 answer (for right preconditioning in flexible methods).
 
+**Stale-values rule.**  Jacobi, SSOR and block Jacobi capture every
+matrix value they use at construction (inverted diagonal; diagonal and
+permuted off-diagonals; inverted dense blocks), so writing to
+``matrix.data`` afterwards does not change their ``apply`` -- build a
+new preconditioner from the changed matrix.  Only the polynomial
+preconditioner reads the matrix live (through ``matvec``) next to the
+diagonal it captured at construction.  No ``apply`` loops over single
+rows in Python; SSOR sweeps level by level over the schedule the
+matrix pattern shares (see :mod:`repro.linalg.csr`).
+
 This module is the mechanism layer only.  The declarative surface --
 serializable spec strings (``"jacobi"``, ``"ssor:omega=1.2"``,
 ``"poly:k=4"``, ``"bjacobi:bs=8"``), the named registry, and the
@@ -76,9 +86,27 @@ class SsorPreconditioner(Preconditioner):
     """Symmetric successive over-relaxation preconditioner.
 
     Applies one forward and one backward Gauss-Seidel-like sweep with
-    relaxation factor ``omega``.  Implemented with explicit row loops
-    over the CSR structure; intended for the moderate problem sizes of
-    the experiments.
+    relaxation factor ``omega``.  Each sweep runs level by level over
+    the matrix pattern's shared sweep schedule
+    (:meth:`CsrMatrix.sweep_schedule`): the rows of a level depend only
+    on earlier levels, so a level is a handful of whole-level NumPy
+    operations and no Python loop visits single rows.
+
+    **Values are captured at construction** -- the diagonal and the
+    off-diagonal entries, widened to float64 and permuted into schedule
+    order.  Writing to ``matrix.data`` afterwards does not change
+    ``apply``; build a new preconditioner from the changed matrix.
+
+    **Arithmetic.**  Per row the forward sweep is ``x_i = omega *
+    (b_i - s) / d_i`` with ``s = 0.0 + a_ij0*x_j0 + a_ij1*x_j1 + ...``
+    over the row's strictly lower entries in CSR order, every product
+    and sum rounded (NumPy has no fused multiply-add); the backward
+    sweep is the same over the strictly upper entries with ``d_i * x_i /
+    omega`` as right-hand side.  A row loop that forms ``s`` with a BLAS
+    dot product gives the same bits wherever the products are exact --
+    every ``poisson_*`` matrix, whose off-diagonals are -1 -- and
+    otherwise differs by the roundings a fusing BLAS skips (about 1e-13
+    relative); the result here does not depend on the linked BLAS.
     """
 
     def __init__(self, matrix: CsrMatrix, omega: float = 1.0):
@@ -87,36 +115,31 @@ class SsorPreconditioner(Preconditioner):
         check_positive(omega, "omega")
         if omega >= 2.0:
             raise ValueError("omega must lie in (0, 2) for SSOR")
-        self._matrix = matrix
         self._omega = float(omega)
-        self._diag = matrix.diagonal_values()
-        if np.any(self._diag == 0.0):
+        diag = matrix.diagonal_values().astype(np.float64)
+        if np.any(diag == 0.0):
             raise ValueError("SSOR requires a nonzero diagonal")
+        self._schedule = schedule = matrix.sweep_schedule()
+        forward, backward = schedule.forward, schedule.backward
+        self._lower = matrix.data[forward.entries].astype(np.float64)
+        self._upper = matrix.data[backward.entries].astype(np.float64)
+        self._diag_forward = diag[forward.order]
+        self._diag_backward = diag[backward.order]
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        A = self._matrix
         b = np.asarray(vector, dtype=np.float64)
-        if b.size != A.n_rows:
+        if b.size != self._diag_forward.size:
             raise ValueError("vector length does not match the matrix")
         omega = self._omega
-        n = A.n_rows
-        x = np.zeros(n, dtype=np.float64)
+        forward, backward = self._schedule.forward, self._schedule.backward
         # Forward sweep: (D/omega + L) x = b
-        for i in range(n):
-            cols, vals = A.row(i)
-            acc = b[i]
-            lower = cols < i
-            acc -= vals[lower] @ x[cols[lower]]
-            x[i] = omega * acc / self._diag[i]
-        # Backward sweep: (D/omega + U) y = D x / omega-ish symmetric form
-        y = x.copy()
-        for i in range(n - 1, -1, -1):
-            cols, vals = A.row(i)
-            acc = self._diag[i] * x[i] / omega
-            upper = cols > i
-            acc -= vals[upper] @ y[cols[upper]]
-            y[i] = omega * acc / self._diag[i]
-        return y
+        x = forward.solve(self._lower, self._diag_forward, omega, b.take(forward.order))
+        # Backward sweep: (D/omega + U) y = D x / omega
+        y = x.take(self._schedule.forward_to_backward)
+        np.multiply(self._diag_backward, y, out=y)
+        np.divide(y, omega, out=y)
+        backward.solve(self._upper, self._diag_backward, omega, y)
+        return y.take(backward.position)
 
 
 class NeumannPolynomialPreconditioner(Preconditioner):
@@ -180,21 +203,25 @@ class BlockJacobiPreconditioner(Preconditioner):
         if not 1 <= n_blocks <= n:
             raise ValueError("n_blocks must lie in [1, n_rows]")
         self._n = n
-        bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+        bounds = np.linspace(0, n, n_blocks + 1).astype(np.int64)
         self._ranges: List[tuple] = [
             (int(bounds[i]), int(bounds[i + 1])) for i in range(n_blocks)
         ]
+        # One pass over the stored entries: those whose row and column
+        # fall in the same block are summed (duplicates included, as
+        # matvec sums them) into a zero-padded stack of the blocks.
+        sizes = np.diff(bounds)
+        block_of = np.repeat(np.arange(n_blocks, dtype=np.int64), sizes)
+        rows = matrix.row_ids()
+        inside = np.flatnonzero(block_of[rows] == block_of[matrix.indices])
+        rows, cols = rows[inside], matrix.indices[inside]
+        blocks = block_of[rows]
+        offsets = bounds[blocks]
+        stacked = np.zeros((n_blocks, sizes.max(), sizes.max()), dtype=matrix.dtype)
+        np.add.at(stacked, (blocks, rows - offsets, cols - offsets), matrix.data[inside])
         self._factors = []
-        dense = matrix.to_dense() if n <= 2048 else None
-        for start, stop in self._ranges:
-            if dense is not None:
-                block = dense[start:stop, start:stop]
-            else:
-                block = np.zeros((stop - start, stop - start), dtype=np.float64)
-                for i in range(start, stop):
-                    cols, vals = matrix.row(i)
-                    mask = (cols >= start) & (cols < stop)
-                    block[i - start, cols[mask] - start] = vals[mask]
+        for index, (start, stop) in enumerate(self._ranges):
+            block = stacked[index, : stop - start, : stop - start]
             if block.size == 0:
                 self._factors.append(None)
                 continue
