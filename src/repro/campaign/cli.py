@@ -197,7 +197,7 @@ def _cmd_list(args) -> int:
             driver.experiment,
             driver.name,
             ",".join(driver.spec.tags),
-            ",".join(p for p in driver.accepted_params()),
+            ",".join(driver.accepted_params()),
             driver.spec.title,
         )
     print(table.render())

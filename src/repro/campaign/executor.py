@@ -85,6 +85,7 @@ from typing import (
 )
 
 from repro.campaign.spec import canonical_json
+from repro.campaign.store import LineAppender
 from repro.reliability.spec import (
     format_kind_params,
     parse_kind_params,
@@ -311,12 +312,15 @@ class FailureLedger:
     One :class:`AttemptRecord` per line, appended (and flushed) as each
     attempt concludes, so a killed campaign leaves a valid ledger
     behind.  The file is created lazily on the first record.  Loading
-    tolerates a partial trailing line exactly like the result store.
+    tolerates a partial trailing line exactly like the result store,
+    and the first record after one starts on a fresh line
+    (:class:`~repro.campaign.store.LineAppender`).
     """
 
     def __init__(self, path: str):
         self.path = str(path)
         self._records: List[AttemptRecord] = []
+        self._appender = LineAppender(self.path)
         self._load()
 
     @staticmethod
@@ -348,11 +352,7 @@ class FailureLedger:
     # ------------------------------------------------------------------
     def record(self, record: AttemptRecord) -> AttemptRecord:
         """Append one attempt to the journal (flushed before return)."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_json() + "\n")
-            handle.flush()
+        self._appender.append(record.to_json())
         self._records.append(record)
         return record
 

@@ -13,12 +13,15 @@ automatically.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.experiments import iter_driver_modules
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_signature,
+)
 
 __all__ = ["RegisteredExperiment", "ExperimentRegistry", "default_registry"]
 
@@ -33,12 +36,27 @@ class RegisteredExperiment:
     to per-scenario ``run()`` calls.  The campaign runner's batch mode
     groups scenarios onto it; drivers without one always run
     scenario-at-a-time.
+
+    The names ``run()`` accepts are read off its signature once, here,
+    when the driver is registered; resolving a scenario against the
+    driver is then dict and set lookups.
     """
 
     spec: ExperimentSpec
     module: str
     run: Callable[..., ExperimentResult]
     run_batch: Optional[Callable[..., List[ExperimentResult]]] = None
+    _accepted: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _accepted_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        accepted = tuple(
+            p.name
+            for p in run_signature(self.run).parameters.values()
+            if p.kind in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD)
+        )
+        object.__setattr__(self, "_accepted", accepted)
+        object.__setattr__(self, "_accepted_set", frozenset(accepted))
 
     @property
     def supports_batch(self) -> bool:
@@ -52,25 +70,20 @@ class RegisteredExperiment:
     def name(self) -> str:
         return self.spec.name
 
-    def accepted_params(self) -> List[str]:
-        """Names of the keyword parameters ``run()`` accepts."""
-        signature = inspect.signature(self.run)
-        return [
-            p.name
-            for p in signature.parameters.values()
-            if p.kind in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
+    def accepted_params(self) -> Tuple[str, ...]:
+        """Names of the keyword parameters ``run()`` accepts, in signature order."""
+        return self._accepted
 
     def accepts(self, param: str) -> bool:
-        return param in self.accepted_params()
+        return param in self._accepted_set
 
     def validate_params(self, params: Mapping[str, object]) -> None:
         """Raise ``ValueError`` on parameters ``run()`` does not accept."""
-        unknown = sorted(set(params) - set(self.accepted_params()))
+        unknown = sorted(set(params) - self._accepted_set)
         if unknown:
             raise ValueError(
                 f"{self.experiment} ({self.name}) does not accept parameters "
-                f"{unknown}; accepted: {self.accepted_params()}"
+                f"{unknown}; accepted: {list(self._accepted)}"
             )
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.serialization import canonical_json
@@ -55,7 +57,9 @@ class Scenario:
         case-insensitively against the registry.
     params:
         Keyword overrides passed to the driver's ``run()``.  Parameters
-        not listed keep the driver's defaults.
+        not listed keep the driver's defaults.  Stored as a read-only
+        view of a private copy (item assignment raises ``TypeError``);
+        use :meth:`with_params` to derive a changed scenario.
     tag:
         Free-form label (usually the sweep/campaign name) used for
         filtering in the CLI and the report.
@@ -68,13 +72,18 @@ class Scenario:
     def __post_init__(self):
         # Freeze the mapping so scenarios are safely hashable-by-key
         # and cannot drift after their key has been computed.
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         object.__setattr__(self, "experiment", self.experiment.upper())
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable content key (see :func:`scenario_key`)."""
+        """Stable content key (see :func:`scenario_key`), computed once."""
         return scenario_key(self.experiment, self.params)
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies; rebuild from
+        # a plain dict (the key is recomputed on demand, never carried).
+        return (type(self), (self.experiment, dict(self.params), self.tag))
 
     def with_params(self, **overrides: Any) -> "Scenario":
         """Return a copy with ``overrides`` merged into the params."""

@@ -8,7 +8,9 @@ One line per completed scenario::
 Appending is atomic at line granularity, so a crashed campaign leaves a
 valid store behind and a re-run resumes exactly where it stopped (the
 runner skips every key already present).  Loading tolerates trailing
-partial lines (a run killed mid-write) by discarding them.
+partial lines (a run killed mid-write) by discarding them, and the
+first append after such a line starts on a fresh line
+(:class:`LineAppender`), so the resumed record is not glued onto it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,45 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.experiments.common import ExperimentResult
 from repro.utils.serialization import jsonify
 
-__all__ = ["StoreRecord", "ResultStore", "StoreVerification"]
+__all__ = ["StoreRecord", "ResultStore", "StoreVerification", "LineAppender"]
+
+
+class LineAppender:
+    """Appends newline-terminated records to one JSONL file.
+
+    Shared by the result store and the failure ledger.  One
+    open/write/flush/close per record, so a killed process loses at
+    most the line in flight.  The first append creates the parent
+    directory and looks at the file's last byte: if a previous run was
+    killed mid-append the file ends in a partial line without a
+    newline, and the first new record is started on a fresh line
+    instead of being glued onto it (and lost with it at the next load).
+    The partial line itself stays where it is -- the file is
+    append-only.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        # Prefix of the next record: None until the first append has
+        # looked at the file, "" from then on.
+        self._prefix: Optional[str] = None
+
+    def _first_prefix(self) -> str:
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
+            return ""
+        with open(self.path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return "" if handle.read(1) == b"\n" else "\n"
+
+    def append(self, line: str) -> None:
+        """Write ``line`` plus a newline; flushed before return."""
+        if self._prefix is None:
+            self._prefix = self._first_prefix()
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(self._prefix + line + "\n")
+            handle.flush()
+        self._prefix = ""
 
 
 @dataclass(frozen=True)
@@ -111,6 +151,7 @@ class ResultStore:
     def __init__(self, path: str):
         self.path = str(path)
         self._records: Dict[str, StoreRecord] = {}
+        self._appender = LineAppender(self.path)
         self._load()
 
     # ------------------------------------------------------------------
@@ -228,9 +269,6 @@ class ResultStore:
             elapsed=float(elapsed),
             result=result.to_dict() if isinstance(result, ExperimentResult) else result,
         )
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_json() + "\n")
+        self._appender.append(record.to_json())
         self._records[key] = record
         return record

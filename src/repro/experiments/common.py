@@ -16,11 +16,14 @@ Three pieces live here:
 * :func:`run_batch_by_seed` -- the one ``run_batch`` every
   batch-capable driver exports, and :func:`batch_signature`, the one
   definition of "same except ``seed``" it shares with the campaign
-  runner's :func:`~repro.campaign.runner.plan_batch_groups`.
+  runner's :func:`~repro.campaign.runner.plan_batch_groups`.  It binds
+  defaults against :func:`run_signature`, the one introspection of a
+  driver, which the campaign registry reads too.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -33,6 +36,7 @@ __all__ = [
     "ExperimentSpec",
     "batch_signature",
     "run_batch_by_seed",
+    "run_signature",
 ]
 
 # Parameter/summary lines longer than this are wrapped one-per-line.
@@ -162,6 +166,20 @@ def batch_signature(params: Mapping[str, Any]) -> str:
     return canonical_json({k: v for k, v in params.items() if k != "seed"})
 
 
+@functools.lru_cache(maxsize=None)
+def run_signature(run: Callable[..., Any]) -> inspect.Signature:
+    """The signature of a driver's ``run``, inspected once per callable.
+
+    The one place a driver is introspected: the campaign registry reads
+    its accepted parameter names from here when the driver is
+    registered, and :func:`run_batch_by_seed` binds defaults against
+    the same object, so neither resolving a scenario nor a ``run_batch``
+    call inspects anything.  The memo keeps each callable alive for the
+    life of the process: drivers are module-level functions.
+    """
+    return inspect.signature(run)
+
+
 def _bind_defaults(
     signature: inspect.Signature, params: Mapping[str, Any]
 ) -> Dict[str, Any]:
@@ -184,7 +202,7 @@ def run_batch_by_seed(
     ``run``'s defaults, grouped by :func:`batch_signature`, and each
     group is one ``run_lanes`` call; results come back in input order.
     """
-    signature = inspect.signature(run)
+    signature = run_signature(run)
     resolved = [_bind_defaults(signature, params) for params in params_list]
     groups: Dict[str, List[int]] = {}
     for index, params in enumerate(resolved):

@@ -7,19 +7,25 @@ just the examples the built-in campaigns happen to use.
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign import spec as spec_module
 from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 from repro.campaign.cli import main as cli_main
-from repro.campaign.registry import default_registry
+from repro.campaign.executor import FailureLedger
+from repro.campaign.registry import RegisteredExperiment, default_registry
 from repro.campaign.runner import CampaignRunner, derive_seed
 from repro.campaign.spec import Scenario, Sweep, grid_sweep, scenario_key, zip_sweep
 from repro.campaign.store import ResultStore, StoreRecord
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, ExperimentSpec
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +144,60 @@ class TestScenarioKey:
         params = {k: v[0] for k, v in axes.items()}
         assert Scenario("E3", params).key == scenario_key("E3", params)
 
+    def test_params_are_read_only(self):
+        source = {"grid": 8, "solvers": ("gmres", "cg")}
+        scenario = Scenario("E8", source)
+        key = scenario.key
+        with pytest.raises(TypeError):
+            scenario.params["grid"] = 10
+        with pytest.raises(TypeError):
+            del scenario.params["grid"]
+        # The view is of a private copy: the caller's dict is not aliased.
+        source["grid"] = 10
+        assert scenario.params["grid"] == 8 and scenario.key == key
+        # Everything that reads params keeps working on the view.
+        assert scenario.params == {"grid": 8, "solvers": ("gmres", "cg")}
+        assert dict(scenario.params) == {"grid": 8, "solvers": ("gmres", "cg")}
+        assert scenario == Scenario("e8", dict(scenario.params))
+        assert scenario.describe() == "grid=8, solvers=('gmres', 'cg')"
+        assert spec_module.canonical_json(scenario.params) == (
+            '{"grid":8,"solvers":["gmres","cg"]}'
+        )
+        changed = scenario.with_params(grid=10)
+        assert changed.params["grid"] == 10 and scenario.params["grid"] == 8
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("memoised", [False, True])
+    def test_copies_preserve_key(self, clone, memoised):
+        scenario = Scenario("E9", {"preconds": ["none", "ssor"], "seed": 3}, "t")
+        if memoised:
+            scenario.key
+        twin = clone(scenario)
+        assert twin is not scenario and twin == scenario
+        assert twin.key == scenario.key == scenario_key("E9", scenario.params)
+        assert twin.tag == "t"
+        with pytest.raises(TypeError):
+            twin.params["seed"] = 4
+
+    def test_key_computed_once_per_object(self, monkeypatch):
+        calls = []
+
+        def spy(experiment, params):
+            calls.append(experiment)
+            return scenario_key(experiment, params)
+
+        monkeypatch.setattr(spec_module, "scenario_key", spy)
+        scenario = Scenario("E1", {"grid": 8})
+        assert calls == []  # lazily: construction hashes nothing
+        assert scenario.key == scenario.key == scenario_key("E1", {"grid": 8})
+        assert len(calls) == 1
+        assert scenario.with_params(grid=9).key == scenario_key("E1", {"grid": 9})
+        assert len(calls) == 2 and scenario.key == scenario_key("E1", {"grid": 8})
+
     def test_derive_seed_stable_and_distinct(self):
         key_a = scenario_key("E1", {"grid": 10})
         key_b = scenario_key("E1", {"grid": 12})
@@ -167,6 +227,64 @@ class TestRegistry:
         driver.validate_params({"node_counts": (10,)})
         with pytest.raises(ValueError, match="does not accept"):
             driver.validate_params({"bogus_knob": 1})
+
+    def test_validate_params_error_text_is_pinned(self):
+        # Byte for byte the message of the pre-memoisation registry:
+        # unknown names sorted, accepted names as a list in signature order.
+        with pytest.raises(ValueError) as caught:
+            default_registry().get("e7").validate_params(
+                {"zeta": 1, "bogus": 2, "faults": None}
+            )
+        assert str(caught.value) == (
+            "E7 (efficiency) does not accept parameters ['bogus', 'zeta']; "
+            "accepted: ['node_mtbf_years', 'node_counts', 'checkpoint_time', "
+            "'restart_time', 'local_recovery_time', 'redundancy_overhead', "
+            "'mtbf_sweep_hours', 'sweep_nodes', 'faults', 'backend']"
+        )
+
+    def test_accepted_params_follow_signature_order(self):
+        for driver in default_registry():
+            expected = [
+                p.name
+                for p in inspect.signature(driver.run).parameters.values()
+                if p.kind in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD)
+            ]
+            assert list(driver.accepted_params()) == expected
+            assert all(driver.accepts(name) for name in expected)
+            assert not driver.accepts("bogus_knob")
+
+    def test_hand_built_driver_parameter_kinds(self):
+        def keyword_only(*, alpha=1, beta=2):
+            return None
+
+        def positional_or_keyword(alpha, beta=2, *rest, gamma=3):
+            return None
+
+        def open_ended(alpha=1, **extra):
+            return None
+
+        def positional_only(alpha, /, beta):
+            return None
+
+        def driver(run):
+            return RegisteredExperiment(
+                spec=ExperimentSpec("E99", "hand_built"), module=__name__, run=run
+            )
+
+        assert list(driver(keyword_only).accepted_params()) == ["alpha", "beta"]
+        mixed = driver(positional_or_keyword)
+        assert list(mixed.accepted_params()) == ["alpha", "beta", "gamma"]
+        assert mixed.accepts("gamma") and not mixed.accepts("rest")
+        mixed.validate_params({"gamma": 1, "alpha": 2})
+        # **kwargs does not widen the accepted set (nor does *args), and
+        # positional-only parameters cannot be passed by a scenario.
+        loose = driver(open_ended)
+        assert list(loose.accepted_params()) == ["alpha"]
+        assert not loose.accepts("extra") and not loose.accepts("anything")
+        with pytest.raises(ValueError, match=r"\['anything'\]; accepted: \['alpha'\]"):
+            loose.validate_params({"anything": 1})
+        assert list(driver(positional_only).accepted_params()) == ["beta"]
+        assert driver(keyword_only) == driver(keyword_only)
 
     def test_specs_expose_smoke_and_golden(self):
         for driver in default_registry():
@@ -233,6 +351,73 @@ class TestResultStore:
         assert verification.loaded == 1 and verification.total_lines == 2
         assert "trailing partial" in verification.describe()
 
+    def test_append_after_interrupted_write_is_not_lost(self, tmp_path):
+        driver = default_registry().get("E7")
+        result = driver.run(**driver.spec.smoke)
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(str(path))
+        store.append("k1", experiment="E7", tag="", params={}, result=result)
+        store.append("k2", experiment="E7", tag="", params={}, result=result)
+        good = path.read_bytes()
+        # A run killed mid-append: the file ends in half a record.
+        path.write_bytes(good + b'{"key": "k3", "experiment": "E7", "trunc')
+        resumed = ResultStore(str(path))
+        assert resumed.keys() == ["k1", "k2"]
+        resumed.append("k3", experiment="E7", tag="", params={}, result=result)
+        resumed.append("k4", experiment="E7", tag="", params={}, result=result)
+        with pytest.warns(RuntimeWarning, match=r"line 3"):
+            reloaded = ResultStore(str(path))
+        assert reloaded.keys() == ["k1", "k2", "k3", "k4"]
+        verification = reloaded.verify()
+        # The partial line stays (append-only), now reported mid-file.
+        assert verification.dropped == (3,) and not verification.trailing_partial
+        assert verification.loaded == 4 and verification.total_lines == 5
+        assert path.read_bytes().startswith(good + b'{"key": "k3", "experiment": "E7", "trunc\n{')
+        assert b"\n\n" not in path.read_bytes()
+
+    def test_clean_and_empty_files_gain_no_blank_line(self, tmp_path):
+        driver = default_registry().get("E7")
+        result = driver.run(**driver.spec.smoke)
+        reference = tmp_path / "reference.jsonl"
+        one_go = ResultStore(str(reference))
+        for key in ("k1", "k2"):
+            one_go.append(key, experiment="E7", tag="", params={}, result=result)
+        # Appending to a clean file from a second instance, to an empty
+        # file and to one in a directory that does not exist yet all
+        # write exactly the bytes a single instance writes.
+        resumed = tmp_path / "resumed.jsonl"
+        ResultStore(str(resumed)).append(
+            "k1", experiment="E7", tag="", params={}, result=result)
+        ResultStore(str(resumed)).append(
+            "k2", experiment="E7", tag="", params={}, result=result)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        nested = tmp_path / "not" / "yet" / "there.jsonl"
+        for path in (empty, nested):
+            store = ResultStore(str(path))
+            for key in ("k1", "k2"):
+                store.append(key, experiment="E7", tag="", params={}, result=result)
+        for path in (resumed, empty, nested):
+            assert path.read_bytes() == reference.read_bytes()
+
+    def test_directory_created_once_per_instance(self, tmp_path, monkeypatch):
+        driver = default_registry().get("E7")
+        result = driver.run(**driver.spec.smoke)
+        made = []
+        real_makedirs = os.makedirs
+
+        def spy(path, *args, **kwargs):
+            made.append(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", spy)
+        store = ResultStore(str(tmp_path / "deep" / "store.jsonl"))
+        assert made == []  # nothing is created before the first append
+        for key in ("k1", "k2", "k3"):
+            store.append(key, experiment="E7", tag="", params={}, result=result)
+        assert made == [str(tmp_path / "deep")]
+        assert len(ResultStore(store.path)) == 3
+
     def test_corrupt_midfile_line_warns_and_verifies(self, tmp_path):
         driver = default_registry().get("E7")
         result = driver.run(**driver.spec.smoke)
@@ -297,6 +482,107 @@ class TestCampaignRunner:
         assert pinned.params["seed"] == 5
         # Drivers without a seed parameter are left alone.
         assert "seed" not in runner.resolve(Scenario("E7", {})).params
+
+    @pytest.mark.parametrize("batch", [1, 0])
+    def test_run_never_inspects_a_registered_driver(self, tmp_path, monkeypatch, batch):
+        registry = default_registry()  # built (and inspected) before the spy
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inspect.signature called on the campaign path")
+
+        monkeypatch.setattr(inspect, "signature", forbidden)
+        scenarios = _fast_scenarios(2) + grid_sweep(
+            "E1", base=dict(grid=6, n_trials=1, inject_at=3), seed=(5, 6)
+        ) + [Scenario("E8", dict(grid=6, solvers=("gmres",), policy="none"))]
+        path = str(tmp_path / "s.jsonl")
+        executed = CampaignRunner(
+            ResultStore(path), registry=registry, batch=batch).run(scenarios)
+        assert [o.status for o in executed] == ["completed"] * 5
+        cached = CampaignRunner(
+            ResultStore(path), registry=registry, batch=batch).run(scenarios)
+        assert [o.status for o in cached] == ["cached"] * 5
+        assert [o.key for o in cached] == [o.key for o in executed]
+        with pytest.raises(ValueError, match="does not accept"):
+            CampaignRunner(registry=registry).resolve(Scenario("E7", {"bogus": 1}))
+
+    def test_run_batch_does_not_reinspect(self, monkeypatch):
+        registry = default_registry()
+        inspected = []
+        real_signature = inspect.signature
+
+        def spy(obj, *args, **kwargs):
+            inspected.append(obj)
+            return real_signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", spy)
+        tiny = {
+            "E1": dict(grid=6, n_trials=1, inject_at=3),
+            "E8": dict(grid=6, solvers=("gmres",), policy="none"),
+            "E9": dict(grid=6, solvers=("cg",), preconds=("jacobi",)),
+            "E10": dict(grid=6, solvers=("cg",), precisions=("fp32",),
+                        preconds=("none",)),
+        }
+        for experiment, params in tiny.items():
+            driver = registry.get(experiment)
+            lanes = [dict(params, seed=1), dict(params, seed=2)]
+            first = driver.run_batch(lanes)
+            second = driver.run_batch(lanes)
+            assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+            assert driver.run not in inspected
+
+    def test_keys_are_hashed_once_per_scenario(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(experiment, params):
+            calls.append(experiment)
+            return scenario_key(experiment, params)
+
+        monkeypatch.setattr(spec_module, "scenario_key", spy)
+        n = 4
+        path = str(tmp_path / "s.jsonl")
+        unseeded = grid_sweep("E2", base=dict(n_trials=1), sizes=[(4 + i,) for i in range(n)])
+        # Executing run: the unseeded key (seed derivation) and the
+        # resolved key (store, ledger, outcome) -- each hashed once.
+        executed = CampaignRunner(ResultStore(path)).run(unseeded)
+        assert [o.status for o in executed] == ["completed"] * n
+        assert len(calls) <= 2 * n
+        # Cached re-run of scenarios that carry their seed: one hash
+        # each on first use, none when the same objects come back.
+        seeded = [Scenario(o.scenario.experiment, dict(o.scenario.params))
+                  for o in executed]
+        del calls[:]
+        first = CampaignRunner(ResultStore(path)).run(seeded)
+        assert [o.status for o in first] == ["cached"] * n
+        assert len(calls) <= n
+        del calls[:]
+        again = CampaignRunner(ResultStore(path)).run(seeded)
+        assert [o.key for o in again] == [o.key for o in executed]
+        assert calls == []
+
+    def test_resume_after_interrupted_write_stays_cached(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        scenarios = _fast_scenarios(3)
+        CampaignRunner(ResultStore(str(path))).run(scenarios)
+        ledger_path = FailureLedger.path_for(str(path))
+        # Kill the first run in the middle of its third append, in the
+        # store and in the ledger.
+        for file in (str(path), ledger_path):
+            with open(file, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines(keepends=True)
+            assert len(lines) == 3
+            with open(file, "w", encoding="utf-8") as handle:
+                handle.write(lines[0] + lines[1] + lines[2][: len(lines[2]) // 2])
+        resumed = CampaignRunner(ResultStore(str(path))).run(scenarios)
+        assert [o.status for o in resumed] == ["cached", "cached", "completed"]
+        with pytest.warns(RuntimeWarning, match="line 3"):
+            store = ResultStore(str(path))
+        assert len(store) == 3
+        rerun = CampaignRunner(store).run(scenarios)
+        assert [o.status for o in rerun] == ["cached"] * 3
+        # The ledger kept the resumed attempt's terminal record.
+        outcomes = FailureLedger(ledger_path).outcomes()
+        assert {o.key for o in resumed} == set(outcomes)
+        assert outcomes[resumed[2].key].outcome == "completed"
 
     def test_unknown_param_rejected_at_resolve(self):
         with pytest.raises(ValueError, match="does not accept"):
@@ -371,6 +657,15 @@ class TestCli:
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "E1" in out and "E7" in out and "smoke" in out
+
+    def test_list_shows_parameters_in_signature_order(self, capsys):
+        assert cli_main(["list"]) == 0
+        out = capsys.readouterr().out
+        for driver in default_registry():
+            names = ",".join(
+                p.name for p in inspect.signature(driver.run).parameters.values()
+            )
+            assert f" {names} " in out
 
     def test_list_campaign_scenarios(self, capsys):
         assert cli_main(["list", "--campaign", "smoke", "--experiment", "E7"]) == 0

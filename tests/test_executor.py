@@ -194,6 +194,63 @@ class TestFailureLedger:
             handle.write('{"key": "k2", "trunc')
         assert len(FailureLedger(path)) == 1
 
+    def test_record_after_interrupted_write_is_not_lost(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = FailureLedger(str(path))
+        ledger.record(AttemptRecord("k1", "E7", 1, "ok", outcome="completed"))
+        good = path.read_bytes()
+        path.write_bytes(good + b'{"key": "k2", "trunc')
+        resumed = FailureLedger(str(path))
+        assert len(resumed) == 1
+        resumed.record(AttemptRecord("k2", "E7", 1, "error", outcome="failed"))
+        resumed.record(AttemptRecord("k3", "E7", 1, "ok", outcome="completed"))
+        reloaded = FailureLedger(str(path))
+        # The first record after the partial line starts on a fresh
+        # line instead of being glued onto it and dropped with it.
+        assert [r.key for r in reloaded.records()] == ["k1", "k2", "k3"]
+        assert reloaded.failed_keys() == ["k2"]
+        assert path.read_bytes().startswith(good + b'{"key": "k2", "trunc\n{')
+        assert b"\n\n" not in path.read_bytes()
+
+    def test_clean_and_empty_files_gain_no_blank_line(self, tmp_path):
+        records = [
+            AttemptRecord("k1", "E7", 1, "crashed", worker=7, wall_time=1.0),
+            AttemptRecord("k1", "E7", 2, "ok", outcome="completed", wall_time=2.0),
+        ]
+        reference = tmp_path / "reference.jsonl"
+        one_go = FailureLedger(str(reference))
+        for record in records:
+            one_go.record(record)
+        resumed = tmp_path / "resumed.jsonl"
+        for record in records:  # a fresh instance per record
+            FailureLedger(str(resumed)).record(record)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        nested = tmp_path / "not" / "yet" / "there.jsonl"
+        for path in (empty, nested):
+            ledger = FailureLedger(str(path))
+            for record in records:
+                ledger.record(record)
+        for path in (resumed, empty, nested):
+            assert path.read_bytes() == reference.read_bytes()
+            assert len(FailureLedger(str(path))) == 2
+
+    def test_directory_created_once_per_instance(self, tmp_path, monkeypatch):
+        made = []
+        real_makedirs = os.makedirs
+
+        def spy(path, *args, **kwargs):
+            made.append(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", spy)
+        ledger = FailureLedger(str(tmp_path / "deep" / "l.jsonl"))
+        for attempt in (1, 2, 3):
+            ledger.record(AttemptRecord("k1", "E7", attempt, "crashed"))
+            # Flushed before return: another reader sees every record.
+            assert len(FailureLedger(ledger.path)) == attempt
+        assert made == [str(tmp_path / "deep")]
+
     def test_sidecar_path_convention(self):
         assert FailureLedger.path_for("results.jsonl") == "results.ledger.jsonl"
         assert FailureLedger.path_for("x/store") == "x/store.ledger.jsonl"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.campaign.spec import Scenario, scenario_key
 from repro.reliability.bitflip import flip_bit_array, flip_bit_float64
 from repro.linalg.blas import back_substitution, givens_rotation
 from repro.linalg.blas import apply_givens
@@ -228,3 +229,60 @@ class TestEfficiencyProperties:
         cheap = cpr_efficiency(1.0, mtbf)
         expensive = cpr_efficiency(50.0, mtbf)
         assert cheap >= expensive - 1e-12
+
+
+# ----------------------------------------------------------------------
+# Scenario keys: memoised on the object, equal to the function
+# ----------------------------------------------------------------------
+_param_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+)
+_param_value = st.recursive(
+    _param_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_param_dict = st.dictionaries(
+    st.sampled_from(["grid", "solvers", "faults", "seed", "tol", "nested"]),
+    _param_value, max_size=5,
+)
+
+
+def _as_lists(value):
+    """The flavour a value comes back in from JSON: tuples become lists."""
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    return value
+
+
+class TestScenarioKeyProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(experiment=st.sampled_from(["E1", "e8", "E10"]), params=_param_dict)
+    def test_key_is_the_function_of_experiment_and_params(self, experiment, params):
+        scenario = Scenario(experiment, params)
+        assert scenario.key == scenario_key(experiment, params)
+        assert scenario.key == scenario.key  # the memoised read
+        # Equal scenarios have equal keys, whatever the container flavour.
+        twin = Scenario(experiment.upper(), _as_lists(params))
+        assert twin.key == scenario.key
+        same = Scenario(experiment, dict(params))
+        assert same == scenario and same is not scenario and same.key == scenario.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=_param_dict, overrides=_param_dict)
+    def test_with_params_never_stales_a_key(self, params, overrides):
+        scenario = Scenario("E8", params, tag="t")
+        before = scenario.key
+        derived = scenario.with_params(**overrides)
+        merged = {**params, **overrides}
+        assert derived is not scenario and derived.tag == "t"
+        assert derived.params == merged
+        assert derived.key == scenario_key("E8", merged)
+        assert scenario.key == before == scenario_key("E8", params)
