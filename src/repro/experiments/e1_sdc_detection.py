@@ -29,6 +29,7 @@ from repro.linalg.matgen import poisson_2d
 from repro.reliability.events import FaultEvent, FaultRecord
 from repro.reliability.registry import resolve_faults
 from repro.reliability.sdc import SdcCampaign, classify_outcome
+from repro.skeptical.gmres_sdc import estimate_operator_norm
 from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 
@@ -155,6 +156,9 @@ def _run_lanes(
     solve_params = {"tol": tol, "restart": 30, "maxiter": 600}
 
     baselines = batch_solve("gmres", matrix, b_list, **solve_params)
+    # The faults enter through the hooks, never through ``matrix``, so
+    # the estimate every skeptical solve would make is the same one.
+    norms = [estimate_operator_norm(matrix, b) for b in b_list]
     solver_flops = [2.0 * matrix.nnz * max(r.iterations, 1) for r in baselines]
 
     tables = [_result_table() for _ in lanes]
@@ -178,7 +182,10 @@ def _run_lanes(
                         results = batch_solve(
                             "sdc_gmres", matrix, b_list, policy="skeptical_restart",
                             check_period=check_period, **solve_params,
-                            lane_params=[{"fault_hook": hook} for hook in hooks],
+                            lane_params=[
+                                {"fault_hook": hook, "operator_norm": norm}
+                                for hook, norm in zip(hooks, norms)
+                            ],
                         )
                     else:
                         results = batch_solve(

@@ -32,6 +32,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.krylov import ops
+
 __all__ = [
     "IterationEvent",
     "CycleAbandoned",
@@ -298,6 +300,11 @@ class SkepticalGmresPolicy(ResiliencePolicy):
     def __init__(self, monitor, *, operator, b, response: str = "restart"):
         if response not in ("restart", "abort"):
             raise ValueError("response must be 'restart' or 'abort'")
+        # Late import (repro.skeptical imports the krylov layer),
+        # resolved once per policy rather than once per iteration.
+        from repro.skeptical.policies import SkepticalAbort
+
+        self._abort = SkepticalAbort
         self.monitor = monitor
         self.operator = operator
         self.b = b
@@ -309,10 +316,6 @@ class SkepticalGmresPolicy(ResiliencePolicy):
         self.residual_history.clear()
 
     def observe(self, event) -> None:
-        # Local import: repro.skeptical imports the krylov layer.
-        from repro.krylov import ops
-        from repro.skeptical.policies import SkepticalAbort
-
         self.residual_history.append(event.residual_norm)
 
         def true_residual() -> float:
@@ -342,7 +345,7 @@ class SkepticalGmresPolicy(ResiliencePolicy):
         }
         try:
             self.monitor.observe(observation)
-        except SkepticalAbort:
+        except self._abort:
             if self.response == "abort":
                 raise
             self.detection_restarts += 1

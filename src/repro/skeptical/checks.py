@@ -8,12 +8,13 @@ paper's claim that "the cost can be very low".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+import math
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_integer, check_non_negative, check_positive
 
 __all__ = [
     "CheckResult",
@@ -27,9 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one invariant check.
+class CheckResult(NamedTuple):
+    """Outcome of one invariant check (immutable).
+
+    A named tuple rather than a frozen dataclass: the monitor builds
+    four to six of these per solver iteration, and a tuple builds in
+    well under half the time.
 
     Attributes
     ----------
@@ -53,7 +57,7 @@ class CheckResult:
     measure: float
     threshold: float
     cost_flops: float = 0.0
-    details: Dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.passed
@@ -66,7 +70,7 @@ def finite_check(array: np.ndarray, name: str = "finite") -> CheckResult:
     exponent-bit flips almost immediately.
     """
     arr = np.asarray(array)
-    n_bad = int(np.size(arr) - np.count_nonzero(np.isfinite(arr)))
+    n_bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
     return CheckResult(
         name=name,
         passed=n_bad == 0,
@@ -93,17 +97,24 @@ def orthogonality_check(
     basis = np.asarray(basis, dtype=np.float64)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D array with basis vectors as columns")
-    k = basis.shape[1] if n_vectors is None else int(n_vectors)
-    k = min(k, basis.shape[1])
+    k = basis.shape[1]
+    if n_vectors is not None:
+        k = min(k, check_integer(n_vectors, "n_vectors"))
+        if k < 0:
+            raise ValueError(f"n_vectors must be non-negative, got {n_vectors}")
     if k == 0:
         return CheckResult(name=name, passed=True, measure=0.0, threshold=tol)
     v = basis[:, :k]
     gram = v.T @ v
-    defect = float(np.max(np.abs(gram - np.eye(k)))) if np.all(np.isfinite(gram)) else float("inf")
+    # G - I in place on the fresh Gram; a NaN or inf anywhere in it
+    # surfaces in the maximum, so one scan decides both questions.
+    gram.flat[:: k + 1] -= 1.0
+    defect = float(np.abs(gram).max())
+    finite = math.isfinite(defect)
     return CheckResult(
         name=name,
-        passed=bool(np.isfinite(defect) and defect <= tol),
-        measure=defect,
+        passed=bool(finite and defect <= tol),
+        measure=defect if finite else math.inf,
         threshold=tol,
         cost_flops=2.0 * basis.shape[0] * k * k,
     )
@@ -121,8 +132,13 @@ def hessenberg_bound_check(
 
     In exact arithmetic every entry of the Arnoldi Hessenberg matrix
     satisfies ``|h_ij| <= ||A||_2``; Elliott & Hoemmen use (a refinement
-    of) this bound to flag bit flips in the Arnoldi process at O(1)
-    cost per iteration.  ``safety`` loosens the bound to allow for the
+    of) this bound to flag bit flips in the Arnoldi process.  Each call
+    scans, and charges ``cost_flops`` for, the whole ``(k+1) x k``
+    window of the first ``k`` columns -- O(k^2) per call, not O(1):
+    small beside the O(n k) orthogonalization of the step it guards,
+    and a corrupted entry keeps failing on every later observation of
+    the cycle.  A non-finite entry anywhere in the window reports
+    ``measure = inf``.  ``safety`` loosens the bound to allow for the
     looseness of the norm estimate.
     """
     check_positive(operator_norm_estimate, "operator_norm_estimate")
@@ -130,19 +146,18 @@ def hessenberg_bound_check(
     h = np.asarray(hessenberg, dtype=np.float64)
     k = h.shape[1] if n_columns is None else int(n_columns)
     k = min(k, h.shape[1])
-    if k == 0:
-        return CheckResult(name=name, passed=True, measure=0.0,
-                           threshold=safety * operator_norm_estimate)
-    window = h[: k + 1, :k]
-    finite = np.isfinite(window)
-    max_entry = float(np.max(np.abs(window[finite]))) if finite.any() else 0.0
-    if not finite.all():
-        max_entry = float("inf")
     threshold = safety * operator_norm_estimate
+    window = h[: k + 1, :k]
+    if window.size == 0:
+        return CheckResult(name=name, passed=True, measure=0.0, threshold=threshold)
+    # NaN propagates through the maximum and inf is one, so a single
+    # scan yields the bound's measure and the all-finite verdict.
+    max_entry = float(np.abs(window).max())
+    finite = math.isfinite(max_entry)
     return CheckResult(
         name=name,
-        passed=bool(np.isfinite(max_entry) and max_entry <= threshold),
-        measure=max_entry,
+        passed=bool(finite and max_entry <= threshold),
+        measure=max_entry if finite else math.inf,
         threshold=threshold,
         cost_flops=float(window.size),
     )
@@ -164,7 +179,7 @@ def residual_consistency_check(
     ``k`` iterations rather than every iteration.
     """
     check_non_negative(rtol, "rtol")
-    if not np.isfinite(recurrence_residual) or not np.isfinite(true_residual):
+    if not math.isfinite(recurrence_residual) or not math.isfinite(true_residual):
         return CheckResult(name=name, passed=False, measure=float("inf"),
                            threshold=rtol)
     scale = max(abs(true_residual), abs(recurrence_residual), atol)
@@ -189,7 +204,7 @@ def conservation_check(
     fluxes that the caller supplies as ``expected_change``.
     """
     check_non_negative(rtol, "rtol")
-    if not np.isfinite(quantity_after):
+    if not math.isfinite(quantity_after):
         return CheckResult(name=name, passed=False, measure=float("inf"), threshold=rtol)
     expected = quantity_before + expected_change
     scale = max(abs(expected), abs(quantity_before), atol)
@@ -213,11 +228,16 @@ def monotonicity_check(
     ``allowed_increase`` there.)
     """
     check_positive(allowed_increase, "allowed_increase")
-    values = [float(v) for v in history]
-    if len(values) < 2:
+    window = check_integer(window, "window")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    n = len(history)
+    if n < 2:
         return CheckResult(name=name, passed=True, measure=0.0, threshold=allowed_increase)
-    recent = values[-(window + 1):]
-    if not all(np.isfinite(v) for v in recent):
+    # Only the window is read: the caller appends to one history per
+    # solve and asks again every iteration.
+    recent = [float(history[i]) for i in range(max(0, n - window - 1), n)]
+    if not all(map(math.isfinite, recent)):
         return CheckResult(name=name, passed=False, measure=float("inf"),
                            threshold=allowed_increase)
     reference = min(recent[:-1])
@@ -243,6 +263,6 @@ def spd_coefficient_check(
     if not values:
         return CheckResult(name=name, passed=True, measure=0.0, threshold=0.0)
     worst = min(values)
-    finite = all(np.isfinite(v) for v in values)
+    finite = all(map(math.isfinite, values))
     return CheckResult(name=name, passed=bool(finite and worst > 0.0),
                        measure=float(worst if finite else float("-inf")), threshold=0.0)

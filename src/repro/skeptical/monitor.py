@@ -113,14 +113,16 @@ class SkepticalMonitor:
         returning.
         """
         self._observation_count += 1
+        count = self._observation_count
         action: Optional[str] = None
+        results = self.results
         for entry in self._checks:
-            if self._observation_count % entry.period != 0:
+            if count % entry.period:
                 continue
             result = entry.func(state)
             if not isinstance(result, CheckResult):
                 raise TypeError(f"check '{entry.name}' must return a CheckResult")
-            self.results.append(result)
+            results.append(result)
             self.total_check_flops += result.cost_flops
             if result.passed:
                 continue
@@ -130,7 +132,7 @@ class SkepticalMonitor:
                 check=result.name,
                 measure=result.measure,
                 threshold=result.threshold,
-                observation=self._observation_count,
+                observation=count,
             )
             if action is None:
                 action = self.policy.handle(result, context=state)

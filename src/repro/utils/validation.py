@@ -8,6 +8,7 @@ with a message that names the offending parameter.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ def check_integer(value: Any, name: str) -> int:
 def check_positive(value: Any, name: str) -> float:
     """Check that ``value`` is a strictly positive finite number."""
     val = float(value)
-    if not np.isfinite(val) or val <= 0:
+    if not math.isfinite(val) or val <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return val
 
@@ -49,7 +50,7 @@ def check_positive(value: Any, name: str) -> float:
 def check_non_negative(value: Any, name: str) -> float:
     """Check that ``value`` is a non-negative finite number."""
     val = float(value)
-    if not np.isfinite(val) or val < 0:
+    if not math.isfinite(val) or val < 0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
     return val
 

@@ -18,6 +18,12 @@ from repro.linalg.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
 from repro.simmpi.ops import MAX, MIN, SUM
+from repro.skeptical.checks import (
+    finite_check,
+    hessenberg_bound_check,
+    monotonicity_check,
+    orthogonality_check,
+)
 from repro.simmpi.topology import CartTopology, balanced_dims
 
 finite_floats = st.floats(
@@ -286,3 +292,178 @@ class TestScenarioKeyProperties:
         assert derived.params == merged
         assert derived.key == scenario_key("E8", merged)
         assert scenario.key == before == scenario_key("E8", params)
+
+
+# ----------------------------------------------------------------------
+# Skeptical checks: the fast paths against the formulations they replaced
+# ----------------------------------------------------------------------
+# The oracles below are the bodies the four array checks had before they
+# were cut down to the minimum number of NumPy calls; each returns
+# ``(passed, measure, threshold, cost_flops)``.
+
+
+def _finite_oracle(array):
+    arr = np.asarray(array)
+    n_bad = int(np.size(arr) - np.count_nonzero(np.isfinite(arr)))
+    return n_bad == 0, float(n_bad), 0.0, float(arr.size)
+
+
+def _orthogonality_oracle(basis, n_vectors=None, tol=1e-8):
+    basis = np.asarray(basis, dtype=np.float64)
+    k = basis.shape[1] if n_vectors is None else int(n_vectors)
+    k = min(k, basis.shape[1])
+    if k == 0:
+        return True, 0.0, tol, 0.0
+    v = basis[:, :k]
+    gram = v.T @ v
+    defect = (
+        float(np.max(np.abs(gram - np.eye(k))))
+        if np.all(np.isfinite(gram))
+        else float("inf")
+    )
+    passed = bool(np.isfinite(defect) and defect <= tol)
+    return passed, defect, tol, 2.0 * basis.shape[0] * k * k
+
+
+def _hessenberg_oracle(hessenberg, norm, n_columns=None, safety=2.0):
+    h = np.asarray(hessenberg, dtype=np.float64)
+    k = h.shape[1] if n_columns is None else int(n_columns)
+    k = min(k, h.shape[1])
+    if k == 0:
+        return True, 0.0, safety * norm, 0.0
+    window = h[: k + 1, :k]
+    finite = np.isfinite(window)
+    max_entry = float(np.max(np.abs(window[finite]))) if finite.any() else 0.0
+    if not finite.all():
+        max_entry = float("inf")
+    threshold = safety * norm
+    passed = bool(np.isfinite(max_entry) and max_entry <= threshold)
+    return passed, max_entry, threshold, float(window.size)
+
+
+def _monotonicity_oracle(history, allowed_increase=1.5, window=3):
+    values = [float(v) for v in history]
+    if len(values) < 2:
+        return True, 0.0, allowed_increase, 0.0
+    recent = values[-(window + 1):]
+    if not all(np.isfinite(v) for v in recent):
+        return False, float("inf"), allowed_increase, 0.0
+    reference = min(recent[:-1])
+    if reference <= 0.0:
+        return True, 0.0, allowed_increase, 0.0
+    ratio = recent[-1] / reference
+    return bool(ratio <= allowed_increase), float(ratio), allowed_increase, 0.0
+
+
+def _same_verdict(result, oracle):
+    """Equal passed/threshold/cost_flops, and ``measure`` bit for bit."""
+    passed, measure, threshold, cost_flops = oracle
+    assert result.passed is passed
+    assert np.float64(result.measure).view(np.uint64) == np.float64(measure).view(np.uint64)
+    assert result.threshold == threshold
+    assert result.cost_flops == cost_flops
+
+
+# NaN, +-inf, -0.0 and subnormals included; a quarter of the entries are
+# drawn from the specials alone so all-non-finite windows do occur.
+_specials = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -2.2e-308, 1.7e308]
+)
+_any_float = st.one_of(st.floats(width=64), st.floats(-4.0, 4.0), _specials)
+_only_nonfinite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _matrices(rows, cols, elements=_any_float):
+    return hnp.arrays(np.float64, st.tuples(rows, cols), elements=elements)
+
+
+class TestSkepticalCheckFastPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        array=st.one_of(
+            hnp.arrays(np.float64, st.integers(0, 40), elements=_any_float),
+            _matrices(st.integers(0, 6), st.integers(0, 6)),
+            hnp.arrays(np.float64, st.integers(1, 8), elements=_only_nonfinite),
+        )
+    )
+    def test_finite_check(self, array):
+        _same_verdict(finite_check(array), _finite_oracle(array))
+        strided = array[::2]  # a view, as the monitor's Hessenberg column is
+        _same_verdict(finite_check(strided), _finite_oracle(strided))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        basis=st.one_of(
+            _matrices(st.integers(0, 12), st.integers(0, 6)),
+            _matrices(st.integers(1, 12), st.integers(1, 6), st.floats(-1.0, 1.0)),
+        ),
+        n_vectors=st.one_of(st.none(), st.integers(0, 8)),
+        tol=st.sampled_from([1e-8, 1e-6, 0.5, 1e300]),
+    )
+    def test_orthogonality_check(self, basis, n_vectors, tol):
+        with np.errstate(all="ignore"):
+            result = orthogonality_check(basis, n_vectors, tol=tol)
+            oracle = _orthogonality_oracle(basis, n_vectors, tol)
+        _same_verdict(result, oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hessenberg=st.one_of(
+            _matrices(st.integers(0, 8), st.integers(0, 7)),
+            _matrices(st.integers(1, 8), st.just(1)),  # one-column Hessenberg
+            _matrices(st.integers(1, 5), st.integers(1, 4), _only_nonfinite),
+            _matrices(st.integers(1, 8), st.integers(1, 7), st.floats(-9.0, 9.0)),
+        ),
+        n_columns=st.one_of(st.none(), st.integers(0, 9)),
+        norm=st.sampled_from([5e-324, 1.0, 7.5, 1e308]),
+        safety=st.sampled_from([1.0, 2.0, 4.0]),
+    )
+    def test_hessenberg_bound_check(self, hessenberg, n_columns, norm, safety):
+        with np.errstate(all="ignore"):
+            result = hessenberg_bound_check(hessenberg, norm, n_columns, safety=safety)
+            oracle = _hessenberg_oracle(hessenberg, norm, n_columns, safety)
+        _same_verdict(result, oracle)
+        # The solver's own call shape: a window of a larger work array.
+        padded = np.full((hessenberg.shape[0] + 2, hessenberg.shape[1] + 3), 1e99)
+        padded[: hessenberg.shape[0], : hessenberg.shape[1]] = hessenberg
+        with np.errstate(all="ignore"):
+            result = hessenberg_bound_check(padded, norm, n_columns, safety=safety)
+            oracle = _hessenberg_oracle(padded, norm, n_columns, safety)
+        _same_verdict(result, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        history=st.lists(
+            st.one_of(_any_float, st.floats(1e-3, 1e3)), min_size=0, max_size=9
+        ),
+        window=st.integers(1, 12),  # often longer than the history
+        allowed_increase=st.sampled_from([1.0, 1.5, 100.0]),
+        as_array=st.booleans(),
+    )
+    def test_monotonicity_check(self, history, window, allowed_increase, as_array):
+        seen = np.asarray(history, dtype=np.float64) if as_array else history
+        _same_verdict(
+            monotonicity_check(seen, allowed_increase=allowed_increase, window=window),
+            _monotonicity_oracle(history, allowed_increase, window),
+        )
+        _same_verdict(monotonicity_check(seen), _monotonicity_oracle(history))
+
+    @pytest.mark.parametrize("history", [[], [3.0], [3.0, float("nan")], [0.0, 1.0],
+                                         [-0.0, 1.0], [5e-324, 1.0], [1.0, 1.5],
+                                         [float("inf"), 1.0, 1.0, 1.0, 1.0]])
+    def test_monotonicity_short_histories(self, history):
+        for window in (1, 3, 50):
+            _same_verdict(
+                monotonicity_check(history, window=window),
+                _monotonicity_oracle(history, window=window),
+            )
+
+    def test_degenerate_shapes(self):
+        _same_verdict(orthogonality_check(np.zeros((5, 0))), _orthogonality_oracle(np.zeros((5, 0))))
+        _same_verdict(orthogonality_check(np.zeros((0, 3))), _orthogonality_oracle(np.zeros((0, 3))))
+        for shape in ((4, 0), (0, 3), (1, 1), (2, 1)):
+            h = np.full(shape, 2.0)
+            _same_verdict(hessenberg_bound_check(h, 1.0), _hessenberg_oracle(h, 1.0))
+        all_bad = np.full((3, 2), np.nan)
+        _same_verdict(hessenberg_bound_check(all_bad, 1.0), _hessenberg_oracle(all_bad, 1.0))
+        _same_verdict(finite_check(np.zeros(0)), _finite_oracle(np.zeros(0)))

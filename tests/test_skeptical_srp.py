@@ -3,6 +3,8 @@ including the SDC-detecting GMRES, ABFT operators, TMR and FT-GMRES."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,28 @@ class TestChecks:
         assert spd_coefficient_check([0.1, 0.5]).passed
         assert not spd_coefficient_check([0.1, -0.2]).passed
         assert spd_coefficient_check([]).passed
+
+    @pytest.mark.parametrize("window", [0, -1, 1.5, True])
+    def test_monotonicity_check_rejects_a_nonsensical_window(self, window):
+        # window=-1 used to compare against the whole history and pass.
+        with pytest.raises((ValueError, TypeError), match="window"):
+            monotonicity_check([1.0, 0.5, 5.0], window=window)
+
+    def test_orthogonality_check_rejects_negative_n_vectors(self):
+        with pytest.raises(ValueError, match="n_vectors"):
+            orthogonality_check(np.eye(3), n_vectors=-1)
+
+    def test_check_result_is_immutable_and_truthy_on_passed(self):
+        passed = finite_check(np.ones(3))
+        failed = finite_check(np.array([np.nan]))
+        assert passed and not failed
+        assert bool(passed) is True and bool(failed) is False
+        with pytest.raises(AttributeError):
+            passed.passed = False
+        with pytest.raises(AttributeError):
+            failed.measure = 0.0
+        with pytest.raises(TypeError):
+            passed.details["k"] = 1
 
 
 class TestPoliciesAndMonitor:
@@ -226,6 +250,106 @@ class TestSdcDetectingGmres:
         result = sdc_detecting_gmres(poisson_small, b, tol=1e-8, restart=20, maxiter=200)
         assert result.info["checks_run"] > 0
         assert result.info["check_flops"] > 0
+
+
+class _CountingHistory(Sequence):
+    """A residual history that counts how many entries are read."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, index):
+        picked = self._values[index]
+        self.reads += len(picked) if isinstance(index, slice) else 1
+        return picked
+
+
+class TestCheckCostShape:
+    """What the skeptical path costs, as counts rather than timings."""
+
+    @pytest.mark.parametrize("window", [1, 3, 10])
+    def test_monotonicity_reads_only_its_window(self, window):
+        history = _CountingHistory(1.0 / (k + 1) for k in range(500))
+        assert monotonicity_check(history, window=window).passed
+        assert 2 <= history.reads <= window + 1
+
+    def test_one_check_result_per_check_run(self, poisson_small, rng, monkeypatch):
+        import repro.skeptical.checks as checks
+
+        built = []
+
+        class Counted(checks.CheckResult):
+            def __new__(cls, *args, **kwargs):
+                built.append(1)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "CheckResult", Counted)
+        b = rng.standard_normal(poisson_small.n_rows)
+        result = sdc_detecting_gmres(poisson_small, b, tol=1e-8)
+        assert result.converged and result.detected_faults == 0
+        assert result.info["checks_run"] > 4 * result.iterations
+        assert len(built) == result.info["checks_run"]
+
+    def test_policy_observe_never_enters_the_import_machinery(self, monkeypatch):
+        import builtins
+
+        from repro.krylov.engine.resilience import IterationEvent, SkepticalGmresPolicy
+
+        policy = SkepticalGmresPolicy(SkepticalMonitor(), operator=None, b=np.ones(2))
+        policy.begin_attempt(None)
+        imported = []
+        real_import = builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", spy)
+        for k in range(3):
+            policy.observe(IterationEvent(total_iteration=k + 1, residual_norm=1.0 / (k + 1)))
+        monkeypatch.undo()
+        assert imported == []
+        assert policy.residual_history == [1.0, 0.5, 1.0 / 3]
+
+    @pytest.mark.parametrize("seeds", [[2013], [2013, 2014]])
+    def test_e1_estimates_the_operator_norm_once_per_scenario(self, seeds, monkeypatch):
+        import repro.experiments.e1_sdc_detection as e1
+        import repro.skeptical.gmres_sdc as gmres_sdc
+
+        estimate = gmres_sdc.estimate_operator_norm
+        calls = []
+
+        def counted(operator, probe, *args, **kwargs):
+            calls.append(probe.size)
+            return estimate(operator, probe, *args, **kwargs)
+
+        skeptical_solves = []
+        batch_solve = e1.batch_solve
+
+        def recorded(solver, *args, **kwargs):
+            results = batch_solve(solver, *args, **kwargs)
+            if solver == "sdc_gmres":
+                skeptical_solves.extend(results)
+            return results
+
+        monkeypatch.setattr(gmres_sdc, "estimate_operator_norm", counted)
+        monkeypatch.setattr(e1, "estimate_operator_norm", counted, raising=False)
+        monkeypatch.setattr(e1, "batch_solve", recorded)
+        golden = dict(e1.SPEC.golden)
+        golden.pop("seed")
+        e1.run_batch([dict(golden, seed=seed) for seed in seeds])
+        monkeypatch.undo()
+
+        grid, n_trials = golden["grid"], golden["n_trials"]
+        assert calls == [grid * grid] * len(seeds)  # was 4 * n_trials per scenario
+        assert len(skeptical_solves) == 4 * n_trials * len(seeds)
+        # ... and it is the estimate each solve would have made on its own.
+        own = estimate(poisson_2d(grid), np.empty(grid * grid))
+        assert {r.info["operator_norm_estimate"] for r in skeptical_solves} == {own}
 
 
 class TestSrp:
