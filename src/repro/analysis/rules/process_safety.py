@@ -20,7 +20,9 @@ Flagged, in files that import :mod:`multiprocessing`:
   ``poll(None)`` / ``poll(timeout=None)``, and
   ``multiprocessing.connection.wait(...)`` without a ``timeout=`` --
   a supervisor blocked forever on a dead worker's pipe is a hang, not
-  a recovery.
+  a recovery.  The ``poll`` check also runs in files that import
+  :mod:`select`, where it covers the ``select.poll`` object's ways of
+  waiting forever: no timeout at all, or a negative one.
 
 ``recv()`` directly after a readiness ``wait()``/``poll()`` is the
 sanctioned pattern and gets an explicit ``# repro: allow(...)`` at its
@@ -37,19 +39,17 @@ from repro.analysis.core import Finding, Rule, SourceFile, dotted_name
 __all__ = ["ProcessSafetyRule"]
 
 
-def _imports_multiprocessing(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, package: str) -> bool:
+    """Whether the file imports ``package`` or one of its submodules."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(
-                alias.name == "multiprocessing"
-                or alias.name.startswith("multiprocessing.")
-                for alias in node.names
-            ):
-                return True
+            modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "multiprocessing" or module.startswith("multiprocessing."):
-                return True
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == package or m.startswith(package + ".") for m in modules):
+            return True
     return False
 
 
@@ -76,7 +76,10 @@ class ProcessSafetyRule(Rule):
 
     def check_file(self, source: SourceFile, ctx) -> Iterable[Finding]:
         tree = source.tree
-        if tree is None or not _imports_multiprocessing(tree):
+        if tree is None:
+            return []
+        uses_mp = _imports(tree, "multiprocessing")
+        if not uses_mp and not _imports(tree, "select"):
             return []
         wait_aliases = _connection_wait_aliases(tree)
         findings: List[Finding] = []
@@ -97,7 +100,17 @@ class ProcessSafetyRule(Rule):
             name = dotted_name(node.func) or ""
             attr = name.rsplit(".", 1)[-1]
 
-            if attr in ("Queue", "SimpleQueue", "JoinableQueue"):
+            if attr == "poll":
+                if _blocks_forever(node, name):
+                    report(
+                        node,
+                        ".poll() with no, a None or a negative timeout "
+                        "blocks forever on a dead peer; pass a finite "
+                        "timeout",
+                    )
+            elif not uses_mp:
+                continue
+            elif attr in ("Queue", "SimpleQueue", "JoinableQueue"):
                 report(
                     node,
                     f"{name}() shared with killable workers orphans its "
@@ -119,12 +132,6 @@ class ProcessSafetyRule(Rule):
                     "on a dead peer; gate it behind a bounded "
                     "connection.wait()/poll() first",
                 )
-            elif attr == "poll" and _blocks_forever(node):
-                report(
-                    node,
-                    ".poll(None) blocks forever on a dead peer; pass a "
-                    "finite timeout",
-                )
             elif (
                 isinstance(node.func, ast.Name)
                 and node.func.id in wait_aliases
@@ -140,11 +147,23 @@ class ProcessSafetyRule(Rule):
         return findings
 
 
-def _blocks_forever(node: ast.Call) -> bool:
-    """Whether a ``.poll`` call passes an explicit ``None`` timeout."""
+def _blocks_forever(node: ast.Call, name: str) -> bool:
+    """Whether a ``.poll`` call may wait without bound.
+
+    ``None`` or a negative constant does on every poller, no timeout at
+    all on a ``select.poll`` object (``select.poll()`` only builds one).
+    """
     candidates = list(node.args[:1]) + [
         kw.value for kw in node.keywords if kw.arg == "timeout"
     ]
+    if not candidates:
+        return isinstance(node.func, ast.Attribute) and name != "select.poll"
     return any(
-        isinstance(c, ast.Constant) and c.value is None for c in candidates
+        (isinstance(c, ast.Constant) and c.value is None)
+        or (
+            isinstance(c, ast.UnaryOp)
+            and isinstance(c.op, ast.USub)
+            and isinstance(c.operand, ast.Constant)
+        )
+        for c in candidates
     )

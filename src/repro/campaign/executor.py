@@ -65,11 +65,13 @@ run (the chaos soak test pins this).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import time
 import traceback
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
 from typing import (
@@ -820,7 +822,10 @@ class SupervisedExecutor:
             handle = self._spawn()
             workers[handle.worker_id] = handle
         idle: List[int] = sorted(workers)
-        pending: List[_TaskState] = list(states)
+        # Dispatch order is min over the ready tasks of (ready_at, slot):
+        # never-attempted tasks (ready_at 0) in slot order, then retries.
+        fresh = deque(states)
+        retries: List[Tuple[float, int, _TaskState]] = []  # heap
         inflight: Dict[int, Tuple[_TaskState, Optional[float]]] = {}
 
         def conclude(state: _TaskState, status: str, *, error=None,
@@ -839,7 +844,7 @@ class SupervisedExecutor:
                 state.ready_at = (
                     time.monotonic() + self.retry.delay(state.attempts + 1)
                 )
-                pending.append(state)
+                heapq.heappush(retries, (state.ready_at, state.slot, state))
                 return
             final = ExecutionResult(
                 key=state.key,
@@ -873,16 +878,12 @@ class SupervisedExecutor:
                            "while running this scenario")
 
         try:
-            while pending or inflight:
+            while fresh or retries or inflight:
                 now = time.monotonic()
 
                 # Dispatch every ready task to an idle worker.
-                while idle and pending:
-                    ready = [s for s in pending if s.ready_at <= now]
-                    if not ready:
-                        break
-                    state = min(ready, key=lambda s: (s.ready_at, s.slot))
-                    pending.remove(state)
+                while idle and (fresh or (retries and retries[0][0] <= now)):
+                    state = fresh.popleft() if fresh else heapq.heappop(retries)[2]
                     worker_id = idle.pop(0)
                     state.attempts += 1
                     try:
@@ -905,9 +906,8 @@ class SupervisedExecutor:
                 for _, deadline in inflight.values():
                     if deadline is not None:
                         wait = min(wait, deadline - now)
-                if idle:
-                    for state in pending:
-                        wait = min(wait, state.ready_at - now)
+                if idle and retries:  # a worker left idle: nothing fresh
+                    wait = min(wait, retries[0][0] - now)
                 wait = max(wait, 0.005)
 
                 # Drain results: multiplex every in-flight worker's

@@ -24,6 +24,10 @@ Semantics shared by all backends:
 * a bounded wait that expires raises
   :class:`~repro.comm.errors.CommTimeoutError` -- no backend is
   permitted to hang;
+* an exception raised while a collective completes (too few
+  ``scatter`` chunks, a reduction over mismatched shapes) poisons it:
+  every participant raises the same typed error, promptly -- nobody is
+  left to wait out a timeout;
 * ``allreduce``/``reduce`` apply the reduction in ascending-rank order,
   left to right, when the backend declares ``ordered_reduction`` in its
   registry entry -- the property that makes sim and shmem results

@@ -10,10 +10,11 @@ enforces:
   with whichever killable process holds it and silently wedges every
   sibling; every channel here has exactly one writing process, so a
   SIGKILL can never orphan a lock another rank needs;
-* **no unbounded blocking** -- every read is gated behind
-  ``Connection.poll(timeout)`` against an explicit deadline, so a
-  mismatched program raises :class:`~repro.comm.errors.CommTimeoutError`
-  instead of hanging, and a dead peer surfaces as EOF on its pipe,
+* **no unbounded blocking** -- every read waits on a ``select.poll``
+  object (one per inbound pipe, built at construction) with a finite
+  timeout sliced against an explicit deadline, so a mismatched program
+  raises :class:`~repro.comm.errors.CommTimeoutError` instead of
+  hanging, and a dead peer surfaces as a hang-up (EOF) on its pipe,
   reported as :class:`~repro.comm.errors.ProcFailure` (ULFM-style);
 * **numpy payloads ride ``multiprocessing.shared_memory``** above a
   size threshold -- the pipe carries a small descriptor, the vector
@@ -33,23 +34,36 @@ simulator:
   time in program order); when one strikes, the rank SIGKILLs itself.
 * ``msg_corrupt`` -- the spec's ``message_corruptor`` (seeded with the
   identical per-rank stream name ``messages/{rank}``) corrupts each
-  outgoing payload at the pipe boundary, after the defensive copy.
+  outgoing payload at the pipe boundary, on a private copy.
   Identical ``fault_seed`` therefore draws the identical corruption
   sequence on sim and shmem.
 
 Collectives run a star protocol through rank 0: contributions are
 gathered at the coordinator and reduced in **ascending rank order, left
 to right** -- the exact reduction order of
-:meth:`repro.simmpi.comm.Comm._maybe_finish_collective` -- which is
+:meth:`repro.simmpi.comm.Comm._finish_collective` -- which is
 what makes distributed solves bit-identical across the two backends
-(the conformance suite's differential gate pins this).
+(the conformance suite's differential gate pins this).  A collective
+whose completion *raises* at the coordinator (``scatter`` with too few
+chunks) is poisoned: the coordinator posts the error to every peer
+before raising it, so every participant raises the same typed error.
+
+A message is pickled once (protocol 5) and written as one frame; that
+pickle *is* the defensive copy, so only the coordinator's own
+contribution (which never crosses a pipe) and a payload handed to a
+``message_corruptor`` are copied first.  :func:`launch_shmem` reaps a
+rank by waiting for the hang-up on its result pipe -- the rank is the
+pipe's only writer, so the hang-up *is* the exit -- and SIGKILLs it at
+the reap deadline; nothing sleeps.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
+import struct
 import time
 import uuid
 from collections import deque
@@ -64,8 +78,9 @@ import numpy as np
 
 from repro.comm.base import BaseCommunicator
 from repro.comm.errors import CommTimeoutError, ProcFailure
+from repro.machine.collective_cost import allreduce_time, barrier_time, broadcast_time
 from repro.machine.model import MachineModel
-from repro.simmpi.comm import payload_nbytes
+from repro.simmpi.comm import copy_payload, payload_nbytes, portable_error
 from repro.simmpi.errors import InvalidRankError, SimMpiError
 from repro.simmpi.ops import ReduceOp, SUM
 from repro.simmpi.requests import CompletedRequest, Request
@@ -81,16 +96,19 @@ SHM_THRESHOLD_BYTES = 32768
 #: Default wall-clock budget (seconds) for one blocking operation.
 DEFAULT_OP_TIMEOUT = 30.0
 
+#: Wall-clock budget (seconds) for the ranks to exit after the shutdown
+#: message; a rank still running then is SIGKILLed.
+REAP_TIMEOUT = 10.0
 
-def _copy_payload(obj: Any) -> Any:
-    """Defensive copy so corruption/aliasing never reaches sender state."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, (int, float, complex, bool, str, bytes, type(None), np.generic)):
-        return obj
-    import copy
+#: ``Connection.recv_bytes`` framing: big-endian signed length, then body.
+_FRAME_HEADER = struct.Struct("!i")
 
-    return copy.deepcopy(obj)
+
+def _poller(conn: Connection, events: int = select.POLLIN) -> "select.poll":
+    """A poller watching one pipe end (hang-up is reported whatever ``events``)."""
+    poller = select.poll()
+    poller.register(conn.fileno(), events)
+    return poller
 
 
 def _untrack_shm(name: str) -> None:
@@ -135,9 +153,9 @@ class ShmemComm(BaseCommunicator):
         Sorted logical times at which this rank SIGKILLs itself
         (the ``proc_fail`` mapping).
     message_corruptor:
-        Optional ``(payload, dest, tag) -> payload`` hook applied to
-        every outgoing point-to-point payload after the defensive copy
-        (the ``msg_corrupt`` mapping).
+        Optional ``(payload, dest, tag) -> payload`` hook applied to a
+        private copy of every outgoing point-to-point payload (the
+        ``msg_corrupt`` mapping).
     timeout:
         Wall-clock budget per blocking operation; expiry raises
         :class:`CommTimeoutError` rather than hanging.
@@ -169,6 +187,10 @@ class ShmemComm(BaseCommunicator):
         self._shm_prefix = shm_prefix
         self._dead: set = set()
         self._pending: Dict[int, deque] = {r: deque() for r in inbound}
+        self._pollers = {r: _poller(conn) for r, conn in inbound.items()}
+        #: Logical-clock charge per ``(kind, nbytes)``: a pure function
+        #: of the machine model and the rank count.
+        self._costs: Dict[Tuple[str, int], float] = {}
         #: Segments this rank created; swept by :meth:`finalize` in case
         #: a killed receiver never attached (normally already unlinked).
         self._shm_created: List[str] = []
@@ -199,10 +221,7 @@ class ShmemComm(BaseCommunicator):
             os.kill(os.getpid(), signal.SIGKILL)
 
     def compute(self, flops: float) -> float:
-        self._check_own_failure()
-        self._clock += self._machine.compute_time(flops, rank=self._rank)
-        self._check_own_failure()
-        return self._clock
+        return self.advance(self._machine.compute_time(flops, rank=self._rank))
 
     def advance(self, seconds: float) -> float:
         self._check_own_failure()
@@ -294,46 +313,64 @@ class ShmemComm(BaseCommunicator):
         (dead destination) is recorded but not raised -- failure
         surfaces at the operations that depend on the peer.
         """
+        body = pickle.dumps(message, 5)
+        frame = memoryview(_FRAME_HEADER.pack(len(body)) + body)
         try:
-            self._out[dest].send_bytes(pickle.dumps(message))
-        except (BrokenPipeError, OSError):
+            fd = self._out[dest].fileno()
+            while frame:  # one write, unless a signal cut it short
+                frame = frame[os.write(fd, frame):]
+        except OSError:  # BrokenPipeError included
             self._dead.add(dest)
 
     def _next_from(
         self,
         source: int,
-        match: Callable[[Tuple], bool],
-        operation: str,
+        frames: Tuple[str, ...],
+        key: int,
+        kind: str,
         deadline: float,
     ) -> Tuple:
-        """Next message from ``source`` satisfying ``match``.
+        """Next ``frames``-typed message from ``source`` keyed ``key``.
 
-        Non-matching traffic (e.g. a collective contribution arriving
-        while we wait for a differently-tagged point-to-point message)
-        is buffered in arrival order, preserving per-(source, tag) FIFO
-        delivery.  Bounded: raises :class:`CommTimeoutError` at the
-        deadline and :class:`ProcFailure` on EOF (dead peer) once no
-        buffered message matches.
+        ``key`` is a p2p tag or a collective sequence number; ``kind``
+        names the operation should it fail.  Non-matching traffic (e.g.
+        a collective contribution arriving while we wait for a tagged
+        point-to-point message) is buffered in arrival order, preserving
+        per-(source, tag) FIFO delivery.  Bounded: raises
+        :class:`CommTimeoutError` at the deadline and, once no buffered
+        message matches, :class:`ProcFailure` on EOF -- a dead peer's
+        hang-up wakes the poller at once, not at the end of a slice.
         """
         pending = self._pending[source]
         for i, message in enumerate(pending):
-            if match(message):
+            if message[1] == key and message[0] in frames:
                 del pending[i]
                 return message
         conn = self._in[source]
+        poller = self._pollers[source]
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise CommTimeoutError(self._rank, operation, self.timeout)
+                raise CommTimeoutError(
+                    self._rank, self._operation(kind, source, key), self.timeout
+                )
             try:
-                if conn.poll(min(remaining, 0.25)):
+                if poller.poll(min(remaining, 0.25) * 1000.0):
                     message = pickle.loads(conn.recv_bytes())
-                    if match(message):
+                    if message[1] == key and message[0] in frames:
                         return message
                     pending.append(message)
             except (EOFError, OSError):
                 self._dead.add(source)
-                raise ProcFailure([source], operation, detected_at=self._clock)
+                raise ProcFailure(
+                    [source], self._operation(kind, source, key),
+                    detected_at=self._clock,
+                )
+
+    @staticmethod
+    def _operation(kind: str, source: int, key: int) -> str:
+        """Error-message label of a blocked operation (built on failure only)."""
+        return f"recv(src={source})" if kind == "recv" else f"{kind}[{key}]"
 
     # -- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -341,9 +378,10 @@ class ShmemComm(BaseCommunicator):
         self._check_rank(dest)
         if dest == self._rank:
             raise InvalidRankError("send to self is not supported; use local state")
-        payload = _copy_payload(obj)
+        payload = obj
         if self._message_corruptor is not None:
-            payload = self._message_corruptor(payload, dest, int(tag))
+            # The corruptor may flip bits in place: never in sender state.
+            payload = self._message_corruptor(copy_payload(obj), dest, int(tag))
         self._post(dest, ("p2p", int(tag), self._encode_payload(payload)))
         # Same program-time accounting as the simulator's eager send.
         self._clock += self._machine.message_time(payload_nbytes(obj))
@@ -353,12 +391,8 @@ class ShmemComm(BaseCommunicator):
         self._check_rank(source)
         if source == self._rank:
             raise InvalidRankError("recv from self is not supported")
-        wanted = int(tag)
         message = self._next_from(
-            source,
-            lambda m: m[0] == "p2p" and m[1] == wanted,
-            f"recv(src={source})",
-            time.monotonic() + self.timeout,
+            source, ("p2p",), int(tag), "recv", time.monotonic() + self.timeout
         )
         return self._decode_payload(message[2])
 
@@ -429,67 +463,77 @@ class ShmemComm(BaseCommunicator):
         surfaces as EOF to every non-root rank.  Contributions that
         reached the pipe before the sender died still count (pipes are
         FIFO), matching the simulator's posted-before-death semantics.
+        An exception raised while the coordinator completes the
+        collective travels the same ``collfail`` frame, so every
+        participant raises it too.
         """
         self._check_own_failure()
         seq = self._coll_seq
         self._coll_seq += 1
         deadline = time.monotonic() + self.timeout
-        operation = f"{kind}[{seq}]"
         nbytes = payload_nbytes(value)
 
         if self._rank == 0:
-            contributions: Dict[int, Any] = {0: _copy_payload(value)}
+            # The one contribution that never crosses a pipe: without a
+            # copy the coordinator's result could alias its caller's input.
+            contributions: Dict[int, Any] = {0: copy_payload(value)}
             failed: set = set()
             for source in range(1, self._size):
                 try:
-                    message = self._next_from(
-                        source,
-                        lambda m: m[0] == "coll" and m[1] == seq,
-                        operation,
-                        deadline,
-                    )
+                    message = self._next_from(source, ("coll",), seq, kind, deadline)
                 except ProcFailure:
                     failed.add(source)
                     continue
                 contributions[source] = self._decode_payload(message[2])
             if failed:
-                for dest in range(1, self._size):
-                    if dest not in failed:
-                        self._post(dest, ("collfail", seq, sorted(failed)))
+                self._poison(seq, sorted(failed), failed)
                 raise ProcFailure(failed, kind, detected_at=self._clock)
-            results = self._finish_collective(kind, contributions, op, root)
+            try:
+                results = self._finish_collective(kind, contributions, op, root)
+            except Exception as exc:
+                self._poison(seq, portable_error(exc, 0))
+                raise
             for dest in range(1, self._size):
                 self._post(dest, ("collres", seq, self._encode_payload(results[dest])))
             result = results[0]
         else:
-            self._post(0, ("coll", seq, self._encode_payload(_copy_payload(value))))
+            # Pickling the frame is the defensive copy.
+            self._post(0, ("coll", seq, self._encode_payload(value)))
             message = self._next_from(
-                0,
-                lambda m: m[0] in ("collres", "collfail") and m[1] == seq,
-                operation,
-                deadline,
+                0, ("collres", "collfail"), seq, kind, deadline
             )
             if message[0] == "collfail":
-                self._dead.update(message[2])
-                raise ProcFailure(message[2], kind, detected_at=self._clock)
+                verdict = message[2]
+                if isinstance(verdict, BaseException):
+                    raise verdict
+                self._dead.update(verdict)
+                raise ProcFailure(verdict, kind, detected_at=self._clock)
             result = self._decode_payload(message[2])
         # Logical-time accounting mirrors the simulator's cost model so
         # proc_fail schedules strike at comparable program points.
         self._clock += self._collective_cost(kind, nbytes)
         return result
 
-    def _collective_cost(self, kind: str, nbytes: float) -> float:
-        from repro.machine.collective_cost import (
-            allreduce_time,
-            barrier_time,
-            broadcast_time,
-        )
+    def _poison(self, seq: int, verdict: Any, gone=()) -> None:
+        """Fail collective ``seq`` on every peer not in ``gone``.
 
-        if kind == "barrier":
-            return barrier_time(self._machine, self._size)
-        if kind in ("bcast", "scatter", "gather", "allgather"):
-            return broadcast_time(self._machine, self._size, nbytes)
-        return allreduce_time(self._machine, self._size, nbytes)
+        ``verdict`` is the sorted dead ranks or the error completion raised.
+        """
+        for dest in range(1, self._size):
+            if dest not in gone:
+                self._post(dest, ("collfail", seq, verdict))
+
+    def _collective_cost(self, kind: str, nbytes: int) -> float:
+        cost = self._costs.get((kind, nbytes))
+        if cost is None:
+            if kind == "barrier":
+                cost = barrier_time(self._machine, self._size)
+            elif kind in ("bcast", "scatter", "gather", "allgather"):
+                cost = broadcast_time(self._machine, self._size, nbytes)
+            else:
+                cost = allreduce_time(self._machine, self._size, nbytes)
+            self._costs[(kind, nbytes)] = cost
+        return cost
 
     # -- blocking forms -------------------------------------------------
     def barrier(self) -> None:
@@ -601,11 +645,7 @@ def _child_main(
             outcome = ("ok", func(comm, *args, **kwargs))
         except BaseException as exc:  # noqa: BLE001 - reported to the launcher
             exit_code = 1
-            try:
-                pickle.dumps(exc)
-            except Exception:  # noqa: BLE001 - unpicklable exception payload
-                exc = SimMpiError(f"rank {rank} raised unpicklable {exc!r}")
-            outcome = ("error", exc)
+            outcome = ("error", portable_error(exc, rank))
         try:
             result_conn.send_bytes(pickle.dumps(outcome))
         except (BrokenPipeError, OSError):  # pragma: no cover - launcher gone
@@ -614,10 +654,7 @@ def _child_main(
         # ends) until the launcher has collected every outcome, so
         # receivers still draining messages can attach first.  Bounded:
         # a vanished launcher (EOF) releases us too.
-        try:
-            control_conn.poll(comm.timeout)
-        except (EOFError, OSError):  # pragma: no cover - launcher died
-            pass
+        _poller(control_conn).poll(comm.timeout * 1000.0)
         comm.finalize()
     finally:
         os._exit(exit_code)
@@ -650,9 +687,10 @@ def launch_shmem(
     ``multiprocessing.Process``: rank processes must stay spawnable
     from inside the campaign executor's (daemonic) workers, and the
     launcher does its own supervision -- per-rank result pipes with
-    bounded waits, explicit ``waitpid`` reaping, and a shutdown
-    handshake that keeps shared-memory segments alive until every
-    outcome is in.
+    bounded waits, a shutdown handshake that keeps shared-memory
+    segments alive until every outcome is in, and a reap that waits for
+    each rank's exit (the hang-up on its result pipe) up to
+    ``REAP_TIMEOUT`` before escalating to SIGKILL.
     """
     n_ranks = int(n_ranks)
     if n_ranks <= 0:
@@ -717,7 +755,10 @@ def launch_shmem(
         _close_quietly(read_end)
 
     outcomes: Dict[int, Tuple[str, Any]] = {}
-    conn_ranks = {results[r][0]: r for r in range(n_ranks)}
+    fd_ranks = {results[r][0].fileno(): r for r in range(n_ranks)}
+    reporting = select.poll()
+    for fd in fd_ranks:
+        reporting.register(fd, select.POLLIN)
     deadline = time.monotonic() + join_timeout
     try:
         while len(outcomes) < n_ranks:
@@ -727,14 +768,12 @@ def launch_shmem(
                     f"shmem ranks {sorted(set(pids) - set(outcomes))} did not "
                     f"finish within {join_timeout}s of wall time"
                 )
-            ready = multiprocessing.connection.wait(
-                [results[r][0] for r in range(n_ranks) if r not in outcomes],
-                timeout=min(remaining, 0.5),
-            )
-            for conn in ready:
-                rank = conn_ranks[conn]
+            for fd, _events in reporting.poll(min(remaining, 0.5) * 1000.0):
+                rank = fd_ranks[fd]
+                # One outcome per rank; the hang-up to come is the reap's.
+                reporting.unregister(fd)
                 try:
-                    outcomes[rank] = pickle.loads(conn.recv_bytes())
+                    outcomes[rank] = pickle.loads(results[rank][0].recv_bytes())
                 except (EOFError, OSError):
                     # The rank died (e.g. proc_fail SIGKILL) before
                     # reporting: the simulator reports died ranks as
@@ -747,20 +786,18 @@ def launch_shmem(
                 controls[rank][1].send_bytes(b"shutdown")
             except (BrokenPipeError, OSError):
                 pass
-        reap_deadline = time.monotonic() + 10.0
+        reap_deadline = time.monotonic() + REAP_TIMEOUT
         for rank, pid in pids.items():
-            while True:
-                try:
-                    reaped, _status = os.waitpid(pid, os.WNOHANG)
-                except ChildProcessError:  # pragma: no cover - reaped elsewhere
-                    break
-                if reaped:
-                    break
-                if time.monotonic() > reap_deadline:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    break
-                time.sleep(0.005)
+            # The rank is the only writer of its result pipe, so the
+            # hang-up on our end is its exit -- however it came about.
+            exited = _poller(results[rank][0], 0)
+            budget = max(reap_deadline - time.monotonic(), 0.0)
+            if not exited.poll(budget * 1000.0):
+                os.kill(pid, signal.SIGKILL)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # pragma: no cover - reaped elsewhere
+                pass
         for read_end, write_end in list(results.values()) + list(controls.values()):
             _close_quietly(read_end)
             _close_quietly(write_end)

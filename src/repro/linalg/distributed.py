@@ -209,7 +209,8 @@ class DistributedRowMatrix:
         global_x = x.gather_global()
         local_result = self.local_block.matvec(global_x)
         self.comm.compute(2.0 * self.local_block.nnz)
-        return DistributedVector(
+        # The product is a fresh array nobody else holds: wrap, don't copy.
+        return DistributedVector.from_local_view(
             self.comm, local_result, self.global_shape[0], self.row_offset
         )
 

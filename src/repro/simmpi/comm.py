@@ -19,6 +19,7 @@ resilient algorithms need, plus:
 from __future__ import annotations
 
 import copy
+import pickle
 import sys
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
@@ -35,12 +36,13 @@ from repro.simmpi.errors import (
     InvalidRankError,
     ProcessDeathError,
     RankFailedError,
+    SimMpiError,
 )
 from repro.simmpi.ops import ReduceOp, SUM
 from repro.simmpi.requests import CompletedRequest, Request
-from repro.simmpi.state import RuntimeState
+from repro.simmpi.state import CollectiveSlot, RuntimeState
 
-__all__ = ["Comm", "payload_nbytes"]
+__all__ = ["Comm", "copy_payload", "payload_nbytes", "portable_error"]
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -61,13 +63,21 @@ def payload_nbytes(obj: Any) -> int:
     return int(sys.getsizeof(obj))
 
 
-def _copy_payload(obj: Any) -> Any:
+def copy_payload(obj: Any) -> Any:
     """Deep-copy a payload so ranks never share mutable state."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, (int, float, complex, bool, str, bytes, type(None), np.generic)):
         return obj
     return copy.deepcopy(obj)
+
+
+def portable_error(exc: BaseException, rank: int) -> BaseException:
+    """A copy of ``exc`` fit to hand to another rank, else a typed stand-in."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - an exception pickle cannot rebuild
+        return SimMpiError(f"rank {rank} raised unpicklable {exc!r}")
 
 
 class Comm:
@@ -110,16 +120,19 @@ class Comm:
         self._state = state
         self._rank = int(rank)
         self._machine = machine
-        self._failure_times = sorted(float(t) for t in failure_times)
+        # Only the failures this incarnation can still meet: a respawned
+        # rank is past everything scheduled before its birth.
+        self._failure_times = sorted(
+            float(t) for t in failure_times if float(t) >= born_at
+        )
         self._message_corruptor = message_corruptor
         self.clock = VirtualClock(born_at)
-        self._born_at = float(born_at)
         self._epoch = 0
         self._seq = 0
 
     def _outgoing_payload(self, obj: Any, dest: int, tag: int) -> Any:
         """Copy (and possibly corrupt) a payload entering the network."""
-        payload = _copy_payload(obj)
+        payload = copy_payload(obj)
         if self._message_corruptor is not None:
             payload = self._message_corruptor(payload, dest, tag)
         return payload
@@ -210,10 +223,10 @@ class Comm:
     # ------------------------------------------------------------------
     def _check_own_failure(self) -> None:
         """Die if a scheduled hard fault has struck this incarnation."""
+        if not self._failure_times:  # the common case, ten times an iteration
+            return
         now = self.clock.now
         for t in self._failure_times:
-            if t < self._born_at:
-                continue
             key = (self._rank, t)
             if key in self._state.consumed_failures:
                 continue
@@ -226,8 +239,6 @@ class Comm:
     def pending_failure_time(self) -> Optional[float]:
         """Next scheduled (unconsumed) failure time of this incarnation."""
         for t in self._failure_times:
-            if t < self._born_at:
-                continue
             if (self._rank, t) not in self._state.consumed_failures:
                 return t
         return None
@@ -406,103 +417,115 @@ class Comm:
     # ------------------------------------------------------------------
     # Collectives (built on a generic non-blocking core)
     # ------------------------------------------------------------------
-    def _next_collective_key(self):
-        key = (self._epoch, self._seq)
-        self._seq += 1
-        return key
-
     def _collective_cost(self, kind: str, n_ranks: int, nbytes: float) -> float:
-        if kind in ("barrier",):
+        if kind == "barrier":
             return barrier_time(self._machine, n_ranks)
-        if kind in ("bcast", "scatter"):
-            return broadcast_time(self._machine, n_ranks, nbytes)
-        if kind in ("gather", "allgather"):
+        if kind in ("bcast", "scatter", "gather", "allgather"):
             # gather modeled like a (reversed) broadcast tree plus payload
             return broadcast_time(self._machine, n_ranks, nbytes)
         return allreduce_time(self._machine, n_ranks, nbytes)
 
-    def _start_collective(
+    def _post_collective(
         self,
         kind: str,
         value: Any,
-        *,
         op: Optional[ReduceOp] = None,
         root: Optional[int] = None,
-    ) -> Request:
-        """Post this rank's contribution and return a completion request."""
+    ) -> CollectiveSlot:
+        """Post this rank's contribution and return the collective's slot.
+
+        The last contribution completes the collective.  If completing
+        *raises* (too few scatter chunks, mismatched reduction shapes)
+        the slot is poisoned: the error is raised here and every other
+        participant raises a copy of it from its completion.
+        """
         self._check_own_failure()
-        key = self._next_collective_key()
+        key = (self._epoch, self._seq)
+        self._seq += 1
         arrive = self.clock.now
         nbytes = payload_nbytes(value)
-        with self._state.condition:
-            slot = self._state.collective_slot(key, kind, root)
-            slot.contributions[self._rank] = _copy_payload(value)
+        state = self._state
+        with state.condition:
+            slot = state.collective_slot(key, kind, root)
+            slot.contributions[self._rank] = copy_payload(value)
             slot.arrival_times[self._rank] = arrive
-            self._maybe_finish_collective(slot, kind, op, root, nbytes)
-            self._state.condition.notify_all()
+            if len(slot.contributions) == slot.n_expected:
+                # Nobody is left to look the slot up, and a waiter's
+                # predicate can only flip now (or on a liveness change,
+                # which notifies by itself).
+                del state.collectives[key]
+                state.condition.notify_all()
+                try:
+                    self._finish_collective(slot, kind, op, root, nbytes)
+                except Exception as exc:
+                    slot.failed, slot.error = True, exc
+                    raise
+        return slot
 
-        def _complete(_req: Request) -> Any:
-            with self._state.condition:
+    def _collective_resolved(self, slot: CollectiveSlot) -> bool:
+        """Wait predicate of a posted collective (lock held)."""
+        if slot.done or slot.failed:
+            return True
+        # The collective fails once some expected rank can no longer
+        # contribute in this epoch (died, returned, or advanced during
+        # recovery).  A rank that is merely lagging in wall-clock terms
+        # is waited for -- its (virtual) contribution must count no
+        # matter how the threads interleave.
+        state = self._state
+        gone = [
+            r for r in slot.missing() if not state.may_still_operate(r, self._epoch)
+        ]
+        if gone:
+            slot.failed = True
+            # Report only actual deaths among the missing ranks; a
+            # living-but-departed participant is not failed, and
+            # snapshotting the global dead set would be wall-clock
+            # dependent.  Recovery layers consult dead_ranks() for the
+            # full picture.
+            slot.failed_ranks = {r for r in gone if r in state.dead}
+        return slot.failed
 
-                def ready() -> bool:
-                    if slot.done or slot.failed:
-                        return True
-                    # The collective fails once some expected rank can no
-                    # longer contribute in this epoch (died, returned, or
-                    # advanced during recovery).  A rank that is merely
-                    # lagging in wall-clock terms is waited for -- its
-                    # (virtual) contribution must count no matter how the
-                    # threads interleave.
-                    missing = slot.missing()
-                    gone = {
-                        r for r in missing
-                        if not self._state.may_still_operate(r, self._epoch)
-                    }
-                    if gone:
-                        slot.failed = True
-                        # Report only actual deaths among the missing
-                        # ranks; a living-but-departed participant is
-                        # not failed, and snapshotting the global dead
-                        # set would be wall-clock dependent.  Recovery
-                        # layers consult dead_ranks() for the full
-                        # picture.
-                        slot.failed_ranks = set(gone & self._state.dead)
-                        return True
-                    return False
-
-                self._state.wait_for(
-                    ready, rank=self._rank, operation=f"{kind}{key}"
+    def _complete_collective(self, slot: CollectiveSlot) -> Any:
+        """Wait for a posted collective and take this rank's result."""
+        state, kind = self._state, slot.kind
+        with state.condition:
+            if not slot.done:  # the last arriver never waits
+                state.wait_for(
+                    lambda: self._collective_resolved(slot),
+                    rank=self._rank,
+                    operation=f"{kind}{slot.key}",
                 )
-                if slot.failed and not slot.done:
-                    self._state.log.record(
-                        "collective_failed",
-                        time=self.clock.now,
-                        rank=self._rank,
-                        collective=kind,
-                        failed=sorted(slot.failed_ranks),
-                    )
-                    raise RankFailedError(
-                        slot.failed_ranks, kind, detected_at=self.clock.now
-                    )
-                completion = slot.completion_time
-                if root is None or self._rank == root or kind in ("bcast", "scatter"):
-                    result = slot.result
-                else:
-                    result = None
-            self.clock.wait_until(completion)
-            if kind == "gather" and root is not None and self._rank != root:
-                return None
-            if kind == "reduce" and root is not None and self._rank != root:
-                return None
-            if isinstance(result, np.ndarray):
-                return result.copy()
-            if isinstance(result, list):
-                return [_copy_payload(item) for item in result]
-            return _copy_payload(result)
+            if not slot.done:
+                if slot.error is not None:
+                    raise portable_error(slot.error, self._rank)
+                state.log.record(
+                    "collective_failed",
+                    time=self.clock.now,
+                    rank=self._rank,
+                    collective=kind,
+                    failed=sorted(slot.failed_ranks),
+                )
+                raise RankFailedError(
+                    slot.failed_ranks, kind, detected_at=self.clock.now
+                )
+            completion, result = slot.completion_time, slot.result
+        self.clock.wait_until(completion)
+        if kind in ("gather", "reduce") and self._rank != slot.root:
+            return None
+        if isinstance(result, list):
+            return [copy_payload(item) for item in result]
+        return copy_payload(result)
 
-        return Request(_complete, operation=kind)
+    def _collective(self, kind: str, value: Any, op=None, root=None) -> Any:
+        """Blocking collective: post, then complete."""
+        return self._complete_collective(self._post_collective(kind, value, op, root))
 
-    def _maybe_finish_collective(
+    def _start_collective(self, kind: str, value: Any, op=None, root=None) -> Request:
+        """Non-blocking collective: post now, complete at ``wait``."""
+        slot = self._post_collective(kind, value, op, root)
+        return Request(lambda _req: self._complete_collective(slot), operation=kind)
+
+    def _finish_collective(
         self,
         slot,
         kind: str,
@@ -510,14 +533,11 @@ class Comm:
         root: Optional[int],
         nbytes: float,
     ) -> None:
-        """If all expected live contributions are in, compute the result.
+        """Compute the result now that every contribution is in.
 
         Caller must hold the lock.
         """
-        missing = slot.missing()
-        if missing:
-            return
-        participants = sorted(slot.contributions.keys())
+        participants = sorted(slot.contributions)
         values = [slot.contributions[r] for r in participants]
         if kind in ("allreduce", "reduce"):
             reducer = op if op is not None else SUM
@@ -547,37 +567,38 @@ class Comm:
     # -- blocking forms -------------------------------------------------
     def barrier(self) -> None:
         """Synchronize all live ranks."""
-        self._start_collective("barrier", None).wait()
+        self._collective("barrier", None)
 
     def bcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast ``value`` from ``root``; all ranks return it."""
         self._check_rank(root)
-        return self._start_collective("bcast", value if self._rank == root else None,
-                                      root=root).wait()
+        return self._collective(
+            "bcast", value if self._rank == root else None, root=root
+        )
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         """Reduce to ``root``; non-root ranks return ``None``."""
         self._check_rank(root)
-        return self._start_collective("reduce", value, op=op, root=root).wait()
+        return self._collective("reduce", value, op=op, root=root)
 
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Reduce and broadcast the result to every rank."""
-        return self._start_collective("allreduce", value, op=op).wait()
+        return self._collective("allreduce", value, op=op)
 
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
         """Gather per-rank values into a list at ``root``."""
         self._check_rank(root)
-        return self._start_collective("gather", value, root=root).wait()
+        return self._collective("gather", value, root=root)
 
     def allgather(self, value: Any) -> List[Any]:
         """Gather per-rank values into a list available on every rank."""
-        return self._start_collective("allgather", value).wait()
+        return self._collective("allgather", value)
 
     def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
         """Scatter a sequence from ``root``; each rank gets one element."""
         self._check_rank(root)
         payload = list(values) if (self._rank == root and values is not None) else None
-        result = self._start_collective("scatter", payload, root=root).wait()
+        result = self._collective("scatter", payload, root=root)
         if isinstance(result, dict):
             return result.get(self._rank)
         return result

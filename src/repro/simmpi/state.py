@@ -15,7 +15,7 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.simmpi.errors import SimDeadlockError
 from repro.utils.logging import EventLog
@@ -31,19 +31,22 @@ class CollectiveSlot:
     """Book-keeping for one collective operation instance."""
 
     kind: str
-    expected: Set[int]
+    key: CollectiveKey
+    n_expected: int
     root: Optional[int] = None
     contributions: Dict[int, Any] = field(default_factory=dict)
     arrival_times: Dict[int, float] = field(default_factory=dict)
     done: bool = False
     failed: bool = False
     failed_ranks: Set[int] = field(default_factory=set)
+    #: What completing the collective raised, if it did (a poisoned slot).
+    error: Optional[BaseException] = None
     result: Any = None
     completion_time: float = 0.0
 
-    def missing(self) -> Set[int]:
+    def missing(self) -> List[int]:
         """Ranks expected but not yet arrived."""
-        return self.expected - set(self.contributions.keys())
+        return [r for r in range(self.n_expected) if r not in self.contributions]
 
 
 class RuntimeState:
@@ -100,6 +103,7 @@ class RuntimeState:
             self.dead.add(rank)
             self.death_times[rank] = time
             self.log.record("rank_death", time=time, rank=rank)
+            self._prune_collectives()
             self.condition.notify_all()
 
     def mark_alive(self, rank: int, time: float) -> None:
@@ -115,6 +119,7 @@ class RuntimeState:
         """Record that a rank's thread returned (no further communication)."""
         with self.condition:
             self.terminated.add(rank)
+            self._prune_collectives()
             self.condition.notify_all()
 
     def enter_epoch(self, rank: int, epoch: int) -> None:
@@ -126,6 +131,7 @@ class RuntimeState:
         with self.condition:
             if epoch > self.rank_epochs.get(rank, 0):
                 self.rank_epochs[rank] = int(epoch)
+            self._prune_collectives()
             self.condition.notify_all()
 
     def is_alive(self, rank: int) -> bool:
@@ -193,6 +199,9 @@ class RuntimeState:
     ) -> CollectiveSlot:
         """Return (creating if needed) the slot for collective ``key``.
 
+        Slots are looked up by *arriving* ranks only (a rank that has
+        posted holds its slot), so the last arrival drops the entry and
+        :meth:`_prune_collectives` drops the ones that will never see it.
         Every rank of the communicator is expected to participate
         (MPI semantics: membership is fixed at communicator creation),
         so a collective involving a dead member fails for the survivors
@@ -201,9 +210,7 @@ class RuntimeState:
         """
         slot = self.collectives.get(key)
         if slot is None:
-            slot = CollectiveSlot(
-                kind=kind, expected=set(range(self.n_ranks)), root=root
-            )
+            slot = CollectiveSlot(kind, key, self.n_ranks, root)
             self.collectives[key] = slot
         else:
             if slot.kind != kind:
@@ -212,3 +219,13 @@ class RuntimeState:
                     "(ranks called different collectives in the same order slot)"
                 )
         return slot
+
+    def _prune_collectives(self) -> None:
+        """Drop the slots no missing rank can still arrive at (lock held).
+
+        Runs on every liveness change (a rank died, returned or left the
+        epoch); only collectives in flight are listed, so the scan is short.
+        """
+        for key, slot in list(self.collectives.items()):
+            if not any(self.may_still_operate(r, key[0]) for r in slot.missing()):
+                del self.collectives[key]

@@ -20,7 +20,8 @@ IEEE-754 doubles bit-for-bit).
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 
@@ -36,6 +37,13 @@ def jsonify(value: Any) -> Any:
     serialization never fails on incidental payload (the fallback is
     applied to *values*, never silently to containers).
     """
+    kind = type(value)
+    # Nearly every container is exactly one of these three: recognise
+    # them before the scalar and NumPy tests (subclasses fall through).
+    if kind is dict:
+        return {str(k): jsonify(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [jsonify(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (np.bool_,)):

@@ -544,6 +544,50 @@ class TestProcessSafetyRule:
         )
         assert [f.line for f in report.findings] == [5, 7, 11]
 
+    def test_select_poll_without_finite_timeout_flagged(self, tmp_path):
+        report = run_rules(
+            tmp_path,
+            {
+                "mod.py": """\
+                import select
+
+                def wait_forever(conn):
+                    poller = select.poll()
+                    poller.register(conn.fileno(), select.POLLIN)
+                    poller.poll()
+                    poller.poll(-1)
+                    poller.poll(timeout=None)
+                    return factory.Queue()
+                """
+            },
+            ["process-safety"],
+        )
+        # The queue is not multiprocessing's: only the polls are reported.
+        assert [f.line for f in report.findings] == [6, 7, 8]
+        assert all("finite" in f.message for f in report.findings)
+
+    def test_select_poll_with_finite_timeout_passes(self, tmp_path):
+        report = run_rules(
+            tmp_path,
+            {
+                "mod.py": """\
+                import multiprocessing
+                import select
+                from select import poll
+
+                def wait_bounded(conn, remaining):
+                    poller = select.poll()
+                    other = poll()
+                    poller.register(conn.fileno(), select.POLLIN)
+                    if poller.poll(250):
+                        return True
+                    return bool(other.poll(min(remaining, 0.25) * 1000.0))
+                """
+            },
+            ["process-safety"],
+        )
+        assert report.findings == []
+
     def test_gated_on_multiprocessing_import(self, tmp_path):
         report = run_rules(
             tmp_path,

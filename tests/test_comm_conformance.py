@@ -23,7 +23,7 @@ Plus the differential gate the tentpole demands: the E3 (CG) and E6
 (GMRES) distributed anchors run on sim and on shmem, and their
 residual-norm histories must agree.  Both backends declare
 ``ordered_reduction`` (contributions reduced in ascending-rank order,
-left to right, matching ``Comm._maybe_finish_collective``), and the
+left to right, matching ``Comm._finish_collective``), and the
 row-block partition, allgather ordering and local kernels are shared
 code -- so every floating-point operation happens in the same order
 and the comparison is **exact** (``==`` on every history entry).  For
@@ -40,17 +40,30 @@ Satellites riding along: hypothesis property tests for the collectives
 random mid-collective SIGKILLs must surface as ``ProcFailure`` on
 survivors, never hang), and the ``process-safety`` rule coverage of
 the new backend package (no queues, no untimed waits, no suppressions).
+
+PR 18 (the message path made cheap) adds the safety properties that
+must survive it, per backend -- a poisoned collective raises the same
+typed error on every rank at once, a peer killed while this rank is
+*blocked* on it is noticed at once, a mismatched program times out on
+time, nobody ever aliases anybody's arrays -- and the cost *shape* of
+the shmem path as counts, never timings: no selector per message, no
+sleep per launch.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import pathlib
+import selectors
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import multiprocessing.connection
 
 from repro.comm import (
     BackendUnavailableError,
@@ -62,6 +75,7 @@ from repro.comm import (
     default_backend_registry,
     resolve_backend,
 )
+from repro.comm import shmem
 from repro.experiments import backend_probe
 from repro.simmpi.errors import SimDeadlockError
 from repro.simmpi.ops import MAX, SUM
@@ -222,6 +236,88 @@ def _chaos_program(comm, steps, step_time):
     return ("completed", [], completed)
 
 
+def _poisoned_scatter_program(comm):
+    start = time.monotonic()
+    try:
+        comm.scatter([1] if comm.rank == 0 else None, root=0)
+        return ("no error", 0.0)
+    except Exception as exc:  # noqa: BLE001 - the type is what is asserted
+        return (type(exc).__name__, time.monotonic() - start)
+
+
+def _blocked_on_victim_program(comm, victim, operation, delay):
+    if comm.rank == victim:
+        time.sleep(delay)  # let every survivor block on us first
+        comm.advance(1.0)  # crosses the scheduled failure: dies here
+        return "survived"
+    start = time.monotonic()
+    try:
+        if operation == "recv":
+            comm.recv(victim, tag=3)
+        else:
+            comm.allreduce(np.ones(4))
+    except ProcFailure as exc:
+        return (sorted(exc.failed_ranks), time.monotonic() - start)
+    return "completed"
+
+
+def _aliasing_program(comm):
+    """Mutate inputs after sending and outputs after receiving.
+
+    Returns, per operation, what this rank holds *after* every rank has
+    scribbled over its own input and over everything it received.
+    """
+    rank, held = comm.rank, {}
+    mine = np.full(4, float(rank + 1))
+    if rank == 0:
+        comm.send(mine, 1, tag=8)
+        mine[:] = -7.0  # after the send: must never reach rank 1
+        comm.barrier()
+    else:
+        comm.barrier()  # receive only once the sender has scribbled
+        if rank == 1:
+            held["recv"] = comm.recv(0, tag=8)
+    for name in ("allreduce", "allgather", "bcast"):
+        mine = np.full(4, float(rank + 1))
+        out = getattr(comm, name)(mine)
+        mine[:] = -7.0
+        comm.barrier()
+        for array in out if isinstance(out, list) else [out]:
+            array += 100.0 * (rank + 1)
+        comm.barrier()
+        held[name] = (out, mine)
+    return held
+
+
+def _corrupt_keeps_sender_program(comm, n):
+    if comm.rank == 0:
+        mine = np.ones(n)
+        comm.send(mine, 1, tag=4)
+        return mine
+    return comm.recv(0, tag=4)
+
+
+def _threshold_allreduce_program(comm, n):
+    return comm.allreduce(np.arange(n, dtype=np.float64) * (comm.rank + 1) + 0.1)
+
+
+#: Entries into the stdlib's per-call waiting machinery, counted in
+#: whichever process runs the spies (ranks inherit them through fork).
+_SPY = {"wait": 0, "select": 0}
+
+
+def _fifty_collectives_program(comm):
+    before = dict(_SPY)
+    for step in range(25):
+        comm.allreduce(float(step + comm.rank))
+        comm.allgather(np.full(8, float(step)))
+    return {name: _SPY[name] - before[name] for name in _SPY}
+
+
+def _pid_program(comm):
+    return os.getpid()
+
+
 # ----------------------------------------------------------------------
 # The contract, per backend
 # ----------------------------------------------------------------------
@@ -285,10 +381,76 @@ class TestContract:
             assert total == sum(range(procs))
 
     def test_deadlock_freedom_under_timeout(self, backend):
-        values = launch(backend, 2, _mismatch_program, timeout=2.0)
+        timeout = 1.0
+        start = time.monotonic()
+        values = launch(backend, 2, _mismatch_program, timeout=timeout)
+        # On time, launch and teardown included: the verdict must not
+        # wait for the end of a polling slice or a second deadline.
+        assert time.monotonic() - start <= timeout + 0.5
         assert "timeout" in values
         assert "received" not in values
         assert set(values) <= {"timeout", "cascaded"}
+
+    def test_collective_raising_at_completion_poisons_every_rank(self, backend):
+        """Default timeouts: nobody may sit out the 30 s (ROADMAP item 1)."""
+        values = launch(backend, 2, _poisoned_scatter_program)
+        assert [name for name, _ in values] == ["ValueError", "ValueError"]
+        assert all(elapsed < 1.0 for _, elapsed in values)
+
+    @pytest.mark.parametrize("operation", ["recv", "allreduce"])
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_peer_killed_while_we_are_blocked_on_it(self, backend, victim, operation):
+        """The hang-up must wake a blocked wait, not the deadline."""
+        delay = 0.3
+        values = launch(
+            backend, 3, _blocked_on_victim_program, victim, operation, delay,
+            faults=f"proc_fail:times=0.5,ranks={victim}",
+        )
+        assert values[victim] is None
+        for rank in set(range(3)) - {victim}:
+            failed, elapsed = values[rank]
+            assert failed == [victim]
+            assert elapsed < 1.0
+
+    def test_nobody_aliases_anybody(self, backend):
+        procs = 3
+        values = launch(backend, procs, _aliasing_program)
+        ones = np.ones(4)
+        assert np.array_equal(values[1].pop("recv"), ones)
+        total = sum(range(1, procs + 1))
+        for rank, held in enumerate(values):
+            bump = 100.0 * (rank + 1)
+            expected = {
+                "allreduce": total * ones + bump,
+                "allgather": [(r + 1) * ones + bump for r in range(procs)],
+                "bcast": ones + bump,
+            }
+            for name, (out, mine) in held.items():
+                # Own input: scribbled by its owner only.  Output: the
+                # result plus this rank's own bump, nobody else's.
+                assert np.array_equal(mine, -7.0 * ones), (name, rank)
+                assert np.array_equal(out, expected[name]), (name, rank)
+
+    def test_msg_corrupt_never_touches_sender_state(self, backend):
+        sent, received = launch(
+            backend, 2, _corrupt_keeps_sender_program, 64,
+            faults="msg_corrupt:p=1", fault_seed=99,
+        )
+        assert np.array_equal(sent, np.ones(64))
+        assert not np.array_equal(received, np.ones(64))
+
+    @pytest.mark.parametrize("nbytes", [32760, 32768])
+    def test_array_allreduce_either_side_of_the_segment_threshold(
+        self, backend, nbytes
+    ):
+        assert nbytes <= shmem.SHM_THRESHOLD_BYTES < nbytes + 16
+        n, procs = nbytes // 8, 3
+        reference = ordered_fold(
+            SUM,
+            [np.arange(n, dtype=np.float64) * (r + 1) + 0.1 for r in range(procs)],
+        )
+        for out in launch(backend, procs, _threshold_allreduce_program, n):
+            assert np.array_equal(out, reference)
 
     def test_proc_fail_surfaces_as_procfailure_on_survivors(self, backend):
         victim = 1
@@ -357,6 +519,19 @@ class TestCrossBackend:
             for backend in ("sim", "shmem")
         }
         _assert_histories_agree(histories["sim"], histories["shmem"])
+
+
+    @pytest.mark.parametrize("procs", [2, 3, 4])
+    @pytest.mark.parametrize("solver", ["cg", "pipelined_cg", "gmres"])
+    def test_residual_histories_equal_at_every_rank_count(self, solver, procs):
+        histories = [
+            backend_probe.distributed_solve(
+                f"{backend}:procs={procs}", solver, grid=8, tol=1e-8, seed=18
+            )
+            for backend in ("sim", "shmem")
+        ]
+        assert histories[0]["converged"]
+        _assert_histories_agree(*histories)
 
 
 def _assert_histories_agree(a, b):
@@ -478,6 +653,61 @@ def test_shmem_chaos_soak_random_sigkills_never_hang():
             assert 0 <= completed <= steps
     # The time draw spans the whole program, so both outcomes occur.
     assert outcomes["detected"] > 0
+
+
+# ----------------------------------------------------------------------
+# Cost shape of the shmem message path, as counts (PR 18)
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(
+    not default_backend_registry().get("shmem").available()[0],
+    reason="shmem backend unavailable",
+)
+class TestShmemCostShape:
+    def test_no_selector_is_built_per_message(self, monkeypatch):
+        """50 collectives, zero trips through ``connection.wait``/selectors.
+
+        ``Connection.poll`` is ``connection.wait`` underneath, which
+        builds, registers and closes a selector per call: the receive
+        path did that once per message (50+ here) before the persistent
+        poller.  The launcher's own outcome collection counts too.
+        """
+        real_wait = multiprocessing.connection.wait
+        real_select = selectors.PollSelector.select
+
+        def counting_wait(*args, **kwargs):
+            _SPY["wait"] += 1
+            return real_wait(*args, **kwargs)
+
+        def counting_select(self, timeout=None):
+            _SPY["select"] += 1
+            return real_select(self, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", counting_wait)
+        monkeypatch.setattr(selectors.PollSelector, "select", counting_select)
+        before = dict(_SPY)
+        values = launch("shmem", 2, _fifty_collectives_program)
+        assert values == [{"wait": 0, "select": 0}] * 2
+        assert _SPY == before  # the launcher side
+
+    def test_launch_never_sleeps(self, monkeypatch):
+        def no_sleep(_seconds):
+            raise AssertionError("launch_shmem slept")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        assert launch("shmem", 2, _identity_program)[1][0] == 1
+
+    def test_rank_ignoring_shutdown_is_killed_at_the_reap_deadline(self, monkeypatch):
+        # Ranks fork after the patches, so they inherit a finalize that
+        # never returns: only the SIGKILL escalation can end them.
+        monkeypatch.setattr(shmem.ShmemComm, "finalize", lambda self: time.sleep(60))
+        monkeypatch.setattr(shmem, "REAP_TIMEOUT", 0.3)
+        start = time.monotonic()
+        pids = launch("shmem", 2, _pid_program)
+        elapsed = time.monotonic() - start
+        assert 0.3 <= elapsed < 5.0
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+                os.kill(pid, 0)
 
 
 # ----------------------------------------------------------------------

@@ -363,6 +363,61 @@ class TestSupervisedExecutor:
         # The corrupted payload never leaks into the final result.
         assert all("__chaos_corrupted__" not in r.result for r in results)
 
+    def test_dispatch_order_is_min_ready_at_then_slot(self, monkeypatch):
+        """The deque + retry heap dispatches exactly as the old scan did.
+
+        The oracle is the rule the executor used to evaluate over the
+        whole backlog per dispatch -- ``min(ready, key=(ready_at,
+        slot))`` with ``ready`` the tasks whose backoff has expired;
+        because ready tasks sort before waiting ones, that is the
+        minimum over everything awaiting a worker.  The mirror of the
+        backlog is rebuilt from the journal, not read off the executor.
+        """
+        from repro.campaign import executor as ex
+
+        states, waiting, mismatches, dispatched = {}, set(), [], []
+        real_state = ex._TaskState
+
+        def recording_state(*args, **kwargs):
+            state = real_state(*args, **kwargs)
+            states[state.slot] = state
+            waiting.add(state.slot)
+            return state
+
+        real_submit = ex._WorkerHandle.submit
+
+        def checking_submit(handle, task):
+            slot = task[0]
+            oracle = min(
+                (states[s] for s in waiting), key=lambda s: (s.ready_at, s.slot)
+            )
+            if oracle.slot != slot:
+                mismatches.append((len(dispatched), slot, oracle.slot))
+            waiting.discard(slot)
+            dispatched.append(slot)
+            return real_submit(handle, task)
+
+        real_journal = ex.SupervisedExecutor._journal
+
+        def watching_journal(self, state, status, outcome, *rest):
+            if outcome is None:  # retrying: back into the backlog
+                waiting.add(state.slot)
+            return real_journal(self, state, status, outcome, *rest)
+
+        monkeypatch.setattr(ex, "_TaskState", recording_state)
+        monkeypatch.setattr(ex._WorkerHandle, "submit", checking_submit)
+        monkeypatch.setattr(ex.SupervisedExecutor, "_journal", watching_journal)
+        results = _executor(
+            execute=_ok_execute,
+            chaos="worker_crash:p=0.3",
+            chaos_seed=18,
+            retry=RetryPolicy(max_attempts=8, backoff=0.01),
+        ).run(_tasks(40))
+        assert all(r.status == "completed" for r in results)
+        assert len(dispatched) == sum(r.attempts for r in results) > 40
+        assert dispatched[:2] == [0, 1]
+        assert mismatches == []
+
     def test_completed_callback_fires_per_terminal_result(self):
         seen = []
         _executor(execute=_ok_execute).run(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import (
     Counter,
@@ -264,6 +269,74 @@ class TestTable:
         assert isinstance(data["rows"][1][0], int)
 
 
+def _jsonify_before_pr18(value):
+    """``repro.utils.jsonify`` as it stood before PR 18 -- the oracle."""
+    from typing import Mapping
+
+    recurse = _jsonify_before_pr18
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return [recurse(v) for v in value.tolist()]
+    if isinstance(value, Mapping):
+        return {str(k): recurse(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [recurse(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((recurse(v) for v in value), key=repr)
+    return str(value)
+
+
+def _type_tree(value):
+    if isinstance(value, dict):
+        return {k: _type_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_type_tree(v) for v in value]
+    return type(value)
+
+
+class _Pair(tuple):
+    """A tuple subclass: must take the general path, same output."""
+
+
+_JSONIFY_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.integers(min_value=-99, max_value=99).map(np.int32),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(allow_nan=False), max_size=4).map(np.array),
+    st.frozensets(st.integers(min_value=0, max_value=9), max_size=3),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+_JSONIFY_VALUES = st.recursive(
+    _JSONIFY_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=3).map(_Pair),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(
+            collections.OrderedDict
+        ),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(
+            types.MappingProxyType
+        ),
+    ),
+    max_leaves=12,
+)
+
+
 class TestJsonify:
     def test_scalars_and_containers(self):
         from repro.utils import jsonify
@@ -295,6 +368,18 @@ class TestJsonify:
 
         value = 0.1 + 0.2  # not exactly 0.3
         assert json.loads(json.dumps(jsonify(value))) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_JSONIFY_VALUES)
+    def test_container_fast_path_equals_the_old_body(self, value):
+        """Exact ``dict``/``list``/``tuple`` first changes no output byte."""
+        import json
+
+        from repro.utils import jsonify
+
+        new, old = jsonify(value), _jsonify_before_pr18(value)
+        assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+        assert _type_tree(new) == _type_tree(old)
 
 
 class TestExperimentResult:
