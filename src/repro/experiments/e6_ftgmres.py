@@ -114,76 +114,78 @@ def run(
     )
     summary = {}
 
-    for prob in fault_probabilities:
-        fault_model = fault_template.with_params(p=prob)
-        # --- all-unreliable plain GMRES baseline -----------------------
-        conv = 0
-        residuals = []
-        iters = []
-        for trial in range(n_trials):
-            rng = factory.spawn(f"plain-{prob}-{trial}")
-            injector = fault_model.injector(rng, target="plain_matvec")
-            calls = {"n": 0}
+    # Overflow/NaN *is* the injected fault's expected effect.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prob in fault_probabilities:
+            fault_model = fault_template.with_params(p=prob)
+            # --- all-unreliable plain GMRES baseline -----------------------
+            conv = 0
+            residuals = []
+            iters = []
+            for trial in range(n_trials):
+                rng = factory.spawn(f"plain-{prob}-{trial}")
+                injector = fault_model.injector(rng, target="plain_matvec")
+                calls = {"n": 0}
 
-            def unreliable_op(x, _inj=injector, _calls=calls):
-                _calls["n"] += 1
-                return _inj.maybe_inject(matrix.matvec(x), now=float(_calls["n"]))
+                def unreliable_op(x, _inj=injector, _calls=calls):
+                    _calls["n"] += 1
+                    return _inj.maybe_inject(matrix.matvec(x), now=float(_calls["n"]))
 
-            result = solvers.get("gmres").solve(
-                unreliable_op, b, tol=tol, restart=30,
-                maxiter=outer_maxiter * inner_maxiter,
-            )
-            true_res = float(
-                np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
-            )
-            conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
-            residuals.append(true_res if np.isfinite(true_res) else 1.0)
-            iters.append(result.iterations)
-        table.add_row(
-            prob, "plain_unreliable", conv / n_trials, float(np.mean(residuals)),
-            float(np.mean(iters)), 1.0, 1.0 / cost_model.reliable_compute_factor,
-        )
-        summary[f"plain_{prob}_converged"] = conv / n_trials
-
-        # --- FT-GMRES ---------------------------------------------------
-        conv = 0
-        residuals = []
-        iters = []
-        unreliable_fracs = []
-        costs = []
-        for trial in range(n_trials):
-            extra = {}
-            if not fault_model.is_null and fault_model.component("bitflip") is None:
-                # Non-bit-flip fault kinds (e.g. value perturbation)
-                # supply the whole SRP environment themselves.
-                extra["environment"] = fault_model.environment(
-                    seed=seed + 7 * trial, cost_model=cost_model
+                result = solvers.get("gmres").solve(
+                    unreliable_op, b, tol=tol, restart=30,
+                    maxiter=outer_maxiter * inner_maxiter,
                 )
-            result = solvers.get("ft_gmres").solve(
-                matrix, b, tol=tol,
-                outer_maxiter=outer_maxiter, outer_restart=outer_maxiter,
-                inner_tol=1e-2, inner_maxiter=inner_maxiter, inner_restart=inner_maxiter,
-                fault_probability=fault_model.probability,
-                bit_range=fault_model.bits,
-                seed=seed + 7 * trial,
-                cost_model=cost_model,
-                **extra,
+                true_res = float(
+                    np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
+                )
+                conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
+                residuals.append(true_res if np.isfinite(true_res) else 1.0)
+                iters.append(result.iterations)
+            table.add_row(
+                prob, "plain_unreliable", conv / n_trials, float(np.mean(residuals)),
+                float(np.mean(iters)), 1.0, 1.0 / cost_model.reliable_compute_factor,
             )
-            true_res = float(
-                np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
+            summary[f"plain_{prob}_converged"] = conv / n_trials
+
+            # --- FT-GMRES ---------------------------------------------------
+            conv = 0
+            residuals = []
+            iters = []
+            unreliable_fracs = []
+            costs = []
+            for trial in range(n_trials):
+                extra = {}
+                if not fault_model.is_null and fault_model.component("bitflip") is None:
+                    # Non-bit-flip fault kinds (e.g. value perturbation)
+                    # supply the whole SRP environment themselves.
+                    extra["environment"] = fault_model.environment(
+                        seed=seed + 7 * trial, cost_model=cost_model
+                    )
+                result = solvers.get("ft_gmres").solve(
+                    matrix, b, tol=tol,
+                    outer_maxiter=outer_maxiter, outer_restart=outer_maxiter,
+                    inner_tol=1e-2, inner_maxiter=inner_maxiter, inner_restart=inner_maxiter,
+                    fault_probability=fault_model.probability,
+                    bit_range=fault_model.bits,
+                    seed=seed + 7 * trial,
+                    cost_model=cost_model,
+                    **extra,
+                )
+                true_res = float(
+                    np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
+                )
+                conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
+                residuals.append(true_res if np.isfinite(true_res) else 1.0)
+                iters.append(result.iterations)
+                unreliable_fracs.append(result.info["unreliable_fraction_flops"])
+                costs.append(1.0 / result.info["srp_cost"]["savings_factor"])
+            table.add_row(
+                prob, "ft_gmres", conv / n_trials, float(np.mean(residuals)),
+                float(np.mean(iters)), float(np.mean(unreliable_fracs)),
+                float(np.mean(costs)),
             )
-            conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
-            residuals.append(true_res if np.isfinite(true_res) else 1.0)
-            iters.append(result.iterations)
-            unreliable_fracs.append(result.info["unreliable_fraction_flops"])
-            costs.append(1.0 / result.info["srp_cost"]["savings_factor"])
-        table.add_row(
-            prob, "ft_gmres", conv / n_trials, float(np.mean(residuals)),
-            float(np.mean(iters)), float(np.mean(unreliable_fracs)),
-            float(np.mean(costs)),
-        )
-        summary[f"ftgmres_{prob}_converged"] = conv / n_trials
-        summary[f"ftgmres_{prob}_unreliable_fraction"] = float(np.mean(unreliable_fracs))
+            summary[f"ftgmres_{prob}_converged"] = conv / n_trials
+            summary[f"ftgmres_{prob}_unreliable_fraction"] = float(np.mean(unreliable_fracs))
     parameters = {
         "grid": grid,
         "fault_probabilities": tuple(fault_probabilities),

@@ -38,13 +38,23 @@ that make this hold:
   sequential per-iteration events (a full
   :class:`~repro.krylov.engine.core.GmresState` only when the policy
   declares ``needs_arnoldi_state``), against live views of the stacked
-  arrays, so injected faults land in the real solver state.
+  arrays, so injected faults land in the real solver state.  An
+  observer that declares the one iteration it can act at
+  (``ResiliencePolicy.fire_at``) is called at that iteration only.
+
+Cost shape: a lockstep step is its stacked kernels plus array
+bookkeeping.  Per-lane Python runs only on events -- an observer that
+is due or watches every step, the skeptical sweep, a lane leaving, the
+cycle boundary -- and a lane reads its step count, residual history and
+kernel seconds back from the cohort arrays when it leaves.
 
 Kernel counters: batched spans (the stacked matvec and the
-orthogonalization block) are measured once and split evenly across the
-active lanes with one *call* each, so call counts match the sequential
-solver exactly and only the attributed seconds are approximate.
-Parity gates therefore compare everything except ``seconds``.
+orthogonalization block) are measured once per step and split evenly
+across the active lanes; every lane enters a cycle at step 0, so what a
+lane is charged when it leaves is the running sum of those shares with
+its step count as the call count.  Call counts match the sequential
+solver exactly and only the attributed seconds are approximate; parity
+gates therefore compare everything except ``seconds``.
 
 Skeptical (SDC-detecting) lanes replicate the
 :func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres` attempt loop per
@@ -240,17 +250,17 @@ def batched_matvec(operator, X: np.ndarray) -> np.ndarray:
     )
 
 
-def _matvec_rows(attempts, Z: np.ndarray) -> np.ndarray:
+def _matvec_rows(attempts, Z: np.ndarray, shared: bool) -> np.ndarray:
     """Operator application for one lockstep step.
 
-    When every lane shares one operator object the batched kernel runs;
-    lanes with private operators (per-scenario fault-injecting
-    wrappers) are applied row by row with their own operator, keeping
-    each lane's fault stream draw-for-draw sequential.
+    When every lane of the cohort shares one operator object
+    (``shared``) the batched kernel runs; lanes with private operators
+    (per-scenario fault-injecting wrappers) are applied row by row with
+    their own operator, keeping each lane's fault stream draw-for-draw
+    sequential.
     """
-    op0 = attempts[0].operator
-    if all(a.operator is op0 for a in attempts):
-        return batched_matvec(op0, Z)
+    if shared:
+        return batched_matvec(attempts[0].operator, Z)
     return np.array(
         [
             np.asarray(ops.matvec(a.operator, Z[i]), dtype=np.float64)
@@ -297,10 +307,6 @@ class _ArnoldiAttempt:
         "cycle_outcome",
         "_cycle_r",
         "_cycle_beta",
-        "mv_sec",
-        "mv_calls",
-        "ortho_sec",
-        "ortho_calls",
     )
 
     def __init__(self, lane, *, x, maxiter: int):
@@ -328,11 +334,6 @@ class _ArnoldiAttempt:
         self.cycle_outcome = "end"
         self._cycle_r = None
         self._cycle_beta = 0.0
-        # Deferred per-cycle kernel charges (flushed by _run_cohort).
-        self.mv_sec = 0.0
-        self.mv_calls = 0
-        self.ortho_sec = 0.0
-        self.ortho_calls = 0
 
     def begin_cycle(self):
         """Run the cycle head; return the cycle dimension or ``_COMPLETE``.
@@ -375,6 +376,20 @@ class _ArnoldiAttempt:
         self.cycle_outcome = "end"
         self._cycle_r = None
 
+    def advance(self, steps: int, res: np.ndarray):
+        """Bring the lane-visible fields up to ``steps`` steps of this cycle.
+
+        :func:`_run_cohort` keeps the step count and the residuals in
+        cohort arrays (``res[j, slot]`` is the residual entering step
+        ``j``); a lane reads them back here, when someone can see its
+        fields -- before an observer is called and when it leaves.
+        """
+        self.residual_norms.extend(res[self.inner_used + 1 : steps + 1, self.slot].tolist())
+        self.total_iteration += steps - self.inner_used
+        self.inner_used = self.lsq.size = steps
+        self.adapter.n_columns = steps + 1
+        self.cycle_residual = self.residual_norms[-1]
+
     def update_solution(self):
         """First half of the cycle tail: the least-squares iterate update."""
         if self.inner_used > 0:  # update_on_breakdown=True for the GMRES family
@@ -393,26 +408,15 @@ class _ArnoldiAttempt:
     def finish_cycle(self, true_residual: float):
         """Second half of the cycle tail: record the true residual.
 
-        ``true_residual`` is ``||b - A x||`` of the updated iterate --
-        computed here per lane by :meth:`end_cycle`, or by the stacked
-        block matvec of :func:`_batched_cycle_tail` (bit-identical per
-        row, so the recorded history is the same either way).
+        ``true_residual`` is ``||b - A x||`` of the updated iterate,
+        computed by :func:`_batched_cycle_tail` per lane or by one
+        stacked block matvec (bit-identical per row, so the recorded
+        history is the same either way).
         """
         self.residual_norms[-1] = true_residual
         if self.convergence.is_met(true_residual, self.target):
             self.converged = True
         self.outer += 1
-
-    def end_cycle(self):
-        """The cycle tail: least-squares update and true-residual check."""
-        self.update_solution()
-        kernels = self.kernels
-        t0 = kernels.tick()
-        true_residual = ops.norm(
-            ops.axpby(1.0, self.b, -1.0, ops.matvec(self.operator, self.x))
-        )
-        kernels.charge("matvec", t0)
-        self.finish_cycle(true_residual)
 
 
 class _PlainGmresLane:
@@ -439,6 +443,7 @@ class _PlainGmresLane:
         self.method = spec.gram_schmidt
         self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
         self.policy = compose_policy(spec.policy, spec.iteration_hook, "state")
+        self.fire_at = getattr(self.policy, "fire_at", None)
         self.result: Optional[SolveResult] = None
         self._attempt: Optional[_ArnoldiAttempt] = None
 
@@ -459,9 +464,6 @@ class _PlainGmresLane:
             if req is not _COMPLETE:
                 return (req, self.method)
             self._finish()
-
-    def after_cycle(self):
-        self._attempt.end_cycle()
 
     def tail_begin(self):
         """Run the x-update half of the cycle tail; return the attempt
@@ -503,19 +505,14 @@ class _SdcGmresLane:
     method = "cgs2"  # the skeptical solver pins CGS2
 
     def __init__(self, operator, spec: SdcLaneSpec):
-        check_integer(spec.check_period, "check_period")
-        check_positive(spec.tol, "tol")
-        for name in ("check_period", "orthogonality_period", "residual_check_period"):
-            period = getattr(spec, name)
-            check_integer(period, "period")
-            if period <= 0:
-                raise ValueError("period must be positive")
-        if spec.restart <= 0:
-            raise ValueError("restart must be positive")
-        if spec.maxiter <= 0:
-            raise ValueError("maxiter must be positive")
-        check_positive(spec.hessenberg_safety, "safety")
-        check_positive(spec.orthogonality_tol, "tol")
+        # Local import: the skeptical driver sits above the engine.
+        from repro.skeptical.gmres_sdc import check_sdc_arguments, estimate_operator_norm
+
+        check_sdc_arguments(
+            spec.tol, spec.restart, spec.maxiter,
+            (spec.check_period, spec.orthogonality_period, spec.residual_check_period),
+            spec.hessenberg_safety, spec.orthogonality_tol, spec.operator_norm,
+        )
 
         self.operator = spec.operator if spec.operator is not None else operator
         self.b = np.asarray(spec.b, dtype=np.float64)
@@ -526,17 +523,18 @@ class _SdcGmresLane:
         self.check_period = int(spec.check_period)
         self.orthogonality_period = int(spec.orthogonality_period)
         self.residual_check_period = int(spec.residual_check_period)
-        self.hessenberg_safety = float(spec.hessenberg_safety)
         self.orthogonality_tol = float(spec.orthogonality_tol)
         self.max_restarts_on_detection = int(spec.max_restarts_on_detection)
         self.fault_hook = spec.fault_hook
-        if spec.operator_norm is not None:
-            self.norm_estimate = float(spec.operator_norm)
-        else:
-            # Local import: the skeptical driver sits above the engine.
-            from repro.skeptical.gmres_sdc import estimate_operator_norm
-
-            self.norm_estimate = estimate_operator_norm(self.operator, self.b)
+        # The iteration the fault hook can act at (None: any; 0: never --
+        # iterations count from 1), see ResiliencePolicy.fire_at.
+        self.fire_at = 0 if spec.fault_hook is None else getattr(spec.fault_hook, "fire_at", None)
+        self.norm_estimate = (
+            float(spec.operator_norm)
+            if spec.operator_norm is not None
+            else estimate_operator_norm(self.operator, self.b)
+        )
+        self.hessenberg_threshold = float(spec.hessenberg_safety) * self.norm_estimate
 
         self.x_current = (
             np.array(spec.x0, dtype=np.float64, copy=True)
@@ -572,12 +570,6 @@ class _SdcGmresLane:
             if req is not _COMPLETE:
                 return (req, self.method)
             self._complete_attempt()
-
-    def after_cycle(self):
-        a = self._attempt
-        if self._tail_abandoned():
-            return
-        a.end_cycle()
 
     def tail_begin(self):
         """The x-update half of the cycle tail; ``None`` when the cycle
@@ -648,25 +640,47 @@ class _SdcGmresLane:
         )
 
 
-def _make_state(a: _ArnoldiAttempt, j: int) -> GmresState:
-    """The per-iteration :class:`GmresState` of lane-attempt ``a`` at step ``j``."""
+def _observe(a: _ArnoldiAttempt, j: int) -> None:
+    """Hand lane-attempt ``a``'s step-``j`` event to its hook or policy.
+
+    Runs only for a lane whose observer can act at this iteration (see
+    ``ResiliencePolicy.fire_at``); the full :class:`GmresState` with its
+    reconstruct closure is built only for observers that read it.
+    """
+    lane = a.lane
+    if lane.is_sdc:
+        observer = lane.fault_hook
+    else:
+        observer = lane.policy.observe
+        if not lane.policy.needs_arnoldi_state:
+            observer(
+                IterationEvent(
+                    total_iteration=a.total_iteration,
+                    residual_norm=a.cycle_residual,
+                    inner=j,
+                    outer=a.outer,
+                )
+            )
+            return
 
     def reconstruct_iterate(j=j, a=a):
         y = a.lsq.solve(j + 1)
         return a.precond.apply_update(a.shim, a.x, a.adapter, y, j + 1)
 
-    return GmresState(
-        outer=a.outer,
-        inner=j,
-        total_iteration=a.total_iteration,
-        basis=a.adapter,
-        hessenberg=a.lsq.hessenberg,
-        residual_norm=a.cycle_residual,
-        reconstruct_iterate=reconstruct_iterate,
+    observer(
+        GmresState(
+            outer=a.outer,
+            inner=j,
+            total_iteration=a.total_iteration,
+            basis=a.adapter,
+            hessenberg=a.lsq.hessenberg,
+            residual_norm=a.cycle_residual,
+            reconstruct_iterate=reconstruct_iterate,
+        )
     )
 
 
-def _true_residual(a: _ArnoldiAttempt, j: int) -> float:
+def _true_residual(a: _ArnoldiAttempt, j: int, residual: float) -> float:
     """The lazy true-residual of ``SkepticalGmresPolicy.observe``, per lane.
 
     Non-trivial only at cycle starts (``j == 0``); the reconstruct step
@@ -675,16 +689,26 @@ def _true_residual(a: _ArnoldiAttempt, j: int) -> float:
     while the residual matvec itself is uncharged.
     """
     if j != 0:
-        return a.cycle_residual
+        return residual
     try:
         y = a.lsq.solve(j + 1)
         x_now = a.precond.apply_update(a.shim, a.x, a.adapter, y, j + 1)
     except np.linalg.LinAlgError:
-        return a.cycle_residual
+        return residual
     return float(np.linalg.norm(a.b - np.asarray(ops.matvec(a.operator, x_now))))
 
 
-def _skeptical_checks(sdc_active, j: int, basis: np.ndarray, hess: np.ndarray):
+def _slot_rows(pairs):
+    """Index of the slots of ``pairs``: a slice when they are the leading
+    slots in order (views, no gather copies -- the all-lanes-due common
+    case), else an index array."""
+    slots = [slot for _, slot in pairs]
+    if slots[0] == 0 and slots[-1] == len(slots) - 1:
+        return slice(0, len(slots))
+    return np.asarray(slots, dtype=np.intp)
+
+
+def _skeptical_checks(sdc, j: int, basis: np.ndarray, hess: np.ndarray, residuals):
     """One monitor observation for every active SDC lane of a cohort step.
 
     Replicates ``SkepticalMonitor.observe`` with the default check set
@@ -693,59 +717,49 @@ def _skeptical_checks(sdc_active, j: int, basis: np.ndarray, hess: np.ndarray):
     then orthogonality and residual consistency at their own periods --
     counting the failing check and skipping the rest, at most one
     detection per observation.  The three cheap array checks are
-    evaluated as one vectorized sweep over the due lanes.
+    evaluated as one vectorized sweep over the due lanes.  ``sdc`` holds
+    the ``(lane, slot)`` pairs in slot order, ``residuals`` this step's
+    residual per slot.  (``check_flops`` only ever adds integer-valued
+    floats, so folding a lane's passed checks into one add is exact.)
 
     Returns the set of lanes whose abort policy fired (restart response:
     the cycle is abandoned).
     """
     abandoned = set()
     n = basis.shape[2]
-    due = [(lane, slot) for lane, slot in sdc_active if lane.obs % lane.check_period == 0]
+    due, ortho, consistency = [], [], []
+    for pair in sdc:
+        lane, slot = pair
+        lane.obs = obs = lane.obs + 1
+        lane.residual_history.append(residuals[slot])
+        if obs % lane.check_period == 0:
+            due.append(pair)
+        if obs % lane.orthogonality_period == 0:
+            ortho.append(pair)
+        if obs % lane.residual_check_period == 0:
+            consistency.append(pair)
     if due:
-        slots = [slot for _, slot in due]
-        if slots[0] == 0 and slots[-1] == len(slots) - 1:
-            # Active lanes occupy the leading slots in order, so a due
-            # set covering all of them is a plain slice (views, no
-            # gather copies) -- the check_period=1 common case.
-            rows = slice(0, len(slots))
-        else:
-            rows = np.asarray(slots, dtype=np.intp)
-        fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
-        fh_pass = np.isfinite(hess[rows, : j + 2, j]).all(axis=1)
-        window = hess[rows, : j + 2, : j + 1]
-        finite = np.isfinite(window)
-        if finite.all():
-            max_entry = np.abs(window).max(axis=(1, 2))
-        else:
-            any_finite = finite.any(axis=(1, 2))
-            all_finite = finite.all(axis=(1, 2))
-            mx = np.where(finite, np.abs(window), -np.inf).max(axis=(1, 2))
-            max_entry = np.where(any_finite, mx, 0.0)
-            max_entry = np.where(all_finite, max_entry, np.inf)
-        fb_pass = fb_pass.tolist()
-        fh_pass = fh_pass.tolist()
-        max_entry = max_entry.tolist()
-        cost_fb = float(n)
-        cost_fh = float(j + 2)
-        cost_hb = float((j + 2) * (j + 1))
-        for i, (lane, _slot) in enumerate(due):
-            threshold = lane.hessenberg_safety * lane.norm_estimate
+        rows = _slot_rows(due)
+        fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1).tolist()
+        # NaN propagates through max and inf is the max, so the bound
+        # test below also fails on any non-finite window entry.
+        max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2)).tolist()
+        # Cumulative cost of the array checks when 1, 2, 3 or all 4 ran.
+        costs = (float(n), float(n + j + 2), float(n + (j + 2) + (j + 2) * (j + 1)))
+        costs += costs[2:]
+        for i, (lane, slot) in enumerate(due):
             me = max_entry[i]
-            hb_pass = math.isfinite(me) and me <= threshold
-            failed = False
-            for passed, cost in (
-                (fb_pass[i], cost_fb),
-                (fh_pass[i], cost_fh),
-                (hb_pass, cost_hb),
-            ):
-                lane.checks_run += 1
-                lane.check_flops += cost
-                if not passed:
-                    failed = True
-                    break
-            if not failed:
-                # Inline monotonicity_check(history[-4:]) with the
-                # default window/allowed_increase (zero cost_flops).
+            if not fb_pass[i]:
+                ran = 1
+            elif not (math.isfinite(me) and me <= lane.hessenberg_threshold):
+                # The bound failed; the check before it (finite newest
+                # column, part of the same window) may have failed first.
+                ran = 3 if np.isfinite(hess[slot, : j + 2, j]).all() else 2
+            else:
+                # All three passed; the fourth is monotonicity_check
+                # (history[-4:], default window/allowed_increase, zero
+                # cost_flops), inlined.
+                ran = 4
                 recent = lane.residual_history[-4:]
                 if len(recent) < 2:
                     mono_pass = True
@@ -754,74 +768,69 @@ def _skeptical_checks(sdc_active, j: int, basis: np.ndarray, hess: np.ndarray):
                 else:
                     reference = min(recent[:-1])
                     mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
-                lane.checks_run += 1
-                failed = not mono_pass
-            if failed:
+            lane.checks_run += ran
+            lane.check_flops += costs[ran - 1]
+            if ran < 4 or not mono_pass:
                 lane.detections += 1
                 lane.detection_restarts += 1
                 abandoned.add(lane)
     # Orthogonality defect, vectorized: batched (D, k, n) @ (D, n, k)
     # Gram matrices are bit-identical to the per-lane ``v.T @ v`` of
     # orthogonality_check (pinned by the parity suite).
-    ortho = [
-        (lane, slot)
-        for lane, slot in sdc_active
-        if lane not in abandoned and lane.obs % lane.orthogonality_period == 0
-    ]
+    if abandoned:
+        ortho = [pair for pair in ortho if pair[0] not in abandoned]
     if ortho:
         k = j + 2
-        slots = [slot for _, slot in ortho]
-        if slots[0] == 0 and slots[-1] == len(slots) - 1:
-            rows = slice(0, len(slots))
-        else:
-            rows = np.asarray(slots, dtype=np.intp)
-        V = basis[rows, :k, :]
+        V = basis[_slot_rows(ortho), :k, :]
         grams = np.matmul(V, V.transpose(0, 2, 1))
-        finite = np.isfinite(grams).all(axis=(1, 2)).tolist()
+        # A non-finite Gram entry makes the defect inf or NaN: it fails.
         defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
         cost = 2.0 * n * k * k
         for i, (lane, _slot) in enumerate(ortho):
-            d = defect[i] if finite[i] else float("inf")
+            d = defect[i]
             lane.checks_run += 1
             lane.check_flops += cost
             if not (math.isfinite(d) and d <= lane.orthogonality_tol):
                 lane.detections += 1
                 lane.detection_restarts += 1
                 abandoned.add(lane)
-    for lane, _slot in sdc_active:
+    for lane, slot in consistency:
         if lane in abandoned:
             continue
-        a = lane._attempt
-        if lane.obs % lane.residual_check_period == 0:
-            check = residual_consistency_check(a.cycle_residual, _true_residual(a, j))
-            lane.checks_run += 1
-            lane.check_flops += check.cost_flops
-            if not check.passed:
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
+        residual = residuals[slot]
+        check = residual_consistency_check(
+            residual, _true_residual(lane._attempt, j, residual)
+        )
+        lane.checks_run += 1
+        lane.check_flops += check.cost_flops
+        if not check.passed:
+            lane.detections += 1
+            lane.detection_restarts += 1
+            abandoned.add(lane)
     return abandoned
 
 
-def _swap_slots(order, s: int, t: int, basis, hess, g, giv_c, giv_s) -> None:
+def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
     """Swap two lanes' slots in the cohort stacks.
 
-    Both lanes keep their own data -- the rows are exchanged and each
-    attempt's views (basis adapter, least-squares Hessenberg and
-    rotated right-hand side) are re-pointed at its new slot, so
-    ``end_cycle`` and the reconstruct closures keep seeing live state.
+    Both lanes keep their own data -- the rows (columns of the
+    step-major ``table``) are exchanged and each attempt's views (basis
+    adapter, least-squares Hessenberg and rotated right-hand side, a
+    column of ``g``) are re-pointed at its new slot, so the cycle tail
+    and the reconstruct closures keep seeing live state.
     """
-    for stack in (basis, hess, g, giv_c, giv_s):
+    for stack in (basis, hess):
         tmp = stack[s].copy()
         stack[s] = stack[t]
         stack[t] = tmp
+    table[:, [s, t]] = table[:, [t, s]]
     a, b = order[s], order[t]
     order[s], order[t] = b, a
     for attempt, slot in ((a, t), (b, s)):
         attempt.slot = slot
         attempt.adapter._rows = basis[slot]
         attempt.lsq.hessenberg = hess[slot]
-        attempt.lsq._g = g[slot]
+        attempt.lsq._g = g[:, slot]
 
 
 def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
@@ -829,30 +838,59 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
 
     All lanes share the cycle dimension ``m`` and Gram-Schmidt
     ``method``; each occupies one slot of the stacked basis
-    ``(G, m+1, n)``, Hessenberg ``(G, m+1, m)``, rotated right-hand
-    side ``(G, m+1)`` and Givens ``(G, m)`` arrays.  Lanes leave the
-    active set on convergence, happy breakdown, non-finite residual,
-    skeptical abandonment or budget exhaustion; survivors proceed.
+    ``(G, m+1, n)`` and Hessenberg ``(G, m+1, m)`` arrays and one column
+    of a step-major ``table`` holding everything a step reads as a
+    ``(k,)`` vector (Givens rotations, rotated right-hand side,
+    residuals, targets), so those operands are contiguous rows.  Lanes
+    leave the active set on convergence, happy breakdown, non-finite
+    residual or skeptical abandonment; survivors proceed.  (The budget
+    needs no test: ``m`` never exceeds a lane's remaining iterations, so
+    it can only run out at the last step, where the cycle ends anyway.)
+
+    Per-lane Python runs only on events (module docstring, "Cost
+    shape"); a lane reads its step count, residuals and kernel seconds
+    back when it leaves -- every lane enters at step 0, so its seconds
+    are the running even shares and its call count is its step count.
     """
     G = len(lanes)
     basis = np.zeros((G, m + 1, n), dtype=np.float64)
     hess = np.zeros((G, m + 1, m), dtype=np.float64)
-    g = np.zeros((G, m + 1), dtype=np.float64)
-    giv_c = np.zeros((G, m), dtype=np.float64)
-    giv_s = np.zeros((G, m), dtype=np.float64)
+    table = np.zeros((4 * m + 3, G), dtype=np.float64)
+    giv_c, giv_s, g = table[:m], table[m : 2 * m], table[2 * m : 3 * m + 1]
+    res = table[3 * m + 1 : 4 * m + 2]  # res[j]: the residual entering step j
+    targets = table[4 * m + 2]
+    col = np.empty((m + 1, G), dtype=np.float64)
+    buf = np.empty((2 * m + 1, G), dtype=np.float64)
 
     order = []
+    every = []  # attempts whose observer watches every step
+    due = {}  # step -> attempts whose observer can act only there
     for slot, lane in enumerate(lanes):
         a = lane._attempt
-        a.attach(slot, basis[slot], hess[slot], g[slot], m)
+        a.attach(slot, basis[slot], hess[slot], g[:, slot], m)
+        res[0, slot] = a.cycle_residual
+        targets[slot] = a.target
         order.append(a)
+        if lane.fire_at is None:
+            every.append(a)
+        else:
+            due.setdefault(lane.fire_at - a.total_iteration - 1, []).append(a)
+    sdc = [(a.lane, a.slot) for a in order if a.lane.is_sdc]
     no_precond = all(a.precond.preconditioner is None for a in order)
+    shared_operator = all(a.operator is order[0].operator for a in order)
+    mv_sec = ortho_sec = 0.0
+    steps = 0
     k = G
+
+    def leave(a):
+        a.advance(steps, res)
+        a.kernels.add("matvec", mv_sec, calls=steps)
+        a.kernels.add("orthogonalization", ortho_sec, calls=steps)
 
     for j in range(m):
         if k == 0:
             break
-        g_act = k
+        steps = j + 1
         # Active lanes always occupy the leading slots (exited lanes
         # are swapped to the tail, see below), so every step indexes
         # the stacks with basic slices -- views, never gather/scatter
@@ -865,143 +903,101 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
         if no_precond:
             Z = basis[idx, j, :]
         else:
-            Z = np.empty((g_act, n), dtype=np.float64)
+            Z = np.empty((k, n), dtype=np.float64)
             for i, a in enumerate(acts):
                 Z[i] = a.precond.preconditioned_vector(a.shim, a.adapter, j)
         t0 = time.perf_counter()
-        W = _matvec_rows(acts, Z)
-        share = (time.perf_counter() - t0) / g_act
-        for a in acts:
-            a.mv_sec += share
-            a.mv_calls += 1
+        W = _matvec_rows(acts, Z, shared_operator)
+        t1 = time.perf_counter()
+        mv_sec += (t1 - t0) / k
 
         # Orthogonalization span (Gram-Schmidt, norm, happy test,
         # append), batched; one charged call per lane as sequentially.
-        t0 = time.perf_counter()
-        rows = basis[idx, : j + 1, :]
-        W1, coeffs = orthogonalize_many(rows, W, method)
+        W1, coeffs = orthogonalize_many(basis[idx, : j + 1, :], W, method)
         h_next = np.sqrt(np.matmul(W1[:, None, :], W1[:, :, None])[:, 0, 0])
-        cycle_res = np.array([a.cycle_residual for a in acts], dtype=np.float64)
-        happy = h_next <= HAPPY_BREAKDOWN_TOL * np.maximum(cycle_res, 1.0)
-        not_happy = ~happy
-        out = np.zeros_like(W1)
-        if not_happy.any():
-            # Reciprocal-then-multiply, matching append(w, scale=1/h).
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        happy = h_next <= HAPPY_BREAKDOWN_TOL * np.maximum(res[j, :k], 1.0)
+        any_happy = happy.any()
+        # Reciprocal-then-multiply, matching append(w, scale=1/h).
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if any_happy:
+                not_happy = ~happy
+                out = np.zeros_like(W1)
                 out[not_happy] = (1.0 / h_next[not_happy])[:, None] * W1[not_happy]
-        basis[idx, j + 1, :] = out
-        share = (time.perf_counter() - t0) / g_act
-        for a in acts:
-            a.ortho_sec += share
-            a.ortho_calls += 1
+                basis[idx, j + 1, :] = out
+            else:
+                np.multiply((1.0 / h_next)[:, None], W1, out=basis[idx, j + 1, :])
+        ortho_sec += (time.perf_counter() - t1) / k
 
         # Incremental QR of the Hessenberg columns, vectorized over the
-        # cohort (uncharged, as in the sequential loop).
-        col = np.concatenate([coeffs, h_next[:, None]], axis=1)
-        for i in range(j):
-            c = giv_c[idx, i]
-            s = giv_s[idx, i]
-            new_a = c * col[:, i] + s * col[:, i + 1]
-            new_b = c * col[:, i + 1] - s * col[:, i]
-            col[:, i] = new_a
-            col[:, i + 1] = new_b
-        c, s = givens_rotation_many(col[:, j], col[:, j + 1])
-        giv_c[idx, j] = c
-        giv_s[idx, j] = s
-        new_a = c * col[:, j] + s * col[:, j + 1]
-        new_b = c * col[:, j + 1] - s * col[:, j]
-        col[:, j] = new_a
-        col[:, j + 1] = new_b
-        ga = g[idx, j]
-        gb = g[idx, j + 1]
-        # ``ga``/``gb`` may be views on the fast path: compute both
-        # rotated values before writing either row back.
+        # cohort (uncharged, as in the sequential loop).  The column is
+        # held step-major: ``col[i, :k]`` is entry i of every lane.
+        col[: j + 1, :k] = coeffs.T
+        col[j + 1, :k] = h_next
+        head, tail = col[:j, :k], col[1 : j + 1, :k]
+        c_tail = np.multiply(giv_c[:j, :k], tail, out=buf[:j, :k])
+        s_tail = np.multiply(giv_s[:j, :k], tail, out=buf[m : m + j, :k])
+        # The earlier rotations, (a, b) <- (c*a + s*b, c*b - s*a) down
+        # the column.  Only the b's chain -- entry i+1 becomes
+        # c_i*h_{i+1} - s_i*(entry i) -- so the loop is two calls per
+        # rotation and the a's follow in one sweep.
+        top = col[0, :k]
+        s_top = buf[2 * m, :k]
+        for s_i, c_low, low in zip(giv_s[:j, :k], c_tail, tail):
+            np.multiply(s_i, top, out=s_top)
+            np.subtract(c_low, s_top, out=low)
+            top = low
+        np.multiply(giv_c[:j, :k], head, out=c_tail)
+        np.add(c_tail, s_tail, out=head)
+        low = col[j + 1, :k]
+        c, s = givens_rotation_many(top, low)
+        giv_c[j, :k] = c
+        giv_s[j, :k] = s
+        new_a = c * top + s * low
+        np.subtract(c * low, s * top, out=low)
+        top[:] = new_a
+        ga, gb = g[j, :k], g[j + 1, :k]
         new_gj = c * ga + s * gb
-        new_gj1 = c * gb - s * ga
-        g[idx, j] = new_gj
-        g[idx, j + 1] = new_gj1
-        hess[idx, : j + 2, j] = col
-        residuals = np.abs(new_gj1).tolist()
+        np.subtract(c * gb, s * ga, out=gb)
+        ga[:] = new_gj
+        hess[idx, : j + 2, j] = col[: j + 2, :k].T
+        now = np.abs(gb, out=res[j + 1, :k])
 
-        # Per-lane bookkeeping and observations.
-        sdc_active = []
-        for i, a in enumerate(acts):
-            a.adapter.n_columns = j + 2
-            a.lsq.size = j + 1
-            a.inner_used = j + 1
-            a.total_iteration += 1
-            a.cycle_residual = residuals[i]
-            a.residual_norms.append(a.cycle_residual)
-            lane = a.lane
-            if lane.is_sdc:
-                if lane.fault_hook is not None:
-                    lane.fault_hook(_make_state(a, j))
-                lane.residual_history.append(a.cycle_residual)
-                lane.obs += 1
-                sdc_active.append((lane, i))
-            else:
-                policy = lane.policy
-                if isinstance(policy, NullPolicy):
-                    continue
-                if policy.needs_arnoldi_state:
-                    policy.observe(_make_state(a, j))
-                else:
-                    policy.observe(
-                        IterationEvent(
-                            total_iteration=a.total_iteration,
-                            residual_norm=a.cycle_residual,
-                            inner=j,
-                            outer=a.outer,
-                        )
-                    )
-        abandoned = _skeptical_checks(sdc_active, j, basis, hess) if sdc_active else set()
-
-        # Exits, in the sequential loop's order of precedence.
-        happy_l = happy.tolist()
-        survive = []
-        for i, a in enumerate(acts):
-            lane = a.lane
-            if lane.is_sdc and lane in abandoned:
-                a.cycle_outcome = "abandoned"
-                survive.append(False)
-                continue
-            if not math.isfinite(a.cycle_residual):
-                a.breakdown = True
-                survive.append(False)
-                continue
-            # ConvergenceTest.is_met inlined (it is `residual <= target`).
-            if a.cycle_residual <= a.target or happy_l[i]:
-                survive.append(False)
-                continue
-            if a.total_iteration >= a.maxiter:
-                survive.append(False)
-                continue
-            survive.append(True)
-
-        # Compact survivors into the leading slots: each exited lane
-        # below the new watermark swaps stack rows (and re-points its
-        # views) with a survivor above it.  One (m+1)-row copy per
-        # exit event instead of per-step gather copies.
-        new_k = sum(survive)
-        if new_k != k:
+        # Events: observers that can act at this step, the skeptical
+        # sweep, lanes leaving (abandoned -> non-finite -> converged or
+        # happy, the sequential loop's order of precedence).
+        watchers = due[j] + every if j in due else every
+        for a in watchers:
+            if a.slot < k:  # still in the cohort
+                a.advance(steps, res)
+                _observe(a, j)
+        abandoned = _skeptical_checks(sdc, j, basis, hess, now.tolist()) if sdc else ()
+        stay = ~(now <= targets[:k]) & (now < np.inf)  # not met, and finite
+        if any_happy:
+            stay &= ~happy
+        if abandoned or not stay.all():
+            survive = stay.tolist()
+            for lane in abandoned:
+                lane._attempt.cycle_outcome = "abandoned"
+                survive[lane._attempt.slot] = False
+            for a, keep in zip(acts, survive):
+                if not keep:
+                    leave(a)
+                    if a.cycle_outcome != "abandoned" and not math.isfinite(a.cycle_residual):
+                        a.breakdown = True
+            # Compact survivors into the leading slots: each exited lane
+            # below the new watermark swaps stack rows (and re-points its
+            # views) with a survivor above it.  One (m+1)-row copy per
+            # exit event instead of per-step gather copies.
+            new_k = sum(survive)
             lows = [i for i in range(new_k) if not survive[i]]
             highs = [i for i in range(new_k, k) if survive[i]]
-            for s, t in zip(lows, highs):
-                _swap_slots(order, s, t, basis, hess, g, giv_c, giv_s)
+            for s_low, t_high in zip(lows, highs):
+                _swap_slots(order, s_low, t_high, basis, hess, table, g)
             k = new_k
-
-    # Flush the deferred per-step kernel charges (identical call
-    # counts to the sequential solver; seconds are the evenly split
-    # batched spans either way).
-    for a in order:
-        if a.mv_calls:
-            a.kernels.add("matvec", a.mv_sec, calls=a.mv_calls)
-            a.mv_sec = 0.0
-            a.mv_calls = 0
-        if a.ortho_calls:
-            a.kernels.add("orthogonalization", a.ortho_sec, calls=a.ortho_calls)
-            a.ortho_sec = 0.0
-            a.ortho_calls = 0
+            if sdc:
+                sdc = [(a.lane, a.slot) for a in order[:k] if a.lane.is_sdc]
+    for a in order[:k]:
+        leave(a)
 
 
 def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
@@ -1120,6 +1116,7 @@ class _CgLane:
         self.preconditioner = spec.preconditioner
         self.maxiter = int(spec.maxiter)
         self.policy = compose_policy(spec.policy, spec.iteration_hook, "scalar")
+        self.fire_at = getattr(self.policy, "fire_at", None)
         self.kernels = canonical_kernel_counters()
         self.b = np.asarray(spec.b, dtype=np.float64)
         self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
@@ -1143,9 +1140,6 @@ class _CgLane:
         self.iteration = 0
         self.x = x
         self.r = r
-        # Deferred per-solve matvec charges (flushed at finalization).
-        self.mv_sec = 0.0
-        self.mv_calls = 0
 
 
 def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[SolveResult]:
@@ -1155,6 +1149,12 @@ def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[S
     (or broken-down, or budget-exhausted) lane's rows of the stacked
     iterate/residual arrays are never touched again, while active lanes
     continue -- :meth:`ConvergenceTest.is_met_many` drives the mask.
+
+    A step is stacked kernels, masks over the active lane ids and one
+    ``tolist`` per recorded quantity; a lane is visited when it leaves
+    (every lane enters at step 0, so its matvec seconds are the running
+    even shares and its counts follow from the step it left at), when
+    it has a preconditioner to apply, or when its policy observes.
 
     ``trace(step, advanced_lane_ids, X, R)``, when given, is called
     after every lockstep step with the (read-only by convention)
@@ -1173,106 +1173,111 @@ def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[S
     P = np.stack([lane.p for lane in lanes])
     rz = np.array([lane.rz for lane in lanes], dtype=np.float64)
     targets = np.array([lane.target for lane in lanes], dtype=np.float64)
+    maxiters = np.array([lane.maxiter for lane in lanes], dtype=np.intp)
     tester = ConvergenceTest()
-
-    active = [i for i, lane in enumerate(lanes) if not lane.converged]
+    shared_operator = all(lane.operator is lanes[0].operator for lane in lanes)
+    preconditioned = any(lane.preconditioner is not None for lane in lanes)
+    observed = any(lane.fire_at != 0 for lane in lanes)
+    mv_sec = 0.0
     step = 0
-    while active:
-        gi = np.asarray(active, dtype=np.intp)
-        g_act = len(active)
+
+    def leave(ids, iterations: int, applications: int):
+        # The lanes left during step ``step``, ``iterations`` updates and
+        # ``applications`` in-loop preconditioner applications done.
+        for i in ids:
+            lane = lanes[i]
+            lane.iteration = iterations
+            lane.kernels.add("matvec", mv_sec, calls=step + 1)
+            if lane.preconditioner is None:  # applied as a plain alias, below
+                lane.kernels.add("preconditioner", 0.0, calls=applications)
+
+    gi = np.flatnonzero([not lane.converged for lane in lanes])
+    while gi.size:
+        Pg = P[gi]
         t0 = time.perf_counter()
-        act_lanes = [lanes[i] for i in active]
-        op0 = act_lanes[0].operator
-        if all(lane.operator is op0 for lane in act_lanes):
-            AP = batched_matvec(op0, P[gi])
+        if shared_operator:
+            AP = batched_matvec(lanes[0].operator, Pg)
         else:
             AP = np.array(
                 [
-                    np.asarray(ops.matvec(lane.operator, P[i]), dtype=np.float64)
-                    for i, lane in zip(active, act_lanes)
+                    np.asarray(ops.matvec(lanes[i].operator, p), dtype=np.float64)
+                    for i, p in zip(gi.tolist(), Pg)
                 ]
             )
-        share = (time.perf_counter() - t0) / g_act
-        for lane in act_lanes:
-            lane.mv_sec += share
-            lane.mv_calls += 1
-        Pg = P[gi]
+        mv_sec += (time.perf_counter() - t0) / gi.size
         p_ap = np.matmul(Pg[:, None, :], AP[:, :, None])[:, 0, 0]
-        # Loss of positive definiteness: breakdown before any update.
-        bad = (p_ap <= 0.0) | ~np.isfinite(p_ap)
-        for k in np.flatnonzero(bad):
-            lanes[active[k]].breakdown = True
-        sub = np.flatnonzero(~bad)
-        ids = gi[sub]
-        if ids.size == 0:
-            if trace is not None:
-                trace(step, [], X, R)
-            break
-        alpha = rz[ids] / p_ap[sub]
-        for k, lane_id in enumerate(ids):
-            lanes[lane_id].alphas.append(float(alpha[k]))
-        X[ids] = X[ids] + alpha[:, None] * P[ids]
-        R_new = R[ids] + (-alpha)[:, None] * AP[sub]
-        R[ids] = R_new
-        res = np.sqrt(np.matmul(R_new[:, None, :], R_new[:, :, None])[:, 0, 0])
-        finite = np.isfinite(res)
-        met = tester.is_met_many(res, targets[ids])
-        tail = []
-        for k, lane_id in enumerate(ids):
-            lane = lanes[lane_id]
-            lane.iteration += 1
-            value = float(res[k])
-            lane.residual_norms.append(value)
-            if not isinstance(lane.policy, NullPolicy):
-                lane.policy.observe(
-                    IterationEvent(total_iteration=lane.iteration, residual_norm=value)
-                )
-            if not finite[k]:
-                lane.breakdown = True
-            elif met[k]:
-                lane.converged = True  # freeze: rows of X/R never touched again
-            else:
-                tail.append(k)
-        next_active = []
-        if tail:
-            tk = np.asarray(tail, dtype=np.intp)
-            tids = ids[tk]
-            Z = np.empty((tids.size, n), dtype=np.float64)
-            for k, lane_id in enumerate(tids):
-                lane = lanes[lane_id]
-                t0 = lane.kernels.tick()
-                Z[k] = ops.apply_preconditioner(lane.preconditioner, R[lane_id])
-                lane.kernels.charge("preconditioner", t0)
-            Rg = R[tids]
-            rz_next = np.matmul(Rg[:, None, :], Z[:, :, None])[:, 0, 0]
-            good = []
-            for k, lane_id in enumerate(tids):
-                if not np.isfinite(rz_next[k]):
-                    lanes[lane_id].breakdown = True
+        # Loss of positive definiteness (p_ap <= 0 or not finite; a NaN
+        # fails the first test): breakdown before any update.
+        ok = (p_ap > 0.0) & (p_ap < np.inf)
+        if not ok.all():
+            out = gi[~ok].tolist()
+            for i in out:
+                lanes[i].breakdown = True
+            leave(out, step, step)
+            gi, Pg, AP, p_ap = gi[ok], Pg[ok], AP[ok], p_ap[ok]
+        ids = gi.tolist()
+        alpha = rz[gi] / p_ap
+        X[gi] = X[gi] + alpha[:, None] * Pg
+        Rg = R[gi] + (-alpha)[:, None] * AP
+        R[gi] = Rg
+        res = np.sqrt(np.matmul(Rg[:, None, :], Rg[:, :, None])[:, 0, 0])
+        residuals = res.tolist()
+        for i, value, residual in zip(ids, alpha.tolist(), residuals):
+            lanes[i].alphas.append(value)
+            lanes[i].residual_norms.append(residual)
+        if observed:
+            for i, residual in zip(ids, residuals):
+                lane = lanes[i]
+                if lane.fire_at is None or lane.fire_at == step + 1:
+                    lane.policy.observe(
+                        IterationEvent(total_iteration=step + 1, residual_norm=residual)
+                    )
+        finite = res < np.inf
+        alive = finite & ~tester.is_met_many(res, targets[gi])
+        if not alive.all():
+            gone = ~alive
+            out = gi[gone].tolist()
+            for i, is_finite in zip(out, finite[gone].tolist()):
+                if is_finite:
+                    lanes[i].converged = True  # freeze: rows of X/R never touched again
                 else:
-                    good.append(k)
-            if good:
-                gk = np.asarray(good, dtype=np.intp)
-                ids2 = tids[gk]
-                beta = rz_next[gk] / rz[ids2]
-                for k, lane_id in enumerate(ids2):
-                    lanes[lane_id].betas.append(float(beta[k]))
-                rz[ids2] = rz_next[gk]
-                P[ids2] = Z[gk] + beta[:, None] * P[ids2]
-                next_active = [
-                    int(i) for i in ids2 if lanes[i].iteration < lanes[i].maxiter
-                ]
+                    lanes[i].breakdown = True
+            leave(out, step + 1, step)
+            gi, Rg = gi[alive], Rg[alive]
+        # z = M^{-1} r: the residual rows themselves (nothing below
+        # writes to them) except where a lane has a preconditioner.
+        Z = Rg
+        if preconditioned:
+            Z = Rg.copy()
+            for row, i in enumerate(gi.tolist()):
+                lane = lanes[i]
+                if lane.preconditioner is not None:
+                    t0 = lane.kernels.tick()
+                    Z[row] = ops.apply_preconditioner(lane.preconditioner, Rg[row])
+                    lane.kernels.charge("preconditioner", t0)
+        rz_next = np.matmul(Rg[:, None, :], Z[:, :, None])[:, 0, 0]
+        good = np.isfinite(rz_next)
+        if not good.all():
+            out = gi[~good].tolist()
+            for i in out:
+                lanes[i].breakdown = True
+            leave(out, step + 1, step + 1)
+            gi, Z, rz_next = gi[good], Z[good], rz_next[good]
+        beta = rz_next / rz[gi]
+        for i, value in zip(gi.tolist(), beta.tolist()):
+            lanes[i].betas.append(value)
+        rz[gi] = rz_next
+        P[gi] = Z + beta[:, None] * P[gi]
+        spent = maxiters[gi] <= step + 1
+        if spent.any():
+            leave(gi[spent].tolist(), step + 1, step + 1)
+            gi = gi[~spent]
         if trace is not None:
-            trace(step, [int(i) for i in ids], X, R)
+            trace(step, ids, X, R)
         step += 1
-        active = next_active
 
     results = []
     for i, lane in enumerate(lanes):
-        if lane.mv_calls:
-            lane.kernels.add("matvec", lane.mv_sec, calls=lane.mv_calls)
-            lane.mv_sec = 0.0
-            lane.mv_calls = 0
         result = SolveResult(
             x=np.array(X[i], dtype=np.float64, copy=True),
             converged=lane.converged,

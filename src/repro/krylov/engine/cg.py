@@ -60,6 +60,7 @@ class CgScheme(IterationScheme):
         converged = convergence.is_met(residual, target)
         breakdown = False
         iteration = 0
+        fire_at = getattr(policy, "fire_at", None)  # None: observe every iteration
 
         while not converged and not breakdown and iteration < self.maxiter:
             t0 = kernels.tick()
@@ -78,7 +79,8 @@ class CgScheme(IterationScheme):
             residual = ops.norm(r)
             iteration += 1
             residual_norms.append(residual)
-            policy.observe(IterationEvent(total_iteration=iteration, residual_norm=residual))
+            if fire_at is None or fire_at == iteration:
+                policy.observe(IterationEvent(total_iteration=iteration, residual_norm=residual))
             if not np.isfinite(residual):
                 breakdown = True
                 break

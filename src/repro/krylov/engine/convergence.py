@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_non_negative
+
 __all__ = ["ConvergenceTest"]
 
 
@@ -28,8 +30,10 @@ class ConvergenceTest:
     """
 
     def __init__(self, tol: float = 1e-8, atol: float = 0.0):
-        self.tol = float(tol)
-        self.atol = float(atol)
+        # One rule for both engines: tol = 0.0 is legal (run to maxiter),
+        # a negative or non-finite tolerance is refused.
+        self.tol = check_non_negative(tol, "tol")
+        self.atol = check_non_negative(atol, "atol")
 
     def resolve_target(self, b_norm: float) -> float:
         """The absolute residual target for a right-hand side of norm ``b_norm``."""

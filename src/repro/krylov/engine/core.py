@@ -164,6 +164,8 @@ class ArnoldiScheme(IterationScheme):
         policy = engine.policy
         convergence = engine.convergence
         maxiter = self.maxiter
+        # The one iteration the policy can act at (None: any of them).
+        fire_at = getattr(policy, "fire_at", None)
 
         residual_norms: List[float] = []
         total_iteration = 0
@@ -203,23 +205,25 @@ class ArnoldiScheme(IterationScheme):
                 total_iteration += 1
                 residual_norms.append(cycle_residual)
 
-                def reconstruct_iterate(j=j, basis=basis, lsq=lsq, x=x):
-                    # Current LS iterate: cycle-start x plus the
-                    # correction of the j+1 steps taken so far.
-                    y = lsq.solve(j + 1)
-                    return self.preconditioner.apply_update(engine, x, basis, y, j + 1)
+                if fire_at is None or fire_at == total_iteration:
 
-                policy.observe(
-                    GmresState(
-                        outer=outer,
-                        inner=j,
-                        total_iteration=total_iteration,
-                        basis=basis,
-                        hessenberg=lsq.hessenberg,
-                        residual_norm=cycle_residual,
-                        reconstruct_iterate=reconstruct_iterate,
+                    def reconstruct_iterate(j=j, basis=basis, lsq=lsq, x=x):
+                        # Current LS iterate: cycle-start x plus the
+                        # correction of the j+1 steps taken so far.
+                        y = lsq.solve(j + 1)
+                        return self.preconditioner.apply_update(engine, x, basis, y, j + 1)
+
+                    policy.observe(
+                        GmresState(
+                            outer=outer,
+                            inner=j,
+                            total_iteration=total_iteration,
+                            basis=basis,
+                            hessenberg=lsq.hessenberg,
+                            residual_norm=cycle_residual,
+                            reconstruct_iterate=reconstruct_iterate,
+                        )
                     )
-                )
 
                 if not math.isfinite(cycle_residual):
                     breakdown = True

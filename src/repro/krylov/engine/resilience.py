@@ -89,6 +89,13 @@ class ResiliencePolicy:
     #: default: assume the state is needed.
     needs_arnoldi_state = True
 
+    #: The one ``total_iteration`` (counted from 1) at which
+    #: :meth:`observe` can act, or ``None`` when it may act at any.  Both
+    #: engines skip building the event for an iteration a policy has
+    #: ruled out, so a hook that fires once costs nothing elsewhere; a
+    #: policy that does not say is observed at every iteration.
+    fire_at: Optional[int] = None
+
     def begin_attempt(self, x) -> None:
         """Called when a (re)solve attempt starts from iterate ``x``."""
 
@@ -103,6 +110,7 @@ class NullPolicy(ResiliencePolicy):
     """No resilience instrumentation (the bare solver)."""
 
     needs_arnoldi_state = False
+    fire_at = 0  # iterations count from 1: never observed
 
 
 class CallbackPolicy(ResiliencePolicy):
@@ -121,6 +129,9 @@ class CallbackPolicy(ResiliencePolicy):
             raise ValueError("style must be 'state' or 'scalar'")
         self.callback = callback
         self.style = style
+        # A hook that can act at one iteration only says so (e.g.
+        # BasisBitflipFaults.iteration_hook); anything else: every step.
+        self.fire_at = getattr(callback, "fire_at", None)
 
     @property
     def needs_arnoldi_state(self) -> bool:

@@ -472,11 +472,12 @@ def batch_solve(
     flexible / distributed solvers) falls back to per-lane sequential
     solves, so callers never need to special-case batchability.  So
     does a single lane (one lane through the lockstep engine costs
-    2-5x the sequential one): the engine is picked by the lane count.
-    That rule is about *which engine owns which lane count*, not a
-    speed crossover -- per lane the lockstep engine overtakes the
-    sequential one only from about 3-4 lanes (``sdc_gmres``) or 8
-    (``gmres``) at n = 64; PERFORMANCE.md, "PR 17 note", has the table.
+    about 2-3x the sequential one): the engine is picked by the lane
+    count.  That rule is about *which engine owns which lane count*,
+    not a speed crossover -- per lane the lockstep engine overtakes the
+    sequential one from about 2-3 lanes (``sdc_gmres``), 3 (``cg``) or
+    4-5 (``gmres``) at n = 64; PERFORMANCE.md, "Lockstep engine", has
+    the table.
 
     ``precision`` (batch-wide, or per lane via a ``"precision"`` key in
     ``lane_params``) is the same declarative axis as

@@ -82,27 +82,31 @@ def givens_rotation(a: float, b: float) -> Tuple[float, float]:
 def givens_rotation_many(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`givens_rotation` over a batch of ``(a, b)`` pairs.
 
-    Replicates the scalar branch structure with ``np.where`` masks; each
-    lane's ``(c, s)`` is bit-for-bit the scalar result, including the
-    NaN cases (comparisons against NaN are False both in Python and in
-    the mask chain, so a NaN input lands in the same final branch).  All
-    branches are evaluated eagerly, so the out-of-branch divisions are
-    run under ``errstate`` suppression and discarded by the masks.
+    Each lane's ``(c, s)`` is bit-for-bit the scalar result, including
+    the NaN cases (a comparison against NaN is False here as in Python,
+    so a NaN input lands in the same final branch).  The two divide
+    branches are one formula with the roles of ``a`` and ``b`` swapped
+    where ``|b| > |a|``; the swap is skipped when no pair needs it, and
+    the exact ``(1, 0)`` / ``(0, 1)`` of a zero entry (the formula gives
+    them up to the sign of zero) are patched in only when one occurs.
+    The division runs under ``errstate`` suppression: its result for a
+    zero entry is discarded, for an infinite one it is the scalar's NaN.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    big = np.abs(b) > np.abs(a)
+    mixed = big.any()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_big = a / b
-        s_big = 1.0 / np.sqrt(1.0 + t_big * t_big)
-        c_big = s_big * t_big
-        t_small = b / a
-        c_small = 1.0 / np.sqrt(1.0 + t_small * t_small)
-        s_small = c_small * t_small
-    b_zero = b == 0.0
-    a_zero = (a == 0.0) & ~b_zero
-    big = (np.abs(b) > np.abs(a)) & ~b_zero & ~a_zero
-    c = np.where(b_zero, 1.0, np.where(a_zero, 0.0, np.where(big, c_big, c_small)))
-    s = np.where(b_zero, 0.0, np.where(a_zero, 1.0, np.where(big, s_big, s_small)))
+        t = np.where(big, a, b) / np.where(big, b, a) if mixed else b / a
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = c * t
+    if mixed:
+        c, s = np.where(big, s, c), np.where(big, c, s)
+    if not (a.all() and b.all()):
+        b_zero = b == 0.0
+        a_zero = a == 0.0
+        c = np.where(b_zero, 1.0, np.where(a_zero, 0.0, c))
+        s = np.where(b_zero, 0.0, np.where(a_zero, 1.0, s))
     return c, s
 
 

@@ -647,6 +647,8 @@ class BasisBitflipFaults(FaultModel):
             info["done"] = True
             info["index"] = index
 
+        # The engines' ``fire_at`` contract: no call at other iterations.
+        hook.fire_at = fire_at
         return hook, info
 
 

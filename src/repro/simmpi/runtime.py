@@ -17,8 +17,11 @@ dead rank, typically running a user-registered recovery function (see
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.reliability.process import FailurePlan
 from repro.machine.model import MachineModel
@@ -201,7 +204,12 @@ class SimRuntime:
         result: RankResult,
     ) -> None:
         try:
-            result.value = func(comm, *args, **kwargs)
+            # Overflow/NaN *is* the expected effect of corrupted
+            # payloads, and errstate is per thread: scope it where the
+            # rank that receives them runs.
+            corrupted = self._corruptor_factory is not None
+            with np.errstate(over="ignore", invalid="ignore") if corrupted else nullcontext():
+                result.value = func(comm, *args, **kwargs)
         except ProcessDeathError as death:
             result.died = True
             result.death_time = death.time

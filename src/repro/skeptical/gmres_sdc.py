@@ -52,7 +52,39 @@ from repro.skeptical.checks import (
 from repro.skeptical.monitor import SkepticalMonitor
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = ["sdc_detecting_gmres", "default_sdc_monitor", "estimate_operator_norm"]
+__all__ = [
+    "sdc_detecting_gmres",
+    "default_sdc_monitor",
+    "estimate_operator_norm",
+    "check_sdc_arguments",
+]
+
+
+def check_sdc_arguments(
+    tol, restart, maxiter, periods, hessenberg_safety, orthogonality_tol, operator_norm
+) -> None:
+    """Validate the skeptical solver's arguments (``periods``: the check,
+    orthogonality and residual-check periods, in that order).
+
+    The one validation of both engines -- :func:`sdc_detecting_gmres`
+    and the lockstep lane of :mod:`repro.krylov.engine.batch` call it
+    first -- so one lane and many lanes refuse the same input with the
+    same message (names as in the checks that would fail later).
+    """
+    check_integer(periods[0], "check_period")
+    check_positive(tol, "tol")
+    for period in periods:
+        check_integer(period, "period")
+        if period <= 0:
+            raise ValueError("period must be positive")
+    if restart <= 0:
+        raise ValueError("restart must be positive")
+    if maxiter <= 0:
+        raise ValueError("maxiter must be positive")
+    check_positive(hessenberg_safety, "safety")
+    check_positive(orthogonality_tol, "tol")
+    if operator_norm is not None:
+        check_positive(operator_norm, "operator_norm_estimate")
 
 
 def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> float:
@@ -201,8 +233,10 @@ def sdc_detecting_gmres(
         restarts, ``info["check_flops"]`` the total checking cost and
         ``info["checks_run"]`` how many check evaluations were made.
     """
-    check_integer(check_period, "check_period")
-    check_positive(tol, "tol")
+    check_sdc_arguments(
+        tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
+        hessenberg_safety, orthogonality_tol, operator_norm,
+    )
     if policy not in ("restart", "abort"):
         raise ValueError("policy must be 'restart' or 'abort'")
 

@@ -24,6 +24,14 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    # An unexpected floating-point warning fails tier-1.  Overflow that
+    # *is* an injected fault's expected effect is scoped with
+    # ``np.errstate`` where the fault is injected (drivers, the sim
+    # runtime's rank threads, or the test that injects by hand).
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def update_goldens(request) -> bool:
     """Whether ``--update-goldens`` was passed (see tests/test_goldens.py)."""

@@ -13,6 +13,12 @@ every layer:
 * runner -- ``CampaignRunner(batch=...)`` store contents against the
   scenario-at-a-time run, mixed batchable/non-batchable campaigns
   included;
+* engine, beyond the fixed fixtures -- a bounded Hypothesis fuzz of
+  ``batch_solve`` against ``S`` separate ``solve`` calls (slot swaps,
+  many cycle boundaries, degenerate right-hand sides, fault hooks), one
+  table of bad inputs both engines must refuse alike, and the lockstep
+  engine's cost shape as counts (``GmresState`` built only when a hook
+  can act, seconds that add up to the stacked spans);
 * properties (Hypothesis) -- ``plan_batch_groups`` partitions without
   dropping or duplicating scenarios, and the lockstep convergence mask
   freezes finished lanes' iterates for good;
@@ -22,9 +28,12 @@ every layer:
 
 from __future__ import annotations
 
+import itertools
+import types
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign.executor import AttemptRecord, FailureLedger
 from repro.campaign.registry import default_registry
@@ -38,9 +47,12 @@ from repro.experiments import (
     e10_precision,
 )
 from repro.krylov.engine import batch as batch_engine
+from repro.krylov.engine import core as engine_core
 from repro.krylov.engine.batch import CgLaneSpec, run_cg_batch
 from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.linalg.blas import givens_rotation, givens_rotation_many
 from repro.linalg.matgen import poisson_2d
+from repro.utils import timing
 from repro.reliability.models import BasisBitflipFaults
 from repro.reliability.spec import FaultSpec
 
@@ -117,7 +129,7 @@ class TestEngineParity:
     def test_single_lane_takes_the_sequential_engine(
         self, matrix, rhs, solver, kwargs, monkeypatch
     ):
-        # One lane through the lockstep engine costs 2-5x the sequential
+        # One lane through the lockstep engine costs 2-3x the sequential
         # one (PERFORMANCE.md), so batch_solve picks by lane count.
         def lockstep(*args, **kw):
             raise AssertionError("a single lane entered the lockstep engine")
@@ -186,6 +198,289 @@ class TestEngineParity:
         sequential = [registry.get("gmres").solve(matrix, b, **kwargs) for b in rhs]
         assert any(not r.converged for r in batched)
         assert_lane_parity(batched, sequential)
+
+
+# ----------------------------------------------------------------------
+# Engine layer, beyond the fixed fixtures: fuzz, bad input, cost shape.
+# ----------------------------------------------------------------------
+def _canonical(value):
+    """NaN-tolerant, order-preserving form of a result field for ``==``."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if value == value else "nan"
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def _bitflip_hook(bits, seed, at):
+    model = BasisBitflipFaults(FaultSpec("basis_bitflip", {"bits": bits}))
+    return model.iteration_hook(np.random.default_rng(seed), at=at)[0]
+
+
+_BIT_CLASSES = [(0, 25), (26, 51), (52, 62), (63, 63)]
+_RHS_SCALES = {"zero": 0.0, "tiny": 1e-300, "large": 1e150, "huge": 1e200}
+_RHS_KINDS = ["normal", "normal", "normal", "nan", "inf", *_RHS_SCALES]
+_fuzz_lane = st.fixed_dictionaries(
+    {
+        "rhs_seed": st.integers(0, 10_000),
+        "rhs_kind": st.sampled_from(_RHS_KINDS),
+        "x0": st.booleans(),
+        "maxiter": st.sampled_from([1, 4, 9, 60, 200]),
+        "tol": st.sampled_from([None, 1e-2, 1e-6, 1e-10]),
+        "hook": st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(_BIT_CLASSES), st.integers(0, 2**30), st.integers(0, 8)
+            ),
+        ),
+    }
+)
+
+
+def _lane(rhs_seed, rhs_kind="normal", hook=None):
+    return {"rhs_seed": rhs_seed, "rhs_kind": rhs_kind, "x0": False,
+            "maxiter": 200, "tol": None, "hook": hook}
+
+
+class TestLockstepFuzz:
+    # Pinned cases for the branches a random draw rarely reaches: a
+    # happy breakdown beside ordinary lanes (the masked basis append),
+    # and skeptical detections of each kind (non-finite basis,
+    # Hessenberg bound, orthogonality) abandoning cycles mid-cohort.
+    @example(solver="gmres", restart=30, precond=None, guard=True, check_period=1,
+             lanes=[_lane(1, "large"), _lane(2), _lane(3)])
+    @example(solver="sdc_gmres", restart=30, precond=None, guard=False, check_period=1,
+             lanes=[_lane(1, hook=((52, 62), 7, 3)), _lane(2, hook=((52, 62), 8, 5)),
+                    _lane(3, "large"), _lane(4, hook=((26, 51), 9, 2))])
+    @example(solver="sdc_gmres", restart=5, precond=None, guard=False, check_period=1,
+             lanes=[_lane(10, hook=((52, 62), 110, 5)), _lane(11, hook=((52, 62), 210, 2)),
+                    _lane(12)])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        solver=st.sampled_from(["gmres", "sdc_gmres", "cg"]),
+        restart=st.sampled_from([2, 3, 5, 30]),
+        precond=st.sampled_from([None, None, "jacobi", "ssor"]),
+        guard=st.booleans(),
+        check_period=st.sampled_from([1, 2, 3]),
+        lanes=st.lists(_fuzz_lane, min_size=2, max_size=5),
+    )
+    def test_batch_solve_equals_separate_solves(
+        self, solver, restart, precond, guard, check_period, lanes
+    ):
+        matrix = poisson_2d(5)
+        n = matrix.n_rows
+        kwargs = {"tol": 1e-8}
+        if solver != "cg":
+            kwargs["restart"] = restart
+        if precond is not None:
+            kwargs["precond"] = precond
+        if solver == "sdc_gmres":
+            kwargs.update(policy="skeptical_restart", check_period=check_period)
+        elif guard:
+            kwargs["policy"] = "residual_guard"
+        hook_name = "fault_hook" if solver == "sdc_gmres" else "iteration_hook"
+
+        bs, x0s = [], []
+        for lane in lanes:
+            rng = np.random.default_rng(lane["rhs_seed"])
+            b = rng.standard_normal(n)
+            kind = lane["rhs_kind"]
+            if kind in _RHS_SCALES:  # "large" breaks down happily at step 0
+                b *= _RHS_SCALES[kind]
+            elif kind != "normal":
+                b[lane["rhs_seed"] % n] = np.nan if kind == "nan" else np.inf
+            bs.append(b)
+            x0s.append(rng.standard_normal(n) if lane["x0"] else None)
+
+        def lane_params():
+            # Hooks are stateful (their own RNG, a fired flag): build a
+            # fresh, identically seeded set for each engine.
+            params = []
+            for lane in lanes:
+                extra = {"maxiter": lane["maxiter"]}
+                if lane["tol"] is not None:
+                    extra["tol"] = lane["tol"]
+                if lane["hook"] is not None and solver != "cg":
+                    extra[hook_name] = _bitflip_hook(*lane["hook"])
+                params.append(extra)
+            return params
+
+        entry = default_solver_registry().get(solver)
+        # Degenerate right-hand sides and flipped exponents overflow by design.
+        with np.errstate(all="ignore"):
+            sequential = []
+            for b, x0, extra in zip(bs, x0s, lane_params()):
+                merged = dict(kwargs, **extra)
+                if "fault_hook" in merged:
+                    merged["policy_options"] = {"fault_hook": merged.pop("fault_hook")}
+                sequential.append(entry.solve(matrix, b, x0, **merged))
+            batched = batch_solve(
+                solver, matrix, bs, x0s, lane_params=lane_params(), **kwargs
+            )
+        for r, s in zip(batched, sequential):
+            assert np.array_equal(r.x, s.x, equal_nan=True)
+            assert _canonical(r.residual_norms) == _canonical(s.residual_norms)
+            assert (r.iterations, r.converged, r.breakdown, r.detected_faults) == (
+                s.iterations, s.converged, s.breakdown, s.detected_faults
+            )
+            r_info = {k: v for k, v in r.info.items() if k != "kernels"}
+            s_info = {k: v for k, v in s.info.items() if k != "kernels"}
+            assert _canonical(r_info) == _canonical(s_info)
+            assert r.info["kernels"]["counts"] == s.info["kernels"]["counts"]
+
+
+_SKEPTICAL = dict(policy="skeptical_restart")
+
+
+class TestBadInputAgreement:
+    @pytest.mark.parametrize(
+        "solver,kwargs,refused",
+        [
+            ("sdc_gmres", dict(_SKEPTICAL, maxiter=0), True),
+            ("sdc_gmres", dict(_SKEPTICAL, maxiter=-3), True),
+            ("sdc_gmres", dict(_SKEPTICAL, restart=0), True),
+            ("sdc_gmres", dict(_SKEPTICAL, operator_norm=-1.0), True),
+            ("sdc_gmres", dict(_SKEPTICAL, operator_norm=float("nan")), True),
+            ("sdc_gmres", dict(_SKEPTICAL, check_period=0), True),
+            ("sdc_gmres", dict(_SKEPTICAL, tol=0.0), True),
+            ("gmres", dict(maxiter=0), True),
+            ("gmres", dict(restart=0), True),
+            ("gmres", dict(tol=-1.0), True),
+            ("gmres", dict(atol=float("nan")), True),
+            ("cg", dict(maxiter=0), True),
+            ("cg", dict(tol=-1.0), True),
+            ("cg", dict(tol=float("nan")), True),
+            # Legal: a zero tolerance runs to maxiter on both engines.
+            ("gmres", dict(tol=0.0, maxiter=7), False),
+            ("cg", dict(tol=0.0, maxiter=7), False),
+        ],
+    )
+    def test_one_lane_and_two_lanes_agree(self, matrix, rhs, solver, kwargs, refused):
+        # One lane takes the sequential engine, two the lockstep one:
+        # same exception type and message, or the same result.
+        def outcome(n_lanes):
+            try:
+                result = batch_solve(solver, matrix, [rhs[0]] * n_lanes, **kwargs)[0]
+            except Exception as error:  # the outcome under test
+                return type(error), str(error)
+            return result.converged, result.iterations, result.residual_norms, result.x.tobytes()
+
+        one = outcome(1)
+        assert one == outcome(2)
+        assert (one[0] is ValueError) == refused
+
+
+class TestLockstepCostShape:
+    """The engine's cost shape, pinned as counts rather than timings."""
+
+    LANES = 24
+
+    @pytest.fixture
+    def many_rhs(self, matrix):
+        return [
+            np.random.default_rng(300 + i).standard_normal(matrix.n_rows)
+            for i in range(self.LANES)
+        ]
+
+    @pytest.fixture
+    def state_count(self, monkeypatch):
+        built = []
+
+        class CountedState(engine_core.GmresState):
+            def __init__(self, *args, **kw):
+                built.append(kw.get("total_iteration"))
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(batch_engine, "GmresState", CountedState)
+        monkeypatch.setattr(engine_core, "GmresState", CountedState)
+        return built
+
+    @pytest.mark.parametrize("lanes", [LANES, 1], ids=["lockstep", "sequential"])
+    def test_due_hook_builds_one_state_per_lane(
+        self, matrix, many_rhs, state_count, lanes
+    ):
+        # E1's hooks can act at one iteration only and say so: neither
+        # engine builds a GmresState for any other step.
+        fire_at = 4
+        iterations = 0
+        for start in range(0, self.LANES, lanes):
+            hooks = [_bitflip_hook((0, 25), 50 + start + i, fire_at) for i in range(lanes)]
+            results = batch_solve(
+                "gmres", matrix, many_rhs[start:start + lanes], tol=1e-8,
+                restart=30, maxiter=600,
+                lane_params=[{"iteration_hook": hook} for hook in hooks],
+            )
+            iterations += sum(r.iterations for r in results)
+        assert state_count == [fire_at] * self.LANES
+        assert iterations > 10 * self.LANES  # once per lane, not per lane-step
+
+    @pytest.mark.parametrize("lanes", [LANES, 1], ids=["lockstep", "sequential"])
+    def test_undeclared_hook_sees_every_lane_step(
+        self, matrix, many_rhs, state_count, lanes
+    ):
+        seen = []
+        iterations = 0
+        for start in range(0, self.LANES, lanes):
+            results = batch_solve(
+                "gmres", matrix, many_rhs[start:start + lanes], tol=1e-8,
+                restart=30, maxiter=600,
+                lane_params=[
+                    {"iteration_hook": lambda state: seen.append(state.total_iteration)}
+                ] * lanes,
+            )
+            iterations += sum(r.iterations for r in results)
+        assert len(seen) == len(state_count) == iterations
+
+    @pytest.mark.parametrize("solver", ["gmres", "cg"])
+    def test_lane_seconds_add_up_to_the_stacked_spans(
+        self, matrix, many_rhs, monkeypatch, solver
+    ):
+        # A clock that only runs inside the stacked matvec, one second a
+        # call: the lanes' shares must add up to the number of calls.
+        clock = types.SimpleNamespace(now=0.0, calls=0)
+        fake_time = types.SimpleNamespace(perf_counter=lambda: clock.now)
+        stacked = batch_engine.batched_matvec
+
+        def timed(operator, X):
+            clock.now += 1.0
+            clock.calls += 1
+            return stacked(operator, X)
+
+        monkeypatch.setattr(batch_engine, "time", fake_time)
+        monkeypatch.setattr(timing, "time", fake_time)
+        monkeypatch.setattr(batch_engine, "batched_matvec", timed)
+        kwargs = dict(tol=1e-9, maxiter=300)
+        lane_params = [{"tol": 10.0 ** -(3 + i % 7)} for i in range(self.LANES)]
+        batched = batch_solve(solver, matrix, many_rhs, lane_params=lane_params, **kwargs)
+        monkeypatch.undo()
+        total = sum(r.info["kernels"]["seconds"]["matvec"] for r in batched)
+        assert clock.calls > 10
+        assert total == pytest.approx(clock.calls, rel=1e-6)
+        entry = default_solver_registry().get(solver)
+        for r, b, extra in zip(batched, many_rhs, lane_params):
+            sequential = entry.solve(matrix, b, **dict(kwargs, **extra))
+            assert r.info["kernels"]["counts"] == sequential.info["kernels"]["counts"]
+
+
+def test_givens_rotation_many_matches_scalar_elementwise():
+    # Both divide branches, zeros of either sign, infinities and NaN in
+    # one vector (the swap and the zero patch both run), then vectors
+    # that need neither.
+    values = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-320, 1e308, np.inf, -np.inf, np.nan]
+    pairs = list(itertools.product(values, values))
+    small = [(3.0, 1.0), (-2.0, 0.5), (1e5, -7.0)]
+    with np.errstate(all="ignore"):
+        for batch in (pairs, small, [(b, a) for a, b in small]):
+            a = np.array([p[0] for p in batch])
+            b = np.array([p[1] for p in batch])
+            c, s = givens_rotation_many(a, b)
+            for i, (a_i, b_i) in enumerate(batch):
+                c_i, s_i = givens_rotation(a_i, b_i)
+                assert np.array_equal([c[i], s[i]], [c_i, s_i], equal_nan=True)
+                assert np.signbit(c[i]) == np.signbit(c_i) or c_i != c_i
+                assert np.signbit(s[i]) == np.signbit(s_i) or s_i != s_i
 
 
 # ----------------------------------------------------------------------
