@@ -17,12 +17,15 @@ Subpackage overview
 -------------------
 ``repro.utils``
     RNG management, validation, timing, tables, event logs.
+``repro.spec``
+    What an axis is made of: the one ``kind:key=value`` spec grammar,
+    the ``KindSpec`` base and the name-keyed ``Registry`` every
+    sweepable axis declares itself with (``repro.axes`` lists them).
 ``repro.reliability``
     The unified reliability layer: declarative fault specs and the
     named fault-model registry over bit flips, fault schedules,
     injectors, process-failure models, SRP domains, TMR and the
-    reliability cost model.  (``repro.faults`` and ``repro.srp``
-    remain as deprecated shims.)
+    reliability cost model.
 ``repro.machine``
     Machine model, performance-variability models, collective cost and
     application-efficiency formulas.
@@ -61,7 +64,6 @@ __version__ = "1.0.0"
 __all__ = [
     "utils",
     "reliability",
-    "faults",
     "machine",
     "simmpi",
     "linalg",
@@ -69,7 +71,6 @@ __all__ = [
     "precond",
     "skeptical",
     "rbsp",
-    "srp",
     "ftgmres",
     "lflr",
     "checkpoint",

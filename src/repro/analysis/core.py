@@ -210,6 +210,11 @@ class Rule:
     title: str = ""
     rationale: str = ""
 
+    @property
+    def name(self) -> str:
+        """The registry key (:class:`repro.spec.Registry` indexes by name)."""
+        return self.id
+
     def check_file(self, source: SourceFile, ctx) -> Iterable[Finding]:
         return ()
 

@@ -7,70 +7,44 @@ drivers, docstrings and the CAMPAIGNS.md grammar tables all quote
 them.  A renamed kind or parameter silently turns those strings into
 runtime failures (or, worse, into docs describing a grammar the
 parsers no longer accept).  This rule extracts every such literal and
-validates it against the *live* registries and parsers, so spec drift
-fails at lint time.
+validates it against the *live* axis declarations
+(:func:`repro.axes.declared_axes`), so spec drift fails at lint time.
+Which calls, keywords and kinds belong to which axis is read off those
+declarations -- this module keeps no table of its own.
 
 Collected from python sources:
 
-* literal arguments of the spec entry points
-  (``resolve_faults`` / ``FaultSpec.parse`` / ``parse_precond`` /
-  ``resolve_preconds`` / ``PrecondSpec.parse`` / ``parse_precision`` /
-  ``resolve_precisions`` / ``PrecisionSpec.parse`` /
-  ``ChaosSpec.parse`` / ``CommSpec.parse`` / ``resolve_backend``);
-* literal values of ``faults=`` / ``precond=`` / ``precision=`` /
-  ``chaos=`` / ``backend=`` keywords in any call;
-* literal values under the ``"faults"`` / ``"precond(s)"`` /
-  ``"precision(s)"`` / ``"chaos"`` keys of dict literals (the builtin
-  campaign sweeps);
+* literal arguments of each axis's entry points (its ``resolve``, its
+  further ``entry_points`` and ``<SpecClass>.parse`` -- e.g.
+  ``resolve_faults`` / ``FaultSpec.parse`` / ``parse_precond`` /
+  ``ChaosSpec.parse`` / ``resolve_backend``);
+* literal values of each axis's keywords (``faults=`` / ``precond=`` /
+  ``precision=`` / ``chaos=`` / ``backend=``) in any call;
+* literal values under the same names as keys of dict literals (the
+  builtin campaign sweeps: ``"faults"`` / ``"preconds"`` /
+  ``"precisions"`` ...);
 * spec-shaped tokens in docstrings.
 
 Collected from markdown: backtick spans and double-quoted tokens in
 every tracked ``*.md`` file whose leading segment names a known spec
 kind and that carries at least one ``name=value`` parameter.
 
-Fault and chaos strings are validated for grammar plus kind existence;
-preconditioner and precision strings additionally validate parameter
-names through their spec constructors.  Bare registry names
-(``"bitflip_mantissa"``, ``"poly2"``, ``"fp32_fp16"``) resolve through
-the same registries the runtime uses.
+A string is valid when the axis's own ``resolve`` accepts it, so bare
+registry names (``"bitflip_mantissa"``, ``"poly2"``, ``"fp32_fp16"``),
+kinds, parameter names and parameter values are all checked by exactly
+the code the runtime uses.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.core import Finding, Rule, SourceFile, dotted_name
 
 __all__ = ["SpecStringsRule"]
-
-# Spec flavours by the call that consumes them.
-_CALL_FLAVOURS = {
-    "resolve_faults": "fault",
-    "FaultSpec.parse": "fault",
-    "parse_precond": "precond",
-    "resolve_preconds": "precond",
-    "build_preconditioner": "precond",
-    "PrecondSpec.parse": "precond",
-    "parse_precision": "precision",
-    "resolve_precisions": "precision",
-    "PrecisionSpec.parse": "precision",
-    "ChaosSpec.parse": "chaos",
-    "CommSpec.parse": "comm",
-    "resolve_backend": "comm",
-}
-
-# Spec flavours by keyword-argument / dict-key name.
-_KEY_FLAVOURS = {
-    "faults": "fault",
-    "precond": "precond",
-    "preconds": "precond",
-    "precision": "precision",
-    "precisions": "precision",
-    "chaos": "chaos",
-    "backend": "comm",
-}
 
 # A doc token must look like KIND:NAME=VALUE[,...] (optionally
 # "+"-composed) before we bother dispatching it to a parser.
@@ -79,94 +53,49 @@ _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 _QUOTED_RE = re.compile(r'"([^"\s]+)"')
 
 
-class _Validators:
-    """Live-registry validation, loaded once per process.
+def _callable_name(func: Callable) -> str:
+    """How source code spells a call of ``func``: ``f`` or ``Class.method``."""
+    owner = getattr(func, "__self__", None)
+    if isinstance(owner, type):
+        return f"{owner.__name__}.{func.__name__}"
+    return func.__name__
 
-    Importing the registries is what makes this rule *registry-driven*:
-    a kind deleted from ``MODEL_KINDS`` or a parameter dropped from
-    ``PRECOND_KINDS`` immediately invalidates every string that used
-    it, in code and docs alike.
-    """
+
+class _AxisTables:
+    """The rule's lookup tables, derived once from the axis declarations."""
 
     def __init__(self) -> None:
-        from repro.campaign.executor import CHAOS_KINDS, ChaosSpec
-        from repro.comm.spec import COMM_KINDS, CommSpec
-        from repro.precond.registry import default_precond_registry
-        from repro.precond.spec import PRECOND_KINDS, PrecondSpec
-        from repro.reliability.models import MODEL_KINDS
-        from repro.reliability.precision import (
-            PRECISION_KINDS,
-            PrecisionSpec,
-            default_precision_registry,
-        )
-        from repro.reliability.registry import default_fault_registry
-        from repro.reliability.spec import FaultSpec
+        from repro.axes import declared_axes
 
-        self._fault_spec = FaultSpec
-        self._precond_spec = PrecondSpec
-        self._precision_spec = PrecisionSpec
-        self._chaos_spec = ChaosSpec
-        self._comm_spec = CommSpec
-        self._fault_kinds = set(MODEL_KINDS)
-        self._fault_names = {e.name for e in default_fault_registry()}
-        self._precond_names = {e.name for e in default_precond_registry()}
-        self._precision_names = {e.name for e in default_precision_registry()}
-        # kind -> flavour, for dispatching doc tokens.
-        self.kind_flavours: Dict[str, str] = {}
-        for kind in MODEL_KINDS:
-            self.kind_flavours[kind] = "fault"
-        for kind in PRECOND_KINDS:
-            self.kind_flavours.setdefault(kind, "precond")
-        for kind in PRECISION_KINDS:
-            self.kind_flavours.setdefault(kind, "precision")
-        for kind in CHAOS_KINDS:
-            self.kind_flavours.setdefault(kind, "chaos")
-        for kind in COMM_KINDS:
-            self.kind_flavours.setdefault(kind, "comm")
+        self._resolve: Dict[str, Callable] = {}
+        #: spelled call name / keyword or dict key / spec kind -> axis name.
+        self.calls: Dict[str, str] = {}
+        self.keys: Dict[str, str] = {}
+        self.kinds: Dict[str, str] = {}
+        for axis in declared_axes():
+            if axis.spec is None:
+                continue
+            self._resolve[axis.name] = axis.resolve
+            for func in (axis.resolve, axis.spec.parse, *axis.entry_points):
+                self.calls[_callable_name(func)] = axis.name
+            for key in axis.keywords:
+                self.keys[key] = axis.name
+            for kind in axis.spec.KINDS:
+                # First declaration wins ("none" is every axis's identity).
+                self.kinds.setdefault(kind, axis.name)
 
     def validate(self, flavour: str, text: str) -> Optional[str]:
         """``None`` when ``text`` is a valid ``flavour`` spec, else why not."""
         try:
-            if flavour == "fault":
-                if text in self._fault_names:
-                    return None
-                spec = self._fault_spec.parse(text)
-                components = (
-                    spec.children if spec.kind == "compose" else (spec,)
-                )
-                for component in components:
-                    if component.kind not in self._fault_kinds:
-                        return (
-                            f"unknown fault kind {component.kind!r} "
-                            f"(known: {sorted(self._fault_kinds)})"
-                        )
-            elif flavour == "precond":
-                if text in self._precond_names:
-                    return None
-                self._precond_spec.parse(text)
-            elif flavour == "precision":
-                if text in self._precision_names:
-                    return None
-                self._precision_spec.parse(text)
-            elif flavour == "chaos":
-                self._chaos_spec.parse(text)
-            elif flavour == "comm":
-                self._comm_spec.parse(text)
-            else:  # pragma: no cover - registry misconfiguration
-                return f"unknown spec flavour {flavour!r}"
+            self._resolve[flavour](text)
         except (ValueError, TypeError) as exc:
             return str(exc)
         return None
 
 
-_VALIDATORS: Optional[_Validators] = None
-
-
-def _validators() -> _Validators:
-    global _VALIDATORS
-    if _VALIDATORS is None:
-        _VALIDATORS = _Validators()
-    return _VALIDATORS
+@functools.lru_cache(maxsize=None)
+def _tables() -> _AxisTables:
+    return _AxisTables()
 
 
 def _direct_strings(node: ast.AST) -> Iterable[Tuple[str, int]]:
@@ -211,11 +140,11 @@ class SpecStringsRule(Rule):
         tree = source.tree
         if tree is None:
             return []
-        validators = _validators()
+        tables = _tables()
         findings: List[Finding] = []
 
         def check(flavour: str, text: str, line: int, context: str) -> None:
-            error = validators.validate(flavour, text)
+            error = tables.validate(flavour, text)
             if error is not None:
                 findings.append(
                     Finding(
@@ -236,14 +165,14 @@ class SpecStringsRule(Rule):
                     tail = name.split(".")
                     # Match both bare names and dotted access, incl.
                     # "FaultSpec.parse" via its last two segments.
-                    flavour = _CALL_FLAVOURS.get(tail[-1]) or _CALL_FLAVOURS.get(
+                    flavour = tables.calls.get(tail[-1]) or tables.calls.get(
                         ".".join(tail[-2:])
                     )
                 if flavour and node.args:
                     for text, line in _direct_strings(node.args[0]):
                         check(flavour, text, line, f"argument of {name}")
                 for keyword in node.keywords:
-                    key_flavour = _KEY_FLAVOURS.get(keyword.arg or "")
+                    key_flavour = tables.keys.get(keyword.arg or "")
                     if key_flavour:
                         for text, line in _direct_strings(keyword.value):
                             check(
@@ -255,11 +184,11 @@ class SpecStringsRule(Rule):
                     if (
                         isinstance(key, ast.Constant)
                         and isinstance(key.value, str)
-                        and key.value in _KEY_FLAVOURS
+                        and key.value in tables.keys
                     ):
                         for text, line in _direct_strings(value):
                             check(
-                                _KEY_FLAVOURS[key.value], text, line,
+                                tables.keys[key.value], text, line,
                                 f"{key.value!r} dict entry",
                             )
             elif isinstance(
@@ -271,23 +200,23 @@ class SpecStringsRule(Rule):
                     body = node.body[0]
                     base_line = getattr(body, "lineno", 1)
                     for token in _doc_tokens(docstring):
-                        flavour = _token_flavour(token, validators)
+                        flavour = _token_flavour(token, tables)
                         if flavour:
                             check(flavour, token, base_line, "docstring example")
         return findings
 
     # -- markdown ------------------------------------------------------
     def check_project(self, ctx) -> Iterable[Finding]:
-        validators = _validators()
+        tables = _tables()
         findings: List[Finding] = []
         for path in ctx.markdown_files():
             text = path.read_text(encoding="utf-8")
             rel = ctx.rel(path)
             for token, line in _doc_tokens_with_lines(text):
-                flavour = _token_flavour(token, validators)
+                flavour = _token_flavour(token, tables)
                 if flavour is None:
                     continue
-                error = validators.validate(flavour, token)
+                error = tables.validate(flavour, token)
                 if error is not None:
                     findings.append(
                         Finding(
@@ -327,7 +256,7 @@ def _doc_tokens_with_lines(text: str) -> List[Tuple[str, int]]:
     return found
 
 
-def _token_flavour(token: str, validators: _Validators) -> Optional[str]:
+def _token_flavour(token: str, tables: _AxisTables) -> Optional[str]:
     """Dispatch a doc token to a flavour by its leading kind, if known."""
     kind = token.split(":", 1)[0].split("+", 1)[0].lower()
-    return validators.kind_flavours.get(kind)
+    return tables.kinds.get(kind)

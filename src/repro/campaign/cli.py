@@ -6,28 +6,12 @@ List every sweepable axis and built-in campaign::
 
     python -m repro.campaign list
 
-``list`` prints seven tables, one per registry:
-
-* **registered experiments** -- the auto-discovered E1-E10 drivers
-  (:mod:`repro.campaign.registry`): id, short name, tags, the
-  parameters ``run()`` accepts, title.
-* **registered solvers** -- the named engine configurations
-  (:mod:`repro.krylov.registry`): name, family, supported resilience
-  policies, title.
-* **registered fault models** -- the named declarative fault specs
-  (:mod:`repro.reliability.registry`): name, compact spec string, the
-  experiments exercising it, title.
-* **registered preconditioners** -- the named preconditioner specs
-  (:mod:`repro.precond`): name, compact spec string, the experiments
-  exercising it, title.
-* **registered precisions** -- the named precision specs
-  (:mod:`repro.reliability.precision`): name, compact spec string, the
-  experiments exercising it, title.
-* **registered communicator backends** -- the backend axis
-  (:mod:`repro.comm.registry`): name, whether reductions are
-  ascending-rank ordered (bit-identical across such backends),
-  availability in this environment, title.
-* **built-in campaigns** -- name, scenario count, experiments covered.
+``list`` prints one table per registry -- the auto-discovered
+experiment drivers (:mod:`repro.campaign.registry`), then every declared
+axis that has named entries (:func:`repro.axes.declared_axes`: solvers,
+fault models, preconditioners, precisions, communicator backends), each
+with the columns its registry declares -- and the built-in campaigns
+(name, scenario count, experiments covered).
 
 Show the scenarios of a campaign::
 
@@ -65,11 +49,9 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.axes import declared_axes
 from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 from repro.campaign.registry import default_registry
-from repro.krylov.registry import default_solver_registry
-from repro.precond import default_precond_registry
-from repro.reliability.registry import default_fault_registry
 from repro.campaign.executor import FailureLedger, RetryPolicy
 from repro.campaign.report import render_report
 from repro.campaign.runner import CampaignRunner, FAILED_STATUSES, ScenarioOutcome
@@ -172,6 +154,17 @@ def _filter_scenarios(
     return scenarios
 
 
+def _print_registry(registry, entries=None) -> None:
+    """One listing table: the registry's columns, one ``row()`` per entry."""
+    entries = list(registry) if entries is None else entries
+    table = Table(list(registry.COLUMNS),
+                  title=f"registered {registry.NOUN}s ({len(entries)})")
+    for entry in entries:
+        table.add_row(*entry.row())
+    print(table.render())
+    print()
+
+
 def _cmd_list(args) -> int:
     if args.campaign:
         scenarios = _filter_scenarios(
@@ -190,72 +183,10 @@ def _cmd_list(args) -> int:
     if args.experiment:
         wanted = {registry.get(e).experiment for e in args.experiment}
         drivers = [d for d in drivers if d.experiment in wanted]
-    table = Table(["experiment", "name", "tags", "parameters", "title"],
-                  title=f"registered experiments ({len(drivers)})")
-    for driver in drivers:
-        table.add_row(
-            driver.experiment,
-            driver.name,
-            ",".join(driver.spec.tags),
-            ",".join(driver.accepted_params()),
-            driver.spec.title,
-        )
-    print(table.render())
-    print()
-    solver_registry = default_solver_registry()
-    solvers = Table(["solver", "family", "policies", "title"],
-                    title=f"registered solvers ({len(solver_registry)})")
-    for solver in solver_registry:
-        solvers.add_row(
-            solver.name, solver.family, ",".join(solver.policies), solver.title
-        )
-    print(solvers.render())
-    print()
-    fault_registry = default_fault_registry()
-    faults = Table(["fault_model", "spec", "experiments", "title"],
-                   title=f"registered fault models ({len(fault_registry)})")
-    for entry in fault_registry:
-        faults.add_row(
-            entry.name, entry.spec.to_string(),
-            ",".join(entry.experiments), entry.title,
-        )
-    print(faults.render())
-    print()
-    precond_registry = default_precond_registry()
-    preconds = Table(["precond", "spec", "experiments", "title"],
-                     title=f"registered preconditioners ({len(precond_registry)})")
-    for entry in precond_registry:
-        preconds.add_row(
-            entry.name, entry.spec.to_string(),
-            ",".join(entry.experiments), entry.title,
-        )
-    print(preconds.render())
-    print()
-    from repro.reliability.precision import default_precision_registry
-
-    precision_registry = default_precision_registry()
-    precisions = Table(["precision", "spec", "experiments", "title"],
-                       title=f"registered precisions ({len(precision_registry)})")
-    for entry in precision_registry:
-        precisions.add_row(
-            entry.name, entry.spec.to_string(),
-            ",".join(entry.experiments), entry.title,
-        )
-    print(precisions.render())
-    print()
-    from repro.comm.registry import default_backend_registry
-
-    backend_registry = default_backend_registry()
-    backends = Table(["backend", "ordered_reduction", "available", "title"],
-                     title=f"registered communicator backends ({len(backend_registry)})")
-    for entry in backend_registry:
-        ok, reason = entry.available()
-        backends.add_row(
-            entry.name, entry.ordered_reduction,
-            "yes" if ok else f"no ({reason})", entry.title,
-        )
-    print(backends.render())
-    print()
+    _print_registry(registry, drivers)
+    for axis in declared_axes():
+        if axis.registry is not None:
+            _print_registry(axis.registry())
     campaigns = Table(["campaign", "scenarios", "experiments"],
                       title="built-in campaigns")
     for name in builtin_campaign_names():

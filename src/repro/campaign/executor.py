@@ -26,9 +26,8 @@ Pieces
     -- so failure history survives the process and ``campaign run
     --retry-failed`` can re-target exactly the failed/quarantined set.
 :class:`ChaosSpec`
-    Fault injection for the runner's own workers, reusing the
-    reliability layer's spec-string grammar
-    (:func:`repro.reliability.spec.parse_kind_params`):
+    Fault injection for the runner's own workers, in the shared
+    spec-string grammar (:mod:`repro.spec`):
     ``"worker_crash:p=0.1"`` hard-kills the worker (``os._exit``)
     before the scenario runs, ``"worker_hang:p=0.05"`` sleeps past any
     timeout, ``"result_corrupt:p=0.01"`` flips the result payload
@@ -88,11 +87,7 @@ from typing import (
 
 from repro.campaign.spec import canonical_json
 from repro.campaign.store import LineAppender
-from repro.reliability.spec import (
-    format_kind_params,
-    parse_kind_params,
-    split_composed,
-)
+from repro.spec import Axis, KindSpec, split_composed
 
 __all__ = [
     "RetryPolicy",
@@ -108,6 +103,7 @@ __all__ = [
     "FAILURE_OUTCOMES",
     "BATCH_PARAMS_KEY",
     "BATCH_RESULTS_KEY",
+    "AXIS",
 ]
 
 # Attempt statuses the retry policy considers environmental: the
@@ -419,10 +415,8 @@ class FailureLedger:
 # ----------------------------------------------------------------------
 # Chaos specification
 # ----------------------------------------------------------------------
-CHAOS_KINDS = ("none", "worker_crash", "worker_hang", "result_corrupt")
-
-# Per-kind parameter surface (every kind takes p and attempts).
-_CHAOS_PARAMS = {
+# kind -> the parameter names it takes.
+CHAOS_KINDS = {
     "none": frozenset(),
     "worker_crash": frozenset({"p", "attempts"}),
     "worker_hang": frozenset({"p", "attempts", "seconds"}),
@@ -447,8 +441,7 @@ def _chaos_draw(chaos_seed: int, key: str, attempt: int, kind: str) -> float:
     return int.from_bytes(digest[:8], "little") / 2**64
 
 
-@dataclass(frozen=True)
-class ChaosFault:
+class ChaosFault(KindSpec):
     """One chaos fault: kind plus parameters.
 
     Parameters (all kinds): ``p`` -- injection probability per attempt
@@ -458,23 +451,11 @@ class ChaosFault:
     which must exceed the supervisor timeout to be observed as a hang.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    NOUN = "chaos"
+    KINDS = CHAOS_KINDS
+    PARAM_ERROR = "chaos kind {kind!r} does not take parameters {names}; allowed: {allowed}"
 
-    def __post_init__(self):
-        kind = self.kind.lower()
-        if kind not in CHAOS_KINDS:
-            raise ValueError(
-                f"unknown chaos kind {self.kind!r} (known: {list(CHAOS_KINDS)})"
-            )
-        allowed = _CHAOS_PARAMS[kind]
-        unknown = sorted(set(self.params) - allowed)
-        if unknown:
-            raise ValueError(
-                f"chaos kind {kind!r} does not take parameters {unknown}; "
-                f"allowed: {sorted(allowed)}"
-            )
-        params = dict(self.params)
+    def _check_values(self, params: Dict[str, Any]) -> None:
         p = params.get("p", 1.0)
         if not 0.0 <= float(p) <= 1.0:
             raise ValueError(f"chaos probability p={p!r} outside [0, 1]")
@@ -482,8 +463,6 @@ class ChaosFault:
             raise ValueError("chaos 'attempts' must be >= 1")
         if "seconds" in params and float(params["seconds"]) <= 0:
             raise ValueError("chaos 'seconds' must be > 0")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
 
     @property
     def p(self) -> float:
@@ -498,15 +477,12 @@ class ChaosFault:
             return True
         return _chaos_draw(chaos_seed, key, attempt, self.kind) < self.p
 
-    def to_string(self) -> str:
-        return format_kind_params(self.kind, self.params)
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
     """Declarative fault injection for the runner's own workers.
 
-    Reuses the reliability spec-string grammar: ``"worker_crash:p=0.1"``,
+    Shared spec-string grammar: ``"worker_crash:p=0.1"``,
     ``"worker_hang:p=0.05,seconds=120"``, ``"result_corrupt:p=0.01"``,
     composed with ``+``.  ``"none"`` is the identity spec.
     """
@@ -530,12 +506,8 @@ class ChaosSpec:
         if isinstance(value, Mapping):
             return cls.from_dict(value)
         if isinstance(value, str):
-            parts = split_composed(value, "chaos spec")
             return cls(
-                tuple(
-                    ChaosFault(*parse_kind_params(part, "chaos spec"))
-                    for part in parts
-                )
+                tuple(map(ChaosFault.parse, split_composed(value, "chaos spec")))
             )
         raise TypeError(
             f"cannot parse a chaos spec from {type(value).__name__}"
@@ -555,12 +527,7 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ChaosSpec":
-        return cls(
-            tuple(
-                ChaosFault(entry["kind"], entry.get("params", {}))
-                for entry in data.get("faults", ())
-            )
-        )
+        return cls(tuple(map(ChaosFault.from_dict, data.get("faults", ()))))
 
     def __bool__(self) -> bool:
         return bool(self.faults)
@@ -587,6 +554,15 @@ class ChaosSpec:
                 corrupted["__chaos_corrupted__"] = attempt
                 return corrupted
         return result
+
+
+AXIS = Axis(
+    name="chaos",
+    spec=ChaosFault,
+    resolve=ChaosSpec.parse,
+    keywords=("chaos",),
+    identity="none",
+)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.experiments import iter_driver_modules
 from repro.experiments.common import (
@@ -22,6 +22,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     run_signature,
 )
+from repro.spec import Registry
 
 __all__ = ["RegisteredExperiment", "ExperimentRegistry", "default_registry"]
 
@@ -70,6 +71,15 @@ class RegisteredExperiment:
     def name(self) -> str:
         return self.spec.name
 
+    def row(self) -> tuple:
+        return (
+            self.experiment,
+            self.name,
+            ",".join(self.spec.tags),
+            ",".join(self._accepted),
+            self.spec.title,
+        )
+
     def accepted_params(self) -> Tuple[str, ...]:
         """Names of the keyword parameters ``run()`` accepts, in signature order."""
         return self._accepted
@@ -87,48 +97,54 @@ class RegisteredExperiment:
             )
 
 
-class ExperimentRegistry:
-    """Index of discovered drivers, keyed by id and by short name."""
+def _discovered_drivers() -> List[RegisteredExperiment]:
+    return [
+        RegisteredExperiment(
+            spec=module.SPEC,
+            module=module.__name__,
+            run=module.run,
+            run_batch=getattr(module, "run_batch", None),
+        )
+        for module in iter_driver_modules()
+    ]
+
+
+class ExperimentRegistry(Registry[RegisteredExperiment]):
+    """Index of discovered drivers, keyed twice: by id and by short name.
+
+    The shared lookup (``get`` by either key in any case, ``in``, the
+    process-wide default) is :class:`repro.spec.Registry`'s; what the
+    double key changes is declared here -- ``add`` files a driver under
+    both keys, and listing, length and the known-set of the lookup
+    error go by experiment id.
+    """
+
+    NOUN = "experiment"
+    COLUMNS = ("experiment", "name", "tags", "parameters", "title")
+    builtin = staticmethod(_discovered_drivers)
 
     def __init__(self, drivers: Optional[List[RegisteredExperiment]] = None):
-        if drivers is None:
-            drivers = [
-                RegisteredExperiment(
-                    spec=module.SPEC,
-                    module=module.__name__,
-                    run=module.run,
-                    run_batch=getattr(module, "run_batch", None),
-                )
-                for module in iter_driver_modules()
-            ]
-        self._by_key: Dict[str, RegisteredExperiment] = {}
         self._drivers: List[RegisteredExperiment] = []
-        for driver in drivers:
-            self.add(driver)
+        super().__init__(drivers)
 
     def add(self, driver: RegisteredExperiment) -> None:
         """Register a driver under its experiment id and short name."""
         for key in (driver.experiment.lower(), driver.name.lower()):
-            existing = self._by_key.get(key)
+            existing = self._by_name.get(key)
             if existing is not None and existing.module != driver.module:
                 raise ValueError(
                     f"duplicate experiment key {key!r}: "
                     f"{existing.module} vs {driver.module}"
                 )
-            self._by_key[key] = driver
+            self._by_name[key] = driver
         self._drivers.append(driver)
         self._drivers.sort(key=lambda d: d.experiment)
 
-    def get(self, key: str) -> RegisteredExperiment:
-        """Look up by id ("E1") or name ("sdc_detection"), any case."""
-        try:
-            return self._by_key[key.lower()]
-        except KeyError:
-            known = ", ".join(d.experiment for d in self._drivers)
-            raise KeyError(f"unknown experiment {key!r} (known: {known})") from None
+    def names(self) -> List[str]:
+        """Sorted experiment ids ("E1" ... )."""
+        return [d.experiment for d in self._drivers]
 
-    def __contains__(self, key: str) -> bool:
-        return key.lower() in self._by_key
+    experiments = names
 
     def __iter__(self):
         return iter(self._drivers)
@@ -136,17 +152,6 @@ class ExperimentRegistry:
     def __len__(self) -> int:
         return len(self._drivers)
 
-    def experiments(self) -> List[str]:
-        """Sorted experiment ids ("E1" ... )."""
-        return [d.experiment for d in self._drivers]
 
-
-_DEFAULT: Optional[ExperimentRegistry] = None
-
-
-def default_registry() -> ExperimentRegistry:
-    """The process-wide registry over :mod:`repro.experiments`."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ExperimentRegistry()
-    return _DEFAULT
+#: The process-wide registry over :mod:`repro.experiments`.
+default_registry = ExperimentRegistry.default

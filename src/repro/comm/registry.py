@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.comm.errors import BackendUnavailableError
 from repro.comm.spec import CommSpec
+from repro.spec import Axis, Registry
 
 __all__ = [
     "RegisteredBackend",
@@ -35,6 +36,7 @@ __all__ = [
     "default_backend_registry",
     "backend_names",
     "resolve_backend",
+    "AXIS",
 ]
 
 
@@ -77,6 +79,11 @@ class RegisteredBackend:
             return True, ""
         probe = getattr(importlib.import_module(self.module), self.checker)
         return probe()
+
+    def row(self) -> tuple:
+        ok, reason = self.available()
+        return (self.name, self.ordered_reduction,
+                "yes" if ok else f"no ({reason})", self.title)
 
     def _launch_callable(self) -> Callable[..., List[Any]]:
         ok, reason = self.available()
@@ -147,42 +154,6 @@ class BoundBackend:
         )
 
 
-class BackendRegistry:
-    """Index of named communicator backends."""
-
-    def __init__(self, entries: Optional[List[RegisteredBackend]] = None):
-        self._by_name: Dict[str, RegisteredBackend] = {}
-        for entry in entries if entries is not None else _builtin_backends():
-            self.add(entry)
-
-    def add(self, entry: RegisteredBackend) -> None:
-        key = entry.name.lower()
-        if key in self._by_name:
-            raise ValueError(f"duplicate backend name {key!r}")
-        self._by_name[key] = entry
-
-    def get(self, name: str) -> RegisteredBackend:
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown communicator backend {name!r} "
-                f"(known: {', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return isinstance(name, str) and name.lower() in self._by_name
-
-    def __iter__(self):
-        return iter(sorted(self._by_name.values(), key=lambda e: e.name))
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
 def _builtin_backends() -> List[RegisteredBackend]:
     return [
         RegisteredBackend(
@@ -210,15 +181,16 @@ def _builtin_backends() -> List[RegisteredBackend]:
     ]
 
 
-_DEFAULT: Optional[BackendRegistry] = None
+class BackendRegistry(Registry[RegisteredBackend]):
+    """Index of named communicator backends."""
+
+    NOUN = "communicator backend"
+    COLUMNS = ("backend", "ordered_reduction", "available", "title")
+    builtin = staticmethod(_builtin_backends)
 
 
-def default_backend_registry() -> BackendRegistry:
-    """The process-wide registry of built-in backends."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = BackendRegistry()
-    return _DEFAULT
+#: The process-wide registry of built-in backends.
+default_backend_registry = BackendRegistry.default
 
 
 def backend_names() -> List[str]:
@@ -238,3 +210,13 @@ def resolve_backend(
         return value
     spec = CommSpec.parse(value if value is not None else "sim")
     return default_backend_registry().get(spec.kind).bind(spec)
+
+
+AXIS = Axis(
+    name="comm",
+    spec=CommSpec,
+    registry=default_backend_registry,
+    resolve=resolve_backend,
+    keywords=("backend",),
+    identity="sim",
+)

@@ -6,14 +6,15 @@ faults: every experiment driver's ``backend=`` parameter, every
 campaign backend axis and every registry entry is a ``CommSpec`` (or
 something :meth:`CommSpec.parse` can turn into one).
 
-Three interchangeable wire forms, sharing the compact-string grammar of
-:mod:`repro.reliability.spec`::
+Three interchangeable wire forms (the shared
+:class:`repro.spec.KindSpec` ones), in the single-kind grammar of
+:mod:`repro.spec`::
 
     SPEC  := KIND [ ":" NAME "=" VALUE ("," NAME "=" VALUE)* ]
 
 * **compact strings** -- ``"sim"``, ``"shmem:procs=8"``, ``"mpi4py"``;
 * **dicts** -- ``{"kind": "shmem", "params": {"procs": 8}}`` -- the
-  form the JSONL result store persists;
+  form the JSONL result store persists (``"params"`` is always written);
 * **CommSpec objects** -- what the registry consumes.
 
 Unlike fault specs there is no ``"+"`` composition: a job runs on
@@ -23,10 +24,9 @@ so backend specs are usable as campaign scenario-key material.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict
 
-from repro.reliability.spec import format_kind_params, parse_kind_params
+from repro.spec import KindSpec
 
 __all__ = ["CommSpec", "COMM_KINDS"]
 
@@ -41,95 +41,41 @@ COMM_KINDS: Dict[str, frozenset] = {
 }
 
 
-@dataclass(frozen=True)
-class CommSpec:
+class CommSpec(KindSpec):
     """One declarative communicator-backend configuration.
 
     Attributes
     ----------
     kind:
-        Backend kind (``"sim"``, ``"shmem"``, ``"mpi4py"``), resolved
-        against :data:`COMM_KINDS`.
+        Backend kind (``"sim"``, ``"shmem"``, ``"mpi4py"``), one of
+        :data:`COMM_KINDS`.
     params:
-        Backend parameters (read-only mapping of scalars), e.g.
-        ``procs`` for the default rank count.
+        Backend parameters (scalars), e.g. ``procs`` for the default
+        rank count.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    NOUN = "communicator backend"
+    KINDS = COMM_KINDS
+    PARAM_ERROR = "backend {kind!r} does not accept parameter {name!r} (allowed: {allowed})"
 
-    def __post_init__(self) -> None:
-        if self.kind not in COMM_KINDS:
-            raise ValueError(
-                f"unknown communicator backend kind {self.kind!r} "
-                f"(known: {sorted(COMM_KINDS)})"
-            )
-        allowed = COMM_KINDS[self.kind]
-        params = dict(self.params)
+    def _check_values(self, params: Dict[str, Any]) -> None:
         for name, value in params.items():
-            if name not in allowed:
-                raise ValueError(
-                    f"backend {self.kind!r} does not accept parameter "
-                    f"{name!r} (allowed: {sorted(allowed)})"
-                )
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if name == "procs":
-                if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                if not number or isinstance(value, float) or value <= 0:
                     raise ValueError(
                         f"procs must be a positive integer, got {value!r}"
                     )
-            elif name in ("watchdog", "timeout"):
-                if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                        or float(value) <= 0:
-                    raise ValueError(
-                        f"{name} must be a positive number, got {value!r}"
-                    )
-        object.__setattr__(self, "params", params)
-
-    # -- wire forms ----------------------------------------------------
-    @classmethod
-    def parse(cls, spec: Union[str, dict, "CommSpec"]) -> "CommSpec":
-        """Coerce a compact string, dict, or spec into a ``CommSpec``."""
-        if isinstance(spec, CommSpec):
-            return spec
-        if isinstance(spec, dict):
-            return cls.from_dict(spec)
-        if not isinstance(spec, str):
-            raise TypeError(
-                f"cannot parse a backend spec from {type(spec).__name__}"
-            )
-        kind, params = parse_kind_params(spec, label="backend spec")
-        return cls(kind, params)
-
-    def to_string(self) -> str:
-        """Compact string form, round-tripping through :meth:`parse`."""
-        return format_kind_params(self.kind, self.params)
+            elif not number or value <= 0:
+                raise ValueError(
+                    f"{name} must be a positive number, got {value!r}"
+                )
 
     def to_dict(self) -> dict:
-        """JSON-friendly dict form (the result-store shape)."""
+        """JSON-friendly dict form; ``"params"`` is written even when empty."""
         return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CommSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(str(data["kind"]), dict(data.get("params") or {}))
-
-    # -- convenience ---------------------------------------------------
-    def get(self, name: str, default: Any = None) -> Any:
-        """Parameter lookup with a default."""
-        return self.params.get(name, default)
 
     @property
     def procs(self) -> int:
         """The rank count this spec requests (default 4)."""
         return int(self.params.get("procs", 4))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.to_string()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommSpec):
-            return NotImplemented
-        return self.kind == other.kind and dict(self.params) == dict(other.params)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, tuple(sorted(self.params.items()))))

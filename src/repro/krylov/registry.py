@@ -51,11 +51,12 @@ next to the experiment, fault-model and preconditioner tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.krylov.result import SolveResult
+from repro.spec import Axis, Registry
 
 __all__ = [
     "RegisteredSolver",
@@ -64,6 +65,7 @@ __all__ = [
     "solver_names",
     "batch_solve",
     "BATCHABLE_SOLVERS",
+    "AXIS",
 ]
 
 # Generic policy axis values campaigns sweep; resolve_policy maps them
@@ -128,6 +130,9 @@ class RegisteredSolver:
     @property
     def default_policy(self) -> str:
         return self.policies[0]
+
+    def row(self) -> tuple:
+        return (self.name, self.family, ",".join(self.policies), self.title)
 
     def resolve_policy(self, requested: Optional[str]) -> str:
         """Map a requested (possibly generic) policy onto a supported one.
@@ -240,41 +245,6 @@ class RegisteredSolver:
         return result
 
 
-class SolverRegistry:
-    """Index of named solver configurations."""
-
-    def __init__(self, solvers: Optional[List[RegisteredSolver]] = None):
-        self._by_name: Dict[str, RegisteredSolver] = {}
-        for solver in solvers if solvers is not None else _builtin_solvers():
-            self.add(solver)
-
-    def add(self, solver: RegisteredSolver) -> None:
-        key = solver.name.lower()
-        if key in self._by_name:
-            raise ValueError(f"duplicate solver name {key!r}")
-        self._by_name[key] = solver
-
-    def get(self, name: str) -> RegisteredSolver:
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown solver {name!r} (known: {', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._by_name
-
-    def __iter__(self):
-        return iter(sorted(self._by_name.values(), key=lambda s: s.name))
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
 def _builtin_solvers() -> List[RegisteredSolver]:
     # Local imports: the registry is imported by repro.krylov.__init__.
     from repro.ftgmres.outer import ft_gmres
@@ -377,6 +347,26 @@ def _dispatch_gmres(gmres_fn, sdc_fn) -> Callable:
         return sdc_fn(operator, b, x0, policy=response, **options, **params)
 
     return run
+
+
+class SolverRegistry(Registry[RegisteredSolver]):
+    """Index of named solver configurations."""
+
+    NOUN = "solver"
+    COLUMNS = ("solver", "family", "policies", "title")
+    builtin = staticmethod(_builtin_solvers)
+
+
+#: The process-wide registry of named solver configurations.
+default_solver_registry = SolverRegistry.default
+
+
+def solver_names() -> List[str]:
+    """Sorted names of all registered solvers."""
+    return default_solver_registry().names()
+
+
+AXIS = Axis(name="solver", registry=default_solver_registry)
 
 
 #: Solvers with a batched lockstep engine path; everything else falls
@@ -601,19 +591,3 @@ def batch_solve(
 
             result.info["precision"] = parse_precision(lane_precision).to_string()
     return results
-
-
-_DEFAULT: Optional[SolverRegistry] = None
-
-
-def default_solver_registry() -> SolverRegistry:
-    """The process-wide registry of named solver configurations."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = SolverRegistry()
-    return _DEFAULT
-
-
-def solver_names() -> List[str]:
-    """Sorted names of all registered solvers."""
-    return default_solver_registry().names()

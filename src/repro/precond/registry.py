@@ -30,8 +30,7 @@ the sweep axis, not at a bare ``ValueError`` deep in ``linalg``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Union
 
 from repro.linalg.precond import (
     BlockJacobiPreconditioner,
@@ -41,6 +40,7 @@ from repro.linalg.precond import (
     SsorPreconditioner,
 )
 from repro.precond.spec import PrecondSpec
+from repro.spec import Axis, RegisteredSpec, Registry
 
 __all__ = [
     "RegisteredPreconditioner",
@@ -50,6 +50,7 @@ __all__ = [
     "parse_precond",
     "resolve_preconds",
     "build_preconditioner",
+    "AXIS",
 ]
 
 
@@ -94,27 +95,8 @@ def build_preconditioner(
         ) from exc
 
 
-@dataclass(frozen=True)
-class RegisteredPreconditioner:
-    """One named preconditioner configuration.
-
-    Attributes
-    ----------
-    name:
-        Stable registry key (``"jacobi"``, ``"bjacobi8"``, ...).
-    spec:
-        The declarative configuration the name stands for.
-    title:
-        One-line human description.
-    experiments:
-        Experiment ids whose drivers/benchmarks exercise this
-        preconditioner (drives ``run_benchmarks.py --precond``).
-    """
-
-    name: str
-    spec: PrecondSpec
-    title: str
-    experiments: Tuple[str, ...] = ()
+class RegisteredPreconditioner(RegisteredSpec):
+    """One named preconditioner configuration (``run_benchmarks.py --precond``)."""
 
     def build(self, matrix, **overrides) -> Optional[Preconditioner]:
         """Instantiate for ``matrix``, with optional parameter overrides."""
@@ -122,45 +104,8 @@ class RegisteredPreconditioner:
         return build_preconditioner(spec, matrix)
 
 
-class PrecondRegistry:
-    """Index of named preconditioner configurations."""
-
-    def __init__(self, entries: Optional[List[RegisteredPreconditioner]] = None):
-        self._by_name: Dict[str, RegisteredPreconditioner] = {}
-        for entry in entries if entries is not None else _builtin_preconds():
-            self.add(entry)
-
-    def add(self, entry: RegisteredPreconditioner) -> None:
-        key = entry.name.lower()
-        if key in self._by_name:
-            raise ValueError(f"duplicate preconditioner name {key!r}")
-        self._by_name[key] = entry
-
-    def get(self, name: str) -> RegisteredPreconditioner:
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown preconditioner {name!r} "
-                f"(known: {', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return isinstance(name, str) and name.lower() in self._by_name
-
-    def __iter__(self):
-        return iter(sorted(self._by_name.values(), key=lambda e: e.name))
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
 def _builtin_preconds() -> List[RegisteredPreconditioner]:
-    def spec(text: str) -> PrecondSpec:
-        return PrecondSpec.parse(text)
+    spec = PrecondSpec.parse
 
     return [
         RegisteredPreconditioner(
@@ -208,15 +153,16 @@ def _builtin_preconds() -> List[RegisteredPreconditioner]:
     ]
 
 
-_DEFAULT: Optional[PrecondRegistry] = None
+class PrecondRegistry(Registry[RegisteredPreconditioner]):
+    """Index of named preconditioner configurations."""
+
+    NOUN = "preconditioner"
+    COLUMNS = ("precond", "spec", "experiments", "title")
+    builtin = staticmethod(_builtin_preconds)
 
 
-def default_precond_registry() -> PrecondRegistry:
-    """The process-wide registry of named preconditioners."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = PrecondRegistry()
-    return _DEFAULT
+#: The process-wide registry of named preconditioners.
+default_precond_registry = PrecondRegistry.default
 
 
 def precond_names() -> List[str]:
@@ -269,3 +215,14 @@ def resolve_preconds(
     if overrides:
         spec = spec.with_params(**overrides)
     return build_preconditioner(spec, matrix)
+
+
+AXIS = Axis(
+    name="precond",
+    spec=PrecondSpec,
+    registry=default_precond_registry,
+    resolve=parse_precond,
+    entry_points=(resolve_preconds, build_preconditioner),
+    keywords=("precond", "preconds"),
+    identity="none",
+)

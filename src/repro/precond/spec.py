@@ -2,15 +2,14 @@
 
 A :class:`PrecondSpec` names one preconditioner *kind* plus its
 parameters, and is the unit of the preconditioning layer's declarative
-API -- the third sweepable axis after solvers
-(:mod:`repro.krylov.registry`) and faults (:mod:`repro.reliability`).
-Every registered solver's ``precond=`` parameter, every campaign
+API -- the third sweepable axis, after solvers and faults
+(:func:`repro.axes.declared_axes` lists them all).  Every registered solver's ``precond=`` parameter, every campaign
 preconditioner axis and every :mod:`repro.precond.registry` entry is a
 ``PrecondSpec`` (or something :meth:`PrecondSpec.parse` can turn into
 one).
 
-Three interchangeable wire forms exist, mirroring
-:class:`~repro.reliability.spec.FaultSpec`:
+Three interchangeable wire forms exist (the shared
+:class:`repro.spec.KindSpec` ones):
 
 * **compact strings** -- ``"ssor:omega=1.2"`` -- the form campaigns
   sweep and humans type;
@@ -18,7 +17,7 @@ Three interchangeable wire forms exist, mirroring
   form the JSONL result store persists;
 * **PrecondSpec objects** -- what the builders consume.
 
-String grammar (a single-kind subset of the fault-spec grammar; see
+String grammar (the single-kind form of :mod:`repro.spec`'s; see
 CAMPAIGNS.md for the full manual)::
 
     SPEC   := KIND [ ":" PARAM ("," PARAM)* ]
@@ -49,15 +48,9 @@ in a sweep axis fails before any scenario runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Dict, Tuple
 
-from repro.reliability.spec import (
-    _NAME_RE,
-    _normalize_value,
-    format_spec_value,
-    parse_kind_params,
-)
+from repro.spec import KindSpec
 
 __all__ = ["PrecondSpec", "PRECOND_KINDS"]
 
@@ -71,108 +64,18 @@ PRECOND_KINDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class PrecondSpec:
+class PrecondSpec(KindSpec):
     """One declarative preconditioner configuration.
 
     Attributes
     ----------
     kind:
         Preconditioner kind (``"none"``, ``"jacobi"``, ``"ssor"``,
-        ``"poly"``, ``"bjacobi"``).  Validated against
-        :data:`PRECOND_KINDS` at construction time.
+        ``"poly"``, ``"bjacobi"``), one of :data:`PRECOND_KINDS`.
     params:
-        Builder parameters (read-only mapping of scalars); unknown
-        parameter names for the kind are rejected with the valid set
-        in the message.
+        Builder parameters (scalars); their values are validated by the
+        preconditioner classes when the spec is built.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        kind = self.kind.lower() if isinstance(self.kind, str) else self.kind
-        if kind not in PRECOND_KINDS:
-            raise ValueError(
-                f"unknown preconditioner kind {self.kind!r} "
-                f"(known: {sorted(PRECOND_KINDS)})"
-            )
-        allowed = PRECOND_KINDS[kind]
-        normalized = {}
-        for name in sorted(self.params):
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid parameter name {name!r}")
-            if name not in allowed:
-                raise ValueError(
-                    f"preconditioner kind {kind!r} does not take parameter "
-                    f"{name!r} (valid: {list(allowed) or 'none'})"
-                )
-            normalized[name] = _normalize_value(self.params[name])
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", normalized)
-
-    # -- parsing -------------------------------------------------------
-    @classmethod
-    def parse(cls, value: Union[str, Mapping, "PrecondSpec"]) -> "PrecondSpec":
-        """Coerce a string, dict or PrecondSpec into a PrecondSpec."""
-        if isinstance(value, PrecondSpec):
-            return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        if isinstance(value, str):
-            return cls._parse_string(value)
-        raise TypeError(
-            f"cannot parse a preconditioner spec from {type(value).__name__}"
-        )
-
-    @classmethod
-    def _parse_string(cls, text: str) -> "PrecondSpec":
-        return cls(*parse_kind_params(text, "preconditioner spec"))
-
-    # -- serialization -------------------------------------------------
-    def to_string(self) -> str:
-        """Compact spec-string form; inverse of :meth:`parse`."""
-        if not self.params:
-            return self.kind
-        body = ",".join(
-            f"{name}={format_spec_value(value)}"
-            for name, value in self.params.items()
-        )
-        return f"{self.kind}:{body}"
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict form; inverse of :meth:`from_dict`."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PrecondSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or a loose dict)."""
-        if "kind" not in data:
-            raise ValueError("preconditioner spec dicts need a 'kind' entry")
-        extra = set(data) - {"kind", "params"}
-        if extra:
-            # Loose form: {"kind": "ssor", "omega": 1.2}.
-            params = {k: data[k] for k in data if k != "kind"}
-            return cls(str(data["kind"]), params)
-        return cls(str(data["kind"]), dict(data.get("params", {})))
-
-    # -- convenience ---------------------------------------------------
-    def with_params(self, **overrides: Any) -> "PrecondSpec":
-        """Return a copy with ``overrides`` merged into the parameters.
-
-        ``None`` overrides are dropped (they mean "keep the default"),
-        so callers can forward optional driver arguments verbatim.
-        """
-        merged = dict(self.params)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return PrecondSpec(self.kind, merged)
-
-    def get(self, name: str, default: Any = None) -> Any:
-        """Parameter lookup with a default."""
-        return self.params.get(name, default)
-
-    def __str__(self) -> str:
-        return self.to_string()
+    NOUN = "preconditioner"
+    KINDS = PRECOND_KINDS

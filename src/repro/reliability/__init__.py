@@ -23,7 +23,7 @@ Quick tour::
     hard = combo.component("proc_fail")   # -> the process-failure model
 
 FaultSpec string forms (the sweepable wire format; full grammar in
-:mod:`repro.reliability.spec` and CAMPAIGNS.md)::
+:mod:`repro.spec` and CAMPAIGNS.md)::
 
     none                                  # the fault-free control
     bitflip:p=0.02,bits=52..62            # Bernoulli exponent-bit flips
@@ -73,9 +73,6 @@ Module map (mechanism -> declarative layer):
   precision as a bounded-error fault model; the fourth sweepable axis).
 * :mod:`~repro.reliability.seeding` -- the per-scenario seed
   derivation shared with the campaign runner.
-
-The historical import paths ``repro.faults`` and ``repro.srp`` remain
-as deprecated shims re-exporting this package.
 """
 
 from repro.reliability.bitflip import (

@@ -748,12 +748,5 @@ MODEL_KINDS: Dict[str, Type[FaultModel]] = {
 
 def build_model(spec: Union[str, dict, FaultSpec]) -> FaultModel:
     """Instantiate the fault model a spec describes."""
-    spec = FaultSpec.parse(spec)
-    try:
-        cls = MODEL_KINDS[spec.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault kind {spec.kind!r} "
-            f"(known: {sorted(MODEL_KINDS)})"
-        ) from None
-    return cls(spec)
+    spec = FaultSpec.parse(spec)  # rejects unknown kinds
+    return MODEL_KINDS[spec.kind](spec)

@@ -45,18 +45,12 @@ skips every cast and runs the exact default code path, bit for bit.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
 from repro.linalg.csr import CsrMatrix
-from repro.reliability.spec import (
-    _NAME_RE,
-    _normalize_value,
-    format_spec_value,
-    parse_kind_params,
-)
+from repro.spec import Axis, KindSpec, RegisteredSpec, Registry
 
 __all__ = [
     "PrecisionSpec",
@@ -72,6 +66,7 @@ __all__ = [
     "lowprecision",
     "cast_operator",
     "cast_vector",
+    "AXIS",
 ]
 
 # kind -> the parameter names it understands.
@@ -94,58 +89,39 @@ _STORAGE_DTYPES: Dict[str, np.dtype] = {
 }
 
 
-@dataclass(frozen=True)
-class PrecisionSpec:
+class PrecisionSpec(KindSpec):
     """One declarative precision configuration.
 
     Attributes
     ----------
     kind:
-        Compute precision (``"fp64"`` or ``"fp32"``).  Validated
-        against :data:`PRECISION_KINDS` at construction time.
+        Compute precision (``"fp64"`` or ``"fp32"``), one of
+        :data:`PRECISION_KINDS`.
     params:
         Optional parameters; currently just ``storage`` (a dtype name
         from ``fp16``/``fp32``/``fp64``, no wider than the compute
         dtype).
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    NOUN = "precision"
+    KINDS = PRECISION_KINDS
 
-    def __post_init__(self):
-        kind = self.kind.lower() if isinstance(self.kind, str) else self.kind
-        if kind not in PRECISION_KINDS:
+    def _check_values(self, params: Dict[str, Any]) -> None:
+        if "storage" not in params:
+            return
+        storage = params["storage"]
+        storage = storage.lower() if isinstance(storage, str) else storage
+        if storage not in _STORAGE_DTYPES:
             raise ValueError(
-                f"unknown precision kind {self.kind!r} "
-                f"(known: {sorted(PRECISION_KINDS)})"
+                f"unknown storage dtype {params['storage']!r} "
+                f"(known: {sorted(_STORAGE_DTYPES)})"
             )
-        allowed = PRECISION_KINDS[kind]
-        normalized = {}
-        for name in sorted(self.params):
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid parameter name {name!r}")
-            if name not in allowed:
-                raise ValueError(
-                    f"precision kind {kind!r} does not take parameter "
-                    f"{name!r} (valid: {list(allowed) or 'none'})"
-                )
-            normalized[name] = _normalize_value(self.params[name])
-        if "storage" in normalized:
-            storage = normalized["storage"]
-            storage = storage.lower() if isinstance(storage, str) else storage
-            if storage not in _STORAGE_DTYPES:
-                raise ValueError(
-                    f"unknown storage dtype {normalized['storage']!r} "
-                    f"(known: {sorted(_STORAGE_DTYPES)})"
-                )
-            if _STORAGE_DTYPES[storage].itemsize > _COMPUTE_DTYPES[kind].itemsize:
-                raise ValueError(
-                    f"storage dtype {storage!r} is wider than the "
-                    f"compute dtype of kind {kind!r}"
-                )
-            normalized["storage"] = storage
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", normalized)
+        if _STORAGE_DTYPES[storage].itemsize > _COMPUTE_DTYPES[self.kind].itemsize:
+            raise ValueError(
+                f"storage dtype {storage!r} is wider than the "
+                f"compute dtype of kind {self.kind!r}"
+            )
+        params["storage"] = storage
 
     # -- dtype surface -------------------------------------------------
     @property
@@ -169,137 +145,16 @@ class PrecisionSpec:
             and self.storage_dtype == _COMPUTE_DTYPES["fp64"]
         )
 
-    # -- parsing -------------------------------------------------------
-    @classmethod
-    def parse(cls, value: Union[str, Mapping, "PrecisionSpec"]) -> "PrecisionSpec":
-        """Coerce a string, dict or PrecisionSpec into a PrecisionSpec."""
-        if isinstance(value, PrecisionSpec):
-            return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        if isinstance(value, str):
-            return cls._parse_string(value)
-        raise TypeError(
-            f"cannot parse a precision spec from {type(value).__name__}"
-        )
-
-    @classmethod
-    def _parse_string(cls, text: str) -> "PrecisionSpec":
-        return cls(*parse_kind_params(text, "precision spec"))
-
-    # -- serialization -------------------------------------------------
-    def to_string(self) -> str:
-        """Compact spec-string form; inverse of :meth:`parse`."""
-        if not self.params:
-            return self.kind
-        body = ",".join(
-            f"{name}={format_spec_value(value)}"
-            for name, value in self.params.items()
-        )
-        return f"{self.kind}:{body}"
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict form; inverse of :meth:`from_dict`."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PrecisionSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or a loose dict)."""
-        if "kind" not in data:
-            raise ValueError("precision spec dicts need a 'kind' entry")
-        extra = set(data) - {"kind", "params"}
-        if extra:
-            # Loose form: {"kind": "fp32", "storage": "fp16"}.
-            params = {k: data[k] for k in data if k != "kind"}
-            return cls(str(data["kind"]), params)
-        return cls(str(data["kind"]), dict(data.get("params", {})))
-
-    # -- convenience ---------------------------------------------------
-    def with_params(self, **overrides: Any) -> "PrecisionSpec":
-        """Return a copy with ``overrides`` merged into the parameters.
-
-        ``None`` overrides are dropped (they mean "keep the default").
-        """
-        merged = dict(self.params)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return PrecisionSpec(self.kind, merged)
-
-    def get(self, name: str, default: Any = None) -> Any:
-        """Parameter lookup with a default."""
-        return self.params.get(name, default)
-
-    def __str__(self) -> str:
-        return self.to_string()
-
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RegisteredPrecision:
-    """One named precision configuration.
-
-    Attributes
-    ----------
-    name:
-        Stable registry key (``"fp64"``, ``"fp32"``, ...).
-    spec:
-        The declarative configuration the name stands for.
-    title:
-        One-line human description.
-    experiments:
-        Experiment ids whose drivers/benchmarks exercise this precision
-        (drives ``run_benchmarks.py --precision``).
-    """
-
-    name: str
-    spec: PrecisionSpec
-    title: str
-    experiments: Tuple[str, ...] = ()
-
-
-class PrecisionRegistry:
-    """Index of named precision configurations."""
-
-    def __init__(self, entries: Optional[List[RegisteredPrecision]] = None):
-        self._by_name: Dict[str, RegisteredPrecision] = {}
-        for entry in entries if entries is not None else _builtin_precisions():
-            self.add(entry)
-
-    def add(self, entry: RegisteredPrecision) -> None:
-        key = entry.name.lower()
-        if key in self._by_name:
-            raise ValueError(f"duplicate precision name {key!r}")
-        self._by_name[key] = entry
-
-    def get(self, name: str) -> RegisteredPrecision:
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown precision {name!r} "
-                f"(known: {', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return isinstance(name, str) and name.lower() in self._by_name
-
-    def __iter__(self):
-        return iter(sorted(self._by_name.values(), key=lambda e: e.name))
-
-    def __len__(self) -> int:
-        return len(self._by_name)
+class RegisteredPrecision(RegisteredSpec):
+    """One named precision configuration (``run_benchmarks.py --precision``)."""
 
 
 def _builtin_precisions() -> List[RegisteredPrecision]:
-    def spec(text: str) -> PrecisionSpec:
-        return PrecisionSpec.parse(text)
+    spec = PrecisionSpec.parse
 
     return [
         RegisteredPrecision(
@@ -323,15 +178,16 @@ def _builtin_precisions() -> List[RegisteredPrecision]:
     ]
 
 
-_DEFAULT: Optional[PrecisionRegistry] = None
+class PrecisionRegistry(Registry[RegisteredPrecision]):
+    """Index of named precision configurations."""
+
+    NOUN = "precision"
+    COLUMNS = ("precision", "spec", "experiments", "title")
+    builtin = staticmethod(_builtin_precisions)
 
 
-def default_precision_registry() -> PrecisionRegistry:
-    """The process-wide registry of named precision configurations."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = PrecisionRegistry()
-    return _DEFAULT
+#: The process-wide registry of named precision configurations.
+default_precision_registry = PrecisionRegistry.default
 
 
 def precision_names() -> List[str]:
@@ -353,6 +209,16 @@ def parse_precision(
     if isinstance(value, str) and value in default_precision_registry():
         return default_precision_registry().get(value).spec
     return PrecisionSpec.parse(value)
+
+
+AXIS = Axis(
+    name="precision",
+    spec=PrecisionSpec,
+    registry=default_precision_registry,
+    resolve=parse_precision,
+    keywords=("precision", "precisions"),
+    identity="fp64",
+)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ parameter overrides, and returns the ready
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Union
 
 from repro.reliability.models import FaultModel, build_model
 from repro.reliability.spec import FaultSpec
+from repro.spec import Axis, RegisteredSpec, Registry
 
 __all__ = [
     "RegisteredFaultModel",
@@ -27,30 +27,12 @@ __all__ = [
     "default_fault_registry",
     "fault_names",
     "resolve_faults",
+    "AXIS",
 ]
 
 
-@dataclass(frozen=True)
-class RegisteredFaultModel:
-    """One named fault-model configuration.
-
-    Attributes
-    ----------
-    name:
-        Stable registry key (``"bitflip_exponent"``, ``"proc_fail"``...).
-    spec:
-        The declarative configuration the name stands for.
-    title:
-        One-line human description.
-    experiments:
-        Experiment ids whose drivers/benchmarks exercise this fault
-        model (drives ``run_benchmarks.py --faults``).
-    """
-
-    name: str
-    spec: FaultSpec
-    title: str
-    experiments: Tuple[str, ...] = ()
+class RegisteredFaultModel(RegisteredSpec):
+    """One named fault-model configuration (``run_benchmarks.py --faults``)."""
 
     def build(self, **overrides) -> FaultModel:
         """Instantiate the model, with optional parameter overrides."""
@@ -58,44 +40,8 @@ class RegisteredFaultModel:
         return build_model(spec)
 
 
-class FaultRegistry:
-    """Index of named fault-model configurations."""
-
-    def __init__(self, entries: Optional[List[RegisteredFaultModel]] = None):
-        self._by_name: Dict[str, RegisteredFaultModel] = {}
-        for entry in entries if entries is not None else _builtin_models():
-            self.add(entry)
-
-    def add(self, entry: RegisteredFaultModel) -> None:
-        key = entry.name.lower()
-        if key in self._by_name:
-            raise ValueError(f"duplicate fault-model name {key!r}")
-        self._by_name[key] = entry
-
-    def get(self, name: str) -> RegisteredFaultModel:
-        try:
-            return self._by_name[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown fault model {name!r} (known: {', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> List[str]:
-        return sorted(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return isinstance(name, str) and name.lower() in self._by_name
-
-    def __iter__(self):
-        return iter(sorted(self._by_name.values(), key=lambda e: e.name))
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
 def _builtin_models() -> List[RegisteredFaultModel]:
-    def spec(text: str) -> FaultSpec:
-        return FaultSpec.parse(text)
+    spec = FaultSpec.parse
 
     return [
         RegisteredFaultModel(
@@ -155,15 +101,16 @@ def _builtin_models() -> List[RegisteredFaultModel]:
     ]
 
 
-_DEFAULT: Optional[FaultRegistry] = None
+class FaultRegistry(Registry[RegisteredFaultModel]):
+    """Index of named fault-model configurations."""
+
+    NOUN = "fault model"
+    COLUMNS = ("fault_model", "spec", "experiments", "title")
+    builtin = staticmethod(_builtin_models)
 
 
-def default_fault_registry() -> FaultRegistry:
-    """The process-wide registry of named fault models."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = FaultRegistry()
-    return _DEFAULT
+#: The process-wide registry of named fault models.
+default_fault_registry = FaultRegistry.default
 
 
 def fault_names() -> List[str]:
@@ -193,3 +140,13 @@ def resolve_faults(
     if overrides:
         spec = spec.with_params(**overrides)
     return build_model(spec)
+
+
+AXIS = Axis(
+    name="fault",
+    spec=FaultSpec,
+    registry=default_fault_registry,
+    resolve=resolve_faults,
+    keywords=("faults",),
+    identity="none",
+)

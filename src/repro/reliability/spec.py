@@ -14,15 +14,11 @@ Three interchangeable wire forms exist:
   form the JSONL result store persists;
 * **FaultSpec objects** -- what the models consume.
 
-String grammar (see CAMPAIGNS.md for the full manual)::
-
-    SPEC      := SINGLE ( "+" SINGLE )*        # "+" composes models
-    SINGLE    := KIND [ ":" PARAM ("," PARAM)* ]
-    PARAM     := NAME "=" VALUE
-    VALUE     := int | float | bool | "none" | NAME
-               | VALUE ".." VALUE               # inclusive range -> tuple
-               | VALUE (";" VALUE)+ [";"]       # list -> tuple; a trailing
-                                                # ";" marks a 1-element list
+The string grammar is the shared one of :mod:`repro.spec` (full manual
+in CAMPAIGNS.md); this axis is one of the two that compose with ``"+"``.
+What the fault axis declares: its kinds (:data:`FAULT_KINDS`; parameter
+names are open -- each model reads the ones it knows) and the
+``compose`` kind with its ``children``.
 
 Examples: ``"none"``, ``"bitflip:p=0.02,bits=52..62"``,
 ``"proc_fail:times=1.5;3.0,ranks=1;2"``,
@@ -34,289 +30,86 @@ is what makes fault specs usable as campaign scenario-key material.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Tuple, Union
 
-__all__ = [
-    "FaultSpec",
-    "compose",
-    "parse_spec_value",
-    "format_spec_value",
-    "parse_kind_params",
-    "format_kind_params",
-    "split_composed",
-]
+from repro.spec import KindSpec, split_composed
+
+__all__ = ["FaultSpec", "FAULT_KINDS", "compose"]
 
 COMPOSE_KIND = "compose"
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-# Composition separator: a "+" introducing the next spec's kind name.
-# A kind always starts with a letter/underscore while a float
-# exponent's "+" ("1e+16") is always followed by a digit, so the two
-# never collide.
-_COMPOSE_SPLIT = re.compile(r"\+(?=\s*[A-Za-z_])")
-
-
-def _parse_scalar(text: str) -> Any:
-    """Parse one scalar token: int, float, bool, none, or bare name."""
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    if lowered in ("none", "null"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if _NAME_RE.match(text):
-        return text
-    raise ValueError(f"cannot parse spec value {text!r}")
-
-
-def parse_spec_value(text: str) -> Any:
-    """Parse a parameter value token of the spec-string grammar."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty spec value")
-    if ";" in text:
-        parts = text.split(";")
-        if parts[-1].strip() == "":
-            # A trailing ";" marks a single-element list ("times=1.5;").
-            parts = parts[:-1]
-        if not parts or any(not part.strip() for part in parts):
-            raise ValueError(f"malformed list value {text!r}")
-        return tuple(_parse_scalar(part.strip()) for part in parts)
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return (_parse_scalar(lo.strip()), _parse_scalar(hi.strip()))
-    return _parse_scalar(text)
-
-
-def _format_scalar(value: Any) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        # "1e+16" -> "1e16": parses identically, and keeps "+" free to
-        # act as the composition separator (see _COMPOSE_SPLIT).
-        return repr(value).replace("e+", "e")
-    if isinstance(value, str):
-        if not _NAME_RE.match(value):
-            raise ValueError(
-                f"string spec values must be bare names, got {value!r}"
-            )
-        return value
-    raise TypeError(f"unsupported spec value type {type(value).__name__}")
-
-
-def format_spec_value(value: Any) -> str:
-    """Format a parameter value in the spec-string grammar."""
-    if isinstance(value, (tuple, list)):
-        if not value:
-            raise ValueError("empty list spec values are unsupported")
-        if len(value) == 1:
-            # Trailing ";" keeps one-element lists round-trippable.
-            return _format_scalar(value[0]) + ";"
-        if len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            return f"{_format_scalar(value[0])}..{_format_scalar(value[1])}"
-        return ";".join(_format_scalar(v) for v in value)
-    return _format_scalar(value)
-
-
-def _normalize_value(value: Any) -> Any:
-    """Canonicalize a parameter value (lists -> tuples, numpy -> python)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize_value(v) for v in value)
-    if hasattr(value, "item") and type(value).__module__ == "numpy":
-        return value.item()
-    return value
-
-
-def parse_kind_params(text: str, label: str = "spec") -> Tuple[str, Dict[str, Any]]:
-    """Parse one ``KIND[:NAME=VALUE,...]`` token into ``(kind, params)``.
-
-    The single-spec grammar shared by :class:`FaultSpec` and
-    :class:`repro.precond.PrecondSpec`; ``label`` names the spec
-    flavour in error messages.
-    """
-    kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    if not kind:
-        raise ValueError(f"malformed {label} string {text!r}")
-    params: Dict[str, Any] = {}
-    if tail.strip():
-        for item in tail.split(","):
-            name, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"malformed parameter {item!r} in {label} {text!r}"
-                )
-            params[name.strip()] = parse_spec_value(value)
-    return kind, params
-
-
-def format_kind_params(kind: str, params: Mapping[str, Any]) -> str:
-    """Format ``(kind, params)`` as one ``KIND[:NAME=VALUE,...]`` token.
-
-    Inverse of :func:`parse_kind_params`; the single-spec formatter
-    shared by :class:`FaultSpec`, :class:`repro.precond.PrecondSpec`
-    and :class:`repro.campaign.executor.ChaosSpec`.
-    """
-    if not params:
-        return kind
-    body = ",".join(
-        f"{name}={format_spec_value(value)}" for name, value in params.items()
-    )
-    return f"{kind}:{body}"
-
-
-def split_composed(text: str, label: str = "spec") -> list:
-    """Split a spec string on the ``+`` composition separator.
-
-    Returns the non-empty single-spec tokens; raises on malformed
-    strings (empty components).  Shared by every spec flavour that
-    supports ``"a:p=1+b:q=2"`` composition.
-    """
-    parts = [part.strip() for part in _COMPOSE_SPLIT.split(text)]
-    if not parts or any(not part for part in parts):
-        raise ValueError(f"malformed {label} string {text!r}")
-    return parts
+#: kind -> parameter names; ``None`` leaves the names open (the model
+#: classes in :mod:`repro.reliability.models`, one per kind, read the
+#: parameters they know).
+FAULT_KINDS: Dict[str, None] = dict.fromkeys(
+    ("none", "bitflip", "perturb", "msg_corrupt", "proc_fail",
+     "basis_bitflip", COMPOSE_KIND)
+)
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(KindSpec):
     """One declarative fault-model configuration.
 
     Attributes
     ----------
     kind:
-        Fault-model kind (``"none"``, ``"bitflip"``, ``"perturb"``,
-        ``"msg_corrupt"``, ``"proc_fail"``, ``"basis_bitflip"``,
-        ``"compose"``).  Resolved against
-        :data:`repro.reliability.models.MODEL_KINDS`.
+        Fault-model kind, one of :data:`FAULT_KINDS`.
     params:
-        Model parameters (read-only mapping; values are scalars or
-        tuples of scalars).
+        Model parameters (values are scalars or tuples of scalars).
     children:
         Component specs for ``kind == "compose"``; empty otherwise.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
     children: Tuple["FaultSpec", ...] = ()
 
+    NOUN = "fault"
+    KINDS = FAULT_KINDS
+
     def __post_init__(self):
-        if not _NAME_RE.match(self.kind):
-            raise ValueError(f"invalid fault kind {self.kind!r}")
-        normalized = {}
-        for name in sorted(self.params):
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid parameter name {name!r}")
-            normalized[name] = _normalize_value(self.params[name])
-        object.__setattr__(self, "kind", self.kind.lower())
-        object.__setattr__(self, "params", normalized)
         object.__setattr__(self, "children", tuple(self.children))
+        super().__post_init__()
+
+    def _check_values(self, params: Dict[str, Any]) -> None:
         if self.kind == COMPOSE_KIND:
             if len(self.children) < 2:
                 raise ValueError("compose specs need at least two children")
-            if self.params:
+            if params:
                 raise ValueError("compose specs take no parameters of their own")
         elif self.children:
             raise ValueError(f"only {COMPOSE_KIND!r} specs may have children")
 
-    # -- parsing -------------------------------------------------------
-    @classmethod
-    def parse(cls, value: Union[str, Mapping, "FaultSpec"]) -> "FaultSpec":
-        """Coerce a string, dict or FaultSpec into a FaultSpec."""
-        if isinstance(value, FaultSpec):
-            return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        if isinstance(value, str):
-            return cls._parse_string(value)
-        raise TypeError(
-            f"cannot parse a fault spec from {type(value).__name__}"
-        )
-
     @classmethod
     def _parse_string(cls, text: str) -> "FaultSpec":
-        parts = split_composed(text, "fault spec")
-        specs = [cls._parse_single(part) for part in parts]
-        if len(specs) == 1:
-            return specs[0]
-        return compose(*specs)
+        parse_single = super()._parse_string
+        return compose(*map(parse_single, split_composed(text, cls._label())))
 
-    @classmethod
-    def _parse_single(cls, text: str) -> "FaultSpec":
-        return cls(*parse_kind_params(text, "fault spec"))
-
-    # -- serialization -------------------------------------------------
     def to_string(self) -> str:
-        """Compact spec-string form; inverse of :meth:`parse`."""
         if self.kind == COMPOSE_KIND:
             return "+".join(child.to_string() for child in self.children)
-        return format_kind_params(self.kind, self.params)
+        return super().to_string()
 
     def to_dict(self) -> dict:
-        """JSON-compatible dict form; inverse of :meth:`from_dict`."""
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.params:
-            data["params"] = {k: list(v) if isinstance(v, tuple) else v
-                              for k, v in self.params.items()}
+        data = super().to_dict()
         if self.children:
             data["children"] = [child.to_dict() for child in self.children]
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or a loose dict)."""
-        if "kind" not in data:
-            raise ValueError("fault spec dicts need a 'kind' entry")
-        extra = set(data) - {"kind", "params", "children"}
-        if extra:
-            # Loose form: {"kind": "bitflip", "p": 1e-4}.
-            params = {k: data[k] for k in data if k != "kind"}
-            return cls(str(data["kind"]), params)
-        children = tuple(
-            cls.from_dict(child) for child in data.get("children", ())
-        )
-        return cls(str(data["kind"]), dict(data.get("params", {})), children)
+        if {"kind", "children"} <= set(data) <= {"kind", "params", "children"}:
+            children = tuple(cls.from_dict(child) for child in data["children"])
+            return cls(str(data["kind"]), dict(data.get("params") or {}), children)
+        return super().from_dict(data)
 
-    # -- convenience ---------------------------------------------------
     def with_params(self, **overrides: Any) -> "FaultSpec":
-        """Return a copy with ``overrides`` merged into the parameters.
-
-        ``None`` overrides are dropped (they mean "keep the default"),
-        so callers can forward optional driver arguments verbatim.
-        """
         if self.kind == COMPOSE_KIND:
             raise ValueError(
                 "cannot override parameters of a compose spec; "
                 "override its children instead"
             )
-        merged = dict(self.params)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return FaultSpec(self.kind, merged)
-
-    def get(self, name: str, default: Any = None) -> Any:
-        """Parameter lookup with a default."""
-        return self.params.get(name, default)
-
-    def __str__(self) -> str:
-        return self.to_string()
+        return super().with_params(**overrides)
 
 
 def compose(*specs: Union[str, Mapping, FaultSpec]) -> FaultSpec:

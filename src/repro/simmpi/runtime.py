@@ -19,17 +19,19 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.reliability.process import FailurePlan
 from repro.machine.model import MachineModel
 from repro.simmpi.comm import Comm
 from repro.simmpi.errors import ProcessDeathError, SimMpiError
 from repro.simmpi.state import RuntimeState
 from repro.utils.logging import EventLog
 from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:  # the reliability layer sits above the runtime
+    from repro.reliability.process import FailurePlan
 
 __all__ = ["SimRuntime", "RankResult", "run_spmd", "coerce_failure_plan"]
 
@@ -46,11 +48,13 @@ def coerce_failure_plan(plan, n_ranks: int, *, seed: Optional[int] = None) -> Fa
     Composite specs contribute their ``proc_fail`` component; specs
     with no process-failure component coerce to an empty plan.
     """
+    # Local imports: the reliability layer sits above the runtime.
+    from repro.reliability.process import FailurePlan
+
     if plan is None:
         return FailurePlan.none()
     if isinstance(plan, FailurePlan):
         return plan
-    # Local import: the declarative layer sits above the runtime.
     from repro.reliability.models import FaultCapabilityError
     from repro.reliability.registry import resolve_faults
 

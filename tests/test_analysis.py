@@ -9,6 +9,8 @@ checked-in baseline, which is exactly the contract scripts/verify.sh
 enforces.
 """
 
+import functools
+import importlib
 import json
 import pathlib
 import textwrap
@@ -28,7 +30,6 @@ from repro.analysis.runner import find_repo_root, run_analysis
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 EXPECTED_RULES = [
-    "deprecated-import",
     "determinism",
     "doc-links",
     "driver-contract",
@@ -258,6 +259,27 @@ class TestSpecStringsRule:
         assert len(report.findings) == 1
         assert report.findings[0].path == "GRAMMAR.md"
         assert report.findings[0].line == 3
+
+    def test_every_watched_entry_point_is_a_real_callable(self):
+        """The rule's tables are derived from the axis declarations.
+
+        The hand-kept table they replace listed ``resolve_precisions``,
+        a function that existed nowhere in the tree.
+        """
+        from repro.analysis.rules.specs import _tables
+        from repro.axes import AXIS_MODULES
+
+        modules = [importlib.import_module(name) for name in AXIS_MODULES]
+        calls = _tables().calls
+        assert {"resolve_faults", "FaultSpec.parse", "parse_precond",
+                "resolve_preconds", "build_preconditioner", "parse_precision",
+                "resolve_backend", "CommSpec.parse", "ChaosSpec.parse"} <= set(calls)
+        assert "resolve_precisions" not in calls
+        for name in calls:
+            head, *rest = name.split(".")
+            found = [functools.reduce(getattr, rest, getattr(module, head))
+                     for module in modules if hasattr(module, head)]
+            assert found and all(callable(func) for func in found), name
 
     def test_suppression(self, tmp_path):
         report = run_rules(
@@ -663,50 +685,6 @@ class TestDocLinksRule:
 
 
 # ---------------------------------------------------------------------------
-# Rule: deprecated-import
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecatedImportRule:
-    def test_shim_imports_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import repro.faults
-                from repro.srp import region
-                from repro.reliability import injector
-                """
-            },
-            ["deprecated-import"],
-        )
-        assert [f.line for f in report.findings] == [1, 2]
-        assert all("repro.reliability instead" in f.message for f in report.findings)
-
-    def test_shim_modules_may_self_reference(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "src/repro/faults/__init__.py": "from repro.faults import bitflip\n",
-                "src/repro/srp/__init__.py": "import repro.srp.region\n",
-            },
-            ["deprecated-import"],
-        )
-        assert report.findings == []
-
-    def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": "import repro.faults  # repro: allow(deprecated-import)\n"
-            },
-            ["deprecated-import"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
 # Runner mechanics
 # ---------------------------------------------------------------------------
 
@@ -786,7 +764,7 @@ class TestCli:
     def test_list_text(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "registered analysis rules (7):" in out
+        assert "registered analysis rules (6):" in out
         for name in EXPECTED_RULES:
             assert name in out
 
@@ -799,14 +777,16 @@ class TestCli:
     def test_run_json_baseline_roundtrip(self, tmp_path, capsys):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "mod.py").write_text("import repro.faults\n", encoding="utf-8")
+        (pkg / "mod.py").write_text(
+            "import numpy as np\nx = np.random.rand(4)\n", encoding="utf-8"
+        )
 
         code = cli_main(["run", str(pkg), "--format", "json", "--no-baseline"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["ok"] is False
         assert payload["counts"]["active"] == 1
-        assert payload["findings"][0]["rule"] == "deprecated-import"
+        assert payload["findings"][0]["rule"] == "determinism"
 
         baseline_path = tmp_path / "baseline.json"
         code = cli_main(

@@ -37,7 +37,6 @@ from repro.linalg.precond import (
 )
 from repro.precond import (
     PRECOND_KINDS,
-    PrecondRegistry,
     PrecondSpec,
     build_preconditioner,
     default_precond_registry,
@@ -122,25 +121,14 @@ class TestPrecondSpec:
 
 
 # ---------------------------------------------------------------------------
-# Registry contract (mirrors test_solver_registry.TestRegistryLookup)
+# Registry entries (the lookup contract every registry shares is
+# tests/test_axis_contract.py)
 # ---------------------------------------------------------------------------
 
 class TestRegistryLookup:
     def test_names_cover_the_builtin_set(self):
         assert {"none", "jacobi", "ssor", "ssor_over", "poly2", "poly4",
                 "bjacobi8"} <= set(precond_names())
-
-    def test_unknown_precond_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="jacobi"):
-            REGISTRY.get("ilu0")
-
-    def test_lookup_is_case_insensitive(self):
-        assert REGISTRY.get("JACOBI").name == "jacobi"
-
-    def test_duplicate_names_rejected(self):
-        registry = PrecondRegistry()
-        with pytest.raises(ValueError, match="duplicate"):
-            registry.add(REGISTRY.get("jacobi"))
 
     def test_every_entry_round_trips_and_builds(self):
         matrix, _ = _problem()

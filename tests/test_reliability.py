@@ -5,15 +5,12 @@ round-trips), the fault-model registry contract, the capability
 surface of every model kind, the ``unreliable()``/``reliable()``
 domain context managers, the engine's :class:`FaultInjectionPolicy`,
 the simmpi spec resolution, old-vs-new injection parity for the
-E1/E6/E8 drivers, fault-model composition under FT-GMRES, and the
-deprecation shims of the historical ``repro.faults`` / ``repro.srp``
-import paths.
+E1/E6/E8 drivers and fault-model composition under FT-GMRES.  (The
+registry contract every axis shares is ``tests/test_axis_contract.py``.)
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
 import warnings
 
 import numpy as np
@@ -31,7 +28,6 @@ from repro.reliability import (
     PerturbationInjector,
     build_model,
     compose,
-    default_fault_registry,
     derive_fault_seed,
     derive_seed,
     fault_names,
@@ -160,21 +156,12 @@ class TestFaultSpec:
 
 
 # ---------------------------------------------------------------------------
-# Registry contract
+# Registry entries and resolution (the shared lookup / round-trip
+# contract is tests/test_axis_contract.py)
 # ---------------------------------------------------------------------------
 
 
 class TestFaultRegistry:
-    def test_every_named_model_instantiates_serializes_round_trips(self):
-        registry = default_fault_registry()
-        assert len(registry) >= 8
-        for entry in registry:
-            model = entry.build()
-            text = model.describe()
-            assert FaultSpec.parse(text) == entry.spec
-            assert FaultSpec.from_dict(entry.spec.to_dict()) == entry.spec
-            assert entry.experiments, entry.name
-
     def test_expected_names_present(self):
         names = fault_names()
         for name in ("none", "bitflip", "bitflip_exponent", "basis_bitflip",
@@ -195,10 +182,6 @@ class TestFaultRegistry:
         assert model.bits == (0, 51)
         # None overrides keep the named default.
         assert resolve_faults("bitflip", p=None).probability == 0.02
-
-    def test_unknown_name_reported(self):
-        with pytest.raises(KeyError, match="unknown fault model"):
-            default_fault_registry().get("cosmic_ray")
 
 
 # ---------------------------------------------------------------------------
@@ -724,48 +707,3 @@ class TestCampaignFaultAxis:
         assert outcome.status == "completed"
         assert outcome.result["parameters"]["faults"] == "bitflip:p=0.02"
 
-
-# ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecatedShims:
-    @pytest.mark.parametrize(
-        "old,new",
-        [
-            ("repro.faults", "repro.reliability"),
-            ("repro.faults.bitflip", "repro.reliability.bitflip"),
-            ("repro.faults.schedule", "repro.reliability.schedule"),
-            ("repro.faults.injector", "repro.reliability.injector"),
-            ("repro.faults.process", "repro.reliability.process"),
-            ("repro.faults.sdc", "repro.reliability.sdc"),
-            ("repro.faults.events", "repro.reliability.events"),
-            ("repro.srp", "repro.reliability"),
-            ("repro.srp.region", "repro.reliability.domain"),
-            ("repro.srp.context", "repro.reliability.environment"),
-            ("repro.srp.cost", "repro.reliability.cost"),
-            ("repro.srp.tmr", "repro.reliability.tmr"),
-        ],
-    )
-    def test_old_path_warns_and_re_exports(self, old, new):
-        sys.modules.pop(old, None)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            module = importlib.import_module(old)
-        target = importlib.import_module(new)
-        exported = getattr(module, "__all__", None) or target.__all__
-        assert exported
-        for name in exported:
-            if hasattr(target, name):
-                assert getattr(module, name) is getattr(target, name), name
-
-    def test_shim_objects_are_identical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            # repro: allow(deprecated-import)
-            import repro.faults as old_faults
-            import repro.srp as old_srp  # repro: allow(deprecated-import)
-        from repro.reliability import ArrayInjector, SelectiveReliabilityEnvironment
-
-        assert old_faults.ArrayInjector is ArrayInjector
-        assert old_srp.SelectiveReliabilityEnvironment is SelectiveReliabilityEnvironment
