@@ -19,8 +19,6 @@ configuration to the campaign layer as a sweepable axis.
   strategy objects (see ARCHITECTURE.md).
 * :mod:`repro.krylov.registry` -- named solver configurations for
   campaigns (solver x resilience-policy sweeps).
-* :mod:`repro.krylov.arnoldi` -- the standalone Arnoldi process (kept
-  for the construction tests and as the textbook reference).
 * :mod:`repro.krylov.gmres` -- restarted GMRES with right
   preconditioning and iteration hooks.
 * :mod:`repro.krylov.fgmres` -- flexible GMRES (the reliable *outer*
@@ -35,7 +33,6 @@ configuration to the campaign layer as a sweepable axis.
 """
 
 from repro.krylov.result import SolveResult
-from repro.krylov.arnoldi import arnoldi_step, ArnoldiBreakdown
 from repro.krylov.engine import SolverEngine
 from repro.krylov.gmres import gmres, GmresState
 from repro.krylov.fgmres import fgmres
@@ -53,8 +50,6 @@ from repro.krylov.registry import (
 
 __all__ = [
     "SolveResult",
-    "arnoldi_step",
-    "ArnoldiBreakdown",
     "SolverEngine",
     "gmres",
     "GmresState",

@@ -22,7 +22,20 @@ from repro.krylov.engine import CgScheme, ConvergenceTest, SolverEngine
 from repro.krylov.engine.resilience import compose_policy
 from repro.krylov.result import SolveResult
 
-__all__ = ["cg"]
+__all__ = ["cg", "cg_engine"]
+
+
+def cg_engine(
+    operator, *, tol, atol, maxiter, preconditioner, iteration_hook, policy
+) -> SolverEngine:
+    """The configured engine of one :func:`cg` solve (its keywords, all
+    of them); see :func:`repro.krylov.gmres.gmres_engine`."""
+    return SolverEngine(
+        operator,
+        CgScheme(preconditioner, maxiter=maxiter),
+        convergence=ConvergenceTest(tol=tol, atol=atol),
+        policy=compose_policy(policy, iteration_hook, "scalar"),
+    )
 
 
 def cg(
@@ -56,12 +69,7 @@ def cg(
         coefficients; skeptical checks use their positivity as an SPD
         invariant.
     """
-    if maxiter <= 0:
-        raise ValueError("maxiter must be positive")
-    engine = SolverEngine(
-        operator,
-        CgScheme(preconditioner, maxiter=maxiter),
-        convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "scalar"),
-    )
-    return engine.solve(b, x0)
+    return cg_engine(
+        operator, tol=tol, atol=atol, maxiter=maxiter, preconditioner=preconditioner,
+        iteration_hook=iteration_hook, policy=policy,
+    ).solve(b, x0)

@@ -23,10 +23,12 @@ that make this hold:
   elementwise arithmetic, :meth:`~repro.linalg.csr.CsrMatrix.matvec_block`
   (``np.add.reduceat`` over gathered products), and the mask-chained
   :func:`~repro.linalg.blas.givens_rotation_many`.
-* Cycle boundaries (cycle-start residual, least-squares solve, iterate
-  update, true-residual check) and preconditioner applications run
-  per-lane through the *same* sequential code paths, with the same
-  kernel-counter charges.
+* Only the inner step is this module's own.  A lane holds the engine
+  its solver function builds (``gmres_engine``, ``cg_engine``) and the
+  attempt that engine begins (:class:`~repro.krylov.engine.core.ArnoldiAttempt`,
+  :class:`~repro.krylov.engine.cg.CgAttempt`), so the cycle head and
+  tail, the event a policy sees, the result and every preconditioner
+  application are the sequential engine's functions, with its charges.
 * Lanes never join a cycle midway: a restart cycle is the lockstep
   unit.  Lanes are grouped into *cohorts* keyed by ``(m, method)`` --
   the cycle dimension from
@@ -35,9 +37,7 @@ that make this hold:
   abandoned by a skeptical detection or exhausts its budget simply
   leaves its cohort; the survivors keep going.
 * Per-lane fault hooks and resilience policies observe exactly the
-  sequential per-iteration events (a full
-  :class:`~repro.krylov.engine.core.GmresState` only when the policy
-  declares ``needs_arnoldi_state``), against live views of the stacked
+  sequential per-iteration events, against live views of the stacked
   arrays, so injected faults land in the real solver state.  An
   observer that declares the one iteration it can act at
   (``ResiliencePolicy.fire_at``) is called at that iteration only.
@@ -56,41 +56,39 @@ its step count as the call count.  Call counts match the sequential
 solver exactly and only the attributed seconds are approximate; parity
 gates therefore compare everything except ``seconds``.
 
-Skeptical (SDC-detecting) lanes replicate the
-:func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres` attempt loop per
-lane, with the cheap checks (finiteness, Hessenberg bound) evaluated as
-vectorized sweeps and the expensive ones (orthogonality,
-residual-consistency) per lane through the real
-:mod:`repro.skeptical.checks` functions.  Only the ``"restart"``
-response is supported here (an ``"abort"`` would have to kill sibling
-lanes); the registry routes ``skeptical_abort`` solves to the
-sequential fallback.
+Skeptical (SDC-detecting) lanes drive the attempt loop of
+:func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres`
+(:class:`~repro.skeptical.gmres_sdc.SdcAttempts`) at their cycle
+boundaries.  What they do not share is the check set: the monitor and
+:mod:`repro.skeptical.checks` are the reference, and
+:func:`_skeptical_checks` is the sweep the parity fuzz holds to it.
+Only the ``"restart"`` response is supported here (an ``"abort"`` would
+have to kill sibling lanes); the registry routes ``skeptical_abort``
+solves to the sequential engine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.krylov import ops
 from repro.krylov.engine.convergence import ConvergenceTest
-from repro.krylov.engine.core import (
-    GmresState,
-    canonical_kernel_counters,
-    cycle_dimension,
-)
 from repro.krylov.engine.orthogonalize import HAPPY_BREAKDOWN_TOL, orthogonalize_many
-from repro.krylov.engine.precondition import RightPreconditioner
-from repro.krylov.engine.resilience import IterationEvent, NullPolicy, compose_policy
+from repro.krylov.engine.resilience import (
+    CallbackPolicy,
+    IterationEvent,
+    cycle_start_true_residual,
+)
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import back_substitution, givens_rotation_many
 from repro.linalg.csr import CsrMatrix
 from repro.skeptical.checks import residual_consistency_check
-from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "GmresLaneSpec",
@@ -105,9 +103,6 @@ __all__ = [
 #: Gram-Schmidt kernels with a verified batched form ("modified" has an
 #: inherently sequential per-vector recurrence; those lanes fall back).
 BATCH_GRAM_SCHMIDT = ("cgs2", "classical")
-
-# Sentinel returned by an attempt whose while-condition says "done".
-_COMPLETE = object()
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +176,12 @@ class CgLaneSpec:
 # ---------------------------------------------------------------------------
 
 
-class _LaneEngine:
-    """Duck-typed stand-in for :class:`~repro.krylov.engine.core.SolverEngine`.
-
-    The preconditioner strategies only touch ``engine.operator`` and
-    ``engine.kernels``; handing them this shim reuses their (charged)
-    sequential code paths verbatim.
-    """
-
-    __slots__ = ("operator", "kernels")
-
-    def __init__(self, operator, kernels):
-        self.operator = operator
-        self.kernels = kernels
+def _solver_keywords(spec) -> dict:
+    """A lane spec as keywords of the solver function it mirrors: every
+    field but the lane's own data (``b``, ``x0``, ``operator``)."""
+    return {
+        name: value for name, value in vars(spec).items() if name not in ("b", "x0", "operator")
+    }
 
 
 def _basis_view(rows: np.ndarray):
@@ -250,7 +238,7 @@ def batched_matvec(operator, X: np.ndarray) -> np.ndarray:
     )
 
 
-def _matvec_rows(attempts, Z: np.ndarray, shared: bool) -> np.ndarray:
+def _matvec_rows(lanes, Z: np.ndarray, shared: bool) -> np.ndarray:
     """Operator application for one lockstep step.
 
     When every lane of the cohort shares one operator object
@@ -260,11 +248,11 @@ def _matvec_rows(attempts, Z: np.ndarray, shared: bool) -> np.ndarray:
     sequential.
     """
     if shared:
-        return batched_matvec(attempts[0].operator, Z)
+        return batched_matvec(lanes[0].attempt.operator, Z)
     return np.array(
         [
-            np.asarray(ops.matvec(a.operator, Z[i]), dtype=np.float64)
-            for i, a in enumerate(attempts)
+            np.asarray(ops.matvec(lane.attempt.operator, Z[i]), dtype=np.float64)
+            for i, lane in enumerate(lanes)
         ]
     )
 
@@ -274,231 +262,57 @@ def _matvec_rows(attempts, Z: np.ndarray, shared: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ArnoldiAttempt:
-    """One engine-level GMRES solve of one lane (one ``gmres()`` call).
-
-    Owns exactly the state of one :meth:`ArnoldiScheme.run` invocation;
-    cycle boundaries run here per-lane with real charged ops, while the
-    inner loop is advanced by :func:`_run_cohort` on the stacks.
-    """
-
-    __slots__ = (
-        "lane",
-        "operator",
-        "b",
-        "x",
-        "kernels",
-        "shim",
-        "precond",
-        "convergence",
-        "target",
-        "restart",
-        "maxiter",
-        "residual_norms",
-        "total_iteration",
-        "converged",
-        "breakdown",
-        "outer",
-        "adapter",
-        "lsq",
-        "slot",
-        "inner_used",
-        "cycle_residual",
-        "cycle_outcome",
-        "_cycle_r",
-        "_cycle_beta",
-    )
-
-    def __init__(self, lane, *, x, maxiter: int):
-        self.lane = lane
-        self.operator = lane.operator
-        self.b = lane.b
-        self.x = x
-        self.kernels = canonical_kernel_counters()
-        self.shim = _LaneEngine(lane.operator, self.kernels)
-        self.precond = RightPreconditioner(lane.preconditioner)
-        self.convergence = lane.convergence
-        self.target = lane.convergence.resolve_target(ops.norm(lane.b))
-        self.restart = lane.restart
-        self.maxiter = int(maxiter)
-        self.residual_norms: List[float] = []
-        self.total_iteration = 0
-        self.converged = False
-        self.breakdown = False
-        self.outer = 0
-        self.adapter = None
-        self.lsq = None
-        self.slot = -1
-        self.inner_used = 0
-        self.cycle_residual = 0.0
-        self.cycle_outcome = "end"
-        self._cycle_r = None
-        self._cycle_beta = 0.0
-
-    def begin_cycle(self):
-        """Run the cycle head; return the cycle dimension or ``_COMPLETE``.
-
-        Mirrors the ``while`` head and pre-loop block of
-        :meth:`ArnoldiScheme.run`: the residual of the current iterate
-        (charged matvec), the first-cycle residual record and the
-        cycle-start convergence test.
-        """
-        if (
-            self.total_iteration >= self.maxiter
-            or self.converged
-            or self.breakdown
-        ):
-            return _COMPLETE
-        kernels = self.kernels
-        t0 = kernels.tick()
-        r = ops.axpby(1.0, self.b, -1.0, ops.matvec(self.operator, self.x))
-        kernels.charge("matvec", t0)
-        beta = ops.norm(r)
-        if not self.residual_norms:
-            self.residual_norms.append(beta)
-        if self.convergence.is_met(beta, self.target):
-            self.converged = True
-            return _COMPLETE
-        self._cycle_r = r
-        self._cycle_beta = beta
-        return cycle_dimension(self.restart, self.maxiter, self.total_iteration)
-
-    def attach(self, slot: int, rows: np.ndarray, hess: np.ndarray, g: np.ndarray, m: int):
-        """Bind this attempt to its cohort slot and seed the cycle state."""
-        self.slot = slot
-        self.adapter = _basis_view(rows)
-        self.adapter.append(self._cycle_r, scale=1.0 / self._cycle_beta)
-        self.precond.start_cycle(self.shim, self.b, m)
-        g[0] = self._cycle_beta
-        self.lsq = _LaneLsq(hess, g)
-        self.inner_used = 0
-        self.cycle_residual = self._cycle_beta
-        self.cycle_outcome = "end"
-        self._cycle_r = None
-
-    def advance(self, steps: int, res: np.ndarray):
-        """Bring the lane-visible fields up to ``steps`` steps of this cycle.
-
-        :func:`_run_cohort` keeps the step count and the residuals in
-        cohort arrays (``res[j, slot]`` is the residual entering step
-        ``j``); a lane reads them back here, when someone can see its
-        fields -- before an observer is called and when it leaves.
-        """
-        self.residual_norms.extend(res[self.inner_used + 1 : steps + 1, self.slot].tolist())
-        self.total_iteration += steps - self.inner_used
-        self.inner_used = self.lsq.size = steps
-        self.adapter.n_columns = steps + 1
-        self.cycle_residual = self.residual_norms[-1]
-
-    def update_solution(self):
-        """First half of the cycle tail: the least-squares iterate update."""
-        if self.inner_used > 0:  # update_on_breakdown=True for the GMRES family
-            try:
-                y = self.lsq.solve(self.inner_used)
-            except np.linalg.LinAlgError:
-                self.breakdown = True
-                y = None
-            if y is not None and np.all(np.isfinite(y)):
-                self.x = self.precond.apply_update(
-                    self.shim, self.x, self.adapter, y, self.inner_used
-                )
-            else:
-                self.breakdown = True
-
-    def finish_cycle(self, true_residual: float):
-        """Second half of the cycle tail: record the true residual.
-
-        ``true_residual`` is ``||b - A x||`` of the updated iterate,
-        computed by :func:`_batched_cycle_tail` per lane or by one
-        stacked block matvec (bit-identical per row, so the recorded
-        history is the same either way).
-        """
-        self.residual_norms[-1] = true_residual
-        if self.convergence.is_met(true_residual, self.target):
-            self.converged = True
-        self.outer += 1
-
-
 class _PlainGmresLane:
-    """Lane controller for a plain/guarded GMRES scenario (one attempt)."""
+    """A plain/guarded GMRES scenario: the engine :func:`gmres` builds,
+    its one attempt stepped by the cohort instead of ``engine.solve``."""
 
     is_sdc = False
 
     def __init__(self, operator, spec: GmresLaneSpec):
-        if spec.restart <= 0:
-            raise ValueError("restart must be positive")
-        if spec.maxiter <= 0:
-            raise ValueError("maxiter must be positive")
+        # Local import: the solver functions sit above the engine package.
+        from repro.krylov.gmres import gmres_engine
+
+        self.engine = gmres_engine(
+            spec.operator if spec.operator is not None else operator, **_solver_keywords(spec)
+        )
         if spec.gram_schmidt not in BATCH_GRAM_SCHMIDT:
             raise ValueError(
                 f"no batched kernel for gram_schmidt={spec.gram_schmidt!r}; "
                 "use the sequential solver for 'modified'"
             )
-        self.operator = spec.operator if spec.operator is not None else operator
-        self.b = np.asarray(spec.b, dtype=np.float64)
-        self.x0 = spec.x0
-        self.restart = int(spec.restart)
-        self.maxiter = int(spec.maxiter)
-        self.preconditioner = spec.preconditioner
         self.method = spec.gram_schmidt
-        self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
-        self.policy = compose_policy(spec.policy, spec.iteration_hook, "state")
-        self.fire_at = getattr(self.policy, "fire_at", None)
+        self.b = np.asarray(spec.b, dtype=np.float64)
+        self.attempt = self.engine.begin(self.b, spec.x0)
+        self.slot = -1
+        self.abandoned = False
         self.result: Optional[SolveResult] = None
-        self._attempt: Optional[_ArnoldiAttempt] = None
 
     def begin_cycle(self):
-        """Advance to the next cycle head; return a cohort key or ``None``."""
-        while True:
-            if self.result is not None:
-                return None
-            if self._attempt is None:
-                x = (
-                    ops.copy_vector(self.x0)
-                    if self.x0 is not None
-                    else ops.zeros_like(self.b)
-                )
-                self._attempt = _ArnoldiAttempt(self, x=x, maxiter=self.maxiter)
-                self.policy.begin_attempt(x)
-            req = self._attempt.begin_cycle()
-            if req is not _COMPLETE:
-                return (req, self.method)
-            self._finish()
+        """Run the cycle head; return a cohort key, ``None`` when solved."""
+        if self.result is None:
+            m = self.attempt.begin_cycle()
+            if m is not None:
+                return (m, self.method)
+            self.result = self.engine.finish(self.attempt.result())
+        return None
 
     def tail_begin(self):
-        """Run the x-update half of the cycle tail; return the attempt
-        whose true-residual matvec remains (never ``None`` here)."""
-        self._attempt.update_solution()
-        return self._attempt
-
-    def _finish(self):
-        a = self._attempt
-        info = {
-            "restarts": a.outer,
-            "target": a.target,
-            "gram_schmidt": self.method,
-            "kernels": a.kernels.as_dict(),
-        }
-        result = SolveResult(
-            x=a.x,
-            converged=a.converged,
-            iterations=a.total_iteration,
-            residual_norms=a.residual_norms,
-            breakdown=a.breakdown,
-            info=info,
-        )
-        self.policy.contribute_result(result)
-        self.result = result
+        """The attempt whose cycle tail remains (never ``None`` here)."""
+        return self.attempt
 
 
 class _SdcGmresLane:
-    """Lane controller replicating the ``sdc_detecting_gmres`` attempt loop.
+    """A skeptical GMRES scenario: :class:`~repro.skeptical.gmres_sdc.SdcAttempts`
+    driven at the cycle boundaries.
 
-    The monitor bookkeeping (observation counter, checks run, flops,
-    detections) persists across attempts exactly as the sequential
-    solver's shared :class:`~repro.skeptical.monitor.SkepticalMonitor`
-    does, while the residual history clears per attempt
-    (``SkepticalGmresPolicy.begin_attempt``).
+    The driver hands out one GMRES engine per attempt, exactly as it
+    does to :func:`~repro.skeptical.gmres_sdc.sdc_detecting_gmres`; here
+    the cohort steps it, the checks are :func:`_skeptical_checks`' sweep
+    instead of a monitor, and the engine's policy is the fault hook
+    alone.  The check bookkeeping (observation counter, checks run,
+    flops, detections) persists across attempts as the sequential
+    solver's monitor does, while the residual history clears per
+    attempt (``SkepticalGmresPolicy.begin_attempt``).
     """
 
     is_sdc = True
@@ -506,48 +320,19 @@ class _SdcGmresLane:
 
     def __init__(self, operator, spec: SdcLaneSpec):
         # Local import: the skeptical driver sits above the engine.
-        from repro.skeptical.gmres_sdc import check_sdc_arguments, estimate_operator_norm
+        from repro.skeptical.gmres_sdc import SdcAttempts
 
-        check_sdc_arguments(
-            spec.tol, spec.restart, spec.maxiter,
-            (spec.check_period, spec.orthogonality_period, spec.residual_check_period),
-            spec.hessenberg_safety, spec.orthogonality_tol, spec.operator_norm,
+        options = _solver_keywords(spec)
+        self.policy = CallbackPolicy.from_hook(options.pop("fault_hook"), "state")
+        self.driver = SdcAttempts(
+            spec.operator if spec.operator is not None else operator, spec.b, spec.x0, **options
         )
-
-        self.operator = spec.operator if spec.operator is not None else operator
-        self.b = np.asarray(spec.b, dtype=np.float64)
-        self.restart = int(spec.restart)
-        self.maxiter = int(spec.maxiter)
-        self.preconditioner = spec.preconditioner
-        self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
+        self.b = self.driver.b
         self.check_period = int(spec.check_period)
         self.orthogonality_period = int(spec.orthogonality_period)
         self.residual_check_period = int(spec.residual_check_period)
         self.orthogonality_tol = float(spec.orthogonality_tol)
-        self.max_restarts_on_detection = int(spec.max_restarts_on_detection)
-        self.fault_hook = spec.fault_hook
-        # The iteration the fault hook can act at (None: any; 0: never --
-        # iterations count from 1), see ResiliencePolicy.fire_at.
-        self.fire_at = 0 if spec.fault_hook is None else getattr(spec.fault_hook, "fire_at", None)
-        self.norm_estimate = (
-            float(spec.operator_norm)
-            if spec.operator_norm is not None
-            else estimate_operator_norm(self.operator, self.b)
-        )
-        self.hessenberg_threshold = float(spec.hessenberg_safety) * self.norm_estimate
-
-        self.x_current = (
-            np.array(spec.x0, dtype=np.float64, copy=True)
-            if spec.x0 is not None
-            else np.zeros_like(self.b)
-        )
-        self.total_iterations = 0
-        self.all_residuals: List[float] = []
-        self.converged = False
-        self.breakdown = False
-        self.kernels = canonical_kernel_counters()
-        self.target_final = None
-        self.attempts = 0
+        self.hessenberg_threshold = float(spec.hessenberg_safety) * self.driver.norm_estimate
         # Monitor-equivalent bookkeeping (persists across attempts).
         self.obs = 0
         self.checks_run = 0
@@ -555,147 +340,58 @@ class _SdcGmresLane:
         self.detections = 0
         self.detection_restarts = 0
         self.residual_history: List[float] = []
+        self.engine = None
+        self.attempt = None
+        self.slot = -1
+        self.abandoned = False
         self.result: Optional[SolveResult] = None
-        self._attempt: Optional[_ArnoldiAttempt] = None
-        self._finished = False
 
     def begin_cycle(self):
-        while True:
-            if self.result is not None:
-                return None
-            if self._attempt is None and not self._next_attempt():
-                self._finalize()
-                continue
-            req = self._attempt.begin_cycle()
-            if req is not _COMPLETE:
-                return (req, self.method)
-            self._complete_attempt()
+        while self.result is None:
+            if self.attempt is None:
+                self.engine = self.driver.next_engine(self.policy)
+                if self.engine is None:
+                    self.result = self.driver.result(
+                        detected_faults=self.detections,
+                        detection_restarts=self.detection_restarts,
+                        checks_run=self.checks_run,
+                        check_flops=self.check_flops,
+                        policy="restart",
+                    )
+                    break
+                self.attempt = self.engine.begin(self.b, self.driver.x)
+                self.residual_history = []
+            m = self.attempt.begin_cycle()
+            if m is not None:
+                return (m, self.method)
+            self.driver.complete(self.engine.finish(self.attempt.result()))
+            self.attempt = None
+        return None
 
     def tail_begin(self):
-        """The x-update half of the cycle tail; ``None`` when the cycle
-        was abandoned (no true-residual matvec remains for this lane)."""
-        if self._tail_abandoned():
+        """The attempt whose cycle tail remains; ``None`` when the sweep
+        abandoned the cycle (the driver restarts from the old iterate)."""
+        if self.abandoned:
+            self.driver.abandon(self.attempt.kernels.as_dict())
+            self.attempt = None
+            self.abandoned = False
             return None
-        self._attempt.update_solution()
-        return self._attempt
-
-    def _tail_abandoned(self) -> bool:
-        a = self._attempt
-        if a.cycle_outcome == "abandoned":
-            # The corrupted cycle is discarded; its kernel work and one
-            # iteration tick stay in the accounting, and the next
-            # attempt restarts from the last valid iterate.
-            self.kernels.merge_dict(a.kernels.as_dict())
-            self.total_iterations += 1
-            self._attempt = None
-            return True
-        return False
-
-    def _next_attempt(self) -> bool:
-        """The head of the ``while attempts <= max_restarts`` driver loop."""
-        if self._finished or self.converged:
-            return False
-        if self.attempts > self.max_restarts_on_detection:
-            return False
-        self.attempts += 1
-        remaining = self.maxiter - self.total_iterations
-        if remaining <= 0:
-            return False
-        self._attempt = _ArnoldiAttempt(self, x=self.x_current, maxiter=remaining)
-        # begin_attempt of the skeptical policy: clear the residual
-        # history (the monitor counters persist).
-        self.residual_history = []
-        return True
-
-    def _complete_attempt(self):
-        a = self._attempt
-        self._attempt = None
-        self.total_iterations += a.total_iteration
-        self.all_residuals.extend(a.residual_norms)
-        self.kernels.merge_dict(a.kernels.as_dict())
-        self.target_final = a.target
-        self.x_current = np.asarray(a.x)
-        self.converged = a.converged
-        self.breakdown = a.breakdown
-        if self.converged or self.breakdown:
-            self._finished = True
-
-    def _finalize(self):
-        self.result = SolveResult(
-            x=self.x_current,
-            converged=self.converged,
-            iterations=self.total_iterations,
-            residual_norms=self.all_residuals,
-            breakdown=self.breakdown,
-            detected_faults=self.detections,
-            info={
-                "detection_restarts": self.detection_restarts,
-                "checks_run": float(self.checks_run),
-                "check_flops": float(self.check_flops),
-                "policy": "restart",
-                "operator_norm_estimate": self.norm_estimate,
-                "target": self.target_final,
-                "kernels": self.kernels.as_dict(),
-            },
-        )
+        return self.attempt
 
 
-def _observe(a: _ArnoldiAttempt, j: int) -> None:
-    """Hand lane-attempt ``a``'s step-``j`` event to its hook or policy.
+def _advance(lane, steps: int, res: np.ndarray) -> None:
+    """Bring a lane's attempt up to ``steps`` steps of this cycle.
 
-    Runs only for a lane whose observer can act at this iteration (see
-    ``ResiliencePolicy.fire_at``); the full :class:`GmresState` with its
-    reconstruct closure is built only for observers that read it.
+    :func:`_run_cohort` keeps the step count and the residuals in
+    cohort arrays (``res[j, slot]`` is the residual entering step
+    ``j``); the attempt reads them back here, when someone can see its
+    fields -- before an observer is called and when the lane leaves.
     """
-    lane = a.lane
-    if lane.is_sdc:
-        observer = lane.fault_hook
-    else:
-        observer = lane.policy.observe
-        if not lane.policy.needs_arnoldi_state:
-            observer(
-                IterationEvent(
-                    total_iteration=a.total_iteration,
-                    residual_norm=a.cycle_residual,
-                    inner=j,
-                    outer=a.outer,
-                )
-            )
-            return
-
-    def reconstruct_iterate(j=j, a=a):
-        y = a.lsq.solve(j + 1)
-        return a.precond.apply_update(a.shim, a.x, a.adapter, y, j + 1)
-
-    observer(
-        GmresState(
-            outer=a.outer,
-            inner=j,
-            total_iteration=a.total_iteration,
-            basis=a.adapter,
-            hessenberg=a.lsq.hessenberg,
-            residual_norm=a.cycle_residual,
-            reconstruct_iterate=reconstruct_iterate,
-        )
-    )
-
-
-def _true_residual(a: _ArnoldiAttempt, j: int, residual: float) -> float:
-    """The lazy true-residual of ``SkepticalGmresPolicy.observe``, per lane.
-
-    Non-trivial only at cycle starts (``j == 0``); the reconstruct step
-    charges ``basis_update`` (and ``preconditioner`` when present) to
-    the attempt's counters exactly as the sequential closure does,
-    while the residual matvec itself is uncharged.
-    """
-    if j != 0:
-        return residual
-    try:
-        y = a.lsq.solve(j + 1)
-        x_now = a.precond.apply_update(a.shim, a.x, a.adapter, y, j + 1)
-    except np.linalg.LinAlgError:
-        return residual
-    return float(np.linalg.norm(a.b - np.asarray(ops.matvec(a.operator, x_now))))
+    a = lane.attempt
+    a.residual_norms.extend(res[a.inner_used + 1 : steps + 1, lane.slot].tolist())
+    a.total_iteration += steps - a.inner_used
+    a.inner_used = a.lsq.size = steps
+    a.basis.n_columns = steps + 1
 
 
 def _slot_rows(pairs):
@@ -798,8 +494,14 @@ def _skeptical_checks(sdc, j: int, basis: np.ndarray, hess: np.ndarray, residual
         if lane in abandoned:
             continue
         residual = residuals[slot]
+        a = lane.attempt
+        # The reconstruct step charges ``basis_update`` (and
+        # ``preconditioner``) to the attempt as the sequential closure does.
         check = residual_consistency_check(
-            residual, _true_residual(lane._attempt, j, residual)
+            residual,
+            cycle_start_true_residual(
+                a.operator, a.b, j, residual, functools.partial(a.reconstruct_iterate, j)
+            ),
         )
         lane.checks_run += 1
         lane.check_flops += check.cost_flops
@@ -814,10 +516,10 @@ def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
     """Swap two lanes' slots in the cohort stacks.
 
     Both lanes keep their own data -- the rows (columns of the
-    step-major ``table``) are exchanged and each attempt's views (basis
-    adapter, least-squares Hessenberg and rotated right-hand side, a
-    column of ``g``) are re-pointed at its new slot, so the cycle tail
-    and the reconstruct closures keep seeing live state.
+    step-major ``table``) are exchanged and each attempt's views (basis,
+    least-squares Hessenberg and rotated right-hand side, a column of
+    ``g``) are re-pointed at its new slot, so the cycle tail and the
+    reconstruct closures keep seeing live state.
     """
     for stack in (basis, hess):
         tmp = stack[s].copy()
@@ -826,11 +528,11 @@ def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
     table[:, [s, t]] = table[:, [t, s]]
     a, b = order[s], order[t]
     order[s], order[t] = b, a
-    for attempt, slot in ((a, t), (b, s)):
-        attempt.slot = slot
-        attempt.adapter._rows = basis[slot]
-        attempt.lsq.hessenberg = hess[slot]
-        attempt.lsq._g = g[:, slot]
+    for lane, slot in ((a, t), (b, s)):
+        lane.slot = slot
+        lane.attempt.basis._rows = basis[slot]
+        lane.attempt.lsq.hessenberg = hess[slot]
+        lane.attempt.lsq._g = g[:, slot]
 
 
 def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
@@ -862,30 +564,31 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
     col = np.empty((m + 1, G), dtype=np.float64)
     buf = np.empty((2 * m + 1, G), dtype=np.float64)
 
-    order = []
-    every = []  # attempts whose observer watches every step
-    due = {}  # step -> attempts whose observer can act only there
-    for slot, lane in enumerate(lanes):
-        a = lane._attempt
-        a.attach(slot, basis[slot], hess[slot], g[:, slot], m)
-        res[0, slot] = a.cycle_residual
+    order = list(lanes)
+    every = []  # lanes whose observer watches every step
+    due = {}  # step -> lanes whose observer can act only there
+    for slot, lane in enumerate(order):
+        a = lane.attempt
+        lane.slot = slot
+        res[0, slot] = g[0, slot] = a.cycle_residual
         targets[slot] = a.target
-        order.append(a)
-        if lane.fire_at is None:
-            every.append(a)
+        a.start_cycle(_basis_view(basis[slot]), _LaneLsq(hess[slot], g[:, slot]), m)
+        if a.fire_at is None:
+            every.append(lane)
         else:
-            due.setdefault(lane.fire_at - a.total_iteration - 1, []).append(a)
-    sdc = [(a.lane, a.slot) for a in order if a.lane.is_sdc]
-    no_precond = all(a.precond.preconditioner is None for a in order)
-    shared_operator = all(a.operator is order[0].operator for a in order)
+            due.setdefault(a.fire_at - a.total_iteration - 1, []).append(lane)
+    sdc = [(lane, lane.slot) for lane in order if lane.is_sdc]
+    no_precond = all(lane.attempt.preconditioner.preconditioner is None for lane in order)
+    shared_operator = all(lane.attempt.operator is order[0].attempt.operator for lane in order)
     mv_sec = ortho_sec = 0.0
     steps = 0
     k = G
 
-    def leave(a):
-        a.advance(steps, res)
-        a.kernels.add("matvec", mv_sec, calls=steps)
-        a.kernels.add("orthogonalization", ortho_sec, calls=steps)
+    def leave(lane):
+        _advance(lane, steps, res)
+        kernels = lane.attempt.kernels
+        kernels.add("matvec", mv_sec, calls=steps)
+        kernels.add("orthogonalization", ortho_sec, calls=steps)
 
     for j in range(m):
         if k == 0:
@@ -904,8 +607,9 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
             Z = basis[idx, j, :]
         else:
             Z = np.empty((k, n), dtype=np.float64)
-            for i, a in enumerate(acts):
-                Z[i] = a.precond.preconditioned_vector(a.shim, a.adapter, j)
+            for i, lane in enumerate(acts):
+                a = lane.attempt
+                Z[i] = a.preconditioner.preconditioned_vector(a, a.basis, j)
         t0 = time.perf_counter()
         W = _matvec_rows(acts, Z, shared_operator)
         t1 = time.perf_counter()
@@ -966,10 +670,11 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
         # sweep, lanes leaving (abandoned -> non-finite -> converged or
         # happy, the sequential loop's order of precedence).
         watchers = due[j] + every if j in due else every
-        for a in watchers:
-            if a.slot < k:  # still in the cohort
-                a.advance(steps, res)
-                _observe(a, j)
+        for lane in watchers:
+            if lane.slot < k:  # still in the cohort
+                _advance(lane, steps, res)
+                a = lane.attempt
+                a.observe(j, a.total_iteration, a.residual_norms[-1])
         abandoned = _skeptical_checks(sdc, j, basis, hess, now.tolist()) if sdc else ()
         stay = ~(now <= targets[:k]) & (now < np.inf)  # not met, and finite
         if any_happy:
@@ -977,12 +682,13 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
         if abandoned or not stay.all():
             survive = stay.tolist()
             for lane in abandoned:
-                lane._attempt.cycle_outcome = "abandoned"
-                survive[lane._attempt.slot] = False
-            for a, keep in zip(acts, survive):
+                lane.abandoned = True
+                survive[lane.slot] = False
+            for lane, keep in zip(acts, survive):
                 if not keep:
-                    leave(a)
-                    if a.cycle_outcome != "abandoned" and not math.isfinite(a.cycle_residual):
+                    leave(lane)
+                    a = lane.attempt
+                    if not lane.abandoned and not math.isfinite(a.residual_norms[-1]):
                         a.breakdown = True
             # Compact survivors into the leading slots: each exited lane
             # below the new watermark swaps stack rows (and re-points its
@@ -995,9 +701,9 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
                 _swap_slots(order, s_low, t_high, basis, hess, table, g)
             k = new_k
             if sdc:
-                sdc = [(a.lane, a.slot) for a in order[:k] if a.lane.is_sdc]
-    for a in order[:k]:
-        leave(a)
+                sdc = [(lane, lane.slot) for lane in order[:k] if lane.is_sdc]
+    for lane in order[:k]:
+        leave(lane)
 
 
 def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
@@ -1051,10 +757,11 @@ _TAIL_STACK_MAX_SEGMENTS = 16_384
 def _batched_cycle_tail(members) -> None:
     """The cycle tail across one cohort, with the residual matvecs stacked.
 
-    Every lane first runs its x-update (per lane, charged nothing, as
-    sequentially); the per-lane true-residual matvecs that close each
-    cycle are then stacked into one :meth:`CsrMatrix.matvec_block` call
-    whenever every remaining lane shares one CsrMatrix operator.  The
+    Every lane first runs its x-update (the shared
+    :meth:`ArnoldiAttempt.update_solution`); the true-residual matvecs
+    that close each cycle are then stacked into one
+    :meth:`CsrMatrix.matvec_block` call whenever every remaining lane
+    shares one CsrMatrix operator.  The
     block kernel is bit-identical per row to the per-lane matvec, and
     each lane is charged one matvec call with an even share of the
     batched span -- exactly the accounting contract of the inner-loop
@@ -1074,6 +781,8 @@ def _batched_cycle_tail(members) -> None:
     acts = [a for a in (lane.tail_begin() for lane in members) if a is not None]
     if not acts:
         return
+    for a in acts:
+        a.update_solution()
     op0 = acts[0].operator
     if (
         len(acts) > 1
@@ -1089,57 +798,15 @@ def _batched_cycle_tail(members) -> None:
         share = (time.perf_counter() - t0) / len(acts)
         for a, true_residual in zip(acts, residuals):
             a.kernels.add("matvec", share, calls=1)
-            a.finish_cycle(true_residual)
+            a.close_cycle(true_residual)
         return
     for a in acts:
-        kernels = a.kernels
-        t0 = kernels.tick()
-        true_residual = ops.norm(
-            ops.axpby(1.0, a.b, -1.0, ops.matvec(a.operator, a.x))
-        )
-        kernels.charge("matvec", t0)
-        a.finish_cycle(true_residual)
+        a.close_cycle(ops.norm(a.residual()))
 
 
 # ---------------------------------------------------------------------------
 # Batched CG
 # ---------------------------------------------------------------------------
-
-
-class _CgLane:
-    """Per-lane state of one CG scenario; init mirrors the sequential preamble."""
-
-    def __init__(self, operator, spec: CgLaneSpec):
-        if spec.maxiter <= 0:
-            raise ValueError("maxiter must be positive")
-        self.operator = spec.operator if spec.operator is not None else operator
-        self.preconditioner = spec.preconditioner
-        self.maxiter = int(spec.maxiter)
-        self.policy = compose_policy(spec.policy, spec.iteration_hook, "scalar")
-        self.fire_at = getattr(self.policy, "fire_at", None)
-        self.kernels = canonical_kernel_counters()
-        self.b = np.asarray(spec.b, dtype=np.float64)
-        self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
-        self.target = self.convergence.resolve_target(ops.norm(self.b))
-        x = ops.copy_vector(spec.x0) if spec.x0 is not None else ops.zeros_like(self.b)
-        self.policy.begin_attempt(x)
-        t0 = self.kernels.tick()
-        r = ops.axpby(1.0, self.b, -1.0, ops.matvec(self.operator, x))
-        self.kernels.charge("matvec", t0)
-        t0 = self.kernels.tick()
-        z = ops.apply_preconditioner(self.preconditioner, r)
-        self.kernels.charge("preconditioner", t0)
-        self.p = ops.copy_vector(z)
-        self.rz = ops.dot(r, z)
-        residual = ops.norm(r)
-        self.residual_norms: List[float] = [residual]
-        self.alphas: List[float] = []
-        self.betas: List[float] = []
-        self.converged = self.convergence.is_met(residual, self.target)
-        self.breakdown = False
-        self.iteration = 0
-        self.x = x
-        self.r = r
 
 
 def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[SolveResult]:
@@ -1161,12 +828,26 @@ def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[S
     stacked iterate and residual arrays; the property-based freeze
     tests hook it.
     """
-    lanes = [_CgLane(operator, spec) for spec in specs]
+    # Local import: the solver functions sit above the engine package.
+    from repro.krylov.cg import cg_engine
+
+    # A lane is the engine cg() builds and the attempt it begins (the
+    # sequential preamble); this loop steps the attempts instead of run().
+    engines = [
+        cg_engine(
+            spec.operator if spec.operator is not None else operator, **_solver_keywords(spec)
+        )
+        for spec in specs
+    ]
+    lanes = [
+        engine.begin(np.asarray(spec.b, dtype=np.float64), spec.x0)
+        for engine, spec in zip(engines, specs)
+    ]
     if not lanes:
         return []
-    n = lanes[0].b.size
+    n = lanes[0].x.size
     for lane in lanes:
-        if lane.b.size != n:
+        if lane.x.size != n:
             raise ValueError("all lanes of a batch must share one vector length")
     X = np.stack([lane.x for lane in lanes])
     R = np.stack([lane.r for lane in lanes])
@@ -1277,20 +958,7 @@ def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[S
         step += 1
 
     results = []
-    for i, lane in enumerate(lanes):
-        result = SolveResult(
-            x=np.array(X[i], dtype=np.float64, copy=True),
-            converged=lane.converged,
-            iterations=lane.iteration,
-            residual_norms=lane.residual_norms,
-            breakdown=lane.breakdown,
-            info={
-                "alphas": lane.alphas,
-                "betas": lane.betas,
-                "target": lane.target,
-                "kernels": lane.kernels.as_dict(),
-            },
-        )
-        lane.policy.contribute_result(result)
-        results.append(result)
+    for engine, lane, x in zip(engines, lanes, X):
+        lane.x = np.array(x, dtype=np.float64, copy=True)
+        results.append(engine.finish(lane.result()))
     return results

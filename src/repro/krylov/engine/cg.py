@@ -27,7 +27,59 @@ from repro.krylov.engine.core import IterationScheme, SolverEngine
 from repro.krylov.engine.resilience import IterationEvent
 from repro.krylov.result import SolveResult
 
-__all__ = ["CgScheme", "PipelinedCgScheme"]
+__all__ = ["CgAttempt", "CgScheme", "PipelinedCgScheme"]
+
+
+class CgAttempt:
+    """The state, preamble and result of one :meth:`CgScheme.run`.
+
+    Shared with the lockstep engine
+    (:func:`repro.krylov.engine.batch.run_cg_batch`), which stacks the
+    vectors of its lanes' attempts and writes each lane's outcome back
+    before asking for the result.
+    """
+
+    def __init__(self, engine: SolverEngine, scheme: "CgScheme", b, x, target: float):
+        self.operator = engine.operator
+        self.kernels = kernels = engine.kernels
+        self.policy = engine.policy
+        self.convergence = engine.convergence
+        self.preconditioner = scheme.preconditioner
+        self.maxiter = scheme.maxiter
+        self.fire_at = getattr(engine.policy, "fire_at", None)  # None: observe every iteration
+        self.target = target
+        t0 = kernels.tick()
+        r = ops.axpby(1.0, b, -1.0, ops.matvec(self.operator, x))
+        kernels.charge("matvec", t0)
+        t0 = kernels.tick()
+        z = ops.apply_preconditioner(self.preconditioner, r)
+        kernels.charge("preconditioner", t0)
+        self.x = x
+        self.r = r
+        self.p = ops.copy_vector(z)
+        self.rz = ops.dot(r, z)
+        residual = ops.norm(r)
+        self.residual_norms: List[float] = [residual]
+        self.alphas: List[float] = []
+        self.betas: List[float] = []
+        self.converged = self.convergence.is_met(residual, target)
+        self.breakdown = False
+        self.iteration = 0
+
+    def result(self) -> SolveResult:
+        return SolveResult(
+            x=self.x,
+            converged=self.converged,
+            iterations=self.iteration,
+            residual_norms=self.residual_norms,
+            breakdown=self.breakdown,
+            info={
+                "alphas": self.alphas,
+                "betas": self.betas,
+                "target": self.target,
+                "kernels": self.kernels.as_dict(),
+            },
+        )
 
 
 class CgScheme(IterationScheme):
@@ -39,28 +91,21 @@ class CgScheme(IterationScheme):
         self.preconditioner = preconditioner
         self.maxiter = int(maxiter)
 
-    def run(self, engine: SolverEngine, b, x, target: float) -> SolveResult:
-        operator = engine.operator
-        kernels = engine.kernels
-        policy = engine.policy
-        convergence = engine.convergence
+    def begin(self, engine: SolverEngine, b, x, target: float) -> CgAttempt:
+        return CgAttempt(engine, self, b, x, target)
 
-        t0 = kernels.tick()
-        r = ops.axpby(1.0, b, -1.0, ops.matvec(operator, x))
-        kernels.charge("matvec", t0)
-        t0 = kernels.tick()
-        z = ops.apply_preconditioner(self.preconditioner, r)
-        kernels.charge("preconditioner", t0)
-        p = ops.copy_vector(z)
-        rz = ops.dot(r, z)
-        residual = ops.norm(r)
-        residual_norms: List[float] = [residual]
-        alphas: List[float] = []
-        betas: List[float] = []
-        converged = convergence.is_met(residual, target)
+    def run(self, attempt: CgAttempt) -> SolveResult:
+        operator = attempt.operator
+        kernels = attempt.kernels
+        policy = attempt.policy
+        convergence = attempt.convergence
+        target = attempt.target
+        x, r, p, rz = attempt.x, attempt.r, attempt.p, attempt.rz
+        residual_norms, alphas, betas = attempt.residual_norms, attempt.alphas, attempt.betas
+        converged = attempt.converged
         breakdown = False
         iteration = 0
-        fire_at = getattr(policy, "fire_at", None)  # None: observe every iteration
+        fire_at = attempt.fire_at
 
         while not converged and not breakdown and iteration < self.maxiter:
             t0 = kernels.tick()
@@ -99,19 +144,9 @@ class CgScheme(IterationScheme):
             rz = rz_next
             p = ops.axpby(1.0, z, float(beta), p)
 
-        return SolveResult(
-            x=x,
-            converged=converged,
-            iterations=iteration,
-            residual_norms=residual_norms,
-            breakdown=breakdown,
-            info={
-                "alphas": alphas,
-                "betas": betas,
-                "target": target,
-                "kernels": kernels.as_dict(),
-            },
-        )
+        attempt.x = x
+        attempt.converged, attempt.breakdown, attempt.iteration = converged, breakdown, iteration
+        return attempt.result()
 
 
 class PipelinedCgScheme(IterationScheme):
@@ -123,7 +158,8 @@ class PipelinedCgScheme(IterationScheme):
         self.preconditioner = preconditioner
         self.maxiter = int(maxiter)
 
-    def run(self, engine: SolverEngine, b, x, target: float) -> SolveResult:
+    def run(self, attempt) -> SolveResult:
+        engine, b, x, target = attempt
         operator = engine.operator
         kernels = engine.kernels
         policy = engine.policy

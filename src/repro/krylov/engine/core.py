@@ -31,6 +31,7 @@ hand-rolled loops used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -41,7 +42,12 @@ from repro.krylov import ops
 from repro.krylov.engine.convergence import ConvergenceTest
 from repro.krylov.engine.orthogonalize import Orthogonalizer
 from repro.krylov.engine.precondition import PreconditionerStrategy
-from repro.krylov.engine.resilience import CycleAbandoned, NullPolicy, ResiliencePolicy
+from repro.krylov.engine.resilience import (
+    CycleAbandoned,
+    IterationEvent,
+    NullPolicy,
+    ResiliencePolicy,
+)
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import HessenbergLsq
 from repro.utils.timing import KernelCounters
@@ -49,6 +55,7 @@ from repro.utils.timing import KernelCounters
 __all__ = [
     "GmresState",
     "IterationScheme",
+    "ArnoldiAttempt",
     "ArnoldiScheme",
     "SolverEngine",
     "cycle_dimension",
@@ -120,8 +127,166 @@ class GmresState:
 class IterationScheme:
     """Strategy interface: the iteration recurrence the engine drives."""
 
-    def run(self, engine: "SolverEngine", b, x, target: float) -> SolveResult:
+    def begin(self, engine: "SolverEngine", b, x, target: float):
+        """The attempt :meth:`run` works on (by default its arguments).
+
+        A scheme the lockstep engine (:mod:`repro.krylov.engine.batch`)
+        steps as well returns an object here -- the state, boundary and
+        result of one solve -- that both inner loops share.
+        """
+        return engine, b, x, target
+
+    def run(self, attempt) -> SolveResult:
         raise NotImplementedError
+
+
+class ArnoldiAttempt:
+    """The state and the cycle boundary of one :meth:`ArnoldiScheme.run`.
+
+    Both engines drive this one object and differ only in the inner
+    step between :meth:`start_cycle` and the cycle tail: the sequential
+    loop of :meth:`ArnoldiScheme.run`, or the stacked cohort step of
+    :mod:`repro.krylov.engine.batch` (whose basis and least-squares
+    objects are views into the cohort arrays).  It is touched once per
+    cycle and once per observer event, never per step: the inner steps
+    keep their own counters and hand them over at the cycle end.
+
+    The attempt carries ``operator`` and ``kernels``, which is all the
+    strategy objects read of an engine, so it is what they are handed.
+    """
+
+    def __init__(self, engine: "SolverEngine", scheme: "ArnoldiScheme", b, x, target: float):
+        self.operator = engine.operator
+        self.kernels = engine.kernels
+        self.policy = engine.policy
+        self.convergence = engine.convergence
+        self.scheme = scheme
+        self.preconditioner = scheme.preconditioner
+        self.b = b
+        self.x = x
+        self.target = target
+        # The one iteration the policy can act at (None: any of them),
+        # and whether it reads the Arnoldi internals of its events.
+        self.fire_at = getattr(engine.policy, "fire_at", None)
+        self._full_state = getattr(engine.policy, "needs_arnoldi_state", True)
+        self.residual_norms: List[float] = []
+        self.total_iteration = 0
+        self.converged = False
+        self.breakdown = False
+        self.outer = 0
+        self.basis = None
+        self.lsq = None
+        self.inner_used = 0
+        self.cycle_residual = 0.0
+        self._cycle_r = None
+
+    def residual(self):
+        """``b - A x`` of the current iterate (a charged matvec)."""
+        kernels = self.kernels
+        t0 = kernels.tick()
+        r = ops.axpby(1.0, self.b, -1.0, ops.matvec(self.operator, self.x))
+        kernels.charge("matvec", t0)
+        return r
+
+    def begin_cycle(self) -> Optional[int]:
+        """The cycle head: the next cycle's dimension, ``None`` when done.
+
+        Residual of the current iterate (a charged matvec), the first
+        residual record and the cycle-start convergence test.
+        """
+        if self.total_iteration >= self.scheme.maxiter or self.converged or self.breakdown:
+            return None
+        r = self.residual()
+        beta = ops.norm(r)
+        if not self.residual_norms:
+            self.residual_norms.append(beta)
+        if self.convergence.is_met(beta, self.target):
+            self.converged = True
+            return None
+        self._cycle_r = r
+        self.cycle_residual = beta
+        return cycle_dimension(self.scheme.restart, self.scheme.maxiter, self.total_iteration)
+
+    def start_cycle(self, basis, lsq, m: int) -> None:
+        """Seed the cycle's storage (the engine's own) with the head's residual."""
+        basis.append(self._cycle_r, scale=1.0 / self.cycle_residual)
+        self.preconditioner.start_cycle(self, self.b, m)
+        self.basis = basis
+        self.lsq = lsq
+        self.inner_used = 0
+        self._cycle_r = None
+
+    def reconstruct_iterate(self, j: int):
+        """The least-squares iterate after step ``j``: cycle-start ``x``
+        plus the correction of the ``j + 1`` steps taken so far."""
+        y = self.lsq.solve(j + 1)
+        return self.preconditioner.apply_update(self, self.x, self.basis, y, j + 1)
+
+    def observe(self, j: int, total_iteration: int, residual_norm: float) -> None:
+        """Hand the policy its event for step ``j`` of this cycle.
+
+        The one observation shape of both engines: a scalar
+        :class:`IterationEvent` for a policy that does not read the
+        Arnoldi internals, the full :class:`GmresState` with its
+        reconstruct closure otherwise.  Callers skip the iterations
+        :attr:`fire_at` rules out.
+        """
+        if self._full_state:
+            event = GmresState(
+                outer=self.outer,
+                inner=j,
+                total_iteration=total_iteration,
+                basis=self.basis,
+                hessenberg=self.lsq.hessenberg,
+                residual_norm=residual_norm,
+                reconstruct_iterate=functools.partial(self.reconstruct_iterate, j),
+            )
+        else:
+            event = IterationEvent(
+                total_iteration=total_iteration,
+                residual_norm=residual_norm,
+                inner=j,
+                outer=self.outer,
+            )
+        self.policy.observe(event)
+
+    def update_solution(self) -> None:
+        """First half of the cycle tail: solve the small least-squares
+        system and map it back through the preconditioner strategy."""
+        if self.inner_used > 0 and (self.scheme.update_on_breakdown or not self.breakdown):
+            try:
+                y = self.lsq.solve(self.inner_used)
+            except np.linalg.LinAlgError:
+                self.breakdown = True
+                y = None
+            if y is not None and np.all(np.isfinite(y)):
+                self.x = self.preconditioner.apply_update(
+                    self, self.x, self.basis, y, self.inner_used
+                )
+            else:
+                self.breakdown = True
+
+    def close_cycle(self, true_residual: float) -> None:
+        """Second half of the cycle tail: the true residual of the
+        updated iterate replaces the cycle's last recurrence value."""
+        self.residual_norms[-1] = true_residual
+        if self.convergence.is_met(true_residual, self.target):
+            self.converged = True
+        self.outer += 1
+
+    def result(self) -> SolveResult:
+        info = {"restarts": self.outer, "target": self.target}
+        self.preconditioner.contribute_info(info)
+        self.scheme.orthogonalizer.contribute_info(info)
+        info["kernels"] = self.kernels.as_dict()
+        return SolveResult(
+            x=self.x,
+            converged=self.converged,
+            iterations=self.total_iteration,
+            residual_norms=self.residual_norms,
+            breakdown=self.breakdown,
+            info=info,
+        )
 
 
 class ArnoldiScheme(IterationScheme):
@@ -158,39 +323,23 @@ class ArnoldiScheme(IterationScheme):
         self.maxiter = int(maxiter)
         self.update_on_breakdown = bool(update_on_breakdown)
 
-    def run(self, engine: "SolverEngine", b, x, target: float) -> SolveResult:
-        operator = engine.operator
-        kernels = engine.kernels
-        policy = engine.policy
-        convergence = engine.convergence
+    def begin(self, engine: "SolverEngine", b, x, target: float) -> ArnoldiAttempt:
+        return ArnoldiAttempt(engine, self, b, x, target)
+
+    def run(self, attempt: ArnoldiAttempt) -> SolveResult:
+        engine = attempt  # all the strategies read: .operator, .kernels
+        convergence = attempt.convergence
+        b, target = attempt.b, attempt.target
         maxiter = self.maxiter
-        # The one iteration the policy can act at (None: any of them).
-        fire_at = getattr(policy, "fire_at", None)
-
-        residual_norms: List[float] = []
+        fire_at = attempt.fire_at
+        residual_norms = attempt.residual_norms
         total_iteration = 0
-        converged = False
-        breakdown = False
-        outer = 0
 
-        while total_iteration < maxiter and not converged and not breakdown:
-            # Residual of the current iterate.
-            t0 = kernels.tick()
-            r = ops.axpby(1.0, b, -1.0, ops.matvec(operator, x))
-            kernels.charge("matvec", t0)
-            beta = ops.norm(r)
-            if not residual_norms:
-                residual_norms.append(beta)
-            if convergence.is_met(beta, target):
-                converged = True
-                break
-            m = cycle_dimension(self.restart, maxiter, total_iteration)
+        while (m := attempt.begin_cycle()) is not None:
             basis = ops.allocate_basis(b, m + 1)
-            basis.append(r, scale=1.0 / beta)
-            self.preconditioner.start_cycle(engine, b, m)
-            lsq = HessenbergLsq(m, beta)
-            inner_used = 0
-            cycle_residual = beta
+            cycle_residual = attempt.cycle_residual
+            lsq = HessenbergLsq(m, cycle_residual)
+            attempt.start_cycle(basis, lsq, m)
 
             for j in range(m):
                 # Arnoldi step: candidate direction, orthogonalize,
@@ -201,72 +350,28 @@ class ArnoldiScheme(IterationScheme):
                 )
                 cycle_residual = lsq.append_column(coefficients, h_next)
 
-                inner_used = j + 1
                 total_iteration += 1
                 residual_norms.append(cycle_residual)
 
                 if fire_at is None or fire_at == total_iteration:
-
-                    def reconstruct_iterate(j=j, basis=basis, lsq=lsq, x=x):
-                        # Current LS iterate: cycle-start x plus the
-                        # correction of the j+1 steps taken so far.
-                        y = lsq.solve(j + 1)
-                        return self.preconditioner.apply_update(engine, x, basis, y, j + 1)
-
-                    policy.observe(
-                        GmresState(
-                            outer=outer,
-                            inner=j,
-                            total_iteration=total_iteration,
-                            basis=basis,
-                            hessenberg=lsq.hessenberg,
-                            residual_norm=cycle_residual,
-                            reconstruct_iterate=reconstruct_iterate,
-                        )
-                    )
+                    attempt.observe(j, total_iteration, cycle_residual)
 
                 if not math.isfinite(cycle_residual):
-                    breakdown = True
+                    attempt.breakdown = True
                     break
                 if convergence.is_met(cycle_residual, target) or happy:
                     break
                 if total_iteration >= maxiter:
                     break
 
-            # Form the cycle's correction: solve the small least-squares
-            # system and map it back through the preconditioner strategy.
-            if inner_used > 0 and (self.update_on_breakdown or not breakdown):
-                try:
-                    y = lsq.solve(inner_used)
-                except np.linalg.LinAlgError:
-                    breakdown = True
-                    y = None
-                if y is not None and np.all(np.isfinite(y)):
-                    x = self.preconditioner.apply_update(engine, x, basis, y, inner_used)
-                else:
-                    breakdown = True
+            # Hand the steps over, then the cycle tail: the correction,
+            # and the true residual check at the cycle boundary.
+            attempt.inner_used = total_iteration - attempt.total_iteration
+            attempt.total_iteration = total_iteration
+            attempt.update_solution()
+            attempt.close_cycle(ops.norm(attempt.residual()))
 
-            # True residual check at the cycle boundary.
-            t0 = kernels.tick()
-            true_residual = ops.norm(ops.axpby(1.0, b, -1.0, ops.matvec(operator, x)))
-            kernels.charge("matvec", t0)
-            residual_norms[-1] = true_residual
-            if convergence.is_met(true_residual, target):
-                converged = True
-            outer += 1
-
-        info = {"restarts": outer, "target": target}
-        self.preconditioner.contribute_info(info)
-        self.orthogonalizer.contribute_info(info)
-        info["kernels"] = kernels.as_dict()
-        return SolveResult(
-            x=x,
-            converged=converged,
-            iterations=total_iteration,
-            residual_norms=residual_norms,
-            breakdown=breakdown,
-            info=info,
-        )
+        return attempt.result()
 
 
 class SolverEngine:
@@ -297,17 +402,29 @@ class SolverEngine:
         self.policy = policy if policy is not None else NullPolicy()
         self.kernels = canonical_kernel_counters()
 
-    def solve(self, b, x0=None) -> SolveResult:
-        """Solve ``A x = b`` and return the scheme's :class:`SolveResult`."""
+    def begin(self, b, x0=None):
+        """Start a solve: resolve the target, copy the initial guess, tell
+        the policy, and return the scheme's attempt.  :meth:`solve` runs
+        it; the lockstep engine steps it itself and hands the result to
+        :meth:`finish`."""
         target = self.convergence.resolve_target(ops.norm(b))
         x = ops.copy_vector(x0) if x0 is not None else ops.zeros_like(b)
         self.policy.begin_attempt(x)
+        return self.scheme.begin(self, b, x, target)
+
+    def finish(self, result: SolveResult) -> SolveResult:
+        """Fold the policy's bookkeeping into a finished attempt's result."""
+        self.policy.contribute_result(result)
+        return result
+
+    def solve(self, b, x0=None) -> SolveResult:
+        """Solve ``A x = b`` and return the scheme's :class:`SolveResult`."""
+        attempt = self.begin(b, x0)
         try:
-            result = self.scheme.run(self, b, x, target)
+            result = self.scheme.run(attempt)
         except CycleAbandoned as abandoned:
             # The attempt's kernel work travels with the exception so
             # retrying callers can keep their accounting complete.
             abandoned.kernels = self.kernels.as_dict()
             raise
-        self.policy.contribute_result(result)
-        return result
+        return self.finish(result)

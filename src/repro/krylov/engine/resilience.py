@@ -10,9 +10,9 @@ monitor adapter, and the SRP layer wrapped operators ad hoc.
 
 A :class:`ResiliencePolicy` unifies all of it behind one ``observe``
 call per inner iteration.  The engine constructs an iteration event
-(the full :class:`~repro.krylov.engine.core.GmresState` for
-Arnoldi-type schemes, a scalar :class:`IterationEvent` for the CG
-recurrences) and hands it to the policy, which may
+(the full :class:`~repro.krylov.engine.core.GmresState` for an
+Arnoldi-type scheme whose policy reads it, a scalar
+:class:`IterationEvent` otherwise) and hands it to the policy, which may
 
 * record/report (detection-only policies such as
   :class:`ResidualGuardPolicy`),
@@ -26,6 +26,7 @@ recurrences) and hands it to the policy, which may
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -45,6 +46,7 @@ __all__ = [
     "SkepticalGmresPolicy",
     "FaultInjectionPolicy",
     "compose_policy",
+    "cycle_start_true_residual",
 ]
 
 
@@ -81,12 +83,12 @@ class ResiliencePolicy:
     name = "none"
 
     #: Whether :meth:`observe` reads the Arnoldi internals (basis,
-    #: Hessenberg, reconstruct closure) of its events.  The batched
-    #: lockstep path (:mod:`repro.krylov.engine.batch`) skips building
-    #: the full per-lane :class:`~repro.krylov.engine.core.GmresState`
-    #: for policies that only look at the scalar fields -- same
-    #: observations, less per-iteration interpreter work.  Conservative
-    #: default: assume the state is needed.
+    #: Hessenberg, reconstruct closure) of its events.  A policy that
+    #: only looks at the scalar fields is handed an
+    #: :class:`IterationEvent` instead of the full
+    #: :class:`~repro.krylov.engine.core.GmresState`, by both engines --
+    #: same observations, less per-iteration interpreter work.
+    #: Conservative default: assume the state is needed.
     needs_arnoldi_state = True
 
     #: The one ``total_iteration`` (counted from 1) at which
@@ -294,6 +296,28 @@ class FaultInjectionPolicy(ResiliencePolicy):
         result.info["faults_injected"] = int(self.n_injected)
 
 
+def cycle_start_true_residual(
+    operator, b, inner: int, residual_norm: float, reconstruct_iterate
+) -> float:
+    """The lazy true residual behind the residual-consistency check.
+
+    Reconstructs the current iterate's residual explicitly (one
+    back-substitution + gemv + matvec, the matvec uncharged), so the
+    check compares the recurrence against the truth of the SAME
+    iterate.  Kept rare (cycle starts only): at other iterations it
+    returns the recurrence value and the check degenerates to a trivial
+    pass, matching the historical cost profile.  Both engines' skeptical
+    paths call this one function.
+    """
+    if inner != 0 or reconstruct_iterate is None:
+        return residual_norm
+    try:
+        x_now = reconstruct_iterate()
+    except np.linalg.LinAlgError:
+        return residual_norm
+    return float(np.linalg.norm(b - np.asarray(ops.matvec(operator, x_now))))
+
+
 class SkepticalGmresPolicy(ResiliencePolicy):
     """Runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` per iteration.
 
@@ -328,31 +352,20 @@ class SkepticalGmresPolicy(ResiliencePolicy):
 
     def observe(self, event) -> None:
         self.residual_history.append(event.residual_norm)
-
-        def true_residual() -> float:
-            # Reconstruct the current iterate's residual explicitly
-            # (one back-substitution + gemv + matvec), so the
-            # consistency check compares the recurrence against the
-            # truth of the SAME iterate.  Kept rare (cycle starts
-            # only): at other iterations the check degenerates to a
-            # trivial pass, matching the historical cost profile.
-            if event.inner != 0 or event.reconstruct_iterate is None:
-                return event.residual_norm
-            try:
-                x_now = event.reconstruct_iterate()
-            except np.linalg.LinAlgError:
-                return event.residual_norm
-            return float(
-                np.linalg.norm(self.b - np.asarray(ops.matvec(self.operator, x_now)))
-            )
-
         observation = {
             "basis": event.basis,
             "hessenberg": event.hessenberg,
             "inner": event.inner,
             "residual_norm": event.residual_norm,
             "residual_history": self.residual_history,
-            "true_residual": true_residual,
+            "true_residual": functools.partial(
+                cycle_start_true_residual,
+                self.operator,
+                self.b,
+                event.inner,
+                event.residual_norm,
+                event.reconstruct_iterate,
+            ),
         }
         try:
             self.monitor.observe(observation)

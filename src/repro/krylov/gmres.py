@@ -39,7 +39,35 @@ from repro.krylov.engine import (
 from repro.krylov.engine.resilience import compose_policy
 from repro.krylov.result import SolveResult
 
-__all__ = ["gmres", "GmresState"]
+__all__ = ["gmres", "gmres_engine", "GmresState"]
+
+
+def gmres_engine(
+    operator, *, tol, atol, restart, maxiter, preconditioner, iteration_hook, gram_schmidt, policy
+) -> SolverEngine:
+    """The configured engine of one :func:`gmres` solve (its keywords,
+    all of them: the defaults are :func:`gmres`'s).
+
+    :func:`gmres` is this plus ``.solve(b, x0)``; a lockstep lane
+    (:mod:`repro.krylov.engine.batch`) builds the same engine and steps
+    its attempt itself, so both accept and refuse the same arguments.
+    """
+    if restart <= 0:
+        raise ValueError("restart must be positive")
+    if maxiter <= 0:
+        raise ValueError("maxiter must be positive")
+    return SolverEngine(
+        operator,
+        ArnoldiScheme(
+            BlockedOrthogonalizer(gram_schmidt),
+            RightPreconditioner(preconditioner),
+            restart=restart,
+            maxiter=maxiter,
+            update_on_breakdown=True,
+        ),
+        convergence=ConvergenceTest(tol=tol, atol=atol),
+        policy=compose_policy(policy, iteration_hook, "state"),
+    )
 
 
 def gmres(
@@ -97,20 +125,8 @@ def gmres(
         ``info["kernels"]`` carries per-kernel call counts and
         wall-clock seconds (matvec, orthogonalization, preconditioner).
     """
-    if restart <= 0:
-        raise ValueError("restart must be positive")
-    if maxiter <= 0:
-        raise ValueError("maxiter must be positive")
-    engine = SolverEngine(
-        operator,
-        ArnoldiScheme(
-            BlockedOrthogonalizer(gram_schmidt),
-            RightPreconditioner(preconditioner),
-            restart=restart,
-            maxiter=maxiter,
-            update_on_breakdown=True,
-        ),
-        convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "state"),
-    )
-    return engine.solve(b, x0)
+    return gmres_engine(
+        operator, tol=tol, atol=atol, restart=restart, maxiter=maxiter,
+        preconditioner=preconditioner, iteration_hook=iteration_hook,
+        gram_schmidt=gram_schmidt, policy=policy,
+    ).solve(b, x0)

@@ -64,7 +64,6 @@ __all__ = [
     "default_solver_registry",
     "solver_names",
     "batch_solve",
-    "BATCHABLE_SOLVERS",
     "AXIS",
 ]
 
@@ -74,16 +73,51 @@ GENERIC_POLICIES = ("none", "guard", "skeptical")
 
 
 def _guarded(solve_fn: Callable) -> Callable:
-    """Wrap a policy-aware solver function with residual-guard support."""
+    """Dispatch of a policy-aware solver function: bare or residual-guarded."""
     from repro.krylov.engine import ResidualGuardPolicy
 
-    def run(operator, b, x0, policy: str, options: dict, params: dict) -> SolveResult:
+    def dispatch(policy: str, options: dict, params: dict):
         if policy == "none":
-            return solve_fn(operator, b, x0, **params)
-        guard = ResidualGuardPolicy(**options)
-        return solve_fn(operator, b, x0, policy=guard, **params)
+            return solve_fn, params
+        return solve_fn, dict(params, policy=ResidualGuardPolicy(**options))
 
-    return run
+    return dispatch
+
+
+@dataclass
+class PreparedSolve:
+    """One resolved :meth:`RegisteredSolver.solve` call, not yet run.
+
+    The solver function the entry's dispatch picked, the arguments it
+    will receive, and the labels its result is annotated with.
+    :meth:`RegisteredSolver.solve` runs it at once; :func:`batch_solve`
+    first looks whether the same call has a lockstep lane.
+    """
+
+    function: Callable
+    operator: object
+    b: object
+    x0: object
+    options: dict
+    solver_name: str
+    policy_name: str
+    precond_label: Optional[str]
+    precision_label: Optional[str]
+
+    def run(self) -> SolveResult:
+        return self.finish(self.function(self.operator, self.b, self.x0, **self.options))
+
+    def finish(self, result: SolveResult) -> SolveResult:
+        """Annotate a result of this call (whichever engine produced it)."""
+        result.info.setdefault("solver_name", self.solver_name)
+        result.info["policy_name"] = self.policy_name
+        if self.precond_label is not None:
+            result.info.setdefault("precond", self.precond_label)
+        if self.precision_label is not None:
+            result.info["precision"] = self.precision_label
+            if isinstance(result.x, np.ndarray) and result.x.dtype != np.float64:
+                result.x = np.asarray(result.x, dtype=np.float64)
+        return result
 
 
 @dataclass(frozen=True)
@@ -121,7 +155,7 @@ class RegisteredSolver:
     family: str
     title: str
     policies: Tuple[str, ...]
-    _solve: Callable = field(repr=False)
+    _dispatch: Callable = field(repr=False)
     spd_only: bool = False
     distributed: bool = True
     experiments: Tuple[str, ...] = ()
@@ -165,7 +199,12 @@ class RegisteredSolver:
             f"(supported: {self.policies}; generic: {GENERIC_POLICIES})"
         )
 
-    def solve(
+    def solve(self, operator, b, x0=None, **request) -> SolveResult:
+        """Run this solver with a named resilience policy: :meth:`prepare`
+        (which documents the arguments), then run."""
+        return self.prepare(operator, b, x0, **request).run()
+
+    def prepare(
         self,
         operator,
         b,
@@ -177,8 +216,14 @@ class RegisteredSolver:
         precond_matrix=None,
         precision=None,
         **params,
-    ) -> SolveResult:
-        """Run this solver with a named resilience policy.
+    ) -> PreparedSolve:
+        """Resolve a :meth:`solve` call without running it.
+
+        The one mapping from the declarative surface to a solver call,
+        for one lane and for many (:func:`batch_solve`): casts for
+        ``precision``, builds ``precond``, and asks the entry's dispatch
+        -- ``(policy, options, params) -> (solver function, its
+        keywords)`` -- what the call comes down to.
 
         ``params`` are forwarded to the underlying solver function;
         ``policy_options`` configure the policy object (e.g. the
@@ -233,16 +278,11 @@ class RegisteredSolver:
             if built is not None:
                 params[self.precond_param] = built
         effective = self.resolve_policy(policy)
-        result = self._solve(operator, b, x0, effective, dict(policy_options or {}), dict(params))
-        result.info.setdefault("solver_name", self.name)
-        result.info["policy_name"] = effective
-        if precond_label is not None:
-            result.info.setdefault("precond", precond_label)
-        if precision_label is not None:
-            result.info["precision"] = precision_label
-            if isinstance(result.x, np.ndarray) and result.x.dtype != np.float64:
-                result.x = np.asarray(result.x, dtype=np.float64)
-        return result
+        function, options = self._dispatch(effective, dict(policy_options or {}), dict(params))
+        return PreparedSolve(
+            function, operator, b, x0, options, self.name, effective, precond_label,
+            precision_label,
+        )
 
 
 def _builtin_solvers() -> List[RegisteredSolver]:
@@ -255,12 +295,12 @@ def _builtin_solvers() -> List[RegisteredSolver]:
     from repro.krylov.pipelined_gmres import pipelined_gmres
     from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
-    def solve_sdc(operator, b, x0, policy, options, params):
+    def dispatch_sdc(policy, options, params):
         response = {"skeptical_restart": "restart", "skeptical_abort": "abort"}[policy]
-        return sdc_detecting_gmres(operator, b, x0, policy=response, **options, **params)
+        return sdc_detecting_gmres, dict(policy=response, **options, **params)
 
-    def solve_ft(operator, b, x0, policy, options, params):
-        return ft_gmres(operator, b, x0, **options, **params)
+    def dispatch_ft(policy, options, params):
+        return ft_gmres, dict(**options, **params)
 
     guard_only = ("none", "residual_guard")
     return [
@@ -269,7 +309,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="Restarted GMRES, right preconditioning, blocking CGS2",
             policies=("none", "residual_guard", "skeptical_restart", "skeptical_abort"),
-            _solve=_dispatch_gmres(gmres, sdc_detecting_gmres),
+            _dispatch=_dispatch_gmres(_guarded(gmres), dispatch_sdc),
             experiments=("E1", "E3", "E6", "E8", "E9", "E10"),
         ),
         RegisteredSolver(
@@ -277,7 +317,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="Flexible GMRES (variable preconditioner, reliable outer)",
             policies=guard_only,
-            _solve=_guarded(fgmres),
+            _dispatch=_guarded(fgmres),
             experiments=("E6", "E8", "E9", "E10"),
             precond_param="inner_solve",
         ),
@@ -286,7 +326,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="Single-reduction (latency-tolerant) GMRES",
             policies=guard_only,
-            _solve=_guarded(pipelined_gmres),
+            _dispatch=_guarded(pipelined_gmres),
             experiments=("E3", "E8", "E9"),
         ),
         RegisteredSolver(
@@ -294,7 +334,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="cg",
             title="Preconditioned conjugate gradients",
             policies=guard_only,
-            _solve=_guarded(cg),
+            _dispatch=_guarded(cg),
             spd_only=True,
             experiments=("E3", "E5", "E8", "E9", "E10"),
         ),
@@ -303,7 +343,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="cg",
             title="Pipelined (overlapped single-reduction) CG",
             policies=guard_only,
-            _solve=_guarded(pipelined_cg),
+            _dispatch=_guarded(pipelined_cg),
             spd_only=True,
             experiments=("E3", "E8", "E9"),
         ),
@@ -312,7 +352,7 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="SDC-detecting (skeptical) GMRES",
             policies=("skeptical_restart", "skeptical_abort"),
-            _solve=solve_sdc,
+            _dispatch=dispatch_sdc,
             distributed=False,
             experiments=("E1", "E8"),
         ),
@@ -321,32 +361,28 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="outer_inner",
             title="Fault-tolerant GMRES (selective reliability, unreliable inner)",
             policies=("srp",),
-            _solve=solve_ft,
+            _dispatch=dispatch_ft,
             distributed=False,
             experiments=("E6", "E8"),
         ),
     ]
 
 
-def _dispatch_gmres(gmres_fn, sdc_fn) -> Callable:
+def _dispatch_gmres(guarded: Callable, skeptical: Callable) -> Callable:
     """GMRES dispatch: plain / guarded / full skeptical by policy name."""
-    from repro.krylov.engine import ResidualGuardPolicy
 
-    def run(operator, b, x0, policy, options, params):
-        if policy == "none":
-            return gmres_fn(operator, b, x0, **params)
-        if policy == "residual_guard":
-            return gmres_fn(operator, b, x0, policy=ResidualGuardPolicy(**options), **params)
-        response = {"skeptical_restart": "restart", "skeptical_abort": "abort"}[policy]
+    def dispatch(policy, options, params):
+        if policy in ("none", "residual_guard"):
+            return guarded(policy, options, params)
         params.pop("gram_schmidt", None)  # the skeptical solver pins CGS2
         # Uniform solve() contract: a gmres iteration_hook becomes the
         # skeptical solver's pre-check hook (same run-before-checks slot).
         hook = params.pop("iteration_hook", None)
         if hook is not None and "fault_hook" not in params:
             params["fault_hook"] = hook
-        return sdc_fn(operator, b, x0, policy=response, **options, **params)
+        return skeptical(policy, options, params)
 
-    return run
+    return dispatch
 
 
 class SolverRegistry(Registry[RegisteredSolver]):
@@ -369,47 +405,6 @@ def solver_names() -> List[str]:
 AXIS = Axis(name="solver", registry=default_solver_registry)
 
 
-#: Solvers with a batched lockstep engine path; everything else falls
-#: back to per-lane sequential solves inside :func:`batch_solve`.
-BATCHABLE_SOLVERS = ("gmres", "cg", "sdc_gmres")
-
-#: Concrete policy names the lockstep lanes support.  ``skeptical_abort``
-#: is deliberately absent: aborting one lane must not kill its siblings,
-#: so those solves always run sequentially.
-_BATCHABLE_POLICIES = ("none", "residual_guard", "skeptical_restart")
-
-# SdcLaneSpec fields that may arrive via solver params / policy options.
-_SDC_LANE_FIELDS = (
-    "tol",
-    "atol",
-    "restart",
-    "maxiter",
-    "preconditioner",
-    "check_period",
-    "orthogonality_period",
-    "residual_check_period",
-    "hessenberg_safety",
-    "orthogonality_tol",
-    "max_restarts_on_detection",
-    "operator_norm",
-    "fault_hook",
-)
-
-
-def _is_batchable(entry: RegisteredSolver, effective: str, merged: Mapping) -> bool:
-    """Whether one lane's (solver, policy, params) has a lockstep path."""
-    if entry.name not in BATCHABLE_SOLVERS:
-        return False
-    if effective not in _BATCHABLE_POLICIES:
-        return False
-    if entry.family == "gmres" and effective in ("none", "residual_guard"):
-        from repro.krylov.engine.batch import BATCH_GRAM_SCHMIDT
-
-        if merged.get("gram_schmidt", "cgs2") not in BATCH_GRAM_SCHMIDT:
-            return False
-    return True
-
-
 def _default_precision(value) -> bool:
     """Whether a lane's precision request keeps the float64 fast path."""
     if value is None:
@@ -419,13 +414,36 @@ def _default_precision(value) -> bool:
     return parse_precision(value).is_default
 
 
-def _precond_label(precond) -> str:
-    """The ``info["precond"]`` label, mirroring ``RegisteredSolver.solve``."""
-    if hasattr(precond, "apply") or callable(precond):
-        return type(precond).__name__
-    from repro.precond import parse_precond
+def _lane_spec(call: PreparedSolve):
+    """The lockstep lane that is ``call``, or ``None`` when it has none.
 
-    return parse_precond(precond).to_string()
+    The lockstep engine has a lane for the three solver functions its
+    ``*LaneSpec`` classes mirror, field for keyword; a call with a
+    keyword its spec does not declare, a Gram-Schmidt kernel without a
+    stacked form, or the skeptical ``"abort"`` response (aborting one
+    lane must not kill its siblings) stays with the sequential engine,
+    which accepts or refuses it as it would a single lane.
+    """
+    from repro.krylov.cg import cg
+    from repro.krylov.engine import batch
+    from repro.krylov.gmres import gmres
+    from repro.skeptical.gmres_sdc import sdc_detecting_gmres
+
+    options = dict(call.options)
+    if call.function is gmres:
+        spec_type = batch.GmresLaneSpec
+        if options.get("gram_schmidt", "cgs2") not in batch.BATCH_GRAM_SCHMIDT:
+            return None
+    elif call.function is cg:
+        spec_type = batch.CgLaneSpec
+    elif call.function is sdc_detecting_gmres and options.pop("policy") == "restart":
+        spec_type = batch.SdcLaneSpec
+    else:
+        return None
+    try:
+        return spec_type(b=call.b, x0=call.x0, operator=call.operator, **options)
+    except TypeError:  # a keyword the spec does not declare
+        return None
 
 
 def batch_solve(
@@ -451,19 +469,23 @@ def batch_solve(
     declarative ``precond``), applied to a list of right-hand sides
     ``bs`` (optionally per-lane ``x0s`` and per-lane parameter
     overrides ``lane_params``, e.g. a per-scenario ``iteration_hook``).
-    Results are bit-identical to ``S`` separate ``solve`` calls.
+    Every lane is resolved by :meth:`RegisteredSolver.prepare`, as a
+    separate ``solve`` call would be, so the same input is accepted, or
+    refused with the same error, at any lane count, and results are
+    bit-identical to ``S`` separate ``solve`` calls.
 
-    Lanes whose configuration has a lockstep path (``gmres``/``cg``/
-    ``sdc_gmres`` with ``none``/``residual_guard``/``skeptical_restart``
-    and a batchable Gram-Schmidt kernel) advance together through
+    Lanes whose resolved call has a lockstep lane (:func:`_lane_spec`:
+    ``gmres``/``cg``/``sdc_detecting_gmres`` with keywords the lane
+    specs declare, a batchable Gram-Schmidt kernel and not the
+    skeptical ``"abort"`` response) advance together through
     :func:`repro.krylov.engine.batch.run_arnoldi_batch` /
     :func:`~repro.krylov.engine.batch.run_cg_batch`; anything else
     (``skeptical_abort``, ``gram_schmidt="modified"``, the pipelined /
-    flexible / distributed solvers) falls back to per-lane sequential
-    solves, so callers never need to special-case batchability.  So
-    does a single lane (one lane through the lockstep engine costs
-    about 2-3x the sequential one): the engine is picked by the lane
-    count.  That rule is about *which engine owns which lane count*,
+    flexible / distributed solvers) runs as per-lane sequential solves,
+    so callers never need to special-case batchability.  So does a
+    single lane (one lane through the lockstep engine costs about 2-3x
+    the sequential one): the engine is picked by the lane count.  That
+    rule is about *which engine owns which lane count*,
     not a speed crossover -- per lane the lockstep engine overtakes the
     sequential one from about 2-3 lanes (``sdc_gmres``), 3 (``cg``) or
     4-5 (``gmres``) at n = 64; PERFORMANCE.md, "Lockstep engine", has
@@ -487,7 +509,6 @@ def batch_solve(
     """
     entry = (registry or default_solver_registry()).get(solver)
     effective = entry.resolve_policy(policy)
-    options = dict(policy_options or {})
     bs = list(bs)
     n_lanes = len(bs)
     if x0s is None:
@@ -499,95 +520,41 @@ def batch_solve(
     elif len(lane_params) != n_lanes:
         raise ValueError("lane_params must match the number of right-hand sides")
     if operators is None:
-        lane_operators = [None] * n_lanes
+        operators = [None] * n_lanes
     elif len(operators) != n_lanes:
         raise ValueError("operators must match the number of right-hand sides")
-    else:
-        lane_operators = list(operators)
 
     merged_all = [dict(params, **dict(extra)) for extra in lane_params]
     lane_precisions = [merged.pop("precision", precision) for merged in merged_all]
-    if n_lanes == 1 or not (
-        all(_default_precision(value) for value in lane_precisions)
-        and all(_is_batchable(entry, effective, merged) for merged in merged_all)
-    ):
-        # Sequential engine: exactly S independent solve() calls.
-        return [
-            entry.solve(
-                lane_op if lane_op is not None else operator,
-                b,
-                x0,
-                policy=effective,
-                policy_options=options,
-                precond=merged.pop("precond", precond),
-                precond_matrix=precond_matrix,
-                precision=lane_precision,
-                **merged,
-            )
-            for b, x0, merged, lane_op, lane_precision in zip(
-                bs, x0s, merged_all, lane_operators, lane_precisions
-            )
-        ]
-
-    from repro.krylov.engine import ResidualGuardPolicy
-    from repro.krylov.engine.batch import (
-        CgLaneSpec,
-        GmresLaneSpec,
-        SdcLaneSpec,
-        run_arnoldi_batch,
-        run_cg_batch,
+    # Every lane is resolved exactly as a separate solve() call resolves
+    # it (preconditioners per lane: stateful injecting proxies must not
+    # be shared), whichever engine then runs it.
+    calls = (
+        entry.prepare(
+            lane_op if lane_op is not None else operator,
+            b,
+            x0,
+            policy=effective,
+            policy_options=policy_options,
+            precond=merged.pop("precond", precond),
+            # A lane's private operator is a wrapper; the shared one anchors.
+            precond_matrix=operator if precond_matrix is None and lane_op is not None else precond_matrix,
+            precision=lane_precision,
+            **merged,
+        )
+        for b, x0, merged, lane_op, lane_precision in zip(
+            bs, x0s, merged_all, operators, lane_precisions
+        )
     )
-    from repro.precond import resolve_preconds
+    if n_lanes == 1 or not all(_default_precision(value) for value in lane_precisions):
+        # Sequential engine: S independent solve() calls, one at a time.
+        return [call.run() for call in calls]
+    calls = list(calls)
+    specs = [_lane_spec(call) for call in calls]
+    if None in specs:
+        return [call.run() for call in calls]
 
-    precond_label = None
-    specs = []
-    for b, x0, merged, lane_op in zip(bs, x0s, merged_all, lane_operators):
-        # Preconditioners are resolved per lane, exactly as S separate
-        # solve() calls would build them (stateful injecting proxies
-        # must not be shared across lanes).
-        lane_precond = merged.pop("precond", precond)
-        built = None
-        if lane_precond is not None:
-            built = resolve_preconds(
-                lane_precond,
-                matrix=precond_matrix if precond_matrix is not None else operator,
-            )
-            if precond_label is None:
-                precond_label = _precond_label(lane_precond)
-        if built is not None:
-            merged["preconditioner"] = built
-        if entry.family == "cg":
-            guard = ResidualGuardPolicy(**options) if effective == "residual_guard" else None
-            specs.append(CgLaneSpec(b=b, x0=x0, policy=guard, operator=lane_op, **merged))
-        elif effective == "skeptical_restart":
-            # Mirror _dispatch_gmres: CGS2 is pinned, and a generic
-            # iteration hook becomes the pre-check fault hook.
-            merged.pop("gram_schmidt", None)
-            hook = merged.pop("iteration_hook", None)
-            if hook is not None and "fault_hook" not in merged:
-                merged["fault_hook"] = hook
-            merged.update(options)
-            unknown = set(merged) - set(_SDC_LANE_FIELDS)
-            if unknown:
-                raise TypeError(f"unsupported skeptical solver options: {sorted(unknown)}")
-            specs.append(SdcLaneSpec(b=b, x0=x0, operator=lane_op, **merged))
-        else:
-            guard = ResidualGuardPolicy(**options) if effective == "residual_guard" else None
-            specs.append(GmresLaneSpec(b=b, x0=x0, policy=guard, operator=lane_op, **merged))
+    from repro.krylov.engine import batch
 
-    if entry.family == "cg":
-        results = run_cg_batch(operator, specs)
-    else:
-        results = run_arnoldi_batch(operator, specs)
-    for result, lane_precision in zip(results, lane_precisions):
-        result.info.setdefault("solver_name", entry.name)
-        result.info["policy_name"] = effective
-        if precond_label is not None:
-            result.info.setdefault("precond", precond_label)
-        if lane_precision is not None:
-            # Lanes only reach the lockstep engine with the default
-            # precision; mirror the label solve() would have recorded.
-            from repro.reliability.precision import parse_precision
-
-            result.info["precision"] = parse_precision(lane_precision).to_string()
-    return results
+    run = batch.run_cg_batch if isinstance(specs[0], batch.CgLaneSpec) else batch.run_arnoldi_batch
+    return [call.finish(result) for call, result in zip(calls, run(operator, specs))]

@@ -40,7 +40,7 @@ from repro.krylov.engine.resilience import (
     CycleAbandoned,
     SkepticalGmresPolicy,
 )
-from repro.krylov.gmres import GmresState, gmres
+from repro.krylov.gmres import GmresState, gmres_engine
 from repro.krylov.result import SolveResult
 from repro.skeptical.checks import (
     finite_check,
@@ -54,6 +54,7 @@ from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "sdc_detecting_gmres",
+    "SdcAttempts",
     "default_sdc_monitor",
     "estimate_operator_norm",
     "check_sdc_arguments",
@@ -66,10 +67,9 @@ def check_sdc_arguments(
     """Validate the skeptical solver's arguments (``periods``: the check,
     orthogonality and residual-check periods, in that order).
 
-    The one validation of both engines -- :func:`sdc_detecting_gmres`
-    and the lockstep lane of :mod:`repro.krylov.engine.batch` call it
-    first -- so one lane and many lanes refuse the same input with the
-    same message (names as in the checks that would fail later).
+    :class:`SdcAttempts` runs it before anything else, so both engines
+    refuse the same input with the same message (names as in the checks
+    that would fail later).
     """
     check_integer(periods[0], "check_period")
     check_positive(tol, "tol")
@@ -166,6 +166,111 @@ def default_sdc_monitor(
     return monitor
 
 
+class SdcAttempts:
+    """The attempt loop of :func:`sdc_detecting_gmres`, one decision at a time.
+
+    Owns what surrounds the GMRES attempts of one skeptical solve: the
+    argument check, the norm estimate, the budget (detection restarts
+    and iterations left), what an abandoned cycle costs, what a
+    completed attempt hands over, and the final result.  Both engines
+    drive it -- :func:`sdc_detecting_gmres` with a ``try/except
+    CycleAbandoned`` loop around ``engine.solve``, a lockstep lane of
+    :mod:`repro.krylov.engine.batch` at its cycle boundaries -- and
+    differ only in who steps the engine :meth:`next_engine` returns and
+    in where the check counters passed to :meth:`result` come from.
+    """
+
+    def __init__(
+        self, operator, b, x0, *, tol, atol, restart, maxiter, preconditioner,
+        check_period, orthogonality_period, residual_check_period,
+        hessenberg_safety, orthogonality_tol, max_restarts_on_detection, operator_norm,
+    ):
+        check_sdc_arguments(
+            tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
+            hessenberg_safety, orthogonality_tol, operator_norm,
+        )
+        self.operator = operator
+        self.b = np.asarray(b, dtype=np.float64)
+        self.norm_estimate = (
+            float(operator_norm) if operator_norm is not None
+            else estimate_operator_norm(operator, self.b)
+        )
+        self.x = (
+            np.array(x0, dtype=np.float64, copy=True) if x0 is not None
+            else np.zeros_like(self.b)
+        )
+        self._gmres_options = dict(  # the skeptical solver pins CGS2
+            tol=tol, atol=atol, restart=restart, preconditioner=preconditioner,
+            gram_schmidt="cgs2", iteration_hook=None,
+        )
+        self.maxiter = maxiter
+        self.max_restarts_on_detection = max_restarts_on_detection
+        self.attempts = 0
+        self.total_iterations = 0
+        self.residual_norms: list = []
+        self.converged = False
+        self.breakdown = False
+        self.kernels = canonical_kernel_counters()
+        self.target = None
+
+    def next_engine(self, policy):
+        """The GMRES engine of the next attempt, restarting from the last
+        valid iterate :attr:`x`; ``None`` when the solve is over."""
+        remaining = self.maxiter - self.total_iterations
+        if (
+            self.converged
+            or self.breakdown
+            or self.attempts > self.max_restarts_on_detection
+            or remaining <= 0
+        ):
+            return None
+        self.attempts += 1
+        return gmres_engine(
+            self.operator, maxiter=remaining, policy=policy, **self._gmres_options
+        )
+
+    def abandon(self, kernels: Optional[dict]) -> None:
+        """A detection discarded the attempt's cycle.  The iterate is
+        still valid (it was formed before the corruption), so the next
+        attempt simply starts from it; the abandoned attempt's kernel
+        work and one iteration tick stay in the accounting."""
+        if kernels:
+            self.kernels.merge_dict(kernels)
+        self.total_iterations += 1
+
+    def complete(self, result: SolveResult) -> None:
+        """An attempt ran to its end: take over its iterate and history."""
+        self.total_iterations += result.iterations
+        self.residual_norms.extend(result.residual_norms)
+        self.kernels.merge_dict(result.info["kernels"])
+        self.target = result.info["target"]
+        self.x = np.asarray(result.x)
+        self.converged = result.converged
+        self.breakdown = result.breakdown
+
+    def result(
+        self, *, detected_faults: int, detection_restarts: int, checks_run, check_flops,
+        policy: str,
+    ) -> SolveResult:
+        return SolveResult(
+            x=self.x,
+            converged=self.converged,
+            iterations=self.total_iterations,
+            residual_norms=self.residual_norms,
+            breakdown=self.breakdown,
+            detected_faults=detected_faults,
+            info={
+                "detection_restarts": detection_restarts,
+                "checks_run": float(checks_run),
+                "check_flops": float(check_flops),
+                "policy": policy,
+                "operator_norm_estimate": self.norm_estimate,
+                "target": self.target,
+                "kernels": self.kernels.as_dict(),
+            },
+        )
+
+
 def sdc_detecting_gmres(
     operator,
     b: np.ndarray,
@@ -182,12 +287,15 @@ def sdc_detecting_gmres(
     hessenberg_safety: float = 4.0,
     orthogonality_tol: float = 1e-6,
     policy: str = "restart",
-    monitor: Optional[SkepticalMonitor] = None,
     fault_hook: Optional[Callable[[GmresState], None]] = None,
     max_restarts_on_detection: int = 5,
     operator_norm: Optional[float] = None,
 ) -> SolveResult:
     """Restarted GMRES with skeptical SDC detection in the Arnoldi process.
+
+    The check set is the standard one (:func:`default_sdc_monitor`); a
+    custom set is a composition, not an option of this function:
+    ``gmres(A, b, policy=SkepticalGmresPolicy(monitor, operator=A, b=b))``.
 
     Parameters
     ----------
@@ -208,9 +316,6 @@ def sdc_detecting_gmres(
         Krylov cycle and restart from the current iterate;
         ``"abort"`` -- raise
         :class:`~repro.skeptical.policies.SkepticalAbort`.
-    monitor:
-        Optionally supply a pre-configured monitor (its checks are used
-        instead of the defaults).
     fault_hook:
         Optional callable run *before* the checks each iteration with
         the :class:`~repro.krylov.gmres.GmresState`; fault-injection
@@ -233,96 +338,41 @@ def sdc_detecting_gmres(
         restarts, ``info["check_flops"]`` the total checking cost and
         ``info["checks_run"]`` how many check evaluations were made.
     """
-    check_sdc_arguments(
-        tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
-        hessenberg_safety, orthogonality_tol, operator_norm,
+    checks = dict(
+        check_period=check_period,
+        orthogonality_period=orthogonality_period,
+        residual_check_period=residual_check_period,
+        hessenberg_safety=hessenberg_safety,
+        orthogonality_tol=orthogonality_tol,
+    )
+    attempts = SdcAttempts(
+        operator, b, x0, tol=tol, atol=atol, restart=restart, maxiter=maxiter,
+        preconditioner=preconditioner, max_restarts_on_detection=max_restarts_on_detection,
+        operator_norm=operator_norm, **checks,
     )
     if policy not in ("restart", "abort"):
         raise ValueError("policy must be 'restart' or 'abort'")
-
-    b = np.asarray(b, dtype=np.float64)
-    norm_estimate = (
-        float(operator_norm) if operator_norm is not None
-        else estimate_operator_norm(operator, b)
-    )
-
-    if monitor is None:
-        monitor = default_sdc_monitor(
-            norm_estimate,
-            check_period=check_period,
-            orthogonality_period=orthogonality_period,
-            residual_check_period=residual_check_period,
-            hessenberg_safety=hessenberg_safety,
-            orthogonality_tol=orthogonality_tol,
-        )
-
-    skeptical = SkepticalGmresPolicy(monitor, operator=operator, b=b, response=policy)
+    monitor = default_sdc_monitor(attempts.norm_estimate, **checks)
+    skeptical = SkepticalGmresPolicy(monitor, operator=operator, b=attempts.b, response=policy)
     engine_policy = (
         skeptical
         if fault_hook is None
         else CompositePolicy([CallbackPolicy(fault_hook, "state"), skeptical])
     )
 
-    x = np.array(x0, dtype=np.float64, copy=True) if x0 is not None else np.zeros_like(b)
-    total_iterations = 0
-    all_residuals = []
-    converged = False
-    breakdown = False
-    kernels = canonical_kernel_counters()
-    target = None
-
-    attempts = 0
-    while attempts <= max_restarts_on_detection and not converged:
-        attempts += 1
-        remaining = maxiter - total_iterations
-        if remaining <= 0:
-            break
+    while (engine := attempts.next_engine(engine_policy)) is not None:
         try:
-            result = gmres(
-                operator,
-                b,
-                x0=x,
-                tol=tol,
-                atol=atol,
-                restart=restart,
-                maxiter=remaining,
-                preconditioner=preconditioner,
-                policy=engine_policy,
-            )
+            result = engine.solve(attempts.b, attempts.x)
         except CycleAbandoned as abandoned:
-            # The corrupted cycle is discarded; the current iterate x is
-            # still valid (it was formed before the corruption), so we
-            # simply try again from it -- keeping the abandoned
-            # attempt's kernel work in the accounting.
-            if abandoned.kernels:
-                kernels.merge_dict(abandoned.kernels)
-            total_iterations += 1
-            continue
-        total_iterations += result.iterations
-        all_residuals.extend(result.residual_norms)
-        kernels.merge_dict(result.info["kernels"])
-        target = result.info["target"]
-        x = np.asarray(result.x)
-        converged = result.converged
-        breakdown = result.breakdown
-        if converged or breakdown:
-            break
+            attempts.abandon(abandoned.kernels)
+        else:
+            attempts.complete(result)
 
     summary = monitor.summary()
-    return SolveResult(
-        x=x,
-        converged=converged,
-        iterations=total_iterations,
-        residual_norms=all_residuals,
-        breakdown=breakdown,
+    return attempts.result(
         detected_faults=monitor.n_detections,
-        info={
-            "detection_restarts": skeptical.detection_restarts,
-            "checks_run": summary["checks_run"],
-            "check_flops": summary["check_flops"],
-            "policy": policy,
-            "operator_norm_estimate": norm_estimate,
-            "target": target,
-            "kernels": kernels.as_dict(),
-        },
+        detection_restarts=skeptical.detection_restarts,
+        checks_run=summary["checks_run"],
+        check_flops=summary["check_flops"],
+        policy=policy,
     )

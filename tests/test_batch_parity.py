@@ -16,8 +16,9 @@ every layer:
 * engine, beyond the fixed fixtures -- a bounded Hypothesis fuzz of
   ``batch_solve`` against ``S`` separate ``solve`` calls (slot swaps,
   many cycle boundaries, degenerate right-hand sides, fault hooks), one
-  table of bad inputs both engines must refuse alike, and the lockstep
-  engine's cost shape as counts (``GmresState`` built only when a hook
+  table of inputs both engines must accept or refuse alike, spies on
+  the cycle boundary, event builder and skeptical attempt loop the two
+  engines share, and the lockstep engine's cost shape as counts (``GmresState`` built only when a hook
   can act, seconds that add up to the stacked spans);
 * properties (Hypothesis) -- ``plan_batch_groups`` partitions without
   dropping or duplicating scenarios, and the lockstep convergence mask
@@ -28,6 +29,9 @@ every layer:
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import inspect
 import itertools
 import types
 
@@ -48,13 +52,17 @@ from repro.experiments import (
 )
 from repro.krylov.engine import batch as batch_engine
 from repro.krylov.engine import core as engine_core
+from repro.krylov import cg, gmres
+from repro.krylov.engine import IterationEvent, ResidualGuardPolicy
 from repro.krylov.engine.batch import CgLaneSpec, run_cg_batch
+from repro.krylov.engine.core import ArnoldiAttempt
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.blas import givens_rotation, givens_rotation_many
 from repro.linalg.matgen import poisson_2d
 from repro.utils import timing
 from repro.reliability.models import BasisBitflipFaults
 from repro.reliability.spec import FaultSpec
+from repro.skeptical.gmres_sdc import SdcAttempts, sdc_detecting_gmres
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +342,10 @@ class TestLockstepFuzz:
 _SKEPTICAL = dict(policy="skeptical_restart")
 
 
+def _no_op_hook(state):
+    pass
+
+
 class TestBadInputAgreement:
     @pytest.mark.parametrize(
         "solver,kwargs,refused",
@@ -355,6 +367,21 @@ class TestBadInputAgreement:
             # Legal: a zero tolerance runs to maxiter on both engines.
             ("gmres", dict(tol=0.0, maxiter=7), False),
             ("cg", dict(tol=0.0, maxiter=7), False),
+            # Keywords the solver function does not take are refused by
+            # the solver function, whatever the lane count: the skeptical
+            # solver has no gram_schmidt, iteration_hook or monitor, and
+            # nobody has a bogus.
+            ("sdc_gmres", dict(_SKEPTICAL, gram_schmidt="classical"), TypeError),
+            ("sdc_gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook), TypeError),
+            ("sdc_gmres", dict(_SKEPTICAL, monitor=object()), TypeError),
+            ("sdc_gmres", dict(_SKEPTICAL, bogus=1), TypeError),
+            ("gmres", dict(bogus=1), TypeError),
+            ("gmres", dict(policy="residual_guard", bogus=1), TypeError),
+            ("cg", dict(bogus=1), TypeError),
+            # Legal: "gmres" under the skeptical policy maps its own
+            # keywords onto the skeptical solver's (the one dispatch).
+            ("gmres", dict(_SKEPTICAL, gram_schmidt="classical"), False),
+            ("gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook), False),
         ],
     )
     def test_one_lane_and_two_lanes_agree(self, matrix, rhs, solver, kwargs, refused):
@@ -369,7 +396,128 @@ class TestBadInputAgreement:
 
         one = outcome(1)
         assert one == outcome(2)
-        assert (one[0] is ValueError) == refused
+        # refused: False (accepted), True (a ValueError) or the exception type.
+        expected = {False: None, True: ValueError}.get(refused, refused)
+        assert (one[0] if isinstance(one[0], type) else None) is expected
+
+    def test_lane_specs_mirror_the_solver_signatures(self):
+        # batch_solve sends a call to the lockstep engine only when its
+        # keywords are fields of the lane spec: the specs must declare
+        # what the solver functions take (the skeptical lane has no
+        # ``policy``: it is the "restart" response).
+        for function, spec_type, not_in_lockstep in [
+            (gmres, batch_engine.GmresLaneSpec, set()),
+            (cg, batch_engine.CgLaneSpec, set()),
+            (sdc_detecting_gmres, batch_engine.SdcLaneSpec, {"policy"}),
+        ]:
+            keywords = set(inspect.signature(function).parameters) - not_in_lockstep
+            declared = {field.name: field.default for field in dataclasses.fields(spec_type)}
+            assert set(declared) == keywords
+            for name, parameter in inspect.signature(function).parameters.items():
+                if parameter.default is not inspect.Parameter.empty and name in declared:
+                    assert declared[name] == parameter.default, name
+
+
+class TestSharedBoundary:
+    """The engines differ in their inner step only: the cycle boundary,
+    the event a policy sees and the skeptical attempt loop are the same
+    function objects, entered the same number of times per lane."""
+
+    ATTEMPT = ["begin_cycle", "start_cycle", "update_solution", "close_cycle", "result"]
+    DRIVER = ["next_engine", "abandon", "complete", "result"]
+
+    @pytest.fixture
+    def calls(self, monkeypatch, rhs):
+        """(lane, "Class.method") -> number of calls, the lane told by its ``b``."""
+        counts = collections.Counter()
+
+        def spy(owner, name):
+            method = getattr(owner, name)
+
+            def counted(self, *args, **kw):
+                lane = next(i for i, b in enumerate(rhs) if b is self.b)
+                counts[lane, f"{owner.__name__}.{name}"] += 1
+                return method(self, *args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in self.ATTEMPT + ["observe"]:
+            spy(ArnoldiAttempt, name)
+        for name in self.DRIVER:
+            spy(SdcAttempts, name)
+        return counts
+
+    @pytest.mark.parametrize("solver", ["gmres", "sdc_gmres"])
+    def test_both_engines_enter_the_same_boundary(self, matrix, rhs, calls, solver):
+        def run(lanes):
+            calls.clear()
+            results = []
+            for start in range(0, 3, lanes):
+                if solver == "gmres":  # an undeclared hook: observed every step
+                    kwargs = dict(iteration_hook=_no_op_hook)
+                    lane_params = None
+                else:  # an exponent flip at step 4: one detection, one restart
+                    kwargs = dict(_SKEPTICAL)
+                    lane_params = [
+                        {"fault_hook": _bitflip_hook((52, 62), i, 4)}
+                        for i in range(start, start + lanes)
+                    ]
+                with np.errstate(all="ignore"):
+                    results += batch_solve(
+                        solver, matrix, rhs[start:start + lanes], tol=1e-8, restart=10,
+                        maxiter=600, lane_params=lane_params, **kwargs,
+                    )
+            return results, dict(calls)
+
+        sequential, one_lane = run(1)
+        lockstep, three_lanes = run(3)
+        assert_lane_parity(lockstep, sequential)
+        # What both engines must enter equally often.  The event builder
+        # counts for gmres only: the lockstep sweep stands in for the
+        # skeptical monitor, so there the fault hook is the one observer.
+        shared = [f"ArnoldiAttempt.{name}" for name in self.ATTEMPT]
+        if solver == "gmres":
+            shared.append("ArnoldiAttempt.observe")
+        else:
+            shared += [f"SdcAttempts.{name}" for name in self.DRIVER]
+        for lane, result in enumerate(sequential):
+            for name in shared:
+                assert one_lane[lane, name] == three_lanes[lane, name] > 0, (lane, name)
+            assert one_lane[lane, "ArnoldiAttempt.start_cycle"] >= 3
+            if solver == "gmres":
+                assert one_lane[lane, "ArnoldiAttempt.observe"] == result.iterations
+            else:
+                assert result.info["detection_restarts"] == 1
+                assert one_lane[lane, "SdcAttempts.abandon"] == 1
+                assert one_lane[lane, "SdcAttempts.complete"] == 1
+                assert one_lane[lane, "SdcAttempts.next_engine"] == 3
+                # The hook is due at step 4 of the abandoned attempt and of
+                # its successor; the sequential policy observes every step.
+                assert three_lanes[lane, "ArnoldiAttempt.observe"] == 2
+                assert one_lane[lane, "ArnoldiAttempt.observe"] > result.iterations
+
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["sequential", "lockstep"])
+    def test_a_policy_gets_the_event_shape_it_declares(self, matrix, rhs, monkeypatch, lanes):
+        seen = []
+        guard_observe = ResidualGuardPolicy.observe
+
+        def observe(self, event):
+            seen.append(type(event))
+            guard_observe(self, event)
+
+        monkeypatch.setattr(ResidualGuardPolicy, "observe", observe)
+        kwargs = dict(tol=1e-8, restart=10, maxiter=600)
+        guarded = batch_solve("gmres", matrix, rhs[:lanes], policy="residual_guard", **kwargs)
+        # needs_arnoldi_state = False: the scalar event, on either engine.
+        assert set(seen) == {IterationEvent}
+        assert len(seen) == sum(r.iterations for r in guarded)
+        seen.clear()
+        hooked = batch_solve(
+            "gmres", matrix, rhs[:lanes], **kwargs,
+            iteration_hook=lambda state: seen.append(type(state)),
+        )
+        assert set(seen) == {engine_core.GmresState}
+        assert len(seen) == sum(r.iterations for r in hooked)
 
 
 class TestLockstepCostShape:
@@ -393,8 +541,7 @@ class TestLockstepCostShape:
                 built.append(kw.get("total_iteration"))
                 super().__init__(*args, **kw)
 
-        monkeypatch.setattr(batch_engine, "GmresState", CountedState)
-        monkeypatch.setattr(engine_core, "GmresState", CountedState)
+        monkeypatch.setattr(engine_core, "GmresState", CountedState)  # both engines' builder
         return built
 
     @pytest.mark.parametrize("lanes", [LANES, 1], ids=["lockstep", "sequential"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.krylov import allocate_basis, arnoldi_step, gmres
+from repro.krylov import allocate_basis, gmres
 from repro.krylov.ops import fused_dots
 from repro.linalg.blas import cgs2_step
 from repro.linalg.csr import CsrMatrix
@@ -211,21 +211,6 @@ class TestGmresBlockKernels:
         assert kernels["counts"]["matvec"] >= result.iterations
         assert kernels["seconds"]["orthogonalization"] >= 0.0
         assert kernels["seconds"]["matvec"] > 0.0
-
-    def test_cgs2_arnoldi_step(self, rng):
-        matrix = poisson_2d(6)
-        n = matrix.n_rows
-        m = 6
-        basis = np.zeros((n, m + 1))
-        hessenberg = np.zeros((m + 1, m))
-        v0 = rng.standard_normal(n)
-        basis[:, 0] = v0 / np.linalg.norm(v0)
-        for j in range(m):
-            arnoldi_step(matrix.matvec, basis, hessenberg, j, gram_schmidt="cgs2")
-        gram = basis.T @ basis
-        assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-12
-        av = np.column_stack([matrix.matvec(basis[:, j]) for j in range(m)])
-        np.testing.assert_allclose(av, basis @ hessenberg, atol=1e-10)
 
     def test_cgs2_step_reconstruction(self, rng):
         basis = np.linalg.qr(rng.standard_normal((20, 5)))[0]

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.krylov import (
-    ArnoldiBreakdown,
-    arnoldi_step,
+    batch_solve,
     cg,
     fgmres,
     gmres,
@@ -29,51 +28,27 @@ def relative_residual(matrix, x, b):
     return float(np.linalg.norm(matrix.matvec(np.asarray(x)) - b) / np.linalg.norm(b))
 
 
-class TestArnoldi:
-    def test_builds_orthonormal_basis(self, poisson_small, rng):
-        n = poisson_small.n_rows
-        m = 8
-        basis = np.zeros((n, m + 1))
-        hessenberg = np.zeros((m + 1, m))
-        v0 = rng.standard_normal(n)
-        basis[:, 0] = v0 / np.linalg.norm(v0)
-        for j in range(m):
-            arnoldi_step(poisson_small.matvec, basis, hessenberg, j)
-        gram = basis[:, : m + 1].T @ basis[:, : m + 1]
-        assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-10
-        # Arnoldi relation A V_m = V_{m+1} H
-        av = np.column_stack([poisson_small.matvec(basis[:, j]) for j in range(m)])
-        assert np.allclose(av, basis[:, : m + 1] @ hessenberg, atol=1e-10)
-
-    def test_breakdown_detected(self):
-        matrix = np.eye(4)
-        basis = np.zeros((4, 3))
-        hessenberg = np.zeros((3, 2))
-        basis[:, 0] = np.array([1.0, 0, 0, 0])
-        with pytest.raises(ArnoldiBreakdown):
-            # A v = v is entirely in the span of the basis -> breakdown.
-            arnoldi_step(lambda v: matrix @ v, basis, hessenberg, 0)
-
-    def test_perturb_hook_applied(self, poisson_tiny, rng):
-        n = poisson_tiny.n_rows
-        basis = np.zeros((n, 3))
-        hessenberg = np.zeros((3, 2))
-        v0 = rng.standard_normal(n)
-        basis[:, 0] = v0 / np.linalg.norm(v0)
-        seen = []
-        arnoldi_step(
-            poisson_tiny.matvec, basis, hessenberg, 0,
-            perturb=lambda w, step: (seen.append(step), w)[1],
-        )
-        assert seen == [0]
-
-    def test_invalid_gram_schmidt(self, poisson_tiny):
-        with pytest.raises(ValueError):
-            arnoldi_step(poisson_tiny.matvec, np.zeros((12, 2)), np.zeros((2, 1)), 0,
-                         gram_schmidt="qr")
-
-
 class TestGmres:
+    def test_live_basis_stays_orthonormal_over_a_cycle(self, poisson_small, rng):
+        # The basis an iteration_hook sees is the solver's own; it stays
+        # orthonormal to 1e-10 at every step of a cycle, on the sequential
+        # engine (one lane) and on the lockstep one (three).
+        for lanes in (1, 3):
+            defects = []
+
+            def hook(state):
+                v = state.basis.matrix()
+                assert v.shape[1] == state.inner + 2
+                defects.append(np.max(np.abs(v.T @ v - np.eye(v.shape[1]))))
+
+            bs = [rng.standard_normal(poisson_small.n_rows) for _ in range(lanes)]
+            results = batch_solve(
+                "gmres", poisson_small, bs, tol=1e-10, restart=8, maxiter=8,
+                iteration_hook=hook,
+            )
+            assert len(defects) == sum(r.iterations for r in results) == 8 * lanes
+            assert max(defects) < 1e-10
+
     def test_converges_on_spd(self, poisson_small, rng):
         b = rng.standard_normal(poisson_small.n_rows)
         result = gmres(poisson_small, b, tol=1e-10, restart=40, maxiter=600)
