@@ -12,7 +12,7 @@ statically on every ``experiments/e*.py`` module:
 * ``run`` exists, takes no ``*args``/``**kwargs`` (they would defeat
   the registry's parameter validation), and every parameter carries a
   default -- a bare ``run()`` must be callable, which is what the
-  smoke campaign and the benchmark harness rely on;
+  smoke campaign and the partial ``golden=`` overrides rely on;
 * every key of the ``smoke=`` and ``golden=`` literal dicts names a
   ``run()`` parameter;
 * ``SPEC``'s ``experiment=`` id matches the module filename prefix

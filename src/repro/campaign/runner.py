@@ -94,16 +94,6 @@ class ScenarioOutcome:
         return ExperimentResult.from_dict(self.result) if self.result else None
 
 
-def _execute_payload(payload: Tuple[str, dict]) -> Tuple[Optional[dict], Optional[str], float]:
-    """Run one scenario in-process; returns (result_dict, error, elapsed).
-
-    Thin wrapper over :func:`repro.campaign.executor.default_execute`,
-    kept for the sequential path and backwards compatibility.
-    """
-    experiment, params = payload
-    return default_execute(experiment, params)
-
-
 def plan_batch_groups(
     scenarios: Sequence[Scenario],
     registry: Optional[ExperimentRegistry] = None,

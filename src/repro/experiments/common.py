@@ -1,6 +1,6 @@
 """Shared experiment infrastructure.
 
-Three pieces live here:
+Four pieces live here:
 
 * :class:`ExperimentResult` -- the value every driver's ``run()``
   returns, now JSON round-trippable (:meth:`ExperimentResult.to_dict` /
@@ -19,6 +19,10 @@ Three pieces live here:
   runner's :func:`~repro.campaign.runner.plan_batch_groups`.  It binds
   defaults against :func:`run_signature`, the one introspection of a
   driver, which the campaign registry reads too.
+* :class:`TrustedProblem` and :func:`as_axis` -- what the sweeping
+  drivers (E8-E10) share: the SPD model problem with one trusted direct
+  solution per lane to classify outcomes against, and the
+  ``None | str | sequence`` convention of their axis parameters.
 """
 
 from __future__ import annotations
@@ -28,12 +32,19 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.linalg.matgen import poisson_2d
+from repro.reliability.sdc import classify_outcome
+from repro.utils.rng import RngFactory
 from repro.utils.serialization import canonical_json, jsonify
 from repro.utils.tables import Table, one_line
 
 __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
+    "TrustedProblem",
+    "as_axis",
     "batch_signature",
     "run_batch_by_seed",
     "run_signature",
@@ -214,3 +225,58 @@ def run_batch_by_seed(
         for index, result in zip(members, run_lanes(seeds, **shared)):
             results[index] = result
     return results
+
+
+def as_axis(value, default: Sequence) -> list:
+    """An axis parameter as a list: ``None`` = ``default``, a string = one value."""
+    if value is None:
+        return list(default)
+    if isinstance(value, str):
+        return [value]
+    return list(value)
+
+
+class TrustedProblem:
+    """The 2-D Poisson problem of a sweeping driver, one lane per seed.
+
+    Holds the matrix, each lane's right-hand side (the ``"rhs"`` stream
+    of its seed) and the direct solution every solver outcome of that
+    lane is classified against.
+    """
+
+    def __init__(self, grid: int, seeds: Sequence[int]) -> None:
+        self.matrix = poisson_2d(grid)
+        dense = self.matrix.to_dense()
+        self.b_list = [
+            RngFactory(seed).spawn("rhs").standard_normal(self.matrix.n_rows)
+            for seed in seeds
+        ]
+        self._x_refs = [np.linalg.solve(dense, b) for b in self.b_list]
+        self._x_ref_norms = [float(np.linalg.norm(x)) for x in self._x_refs]
+
+    def classify(self, lane: int, result, error_tolerance: float) -> Tuple[str, str, bool]:
+        """``(error cell, outcome, correct)`` of one lane's solve result.
+
+        The error is relative to the trusted solution (``inf`` for a
+        non-finite iterate), the outcome is
+        :func:`repro.reliability.sdc.classify_outcome`'s, and ``correct``
+        means converged *and* within ``error_tolerance``.
+        """
+        x = np.asarray(result.x, dtype=np.float64)
+        finite = bool(np.all(np.isfinite(x)))
+        error = (
+            float(np.linalg.norm(x - self._x_refs[lane])) / self._x_ref_norms[lane]
+            if finite
+            else float("inf")
+        )
+        outcome = classify_outcome(
+            converged=result.converged,
+            error_norm=error,
+            tolerance=error_tolerance,
+            detected=result.detected_faults > 0,
+        )
+        return (
+            f"{error:.3e}" if finite else "inf",
+            outcome,
+            bool(result.converged and error <= error_tolerance),
+        )

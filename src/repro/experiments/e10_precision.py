@@ -48,17 +48,20 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
+    TrustedProblem,
+    as_axis,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
-from repro.linalg.matgen import poisson_2d
-from repro.precond import parse_precond, resolve_preconds
+from repro.precond import parse_precond, precond_names, resolve_preconds
 from repro.reliability import unreliable
-from repro.reliability.precision import PrecisionDomain, parse_precision
+from repro.reliability.precision import (
+    PrecisionDomain,
+    default_precision_registry,
+    parse_precision,
+)
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import classify_outcome
 from repro.reliability.seeding import derive_fault_seed
-from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 from repro.utils.validation import check_in
 
@@ -87,41 +90,6 @@ _DEFAULT_SOLVERS = ("gmres", "fgmres", "cg")
 #: Inner-solve budget of the fgmres selective-precision configuration.
 _INNER_TOL = 1e-4
 _INNER_MAXITER = 50
-
-
-def _solver_axis(solvers) -> List[str]:
-    if solvers is None:
-        return list(_DEFAULT_SOLVERS)
-    if isinstance(solvers, str):
-        return [solvers]
-    return list(solvers)
-
-
-def _precision_axis(precisions) -> List[str]:
-    """Canonical spec strings of the swept precisions."""
-    if precisions is None:
-        from repro.reliability.precision import (
-            default_precision_registry,
-            precision_names,
-        )
-
-        registry = default_precision_registry()
-        values = [registry.get(name).spec for name in precision_names()]
-    elif isinstance(precisions, str):
-        values = [precisions]
-    else:
-        values = list(precisions)
-    return [parse_precision(value).to_string() for value in values]
-
-
-def _precond_axis(preconds) -> List[str]:
-    if preconds is None:
-        from repro.precond import precond_names
-
-        return precond_names()
-    if isinstance(preconds, str):
-        return [preconds]
-    return list(preconds)
 
 
 def _fgmres_inner_solve(matrix, built, registry, precision_label):
@@ -224,22 +192,22 @@ def _run_lanes(
     """
     check_in(target, ("inner", "outer"), "target")
     registry = default_solver_registry()
-    solver_list = _solver_axis(solvers)
-    precision_list = _precision_axis(precisions)
-    precond_list = _precond_axis(preconds)
+    solver_list = as_axis(solvers, _DEFAULT_SOLVERS)
+    # Canonical spec strings of the swept precisions.
+    precision_list = [
+        parse_precision(value).to_string()
+        for value in as_axis(
+            precisions, [entry.spec for entry in default_precision_registry()]
+        )
+    ]
+    precond_list = as_axis(preconds, precond_names())
 
     fault_model = resolve_faults(faults)
     soft_model = fault_model.soft_component()
 
-    matrix = poisson_2d(grid)
-    dense = matrix.to_dense()
+    problem = TrustedProblem(grid, seeds)
+    matrix, b_list = problem.matrix, problem.b_list
     lanes = range(len(seeds))
-    b_list = [
-        RngFactory(seed).spawn("rhs").standard_normal(matrix.n_rows)
-        for seed in seeds
-    ]
-    x_refs = [np.linalg.solve(dense, b) for b in b_list]
-    x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
 
     tables = [
         Table(
@@ -277,17 +245,8 @@ def _run_lanes(
 
                 for s in lanes:
                     result = results[s]
-                    x = np.asarray(result.x, dtype=np.float64)
-                    finite = bool(np.all(np.isfinite(x)))
-                    error = (
-                        float(np.linalg.norm(x - x_refs[s])) / x_ref_norms[s]
-                        if finite else float("inf")
-                    )
-                    outcome = classify_outcome(
-                        converged=result.converged,
-                        error_norm=error,
-                        tolerance=error_tolerance,
-                        detected=result.detected_faults > 0,
+                    error_cell, outcome, correct = problem.classify(
+                        s, result, error_tolerance
                     )
                     tables[s].add_row(
                         solver.name,
@@ -296,14 +255,13 @@ def _run_lanes(
                         result.iterations,
                         result.converged,
                         faults_hits[s],
-                        f"{error:.3e}" if finite else "inf",
+                        error_cell,
                         outcome,
                     )
                     cell = counters[s]
                     cell["n_runs"] += 1
                     cell["total_faults"] += faults_hits[s]
                     cell["n_silent"] += int(outcome == "sdc")
-                    correct = result.converged and error <= error_tolerance
                     cell["n_correct"] += int(correct)
                     if not pspec.is_default:
                         cell["low_runs"] += 1

@@ -38,15 +38,14 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
+    TrustedProblem,
+    as_axis,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
-from repro.linalg.matgen import poisson_2d
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import classify_outcome
 from repro.reliability.seeding import derive_fault_seed
 from repro.skeptical.gmres_sdc import estimate_operator_norm
-from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 
 __all__ = ["run", "run_batch", "SPEC"]
@@ -141,12 +140,7 @@ def _run_lanes(
     stream of its own seed.
     """
     registry = default_solver_registry()
-    if solvers is None:
-        names = registry.names()
-    elif isinstance(solvers, str):
-        names = [solvers]
-    else:
-        names = list(solvers)
+    names = as_axis(solvers, registry.names())
 
     if faults is None:
         fault_model = resolve_faults(
@@ -162,15 +156,9 @@ def _run_lanes(
     fault_p = soft_model.probability if soft_model is not None else 0.0
     fault_bits = soft_model.bits if soft_model is not None else None
 
-    matrix = poisson_2d(grid)
-    dense = matrix.to_dense()
+    problem = TrustedProblem(grid, seeds)
+    matrix, b_list = problem.matrix, problem.b_list
     lanes = range(len(seeds))
-    b_list = [
-        RngFactory(seed).spawn("rhs").standard_normal(matrix.n_rows)
-        for seed in seeds
-    ]
-    x_refs = [np.linalg.solve(dense, b) for b in b_list]
-    x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
     # Setup runs in reliable mode (the SkP assumption): the skeptical
     # solvers get their ||A|| estimate from the *clean* matrix, never
     # through the fault-injecting operator wrapper.
@@ -248,19 +236,7 @@ def _run_lanes(
                 faults_hit = environments[s].faults_injected()
             else:
                 faults_hit = 0
-            x = np.asarray(result.x, dtype=np.float64)
-            finite = bool(np.all(np.isfinite(x)))
-            error = (
-                float(np.linalg.norm(x - x_refs[s])) / x_ref_norms[s]
-                if finite
-                else float("inf")
-            )
-            outcome = classify_outcome(
-                converged=result.converged,
-                error_norm=error,
-                tolerance=error_tolerance,
-                detected=result.detected_faults > 0,
-            )
+            error_cell, outcome, correct = problem.classify(s, result, error_tolerance)
             tables[s].add_row(
                 solver.name,
                 result.info["policy_name"],
@@ -268,14 +244,14 @@ def _run_lanes(
                 result.converged,
                 faults_hit,
                 result.detected_faults,
-                f"{error:.3e}" if finite else "inf",
+                error_cell,
                 outcome,
             )
             cell = counters[s]
             cell["total_faults"] += faults_hit
             cell["n_detected"] += int(result.detected_faults > 0)
             cell["n_silent"] += int(outcome == "sdc")
-            cell["n_correct"] += int(result.converged and error <= error_tolerance)
+            cell["n_correct"] += int(correct)
 
     out = []
     for s in lanes:

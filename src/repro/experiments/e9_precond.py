@@ -50,16 +50,15 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
+    TrustedProblem,
+    as_axis,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
-from repro.linalg.matgen import poisson_2d
-from repro.precond import parse_precond, resolve_preconds
+from repro.precond import parse_precond, precond_names, resolve_preconds
 from repro.reliability import unreliable
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import classify_outcome
 from repro.reliability.seeding import derive_fault_seed
-from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 from repro.utils.validation import check_in
 
@@ -169,33 +168,15 @@ def _run_lanes(
     """
     check_in(target, ("precond", "operator"), "target")
     registry = default_solver_registry()
-    if solvers is None:
-        solver_list = list(_DEFAULT_SOLVERS)
-    elif isinstance(solvers, str):
-        solver_list = [solvers]
-    else:
-        solver_list = list(solvers)
-    if preconds is None:
-        from repro.precond import precond_names
-
-        precond_list = precond_names()
-    elif isinstance(preconds, str):
-        precond_list = [preconds]
-    else:
-        precond_list = list(preconds)
+    solver_list = as_axis(solvers, _DEFAULT_SOLVERS)
+    precond_list = as_axis(preconds, precond_names())
 
     fault_model = resolve_faults(faults)
     soft_model = fault_model.soft_component()
 
-    matrix = poisson_2d(grid)
-    dense = matrix.to_dense()
+    problem = TrustedProblem(grid, seeds)
+    matrix, b_list = problem.matrix, problem.b_list
     lanes = range(len(seeds))
-    b_list = [
-        RngFactory(seed).spawn("rhs").standard_normal(matrix.n_rows)
-        for seed in seeds
-    ]
-    x_refs = [np.linalg.solve(dense, b) for b in b_list]
-    x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
 
     tables = [
         Table(
@@ -234,17 +215,8 @@ def _run_lanes(
 
             for s in lanes:
                 result = results[s]
-                x = np.asarray(result.x, dtype=np.float64)
-                finite = bool(np.all(np.isfinite(x)))
-                error = (
-                    float(np.linalg.norm(x - x_refs[s])) / x_ref_norms[s]
-                    if finite else float("inf")
-                )
-                outcome = classify_outcome(
-                    converged=result.converged,
-                    error_norm=error,
-                    tolerance=error_tolerance,
-                    detected=result.detected_faults > 0,
+                error_cell, outcome, correct = problem.classify(
+                    s, result, error_tolerance
                 )
                 tables[s].add_row(
                     solver.name,
@@ -252,16 +224,14 @@ def _run_lanes(
                     result.iterations,
                     result.converged,
                     faults_hits[s],
-                    f"{error:.3e}" if finite else "inf",
+                    error_cell,
                     outcome,
                 )
                 cell = counters[s]
                 cell["n_runs"] += 1
                 cell["total_faults"] += faults_hits[s]
                 cell["n_silent"] += int(outcome == "sdc")
-                cell["n_correct"] += int(
-                    result.converged and error <= error_tolerance
-                )
+                cell["n_correct"] += int(correct)
 
     out = []
     for s in lanes:

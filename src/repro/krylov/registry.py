@@ -141,9 +141,6 @@ class RegisteredSolver:
         operator.
     distributed:
         Whether the solver runs on the simulated distributed backend.
-    experiments:
-        Experiment ids whose benchmarks exercise this solver (drives
-        ``run_benchmarks.py --solver``).
     precond_param:
         The underlying solver keyword that receives a preconditioner
         built from ``solve(..., precond=...)`` (``"preconditioner"``
@@ -158,7 +155,6 @@ class RegisteredSolver:
     _dispatch: Callable = field(repr=False)
     spd_only: bool = False
     distributed: bool = True
-    experiments: Tuple[str, ...] = ()
     precond_param: str = "preconditioner"
 
     @property
@@ -310,7 +306,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             title="Restarted GMRES, right preconditioning, blocking CGS2",
             policies=("none", "residual_guard", "skeptical_restart", "skeptical_abort"),
             _dispatch=_dispatch_gmres(_guarded(gmres), dispatch_sdc),
-            experiments=("E1", "E3", "E6", "E8", "E9", "E10"),
         ),
         RegisteredSolver(
             name="fgmres",
@@ -318,7 +313,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             title="Flexible GMRES (variable preconditioner, reliable outer)",
             policies=guard_only,
             _dispatch=_guarded(fgmres),
-            experiments=("E6", "E8", "E9", "E10"),
             precond_param="inner_solve",
         ),
         RegisteredSolver(
@@ -327,7 +321,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             title="Single-reduction (latency-tolerant) GMRES",
             policies=guard_only,
             _dispatch=_guarded(pipelined_gmres),
-            experiments=("E3", "E8", "E9"),
         ),
         RegisteredSolver(
             name="cg",
@@ -336,7 +329,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             policies=guard_only,
             _dispatch=_guarded(cg),
             spd_only=True,
-            experiments=("E3", "E5", "E8", "E9", "E10"),
         ),
         RegisteredSolver(
             name="pipelined_cg",
@@ -345,7 +337,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             policies=guard_only,
             _dispatch=_guarded(pipelined_cg),
             spd_only=True,
-            experiments=("E3", "E8", "E9"),
         ),
         RegisteredSolver(
             name="sdc_gmres",
@@ -354,7 +345,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             policies=("skeptical_restart", "skeptical_abort"),
             _dispatch=dispatch_sdc,
             distributed=False,
-            experiments=("E1", "E8"),
         ),
         RegisteredSolver(
             name="ft_gmres",
@@ -363,7 +353,6 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             policies=("srp",),
             _dispatch=dispatch_ft,
             distributed=False,
-            experiments=("E6", "E8"),
         ),
     ]
 

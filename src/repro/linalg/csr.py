@@ -55,7 +55,7 @@ _STORAGE_DTYPES = (np.float16, np.float32, np.float64)
 
 #: Row count from which ``matvec`` reduces through the slab layout
 #: rather than ``reduceat``.  Measured crossover on a five-entry stencil
-#: (PERFORMANCE.md, PR 13 note): ``reduceat`` still wins at 576 rows
+#: (PERFORMANCE.md, "Kernel"): ``reduceat`` still wins at 576 rows
 #: (11 vs 13 us), the slab path from 1 024 on (19 vs 17 us, 253 vs 133
 #: at 16 384).
 _SLAB_MIN_ROWS = 1024

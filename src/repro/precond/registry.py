@@ -96,7 +96,7 @@ def build_preconditioner(
 
 
 class RegisteredPreconditioner(RegisteredSpec):
-    """One named preconditioner configuration (``run_benchmarks.py --precond``)."""
+    """One named preconditioner configuration."""
 
     def build(self, matrix, **overrides) -> Optional[Preconditioner]:
         """Instantiate for ``matrix``, with optional parameter overrides."""
@@ -112,43 +112,36 @@ def _builtin_preconds() -> List[RegisteredPreconditioner]:
             name="none",
             spec=spec("none"),
             title="No preconditioning (M = I)",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="jacobi",
             spec=spec("jacobi"),
             title="Diagonal (Jacobi) scaling",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="ssor",
             spec=spec("ssor:omega=1.0"),
             title="Symmetric SOR, one forward + one backward sweep",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="ssor_over",
             spec=spec("ssor:omega=1.2"),
             title="Over-relaxed symmetric SOR (omega = 1.2)",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="poly2",
             spec=spec("poly:k=2"),
             title="Neumann-series polynomial, degree 2 (inner-product-free)",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="poly4",
             spec=spec("poly:k=4"),
             title="Neumann-series polynomial, degree 4 (inner-product-free)",
-            experiments=("E9",),
         ),
         RegisteredPreconditioner(
             name="bjacobi8",
             spec=spec("bjacobi:bs=8"),
             title="Block Jacobi, 8-row blocks (per-subdomain solves)",
-            experiments=("E9",),
         ),
     ]
 
@@ -157,7 +150,7 @@ class PrecondRegistry(Registry[RegisteredPreconditioner]):
     """Index of named preconditioner configurations."""
 
     NOUN = "preconditioner"
-    COLUMNS = ("precond", "spec", "experiments", "title")
+    COLUMNS = ("precond", "spec", "title")
     builtin = staticmethod(_builtin_preconds)
 
 

@@ -150,7 +150,7 @@ class PrecisionSpec(KindSpec):
 # Registry
 # ----------------------------------------------------------------------
 class RegisteredPrecision(RegisteredSpec):
-    """One named precision configuration (``run_benchmarks.py --precision``)."""
+    """One named precision configuration."""
 
 
 def _builtin_precisions() -> List[RegisteredPrecision]:
@@ -161,19 +161,16 @@ def _builtin_precisions() -> List[RegisteredPrecision]:
             name="fp64",
             spec=spec("fp64"),
             title="Full double precision (the default path, bit for bit)",
-            experiments=("E10",),
         ),
         RegisteredPrecision(
             name="fp32",
             spec=spec("fp32"),
             title="Single-precision compute (half the memory traffic)",
-            experiments=("E10",),
         ),
         RegisteredPrecision(
             name="fp32_fp16",
             spec=spec("fp32:storage=fp16"),
             title="Single-precision compute over half-precision matrix storage",
-            experiments=("E10",),
         ),
     ]
 
@@ -182,7 +179,7 @@ class PrecisionRegistry(Registry[RegisteredPrecision]):
     """Index of named precision configurations."""
 
     NOUN = "precision"
-    COLUMNS = ("precision", "spec", "experiments", "title")
+    COLUMNS = ("precision", "spec", "title")
     builtin = staticmethod(_builtin_precisions)
 
 

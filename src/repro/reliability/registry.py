@@ -32,7 +32,7 @@ __all__ = [
 
 
 class RegisteredFaultModel(RegisteredSpec):
-    """One named fault-model configuration (``run_benchmarks.py --faults``)."""
+    """One named fault-model configuration."""
 
     def build(self, **overrides) -> FaultModel:
         """Instantiate the model, with optional parameter overrides."""
@@ -48,55 +48,46 @@ def _builtin_models() -> List[RegisteredFaultModel]:
             name="none",
             spec=spec("none"),
             title="Fault-free control",
-            experiments=("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"),
         ),
         RegisteredFaultModel(
             name="bitflip",
             spec=spec("bitflip:p=0.02"),
             title="Per-operation Bernoulli bit flip, any bit",
-            experiments=("E2", "E3", "E6", "E8", "E9"),
         ),
         RegisteredFaultModel(
             name="bitflip_mantissa",
             spec=spec("bitflip:p=0.02,bits=0..51"),
             title="Bernoulli bit flip restricted to mantissa bits",
-            experiments=("E2", "E3", "E6", "E8", "E9"),
         ),
         RegisteredFaultModel(
             name="bitflip_exponent",
             spec=spec("bitflip:p=0.02,bits=52..62"),
             title="Bernoulli bit flip restricted to exponent bits",
-            experiments=("E2", "E3", "E6", "E8", "E9"),
         ),
         RegisteredFaultModel(
             name="basis_bitflip",
             spec=spec("basis_bitflip:bits=0..63"),
             title="Targeted single flip in the newest Krylov basis vector",
-            experiments=("E1",),
         ),
         RegisteredFaultModel(
             name="sdc_value",
             spec=spec("perturb:p=0.01,scale=1000.0"),
             title="SDC value perturbation (scale one element x1e3)",
-            experiments=("E2", "E3", "E6", "E8", "E9"),
         ),
         RegisteredFaultModel(
             name="msg_corrupt",
             spec=spec("msg_corrupt:p=0.001"),
             title="Per-send message payload corruption",
-            experiments=("E4",),
         ),
         RegisteredFaultModel(
             name="proc_fail",
             spec=spec("proc_fail:mtbf=3600.0"),
             title="Exponential (memoryless) process failures",
-            experiments=("E4", "E5", "E7"),
         ),
         RegisteredFaultModel(
             name="proc_fail_weibull",
             spec=spec("proc_fail:mtbf=3600.0,model=weibull,shape=0.7"),
             title="Weibull process failures (infant-mortality hazard)",
-            experiments=("E4", "E7"),
         ),
     ]
 
@@ -105,7 +96,7 @@ class FaultRegistry(Registry[RegisteredFaultModel]):
     """Index of named fault-model configurations."""
 
     NOUN = "fault model"
-    COLUMNS = ("fault_model", "spec", "experiments", "title")
+    COLUMNS = ("fault_model", "spec", "title")
     builtin = staticmethod(_builtin_models)
 
 

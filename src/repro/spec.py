@@ -426,18 +426,14 @@ class RegisteredSpec:
         The declarative configuration the name stands for.
     title:
         One-line human description.
-    experiments:
-        Experiment ids whose drivers/benchmarks exercise this entry
-        (drives the ``run_benchmarks.py`` axis filters).
     """
 
     name: str
     spec: KindSpec
     title: str
-    experiments: Tuple[str, ...] = ()
 
     def row(self) -> tuple:
-        return (self.name, self.spec.to_string(), ",".join(self.experiments), self.title)
+        return (self.name, self.spec.to_string(), self.title)
 
 
 # ----------------------------------------------------------------------

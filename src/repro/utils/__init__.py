@@ -6,8 +6,8 @@ is used by every other subpackage:
 * :mod:`repro.utils.rng` -- reproducible random-number stream factory.
 * :mod:`repro.utils.validation` -- argument-checking helpers with
   consistent error messages.
-* :mod:`repro.utils.timing` -- wall-clock timers and simple counters
-  used by the experiment harness.
+* :mod:`repro.utils.timing` -- the kernel time/call counters behind
+  ``SolveResult.info["kernels"]``.
 * :mod:`repro.utils.tables` -- plain-text table formatting used by the
   experiment and benchmark drivers so the reproduced "tables" print in
   a uniform layout.
@@ -19,7 +19,6 @@ is used by every other subpackage:
 
 from repro.utils.rng import RngFactory, spawn_rng
 from repro.utils.tables import Table
-from repro.utils.timing import Stopwatch, Counter
 from repro.utils.validation import (
     require,
     check_positive,
@@ -37,8 +36,6 @@ __all__ = [
     "spawn_rng",
     "jsonify",
     "Table",
-    "Stopwatch",
-    "Counter",
     "require",
     "check_positive",
     "check_non_negative",

@@ -1,8 +1,8 @@
-"""Timers and counters used by the experiment harness.
+"""Kernel time and call counters of the solver hot paths.
 
 Wall-clock timing in this toolkit is only ever used for *reporting
-overheads of the reproduction itself* (e.g. how long a benchmark takes
-to run).  All performance results that reproduce the paper's claims use
+overheads of the reproduction itself* (where a solve spends its time).
+All performance results that reproduce the paper's claims use
 the *virtual* time maintained by :mod:`repro.simmpi.clock` and the
 analytic models in :mod:`repro.machine`, so they are deterministic.
 """
@@ -10,79 +10,9 @@ analytic models in :mod:`repro.machine`, so they are deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["Stopwatch", "Counter", "KernelCounters"]
-
-
-class Stopwatch:
-    """A simple start/stop wall-clock stopwatch with lap support.
-
-    Examples
-    --------
-    >>> sw = Stopwatch()
-    >>> sw.start()
-    >>> _ = sum(range(1000))
-    >>> elapsed = sw.stop()
-    >>> elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-        self._laps: list = []
-
-    def start(self) -> "Stopwatch":
-        """Start (or resume) the stopwatch."""
-        if self._start is not None:
-            raise RuntimeError("stopwatch already running")
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return total elapsed seconds."""
-        if self._start is None:
-            raise RuntimeError("stopwatch is not running")
-        self._elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    def lap(self) -> float:
-        """Record a lap time (seconds since start/last lap) and return it."""
-        if self._start is None:
-            raise RuntimeError("stopwatch is not running")
-        now = time.perf_counter()
-        lap = now - self._start - sum(self._laps)
-        self._laps.append(lap)
-        return lap
-
-    @property
-    def elapsed(self) -> float:
-        """Total elapsed time, including the running segment if any."""
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-    @property
-    def laps(self) -> list:
-        """List of recorded lap durations."""
-        return list(self._laps)
-
-    def reset(self) -> None:
-        """Reset the stopwatch to its initial state."""
-        self._start = None
-        self._elapsed = 0.0
-        self._laps = []
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        if self._start is not None:
-            self.stop()
+__all__ = ["KernelCounters"]
 
 
 class KernelCounters:
@@ -158,44 +88,3 @@ class KernelCounters:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """``{"counts": {...}, "seconds": {...}}`` for ``SolveResult.info``."""
         return {"counts": dict(self.counts), "seconds": dict(self.seconds)}
-
-
-@dataclass
-class Counter:
-    """Named integer counters (e.g. flops, messages, detections).
-
-    The counter is a thin wrapper over a dictionary with convenience
-    arithmetic; it is used throughout the solvers to report work and
-    communication volumes that feed the machine model.
-    """
-
-    counts: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, name: str, amount: float = 1) -> None:
-        """Add ``amount`` to counter ``name`` (creating it at zero)."""
-        self.counts[name] = self.counts.get(name, 0) + amount
-
-    def get(self, name: str) -> float:
-        """Return the value of counter ``name`` (0 if never touched)."""
-        return self.counts.get(name, 0)
-
-    def merge(self, other: "Counter") -> "Counter":
-        """Return a new counter with the element-wise sum of both."""
-        merged = Counter(dict(self.counts))
-        for key, value in other.counts.items():
-            merged.add(key, value)
-        return merged
-
-    def reset(self) -> None:
-        """Clear all counters."""
-        self.counts.clear()
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return a copy of the underlying dictionary."""
-        return dict(self.counts)
-
-    def __getitem__(self, name: str) -> float:
-        return self.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.counts

@@ -664,6 +664,41 @@ class TestDocLinksRule:
         assert report.findings[0].line == 3
         assert "missing.md" in report.findings[0].message
 
+    def test_quoted_path_to_a_missing_file_flagged(self, tmp_path):
+        report = run_rules(
+            tmp_path,
+            {
+                "DOC.md": """\
+                Run `scripts/present.sh`, then (see `scripts/present.sh::main`
+                and `/elsewhere/scripts/gone.py`):
+
+                ```bash
+                python scripts/present.sh --out /tmp/x.json
+                python benchmarks/gone.py --smoke
+                ```
+                """,
+                "scripts/present.sh": "ok\n",
+            },
+            ["doc-links"],
+        )
+        assert [(f.line, f.message) for f in report.findings] == [
+            (6, "dangling file path -> benchmarks/gone.py")
+        ]
+
+    def test_globs_history_documents_and_quoted_links_not_flagged(self, tmp_path):
+        gone = "`benchmarks/gone.py` and `[text](gone.md)`\n"
+        report = run_rules(
+            tmp_path,
+            {
+                "DOC.md": "`benchmarks/bench_*.py`, `tests/goldens/<id>.txt`, "
+                          "`src/pkg/`, `[text](gone.md)`\n",
+                "CHANGES.md": gone,
+                "benchmarks/ledger/README.md": gone,
+            },
+            ["doc-links"],
+        )
+        assert report.findings == []
+
     def test_baseline_allowlists_doc_finding(self, tmp_path):
         # Markdown has no suppression comments; the baseline is the
         # allow-listing mechanism, and its fingerprint is line-free.

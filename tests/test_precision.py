@@ -36,14 +36,12 @@ from repro.reliability.precision import (
     PrecisionSpec,
     cast_operator,
     cast_vector,
-    default_precision_registry,
     lowprecision,
     parse_precision,
     precision_names,
 )
 
 REGISTRY = default_solver_registry()
-PRECISIONS = default_precision_registry()
 
 
 def _problem(grid: int = 8, seed: int = 17):
@@ -135,10 +133,6 @@ class TestPrecisionRegistry:
     def test_names_cover_the_builtin_set(self):
         assert {"fp64", "fp32", "fp32_fp16"} <= set(precision_names())
 
-    def test_entries_name_e10(self):
-        for entry in PRECISIONS:
-            assert "E10" in entry.experiments
-
     def test_parse_precision_wire_forms(self):
         assert parse_precision(None) == PrecisionSpec("fp64")
         assert parse_precision("fp32_fp16") == PrecisionSpec.parse(
@@ -148,12 +142,6 @@ class TestPrecisionRegistry:
         assert parse_precision({"kind": "fp32"}) == PrecisionSpec("fp32")
         spec = PrecisionSpec("fp32")
         assert parse_precision(spec) is spec
-
-    def test_e10_solvers_list_e10_in_the_solver_registry(self):
-        # The benchmark --solver/--precision intersection relies on the
-        # E10 default solvers advertising E10.
-        for name in ("gmres", "fgmres", "cg"):
-            assert "E10" in REGISTRY.get(name).experiments
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,6 @@ class TestRegistryLookup:
             assert z.shape == (matrix.n_rows,)
             assert np.all(np.isfinite(z))
 
-    def test_every_entry_names_an_experiment(self):
-        for entry in REGISTRY:
-            assert entry.experiments, entry.name
-
 
 class TestResolution:
     def test_none_resolves_to_no_preconditioner(self):

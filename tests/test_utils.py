@@ -1,4 +1,4 @@
-"""Tests for repro.utils (rng, validation, timing, tables, logging)."""
+"""Tests for repro.utils (rng, validation, tables, logging)."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import (
-    Counter,
     Event,
     EventLog,
     RngFactory,
-    Stopwatch,
     Table,
     check_array_1d,
     check_in,
@@ -134,65 +132,6 @@ class TestValidation:
         check_same_shape(np.zeros(3), np.ones(3), ("a", "b"))
         with pytest.raises(ValueError):
             check_same_shape(np.zeros(3), np.zeros(4), ("a", "b"))
-
-
-class TestStopwatch:
-    def test_start_stop(self):
-        sw = Stopwatch()
-        sw.start()
-        assert sw.stop() >= 0.0
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            pass
-        assert sw.elapsed >= 0.0
-
-    def test_laps_and_reset(self):
-        sw = Stopwatch().start()
-        sw.lap()
-        sw.lap()
-        assert len(sw.laps) == 2
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0 and sw.laps == []
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("flops", 10)
-        counter.add("flops", 5)
-        assert counter.get("flops") == 15
-        assert counter["missing"] == 0
-
-    def test_merge(self):
-        a = Counter({"x": 1})
-        b = Counter({"x": 2, "y": 3})
-        merged = a.merge(b)
-        assert merged.get("x") == 3 and merged.get("y") == 3
-        assert a.get("x") == 1  # original untouched
-
-    def test_contains_and_reset(self):
-        counter = Counter()
-        counter.add("messages")
-        assert "messages" in counter
-        counter.reset()
-        assert "messages" not in counter
-
-    def test_as_dict_is_copy(self):
-        counter = Counter({"a": 1})
-        d = counter.as_dict()
-        d["a"] = 99
-        assert counter.get("a") == 1
 
 
 class TestTable:
