@@ -10,7 +10,7 @@ variation points of the solver family factored into strategy objects:
   (inner-solver, reliable-outer) preconditioning.
 * :mod:`~repro.krylov.engine.convergence` -- the stopping rule.
 * :mod:`~repro.krylov.engine.resilience` -- pluggable per-iteration
-  resilience policies (hooks, skeptical monitors, residual guards).
+  resilience policies (hooks, fault injection, residual guards).
 * :mod:`~repro.krylov.engine.cg` -- the SPD (CG) iteration schemes.
 
 See ARCHITECTURE.md for the layer diagram and
@@ -41,7 +41,6 @@ from repro.krylov.engine.resilience import (
     NullPolicy,
     ResidualGuardPolicy,
     ResiliencePolicy,
-    SkepticalGmresPolicy,
 )
 
 # The batched lockstep path imports the engine submodules above; keep
@@ -76,7 +75,6 @@ __all__ = [
     "CallbackPolicy",
     "CompositePolicy",
     "ResidualGuardPolicy",
-    "SkepticalGmresPolicy",
     "FaultInjectionPolicy",
     "CycleAbandoned",
     "IterationEvent",

@@ -59,12 +59,12 @@ gates therefore compare everything except ``seconds``.
 Skeptical (SDC-detecting) lanes drive the attempt loop of
 :func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres`
 (:class:`~repro.skeptical.gmres_sdc.SdcAttempts`) at their cycle
-boundaries.  What they do not share is the check set: the monitor and
-:mod:`repro.skeptical.checks` are the reference, and
-:func:`_skeptical_checks` is the sweep the parity fuzz holds to it.
-Only the ``"restart"`` response is supported here (an ``"abort"`` would
-have to kill sibling lanes); the registry routes ``skeptical_abort``
-solves to the sequential engine.
+boundaries and its check set every step: the cohort's stacked arrays
+go to :meth:`~repro.skeptical.gmres_sdc.SdcChecks.sweep`, the function
+the sequential solve enters with one lane.  Only the ``"restart"``
+response is supported here (an ``"abort"`` would have to kill sibling
+lanes); the registry routes ``skeptical_abort`` solves to the
+sequential engine.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from repro.krylov.engine.resilience import (
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import back_substitution, givens_rotation_many
 from repro.linalg.csr import CsrMatrix
-from repro.skeptical.checks import residual_consistency_check
 
 __all__ = [
     "GmresLaneSpec",
@@ -305,14 +304,11 @@ class _SdcGmresLane:
     """A skeptical GMRES scenario: :class:`~repro.skeptical.gmres_sdc.SdcAttempts`
     driven at the cycle boundaries.
 
-    The driver hands out one GMRES engine per attempt, exactly as it
+    ``SdcAttempts`` hands out one GMRES engine per attempt, exactly as it
     does to :func:`~repro.skeptical.gmres_sdc.sdc_detecting_gmres`; here
-    the cohort steps it, the checks are :func:`_skeptical_checks`' sweep
-    instead of a monitor, and the engine's policy is the fault hook
-    alone.  The check bookkeeping (observation counter, checks run,
-    flops, detections) persists across attempts as the sequential
-    solver's monitor does, while the residual history clears per
-    attempt (``SkepticalGmresPolicy.begin_attempt``).
+    the cohort steps it and enters the attempt loop's check set
+    (:attr:`checks`) with its stacked arrays, so the engine's policy is
+    the fault hook alone.
     """
 
     is_sdc = True
@@ -325,21 +321,11 @@ class _SdcGmresLane:
         options = _solver_keywords(spec)
         self.policy = CallbackPolicy.from_hook(options.pop("fault_hook"), "state")
         self.driver = SdcAttempts(
-            spec.operator if spec.operator is not None else operator, spec.b, spec.x0, **options
+            spec.operator if spec.operator is not None else operator, spec.b, spec.x0,
+            policy="restart", **options,
         )
         self.b = self.driver.b
-        self.check_period = int(spec.check_period)
-        self.orthogonality_period = int(spec.orthogonality_period)
-        self.residual_check_period = int(spec.residual_check_period)
-        self.orthogonality_tol = float(spec.orthogonality_tol)
-        self.hessenberg_threshold = float(spec.hessenberg_safety) * self.driver.norm_estimate
-        # Monitor-equivalent bookkeeping (persists across attempts).
-        self.obs = 0
-        self.checks_run = 0
-        self.check_flops = 0.0
-        self.detections = 0
-        self.detection_restarts = 0
-        self.residual_history: List[float] = []
+        self.checks = self.driver.checks
         self.engine = None
         self.attempt = None
         self.slot = -1
@@ -351,22 +337,23 @@ class _SdcGmresLane:
             if self.attempt is None:
                 self.engine = self.driver.next_engine(self.policy)
                 if self.engine is None:
-                    self.result = self.driver.result(
-                        detected_faults=self.detections,
-                        detection_restarts=self.detection_restarts,
-                        checks_run=self.checks_run,
-                        check_flops=self.check_flops,
-                        policy="restart",
-                    )
+                    self.result = self.driver.result()
                     break
                 self.attempt = self.engine.begin(self.b, self.driver.x)
-                self.residual_history = []
             m = self.attempt.begin_cycle()
             if m is not None:
                 return (m, self.method)
             self.driver.complete(self.engine.finish(self.attempt.result()))
             self.attempt = None
         return None
+
+    def true_residual(self, j: int, residual: float) -> float:
+        """The residual-consistency check's truth after step ``j`` (the
+        reconstruct step charges the attempt as the sequential closure does)."""
+        a = self.attempt
+        return cycle_start_true_residual(
+            a.operator, a.b, j, residual, functools.partial(a.reconstruct_iterate, j)
+        )
 
     def tail_begin(self):
         """The attempt whose cycle tail remains; ``None`` when the sweep
@@ -392,124 +379,6 @@ def _advance(lane, steps: int, res: np.ndarray) -> None:
     a.total_iteration += steps - a.inner_used
     a.inner_used = a.lsq.size = steps
     a.basis.n_columns = steps + 1
-
-
-def _slot_rows(pairs):
-    """Index of the slots of ``pairs``: a slice when they are the leading
-    slots in order (views, no gather copies -- the all-lanes-due common
-    case), else an index array."""
-    slots = [slot for _, slot in pairs]
-    if slots[0] == 0 and slots[-1] == len(slots) - 1:
-        return slice(0, len(slots))
-    return np.asarray(slots, dtype=np.intp)
-
-
-def _skeptical_checks(sdc, j: int, basis: np.ndarray, hess: np.ndarray, residuals):
-    """One monitor observation for every active SDC lane of a cohort step.
-
-    Replicates ``SkepticalMonitor.observe`` with the default check set
-    in registration order -- finite basis, finite Hessenberg column,
-    Hessenberg bound, residual monotonicity (all at ``check_period``),
-    then orthogonality and residual consistency at their own periods --
-    counting the failing check and skipping the rest, at most one
-    detection per observation.  The three cheap array checks are
-    evaluated as one vectorized sweep over the due lanes.  ``sdc`` holds
-    the ``(lane, slot)`` pairs in slot order, ``residuals`` this step's
-    residual per slot.  (``check_flops`` only ever adds integer-valued
-    floats, so folding a lane's passed checks into one add is exact.)
-
-    Returns the set of lanes whose abort policy fired (restart response:
-    the cycle is abandoned).
-    """
-    abandoned = set()
-    n = basis.shape[2]
-    due, ortho, consistency = [], [], []
-    for pair in sdc:
-        lane, slot = pair
-        lane.obs = obs = lane.obs + 1
-        lane.residual_history.append(residuals[slot])
-        if obs % lane.check_period == 0:
-            due.append(pair)
-        if obs % lane.orthogonality_period == 0:
-            ortho.append(pair)
-        if obs % lane.residual_check_period == 0:
-            consistency.append(pair)
-    if due:
-        rows = _slot_rows(due)
-        fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1).tolist()
-        # NaN propagates through max and inf is the max, so the bound
-        # test below also fails on any non-finite window entry.
-        max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2)).tolist()
-        # Cumulative cost of the array checks when 1, 2, 3 or all 4 ran.
-        costs = (float(n), float(n + j + 2), float(n + (j + 2) + (j + 2) * (j + 1)))
-        costs += costs[2:]
-        for i, (lane, slot) in enumerate(due):
-            me = max_entry[i]
-            if not fb_pass[i]:
-                ran = 1
-            elif not (math.isfinite(me) and me <= lane.hessenberg_threshold):
-                # The bound failed; the check before it (finite newest
-                # column, part of the same window) may have failed first.
-                ran = 3 if np.isfinite(hess[slot, : j + 2, j]).all() else 2
-            else:
-                # All three passed; the fourth is monotonicity_check
-                # (history[-4:], default window/allowed_increase, zero
-                # cost_flops), inlined.
-                ran = 4
-                recent = lane.residual_history[-4:]
-                if len(recent) < 2:
-                    mono_pass = True
-                elif not all(map(math.isfinite, recent)):
-                    mono_pass = False
-                else:
-                    reference = min(recent[:-1])
-                    mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
-            lane.checks_run += ran
-            lane.check_flops += costs[ran - 1]
-            if ran < 4 or not mono_pass:
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
-    # Orthogonality defect, vectorized: batched (D, k, n) @ (D, n, k)
-    # Gram matrices are bit-identical to the per-lane ``v.T @ v`` of
-    # orthogonality_check (pinned by the parity suite).
-    if abandoned:
-        ortho = [pair for pair in ortho if pair[0] not in abandoned]
-    if ortho:
-        k = j + 2
-        V = basis[_slot_rows(ortho), :k, :]
-        grams = np.matmul(V, V.transpose(0, 2, 1))
-        # A non-finite Gram entry makes the defect inf or NaN: it fails.
-        defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
-        cost = 2.0 * n * k * k
-        for i, (lane, _slot) in enumerate(ortho):
-            d = defect[i]
-            lane.checks_run += 1
-            lane.check_flops += cost
-            if not (math.isfinite(d) and d <= lane.orthogonality_tol):
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
-    for lane, slot in consistency:
-        if lane in abandoned:
-            continue
-        residual = residuals[slot]
-        a = lane.attempt
-        # The reconstruct step charges ``basis_update`` (and
-        # ``preconditioner``) to the attempt as the sequential closure does.
-        check = residual_consistency_check(
-            residual,
-            cycle_start_true_residual(
-                a.operator, a.b, j, residual, functools.partial(a.reconstruct_iterate, j)
-            ),
-        )
-        lane.checks_run += 1
-        lane.check_flops += check.cost_flops
-        if not check.passed:
-            lane.detections += 1
-            lane.detection_restarts += 1
-            abandoned.add(lane)
-    return abandoned
 
 
 def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
@@ -578,6 +447,8 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
         else:
             due.setdefault(a.fire_at - a.total_iteration - 1, []).append(lane)
     sdc = [(lane, lane.slot) for lane in order if lane.is_sdc]
+    if sdc:  # local import: the skeptical layer sits above the engine
+        from repro.skeptical.gmres_sdc import SdcChecks
     no_precond = all(lane.attempt.preconditioner.preconditioner is None for lane in order)
     shared_operator = all(lane.attempt.operator is order[0].attempt.operator for lane in order)
     mv_sec = ortho_sec = 0.0
@@ -675,7 +546,7 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
                 _advance(lane, steps, res)
                 a = lane.attempt
                 a.observe(j, a.total_iteration, a.residual_norms[-1])
-        abandoned = _skeptical_checks(sdc, j, basis, hess, now.tolist()) if sdc else ()
+        abandoned = SdcChecks.sweep(sdc, j, basis, hess, now.tolist()) if sdc else ()
         stay = ~(now <= targets[:k]) & (now < np.inf)  # not met, and finite
         if any_happy:
             stay &= ~happy

@@ -20,13 +20,12 @@ Arnoldi-type scheme whose policy reads it, a scalar
   views (fault-injection campaigns),
 * raise :class:`CycleAbandoned` to discard the current Krylov cycle
   (the skeptical *restart* response), or
-* re-raise :class:`~repro.skeptical.policies.SkepticalAbort` (the
+* raise :class:`~repro.skeptical.policies.SkepticalAbort` (the
   *abort* response).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "CallbackPolicy",
     "CompositePolicy",
     "ResidualGuardPolicy",
-    "SkepticalGmresPolicy",
     "FaultInjectionPolicy",
     "compose_policy",
     "cycle_start_true_residual",
@@ -205,7 +203,7 @@ class ResidualGuardPolicy(ResiliencePolicy):
     signature of a large corrupted coefficient.  O(1) per iteration, no
     access to solver internals, so it composes with *every* registered
     solver (the full Arnoldi-state checks of
-    :class:`SkepticalGmresPolicy` remain GMRES-only).
+    :class:`~repro.skeptical.gmres_sdc.SdcChecks` remain GMRES-only).
 
     Detection-only: the guard records and counts, it does not alter the
     iteration (pair it with a restart-capable solver for recovery).
@@ -316,72 +314,3 @@ def cycle_start_true_residual(
     except np.linalg.LinAlgError:
         return residual_norm
     return float(np.linalg.norm(b - np.asarray(ops.matvec(operator, x_now))))
-
-
-class SkepticalGmresPolicy(ResiliencePolicy):
-    """Runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` per iteration.
-
-    The adapter that used to live inline in
-    :mod:`repro.skeptical.gmres_sdc`: builds the observation dictionary
-    from the Arnoldi iteration event (basis, Hessenberg, residual
-    history, lazy true-residual closure) and translates the monitor's
-    :class:`~repro.skeptical.policies.SkepticalAbort` into either a
-    :class:`CycleAbandoned` (``response="restart"``) or a re-raise
-    (``response="abort"``).
-    """
-
-    name = "skeptical"
-
-    def __init__(self, monitor, *, operator, b, response: str = "restart"):
-        if response not in ("restart", "abort"):
-            raise ValueError("response must be 'restart' or 'abort'")
-        # Late import (repro.skeptical imports the krylov layer),
-        # resolved once per policy rather than once per iteration.
-        from repro.skeptical.policies import SkepticalAbort
-
-        self._abort = SkepticalAbort
-        self.monitor = monitor
-        self.operator = operator
-        self.b = b
-        self.response = response
-        self.residual_history: List[float] = []
-        self.detection_restarts = 0
-
-    def begin_attempt(self, x) -> None:
-        self.residual_history.clear()
-
-    def observe(self, event) -> None:
-        self.residual_history.append(event.residual_norm)
-        observation = {
-            "basis": event.basis,
-            "hessenberg": event.hessenberg,
-            "inner": event.inner,
-            "residual_norm": event.residual_norm,
-            "residual_history": self.residual_history,
-            "true_residual": functools.partial(
-                cycle_start_true_residual,
-                self.operator,
-                self.b,
-                event.inner,
-                event.residual_norm,
-                event.reconstruct_iterate,
-            ),
-        }
-        try:
-            self.monitor.observe(observation)
-        except self._abort:
-            if self.response == "abort":
-                raise
-            self.detection_restarts += 1
-            raise CycleAbandoned() from None
-
-    def contribute_result(self, result) -> None:
-        summary = self.monitor.summary()
-        result.detected_faults = self.monitor.n_detections
-        result.info.update(
-            {
-                "detection_restarts": self.detection_restarts,
-                "checks_run": summary["checks_run"],
-                "check_flops": summary["check_flops"],
-            }
-        )

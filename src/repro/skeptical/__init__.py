@@ -12,16 +12,18 @@ This subpackage provides:
 * :mod:`repro.skeptical.checks` -- a library of invariant checks, each
   returning a :class:`CheckResult` with a severity and an estimated
   cost, so experiments can report overhead.
-* :mod:`repro.skeptical.policies` -- what to do when a check fires
-  (abort, roll back to a stored state, or continue because the error
-  will be damped), as the paper enumerates.
+* :mod:`repro.skeptical.policies` -- what to do when a check fires:
+  the :class:`ResponsePolicy` protocol and the fail-stop
+  :class:`AbortPolicy`.
 * :mod:`repro.skeptical.monitor` -- :class:`SkepticalMonitor`, a
   wrapper that attaches checks/policies to an iterative computation
   via its iteration hook.
 * :mod:`repro.skeptical.abft` -- checksum-based operations (wrapping
   :mod:`repro.linalg.checksum`) exposed as skeptical operators.
 * :mod:`repro.skeptical.gmres_sdc` -- the SDC-detecting GMRES in the
-  spirit of Elliott & Hoemmen's bit-flip-resilient GMRES.
+  spirit of Elliott & Hoemmen's bit-flip-resilient GMRES, whose default
+  check set (:class:`~repro.skeptical.gmres_sdc.SdcChecks`) both Krylov
+  engines run.
 """
 
 from repro.skeptical.checks import (
@@ -34,7 +36,7 @@ from repro.skeptical.checks import (
     monotonicity_check,
     spd_coefficient_check,
 )
-from repro.skeptical.policies import ResponsePolicy, AbortPolicy, RollbackPolicy, AcceptIfDampedPolicy, SkepticalAbort
+from repro.skeptical.policies import ResponsePolicy, AbortPolicy, SkepticalAbort
 from repro.skeptical.monitor import SkepticalMonitor
 from repro.skeptical.abft import AbftMatvecOperator, abft_matmul
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
@@ -50,8 +52,6 @@ __all__ = [
     "spd_coefficient_check",
     "ResponsePolicy",
     "AbortPolicy",
-    "RollbackPolicy",
-    "AcceptIfDampedPolicy",
     "SkepticalAbort",
     "SkepticalMonitor",
     "AbftMatvecOperator",

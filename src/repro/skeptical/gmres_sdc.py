@@ -3,31 +3,40 @@
 The concrete algorithm the paper holds up as an SkP exemplar (§III-A)
 is a GMRES "that detects and, optionally, corrects single bit flips
 very inexpensively as part of the Arnoldi process" (Elliott & Hoemmen).
-This module provides that solver: restarted GMRES whose resilience
-policy runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` with
+This module provides that solver: restarted GMRES whose Arnoldi steps
+are checked by one default check set, :class:`SdcChecks`,
 
 * a finiteness check of the newest basis vector and Hessenberg column
   (O(n) -- catches exponent-bit flips),
 * the Hessenberg-bound check ``|h_ij| <= safety * ||A||`` (O(j) --
   catches large mantissa/exponent flips in the projection
   coefficients),
+* a residual-monotonicity check over the attempt's history,
 * a periodic orthogonality check of the basis (O(n j^2) -- catches
   subtler corruption), and
 * a periodic residual-consistency check (recurrence vs true residual,
   one extra matvec).
 
-The monitor wiring is the engine's
-:class:`~repro.krylov.engine.resilience.SkepticalGmresPolicy`: on
-detection, the configured response applies -- the default ``restart``
-response abandons the corrupted Krylov cycle
-(:class:`~repro.krylov.engine.resilience.CycleAbandoned`) and this
-driver restarts GMRES from the current iterate, which is cheap and
-sufficient because GMRES restarts are already part of the algorithm
-(the "rolling back to a previous valid state" response of §II-A).
+The check set is written once, as :meth:`SdcChecks.sweep` -- one
+observation for a stack of lanes -- and both engines enter it: the
+lockstep engine (:mod:`repro.krylov.engine.batch`) with its cohort's
+stacked basis and Hessenberg arrays, the sequential solve through
+:class:`SdcPolicy` with one-lane views of its own.  The functions of
+:mod:`repro.skeptical.checks` are its reference; they build the
+:class:`~repro.skeptical.checks.CheckResult` of a failing check, and
+only then.  On detection, the configured response applies: the default
+``restart`` abandons the corrupted Krylov cycle
+(:class:`~repro.krylov.engine.resilience.CycleAbandoned`) and
+:class:`SdcAttempts` restarts GMRES from the current iterate, which is
+cheap and sufficient because GMRES restarts are already part of the
+algorithm (the "rolling back to a previous valid state" response of
+§II-A); ``abort`` raises :class:`~repro.skeptical.policies.SkepticalAbort`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +47,8 @@ from repro.krylov.engine.resilience import (
     CallbackPolicy,
     CompositePolicy,
     CycleAbandoned,
-    SkepticalGmresPolicy,
+    ResiliencePolicy,
+    cycle_start_true_residual,
 )
 from repro.krylov.gmres import GmresState, gmres_engine
 from repro.krylov.result import SolveResult
@@ -49,27 +59,28 @@ from repro.skeptical.checks import (
     orthogonality_check,
     residual_consistency_check,
 )
-from repro.skeptical.monitor import SkepticalMonitor
+from repro.skeptical.policies import SkepticalAbort
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "sdc_detecting_gmres",
     "SdcAttempts",
-    "default_sdc_monitor",
+    "SdcChecks",
+    "SdcPolicy",
     "estimate_operator_norm",
     "check_sdc_arguments",
 ]
 
 
 def check_sdc_arguments(
-    tol, restart, maxiter, periods, hessenberg_safety, orthogonality_tol, operator_norm
+    tol, restart, maxiter, periods, hessenberg_safety, orthogonality_tol, operator_norm, policy
 ) -> None:
     """Validate the skeptical solver's arguments (``periods``: the check,
     orthogonality and residual-check periods, in that order).
 
-    :class:`SdcAttempts` runs it before anything else, so both engines
-    refuse the same input with the same message (names as in the checks
-    that would fail later).
+    :class:`SdcAttempts` runs it before anything else -- before the
+    operator is touched -- so both engines refuse the same input with
+    the same message (names as in the checks that would fail later).
     """
     check_integer(periods[0], "check_period")
     check_positive(tol, "tol")
@@ -85,6 +96,8 @@ def check_sdc_arguments(
     check_positive(orthogonality_tol, "tol")
     if operator_norm is not None:
         check_positive(operator_norm, "operator_norm_estimate")
+    if policy not in ("restart", "abort"):
+        raise ValueError("policy must be 'restart' or 'abort'")
 
 
 def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> float:
@@ -105,95 +118,250 @@ def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> f
     return max(estimate, np.finfo(float).tiny)
 
 
-def default_sdc_monitor(
-    norm_estimate: float,
-    *,
-    check_period: int = 1,
-    orthogonality_period: int = 5,
-    residual_check_period: int = 10,
-    hessenberg_safety: float = 4.0,
-    orthogonality_tol: float = 1e-6,
-) -> SkepticalMonitor:
-    """The standard SkP check set for GMRES, as a configured monitor."""
-    monitor = SkepticalMonitor()
-    monitor.add_check(
-        "finite_basis",
-        lambda state: finite_check(
-            np.asarray(state["basis"][state["inner"] + 1]), name="finite_basis"
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "finite_hessenberg",
-        lambda state: finite_check(
-            state["hessenberg"][: state["inner"] + 2, state["inner"]],
-            name="finite_hessenberg",
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "hessenberg_bound",
-        lambda state: hessenberg_bound_check(
-            state["hessenberg"],
-            norm_estimate,
-            n_columns=state["inner"] + 1,
-            safety=hessenberg_safety,
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "residual_monotone",
-        lambda state: monotonicity_check(state["residual_history"]),
-        period=check_period,
-    )
-    monitor.add_check(
-        "orthogonality",
-        # The basis block is already an ndarray (vectors as columns);
-        # check the stored vectors in place, no column_stack copies.
-        lambda state: orthogonality_check(
-            state["basis"].matrix(),
-            tol=orthogonality_tol,
-        ),
-        period=orthogonality_period,
-    )
-    monitor.add_check(
-        "residual_consistency",
-        lambda state: residual_consistency_check(
-            state["residual_norm"], state["true_residual"]()
-        ),
-        period=residual_check_period,
-    )
-    return monitor
+def _slot_rows(pairs):
+    """Index of the slots of ``pairs``: a slice when they are the leading
+    slots in order (views, no gather copies -- the all-lanes-due common
+    case), else an index array."""
+    slots = [slot for _, slot in pairs]
+    if slots[0] == 0 and slots[-1] == len(slots) - 1:
+        return slice(0, len(slots))
+    return np.asarray(slots, dtype=np.intp)
+
+
+class SdcChecks:
+    """The default SDC check set of one skeptical solve, and its counters.
+
+    Holds the check periods and thresholds, what a
+    :class:`~repro.skeptical.monitor.SkepticalMonitor` would count
+    (observations, checks run, check flops, detections -- at most one
+    per observation -- and detection restarts) and the residual history
+    of the current attempt.  The checks themselves are :meth:`sweep`.
+    """
+
+    def __init__(
+        self, norm_estimate: float, *, check_period: int, orthogonality_period: int,
+        residual_check_period: int, hessenberg_safety: float, orthogonality_tol: float,
+    ):
+        self.check_period = int(check_period)
+        self.orthogonality_period = int(orthogonality_period)
+        self.residual_check_period = int(residual_check_period)
+        self.norm_estimate = norm_estimate
+        self.hessenberg_safety = hessenberg_safety
+        self.hessenberg_threshold = float(hessenberg_safety) * norm_estimate
+        self.orthogonality_tol = float(orthogonality_tol)
+        self.observations = 0
+        self.checks_run = 0
+        self.check_flops = 0.0
+        self.detections = 0
+        self.detection_restarts = 0
+        self.residual_history: list = []
+
+    @staticmethod
+    def sweep(lanes, j: int, basis: np.ndarray, hess: np.ndarray, residuals) -> dict:
+        """One observation of the default check set for every lane of a step.
+
+        Runs ``SkepticalMonitor.observe`` over the default check set in
+        registration order -- finite basis, finite Hessenberg column,
+        Hessenberg bound, residual monotonicity (all at
+        ``check_period``), then orthogonality and residual consistency
+        at their own periods -- counting the failing check and skipping
+        the rest, at most one detection per observation.  The three
+        cheap array checks are evaluated as one vectorized sweep over
+        the due lanes.  ``lanes`` holds ``(lane, slot)`` pairs in slot
+        order, a lane being anything with ``checks`` (its
+        :class:`SdcChecks`) and ``true_residual(j, residual)``;
+        ``basis`` and ``hess`` are the ``(G, m+1, n)`` and ``(G, m+1,
+        m)`` stacks after step ``j``, ``residuals`` this step's residual
+        per slot.  (``check_flops`` only ever adds integer-valued
+        floats, so folding a lane's passed checks into one add is
+        exact.)
+
+        Returns ``{lane: build}`` for the lanes a check failed on;
+        ``build()`` is the failing check's
+        :class:`~repro.skeptical.checks.CheckResult` as its
+        :mod:`~repro.skeptical.checks` function gives it on the state
+        as it is now.
+        """
+        failed = {}
+        n = basis.shape[2]
+        due, ortho, consistency = [], [], []
+        for pair in lanes:
+            checks = pair[0].checks
+            checks.observations = obs = checks.observations + 1
+            checks.residual_history.append(residuals[pair[1]])
+            if obs % checks.check_period == 0:
+                due.append(pair)
+            if obs % checks.orthogonality_period == 0:
+                ortho.append(pair)
+            if obs % checks.residual_check_period == 0:
+                consistency.append(pair)
+        if due:
+            rows = _slot_rows(due)
+            fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1).tolist()
+            # NaN propagates through max and inf is the max, so the bound
+            # test below also fails on any non-finite window entry.
+            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2)).tolist()
+            # Cumulative cost of the array checks when 1, 2, 3 or all 4 ran.
+            costs = (float(n), float(n + j + 2), float(n + (j + 2) + (j + 2) * (j + 1)))
+            costs += costs[2:]
+            for i, (lane, slot) in enumerate(due):
+                checks = lane.checks
+                me = max_entry[i]
+                build = None
+                if not fb_pass[i]:
+                    ran = 1
+                    build = functools.partial(
+                        finite_check, basis[slot, j + 1], name="finite_basis"
+                    )
+                elif not (math.isfinite(me) and me <= checks.hessenberg_threshold):
+                    # The bound failed; the check before it (finite newest
+                    # column, part of the same window) may have failed first.
+                    column = hess[slot, : j + 2, j]
+                    if np.isfinite(column).all():
+                        ran = 3
+                        build = functools.partial(
+                            hessenberg_bound_check, hess[slot], checks.norm_estimate,
+                            n_columns=j + 1, safety=checks.hessenberg_safety,
+                        )
+                    else:
+                        ran = 2
+                        build = functools.partial(finite_check, column, name="finite_hessenberg")
+                else:
+                    # All three passed; the fourth is monotonicity_check
+                    # (history[-4:], default window/allowed_increase, zero
+                    # cost_flops), inlined.
+                    ran = 4
+                    recent = checks.residual_history[-4:]
+                    if len(recent) < 2:
+                        mono_pass = True
+                    elif not all(map(math.isfinite, recent)):
+                        mono_pass = False
+                    else:
+                        reference = min(recent[:-1])
+                        mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
+                    if not mono_pass:
+                        build = functools.partial(monotonicity_check, checks.residual_history)
+                checks.checks_run += ran
+                checks.check_flops += costs[ran - 1]
+                if build is not None:
+                    checks.detections += 1
+                    checks.detection_restarts += 1
+                    failed[lane] = build
+        # Orthogonality defect, vectorized: batched (D, k, n) @ (D, n, k)
+        # Gram matrices are bit-identical to the per-lane ``v.T @ v`` of
+        # orthogonality_check (pinned by the parity suite).
+        if failed:
+            ortho = [pair for pair in ortho if pair[0] not in failed]
+        if ortho:
+            k = j + 2
+            V = basis[_slot_rows(ortho), :k, :]
+            grams = np.matmul(V, V.transpose(0, 2, 1))
+            # A non-finite Gram entry makes the defect inf or NaN: it fails.
+            defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
+            cost = 2.0 * n * k * k
+            for i, (lane, slot) in enumerate(ortho):
+                checks = lane.checks
+                d = defect[i]
+                checks.checks_run += 1
+                checks.check_flops += cost
+                if not (math.isfinite(d) and d <= checks.orthogonality_tol):
+                    checks.detections += 1
+                    checks.detection_restarts += 1
+                    failed[lane] = functools.partial(
+                        orthogonality_check, basis[slot, :k].T, tol=checks.orthogonality_tol
+                    )
+        for lane, slot in consistency:
+            if lane in failed:
+                continue
+            checks = lane.checks
+            residual = residuals[slot]
+            true_residual = lane.true_residual(j, residual)
+            check = residual_consistency_check(residual, true_residual)
+            checks.checks_run += 1
+            checks.check_flops += check.cost_flops
+            if not check.passed:
+                checks.detections += 1
+                checks.detection_restarts += 1
+                failed[lane] = functools.partial(
+                    residual_consistency_check, residual, true_residual
+                )
+        return failed
+
+
+class SdcPolicy(ResiliencePolicy):
+    """The engine policy of a sequential skeptical solve: :meth:`SdcChecks.sweep`
+    on one lane, over ``(1, m+1, n)`` / ``(1, m+1, m)`` views of the
+    event's basis and Hessenberg.
+
+    A detection raises :class:`~repro.krylov.engine.resilience.CycleAbandoned`
+    (``response="restart"``) or
+    :class:`~repro.skeptical.policies.SkepticalAbort` carrying the
+    failing check's result (``response="abort"``).
+    """
+
+    name = "skeptical"
+
+    def __init__(self, checks: SdcChecks, operator, b, response: str):
+        self.checks = checks
+        self.operator = operator
+        self.b = b
+        self.response = response
+        self._lane = [(self, 0)]
+        self._event = None
+
+    def observe(self, event) -> None:
+        self._event = event
+        failed = SdcChecks.sweep(
+            self._lane, event.inner, event.basis._rows[None], event.hessenberg[None],
+            (event.residual_norm,),
+        )
+        if failed:
+            if self.response == "abort":
+                raise SkepticalAbort(failed[self]())
+            raise CycleAbandoned()
+
+    def true_residual(self, j: int, residual: float) -> float:
+        return cycle_start_true_residual(
+            self.operator, self.b, j, residual, self._event.reconstruct_iterate
+        )
 
 
 class SdcAttempts:
     """The attempt loop of :func:`sdc_detecting_gmres`, one decision at a time.
 
     Owns what surrounds the GMRES attempts of one skeptical solve: the
-    argument check, the norm estimate, the budget (detection restarts
-    and iterations left), what an abandoned cycle costs, what a
-    completed attempt hands over, and the final result.  Both engines
-    drive it -- :func:`sdc_detecting_gmres` with a ``try/except
-    CycleAbandoned`` loop around ``engine.solve``, a lockstep lane of
+    argument check, the norm estimate, the check set and its counters
+    (:attr:`checks`), the budget (detection restarts and iterations
+    left), what an abandoned cycle costs, what a completed attempt hands
+    over, and the final result.  Both engines drive it --
+    :func:`sdc_detecting_gmres` with a ``try/except CycleAbandoned``
+    loop around ``engine.solve``, a lockstep lane of
     :mod:`repro.krylov.engine.batch` at its cycle boundaries -- and
-    differ only in who steps the engine :meth:`next_engine` returns and
-    in where the check counters passed to :meth:`result` come from.
+    differ only in who steps the engine :meth:`next_engine` returns.
     """
 
     def __init__(
         self, operator, b, x0, *, tol, atol, restart, maxiter, preconditioner,
         check_period, orthogonality_period, residual_check_period,
         hessenberg_safety, orthogonality_tol, max_restarts_on_detection, operator_norm,
+        policy,
     ):
         check_sdc_arguments(
             tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
-            hessenberg_safety, orthogonality_tol, operator_norm,
+            hessenberg_safety, orthogonality_tol, operator_norm, policy,
         )
         self.operator = operator
+        self.policy = policy
         self.b = np.asarray(b, dtype=np.float64)
         self.norm_estimate = (
             float(operator_norm) if operator_norm is not None
             else estimate_operator_norm(operator, self.b)
+        )
+        self.checks = SdcChecks(
+            self.norm_estimate, check_period=check_period,
+            orthogonality_period=orthogonality_period,
+            residual_check_period=residual_check_period,
+            hessenberg_safety=hessenberg_safety, orthogonality_tol=orthogonality_tol,
         )
         self.x = (
             np.array(x0, dtype=np.float64, copy=True) if x0 is not None
@@ -215,7 +383,8 @@ class SdcAttempts:
 
     def next_engine(self, policy):
         """The GMRES engine of the next attempt, restarting from the last
-        valid iterate :attr:`x`; ``None`` when the solve is over."""
+        valid iterate :attr:`x` with an empty residual history; ``None``
+        when the solve is over."""
         remaining = self.maxiter - self.total_iterations
         if (
             self.converged
@@ -225,6 +394,7 @@ class SdcAttempts:
         ):
             return None
         self.attempts += 1
+        self.checks.residual_history = []
         return gmres_engine(
             self.operator, maxiter=remaining, policy=policy, **self._gmres_options
         )
@@ -248,22 +418,20 @@ class SdcAttempts:
         self.converged = result.converged
         self.breakdown = result.breakdown
 
-    def result(
-        self, *, detected_faults: int, detection_restarts: int, checks_run, check_flops,
-        policy: str,
-    ) -> SolveResult:
+    def result(self) -> SolveResult:
+        checks = self.checks
         return SolveResult(
             x=self.x,
             converged=self.converged,
             iterations=self.total_iterations,
             residual_norms=self.residual_norms,
             breakdown=self.breakdown,
-            detected_faults=detected_faults,
+            detected_faults=checks.detections,
             info={
-                "detection_restarts": detection_restarts,
-                "checks_run": float(checks_run),
-                "check_flops": float(check_flops),
-                "policy": policy,
+                "detection_restarts": checks.detection_restarts,
+                "checks_run": float(checks.checks_run),
+                "check_flops": float(checks.check_flops),
+                "policy": self.policy,
                 "operator_norm_estimate": self.norm_estimate,
                 "target": self.target,
                 "kernels": self.kernels.as_dict(),
@@ -293,9 +461,7 @@ def sdc_detecting_gmres(
 ) -> SolveResult:
     """Restarted GMRES with skeptical SDC detection in the Arnoldi process.
 
-    The check set is the standard one (:func:`default_sdc_monitor`); a
-    custom set is a composition, not an option of this function:
-    ``gmres(A, b, policy=SkepticalGmresPolicy(monitor, operator=A, b=b))``.
+    The check set is the standard one (:class:`SdcChecks`).
 
     Parameters
     ----------
@@ -338,22 +504,15 @@ def sdc_detecting_gmres(
         restarts, ``info["check_flops"]`` the total checking cost and
         ``info["checks_run"]`` how many check evaluations were made.
     """
-    checks = dict(
-        check_period=check_period,
-        orthogonality_period=orthogonality_period,
-        residual_check_period=residual_check_period,
-        hessenberg_safety=hessenberg_safety,
-        orthogonality_tol=orthogonality_tol,
-    )
     attempts = SdcAttempts(
         operator, b, x0, tol=tol, atol=atol, restart=restart, maxiter=maxiter,
-        preconditioner=preconditioner, max_restarts_on_detection=max_restarts_on_detection,
-        operator_norm=operator_norm, **checks,
+        preconditioner=preconditioner, check_period=check_period,
+        orthogonality_period=orthogonality_period,
+        residual_check_period=residual_check_period, hessenberg_safety=hessenberg_safety,
+        orthogonality_tol=orthogonality_tol, max_restarts_on_detection=max_restarts_on_detection,
+        operator_norm=operator_norm, policy=policy,
     )
-    if policy not in ("restart", "abort"):
-        raise ValueError("policy must be 'restart' or 'abort'")
-    monitor = default_sdc_monitor(attempts.norm_estimate, **checks)
-    skeptical = SkepticalGmresPolicy(monitor, operator=operator, b=attempts.b, response=policy)
+    skeptical = SdcPolicy(attempts.checks, operator, attempts.b, policy)
     engine_policy = (
         skeptical
         if fault_hook is None
@@ -368,11 +527,4 @@ def sdc_detecting_gmres(
         else:
             attempts.complete(result)
 
-    summary = monitor.summary()
-    return attempts.result(
-        detected_faults=monitor.n_detections,
-        detection_restarts=skeptical.detection_restarts,
-        checks_run=summary["checks_run"],
-        check_flops=summary["check_flops"],
-        policy=policy,
-    )
+    return attempts.result()

@@ -3,29 +3,30 @@
 The paper (§II-A) lists the possible responses to a detected silent
 error: "Recovery may be as simple as aborting, or may involve rolling
 back to a previous valid state, or even continuing execution if the
-error will be damped by subsequent computations."  Each option is a
-policy class here; the :class:`~repro.skeptical.monitor.SkepticalMonitor`
-invokes the configured policy when a check fails.
+error will be damped by subsequent computations."  A
+:class:`ResponsePolicy` is what the
+:class:`~repro.skeptical.monitor.SkepticalMonitor` invokes when a check
+fails; :class:`AbortPolicy` is the fail-stop response.  The roll-back
+response of the SDC-detecting GMRES is its cycle restart
+(:mod:`repro.skeptical.gmres_sdc`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.skeptical.checks import CheckResult
-from repro.utils.logging import EventLog
 
 __all__ = [
     "SkepticalAbort",
     "ResponsePolicy",
     "AbortPolicy",
-    "RollbackPolicy",
-    "AcceptIfDampedPolicy",
 ]
 
 
 class SkepticalAbort(RuntimeError):
-    """Raised by :class:`AbortPolicy` when a check fails."""
+    """Raised on a failed check by :class:`AbortPolicy` and by the
+    skeptical GMRES's ``"abort"`` response."""
 
     def __init__(self, check: CheckResult):
         super().__init__(
@@ -53,59 +54,3 @@ class AbortPolicy(ResponsePolicy):
 
     def handle(self, check: CheckResult, context: Optional[dict] = None) -> str:
         raise SkepticalAbort(check)
-
-
-class RollbackPolicy(ResponsePolicy):
-    """Restore a previously validated state and retry.
-
-    Parameters
-    ----------
-    restore:
-        Callable invoked with the context dictionary; it must restore
-        whatever state the wrapped computation needs (the monitor's
-        user supplies it, e.g. "reset GMRES to the last restart").
-    max_rollbacks:
-        After this many rollbacks the policy escalates to abort, so an
-        unrecoverable persistent error cannot loop forever.
-    """
-
-    def __init__(self, restore: Callable[[Optional[dict]], Any], max_rollbacks: int = 3):
-        if max_rollbacks <= 0:
-            raise ValueError("max_rollbacks must be positive")
-        self._restore = restore
-        self.max_rollbacks = int(max_rollbacks)
-        self.rollbacks_performed = 0
-
-    def handle(self, check: CheckResult, context: Optional[dict] = None) -> str:
-        if self.rollbacks_performed >= self.max_rollbacks:
-            raise SkepticalAbort(check)
-        self.rollbacks_performed += 1
-        self._restore(context)
-        return "rollback"
-
-
-class AcceptIfDampedPolicy(ResponsePolicy):
-    """Continue when the detected error is small enough to be damped.
-
-    The policy compares the check's measure against a damping threshold
-    (looser than the detection threshold): small violations are
-    tolerated on the grounds that the iteration will damp them (e.g. a
-    slightly perturbed Krylov vector just slows convergence), while
-    large ones escalate to the fallback policy.
-    """
-
-    def __init__(self, damping_threshold: float, fallback: Optional[ResponsePolicy] = None,
-                 log: Optional[EventLog] = None):
-        if damping_threshold <= 0:
-            raise ValueError("damping_threshold must be positive")
-        self.damping_threshold = float(damping_threshold)
-        self.fallback = fallback if fallback is not None else AbortPolicy()
-        self.log = log if log is not None else EventLog()
-        self.accepted = 0
-
-    def handle(self, check: CheckResult, context: Optional[dict] = None) -> str:
-        if check.measure <= self.damping_threshold:
-            self.accepted += 1
-            self.log.record("sdc_accepted", check=check.name, measure=check.measure)
-            return "continue"
-        return self.fallback.handle(check, context)

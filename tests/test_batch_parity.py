@@ -17,8 +17,8 @@ every layer:
   ``batch_solve`` against ``S`` separate ``solve`` calls (slot swaps,
   many cycle boundaries, degenerate right-hand sides, fault hooks), one
   table of inputs both engines must accept or refuse alike, spies on
-  the cycle boundary, event builder and skeptical attempt loop the two
-  engines share, and the lockstep engine's cost shape as counts (``GmresState`` built only when a hook
+  the cycle boundary, event builder, skeptical attempt loop and check
+  set the two engines share, and the lockstep engine's cost shape as counts (``GmresState`` built only when a hook
   can act, seconds that add up to the stacked spans);
 * properties (Hypothesis) -- ``plan_batch_groups`` partitions without
   dropping or duplicating scenarios, and the lockstep convergence mask
@@ -62,7 +62,8 @@ from repro.linalg.matgen import poisson_2d
 from repro.utils import timing
 from repro.reliability.models import BasisBitflipFaults
 from repro.reliability.spec import FaultSpec
-from repro.skeptical.gmres_sdc import SdcAttempts, sdc_detecting_gmres
+from repro.skeptical import SkepticalMonitor
+from repro.skeptical.gmres_sdc import SdcAttempts, SdcChecks, sdc_detecting_gmres
 
 
 @pytest.fixture(scope="module")
@@ -420,8 +421,9 @@ class TestBadInputAgreement:
 
 class TestSharedBoundary:
     """The engines differ in their inner step only: the cycle boundary,
-    the event a policy sees and the skeptical attempt loop are the same
-    function objects, entered the same number of times per lane."""
+    the event a policy sees, the skeptical attempt loop and its check
+    set are the same function objects, entered the same number of times
+    per lane."""
 
     ATTEMPT = ["begin_cycle", "start_cycle", "update_solution", "close_cycle", "result"]
     DRIVER = ["next_engine", "abandon", "complete", "result"]
@@ -448,9 +450,21 @@ class TestSharedBoundary:
         return counts
 
     @pytest.mark.parametrize("solver", ["gmres", "sdc_gmres"])
-    def test_both_engines_enter_the_same_boundary(self, matrix, rhs, calls, solver):
+    def test_both_engines_enter_the_same_boundary(self, matrix, rhs, calls, monkeypatch, solver):
+        swept = []  # lanes per entry into the one SDC check set
+        monitored = []
+        sweep = SdcChecks.sweep
+
+        def counted_sweep(lanes, *args):
+            swept.append(len(lanes))
+            return sweep(lanes, *args)
+
+        monkeypatch.setattr(SdcChecks, "sweep", staticmethod(counted_sweep))
+        monkeypatch.setattr(SkepticalMonitor, "observe", lambda self, state: monitored.append(1))
+
         def run(lanes):
             calls.clear()
+            swept.clear()
             results = []
             for start in range(0, 3, lanes):
                 if solver == "gmres":  # an undeclared hook: observed every step
@@ -467,14 +481,21 @@ class TestSharedBoundary:
                         solver, matrix, rhs[start:start + lanes], tol=1e-8, restart=10,
                         maxiter=600, lane_params=lane_params, **kwargs,
                     )
-            return results, dict(calls)
+            return results, dict(calls), list(swept)
 
-        sequential, one_lane = run(1)
-        lockstep, three_lanes = run(3)
+        sequential, one_lane, one_swept = run(1)
+        lockstep, three_lanes, three_swept = run(3)
         assert_lane_parity(lockstep, sequential)
+        assert monitored == []
+        if solver == "gmres":
+            assert one_swept == three_swept == []
+        else:  # one check set, entered per lane-step by either engine
+            assert set(one_swept) == {1} and max(three_swept) == 3
+            assert sum(one_swept) == sum(three_swept)
         # What both engines must enter equally often.  The event builder
-        # counts for gmres only: the lockstep sweep stands in for the
-        # skeptical monitor, so there the fault hook is the one observer.
+        # counts for gmres only: the sequential engine reaches the sweep
+        # through its policy's event, the lockstep one directly, so there
+        # the fault hook is the one lockstep observer.
         shared = [f"ArnoldiAttempt.{name}" for name in self.ATTEMPT]
         if solver == "gmres":
             shared.append("ArnoldiAttempt.observe")

@@ -381,7 +381,7 @@ class TestContract:
             assert total == sum(range(procs))
 
     def test_deadlock_freedom_under_timeout(self, backend):
-        timeout = 1.0
+        timeout = 0.2
         start = time.monotonic()
         values = launch(backend, 2, _mismatch_program, timeout=timeout)
         # On time, launch and teardown included: the verdict must not

@@ -18,12 +18,15 @@ from repro.linalg.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
 from repro.simmpi.ops import MAX, MIN, SUM
+from repro.skeptical import SkepticalAbort, SkepticalMonitor
 from repro.skeptical.checks import (
     finite_check,
     hessenberg_bound_check,
     monotonicity_check,
     orthogonality_check,
+    residual_consistency_check,
 )
+from repro.skeptical.gmres_sdc import SdcChecks
 from repro.simmpi.topology import CartTopology, balanced_dims
 
 finite_floats = st.floats(
@@ -467,3 +470,161 @@ class TestSkepticalCheckFastPaths:
         all_bad = np.full((3, 2), np.nan)
         _same_verdict(hessenberg_bound_check(all_bad, 1.0), _hessenberg_oracle(all_bad, 1.0))
         _same_verdict(finite_check(np.zeros(0)), _finite_oracle(np.zeros(0)))
+
+
+# ----------------------------------------------------------------------
+# The default SDC check set: the one sweep against the monitor it replaced
+# ----------------------------------------------------------------------
+
+
+def _default_sdc_monitor(
+    norm_estimate, *, check_period, orthogonality_period, residual_check_period,
+    hessenberg_safety, orthogonality_tol,
+):
+    """The standard SkP check set for GMRES as a configured monitor, in
+    registration order (``state["basis"]`` holds the basis vectors as rows)."""
+    monitor = SkepticalMonitor()
+    monitor.add_check(
+        "finite_basis",
+        lambda state: finite_check(state["basis"][state["inner"] + 1], name="finite_basis"),
+        period=check_period,
+    )
+    monitor.add_check(
+        "finite_hessenberg",
+        lambda state: finite_check(
+            state["hessenberg"][: state["inner"] + 2, state["inner"]], name="finite_hessenberg"
+        ),
+        period=check_period,
+    )
+    monitor.add_check(
+        "hessenberg_bound",
+        lambda state: hessenberg_bound_check(
+            state["hessenberg"], norm_estimate, n_columns=state["inner"] + 1,
+            safety=hessenberg_safety,
+        ),
+        period=check_period,
+    )
+    monitor.add_check(
+        "residual_monotone",
+        lambda state: monotonicity_check(state["residual_history"]),
+        period=check_period,
+    )
+    monitor.add_check(
+        "orthogonality",
+        lambda state: orthogonality_check(
+            state["basis"][: state["inner"] + 2].T, tol=orthogonality_tol
+        ),
+        period=orthogonality_period,
+    )
+    monitor.add_check(
+        "residual_consistency",
+        lambda state: residual_consistency_check(state["residual_norm"], state["true_residual"]()),
+        period=residual_check_period,
+    )
+    return monitor
+
+
+class _SweptLane:
+    """A lane as the sweep sees it; its true residual is ``truth`` times the recurrence."""
+
+    def __init__(self, checks, truth):
+        self.checks = checks
+        self.truth = truth
+
+    def true_residual(self, j, residual):
+        return residual * self.truth
+
+
+_sdc_residual = st.one_of(
+    st.floats(1e-3, 1e3), st.sampled_from([0.0, float("nan"), float("inf")])
+)
+_sdc_lane = st.fixed_dictionaries(
+    {
+        "skip_slot": st.booleans(),  # a non-SDC lane sits in the slot before
+        "observed": st.integers(0, 5),
+        "periods": st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        "safety": st.sampled_from([1.0, 4.0]),
+        "history": st.lists(_sdc_residual, max_size=6),
+        "residual": _sdc_residual,
+        "truth": st.sampled_from([1.0, 1.0 + 1e-9, 2.0, float("nan")]),
+        # (array, row draw, column draw, value): NaN/+-inf/1e300, or a
+        # finite 100 that only the bound or the orthogonality check sees.
+        "corrupt": st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["basis", "hessenberg"]), st.integers(0, 99),
+                st.integers(0, 99),
+                st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, 100.0]),
+            ),
+        ),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+class TestSdcSweepMatchesTheMonitor:
+    M, N = 5, 8  # cycle dimension and vector length of the drawn states
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(j=st.integers(0, M - 1), lanes=st.lists(_sdc_lane, min_size=1, max_size=4))
+    def test_sweep_equals_the_default_monitor(self, j, lanes):
+        m, n = self.M, self.N
+        slots = []
+        for i, lane in enumerate(lanes):
+            slots.append((slots[-1] + 1 if slots else 0) + lane["skip_slot"])
+        basis = np.zeros((slots[-1] + 1, m + 1, n))
+        hess = np.zeros((slots[-1] + 1, m + 1, m))
+        residuals = [0.0] * (slots[-1] + 1)
+        for lane, slot in zip(lanes, slots):
+            rng = np.random.default_rng(lane["seed"])
+            basis[slot] = np.linalg.qr(rng.standard_normal((n, m + 1)))[0].T
+            hess[slot] = rng.uniform(-1.0, 1.0, (m + 1, m))
+            residuals[slot] = lane["residual"]
+            if lane["corrupt"] is not None:
+                array, row, col, value = lane["corrupt"]
+                if array == "basis":  # the newest row, or one the Gram reads
+                    basis[slot, j + 1 if row % 2 else row % (j + 2), col % n] = value
+                else:  # the Hessenberg window
+                    hess[slot, row % (j + 2), col % (j + 1)] = value
+
+        swept, expected = [], []
+        for lane, slot in zip(lanes, slots):
+            periods = dict(
+                check_period=lane["periods"][0], orthogonality_period=lane["periods"][1],
+                residual_check_period=lane["periods"][2], hessenberg_safety=lane["safety"],
+                orthogonality_tol=1e-6,
+            )
+            checks = SdcChecks(1.0, **periods)
+            checks.observations = lane["observed"]
+            checks.residual_history = list(lane["history"])
+            swept.append((_SweptLane(checks, lane["truth"]), slot))
+            monitor = _default_sdc_monitor(1.0, **periods)
+            monitor._observation_count = lane["observed"]
+            residual = lane["residual"]
+            state = {
+                "basis": basis[slot], "hessenberg": hess[slot], "inner": j,
+                "residual_norm": residual,
+                "residual_history": [*lane["history"], residual],
+                "true_residual": lambda residual=residual, truth=lane["truth"]: residual * truth,
+            }
+            failing = None
+            with np.errstate(all="ignore"):
+                try:
+                    monitor.observe(state)
+                except SkepticalAbort as abort:
+                    failing = abort.check
+            expected.append((monitor.summary(), failing))
+
+        with np.errstate(all="ignore"):
+            failed = SdcChecks.sweep(swept, j, basis, hess, residuals)
+            built = {lane: build() for lane, build in failed.items()}
+        assert set(failed) == {
+            lane for (lane, _), (_, failing) in zip(swept, expected) if failing is not None
+        }
+        for (lane, _), (summary, failing) in zip(swept, expected):
+            checks = lane.checks
+            assert checks.observations == summary["observations"]
+            assert checks.checks_run == summary["checks_run"]
+            assert checks.check_flops == summary["check_flops"]  # exact
+            assert checks.detections == summary["detections"]
+            assert built.get(lane) == failing

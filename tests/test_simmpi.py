@@ -299,7 +299,7 @@ class TestDeadlockAndErrors:
                 # cascades here as a failed receive.
                 return "cascaded"
 
-        runtime = SimRuntime(2, watchdog=1.0)
+        runtime = SimRuntime(2, watchdog=0.2)
         results = runtime.run(program)
         values = {results[0].value, results[1].value}
         assert "deadlock" in values

@@ -16,8 +16,7 @@ from repro.linalg import poisson_2d, convection_diffusion_2d
 from repro.skeptical import (
     AbftMatvecOperator,
     AbortPolicy,
-    AcceptIfDampedPolicy,
-    RollbackPolicy,
+    ResponsePolicy,
     SkepticalAbort,
     SkepticalMonitor,
     abft_matmul,
@@ -116,25 +115,6 @@ class TestPoliciesAndMonitor:
         with pytest.raises(SkepticalAbort):
             AbortPolicy().handle(failing)
 
-    def test_rollback_policy_restores_then_escalates(self):
-        restored = []
-        policy = RollbackPolicy(lambda ctx: restored.append(ctx), max_rollbacks=2)
-        failing = finite_check(np.array([np.nan]))
-        assert policy.handle(failing, {"step": 1}) == "rollback"
-        assert policy.handle(failing, {"step": 2}) == "rollback"
-        with pytest.raises(SkepticalAbort):
-            policy.handle(failing, {"step": 3})
-        assert len(restored) == 2
-
-    def test_accept_if_damped_policy(self):
-        policy = AcceptIfDampedPolicy(damping_threshold=1e-3)
-        small = orthogonality_check(np.eye(3) + 1e-5, tol=1e-8)
-        assert policy.handle(small) == "continue"
-        large = orthogonality_check(np.eye(3) + 1.0, tol=1e-8)
-        with pytest.raises(SkepticalAbort):
-            policy.handle(large)
-        assert policy.accepted == 1
-
     def test_monitor_periodic_checks(self):
         monitor = SkepticalMonitor()
         monitor.add_check("finite", lambda s: finite_check(s["x"]), period=2)
@@ -144,7 +124,11 @@ class TestPoliciesAndMonitor:
         assert monitor.summary()["checks_run"] == 1
 
     def test_monitor_detection_and_policy(self):
-        monitor = SkepticalMonitor(policy=AcceptIfDampedPolicy(damping_threshold=1e9))
+        class Continue(ResponsePolicy):
+            def handle(self, check, context=None):
+                return "continue"
+
+        monitor = SkepticalMonitor(policy=Continue())
         monitor.add_check("finite", lambda s: finite_check(s["x"]))
         action = monitor.observe({"x": np.array([np.inf])})
         assert action == "continue"
@@ -247,6 +231,19 @@ class TestSdcDetectingGmres:
         with pytest.raises(ValueError):
             sdc_detecting_gmres(poisson_tiny, np.ones(poisson_tiny.n_rows), policy="ignore")
 
+    def test_invalid_policy_is_refused_before_the_operator_is_applied(self, poisson_tiny):
+        # The norm estimate's matvecs would advance a fault-injecting
+        # operator's random stream before the refusal.
+        applied = []
+
+        def operator(x):
+            applied.append(1)
+            return poisson_tiny.matvec(x)
+
+        with pytest.raises(ValueError, match="policy"):
+            sdc_detecting_gmres(operator, np.ones(poisson_tiny.n_rows), policy="ignore")
+        assert applied == []
+
     def test_check_accounting(self, poisson_small, rng):
         b = rng.standard_normal(poisson_small.n_rows)
         result = sdc_detecting_gmres(poisson_small, b, tol=1e-8, restart=20, maxiter=200)
@@ -280,13 +277,16 @@ class TestCheckCostShape:
         assert 2 <= history.reads <= window + 1
 
     def test_one_check_result_per_check_run(self, poisson_small, rng, monkeypatch):
+        # The sweep decides every check without a result object; a
+        # fault-free solve builds one only where the check function is
+        # the decision, residual consistency.
         import repro.skeptical.checks as checks
 
         built = []
 
         class Counted(checks.CheckResult):
             def __new__(cls, *args, **kwargs):
-                built.append(1)
+                built.append(kwargs["name"])
                 return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(checks, "CheckResult", Counted)
@@ -294,15 +294,25 @@ class TestCheckCostShape:
         result = sdc_detecting_gmres(poisson_small, b, tol=1e-8)
         assert result.converged and result.detected_faults == 0
         assert result.info["checks_run"] > 4 * result.iterations
-        assert len(built) == result.info["checks_run"]
+        assert built == ["residual_consistency"] * (result.iterations // 10)
 
     def test_policy_observe_never_enters_the_import_machinery(self, monkeypatch):
         import builtins
 
-        from repro.krylov.engine.resilience import IterationEvent, SkepticalGmresPolicy
+        from repro.krylov.engine.core import GmresState
+        from repro.krylov.ops import allocate_basis
+        from repro.skeptical.gmres_sdc import SdcChecks, SdcPolicy
 
-        policy = SkepticalGmresPolicy(SkepticalMonitor(), operator=None, b=np.ones(2))
-        policy.begin_attempt(None)
+        n, m = 6, 4
+        basis = allocate_basis(np.zeros(n), m + 1)
+        for i in range(m + 1):
+            basis.append(np.eye(n)[i])
+        hessenberg = np.zeros((m + 1, m))
+        checks = SdcChecks(
+            1.0, check_period=1, orthogonality_period=1, residual_check_period=1,
+            hessenberg_safety=4.0, orthogonality_tol=1e-6,
+        )
+        policy = SdcPolicy(checks, operator=None, b=np.ones(n), response="restart")
         imported = []
         real_import = builtins.__import__
 
@@ -312,10 +322,14 @@ class TestCheckCostShape:
 
         monkeypatch.setattr(builtins, "__import__", spy)
         for k in range(3):
-            policy.observe(IterationEvent(total_iteration=k + 1, residual_norm=1.0 / (k + 1)))
+            policy.observe(GmresState(
+                outer=0, inner=k, total_iteration=k + 1, basis=basis,
+                hessenberg=hessenberg, residual_norm=1.0 / (k + 1),
+            ))
         monkeypatch.undo()
         assert imported == []
-        assert policy.residual_history == [1.0, 0.5, 1.0 / 3]
+        assert checks.residual_history == [1.0, 0.5, 1.0 / 3]
+        assert (checks.observations, checks.checks_run, checks.detections) == (3, 18, 0)
 
     @pytest.mark.parametrize("seeds", [[2013], [2013, 2014]])
     def test_e1_estimates_the_operator_norm_once_per_scenario(self, seeds, monkeypatch):
