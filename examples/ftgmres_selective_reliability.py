@@ -1,8 +1,8 @@
 """SRP example: FT-GMRES under increasing fault rates.
 
-Sweeps the per-operation fault probability of the unreliable domain and
+Sweeps the per-operation fault probability of the unreliable region and
 shows that the reliable outer iteration keeps converging while nearly
-all the work stays in the cheap, unreliable domain -- a miniature
+all the work stays in the cheap, unreliable region -- a miniature
 version of experiment E6.
 
 Run with:  python examples/ftgmres_selective_reliability.py
@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from repro.ftgmres import ft_gmres
+from repro.krylov import ft_gmres
 from repro.linalg import convection_diffusion_2d
 from repro.utils.tables import Table
 
@@ -22,7 +22,7 @@ if __name__ == "__main__":
     b = np.random.default_rng(7).standard_normal(matrix.n_rows)
     table = Table(["fault_prob", "converged", "outer_iters", "true_residual",
                    "unreliable_flops_pct", "faults_injected"],
-                  title="FT-GMRES under increasing unreliable-domain fault rates")
+                  title="FT-GMRES under increasing unreliable-region fault rates")
     for prob in (0.0, 0.02, 0.05, 0.1, 0.2):
         result = ft_gmres(matrix, b, tol=1e-8, fault_probability=prob, seed=11)
         residual = np.linalg.norm(matrix.matvec(np.asarray(result.x)) - b) / np.linalg.norm(b)

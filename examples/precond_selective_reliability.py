@@ -10,7 +10,7 @@ Three stops, mirroring the paper's argument (Heroux, HPDC'13):
    registries.
 2. *Selective reliability*: wrapping the preconditioner with
    ``reliability.unreliable(...).preconditioner(...)`` runs only
-   ``M^{-1} v`` in the unreliable domain.  FGMRES -- whose reliable
+   ``M^{-1} v`` in the unreliable region.  FGMRES -- whose reliable
    outer iteration vets what the preconditioner returns -- keeps
    converging to the reliable answer while faults hit every apply.
 3. *The control*: the same fault rate on the *operator* (data the
@@ -54,7 +54,7 @@ if __name__ == "__main__":
     )
     table = Table(["fault_prob", "faults", "iterations", "converged",
                    "error_vs_reliable"],
-                  title="FGMRES, SSOR preconditioner in the UNRELIABLE domain "
+                  title="FGMRES, SSOR preconditioner in the UNRELIABLE region "
                         "(outer iteration reliable)")
     ssor = precond.resolve_preconds("ssor:omega=1.2", matrix=matrix)
     for prob in (0.0, 0.05, 0.2, 0.5):

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.reliability import FailurePlan
 from repro.reliability.bitflip import flip_bit_array
-from repro.ftgmres import ft_gmres
+from repro.krylov import ft_gmres
 from repro.lflr import run_lflr_heat
 from repro.linalg import poisson_2d
 from repro.machine import MachineModel

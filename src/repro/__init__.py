@@ -24,7 +24,7 @@ Subpackage overview
 ``repro.reliability``
     The unified reliability layer: declarative fault specs and the
     named fault-model registry over bit flips, fault schedules,
-    injectors, process-failure models, SRP domains, TMR and the
+    injectors, process-failure models, the SRP region, TMR and the
     reliability cost model.
 ``repro.machine``
     Machine model, performance-variability models, collective cost and
@@ -36,8 +36,9 @@ Subpackage overview
     CSR sparse matrices, model problems, preconditioners, checksummed
     (ABFT) operations, distributed vectors/matrices.
 ``repro.krylov``
-    CG, GMRES, FGMRES, Arnoldi and their pipelined variants, unified
-    under one solver engine and a named, sweepable solver registry.
+    CG, GMRES, FGMRES (and FT-GMRES on it), Arnoldi and their pipelined
+    variants, unified under one solver engine and a named, sweepable
+    solver registry.
 ``repro.precond``
     The declarative preconditioning layer: serializable
     ``PrecondSpec`` configurations, a named registry and
@@ -47,8 +48,6 @@ Subpackage overview
     SkP: invariant checks, policies, monitors, SDC-detecting GMRES.
 ``repro.rbsp``
     RBSP: asynchronous-collective helpers and latency analysis.
-``repro.ftgmres``
-    FT-GMRES: reliable outer / unreliable inner iteration.
 ``repro.lflr``
     LFLR: persistent stores, recovery registry, manager, PDE recovery.
 ``repro.checkpoint``
@@ -71,7 +70,6 @@ __all__ = [
     "precond",
     "skeptical",
     "rbsp",
-    "ftgmres",
     "lflr",
     "checkpoint",
     "pde",

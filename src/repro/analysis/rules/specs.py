@@ -241,9 +241,11 @@ def _doc_tokens(text: str) -> List[str]:
         candidates = [span.strip().strip('"')]
         candidates.extend(m.group(1) for m in _QUOTED_RE.finditer(span))
         for candidate in candidates:
-            # "..." marks a schematic placeholder ("bitflip:p=...")
-            # in docstrings -- a grammar sketch, not a concrete spec.
-            if _DOC_TOKEN_RE.match(candidate) and "..." not in candidate:
+            # "..." (or "…") marks a schematic placeholder
+            # ("bitflip:p=...") -- a grammar sketch, not a concrete spec.
+            if _DOC_TOKEN_RE.match(candidate) and not (
+                "..." in candidate or "…" in candidate
+            ):
                 tokens.append(candidate)
     return tokens
 

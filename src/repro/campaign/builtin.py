@@ -166,7 +166,7 @@ def _precond() -> List[Scenario]:
     # registered preconditioner, so those two axes are swept inside the
     # driver while the fault spec and its placement are campaign axes.
     # target="precond" is the selective-reliability wiring (only
-    # M^{-1} v passes through the unreliable domain); target="operator"
+    # M^{-1} v passes through the unreliable region); target="operator"
     # lands the same fault on data the solvers must trust.
     base = {"grid": 8, "seed": 2013}
     scenarios = Sweep(

@@ -18,7 +18,7 @@ precision routed into one of two placements:
   iterative-refinement shape: fp32 inner solve, fp64 outer recurrence,
   Hessenberg QR and convergence tests); for every other solver it is
   the preconditioner application ``M^{-1} v``, wrapped in a
-  :func:`~repro.reliability.lowprecision` domain.
+  reduced-precision :class:`~repro.reliability.Region`.
 * ``target="outer"`` (the control placement): the *whole* solve runs
   at the swept precision via ``solve(..., precision=...)`` -- operator,
   right-hand side, basis and recurrence all in the low dtype, which
@@ -40,7 +40,6 @@ axes stack on the same inner/outer boundary.
 
 from __future__ import annotations
 
-import contextlib
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -54,12 +53,8 @@ from repro.experiments.common import (
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.precond import parse_precond, precond_names, resolve_preconds
-from repro.reliability import unreliable
-from repro.reliability.precision import (
-    PrecisionDomain,
-    default_precision_registry,
-    parse_precision,
-)
+from repro.reliability import Region
+from repro.reliability.precision import default_precision_registry, parse_precision
 from repro.reliability.registry import resolve_faults
 from repro.reliability.seeding import derive_fault_seed
 from repro.utils.tables import Table
@@ -326,54 +321,47 @@ def _solve_cell(
     params = {"tol": tol, "maxiter": maxiter}
     # Setup runs reliably and in full precision: the preconditioner is
     # always built from the clean fp64 matrix, once per lane (stateful
-    # preconditioners and the wrapping proxies must not be shared).
-    builts = [resolve_preconds(precond_name, matrix=matrix) for _ in b_list]
-    inject = soft_model is not None
+    # preconditioners and the regions wrapping them must not be shared).
+    stages = [resolve_preconds(precond_name, matrix=matrix) for _ in b_list]
     if target == "outer":
-        # Whole solve at the swept precision.  Spec-shaped
-        # preconditioners go through by name so solve() builds them
-        # from the *cast* operator -- M^{-1} v then runs at the swept
-        # precision natively, like every other kernel.
+        # Whole solve at the swept precision; a region (if any) only
+        # injects.  Spec-shaped preconditioners go through by name so
+        # solve() builds them from the *cast* operator -- M^{-1} v then
+        # runs at the swept precision natively, like every other kernel.
         params["precision"] = precision_label
-        inject = inject and builts[0] is not None
-        stages = builts if inject else [precond_name] * len(builts)
-    elif solver.name == "fgmres":
-        # The flagship selective-precision configuration: a real inner
-        # GMRES at the swept precision, fp64 outer.  The low-precision
-        # wrap pins the stage's input and output to the compute dtype
-        # (the bounded-error contract); faults land outside it, on the
-        # widened float64 result, exactly where E9 lands them on
-        # M^{-1} v.
-        stages = [
-            PrecisionDomain(pspec).inner_solve(
-                _fgmres_inner_solve(matrix, built, registry, precision_label)
-            )
-            for built in builts
-        ]
+        region_precision = None
     else:
-        # Fixed-preconditioner solvers: M^{-1} v at the swept precision
-        # (identity rounding when there is none).
-        inject = inject and builts[0] is not None
-        stages = [PrecisionDomain(pspec).preconditioner(built) for built in builts]
-
-    domains = None
-    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as stack:
-        if inject:
-            domains = [
-                stack.enter_context(
-                    unreliable(soft_model, seed=fault_seed,
-                               name=f"precision/{solver.name}")
-                )
-                for fault_seed in fault_seeds
-            ]
+        region_precision = pspec
+        if solver.name == "fgmres":
+            # The flagship selective-precision configuration: a real
+            # inner GMRES at the swept precision, fp64 outer.
             stages = [
-                domain.preconditioner(stage, flops_per_call=float(matrix.nnz))
-                for domain, stage in zip(domains, stages)
+                _fgmres_inner_solve(matrix, built, registry, precision_label)
+                for built in stages
             ]
+    inject = soft_model is not None and stages[0] is not None
+    if target == "outer" and not inject:
+        stages, regions = [precond_name] * len(stages), []
+    else:
+        # One region per lane: the stage's input and output are pinned
+        # to the compute dtype (the bounded-error contract), and faults
+        # land on the widened float64 result, exactly where E9 lands
+        # them on M^{-1} v (identity rounding when there is no stage).
+        regions = [
+            Region(
+                soft_model.injector(seed=fault_seed, name=f"precision/{solver.name}")
+                if inject else None,
+                precision=region_precision,
+            )
+            for fault_seed in fault_seeds
+        ]
+        stages = [
+            region.preconditioner(stage, flops_per_call=float(matrix.nnz))
+            for region, stage in zip(regions, stages)
+        ]
+    with np.errstate(over="ignore", invalid="ignore"):
         results = batch_solve(
             solver.name, matrix, b_list,
             lane_params=[{"precond": stage} for stage in stages], **params,
         )
-    if domains is None:
-        return results, [0] * len(results)
-    return results, [domain.faults_injected() for domain in domains]
+    return results, [region.faults_injected() for region in regions] or [0] * len(results)

@@ -97,12 +97,8 @@ def run(
         # named like E8's per-solver streams (see reliability.seeding).
         if soft_model is None:
             return matrix
-        environment = soft_model.environment(
-            seed=derive_fault_seed(seed, solver_name)
-        )
-        return environment.unreliable_operator(
-            matrix.matvec, flops_per_call=2.0 * matrix.nnz
-        )
+        region = soft_model.environment(seed=derive_fault_seed(seed, solver_name))
+        return region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
 
     # Solvers are resolved by registry name -- the solver axis campaigns
     # sweep -- not imported; each pair shares identical settings.

@@ -7,7 +7,7 @@ et al. converges where a conventional solver run entirely at the bulk
 (unreliable) level fails or silently degrades.
 
 Procedure: on a convection-diffusion system, sweep the per-operation
-fault probability of the unreliable domain and compare
+fault probability of the unreliable region and compare
 (a) plain restarted GMRES whose *every* matvec runs unreliably (the
 all-unreliable baseline), and (b) FT-GMRES where only the inner solves
 are unreliable.  Report convergence, true residuals, the fraction of
@@ -67,7 +67,7 @@ def run(
 ) -> ExperimentResult:
     """Run experiment E6 and return its table.
 
-    ``faults`` selects the *kind* of fault the unreliable domain
+    ``faults`` selects the *kind* of fault the unreliable region
     injects (a reliability-registry name, compact spec string or dict);
     ``fault_probabilities`` remains the swept per-operation rate, so
     e.g. ``faults="bitflip:bits=52..62"`` sweeps exponent-bit flips.
@@ -154,22 +154,15 @@ def run(
             unreliable_fracs = []
             costs = []
             for trial in range(n_trials):
-                extra = {}
-                if not fault_model.is_null and fault_model.component("bitflip") is None:
-                    # Non-bit-flip fault kinds (e.g. value perturbation)
-                    # supply the whole SRP environment themselves.
-                    extra["environment"] = fault_model.environment(
-                        seed=seed + 7 * trial, cost_model=cost_model
-                    )
+                # The whole fault model reaches the unreliable inner
+                # region, exactly as it reaches the baseline's matvecs.
                 result = solvers.get("ft_gmres").solve(
                     matrix, b, tol=tol,
                     outer_maxiter=outer_maxiter, outer_restart=outer_maxiter,
                     inner_tol=1e-2, inner_maxiter=inner_maxiter, inner_restart=inner_maxiter,
-                    fault_probability=fault_model.probability,
-                    bit_range=fault_model.bits,
-                    seed=seed + 7 * trial,
-                    cost_model=cost_model,
-                    **extra,
+                    region=fault_model.environment(
+                        seed=seed + 7 * trial, cost_model=cost_model
+                    ),
                 )
                 true_res = float(
                     np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm

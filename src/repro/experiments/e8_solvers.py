@@ -13,12 +13,11 @@ trusted direct solution.
 Faults are resolved the reliability-layer way, uniformly for every
 solver: the ``faults`` spec (a registry name, compact spec string or
 dict -- e.g. ``"bitflip:p=0.02,bits=52..62"``) builds a
-:class:`~repro.reliability.models.FaultModel` whose environment wraps
-the operator in an
-:class:`~repro.reliability.environment.UnreliableOperator`.  FT-GMRES
-is the exception by design -- selective reliability *is* its policy,
-so the fault model's probability is routed into its unreliable inner
-domain while its outer iteration stays reliable.  The legacy
+:class:`~repro.reliability.models.FaultModel` whose environment is an
+unreliable :class:`~repro.reliability.region.Region` wrapping the
+operator.  FT-GMRES is the exception by design -- selective
+reliability *is* its policy, so the region goes to its inner solves
+while its outer iteration stays reliable.  The legacy
 ``fault_probability``/``bit_range`` parameters remain as the
 fault-free/bit-flip shorthand and resolve to the same model.
 
@@ -154,7 +153,6 @@ def _run_lanes(
     # hard-fault-only specs (e.g. pure proc_fail) run the matrix clean.
     soft_model = fault_model.soft_component()
     fault_p = soft_model.probability if soft_model is not None else 0.0
-    fault_bits = soft_model.bits if soft_model is not None else None
 
     problem = TrustedProblem(grid, seeds)
     matrix, b_list = problem.matrix, problem.b_list
@@ -188,37 +186,21 @@ def _run_lanes(
         lane_params = [
             {"operator_norm": norm} if skeptical else {} for norm in trusted_norms
         ]
-        environments = None
-        operators = None
+        regions = operators = None
+        if soft_model is not None:
+            regions = [soft_model.environment(seed=fault_seed) for fault_seed in fault_seeds]
         if solver.name == "ft_gmres":
-            # Selective reliability: faults go to the unreliable inner
-            # domain, the outer iteration stays reliable.
-            params = {
-                "outer_maxiter": min(maxiter, 50),
-                "inner_maxiter": 20,
-                "fault_probability": fault_p,
-                "bit_range": fault_bits,
-            }
-            for lane, fault_seed in zip(lane_params, fault_seeds):
-                lane["seed"] = fault_seed
-                if soft_model is not None and soft_model.kind != "bitflip":
-                    # Non-bit-flip fault kinds (e.g. value perturbation)
-                    # supply the whole SRP environment themselves, so
-                    # ft_gmres sees the same fault model as every other
-                    # solver in the row.
-                    lane["environment"] = soft_model.environment(seed=fault_seed)
+            # Selective reliability: the same region goes to the inner
+            # solves, the outer iteration stays reliable.
+            params = {"outer_maxiter": min(maxiter, 50), "inner_maxiter": 20}
+            for lane, region in zip(lane_params, regions or ()):
+                lane["region"] = region
         else:
             params = {"maxiter": maxiter}
-            if soft_model is not None:
-                environments = [
-                    soft_model.environment(seed=fault_seed)
-                    for fault_seed in fault_seeds
-                ]
+            if regions is not None:
                 operators = [
-                    env.unreliable_operator(
-                        matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                    )
-                    for env in environments
+                    region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
+                    for region in regions
                 ]
 
         # Overflow/NaN *is* the injected fault's expected effect.
@@ -230,12 +212,7 @@ def _run_lanes(
 
         for s in lanes:
             result = results[s]
-            if solver.name == "ft_gmres":
-                faults_hit = int(result.info["srp_summary"]["faults_injected"])
-            elif environments is not None:
-                faults_hit = environments[s].faults_injected()
-            else:
-                faults_hit = 0
+            faults_hit = regions[s].faults_injected() if regions is not None else 0
             error_cell, outcome, correct = problem.classify(s, result, error_tolerance)
             tables[s].add_row(
                 solver.name,

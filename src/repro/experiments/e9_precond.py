@@ -13,13 +13,13 @@ routed into one of two reliability placements:
 
 * ``target="precond"`` (the selective-reliability placement): the
   preconditioner built from the clean matrix is wrapped in
-  :meth:`~repro.reliability.ReliabilityDomain.preconditioner`, so only
-  ``M^{-1} v`` passes through the unreliable domain while the operator,
+  :meth:`~repro.reliability.Region.preconditioner`, so only
+  ``M^{-1} v`` passes through the unreliable region while the operator,
   the Arnoldi/CG recurrences and the updates stay reliable.
 * ``target="operator"`` (the control placement): the *same* fault model
   corrupts the operator application instead -- data the solvers must
-  trust -- via the fault model's selective-reliability environment,
-  with the preconditioner left clean.
+  trust -- via the fault model's selective-reliability region, with the
+  preconditioner left clean.
 
 Everything is resolved by name: solvers through the solver registry,
 preconditioners through :func:`repro.precond.resolve_preconds` (so the
@@ -42,7 +42,6 @@ convergence across the board.
 
 from __future__ import annotations
 
-import contextlib
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -119,7 +118,7 @@ def run(
         corrupts data here; hard-fault-only specs run clean.
     target:
         Where the fault lands: ``"precond"`` routes it into the
-        unreliable domain wrapping ``M^{-1} v`` (selective
+        unreliable region wrapping ``M^{-1} v`` (selective
         reliability; the ``none`` preconditioner then runs clean, as
         its control row), ``"operator"`` corrupts the operator
         application instead with the preconditioner left clean.
@@ -198,7 +197,7 @@ def _run_lanes(
             # Setup runs in reliable mode (the SRP assumption): the
             # preconditioner is always built from the clean matrix --
             # once per lane, because stateful preconditioners (and the
-            # injecting domain proxies around them) must not be shared.
+            # injecting region wraps around them) must not be shared.
             builts = [
                 resolve_preconds(precond_name, matrix=matrix) for _ in lanes
             ]
@@ -276,8 +275,8 @@ def _solve_cell(
     """One (solver, precond) cell for all lanes via ``batch_solve``.
 
     Selective reliability stays per-lane: every lane's preconditioner
-    is wrapped in its own :func:`~repro.reliability.unreliable` domain
-    (domains carry no global state, so ``S`` of them coexist), or gets
+    is wrapped in its own :func:`~repro.reliability.unreliable` region
+    (regions carry no global state, so ``S`` of them coexist), or gets
     its own fault-injecting operator when the fault targets the
     operator, each seeded from that lane's fault seed.
     """
@@ -288,37 +287,29 @@ def _solve_cell(
     else:
         params = {"tol": tol, "maxiter": maxiter}
         lane_params = [{} for _ in fault_seeds]
-    injectors = operators = None
-    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as stack:
-        if soft_model is not None and target == "precond" and builts[0] is not None:
-            injectors = [
-                stack.enter_context(
-                    unreliable(soft_model, seed=fault_seed,
-                               name=f"precond/{solver.name}")
-                )
-                for fault_seed in fault_seeds
-            ]
-            builts = [
-                domain.preconditioner(built, flops_per_call=float(matrix.nnz))
-                for domain, built in zip(injectors, builts)
-            ]
-        elif soft_model is not None and target == "operator":
-            injectors = [
-                soft_model.environment(seed=fault_seed)
-                for fault_seed in fault_seeds
-            ]
-            operators = [
-                env.unreliable_operator(
-                    matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                )
-                for env in injectors
-            ]
-        for lane, built in zip(lane_params, builts):
-            lane["precond"] = built
+    regions = operators = None
+    if soft_model is not None and target == "precond" and builts[0] is not None:
+        regions = [
+            unreliable(soft_model, seed=fault_seed, name=f"precond/{solver.name}")
+            for fault_seed in fault_seeds
+        ]
+        builts = [
+            region.preconditioner(built, flops_per_call=float(matrix.nnz))
+            for region, built in zip(regions, builts)
+        ]
+    elif soft_model is not None and target == "operator":
+        regions = [soft_model.environment(seed=fault_seed) for fault_seed in fault_seeds]
+        operators = [
+            region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
+            for region in regions
+        ]
+    for lane, built in zip(lane_params, builts):
+        lane["precond"] = built
+    with np.errstate(over="ignore", invalid="ignore"):
         results = batch_solve(
             solver.name, matrix, b_list, lane_params=lane_params,
             operators=operators, **params,
         )
-    if injectors is None:
+    if regions is None:
         return results, [0] * len(results)
-    return results, [injector.faults_injected() for injector in injectors]
+    return results, [region.faults_injected() for region in regions]

@@ -21,8 +21,8 @@ configuration to the campaign layer as a sweepable axis.
   campaigns (solver x resilience-policy sweeps).
 * :mod:`repro.krylov.gmres` -- restarted GMRES with right
   preconditioning and iteration hooks.
-* :mod:`repro.krylov.fgmres` -- flexible GMRES (the reliable *outer*
-  solver of FT-GMRES).
+* :mod:`repro.krylov.fgmres` -- flexible GMRES, and FT-GMRES: that
+  reliable outer iteration around unreliable inner GMRES solves.
 * :mod:`repro.krylov.cg` -- conjugate gradients.
 * :mod:`repro.krylov.pipelined_gmres` -- one-step pipelined GMRES in
   the spirit of Ghysels et al.'s p(l)-GMRES: classical Gram-Schmidt
@@ -35,7 +35,7 @@ configuration to the campaign layer as a sweepable axis.
 from repro.krylov.result import SolveResult
 from repro.krylov.engine import SolverEngine
 from repro.krylov.gmres import gmres, GmresState
-from repro.krylov.fgmres import fgmres
+from repro.krylov.fgmres import fgmres, ft_gmres
 from repro.krylov.cg import cg
 from repro.krylov.ops import KrylovBasis, allocate_basis
 from repro.krylov.pipelined_gmres import pipelined_gmres
@@ -54,6 +54,7 @@ __all__ = [
     "gmres",
     "GmresState",
     "fgmres",
+    "ft_gmres",
     "cg",
     "KrylovBasis",
     "allocate_basis",

@@ -15,13 +15,15 @@ restarted-Arnoldi core is shared with plain GMRES, and the flexible
 behaviour (the ``Z`` block, the vetting of inner-solve outputs) lives
 in :class:`~repro.krylov.engine.precondition.FlexiblePreconditioner`.
 
-:mod:`repro.ftgmres` builds the full fault-tolerant solver on top of
-this configuration.
+:func:`ft_gmres` is this configuration with the inner solve placed in
+an unreliable :class:`~repro.reliability.region.Region`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
+
+import numpy as np
 
 from repro.krylov.engine import (
     ArnoldiScheme,
@@ -31,9 +33,13 @@ from repro.krylov.engine import (
     SolverEngine,
 )
 from repro.krylov.engine.resilience import compose_policy
+from repro.krylov.gmres import gmres
 from repro.krylov.result import SolveResult
+from repro.linalg.csr import CsrMatrix
+from repro.reliability.region import Region, reliable
+from repro.reliability.registry import resolve_faults
 
-__all__ = ["fgmres"]
+__all__ = ["fgmres", "ft_gmres"]
 
 
 def fgmres(
@@ -89,3 +95,73 @@ def fgmres(
         policy=compose_policy(policy, iteration_hook, "scalar"),
     )
     return engine.solve(b, x0)
+
+
+def ft_gmres(
+    matrix,
+    b,
+    x0=None,
+    *,
+    tol: float = 1e-8,
+    outer_maxiter: int = 50,
+    outer_restart: int = 50,
+    inner_tol: float = 1e-2,
+    inner_maxiter: int = 20,
+    inner_restart: int = 20,
+    fault_probability: Optional[float] = None,
+    bit_range=None,
+    seed: Optional[int] = None,
+    preconditioner=None,
+    region: Optional[Region] = None,
+    cost_model=None,
+) -> SolveResult:
+    """Fault-tolerant GMRES (Bridges, Ferreira, Heroux, Hoemmen; §III-D).
+
+    A reliable :func:`fgmres` outer iteration (``tol``, ``outer_*``)
+    whose every inner solve is plain :func:`~repro.krylov.gmres.gmres`
+    (``inner_*``, ``preconditioner``) over ``region.operator(A)``: only
+    the inner operator applications can be corrupted, and the outer
+    iteration vets each inner result before it touches its own state.
+
+    ``region`` is the unreliable :class:`~repro.reliability.region.Region`,
+    e.g. ``FaultModel.environment(seed=...)``.  Without one, a
+    Bernoulli bit-flip region is built from ``fault_probability``
+    (default 0), ``bit_range``, ``seed`` and ``cost_model``; passing
+    any of those *with* ``region`` is refused.
+
+    ``info`` gains ``srp_summary`` and ``srp_cost`` (the region's
+    accounting, with the outer matvecs as the reliable work) and
+    ``unreliable_fraction_flops``; ``detected_faults`` is the number of
+    faults the region injected.
+    """
+    knobs = {"fault_probability": fault_probability, "bit_range": bit_range,
+             "seed": seed, "cost_model": cost_model}
+    if region is None:
+        model = resolve_faults("bitflip:p=0.0", p=fault_probability, bits=bit_range)
+        region = model.environment(seed=seed, cost_model=cost_model)
+    elif any(value is not None for value in knobs.values()):
+        given = sorted(name for name, value in knobs.items() if value is not None)
+        raise ValueError(f"ft_gmres: pass the faults as region= or as {given}, not both")
+    nnz = matrix.nnz if isinstance(matrix, CsrMatrix) else int(np.count_nonzero(matrix))
+    inner_operator = region.operator(matrix, flops_per_call=2.0 * nnz)
+    outer = reliable()
+
+    def solve(v):
+        inner = gmres(inner_operator, np.asarray(v, dtype=np.float64), tol=inner_tol,
+                      restart=inner_restart, maxiter=inner_maxiter,
+                      preconditioner=preconditioner)
+        return np.asarray(inner.x, dtype=np.float64)
+
+    result = fgmres(
+        outer.operator(matrix, flops_per_call=2.0 * nnz), np.asarray(b, dtype=np.float64),
+        x0=x0, tol=tol, restart=outer_restart, maxiter=outer_maxiter,
+        inner_solve=region.inner_solve(solve),
+    )
+    summary = region.summary(reliable_flops=outer.flops)
+    result.info.update(
+        srp_summary=summary,
+        srp_cost=region.cost_summary(reliable_flops=outer.flops),
+        unreliable_fraction_flops=1.0 - summary["reliable_fraction_flops"],
+    )
+    result.detected_faults = int(summary["faults_injected"])
+    return result

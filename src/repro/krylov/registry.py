@@ -21,11 +21,11 @@ anything :func:`repro.precond.resolve_preconds` does -- a registry name
 (``"jacobi"``), a compact spec string (``"ssor:omega=1.2"``,
 ``"poly:k=4"``, ``"bjacobi:bs=8"``), a dict, a
 :class:`~repro.precond.PrecondSpec`, or an already-built
-preconditioner object such as the fault-injecting proxy returned by
-:meth:`repro.reliability.ReliabilityDomain.preconditioner`.  Specs are
-built against the operator when it is matrix-like; pass the clean
-matrix via ``precond_matrix=`` when the operator is wrapped (e.g. an
-:class:`~repro.reliability.environment.UnreliableOperator`).  Each
+preconditioner object such as the fault-injecting wrap returned by
+:meth:`repro.reliability.Region.preconditioner`.  Specs are built
+against the operator when it is matrix-like; pass the clean matrix via
+``precond_matrix=`` when the operator is wrapped (e.g. by
+:meth:`repro.reliability.Region.operator`).  Each
 entry's :attr:`RegisteredSolver.precond_param` records which underlying
 keyword receives the built object (``preconditioner=`` everywhere
 except FGMRES, whose variable preconditioner is its ``inner_solve=``),
@@ -283,9 +283,8 @@ class RegisteredSolver:
 
 def _builtin_solvers() -> List[RegisteredSolver]:
     # Local imports: the registry is imported by repro.krylov.__init__.
-    from repro.ftgmres.outer import ft_gmres
     from repro.krylov.cg import cg
-    from repro.krylov.fgmres import fgmres
+    from repro.krylov.fgmres import fgmres, ft_gmres
     from repro.krylov.gmres import gmres
     from repro.krylov.pipelined_cg import pipelined_cg
     from repro.krylov.pipelined_gmres import pipelined_gmres

@@ -25,8 +25,7 @@ serializable spec strings (``"jacobi"``, ``"ssor:omega=1.2"``,
 ``precond=`` parameter every registered solver accepts -- lives in
 :mod:`repro.precond`, which builds these classes and re-raises their
 validation errors with the offending spec string attached.  The
-unreliable-domain proxy is
-:meth:`repro.reliability.ReliabilityDomain.preconditioner`.
+unreliable wrap is :meth:`repro.reliability.Region.preconditioner`.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ Quick tour::
 
     # selective reliability: only M^{-1} v runs unreliably
     from repro import reliability
-    with reliability.unreliable("bitflip:p=1e-4", seed=7) as dom:
-        result = solver.solve(A, b, precond=dom.preconditioner(M))
+    with reliability.unreliable("bitflip:p=1e-4", seed=7) as region:
+        result = solver.solve(A, b, precond=region.preconditioner(M))
 
 Module map:
 

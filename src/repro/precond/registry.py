@@ -16,8 +16,7 @@ Two resolution entry points exist:
 * :func:`resolve_preconds` -- anything precond-shaped to a *built*
   preconditioner for a concrete matrix (what solvers call).  Already-
   built preconditioner objects pass through untouched, so a fault-
-  injecting proxy from
-  :meth:`repro.reliability.ReliabilityDomain.preconditioner` can be
+  injecting :meth:`repro.reliability.Region.preconditioner` can be
   handed to any registered solver's ``precond=`` parameter.
 
 Build failures are actionable: parameter validation errors raised by

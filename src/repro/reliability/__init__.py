@@ -6,7 +6,7 @@ thesis is that the response is *algorithmic and composable*.  This
 subpackage makes the fault side of that thesis first-class: one
 declarative :class:`FaultSpec` model, one named-model registry, and one
 capability surface (:class:`FaultModel`) consumed uniformly by the
-solver engine's resilience policies, the SRP domains, the simulated
+solver engine's resilience policies, the SRP region, the simulated
 MPI runtime and every experiment driver -- so the fault axis is named,
 serializable and sweepable exactly like the solver axis.
 
@@ -15,8 +15,8 @@ Quick tour::
     from repro import reliability
 
     model = reliability.resolve_faults("bitflip:p=1e-4,bits=52..62")
-    with reliability.unreliable(model, seed=7) as dom:
-        y = dom.run(lambda: A @ x, flops=2 * A.nnz)
+    with reliability.unreliable(model, seed=7) as region:
+        y = region.operator(A.matvec, flops_per_call=2 * A.nnz)(x)
 
     combo = reliability.resolve_faults(
         reliability.compose("bitflip:p=0.02", "proc_fail:mtbf=3600"))
@@ -41,8 +41,8 @@ Every form round-trips exactly through ``FaultSpec.parse`` /
 or built model in; ready :class:`FaultModel` out).  The sibling axes
 follow the same pattern: :mod:`repro.krylov.registry` for solvers and
 :mod:`repro.precond` for preconditioners (whose
-:meth:`ReliabilityDomain.preconditioner` proxy runs only ``M^{-1} v``
-unreliably -- selective reliability).
+:meth:`Region.preconditioner` wrap runs only ``M^{-1} v`` unreliably --
+selective reliability).
 
 Module map (mechanism -> declarative layer):
 
@@ -56,10 +56,9 @@ Module map (mechanism -> declarative layer):
   and replayable :class:`FailurePlan`.
 * :mod:`~repro.reliability.sdc` -- SDC campaign helpers and the
   outcome taxonomy.
-* :mod:`~repro.reliability.domain` -- :class:`ReliabilityDomain` plus
-  the ``unreliable()`` / ``reliable()`` context managers.
-* :mod:`~repro.reliability.environment` -- the selective-reliability
-  environment pairing one reliable and one unreliable domain.
+* :mod:`~repro.reliability.region` -- the SRP :class:`Region` (injector,
+  precision, cost model) and its ``unreliable()`` / ``reliable()`` /
+  ``lowprecision()`` constructors.
 * :mod:`~repro.reliability.cost` / :mod:`~repro.reliability.tmr` --
   reliability cost model and triple modular redundancy.
 * :mod:`~repro.reliability.spec` -- declarative, serializable
@@ -68,9 +67,8 @@ Module map (mechanism -> declarative layer):
   surface over the mechanisms above.
 * :mod:`~repro.reliability.registry` -- named fault models and
   :func:`resolve_faults`.
-* :mod:`~repro.reliability.precision` -- :class:`PrecisionSpec`, the
-  named precision registry and the ``lowprecision()`` domain (reduced
-  precision as a bounded-error fault model; the fourth sweepable axis).
+* :mod:`~repro.reliability.precision` -- :class:`PrecisionSpec` and the
+  named precision registry (the fourth sweepable axis).
 * :mod:`~repro.reliability.seeding` -- the per-scenario seed
   derivation shared with the campaign runner.
 """
@@ -104,18 +102,7 @@ from repro.reliability.process import (
     system_mtbf,
 )
 from repro.reliability.sdc import OUTCOME_KINDS, SdcCampaign, classify_outcome
-from repro.reliability.domain import (
-    DomainOperator,
-    DomainPreconditioner,
-    ReliabilityDomain,
-    TrackedAllocation,
-    reliable,
-    unreliable,
-)
-from repro.reliability.environment import (
-    SelectiveReliabilityEnvironment,
-    UnreliableOperator,
-)
+from repro.reliability.region import Region, lowprecision, reliable, unreliable
 from repro.reliability.cost import ReliabilityCostModel
 from repro.reliability.tmr import TmrDisagreement, tmr_execute
 from repro.reliability.spec import FaultSpec, compose
@@ -141,14 +128,10 @@ from repro.reliability.registry import (
     resolve_faults,
 )
 from repro.reliability.precision import (
-    LowPrecisionOperator,
-    LowPrecisionPreconditioner,
-    PrecisionDomain,
     PrecisionRegistry,
     PrecisionSpec,
     RegisteredPrecision,
     default_precision_registry,
-    lowprecision,
     parse_precision,
     precision_names,
 )
@@ -187,15 +170,11 @@ __all__ = [
     "WeibullFailureModel",
     "FailurePlan",
     "system_mtbf",
-    # domains / SRP
-    "ReliabilityDomain",
-    "TrackedAllocation",
-    "DomainOperator",
-    "DomainPreconditioner",
+    # SRP
+    "Region",
     "unreliable",
     "reliable",
-    "SelectiveReliabilityEnvironment",
-    "UnreliableOperator",
+    "lowprecision",
     "ReliabilityCostModel",
     "tmr_execute",
     "TmrDisagreement",
@@ -224,10 +203,6 @@ __all__ = [
     "default_precision_registry",
     "precision_names",
     "parse_precision",
-    "PrecisionDomain",
-    "LowPrecisionOperator",
-    "LowPrecisionPreconditioner",
-    "lowprecision",
     # seeding
     "derive_seed",
     "derive_fault_seed",

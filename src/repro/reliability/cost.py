@@ -1,13 +1,12 @@
 """Reliability cost model.
 
-Making storage or computation "more reliable than the bulk reliability
-of the underlying system" costs something: ECC-protected or replicated
-memory, instruction replication, TMR.  The SRP argument only needs a
-first-order model of that cost: a multiplier on reliable bytes and a
-multiplier on reliable flops.  With those two numbers the model can
-answer the question the paper poses implicitly -- *how much cheaper is
-an execution that keeps most data and work unreliable* -- which is what
-:meth:`SelectiveReliabilityEnvironment.cost_summary` and experiment E6
+Making computation "more reliable than the bulk reliability of the
+underlying system" costs something: instruction replication, TMR,
+hardened cores.  The SRP argument only needs a first-order model of
+that cost: a multiplier on reliable flops.  With it the model answers
+the question the paper poses implicitly -- *how much cheaper is an
+execution that keeps most of its work unreliable* -- which is what
+:meth:`repro.reliability.region.Region.cost_summary` and experiment E6
 report.
 """
 
@@ -22,7 +21,7 @@ __all__ = ["ReliabilityCostModel"]
 
 @dataclass
 class ReliabilityCostModel:
-    """First-order cost multipliers for reliable storage and compute.
+    """First-order cost multiplier for reliable compute.
 
     Attributes
     ----------
@@ -30,36 +29,25 @@ class ReliabilityCostModel:
         Cost multiplier of a reliable flop relative to an unreliable
         one.  TMR corresponds to ~3 (plus voting); instruction
         duplication ~2; hardened-but-slower cores somewhere in between.
-    reliable_storage_factor:
-        Cost multiplier of a reliably stored byte (e.g. ECC+chipkill or
-        software replication) relative to an unreliable byte.
     unreliable_compute_cost:
         Baseline cost per unreliable flop (arbitrary units; 1.0 by
         default so returned costs are in "unreliable flop equivalents").
     """
 
     reliable_compute_factor: float = 3.0
-    reliable_storage_factor: float = 2.0
     unreliable_compute_cost: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive(self.reliable_compute_factor, "reliable_compute_factor")
-        check_positive(self.reliable_storage_factor, "reliable_storage_factor")
         check_positive(self.unreliable_compute_cost, "unreliable_compute_cost")
 
     def execution_cost(self, reliable_flops: float, unreliable_flops: float) -> float:
-        """Total compute cost of a run split between the two domains."""
+        """Total compute cost of a run split into reliable and unreliable flops."""
         check_non_negative(reliable_flops, "reliable_flops")
         check_non_negative(unreliable_flops, "unreliable_flops")
         return self.unreliable_compute_cost * (
             unreliable_flops + self.reliable_compute_factor * reliable_flops
         )
-
-    def storage_cost(self, reliable_bytes: float, unreliable_bytes: float) -> float:
-        """Total storage cost of data split between the two domains."""
-        check_non_negative(reliable_bytes, "reliable_bytes")
-        check_non_negative(unreliable_bytes, "unreliable_bytes")
-        return unreliable_bytes + self.reliable_storage_factor * reliable_bytes
 
     def speedup_vs_all_reliable(
         self, reliable_flops: float, unreliable_flops: float

@@ -2,16 +2,17 @@
 
 A :class:`FaultModel` turns a :class:`~repro.reliability.spec.FaultSpec`
 into the concrete machinery the rest of the toolkit consumes --
-schedules, injectors, selective-reliability environments, failure
-plans, message corruptors and engine iteration hooks -- through one
-capability surface, so drivers never construct injectors by hand:
+schedules, injectors, selective-reliability regions, failure plans,
+message corruptors and engine iteration hooks -- through one capability
+surface, so drivers never construct injectors by hand:
 
 ===============  ====================================================
 capability        consumed by
 ===============  ====================================================
-``schedule``      anything that needs a *when* (injectors, domains)
-``injector``      :class:`~repro.reliability.domain.ReliabilityDomain`
-``environment``   SRP solvers / operator-wrapping experiments (E6, E8)
+``schedule``      anything that needs a *when* (injectors)
+``injector``      :class:`~repro.reliability.region.Region`
+``environment``   SRP solvers / operator-wrapping experiments (E3, E6,
+                  E8, E9): an unreliable ``Region``
 ``failure_plan``  :mod:`repro.simmpi`, LFLR/CPR experiments (E4, E7)
 ``message_corruptor``  :class:`repro.simmpi.comm.Comm` send paths
 ``iteration_hook``     the solver engine's resilience-policy surface
@@ -53,6 +54,7 @@ from repro.reliability.schedule import (
     NeverSchedule,
     PoissonSchedule,
 )
+from repro.reliability.region import Region
 from repro.reliability.seeding import fault_stream
 from repro.reliability.spec import COMPOSE_KIND, FaultSpec
 from repro.utils.rng import as_generator
@@ -180,7 +182,7 @@ class FaultModel:
                  target=None, session=None):
         raise self._unsupported("injector")
 
-    def environment(self, *, seed=None, cost_model=None, log=None):
+    def environment(self, *, seed=None, cost_model=None) -> Region:
         raise self._unsupported("environment")
 
     def failure_plan(self, *, n_ranks=None, horizon=None, seed=None) -> FailurePlan:
@@ -213,6 +215,9 @@ class NoFaults(FaultModel):
             target=target or "array",
             session=session,
         )
+
+    def environment(self, *, seed=None, cost_model=None) -> Region:
+        return Region(cost_model=cost_model)
 
     def failure_plan(self, *, n_ranks=None, horizon=None, seed=None) -> FailurePlan:
         return FailurePlan.none()
@@ -267,7 +272,7 @@ class _ScheduledFaults(FaultModel):
 
 
 class BitflipFaults(_ScheduledFaults):
-    """IEEE-754 bit flips in arrays passing through a domain.
+    """IEEE-754 bit flips in arrays passing through a region.
 
     Parameters: one of ``p``/``rate``/``times`` (when), plus ``bits``
     (inclusive bit-position range, default all 64), ``max_faults``
@@ -303,30 +308,13 @@ class BitflipFaults(_ScheduledFaults):
             session=session,
         )
 
-    def environment(self, *, seed=None, cost_model=None, log=None):
-        from repro.reliability.environment import SelectiveReliabilityEnvironment
-        from repro.utils.logging import EventLog
-
-        if set(self.spec.params) <= {"p", "bits"}:
-            # Pure Bernoulli: defer entirely to the environment's own
-            # construction -- bitwise-identical to the pre-registry
-            # wiring.
-            return SelectiveReliabilityEnvironment(
-                fault_probability=self.probability, seed=seed,
-                bit_range=self.bits, cost_model=cost_model, log=log,
-            )
-        # Any further knobs (rate/times schedules, max_faults caps,
-        # target labels) must reach the injector, so build it here.
-        log = log if log is not None else EventLog()
-        gen = as_generator(seed)
+    def environment(self, *, seed=None, cost_model=None) -> Region:
+        # The SRP stream: schedule and victims from as_generator(seed)
+        # itself (not a named fault stream), as FT-GMRES always drew.
         injector = self.injector(
-            gen,
-            target=self.spec.get("target", "srp_unreliable"),
-            session=InjectionSession(log),
+            as_generator(seed), target=self.spec.get("target", "srp_unreliable")
         )
-        return SelectiveReliabilityEnvironment(
-            injector=injector, cost_model=cost_model, log=log,
-        )
+        return Region(injector, cost_model=cost_model)
 
 
 class PerturbationInjector:
@@ -336,7 +324,7 @@ class PerturbationInjector:
     element of the array is either overwritten with ``value`` or
     multiplied by ``scale``.  Interface-compatible with
     :class:`~repro.reliability.injector.ArrayInjector` so it slots into
-    domains and environments unchanged.
+    a :class:`~repro.reliability.region.Region` unchanged.
     """
 
     def __init__(self, schedule, rng, *, value=None, scale=None,
@@ -410,16 +398,8 @@ class PerturbationFaults(_ScheduledFaults):
             session=session,
         )
 
-    def environment(self, *, seed=None, cost_model=None, log=None):
-        from repro.reliability.environment import SelectiveReliabilityEnvironment
-
-        from repro.utils.logging import EventLog
-
-        log = log if log is not None else EventLog()
-        injector = self.injector(seed=seed, session=InjectionSession(log))
-        return SelectiveReliabilityEnvironment(
-            injector=injector, cost_model=cost_model, log=log,
-        )
+    def environment(self, *, seed=None, cost_model=None) -> Region:
+        return Region(self.injector(seed=seed), cost_model=cost_model)
 
 
 class MessageCorruptor:
@@ -711,10 +691,8 @@ class CompositeFaults(FaultModel):
             "injector", rng, seed=seed, name=name, target=target, session=session
         )
 
-    def environment(self, *, seed=None, cost_model=None, log=None):
-        return self._delegate(
-            "environment", seed=seed, cost_model=cost_model, log=log
-        )
+    def environment(self, *, seed=None, cost_model=None) -> Region:
+        return self._delegate("environment", seed=seed, cost_model=cost_model)
 
     def failure_plan(self, *, n_ranks=None, horizon=None, seed=None):
         return self._delegate(

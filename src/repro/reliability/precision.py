@@ -12,11 +12,9 @@ a first-class, serializable axis exactly like faults
   interchangeable wire forms (compact string / dict / object);
 * a named registry (:func:`default_precision_registry`,
   :func:`parse_precision`) so campaigns sweep ``"fp32"`` by name;
-* :func:`lowprecision` -- the domain context manager mirroring
-  :func:`~repro.reliability.domain.unreliable`, for *selective*
-  placement: wrap only the operator, only ``M^{-1} v``, or only the
-  FGMRES inner solve, while the outer recurrence, Hessenberg QR and
-  convergence tests stay float64 (the iterative-refinement shape).
+* :func:`cast_operator` / :func:`cast_vector`, which the solver
+  registry's ``precision=`` and a reduced-precision
+  :class:`~repro.reliability.region.Region` share.
 
 String grammar (single-kind, like preconditioner specs)::
 
@@ -44,7 +42,6 @@ skips every cast and runs the exact default code path, bit for bit.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Mapping, Tuple, Union
 
 import numpy as np
@@ -60,10 +57,6 @@ __all__ = [
     "default_precision_registry",
     "precision_names",
     "parse_precision",
-    "PrecisionDomain",
-    "LowPrecisionOperator",
-    "LowPrecisionPreconditioner",
-    "lowprecision",
     "cast_operator",
     "cast_vector",
     "AXIS",
@@ -229,8 +222,8 @@ def cast_vector(x, spec: PrecisionSpec) -> np.ndarray:
 class _CallableOperatorCast:
     """Wrap a callable operator so its results land in the compute dtype.
 
-    The wrapped callable (an :class:`UnreliableOperator`, a
-    :class:`DomainOperator`, a lambda over a dense array, ...) keeps
+    The wrapped callable (a region's operator, a lambda over a dense
+    array, ...) keeps
     computing in whatever precision it was built with; input is widened
     to float64 so fault injectors with float64-only bit patterns keep
     working, and the result is rounded to the compute dtype on the way
@@ -278,170 +271,3 @@ def cast_operator(operator, spec: PrecisionSpec):
         f"cannot cast operator of type {type(operator).__name__} "
         f"to precision {spec.to_string()!r}"
     )
-
-
-# ----------------------------------------------------------------------
-# Selective placement: the lowprecision() domain
-# ----------------------------------------------------------------------
-class LowPrecisionOperator:
-    """An operator whose every application runs at reduced precision.
-
-    The precision sibling of
-    :class:`~repro.reliability.domain.DomainOperator`: input is rounded
-    down to the domain's compute dtype, the apply runs there (natively
-    for :class:`CsrMatrix`), and the result is widened back to float64
-    for the caller -- so an outer solver in full precision sees a
-    bounded-error operator, exactly the shape of the paper's unreliable
-    inner stage.
-
-    Attributes
-    ----------
-    applications:
-        Number of operator applications so far.
-    """
-
-    def __init__(self, domain: "PrecisionDomain", operator):
-        self.domain = domain
-        self.applications = 0
-        spec = domain.spec
-        if isinstance(operator, CsrMatrix):
-            self._apply = cast_operator(operator, spec).matvec
-        elif isinstance(operator, np.ndarray):
-            low = cast_operator(operator, spec)
-            self._apply = lambda x: low @ x
-        elif callable(operator):
-            self._apply = cast_operator(operator, spec)
-        else:
-            raise TypeError(
-                f"unsupported operator type {type(operator).__name__}"
-            )
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.applications += 1
-        self.domain.operations += 1
-        low = self._apply(self.domain.cast_down(x))
-        return self.domain.cast_up(low)
-
-
-class LowPrecisionPreconditioner:
-    """A preconditioner whose every ``M^{-1} v`` runs at reduced precision.
-
-    Wraps any preconditioner -- an object with an ``apply`` method, a
-    bare callable, or ``None`` (the identity) -- rounding the input
-    vector down to the domain's compute dtype, rounding the result down
-    (the bounded-error contract even when the wrapped object computes
-    internally in float64), then widening back to float64 for the outer
-    solver.  Implements the :class:`repro.linalg.precond.Preconditioner`
-    protocol (``apply`` + ``__call__``), so it slots into every
-    registered solver's ``precond=`` parameter -- and, via FGMRES's
-    ``inner_solve``, into the paper's selective configuration where
-    *only* the inner stage is low precision.
-
-    Attributes
-    ----------
-    applications:
-        Number of preconditioner applications so far.
-    """
-
-    def __init__(self, domain: "PrecisionDomain", preconditioner=None):
-        self.domain = domain
-        self.preconditioner = preconditioner
-        self.applications = 0
-
-    def _base_apply(self, vector: np.ndarray) -> np.ndarray:
-        base = self.preconditioner
-        if base is None:
-            return vector.copy()
-        if hasattr(base, "apply"):
-            return base.apply(vector)
-        return base(vector)
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """Apply ``M^{-1}`` at reduced precision; result back in float64."""
-        self.applications += 1
-        self.domain.operations += 1
-        low = self.domain.cast_down(self._base_apply(self.domain.cast_down(vector)))
-        return self.domain.cast_up(low)
-
-    def __call__(self, vector: np.ndarray) -> np.ndarray:
-        return self.apply(vector)
-
-
-class PrecisionDomain:
-    """A named compute region running at one (reduced) precision.
-
-    The precision sibling of
-    :class:`~repro.reliability.domain.ReliabilityDomain`: wrap only the
-    pieces that should run at reduced precision and leave the rest of
-    the solve in float64.  Unlike a fault injector the "corruption"
-    here is deterministic rounding, so domains need no seed and no
-    injection log -- just the spec and application counters.
-
-    Parameters
-    ----------
-    spec:
-        Anything :func:`parse_precision` accepts.
-    name:
-        Identifier for reports.
-    """
-
-    def __init__(self, spec="fp32", name: str = "lowprecision"):
-        self.spec = parse_precision(spec)
-        self.name = name
-        self.operations = 0
-
-    @property
-    def compute_dtype(self) -> np.dtype:
-        """Dtype wrapped applications compute in."""
-        return self.spec.compute_dtype
-
-    def cast_down(self, array) -> np.ndarray:
-        """Round an array to the domain's compute dtype (no-op if it fits)."""
-        return np.asarray(array, dtype=self.spec.compute_dtype)
-
-    def cast_up(self, array) -> np.ndarray:
-        """Widen an array back to float64 for the full-precision caller."""
-        return np.asarray(array, dtype=np.float64)
-
-    def operator(self, operator) -> LowPrecisionOperator:
-        """Wrap an operator so every application runs in this domain."""
-        return LowPrecisionOperator(self, operator)
-
-    def preconditioner(self, preconditioner=None) -> LowPrecisionPreconditioner:
-        """Wrap a preconditioner so every ``M^{-1} v`` runs in this domain."""
-        return LowPrecisionPreconditioner(self, preconditioner)
-
-    def inner_solve(self, solve) -> "LowPrecisionPreconditioner":
-        """Wrap an inner-solve callable for FGMRES's ``inner_solve=``.
-
-        ``solve`` maps a residual vector to an approximate
-        ``A^{-1} v``; the wrapper hands it the rounded-down vector and
-        widens the result, so the entire inner solve is the low-
-        precision stage while the flexible outer iteration stays
-        float64 -- the iterative-refinement shape of the paper's
-        inner/outer argument.
-        """
-        return LowPrecisionPreconditioner(self, solve)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PrecisionDomain(name={self.name!r}, "
-            f"spec={self.spec.to_string()!r})"
-        )
-
-
-@contextmanager
-def lowprecision(spec="fp32", *, name: str = "lowprecision"):
-    """Context manager yielding a reduced-precision domain for a spec.
-
-    The precision counterpart of
-    :func:`~repro.reliability.domain.unreliable`::
-
-        with reliability.lowprecision("fp32") as dom:
-            op = dom.operator(A)           # fp32 matvec, fp64 outside
-            result = gmres(op, b)          # outer solve stays fp64
-
-    ``spec`` is anything :func:`parse_precision` accepts -- a registry
-    name, a compact spec string, a dict or a built spec.
-    """
-    yield PrecisionDomain(spec, name=name)

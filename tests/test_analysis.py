@@ -252,6 +252,8 @@ class TestSpecStringsRule:
                 The smoke sweep uses `poly:k=4` everywhere.
 
                 A stale example: `poly:q=4` no longer parses.
+
+                Placeholders: `perturb:p=...,scale=...`, `perturb:p=…,scale=…`.
                 """
             },
             ["spec-strings"],

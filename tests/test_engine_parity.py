@@ -28,7 +28,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.ftgmres import ft_gmres
+from repro.krylov.fgmres import ft_gmres
 from repro.krylov import cg, fgmres, gmres, pipelined_cg, pipelined_gmres
 from repro.linalg import (
     DistributedRowMatrix,

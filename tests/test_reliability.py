@@ -303,12 +303,12 @@ class TestFaultModels:
 
     def test_environment_honors_max_faults_and_target(self):
         model = resolve_faults("bitflip:p=1.0,max_faults=1,target=net")
-        env = model.environment(seed=1)
-        data = np.ones(8)
+        region = model.environment(seed=1)
+        identity = region.preconditioner(None)
         for _ in range(5):
-            env.unreliable_domain.touch(data.copy())
-        assert env.faults_injected() == 1
-        assert env.unreliable_domain.injector.target == "net"
+            identity(np.ones(8))
+        assert region.faults_injected() == 1
+        assert region.injector.target == "net"
 
     def test_perturb_injector_handles_non_contiguous_views(self):
         injector = resolve_faults("perturb:p=1.0,value=123.0").injector(seed=2)
@@ -366,13 +366,13 @@ class TestSeeding:
 class TestDomains:
     def test_unreliable_domain_corrupts_and_counts(self):
         with unreliable("bitflip:p=1.0", seed=3) as domain:
-            data = domain.touch(np.ones(8))
+            data = domain.preconditioner(None)(np.ones(8))
             assert domain.faults_injected() == 1
             assert np.sum(data != 1.0) == 1
 
     def test_reliable_domain_never_corrupts(self):
         with reliable() as domain:
-            data = domain.touch(np.ones(8))
+            data = domain.preconditioner(None)(np.ones(8))
             np.testing.assert_array_equal(data, 1.0)
             assert domain.faults_injected() == 0
 
@@ -671,8 +671,36 @@ class TestSharedFaultAxisDegradation:
         model = resolve_faults("perturb:p=0.5,scale=1000.0")
         from repro.reliability.models import PerturbationInjector
 
-        env = model.environment(seed=1)
-        assert isinstance(env.unreliable_domain.injector, PerturbationInjector)
+        region = model.environment(seed=1)
+        assert isinstance(region.injector, PerturbationInjector)
+
+    @pytest.mark.parametrize("spec", [
+        "bitflip:p=0.5,bits=52..62,max_faults=1",
+        "bitflip:times=0,bits=52..62",
+    ])
+    def test_e8_ft_gmres_gets_the_whole_bitflip_spec(self, spec):
+        # The cap and the explicit schedule reach ft_gmres's inner region
+        # as they reach gmres's operator (p and bits alone used to).
+        from repro.campaign.registry import default_registry
+
+        result = default_registry().get("E8").run(
+            grid=6, solvers=("gmres", "ft_gmres"), policy="none", faults=spec,
+        )
+        assert {row[0]: row[4] for row in result.table.rows} == {
+            "gmres": 1, "ft_gmres": 1,
+        }
+
+    def test_e6_ft_gmres_honours_max_faults(self):
+        # One capped fault: the all-unreliable baseline converges, so
+        # FT-GMRES must too (it used to take ~100 uncapped flips).
+        from repro.campaign.registry import default_registry
+
+        result = default_registry().get("E6").run(
+            grid=8, fault_probabilities=(0.5,), n_trials=1, outer_maxiter=20,
+            inner_maxiter=10, faults="bitflip:bits=52..62,max_faults=1",
+        )
+        assert result.summary["plain_0.5_converged"] == 1.0
+        assert result.summary["ftgmres_0.5_converged"] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import pytest
 
 from repro.reliability import ArrayInjector, BernoulliPerCallSchedule, DeterministicSchedule
 from repro.reliability.bitflip import flip_bit_array
-from repro.ftgmres import UnreliableInnerSolver, ft_gmres
-from repro.krylov import gmres
+from repro.krylov import ft_gmres, gmres
 from repro.linalg import poisson_2d, convection_diffusion_2d
 from repro.skeptical import (
     AbftMatvecOperator,
@@ -30,10 +29,11 @@ from repro.skeptical import (
     spd_coefficient_check,
 )
 from repro.reliability import (
+    Region,
     ReliabilityCostModel,
-    ReliabilityDomain,
-    SelectiveReliabilityEnvironment,
     TmrDisagreement,
+    reliable,
+    resolve_faults,
     tmr_execute,
 )
 
@@ -370,61 +370,40 @@ class TestCheckCostShape:
 
 class TestSrp:
     def test_reliable_domain_never_corrupts(self):
-        domain = ReliabilityDomain("safe", level="reliable")
-        data = np.ones(64)
+        region = reliable()
+        identity = region.preconditioner(None)
         for _ in range(10):
-            domain.touch(data)
+            data = identity(np.ones(64))
         assert np.all(data == 1.0)
-        assert domain.faults_injected() == 0
-
-    def test_reliable_domain_rejects_injector(self):
-        with pytest.raises(ValueError):
-            ReliabilityDomain("safe", level="reliable",
-                              injector=ArrayInjector(DeterministicSchedule([0.0])))
+        assert region.faults_injected() == 0
 
     def test_unreliable_domain_corrupts_per_schedule(self):
-        injector = ArrayInjector(DeterministicSchedule([1.0, 2.0]), rng=0)
-        domain = ReliabilityDomain("bulk", injector=injector)
-        data = np.ones(128)
-        domain.touch(data, now=1.0)
-        domain.touch(data, now=2.0)
-        assert domain.faults_injected() == 2
-
-    def test_domain_allocation_tracking(self):
-        domain = ReliabilityDomain("bulk")
-        domain.allocate((16,), name="vector")
-        domain.adopt(np.zeros(8), name="extra")
-        assert domain.bytes_allocated == 16 * 8 + 8 * 8
-        assert len(domain.allocations) == 2
-
-    def test_domain_run_accounts_flops(self):
-        domain = ReliabilityDomain("bulk")
-        result = domain.run(lambda: np.ones(4), flops=100.0)
-        assert np.allclose(result, 1.0)
-        assert domain.flops == 100.0
+        region = Region(ArrayInjector(DeterministicSchedule([1.0, 2.0]), rng=0))
+        identity = region.preconditioner(None)
+        for now in (1.0, 2.0):
+            region.now = now
+            identity(np.ones(128))
+        assert region.faults_injected() == 2
 
     def test_environment_summary_and_cost(self):
-        env = SelectiveReliabilityEnvironment(fault_probability=0.0, seed=0)
-        with env.reliable() as reliable:
-            reliable.flops += 100.0
-        with env.unreliable() as unreliable:
-            unreliable.flops += 900.0
-        summary = env.summary()
+        region = resolve_faults("bitflip:p=0.0").environment(seed=0)
+        region.operator(lambda x: x, flops_per_call=900.0)(np.ones(4))
+        summary = region.summary(reliable_flops=100.0)
         assert summary["reliable_fraction_flops"] == pytest.approx(0.1)
-        cost = env.cost_summary()
+        cost = region.cost_summary(reliable_flops=100.0)
+        assert cost["savings_factor"] == pytest.approx(
+            region.cost_model.speedup_vs_all_reliable(100.0, 900.0)
+        )
         assert cost["savings_factor"] > 1.0
 
     def test_environment_injects(self):
-        env = SelectiveReliabilityEnvironment(fault_probability=1.0, seed=3)
-        with env.unreliable() as domain:
-            domain.touch(np.ones(32), now=0.0)
-        assert env.faults_injected() == 1
+        region = resolve_faults("bitflip:p=1.0").environment(seed=3)
+        region.operator(np.copy)(np.ones(32))
+        assert region.faults_injected() == 1
 
     def test_cost_model(self):
-        model = ReliabilityCostModel(reliable_compute_factor=3.0,
-                                     reliable_storage_factor=2.0)
+        model = ReliabilityCostModel(reliable_compute_factor=3.0)
         assert model.execution_cost(10.0, 90.0) == pytest.approx(120.0)
-        assert model.storage_cost(10.0, 80.0) == pytest.approx(100.0)
         assert model.speedup_vs_all_reliable(10.0, 90.0) == pytest.approx(300.0 / 120.0)
         with pytest.raises(ValueError):
             ReliabilityCostModel(reliable_compute_factor=0.0)
@@ -487,16 +466,27 @@ class TestFtGmres:
         assert result.info["srp_cost"]["savings_factor"] > 1.0
 
     def test_inner_solver_stats(self, poisson_small, rng):
-        env = SelectiveReliabilityEnvironment(fault_probability=0.0, seed=0)
-        inner = UnreliableInnerSolver(poisson_small, env, inner_maxiter=5)
-        v = rng.standard_normal(poisson_small.n_rows)
-        z = inner(v)
-        assert z.shape == v.shape
-        stats = inner.stats()
-        assert stats["inner_solves"] == 1
-        assert stats["inner_iterations"] > 0
-        assert stats["inner_flops"] > 0
+        # One region timestamp per inner solve; its flops are the inner
+        # matvecs, the outer ones are the reliable share.
+        region = resolve_faults("bitflip:p=0.0").environment(seed=0)
+        b = rng.standard_normal(poisson_small.n_rows)
+        result = ft_gmres(poisson_small, b, inner_maxiter=5, region=region)
+        assert region.now == len(result.info["z_norms"]) > 0
+        assert region.flops == region.applications * 2.0 * poisson_small.nnz > 0
+        summary = result.info["srp_summary"]
+        assert summary["unreliable_flops"] == region.flops
+        assert summary["reliable_flops"] > 0
 
     def test_fault_probability_validation(self, poisson_tiny):
         with pytest.raises(ValueError):
             ft_gmres(poisson_tiny, np.ones(poisson_tiny.n_rows), fault_probability=1.5)
+
+    @pytest.mark.parametrize("knob", [
+        {"fault_probability": 0.1}, {"bit_range": (52, 62)}, {"seed": 3},
+        {"cost_model": ReliabilityCostModel()},
+    ])
+    def test_region_refuses_the_knobs_it_replaces(self, poisson_tiny, knob):
+        region = resolve_faults("bitflip:p=0.1").environment(seed=1)
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            ft_gmres(poisson_tiny, np.ones(poisson_tiny.n_rows), region=region, **knob)
+        assert region.applications == 0
