@@ -3,7 +3,7 @@
 Runs a miniature tour of the toolkit:
 
 1. SkP  -- detect an injected bit flip in a GMRES solve with cheap checks.
-2. RBSP -- overlap a global reduction with local work on the simulated runtime.
+2. RBSP -- pipelined vs synchronous Krylov time per iteration as ranks grow.
 3. LFLR -- kill a rank mid-way through a distributed heat solve and recover
            locally from the neighbour-mirrored persistent state.
 4. SRP  -- solve with FT-GMRES: unreliable (fault-injected) inner solves
@@ -19,9 +19,8 @@ from repro.reliability.bitflip import flip_bit_array
 from repro.krylov import ft_gmres
 from repro.lflr import run_lflr_heat
 from repro.linalg import poisson_2d
-from repro.machine import MachineModel
-from repro.rbsp import overlapped_allreduce
-from repro.simmpi import run_spmd
+from repro.machine import EccStallNoise, MachineModel
+from repro.rbsp import IterationTimeModel, scaling_study
 from repro.skeptical import sdc_detecting_gmres
 
 
@@ -42,16 +41,10 @@ def demo_skeptical():
 
 
 def demo_rbsp():
-    print("== RBSP: overlapping an allreduce with local work ==")
-
-    def program(comm):
-        _, _, report = overlapped_allreduce(
-            comm, float(comm.rank), work=lambda: comm.compute(5e6)
-        )
-        return report.exposed_latency
-
-    exposed = run_spmd(4, program, machine=MachineModel(latency=5e-6))
-    print(f"  exposed collective latency per rank: {exposed} (fully hidden if 0)\n")
+    print("== RBSP: hiding reductions behind work under ECC-stall noise ==")
+    machine = MachineModel.leadership_class(noise=EccStallNoise(10.0, 50e-6, rng=0))
+    model = IterationTimeModel(local_flops=2e5, n_reductions=3, pipeline_waves=1)
+    print(scaling_study(machine, model, (16, 4096, 1048576)).render() + "\n")
 
 
 def demo_lflr():

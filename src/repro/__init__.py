@@ -24,10 +24,10 @@ Subpackage overview
 ``repro.reliability``
     The unified reliability layer: declarative fault specs and the
     named fault-model registry over bit flips, fault schedules,
-    injectors, process-failure models, the SRP region, TMR and the
+    injectors, process-failure models, the SRP region and the
     reliability cost model.
 ``repro.machine``
-    Machine model, performance-variability models, collective cost and
+    Machine model, ECC-stall variability, collective cost and
     application-efficiency formulas.
 ``repro.simmpi``
     The simulated MPI runtime (virtual time, asynchronous collectives,
@@ -47,13 +47,13 @@ Subpackage overview
 ``repro.skeptical``
     SkP: invariant checks, policies, monitors, SDC-detecting GMRES.
 ``repro.rbsp``
-    RBSP: asynchronous-collective helpers and latency analysis.
+    RBSP: the synchronous-vs-pipelined scaling model.
 ``repro.lflr``
     LFLR: persistent stores, recovery registry, manager, PDE recovery.
 ``repro.checkpoint``
     Global checkpoint/restart baseline and the Young/Daly model.
 ``repro.pde``
-    Structured-grid heat/advection problems used by the experiments.
+    Structured-grid heat problems used by the experiments.
 ``repro.experiments``
     Drivers that regenerate every experiment in EXPERIMENTS.md.
 """

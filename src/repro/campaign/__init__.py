@@ -4,8 +4,8 @@ The campaign subsystem turns the hand-wired ``e*.py`` drivers into a
 sweepable scenario space:
 
 * :mod:`repro.campaign.spec` -- :class:`Scenario` (experiment id +
-  parameter overrides), grid/zip sweep expansion, and stable scenario
-  keys.
+  parameter overrides), :class:`Sweep` (grid/zip expansion), and
+  stable scenario keys.
 * :mod:`repro.campaign.registry` -- auto-discovers every driver that
   implements the ``SPEC`` + ``run(**params) -> ExperimentResult``
   protocol of :mod:`repro.experiments`.
@@ -24,15 +24,14 @@ sweepable scenario space:
   :class:`~repro.experiments.common.ExperimentResult`.
 * :mod:`repro.campaign.report` -- aggregate report rendering,
   including the ledger's failure history.
-* :mod:`repro.campaign.builtin` -- named campaigns (``smoke``,
-  ``default``).
+* :mod:`repro.campaign.builtin` -- the six named campaigns.
 * ``python -m repro.campaign`` -- the ``list`` / ``run`` / ``report``
   command line (see CAMPAIGNS.md).
 """
 
-from repro.campaign.spec import Scenario, Sweep, grid_sweep, scenario_key, zip_sweep
+from repro.campaign.spec import Scenario, Sweep, scenario_key
 from repro.campaign.registry import ExperimentRegistry, default_registry
-from repro.campaign.store import ResultStore, StoreVerification
+from repro.campaign.store import ResultStore
 from repro.campaign.executor import (
     AttemptRecord,
     ChaosSpec,
@@ -47,13 +46,10 @@ from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 __all__ = [
     "Scenario",
     "Sweep",
-    "grid_sweep",
-    "zip_sweep",
     "scenario_key",
     "ExperimentRegistry",
     "default_registry",
     "ResultStore",
-    "StoreVerification",
     "AttemptRecord",
     "ChaosSpec",
     "FailureLedger",

@@ -1,35 +1,23 @@
 """Named built-in campaigns.
 
-Three ship with the toolkit:
+Six ship with the toolkit:
 
 * ``smoke`` -- every experiment at its :attr:`ExperimentSpec.smoke`
-  configuration plus a couple of one-axis sweeps; finishes in seconds
-  and is what ``campaign run --smoke`` and the CI verify script
-  execute.
-* ``default`` -- a broader grid (what a bare ``campaign run``
-  executes): solver x fault-schedule x machine-model slices of the
-  scenario space the ROADMAP targets, still sized to finish in well
-  under a minute.
-* ``solvers`` -- the solver-axis sweep over the
-  :mod:`repro.krylov.registry`: every registered solver under every
-  generic resilience policy, with and without operator faults
-  (experiment E8).
-* ``precond`` -- the preconditioner-axis sweep over
-  :mod:`repro.precond` (experiment E9): every registered solver x
-  preconditioner cell under each fault spec, with the fault placed
-  either selectively (only ``M^{-1} v`` unreliable) or on the trusted
-  operator -- the paper's selective-reliability claim as a grid.
-* ``precision`` -- the precision-axis sweep over
-  :mod:`repro.reliability.precision` (experiment E10): every default
-  solver x precision x preconditioner cell, with the reduced precision
-  placed either selectively (only the inner stage -- the FGMRES inner
-  solve or ``M^{-1} v`` -- runs low) or on the whole solve -- the
-  selective-precision claim as a grid, with and without faults.
-* ``replicas`` -- seed-replica sweeps over three of the four
-  batch-capable drivers (E1/E8/E9); identical parameters except
-  ``seed``, so ``--batch`` groups each sweep into one lockstep batch.
-  The batch benchmark and the verify batch-parity gate run this
-  campaign.
+  configuration plus a few one-axis sweeps; what ``campaign run
+  --smoke`` and the CI verify script execute.
+* ``default`` -- a broader grid over E1-E7 (what a bare ``campaign
+  run`` executes), sized to finish in well under a minute.
+* ``solvers`` -- E8: every registered solver under every generic
+  resilience policy, with and without operator faults.
+* ``precond`` -- E9: every solver x preconditioner cell under each
+  fault spec, the fault on ``M^{-1} v`` only (selective reliability)
+  or on the trusted operator.
+* ``precision`` -- E10: every solver x precision x preconditioner
+  cell, the reduced precision on the inner stage only or on the whole
+  solve, with and without faults.
+* ``replicas`` -- seed replicas of E1/E8/E9 that differ only in
+  ``seed``, so ``--batch`` runs each sweep as one lockstep batch (the
+  batch benchmark and the verify batch-parity gate run it).
 
 Campaigns are plain lists of scenarios produced by declarative
 :class:`~repro.campaign.spec.Sweep` specs, so adding a campaign is

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.utils.serialization import canonical_json
 from repro.utils.tables import one_line
@@ -28,8 +28,6 @@ from repro.utils.tables import one_line
 __all__ = [
     "Scenario",
     "Sweep",
-    "grid_sweep",
-    "zip_sweep",
     "scenario_key",
     "canonical_json",
 ]
@@ -175,23 +173,3 @@ class Sweep:
             params.update(zip(names, combo))
             scenarios.append(Scenario(self.experiment, params, self.tag))
         return scenarios
-
-
-def grid_sweep(
-    experiment: str,
-    base: Optional[Mapping[str, Any]] = None,
-    tag: str = "",
-    **axes: Sequence[Any],
-) -> List[Scenario]:
-    """Expand a cartesian-product sweep (convenience for :class:`Sweep`)."""
-    return Sweep(experiment, axes=axes, base=base or {}, mode="grid", tag=tag).expand()
-
-
-def zip_sweep(
-    experiment: str,
-    base: Optional[Mapping[str, Any]] = None,
-    tag: str = "",
-    **axes: Sequence[Any],
-) -> List[Scenario]:
-    """Expand a zipped sweep (i-th value of every axis paired together)."""
-    return Sweep(experiment, axes=axes, base=base or {}, mode="zip", tag=tag).expand()

@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.experiments.common import ExperimentResult
 from repro.utils.serialization import jsonify
 
-__all__ = ["StoreRecord", "ResultStore", "StoreVerification", "LineAppender"]
+__all__ = ["StoreRecord", "ResultStore", "LineAppender"]
 
 
 class LineAppender:
@@ -107,44 +107,6 @@ class StoreRecord:
         )
 
 
-@dataclass(frozen=True)
-class StoreVerification:
-    """Line-level health report of a store file (see ``ResultStore.verify``).
-
-    ``dropped`` holds the 1-based numbers of corrupt *mid-file* lines
-    (real data loss: something after them parsed, so they are not an
-    interrupted final write).  ``trailing_partial`` flags a corrupt
-    final line, the benign signature of a run killed mid-append.
-    """
-
-    path: str
-    total_lines: int = 0
-    loaded: int = 0
-    dropped: Tuple[int, ...] = field(default_factory=tuple)
-    trailing_partial: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """True when no mid-file line was dropped."""
-        return not self.dropped
-
-    def describe(self) -> str:
-        if self.total_lines == 0:
-            return f"{self.path}: empty store"
-        parts = [
-            f"{self.path}: {self.loaded} of {self.total_lines} lines loaded"
-        ]
-        if self.dropped:
-            numbers = ", ".join(str(n) for n in self.dropped)
-            parts.append(
-                f"{len(self.dropped)} corrupt mid-file line(s) dropped "
-                f"(line {numbers})"
-            )
-        if self.trailing_partial:
-            parts.append("trailing partial line discarded (interrupted write)")
-        return "; ".join(parts)
-
-
 class ResultStore:
     """Append-only JSONL store of completed scenarios, indexed by key."""
 
@@ -155,35 +117,23 @@ class ResultStore:
         self._load()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _scan(path: str):
-        """Parse a store file; yields ``(line_number, record_or_None)``.
-
-        ``None`` marks an unparsable non-empty line.  Shared by
-        :meth:`_load` and :meth:`verify` so both agree on what counts
-        as corrupt.
-        """
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield number, StoreRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError):
-                    yield number, None
-
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
         corrupt: List[int] = []
         last_number = 0
-        for number, record in self._scan(self.path):
-            last_number = number
-            if record is None:
-                corrupt.append(number)
-            else:
-                self._records[record.key] = record
+        with open(self.path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                last_number = number
+                try:
+                    record = StoreRecord.from_json(line)
+                except (json.JSONDecodeError, KeyError):
+                    corrupt.append(number)
+                else:
+                    self._records[record.key] = record
         # A corrupt final line is the benign signature of a run killed
         # mid-append; anything corrupt before it is silent data loss
         # and deserves a warning naming the lines.
@@ -193,38 +143,10 @@ class ResultStore:
             numbers = ", ".join(str(n) for n in corrupt)
             warnings.warn(
                 f"{self.path}: dropped {len(corrupt)} corrupt mid-file "
-                f"JSONL line(s) (line {numbers}); run "
-                "ResultStore.verify() for details",
+                f"JSONL line(s) (line {numbers})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # ------------------------------------------------------------------
-    def verify(self) -> StoreVerification:
-        """Re-scan the store file and report dropped/total lines."""
-        if not os.path.exists(self.path):
-            return StoreVerification(path=self.path)
-        total = 0
-        loaded = 0
-        corrupt: List[int] = []
-        last_number = 0
-        for number, record in self._scan(self.path):
-            total += 1
-            last_number = number
-            if record is None:
-                corrupt.append(number)
-            else:
-                loaded += 1
-        trailing = bool(corrupt) and corrupt[-1] == last_number
-        if trailing:
-            corrupt = corrupt[:-1]
-        return StoreVerification(
-            path=self.path,
-            total_lines=total,
-            loaded=loaded,
-            dropped=tuple(corrupt),
-            trailing_partial=trailing,
-        )
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:

@@ -1,7 +1,6 @@
 """Experiment drivers.
 
-One module per experiment (E1-E7 of EXPERIMENTS.md plus the engine
-demonstration E8); each exposes a
+One module per experiment (E1-E10); each exposes a
 ``run(**params)`` function returning an :class:`ExperimentResult` whose
 table is exactly what the corresponding benchmark prints, plus a
 module-level :class:`ExperimentSpec` named ``SPEC`` describing the

@@ -19,10 +19,11 @@ Four pieces live here:
   runner's :func:`~repro.campaign.runner.plan_batch_groups`.  It binds
   defaults against :func:`run_signature`, the one introspection of a
   driver, which the campaign registry reads too.
-* :class:`TrustedProblem` and :func:`as_axis` -- what the sweeping
-  drivers (E8-E10) share: the SPD model problem with one trusted direct
-  solution per lane to classify outcomes against, and the
-  ``None | str | sequence`` convention of their axis parameters.
+* :class:`TrustedProblem`, :func:`as_axis` and :func:`iteration_budget`
+  -- what the sweeping drivers (E8-E10) share: the SPD model problem
+  with one trusted direct solution per lane to classify outcomes
+  against, the ``None | str | sequence`` convention of their axis
+  parameters, and each solver's share of their ``maxiter``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "TrustedProblem",
     "as_axis",
     "batch_signature",
+    "iteration_budget",
     "run_batch_by_seed",
     "run_signature",
 ]
@@ -225,6 +227,17 @@ def run_batch_by_seed(
         for index, result in zip(members, run_lanes(seeds, **shared)):
             results[index] = result
     return results
+
+
+def iteration_budget(solver_name: str, maxiter: int) -> Dict[str, int]:
+    """A sweeping driver's ``maxiter`` as ``solver_name``'s budget keywords.
+
+    ``ft_gmres`` has no ``maxiter``: it gets ``min(maxiter, 50)`` outer
+    FGMRES iterations of at most 20 inner GMRES iterations each.
+    """
+    if solver_name == "ft_gmres":
+        return {"outer_maxiter": min(maxiter, 50), "inner_maxiter": 20}
+    return {"maxiter": maxiter}
 
 
 def as_axis(value, default: Sequence) -> list:

@@ -49,6 +49,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     TrustedProblem,
     as_axis,
+    iteration_budget,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -318,7 +319,7 @@ def _solve_cell(
     otherwise.
     """
     precision_label = pspec.to_string()
-    params = {"tol": tol, "maxiter": maxiter}
+    params = {"tol": tol, **iteration_budget(solver.name, maxiter)}
     # Setup runs reliably and in full precision: the preconditioner is
     # always built from the clean fp64 matrix, once per lane (stateful
     # preconditioners and the regions wrapping them must not be shared).

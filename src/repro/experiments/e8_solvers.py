@@ -39,6 +39,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     TrustedProblem,
     as_axis,
+    iteration_budget,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -189,19 +190,17 @@ def _run_lanes(
         regions = operators = None
         if soft_model is not None:
             regions = [soft_model.environment(seed=fault_seed) for fault_seed in fault_seeds]
+        params = iteration_budget(solver.name, maxiter)
         if solver.name == "ft_gmres":
             # Selective reliability: the same region goes to the inner
             # solves, the outer iteration stays reliable.
-            params = {"outer_maxiter": min(maxiter, 50), "inner_maxiter": 20}
             for lane, region in zip(lane_params, regions or ()):
                 lane["region"] = region
-        else:
-            params = {"maxiter": maxiter}
-            if regions is not None:
-                operators = [
-                    region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
-                    for region in regions
-                ]
+        elif regions is not None:
+            operators = [
+                region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
+                for region in regions
+            ]
 
         # Overflow/NaN *is* the injected fault's expected effect.
         with np.errstate(over="ignore", invalid="ignore"):

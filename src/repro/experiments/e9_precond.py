@@ -51,6 +51,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     TrustedProblem,
     as_axis,
+    iteration_budget,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -280,12 +281,10 @@ def _solve_cell(
     its own fault-injecting operator when the fault targets the
     operator, each seeded from that lane's fault seed.
     """
+    params = {"tol": tol, **iteration_budget(solver.name, maxiter)}
     if solver.name == "ft_gmres":
-        params = {"tol": tol, "outer_maxiter": min(maxiter, 50),
-                  "inner_maxiter": 20}
         lane_params = [{"seed": fault_seed} for fault_seed in fault_seeds]
     else:
-        params = {"tol": tol, "maxiter": maxiter}
         lane_params = [{} for _ in fault_seeds]
     regions = operators = None
     if soft_model is not None and target == "precond" and builts[0] is not None:

@@ -10,7 +10,7 @@ variation points of the solver family factored into strategy objects:
   (inner-solver, reliable-outer) preconditioning.
 * :mod:`~repro.krylov.engine.convergence` -- the stopping rule.
 * :mod:`~repro.krylov.engine.resilience` -- pluggable per-iteration
-  resilience policies (hooks, fault injection, residual guards).
+  resilience policies (hooks, residual guards).
 * :mod:`~repro.krylov.engine.cg` -- the SPD (CG) iteration schemes.
 
 See ARCHITECTURE.md for the layer diagram and
@@ -36,7 +36,6 @@ from repro.krylov.engine.resilience import (
     CallbackPolicy,
     CompositePolicy,
     CycleAbandoned,
-    FaultInjectionPolicy,
     IterationEvent,
     NullPolicy,
     ResidualGuardPolicy,
@@ -75,7 +74,6 @@ __all__ = [
     "CallbackPolicy",
     "CompositePolicy",
     "ResidualGuardPolicy",
-    "FaultInjectionPolicy",
     "CycleAbandoned",
     "IterationEvent",
     "GmresLaneSpec",

@@ -42,7 +42,6 @@ __all__ = [
     "CallbackPolicy",
     "CompositePolicy",
     "ResidualGuardPolicy",
-    "FaultInjectionPolicy",
     "compose_policy",
     "cycle_start_true_residual",
 ]
@@ -241,57 +240,6 @@ class ResidualGuardPolicy(ResiliencePolicy):
             "growth_factor": self.growth_factor,
             "events": list(self.events),
         }
-
-
-class FaultInjectionPolicy(ResiliencePolicy):
-    """Injects declarative faults into the live solver state.
-
-    The engine-side consumer of the reliability layer's fault models:
-    every iteration event's newest basis vector (Arnoldi schemes) is
-    passed through an injector built from a
-    :class:`~repro.reliability.models.FaultModel`, with the iteration
-    number as the schedule coordinate.  Composes with detection
-    policies through :class:`CompositePolicy` in the usual
-    inject-then-check order, so solver, detection policy and fault
-    model stay three independent axes.
-
-    Build it from anything :func:`repro.reliability.resolve_faults`
-    accepts::
-
-        policy = FaultInjectionPolicy.from_spec(
-            "bitflip:p=0.05,bits=52..62", seed=7)
-        gmres(A, b, policy=CompositePolicy([policy, ResidualGuardPolicy()]))
-    """
-
-    name = "fault_injection"
-
-    def __init__(self, injector):
-        self.injector = injector
-
-    @classmethod
-    def from_spec(cls, faults, *, rng=None, seed=None, name="engine"):
-        """Resolve a fault spec/name/model into an injection policy."""
-        # Local import: the reliability layer sits above the engine.
-        from repro.reliability.registry import resolve_faults
-
-        model = resolve_faults(faults)
-        return cls(model.injector(rng, seed=seed, name=name, target="basis"))
-
-    @property
-    def n_injected(self) -> int:
-        """Faults injected through this policy so far."""
-        return self.injector.n_injected
-
-    def observe(self, event) -> None:
-        if event.basis is None:
-            return
-        target = np.asarray(event.basis[event.inner + 1])
-        if target.size == 0:
-            return
-        self.injector.maybe_inject(target, now=float(event.total_iteration))
-
-    def contribute_result(self, result) -> None:
-        result.info["faults_injected"] = int(self.n_injected)
 
 
 def cycle_start_true_residual(

@@ -26,7 +26,7 @@ list entries of the pre-block implementation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,31 +36,22 @@ from repro.simmpi.ops import SUM
 from repro.simmpi.requests import CompletedRequest
 
 __all__ = [
-    "is_distributed",
     "as_float",
     "matvec",
     "dot",
-    "idot",
     "fused_dots",
     "norm",
     "axpby",
-    "scale",
     "copy_vector",
     "zeros_like",
     "to_local",
     "apply_preconditioner",
-    "vector_size",
     "KrylovBasis",
     "allocate_basis",
 ]
 
 Operator = Union[CsrMatrix, np.ndarray, Callable, DistributedRowMatrix]
 Vector = Union[np.ndarray, DistributedVector]
-
-
-def is_distributed(vector: Any) -> bool:
-    """Whether ``vector`` is a distributed vector."""
-    return isinstance(vector, DistributedVector)
 
 
 def as_float(x) -> np.ndarray:
@@ -108,17 +99,6 @@ def dot(x: Vector, y: Vector) -> float:
     return float(as_float(x) @ as_float(y))
 
 
-def idot(x: Vector, y: Vector):
-    """Non-blocking global inner product.
-
-    Returns an object with ``.wait()``; sequential vectors return a
-    pre-completed request so solver code can be written uniformly.
-    """
-    if isinstance(x, DistributedVector):
-        return x.idot(y)
-    return CompletedRequest(dot(x, y), operation="idot")
-
-
 def fused_dots(pairs: Sequence[Tuple[Vector, Vector]]):
     """Start several inner products as ONE non-blocking reduction.
 
@@ -162,13 +142,6 @@ def axpby(alpha: float, x: Vector, beta: float, y: Vector) -> Vector:
     return alpha * as_float(x) + beta * as_float(y)
 
 
-def scale(alpha: float, x: Vector) -> Vector:
-    """Return ``alpha * x`` as a new vector."""
-    if isinstance(x, DistributedVector):
-        return x.copy().scale(alpha)
-    return alpha * as_float(x)
-
-
 def copy_vector(x: Vector) -> Vector:
     """Deep copy."""
     if isinstance(x, DistributedVector):
@@ -188,13 +161,6 @@ def to_local(x: Vector) -> np.ndarray:
     if isinstance(x, DistributedVector):
         return x.local
     return as_float(x)
-
-
-def vector_size(x: Vector) -> int:
-    """Global length of the vector."""
-    if isinstance(x, DistributedVector):
-        return x.global_size
-    return int(np.asarray(x).size)
 
 
 class KrylovBasis:

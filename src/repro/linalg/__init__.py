@@ -7,11 +7,10 @@ oracle):
 * :mod:`repro.linalg.csr` -- compressed-sparse-row matrices with
   matvec, transpose-matvec, row/diagonal extraction and conversion
   helpers.
-* :mod:`repro.linalg.matgen` -- model-problem generators: 1-D/2-D/3-D
-  Poisson, convection-diffusion, and random SPD matrices.
-* :mod:`repro.linalg.blas` -- the handful of dense kernels the solvers
-  need (axpy, Givens rotations, back substitution, classical and
-  modified Gram-Schmidt).
+* :mod:`repro.linalg.matgen` -- model-problem generators: 1-D/2-D
+  Poisson, convection-diffusion and tridiagonal matrices.
+* :mod:`repro.linalg.blas` -- the GMRES least-squares kernels (Givens
+  rotations, back substitution).
 * :mod:`repro.linalg.precond` -- Jacobi, SSOR, polynomial (Neumann)
   and block-Jacobi preconditioners.
 * :mod:`repro.linalg.checksum` -- Huang & Abraham checksum-encoded
@@ -25,20 +24,10 @@ from repro.linalg.csr import CsrMatrix
 from repro.linalg.matgen import (
     poisson_1d,
     poisson_2d,
-    poisson_3d,
     convection_diffusion_2d,
-    random_spd,
-    diagonally_dominant,
     tridiagonal,
 )
-from repro.linalg.blas import (
-    axpy,
-    givens_rotation,
-    apply_givens,
-    back_substitution,
-    modified_gram_schmidt_step,
-    classical_gram_schmidt_step,
-)
+from repro.linalg.blas import givens_rotation, back_substitution
 from repro.linalg.precond import (
     Preconditioner,
     IdentityPreconditioner,
@@ -61,17 +50,10 @@ __all__ = [
     "CsrMatrix",
     "poisson_1d",
     "poisson_2d",
-    "poisson_3d",
     "convection_diffusion_2d",
-    "random_spd",
-    "diagonally_dominant",
     "tridiagonal",
-    "axpy",
     "givens_rotation",
-    "apply_givens",
     "back_substitution",
-    "modified_gram_schmidt_step",
-    "classical_gram_schmidt_step",
     "Preconditioner",
     "IdentityPreconditioner",
     "JacobiPreconditioner",

@@ -1,19 +1,12 @@
-"""Dense kernels used by the Krylov solvers.
+"""Dense kernels of the GMRES least-squares problem.
 
-Only the handful of operations GMRES/CG need beyond plain NumPy are
-implemented: Givens rotations (for the incremental QR of the Hessenberg
-matrix), back substitution, axpy and the two Gram-Schmidt variants.
-Keeping them here (rather than inlined in the solvers) lets the
-skeptical-programming layer wrap and check them, and lets the tests
-exercise them in isolation.
-
-Precision: the Gram-Schmidt block kernels follow the dtype of their
-operands (a float32 basis orthogonalizes in float32 -- the
-memory-traffic lever of the mixed-precision layer), while the Givens
-rotations, Hessenberg least-squares state and back substitution stay
-float64 unconditionally: they are O(m) per cycle, cost nothing, and
-keeping the outer recurrence in full precision is what makes reduced
-inner precision safe (the iterative-refinement shape).
+Givens rotations (for the incremental QR of the Hessenberg matrix) and
+back substitution; Gram-Schmidt lives in
+:class:`~repro.krylov.ops.KrylovBasis`.  These stay float64
+unconditionally, whatever the basis dtype: they are O(m) per cycle,
+cost nothing, and keeping the outer recurrence in full precision is
+what makes reduced inner precision safe (the iterative-refinement
+shape).
 """
 
 from __future__ import annotations
@@ -26,34 +19,12 @@ import numpy as np
 from repro.utils.validation import check_array_1d
 
 __all__ = [
-    "axpy",
     "givens_rotation",
     "givens_rotation_many",
-    "apply_givens",
     "rotate_hessenberg_column",
     "back_substitution",
     "HessenbergLsq",
-    "modified_gram_schmidt_step",
-    "classical_gram_schmidt_step",
-    "cgs2_step",
 ]
-
-
-def _as_float(x) -> np.ndarray:
-    """float64 no-op view, float32 preserved, everything else -> float64."""
-    arr = np.asarray(x)
-    if arr.dtype == np.float64 or arr.dtype == np.float32:
-        return arr
-    return np.asarray(arr, dtype=np.float64)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``alpha * x + y`` (out of place)."""
-    x = check_array_1d(x, "x", dtype=np.float64)
-    y = check_array_1d(y, "y", dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError("x and y must have the same length")
-    return alpha * x + y
 
 
 def givens_rotation(a: float, b: float) -> Tuple[float, float]:
@@ -108,11 +79,6 @@ def givens_rotation_many(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.n
         c = np.where(b_zero, 1.0, np.where(a_zero, 0.0, c))
         s = np.where(b_zero, 0.0, np.where(a_zero, 1.0, s))
     return c, s
-
-
-def apply_givens(c: float, s: float, a: float, b: float) -> Tuple[float, float]:
-    """Apply the rotation ``(c, s)`` to the pair ``(a, b)``."""
-    return float(c * a + s * b), float(-s * a + c * b)
 
 
 def rotate_hessenberg_column(col: list, g: list, givens: list, j: int) -> float:
@@ -213,57 +179,3 @@ class HessenbergLsq:
         """
         k = self.size if k is None else int(k)
         return back_substitution(self.hessenberg[:k, :k], self._g[:k])
-
-
-def modified_gram_schmidt_step(
-    basis: np.ndarray, w: np.ndarray, n_vectors: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize ``w`` against the first ``n_vectors`` columns of ``basis``.
-
-    Modified Gram-Schmidt: projections are subtracted one at a time,
-    which is the numerically stable variant GMRES conventionally uses.
-
-    Returns ``(w_orth, coefficients)`` where ``coefficients[j]`` is the
-    projection of the *partially orthogonalized* ``w`` onto column j.
-    """
-    w = _as_float(w).copy()
-    coefficients = np.zeros(n_vectors, dtype=np.float64)
-    for j in range(n_vectors):
-        v = basis[:, j]
-        coefficients[j] = float(v @ w)
-        w -= coefficients[j] * v
-    return w, coefficients
-
-
-def classical_gram_schmidt_step(
-    basis: np.ndarray, w: np.ndarray, n_vectors: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Classical Gram-Schmidt step (all projections from the original w).
-
-    Less stable than MGS but needs only a single global reduction for
-    all the dot products, which is why latency-tolerant (pipelined)
-    Krylov variants prefer it -- exactly the trade the RBSP model makes
-    explicit.
-    """
-    w = _as_float(w)
-    coefficients = basis[:, :n_vectors].T @ w
-    w_orth = w - basis[:, :n_vectors] @ coefficients
-    return w_orth, coefficients
-
-
-def cgs2_step(
-    basis: np.ndarray, w: np.ndarray, n_vectors: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Classical Gram-Schmidt with reorthogonalization (CGS2).
-
-    Two CGS passes: each is two BLAS-2 calls, so the whole step is four
-    matrix-vector products with the basis block -- no interpreted loop
-    over basis vectors.  "Twice is enough" (Giraud et al.): the second
-    pass restores orthogonality to machine precision, making CGS2 at
-    least as robust as MGS while keeping the single-reduction
-    communication pattern.  Returns ``(w_orth, coefficients)`` with the
-    coefficient sums of both passes.
-    """
-    w_orth, coefficients = classical_gram_schmidt_step(basis, w, n_vectors)
-    w_orth, correction = classical_gram_schmidt_step(basis, w_orth, n_vectors)
-    return w_orth, coefficients + correction

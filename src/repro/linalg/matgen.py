@@ -3,13 +3,12 @@
 These are the standard discretizations used throughout the resilience
 and Krylov literature, and hence in our experiments:
 
-* :func:`poisson_1d`, :func:`poisson_2d`, :func:`poisson_3d` --
-  finite-difference Laplacians with Dirichlet boundaries (SPD).
+* :func:`poisson_1d`, :func:`poisson_2d` -- finite-difference
+  Laplacians with Dirichlet boundaries (SPD).
 * :func:`convection_diffusion_2d` -- upwind-discretized
   convection-diffusion operator (nonsymmetric; the classic GMRES test
   problem).
-* :func:`tridiagonal`, :func:`diagonally_dominant`, :func:`random_spd`
-  -- synthetic matrices for unit tests and property-based tests.
+* :func:`tridiagonal` -- constant-diagonal tridiagonal matrices.
 
 All generators return :class:`~repro.linalg.csr.CsrMatrix`.
 
@@ -31,22 +30,16 @@ memo.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.linalg.csr import CsrMatrix
-from repro.utils.rng import as_generator
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "poisson_1d",
     "poisson_2d",
-    "poisson_3d",
     "convection_diffusion_2d",
     "tridiagonal",
-    "diagonally_dominant",
-    "random_spd",
     "clear_matrix_cache",
     "matrix_cache_info",
 ]
@@ -155,40 +148,6 @@ def poisson_2d(nx: int, ny: Optional[int] = None, *, scale: Optional[float] = No
 
 
 @_memoize_matrix
-def poisson_3d(nx: int, ny: Optional[int] = None, nz: Optional[int] = None) -> CsrMatrix:
-    """7-point 3-D Laplacian on an ``nx`` x ``ny`` x ``nz`` interior grid."""
-    check_integer(nx, "nx")
-    ny = nx if ny is None else ny
-    nz = nx if nz is None else nz
-    check_integer(ny, "ny")
-    check_integer(nz, "nz")
-    if nx <= 0 or ny <= 0 or nz <= 0:
-        raise ValueError("grid dimensions must be positive")
-    rows, cols, vals = [], [], []
-
-    def index(i: int, j: int, k: int) -> int:
-        return (i * ny + j) * nz + k
-
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                idx = index(i, j, k)
-                rows.append(idx)
-                cols.append(idx)
-                vals.append(6.0)
-                for di, dj, dk in (
-                    (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)
-                ):
-                    ni, nj, nk = i + di, j + dj, k + dk
-                    if 0 <= ni < nx and 0 <= nj < ny and 0 <= nk < nz:
-                        rows.append(idx)
-                        cols.append(index(ni, nj, nk))
-                        vals.append(-1.0)
-    n = nx * ny * nz
-    return CsrMatrix.from_coo(rows, cols, vals, (n, n))
-
-
-@_memoize_matrix
 def convection_diffusion_2d(
     nx: int,
     ny: Optional[int] = None,
@@ -240,59 +199,3 @@ def convection_diffusion_2d(
                     vals.append(value)
     n = nx * ny
     return CsrMatrix.from_coo(rows, cols, vals, (n, n))
-
-
-def diagonally_dominant(
-    n: int,
-    density: float = 0.05,
-    rng: Union[None, int, np.random.Generator] = None,
-    *,
-    dominance: float = 1.5,
-) -> CsrMatrix:
-    """Random strictly diagonally dominant matrix (guaranteed nonsingular)."""
-    check_integer(n, "n")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    check_positive(dominance, "dominance")
-    gen = as_generator(rng)
-    n_offdiag = max(int(density * n * n) - n, 0)
-    rows = gen.integers(0, n, size=n_offdiag)
-    cols = gen.integers(0, n, size=n_offdiag)
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    vals = gen.standard_normal(rows.size)
-    dense_rowsums = np.zeros(n, dtype=np.float64)
-    np.add.at(dense_rowsums, rows, np.abs(vals))
-    diag_rows = np.arange(n)
-    diag_vals = dominance * (dense_rowsums + 1.0)
-    all_rows = np.concatenate([rows, diag_rows])
-    all_cols = np.concatenate([cols, diag_rows])
-    all_vals = np.concatenate([vals, diag_vals])
-    return CsrMatrix.from_coo(all_rows, all_cols, all_vals, (n, n))
-
-
-def random_spd(
-    n: int,
-    rng: Union[None, int, np.random.Generator] = None,
-    *,
-    condition: float = 100.0,
-) -> CsrMatrix:
-    """Dense-random SPD matrix with prescribed condition number.
-
-    Built as ``Q diag(lambda) Q^T`` with a random orthogonal ``Q`` and
-    logarithmically spaced eigenvalues in ``[1/condition, 1]``.
-    Returned in CSR form for interface uniformity (it is actually
-    dense); intended for small-n tests only.
-    """
-    check_integer(n, "n")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    check_positive(condition, "condition")
-    gen = as_generator(rng)
-    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
-    eigenvalues = np.logspace(-np.log10(condition), 0.0, n)
-    dense = (q * eigenvalues) @ q.T
-    dense = 0.5 * (dense + dense.T)
-    return CsrMatrix.from_dense(dense)

@@ -9,27 +9,19 @@ models:
 * :mod:`repro.machine.model` -- :class:`MachineModel`: per-rank compute
   rate, network latency/bandwidth (the alpha-beta model) and hooks for
   the noise model; converts flop/byte counts into virtual seconds.
-* :mod:`repro.machine.noise` -- performance-variability distributions
-  (OS noise/detached daemons, ECC correction stalls) applied per rank
-  per operation.
-* :mod:`repro.machine.collective_cost` -- cost formulas for
-  synchronous and asynchronous collectives (binomial-tree /
-  recursive-doubling latency terms growing with ``log2 P``).
+* :mod:`repro.machine.noise` -- performance variability: ECC correction
+  stalls applied per rank per operation.
+* :mod:`repro.machine.collective_cost` -- allreduce, broadcast and
+  barrier costs (binomial-tree / recursive-doubling latency terms
+  growing with ``log2 P``).
 * :mod:`repro.machine.efficiency` -- analytic application-efficiency
   models used by experiment E7: Young/Daly checkpoint-restart
   efficiency versus an LFLR-style local-recovery efficiency.
 """
 
 from repro.machine.model import MachineModel
-from repro.machine.noise import NoiseModel, NoNoise, ExponentialNoise, BoundedParetoNoise, EccStallNoise, CompositeNoise
-from repro.machine.collective_cost import (
-    allreduce_time,
-    broadcast_time,
-    point_to_point_time,
-    neighbor_exchange_time,
-    barrier_time,
-    CollectiveCostModel,
-)
+from repro.machine.noise import NoiseModel, NoNoise, EccStallNoise
+from repro.machine.collective_cost import allreduce_time, broadcast_time, barrier_time
 from repro.machine.efficiency import (
     daly_optimal_interval,
     cpr_efficiency,
@@ -41,16 +33,10 @@ __all__ = [
     "MachineModel",
     "NoiseModel",
     "NoNoise",
-    "ExponentialNoise",
-    "BoundedParetoNoise",
     "EccStallNoise",
-    "CompositeNoise",
     "allreduce_time",
     "broadcast_time",
-    "point_to_point_time",
-    "neighbor_exchange_time",
     "barrier_time",
-    "CollectiveCostModel",
     "daly_optimal_interval",
     "cpr_efficiency",
     "lflr_efficiency",

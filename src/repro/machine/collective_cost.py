@@ -6,39 +6,25 @@ simple fact: tree-based collectives have a latency term that grows like
 (weak-scaling) regime stays constant, so at large enough P the
 collective latency -- amplified by per-rank performance variability --
 dominates.  The functions here implement the standard LogP/alpha-beta
-style cost formulas used by the pipelined-Krylov literature, plus a
-:class:`CollectiveCostModel` that also accounts for noise amplification
-in synchronous collectives.
+style cost formulas used by the pipelined-Krylov literature; the noise
+amplification of synchronous collectives is modelled in
+:mod:`repro.rbsp.variability`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.machine.model import MachineModel
 from repro.utils.validation import check_integer, check_non_negative
 
-__all__ = [
-    "point_to_point_time",
-    "allreduce_time",
-    "broadcast_time",
-    "barrier_time",
-    "neighbor_exchange_time",
-    "CollectiveCostModel",
-]
+__all__ = ["allreduce_time", "broadcast_time", "barrier_time"]
 
 
 def _log2ceil(n_ranks: int) -> int:
     if n_ranks <= 1:
         return 0
     return int(math.ceil(math.log2(n_ranks)))
-
-
-def point_to_point_time(machine: MachineModel, n_bytes: float) -> float:
-    """Alpha-beta cost of one message."""
-    return machine.message_time(n_bytes)
 
 
 def allreduce_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float:
@@ -67,96 +53,3 @@ def broadcast_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float
 def barrier_time(machine: MachineModel, n_ranks: int) -> float:
     """Barrier modeled as a zero-byte allreduce."""
     return allreduce_time(machine, n_ranks, 0.0)
-
-
-def neighbor_exchange_time(
-    machine: MachineModel, n_neighbors: int, n_bytes: float
-) -> float:
-    """Halo exchange with ``n_neighbors`` neighbours, messages overlapped.
-
-    Sends can be posted concurrently; the cost is one latency plus the
-    serialized bandwidth term for all outgoing messages (a conservative
-    single-port model).
-    """
-    check_integer(n_neighbors, "n_neighbors")
-    check_non_negative(n_bytes, "n_bytes")
-    if n_neighbors == 0:
-        return 0.0
-    return machine.latency + n_neighbors * n_bytes / machine.bandwidth
-
-
-@dataclass
-class CollectiveCostModel:
-    """Cost model that includes noise amplification in synchronous collectives.
-
-    A synchronous collective completes only when the *slowest*
-    participant arrives.  If each rank's preceding compute interval is
-    inflated by an independent noise term, the expected arrival of the
-    maximum over P ranks grows with P; for exponential-tailed noise the
-    expected maximum grows like ``mean_noise * H_P ~ mean_noise * ln P``
-    (harmonic number), which is the amplification mechanism behind the
-    paper's "severe limitations in scalability".
-
-    Parameters
-    ----------
-    machine:
-        The underlying machine model.
-    noise_mean:
-        Mean per-operation noise overhead (seconds) used in the
-        analytic expectation.  When ``None`` the machine's own noise
-        model is asked for its mean on a reference interval.
-    """
-
-    machine: MachineModel
-    noise_mean: Optional[float] = None
-
-    def _mean_noise(self, base_time: float) -> float:
-        if self.noise_mean is not None:
-            return self.noise_mean
-        return self.machine.noise.mean_overhead(base_time)
-
-    def synchronous_phase_time(
-        self,
-        n_ranks: int,
-        compute_time: float,
-        reduction_bytes: float = 8.0,
-    ) -> float:
-        """Expected time of one compute + blocking-allreduce phase.
-
-        ``compute_time`` is the noise-free per-rank compute interval.
-        The phase ends when the slowest rank has finished computing and
-        the allreduce has completed.
-        """
-        check_integer(n_ranks, "n_ranks")
-        check_non_negative(compute_time, "compute_time")
-        mean_noise = self._mean_noise(compute_time)
-        # Expected maximum of P i.i.d. exponential-ish noise terms:
-        # harmonic-number growth.  H_P = sum_{k=1}^{P} 1/k.
-        harmonic = sum(1.0 / k for k in range(1, max(n_ranks, 1) + 1))
-        slowest_extra = mean_noise * harmonic
-        return compute_time + slowest_extra + allreduce_time(
-            self.machine, n_ranks, reduction_bytes
-        )
-
-    def asynchronous_phase_time(
-        self,
-        n_ranks: int,
-        compute_time: float,
-        overlap_time: float,
-        reduction_bytes: float = 8.0,
-    ) -> float:
-        """Expected time of a phase using a non-blocking allreduce.
-
-        The collective is started, ``overlap_time`` of independent work
-        is performed, and only then is the collective waited on.  Noise
-        still delays the start of the collective, but the latency term
-        and part of the noise-induced straggler wait are hidden behind
-        the overlapped work.
-        """
-        check_non_negative(overlap_time, "overlap_time")
-        mean_noise = self._mean_noise(compute_time)
-        harmonic = sum(1.0 / k for k in range(1, max(n_ranks, 1) + 1))
-        slowest_extra = mean_noise * harmonic
-        collective = allreduce_time(self.machine, n_ranks, reduction_bytes)
-        exposed = max(collective + slowest_extra - overlap_time, 0.0)
-        return compute_time + overlap_time + exposed

@@ -40,9 +40,6 @@ class MachineModel:
         Multiplier applied to the ``alpha * ceil(log2 P)`` term of tree
         collectives; >1 models software overhead of the collective
         implementation.
-    memory_bandwidth:
-        Per-rank memory bandwidth in bytes/s, used for memory-bound
-        kernels such as sparse matrix-vector products.
     noise:
         Performance-variability model applied to compute intervals.
     checkpoint_bandwidth:
@@ -59,7 +56,6 @@ class MachineModel:
     latency: float = 1.0e-6
     bandwidth: float = 1.0e9
     collective_latency_factor: float = 1.0
-    memory_bandwidth: float = 5.0e9
     noise: NoiseModel = field(default_factory=NoNoise)
     checkpoint_bandwidth: float = 1.0e8
     restart_overhead: float = 30.0
@@ -70,7 +66,6 @@ class MachineModel:
         check_non_negative(self.latency, "latency")
         check_positive(self.bandwidth, "bandwidth")
         check_positive(self.collective_latency_factor, "collective_latency_factor")
-        check_positive(self.memory_bandwidth, "memory_bandwidth")
         check_positive(self.checkpoint_bandwidth, "checkpoint_bandwidth")
         check_non_negative(self.restart_overhead, "restart_overhead")
         check_non_negative(self.local_recovery_overhead, "local_recovery_overhead")
@@ -88,26 +83,6 @@ class MachineModel:
         """
         check_non_negative(flops, "flops")
         base = flops / self.flop_rate
-        return base + self.noise.sample(base, rank=rank)
-
-    def memory_time(self, n_bytes: float, *, rank: Optional[int] = None) -> float:
-        """Virtual seconds to stream ``n_bytes`` through memory."""
-        check_non_negative(n_bytes, "n_bytes")
-        base = n_bytes / self.memory_bandwidth
-        return base + self.noise.sample(base, rank=rank)
-
-    def spmv_time(
-        self, nnz: float, n_rows: float, *, rank: Optional[int] = None
-    ) -> float:
-        """Cost of a sparse matrix-vector product with ``nnz`` nonzeros.
-
-        Modeled as the max of the flop time (2 flops per nonzero) and
-        the memory time (12 bytes per nonzero for value+index plus 8
-        bytes per row for the result), i.e. a roofline-style bound.
-        """
-        flop_t = (2.0 * nnz) / self.flop_rate
-        mem_t = (12.0 * nnz + 8.0 * n_rows) / self.memory_bandwidth
-        base = max(flop_t, mem_t)
         return base + self.noise.sample(base, rank=rank)
 
     # ------------------------------------------------------------------
@@ -154,7 +129,6 @@ class MachineModel:
             flop_rate=5.0e9,
             latency=2.0e-6,
             bandwidth=5.0e9,
-            memory_bandwidth=2.0e10,
             noise=noise if noise is not None else NoNoise(),
         )
 
@@ -165,7 +139,6 @@ class MachineModel:
             flop_rate=2.0e10,
             latency=1.0e-6,
             bandwidth=1.0e10,
-            memory_bandwidth=1.0e11,
             collective_latency_factor=1.5,
             noise=noise if noise is not None else NoNoise(),
         )

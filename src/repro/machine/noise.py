@@ -10,37 +10,24 @@ destroys scalability.
 The noise models here add a stochastic term to each compute interval:
 
 * :class:`NoNoise` -- the idealized reliable digital machine.
-* :class:`ExponentialNoise` -- classic OS-noise model: with some
-  probability per operation a detour of exponentially distributed
-  length is taken.
-* :class:`BoundedParetoNoise` -- heavy-tailed noise, modelling rare
-  but long stalls (page migrations, ECC scrubbing storms).
 * :class:`EccStallNoise` -- stalls of fixed length occurring at a
   Poisson rate proportional to the interval length, modelling ECC
   correction events whose frequency grows as hardware reliability
   drops.
-* :class:`CompositeNoise` -- sum of several models.
 
-All models are seeded explicitly so experiments are reproducible.
+Models are seeded explicitly so experiments are reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_non_negative, check_probability, check_positive
+from repro.utils.validation import check_non_negative
 
-__all__ = [
-    "NoiseModel",
-    "NoNoise",
-    "ExponentialNoise",
-    "BoundedParetoNoise",
-    "EccStallNoise",
-    "CompositeNoise",
-]
+__all__ = ["NoiseModel", "NoNoise", "EccStallNoise"]
 
 
 class NoiseModel:
@@ -72,100 +59,6 @@ class NoNoise(NoiseModel):
         return "NoNoise()"
 
 
-class ExponentialNoise(NoiseModel):
-    """Exponential detours with a per-operation hit probability.
-
-    Parameters
-    ----------
-    probability:
-        Probability that an operation is hit by a noise event.
-    mean_duration:
-        Mean length of a noise event, in seconds.
-    rng:
-        Seed or generator.
-    """
-
-    def __init__(
-        self,
-        probability: float,
-        mean_duration: float,
-        rng: Union[None, int, np.random.Generator] = None,
-    ):
-        self.probability = check_probability(probability, "probability")
-        self.mean_duration = check_non_negative(mean_duration, "mean_duration")
-        self._rng = as_generator(rng)
-
-    def sample(self, base_time: float, *, rank: Optional[int] = None) -> float:
-        if self.probability == 0.0 or self.mean_duration == 0.0:
-            return 0.0
-        if float(self._rng.random()) >= self.probability:
-            return 0.0
-        return float(self._rng.exponential(self.mean_duration))
-
-    def mean_overhead(self, base_time: float) -> float:
-        return self.probability * self.mean_duration
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ExponentialNoise(probability={self.probability}, "
-            f"mean_duration={self.mean_duration})"
-        )
-
-
-class BoundedParetoNoise(NoiseModel):
-    """Heavy-tailed stalls drawn from a bounded Pareto distribution.
-
-    Parameters
-    ----------
-    probability:
-        Per-operation hit probability.
-    minimum, maximum:
-        Support of the stall-length distribution in seconds.
-    alpha:
-        Pareto tail exponent (smaller = heavier tail).
-    """
-
-    def __init__(
-        self,
-        probability: float,
-        minimum: float,
-        maximum: float,
-        alpha: float = 1.2,
-        rng: Union[None, int, np.random.Generator] = None,
-    ):
-        self.probability = check_probability(probability, "probability")
-        self.minimum = check_positive(minimum, "minimum")
-        self.maximum = check_positive(maximum, "maximum")
-        if self.maximum <= self.minimum:
-            raise ValueError("maximum must exceed minimum")
-        self.alpha = check_positive(alpha, "alpha")
-        self._rng = as_generator(rng)
-
-    def _sample_stall(self) -> float:
-        # Inverse-CDF sampling of the bounded Pareto distribution.
-        u = float(self._rng.random())
-        lo, hi, a = self.minimum, self.maximum, self.alpha
-        num = u * (hi**a - lo**a) + lo**a
-        return float((lo**a * hi**a / num) ** (1.0 / a)) if a != 0 else lo
-
-    def sample(self, base_time: float, *, rank: Optional[int] = None) -> float:
-        if self.probability == 0.0:
-            return 0.0
-        if float(self._rng.random()) >= self.probability:
-            return 0.0
-        return self._sample_stall()
-
-    def mean_overhead(self, base_time: float) -> float:
-        lo, hi, a = self.minimum, self.maximum, self.alpha
-        if a == 1.0:
-            mean = (np.log(hi / lo) * lo * hi) / (hi - lo)
-        else:
-            mean = (
-                lo**a / (1 - (lo / hi) ** a) * a / (a - 1) * (1 / lo ** (a - 1) - 1 / hi ** (a - 1))
-            )
-        return self.probability * float(mean)
-
-
 class EccStallNoise(NoiseModel):
     """Stalls whose *rate* grows with the length of the interval.
 
@@ -195,22 +88,3 @@ class EccStallNoise(NoiseModel):
 
     def mean_overhead(self, base_time: float) -> float:
         return self.event_rate * base_time * self.stall
-
-
-class CompositeNoise(NoiseModel):
-    """Sum of several independent noise models."""
-
-    def __init__(self, models: Sequence[NoiseModel]):
-        models = tuple(models)
-        if not models:
-            raise ValueError("CompositeNoise needs at least one model")
-        for model in models:
-            if not isinstance(model, NoiseModel):
-                raise TypeError("all components must be NoiseModel instances")
-        self.models = models
-
-    def sample(self, base_time: float, *, rank: Optional[int] = None) -> float:
-        return sum(m.sample(base_time, rank=rank) for m in self.models)
-
-    def mean_overhead(self, base_time: float) -> float:
-        return sum(m.mean_overhead(base_time) for m in self.models)

@@ -8,8 +8,6 @@ provides the model problems:
   exchange over the simulated runtime.
 * :mod:`repro.pde.heat` -- explicit (forward-Euler) heat equation:
   sequential reference solver and the distributed step kernel.
-* :mod:`repro.pde.advection` -- first-order upwind linear advection
-  (a second explicit workload with an exactly conserved quantity).
 * :mod:`repro.pde.implicit` -- implicit (backward-Euler) heat equation
   solved with CG, the workload of the coarse-model recovery experiment.
 """
@@ -22,7 +20,6 @@ from repro.pde.heat import (
     stable_time_step,
     gaussian_initial_condition,
 )
-from repro.pde.advection import AdvectionProblem1D, advection_step_upwind
 from repro.pde.implicit import ImplicitHeatProblem1D, backward_euler_matrix
 
 __all__ = [
@@ -33,8 +30,6 @@ __all__ = [
     "heat_step_distributed",
     "stable_time_step",
     "gaussian_initial_condition",
-    "AdvectionProblem1D",
-    "advection_step_upwind",
     "ImplicitHeatProblem1D",
     "backward_euler_matrix",
 ]

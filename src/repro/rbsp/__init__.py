@@ -4,18 +4,13 @@ RBSP is bulk-synchronous programming with the synchronization relaxed:
 MPI-3 style non-blocking (neighborhood and global) collectives let an
 algorithm start a reduction, do useful work, and only then wait.  The
 pipelined Krylov solvers in :mod:`repro.krylov` are the flagship
-algorithms; this subpackage provides the supporting pieces:
-
-* :mod:`repro.rbsp.async_ops` -- overlap helpers over the simulated
-  communicator (`overlapped_allreduce`, `LazyNorm`), measuring how much
-  of the collective latency was actually hidden.
-* :mod:`repro.rbsp.variability` -- the analytic scaling study behind
-  experiment E3: time-per-iteration models of synchronous versus
-  pipelined Krylov methods under performance variability, evaluated at
-  process counts far beyond what the threaded runtime can simulate.
+algorithms; :mod:`repro.rbsp.variability` is the analytic scaling
+study behind experiment E3: time-per-iteration models of synchronous
+versus pipelined Krylov methods under performance variability,
+evaluated at process counts far beyond what the threaded runtime can
+simulate.
 """
 
-from repro.rbsp.async_ops import overlapped_allreduce, LazyNorm, OverlapReport
 from repro.rbsp.variability import (
     IterationTimeModel,
     synchronous_iteration_time,
@@ -24,9 +19,6 @@ from repro.rbsp.variability import (
 )
 
 __all__ = [
-    "overlapped_allreduce",
-    "LazyNorm",
-    "OverlapReport",
     "IterationTimeModel",
     "synchronous_iteration_time",
     "pipelined_iteration_time",

@@ -57,10 +57,9 @@ Module map (mechanism -> declarative layer):
 * :mod:`~repro.reliability.sdc` -- SDC campaign helpers and the
   outcome taxonomy.
 * :mod:`~repro.reliability.region` -- the SRP :class:`Region` (injector,
-  precision, cost model) and its ``unreliable()`` / ``reliable()`` /
-  ``lowprecision()`` constructors.
-* :mod:`~repro.reliability.cost` / :mod:`~repro.reliability.tmr` --
-  reliability cost model and triple modular redundancy.
+  precision, cost model) and its ``unreliable()`` / ``reliable()``
+  constructors.
+* :mod:`~repro.reliability.cost` -- the reliability cost model.
 * :mod:`~repro.reliability.spec` -- declarative, serializable
   :class:`FaultSpec` (compact-string / dict round-trip).
 * :mod:`~repro.reliability.models` -- :class:`FaultModel` capability
@@ -89,11 +88,7 @@ from repro.reliability.schedule import (
     NeverSchedule,
     PoissonSchedule,
 )
-from repro.reliability.injector import (
-    ArrayInjector,
-    InjectionSession,
-    TargetedInjector,
-)
+from repro.reliability.injector import ArrayInjector, InjectionSession
 from repro.reliability.process import (
     ExponentialFailureModel,
     FailurePlan,
@@ -102,9 +97,8 @@ from repro.reliability.process import (
     system_mtbf,
 )
 from repro.reliability.sdc import OUTCOME_KINDS, SdcCampaign, classify_outcome
-from repro.reliability.region import Region, lowprecision, reliable, unreliable
+from repro.reliability.region import Region, reliable, unreliable
 from repro.reliability.cost import ReliabilityCostModel
-from repro.reliability.tmr import TmrDisagreement, tmr_execute
 from repro.reliability.spec import FaultSpec, compose
 from repro.reliability.models import (
     BasisBitflipFaults,
@@ -160,7 +154,6 @@ __all__ = [
     "NeverSchedule",
     # injectors
     "ArrayInjector",
-    "TargetedInjector",
     "InjectionSession",
     "PerturbationInjector",
     "MessageCorruptor",
@@ -174,10 +167,7 @@ __all__ = [
     "Region",
     "unreliable",
     "reliable",
-    "lowprecision",
     "ReliabilityCostModel",
-    "tmr_execute",
-    "TmrDisagreement",
     # declarative layer
     "FaultSpec",
     "compose",

@@ -1,23 +1,13 @@
-"""Array-level fault injectors.
+"""Array-level fault injection.
 
-The injectors tie together a :class:`~repro.reliability.schedule.FaultSchedule`
-(when), a target selection policy (where) and a corruption primitive
-(what) and record every injected fault in an
-:class:`~repro.utils.logging.EventLog` plus a list of
-:class:`~repro.reliability.events.FaultEvent` records.
-
-Two injectors are provided:
-
-* :class:`ArrayInjector` -- corrupt a random element of whatever array
-  it is handed, whenever the schedule says so.  This is what the
-  unreliable compute regions of :mod:`repro.reliability` use.
-* :class:`TargetedInjector` -- corrupt a specific element/bit at a
-  specific opportunity, used by the controlled sweeps of experiment E1
-  where we need to know exactly which bit was flipped.
-
-Both operate **only** on data registered as unreliable when used
-through the SRP layer; used directly they corrupt whatever they are
-given (the caller is the one declaring it unreliable).
+:class:`ArrayInjector` ties together a
+:class:`~repro.reliability.schedule.FaultSchedule` (when), a random
+victim element and bit (where) and a bit flip (what), and records every
+injected fault in an :class:`~repro.utils.logging.EventLog` plus a list
+of :class:`~repro.reliability.events.FaultEvent` records.  It is what
+the unreliable regions of :mod:`repro.reliability` use; it corrupts
+whatever array it is handed (the caller is the one declaring it
+unreliable).
 """
 
 from __future__ import annotations
@@ -26,18 +16,13 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.reliability.bitflip import (
-    flip_bit_array,
-    flip_random_bit,
-    max_bit_index,
-    relative_perturbation,
-)
+from repro.reliability.bitflip import flip_bit_array, max_bit_index, relative_perturbation
 from repro.reliability.events import FaultEvent
 from repro.reliability.schedule import FaultSchedule, NeverSchedule
 from repro.utils.logging import EventLog
 from repro.utils.rng import as_generator
 
-__all__ = ["ArrayInjector", "TargetedInjector", "InjectionSession"]
+__all__ = ["ArrayInjector", "InjectionSession"]
 
 
 class InjectionSession:
@@ -160,89 +145,4 @@ class ArrayInjector:
     def reset(self) -> None:
         """Reset the schedule and forget session events."""
         self.schedule.reset()
-        self.session.clear()
-
-
-class TargetedInjector:
-    """Inject a precisely specified fault at a specified opportunity.
-
-    Parameters
-    ----------
-    at:
-        Opportunity coordinate (iteration number or virtual time) at
-        which to inject.  The fault fires on the first call whose
-        ``now`` is greater than or equal to ``at``.
-    index:
-        Flat index of the element to corrupt; ``None`` selects a random
-        element.
-    bit:
-        Bit to flip; ``None`` selects a random bit.
-    value:
-        If given, the element is overwritten with ``value`` instead of
-        flipping a bit (kind ``"value"``).
-    """
-
-    def __init__(
-        self,
-        at: float,
-        *,
-        index: Optional[int] = None,
-        bit: Optional[int] = None,
-        value: Optional[float] = None,
-        rng: Union[None, int, np.random.Generator] = None,
-        target: str = "array",
-        session: Optional[InjectionSession] = None,
-    ):
-        self.at = float(at)
-        self.index = index
-        self.bit = bit
-        self.value = value
-        self._rng = as_generator(rng)
-        self.target = target
-        self.session = session if session is not None else InjectionSession()
-        self._fired = False
-
-    @property
-    def fired(self) -> bool:
-        """Whether the fault has already been injected."""
-        return self._fired
-
-    def maybe_inject(self, array: np.ndarray, now: float = 0.0) -> np.ndarray:
-        """Inject the configured fault if ``now`` has reached ``at``."""
-        if self._fired or now < self.at:
-            return array
-        arr = np.asarray(array)
-        if arr.size == 0:
-            return arr
-        max_bit = max_bit_index(arr.dtype)  # TypeError for non-float data
-        flat = arr.reshape(-1)
-        index = self.index if self.index is not None else int(self._rng.integers(0, arr.size))
-        if not 0 <= index < arr.size:
-            raise IndexError(f"index {index} out of bounds for size {arr.size}")
-        original = float(flat[index])
-        if self.value is not None:
-            flat[index] = self.value
-            kind = "value"
-            bit = None
-            corrupted = float(self.value)
-        else:
-            bit = self.bit if self.bit is not None else int(self._rng.integers(0, max_bit + 1))
-            flip_bit_array(arr, index, bit, inplace=True)
-            corrupted = float(arr.reshape(-1)[index])
-            kind = "bitflip"
-        self._fired = True
-        event = FaultEvent(
-            kind=kind,
-            target=self.target,
-            location=index,
-            bit=bit,
-            time=now,
-            magnitude=relative_perturbation(original, corrupted),
-        )
-        self.session.record(event)
-        return arr
-
-    def reset(self) -> None:
-        """Allow the injector to fire again (e.g. for a new run)."""
-        self._fired = False
         self.session.clear()

@@ -18,7 +18,7 @@ rounds its input to the region's precision, runs, rounds its result
 and widens it back to float64; only then may the injector corrupt it,
 so a fault lands on the value the reliable caller receives.
 
-Three constructors name the usual regions::
+The usual regions::
 
     from repro import reliability
 
@@ -27,8 +27,8 @@ Three constructors name the usual regions::
         result = gmres(op, b)          # any registered solver works
         print(region.faults_injected())
 
-    with reliability.lowprecision("fp32") as region:
-        result = gmres(region.operator(A), b)   # fp32 matvec, fp64 outside
+    region = reliability.Region(precision="fp32")
+    result = gmres(region.operator(A), b)   # fp32 matvec, fp64 outside
 
     reliability.reliable()             # never corrupts, never rounds
 
@@ -47,7 +47,7 @@ from repro.linalg.csr import CsrMatrix
 from repro.reliability.cost import ReliabilityCostModel
 from repro.reliability.precision import cast_operator, parse_precision
 
-__all__ = ["Region", "RegionStage", "unreliable", "reliable", "lowprecision"]
+__all__ = ["Region", "RegionStage", "unreliable", "reliable"]
 
 
 def _copy(vector) -> np.ndarray:
@@ -222,10 +222,3 @@ def unreliable(faults="none", *, seed=None, name="unreliable") -> Region:
 def reliable() -> Region:
     """A reliable region: never corrupted, never rounded."""
     return Region()
-
-
-def lowprecision(spec="fp32") -> Region:
-    """A reduced-precision region for anything :func:`parse_precision`
-    accepts: wrap only the operator, only ``M^{-1} v`` or only the
-    inner solve, and the rest of the solve stays float64."""
-    return Region(precision=spec)

@@ -45,7 +45,6 @@ from repro.simmpi.ops import SUM, MAX, MIN, PROD, LAND, LOR, ReduceOp
 from repro.simmpi.requests import Request, CompletedRequest
 from repro.simmpi.comm import Comm
 from repro.simmpi.runtime import SimRuntime, RankResult, run_spmd
-from repro.simmpi.topology import CartTopology
 
 __all__ = [
     "SimMpiError",
@@ -67,5 +66,4 @@ __all__ = [
     "SimRuntime",
     "RankResult",
     "run_spmd",
-    "CartTopology",
 ]

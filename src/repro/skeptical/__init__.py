@@ -18,8 +18,6 @@ This subpackage provides:
 * :mod:`repro.skeptical.monitor` -- :class:`SkepticalMonitor`, a
   wrapper that attaches checks/policies to an iterative computation
   via its iteration hook.
-* :mod:`repro.skeptical.abft` -- checksum-based operations (wrapping
-  :mod:`repro.linalg.checksum`) exposed as skeptical operators.
 * :mod:`repro.skeptical.gmres_sdc` -- the SDC-detecting GMRES in the
   spirit of Elliott & Hoemmen's bit-flip-resilient GMRES, whose default
   check set (:class:`~repro.skeptical.gmres_sdc.SdcChecks`) both Krylov
@@ -38,7 +36,6 @@ from repro.skeptical.checks import (
 )
 from repro.skeptical.policies import ResponsePolicy, AbortPolicy, SkepticalAbort
 from repro.skeptical.monitor import SkepticalMonitor
-from repro.skeptical.abft import AbftMatvecOperator, abft_matmul
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
 __all__ = [
@@ -54,7 +51,5 @@ __all__ = [
     "AbortPolicy",
     "SkepticalAbort",
     "SkepticalMonitor",
-    "AbftMatvecOperator",
-    "abft_matmul",
     "sdc_detecting_gmres",
 ]

@@ -200,7 +200,7 @@ def conservation_check(
     """A conserved quantity (mass, energy) must change only as expected.
 
     This is the PDE-side skeptical check: explicit finite-difference
-    heat/advection steps conserve the total of the field up to boundary
+    heat steps conserve the total of the field up to boundary
     fluxes that the caller supplies as ``expected_change``.
     """
     check_non_negative(rtol, "rtol")

@@ -17,32 +17,27 @@ is used by every other subpackage:
   campaign result store and scenario keys.
 """
 
-from repro.utils.rng import RngFactory, spawn_rng
+from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 from repro.utils.validation import (
-    require,
     check_positive,
     check_non_negative,
     check_probability,
     check_in,
     check_array_1d,
-    check_square_matrix,
 )
 from repro.utils.logging import EventLog, Event
 from repro.utils.serialization import jsonify
 
 __all__ = [
     "RngFactory",
-    "spawn_rng",
     "jsonify",
     "Table",
-    "require",
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in",
     "check_array_1d",
-    "check_square_matrix",
     "EventLog",
     "Event",
 ]

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["RngFactory", "spawn_rng", "as_generator"]
+__all__ = ["RngFactory", "as_generator"]
 
 
 def _name_to_key(name: str) -> int:
@@ -54,16 +54,12 @@ class RngFactory:
     Notes
     -----
     Streams created via :meth:`spawn` with the same name are
-    *identical*; streams with different names are independent.  The
-    factory also supports anonymous sequential spawning via
-    :meth:`spawn_sequential` for components that are created in a fixed
-    order.
+    *identical*; streams with different names are independent.
     """
 
     def __init__(self, seed: Optional[int] = None):
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
-        self._sequential_count = 0
 
     @property
     def seed(self) -> Optional[int]:
@@ -79,36 +75,8 @@ class RngFactory:
         seq = np.random.SeedSequence(entropy=self._root.entropy, spawn_key=(key,))
         return np.random.default_rng(seq)
 
-    def spawn_sequential(self) -> np.random.Generator:
-        """Return the next anonymous stream in creation order."""
-        self._sequential_count += 1
-        seq = np.random.SeedSequence(
-            entropy=self._root.entropy, spawn_key=(0xFFFF, self._sequential_count)
-        )
-        return np.random.default_rng(seq)
-
-    def child(self, name: str) -> "RngFactory":
-        """Return a sub-factory whose streams are independent of this one.
-
-        Useful when a subsystem needs to create its own named streams
-        (e.g. one stream per simulated rank).
-        """
-        key = _name_to_key("child:" + name)
-        child = RngFactory.__new__(RngFactory)
-        child._seed = None
-        child._root = np.random.SeedSequence(
-            entropy=self._root.entropy, spawn_key=(key, 0x1234)
-        )
-        child._sequential_count = 0
-        return child
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngFactory(seed={self._seed!r})"
-
-
-def spawn_rng(seed: Optional[int], name: str = "default") -> np.random.Generator:
-    """Convenience wrapper: one-shot named stream from an integer seed."""
-    return RngFactory(seed).spawn(name)
 
 
 def as_generator(

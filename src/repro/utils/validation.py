@@ -9,27 +9,18 @@ with a message that names the offending parameter.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
 __all__ = [
-    "require",
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in",
     "check_array_1d",
-    "check_square_matrix",
-    "check_same_shape",
     "check_integer",
 ]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
 
 
 def check_integer(value: Any, name: str) -> int:
@@ -77,20 +68,3 @@ def check_array_1d(array: Any, name: str, *, dtype=None) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-def check_square_matrix(matrix: Any, name: str) -> np.ndarray:
-    """Coerce to a square 2-D NumPy array."""
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, names: Sequence[str]) -> None:
-    """Check that two arrays have identical shapes."""
-    if np.shape(a) != np.shape(b):
-        raise ValueError(
-            f"{names[0]} and {names[1]} must have the same shape, "
-            f"got {np.shape(a)} and {np.shape(b)}"
-        )

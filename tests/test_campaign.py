@@ -23,7 +23,7 @@ from repro.campaign.cli import main as cli_main
 from repro.campaign.executor import FailureLedger
 from repro.campaign.registry import RegisteredExperiment, default_registry
 from repro.campaign.runner import CampaignRunner, derive_seed
-from repro.campaign.spec import Scenario, Sweep, grid_sweep, scenario_key, zip_sweep
+from repro.campaign.spec import Scenario, Sweep, scenario_key
 from repro.campaign.store import ResultStore, StoreRecord
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 
@@ -78,15 +78,16 @@ class TestSweepExpansion:
     @settings(max_examples=30, deadline=None)
     @given(axes=_axes())
     def test_grid_covers_every_combination(self, axes):
-        scenarios = grid_sweep("E7", **axes)
+        scenarios = Sweep("E7", axes=axes).expand()
         seen = {tuple(sorted(s.params.items())) for s in scenarios}
         assert len(seen) == len(scenarios)
         for name, values in axes.items():
             assert {s.params[name] for s in scenarios} == set(values)
 
     def test_zip_pairs_positionally(self):
-        scenarios = zip_sweep("E7", node_mtbf_years=(1.0, 5.0),
-                              checkpoint_time=(60.0, 300.0))
+        scenarios = Sweep("E7", axes={"node_mtbf_years": (1.0, 5.0),
+                                      "checkpoint_time": (60.0, 300.0)},
+                          mode="zip").expand()
         assert [(s.params["node_mtbf_years"], s.params["checkpoint_time"])
                 for s in scenarios] == [(1.0, 60.0), (5.0, 300.0)]
 
@@ -294,9 +295,10 @@ class TestRegistry:
 
 def _fast_scenarios(n=3):
     """A few sub-millisecond E7 scenarios for runner tests."""
-    return grid_sweep(
-        "E7", node_mtbf_years=tuple(float(i + 1) for i in range(n)), tag="test"
-    )
+    return Sweep(
+        "E7", axes={"node_mtbf_years": tuple(float(i + 1) for i in range(n))},
+        tag="test",
+    ).expand()
 
 
 class TestResultStore:
@@ -339,17 +341,13 @@ class TestResultStore:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "k2", "experiment": "E7", "trunc')
         # A trailing partial line (interrupted write) is benign: no
-        # warning, and verify() distinguishes it from real data loss.
+        # warning, unlike real data loss (see the mid-file tests).
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             reloaded = ResultStore(str(path))
         assert reloaded.keys() == ["k1"]
-        verification = reloaded.verify()
-        assert verification.ok and verification.trailing_partial
-        assert verification.loaded == 1 and verification.total_lines == 2
-        assert "trailing partial" in verification.describe()
 
     def test_append_after_interrupted_write_is_not_lost(self, tmp_path):
         driver = default_registry().get("E7")
@@ -368,10 +366,7 @@ class TestResultStore:
         with pytest.warns(RuntimeWarning, match=r"line 3"):
             reloaded = ResultStore(str(path))
         assert reloaded.keys() == ["k1", "k2", "k3", "k4"]
-        verification = reloaded.verify()
         # The partial line stays (append-only), now reported mid-file.
-        assert verification.dropped == (3,) and not verification.trailing_partial
-        assert verification.loaded == 4 and verification.total_lines == 5
         assert path.read_bytes().startswith(good + b'{"key": "k3", "experiment": "E7", "trunc\n{')
         assert b"\n\n" not in path.read_bytes()
 
@@ -432,25 +427,6 @@ class TestResultStore:
         with pytest.warns(RuntimeWarning, match=r"line 2"):
             reloaded = ResultStore(str(path))
         assert sorted(reloaded.keys()) == ["k1", "k2"]
-        verification = reloaded.verify()
-        assert not verification.ok
-        assert verification.dropped == (2,)
-        assert verification.loaded == 2 and verification.total_lines == 3
-        assert not verification.trailing_partial
-        assert "line 2" in verification.describe()
-
-    def test_verify_clean_and_missing_store(self, tmp_path):
-        driver = default_registry().get("E7")
-        result = driver.run(**driver.spec.smoke)
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(str(path))
-        store.append("k1", experiment="E7", tag="", params={}, result=result)
-        verification = store.verify()
-        assert verification.ok and not verification.trailing_partial
-        assert verification.loaded == verification.total_lines == 1
-        missing = ResultStore(str(tmp_path / "missing.jsonl")).verify()
-        assert missing.ok and missing.total_lines == 0
-
 
 class TestCampaignRunner:
     def test_runs_and_persists(self, tmp_path):
@@ -491,9 +467,9 @@ class TestCampaignRunner:
             raise AssertionError("inspect.signature called on the campaign path")
 
         monkeypatch.setattr(inspect, "signature", forbidden)
-        scenarios = _fast_scenarios(2) + grid_sweep(
-            "E1", base=dict(grid=6, n_trials=1, inject_at=3), seed=(5, 6)
-        ) + [Scenario("E8", dict(grid=6, solvers=("gmres",), policy="none"))]
+        scenarios = _fast_scenarios(2) + Sweep(
+            "E1", axes={"seed": (5, 6)}, base=dict(grid=6, n_trials=1, inject_at=3)
+        ).expand() + [Scenario("E8", dict(grid=6, solvers=("gmres",), policy="none"))]
         path = str(tmp_path / "s.jsonl")
         executed = CampaignRunner(
             ResultStore(path), registry=registry, batch=batch).run(scenarios)
@@ -540,7 +516,8 @@ class TestCampaignRunner:
         monkeypatch.setattr(spec_module, "scenario_key", spy)
         n = 4
         path = str(tmp_path / "s.jsonl")
-        unseeded = grid_sweep("E2", base=dict(n_trials=1), sizes=[(4 + i,) for i in range(n)])
+        unseeded = Sweep("E2", axes={"sizes": [(4 + i,) for i in range(n)]},
+                         base=dict(n_trials=1)).expand()
         # Executing run: the unseeded key (seed derivation) and the
         # resolved key (store, ledger, outcome) -- each hashed once.
         executed = CampaignRunner(ResultStore(path)).run(unseeded)

@@ -1,8 +1,7 @@
 """Callers outside ``src/`` that nothing else in tier-1 runs.
 
-* The example scripts that reach the SRP region and ``ft_gmres`` run
-  end to end in a fresh interpreter, so a moved name fails here instead
-  of in a reader's terminal.
+* Every example script runs end to end in a fresh interpreter, so a
+  moved name fails here instead of in a reader's terminal.
 * The benchmark ledger's calls into ``src/`` -- ``unreliable(spec,
   seed=)``, ``.operator(f)``, ``.faults_injected()`` and ``ft_gmres``'s
   ``info["kernels"]["seconds"]["inner_solve"]`` -- are exercised through
@@ -30,12 +29,17 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
     "quickstart.py",
     "ftgmres_selective_reliability.py",
     "precond_selective_reliability.py",
+    "campaign_sweep.py",
+    "lflr_heat_equation.py",
+    "pipelined_gmres_scaling.py",
+    "sdc_detection_gmres.py",
 ])
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
+    env["TMPDIR"] = str(tmp_path)  # campaign_sweep.py keeps its store there
     done = subprocess.run(
         [sys.executable, str(REPO_ROOT / "examples" / script)],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,

@@ -30,7 +30,7 @@ from repro.campaign.executor import (
 )
 from repro.campaign.report import failure_table, render_report
 from repro.campaign.runner import CampaignRunner, derive_seed
-from repro.campaign.spec import Scenario, grid_sweep
+from repro.campaign.spec import Scenario, Sweep
 from repro.campaign.store import ResultStore
 
 
@@ -430,9 +430,10 @@ class TestSupervisedExecutor:
 # Runner integration: resilience end to end
 # ----------------------------------------------------------------------
 def _e7_scenarios(n=6):
-    return grid_sweep(
-        "E7", node_mtbf_years=tuple(float(i + 1) for i in range(n)), tag="soak"
-    )
+    return Sweep(
+        "E7", axes={"node_mtbf_years": tuple(float(i + 1) for i in range(n))},
+        tag="soak",
+    ).expand()
 
 
 def _payloads(store):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -25,43 +24,13 @@ from repro.experiments.common import ExperimentResult
 from repro.machine import EccStallNoise, MachineModel
 from repro.rbsp import (
     IterationTimeModel,
-    LazyNorm,
-    overlapped_allreduce,
     pipelined_iteration_time,
     scaling_study,
     synchronous_iteration_time,
 )
-from repro.simmpi import run_spmd
 
 
 class TestRbspHelpers:
-    def test_overlapped_allreduce_hides_latency(self):
-        def program(comm):
-            value, work, report = overlapped_allreduce(
-                comm, float(comm.rank), work=lambda: comm.advance(0.1)
-            )
-            return value, report.exposed_latency, report.hidden_latency
-
-        machine = MachineModel(latency=1e-3)
-        for value, exposed, hidden in run_spmd(4, program, machine=machine):
-            assert value == 6.0
-            assert exposed == pytest.approx(0.0, abs=1e-9)
-
-    def test_lazy_norm_defers_reduction(self):
-        def program(comm):
-            lazy = LazyNorm(comm, local_square=float(comm.rank + 1))
-            comm.compute(1000.0)
-            return lazy.value()
-
-        expected = np.sqrt(1 + 2 + 3)
-        for value in run_spmd(3, program):
-            assert value == pytest.approx(expected)
-
-    def test_lazy_norm_sequential(self):
-        lazy = LazyNorm(None, 16.0)
-        assert lazy.available
-        assert lazy.value() == 4.0
-
     def test_iteration_time_model_validation(self):
         with pytest.raises(ValueError):
             IterationTimeModel(local_flops=1.0, pipeline_waves=0)

@@ -17,7 +17,6 @@ from repro.reliability import (
     NeverSchedule,
     PoissonSchedule,
     SdcCampaign,
-    TargetedInjector,
     WeibullFailureModel,
     bits_of,
     classify_outcome,
@@ -220,28 +219,6 @@ class TestInjectors:
         assert injector.n_injected == 0
         injector.maybe_inject(np.ones(3), now=0.0)
         assert injector.n_injected == 1
-
-    def test_targeted_injector_fires_once_at_given_index(self):
-        injector = TargetedInjector(at=5, index=2, bit=63, target="h")
-        arr = np.ones(4)
-        injector.maybe_inject(arr, now=4)
-        assert np.all(arr == 1.0) and not injector.fired
-        injector.maybe_inject(arr, now=5)
-        assert arr[2] == -1.0 and injector.fired
-        injector.maybe_inject(arr, now=6)
-        assert injector.session.n_injected == 1
-
-    def test_targeted_injector_value_mode(self):
-        injector = TargetedInjector(at=0, index=1, value=99.0)
-        arr = np.zeros(3)
-        injector.maybe_inject(arr, now=0)
-        assert arr[1] == 99.0
-        assert injector.session.events[0].kind == "value"
-
-    def test_targeted_injector_out_of_bounds(self):
-        injector = TargetedInjector(at=0, index=10, bit=1)
-        with pytest.raises(IndexError):
-            injector.maybe_inject(np.zeros(3), now=0)
 
 
 class TestProcessFailureModels:

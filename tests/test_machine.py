@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.machine import (
-    BoundedParetoNoise,
-    CollectiveCostModel,
-    CompositeNoise,
     EccStallNoise,
-    ExponentialNoise,
     MachineModel,
     NoNoise,
     allreduce_time,
@@ -20,8 +15,6 @@ from repro.machine import (
     daly_optimal_interval,
     efficiency_crossover_mtbf,
     lflr_efficiency,
-    neighbor_exchange_time,
-    point_to_point_time,
 )
 
 
@@ -35,11 +28,6 @@ class TestMachineModel:
         machine = MachineModel(latency=1e-6, bandwidth=1e9)
         assert machine.message_time(0) == pytest.approx(1e-6)
         assert machine.message_time(1e9) == pytest.approx(1.0 + 1e-6)
-
-    def test_spmv_time_roofline(self):
-        machine = MachineModel(flop_rate=1e12, memory_bandwidth=1e9)
-        # Memory bound: time follows bytes.
-        assert machine.spmv_time(1000, 100) == pytest.approx((12000 + 800) / 1e9)
 
     def test_checkpoint_and_restart_times(self):
         machine = MachineModel(checkpoint_bandwidth=1e6, restart_overhead=2.0)
@@ -75,41 +63,10 @@ class TestNoiseModels:
         assert NoNoise().sample(1.0) == 0.0
         assert NoNoise().mean_overhead(1.0) == 0.0
 
-    def test_exponential_noise_mean(self):
-        noise = ExponentialNoise(0.5, 2.0, rng=0)
-        assert noise.mean_overhead(1.0) == pytest.approx(1.0)
-        samples = [noise.sample(1.0) for _ in range(4000)]
-        assert abs(np.mean(samples) - 1.0) < 0.2
-
-    def test_exponential_noise_zero_probability(self):
-        assert ExponentialNoise(0.0, 2.0, rng=0).sample(1.0) == 0.0
-
-    def test_bounded_pareto_range(self):
-        noise = BoundedParetoNoise(1.0, minimum=1e-3, maximum=1e-1, rng=0)
-        samples = [noise.sample(1.0) for _ in range(200)]
-        assert all(1e-3 <= s <= 1e-1 for s in samples)
-        assert noise.mean_overhead(1.0) > 0
-
-    def test_bounded_pareto_validation(self):
-        with pytest.raises(ValueError):
-            BoundedParetoNoise(0.5, minimum=1.0, maximum=0.5)
-
     def test_ecc_stall_scales_with_interval(self):
         noise = EccStallNoise(event_rate=100.0, stall=1e-3, rng=0)
         assert noise.mean_overhead(2.0) == pytest.approx(0.2)
         assert noise.sample(0.0) == 0.0
-
-    def test_composite_sums_means(self):
-        composite = CompositeNoise([EccStallNoise(10.0, 1e-3, rng=0),
-                                    ExponentialNoise(0.1, 1e-2, rng=1)])
-        expected = 10.0 * 1.0 * 1e-3 + 0.1 * 1e-2
-        assert composite.mean_overhead(1.0) == pytest.approx(expected)
-
-    def test_composite_validation(self):
-        with pytest.raises(ValueError):
-            CompositeNoise([])
-        with pytest.raises(TypeError):
-            CompositeNoise([42])
 
 
 class TestCollectiveCosts:
@@ -129,50 +86,10 @@ class TestCollectiveCosts:
         machine = MachineModel()
         assert barrier_time(machine, 64) == allreduce_time(machine, 64, 0.0)
 
-    def test_point_to_point_matches_machine(self):
-        machine = MachineModel(latency=1e-6, bandwidth=1e9)
-        assert point_to_point_time(machine, 1000) == machine.message_time(1000)
-
-    def test_neighbor_exchange(self):
-        machine = MachineModel(latency=1e-6, bandwidth=1e9)
-        assert neighbor_exchange_time(machine, 0, 100) == 0.0
-        t2 = neighbor_exchange_time(machine, 2, 1000)
-        t4 = neighbor_exchange_time(machine, 4, 1000)
-        assert t4 > t2
-
     def test_collective_latency_factor(self):
         slow = MachineModel(latency=1e-6, collective_latency_factor=2.0)
         fast = MachineModel(latency=1e-6, collective_latency_factor=1.0)
         assert allreduce_time(slow, 16, 8) > allreduce_time(fast, 16, 8)
-
-    def test_synchronous_phase_straggler_grows_with_p(self):
-        machine = MachineModel(noise=NoNoise())
-        model = CollectiveCostModel(machine, noise_mean=1e-4)
-        t_small = model.synchronous_phase_time(4, 1e-3)
-        t_large = model.synchronous_phase_time(4096, 1e-3)
-        assert t_large > t_small
-
-    def test_asynchronous_phase_hides_latency(self):
-        machine = MachineModel(latency=1e-5)
-        model = CollectiveCostModel(machine, noise_mean=0.0)
-        sync = model.synchronous_phase_time(1024, 1e-3)
-        relaxed = model.asynchronous_phase_time(1024, 1e-3, overlap_time=1.0)
-        # Fully overlapped: only compute + overlap remains.
-        assert relaxed == pytest.approx(1e-3 + 1.0)
-        assert sync > 1e-3
-
-    def test_asynchronous_phase_exposes_remainder(self):
-        machine = MachineModel(latency=1e-3)
-        model = CollectiveCostModel(machine, noise_mean=0.0)
-        compute = 1e-3
-        short_overlap = 1e-6
-        long_overlap = 10.0
-        partially = model.asynchronous_phase_time(1024, compute, overlap_time=short_overlap)
-        fully = model.asynchronous_phase_time(1024, compute, overlap_time=long_overlap)
-        # With a short overlap window some collective latency stays exposed;
-        # with a long one it is fully hidden.
-        assert partially - (compute + short_overlap) > 0.0
-        assert fully - (compute + long_overlap) == pytest.approx(0.0)
 
 
 class TestEfficiencyModels:

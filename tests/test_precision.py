@@ -7,7 +7,8 @@ Five contract surfaces, mirroring ``tests/test_precond.py``:
 * The registry -- named precisions resolve, :func:`parse_precision`
   accepts every wire form, experiment lists drive the benchmark filter.
 * Casting and domains -- ``cast_operator``/``cast_vector`` dtype
-  contracts, :func:`lowprecision` wrappers keeping the caller in fp64.
+  contracts, reduced-precision :class:`Region` wrappers keeping the
+  caller in fp64.
 * fp64 parity -- ``precision="fp64"`` through every registered solver
   (and through ``batch_solve``) is bit-identical to the default path;
   the default path records no ``info["precision"]`` at all, which is
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.experiments import e10_precision
 from repro.krylov import batch_solve, default_solver_registry, solver_names
 from repro.linalg import poisson_2d
-from repro.reliability import lowprecision
 from repro.reliability.precision import (
     PRECISION_KINDS,
     PrecisionSpec,
@@ -37,7 +37,7 @@ from repro.reliability.precision import (
     parse_precision,
     precision_names,
 )
-from repro.reliability.region import RegionStage
+from repro.reliability.region import Region, RegionStage
 
 REGISTRY = default_solver_registry()
 
@@ -143,7 +143,7 @@ class TestPrecisionRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Casting helpers and lowprecision domains
+# Casting helpers and reduced-precision regions
 # ---------------------------------------------------------------------------
 
 class TestCastingAndDomains:
@@ -170,7 +170,7 @@ class TestCastingAndDomains:
 
     def test_low_precision_operator_keeps_caller_in_fp64(self):
         matrix, b = _problem()
-        with lowprecision("fp32") as dom:
+        with Region(precision="fp32") as dom:
             wrapped = dom.operator(matrix)
             result = wrapped(b)
         assert isinstance(wrapped, RegionStage)
@@ -182,7 +182,7 @@ class TestCastingAndDomains:
         assert 0 < np.linalg.norm(result - exact) <= 1e-5 * scale
 
     def test_low_precision_preconditioner_protocol(self):
-        domain = lowprecision("fp32")
+        domain = Region(precision="fp32")
         ident = domain.preconditioner(None)
         assert isinstance(ident, RegionStage)
         v = np.full(5, 1.0 + 2.0**-40)  # rounds away in fp32
@@ -198,7 +198,7 @@ class TestCastingAndDomains:
             seen["dtype"] = v.dtype
             return v
 
-        domain = lowprecision("fp32")
+        domain = Region(precision="fp32")
         out = domain.inner_solve(inner)(np.ones(3))
         assert seen["dtype"] == np.float32
         assert out.dtype == np.float64
@@ -313,3 +313,12 @@ class TestSelectivePrecisionClaim:
         }
         assert by_cell[("gmres", "fp32")] == "crash"
         assert by_cell[("fgmres", "fp32")] == "crash"
+
+    @pytest.mark.parametrize("target", ["inner", "outer"])
+    def test_ft_gmres_runs_in_both_placements(self, target):
+        # E10 hands every solver its maxiter through the same budget
+        # translation E8 and E9 use (ft_gmres takes outer/inner budgets).
+        params = dict(e10_precision.SPEC.smoke, solvers=("ft_gmres",), target=target)
+        result = e10_precision.run(**params)
+        assert result.table.column("solver") == ["ft_gmres", "ft_gmres"]
+        assert result.table.column("converged")[0]  # the fp64 row

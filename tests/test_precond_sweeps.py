@@ -31,10 +31,8 @@ from repro.linalg.distributed import DistributedRowMatrix
 from repro.linalg.matgen import (
     clear_matrix_cache,
     convection_diffusion_2d,
-    diagonally_dominant,
     poisson_1d,
     poisson_2d,
-    poisson_3d,
 )
 from repro.linalg.precond import BlockJacobiPreconditioner, SsorPreconditioner
 from repro.simmpi import run_spmd
@@ -127,10 +125,10 @@ def count_schedule_builds(monkeypatch) -> list:
 
 POISSON = {
     "poisson_1d(64)": lambda: poisson_1d(64),
+    "poisson_2d(5)": lambda: poisson_2d(5),
     "poisson_2d(8)": lambda: poisson_2d(8),
     "poisson_2d(10)": lambda: poisson_2d(10),
     "poisson_2d(33)": lambda: poisson_2d(33),  # n = 1089: slab-plan sized
-    "poisson_3d(5)": lambda: poisson_3d(5),
 }
 
 
@@ -208,7 +206,9 @@ class TestSweepBits:
 class TestDenseOracle:
     CASES = {
         "convection_diffusion": lambda rng: convection_diffusion_2d(8, peclet=10.0),
-        "diagonally_dominant": lambda rng: diagonally_dominant(80, 0.1, rng),
+        "convection_upwind": lambda rng: convection_diffusion_2d(
+            9, peclet=100.0, wind=(1.0, -0.5)
+        ),
         "scrambled": lambda rng: scrambled_dominant(rng, 70, 6),
         "scrambled_long_rows": lambda rng: scrambled_dominant(rng, 40, 30),
         "upper_triangular": lambda rng: CsrMatrix.from_dense(

@@ -3,9 +3,9 @@
 Covers the :class:`FaultSpec` wire formats (property-based string/dict
 round-trips), the fault-model registry contract, the capability
 surface of every model kind, the ``unreliable()``/``reliable()``
-domain context managers, the engine's :class:`FaultInjectionPolicy`,
-the simmpi spec resolution, old-vs-new injection parity for the
-E1/E6/E8 drivers and fault-model composition under FT-GMRES.  (The
+domain context managers, the simmpi spec resolution, old-vs-new
+injection parity for the E1/E6/E8 drivers and fault-model composition
+under FT-GMRES.  (The
 registry contract every axis shares is ``tests/test_axis_contract.py``.)
 """
 
@@ -390,49 +390,6 @@ class TestDomains:
             assert domain.faults_injected() > 0
             assert domain.flops > 0
             assert result.iterations > 0
-
-
-# ---------------------------------------------------------------------------
-# Engine resilience-policy surface
-# ---------------------------------------------------------------------------
-
-
-class TestFaultInjectionPolicy:
-    def test_injects_into_arnoldi_basis(self):
-        from repro.krylov.engine import FaultInjectionPolicy
-        from repro.krylov.gmres import gmres
-        from repro.linalg.matgen import poisson_2d
-
-        matrix = poisson_2d(8)
-        b = np.ones(matrix.n_rows)
-        policy = FaultInjectionPolicy.from_spec("bitflip:p=0.5", seed=11)
-        result = gmres(matrix, b, policy=policy, tol=1e-8, restart=30, maxiter=200)
-        assert policy.n_injected > 0
-        assert result.info["faults_injected"] == policy.n_injected
-
-    def test_composes_with_detection_policy(self):
-        from repro.krylov.engine import (
-            CompositePolicy,
-            FaultInjectionPolicy,
-            ResidualGuardPolicy,
-        )
-        from repro.krylov.gmres import gmres
-        from repro.linalg.matgen import poisson_2d
-
-        matrix = poisson_2d(8)
-        b = np.ones(matrix.n_rows)
-        inject = FaultInjectionPolicy.from_spec(
-            "bitflip:p=0.3,bits=55..62", seed=4
-        )
-        guard = ResidualGuardPolicy(growth_factor=1e4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = gmres(
-                matrix, b, policy=CompositePolicy([inject, guard]),
-                tol=1e-8, restart=30, maxiter=120,
-            )
-        assert inject.n_injected > 0
-        assert result.detected_faults == guard.detections
 
 
 # ---------------------------------------------------------------------------

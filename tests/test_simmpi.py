@@ -10,7 +10,6 @@ import pytest
 from repro.reliability import FailurePlan
 from repro.machine import MachineModel
 from repro.simmpi import (
-    CartTopology,
     Comm,
     RankFailedError,
     SimDeadlockError,
@@ -20,7 +19,6 @@ from repro.simmpi import (
 )
 from repro.simmpi.errors import InvalidRankError
 from repro.simmpi.ops import LAND, LOR, MAX, MIN, PROD, SUM
-from repro.simmpi.topology import balanced_dims
 
 
 class TestVirtualClock:
@@ -565,107 +563,6 @@ class TestRuntimeLifecycle:
         runtime = SimRuntime(3, machine=fast_recovery_machine, failure_plan=plan)
         runtime.run(bereaved)
         assert len(runtime.state.collectives) == 0
-
-
-class TestCartTopology:
-    def test_balanced_dims_product(self):
-        for n in (1, 4, 6, 12, 16, 36):
-            for ndim in (1, 2, 3):
-                dims = balanced_dims(n, ndim)
-                assert int(np.prod(dims)) == n
-
-    def test_coords_rank_roundtrip(self):
-        topo = CartTopology((3, 4))
-        for rank in range(topo.size):
-            assert topo.rank(topo.coords(rank)) == rank
-
-    def test_shift_nonperiodic_boundary(self):
-        topo = CartTopology((2, 2))
-        assert topo.shift(0, axis=0, displacement=-1) is None
-        assert topo.shift(0, axis=0, displacement=1) == topo.rank((1, 0))
-
-    def test_shift_periodic_wraps(self):
-        topo = CartTopology((4,), periodic=(True,))
-        assert topo.shift(0, 0, -1) == 3
-        assert topo.shift(3, 0, 1) == 0
-
-    def test_neighbors_interior_and_corner(self):
-        topo = CartTopology((3, 3))
-        center = topo.rank((1, 1))
-        assert len(topo.neighbors(center)) == 4
-        corner = topo.rank((0, 0))
-        assert len(topo.neighbors(corner)) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CartTopology((0, 2))
-        with pytest.raises(ValueError):
-            CartTopology((2, 2), periodic=(True,))
-        topo = CartTopology((2, 2))
-        with pytest.raises(ValueError):
-            topo.coords(99)
-        with pytest.raises(ValueError):
-            topo.rank((5, 0))
-
-    def test_balanced_constructor(self):
-        topo = CartTopology.balanced(12, 2)
-        assert topo.size == 12 and topo.ndim == 2
-
-    def test_balanced_dims_sorted_descending_and_prime(self):
-        assert balanced_dims(16, 2) == (4, 4)
-        assert balanced_dims(12, 2) == (4, 3)
-        # A prime rank count cannot be split: all factors land in one dim.
-        assert balanced_dims(7, 2) == (7, 1)
-        assert balanced_dims(13, 3) == (13, 1, 1)
-        for n, ndim in ((24, 3), (100, 2), (64, 3)):
-            dims = balanced_dims(n, ndim)
-            assert dims == tuple(sorted(dims, reverse=True))
-
-    def test_balanced_dims_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            balanced_dims(0, 2)
-        with pytest.raises(ValueError):
-            balanced_dims(4, 0)
-
-    def test_rank_periodic_modulo(self):
-        # Periodic axes accept out-of-range coords and wrap them, the
-        # non-periodic axis still validates.
-        topo = CartTopology((3, 4), periodic=(True, False))
-        assert topo.rank((-1, 2)) == topo.rank((2, 2))
-        assert topo.rank((4, 0)) == topo.rank((1, 0))
-        with pytest.raises(ValueError):
-            topo.rank((0, 4))
-        with pytest.raises(ValueError):
-            topo.rank((0, 0, 0))  # wrong arity
-
-    def test_shift_large_displacement_multiwrap(self):
-        periodic = CartTopology((3,), periodic=(True,))
-        assert periodic.shift(0, 0, 7) == 1  # 7 mod 3
-        assert periodic.shift(1, 0, -4) == 0
-        flat = CartTopology((3,))
-        assert flat.shift(0, 0, 2) == 2
-        assert flat.shift(0, 0, 3) is None
-        with pytest.raises(ValueError):
-            flat.shift(0, axis=1, displacement=1)
-
-    def test_neighbors_dedup_tiny_periodic_dims(self):
-        # On a periodic dim of size 2, -1 and +1 land on the same rank:
-        # the neighbour list must deduplicate it.
-        topo = CartTopology((2,), periodic=(True,))
-        assert topo.neighbors(0) == [1]
-        # On a periodic dim of size 1 the only "neighbour" is yourself,
-        # which is excluded entirely.
-        assert CartTopology((1,), periodic=(True,)).neighbors(0) == []
-        # Mixed: the size-2 periodic axis contributes one neighbour,
-        # the size-3 periodic axis two.
-        mixed = CartTopology((2, 3), periodic=(True, True))
-        assert len(mixed.neighbors(mixed.rank((0, 1)))) == 3
-
-    def test_single_rank_topology_has_no_neighbors(self):
-        topo = CartTopology((1, 1))
-        assert topo.size == 1
-        assert topo.neighbors(0) == []
-        assert topo.shift(0, 0, 1) is None
 
 
 class TestRequestHelpers:

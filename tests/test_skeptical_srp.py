@@ -1,5 +1,5 @@
 """Tests for the SkP (skeptical) and SRP (selective reliability) layers,
-including the SDC-detecting GMRES, ABFT operators, TMR and FT-GMRES."""
+including the SDC-detecting GMRES and FT-GMRES."""
 
 from __future__ import annotations
 
@@ -8,17 +8,15 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from repro.reliability import ArrayInjector, BernoulliPerCallSchedule, DeterministicSchedule
+from repro.reliability import ArrayInjector, DeterministicSchedule
 from repro.reliability.bitflip import flip_bit_array
-from repro.krylov import ft_gmres, gmres
+from repro.krylov import ft_gmres
 from repro.linalg import poisson_2d, convection_diffusion_2d
 from repro.skeptical import (
-    AbftMatvecOperator,
     AbortPolicy,
     ResponsePolicy,
     SkepticalAbort,
     SkepticalMonitor,
-    abft_matmul,
     conservation_check,
     finite_check,
     hessenberg_bound_check,
@@ -31,10 +29,8 @@ from repro.skeptical import (
 from repro.reliability import (
     Region,
     ReliabilityCostModel,
-    TmrDisagreement,
     reliable,
     resolve_faults,
-    tmr_execute,
 )
 
 
@@ -151,41 +147,6 @@ class TestPoliciesAndMonitor:
         monitor = SkepticalMonitor()
         with pytest.raises(ValueError):
             monitor.add_check("x", lambda s: finite_check(s["x"]), period=0)
-
-
-class TestAbft:
-    def test_abft_operator_clean(self, poisson_small, rng):
-        operator = AbftMatvecOperator(poisson_small)
-        x = rng.standard_normal(poisson_small.n_rows)
-        assert np.allclose(operator(x), poisson_small.matvec(x))
-        assert operator.detections == 0
-
-    def test_abft_operator_detects_and_recovers(self, poisson_small, rng):
-        injector = ArrayInjector(DeterministicSchedule([1.0]), rng=0, bit_range=(55, 62))
-        operator = AbftMatvecOperator(poisson_small, injector=injector)
-        x = rng.standard_normal(poisson_small.n_rows)
-        result = operator(x)
-        assert operator.detections == 1
-        assert operator.recoveries == 1
-        assert np.allclose(result, poisson_small.matvec(x))
-
-    def test_abft_operator_in_gmres(self, poisson_small, rng):
-        injector = ArrayInjector(
-            BernoulliPerCallSchedule(0.2, rng=1), rng=2, bit_range=(55, 62)
-        )
-        operator = AbftMatvecOperator(poisson_small, injector=injector)
-        b = rng.standard_normal(poisson_small.n_rows)
-        result = gmres(operator, b, tol=1e-8, restart=30, maxiter=400)
-        assert result.converged
-        assert operator.detections >= 1
-        assert operator.stats()["applications"] > 0
-
-    def test_abft_matmul_wrapper(self, rng):
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        product, report = abft_matmul(a, b, corrupt=lambda c: flip_bit_array(c, 7, 60))
-        assert report.corrected
-        assert np.allclose(product, a @ b)
 
 
 class TestSdcDetectingGmres:
@@ -407,40 +368,6 @@ class TestSrp:
         assert model.speedup_vs_all_reliable(10.0, 90.0) == pytest.approx(300.0 / 120.0)
         with pytest.raises(ValueError):
             ReliabilityCostModel(reliable_compute_factor=0.0)
-
-
-class TestTmr:
-    def test_majority_vote_masks_one_bad_replica(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            return 99.0 if calls["n"] == 2 else 1.0
-
-        counter = {}
-        assert tmr_execute(flaky, counter=counter) == 1.0
-        assert counter["tmr_corrections"] == 1
-        assert counter["tmr_executions"] == 3
-
-    def test_all_disagree_raises(self):
-        values = iter([1.0, 2.0, 3.0])
-        with pytest.raises(TmrDisagreement):
-            tmr_execute(lambda: next(values))
-
-    def test_array_results(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            out = np.ones(4)
-            if calls["n"] == 3:
-                out[2] = np.nan
-            return out
-
-        assert np.allclose(tmr_execute(flaky), 1.0)
-
-    def test_non_numeric_results(self):
-        assert tmr_execute(lambda: "same") == "same"
 
 
 class TestFtGmres:

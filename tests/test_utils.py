@@ -20,12 +20,9 @@ from repro.utils import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_square_matrix,
-    require,
-    spawn_rng,
 )
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_integer, check_same_shape
+from repro.utils.validation import check_integer
 
 
 class TestRngFactory:
@@ -52,22 +49,6 @@ class TestRngFactory:
         x2 = factory2.spawn("b").standard_normal(3)
         assert np.array_equal(x1, x2)
 
-    def test_sequential_streams_differ(self):
-        factory = RngFactory(1)
-        a = factory.spawn_sequential().standard_normal(4)
-        b = factory.spawn_sequential().standard_normal(4)
-        assert not np.array_equal(a, b)
-
-    def test_child_factory_reproducible(self):
-        a = RngFactory(5).child("sub").spawn("s").standard_normal(3)
-        b = RngFactory(5).child("sub").spawn("s").standard_normal(3)
-        assert np.array_equal(a, b)
-
-    def test_spawn_rng_helper(self):
-        assert np.array_equal(
-            spawn_rng(2, "k").standard_normal(2), spawn_rng(2, "k").standard_normal(2)
-        )
-
     def test_seed_property(self):
         assert RngFactory(42).seed == 42
 
@@ -83,11 +64,6 @@ class TestRngFactory:
 
 
 class TestValidation:
-    def test_require_passes_and_fails(self):
-        require(True, "fine")
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
-
     def test_check_positive(self):
         assert check_positive(2.5, "x") == 2.5
         for bad in (0, -1, float("nan"), float("inf")):
@@ -122,16 +98,6 @@ class TestValidation:
         assert arr.shape == (3,)
         with pytest.raises(ValueError):
             check_array_1d(np.zeros((2, 2)), "v")
-
-    def test_check_square_matrix(self):
-        assert check_square_matrix(np.eye(3), "A").shape == (3, 3)
-        with pytest.raises(ValueError):
-            check_square_matrix(np.zeros((2, 3)), "A")
-
-    def test_check_same_shape(self):
-        check_same_shape(np.zeros(3), np.ones(3), ("a", "b"))
-        with pytest.raises(ValueError):
-            check_same_shape(np.zeros(3), np.zeros(4), ("a", "b"))
 
 
 class TestTable:
