@@ -14,8 +14,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.comm.base import payload_nbytes
 from repro.machine.model import MachineModel
-from repro.simmpi.comm import payload_nbytes
 from repro.utils.validation import check_integer
 
 __all__ = ["Checkpoint", "CheckpointStore"]

@@ -1,12 +1,15 @@
 """Pluggable communicator backends behind one abstract interface.
 
-This package extracts the SPMD communicator contract from the
-simulated runtime (:class:`repro.simmpi.comm.Comm`) into
-:class:`~repro.comm.base.BaseCommunicator`, and puts interchangeable
-backends behind a serializable :class:`~repro.comm.spec.CommSpec`:
+:class:`~repro.comm.base.BaseCommunicator` is the one front end of the
+SPMD communicator contract -- collective forms, completion rule, cost
+rule, rank checks -- and every backend subclasses it.  The
+backend-neutral vocabulary lives here too: reduction ops
+(:mod:`repro.comm.ops`), requests (:mod:`repro.comm.requests`), payload
+helpers (:mod:`repro.comm.base`) and errors (:mod:`repro.comm.errors`).  Backends
+sit behind a serializable :class:`~repro.comm.spec.CommSpec`:
 
 ========  ==========================================================
-``sim``    the deterministic simulator, unchanged and bit-identical
+``sim``    the deterministic simulator (threads + virtual time)
 ``shmem``  real OS processes over pipes + ``shared_memory`` buffers
 ``mpi4py`` real MPI, import-gated (listing-stable, launch-gated)
 ========  ==========================================================
@@ -26,11 +29,6 @@ Typical use::
 """
 
 from repro.comm.base import BaseCommunicator
-
-# Importing the sim adapter virtually registers the simulator's Comm
-# with BaseCommunicator, so isinstance checks hold before any backend
-# is resolved.
-import repro.comm.sim  # noqa: E402,F401  (registration side effect)
 from repro.comm.errors import (
     BackendUnavailableError,
     CommTimeoutError,

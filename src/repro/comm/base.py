@@ -1,17 +1,18 @@
-"""The abstract communicator interface every backend implements.
+"""The communicator front end every backend subclasses.
 
-:class:`BaseCommunicator` is the contract extracted from
-:class:`repro.simmpi.comm.Comm` -- the surface the distributed kernel
-layer (:mod:`repro.linalg.distributed`, :mod:`repro.krylov.ops`)
-actually uses, written down as an ABC so new backends implement it
-deliberately and the conformance suite (``tests/test_comm_conformance``)
-can exercise every registered backend against one parametrized test
-body.
-
-The simulator's :class:`~repro.simmpi.comm.Comm` is *virtually*
-registered (``BaseCommunicator.register``) rather than subclassed: the
-simulated runtime stays byte-for-byte untouched by the abstraction, and
-no import cycle forms between :mod:`repro.simmpi` and this package.
+:class:`BaseCommunicator` is the SPMD communicator contract -- the
+surface the distributed kernel layer (:mod:`repro.linalg.distributed`,
+:mod:`repro.krylov.ops`) uses -- and, written once, everything the
+backends share: the rank and peer checks, ``sendrecv``, ``compute`` and
+the eleven collective forms.  A backend supplies identity, program
+time, liveness, point-to-point transport and one blocking collective
+hook, ``_collective``; one that can overlap collectives also overrides
+``_start_collective``, which otherwise completes eagerly.  Every
+backend completes a collective with the one rule
+:func:`complete_collective` and charges it with
+:meth:`BaseCommunicator._collective_cost`.  The conformance suite
+(``tests/test_comm_conformance.py``) runs one parametrized test body
+against every registered backend.
 
 Semantics shared by all backends:
 
@@ -41,22 +42,108 @@ Semantics shared by all backends:
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence
+import copy
+import pickle
+import sys
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.simmpi.ops import ReduceOp, SUM
-from repro.simmpi.requests import Request
+import numpy as np
 
-__all__ = ["BaseCommunicator"]
+from repro.comm.errors import InvalidRankError, SimMpiError
+from repro.comm.ops import ReduceOp, SUM
+from repro.comm.requests import CompletedRequest, Request
+from repro.machine.collective_cost import collective_time
+from repro.machine.model import MachineModel
+
+__all__ = [
+    "BaseCommunicator",
+    "complete_collective",
+    "copy_payload",
+    "payload_nbytes",
+    "portable_error",
+]
+
+
+def payload_nbytes(obj: Any) -> int:
+    """Estimate the wire size of a payload in bytes.
+
+    NumPy arrays report their true buffer size; Python scalars count as
+    8 bytes; everything else falls back to ``sys.getsizeof``.  The
+    estimate only feeds the timing model, never correctness.
+    """
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, (int, float, complex, bool, np.generic)):
+        return 8
+    if obj is None:
+        return 0
+    if isinstance(obj, (list, tuple)):
+        return sum(payload_nbytes(item) for item in obj)
+    return int(sys.getsizeof(obj))
+
+
+def copy_payload(obj: Any) -> Any:
+    """Deep-copy a payload so ranks never share mutable state."""
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, (int, float, complex, bool, str, bytes, type(None), np.generic)):
+        return obj
+    return copy.deepcopy(obj)
+
+
+def portable_error(exc: BaseException, rank: int) -> BaseException:
+    """A copy of ``exc`` fit to hand to another rank, else a typed stand-in."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - an exception pickle cannot rebuild
+        return SimMpiError(f"rank {rank} raised unpicklable {exc!r}")
+
+
+def complete_collective(
+    kind: str,
+    contributions: Dict[int, Any],
+    op: Optional[ReduceOp] = None,
+    root: Optional[int] = None,
+) -> Dict[int, Any]:
+    """Per-rank results of a collective once every contribution is in.
+
+    Reductions fold the contributions in ascending rank order, left to
+    right, so every backend calling this produces bit-identical
+    results.  ``reduce`` and ``gather`` deliver ``None`` off the root.
+    Raises ``ValueError`` for a ``scatter`` root short of chunks; the
+    backend then poisons the collective.
+    """
+    ranks = sorted(contributions)
+    values = [contributions[r] for r in ranks]
+    if kind == "scatter":
+        chunks = contributions.get(root)
+        if chunks is None or len(chunks) < len(ranks):
+            raise ValueError("scatter root must provide one chunk per participant")
+        return {r: chunks[i] for i, r in enumerate(ranks)}
+    if kind in ("allreduce", "reduce"):
+        result = (op if op is not None else SUM).reduce(values)
+    elif kind in ("gather", "allgather"):
+        result = values
+    elif kind == "bcast":
+        result = contributions.get(root)
+    else:  # barrier
+        result = None
+    if kind in ("reduce", "gather"):
+        return {r: (result if r == root else None) for r in ranks}
+    return dict.fromkeys(ranks, result)
 
 
 class BaseCommunicator(abc.ABC):
-    """Abstract SPMD communicator (the mpi4py lower-case subset).
+    """SPMD communicator front end (the mpi4py lower-case subset).
 
-    Concrete backends: :class:`repro.simmpi.comm.Comm` (virtually
-    registered), :class:`repro.comm.shmem.ShmemComm`.  Rank functions
-    receive an instance as their first argument and must treat it as
-    the *only* channel between ranks.
+    Concrete backends: :class:`repro.simmpi.comm.Comm`,
+    :class:`repro.comm.shmem.ShmemComm` and
+    :class:`repro.comm.mpi.Mpi4pyComm`.  Rank functions receive an
+    instance as their first argument and must treat it as the *only*
+    channel between ranks.  Subclasses set ``_machine``.
     """
+
+    _machine: MachineModel
 
     # -- identity ------------------------------------------------------
     @property
@@ -69,9 +156,22 @@ class BaseCommunicator(abc.ABC):
     def size(self) -> int:
         """Number of ranks the communicator was created with."""
 
+    @property
+    def machine(self) -> MachineModel:
+        """The machine model driving program time."""
+        return self._machine
+
     def single_rank(self) -> bool:
         """True when the communicator has exactly one rank."""
         return self.size == 1
+
+    def _check_rank(self, rank: int) -> None:
+        if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
+            raise InvalidRankError(f"rank must be an integer, got {rank!r}")
+        if not 0 <= rank < self.size:
+            raise InvalidRankError(
+                f"rank {rank} out of range for communicator of size {self.size}"
+            )
 
     # -- program time --------------------------------------------------
     @abc.abstractmethod
@@ -79,18 +179,21 @@ class BaseCommunicator(abc.ABC):
         """Current program time of this rank (seconds)."""
 
     @abc.abstractmethod
-    def compute(self, flops: float) -> float:
-        """Account for local computation; returns the new program time.
+    def advance(self, seconds: float) -> float:
+        """Advance program time by an explicit busy interval.
 
-        A ``proc_fail`` fault scheduled to strike within the accounted
-        interval kills this rank at the interval's end, on every
-        backend (virtually on the simulator, via real SIGKILL on the
+        A ``proc_fail`` fault scheduled to strike within the interval
+        kills this rank at the interval's end, on every backend
+        (virtually on the simulator, via real SIGKILL on the
         shared-memory backend).
         """
 
-    @abc.abstractmethod
-    def advance(self, seconds: float) -> float:
-        """Advance program time by an explicit busy interval."""
+    def compute(self, flops: float) -> float:
+        """Account for local computation; returns the new program time."""
+        return self.advance(self._machine.compute_time(flops, rank=self.rank))
+
+    def _check_own_failure(self) -> None:
+        """Strike a scheduled hard fault that is due (none by default)."""
 
     # -- failure notification ------------------------------------------
     @abc.abstractmethod
@@ -122,6 +225,17 @@ class BaseCommunicator(abc.ABC):
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Non-blocking receive; the payload arrives at ``wait()``."""
 
+    def _check_peer(self, peer: int, verb: str) -> None:
+        """What every point-to-point operation checks first.
+
+        A due hard fault strikes, ``peer`` must be a valid rank, and it
+        must not be this rank (``verb`` names the refused direction).
+        """
+        self._check_own_failure()
+        self._check_rank(peer)
+        if peer == self.rank:
+            raise InvalidRankError(f"{verb} self is not supported; use local state")
+
     def sendrecv(
         self,
         sendobj: Any,
@@ -136,48 +250,95 @@ class BaseCommunicator(abc.ABC):
         req.wait()
         return received
 
-    # -- collectives ---------------------------------------------------
+    # -- collective hooks ------------------------------------------------
     @abc.abstractmethod
+    def _collective(
+        self,
+        kind: str,
+        value: Any,
+        op: Optional[ReduceOp] = None,
+        root: Optional[int] = None,
+    ) -> Any:
+        """Run one collective of ``kind`` to completion; this rank's result."""
+
+    def _start_collective(
+        self,
+        kind: str,
+        value: Any,
+        op: Optional[ReduceOp] = None,
+        root: Optional[int] = None,
+    ) -> Request:
+        """Start one collective; completes eagerly unless overridden.
+
+        SPMD programs sequence their collectives identically on every
+        rank, so eager completion preserves results (and bit-identity);
+        only the overlap the simulator *models* is not realized.
+        """
+        return CompletedRequest(
+            self._collective(kind, value, op, root), operation=f"i{kind}"
+        )
+
+    def _collective_cost(self, kind: str, contributions: Dict[int, Any]) -> float:
+        """Program-time charge of a completed collective, equal on every rank.
+
+        The cost rule sees the largest contribution, so the charge never
+        depends on which rank arrived last.
+        """
+        nbytes = max(map(payload_nbytes, contributions.values()))
+        return collective_time(self._machine, kind, len(contributions), nbytes)
+
+    # -- blocking collectives --------------------------------------------
     def barrier(self) -> None:
         """Synchronize all live ranks."""
+        self._collective("barrier", None)
 
-    @abc.abstractmethod
     def bcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast ``value`` from ``root``; all ranks return it."""
+        self._check_rank(root)
+        return self._collective(
+            "bcast", value if self.rank == root else None, root=root
+        )
 
-    @abc.abstractmethod
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         """Reduce to ``root``; non-root ranks return ``None``."""
+        self._check_rank(root)
+        return self._collective("reduce", value, op, root)
 
-    @abc.abstractmethod
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Reduce and deliver the result to every rank."""
+        return self._collective("allreduce", value, op)
 
-    @abc.abstractmethod
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
         """Gather per-rank values into a rank-ordered list at ``root``."""
+        self._check_rank(root)
+        return self._collective("gather", value, root=root)
 
-    @abc.abstractmethod
     def allgather(self, value: Any) -> List[Any]:
         """Gather per-rank values into a rank-ordered list everywhere."""
+        return self._collective("allgather", value)
 
-    @abc.abstractmethod
     def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
         """Scatter a sequence from ``root``; each rank gets one element."""
+        self._check_rank(root)
+        chunks = list(values) if (self.rank == root and values is not None) else None
+        return self._collective("scatter", chunks, root=root)
 
-    # -- non-blocking collectives --------------------------------------
-    @abc.abstractmethod
+    # -- non-blocking collectives ----------------------------------------
     def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
         """Non-blocking allreduce (the pipelined-Krylov workhorse)."""
+        return self._start_collective("allreduce", value, op)
 
-    @abc.abstractmethod
     def ibarrier(self) -> Request:
         """Non-blocking barrier."""
+        return self._start_collective("barrier", None)
 
-    @abc.abstractmethod
     def iallgather(self, value: Any) -> Request:
         """Non-blocking allgather."""
+        return self._start_collective("allgather", value)
 
-    @abc.abstractmethod
     def ibcast(self, value: Any, root: int = 0) -> Request:
         """Non-blocking broadcast."""
+        self._check_rank(root)
+        return self._start_collective(
+            "bcast", value if self.rank == root else None, root=root
+        )

@@ -1,41 +1,119 @@
-"""Backend-neutral communicator errors.
+"""Communicator errors, one hierarchy for every backend.
 
-Every backend reports the same two failure conditions through the same
-exception types, so recovery layers and the conformance suite are
+The failure-notification design follows ULFM: a process failure is not
+delivered asynchronously; instead, any communication operation that
+*depends on* a failed process raises :class:`RankFailedError` in the
+surviving callers.  Every backend reports the same conditions through
+the same types, so recovery layers and the conformance suite are
 backend-agnostic:
 
 * :class:`ProcFailure` -- an operation depended on a rank that is gone.
-  This *is* :class:`repro.simmpi.errors.RankFailedError` (the simulated
-  runtime's ULFM-style notification); the shared-memory backend raises
-  the identical type when a peer OS process has been SIGKILLed, so
-  ``except RankFailedError`` written against the simulator keeps
-  working unchanged on real processes.
+  It *is* :class:`RankFailedError`: survivors of a simulated hard fault
+  and survivors of a SIGKILLed shmem rank catch exactly this type.
 * :class:`CommTimeoutError` -- a bounded wait expired with no progress.
-  It subclasses :class:`repro.simmpi.errors.SimDeadlockError` (the
-  simulator's watchdog verdict), so "deadlock-freedom under timeout"
-  is one assertion on every backend: the operation raises, it never
-  hangs.
-
-:mod:`repro.simmpi.errors` is pure stdlib (no numpy, no runtime state),
-so importing it here cannot create an import cycle with the backends.
+  It subclasses :class:`SimDeadlockError` (the simulator's watchdog
+  verdict), so "deadlock-freedom under timeout" is one assertion on
+  every backend: the operation raises, it never hangs.
+* :class:`ProcessDeathError` -- raised *inside* a simulated rank when
+  its scheduled hard fault strikes; the runtime wrapper catches it to
+  mark the rank dead (application code normally never sees it).
 """
 
 from __future__ import annotations
 
-from repro.simmpi.errors import RankFailedError, SimDeadlockError, SimMpiError
+from typing import FrozenSet, Iterable, Optional
 
 __all__ = [
     "BackendUnavailableError",
     "CommTimeoutError",
+    "InvalidRankError",
     "ProcFailure",
+    "ProcessDeathError",
     "RankFailedError",
+    "SimDeadlockError",
     "SimMpiError",
 ]
 
+
+class SimMpiError(RuntimeError):
+    """Base class of all communicator errors."""
+
+
+class InvalidRankError(SimMpiError, ValueError):
+    """A rank argument is outside ``[0, size)`` or otherwise invalid."""
+
+
+class ProcessDeathError(SimMpiError):
+    """Raised *inside* a simulated rank when its scheduled hard fault strikes.
+
+    Application code should not catch this: the runtime wrapper uses it
+    to terminate the rank's thread and mark the rank dead.  Catching it
+    would amount to a process surviving its own crash.
+    """
+
+    def __init__(self, rank: int, time: float):
+        super().__init__(f"rank {rank} suffered a hard fault at t={time:.6g}s")
+        self.rank = rank
+        self.time = time
+
+
+class RankFailedError(SimMpiError):
+    """Raised in survivors when communication involves failed rank(s).
+
+    Mirrors ULFM's ``MPI_ERR_PROC_FAILED``: the operation did not
+    complete, and the set of ranks known to have failed is attached so
+    the recovery layer (e.g. :class:`repro.lflr.manager.LFLRManager`)
+    can decide what to do.
+    """
+
+    def __init__(self, failed_ranks: Iterable[int], operation: str = "communication",
+                 detected_at: Optional[float] = None):
+        failed = frozenset(int(r) for r in failed_ranks)
+        ranks_str = ", ".join(str(r) for r in sorted(failed))
+        super().__init__(
+            f"{operation} failed because rank(s) {{{ranks_str}}} are dead"
+        )
+        self.failed_ranks: FrozenSet[int] = failed
+        self.operation = operation
+        self.detected_at = detected_at
+
+    def __reduce__(self):
+        # BaseException pickles via self.args (the formatted message),
+        # which does not match this constructor; rebuild from the real
+        # fields so the error survives a process boundary (the shmem
+        # backend ships rank outcomes through pipes).
+        return (
+            type(self),
+            (sorted(self.failed_ranks), self.operation, self.detected_at),
+        )
+
+
 #: The backend-neutral name for "a rank this operation depends on is
-#: dead".  Survivors of a SIGKILLed shmem rank and survivors of a
-#: simulated hard fault both catch exactly this type.
+#: dead".
 ProcFailure = RankFailedError
+
+
+class SimDeadlockError(SimMpiError):
+    """The runtime's wall-clock watchdog expired while a rank was waiting.
+
+    Indicates a bug in the simulated program (mismatched sends/receives
+    or collectives) rather than a modeled fault; raised so the test
+    suite fails fast instead of hanging.
+    """
+
+    def __init__(self, rank: int, operation: str, waited: float):
+        super().__init__(
+            f"rank {rank} waited {waited:.1f}s of wall-clock time in {operation}; "
+            "likely mismatched communication in the simulated program"
+        )
+        self.rank = rank
+        self.operation = operation
+        self.waited = waited
+
+    def __reduce__(self):
+        # See RankFailedError.__reduce__; type(self) keeps subclasses
+        # (CommTimeoutError) pickling as themselves.
+        return (type(self), (self.rank, self.operation, self.waited))
 
 
 class CommTimeoutError(SimDeadlockError):
@@ -43,9 +121,7 @@ class CommTimeoutError(SimDeadlockError):
 
     Raised by the shared-memory backend when a blocking receive or a
     collective exceeds its deadline (mismatched communication in the
-    program, or a peer wedged without dying).  Subclassing the
-    simulator's :class:`~repro.simmpi.errors.SimDeadlockError` lets the
-    conformance suite assert the same exception on every backend.
+    program, or a peer wedged without dying).
     """
 
 

@@ -21,13 +21,13 @@ caveats, stated rather than papered over:
 from __future__ import annotations
 
 import importlib.util
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.comm.base import BaseCommunicator
 from repro.comm.errors import BackendUnavailableError
 from repro.machine.model import MachineModel
-from repro.simmpi.ops import ReduceOp, SUM
-from repro.simmpi.requests import CompletedRequest, Request
+from repro.comm.ops import ReduceOp
+from repro.comm.requests import Request
 
 __all__ = ["mpi4py_available", "launch_mpi", "Mpi4pyComm"]
 
@@ -113,39 +113,15 @@ class Mpi4pyComm(BaseCommunicator):
                 "mpi4py", f"reduction op {op.name!r} has no MPI equivalent"
             ) from None
 
-    def barrier(self) -> None:
-        self._comm.barrier()
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        return self._comm.bcast(value, root=root)
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        return self._comm.reduce(value, op=self._mpi_op(op), root=root)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        return self._comm.allreduce(value, op=self._mpi_op(op))
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        return self._comm.gather(value, root=root)
-
-    def allgather(self, value: Any) -> List[Any]:
-        return self._comm.allgather(value)
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
-        return self._comm.scatter(values, root=root)
-
-    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        return CompletedRequest(self.allreduce(value, op=op), operation="iallreduce")
-
-    def ibarrier(self) -> Request:
-        self.barrier()
-        return CompletedRequest(None, operation="ibarrier")
-
-    def iallgather(self, value: Any) -> Request:
-        return CompletedRequest(self.allgather(value), operation="iallgather")
-
-    def ibcast(self, value: Any, root: int = 0) -> Request:
-        return CompletedRequest(self.bcast(value, root=root), operation="ibcast")
+    def _collective(self, kind: str, value: Any, op=None, root=None) -> Any:
+        # The front end's forms delegate here; MPI runs the collective.
+        args = () if kind == "barrier" else (value,)
+        kwargs = {}
+        if op is not None:
+            kwargs["op"] = self._mpi_op(op)
+        if root is not None:
+            kwargs["root"] = root
+        return getattr(self._comm, kind)(*args, **kwargs)
 
 
 def launch_mpi(

@@ -1,13 +1,15 @@
 """Non-blocking operation handles.
 
 A :class:`Request` is returned by the ``i``-prefixed operations of
-:class:`~repro.simmpi.comm.Comm` (``isend``, ``irecv``, ``iallreduce``,
-``ibarrier``, ...).  Calling :meth:`Request.wait` blocks (in wall-clock
-terms, briefly) until the operation has completed on all participants,
-then advances the caller's virtual clock to the operation's completion
-time -- unless the caller has already moved past it, in which case the
-operation's latency was fully hidden by overlapped work.  That is
-exactly the latency-hiding mechanism the RBSP model exposes.
+every :class:`~repro.comm.base.BaseCommunicator` (``isend``, ``irecv``,
+``iallreduce``, ``ibarrier``, ...).  On the simulator, calling
+:meth:`Request.wait` blocks (in wall-clock terms, briefly) until the
+operation has completed on all participants, then advances the
+caller's virtual clock to the operation's completion time -- unless the
+caller has already moved past it, in which case the operation's latency
+was fully hidden by overlapped work.  That is exactly the
+latency-hiding mechanism the RBSP model exposes.  Real-process backends
+complete collectives eagerly and hand back a :class:`CompletedRequest`.
 """
 
 from __future__ import annotations

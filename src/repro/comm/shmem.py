@@ -24,29 +24,30 @@ enforces:
   lifetime is managed here).
 
 Fault injection maps the declarative :class:`FaultSpec` axis onto real
-processes, so the same spec strings mean the same thing as on the
-simulator:
+processes through the simulator's own resolution
+(:func:`repro.simmpi.runtime.resolve_job_faults`), so the same spec
+strings mean the same thing as on the simulator:
 
 * ``proc_fail`` -- scheduled failure times from the spec's
   :class:`~repro.reliability.process.FailurePlan` are checked against
   the rank's logical clock (advanced by ``compute``/``advance``/message
   costs through the machine model, mirroring the simulator's virtual
   time in program order); when one strikes, the rank SIGKILLs itself.
-* ``msg_corrupt`` -- the spec's ``message_corruptor`` (seeded with the
-  identical per-rank stream name ``messages/{rank}``) corrupts each
-  outgoing payload at the pipe boundary, on a private copy.
-  Identical ``fault_seed`` therefore draws the identical corruption
-  sequence on sim and shmem.
+* ``msg_corrupt`` -- the spec's per-rank ``message_corruptor``
+  corrupts each outgoing payload at the pipe boundary, on a private
+  copy.  Identical ``fault_seed`` therefore draws the identical
+  corruption sequence on sim and shmem.
 
 Collectives run a star protocol through rank 0: contributions are
-gathered at the coordinator and reduced in **ascending rank order, left
-to right** -- the exact reduction order of
-:meth:`repro.simmpi.comm.Comm._finish_collective` -- which is
-what makes distributed solves bit-identical across the two backends
-(the conformance suite's differential gate pins this).  A collective
-whose completion *raises* at the coordinator (``scatter`` with too few
-chunks) is poisoned: the coordinator posts the error to every peer
-before raising it, so every participant raises the same typed error.
+gathered at the coordinator, which completes them with the front end's
+rule (:func:`repro.comm.base.complete_collective`, an ascending-rank,
+left-to-right fold -- what makes distributed solves bit-identical
+across the two backends) and sends every rank its result and the
+collective's program-time cost.  A collective whose completion *raises*
+at the coordinator (``scatter`` with too few chunks) is poisoned: the
+coordinator posts the error to every peer before raising it, so every
+participant raises the same typed error.  The non-blocking forms
+complete eagerly (the front end's default).
 
 A message is pickled once (protocol 5) and written as one frame; that
 pickle *is* the defensive copy, so only the coordinator's own
@@ -76,14 +77,16 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-from repro.comm.base import BaseCommunicator
-from repro.comm.errors import CommTimeoutError, ProcFailure
-from repro.machine.collective_cost import allreduce_time, barrier_time, broadcast_time
+from repro.comm.base import (
+    BaseCommunicator,
+    complete_collective,
+    copy_payload,
+    payload_nbytes,
+    portable_error,
+)
+from repro.comm.errors import CommTimeoutError, ProcFailure, SimMpiError
+from repro.comm.requests import CompletedRequest, Request
 from repro.machine.model import MachineModel
-from repro.simmpi.comm import copy_payload, payload_nbytes, portable_error
-from repro.simmpi.errors import InvalidRankError, SimMpiError
-from repro.simmpi.ops import ReduceOp, SUM
-from repro.simmpi.requests import CompletedRequest, Request
 
 __all__ = ["ShmemComm", "launch_shmem", "SHM_THRESHOLD_BYTES"]
 
@@ -188,9 +191,6 @@ class ShmemComm(BaseCommunicator):
         self._dead: set = set()
         self._pending: Dict[int, deque] = {r: deque() for r in inbound}
         self._pollers = {r: _poller(conn) for r, conn in inbound.items()}
-        #: Logical-clock charge per ``(kind, nbytes)``: a pure function
-        #: of the machine model and the rank count.
-        self._costs: Dict[Tuple[str, int], float] = {}
         #: Segments this rank created; swept by :meth:`finalize` in case
         #: a killed receiver never attached (normally already unlinked).
         self._shm_created: List[str] = []
@@ -204,11 +204,6 @@ class ShmemComm(BaseCommunicator):
     def size(self) -> int:
         return self._size
 
-    @property
-    def machine(self) -> MachineModel:
-        """The machine model driving the logical clock."""
-        return self._machine
-
     # -- program time / fault scheduling -------------------------------
     def now(self) -> float:
         return self._clock
@@ -219,9 +214,6 @@ class ShmemComm(BaseCommunicator):
             # survivors only through broken pipes -- exactly what the
             # ULFM notification contract is about.
             os.kill(os.getpid(), signal.SIGKILL)
-
-    def compute(self, flops: float) -> float:
-        return self.advance(self._machine.compute_time(flops, rank=self._rank))
 
     def advance(self, seconds: float) -> float:
         self._check_own_failure()
@@ -245,14 +237,6 @@ class ShmemComm(BaseCommunicator):
     def is_alive(self, rank: int) -> bool:
         self._check_rank(rank)
         return rank not in self._dead
-
-    def _check_rank(self, rank: int) -> None:
-        if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
-            raise InvalidRankError(f"rank must be an integer, got {rank!r}")
-        if not 0 <= rank < self._size:
-            raise InvalidRankError(
-                f"rank {rank} out of range for communicator of size {self._size}"
-            )
 
     # -- payload encoding ----------------------------------------------
     def _encode_payload(self, obj: Any) -> Tuple:
@@ -374,10 +358,7 @@ class ShmemComm(BaseCommunicator):
 
     # -- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_own_failure()
-        self._check_rank(dest)
-        if dest == self._rank:
-            raise InvalidRankError("send to self is not supported; use local state")
+        self._check_peer(dest, "send to")
         payload = obj
         if self._message_corruptor is not None:
             # The corruptor may flip bits in place: never in sender state.
@@ -387,10 +368,7 @@ class ShmemComm(BaseCommunicator):
         self._clock += self._machine.message_time(payload_nbytes(obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_own_failure()
-        self._check_rank(source)
-        if source == self._rank:
-            raise InvalidRankError("recv from self is not supported")
+        self._check_peer(source, "recv from")
         message = self._next_from(
             source, ("p2p",), int(tag), "recv", time.monotonic() + self.timeout
         )
@@ -402,58 +380,11 @@ class ShmemComm(BaseCommunicator):
         return CompletedRequest(None, operation="isend")
 
     def irecv(self, source: int, tag: int = 0) -> Request:
-        self._check_own_failure()
-        self._check_rank(source)
-        if source == self._rank:
-            raise InvalidRankError("recv from self is not supported")
+        self._check_peer(source, "recv from")
         return Request(lambda _req: self.recv(source, tag), operation="irecv")
 
     # -- collectives ---------------------------------------------------
-    def _finish_collective(
-        self,
-        kind: str,
-        contributions: Dict[int, Any],
-        op: Optional[ReduceOp],
-        root: Optional[int],
-    ) -> Dict[int, Any]:
-        """Per-rank results once every contribution is in.
-
-        Reductions run over ascending ranks, left to right -- the
-        simulator's exact order, hence bit-identical results.
-        """
-        participants = sorted(contributions)
-        values = [contributions[r] for r in participants]
-        if kind in ("allreduce", "reduce"):
-            reducer = op if op is not None else SUM
-            result = reducer.reduce(values)
-            if kind == "reduce":
-                return {r: (result if r == root else None) for r in participants}
-            return {r: result for r in participants}
-        if kind == "barrier":
-            return {r: None for r in participants}
-        if kind == "bcast":
-            return {r: contributions.get(root) for r in participants}
-        if kind in ("gather", "allgather"):
-            if kind == "gather":
-                return {r: (values if r == root else None) for r in participants}
-            return {r: list(values) for r in participants}
-        if kind == "scatter":
-            chunks = contributions.get(root)
-            if chunks is None or len(chunks) < len(participants):
-                raise ValueError(
-                    "scatter root must provide one chunk per participant"
-                )
-            return {r: chunks[i] for i, r in enumerate(participants)}
-        raise ValueError(f"unknown collective kind {kind!r}")  # pragma: no cover
-
-    def _collective(
-        self,
-        kind: str,
-        value: Any,
-        *,
-        op: Optional[ReduceOp] = None,
-        root: Optional[int] = None,
-    ) -> Any:
+    def _collective(self, kind: str, value: Any, op=None, root=None) -> Any:
         """Star-protocol collective through the rank-0 coordinator.
 
         A missing contributor (EOF on its pipe) fails the collective:
@@ -465,14 +396,14 @@ class ShmemComm(BaseCommunicator):
         FIFO), matching the simulator's posted-before-death semantics.
         An exception raised while the coordinator completes the
         collective travels the same ``collfail`` frame, so every
-        participant raises it too.
+        participant raises it too.  The ``collres`` frame carries the
+        coordinator's cost charge, so every rank's logical clock
+        advances by the same amount.
         """
         self._check_own_failure()
         seq = self._coll_seq
         self._coll_seq += 1
         deadline = time.monotonic() + self.timeout
-        nbytes = payload_nbytes(value)
-
         if self._rank == 0:
             # The one contribution that never crosses a pipe: without a
             # copy the coordinator's result could alias its caller's input.
@@ -489,12 +420,15 @@ class ShmemComm(BaseCommunicator):
                 self._poison(seq, sorted(failed), failed)
                 raise ProcFailure(failed, kind, detected_at=self._clock)
             try:
-                results = self._finish_collective(kind, contributions, op, root)
+                results = complete_collective(kind, contributions, op, root)
             except Exception as exc:
                 self._poison(seq, portable_error(exc, 0))
                 raise
+            cost = self._collective_cost(kind, contributions)
             for dest in range(1, self._size):
-                self._post(dest, ("collres", seq, self._encode_payload(results[dest])))
+                self._post(
+                    dest, ("collres", seq, self._encode_payload(results[dest]), cost)
+                )
             result = results[0]
         else:
             # Pickling the frame is the defensive copy.
@@ -508,10 +442,10 @@ class ShmemComm(BaseCommunicator):
                     raise verdict
                 self._dead.update(verdict)
                 raise ProcFailure(verdict, kind, detected_at=self._clock)
-            result = self._decode_payload(message[2])
-        # Logical-time accounting mirrors the simulator's cost model so
-        # proc_fail schedules strike at comparable program points.
-        self._clock += self._collective_cost(kind, nbytes)
+            result, cost = self._decode_payload(message[2]), message[3]
+        # The simulator's cost rule, so proc_fail schedules strike at
+        # comparable program points.
+        self._clock += cost
         return result
 
     def _poison(self, seq: int, verdict: Any, gone=()) -> None:
@@ -522,66 +456,6 @@ class ShmemComm(BaseCommunicator):
         for dest in range(1, self._size):
             if dest not in gone:
                 self._post(dest, ("collfail", seq, verdict))
-
-    def _collective_cost(self, kind: str, nbytes: int) -> float:
-        cost = self._costs.get((kind, nbytes))
-        if cost is None:
-            if kind == "barrier":
-                cost = barrier_time(self._machine, self._size)
-            elif kind in ("bcast", "scatter", "gather", "allgather"):
-                cost = broadcast_time(self._machine, self._size, nbytes)
-            else:
-                cost = allreduce_time(self._machine, self._size, nbytes)
-            self._costs[(kind, nbytes)] = cost
-        return cost
-
-    # -- blocking forms -------------------------------------------------
-    def barrier(self) -> None:
-        self._collective("barrier", None)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        self._check_rank(root)
-        return self._collective(
-            "bcast", value if self._rank == root else None, root=root
-        )
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        self._check_rank(root)
-        return self._collective("reduce", value, op=op, root=root)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        return self._collective("allreduce", value, op=op)
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        self._check_rank(root)
-        return self._collective("gather", value, root=root)
-
-    def allgather(self, value: Any) -> List[Any]:
-        return self._collective("allgather", value)
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
-        self._check_rank(root)
-        payload = list(values) if (self._rank == root and values is not None) else None
-        return self._collective("scatter", payload, root=root)
-
-    # -- non-blocking collectives ---------------------------------------
-    # Real processes complete these eagerly: the star protocol finishes
-    # inside the call and a completed request carries the result.  SPMD
-    # programs sequence their collectives identically on every rank, so
-    # eager completion preserves correctness (and bit-identity); only
-    # the overlap the simulator *models* is not realized.
-    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        return CompletedRequest(self.allreduce(value, op=op), operation="iallreduce")
-
-    def ibarrier(self) -> Request:
-        self.barrier()
-        return CompletedRequest(None, operation="ibarrier")
-
-    def iallgather(self, value: Any) -> Request:
-        return CompletedRequest(self.allgather(value), operation="iallgather")
-
-    def ibcast(self, value: Any, root: int = 0) -> Request:
-        return CompletedRequest(self.bcast(value, root=root), operation="ibcast")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -692,28 +566,14 @@ def launch_shmem(
     each rank's exit (the hang-up on its result pipe) up to
     ``REAP_TIMEOUT`` before escalating to SIGKILL.
     """
+    # The simulator's own resolution: same n_ranks refusals, same plan,
+    # same per-rank corruption streams.
+    from repro.simmpi.runtime import resolve_job_faults
+
+    plan, corruptor_factory = resolve_job_faults(
+        n_ranks, failure_plan, faults, fault_seed
+    )
     n_ranks = int(n_ranks)
-    if n_ranks <= 0:
-        raise ValueError("n_ranks must be positive")
-    # Resolve the fault axis exactly like SimRuntime does.
-    from repro.simmpi.runtime import coerce_failure_plan
-
-    corruptor_factory = None
-    if faults is not None:
-        from repro.reliability.registry import resolve_faults
-
-        fault_model = resolve_faults(faults)
-        if failure_plan is None:
-            failure_plan = coerce_failure_plan(fault_model, n_ranks, seed=fault_seed)
-        msg_model = fault_model.component("msg_corrupt")
-        if msg_model is not None:
-            def corruptor_factory(rank: int, _model=msg_model):
-                # Identical stream naming to SimRuntime, so (fault_seed,
-                # rank) replays the same corruption draws on any backend.
-                return _model.message_corruptor(
-                    seed=fault_seed, name=f"messages/{rank}"
-                )
-    plan = coerce_failure_plan(failure_plan, n_ranks, seed=fault_seed)
     machine = machine if machine is not None else MachineModel.ideal()
     job = uuid.uuid4().hex[:12]
 

@@ -1,11 +1,8 @@
-"""The deterministic simulated backend (``"sim"``), adapted unchanged.
+"""The deterministic simulated backend (``"sim"``).
 
-The simulator *is* the reference implementation the abstract interface
-was extracted from, so this module contains no reimplementation at all:
-:class:`repro.simmpi.comm.Comm` is virtually registered as a
-:class:`~repro.comm.base.BaseCommunicator` (``ABC.register`` -- no
-subclassing, no behavioural change, bit-identical goldens), and
-:func:`launch_sim` is a thin spec-aware shim over
+The simulator's :class:`repro.simmpi.comm.Comm` subclasses
+:class:`~repro.comm.base.BaseCommunicator` like every backend, so this
+module holds only :func:`launch_sim`, a thin spec-aware shim over
 :func:`repro.simmpi.runtime.run_spmd`.
 """
 
@@ -13,16 +10,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.comm.base import BaseCommunicator
-from repro.simmpi.comm import Comm
 from repro.simmpi.runtime import run_spmd
 
 __all__ = ["launch_sim"]
-
-# The simulator's Comm satisfies the extracted contract by
-# construction; virtual registration keeps repro.simmpi import-free of
-# this package (no cycle) and byte-for-byte untouched.
-BaseCommunicator.register(Comm)
 
 
 def launch_sim(

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.ops import MAX
 from repro.comm.registry import BoundBackend, resolve_backend
 
 __all__ = [
@@ -129,14 +130,8 @@ def _iteration_program(comm, n_local: int, iterations: int, warmup: int):
         comm.allreduce(y)          # the synchronization being measured
     elapsed = time.perf_counter() - start
     # The job finishes when its slowest rank does.
-    slowest = comm.allreduce(elapsed, op=_max_op())
+    slowest = comm.allreduce(elapsed, op=MAX)
     return slowest / iterations
-
-
-def _max_op():
-    from repro.simmpi.ops import MAX
-
-    return MAX
 
 
 def measure_iteration(
@@ -185,7 +180,7 @@ def _stall_program(
             time.sleep(stall_seconds)
         comm.allreduce(float(y[0]))
     elapsed = time.perf_counter() - start
-    slowest = comm.allreduce(elapsed, op=_max_op())
+    slowest = comm.allreduce(elapsed, op=MAX)
     return slowest / iterations
 
 
@@ -240,7 +235,7 @@ def _collective_program(comm, kinds: Sequence[str], nbytes_list: Sequence[int],
                 else:  # pragma: no cover - caller passes known kinds
                     raise ValueError(f"unknown collective {kind!r}")
             elapsed = time.perf_counter() - start
-            slowest = comm.allreduce(elapsed, op=_max_op())
+            slowest = comm.allreduce(elapsed, op=MAX)
             timings[kind][nbytes] = slowest / iterations
     return timings
 

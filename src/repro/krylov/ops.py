@@ -30,10 +30,10 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.comm.ops import SUM
+from repro.comm.requests import CompletedRequest
 from repro.linalg.csr import CsrMatrix
 from repro.linalg.distributed import DistributedRowMatrix, DistributedVector
-from repro.simmpi.ops import SUM
-from repro.simmpi.requests import CompletedRequest
 
 __all__ = [
     "as_float",

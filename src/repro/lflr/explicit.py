@@ -24,7 +24,7 @@ Protocol of one loop iteration (every rank, every iteration):
 3. persist the current block (local + partner mirror);
 4. one explicit step with halo exchange.
 
-On any :class:`~repro.simmpi.errors.RankFailedError` the rank runs the
+On any :class:`~repro.comm.errors.RankFailedError` the rank runs the
 LFLR recovery protocol (revoke, new epoch, respawn, barrier), then --
 if it holds the mirror of a failed rank -- sends that mirror to the
 replacement, and re-enters the loop; the next agreement brings every
@@ -42,14 +42,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.comm.errors import RankFailedError
+from repro.comm.ops import MIN
 from repro.reliability.process import FailurePlan
 from repro.lflr.manager import LFLRManager
 from repro.lflr.store import PersistentStore
 from repro.machine.model import MachineModel
 from repro.pde.grid import Grid1D
 from repro.pde.heat import gaussian_initial_condition, heat_step_distributed, stable_time_step
-from repro.simmpi.errors import RankFailedError
-from repro.simmpi.ops import MIN
 from repro.simmpi.runtime import SimRuntime
 from repro.utils.validation import check_integer, check_positive
 

@@ -5,7 +5,7 @@ ULFM-style primitives, the protocol a real LFLR library would run when
 a process failure is detected:
 
 1. every survivor that sees a
-   :class:`~repro.simmpi.errors.RankFailedError` calls
+   :class:`~repro.comm.errors.RankFailedError` calls
    :meth:`LFLRManager.recover`;
 2. survivors advance to a new communication epoch (the analogue of
    ULFM's revoke + shrink + spawn + merge sequence);
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.comm.errors import RankFailedError
 from repro.simmpi.comm import Comm
-from repro.simmpi.errors import RankFailedError
 from repro.simmpi.runtime import SimRuntime
 from repro.utils.logging import EventLog
 
@@ -120,7 +120,7 @@ class LFLRManager:
         """Survivor-side recovery protocol.
 
         Must be called by every surviving rank after catching a
-        :class:`~repro.simmpi.errors.RankFailedError`; returns once the
+        :class:`~repro.comm.errors.RankFailedError`; returns once the
         replacement ranks are alive and reachable in the new epoch.
         """
         if self.recovery_entry is None:

@@ -24,7 +24,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.simmpi.comm import Comm, payload_nbytes
+from repro.comm.base import payload_nbytes
+from repro.simmpi.comm import Comm
 from repro.utils.validation import check_integer
 
 __all__ = ["StoreEntry", "PersistentStore"]

@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.comm.ops import SUM, MAX
 from repro.linalg.csr import CsrMatrix
-from repro.simmpi.ops import SUM, MAX
 
 if TYPE_CHECKING:  # annotation-only: keeps repro.comm free to import linalg
     from repro.comm.base import BaseCommunicator

@@ -13,7 +13,8 @@ models:
   stalls applied per rank per operation.
 * :mod:`repro.machine.collective_cost` -- allreduce, broadcast and
   barrier costs (binomial-tree / recursive-doubling latency terms
-  growing with ``log2 P``).
+  growing with ``log2 P``), and ``collective_time``, the per-kind rule
+  every communicator charges.
 * :mod:`repro.machine.efficiency` -- analytic application-efficiency
   models used by experiment E7: Young/Daly checkpoint-restart
   efficiency versus an LFLR-style local-recovery efficiency.

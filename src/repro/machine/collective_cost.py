@@ -18,7 +18,7 @@ import math
 from repro.machine.model import MachineModel
 from repro.utils.validation import check_integer, check_non_negative
 
-__all__ = ["allreduce_time", "broadcast_time", "barrier_time"]
+__all__ = ["allreduce_time", "broadcast_time", "barrier_time", "collective_time"]
 
 
 def _log2ceil(n_ranks: int) -> int:
@@ -53,3 +53,17 @@ def broadcast_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float
 def barrier_time(machine: MachineModel, n_ranks: int) -> float:
     """Barrier modeled as a zero-byte allreduce."""
     return allreduce_time(machine, n_ranks, 0.0)
+
+
+def collective_time(machine: MachineModel, kind: str, n_ranks: int, n_bytes: float) -> float:
+    """Cost of one collective of ``kind`` -- the communicators' one cost rule.
+
+    ``barrier`` is a zero-byte allreduce; ``bcast``/``scatter``/
+    ``gather``/``allgather`` are modeled as a (possibly reversed)
+    broadcast tree carrying ``n_bytes``; reductions are allreduces.
+    """
+    if kind == "barrier":
+        return barrier_time(machine, n_ranks)
+    if kind in ("bcast", "scatter", "gather", "allgather"):
+        return broadcast_time(machine, n_ranks, n_bytes)
+    return allreduce_time(machine, n_ranks, n_bytes)

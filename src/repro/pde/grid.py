@@ -90,7 +90,7 @@ class Grid1D:
         the Dirichlet value.  Communication goes through the simulated
         communicator and therefore participates in failure detection --
         a dead neighbour surfaces as
-        :class:`~repro.simmpi.errors.RankFailedError` here.
+        :class:`~repro.comm.errors.RankFailedError` here.
         """
         u_local = np.asarray(u_local, dtype=np.float64)
         if u_local.size != self.n_local:

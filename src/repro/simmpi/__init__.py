@@ -10,7 +10,9 @@ care about:
 
 * SPMD execution: each simulated rank runs the same Python function in
   its own thread, communicating only through the
-  :class:`~repro.simmpi.comm.Comm` object it is handed.
+  :class:`~repro.simmpi.comm.Comm` object it is handed -- a
+  :class:`~repro.comm.base.BaseCommunicator`, whose vocabulary
+  (reduction ops, requests, errors) lives in :mod:`repro.comm`.
 * Virtual time: each rank owns a :class:`~repro.simmpi.clock.VirtualClock`;
   compute and communication advance it according to a
   :class:`~repro.machine.model.MachineModel`, so performance results
@@ -21,7 +23,7 @@ care about:
   and their ``i``-prefixed asynchronous forms).
 * Hard-fault injection: a :class:`~repro.reliability.process.FailurePlan`
   kills ranks at prescribed virtual times; surviving ranks observe the
-  failure as a :class:`~repro.simmpi.errors.RankFailedError` raised
+  failure as a :class:`~repro.comm.errors.RankFailedError` raised
   from their next communication involving the dead rank -- the ULFM
   error-on-communication model.
 * Recovery primitives: :meth:`SimRuntime.respawn` starts a replacement
@@ -33,35 +35,12 @@ The runtime is intended for tens of ranks (tests and examples use
 :mod:`repro.machine` instead.
 """
 
-from repro.simmpi.errors import (
-    SimMpiError,
-    RankFailedError,
-    ProcessDeathError,
-    SimDeadlockError,
-    InvalidRankError,
-)
 from repro.simmpi.clock import VirtualClock
-from repro.simmpi.ops import SUM, MAX, MIN, PROD, LAND, LOR, ReduceOp
-from repro.simmpi.requests import Request, CompletedRequest
 from repro.simmpi.comm import Comm
 from repro.simmpi.runtime import SimRuntime, RankResult, run_spmd
 
 __all__ = [
-    "SimMpiError",
-    "RankFailedError",
-    "ProcessDeathError",
-    "SimDeadlockError",
-    "InvalidRankError",
     "VirtualClock",
-    "SUM",
-    "MAX",
-    "MIN",
-    "PROD",
-    "LAND",
-    "LOR",
-    "ReduceOp",
-    "Request",
-    "CompletedRequest",
     "Comm",
     "SimRuntime",
     "RankResult",

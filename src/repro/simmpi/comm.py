@@ -1,16 +1,17 @@
 """The simulated communicator.
 
 Each rank thread is handed one :class:`Comm` instance; all interaction
-between ranks goes through it.  The API deliberately mirrors the mpi4py
-lower-case (pickle-object) interface, restricted to the operations the
-resilient algorithms need, plus:
+between ranks goes through it.  It is a
+:class:`~repro.comm.base.BaseCommunicator`: the collective forms, the
+rank checks, the completion rule and the cost rule are the front end's,
+and this module supplies the simulated transport:
 
-* explicit virtual-time hooks (:meth:`Comm.compute`, :meth:`Comm.advance`)
+* virtual time (:meth:`Comm.advance`, and ``compute`` through it)
   driven by the machine model;
-* MPI-3 style non-blocking collectives (``iallreduce``, ``ibarrier``,
-  ``iallgather``) used by the RBSP / pipelined-Krylov algorithms;
+* MPI-3 style non-blocking collectives whose latency overlapped work
+  hides, used by the RBSP / pipelined-Krylov algorithms;
 * ULFM-style failure reporting: any operation that depends on a dead
-  rank raises :class:`~repro.simmpi.errors.RankFailedError`;
+  rank raises :class:`~repro.comm.errors.RankFailedError`;
 * :meth:`Comm.advance_epoch`, the communicator-repair step executed by
   every participant after a recovery so that subsequent collectives
   match again (ULFM ``shrink``/agree analogue).
@@ -18,69 +19,26 @@ resilient algorithms need, plus:
 
 from __future__ import annotations
 
-import copy
-import pickle
-import sys
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
-import numpy as np
-
-from repro.machine.collective_cost import (
-    allreduce_time,
-    barrier_time,
-    broadcast_time,
+from repro.comm.base import (
+    BaseCommunicator,
+    complete_collective,
+    copy_payload,
+    payload_nbytes,
+    portable_error,
 )
+from repro.comm.errors import ProcessDeathError, RankFailedError
+from repro.comm.ops import ReduceOp
+from repro.comm.requests import Request
 from repro.machine.model import MachineModel
 from repro.simmpi.clock import VirtualClock
-from repro.simmpi.errors import (
-    InvalidRankError,
-    ProcessDeathError,
-    RankFailedError,
-    SimMpiError,
-)
-from repro.simmpi.ops import ReduceOp, SUM
-from repro.simmpi.requests import CompletedRequest, Request
 from repro.simmpi.state import CollectiveSlot, RuntimeState
 
-__all__ = ["Comm", "copy_payload", "payload_nbytes", "portable_error"]
+__all__ = ["Comm"]
 
 
-def payload_nbytes(obj: Any) -> int:
-    """Estimate the wire size of a payload in bytes.
-
-    NumPy arrays report their true buffer size; Python scalars count as
-    8 bytes; everything else falls back to ``sys.getsizeof``.  The
-    estimate only feeds the timing model, never correctness.
-    """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (int, float, complex, bool, np.generic)):
-        return 8
-    if obj is None:
-        return 0
-    if isinstance(obj, (list, tuple)):
-        return sum(payload_nbytes(item) for item in obj)
-    return int(sys.getsizeof(obj))
-
-
-def copy_payload(obj: Any) -> Any:
-    """Deep-copy a payload so ranks never share mutable state."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, (int, float, complex, bool, str, bytes, type(None), np.generic)):
-        return obj
-    return copy.deepcopy(obj)
-
-
-def portable_error(exc: BaseException, rank: int) -> BaseException:
-    """A copy of ``exc`` fit to hand to another rank, else a typed stand-in."""
-    try:
-        return pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: BLE001 - an exception pickle cannot rebuild
-        return SimMpiError(f"rank {rank} raised unpicklable {exc!r}")
-
-
-class Comm:
+class Comm(BaseCommunicator):
     """Simulated communicator bound to one rank.
 
     Instances are created by :class:`~repro.simmpi.runtime.SimRuntime`;
@@ -151,11 +109,6 @@ class Comm:
         return self._state.n_ranks
 
     @property
-    def machine(self) -> MachineModel:
-        """The machine model in effect."""
-        return self._machine
-
-    @property
     def epoch(self) -> int:
         """Current communication epoch (bumped by recovery)."""
         return self._epoch
@@ -180,14 +133,6 @@ class Comm:
         self._check_rank(rank)
         return self._state.is_alive(rank)
 
-    def _check_rank(self, rank: int) -> None:
-        if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
-            raise InvalidRankError(f"rank must be an integer, got {rank!r}")
-        if not 0 <= rank < self.size:
-            raise InvalidRankError(
-                f"rank {rank} out of range for communicator of size {self.size}"
-            )
-
     # ------------------------------------------------------------------
     # Virtual time
     # ------------------------------------------------------------------
@@ -195,23 +140,12 @@ class Comm:
         """Current virtual time of this rank."""
         return self.clock.now
 
-    def compute(self, flops: float) -> float:
-        """Account for ``flops`` of local computation; returns new time.
+    def advance(self, seconds: float) -> float:
+        """Advance this rank's clock by an explicit busy interval.
 
         A hard fault scheduled to strike *during* the interval manifests
         at its end (the process dies mid-computation), so the failure
         check runs both before and after the clock advance.
-        """
-        self._check_own_failure()
-        now = self.clock.advance(self._machine.compute_time(flops, rank=self._rank))
-        self._check_own_failure()
-        return now
-
-    def advance(self, seconds: float) -> float:
-        """Advance this rank's clock by an explicit busy interval.
-
-        Like :meth:`compute`, a fault scheduled within the interval
-        strikes at its end.
         """
         self._check_own_failure()
         now = self.clock.advance(seconds)
@@ -298,10 +232,7 @@ class Comm:
         rank's *thread* happened to have reached its death yet -- the
         simulation would stop being deterministic.)
         """
-        self._check_own_failure()
-        self._check_rank(dest)
-        if dest == self._rank:
-            raise InvalidRankError("send to self is not supported; use local state")
+        self._check_peer(dest, "send to")
         nbytes = payload_nbytes(obj)
         cost = self._machine.message_time(nbytes)
         with self._state.condition:
@@ -319,10 +250,7 @@ class Comm:
         The sender does not pay the transmission time until the request
         is waited on, modelling send/compute overlap.
         """
-        self._check_own_failure()
-        self._check_rank(dest)
-        if dest == self._rank:
-            raise InvalidRankError("send to self is not supported; use local state")
+        self._check_peer(dest, "send to")
         nbytes = payload_nbytes(obj)
         cost = self._machine.message_time(nbytes)
         with self._state.condition:
@@ -353,10 +281,7 @@ class Comm:
         in-flight pre-failure message is received never depends on
         thread interleaving.
         """
-        self._check_own_failure()
-        self._check_rank(source)
-        if source == self._rank:
-            raise InvalidRankError("recv from self is not supported")
+        self._check_peer(source, "recv from")
         key = (self._epoch, source, self._rank, int(tag))
         with self._state.condition:
             box = self._state.mailbox(key)
@@ -390,41 +315,16 @@ class Comm:
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Non-blocking receive; completion happens at :meth:`Request.wait`."""
-        self._check_own_failure()
-        self._check_rank(source)
-        if source == self._rank:
-            raise InvalidRankError("recv from self is not supported")
+        self._check_peer(source, "recv from")
 
         def _complete(_req: Request) -> Any:
             return self.recv(source, tag)
 
         return Request(_complete, operation="irecv")
 
-    def sendrecv(
-        self,
-        sendobj: Any,
-        dest: int,
-        source: int,
-        sendtag: int = 0,
-        recvtag: int = 0,
-    ) -> Any:
-        """Combined send and receive (the halo-exchange workhorse)."""
-        req = self.isend(sendobj, dest, tag=sendtag)
-        received = self.recv(source, tag=recvtag)
-        req.wait()
-        return received
-
     # ------------------------------------------------------------------
-    # Collectives (built on a generic non-blocking core)
+    # Collectives (the front end's forms over a post/complete core)
     # ------------------------------------------------------------------
-    def _collective_cost(self, kind: str, n_ranks: int, nbytes: float) -> float:
-        if kind == "barrier":
-            return barrier_time(self._machine, n_ranks)
-        if kind in ("bcast", "scatter", "gather", "allgather"):
-            # gather modeled like a (reversed) broadcast tree plus payload
-            return broadcast_time(self._machine, n_ranks, nbytes)
-        return allreduce_time(self._machine, n_ranks, nbytes)
-
     def _post_collective(
         self,
         kind: str,
@@ -443,10 +343,9 @@ class Comm:
         key = (self._epoch, self._seq)
         self._seq += 1
         arrive = self.clock.now
-        nbytes = payload_nbytes(value)
         state = self._state
         with state.condition:
-            slot = state.collective_slot(key, kind, root)
+            slot = state.collective_slot(key, kind)
             slot.contributions[self._rank] = copy_payload(value)
             slot.arrival_times[self._rank] = arrive
             if len(slot.contributions) == slot.n_expected:
@@ -456,10 +355,15 @@ class Comm:
                 del state.collectives[key]
                 state.condition.notify_all()
                 try:
-                    self._finish_collective(slot, kind, op, root, nbytes)
+                    slot.results = complete_collective(
+                        kind, slot.contributions, op, root
+                    )
                 except Exception as exc:
                     slot.failed, slot.error = True, exc
                     raise
+                cost = self._collective_cost(kind, slot.contributions)
+                slot.completion_time = max(slot.arrival_times.values()) + cost
+                slot.done = True
         return slot
 
     def _collective_resolved(self, slot: CollectiveSlot) -> bool:
@@ -508,10 +412,8 @@ class Comm:
                 raise RankFailedError(
                     slot.failed_ranks, kind, detected_at=self.clock.now
                 )
-            completion, result = slot.completion_time, slot.result
+            completion, result = slot.completion_time, slot.results[self._rank]
         self.clock.wait_until(completion)
-        if kind in ("gather", "reduce") and self._rank != slot.root:
-            return None
         if isinstance(result, list):
             return [copy_payload(item) for item in result]
         return copy_payload(result)
@@ -524,111 +426,6 @@ class Comm:
         """Non-blocking collective: post now, complete at ``wait``."""
         slot = self._post_collective(kind, value, op, root)
         return Request(lambda _req: self._complete_collective(slot), operation=kind)
-
-    def _finish_collective(
-        self,
-        slot,
-        kind: str,
-        op: Optional[ReduceOp],
-        root: Optional[int],
-        nbytes: float,
-    ) -> None:
-        """Compute the result now that every contribution is in.
-
-        Caller must hold the lock.
-        """
-        participants = sorted(slot.contributions)
-        values = [slot.contributions[r] for r in participants]
-        if kind in ("allreduce", "reduce"):
-            reducer = op if op is not None else SUM
-            slot.result = reducer.reduce(values)
-        elif kind == "barrier":
-            slot.result = None
-        elif kind == "bcast":
-            slot.result = slot.contributions.get(root)
-        elif kind in ("gather", "allgather"):
-            slot.result = values
-        elif kind == "scatter":
-            chunks = slot.contributions.get(root)
-            if chunks is None or len(chunks) < len(participants):
-                raise ValueError(
-                    "scatter root must provide one chunk per participant"
-                )
-            slot.result = {
-                rank: chunks[i] for i, rank in enumerate(participants)
-            }
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown collective kind {kind!r}")
-        arrival_max = max(slot.arrival_times.values())
-        cost = self._collective_cost(kind, len(participants), nbytes)
-        slot.completion_time = arrival_max + cost
-        slot.done = True
-
-    # -- blocking forms -------------------------------------------------
-    def barrier(self) -> None:
-        """Synchronize all live ranks."""
-        self._collective("barrier", None)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        """Broadcast ``value`` from ``root``; all ranks return it."""
-        self._check_rank(root)
-        return self._collective(
-            "bcast", value if self._rank == root else None, root=root
-        )
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Reduce to ``root``; non-root ranks return ``None``."""
-        self._check_rank(root)
-        return self._collective("reduce", value, op=op, root=root)
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
-        """Reduce and broadcast the result to every rank."""
-        return self._collective("allreduce", value, op=op)
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather per-rank values into a list at ``root``."""
-        self._check_rank(root)
-        return self._collective("gather", value, root=root)
-
-    def allgather(self, value: Any) -> List[Any]:
-        """Gather per-rank values into a list available on every rank."""
-        return self._collective("allgather", value)
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Scatter a sequence from ``root``; each rank gets one element."""
-        self._check_rank(root)
-        payload = list(values) if (self._rank == root and values is not None) else None
-        result = self._collective("scatter", payload, root=root)
-        if isinstance(result, dict):
-            return result.get(self._rank)
-        return result
-
-    # -- non-blocking forms ----------------------------------------------
-    def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
-        """MPI-3 style non-blocking allreduce (the RBSP workhorse)."""
-        return self._start_collective("allreduce", value, op=op)
-
-    def ibarrier(self) -> Request:
-        """Non-blocking barrier."""
-        return self._start_collective("barrier", None)
-
-    def iallgather(self, value: Any) -> Request:
-        """Non-blocking allgather."""
-        return self._start_collective("allgather", value)
-
-    def ibcast(self, value: Any, root: int = 0) -> Request:
-        """Non-blocking broadcast."""
-        self._check_rank(root)
-        return self._start_collective(
-            "bcast", value if self._rank == root else None, root=root
-        )
-
-    # ------------------------------------------------------------------
-    # Misc
-    # ------------------------------------------------------------------
-    def single_rank(self) -> bool:
-        """True when the communicator has exactly one rank."""
-        return self.size == 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

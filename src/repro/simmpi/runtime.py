@@ -4,7 +4,7 @@
 :class:`~repro.simmpi.comm.Comm`, and runs the user's SPMD function.
 Hard faults (from a :class:`~repro.reliability.process.FailurePlan`) surface
 inside the affected rank as
-:class:`~repro.simmpi.errors.ProcessDeathError`, which the runtime
+:class:`~repro.comm.errors.ProcessDeathError`, which the runtime
 catches: the rank is marked dead, its thread exits, and all other ranks
 learn about it through their next dependent communication.
 
@@ -19,13 +19,13 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.errors import ProcessDeathError, SimMpiError
 from repro.machine.model import MachineModel
 from repro.simmpi.comm import Comm
-from repro.simmpi.errors import ProcessDeathError, SimMpiError
 from repro.simmpi.state import RuntimeState
 from repro.utils.logging import EventLog
 from repro.utils.validation import check_integer
@@ -33,7 +33,8 @@ from repro.utils.validation import check_integer
 if TYPE_CHECKING:  # the reliability layer sits above the runtime
     from repro.reliability.process import FailurePlan
 
-__all__ = ["SimRuntime", "RankResult", "run_spmd", "coerce_failure_plan"]
+__all__ = ["SimRuntime", "RankResult", "run_spmd", "coerce_failure_plan",
+           "resolve_job_faults"]
 
 
 def coerce_failure_plan(plan, n_ranks: int, *, seed: Optional[int] = None) -> FailurePlan:
@@ -63,6 +64,43 @@ def coerce_failure_plan(plan, n_ranks: int, *, seed: Optional[int] = None) -> Fa
         return model.failure_plan(n_ranks=n_ranks, seed=seed)
     except FaultCapabilityError:
         return FailurePlan.none()
+
+
+def resolve_job_faults(
+    n_ranks: int,
+    failure_plan=None,
+    faults=None,
+    fault_seed: Optional[int] = None,
+) -> Tuple[FailurePlan, Optional[Callable[[int], Callable]]]:
+    """The fault axis of one SPMD job, as every launcher resolves it.
+
+    Refuses an ``n_ranks`` that is not a positive integer (bools,
+    floats and strings included), then returns ``(plan, factory)``:
+    the failure plan -- ``failure_plan`` if given, else the
+    ``proc_fail`` component of ``faults`` -- and, when ``faults`` has a
+    ``msg_corrupt`` component, a ``rank -> corruptor`` factory (else
+    ``None``).  Each rank's corruptor draws from a stream named after
+    the rank, so any launcher agreeing on ``(fault_seed, rank)``
+    replays the same corruption sequence (see
+    :mod:`repro.reliability.seeding`).
+    """
+    check_integer(n_ranks, "n_ranks")
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    factory = None
+    if faults is not None:
+        from repro.reliability.registry import resolve_faults
+
+        model = resolve_faults(faults)
+        if failure_plan is None:
+            failure_plan = model
+        msg_model = model.component("msg_corrupt")
+        if msg_model is not None:
+            def factory(rank: int):
+                return msg_model.message_corruptor(
+                    seed=fault_seed, name=f"messages/{rank}"
+                )
+    return coerce_failure_plan(failure_plan, int(n_ranks), seed=fault_seed), factory
 
 
 @dataclass
@@ -118,7 +156,7 @@ class SimRuntime:
         Hard-fault plan; ``None`` means no rank ever dies.  Also
         accepts a declarative fault spec (registry name, compact spec
         string, dict, :class:`~repro.reliability.spec.FaultSpec` or
-        built model) resolved through :func:`coerce_failure_plan`.
+        built model) resolved through :func:`resolve_job_faults`.
     faults:
         Declarative fault spec for the runtime as a whole: its
         ``proc_fail`` component supplies the failure plan (unless
@@ -142,34 +180,11 @@ class SimRuntime:
         fault_seed: Optional[int] = None,
         watchdog: float = 30.0,
     ):
-        check_integer(n_ranks, "n_ranks")
-        if n_ranks <= 0:
-            raise ValueError("n_ranks must be positive")
+        self.failure_plan, self._corruptor_factory = resolve_job_faults(
+            n_ranks, failure_plan, faults, fault_seed
+        )
         self.n_ranks = int(n_ranks)
         self.machine = machine if machine is not None else MachineModel.ideal()
-        self.fault_model = None
-        self._corruptor_factory = None
-        if faults is not None:
-            from repro.reliability.registry import resolve_faults
-
-            self.fault_model = resolve_faults(faults)
-            if failure_plan is None:
-                failure_plan = coerce_failure_plan(
-                    self.fault_model, self.n_ranks, seed=fault_seed
-                )
-            msg_model = self.fault_model.component("msg_corrupt")
-            if msg_model is not None:
-                def _corruptor_factory(rank: int, _model=msg_model):
-                    # One stream per rank, named so any entry point that
-                    # agrees on (fault_seed, rank) replays the same
-                    # corruption sequence (see repro.reliability.seeding).
-                    return _model.message_corruptor(
-                        seed=fault_seed, name=f"messages/{rank}"
-                    )
-                self._corruptor_factory = _corruptor_factory
-        self.failure_plan = coerce_failure_plan(
-            failure_plan, self.n_ranks, seed=fault_seed
-        )
         self.state = RuntimeState(self.n_ranks, watchdog=watchdog)
         self._threads: Dict[int, _RankThread] = {}
         self._extra_results: List[RankResult] = []

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.simmpi.errors import SimDeadlockError
+from repro.comm.errors import SimDeadlockError
 from repro.utils.logging import EventLog
 
 __all__ = ["RuntimeState", "CollectiveSlot"]
@@ -33,7 +33,6 @@ class CollectiveSlot:
     kind: str
     key: CollectiveKey
     n_expected: int
-    root: Optional[int] = None
     contributions: Dict[int, Any] = field(default_factory=dict)
     arrival_times: Dict[int, float] = field(default_factory=dict)
     done: bool = False
@@ -41,7 +40,8 @@ class CollectiveSlot:
     failed_ranks: Set[int] = field(default_factory=set)
     #: What completing the collective raised, if it did (a poisoned slot).
     error: Optional[BaseException] = None
-    result: Any = None
+    #: Per-rank results, ``{rank: result}``, once the collective is done.
+    results: Optional[Dict[int, Any]] = None
     completion_time: float = 0.0
 
     def missing(self) -> List[int]:
@@ -194,9 +194,7 @@ class RuntimeState:
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def collective_slot(
-        self, key: CollectiveKey, kind: str, root: Optional[int]
-    ) -> CollectiveSlot:
+    def collective_slot(self, key: CollectiveKey, kind: str) -> CollectiveSlot:
         """Return (creating if needed) the slot for collective ``key``.
 
         Slots are looked up by *arriving* ranks only (a rank that has
@@ -210,7 +208,7 @@ class RuntimeState:
         """
         slot = self.collectives.get(key)
         if slot is None:
-            slot = CollectiveSlot(kind, key, self.n_ranks, root)
+            slot = CollectiveSlot(kind, key, self.n_ranks)
             self.collectives[key] = slot
         else:
             if slot.kind != kind:

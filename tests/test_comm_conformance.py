@@ -9,7 +9,7 @@ communicator backend (:mod:`repro.comm.registry`):
   both ordered backends guarantee, making results *bit-identical*, not
   merely close);
 * deadlock-freedom: a mismatched program raises the simulator's
-  :class:`~repro.simmpi.errors.SimDeadlockError` (or its backend
+  :class:`~repro.comm.errors.SimDeadlockError` (or its backend
   subclass :class:`~repro.comm.errors.CommTimeoutError`) instead of
   hanging;
 * fault-injection observability: the same ``FaultSpec`` strings mean
@@ -22,11 +22,12 @@ communicator backend (:mod:`repro.comm.registry`):
 Plus the differential gate the tentpole demands: the E3 (CG) and E6
 (GMRES) distributed anchors run on sim and on shmem, and their
 residual-norm histories must agree.  Both backends declare
-``ordered_reduction`` (contributions reduced in ascending-rank order,
-left to right, matching ``Comm._finish_collective``), and the
-row-block partition, allgather ordering and local kernels are shared
-code -- so every floating-point operation happens in the same order
-and the comparison is **exact** (``==`` on every history entry).  For
+``ordered_reduction``: both complete collectives with the front end's
+one rule (``repro.comm.base.complete_collective``, an ascending-rank,
+left-to-right fold), and the row-block partition, allgather ordering
+and local kernels are shared code -- so every floating-point operation
+happens in the same order and the comparison is **exact** (``==`` on
+every history entry).  For
 a future backend without ordered reductions (e.g. real MPI), the
 comparison helper falls back to a relative tolerance of ``1e-12`` per
 entry on the residual scale: reduction reordering perturbs each dot
@@ -48,6 +49,11 @@ typed error on every rank at once, a peer killed while this rank is
 time, nobody ever aliases anybody's arrays -- and the cost *shape* of
 the shmem path as counts, never timings: no selector per message, no
 sleep per launch.
+
+The front-end cases keep the communicator one implementation: both
+backends subclass ``BaseCommunicator`` and define none of the
+collective forms, every rank on both backends charges a collective the
+same program time, and both launchers refuse the same bad rank counts.
 """
 
 from __future__ import annotations
@@ -76,10 +82,13 @@ from repro.comm import (
     resolve_backend,
 )
 from repro.comm import shmem
+from repro.comm.errors import SimDeadlockError
+from repro.comm.ops import MAX, SUM
+from repro.comm.requests import waitall, waitany
 from repro.experiments import backend_probe
-from repro.simmpi.errors import SimDeadlockError
-from repro.simmpi.ops import MAX, SUM
-from repro.simmpi.requests import waitall, waitany
+from repro.machine.collective_cost import collective_time
+from repro.machine.model import MachineModel
+from repro.simmpi.comm import Comm
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -318,6 +327,21 @@ def _pid_program(comm):
     return os.getpid()
 
 
+#: A 1 MiB payload: the cost model's bandwidth term dominates its latency.
+_BIG = np.ones(1 << 17)
+
+
+def _uneven_collective_program(comm, kind):
+    """One collective whose contributions differ in size; the rank's time."""
+    if kind == "bcast":
+        comm.bcast(_BIG if comm.rank == 0 else None)
+    elif kind == "scatter":
+        comm.scatter([_BIG, _BIG[:8]] if comm.rank == 0 else None)
+    else:
+        comm.allgather(_BIG if comm.rank == 0 else _BIG[:8])
+    return comm.now()
+
+
 # ----------------------------------------------------------------------
 # The contract, per backend
 # ----------------------------------------------------------------------
@@ -521,6 +545,18 @@ class TestCrossBackend:
         _assert_histories_agree(histories["sim"], histories["shmem"])
 
 
+    @pytest.mark.parametrize(
+        "kind, nbytes",
+        [("bcast", _BIG.nbytes), ("scatter", _BIG.nbytes + 64), ("allgather", _BIG.nbytes)],
+    )
+    def test_collective_time_is_one_rule_on_every_rank(self, kind, nbytes):
+        """Every rank on both backends charges the largest contribution."""
+        machine = MachineModel.commodity_cluster()
+        expected = collective_time(machine, kind, 2, nbytes)
+        for backend in ("sim", "shmem"):
+            times = launch(backend, 2, _uneven_collective_program, kind, machine=machine)
+            assert times == [expected, expected], backend
+
     @pytest.mark.parametrize("procs", [2, 3, 4])
     @pytest.mark.parametrize("solver", ["cg", "pipelined_cg", "gmres"])
     def test_residual_histories_equal_at_every_rank_count(self, solver, procs):
@@ -708,6 +744,37 @@ class TestShmemCostShape:
         for pid in pids:
             with pytest.raises(ProcessLookupError):  # reaped, not a zombie
                 os.kill(pid, 0)
+
+
+# ----------------------------------------------------------------------
+# One front end
+# ----------------------------------------------------------------------
+_FRONT_END = (
+    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
+    "iallreduce", "ibarrier", "iallgather", "ibcast",
+    "_check_rank", "_finish_collective", "_collective_cost", "sendrecv",
+)
+
+
+class TestOneFrontEnd:
+    @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
+    def test_backends_subclass_the_front_end_and_add_no_forms(self, cls):
+        assert issubclass(cls, BaseCommunicator)
+        assert BaseCommunicator in cls.__mro__  # a subclass, not a registration
+        assert not set(_FRONT_END) & set(vars(cls))
+
+    def test_nothing_registers_virtually(self):
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+            assert "BaseCommunicator.register" not in path.read_text(encoding="utf-8"), path
+
+    @pytest.mark.parametrize("backend", ["sim", "shmem"])
+    @pytest.mark.parametrize(
+        "n_ranks, error",
+        [(2.5, TypeError), (True, TypeError), ("2", TypeError), (0, ValueError), (-1, ValueError)],
+    )
+    def test_launch_refuses_bad_rank_counts(self, backend, n_ranks, error):
+        with pytest.raises(error, match="n_ranks"):
+            resolve_backend(backend).launch(_identity_program, n_ranks=n_ranks)
 
 
 # ----------------------------------------------------------------------

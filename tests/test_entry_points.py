@@ -2,6 +2,10 @@
 
 * Every example script runs end to end in a fresh interpreter, so a
   moved name fails here instead of in a reader's terminal.
+* ``repro.comm``, ``repro.simmpi`` and ``repro.comm.shmem`` each import
+  first in a fresh interpreter: the simulator's ``Comm`` subclasses the
+  front end in ``repro.comm``, so an import cycle between the two
+  packages would fail here.
 * The benchmark ledger's calls into ``src/`` -- ``unreliable(spec,
   seed=)``, ``.operator(f)``, ``.faults_injected()`` and ``ft_gmres``'s
   ``info["kernels"]["seconds"]["inner_solve"]`` -- are exercised through
@@ -25,6 +29,14 @@ from repro.linalg.matgen import convection_diffusion_2d
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 @pytest.mark.parametrize("script", [
     "quickstart.py",
     "ftgmres_selective_reliability.py",
@@ -35,10 +47,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
     "sdc_detection_gmres.py",
 ])
 def test_example_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = _src_env()
     env["TMPDIR"] = str(tmp_path)  # campaign_sweep.py keeps its store there
     done = subprocess.run(
         [sys.executable, str(REPO_ROOT / "examples" / script)],
@@ -46,6 +55,15 @@ def test_example_runs(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["repro.comm", "repro.simmpi", "repro.comm.shmem"])
+def test_package_imports_first(module):
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        cwd=REPO_ROOT, env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.linalg.csr import CsrMatrix
 from repro.linalg.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
-from repro.simmpi.ops import MAX, MIN, SUM
+from repro.comm.ops import MAX, MIN, SUM
 from repro.skeptical import SkepticalAbort, SkepticalMonitor
 from repro.skeptical.checks import (
     finite_check,

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.comm.errors import InvalidRankError, RankFailedError, SimDeadlockError
+from repro.comm.ops import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.reliability import FailurePlan
 from repro.machine import MachineModel
-from repro.simmpi import (
-    Comm,
-    RankFailedError,
-    SimDeadlockError,
-    SimRuntime,
-    VirtualClock,
-    run_spmd,
-)
-from repro.simmpi.errors import InvalidRankError
-from repro.simmpi.ops import LAND, LOR, MAX, MIN, PROD, SUM
+from repro.simmpi import Comm, SimRuntime, VirtualClock, run_spmd
 
 
 class TestVirtualClock:
@@ -177,6 +171,31 @@ class TestCollectives:
         results = run_spmd(2, program)
         assert results == ["ValueError", "ValueError"]
         assert time.monotonic() - start < 1.0
+
+    def test_collective_time_ignores_arrival_order(self):
+        """Both arrival orders of a 1 MiB bcast charge the same virtual time.
+
+        The cost used to take the last arriver's payload size: 2.1e-4 s
+        when the root posted last, 2e-6 s when rank 1 did.
+        """
+        payload = np.ones(1 << 17)
+
+        def program(comm, first, posted):
+            if comm.rank != first:
+                assert posted.wait(timeout=30.0)
+            request = comm.ibcast(payload if comm.rank == 0 else None, root=0)
+            if comm.rank == first:
+                posted.set()  # posted: the other rank now arrives last
+            request.wait()
+            return comm.now()
+
+        machine = MachineModel.commodity_cluster()
+        times = [
+            run_spmd(2, program, first, threading.Event(), machine=machine)
+            for first in (0, 1)
+        ]
+        assert times[0] == times[1]
+        assert times[0][0] == times[0][1] > 1e-4
 
 
 class TestPointToPoint:
@@ -569,7 +588,7 @@ class TestRequestHelpers:
     """waitall/waitany over the simulated runtime's requests."""
 
     def test_waitall_returns_results_in_request_order(self):
-        from repro.simmpi.requests import waitall
+        from repro.comm.requests import waitall
 
         def program(comm):
             if comm.rank == 0:
@@ -585,7 +604,7 @@ class TestRequestHelpers:
         assert results[1] == [("a", 2), ("a", 1)]
 
     def test_waitany_prefers_already_completed(self):
-        from repro.simmpi.requests import CompletedRequest, waitany
+        from repro.comm.requests import CompletedRequest, waitany
 
         def program(comm):
             if comm.rank == 0:
@@ -603,7 +622,7 @@ class TestRequestHelpers:
         assert results[1] == "payload"
 
     def test_waitany_waits_when_nothing_is_complete(self):
-        from repro.simmpi.requests import waitany
+        from repro.comm.requests import waitany
 
         def program(comm):
             if comm.rank == 0:
@@ -616,12 +635,12 @@ class TestRequestHelpers:
         assert results[1] == (0, "late")
 
     def test_waitany_rejects_empty(self):
-        from repro.simmpi.requests import waitany
+        from repro.comm.requests import waitany
 
         with pytest.raises(ValueError):
             waitany([])
 
     def test_waitall_empty_is_empty(self):
-        from repro.simmpi.requests import waitall
+        from repro.comm.requests import waitall
 
         assert waitall([]) == []
