@@ -282,10 +282,15 @@ class BaseCommunicator(abc.ABC):
         """Program-time charge of a completed collective, equal on every rank.
 
         The cost rule sees the largest contribution, so the charge never
-        depends on which rank arrived last.
+        depends on which rank arrived last.  The rule is pure in
+        ``(kind, ranks, bytes)``, so each key is computed once.
         """
-        nbytes = max(map(payload_nbytes, contributions.values()))
-        return collective_time(self._machine, kind, len(contributions), nbytes)
+        key = (kind, len(contributions), max(map(payload_nbytes, contributions.values())))
+        costs = self.__dict__.setdefault("_costs", {})
+        cost = costs.get(key)
+        if cost is None:
+            cost = costs[key] = collective_time(self._machine, *key)
+        return cost
 
     # -- blocking collectives --------------------------------------------
     def barrier(self) -> None:

@@ -16,12 +16,12 @@ enforces:
   raises :class:`~repro.comm.errors.CommTimeoutError` instead of
   hanging, and a dead peer surfaces as a hang-up (EOF) on its pipe,
   reported as :class:`~repro.comm.errors.ProcFailure` (ULFM-style);
-* **numpy payloads ride ``multiprocessing.shared_memory``** above a
-  size threshold -- the pipe carries a small descriptor, the vector
-  data crosses via one shared segment (created by the sender, attached,
-  copied and unlinked by the receiver; both sides unregister from the
-  resource tracker, which would otherwise double-unlink segments whose
-  lifetime is managed here).
+* **large numeric arrays ride ``multiprocessing.shared_memory``** --
+  the pipe carries a small descriptor, the data crosses via one shared
+  segment (created by the sender, attached, copied and unlinked by the
+  receiver; both sides unregister from the resource tracker, which
+  would otherwise double-unlink segments whose lifetime is managed
+  here).
 
 Fault injection maps the declarative :class:`FaultSpec` axis onto real
 processes through the simulator's own resolution
@@ -49,8 +49,12 @@ coordinator posts the error to every peer before raising it, so every
 participant raises the same typed error.  The non-blocking forms
 complete eagerly (the front end's default).
 
-A message is pickled once (protocol 5) and written as one frame; that
-pickle *is* the defensive copy, so only the coordinator's own
+A message is one frame (length header, pickled message), written with
+one ``os.write`` and read with ``os.read``.  A plain numeric ndarray in
+it is raw C-order bytes (a segment name from ``SHM_THRESHOLD_BYTES``
+up), anything else is pickled; the receiver rebuilds writable
+C-contiguous arrays, as the simulator's ``copy_payload`` does.  That
+encoding *is* the defensive copy, so only the coordinator's own
 contribution (which never crosses a pipe) and a payload handed to a
 ``message_corruptor`` are copied first.  :func:`launch_shmem` reaps a
 rank by waiting for the hang-up on its result pipe -- the rank is the
@@ -90,10 +94,10 @@ from repro.machine.model import MachineModel
 
 __all__ = ["ShmemComm", "launch_shmem", "SHM_THRESHOLD_BYTES"]
 
-#: Payloads at or above this many bytes travel through a shared-memory
-#: segment instead of the pipe itself.  Below it, pickling through the
-#: pipe is faster and -- crucially -- stays under the kernel pipe
-#: buffer, so buffered sends do not block the sender.
+#: Plain numeric arrays at or above this many bytes travel through a
+#: shared-memory segment instead of the pipe itself.  Below it, the raw
+#: bytes in the frame are faster and -- crucially -- stay under the
+#: kernel pipe buffer, so buffered sends do not block the sender.
 SHM_THRESHOLD_BYTES = 32768
 
 #: Default wall-clock budget (seconds) for one blocking operation.
@@ -103,8 +107,31 @@ DEFAULT_OP_TIMEOUT = 30.0
 #: message; a rank still running then is SIGKILLed.
 REAP_TIMEOUT = 10.0
 
-#: ``Connection.recv_bytes`` framing: big-endian signed length, then body.
+#: Frame header, written by ``_post`` and read by ``_read_frame``:
+#: big-endian signed length of the pickled message after it.
 _FRAME_HEADER = struct.Struct("!i")
+
+
+def _is_raw(obj: Any) -> bool:
+    """Whether ``obj`` travels as raw bytes: a plain numeric ndarray."""
+    return type(obj) is np.ndarray and obj.dtype.kind in "biufc"
+
+
+def _read_frame(fd: int) -> Tuple:
+    """The next message on a pipe ``poll`` reported readable."""
+    (length,) = _FRAME_HEADER.unpack(_read_exact(fd, _FRAME_HEADER.size))
+    return pickle.loads(_read_exact(fd, length))
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """``n`` bytes from a pipe, which may deliver a frame in pieces."""
+    data = b""
+    while len(data) < n:
+        more = os.read(fd, n - len(data))
+        if not more:
+            raise EOFError(f"pipe closed {len(data)} bytes into a {n}-byte read")
+        data += more
+    return data
 
 
 def _poller(conn: Connection, events: int = select.POLLIN) -> "select.poll":
@@ -240,29 +267,43 @@ class ShmemComm(BaseCommunicator):
 
     # -- payload encoding ----------------------------------------------
     def _encode_payload(self, obj: Any) -> Tuple:
-        """Inline small payloads; stage large ndarrays in shared memory."""
-        if isinstance(obj, np.ndarray) and obj.nbytes >= SHM_THRESHOLD_BYTES:
-            name = f"{self._shm_prefix}-{self._rank}-{self._shm_seq}"
-            self._shm_seq += 1
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=max(obj.nbytes, 1)
-            )
-            _untrack_shm(segment.name)
-            staged = np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf)
-            staged[...] = obj
-            segment.close()
-            self._shm_created.append(name)
-            return ("shm", name, str(obj.dtype), obj.shape)
+        """Raw bytes for a plain numeric ndarray and, element by element,
+        a top-level list or tuple of them (the gather results); anything
+        else (objects, structured dtypes, subclasses) is pickled inline."""
+        if _is_raw(obj):
+            return self._encode_array(obj)
+        if type(obj) in (list, tuple) and all(map(_is_raw, obj)):
+            return ("seq", type(obj), [self._encode_array(a) for a in obj])
         return ("inline", obj)
 
-    @staticmethod
-    def _decode_payload(desc: Tuple) -> Any:
+    def _encode_array(self, array: np.ndarray) -> Tuple:
+        """Raw bytes in the frame below the threshold, a segment at or above."""
+        if array.nbytes < SHM_THRESHOLD_BYTES:
+            # Any layout, copied out in C order and writable at the receiver;
+            # the memoryview because bytearray(0-d int array) is a length.
+            return ("raw", array.dtype.str, array.shape, bytearray(memoryview(array)))
+        name = f"{self._shm_prefix}-{self._rank}-{self._shm_seq}"
+        self._shm_seq += 1
+        segment = shared_memory.SharedMemory(name=name, create=True, size=array.nbytes)
+        _untrack_shm(segment.name)
+        staged = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        staged[...] = array
+        segment.close()
+        self._shm_created.append(name)
+        return ("shm", name, array.dtype.str, array.shape)
+
+    @classmethod
+    def _decode_payload(cls, desc: Tuple) -> Any:
+        if desc[0] == "raw":
+            return np.frombuffer(desc[3], desc[1]).reshape(desc[2])
         if desc[0] == "inline":
             return desc[1]
+        if desc[0] == "seq":
+            return desc[1](cls._decode_payload(item) for item in desc[2])
         _, name, dtype, shape = desc
         segment = shared_memory.SharedMemory(name=name)
         try:
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
+            view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
             value = view.copy()
         finally:
             segment.close()
@@ -330,7 +371,7 @@ class ShmemComm(BaseCommunicator):
             if message[1] == key and message[0] in frames:
                 del pending[i]
                 return message
-        conn = self._in[source]
+        fd = self._in[source].fileno()
         poller = self._pollers[source]
         while True:
             remaining = deadline - time.monotonic()
@@ -340,7 +381,7 @@ class ShmemComm(BaseCommunicator):
                 )
             try:
                 if poller.poll(min(remaining, 0.25) * 1000.0):
-                    message = pickle.loads(conn.recv_bytes())
+                    message = _read_frame(fd)
                     if message[1] == key and message[0] in frames:
                         return message
                     pending.append(message)
@@ -431,7 +472,7 @@ class ShmemComm(BaseCommunicator):
                 )
             result = results[0]
         else:
-            # Pickling the frame is the defensive copy.
+            # Encoding the frame is the defensive copy.
             self._post(0, ("coll", seq, self._encode_payload(value)))
             message = self._next_from(
                 0, ("collres", "collfail"), seq, kind, deadline

@@ -12,8 +12,10 @@ protocol (policies receive scalar
 * :class:`CgScheme` -- classic preconditioned CG: two blocking global
   reductions per iteration plus the convergence norm.
 * :class:`PipelinedCgScheme` -- Ghysels & Vanroose pipelined CG: ONE
-  fused non-blocking reduction per iteration, overlapped with the next
-  operator application, at the cost of three extra vector recurrences.
+  fused non-blocking reduction for the two inner products, overlapped
+  with the next operator application, at the cost of three extra vector
+  recurrences (the norm stays a blocking reduction, the distributed
+  matvec an ``allgather``).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class CgScheme(IterationScheme):
 
 
 class PipelinedCgScheme(IterationScheme):
-    """Pipelined (overlapped single-reduction) conjugate gradients."""
+    """Pipelined (overlapped fused-reduction) conjugate gradients."""
 
     def __init__(self, preconditioner=None, *, maxiter: int = 1000):
         if maxiter <= 0:

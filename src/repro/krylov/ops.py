@@ -134,9 +134,12 @@ def norm(x: Vector) -> float:
 def axpby(alpha: float, x: Vector, beta: float, y: Vector) -> Vector:
     """Return ``alpha * x + beta * y`` as a new vector."""
     if isinstance(x, DistributedVector):
-        result = x.copy().scale(alpha)
-        result.axpy(beta, y)
-        return result
+        x._check_compatible(y)
+        local = alpha * x.local
+        local += beta * y.local
+        x.comm.compute(x.local_size)  # charged as the scale + axpy it replaces
+        x.comm.compute(2.0 * x.local_size)
+        return DistributedVector.from_local_view(x.comm, local, x.global_size, x.offset)
     # Python-float scalars do not upcast float32 arrays under NumPy
     # promotion, so a reduced-precision pair stays reduced here.
     return alpha * as_float(x) + beta * as_float(y)

@@ -2,16 +2,20 @@
 
 Standard CG performs two *blocking* global reductions per iteration,
 serialized with the matrix-vector product.  The pipelined variant
-restructures the recurrences so that the single fused reduction of an
-iteration can be **overlapped with the next matrix-vector product**:
-the reduction is started as ONE ``iallreduce`` carrying both
-``gamma = (r, u)`` and ``delta = (w, u)`` (via
+restructures the recurrences so that the two inner products of an
+iteration fuse into one reduction that can be **overlapped with the
+next matrix-vector product**: it is started as ONE ``iallreduce``
+carrying both ``gamma = (r, u)`` and ``delta = (w, u)`` (via
 :func:`repro.krylov.ops.fused_dots`), the operator application
 ``q = A w`` proceeds while the reduction is in flight, and only then is
 the reduction waited on.  On the simulated runtime this uses the
 MPI-3-style non-blocking collectives of :mod:`repro.simmpi`, i.e. the
 RBSP programming model of paper §II-B; sequentially it degenerates to
 plain arithmetic with identical convergence behaviour (up to rounding).
+It is not the only synchronization: a distributed iteration also runs a
+blocking ``allreduce`` for ``||r||`` and the matvec's ``allgather``
+(per iteration on two ranks: 1.0 ``iallreduce``, 1.02 ``allreduce``,
+1.02 ``allgather``).
 
 The price is one extra vector recurrence (and slightly worse rounding
 behaviour), which is the trade-off the latency-tolerance literature

@@ -14,6 +14,7 @@ passing a different model instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,7 +82,8 @@ class MachineModel:
         The noise model may add a variability term; passing the rank
         lets rank-correlated noise models behave consistently.
         """
-        check_non_negative(flops, "flops")
+        if not 0.0 <= flops < math.inf:  # NaN fails it too; the helper raises
+            check_non_negative(flops, "flops")
         base = flops / self.flop_rate
         return base + self.noise.sample(base, rank=rank)
 

@@ -9,6 +9,8 @@ what makes the experiments deterministic and machine-parameterized.
 
 from __future__ import annotations
 
+import math
+
 from repro.utils.validation import check_non_negative
 
 __all__ = ["VirtualClock"]
@@ -40,7 +42,8 @@ class VirtualClock:
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by a busy interval and return the new time."""
-        check_non_negative(seconds, "seconds")
+        if not 0.0 <= seconds < math.inf:  # NaN fails it too; the helper raises
+            check_non_negative(seconds, "seconds")
         self._now += seconds
         self._busy += seconds
         return self._now

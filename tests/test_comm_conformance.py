@@ -53,14 +53,24 @@ sleep per launch.
 The front-end cases keep the communicator one implementation: both
 backends subclass ``BaseCommunicator`` and define none of the
 collective forms, every rank on both backends charges a collective the
-same program time, and both launchers refuse the same bad rank counts.
+same program time (computed once per key), and both launchers refuse
+the same bad rank counts.
+
+The wire-format cases pin what an array looks like on arrival, on every
+backend: one table of dtypes, layouts and sizes either side of the
+segment threshold, each delivered equal, writable, C-contiguous and
+unaliased; object and structured arrays above the threshold intact;
+plain float64 traffic never handed to ``pickle`` as an array on shmem;
+and the benchmark's four distributed solves equal on sim and shmem.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import os
 import pathlib
+import pickle
 import selectors
 import time
 
@@ -81,6 +91,7 @@ from repro.comm import (
     default_backend_registry,
     resolve_backend,
 )
+from repro.comm import base as comm_base
 from repro.comm import shmem
 from repro.comm.errors import SimDeadlockError
 from repro.comm.ops import MAX, SUM
@@ -342,6 +353,128 @@ def _uneven_collective_program(comm, kind):
     return comm.now()
 
 
+#: The wire-format table: every dtype a raw frame carries, in every
+#: layout, below and above the segment threshold, delivered by a p2p
+#: send, bare as a collective's result (``bcast``) and inside a list
+#: (``allgather``).  0-d and empty arrays have no "above".
+_WIRE_CASES = [
+    (dtype, layout, big, mode)
+    for dtype in ("bool", "int32", "uint8", "float32", "float64", "complex128", ">f8")
+    for layout in ("0-d", "empty", "flat", "fortran", "strided")
+    for big in ((False,) if layout in ("0-d", "empty") else (False, True))
+    for mode in ("p2p", "bcast", "allgather")
+]
+
+
+def _wire_array(dtype, layout, big):
+    """A fresh payload of one wire-format case; element 0 is never zero."""
+    dtype = np.dtype(dtype)
+    n = (shmem.SHM_THRESHOLD_BYTES // dtype.itemsize // 8 + 1) * 8 if big else 24
+    ramp = np.arange(2 * n if layout == "strided" else n) % 5 + 1
+    if dtype.kind == "b":
+        ramp = ramp % 3 != 2
+    elif dtype.kind == "c":
+        ramp = ramp * (1 + 1j)
+    values = ramp.astype(dtype)
+    if layout == "0-d":
+        return np.array(values[0], dtype=dtype)
+    if layout == "empty":
+        return np.empty((0, 3), dtype=dtype)
+    if layout == "fortran":
+        return np.asfortranarray(values.reshape(-1, 8))
+    return values[::2] if layout == "strided" else values
+
+
+def _wire_program(comm, cases):
+    """Deliver every wire-format case from rank 0; report facts per piece.
+
+    Every rank scribbles over its own payload right after the
+    operation, so a delivered array aliasing a sender's no longer
+    equals a fresh copy by the time it is checked.
+    """
+    facts = {}
+    for case in cases:
+        dtype, layout, big, mode = case
+        sent = _wire_array(dtype, layout, big)
+        if mode == "p2p":
+            if comm.rank == 0:
+                comm.send(sent, 1, tag=6)
+            pieces = [comm.recv(0, tag=6)] if comm.rank == 1 else []
+        elif mode == "bcast":
+            pieces = [comm.bcast(sent if comm.rank == 0 else None)]
+        else:
+            pieces = comm.allgather(sent)
+        sent[...] = 0
+        comm.barrier()
+        expected = _wire_array(dtype, layout, big)
+        facts[case] = [
+            (
+                type(out) is np.ndarray,
+                out.dtype == expected.dtype,
+                out.shape == expected.shape,
+                np.array_equal(out, expected),
+                out.flags.writeable,
+                out.flags.c_contiguous,
+                not np.shares_memory(out, sent),
+            )
+            for out in pieces
+        ]
+    return facts
+
+
+def _big_payload(kind):
+    """5 000 elements of a non-numeric dtype: above the segment threshold."""
+    n = 5000
+    if kind == "object":
+        return np.array([{"i": i, "name": f"n{i}"} for i in range(n)], dtype=object)
+    out = np.zeros(n, dtype=[("a", "<f8"), ("b", "<i4")])
+    out["a"] = np.arange(n) * 0.5
+    out["b"] = np.arange(n)
+    return out
+
+
+def _big_payload_program(comm, kind):
+    if comm.rank == 0:
+        payload = _big_payload(kind)
+        assert payload.nbytes >= shmem.SHM_THRESHOLD_BYTES
+        comm.send(payload, 1, tag=7)
+        return None
+    return comm.recv(0, tag=7)
+
+
+#: ndarrays handed to ``pickle.dumps`` in whichever process runs the spy.
+_PICKLED = {"arrays": 0}
+
+
+class _ArraySpy(pickle.Pickler):
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            _PICKLED["arrays"] += 1
+        return NotImplemented  # pickle it as usual
+
+
+def _spying_dumps(obj, protocol=None, **kwargs):
+    buffer = io.BytesIO()
+    _ArraySpy(buffer, protocol, **kwargs).dump(obj)
+    return buffer.getvalue()
+
+
+def _float_traffic_program(comm):
+    """``dist_solves``-shaped float64 traffic, then an object-array control."""
+    before = _PICKLED["arrays"]
+    piece = np.full(512, float(comm.rank))
+    peer = 1 - comm.rank
+    for _ in range(5):
+        comm.allgather(piece)
+        comm.allreduce(piece[:3])
+        comm.bcast(piece if comm.rank == 0 else None)
+        comm.sendrecv(piece, peer, peer)
+    comm.allgather(np.ones(shmem.SHM_THRESHOLD_BYTES // 8))  # the segment path
+    floats = _PICKLED["arrays"] - before
+    comm.allgather(np.array([{"rank": comm.rank}], dtype=object))
+    return floats, _PICKLED["arrays"] - before - floats
+
+
 # ----------------------------------------------------------------------
 # The contract, per backend
 # ----------------------------------------------------------------------
@@ -476,6 +609,27 @@ class TestContract:
         for out in launch(backend, procs, _threshold_allreduce_program, n):
             assert np.array_equal(out, reference)
 
+    def test_wire_format_table(self, backend):
+        """Every case arrives equal, writable, C-contiguous and unaliased."""
+        values = launch(backend, 2, _wire_program, _WIRE_CASES)
+        assert len(values[1]) == len(_WIRE_CASES)
+        wrong = {
+            (rank,) + case: facts
+            for rank, held in enumerate(values)
+            for case, pieces in held.items()
+            for facts in pieces
+            if not all(facts)
+        }
+        assert wrong == {}
+
+    @pytest.mark.parametrize("kind", ["object", "structured"])
+    def test_non_numeric_arrays_above_the_threshold_arrive_intact(self, backend, kind):
+        """Object and structured arrays are pickled, never staged as raw bytes."""
+        received = launch(backend, 2, _big_payload_program, kind)[1]
+        expected = _big_payload(kind)
+        assert received.dtype == expected.dtype
+        assert received.tolist() == expected.tolist()
+
     def test_proc_fail_surfaces_as_procfailure_on_survivors(self, backend):
         victim = 1
         values = launch(
@@ -568,6 +722,22 @@ class TestCrossBackend:
         ]
         assert histories[0]["converged"]
         _assert_histories_agree(*histories)
+
+    @pytest.mark.parametrize(
+        "solver, grid", [("cg", 32), ("pipelined_cg", 32), ("gmres", 16), ("cg", 64)]
+    )
+    def test_dist_solves_shapes_give_equal_histories(self, solver, grid):
+        """The benchmark's four solves, whose 1-16 KiB allgather pieces
+        are the only traffic on the raw-bytes list path."""
+        sim, shm = (
+            backend_probe.distributed_solve(
+                f"{backend}:procs=2", solver, grid=grid, tol=1e-8, seed=2013
+            )
+            for backend in ("sim", "shmem")
+        )
+        assert sim["converged"]
+        assert sim["iterations"] == shm["iterations"]
+        assert sim["residual_norms"] == shm["residual_norms"]
 
 
 def _assert_histories_agree(a, b):
@@ -725,6 +895,17 @@ class TestShmemCostShape:
         assert values == [{"wait": 0, "select": 0}] * 2
         assert _SPY == before  # the launcher side
 
+    def test_float_arrays_never_reach_pickle(self, monkeypatch):
+        """Plain float64 payloads travel as raw bytes, bare or in a list.
+
+        The object-array control proves the spy sees what ``pickle`` is
+        handed, so a fast path that silently fell back would show here.
+        """
+        monkeypatch.setattr(pickle, "dumps", _spying_dumps)
+        for floats, control in launch("shmem", 2, _float_traffic_program):
+            assert floats == 0
+            assert control >= 1
+
     def test_launch_never_sleeps(self, monkeypatch):
         def no_sleep(_seconds):
             raise AssertionError("launch_shmem slept")
@@ -762,6 +943,19 @@ class TestOneFrontEnd:
         assert issubclass(cls, BaseCommunicator)
         assert BaseCommunicator in cls.__mro__  # a subclass, not a registration
         assert not set(_FRONT_END) & set(vars(cls))
+
+    def test_collective_cost_is_computed_once_per_key(self, monkeypatch):
+        calls = []
+
+        def counting_time(machine, kind, n_ranks, nbytes):
+            calls.append((kind, n_ranks, nbytes))
+            return collective_time(machine, kind, n_ranks, nbytes)
+
+        monkeypatch.setattr(comm_base, "collective_time", counting_time)
+        launch("sim", 2, _fifty_collectives_program)
+        # One memo per rank; only the last arriver charges a collective.
+        assert set(calls) == {("allreduce", 2, 8), ("allgather", 2, 64)}
+        assert len(calls) <= 2 * len(set(calls))
 
     def test_nothing_registers_virtually(self):
         for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
