@@ -43,12 +43,11 @@ from repro.krylov.engine.resilience import (
 )
 
 # The batched lockstep path imports the engine submodules above; keep
-# this import last so the package namespace is populated first.
+# this import last so the package namespace is populated first.  (Its
+# lane spec classes are derived from the solver functions, which import
+# this package: take them from ``repro.krylov.engine.batch``.)
 from repro.krylov.engine.batch import (
     BATCH_GRAM_SCHMIDT,
-    CgLaneSpec,
-    GmresLaneSpec,
-    SdcLaneSpec,
     batched_matvec,
     run_arnoldi_batch,
     run_cg_batch,
@@ -76,9 +75,6 @@ __all__ = [
     "ResidualGuardPolicy",
     "CycleAbandoned",
     "IterationEvent",
-    "GmresLaneSpec",
-    "SdcLaneSpec",
-    "CgLaneSpec",
     "run_arnoldi_batch",
     "run_cg_batch",
     "batched_matvec",

@@ -20,8 +20,11 @@ that make this hold:
 
 * Only operations with verified batched bit-identity are vectorized:
   stacked ``np.matmul`` against the per-lane gemv (NOT ``np.einsum``),
-  elementwise arithmetic, :meth:`~repro.linalg.csr.CsrMatrix.matvec_block`
-  (``np.add.reduceat`` over gathered products), and the mask-chained
+  the row-at-a-time stacked ``(L, 1, r) @ (L, r, 1)`` dot of
+  :func:`~repro.linalg.blas.back_substitution_many` against the
+  per-lane row ``ddot``, elementwise arithmetic,
+  :meth:`~repro.linalg.csr.CsrMatrix.matvec_block` (``np.add.reduceat``
+  over gathered products), and the mask-chained
   :func:`~repro.linalg.blas.givens_rotation_many`.
 * Only the inner step is this module's own.  A lane holds the engine
   its solver function builds (``gmres_engine``, ``cg_engine``) and the
@@ -44,9 +47,12 @@ that make this hold:
 
 Cost shape: a lockstep step is its stacked kernels plus array
 bookkeeping.  Per-lane Python runs only on events -- an observer that
-is due or watches every step, the skeptical sweep, a lane leaving, the
-cycle boundary -- and a lane reads its step count, residual history and
-kernel seconds back from the cohort arrays when it leaves.
+is due or watches every step, a skeptical check that fails or is due
+(orthogonality, consistency), a lane leaving -- and a lane reads its
+step count, residual history, kernel seconds and skeptical counters
+back from the cohort arrays when it leaves.  The cycle boundary enters
+the sequential engine's functions once per lane, but hands them the
+stacked true residuals (head and tail) and least-squares solves (tail).
 
 Kernel counters: batched spans (the stacked matvec and the
 orthogonalization block) are measured once per step and split evenly
@@ -69,11 +75,13 @@ sequential engine.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import importlib
+import inspect
 import math
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -86,7 +94,7 @@ from repro.krylov.engine.resilience import (
     cycle_start_true_residual,
 )
 from repro.krylov.result import SolveResult
-from repro.linalg.blas import back_substitution, givens_rotation_many
+from repro.linalg.blas import back_substitution, back_substitution_many, givens_rotation_many
 from repro.linalg.csr import CsrMatrix
 
 __all__ = [
@@ -109,65 +117,41 @@ BATCH_GRAM_SCHMIDT = ("cgs2", "classical")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GmresLaneSpec:
-    """One plain/guarded GMRES scenario, mirroring :func:`repro.krylov.gmres.gmres`.
-
-    ``operator`` overrides the batch-level operator for this lane (e.g.
-    a per-scenario fault-injecting wrapper); lanes with private
-    operators advance in lockstep but apply their own operator, so
-    per-lane fault streams stay draw-for-draw sequential.
-    """
-
-    b: np.ndarray
-    x0: Optional[np.ndarray] = None
-    tol: float = 1e-8
-    atol: float = 0.0
-    restart: int = 30
-    maxiter: int = 1000
-    preconditioner: Any = None
-    gram_schmidt: str = "cgs2"
-    policy: Any = None
-    iteration_hook: Optional[Callable] = None
-    operator: Any = None
+#: The solver function each lane spec class mirrors, field for parameter,
+#: and the parameters it leaves out (the skeptical lane is the
+#: ``"restart"`` response: no ``policy``).
+_LANE_SPECS = {
+    "GmresLaneSpec": ("repro.krylov.gmres", "gmres", ()),
+    "SdcLaneSpec": ("repro.skeptical.gmres_sdc", "sdc_detecting_gmres", ("policy",)),
+    "CgLaneSpec": ("repro.krylov.cg", "cg", ()),
+}
 
 
-@dataclass
-class SdcLaneSpec:
-    """One SDC-detecting GMRES scenario (``response="restart"`` only),
-    mirroring :func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres`."""
-
-    b: np.ndarray
-    x0: Optional[np.ndarray] = None
-    tol: float = 1e-8
-    atol: float = 0.0
-    restart: int = 30
-    maxiter: int = 1000
-    preconditioner: Any = None
-    check_period: int = 1
-    orthogonality_period: int = 5
-    residual_check_period: int = 10
-    hessenberg_safety: float = 4.0
-    orthogonality_tol: float = 1e-6
-    max_restarts_on_detection: int = 5
-    operator_norm: Optional[float] = None
-    fault_hook: Optional[Callable] = None
-    operator: Any = None
+@functools.cache
+def _lane_spec(name: str) -> type:
+    """A keyword-only dataclass with a field per parameter of the solver
+    function, at its default; ``operator`` defaults to ``None`` (the
+    batch's; a lane's own, e.g. a fault-injecting wrapper, is applied by
+    that lane alone).  Built on first use: the solver functions import
+    this module."""
+    module, function, omit = _LANE_SPECS[name]
+    parameters = inspect.signature(getattr(importlib.import_module(module), function)).parameters
+    defaults = {
+        key: None if key == "operator" else parameter.default
+        for key, parameter in parameters.items() if key not in omit
+    }
+    fields = [
+        (key, Any) if default is inspect.Parameter.empty else (key, Any, default)
+        for key, default in defaults.items()
+    ]
+    namespace = {"__module__": __name__, "__doc__": f"One :func:`{module}.{function}` scenario."}
+    return dataclasses.make_dataclass(name, fields, namespace=namespace, kw_only=True)
 
 
-@dataclass
-class CgLaneSpec:
-    """One CG scenario, mirroring :func:`repro.krylov.cg.cg`."""
-
-    b: np.ndarray
-    x0: Optional[np.ndarray] = None
-    tol: float = 1e-8
-    atol: float = 0.0
-    maxiter: int = 1000
-    preconditioner: Any = None
-    policy: Any = None
-    iteration_hook: Optional[Callable] = None
-    operator: Any = None
+def __getattr__(name: str):
+    if name in _LANE_SPECS:
+        return _lane_spec(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +187,22 @@ class _LaneLsq:
     The rotations run vectorized across the cohort; this object only
     exposes the per-lane ``hessenberg`` array and rotated right-hand
     side ``g`` (both views into the cohort stacks) with the ``solve``
-    the reconstruct closures and cycle-end updates call.
+    the reconstruct closures and cycle-end updates call, which hands
+    back ``y``, the cycle tail's stacked solve, when it has one.
     """
 
-    __slots__ = ("hessenberg", "_g", "size")
+    __slots__ = ("hessenberg", "_g", "size", "y")
 
     def __init__(self, hessenberg: np.ndarray, g: np.ndarray):
         self.hessenberg = hessenberg
         self._g = g
         self.size = 0
+        self.y = None
 
     def solve(self, k: Optional[int] = None) -> np.ndarray:
         k = self.size if k is None else int(k)
+        if self.y is not None and self.y.size == k:
+            return self.y
         return back_substitution(self.hessenberg[:k, :k], self._g[:k])
 
 
@@ -267,7 +255,7 @@ class _PlainGmresLane:
 
     is_sdc = False
 
-    def __init__(self, operator, spec: GmresLaneSpec):
+    def __init__(self, operator, spec):
         # Local import: the solver functions sit above the engine package.
         from repro.krylov.gmres import gmres_engine
 
@@ -286,10 +274,16 @@ class _PlainGmresLane:
         self.abandoned = False
         self.result: Optional[SolveResult] = None
 
-    def begin_cycle(self):
-        """Run the cycle head; return a cohort key, ``None`` when solved."""
+    def head(self):
+        """The attempt whose cycle head is next, when it forms a residual."""
+        a = self.attempt
+        return a if self.result is None and not a.done else None
+
+    def begin_cycle(self, r=None):
+        """Run the cycle head (on ``r``, the residual :meth:`head` asked
+        for, when it was stacked); return a cohort key, ``None`` when solved."""
         if self.result is None:
-            m = self.attempt.begin_cycle()
+            m = self.attempt.begin_cycle(r)
             if m is not None:
                 return (m, self.method)
             self.result = self.engine.finish(self.attempt.result())
@@ -314,7 +308,7 @@ class _SdcGmresLane:
     is_sdc = True
     method = "cgs2"  # the skeptical solver pins CGS2
 
-    def __init__(self, operator, spec: SdcLaneSpec):
+    def __init__(self, operator, spec):
         # Local import: the skeptical driver sits above the engine.
         from repro.skeptical.gmres_sdc import SdcAttempts
 
@@ -332,19 +326,28 @@ class _SdcGmresLane:
         self.abandoned = False
         self.result: Optional[SolveResult] = None
 
-    def begin_cycle(self):
-        while self.result is None:
-            if self.attempt is None:
-                self.engine = self.driver.next_engine(self.policy)
-                if self.engine is None:
-                    self.result = self.driver.result()
-                    break
+    def _next(self):
+        """The attempt whose cycle is next, the driver's next one when
+        there is none; ``None`` (the result set) when the solve is over."""
+        if self.attempt is None and self.result is None:
+            self.engine = self.driver.next_engine(self.policy)
+            if self.engine is None:
+                self.result = self.driver.result()
+            else:
                 self.attempt = self.engine.begin(self.b, self.driver.x)
-            m = self.attempt.begin_cycle()
+        return self.attempt
+
+    def head(self):
+        a = self._next()
+        return a if a is not None and not a.done else None
+
+    def begin_cycle(self, r=None):
+        while (a := self._next()) is not None:
+            m = a.begin_cycle(r)
             if m is not None:
                 return (m, self.method)
-            self.driver.complete(self.engine.finish(self.attempt.result()))
-            self.attempt = None
+            self.driver.complete(self.engine.finish(a.result()))
+            self.attempt = r = None
         return None
 
     def true_residual(self, j: int, residual: float) -> float:
@@ -404,8 +407,10 @@ def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
         lane.attempt.lsq._g = g[:, slot]
 
 
-def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
-    """Advance one restart cycle of a cohort of lanes in lockstep.
+def _run_cohort(lanes, m: int, method: str, n: int):
+    """Advance one restart cycle of a cohort of lanes in lockstep; return
+    the Hessenberg stack and the rotated right-hand sides ``g`` (step-major)
+    the cycle tail solves.
 
     All lanes share the cycle dimension ``m`` and Gram-Schmidt
     ``method``; each occupies one slot of the stacked basis
@@ -424,9 +429,13 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
     are the running even shares and its call count is its step count.
     """
     G = len(lanes)
+    sdc = any(lane.is_sdc for lane in lanes)
+    if sdc:  # local import: the skeptical layer sits above the engine
+        from repro.skeptical.gmres_sdc import SdcChecks, SdcCohort
     basis = np.zeros((G, m + 1, n), dtype=np.float64)
     hess = np.zeros((G, m + 1, m), dtype=np.float64)
-    table = np.zeros((4 * m + 3, G), dtype=np.float64)
+    # (+ the skeptical lanes' rows of SdcCohort, so a slot swap carries them)
+    table = np.zeros((4 * m + 3 + (SdcCohort.ROWS if sdc else 0), G), dtype=np.float64)
     giv_c, giv_s, g = table[:m], table[m : 2 * m], table[2 * m : 3 * m + 1]
     res = table[3 * m + 1 : 4 * m + 2]  # res[j]: the residual entering step j
     targets = table[4 * m + 2]
@@ -446,9 +455,9 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
             every.append(lane)
         else:
             due.setdefault(a.fire_at - a.total_iteration - 1, []).append(lane)
-    sdc = [(lane, lane.slot) for lane in order if lane.is_sdc]
-    if sdc:  # local import: the skeptical layer sits above the engine
-        from repro.skeptical.gmres_sdc import SdcChecks
+    if sdc:
+        pairs = [(lane, lane.slot) for lane in order if lane.is_sdc]
+        sdc = SdcCohort(pairs, table[4 * m + 3 :], res)
     no_precond = all(lane.attempt.preconditioner.preconditioner is None for lane in order)
     shared_operator = all(lane.attempt.operator is order[0].attempt.operator for lane in order)
     mv_sec = ortho_sec = 0.0
@@ -457,6 +466,8 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
 
     def leave(lane):
         _advance(lane, steps, res)
+        if lane.is_sdc:
+            sdc.leave(lane, steps)
         kernels = lane.attempt.kernels
         kernels.add("matvec", mv_sec, calls=steps)
         kernels.add("orthogonalization", ortho_sec, calls=steps)
@@ -572,9 +583,10 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
                 _swap_slots(order, s_low, t_high, basis, hess, table, g)
             k = new_k
             if sdc:
-                sdc = [(lane, lane.slot) for lane in order[:k] if lane.is_sdc]
+                sdc.pairs = [(lane, lane.slot) for lane in order[:k] if lane.is_sdc]
     for lane in order[:k]:
         leave(lane)
+    return hess, g
 
 
 def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
@@ -585,18 +597,21 @@ def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
     sides must share one length, and ``operator`` is shared.  Returns
     one :class:`~repro.krylov.result.SolveResult` per spec, in order,
     bit-identical to the sequential solver's.
+
+    The cycle heads' residuals are formed first, for all lanes at once
+    (:func:`_stacked_residuals`), and handed to their ``begin_cycle``.
     """
+    lane_types = {
+        _lane_spec("SdcLaneSpec"): _SdcGmresLane, _lane_spec("GmresLaneSpec"): _PlainGmresLane
+    }
     lanes = []
     n = None
     for spec in specs:
-        if isinstance(spec, SdcLaneSpec):
-            lane = _SdcGmresLane(operator, spec)
-        elif isinstance(spec, GmresLaneSpec):
-            lane = _PlainGmresLane(operator, spec)
-        else:
+        if type(spec) not in lane_types:
             raise TypeError(
                 f"unsupported lane spec type {type(spec).__name__}"
             )
+        lane = lane_types[type(spec)](operator, spec)
         if n is None:
             n = lane.b.size
         elif lane.b.size != n:
@@ -604,75 +619,90 @@ def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
         lanes.append(lane)
     pool = list(lanes)
     while pool:
+        heads = [lane for lane in pool if lane.head() is not None]
+        stacked = _stacked_residuals([lane.attempt for lane in heads])
+        residuals = dict(zip(heads, stacked)) if stacked is not None else {}
         cohorts = {}
         for lane in pool:
-            key = lane.begin_cycle()
+            key = lane.begin_cycle(residuals.get(lane))
             if key is not None:
                 cohorts.setdefault(key, []).append(lane)
         pool = []
         for (m, method), members in cohorts.items():
-            _run_cohort(operator, members, m, method, n)
-            _batched_cycle_tail(members)
+            _batched_cycle_tail(members, *_run_cohort(members, m, method, n))
             pool.extend(members)
     return [lane.result for lane in lanes]
 
 
-#: Stack the cycle-tail residual matvecs only while the cohort's total
-#: row count (``S * n`` = the number of ``reduceat`` segments) stays in
-#: the interpreter-bound regime; above this the per-segment cost of the
-#: axis-1 ``reduceat`` outweighs the saved per-lane dispatch (measured:
-#: 2.6x faster at n=64/S=256, 3x *slower* at n=1024/S=64).
+#: Stack the cycle boundary's residual matvecs only while the cohort's
+#: total row count (``S * n`` = the number of ``reduceat`` segments)
+#: stays in the interpreter-bound regime; above this the per-segment
+#: cost of the axis-1 ``reduceat`` outweighs the saved per-lane dispatch
+#: (measured: 2.6x faster at n=64/S=256, 3x *slower* at n=1024/S=64).
 _TAIL_STACK_MAX_SEGMENTS = 16_384
 
 
-def _batched_cycle_tail(members) -> None:
-    """The cycle tail across one cohort, with the residual matvecs stacked.
-
-    Every lane first runs its x-update (the shared
-    :meth:`ArnoldiAttempt.update_solution`); the true-residual matvecs
-    that close each cycle are then stacked into one
-    :meth:`CsrMatrix.matvec_block` call whenever every remaining lane
-    shares one CsrMatrix operator.  The
-    block kernel is bit-identical per row to the per-lane matvec, and
-    each lane is charged one matvec call with an even share of the
-    batched span -- exactly the accounting contract of the inner-loop
-    spans, so batch/sequential parity (which excludes seconds only)
-    holds.  Lanes with private operators (fault-injecting wrappers)
-    keep their own sequential matvec, preserving fault streams
-    draw for draw.
-
-    The stacked path is gated on the block size: ``reduceat`` along
-    axis 1 pays a per-segment cost that makes the block kernel *slower*
-    than S well-vectorized 1-D matvecs once ``S * n`` leaves the
-    interpreter-bound regime (measured crossover ~16k row segments), so
-    large-n cohorts keep the per-lane tail.  Both residual forms are
-    bit-identical (``b - Ax`` and ``1.0*b + (-1.0)*Ax`` are the same
-    IEEE operation), so the gate is a pure time heuristic.
+def _stacked_residuals(attempts) -> Optional[np.ndarray]:
+    """``b - A x`` of every attempt, as the rows of one ``matvec_block``,
+    each charged one matvec with an even share of the span; ``None`` (each
+    forms its own) unless two or more share one :class:`CsrMatrix` and
+    ``S * n`` is within the gate.  The rows are bit-identical to the
+    per-lane ``1.0*b + (-1.0)*Ax``, so the gate is a pure time heuristic;
+    private operators (fault-injecting wrappers) keep their own matvec,
+    so fault streams match draw for draw.
     """
-    acts = [a for a in (lane.tail_begin() for lane in members) if a is not None]
-    if not acts:
-        return
-    for a in acts:
-        a.update_solution()
-    op0 = acts[0].operator
-    if (
-        len(acts) > 1
+    op0 = attempts[0].operator if attempts else None
+    if not (
+        len(attempts) > 1
         and isinstance(op0, CsrMatrix)
-        and len(acts) * op0.shape[0] <= _TAIL_STACK_MAX_SEGMENTS
-        and all(a.operator is op0 for a in acts)
+        and len(attempts) * op0.shape[0] <= _TAIL_STACK_MAX_SEGMENTS
+        and all(a.operator is op0 for a in attempts)
     ):
-        t0 = time.perf_counter()
-        X = np.array([a.x for a in acts], dtype=np.float64)
-        AX = op0.matvec_block(X)
-        R = np.array([a.b for a in acts], dtype=np.float64) - AX
-        residuals = [float(np.sqrt(R[i] @ R[i])) for i in range(len(acts))]
-        share = (time.perf_counter() - t0) / len(acts)
-        for a, true_residual in zip(acts, residuals):
-            a.kernels.add("matvec", share, calls=1)
-            a.close_cycle(true_residual)
+        return None
+    t0 = time.perf_counter()
+    X = np.array([a.x for a in attempts], dtype=np.float64)
+    R = np.array([a.b for a in attempts], dtype=np.float64) - op0.matvec_block(X)
+    share = (time.perf_counter() - t0) / len(attempts)
+    for a in attempts:
+        a.kernels.add("matvec", share, calls=1)
+    return R
+
+
+def _batched_cycle_tail(members, hess: np.ndarray, g: np.ndarray) -> None:
+    """The cycle tail across one cohort, its solves and residuals stacked.
+
+    Lanes with equal step counts ``k`` share one
+    :func:`~repro.linalg.blas.back_substitution_many` over their slots of
+    ``hess`` and ``g``; :meth:`ArnoldiAttempt.update_solution`, when it
+    updates, gets each ``y`` through the lane's :class:`_LaneLsq`.  A
+    group of one, or one with a bad pivot (the kernel raises), keeps the
+    per-lane solve and its ``LinAlgError`` breakdown path.  Then
+    :func:`_stacked_residuals`.
+    """
+    acts = [lane for lane in members if lane.tail_begin() is not None]
+    groups = {}
+    for lane in acts:
+        groups.setdefault(lane.attempt.inner_used, []).append(lane)
+    for k, group in groups.items():
+        if k and len(group) > 1:
+            slots = [lane.slot for lane in group]
+            try:
+                ys = back_substitution_many(hess[slots, :k, :k], g[:k, slots].T)
+            except np.linalg.LinAlgError:
+                continue
+            for lane, y in zip(group, ys):
+                lane.attempt.lsq.y = y
+    attempts = [lane.attempt for lane in acts]
+    for a in attempts:
+        a.update_solution()
+    R = _stacked_residuals(attempts)
+    if R is None:
+        for a in attempts:
+            a.close_cycle(ops.norm(a.residual()))
         return
-    for a in acts:
-        a.close_cycle(ops.norm(a.residual()))
+    norms = np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
+    for a, true_residual in zip(attempts, norms.tolist()):
+        a.close_cycle(true_residual)
 
 
 # ---------------------------------------------------------------------------

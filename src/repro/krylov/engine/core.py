@@ -188,15 +188,22 @@ class ArnoldiAttempt:
         kernels.charge("matvec", t0)
         return r
 
-    def begin_cycle(self) -> Optional[int]:
+    @property
+    def done(self) -> bool:
+        """Whether the attempt is over (no cycle head forms a residual)."""
+        return self.total_iteration >= self.scheme.maxiter or self.converged or self.breakdown
+
+    def begin_cycle(self, r=None) -> Optional[int]:
         """The cycle head: the next cycle's dimension, ``None`` when done.
 
-        Residual of the current iterate (a charged matvec), the first
-        residual record and the cycle-start convergence test.
+        Residual of the current iterate (a charged matvec, unless the
+        caller formed ``r`` and charged it), the first residual record
+        and the cycle-start convergence test.
         """
-        if self.total_iteration >= self.scheme.maxiter or self.converged or self.breakdown:
+        if self.done:
             return None
-        r = self.residual()
+        if r is None:
+            r = self.residual()
         beta = ops.norm(r)
         if not self.residual_norms:
             self.residual_norms.append(beta)

@@ -23,6 +23,7 @@ __all__ = [
     "givens_rotation_many",
     "rotate_hessenberg_column",
     "back_substitution",
+    "back_substitution_many",
     "HessenbergLsq",
 ]
 
@@ -133,6 +134,30 @@ def back_substitution(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     y = np.zeros(n, dtype=np.float64)
     for i in range(n - 1, -1, -1):
         y[i] = (rhs[i] - upper[i, i + 1 : n] @ y[i + 1 : n]) / pivots[i]
+    return y
+
+
+def back_substitution_many(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`back_substitution` over a stack: ``(L, k, k)`` factors, ``(L, k)`` right-hand sides.
+
+    Each lane's ``y`` is bit for bit the per-lane one: row ``i`` is one
+    stacked ``(L, 1, k-i-1) @ (L, k-i-1, 1)`` matmul, which NumPy hands
+    lane by lane to the dot kernel of the per-lane ``upper[i, i+1:] @
+    y[i+1:]``, on the same strides.  A lane with a zero or non-finite
+    pivot raises the per-lane ``np.linalg.LinAlgError``.
+    """
+    upper = np.asarray(upper, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    lanes, k = rhs.shape
+    pivots = np.diagonal(upper, axis1=1, axis2=2)[:, :k]
+    bad = (~np.isfinite(pivots) | (pivots == 0.0)).any(axis=1)
+    if bad.any():
+        lane = int(bad.argmax())
+        back_substitution(upper[lane], rhs[lane])  # raises that lane's error
+    y = np.zeros((lanes, k), dtype=np.float64)
+    for i in range(k - 1, -1, -1):
+        dots = np.matmul(upper[:, i : i + 1, i + 1 : k], y[:, i + 1 : k, None])[:, 0, 0]
+        np.divide(np.subtract(rhs[:, i], dots, out=dots), pivots[:, i], out=y[:, i])
     return y
 
 

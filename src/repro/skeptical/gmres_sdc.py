@@ -122,8 +122,11 @@ def _slot_rows(pairs):
     """Index of the slots of ``pairs``: a slice when they are the leading
     slots in order (views, no gather copies -- the all-lanes-due common
     case), else an index array."""
+    if len(pairs) == 1:
+        slot = pairs[0][1]
+        return slice(slot, slot + 1)
     slots = [slot for _, slot in pairs]
-    if slots[0] == 0 and slots[-1] == len(slots) - 1:
+    if slots == list(range(len(slots))):
         return slice(0, len(slots))
     return np.asarray(slots, dtype=np.intp)
 
@@ -169,11 +172,13 @@ class SdcChecks:
         cheap array checks are evaluated as one vectorized sweep over
         the due lanes.  ``lanes`` holds ``(lane, slot)`` pairs in slot
         order, a lane being anything with ``checks`` (its
-        :class:`SdcChecks`) and ``true_residual(j, residual)``;
-        ``basis`` and ``hess`` are the ``(G, m+1, n)`` and ``(G, m+1,
-        m)`` stacks after step ``j``, ``residuals`` this step's residual
-        per slot.  (``check_flops`` only ever adds integer-valued
-        floats, so folding a lane's passed checks into one add is
+        :class:`SdcChecks`) and ``true_residual(j, residual)``; a
+        lockstep cohort passes its :class:`SdcCohort`, so per-lane Python
+        runs only on events (a failing check, a due orthogonality or
+        consistency check).  ``basis`` and ``hess`` are the ``(G, m+1,
+        n)`` and ``(G, m+1, m)`` stacks after step ``j``, ``residuals``
+        this step's residual per slot.  (``check_flops`` only ever adds
+        integer-valued floats, so folding passed checks into one add is
         exact.)
 
         Returns ``{lane: build}`` for the lanes a check failed on;
@@ -184,28 +189,39 @@ class SdcChecks:
         """
         failed = {}
         n = basis.shape[2]
-        due, ortho, consistency = [], [], []
-        for pair in lanes:
-            checks = pair[0].checks
-            checks.observations = obs = checks.observations + 1
-            checks.residual_history.append(residuals[pair[1]])
-            if obs % checks.check_period == 0:
-                due.append(pair)
-            if obs % checks.orthogonality_period == 0:
-                ortho.append(pair)
-            if obs % checks.residual_check_period == 0:
-                consistency.append(pair)
+        cohort = lanes if isinstance(lanes, SdcCohort) else None
+        if cohort is not None:
+            due, ortho, consistency = cohort.observe(j)
+        else:
+            due, ortho, consistency = [], [], []
+            for pair in lanes:
+                checks = pair[0].checks
+                checks.observations = obs = checks.observations + 1
+                checks.residual_history.append(residuals[pair[1]])
+                if obs % checks.check_period == 0:
+                    due.append(pair)
+                if obs % checks.orthogonality_period == 0:
+                    ortho.append(pair)
+                if obs % checks.residual_check_period == 0:
+                    consistency.append(pair)
         if due:
             rows = _slot_rows(due)
-            fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1).tolist()
+            fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
             # NaN propagates through max and inf is the max, so the bound
             # test below also fails on any non-finite window entry.
-            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2)).tolist()
+            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2))
             # Cumulative cost of the array checks when 1, 2, 3 or all 4 ran.
             costs = (float(n), float(n + j + 2), float(n + (j + 2) + (j + 2) * (j + 1)))
             costs += costs[2:]
+            histories = None  # monotonicity reads each lane's own
+            if cohort is not None:
+                histories = cohort.book(due, rows, j, fb_pass, max_entry, costs[3])
+                if histories is None:  # every lane passed: booked at once
+                    due = ()
+            fb_pass, max_entry = fb_pass.tolist(), max_entry.tolist()
             for i, (lane, slot) in enumerate(due):
                 checks = lane.checks
+                history = checks.residual_history if histories is None else histories[i]
                 me = max_entry[i]
                 build = None
                 if not fb_pass[i]:
@@ -229,9 +245,9 @@ class SdcChecks:
                 else:
                     # All three passed; the fourth is monotonicity_check
                     # (history[-4:], default window/allowed_increase, zero
-                    # cost_flops), inlined.
+                    # cost_flops), inlined -- no history: the cohort passed it.
                     ran = 4
-                    recent = checks.residual_history[-4:]
+                    recent = () if history is None else history[-4:]
                     if len(recent) < 2:
                         mono_pass = True
                     elif not all(map(math.isfinite, recent)):
@@ -240,7 +256,7 @@ class SdcChecks:
                         reference = min(recent[:-1])
                         mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
                     if not mono_pass:
-                        build = functools.partial(monotonicity_check, checks.residual_history)
+                        build = functools.partial(monotonicity_check, history)
                 checks.checks_run += ran
                 checks.check_flops += costs[ran - 1]
                 if build is not None:
@@ -286,6 +302,93 @@ class SdcChecks:
                     residual_consistency_check, residual, true_residual
                 )
         return failed
+
+
+class SdcCohort:
+    """The skeptical lanes of a lockstep cohort, as :meth:`SdcChecks.sweep` books them.
+
+    An observation stays out of a lane's :class:`SdcChecks` until
+    :meth:`leave` folds it in: its count is the lane's step count, its
+    history the lane's column of the cohort's residual rows ``res``, and
+    a step every lane passed is booked once for all (each lane is in the
+    cohort from step 0).  The :attr:`ROWS` rows it is given of the
+    cohort's step-major ``table`` (a slot swap carries them) hold each
+    lane's Hessenberg threshold, clamped to the largest float so ``<=``
+    fails on inf and NaN, and the last three entries of its earlier
+    history (vacant: :data:`_VACANT`; non-finite: NaN).
+    """
+
+    ROWS = 4
+
+    def __init__(self, pairs, table: np.ndarray, res: np.ndarray):
+        self.table, self.res, self.pairs = table, res, pairs
+        self.runs, self.flops = 0, 0.0
+        self._left = set()
+        self._every = all(lane.checks.check_period == 1 for lane, _ in pairs)
+        m = res.shape[0] - 1
+        self._due = [[] for _ in range(3 * m)]  # kind * m + j -> the lanes due at step j
+        for lane, slot in pairs:
+            checks = lane.checks
+            recent = [r if math.isfinite(r) else math.nan for r in checks.residual_history[-3:]]
+            table[:, slot] = (
+                min(checks.hessenberg_threshold, _VACANT), *[_VACANT] * (3 - len(recent)), *recent
+            )
+            periods = (
+                checks.check_period, checks.orthogonality_period, checks.residual_check_period
+            )
+            for kind, period in enumerate(periods):
+                if kind or not self._every:  # due where observations + j + 1 is a multiple
+                    for j in range(period - 1 - checks.observations % period, m, period):
+                        self._due[kind * m + j].append(lane)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def observe(self, j: int):
+        """The pairs due for the cheap, orthogonality and consistency checks at step ``j``."""
+        due = [
+            [(lane, lane.slot) for lane in lanes if lane not in self._left]
+            for lanes in self._due[j :: self.res.shape[0] - 1]
+        ]
+        return (self.pairs if self._every else due[0]), due[1], due[2]
+
+    def book(self, due, rows, j: int, fb_pass, max_entry, cost: float) -> Optional[list]:
+        """Book step ``j`` once, at ``cost`` flops, when every lane is due
+        and passed (and return ``None``); else return, per due lane, the
+        history monotonicity reads, or ``None`` when it passes here: the
+        newest residual is no larger than the three before it, which are
+        finite (a lane leaves at a non-finite residual), so the ratio is at
+        most 1.
+        """
+        window = (
+            self.res[j - 2 : j + 2, rows] if j >= 3
+            else np.concatenate((self.table[1 + j :, rows], self.res[1 : j + 2, rows]))
+        )
+        ok = window[3] <= window[:3].min(axis=0)
+        ok &= fb_pass
+        ok &= max_entry <= self.table[0, rows]
+        if np.count_nonzero(ok) == len(ok) == len(self.pairs):
+            self.runs += 4
+            self.flops += cost
+            return None
+        return [
+            None if passed else lane.checks.residual_history + self.res[1 : j + 2, slot].tolist()
+            for (lane, slot), passed in zip(due, ok.tolist())
+        ]
+
+    def leave(self, lane, steps: int) -> None:
+        """Fold a leaving lane's ``steps`` observations into its counters."""
+        checks = lane.checks
+        checks.observations += steps
+        checks.residual_history.extend(self.res[1 : steps + 1, lane.slot].tolist())
+        checks.checks_run += self.runs
+        checks.check_flops += self.flops
+        self._left.add(lane)
+
+
+#: A vacant entry of the carried history: finite, and the largest, so it
+#: is never the minimum of a window that holds a real entry.
+_VACANT = float(np.finfo(np.float64).max)
 
 
 class SdcPolicy(ResiliencePolicy):

@@ -7,8 +7,9 @@ what a sequential campaign persists.  This module pins that contract at
 every layer:
 
 * engine -- the solver x policy x preconditioner x fault-hook matrix,
-  including mid-batch divergence (mixed per-lane tolerances) and a
-  non-converging lane;
+  including mid-batch divergence (mixed per-lane tolerances), a
+  non-converging lane, and the cycle tail's stacked solves beside a
+  happy breakdown and a zeroed pivot;
 * drivers -- E1/E8/E9/E10 ``run_batch`` against sequential ``run``;
 * runner -- ``CampaignRunner(batch=...)`` store contents against the
   scenario-at-a-time run, mixed batchable/non-batchable campaigns
@@ -19,7 +20,8 @@ every layer:
   table of inputs both engines must accept or refuse alike, spies on
   the cycle boundary, event builder, skeptical attempt loop and check
   set the two engines share, and the lockstep engine's cost shape as counts (``GmresState`` built only when a hook
-  can act, seconds that add up to the stacked spans);
+  can act, seconds that add up to the stacked spans, no per-lane back
+  substitution or matvec at a stacked cycle boundary);
 * properties (Hypothesis) -- ``plan_batch_groups`` partitions without
   dropping or duplicating scenarios, and the lockstep convergence mask
   freezes finished lanes' iterates for good;
@@ -53,6 +55,7 @@ from repro.experiments import (
 from repro.krylov.engine import batch as batch_engine
 from repro.krylov.engine import core as engine_core
 from repro.krylov import cg, gmres
+from repro.krylov import ops as krylov_ops
 from repro.krylov.engine import IterationEvent, ResidualGuardPolicy
 from repro.krylov.engine.batch import CgLaneSpec, run_cg_batch
 from repro.krylov.engine.core import ArnoldiAttempt
@@ -197,6 +200,65 @@ class TestEngineParity:
             iterations = {r.iterations for r in batched}
             assert len(iterations) > 1, "tolerance mix should stagger exits"
             assert_lane_parity(batched, sequential)
+
+    @pytest.mark.parametrize("solver", ["gmres", "sdc_gmres"])
+    def test_tail_groups_staggered_exits_happy_and_zero_pivot_lanes(
+        self, matrix, monkeypatch, solver
+    ):
+        # The cycle tail solves the lanes of equal step count as one
+        # stack.  Lanes here leave at different steps (mixed tolerances,
+        # each right-hand side twice, so step counts are shared), one
+        # breaks down happily at its first step (an eigenvector
+        # right-hand side), and one lane's hook zeroes its first
+        # Hessenberg pivot: the stacked solve of that lane's group raises,
+        # and its update breaks down as the sequential one does.
+        class ZeroPivot:
+            fire_at = 5
+
+            def __call__(self, state):
+                state.hessenberg[0, 0] = 0.0
+
+        grid = np.arange(1, 13) / 13.0
+        eigenvector = np.outer(np.sin(2 * np.pi * grid), np.sin(3 * np.pi * grid)).ravel()
+        bs = [np.random.default_rng(60 + i // 2).standard_normal(matrix.n_rows) for i in range(8)]
+        bs.append(eigenvector)
+        tols = [1e-4, 1e-4, 1e-6, 1e-6, 1e-8, 1e-8, 1e-10, 1e-10, 1e-8]
+        hook_name = "fault_hook" if solver == "sdc_gmres" else "iteration_hook"
+        kwargs = dict(restart=30, maxiter=600)
+        if solver == "sdc_gmres":
+            kwargs["policy"] = "skeptical_restart"
+
+        def lane_params():
+            params = [{"tol": tol} for tol in tols]
+            params[1][hook_name] = ZeroPivot()
+            return params
+
+        stacked = []  # (lanes, raised) per stacked solve
+        many = batch_engine.back_substitution_many
+
+        def spy(upper, rhs):
+            try:
+                ys = many(upper, rhs)
+            except np.linalg.LinAlgError:
+                stacked.append((len(rhs), True))
+                raise
+            stacked.append((len(rhs), False))
+            return ys
+
+        monkeypatch.setattr(batch_engine, "back_substitution_many", spy)
+        batched = batch_solve(solver, matrix, bs, lane_params=lane_params(), **kwargs)
+        entry = default_solver_registry().get(solver)
+        sequential = []
+        for b, params in zip(bs, lane_params()):
+            if hook_name in params and solver == "sdc_gmres":
+                params["policy_options"] = {"fault_hook": params.pop(hook_name)}
+            sequential.append(entry.solve(matrix, b, **kwargs, **params))
+        assert_lane_parity(batched, sequential)
+        assert len({r.iterations for r in batched}) > 3
+        assert batched[1].breakdown and not batched[0].breakdown
+        assert batched[-1].iterations == 1
+        assert any(raised for _, raised in stacked)  # the zeroed pivot's group
+        assert any(lanes > 1 and not raised for lanes, raised in stacked)
 
     def test_non_converging_lane(self, matrix, rhs):
         # A lane that exhausts maxiter must report non-convergence with
@@ -600,6 +662,45 @@ class TestLockstepCostShape:
             )
             iterations += sum(r.iterations for r in results)
         assert len(seen) == len(state_count) == iterations
+
+    def test_cycle_boundary_is_stacked(self, matrix, many_rhs, monkeypatch):
+        # A 24-lane cohort on one CsrMatrix, every lane good and every
+        # step count shared (each right-hand side twice): no per-lane
+        # back substitution at the tail, no per-lane matvec at a cycle
+        # head or tail, and one stacked back substitution per distinct
+        # step count of a tail.
+        bs = [b for b in many_rhs[: self.LANES // 2] for _ in range(2)]
+        calls = collections.Counter()
+        expected = []
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def spy(*args, **kw):
+                calls[name] += 1
+                return function(*args, **kw)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counted(batch_engine, "back_substitution")
+        counted(batch_engine, "back_substitution_many")
+        counted(krylov_ops, "matvec")
+        tail = batch_engine._batched_cycle_tail
+
+        def counted_tail(members, hess, g):
+            used = {lane.attempt.inner_used for lane in members} - {0}
+            expected.append(len(used))
+            return tail(members, hess, g)
+
+        monkeypatch.setattr(batch_engine, "_batched_cycle_tail", counted_tail)
+        kwargs = dict(tol=1e-8, restart=30, maxiter=600)
+        batched = batch_solve("gmres", matrix, bs, **kwargs)
+        monkeypatch.undo()
+        assert len(expected) > 1  # more than one cycle
+        assert calls["back_substitution"] == calls["matvec"] == 0
+        assert calls["back_substitution_many"] == sum(expected)
+        entry = default_solver_registry().get("gmres")
+        assert_lane_parity(batched, [entry.solve(matrix, b, **kwargs) for b in bs])
 
     @pytest.mark.parametrize("solver", ["gmres", "cg"])
     def test_lane_seconds_add_up_to_the_stacked_spans(

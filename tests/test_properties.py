@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.campaign.spec import Scenario, scenario_key
 from repro.reliability.bitflip import flip_bit_array, flip_bit_float64
-from repro.linalg.blas import back_substitution, givens_rotation
+from repro.linalg.blas import back_substitution, back_substitution_many, givens_rotation
 from repro.linalg.checksum import checked_matmul
 from repro.linalg.csr import CsrMatrix
 from repro.linalg.distributed import block_ranges
@@ -25,7 +25,7 @@ from repro.skeptical.checks import (
     orthogonality_check,
     residual_consistency_check,
 )
-from repro.skeptical.gmres_sdc import SdcChecks
+from repro.skeptical.gmres_sdc import SdcChecks, SdcCohort
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -117,6 +117,43 @@ class TestBlasProperties:
         rhs = rng.standard_normal(n)
         y = back_substitution(upper, rhs)
         assert np.allclose(upper[:n, :n] @ y, rhs, atol=1e-8)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        G=st.integers(1, 63), m=st.integers(1, 40), data=st.data(),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16),
+        pivot=st.sampled_from([None, 0.0, -0.0, float("nan"), float("inf")]),
+    )
+    def test_back_substitution_many_is_the_per_lane_solve(self, G, m, data, scale, seed, pivot):
+        # Cohort-shaped stacks: a (G, m+1, m) Hessenberg stack and a
+        # step-major g table, read through the strided views the lockstep
+        # cycle tail hands the kernel (a basic slice of slots, or a gather).
+        rng = np.random.default_rng(seed)
+        hess = rng.standard_normal((G, m + 1, m)) * scale
+        table = rng.standard_normal((3 * m + 3, G)) * scale
+        g = table[m : 2 * m + 1]
+        k = data.draw(st.integers(1, m), label="k")
+        slots = sorted(data.draw(st.sets(st.integers(0, G - 1), min_size=1), label="slots"))
+        g[k - 1, slots[:: 2]] = -0.0  # signed zeros reach y through the division
+        if pivot is not None:  # one lane's pivot is zero or not finite
+            bad = data.draw(st.sampled_from(slots), label="bad lane")
+            row = data.draw(st.integers(0, k - 1), label="pivot row")
+            hess[bad, row, row] = pivot
+        contiguous = slots == list(range(slots[0], slots[-1] + 1))
+        upper = hess[slots[0] : slots[-1] + 1, :k, :k] if contiguous else hess[slots, :k, :k]
+        rhs = g[:k, slots].T
+        if pivot is not None:
+            with pytest.raises(np.linalg.LinAlgError) as per_lane:
+                back_substitution(hess[bad][:k, :k], g[:k, bad])
+            with pytest.raises(np.linalg.LinAlgError) as stacked:
+                back_substitution_many(upper, rhs)
+            assert str(stacked.value) == str(per_lane.value)
+            return
+        ys = back_substitution_many(upper, rhs)
+        for y_many, slot in zip(ys, slots):
+            y = back_substitution(hess[slot][:k, :k], g[:k, slot])
+            assert np.array_equal(y_many, y)
+            assert np.array_equal(np.signbit(y_many), np.signbit(y))
 
 
 class TestChecksumProperties:
@@ -547,9 +584,8 @@ _sdc_lane = st.fixed_dictionaries(
 class TestSdcSweepMatchesTheMonitor:
     M, N = 5, 8  # cycle dimension and vector length of the drawn states
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(j=st.integers(0, M - 1), lanes=st.lists(_sdc_lane, min_size=1, max_size=4))
-    def test_sweep_equals_the_default_monitor(self, j, lanes):
+    def _stacks(self, j, lanes):
+        """The drawn lanes' slots, basis and Hessenberg stacks and residuals."""
         m, n = self.M, self.N
         slots = []
         for i, lane in enumerate(lanes):
@@ -568,38 +604,40 @@ class TestSdcSweepMatchesTheMonitor:
                     basis[slot, j + 1 if row % 2 else row % (j + 2), col % n] = value
                 else:  # the Hessenberg window
                     hess[slot, row % (j + 2), col % (j + 1)] = value
+        return slots, basis, hess, residuals
 
-        swept, expected = [], []
-        for lane, slot in zip(lanes, slots):
-            periods = dict(
-                check_period=lane["periods"][0], orthogonality_period=lane["periods"][1],
-                residual_check_period=lane["periods"][2], hessenberg_safety=lane["safety"],
-                orthogonality_tol=1e-6,
-            )
-            checks = SdcChecks(1.0, **periods)
-            checks.observations = lane["observed"]
-            checks.residual_history = list(lane["history"])
-            swept.append((_SweptLane(checks, lane["truth"]), slot))
-            monitor = _default_sdc_monitor(1.0, **periods)
-            monitor._observation_count = lane["observed"]
-            residual = lane["residual"]
-            state = {
-                "basis": basis[slot], "hessenberg": hess[slot], "inner": j,
-                "residual_norm": residual,
-                "residual_history": [*lane["history"], residual],
-                "true_residual": lambda residual=residual, truth=lane["truth"]: residual * truth,
-            }
-            failing = None
-            with np.errstate(all="ignore"):
-                try:
-                    monitor.observe(state)
-                except SkepticalAbort as abort:
-                    failing = abort.check
-            expected.append((monitor.summary(), failing))
-
+    @staticmethod
+    def _lane(lane, slot, j, basis, hess, history, observed):
+        """A swept lane holding the drawn history and count, and the default
+        monitor's summary and failing check on a state with ``history``
+        before this step's residual and ``observed`` observations."""
+        periods = dict(
+            check_period=lane["periods"][0], orthogonality_period=lane["periods"][1],
+            residual_check_period=lane["periods"][2], hessenberg_safety=lane["safety"],
+            orthogonality_tol=1e-6,
+        )
+        swept = _SweptLane(SdcChecks(1.0, **periods), lane["truth"])
+        swept.checks.observations = lane["observed"]
+        swept.checks.residual_history = list(lane["history"])
+        monitor = _default_sdc_monitor(1.0, **periods)
+        monitor._observation_count = observed
+        residual = lane["residual"]
+        state = {
+            "basis": basis[slot], "hessenberg": hess[slot], "inner": j,
+            "residual_norm": residual,
+            "residual_history": [*history, residual],
+            "true_residual": lambda residual=residual, truth=lane["truth"]: residual * truth,
+        }
+        failing = None
         with np.errstate(all="ignore"):
-            failed = SdcChecks.sweep(swept, j, basis, hess, residuals)
-            built = {lane: build() for lane, build in failed.items()}
+            try:
+                monitor.observe(state)
+            except SkepticalAbort as abort:
+                failing = abort.check
+        return swept, (monitor.summary(), failing)
+
+    @staticmethod
+    def _same_counters(swept, expected, failed, built):
         assert set(failed) == {
             lane for (lane, _), (_, failing) in zip(swept, expected) if failing is not None
         }
@@ -610,3 +648,60 @@ class TestSdcSweepMatchesTheMonitor:
             assert checks.check_flops == summary["check_flops"]  # exact
             assert checks.detections == summary["detections"]
             assert built.get(lane) == failing
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(j=st.integers(0, M - 1), lanes=st.lists(_sdc_lane, min_size=1, max_size=4))
+    def test_sweep_equals_the_default_monitor(self, j, lanes):
+        slots, basis, hess, residuals = self._stacks(j, lanes)
+        swept, expected = [], []
+        for lane, slot in zip(lanes, slots):
+            one, summary = self._lane(
+                lane, slot, j, basis, hess, lane["history"], lane["observed"]
+            )
+            swept.append((one, slot))
+            expected.append(summary)
+
+        with np.errstate(all="ignore"):
+            failed = SdcChecks.sweep(swept, j, basis, hess, residuals)
+            built = {lane: build() for lane, build in failed.items()}
+        self._same_counters(swept, expected, failed, built)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(j=st.integers(0, M - 1), lanes=st.lists(_sdc_lane, min_size=1, max_size=4))
+    def test_cohort_sweep_equals_the_default_monitor(self, j, lanes):
+        # The same draws as a lockstep cohort holds them at step j: the
+        # drawn history is carried from earlier cycles, the cycle's own j
+        # residuals are rows of the cohort's table (finite: a lane leaves
+        # at a non-finite one), and the lanes fold their counters in as
+        # they leave after this step.
+        slots, basis, hess, residuals = self._stacks(j, lanes)
+        res = np.zeros((self.M + 1, len(residuals)))
+        table = np.zeros((SdcCohort.ROWS, len(residuals)))
+        swept, expected = [], []
+        for lane, slot in zip(lanes, slots):
+            # Earlier residuals at ratios to this one around the allowed 1.5.
+            ratios = np.random.default_rng(lane["seed"]).choice(
+                [0.5, 1.0, 1.4, 1.5, np.nextafter(1.5, 2.0), 1.6, 3.0], size=j
+            )
+            residual = lane["residual"]
+            scale = residual if 0.0 < residual < np.inf else 1.0
+            cycle = (scale / ratios).tolist()
+            res[1 : j + 1, slot] = cycle
+            res[j + 1, slot] = lane["residual"]
+            one, summary = self._lane(
+                lane, slot, j, basis, hess, [*lane["history"], *cycle], lane["observed"] + j
+            )
+            one.slot = slot
+            swept.append((one, slot))
+            expected.append(summary)
+
+        cohort = SdcCohort(swept, table, res)
+        with np.errstate(all="ignore"):
+            failed = SdcChecks.sweep(cohort, j, basis, hess, residuals)
+            built = {lane: build() for lane, build in failed.items()}
+        for lane, _ in swept:
+            cohort.leave(lane, j + 1)
+        self._same_counters(swept, expected, failed, built)
+        for (lane, slot), drawn in zip(swept, lanes):
+            history = [*drawn["history"], *res[1 : j + 2, slot].tolist()]
+            assert np.array_equal(lane.checks.residual_history, history, equal_nan=True)
