@@ -129,14 +129,15 @@ rerun_is_cached smoke "$STORES/smoke.jsonl"
 echo
 echo "== chaos smoke gate (crashing workers must not change results) =="
 # The same smoke campaign, re-executed from scratch while ~30% of the
-# attempts hard-kill their own worker and ~10% hang past the deadline.
+# attempts hard-kill their own worker, ~10% hang past the deadline and
+# ~20% corrupt their result text after it was checksummed.
 # The supervised runner must retry every scenario to completion, and
 # the resulting store must match the clean run's -- resilience may cost
 # retries, never answers.  (Chaos draws are pure functions of the base
 # seed and scenario keys, so this gate's fault pattern -- and its wall
 # time -- is the same on every run.)
 run_campaign smoke "$STORES/chaos.jsonl" --timeout 10 --retries 10 \
-    --chaos "worker_crash:p=0.3+worker_hang:p=0.1,seconds=60"
+    --chaos "worker_crash:p=0.3+worker_hang:p=0.1,seconds=60+result_corrupt:p=0.2"
 same_results "chaos gate" "$STORES/smoke.jsonl" "$STORES/chaos.jsonl"
 
 echo

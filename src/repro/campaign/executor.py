@@ -37,12 +37,21 @@ Pieces
     retried attempts see fresh, independent draws.
 :class:`SupervisedExecutor`
     Long-lived worker ``Process``\\ es, each driven over its own duplex
-    :func:`multiprocessing.Pipe`.  The supervisor dispatches one
-    scenario at a time per worker, multiplexes the pipes with
+    :func:`multiprocessing.Pipe`.  The supervisor keeps up to
+    :data:`DEPTH` scenarios in flight per worker (the head runs, the next
+    waits in the pipe), multiplexes the pipes with
     :func:`multiprocessing.connection.wait`, enforces per-scenario
     deadlines (kill + respawn on expiry), detects hard worker death via
     liveness, verifies result checksums, and applies the retry policy
     until every scenario reaches a terminal state.
+
+    A task queues behind a busy worker only while the ready backlog
+    outnumbers the workers; its deadline starts when it becomes the head.
+    A crash or timeout charges the head alone: the tasks behind it never
+    started and are re-sent as the same attempt.  The largest builtin
+    task (a ``--batch 0`` sweep) pickles to 615 B, so a queued send
+    never waits on a full 64 KiB pipe.  A result crosses once, as
+    checksummed canonical JSON text, spliced as is into the store line.
 
     Per-worker pipes are a correctness requirement, not a style choice:
     a shared ``multiprocessing.Queue`` serializes writers through a
@@ -63,6 +72,7 @@ run (the chaos soak test pins this).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import json
@@ -73,6 +83,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_for_connections
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -172,15 +183,17 @@ def default_execute(
 def payload_checksum(payload: Any) -> str:
     """SHA-256 digest (16 hex chars) of a result payload's canonical JSON.
 
-    Workers stamp their result with this before it crosses the process
-    boundary; the supervisor recomputes it on receipt, and a mismatch
-    is classified as a transient ``corrupt`` attempt -- the same
-    detect-then-recover move the paper's skeptical outer solvers apply
-    to their inner results.
+    Workers send a result as this canonical text plus its checksum; the
+    supervisor recomputes the digest over the text it received, and a
+    mismatch is classified as a transient ``corrupt`` attempt -- the
+    same detect-then-recover move the paper's skeptical outer solvers
+    apply to their inner results.
     """
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
+    return _text_checksum(canonical_json(payload))
+
+
+def _text_checksum(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -577,6 +590,8 @@ def _worker_main(
 ) -> None:
     """Long-lived worker loop: recv a task on the pipe, send the result back.
 
+    A result is encoded once, here: canonical JSON text plus checksum.
+
     Chaos (when configured) fires *inside* the worker: crashes and
     hangs happen before the driver runs, corruption after the honest
     checksum was computed -- so the supervisor's detection paths are
@@ -608,11 +623,14 @@ def _worker_main(
         if chaos is not None:
             chaos.pre_run(chaos_seed, key, attempt)
         result, error, elapsed = execute(experiment, params, attempt)
-        checksum = payload_checksum(result) if result is not None else None
-        if chaos is not None and result is not None:
-            result = chaos.corrupt_result(result, chaos_seed, key, attempt)
+        text = checksum = None
+        if result is not None:
+            text = canonical_json(result)
+            checksum = _text_checksum(text)
+            if chaos is not None:
+                text = canonical_json(chaos.corrupt_result(result, chaos_seed, key, attempt))
         try:
-            conn.send((slot, attempt, result, error, elapsed, checksum, pid))
+            conn.send((slot, attempt, text, error, elapsed, checksum, pid))
         except (BrokenPipeError, OSError):
             return
 
@@ -651,11 +669,8 @@ class _WorkerHandle:
         """Send a task; raises OSError if the worker is already gone."""
         self.conn.send(task)
 
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
     def kill(self) -> None:
-        """Hard-stop (SIGKILL) and reap; used on timeouts."""
+        """Hard-stop (SIGKILL) if still running, and reap."""
         if self.process.is_alive():
             self.process.kill()
         self.process.join()
@@ -673,11 +688,6 @@ class _WorkerHandle:
             self.process.join()
         self.conn.close()
 
-    def reap(self) -> None:
-        """Join a worker already observed dead (crash path)."""
-        self.process.join()
-        self.conn.close()
-
 
 # ----------------------------------------------------------------------
 # Supervisor
@@ -690,7 +700,8 @@ class ExecutionResult:
     ``"timeout"`` (deadline exceeded on the final attempt) or
     ``"quarantined"`` (transient-failure budget exhausted).
     ``attempts`` counts every try, ``history`` their per-attempt
-    statuses in order (e.g. ``("crashed", "ok")``).
+    statuses in order (e.g. ``("crashed", "ok")``), ``text`` the
+    verified canonical JSON text ``result`` arrived as.
     """
 
     key: str
@@ -701,6 +712,7 @@ class ExecutionResult:
     elapsed: float = 0.0
     attempts: int = 1
     history: Tuple[str, ...] = ()
+    text: Optional[str] = None
 
 
 @dataclass
@@ -712,6 +724,12 @@ class _TaskState:
     attempts: int = 0
     ready_at: float = 0.0
     history: List[str] = field(default_factory=list)
+
+
+#: Tasks a worker holds at once: the head runs, the rest wait in its
+#: pipe.  ``campaign_pool`` ``work_per_s`` over the encode-twice executor
+#: by depth: 1 +10.0 %, 2 +12.0 %, 3 +6.4 % (PERFORMANCE.md, *Campaign*).
+DEPTH = 2
 
 
 class SupervisedExecutor:
@@ -802,10 +820,24 @@ class SupervisedExecutor:
         # never-attempted tasks (ready_at 0) in slot order, then retries.
         fresh = deque(states)
         retries: List[Tuple[float, int, _TaskState]] = []  # heap
-        inflight: Dict[int, Tuple[_TaskState, Optional[float]]] = {}
+        # Per busy worker: its tasks, running head first; head start time.
+        inflight: Dict[int, deque[_TaskState]] = {}
+        started: Dict[int, float] = {}
+
+        def send(worker_id: int) -> None:
+            state = fresh.popleft() if fresh else heapq.heappop(retries)[2]
+            state.attempts += 1
+            try:
+                workers[worker_id].submit(
+                    (state.slot, state.key, state.attempts,
+                     state.experiment, state.params)
+                )
+            except OSError:  # died between results: liveness reclaims it
+                pass
+            inflight.setdefault(worker_id, deque()).append(state)
 
         def conclude(state: _TaskState, status: str, *, error=None,
-                     elapsed=0.0, result=None, worker_pid=None) -> None:
+                     elapsed=0.0, text=None, worker_pid=None) -> None:
             state.history.append(status)
             retrying = status != "ok" and self.retry.should_retry(
                 status, state.attempts
@@ -826,62 +858,69 @@ class SupervisedExecutor:
                 key=state.key,
                 experiment=state.experiment,
                 status=outcome,
-                result=result if status == "ok" else None,
+                result=json.loads(text) if text is not None else None,
                 error=error,
                 elapsed=elapsed,
                 attempts=state.attempts,
                 history=tuple(state.history),
+                text=text,
             )
             results[state.slot] = final
             if completed is not None:
                 completed(state.slot, final)
 
-        def reclaim_crashed(worker_id: int) -> None:
-            """A worker died mid-scenario: reap, respawn, retry its task."""
-            entry = inflight.pop(worker_id, None)
-            if entry is None:
+        def reclaim(worker_id: int, status: str) -> None:
+            """Stop a dead (``crashed``) or overdue (``timeout``) worker and
+            respawn it; its head is charged, the tasks behind it requeued."""
+            queue = inflight.pop(worker_id, None)
+            if queue is None:
                 return
-            state, _ = entry
+            del started[worker_id]
             handle = workers.pop(worker_id)
-            pid = handle.process.pid
-            handle.reap()
-            exitcode = handle.process.exitcode
+            handle.kill()
+            error = (
+                f"scenario exceeded timeout of {self.timeout}s; worker killed"
+                if status == "timeout" else f"worker died with exit code "
+                f"{handle.process.exitcode} while running this scenario"
+            )
             replacement = self._spawn()
             workers[replacement.worker_id] = replacement
             idle.append(replacement.worker_id)
-            conclude(state, "crashed", worker_pid=pid,
-                     error=f"worker died with exit code {exitcode} "
-                           "while running this scenario")
+            head = queue.popleft()
+            for state in queue:  # never started: same attempt next time
+                state.attempts -= 1
+                if state.attempts:
+                    heapq.heappush(retries, (state.ready_at, state.slot, state))
+                else:  # back among the fresh, in slot order
+                    at = bisect.bisect(fresh, state.slot, key=attrgetter("slot"))
+                    fresh.insert(at, state)
+            conclude(head, status, worker_pid=handle.process.pid, error=error,
+                     elapsed=self.timeout if status == "timeout" else 0.0)
+
+        def dispatch(now: float) -> None:
+            """Every ready task to an idle worker, then queue one behind a
+            busy worker's head while the ready backlog outnumbers the
+            workers (never in the tail)."""
+            while idle and (fresh or (retries and retries[0][0] <= now)):
+                worker_id = idle.pop(0)
+                send(worker_id)
+                started[worker_id] = now
+            ready = len(fresh) + sum(1 for entry in retries if entry[0] <= now)
+            for worker_id, queue in inflight.items():
+                while len(queue) < DEPTH and ready > worker_count:
+                    send(worker_id)
+                    ready -= 1
 
         try:
             while fresh or retries or inflight:
                 now = time.monotonic()
-
-                # Dispatch every ready task to an idle worker.
-                while idle and (fresh or (retries and retries[0][0] <= now)):
-                    state = fresh.popleft() if fresh else heapq.heappop(retries)[2]
-                    worker_id = idle.pop(0)
-                    state.attempts += 1
-                    try:
-                        workers[worker_id].submit(
-                            (state.slot, state.key, state.attempts,
-                             state.experiment, state.params)
-                        )
-                    except OSError:
-                        # Worker died between results; the liveness
-                        # pass below reclaims the task as a crash.
-                        pass
-                    deadline = (
-                        now + self.timeout if self.timeout is not None else None
-                    )
-                    inflight[worker_id] = (state, deadline)
+                dispatch(now)
 
                 # How long we may block: next deadline, next backoff
                 # expiry, or the liveness poll interval.
                 wait = self.poll_interval
-                for _, deadline in inflight.values():
-                    if deadline is not None:
-                        wait = min(wait, deadline - now)
+                if self.timeout is not None and started:
+                    wait = min(wait, min(started.values()) + self.timeout - now)
                 if idle and retries:  # a worker left idle: nothing fresh
                     wait = min(wait, retries[0][0] - now)
                 wait = max(wait, 0.005)
@@ -900,6 +939,7 @@ class SupervisedExecutor:
                 else:
                     time.sleep(wait)
                     ready_conns = []
+                received = []
                 for conn in ready_conns:
                     worker_id = inflight_conns[conn]
                     try:
@@ -907,43 +947,39 @@ class SupervisedExecutor:
                         # reported ready, so this never blocks.
                         message = conn.recv()  # repro: allow(process-safety)
                     except (EOFError, OSError):
-                        reclaim_crashed(worker_id)
+                        reclaim(worker_id, "crashed")
                         continue
-                    entry = inflight.pop(worker_id, None)
-                    if entry is None:
+                    queue = inflight.get(worker_id)
+                    if not queue:
                         continue
-                    slot, attempt, result, error, elapsed, checksum, pid = message
-                    state, _ = entry
-                    idle.append(worker_id)
+                    received.append((queue.popleft(), message))
+                    if queue:  # the worker has started the next one
+                        started[worker_id] = time.monotonic()
+                    else:
+                        del inflight[worker_id], started[worker_id]
+                        idle.append(worker_id)
+                # Refill the workers before the bookkeeping of what they sent.
+                if received:
+                    dispatch(time.monotonic())
+                for state, message in received:
+                    slot, attempt, text, error, elapsed, checksum, pid = message
                     if error is not None:
                         conclude(state, "error", error=error,
                                  elapsed=elapsed, worker_pid=pid)
-                    elif checksum != payload_checksum(result):
+                    elif text is None or checksum != _text_checksum(text):
                         conclude(state, "corrupt", elapsed=elapsed,
                                  worker_pid=pid,
                                  error="result checksum mismatch "
                                        f"(expected {checksum})")
                     else:
-                        conclude(state, "ok", result=result,
+                        conclude(state, "ok", text=text,
                                  elapsed=elapsed, worker_pid=pid)
 
                 # Deadlines: kill + respawn expired workers.
                 now = time.monotonic()
                 for worker_id in list(inflight):
-                    state, deadline = inflight[worker_id]
-                    if deadline is None or now < deadline:
-                        continue
-                    del inflight[worker_id]
-                    handle = workers.pop(worker_id)
-                    pid = handle.process.pid
-                    handle.kill()
-                    replacement = self._spawn()
-                    workers[replacement.worker_id] = replacement
-                    idle.append(replacement.worker_id)
-                    conclude(state, "timeout", elapsed=self.timeout,
-                             worker_pid=pid,
-                             error=f"scenario exceeded timeout of "
-                                   f"{self.timeout}s; worker killed")
+                    if self.timeout is not None and now >= started[worker_id] + self.timeout:
+                        reclaim(worker_id, "timeout")
 
                 # Liveness: a dead worker with an in-flight task and
                 # nothing readable on its pipe crashed mid-scenario.
@@ -951,9 +987,9 @@ class SupervisedExecutor:
                 # drain above reclaims it; this is the backstop.)
                 for worker_id in list(inflight):
                     handle = workers[worker_id]
-                    if handle.is_alive() or handle.conn.poll(0):
+                    if handle.process.is_alive() or handle.conn.poll(0):
                         continue
-                    reclaim_crashed(worker_id)
+                    reclaim(worker_id, "crashed")
         finally:
             for handle in workers.values():
                 handle.stop()

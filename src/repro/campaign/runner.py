@@ -281,7 +281,7 @@ class CampaignRunner:
                 pending.append((index, scenario))
 
         def finish(slot: int, status: str, result, error, elapsed,
-                   attempts: int = 1) -> None:
+                   attempts: int = 1, text: Optional[str] = None) -> None:
             # Called as each scenario reaches a terminal state, so the
             # store grows incrementally: killing a long campaign loses
             # only the scenarios still in flight, and the re-run
@@ -297,6 +297,7 @@ class CampaignRunner:
                         params=scenario.params,
                         result=result,
                         elapsed=elapsed,
+                        result_text=text,
                     )
                 outcome = ScenarioOutcome(
                     scenario=scenario, key=key, status="completed",
@@ -386,7 +387,7 @@ class CampaignRunner:
                         if members_payload is not None else final.result
                     )
                     finish(slot, "completed", member, None, share,
-                           final.attempts)
+                           final.attempts, None if batched else final.text)
                 else:
                     finish(slot, final.status, None, final.error, share,
                            final.attempts)
@@ -411,32 +412,21 @@ class CampaignRunner:
                 key, experiment, params = unit_task(unit)
                 result, error, elapsed = default_execute(experiment, params)
                 status = "completed" if error is None else "failed"
-                if not batching:
-                    self._journal_inprocess(
-                        pending[unit[0]][1], status, error, elapsed
-                    )
+                attempt_status = "ok" if error is None else "error"
+                if not batching:  # one attempt, journaled as terminal
+                    self._journal_terminal(pending[unit[0]][1], attempt_status,
+                                           status, error, elapsed, 1)
                 conclude_unit(
                     unit,
                     ExecutionResult(
                         key=key, experiment=experiment, status=status,
                         result=result, error=error, elapsed=elapsed,
-                        attempts=1,
-                        history=("ok" if error is None else "error",),
+                        attempts=1, history=(attempt_status,),
                     ),
                 )
         return outcomes
 
     # ------------------------------------------------------------------
-    def _journal_inprocess(
-        self, scenario: Scenario, status: str, error: Optional[str],
-        elapsed: float,
-    ) -> None:
-        """Journal a single-attempt in-process execution to the ledger."""
-        self._journal_terminal(
-            scenario, "ok" if status == "completed" else "error",
-            status, error, elapsed, 1,
-        )
-
     def _journal_terminal(
         self, scenario: Scenario, status: str, outcome: str,
         error: Optional[str], elapsed: float, attempts: int,

@@ -80,19 +80,17 @@ class StoreRecord:
         """Deserialize the stored :class:`ExperimentResult`."""
         return ExperimentResult.from_dict(self.result)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "key": self.key,
-                "experiment": self.experiment,
-                "tag": self.tag,
-                "params": jsonify(self.params),
-                "elapsed": self.elapsed,
-                "result": self.result,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+    def to_json(self, result_text: Optional[str] = None) -> str:
+        """The store line, keys sorted, compact.  ``result_text`` is
+        ``result`` already so encoded (a worker's verified canonical
+        text), spliced in as is; ``params`` is plain JSON already."""
+        head = {"elapsed": self.elapsed, "experiment": self.experiment,
+                "key": self.key, "params": self.params}
+        if result_text is None:
+            result_text = json.dumps(self.result, sort_keys=True, separators=(",", ":"))
+        head_text = json.dumps(head, sort_keys=True, separators=(",", ":"))
+        # "result" and "tag" sort after the head's keys.
+        return f'{head_text[:-1]},"result":{result_text},"tag":{json.dumps(self.tag)}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "StoreRecord":
@@ -175,6 +173,7 @@ class ResultStore:
         params: Mapping[str, Any],
         result: ExperimentResult,
         elapsed: float = 0.0,
+        result_text: Optional[str] = None,
     ) -> StoreRecord:
         """Persist one completed scenario and index it.
 
@@ -191,6 +190,6 @@ class ResultStore:
             elapsed=float(elapsed),
             result=result.to_dict() if isinstance(result, ExperimentResult) else result,
         )
-        self._appender.append(record.to_json())
+        self._appender.append(record.to_json(result_text))
         self._records[key] = record
         return record

@@ -132,8 +132,8 @@ def _lane_spec(name: str) -> type:
     """A keyword-only dataclass with a field per parameter of the solver
     function, at its default; ``operator`` defaults to ``None`` (the
     batch's; a lane's own, e.g. a fault-injecting wrapper, is applied by
-    that lane alone).  Built on first use: the solver functions import
-    this module."""
+    that lane alone).  Built by :func:`build_lane_specs`: the solver
+    functions import this module."""
     module, function, omit = _LANE_SPECS[name]
     parameters = inspect.signature(getattr(importlib.import_module(module), function)).parameters
     defaults = {
@@ -146,6 +146,12 @@ def _lane_spec(name: str) -> type:
     ]
     namespace = {"__module__": __name__, "__doc__": f"One :func:`{module}.{function}` scenario."}
     return dataclasses.make_dataclass(name, fields, namespace=namespace, kw_only=True)
+
+
+def build_lane_specs() -> None:
+    """Called once the last solver module they mirror is imported."""
+    for name in _LANE_SPECS:
+        _lane_spec(name)
 
 
 def __getattr__(name: str):

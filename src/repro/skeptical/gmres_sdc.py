@@ -42,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.krylov import ops
+from repro.krylov.engine import batch
 from repro.krylov.engine.core import canonical_kernel_counters
 from repro.krylov.engine.resilience import (
     CallbackPolicy,
@@ -631,3 +632,8 @@ def sdc_detecting_gmres(
             attempts.complete(result)
 
     return attempts.result()
+
+
+# Always the last of the three solver modules the lockstep lane specs
+# mirror to finish importing: no solve (or campaign) inspects a signature.
+batch.build_lane_specs()

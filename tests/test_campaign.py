@@ -12,6 +12,8 @@ import inspect
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +323,25 @@ class TestResultStore:
         assert round_tripped.table.render() == result.table.render()
         assert record.result == got.result
 
+    def test_line_is_the_whole_record_dumped_and_splice_keeps_it(self):
+        # The line a worker's canonical text is spliced into is the line
+        # json.dumps writes for the whole record: floats, NaN, -0.0,
+        # non-ASCII text and nested key order included.
+        result = {"summary": {"z": -0.0, "a": float("nan"), "é": [1e-300, 2.5]},
+                  "claim": "ε ≤ 1", "table": {"rows": [[1, None, True]]}}
+        record = StoreRecord(key="k", experiment="E7", tag="tâg",
+                             params={"b": [1, 2], "a": 0.1}, elapsed=0.25,
+                             result=result)
+        whole = json.dumps(
+            {"key": "k", "experiment": "E7", "tag": "tâg", "params": record.params,
+             "elapsed": 0.25, "result": result},
+            sort_keys=True, separators=(",", ":"),
+        )
+        text = spec_module.canonical_json(result)
+        assert record.to_json() == whole
+        assert record.to_json(text) == whole
+        assert StoreRecord.from_json(whole).to_json(text) == whole
+
     def test_append_is_idempotent(self, tmp_path):
         driver = default_registry().get("E7")
         result = driver.run(**driver.spec.smoke)
@@ -460,26 +481,45 @@ class TestCampaignRunner:
         assert "seed" not in runner.resolve(Scenario("E7", {})).params
 
     @pytest.mark.parametrize("batch", [1, 0])
-    def test_run_never_inspects_a_registered_driver(self, tmp_path, monkeypatch, batch):
-        registry = default_registry()  # built (and inspected) before the spy
+    def test_run_never_inspects_a_registered_driver(self, tmp_path, batch):
+        # A fresh interpreter, so no earlier test can have built (and so
+        # hidden) anything the campaign path would otherwise inspect.
+        script = f"""
+import inspect
+import pytest
+from repro.campaign.registry import default_registry
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import Scenario, Sweep
+from repro.campaign.store import ResultStore
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("inspect.signature called on the campaign path")
+registry = default_registry()  # built (and inspected) before the spy
 
-        monkeypatch.setattr(inspect, "signature", forbidden)
-        scenarios = _fast_scenarios(2) + Sweep(
-            "E1", axes={"seed": (5, 6)}, base=dict(grid=6, n_trials=1, inject_at=3)
-        ).expand() + [Scenario("E8", dict(grid=6, solvers=("gmres",), policy="none"))]
-        path = str(tmp_path / "s.jsonl")
-        executed = CampaignRunner(
-            ResultStore(path), registry=registry, batch=batch).run(scenarios)
-        assert [o.status for o in executed] == ["completed"] * 5
-        cached = CampaignRunner(
-            ResultStore(path), registry=registry, batch=batch).run(scenarios)
-        assert [o.status for o in cached] == ["cached"] * 5
-        assert [o.key for o in cached] == [o.key for o in executed]
-        with pytest.raises(ValueError, match="does not accept"):
-            CampaignRunner(registry=registry).resolve(Scenario("E7", {"bogus": 1}))
+def forbidden(*args, **kwargs):
+    raise AssertionError("inspect.signature called on the campaign path")
+
+inspect.signature = forbidden
+scenarios = Sweep("E7", axes={{"node_mtbf_years": (1.0, 2.0)}}).expand() + Sweep(
+    "E1", axes={{"seed": (5, 6)}}, base=dict(grid=6, n_trials=1, inject_at=3)
+).expand() + [Scenario("E8", dict(grid=6, solvers=("gmres",), policy="none"))]
+path = {str(tmp_path / "s.jsonl")!r}
+executed = CampaignRunner(ResultStore(path), registry=registry, batch={batch}).run(scenarios)
+assert [o.status for o in executed] == ["completed"] * 5, [o.error for o in executed]
+cached = CampaignRunner(ResultStore(path), registry=registry, batch={batch}).run(scenarios)
+assert [o.status for o in cached] == ["cached"] * 5
+assert [o.key for o in cached] == [o.key for o in executed]
+with pytest.raises(ValueError, match="does not accept"):
+    CampaignRunner(registry=registry).resolve(Scenario("E7", {{"bogus": 1}}))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                          env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_run_batch_does_not_reinspect(self, monkeypatch):
         registry = default_registry()

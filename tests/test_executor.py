@@ -57,6 +57,12 @@ def _hang_execute(experiment, params, attempt=1):
     return _ok_execute(experiment, params, attempt)
 
 
+def _sleep_execute(experiment, params, attempt=1):
+    """Takes ``params["sleep"]`` seconds, then echoes its inputs."""
+    time.sleep(params["sleep"])
+    return _ok_execute(experiment, params, attempt)
+
+
 def _raising_execute(experiment, params, attempt=1):
     """A poison driver: raises deterministically (traceback captured)."""
     if params.get("boom", True):
@@ -274,6 +280,20 @@ def _executor(**kwargs):
     return SupervisedExecutor(**kwargs)
 
 
+def _record_submits(monkeypatch, log):
+    """Append each task's ``(slot, attempt)`` to ``log`` as it is sent."""
+    from repro.campaign import executor as ex
+
+    real_submit = ex._WorkerHandle.submit
+
+    def recording_submit(handle, task):
+        log.append((task[0], task[2]))
+        return real_submit(handle, task)
+
+    monkeypatch.setattr(ex._WorkerHandle, "submit", recording_submit)
+    return log
+
+
 class TestSupervisedExecutor:
     def test_clean_run_in_input_order(self):
         results = _executor(execute=_ok_execute).run(_tasks(5))
@@ -371,11 +391,16 @@ class TestSupervisedExecutor:
         slot))`` with ``ready`` the tasks whose backoff has expired;
         because ready tasks sort before waiting ones, that is the
         minimum over everything awaiting a worker.  The mirror of the
-        backlog is rebuilt from the journal, not read off the executor.
+        backlog is rebuilt from the submits and the journal, not read
+        off the executor: a task leaves it when sent, and comes back
+        when its attempt is journaled as retrying or when the worker it
+        was queued on crashes or times out before starting it.
         """
         from repro.campaign import executor as ex
 
-        states, waiting, mismatches, dispatched = {}, set(), [], []
+        states, waiting, mismatches, submits = {}, set(), [], []
+        held = {}  # worker pid -> (slot, attempt) sent to it, not journaled
+        requeued, unexplained = [], []
         real_state = ex._TaskState
 
         def recording_state(*args, **kwargs):
@@ -387,22 +412,35 @@ class TestSupervisedExecutor:
         real_submit = ex._WorkerHandle.submit
 
         def checking_submit(handle, task):
-            slot = task[0]
+            slot, attempt = task[0], task[2]
             oracle = min(
                 (states[s] for s in waiting), key=lambda s: (s.ready_at, s.slot)
             )
             if oracle.slot != slot:
-                mismatches.append((len(dispatched), slot, oracle.slot))
+                mismatches.append((len(submits), slot, oracle.slot))
+            if (slot, attempt) in submits:
+                if (slot, attempt) in requeued:
+                    requeued.remove((slot, attempt))
+                else:
+                    unexplained.append((slot, attempt))
             waiting.discard(slot)
-            dispatched.append(slot)
+            submits.append((slot, attempt))
+            held.setdefault(handle.process.pid, []).append((slot, attempt))
             return real_submit(handle, task)
 
         real_journal = ex.SupervisedExecutor._journal
 
-        def watching_journal(self, state, status, outcome, *rest):
+        def watching_journal(self, state, status, outcome, error, elapsed, pid):
+            mine = held[pid]
+            mine.remove((state.slot, state.attempts))
+            if status in ("crashed", "timeout"):
+                # Queued behind the charged head, never started.
+                for slot, attempt in held.pop(pid):
+                    waiting.add(slot)
+                    requeued.append((slot, attempt))
             if outcome is None:  # retrying: back into the backlog
                 waiting.add(state.slot)
-            return real_journal(self, state, status, outcome, *rest)
+            return real_journal(self, state, status, outcome, error, elapsed, pid)
 
         monkeypatch.setattr(ex, "_TaskState", recording_state)
         monkeypatch.setattr(ex._WorkerHandle, "submit", checking_submit)
@@ -414,9 +452,80 @@ class TestSupervisedExecutor:
             retry=RetryPolicy(max_attempts=8, backoff=0.01),
         ).run(_tasks(40))
         assert all(r.status == "completed" for r in results)
-        assert len(dispatched) == sum(r.attempts for r in results) > 40
-        assert dispatched[:2] == [0, 1]
+        assert len(set(submits)) == sum(r.attempts for r in results) > 40
+        # A repeated (slot, attempt) only re-sends a task that was queued
+        # on a worker that crashed; every such task was re-sent.
+        assert len(submits) > len(set(submits))
+        assert unexplained == [] and requeued == []
+        assert submits[:2] == [(0, 1), (1, 1)]
         assert mismatches == []
+
+    def test_queued_task_survives_its_workers_crash(self, tmp_path, monkeypatch):
+        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
+        submits = _record_submits(monkeypatch, [])
+        tasks = [("crashy", "EX", {"crash_attempts": 1}),
+                 ("queued", "EX", {}), ("last", "EX", {})]
+        results = _executor(
+            execute=_hard_death_execute, ledger=ledger, workers=1
+        ).run(tasks)
+        assert [r.status for r in results] == ["completed"] * 3
+        # Sent behind the crashing head, then re-sent as the same attempt.
+        assert submits[:2] == [(0, 1), (1, 1)]
+        assert submits.count((1, 1)) == 2
+        assert [r.history for r in results] == [("crashed", "ok"), ("ok",), ("ok",)]
+        # One ledger record per attempt that really ran.
+        history = ledger.history()
+        assert [(r.attempt, r.status) for r in history["crashy"]] == [(1, "crashed"), (2, "ok")]
+        assert [(r.attempt, r.status) for r in history["queued"]] == [(1, "ok")]
+        assert len(ledger) == sum(r.attempts for r in results)
+
+    def test_queued_task_survives_its_workers_timeout(self, tmp_path, monkeypatch):
+        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
+        submits = _record_submits(monkeypatch, [])
+        tasks = [("stuck", "EX", {"hang_attempts": 1}),
+                 ("queued", "EX", {}), ("last", "EX", {})]
+        results = _executor(
+            execute=_hang_execute, ledger=ledger, workers=1, timeout=0.5
+        ).run(tasks)
+        assert [r.history for r in results] == [("timeout", "ok"), ("ok",), ("ok",)]
+        assert submits[:2] == [(0, 1), (1, 1)]
+        assert submits.count((1, 1)) == 2
+        assert [(r.attempt, r.status) for r in ledger.history()["queued"]] == [(1, "ok")]
+        assert len(ledger) == sum(r.attempts for r in results)
+
+    def test_queued_task_deadline_starts_when_it_does(self, monkeypatch):
+        # Each task sleeps 0.5 s under a 0.8 s budget.  The second waits
+        # in the pipe behind the first; were its deadline counted from
+        # the send, it would expire 0.2 s before it finishes.
+        events = _record_submits(monkeypatch, [])
+        tasks = [(f"slow{i}", "EX", {"sleep": 0.5}) for i in range(3)]
+        results = _executor(execute=_sleep_execute, workers=1, timeout=0.8).run(
+            tasks, completed=lambda slot, r: events.append(("done", slot))
+        )
+        assert [r.history for r in results] == [("ok",)] * 3
+        assert events[:3] == [(0, 1), (1, 1), ("done", 0)]
+
+    def test_no_prefetch_when_units_do_not_outnumber_workers(self, monkeypatch):
+        # Three heavy units on two workers: the third waits for the first
+        # worker to come free, exactly as with one task per worker.
+        from repro.campaign import executor as ex
+
+        sent = []
+        real_submit = ex._WorkerHandle.submit
+
+        def timing_submit(handle, task):
+            sent.append((task[0], handle.worker_id, time.monotonic()))
+            return real_submit(handle, task)
+
+        monkeypatch.setattr(ex._WorkerHandle, "submit", timing_submit)
+        tasks = [(f"heavy{i}", "EX", {"sleep": s}) for i, s in enumerate((0.2, 0.6, 0.2))]
+        results = _executor(execute=_sleep_execute).run(tasks)
+        assert [r.history for r in results] == [("ok",)] * 3
+        assert [slot for slot, _, _ in sent] == [0, 1, 2]
+        (_, first, start), _, (_, third, sent_at) = sent
+        # Sent when the 0.2 s unit ended (not up front, nor after the
+        # 0.6 s one), to the worker it freed.
+        assert third == first and 0.15 < sent_at - start < 0.55
 
     def test_completed_callback_fires_per_terminal_result(self):
         seen = []
