@@ -4,9 +4,9 @@ PR 6's supervised executor exists because of one diagnosed hazard: a
 ``multiprocessing.Queue`` shared between killable workers wedges
 silently when a worker dies holding the queue's writer lock
 (SIGKILL / ``os._exit`` mid-feeder-write orphans the lock and starves
-every sibling's result delivery).  The executor's design rules --
-per-worker duplex pipes, multiplexed with a bounded
-``connection.wait`` -- are enforced statically here so the hazard
+every sibling's result delivery).  The design rules every forked child
+follows (:mod:`repro.utils.child`: one channel per child, read after a
+bounded ``select.poll``) are enforced statically here so the hazard
 cannot be reintroduced by a future backend or a quick script.
 
 Flagged, in files that import :mod:`multiprocessing`:
@@ -24,9 +24,8 @@ Flagged, in files that import :mod:`multiprocessing`:
   :mod:`select`, where it covers the ``select.poll`` object's ways of
   waiting forever: no timeout at all, or a negative one.
 
-``recv()`` directly after a readiness ``wait()``/``poll()`` is the
-sanctioned pattern and gets an explicit ``# repro: allow(...)`` at its
-two call sites in the executor.
+No call site in ``src/repro`` needs a ``# repro: allow(...)``: a
+:class:`~repro.utils.child.Channel` read takes a deadline.
 """
 
 from __future__ import annotations

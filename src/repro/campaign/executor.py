@@ -36,32 +36,26 @@ Pieces
     scenario key, attempt, kind)``, so chaos runs are reproducible and
     retried attempts see fresh, independent draws.
 :class:`SupervisedExecutor`
-    Long-lived worker ``Process``\\ es, each driven over its own duplex
-    :func:`multiprocessing.Pipe`.  The supervisor keeps up to
+    Long-lived worker processes, each a :class:`~repro.utils.child.Child`
+    driven over its own channel.  The supervisor keeps up to
     :data:`DEPTH` scenarios in flight per worker (the head runs, the next
-    waits in the pipe), multiplexes the pipes with
-    :func:`multiprocessing.connection.wait`, enforces per-scenario
-    deadlines (kill + respawn on expiry), detects hard worker death via
-    liveness, verifies result checksums, and applies the retry policy
-    until every scenario reaches a terminal state.
+    waits in the channel), polls the channels, enforces per-scenario
+    deadlines (kill + respawn on expiry), detects hard worker death by
+    the channel's hang-up, verifies result checksums, and applies the
+    retry policy until every scenario reaches a terminal state.
 
     A task queues behind a busy worker only while the ready backlog
     outnumbers the workers; its deadline starts when it becomes the head.
     A crash or timeout charges the head alone: the tasks behind it never
     started and are re-sent as the same attempt.  The largest builtin
     task (a ``--batch 0`` sweep) pickles to 615 B, so a queued send
-    never waits on a full 64 KiB pipe.  A result crosses once, as
+    never waits on a full channel.  A result crosses once, as
     checksummed canonical JSON text, spliced as is into the store line.
 
-    Per-worker pipes are a correctness requirement, not a style choice:
-    a shared ``multiprocessing.Queue`` serializes writers through a
-    shared lock held briefly by each worker's feeder thread, and a
-    worker dying at an arbitrary instant (SIGKILL on timeout, or a
-    chaos ``os._exit``) can orphan that lock forever, silently wedging
-    every *other* worker's result delivery.  With one pipe per worker
-    there is a single writer per channel and no cross-worker shared
-    state, so the blast radius of a dying worker is exactly its own
-    pipe -- severed, observed as EOF, classified as a crash.
+    One channel per worker is a correctness requirement: a worker dying
+    mid-write (SIGKILL on timeout, a chaos ``os._exit``) can orphan a
+    shared ``multiprocessing.Queue``'s lock and wedge every *other*
+    worker, while its own channel just hangs up -- EOF, a crash.
 
 Determinism: scenario parameters (seed included) are resolved *before*
 dispatch, so attempt 3 on a respawned worker receives byte-identical
@@ -82,7 +76,6 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_for_connections
 from operator import attrgetter
 from typing import (
     Any,
@@ -99,6 +92,7 @@ from typing import (
 from repro.campaign.spec import canonical_json
 from repro.campaign.store import LineAppender
 from repro.spec import Axis, KindSpec, split_composed
+from repro.utils.child import Channel, Child, stop_all, wait_ready
 
 __all__ = [
     "RetryPolicy",
@@ -581,40 +575,24 @@ AXIS = Axis(
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(
-    conn,
-    supervisor_conn,
-    execute: Callable,
-    chaos_dict: Optional[dict],
-    chaos_seed: int,
-) -> None:
-    """Long-lived worker loop: recv a task on the pipe, send the result back.
+def _worker_main(channel: Channel, execute: Callable,
+                 chaos: Optional[ChaosSpec], chaos_seed: int) -> None:
+    """Long-lived worker loop: recv a task on the channel, send the result back.
 
-    A result is encoded once, here: canonical JSON text plus checksum.
+    Tasks are awaited in bounded poll slices; the shutdown frame or EOF
+    (the supervisor is gone) ends the loop.  A result is encoded once,
+    here: canonical JSON text plus checksum.
 
     Chaos (when configured) fires *inside* the worker: crashes and
     hangs happen before the driver runs, corruption after the honest
     checksum was computed -- so the supervisor's detection paths are
     exercised end to end, not simulated.
-
-    ``Connection.send`` writes synchronously from this thread -- there
-    is no feeder thread and no lock shared with sibling workers, so
-    however this process dies (``os._exit``, SIGKILL), the only IPC
-    state it can take down is its own pipe.
     """
-    if supervisor_conn is not None:
-        # Fork start copies the supervisor's end of the pipe into this
-        # process; close it so EOF propagates when the supervisor drops
-        # its end (and vice versa).
-        supervisor_conn.close()
-    chaos = ChaosSpec.from_dict(chaos_dict) if chaos_dict else None
-    pid = os.getpid()
     while True:
         try:
-            # The worker's whole job is to sleep until the supervisor
-            # feeds it; an unbounded read of its private pipe is the
-            # design, and EOF (supervisor gone) is its shutdown signal.
-            task = conn.recv()  # repro: allow(process-safety)
+            task = channel.recv(time.monotonic() + POLL_INTERVAL)
+        except TimeoutError:
+            continue
         except (EOFError, OSError):
             return
         if task is None:
@@ -630,63 +608,9 @@ def _worker_main(
             if chaos is not None:
                 text = canonical_json(chaos.corrupt_result(result, chaos_seed, key, attempt))
         try:
-            conn.send((slot, attempt, text, error, elapsed, checksum, pid))
-        except (BrokenPipeError, OSError):
+            channel.send((text, error, elapsed, checksum))
+        except OSError:
             return
-
-
-class _WorkerHandle:
-    """One supervised worker: its process plus its private duplex pipe."""
-
-    def __init__(
-        self,
-        worker_id: int,
-        context,
-        execute: Callable,
-        chaos: Optional[ChaosSpec],
-        chaos_seed: int,
-    ):
-        self.worker_id = worker_id
-        self.conn, worker_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_worker_main,
-            args=(
-                worker_conn,
-                self.conn,
-                execute,
-                chaos.to_dict() if chaos else None,
-                chaos_seed,
-            ),
-            daemon=True,
-            name=f"campaign-worker-{worker_id}",
-        )
-        self.process.start()
-        # The supervisor's copy of the worker's end: close it so the
-        # pipe reads EOF once the worker (its sole writer) is gone.
-        worker_conn.close()
-
-    def submit(self, task: tuple) -> None:
-        """Send a task; raises OSError if the worker is already gone."""
-        self.conn.send(task)
-
-    def kill(self) -> None:
-        """Hard-stop (SIGKILL) if still running, and reap."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-        self.conn.close()
-
-    def stop(self, grace: float = 2.0) -> None:
-        """Cooperative shutdown; escalates to kill after ``grace``."""
-        try:
-            self.conn.send(None)
-        except (ValueError, OSError):
-            pass
-        self.process.join(grace)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        self.conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -727,9 +651,14 @@ class _TaskState:
 
 
 #: Tasks a worker holds at once: the head runs, the rest wait in its
-#: pipe.  ``campaign_pool`` ``work_per_s`` over the encode-twice executor
-#: by depth: 1 +10.0 %, 2 +12.0 %, 3 +6.4 % (PERFORMANCE.md, *Campaign*).
+#: channel.  ``campaign_pool`` ``work_per_s`` over the encode-twice
+#: executor by depth: 1 +10.0 %, 2 +12.0 %, 3 +6.4 % (PERFORMANCE.md,
+#: *Campaign*).
 DEPTH = 2
+
+#: Longest wait (seconds) of the supervisor between liveness checks, and
+#: of an idle worker between looks at its channel.
+POLL_INTERVAL = 0.05
 
 
 class SupervisedExecutor:
@@ -771,8 +700,6 @@ class SupervisedExecutor:
         chaos_seed: int = 0,
         ledger: Optional[FailureLedger] = None,
         execute: Optional[Callable] = None,
-        poll_interval: float = 0.05,
-        mp_context=None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -785,10 +712,6 @@ class SupervisedExecutor:
         self.chaos_seed = int(chaos_seed)
         self.ledger = ledger
         self.execute = execute if execute is not None else default_execute
-        self.poll_interval = float(poll_interval)
-        import multiprocessing
-
-        self._context = mp_context or multiprocessing.get_context()
 
     # ------------------------------------------------------------------
     def run(
@@ -810,31 +733,32 @@ class SupervisedExecutor:
             return []
 
         worker_count = min(self.workers, len(states))
-        self._next_worker_id = 0
-        workers: Dict[int, _WorkerHandle] = {}
-        for _ in range(worker_count):
-            handle = self._spawn()
-            workers[handle.worker_id] = handle
-        idle: List[int] = sorted(workers)
+        workers: List[Child] = []
+        idle: List[Child] = []
         # Dispatch order is min over the ready tasks of (ready_at, slot):
         # never-attempted tasks (ready_at 0) in slot order, then retries.
         fresh = deque(states)
         retries: List[Tuple[float, int, _TaskState]] = []  # heap
         # Per busy worker: its tasks, running head first; head start time.
-        inflight: Dict[int, deque[_TaskState]] = {}
-        started: Dict[int, float] = {}
+        inflight: Dict[Child, deque[_TaskState]] = {}
+        started: Dict[Child, float] = {}
 
-        def send(worker_id: int) -> None:
+        def spawn() -> None:
+            worker = Child.start(
+                _worker_main, self.execute, self.chaos or None, self.chaos_seed
+            )
+            workers.append(worker)
+            idle.append(worker)
+
+        def send(worker: Child) -> None:
             state = fresh.popleft() if fresh else heapq.heappop(retries)[2]
             state.attempts += 1
             try:
-                workers[worker_id].submit(
-                    (state.slot, state.key, state.attempts,
-                     state.experiment, state.params)
-                )
+                worker.send((state.slot, state.key, state.attempts,
+                             state.experiment, state.params))
             except OSError:  # died between results: liveness reclaims it
                 pass
-            inflight.setdefault(worker_id, deque()).append(state)
+            inflight.setdefault(worker, deque()).append(state)
 
         def conclude(state: _TaskState, status: str, *, error=None,
                      elapsed=0.0, text=None, worker_pid=None) -> None:
@@ -869,23 +793,21 @@ class SupervisedExecutor:
             if completed is not None:
                 completed(state.slot, final)
 
-        def reclaim(worker_id: int, status: str) -> None:
+        def reclaim(worker: Child, status: str) -> None:
             """Stop a dead (``crashed``) or overdue (``timeout``) worker and
             respawn it; its head is charged, the tasks behind it requeued."""
-            queue = inflight.pop(worker_id, None)
+            queue = inflight.pop(worker, None)
             if queue is None:
                 return
-            del started[worker_id]
-            handle = workers.pop(worker_id)
-            handle.kill()
+            del started[worker]
+            workers.remove(worker)
+            exitcode = worker.kill()
             error = (
                 f"scenario exceeded timeout of {self.timeout}s; worker killed"
                 if status == "timeout" else f"worker died with exit code "
-                f"{handle.process.exitcode} while running this scenario"
+                f"{exitcode} while running this scenario"
             )
-            replacement = self._spawn()
-            workers[replacement.worker_id] = replacement
-            idle.append(replacement.worker_id)
+            spawn()
             head = queue.popleft()
             for state in queue:  # never started: same attempt next time
                 state.attempts -= 1
@@ -894,7 +816,7 @@ class SupervisedExecutor:
                 else:  # back among the fresh, in slot order
                     at = bisect.bisect(fresh, state.slot, key=attrgetter("slot"))
                     fresh.insert(at, state)
-            conclude(head, status, worker_pid=handle.process.pid, error=error,
+            conclude(head, status, worker_pid=worker.pid, error=error,
                      elapsed=self.timeout if status == "timeout" else 0.0)
 
         def dispatch(now: float) -> None:
@@ -902,112 +824,84 @@ class SupervisedExecutor:
             busy worker's head while the ready backlog outnumbers the
             workers (never in the tail)."""
             while idle and (fresh or (retries and retries[0][0] <= now)):
-                worker_id = idle.pop(0)
-                send(worker_id)
-                started[worker_id] = now
+                worker = idle.pop(0)
+                send(worker)
+                started[worker] = now
             ready = len(fresh) + sum(1 for entry in retries if entry[0] <= now)
-            for worker_id, queue in inflight.items():
+            for worker, queue in inflight.items():
                 while len(queue) < DEPTH and ready > worker_count:
-                    send(worker_id)
+                    send(worker)
                     ready -= 1
 
         try:
+            for _ in range(worker_count):
+                spawn()
             while fresh or retries or inflight:
                 now = time.monotonic()
                 dispatch(now)
 
                 # How long we may block: next deadline, next backoff
                 # expiry, or the liveness poll interval.
-                wait = self.poll_interval
+                wait = POLL_INTERVAL
                 if self.timeout is not None and started:
                     wait = min(wait, min(started.values()) + self.timeout - now)
                 if idle and retries:  # a worker left idle: nothing fresh
                     wait = min(wait, retries[0][0] - now)
                 wait = max(wait, 0.005)
 
-                # Drain results: multiplex every in-flight worker's
-                # pipe.  A severed pipe (EOF) means its sole writer is
-                # gone -- the worker died mid-scenario.
-                inflight_conns = {
-                    workers[worker_id].conn: worker_id
-                    for worker_id in inflight
-                }
-                if inflight_conns:
-                    ready_conns = _wait_for_connections(
-                        list(inflight_conns), timeout=wait
-                    )
-                else:
-                    time.sleep(wait)
-                    ready_conns = []
+                # Drain results.  A hang-up (EOF) means the worker died
+                # mid-scenario: it is its channel's only other holder.
                 received = []
-                for conn in ready_conns:
-                    worker_id = inflight_conns[conn]
+                for worker in wait_ready(inflight, wait):
                     try:
-                        # Reads only pipes _wait_for_connections just
-                        # reported ready, so this never blocks.
-                        message = conn.recv()  # repro: allow(process-safety)
+                        message = worker.recv(now)  # ready: never waits
                     except (EOFError, OSError):
-                        reclaim(worker_id, "crashed")
+                        reclaim(worker, "crashed")
                         continue
-                    queue = inflight.get(worker_id)
+                    queue = inflight.get(worker)
                     if not queue:
                         continue
-                    received.append((queue.popleft(), message))
+                    received.append((worker, queue.popleft(), message))
                     if queue:  # the worker has started the next one
-                        started[worker_id] = time.monotonic()
+                        started[worker] = time.monotonic()
                     else:
-                        del inflight[worker_id], started[worker_id]
-                        idle.append(worker_id)
+                        del inflight[worker], started[worker]
+                        idle.append(worker)
                 # Refill the workers before the bookkeeping of what they sent.
                 if received:
                     dispatch(time.monotonic())
-                for state, message in received:
-                    slot, attempt, text, error, elapsed, checksum, pid = message
+                for worker, state, (text, error, elapsed, checksum) in received:
                     if error is not None:
                         conclude(state, "error", error=error,
-                                 elapsed=elapsed, worker_pid=pid)
+                                 elapsed=elapsed, worker_pid=worker.pid)
                     elif text is None or checksum != _text_checksum(text):
                         conclude(state, "corrupt", elapsed=elapsed,
-                                 worker_pid=pid,
+                                 worker_pid=worker.pid,
                                  error="result checksum mismatch "
                                        f"(expected {checksum})")
                     else:
                         conclude(state, "ok", text=text,
-                                 elapsed=elapsed, worker_pid=pid)
+                                 elapsed=elapsed, worker_pid=worker.pid)
 
                 # Deadlines: kill + respawn expired workers.
                 now = time.monotonic()
-                for worker_id in list(inflight):
-                    if self.timeout is not None and now >= started[worker_id] + self.timeout:
-                        reclaim(worker_id, "timeout")
+                for worker in list(inflight):
+                    if self.timeout is not None and now >= started[worker] + self.timeout:
+                        reclaim(worker, "timeout")
 
                 # Liveness: a dead worker with an in-flight task and
-                # nothing readable on its pipe crashed mid-scenario.
-                # (Usually the pipe's EOF gets there first and the
+                # nothing readable on its channel crashed mid-scenario.
+                # (Usually the channel's EOF gets there first and the
                 # drain above reclaims it; this is the backstop.)
-                for worker_id in list(inflight):
-                    handle = workers[worker_id]
-                    if handle.process.is_alive() or handle.conn.poll(0):
-                        continue
-                    reclaim(worker_id, "crashed")
+                for worker in list(inflight):
+                    if not (worker.alive() or worker.poll(0)):
+                        reclaim(worker, "crashed")
         finally:
-            for handle in workers.values():
-                handle.stop()
+            stop_all(workers, grace=2.0)
 
         return list(results)  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _spawn(self) -> _WorkerHandle:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        return _WorkerHandle(
-            worker_id,
-            self._context,
-            self.execute,
-            self.chaos if self.chaos else None,
-            self.chaos_seed,
-        )
-
     def _journal(
         self,
         state: _TaskState,

@@ -81,7 +81,7 @@ class RankFailedError(SimMpiError):
         # BaseException pickles via self.args (the formatted message),
         # which does not match this constructor; rebuild from the real
         # fields so the error survives a process boundary (the shmem
-        # backend ships rank outcomes through pipes).
+        # backend ships rank outcomes through its channels).
         return (
             type(self),
             (sorted(self.failed_ranks), self.operation, self.detected_at),

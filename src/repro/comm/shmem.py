@@ -1,8 +1,8 @@
 """Shared-memory multiprocess communicator backend (``"shmem"``).
 
-Ranks are real OS processes, forked by :func:`launch_shmem`, wired with
-one single-writer/single-reader duplex of OS pipes per ordered rank
-pair plus per-rank result and control pipes back to the launcher.  The
+Ranks are real OS processes, each a :class:`~repro.utils.child.Child`
+of :func:`launch_shmem` (one channel back to the launcher), wired with
+one single-writer/single-reader OS pipe per ordered rank pair.  The
 design rules are the PR 6 doctrine the ``process-safety`` analysis rule
 enforces:
 
@@ -11,10 +11,10 @@ enforces:
   sibling; every channel here has exactly one writing process, so a
   SIGKILL can never orphan a lock another rank needs;
 * **no unbounded blocking** -- every read waits on a ``select.poll``
-  object (one per inbound pipe, built at construction) with a finite
-  timeout sliced against an explicit deadline, so a mismatched program
-  raises :class:`~repro.comm.errors.CommTimeoutError` instead of
-  hanging, and a dead peer surfaces as a hang-up (EOF) on its pipe,
+  object (one per inbound pipe, built at construction) until an
+  explicit deadline, so a mismatched program raises
+  :class:`~repro.comm.errors.CommTimeoutError` instead of hanging,
+  and a dead peer surfaces as a hang-up (EOF) on its pipe,
   reported as :class:`~repro.comm.errors.ProcFailure` (ULFM-style);
 * **large numeric arrays ride ``multiprocessing.shared_memory``** --
   the pipe carries a small descriptor, the data crosses via one shared
@@ -49,35 +49,27 @@ coordinator posts the error to every peer before raising it, so every
 participant raises the same typed error.  The non-blocking forms
 complete eagerly (the front end's default).
 
-A message is one frame (length header, pickled message), written with
-one ``os.write`` and read with ``os.read``.  A plain numeric ndarray in
+A message is one :mod:`repro.utils.child` frame (length header, pickled
+message), written with one ``os.write``.  A plain numeric ndarray in
 it is raw C-order bytes (a segment name from ``SHM_THRESHOLD_BYTES``
 up), anything else is pickled; the receiver rebuilds writable
 C-contiguous arrays, as the simulator's ``copy_payload`` does.  That
 encoding *is* the defensive copy, so only the coordinator's own
 contribution (which never crosses a pipe) and a payload handed to a
-``message_corruptor`` are copied first.  :func:`launch_shmem` reaps a
-rank by waiting for the hang-up on its result pipe -- the rank is the
-pipe's only writer, so the hang-up *is* the exit -- and SIGKILLs it at
-the reap deadline; nothing sleeps.
+``message_corruptor`` are copied first.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import select
 import signal
-import struct
 import time
 import uuid
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
 import multiprocessing.resource_tracker
 from multiprocessing import shared_memory
-from multiprocessing.connection import Connection
 
 import numpy as np
 
@@ -91,6 +83,7 @@ from repro.comm.base import (
 from repro.comm.errors import CommTimeoutError, ProcFailure, SimMpiError
 from repro.comm.requests import CompletedRequest, Request
 from repro.machine.model import MachineModel
+from repro.utils.child import Channel, Child, stop_all, write_frame
 
 __all__ = ["ShmemComm", "launch_shmem", "SHM_THRESHOLD_BYTES"]
 
@@ -107,38 +100,10 @@ DEFAULT_OP_TIMEOUT = 30.0
 #: message; a rank still running then is SIGKILLed.
 REAP_TIMEOUT = 10.0
 
-#: Frame header, written by ``_post`` and read by ``_read_frame``:
-#: big-endian signed length of the pickled message after it.
-_FRAME_HEADER = struct.Struct("!i")
-
 
 def _is_raw(obj: Any) -> bool:
     """Whether ``obj`` travels as raw bytes: a plain numeric ndarray."""
     return type(obj) is np.ndarray and obj.dtype.kind in "biufc"
-
-
-def _read_frame(fd: int) -> Tuple:
-    """The next message on a pipe ``poll`` reported readable."""
-    (length,) = _FRAME_HEADER.unpack(_read_exact(fd, _FRAME_HEADER.size))
-    return pickle.loads(_read_exact(fd, length))
-
-
-def _read_exact(fd: int, n: int) -> bytes:
-    """``n`` bytes from a pipe, which may deliver a frame in pieces."""
-    data = b""
-    while len(data) < n:
-        more = os.read(fd, n - len(data))
-        if not more:
-            raise EOFError(f"pipe closed {len(data)} bytes into a {n}-byte read")
-        data += more
-    return data
-
-
-def _poller(conn: Connection, events: int = select.POLLIN) -> "select.poll":
-    """A poller watching one pipe end (hang-up is reported whatever ``events``)."""
-    poller = select.poll()
-    poller.register(conn.fileno(), events)
-    return poller
 
 
 def _untrack_shm(name: str) -> None:
@@ -171,11 +136,11 @@ class ShmemComm(BaseCommunicator):
     rank, size:
         This process's rank and the job's rank count.
     inbound:
-        ``source rank -> read Connection`` of the ``source -> rank``
-        pipes (this process is the only reader of each).
+        ``source rank -> read fd`` of the ``source -> rank`` pipes (this
+        process is the only reader of each).
     outbound:
-        ``dest rank -> write Connection`` of the ``rank -> dest`` pipes
-        (this process is the only writer of each).
+        ``dest rank -> write fd`` of the ``rank -> dest`` pipes (this
+        process is the only writer of each).
     machine:
         Machine model driving the logical clock (fault scheduling only;
         the process never sleeps on it).
@@ -195,8 +160,8 @@ class ShmemComm(BaseCommunicator):
         self,
         rank: int,
         size: int,
-        inbound: Dict[int, Connection],
-        outbound: Dict[int, Connection],
+        inbound: Dict[int, int],
+        outbound: Dict[int, int],
         machine: Optional[MachineModel] = None,
         failure_times: Sequence[float] = (),
         message_corruptor: Optional[Callable[[Any, int, int], Any]] = None,
@@ -205,7 +170,7 @@ class ShmemComm(BaseCommunicator):
     ):
         self._rank = int(rank)
         self._size = int(size)
-        self._in = inbound
+        self._in = {r: Channel(fd) for r, fd in inbound.items()}
         self._out = outbound
         self._machine = machine if machine is not None else MachineModel.ideal()
         self._failure_times = deque(sorted(float(t) for t in failure_times))
@@ -217,7 +182,6 @@ class ShmemComm(BaseCommunicator):
         self._shm_prefix = shm_prefix
         self._dead: set = set()
         self._pending: Dict[int, deque] = {r: deque() for r in inbound}
-        self._pollers = {r: _poller(conn) for r, conn in inbound.items()}
         #: Segments this rank created; swept by :meth:`finalize` in case
         #: a killed receiver never attached (normally already unlinked).
         self._shm_created: List[str] = []
@@ -338,12 +302,8 @@ class ShmemComm(BaseCommunicator):
         (dead destination) is recorded but not raised -- failure
         surfaces at the operations that depend on the peer.
         """
-        body = pickle.dumps(message, 5)
-        frame = memoryview(_FRAME_HEADER.pack(len(body)) + body)
         try:
-            fd = self._out[dest].fileno()
-            while frame:  # one write, unless a signal cut it short
-                frame = frame[os.write(fd, frame):]
+            write_frame(self._out[dest], message)
         except OSError:  # BrokenPipeError included
             self._dead.add(dest)
 
@@ -362,35 +322,32 @@ class ShmemComm(BaseCommunicator):
         a collective contribution arriving while we wait for a tagged
         point-to-point message) is buffered in arrival order, preserving
         per-(source, tag) FIFO delivery.  Bounded: raises
-        :class:`CommTimeoutError` at the deadline and, once no buffered
-        message matches, :class:`ProcFailure` on EOF -- a dead peer's
-        hang-up wakes the poller at once, not at the end of a slice.
+        :class:`CommTimeoutError` when nothing arrives by the deadline
+        and, once no buffered message matches, :class:`ProcFailure` on
+        EOF -- a dead peer's hang-up wakes the poller at once.
         """
         pending = self._pending[source]
         for i, message in enumerate(pending):
             if message[1] == key and message[0] in frames:
                 del pending[i]
                 return message
-        fd = self._in[source].fileno()
-        poller = self._pollers[source]
+        channel = self._in[source]
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            try:
+                message = channel.recv(deadline)
+            except TimeoutError:
                 raise CommTimeoutError(
                     self._rank, self._operation(kind, source, key), self.timeout
-                )
-            try:
-                if poller.poll(min(remaining, 0.25) * 1000.0):
-                    message = _read_frame(fd)
-                    if message[1] == key and message[0] in frames:
-                        return message
-                    pending.append(message)
+                ) from None
             except (EOFError, OSError):
                 self._dead.add(source)
                 raise ProcFailure(
                     [source], self._operation(kind, source, key),
                     detected_at=self._clock,
                 )
+            if message[1] == key and message[0] in frames:
+                return message
+            pending.append(message)
 
     @staticmethod
     def _operation(kind: str, source: int, key: int) -> str:
@@ -508,71 +465,42 @@ class ShmemComm(BaseCommunicator):
 # ----------------------------------------------------------------------
 # Launcher
 # ----------------------------------------------------------------------
-def _close_quietly(conn: Connection) -> None:
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
-
-
-def _child_main(
-    rank: int,
-    size: int,
-    channels: Dict[Tuple[int, int], Tuple[Connection, Connection]],
-    results: Dict[int, Tuple[Connection, Connection]],
-    controls: Dict[int, Tuple[Connection, Connection]],
-    func: Callable[..., Any],
-    args: Tuple,
-    kwargs: Dict[str, Any],
-    comm_kwargs: Dict[str, Any],
-) -> None:
-    """Body of one forked rank; never returns (``os._exit``)."""
+def _rank_main(channel: Channel, rank: int, size: int,
+               pipes: Dict[Tuple[int, int], Tuple[int, int]],
+               func: Callable[..., Any], args: Tuple, kwargs: Dict[str, Any],
+               comm_kwargs: Dict[str, Any]) -> int:
+    """Body of one rank's :class:`~repro.utils.child.Child`: its exit code."""
+    # Close every inherited pipe end this rank does not own.  The
+    # single-owner discipline is what makes death observable: a
+    # SIGKILLed rank closes the *only* write end of its outgoing pipes,
+    # so peers see EOF instead of waiting forever.
+    inbound = {src: ends[0] for (src, dst), ends in pipes.items() if dst == rank}
+    outbound = {dst: ends[1] for (src, dst), ends in pipes.items() if src == rank}
+    owned = {*inbound.values(), *outbound.values()}
+    _close_all([fd for ends in pipes.values() for fd in ends if fd not in owned])
+    comm = ShmemComm(rank, size, inbound, outbound, **comm_kwargs)
     exit_code = 0
     try:
-        # Close every inherited pipe end this rank does not own.  The
-        # single-owner discipline is what makes death observable: a
-        # SIGKILLed rank closes the *only* write end of its outgoing
-        # pipes, so peers see EOF instead of waiting forever.
-        inbound: Dict[int, Connection] = {}
-        outbound: Dict[int, Connection] = {}
-        for (src, dst), (read_end, write_end) in channels.items():
-            if dst == rank:
-                inbound[src] = read_end
-            else:
-                _close_quietly(read_end)
-            if src == rank:
-                outbound[dst] = write_end
-            else:
-                _close_quietly(write_end)
-        for other, (read_end, write_end) in results.items():
-            _close_quietly(read_end)
-            if other != rank:
-                _close_quietly(write_end)
-        for other, (read_end, write_end) in controls.items():
-            _close_quietly(write_end)
-            if other != rank:
-                _close_quietly(read_end)
-        result_conn = results[rank][1]
-        control_conn = controls[rank][0]
+        outcome = ("ok", func(comm, *args, **kwargs))
+    except BaseException as exc:  # noqa: BLE001 - reported to the launcher
+        exit_code = 1
+        outcome = ("error", portable_error(exc, rank))
+    try:
+        channel.send(outcome)
+    except OSError:  # pragma: no cover - launcher gone
+        exit_code = 1
+    # Shutdown handshake: hold shared-memory segments (and our pipe
+    # ends) until the launcher has collected every outcome, so
+    # receivers still draining messages can attach first.  Bounded:
+    # a vanished launcher (EOF) releases us too.
+    channel.poll(comm.timeout)
+    comm.finalize()
+    return exit_code
 
-        comm = ShmemComm(rank, size, inbound, outbound, **comm_kwargs)
-        try:
-            outcome = ("ok", func(comm, *args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - reported to the launcher
-            exit_code = 1
-            outcome = ("error", portable_error(exc, rank))
-        try:
-            result_conn.send_bytes(pickle.dumps(outcome))
-        except (BrokenPipeError, OSError):  # pragma: no cover - launcher gone
-            exit_code = 1
-        # Shutdown handshake: hold shared-memory segments (and our pipe
-        # ends) until the launcher has collected every outcome, so
-        # receivers still draining messages can attach first.  Bounded:
-        # a vanished launcher (EOF) releases us too.
-        _poller(control_conn).poll(comm.timeout * 1000.0)
-        comm.finalize()
-    finally:
-        os._exit(exit_code)
+
+def _close_all(fds: List[int]) -> None:
+    while fds:
+        os.close(fds.pop())
 
 
 def launch_shmem(
@@ -598,14 +526,10 @@ def launch_shmem(
     (mirroring the simulator's died-rank reporting), and a rank that
     *raised* re-raises in the caller.
 
-    Children are created with raw ``os.fork`` rather than
-    ``multiprocessing.Process``: rank processes must stay spawnable
-    from inside the campaign executor's (daemonic) workers, and the
-    launcher does its own supervision -- per-rank result pipes with
-    bounded waits, a shutdown handshake that keeps shared-memory
-    segments alive until every outcome is in, and a reap that waits for
-    each rank's exit (the hang-up on its result pipe) up to
-    ``REAP_TIMEOUT`` before escalating to SIGKILL.
+    Each rank is a :class:`~repro.utils.child.Child` that reports its
+    outcome on its channel; after the shutdown frame, ranks get
+    ``REAP_TIMEOUT`` to exit, then SIGKILL.  Every rank that started is
+    reaped, also when a later fork fails.
     """
     # The simulator's own resolution: same n_ranks refusals, same plan,
     # same per-rank corruption streams.
@@ -618,93 +542,46 @@ def launch_shmem(
     machine = machine if machine is not None else MachineModel.ideal()
     job = uuid.uuid4().hex[:12]
 
-    channels: Dict[Tuple[int, int], Tuple[Connection, Connection]] = {}
-    for src in range(n_ranks):
-        for dst in range(n_ranks):
-            if src != dst:
-                channels[(src, dst)] = multiprocessing.Pipe(duplex=False)
-    results = {r: multiprocessing.Pipe(duplex=False) for r in range(n_ranks)}
-    controls = {r: multiprocessing.Pipe(duplex=False) for r in range(n_ranks)}
-
-    pids: Dict[int, int] = {}
-    for rank in range(n_ranks):
-        comm_kwargs = dict(
-            machine=machine,
-            failure_times=[f.time for f in plan.failures_for_rank(rank)],
-            timeout=timeout,
-            shm_prefix=f"repro-{job}",
-        )
-        pid = os.fork()
-        if pid == 0:
-            if corruptor_factory is not None:
-                comm_kwargs["message_corruptor"] = corruptor_factory(rank)
-            _child_main(
-                rank, n_ranks, channels, results, controls,
-                func, args, kwargs, comm_kwargs,
-            )
-            os._exit(1)  # pragma: no cover - _child_main never returns
-        pids[rank] = pid
-
-    # The launcher owns only the result read ends and control write
-    # ends; releasing the channel ends is what lets EOF semantics work.
-    for read_end, write_end in channels.values():
-        _close_quietly(read_end)
-        _close_quietly(write_end)
-    for _read_end, write_end in results.values():
-        _close_quietly(write_end)
-    for read_end, _write_end in controls.values():
-        _close_quietly(read_end)
-
-    outcomes: Dict[int, Tuple[str, Any]] = {}
-    fd_ranks = {results[r][0].fileno(): r for r in range(n_ranks)}
-    reporting = select.poll()
-    for fd in fd_ranks:
-        reporting.register(fd, select.POLLIN)
-    deadline = time.monotonic() + join_timeout
+    pipes = {(src, dst): os.pipe() for src in range(n_ranks)
+             for dst in range(n_ranks) if src != dst}
+    pipe_fds = [fd for ends in pipes.values() for fd in ends]
+    ranks: List[Child] = []
+    outcomes: List[Tuple[str, Any]] = []  # in rank order
     try:
-        while len(outcomes) < n_ranks:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SimMpiError(
-                    f"shmem ranks {sorted(set(pids) - set(outcomes))} did not "
-                    f"finish within {join_timeout}s of wall time"
-                )
-            for fd, _events in reporting.poll(min(remaining, 0.5) * 1000.0):
-                rank = fd_ranks[fd]
-                # One outcome per rank; the hang-up to come is the reap's.
-                reporting.unregister(fd)
-                try:
-                    outcomes[rank] = pickle.loads(results[rank][0].recv_bytes())
-                except (EOFError, OSError):
-                    # The rank died (e.g. proc_fail SIGKILL) before
-                    # reporting: the simulator reports died ranks as
-                    # value None, and so do we.
-                    outcomes[rank] = ("died", None)
-    finally:
-        # Release the children (shutdown handshake), then reap.
         for rank in range(n_ranks):
+            comm_kwargs = dict(
+                machine=machine,
+                failure_times=[f.time for f in plan.failures_for_rank(rank)],
+                message_corruptor=corruptor_factory(rank) if corruptor_factory else None,
+                timeout=timeout,
+                shm_prefix=f"repro-{job}",
+            )
+            ranks.append(Child.start(
+                _rank_main, rank, n_ranks, pipes, func, args, kwargs, comm_kwargs,
+            ))
+        # The ranks own the pipe ends; a copy held here would keep a dead
+        # rank's peers from seeing its hang-up.
+        _close_all(pipe_fds)
+        deadline = time.monotonic() + join_timeout
+        for rank, child in enumerate(ranks):
             try:
-                controls[rank][1].send_bytes(b"shutdown")
-            except (BrokenPipeError, OSError):
-                pass
-        reap_deadline = time.monotonic() + REAP_TIMEOUT
-        for rank, pid in pids.items():
-            # The rank is the only writer of its result pipe, so the
-            # hang-up on our end is its exit -- however it came about.
-            exited = _poller(results[rank][0], 0)
-            budget = max(reap_deadline - time.monotonic(), 0.0)
-            if not exited.poll(budget * 1000.0):
-                os.kill(pid, signal.SIGKILL)
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # pragma: no cover - reaped elsewhere
-                pass
-        for read_end, write_end in list(results.values()) + list(controls.values()):
-            _close_quietly(read_end)
-            _close_quietly(write_end)
+                outcomes.append(child.recv(deadline))
+            except TimeoutError:
+                late = [r for r in range(rank, n_ranks) if not ranks[r].poll(0)]
+                raise SimMpiError(
+                    f"shmem ranks {late} did not finish within "
+                    f"{join_timeout}s of wall time"
+                ) from None
+            except (EOFError, OSError):
+                # The rank died (e.g. proc_fail SIGKILL) before
+                # reporting: the simulator reports died ranks as
+                # value None, and so do we.
+                outcomes.append(("died", None))
+    finally:
+        _close_all(pipe_fds)
+        stop_all(ranks, REAP_TIMEOUT)
 
-    for rank in range(n_ranks):
-        status, value = outcomes[rank]
+    for status, value in outcomes:
         if status == "error":
             raise value
-    return [outcomes[rank][1] for rank in range(n_ranks)]
+    return [value for _status, value in outcomes]

@@ -15,6 +15,8 @@ is used by every other subpackage:
   fault injectors and resilience managers.
 * :mod:`repro.utils.serialization` -- JSON normalization used by the
   campaign result store and scenario keys.
+* :mod:`repro.utils.child` -- the one forked-child lifecycle (start,
+  framed channel, stop, reap) of campaign workers and shmem ranks.
 """
 
 from repro.utils.rng import RngFactory

@@ -1014,8 +1014,7 @@ class TestProcessSafetyCoverage:
         ``process-safety`` must find nothing in :mod:`repro.comm` --
         and nothing *suppressed* either: the shmem backend is designed
         around single-writer pipes and bounded polls, so it needs no
-        ``# repro: allow`` at all (the only sanctioned suppressions in
-        the repo stay at the campaign executor's supervisor sites).
+        ``# repro: allow`` at all.
         """
         from repro.analysis.registry import default_rule_registry
         from repro.analysis.runner import run_analysis

@@ -13,6 +13,7 @@ keys and payloads are identical to a fault-free run.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from repro.campaign.report import failure_table, render_report
 from repro.campaign.runner import CampaignRunner, derive_seed
 from repro.campaign.spec import Scenario, Sweep
 from repro.campaign.store import ResultStore
+from repro.utils.child import Child
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +63,27 @@ def _sleep_execute(experiment, params, attempt=1):
     """Takes ``params["sleep"]`` seconds, then echoes its inputs."""
     time.sleep(params["sleep"])
     return _ok_execute(experiment, params, attempt)
+
+
+def _self_kill_execute(experiment, params, attempt=1):
+    """SIGKILLs its own worker on attempt 1."""
+    if attempt == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ok_execute(experiment, params, attempt)
+
+
+def _shmem_allreduce_program(comm, base):
+    return comm.allreduce(base + comm.rank)
+
+
+def _shmem_execute(experiment, params, attempt=1):
+    """A 2-rank shmem allreduce, launched from wherever this runs."""
+    from repro.comm import resolve_backend
+
+    values = resolve_backend("shmem:procs=2").launch(
+        _shmem_allreduce_program, params["base"], timeout=10.0
+    )
+    return {"values": values}, None, 0.0
 
 
 def _raising_execute(experiment, params, attempt=1):
@@ -282,15 +305,13 @@ def _executor(**kwargs):
 
 def _record_submits(monkeypatch, log):
     """Append each task's ``(slot, attempt)`` to ``log`` as it is sent."""
-    from repro.campaign import executor as ex
-
-    real_submit = ex._WorkerHandle.submit
+    real_submit = Child.send
 
     def recording_submit(handle, task):
         log.append((task[0], task[2]))
         return real_submit(handle, task)
 
-    monkeypatch.setattr(ex._WorkerHandle, "submit", recording_submit)
+    monkeypatch.setattr(Child, "send", recording_submit)
     return log
 
 
@@ -373,6 +394,30 @@ class TestSupervisedExecutor:
         assert all(r.status == "completed" for r in results)
         assert all(r.history == ("crashed", "crashed", "ok") for r in results)
 
+    def test_exit_status_reaches_the_ledger(self, tmp_path):
+        from repro.campaign.executor import CHAOS_EXIT_CODE
+
+        for execute, chaos, code in (
+            (_ok_execute, "worker_crash:p=1,attempts=1", CHAOS_EXIT_CODE),
+            (_self_kill_execute, None, -signal.SIGKILL),
+        ):
+            ledger = FailureLedger(str(tmp_path / f"{code}.jsonl"))
+            results = _executor(
+                execute=execute, chaos=chaos, ledger=ledger, workers=1
+            ).run(_tasks(1))
+            assert results[0].history == ("crashed", "ok")
+            crash = ledger.history()["key0"][0]
+            assert crash.error == (
+                f"worker died with exit code {code} while running this scenario"
+            )
+
+    def test_shmem_ranks_launch_inside_a_worker(self):
+        tasks = [(f"shmem{i}", "EX", {"base": float(i)}) for i in range(3)]
+        results = _executor(execute=_shmem_execute).run(tasks)
+        assert [r.status for r in results] == ["completed"] * 3
+        for (_key, _experiment, params), result in zip(tasks, results):
+            assert result.result == _shmem_execute("EX", params)[0]
+
     def test_chaos_corruption_detected_by_checksum(self):
         results = _executor(
             execute=_ok_execute,
@@ -409,7 +454,7 @@ class TestSupervisedExecutor:
             waiting.add(state.slot)
             return state
 
-        real_submit = ex._WorkerHandle.submit
+        real_submit = Child.send
 
         def checking_submit(handle, task):
             slot, attempt = task[0], task[2]
@@ -425,7 +470,7 @@ class TestSupervisedExecutor:
                     unexplained.append((slot, attempt))
             waiting.discard(slot)
             submits.append((slot, attempt))
-            held.setdefault(handle.process.pid, []).append((slot, attempt))
+            held.setdefault(handle.pid, []).append((slot, attempt))
             return real_submit(handle, task)
 
         real_journal = ex.SupervisedExecutor._journal
@@ -443,7 +488,7 @@ class TestSupervisedExecutor:
             return real_journal(self, state, status, outcome, error, elapsed, pid)
 
         monkeypatch.setattr(ex, "_TaskState", recording_state)
-        monkeypatch.setattr(ex._WorkerHandle, "submit", checking_submit)
+        monkeypatch.setattr(Child, "send", checking_submit)
         monkeypatch.setattr(ex.SupervisedExecutor, "_journal", watching_journal)
         results = _executor(
             execute=_ok_execute,
@@ -508,16 +553,14 @@ class TestSupervisedExecutor:
     def test_no_prefetch_when_units_do_not_outnumber_workers(self, monkeypatch):
         # Three heavy units on two workers: the third waits for the first
         # worker to come free, exactly as with one task per worker.
-        from repro.campaign import executor as ex
-
         sent = []
-        real_submit = ex._WorkerHandle.submit
+        real_submit = Child.send
 
         def timing_submit(handle, task):
-            sent.append((task[0], handle.worker_id, time.monotonic()))
+            sent.append((task[0], handle.pid, time.monotonic()))
             return real_submit(handle, task)
 
-        monkeypatch.setattr(ex._WorkerHandle, "submit", timing_submit)
+        monkeypatch.setattr(Child, "send", timing_submit)
         tasks = [(f"heavy{i}", "EX", {"sleep": s}) for i, s in enumerate((0.2, 0.6, 0.2))]
         results = _executor(execute=_sleep_execute).run(tasks)
         assert [r.history for r in results] == [("ok",)] * 3
