@@ -29,9 +29,11 @@ Subpackage overview
 ``repro.machine``
     Machine model, ECC-stall variability, collective cost and
     application-efficiency formulas.
-``repro.simmpi``
-    The simulated MPI runtime (virtual time, asynchronous collectives,
-    ULFM-style failure notification, respawn).
+``repro.comm``
+    The message-passing runtime: one communicator front end, the
+    simulated MPI backend (virtual time, asynchronous collectives,
+    ULFM-style failure notification, respawn) and the shared-memory
+    multiprocess backend.
 ``repro.linalg``
     CSR sparse matrices, model problems, preconditioners, checksummed
     (ABFT) operations, distributed vectors/matrices.
@@ -64,7 +66,7 @@ __all__ = [
     "utils",
     "reliability",
     "machine",
-    "simmpi",
+    "comm",
     "linalg",
     "krylov",
     "precond",

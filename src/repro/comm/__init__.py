@@ -1,4 +1,4 @@
-"""Pluggable communicator backends behind one abstract interface.
+"""The message-passing runtime: one front end, two backends.
 
 :class:`~repro.comm.base.BaseCommunicator` is the one front end of the
 SPMD communicator contract -- collective forms, completion rule, cost
@@ -9,16 +9,17 @@ helpers (:mod:`repro.comm.base`) and errors (:mod:`repro.comm.errors`).  Backend
 sit behind a serializable :class:`~repro.comm.spec.CommSpec`:
 
 ========  ==========================================================
-``sim``    the deterministic simulator (threads + virtual time)
-``shmem``  real OS processes over pipes + ``shared_memory`` buffers
-``mpi4py`` real MPI, import-gated (listing-stable, launch-gated)
+``sim``    the deterministic simulator (threads + virtual time),
+           :mod:`repro.comm.sim` over :mod:`repro.comm.simstate`
+``shmem``  real OS processes over pipes + ``shared_memory`` buffers,
+           :mod:`repro.comm.shmem`
 ========  ==========================================================
 
 The same :class:`FaultSpec` strings drive fault injection on every
 backend -- ``proc_fail`` is a virtual death on ``sim`` and a real
 SIGKILL on ``shmem``; ``msg_corrupt`` draws the identical corruption
 stream on both -- and ``tests/test_comm_conformance.py`` pins one
-contract suite plus a sim-vs-shmem differential across all of them.
+contract suite plus a sim-vs-shmem differential across both.
 
 Typical use::
 
@@ -29,11 +30,7 @@ Typical use::
 """
 
 from repro.comm.base import BaseCommunicator
-from repro.comm.errors import (
-    BackendUnavailableError,
-    CommTimeoutError,
-    ProcFailure,
-)
+from repro.comm.errors import CommTimeoutError, ProcFailure
 from repro.comm.registry import (
     BackendRegistry,
     BoundBackend,
@@ -46,7 +43,6 @@ from repro.comm.spec import COMM_KINDS, CommSpec
 
 __all__ = [
     "BackendRegistry",
-    "BackendUnavailableError",
     "BaseCommunicator",
     "BoundBackend",
     "COMM_KINDS",

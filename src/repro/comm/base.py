@@ -29,14 +29,18 @@ Semantics shared by all backends:
   ``scatter`` chunks, a reduction over mismatched shapes) poisons it:
   every participant raises the same typed error, promptly -- nobody is
   left to wait out a timeout;
-* ``allreduce``/``reduce`` apply the reduction in ascending-rank order,
-  left to right, when the backend declares ``ordered_reduction`` in its
-  registry entry -- the property that makes sim and shmem results
+* every backend folds a reduction in rank order: ``allreduce`` and
+  ``reduce`` complete through :func:`complete_collective`, ascending
+  rank, left to right -- the property that makes sim and shmem results
   bit-identical;
 * ``compute(flops)`` / ``advance(seconds)`` drive the backend's notion
   of *program time*: virtual seconds on the simulator, a logical clock
   on real-process backends (used only to schedule ``proc_fail``
   injection, never to slow the process down).
+
+Both launchers resolve a job's fault axis the one way,
+:func:`resolve_job_faults`, so the same spec strings mean the same
+failures and the same corruption streams on every backend.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import abc
 import copy
 import pickle
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +58,10 @@ from repro.comm.ops import ReduceOp, SUM
 from repro.comm.requests import CompletedRequest, Request
 from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
+from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:  # the reliability layer sits above the communicators
+    from repro.reliability.process import FailurePlan
 
 __all__ = [
     "BaseCommunicator",
@@ -61,6 +69,7 @@ __all__ = [
     "copy_payload",
     "payload_nbytes",
     "portable_error",
+    "resolve_job_faults",
 ]
 
 
@@ -133,12 +142,68 @@ def complete_collective(
     return dict.fromkeys(ranks, result)
 
 
+def resolve_job_faults(
+    n_ranks: int,
+    failure_plan=None,
+    faults=None,
+    fault_seed: Optional[int] = None,
+) -> Tuple[FailurePlan, Optional[Callable[[int], Callable]]]:
+    """The fault axis of one SPMD job, as every launcher resolves it.
+
+    Refuses an ``n_ranks`` that is not a positive integer (bools,
+    floats and strings included), then returns ``(plan, factory)``:
+    the failure plan -- ``failure_plan`` if given, else the
+    ``proc_fail`` component of ``faults`` -- and, when ``faults`` has a
+    ``msg_corrupt`` component, a ``rank -> corruptor`` factory (else
+    ``None``).  Each rank's corruptor draws from a stream named after
+    the rank, so any launcher agreeing on ``(fault_seed, rank)``
+    replays the same corruption sequence (see
+    :mod:`repro.reliability.seeding`).
+
+    ``failure_plan`` accepts ``None`` (no failures), a ready
+    :class:`~repro.reliability.process.FailurePlan`, or anything
+    :func:`repro.reliability.resolve_faults` accepts (a registry name,
+    a compact spec string such as ``"proc_fail:mtbf=3600,horizon=7200"``,
+    a dict, a :class:`~repro.reliability.spec.FaultSpec` or a built
+    model) -- the one uniform way every layer names its fault axis.
+    Composite specs contribute their ``proc_fail`` component; specs
+    with no process-failure component resolve to an empty plan.
+    """
+    check_integer(n_ranks, "n_ranks")
+    if n_ranks <= 0:
+        raise ValueError("n_ranks must be positive")
+    # Local imports: the reliability layer sits above the communicators.
+    from repro.reliability.models import FaultCapabilityError
+    from repro.reliability.process import FailurePlan
+    from repro.reliability.registry import resolve_faults
+
+    factory = None
+    if faults is not None:
+        model = resolve_faults(faults)
+        if failure_plan is None:
+            failure_plan = model
+        msg_model = model.component("msg_corrupt")
+        if msg_model is not None:
+            def factory(rank: int):
+                return msg_model.message_corruptor(
+                    seed=fault_seed, name=f"messages/{rank}"
+                )
+    if failure_plan is None:
+        return FailurePlan.none(), factory
+    if isinstance(failure_plan, FailurePlan):
+        return failure_plan, factory
+    model = resolve_faults(failure_plan)
+    try:
+        return model.failure_plan(n_ranks=int(n_ranks), seed=fault_seed), factory
+    except FaultCapabilityError:
+        return FailurePlan.none(), factory
+
+
 class BaseCommunicator(abc.ABC):
     """SPMD communicator front end (the mpi4py lower-case subset).
 
-    Concrete backends: :class:`repro.simmpi.comm.Comm`,
-    :class:`repro.comm.shmem.ShmemComm` and
-    :class:`repro.comm.mpi.Mpi4pyComm`.  Rank functions receive an
+    Concrete backends: :class:`repro.comm.sim.Comm` and
+    :class:`repro.comm.shmem.ShmemComm`.  Rank functions receive an
     instance as their first argument and must treat it as the *only*
     channel between ranks.  Subclasses set ``_machine``.
     """

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Optional
 
 __all__ = [
-    "BackendUnavailableError",
     "CommTimeoutError",
     "InvalidRankError",
     "ProcFailure",
@@ -123,17 +122,3 @@ class CommTimeoutError(SimDeadlockError):
     collective exceeds its deadline (mismatched communication in the
     program, or a peer wedged without dying).
     """
-
-
-class BackendUnavailableError(SimMpiError):
-    """A registered backend cannot run in this environment.
-
-    The registry keeps the entry visible (so listings and specs stay
-    stable across machines) but :meth:`launch` fails loudly, e.g. the
-    ``mpi4py`` backend on a machine without the package installed.
-    """
-
-    def __init__(self, name: str, reason: str):
-        super().__init__(f"communicator backend {name!r} unavailable: {reason}")
-        self.name = name
-        self.reason = reason

@@ -12,20 +12,14 @@ bound to that spec, ready to :meth:`~BoundBackend.launch` SPMD
 functions under the uniform launch contract::
 
     values = resolve_backend("shmem:procs=4").launch(my_rank_func)
-
-Entries stay *registered* even when the environment cannot run them
-(``mpi4py`` without the package): listings and persisted specs remain
-stable across machines, and only ``launch`` fails -- loudly, with
-:class:`~repro.comm.errors.BackendUnavailableError`.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Union
 
-from repro.comm.errors import BackendUnavailableError
 from repro.comm.spec import CommSpec
 from repro.spec import Axis, Registry
 
@@ -48,48 +42,23 @@ class RegisteredBackend:
     ----------
     name:
         Stable registry key, identical to the spec kind (``"sim"``,
-        ``"shmem"``, ``"mpi4py"``).
+        ``"shmem"``).
     title:
         One-line human description for listings.
-    ordered_reduction:
-        Whether reductions combine contributions in ascending-rank
-        order, left to right.  Backends sharing this flag produce
-        **bit-identical** reduction results; against backends without
-        it, differential gates must compare under norm tolerances.
     module:
         Dotted module path holding the launcher (imported lazily, so
-        listing backends never imports e.g. ``mpi4py``).
+        resolving a backend imports neither the simulator nor shmem).
     launcher:
         Attribute name of the launch callable in ``module``.
-    checker:
-        Optional attribute name of an availability probe in ``module``
-        returning ``(ok, reason)``; ``None`` means always available.
     """
 
     name: str
     title: str
-    ordered_reduction: bool
     module: str
     launcher: str
-    checker: Optional[str] = None
-
-    def available(self) -> Tuple[bool, str]:
-        """Whether this backend can run here, plus the reason when not."""
-        if self.checker is None:
-            return True, ""
-        probe = getattr(importlib.import_module(self.module), self.checker)
-        return probe()
 
     def row(self) -> tuple:
-        ok, reason = self.available()
-        return (self.name, self.ordered_reduction,
-                "yes" if ok else f"no ({reason})", self.title)
-
-    def _launch_callable(self) -> Callable[..., List[Any]]:
-        ok, reason = self.available()
-        if not ok:
-            raise BackendUnavailableError(self.name, reason)
-        return getattr(importlib.import_module(self.module), self.launcher)
+        return (self.name, self.title)
 
     def bind(self, spec: CommSpec) -> "BoundBackend":
         """Pair this entry with a concrete parameterization."""
@@ -113,10 +82,6 @@ class BoundBackend:
         return self.entry.name
 
     @property
-    def ordered_reduction(self) -> bool:
-        return self.entry.ordered_reduction
-
-    @property
     def procs(self) -> int:
         return self.spec.procs
 
@@ -138,7 +103,7 @@ class BoundBackend:
         to the spec's ``procs``; the spec's ``watchdog``/``timeout``
         parameter becomes the backend's per-wait bound.
         """
-        launch = self.entry._launch_callable()
+        launch = getattr(importlib.import_module(self.entry.module), self.entry.launcher)
         timeout = self.spec.get("timeout", self.spec.get("watchdog"))
         if timeout is not None:
             kwargs.setdefault("timeout", float(timeout))
@@ -159,24 +124,14 @@ def _builtin_backends() -> List[RegisteredBackend]:
         RegisteredBackend(
             name="sim",
             title="Deterministic simulated runtime (threads + virtual clock)",
-            ordered_reduction=True,
             module="repro.comm.sim",
-            launcher="launch_sim",
+            launcher="run_spmd",
         ),
         RegisteredBackend(
             name="shmem",
             title="Shared-memory multiprocess runtime (forked ranks + pipes)",
-            ordered_reduction=True,
             module="repro.comm.shmem",
             launcher="launch_shmem",
-        ),
-        RegisteredBackend(
-            name="mpi4py",
-            title="Real MPI via mpi4py (requires mpiexec; import-gated)",
-            ordered_reduction=False,
-            module="repro.comm.mpi",
-            launcher="launch_mpi",
-            checker="mpi4py_available",
         ),
     ]
 
@@ -185,7 +140,7 @@ class BackendRegistry(Registry[RegisteredBackend]):
     """Index of named communicator backends."""
 
     NOUN = "communicator backend"
-    COLUMNS = ("backend", "ordered_reduction", "available", "title")
+    COLUMNS = ("backend", "title")
     builtin = staticmethod(_builtin_backends)
 
 

@@ -25,7 +25,7 @@ enforces:
 
 Fault injection maps the declarative :class:`FaultSpec` axis onto real
 processes through the simulator's own resolution
-(:func:`repro.simmpi.runtime.resolve_job_faults`), so the same spec
+(:func:`repro.comm.base.resolve_job_faults`), so the same spec
 strings mean the same thing as on the simulator:
 
 * ``proc_fail`` -- scheduled failure times from the spec's
@@ -79,6 +79,7 @@ from repro.comm.base import (
     copy_payload,
     payload_nbytes,
     portable_error,
+    resolve_job_faults,
 )
 from repro.comm.errors import CommTimeoutError, ProcFailure, SimMpiError
 from repro.comm.requests import CompletedRequest, Request
@@ -99,6 +100,9 @@ DEFAULT_OP_TIMEOUT = 30.0
 #: Wall-clock budget (seconds) for the ranks to exit after the shutdown
 #: message; a rank still running then is SIGKILLed.
 REAP_TIMEOUT = 10.0
+
+#: Wall-clock budget (seconds) for every rank to report its outcome.
+JOIN_TIMEOUT = 120.0
 
 
 def _is_raw(obj: Any) -> bool:
@@ -512,12 +516,11 @@ def launch_shmem(
     faults=None,
     fault_seed: Optional[int] = None,
     timeout: float = DEFAULT_OP_TIMEOUT,
-    join_timeout: float = 120.0,
     **kwargs: Any,
 ) -> List[Any]:
     """Run ``func(comm, *args, **kwargs)`` on ``n_ranks`` OS processes.
 
-    The shmem counterpart of :func:`repro.simmpi.runtime.run_spmd`, with
+    The shmem counterpart of :func:`repro.comm.sim.run_spmd`, with
     the same fault-axis surface: ``faults``/``failure_plan`` map
     ``proc_fail`` components to scheduled self-SIGKILLs and
     ``msg_corrupt`` components to pipe-boundary payload corruption,
@@ -527,14 +530,12 @@ def launch_shmem(
     *raised* re-raises in the caller.
 
     Each rank is a :class:`~repro.utils.child.Child` that reports its
-    outcome on its channel; after the shutdown frame, ranks get
-    ``REAP_TIMEOUT`` to exit, then SIGKILL.  Every rank that started is
-    reaped, also when a later fork fails.
+    outcome on its channel within ``JOIN_TIMEOUT``; after the shutdown
+    frame, ranks get ``REAP_TIMEOUT`` to exit, then SIGKILL.  Every rank
+    that started is reaped, also when a later fork fails.
     """
     # The simulator's own resolution: same n_ranks refusals, same plan,
     # same per-rank corruption streams.
-    from repro.simmpi.runtime import resolve_job_faults
-
     plan, corruptor_factory = resolve_job_faults(
         n_ranks, failure_plan, faults, fault_seed
     )
@@ -562,7 +563,7 @@ def launch_shmem(
         # The ranks own the pipe ends; a copy held here would keep a dead
         # rank's peers from seeing its hang-up.
         _close_all(pipe_fds)
-        deadline = time.monotonic() + join_timeout
+        deadline = time.monotonic() + JOIN_TIMEOUT
         for rank, child in enumerate(ranks):
             try:
                 outcomes.append(child.recv(deadline))
@@ -570,7 +571,7 @@ def launch_shmem(
                 late = [r for r in range(rank, n_ranks) if not ranks[r].poll(0)]
                 raise SimMpiError(
                     f"shmem ranks {late} did not finish within "
-                    f"{join_timeout}s of wall time"
+                    f"{JOIN_TIMEOUT}s of wall time"
                 ) from None
             except (EOFError, OSError):
                 # The rank died (e.g. proc_fail SIGKILL) before

@@ -12,7 +12,7 @@ Three interchangeable wire forms (the shared
 
     SPEC  := KIND [ ":" NAME "=" VALUE ("," NAME "=" VALUE)* ]
 
-* **compact strings** -- ``"sim"``, ``"shmem:procs=8"``, ``"mpi4py"``;
+* **compact strings** -- ``"sim"``, ``"shmem:procs=8"``;
 * **dicts** -- ``{"kind": "shmem", "params": {"procs": 8}}`` -- the
   form the JSONL result store persists (``"params"`` is always written);
 * **CommSpec objects** -- what the registry consumes.
@@ -37,7 +37,6 @@ __all__ = ["CommSpec", "COMM_KINDS"]
 COMM_KINDS: Dict[str, frozenset] = {
     "sim": frozenset({"procs", "watchdog"}),
     "shmem": frozenset({"procs", "timeout"}),
-    "mpi4py": frozenset({"procs"}),
 }
 
 
@@ -47,7 +46,7 @@ class CommSpec(KindSpec):
     Attributes
     ----------
     kind:
-        Backend kind (``"sim"``, ``"shmem"``, ``"mpi4py"``), one of
+        Backend kind (``"sim"``, ``"shmem"``), one of
         :data:`COMM_KINDS`.
     params:
         Backend parameters (scalars), e.g. ``procs`` for the default

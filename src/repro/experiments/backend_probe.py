@@ -7,9 +7,9 @@ evidence from that communicator backend:
 * :func:`distributed_solve` -- the *numerical anchor*: the same Krylov
   solve the driver runs sequentially, executed as a genuine SPMD
   program over the backend's distributed objects.  Returns the
-  residual-norm history, which is **bit-identical** across backends
-  that declare ``ordered_reduction`` (sim, shmem) -- the conformance
-  suite's differential gate pins exactly that.
+  residual-norm history, which is **bit-identical** across the
+  backends (sim, shmem), since every backend folds reductions in rank
+  order -- the conformance suite's differential gate pins exactly that.
 * :func:`measure_iteration` -- measured wall-clock per iteration of a
   pipelined-CG-shaped workload (local vector flops + one vector
   allreduce), on any backend.  The E3 driver compares sim-vs-shmem on

@@ -9,7 +9,7 @@ carrying both ``gamma = (r, u)`` and ``delta = (w, u)`` (via
 :func:`repro.krylov.ops.fused_dots`), the operator application
 ``q = A w`` proceeds while the reduction is in flight, and only then is
 the reduction waited on.  On the simulated runtime this uses the
-MPI-3-style non-blocking collectives of :mod:`repro.simmpi`, i.e. the
+MPI-3-style non-blocking collectives of :mod:`repro.comm.sim`, i.e. the
 RBSP programming model of paper §II-B; sequentially it degenerates to
 plain arithmetic with identical convergence behaviour (up to rounding).
 It is not the only synchronization: a distributed iteration also runs a

@@ -44,13 +44,13 @@ import numpy as np
 
 from repro.comm.errors import RankFailedError
 from repro.comm.ops import MIN
+from repro.comm.sim import SimRuntime
 from repro.reliability.process import FailurePlan
 from repro.lflr.manager import LFLRManager
 from repro.lflr.store import PersistentStore
 from repro.machine.model import MachineModel
 from repro.pde.grid import Grid1D
 from repro.pde.heat import gaussian_initial_condition, heat_step_distributed, stable_time_step
-from repro.simmpi.runtime import SimRuntime
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = ["LflrHeatResult", "run_lflr_heat"]

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.comm.errors import RankFailedError
-from repro.simmpi.comm import Comm
-from repro.simmpi.runtime import SimRuntime
+from repro.comm.sim import Comm, SimRuntime
 from repro.utils.logging import EventLog
 
 __all__ = ["RecoveryOutcome", "LFLRManager"]
@@ -74,7 +73,7 @@ class LFLRManager:
     comm:
         This rank's communicator.
     runtime:
-        The owning :class:`~repro.simmpi.runtime.SimRuntime` (needed to
+        The owning :class:`~repro.comm.sim.SimRuntime` (needed to
         respawn replacement ranks).
     recovery_entry:
         Callable run *as* the replacement rank:

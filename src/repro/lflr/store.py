@@ -24,8 +24,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.comm.base import payload_nbytes
-from repro.simmpi.comm import Comm
+from repro.comm.base import BaseCommunicator, payload_nbytes
 from repro.utils.validation import check_integer
 
 __all__ = ["StoreEntry", "PersistentStore"]
@@ -71,7 +70,7 @@ class PersistentStore:
         values suffice.
     """
 
-    def __init__(self, comm: Comm, *, partner_offset: int = 1, history: int = 4):
+    def __init__(self, comm: BaseCommunicator, *, partner_offset: int = 1, history: int = 4):
         check_integer(partner_offset, "partner_offset")
         check_integer(history, "history")
         if history <= 0:

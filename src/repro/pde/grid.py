@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.simmpi.comm import Comm
+from repro.comm.base import BaseCommunicator
 from repro.utils.validation import check_integer
 
 __all__ = ["partition_interval", "Grid1D"]
@@ -57,7 +57,9 @@ class Grid1D:
         Dirichlet value used at both physical boundaries.
     """
 
-    def __init__(self, comm: Optional[Comm], n_global: int, *, boundary_value: float = 0.0):
+    def __init__(
+        self, comm: Optional[BaseCommunicator], n_global: int, *, boundary_value: float = 0.0
+    ):
         check_integer(n_global, "n_global")
         if n_global <= 0:
             raise ValueError("n_global must be positive")

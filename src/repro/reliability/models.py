@@ -13,8 +13,8 @@ capability        consumed by
 ``injector``      :class:`~repro.reliability.region.Region`
 ``environment``   SRP solvers / operator-wrapping experiments (E3, E6,
                   E8, E9): an unreliable ``Region``
-``failure_plan``  :mod:`repro.simmpi`, LFLR/CPR experiments (E4, E7)
-``message_corruptor``  :class:`repro.simmpi.comm.Comm` send paths
+``failure_plan``  :mod:`repro.comm` launchers, LFLR/CPR experiments (E4, E7)
+``message_corruptor``  :class:`repro.comm.sim.Comm` send paths
 ``iteration_hook``     the solver engine's resilience-policy surface
 ===============  ====================================================
 
@@ -405,7 +405,7 @@ class PerturbationFaults(_ScheduledFaults):
 class MessageCorruptor:
     """Per-send Bernoulli bit corruption of message payloads.
 
-    Applied by :class:`repro.simmpi.comm.Comm` to the already-copied
+    Applied by :class:`repro.comm.sim.Comm` to the already-copied
     payload, so sender-side state is never corrupted -- this models a
     faulty interconnect, not faulty memory.  When a send is hit, one
     uniformly chosen corruptible leaf of the payload gets a single bit

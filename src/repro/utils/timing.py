@@ -3,7 +3,7 @@
 Wall-clock timing in this toolkit is only ever used for *reporting
 overheads of the reproduction itself* (where a solve spends its time).
 All performance results that reproduce the paper's claims use
-the *virtual* time maintained by :mod:`repro.simmpi.clock` and the
+the *virtual* time maintained by :mod:`repro.comm.simstate` and the
 analytic models in :mod:`repro.machine`, so they are deterministic.
 """
 

@@ -40,7 +40,7 @@ SAMPLES = {
     "fault": ["bitflip:p=1e-4,bits=52..62", "proc_fail:times=1.5;3.0,ranks=1;2"],
     "precond": ["ssor:omega=1.2", "bjacobi:bs=4"],
     "precision": ["fp32:storage=fp16", "fp64:storage=fp32"],
-    "comm": ["sim:procs=2,watchdog=5.0", "shmem:procs=8,timeout=2.5", "mpi4py:procs=4"],
+    "comm": ["sim:procs=2,watchdog=5.0", "shmem:procs=8,timeout=2.5", "shmem:procs=4"],
     "chaos": ["worker_crash:p=0.1", "worker_hang:attempts=2,p=0.05,seconds=120.0"],
 }
 

@@ -166,7 +166,7 @@ class TestGmresBlockKernels:
         """Distributed basis columns must alias solver storage so hooks
         can inject faults in distributed runs too."""
         from repro.linalg import DistributedRowMatrix, DistributedVector
-        from repro.simmpi import run_spmd
+        from repro.comm.sim import run_spmd
 
         matrix = poisson_2d(8)
         b = np.random.default_rng(11).standard_normal(matrix.n_rows)

@@ -1,12 +1,12 @@
 """Cross-backend communicator conformance suite (PR 10's headline).
 
-One parametrized contract, run against **every** registered, available
+One parametrized contract, run against **every** registered
 communicator backend (:mod:`repro.comm.registry`):
 
 * point-to-point FIFO ordering and tag matching;
 * collective correctness against an explicitly-ordered numpy
   reference (ascending-rank, left-to-right fold -- the reduction order
-  both ordered backends guarantee, making results *bit-identical*, not
+  every backend guarantees, making results *bit-identical*, not
   merely close);
 * deadlock-freedom: a mismatched program raises the simulator's
   :class:`~repro.comm.errors.SimDeadlockError` (or its backend
@@ -21,20 +21,13 @@ communicator backend (:mod:`repro.comm.registry`):
 
 Plus the differential gate the tentpole demands: the E3 (CG) and E6
 (GMRES) distributed anchors run on sim and on shmem, and their
-residual-norm histories must agree.  Both backends declare
-``ordered_reduction``: both complete collectives with the front end's
-one rule (``repro.comm.base.complete_collective``, an ascending-rank,
+residual-norm histories must agree.  Both backends complete
+collectives with the front end's one rule
+(``repro.comm.base.complete_collective``, an ascending-rank,
 left-to-right fold), and the row-block partition, allgather ordering
 and local kernels are shared code -- so every floating-point operation
 happens in the same order and the comparison is **exact** (``==`` on
-every history entry).  For
-a future backend without ordered reductions (e.g. real MPI), the
-comparison helper falls back to a relative tolerance of ``1e-12`` per
-entry on the residual scale: reduction reordering perturbs each dot
-product by a few ulps (O(P) terms of similar magnitude), which damps,
-not amplifies, through a convergent Krylov iteration; 1e-12 relative
-leaves three orders of magnitude of slack over the few-ulp reality
-while still catching any genuine semantic divergence.
+every history entry).
 
 Satellites riding along: hypothesis property tests for the collectives
 (random shapes, fp64/fp32, 2-3 ranks), the shmem chaos soak (40
@@ -66,6 +59,7 @@ and the benchmark's four distributed solves equal on sim and shmem.
 
 from __future__ import annotations
 
+import ast
 import functools
 import io
 import os
@@ -82,7 +76,6 @@ from hypothesis import strategies as st
 import multiprocessing.connection
 
 from repro.comm import (
-    BackendUnavailableError,
     BaseCommunicator,
     CommSpec,
     CommTimeoutError,
@@ -99,22 +92,12 @@ from repro.comm.requests import waitall, waitany
 from repro.experiments import backend_probe
 from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
-from repro.simmpi.comm import Comm
+from repro.comm.sim import Comm
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: Every registered backend that can run in this environment, as
-#: pytest params -- unavailable ones (mpi4py without the package) are
-#: visible skips, not silent absences.
-BACKENDS = [
-    pytest.param(
-        entry.name,
-        marks=()
-        if entry.available()[0]
-        else pytest.mark.skip(reason=entry.available()[1]),
-    )
-    for entry in default_backend_registry()
-]
+#: Every registered backend.
+BACKENDS = backend_names()
 
 
 def launch(backend: str, procs: int, func, *args, timeout: float = 30.0, **kwargs):
@@ -644,14 +627,6 @@ class TestContract:
 # ----------------------------------------------------------------------
 # Cross-backend fault-spec equivalence
 # ----------------------------------------------------------------------
-def _available(names):
-    registry = default_backend_registry()
-    return [n for n in names if registry.get(n).available()[0]]
-
-
-@pytest.mark.skipif(
-    len(_available(["sim", "shmem"])) < 2, reason="needs both sim and shmem"
-)
 class TestCrossBackend:
     def test_msg_corrupt_draws_identical_stream(self):
         """``msg_corrupt`` with one seed corrupts identically everywhere.
@@ -741,22 +716,10 @@ class TestCrossBackend:
 
 
 def _assert_histories_agree(a, b):
-    """Exact when both backends order reductions; 1e-12 relative else."""
-    registry = default_backend_registry()
-    ordered = all(
-        registry.get(CommSpec.parse(result["backend"]).kind).ordered_reduction
-        for result in (a, b)
-    )
+    """Bit-identical: every backend folds reductions in rank order."""
     assert a["iterations"] == b["iterations"]
     assert a["converged"] == b["converged"]
-    norms_a, norms_b = a["residual_norms"], b["residual_norms"]
-    assert len(norms_a) == len(norms_b)
-    if ordered:
-        assert norms_a == norms_b  # bit-identical
-    else:  # tolerance path for unordered future backends (see docstring)
-        scale = max(norms_a[0], norms_b[0])
-        for x, y in zip(norms_a, norms_b):
-            assert abs(x - y) <= 1e-12 * scale
+    assert a["residual_norms"] == b["residual_norms"]
 
 
 # ----------------------------------------------------------------------
@@ -823,10 +786,6 @@ class TestCollectiveProperties:
 # ----------------------------------------------------------------------
 # Chaos soak: random SIGKILLs mid-collective (satellite b, shmem only)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    not default_backend_registry().get("shmem").available()[0],
-    reason="shmem backend unavailable",
-)
 def test_shmem_chaos_soak_random_sigkills_never_hang():
     """40 random mid-collective SIGKILLs: detect or complete, never hang.
 
@@ -864,10 +823,6 @@ def test_shmem_chaos_soak_random_sigkills_never_hang():
 # ----------------------------------------------------------------------
 # Cost shape of the shmem message path, as counts (PR 18)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    not default_backend_registry().get("shmem").available()[0],
-    reason="shmem backend unavailable",
-)
 class TestShmemCostShape:
     def test_no_selector_is_built_per_message(self, monkeypatch):
         """50 collectives, zero trips through ``connection.wait``/selectors.
@@ -937,6 +892,32 @@ _FRONT_END = (
 )
 
 
+def _source_module(module):
+    """Whether ``module`` is a module file or a package in ``src/``."""
+    path = REPO_ROOT.joinpath("src", *module.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def _imported_modules(path):
+    """The ``repro`` modules the imports in ``path`` name (``n`` of
+    ``from M import n`` included when it is a module itself)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+                if _source_module(f"{node.module}.{alias.name}")
+            ]
+        else:
+            continue
+        yield from (name for name in names if name.split(".")[0] == "repro")
+
+
+def _within(module, package):
+    return module == package or module.startswith(package + ".")
+
+
 class TestOneFrontEnd:
     @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
     def test_backends_subclass_the_front_end_and_add_no_forms(self, cls):
@@ -961,6 +942,23 @@ class TestOneFrontEnd:
         for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
             assert "BaseCommunicator.register" not in path.read_text(encoding="utf-8"), path
 
+    def test_the_simulator_is_reached_only_through_the_front_end(self):
+        """Import layering over ``src/repro``: every ``repro`` import names
+        a module in the tree (a directory left holding only
+        ``__pycache__`` does not count), nothing outside ``repro.comm``
+        imports ``repro.comm.simstate``, and outside it only
+        ``repro.lflr`` (respawn, revoke, epochs) imports ``repro.comm.sim``."""
+        src = REPO_ROOT / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            package = path.relative_to(src).parts[0]
+            for module in _imported_modules(path):
+                assert _source_module(module), (path, module)
+                if package == "comm":
+                    continue
+                assert not _within(module, "repro.comm.simstate"), (path, module)
+                if package != "lflr":
+                    assert not _within(module, "repro.comm.sim"), (path, module)
+
     @pytest.mark.parametrize("backend", ["sim", "shmem"])
     @pytest.mark.parametrize(
         "n_ranks, error",
@@ -984,24 +982,10 @@ class TestSpecAndRegistry:
             CommSpec.parse("shmem:procs=0")  # repro: allow(spec-strings) -- negative fixture
 
     def test_registry_lists_all_kinds(self):
-        assert backend_names() == ["mpi4py", "shmem", "sim"]
+        assert backend_names() == ["shmem", "sim"]
         for name in backend_names():
             entry = default_backend_registry().get(name)
             assert entry.name == name
-
-    def test_mpi4py_entry_is_gated_not_hidden(self):
-        entry = default_backend_registry().get("mpi4py")
-        ok, reason = entry.available()
-        if not ok:
-            assert "mpi4py" in reason
-            with pytest.raises(BackendUnavailableError):
-                resolve_backend("mpi4py:procs=2").launch(_identity_program)
-
-    def test_ordered_reduction_flags(self):
-        registry = default_backend_registry()
-        assert registry.get("sim").ordered_reduction
-        assert registry.get("shmem").ordered_reduction
-        assert not registry.get("mpi4py").ordered_reduction
 
 
 # ----------------------------------------------------------------------

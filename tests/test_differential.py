@@ -20,7 +20,7 @@ from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
 from repro.linalg.distributed import DistributedRowMatrix, DistributedVector
 from repro.linalg.matgen import poisson_2d
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 from repro.utils.rng import RngFactory
 
 # Pinned tolerance: max elementwise |dense - distributed| residual

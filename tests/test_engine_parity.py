@@ -38,7 +38,7 @@ from repro.linalg import (
     poisson_2d,
 )
 from repro.linalg.matgen import convection_diffusion_2d
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
 DATA_PATH = pathlib.Path(__file__).parent / "data" / "engine_parity.json"

@@ -2,10 +2,11 @@
 
 * Every example script runs end to end in a fresh interpreter, so a
   moved name fails here instead of in a reader's terminal.
-* ``repro.comm``, ``repro.simmpi`` and ``repro.comm.shmem`` each import
-  first in a fresh interpreter: the simulator's ``Comm`` subclasses the
-  front end in ``repro.comm``, so an import cycle between the two
-  packages would fail here.
+* ``repro.comm``, ``repro.comm.sim``, ``repro.comm.shmem`` and
+  ``repro.lflr`` each import first in a fresh interpreter: the
+  simulator's ``Comm`` subclasses the front end in ``repro.comm``, and
+  ``repro.lflr`` builds on the simulator, so an import cycle between
+  the two packages would fail here.
 * The benchmark ledger's calls into ``src/`` -- ``unreliable(spec,
   seed=)``, ``.operator(f)``, ``.faults_injected()`` and ``ft_gmres``'s
   ``info["kernels"]["seconds"]["inner_solve"]`` -- are exercised through
@@ -57,7 +58,9 @@ def test_example_runs(script, tmp_path):
     assert done.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["repro.comm", "repro.simmpi", "repro.comm.shmem"])
+@pytest.mark.parametrize(
+    "module", ["repro.comm", "repro.comm.sim", "repro.comm.shmem", "repro.lflr"]
+)
 def test_package_imports_first(module):
     done = subprocess.run(
         [sys.executable, "-c", f"import {module}"],

@@ -20,7 +20,7 @@ from repro.linalg import (
     NeumannPolynomialPreconditioner,
     poisson_2d,
 )
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 
 
 def relative_residual(matrix, x, b):

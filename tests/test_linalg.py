@@ -30,7 +30,7 @@ from repro.linalg import (
 )
 from repro.reliability.bitflip import flip_bit_array
 from repro.krylov.ops import allocate_basis
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 
 
 def orthonormal_basis(rng, n, k):

@@ -27,7 +27,7 @@ from repro.pde import (
     partition_interval,
     stable_time_step,
 )
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 from repro.skeptical import conservation_check
 
 

@@ -35,7 +35,7 @@ from repro.linalg.matgen import (
     poisson_2d,
 )
 from repro.linalg.precond import BlockJacobiPreconditioner, SsorPreconditioner
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 
 
 def row_loop_ssor(matrix: CsrMatrix, omega: float, vector: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Covers the :class:`FaultSpec` wire formats (property-based string/dict
 round-trips), the fault-model registry contract, the capability
 surface of every model kind, the ``unreliable()``/``reliable()``
-domain context managers, the simmpi spec resolution, old-vs-new
+domain context managers, the simulator's spec resolution, old-vs-new
 injection parity for the E1/E6/E8 drivers and fault-model composition
 under FT-GMRES.  (The
 registry contract every axis shares is ``tests/test_axis_contract.py``.)
@@ -393,23 +393,23 @@ class TestDomains:
 
 
 # ---------------------------------------------------------------------------
-# simmpi integration
+# simulated-runtime integration
 # ---------------------------------------------------------------------------
 
 
 class TestSimmpiFaultSpecs:
     def test_coerce_failure_plan_from_spec(self):
-        from repro.simmpi.runtime import coerce_failure_plan
+        from repro.comm.base import resolve_job_faults
 
-        plan = coerce_failure_plan("proc_fail:times=0.5;1.5,ranks=1;2", 4)
+        plan = resolve_job_faults(4, "proc_fail:times=0.5;1.5,ranks=1;2")[0]
         assert [(f.time, f.rank) for f in plan] == [(0.5, 1), (1.5, 2)]
-        assert len(coerce_failure_plan(None, 4)) == 0
-        assert len(coerce_failure_plan("bitflip:p=0.5", 4)) == 0
+        assert len(resolve_job_faults(4, None)[0]) == 0
+        assert len(resolve_job_faults(4, "bitflip:p=0.5")[0]) == 0
         existing = FailurePlan.single(1.0, 0)
-        assert coerce_failure_plan(existing, 4) is existing
+        assert resolve_job_faults(4, existing)[0] is existing
 
     def test_runtime_resolves_composite_faults(self):
-        from repro.simmpi.runtime import SimRuntime
+        from repro.comm.sim import SimRuntime
 
         runtime = SimRuntime(
             4, faults="bitflip:p=0.5+proc_fail:times=0.25;0.75,ranks=1;2"
@@ -419,7 +419,7 @@ class TestSimmpiFaultSpecs:
         ]
 
     def test_message_corruption_is_deterministic(self):
-        from repro.simmpi.runtime import run_spmd
+        from repro.comm.sim import run_spmd
 
         def program(comm):
             if comm.rank == 0:
@@ -517,7 +517,7 @@ class TestComposition:
         assert result.summary["total_faults_injected"] > 0
 
     def test_proc_fail_half_drives_the_runtime(self):
-        from repro.simmpi.runtime import SimRuntime
+        from repro.comm.sim import SimRuntime
 
         runtime = SimRuntime(4, faults=self.SPEC)
         assert [(f.time, f.rank) for f in runtime.failure_plan] == [(1.0, 1)]

@@ -12,7 +12,8 @@ from repro.comm.errors import InvalidRankError, RankFailedError, SimDeadlockErro
 from repro.comm.ops import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.reliability import FailurePlan
 from repro.machine import MachineModel
-from repro.simmpi import Comm, SimRuntime, VirtualClock, run_spmd
+from repro.comm.sim import Comm, SimRuntime, run_spmd
+from repro.comm.simstate import VirtualClock
 
 
 class TestVirtualClock:

@@ -16,7 +16,7 @@ from repro.krylov import SolveResult, default_solver_registry, gmres, solver_nam
 from repro.krylov.engine import ResidualGuardPolicy
 from repro.krylov.engine.core import CANONICAL_KERNELS
 from repro.linalg import DistributedRowMatrix, DistributedVector, poisson_2d
-from repro.simmpi import run_spmd
+from repro.comm.sim import run_spmd
 
 REGISTRY = default_solver_registry()
 
