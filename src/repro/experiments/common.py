@@ -1,6 +1,6 @@
 """Shared experiment infrastructure.
 
-Four pieces live here:
+Five pieces live here:
 
 * :class:`ExperimentResult` -- the value every driver's ``run()``
   returns, now JSON round-trippable (:meth:`ExperimentResult.to_dict` /
@@ -22,8 +22,11 @@ Four pieces live here:
 * :class:`TrustedProblem`, :func:`as_axis` and :func:`iteration_budget`
   -- what the sweeping drivers (E8-E10) share: the SPD model problem
   with one trusted direct solution per lane to classify outcomes
-  against, the ``None | str | sequence`` convention of their axis
-  parameters, and each solver's share of their ``maxiter``.
+  against and one outcome counter per lane, the ``None | str |
+  sequence`` convention of their axis parameters, and each solver's
+  share of their ``maxiter``.
+* :func:`classify_outcome` -- the outcome taxonomy (benign, detected,
+  SDC, crash) that :class:`TrustedProblem` and E1 classify runs into.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.linalg.matgen import poisson_2d
-from repro.reliability.sdc import classify_outcome
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import canonical_json, jsonify
 from repro.utils.tables import Table, one_line
+from repro.utils.validation import check_positive
 
 __all__ = [
     "ExperimentResult",
@@ -47,6 +50,7 @@ __all__ = [
     "TrustedProblem",
     "as_axis",
     "batch_signature",
+    "classify_outcome",
     "iteration_budget",
     "run_batch_by_seed",
     "run_signature",
@@ -249,12 +253,42 @@ def as_axis(value, default: Sequence) -> list:
     return list(value)
 
 
+def classify_outcome(
+    *, converged: bool, error_norm: float, tolerance: float, detected: bool
+) -> str:
+    """Classify one faulty run into the SDC literature's outcome taxonomy.
+
+    ``benign``
+        converged to a correct answer without any check firing;
+    ``detected``
+        a check fired and the run still produced a correct answer;
+    ``sdc``
+        the solver reported success but the answer is wrong -- the
+        dangerous case the paper warns about;
+    ``crash``
+        no convergence, non-finite output, or a check fired and the
+        answer is still wrong.
+
+    ``error_norm`` is a trusted measure of answer quality (a true
+    residual, or the error against a fault-free reference), and the
+    answer is correct when it is finite and at most ``tolerance``.
+    """
+    check_positive(tolerance, "tolerance")
+    correct = bool(converged) and np.isfinite(error_norm) and error_norm <= tolerance
+    if detected:
+        return "detected" if correct else "crash"
+    if correct:
+        return "benign"
+    return "sdc" if bool(converged) else "crash"
+
+
 class TrustedProblem:
     """The 2-D Poisson problem of a sweeping driver, one lane per seed.
 
     Holds the matrix, each lane's right-hand side (the ``"rhs"`` stream
-    of its seed) and the direct solution every solver outcome of that
-    lane is classified against.
+    of its seed), the direct solution every solver outcome of that lane
+    is classified against, and each lane's outcome counts
+    (:attr:`counts`), which :meth:`classify` adds to.
     """
 
     def __init__(self, grid: int, seeds: Sequence[int]) -> None:
@@ -266,14 +300,23 @@ class TrustedProblem:
         ]
         self._x_refs = [np.linalg.solve(dense, b) for b in self.b_list]
         self._x_ref_norms = [float(np.linalg.norm(x)) for x in self._x_refs]
+        self.counts = [
+            dict.fromkeys(
+                ("n_runs", "n_correct", "n_detected", "n_silent", "total_faults"), 0
+            )
+            for _ in seeds
+        ]
 
-    def classify(self, lane: int, result, error_tolerance: float) -> Tuple[str, str, bool]:
+    def classify(
+        self, lane: int, result, error_tolerance: float, faults: int
+    ) -> Tuple[str, str, bool]:
         """``(error cell, outcome, correct)`` of one lane's solve result.
 
         The error is relative to the trusted solution (``inf`` for a
-        non-finite iterate), the outcome is
-        :func:`repro.reliability.sdc.classify_outcome`'s, and ``correct``
-        means converged *and* within ``error_tolerance``.
+        non-finite iterate), the outcome is :func:`classify_outcome`'s,
+        and ``correct`` means converged *and* within ``error_tolerance``.
+        The run, and the ``faults`` injected into it, are counted in
+        ``counts[lane]``.
         """
         x = np.asarray(result.x, dtype=np.float64)
         finite = bool(np.all(np.isfinite(x)))
@@ -282,14 +325,18 @@ class TrustedProblem:
             if finite
             else float("inf")
         )
+        detected = result.detected_faults > 0
         outcome = classify_outcome(
             converged=result.converged,
             error_norm=error,
             tolerance=error_tolerance,
-            detected=result.detected_faults > 0,
+            detected=detected,
         )
-        return (
-            f"{error:.3e}" if finite else "inf",
-            outcome,
-            bool(result.converged and error <= error_tolerance),
-        )
+        correct = bool(result.converged and error <= error_tolerance)
+        counts = self.counts[lane]
+        counts["n_runs"] += 1
+        counts["n_correct"] += int(correct)
+        counts["n_detected"] += int(detected)
+        counts["n_silent"] += int(outcome == "sdc")
+        counts["total_faults"] += faults
+        return f"{error:.3e}" if finite else "inf", outcome, correct

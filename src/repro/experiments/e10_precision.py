@@ -214,11 +214,8 @@ def _run_lanes(
         )
         for _ in lanes
     ]
-    counters = [
-        {"n_runs": 0, "n_correct": 0, "n_silent": 0, "total_faults": 0,
-         "low_runs": 0, "low_correct": 0}
-        for _ in lanes
-    ]
+    low_runs = [0 for _ in lanes]
+    low_correct = [0 for _ in lanes]
 
     for solver_name in solver_list:
         solver = registry.get(solver_name)
@@ -242,7 +239,7 @@ def _run_lanes(
                 for s in lanes:
                     result = results[s]
                     error_cell, outcome, correct = problem.classify(
-                        s, result, error_tolerance
+                        s, result, error_tolerance, faults_hits[s]
                     )
                     tables[s].add_row(
                         solver.name,
@@ -254,31 +251,26 @@ def _run_lanes(
                         error_cell,
                         outcome,
                     )
-                    cell = counters[s]
-                    cell["n_runs"] += 1
-                    cell["total_faults"] += faults_hits[s]
-                    cell["n_silent"] += int(outcome == "sdc")
-                    cell["n_correct"] += int(correct)
                     if not pspec.is_default:
-                        cell["low_runs"] += 1
-                        cell["low_correct"] += int(correct)
+                        low_runs[s] += 1
+                        low_correct[s] += int(correct)
 
     out = []
     for s in lanes:
-        cell = counters[s]
+        counts = problem.counts[s]
         summary = {
-            "n_runs": cell["n_runs"],
+            "n_runs": counts["n_runs"],
             "n_solvers": len(solver_list),
             "n_precisions": len(precision_list),
             "n_preconds": len(precond_list),
-            "n_correct": cell["n_correct"],
-            "n_silent_corruptions": cell["n_silent"],
-            "total_faults_injected": cell["total_faults"],
+            "n_correct": counts["n_correct"],
+            "n_silent_corruptions": counts["n_silent"],
+            "total_faults_injected": counts["total_faults"],
             # The pinned claim, as counters: under target="inner" every
             # reduced-precision row should be correct; under
             # target="outer" they fail a double-precision tolerance.
-            "n_lowprecision_runs": cell["low_runs"],
-            "n_lowprecision_correct": cell["low_correct"],
+            "n_lowprecision_runs": low_runs[s],
+            "n_lowprecision_correct": low_correct[s],
             "target": target,
             "faults": fault_model.describe(),
         }

@@ -15,6 +15,7 @@ same faults (how many silently wrong answers it returns).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Mapping
 
 import numpy as np
@@ -22,13 +23,12 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
+    classify_outcome,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve
 from repro.linalg.matgen import poisson_2d
-from repro.reliability.events import FaultEvent, FaultRecord
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import SdcCampaign, classify_outcome
 from repro.skeptical.gmres_sdc import estimate_operator_norm
 from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
@@ -53,7 +53,7 @@ _BIT_CLASSES = {
 
 
 def _make_hook(fault_model, rng, inject_at):
-    """The per-trial injection hook plus its draw record.
+    """The per-trial injection hook (``None`` when fault-free).
 
     The injection comes from the fault model's engine iteration hook
     (see :meth:`repro.reliability.models.BasisBitflipFaults.iteration_hook`),
@@ -61,30 +61,19 @@ def _make_hook(fault_model, rng, inject_at):
     hook creation, victim index at fire time.
     """
     if fault_model.is_null:
-        return None, {"bit": None, "index": None}
-    return fault_model.iteration_hook(rng, at=inject_at)
+        return None
+    return fault_model.iteration_hook(rng, at=inject_at)[0]
 
 
-def _record_from_result(matrix, b, result, injected, detected, *, tol, skeptical):
-    """Classify one finished (possibly faulty) solve into a FaultRecord."""
+def _outcome(matrix, b, result, detected, *, tol):
+    """Classify one finished (possibly faulty) solve by its true residual."""
     x = np.asarray(result.x, dtype=np.float64)
     error = float(np.linalg.norm(matrix.matvec(x) - b) / np.linalg.norm(b))
-    outcome = classify_outcome(
+    return classify_outcome(
         converged=result.converged,
         error_norm=error,
         tolerance=10 * tol,
         detected=detected,
-    )
-    return FaultRecord(
-        events=[FaultEvent(kind="bitflip", target="arnoldi_basis",
-                           location=injected["index"], bit=injected["bit"])],
-        detected=detected,
-        outcome=outcome,
-        extra={
-            "iterations": result.iterations,
-            "relative_residual": error,
-            "check_flops": result.info.get("check_flops", 0.0) if skeptical else 0.0,
-        },
     )
 
 
@@ -146,8 +135,11 @@ def _run_lanes(
     one :func:`repro.krylov.registry.batch_solve` call, with per-lane
     fault hooks drawing from per-lane RNG streams in the exact
     single-lane order (hook creation before the trial's solve, victim
-    draw at fire time inside it).
+    draw at fire time inside it).  Each cell's outcomes are counted as
+    its trials finish, in trial order.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     fault_template, faults_label = _resolve_template(faults)
     matrix = poisson_2d(grid)
     factories = [RngFactory(seed) for seed in seeds]
@@ -171,13 +163,11 @@ def _run_lanes(
         )
         for skeptical in (False, True):
             rngs = [f.spawn(f"{class_name}-{skeptical}") for f in factories]
-            records: List[List[FaultRecord]] = [[] for _ in lanes]
+            cells = [Counter() for _ in lanes]
             # Overflow/NaN *is* the injected fault's expected effect.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _trial in range(n_trials):
-                    hooks, injected = zip(
-                        *(_make_hook(class_model, rng, inject_at) for rng in rngs)
-                    )
+                    hooks = [_make_hook(class_model, rng, inject_at) for rng in rngs]
                     if skeptical:
                         results = batch_solve(
                             "sdc_gmres", matrix, b_list, policy="skeptical_restart",
@@ -192,21 +182,18 @@ def _run_lanes(
                             "gmres", matrix, b_list, **solve_params,
                             lane_params=[{"iteration_hook": hook} for hook in hooks],
                         )
-                    for s in lanes:
-                        records[s].append(
-                            _record_from_result(
-                                matrix, b_list[s], results[s], injected[s],
-                                skeptical and results[s].detected_faults > 0,
-                                tol=tol, skeptical=skeptical,
-                            )
+                    for cell, b, result in zip(cells, b_list, results):
+                        detected = skeptical and result.detected_faults > 0
+                        cell[_outcome(matrix, b, result, detected, tol=tol)] += 1
+                        cell["detections"] += int(detected)
+                        cell["iterations"] += result.iterations
+                        cell["check_flops"] += (
+                            result.info.get("check_flops", 0.0) if skeptical else 0.0
                         )
             for s in lanes:
-                campaign = SdcCampaign(records[s].__getitem__, n_trials).run(
-                    metadata={"bit_class": class_name, "skeptical": skeptical}
-                )
                 _add_cell(
-                    tables[s], summaries[s], campaign, class_name, skeptical,
-                    solver_flops[s],
+                    tables[s], summaries[s], cells[s], n_trials, class_name,
+                    skeptical, solver_flops[s],
                 )
     return [
         _finish_result(
@@ -261,23 +248,25 @@ def _result_table() -> Table:
     )
 
 
-def _add_cell(table, summary, campaign, class_name, skeptical, solver_flops):
-    """Fold one (bit-class, solver) campaign cell into the table/summary."""
-    check_flops = campaign.mean_extra("check_flops")
+def _add_cell(table, summary, cell, n_trials, class_name, skeptical, solver_flops):
+    """Fold one (bit-class, solver) cell's counts into the table/summary."""
+    detection_rate = cell["detections"] / n_trials
+    sdc_rate = cell["sdc"] / n_trials
+    check_flops = float(cell["check_flops"]) / n_trials
     overhead = check_flops / solver_flops if solver_flops else 0.0
     table.add_row(
         class_name,
         "skeptical" if skeptical else "plain",
-        campaign.detection_rate,
-        campaign.rate_outcome("benign"),
-        campaign.rate_outcome("sdc"),
-        campaign.rate_outcome("crash"),
-        campaign.mean_extra("iterations"),
+        detection_rate,
+        cell["benign"] / n_trials,
+        sdc_rate,
+        cell["crash"] / n_trials,
+        float(cell["iterations"]) / n_trials,
         overhead if skeptical else 0.0,
     )
     key = f"{class_name}_{'skeptical' if skeptical else 'plain'}"
-    summary[key + "_sdc_rate"] = campaign.rate_outcome("sdc")
-    summary[key + "_detection_rate"] = campaign.detection_rate
+    summary[key + "_sdc_rate"] = sdc_rate
+    summary[key + "_detection_rate"] = detection_rate
 
 
 def _finish_result(

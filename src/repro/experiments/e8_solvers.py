@@ -25,7 +25,7 @@ The table shows, per solver, the effective policy (generic sweep
 values degrade to the strongest policy each solver supports), the work
 done, how many faults hit the operator, how many were detected, and
 the trusted-error classification of
-:func:`repro.reliability.sdc.classify_outcome`.
+:func:`repro.experiments.common.classify_outcome`.
 """
 
 from __future__ import annotations
@@ -171,11 +171,6 @@ def _run_lanes(
         )
         for _ in lanes
     ]
-    counters = [
-        {"n_correct": 0, "n_detected": 0, "n_silent": 0, "total_faults": 0}
-        for _ in lanes
-    ]
-
     for name in names:
         solver = registry.get(name)
         fault_seeds = [derive_fault_seed(seed, name) for seed in seeds]
@@ -212,7 +207,9 @@ def _run_lanes(
         for s in lanes:
             result = results[s]
             faults_hit = regions[s].faults_injected() if regions is not None else 0
-            error_cell, outcome, correct = problem.classify(s, result, error_tolerance)
+            error_cell, outcome, _ = problem.classify(
+                s, result, error_tolerance, faults_hit
+            )
             tables[s].add_row(
                 solver.name,
                 result.info["policy_name"],
@@ -223,21 +220,16 @@ def _run_lanes(
                 error_cell,
                 outcome,
             )
-            cell = counters[s]
-            cell["total_faults"] += faults_hit
-            cell["n_detected"] += int(result.detected_faults > 0)
-            cell["n_silent"] += int(outcome == "sdc")
-            cell["n_correct"] += int(correct)
 
     out = []
     for s in lanes:
-        cell = counters[s]
+        counts = problem.counts[s]
         summary = {
             "n_solvers": len(names),
-            "n_correct": cell["n_correct"],
-            "n_detected_runs": cell["n_detected"],
-            "n_silent_corruptions": cell["n_silent"],
-            "total_faults_injected": cell["total_faults"],
+            "n_correct": counts["n_correct"],
+            "n_detected_runs": counts["n_detected"],
+            "n_silent_corruptions": counts["n_silent"],
+            "total_faults_injected": counts["total_faults"],
             "policy": policy,
             "fault_probability": fault_probability if faults is None else fault_p,
         }

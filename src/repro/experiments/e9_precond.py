@@ -187,11 +187,6 @@ def _run_lanes(
         )
         for _ in lanes
     ]
-    counters = [
-        {"n_runs": 0, "n_correct": 0, "n_silent": 0, "total_faults": 0}
-        for _ in lanes
-    ]
-
     for solver_name in solver_list:
         solver = registry.get(solver_name)
         for precond_name in precond_list:
@@ -215,8 +210,8 @@ def _run_lanes(
 
             for s in lanes:
                 result = results[s]
-                error_cell, outcome, correct = problem.classify(
-                    s, result, error_tolerance
+                error_cell, outcome, _ = problem.classify(
+                    s, result, error_tolerance, faults_hits[s]
                 )
                 tables[s].add_row(
                     solver.name,
@@ -227,22 +222,17 @@ def _run_lanes(
                     error_cell,
                     outcome,
                 )
-                cell = counters[s]
-                cell["n_runs"] += 1
-                cell["total_faults"] += faults_hits[s]
-                cell["n_silent"] += int(outcome == "sdc")
-                cell["n_correct"] += int(correct)
 
     out = []
     for s in lanes:
-        cell = counters[s]
+        counts = problem.counts[s]
         summary = {
-            "n_runs": cell["n_runs"],
+            "n_runs": counts["n_runs"],
             "n_solvers": len(solver_list),
             "n_preconds": len(precond_list),
-            "n_correct": cell["n_correct"],
-            "n_silent_corruptions": cell["n_silent"],
-            "total_faults_injected": cell["total_faults"],
+            "n_correct": counts["n_correct"],
+            "n_silent_corruptions": counts["n_silent"],
+            "total_faults_injected": counts["total_faults"],
             "target": target,
             "faults": fault_model.describe(),
         }

@@ -47,15 +47,13 @@ selective reliability).
 Module map (mechanism -> declarative layer):
 
 * :mod:`~repro.reliability.bitflip` -- IEEE-754 bit manipulation.
-* :mod:`~repro.reliability.events` -- fault-event records and campaign
-  results.
 * :mod:`~repro.reliability.schedule` -- deterministic / Poisson /
   Bernoulli fault schedules.
-* :mod:`~repro.reliability.injector` -- array injectors.
+* :mod:`~repro.reliability.injector` -- the array injectors' shared
+  schedule loop, the bit-flip :class:`ArrayInjector` and the
+  :class:`FaultEvent` records their sessions keep.
 * :mod:`~repro.reliability.process` -- process-failure (MTBF) models
   and replayable :class:`FailurePlan`.
-* :mod:`~repro.reliability.sdc` -- SDC campaign helpers and the
-  outcome taxonomy.
 * :mod:`~repro.reliability.region` -- the SRP :class:`Region` (injector,
   precision, cost model) and its ``unreliable()`` / ``reliable()``
   constructors.
@@ -80,7 +78,6 @@ from repro.reliability.bitflip import (
     float_from_bits,
     relative_perturbation,
 )
-from repro.reliability.events import CampaignResult, FaultEvent, FaultRecord
 from repro.reliability.schedule import (
     BernoulliPerCallSchedule,
     DeterministicSchedule,
@@ -88,7 +85,7 @@ from repro.reliability.schedule import (
     NeverSchedule,
     PoissonSchedule,
 )
-from repro.reliability.injector import ArrayInjector, InjectionSession
+from repro.reliability.injector import ArrayInjector, FaultEvent, InjectionSession
 from repro.reliability.process import (
     ExponentialFailureModel,
     FailurePlan,
@@ -96,7 +93,6 @@ from repro.reliability.process import (
     WeibullFailureModel,
     system_mtbf,
 )
-from repro.reliability.sdc import OUTCOME_KINDS, SdcCampaign, classify_outcome
 from repro.reliability.region import Region, reliable, unreliable
 from repro.reliability.cost import ReliabilityCostModel
 from repro.reliability.spec import FaultSpec, compose
@@ -139,13 +135,6 @@ __all__ = [
     "flip_bit_array",
     "flip_random_bit",
     "relative_perturbation",
-    # events / campaigns
-    "FaultEvent",
-    "FaultRecord",
-    "CampaignResult",
-    "SdcCampaign",
-    "classify_outcome",
-    "OUTCOME_KINDS",
     # schedules
     "FaultSchedule",
     "DeterministicSchedule",
@@ -154,6 +143,7 @@ __all__ = [
     "NeverSchedule",
     # injectors
     "ArrayInjector",
+    "FaultEvent",
     "InjectionSession",
     "PerturbationInjector",
     "MessageCorruptor",

@@ -163,17 +163,19 @@ def flip_bit_array(
             f"bit must be in [0, {max_bit}] for {arr.dtype}, got {bit}"
         )
     out = arr if inplace else arr.copy()
-    flat = out.reshape(-1)
     if isinstance(index, tuple):
         flat_index = int(np.ravel_multi_index(index, out.shape))
     else:
         flat_index = int(index)
         if flat_index < 0:
-            flat_index += flat.size
-    if not 0 <= flat_index < flat.size:
-        raise IndexError(f"index {index!r} out of bounds for size {flat.size}")
-    view = flat.view(uint_type)
-    view[flat_index] = view[flat_index] ^ uint_type(1 << bit)
+            flat_index += out.size
+    if not 0 <= flat_index < out.size:
+        raise IndexError(f"index {index!r} out of bounds for size {out.size}")
+    # A same-width view shares ``out``'s memory in any layout, where
+    # ``reshape(-1)`` of a non-contiguous array would be a copy.
+    view = out.view(uint_type)
+    where = np.unravel_index(flat_index, out.shape)
+    view[where] = view[where] ^ uint_type(1 << bit)
     return out
 
 

@@ -1,28 +1,63 @@
 """Array-level fault injection.
 
-:class:`ArrayInjector` ties together a
-:class:`~repro.reliability.schedule.FaultSchedule` (when), a random
-victim element and bit (where) and a bit flip (what), and records every
-injected fault in an :class:`~repro.utils.logging.EventLog` plus a list
-of :class:`~repro.reliability.events.FaultEvent` records.  It is what
-the unreliable regions of :mod:`repro.reliability` use; it corrupts
-whatever array it is handed (the caller is the one declaring it
-unreliable).
+:class:`ScheduledInjector` is the one schedule loop of the array
+injectors: it asks a
+:class:`~repro.reliability.schedule.FaultSchedule` how many faults are
+due (when), corrupts one random victim element per fault, and records
+every injected fault as a :class:`FaultEvent` in an
+:class:`InjectionSession` mirrored into an
+:class:`~repro.utils.logging.EventLog`.  :class:`ArrayInjector` flips a
+random bit of the victim (what);
+:class:`~repro.reliability.models.PerturbationInjector` overwrites or
+scales it.  The unreliable regions of :mod:`repro.reliability` use
+them; they corrupt whatever array they are handed (the caller is the
+one declaring it unreliable).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.reliability.bitflip import flip_bit_array, max_bit_index, relative_perturbation
-from repro.reliability.events import FaultEvent
 from repro.reliability.schedule import FaultSchedule, NeverSchedule
 from repro.utils.logging import EventLog
 from repro.utils.rng import as_generator
 
-__all__ = ["ArrayInjector", "InjectionSession"]
+__all__ = ["ArrayInjector", "FaultEvent", "InjectionSession", "ScheduledInjector"]
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """A single injected fault.
+
+    Attributes
+    ----------
+    kind:
+        ``"bitflip"``, ``"value"`` (direct overwrite), or
+        ``"process"`` (hard failure).
+    target:
+        Name of the corrupted object (e.g. ``"arnoldi_basis"``,
+        ``"inner_solution"``, ``"rank"``).
+    location:
+        Element index, rank number, or other location information.
+    bit:
+        Flipped bit position for bit flips, else ``None``.
+    time:
+        Virtual time or iteration number at which the fault occurred.
+    magnitude:
+        Relative perturbation caused by the fault (``inf`` for
+        non-finite corruption), when meaningful.
+    """
+
+    kind: str
+    target: str
+    location: Any = None
+    bit: Optional[int] = None
+    time: Optional[float] = None
+    magnitude: Optional[float] = None
 
 
 class InjectionSession:
@@ -59,7 +94,51 @@ class InjectionSession:
         self.events.clear()
 
 
-class ArrayInjector:
+class ScheduledInjector:
+    """The schedule loop shared by the array injectors.
+
+    Subclasses supply :meth:`_corrupt`, the per-victim step; the
+    schedule, the session recording, :attr:`n_injected` and
+    :meth:`reset` live here once.
+    """
+
+    def __init__(self, schedule, rng, target, session):
+        self.schedule = schedule if schedule is not None else NeverSchedule()
+        self._rng = as_generator(rng)
+        self.target = target
+        self.session = session if session is not None else InjectionSession()
+
+    def maybe_inject(self, array: np.ndarray, now: float = 0.0) -> np.ndarray:
+        """Possibly corrupt ``array`` in place, according to the schedule.
+
+        Returns the (possibly corrupted) array for call-chaining.  The
+        array must be float64 or float32 and writable, in any memory
+        layout; zero-size arrays are passed through untouched.
+        """
+        arr = np.asarray(array)
+        n_faults = self.schedule.due(now)
+        if n_faults == 0 or arr.size == 0:
+            return arr
+        for _ in range(n_faults):
+            self.session.record(self._corrupt(arr, now))
+        return arr
+
+    def _corrupt(self, arr: np.ndarray, now: float) -> FaultEvent:
+        """Corrupt one random element of ``arr``; the event describing it."""
+        raise NotImplementedError
+
+    @property
+    def n_injected(self) -> int:
+        """Number of faults injected so far through this injector."""
+        return self.session.n_injected
+
+    def reset(self) -> None:
+        """Reset the schedule and forget session events."""
+        self.schedule.reset()
+        self.session.clear()
+
+
+class ArrayInjector(ScheduledInjector):
     """Schedule-driven random bit-flip injector for float arrays.
 
     Parameters
@@ -93,56 +172,21 @@ class ArrayInjector:
         target: str = "array",
         session: Optional[InjectionSession] = None,
     ):
-        self.schedule = schedule if schedule is not None else NeverSchedule()
-        self._rng = as_generator(rng)
+        super().__init__(schedule, rng, target, session)
         self.bit_range = bit_range
-        self.target = target
-        self.session = session if session is not None else InjectionSession()
 
-    def maybe_inject(self, array: np.ndarray, now: float = 0.0) -> np.ndarray:
-        """Possibly corrupt ``array`` in place, according to the schedule.
-
-        Returns the (possibly corrupted) array for call-chaining.  The
-        array must be float64 or float32 and writable; zero-size arrays
-        are passed through untouched.  The float64 draw sequence is the
-        historical one (victim index, then bit), so existing fault
-        streams replay bit for bit.
-        """
-        arr = np.asarray(array)
-        n_faults = self.schedule.due(now)
-        if n_faults == 0 or arr.size == 0:
-            return arr
+    def _corrupt(self, arr: np.ndarray, now: float) -> FaultEvent:
+        # The historical draw order (victim index, then bit), so
+        # existing fault streams replay bit for bit.
+        flat_index = int(self._rng.integers(0, arr.size))
         max_bit = max_bit_index(arr.dtype)
-        for _ in range(n_faults):
-            before_index = None
-            flat = arr.reshape(-1)
-            # Choose the victim first so we can compute the perturbation.
-            flat_index = int(self._rng.integers(0, arr.size))
-            low, high = (
-                self.bit_range if self.bit_range is not None else (0, max_bit)
-            )
-            low, high = min(int(low), max_bit), min(int(high), max_bit)
-            bit = int(self._rng.integers(low, high + 1))
-            original = float(flat[flat_index])
-            flip_bit_array(arr, flat_index, bit, inplace=True)
-            corrupted = float(arr.reshape(-1)[flat_index])
-            event = FaultEvent(
-                kind="bitflip",
-                target=self.target,
-                location=flat_index if before_index is None else before_index,
-                bit=bit,
-                time=now,
-                magnitude=relative_perturbation(original, corrupted),
-            )
-            self.session.record(event)
-        return arr
-
-    @property
-    def n_injected(self) -> int:
-        """Number of faults injected so far through this injector."""
-        return self.session.n_injected
-
-    def reset(self) -> None:
-        """Reset the schedule and forget session events."""
-        self.schedule.reset()
-        self.session.clear()
+        low, high = self.bit_range if self.bit_range is not None else (0, max_bit)
+        low, high = min(int(low), max_bit), min(int(high), max_bit)
+        bit = int(self._rng.integers(low, high + 1))
+        original = float(arr.flat[flat_index])
+        flip_bit_array(arr, flat_index, bit, inplace=True)
+        corrupted = float(arr.flat[flat_index])
+        return FaultEvent(
+            kind="bitflip", target=self.target, location=flat_index, bit=bit,
+            time=now, magnitude=relative_perturbation(original, corrupted),
+        )

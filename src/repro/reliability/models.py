@@ -40,8 +40,7 @@ from repro.reliability.bitflip import (
     flip_random_bit,
     relative_perturbation,
 )
-from repro.reliability.events import FaultEvent
-from repro.reliability.injector import ArrayInjector, InjectionSession
+from repro.reliability.injector import ArrayInjector, FaultEvent, ScheduledInjector
 from repro.reliability.process import (
     ExponentialFailureModel,
     FailurePlan,
@@ -317,55 +316,39 @@ class BitflipFaults(_ScheduledFaults):
         return Region(injector, cost_model=cost_model)
 
 
-class PerturbationInjector:
+class PerturbationInjector(ScheduledInjector):
     """Schedule-driven value corruption (overwrite or scale).
 
     The non-bit-flip SDC primitive: when the schedule fires, one random
     element of the array is either overwritten with ``value`` or
-    multiplied by ``scale``.  Interface-compatible with
-    :class:`~repro.reliability.injector.ArrayInjector` so it slots into
-    a :class:`~repro.reliability.region.Region` unchanged.
+    multiplied by ``scale``.  It shares
+    :class:`~repro.reliability.injector.ScheduledInjector`'s schedule
+    loop with :class:`~repro.reliability.injector.ArrayInjector`, so it
+    slots into a :class:`~repro.reliability.region.Region` unchanged.
     """
 
     def __init__(self, schedule, rng, *, value=None, scale=None,
                  target="array", session=None):
         if (value is None) == (scale is None):
             raise ValueError("give exactly one of value= or scale=")
-        self.schedule = schedule
-        self._rng = as_generator(rng)
+        super().__init__(schedule, rng, target, session)
         self.value = value
         self.scale = scale
-        self.target = target
-        self.session = session if session is not None else InjectionSession()
 
-    def maybe_inject(self, array: np.ndarray, now: float = 0.0) -> np.ndarray:
-        arr = np.asarray(array)
-        n_faults = self.schedule.due(now)
-        if n_faults == 0 or arr.size == 0:
-            return arr
-        for _ in range(n_faults):
-            index = int(self._rng.integers(0, arr.size))
-            # arr.flat assigns through any memory layout (reshape(-1)
-            # would corrupt a throw-away copy of non-contiguous views).
-            original = float(arr.flat[index])
-            corrupted = (
-                float(self.value) if self.value is not None
-                else original * float(self.scale)
-            )
-            arr.flat[index] = corrupted
-            self.session.record(FaultEvent(
-                kind="value", target=self.target, location=index, bit=None,
-                time=now, magnitude=relative_perturbation(original, corrupted),
-            ))
-        return arr
-
-    @property
-    def n_injected(self) -> int:
-        return self.session.n_injected
-
-    def reset(self) -> None:
-        self.schedule.reset()
-        self.session.clear()
+    def _corrupt(self, arr: np.ndarray, now: float) -> FaultEvent:
+        index = int(self._rng.integers(0, arr.size))
+        # arr.flat assigns through any memory layout (reshape(-1)
+        # would corrupt a throw-away copy of non-contiguous views).
+        original = float(arr.flat[index])
+        corrupted = (
+            float(self.value) if self.value is not None
+            else original * float(self.scale)
+        )
+        arr.flat[index] = corrupted
+        return FaultEvent(
+            kind="value", target=self.target, location=index, bit=None,
+            time=now, magnitude=relative_perturbation(original, corrupted),
+        )
 
 
 class PerturbationFaults(_ScheduledFaults):

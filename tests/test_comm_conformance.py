@@ -532,7 +532,10 @@ class TestContract:
         assert set(values) <= {"timeout", "cascaded"}
 
     def test_collective_raising_at_completion_poisons_every_rank(self, backend):
-        """Default timeouts: nobody may sit out the 30 s (ROADMAP item 1)."""
+        """Default timeouts: nobody may sit out the 30 s watchdog.
+
+        ROADMAP, "The simulator knows when it is stuck".
+        """
         values = launch(backend, 2, _poisoned_scatter_program)
         assert [name for name, _ in values] == ["ValueError", "ValueError"]
         assert all(elapsed < 1.0 for _, elapsed in values)

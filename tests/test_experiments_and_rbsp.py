@@ -70,6 +70,15 @@ class TestExperimentE1:
         assert all(row["detected"] == 0.0 for row in rows if row["solver"] == "plain")
         assert "baseline_iterations" in result.summary
 
+    def test_rejects_non_positive_trials_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating n_trials")
+
+        monkeypatch.setattr(e1_sdc_detection, "batch_solve", no_solve)
+        for n_trials in (0, -1):
+            with pytest.raises(ValueError, match="n_trials must be positive"):
+                e1_sdc_detection.run(grid=6, n_trials=n_trials)
+
 
 class TestExperimentE2:
     def test_detection_and_correction_dominate(self):
