@@ -1,7 +1,7 @@
 """Rule ``determinism`` -- no ambient randomness or wall-clock reads.
 
-The whole regression surface of this repo (goldens, chaos gate,
-batch-parity gate, memoizing store) assumes a scenario's result is a
+The whole regression surface of this repo (goldens, the execution
+contract property, memoizing store) assumes a scenario's result is a
 pure function of its parameters and seed.  Randomness must flow from
 explicit ``numpy.random.Generator`` objects seeded via
 :func:`repro.reliability.seeding.derive_seed` /

@@ -4,7 +4,7 @@ Six ship with the toolkit:
 
 * ``smoke`` -- every experiment at its :attr:`ExperimentSpec.smoke`
   configuration plus a few one-axis sweeps; what ``campaign run
-  --smoke`` and the CI verify script execute.
+  --smoke`` executes.
 * ``default`` -- a broader grid over E1-E7 (what a bare ``campaign
   run`` executes), sized to finish in well under a minute.
 * ``solvers`` -- E8: every registered solver under every generic
@@ -17,7 +17,7 @@ Six ship with the toolkit:
   solve, with and without faults.
 * ``replicas`` -- seed replicas of E1/E8/E9 that differ only in
   ``seed``, so ``--batch`` runs each sweep as one lockstep batch (the
-  batch benchmark and the verify batch-parity gate run it).
+  batch benchmark runs it).
 
 Campaigns are plain lists of scenarios produced by declarative
 :class:`~repro.campaign.spec.Sweep` specs, so adding a campaign is
@@ -215,7 +215,7 @@ def _replicas() -> List[Scenario]:
     # ``campaign run --campaign replicas --batch 0`` groups each sweep
     # into a single lockstep batch.  This is the shape batch mode is
     # built for -- Monte-Carlo replication of one configuration -- and
-    # what the benchmark harness and the verify batch-parity gate run.
+    # what the benchmark harness runs.
     seeds = tuple(range(101, 117))
     sweeps = [
         Sweep(

@@ -61,7 +61,7 @@ Determinism: scenario parameters (seed included) are resolved *before*
 dispatch, so attempt 3 on a respawned worker receives byte-identical
 inputs to attempt 1 -- which is what makes a campaign run under
 ``worker_crash`` converge to a result store byte-identical to a clean
-run (the chaos soak test pins this).
+run (``tests/test_execution_contract.py`` pins this).
 """
 
 from __future__ import annotations
@@ -524,13 +524,6 @@ class ChaosSpec:
         if not self.faults:
             return "none"
         return "+".join(fault.to_string() for fault in self.faults)
-
-    def to_dict(self) -> dict:
-        return {
-            "faults": [
-                {"kind": f.kind, "params": dict(f.params)} for f in self.faults
-            ]
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ChaosSpec":

@@ -458,16 +458,6 @@ class TestCampaignRunner:
         for outcome in outcomes:
             assert outcome.experiment_result().experiment == "E7"
 
-    def test_rerun_with_store_is_noop(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        scenarios = _fast_scenarios()
-        CampaignRunner(ResultStore(str(path))).run(scenarios)
-        content = path.read_bytes()
-
-        outcomes = CampaignRunner(ResultStore(str(path))).run(scenarios)
-        assert [o.status for o in outcomes] == ["cached"] * 3
-        assert path.read_bytes() == content  # byte-identical: true no-op
-
     def test_seed_injected_deterministically(self):
         runner = CampaignRunner(base_seed=7)
         scenario = Scenario("E1", {"grid": 8})
@@ -616,13 +606,6 @@ with pytest.raises(ValueError, match="does not accept"):
         assert outcomes[0].error and "Traceback" in outcomes[0].error
         assert outcomes[1].status == "completed"
         assert len(store) == 1  # failures are not persisted
-
-    def test_parallel_matches_sequential(self, tmp_path):
-        scenarios = _fast_scenarios(4)
-        seq = CampaignRunner(workers=1).run(scenarios)
-        par = CampaignRunner(workers=2).run(scenarios)
-        assert [o.key for o in seq] == [o.key for o in par]
-        assert [o.result for o in seq] == [o.result for o in par]
 
 
 class TestBuiltinCampaigns:

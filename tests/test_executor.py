@@ -4,10 +4,8 @@ Covers the supervisor's whole fault surface with *real* process
 faults, not mocks: driver fixtures that call ``os._exit()`` mid-run,
 sleep past the timeout, raise, or flip their own result payloads -- and
 the chaos harness that injects the same faults into the production
-worker loop.  The soak test pins the paper's selective-reliability
-claim restated one level up: a campaign run under ``worker_crash`` /
-``worker_hang`` / ``result_corrupt`` converges to a result store whose
-keys and payloads are identical to a fault-free run.
+worker loop.  That a chaos run converges to the fault-free store is
+the execution-contract property (tests/test_execution_contract.py).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.campaign.executor import (
     payload_checksum,
 )
 from repro.campaign.report import failure_table, render_report
-from repro.campaign.runner import CampaignRunner, derive_seed
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Scenario, Sweep
 from repro.campaign.store import ResultStore
 from repro.utils.child import Child
@@ -146,7 +144,9 @@ class TestChaosSpec:
         spec = ChaosSpec.parse(text)
         assert spec.to_string() == text
         assert ChaosSpec.parse(spec.to_string()) == spec
-        assert ChaosSpec.from_dict(spec.to_dict()) == spec
+        assert ChaosSpec.parse({"faults": [
+            {"kind": f.kind, "params": dict(f.params)} for f in spec.faults
+        ]}) == spec
 
     def test_none_is_identity(self):
         assert not ChaosSpec.parse("none")
@@ -581,69 +581,14 @@ class TestSupervisedExecutor:
 # ----------------------------------------------------------------------
 # Runner integration: resilience end to end
 # ----------------------------------------------------------------------
-def _e7_scenarios(n=6):
+def _e7_scenarios(n):
     return Sweep(
         "E7", axes={"node_mtbf_years": tuple(float(i + 1) for i in range(n))},
-        tag="soak",
+        tag="resilience",
     ).expand()
 
 
-def _payloads(store):
-    """Key -> result payload, the store content modulo timing."""
-    return {key: store.get(key).result for key in store.keys()}
-
-
 class TestRunnerResilience:
-    def test_chaos_soak_store_matches_clean_run(self, tmp_path):
-        # The tentpole claim: a campaign run whose own workers crash,
-        # hang and corrupt results converges to a store identical (same
-        # keys, same payloads) to a fault-free run, with every retry
-        # visible in the ledger.
-        scenarios = _e7_scenarios()
-        clean = ResultStore(str(tmp_path / "clean.jsonl"))
-        CampaignRunner(clean, workers=2).run(scenarios)
-
-        chaotic = ResultStore(str(tmp_path / "chaos.jsonl"))
-        runner = CampaignRunner(
-            chaotic, workers=2, timeout=3.0,
-            retry=RetryPolicy(max_attempts=8, backoff=0.01),
-            chaos="worker_crash:p=0.5+worker_hang:p=0.2,seconds=60"
-                  "+result_corrupt:p=0.3",
-        )
-        outcomes = runner.run(scenarios)
-        assert [o.status for o in outcomes] == ["completed"] * len(scenarios)
-        assert _payloads(chaotic) == _payloads(clean)
-        # Chaos actually happened and the ledger saw it.
-        assert sum(o.attempts for o in outcomes) > len(outcomes)
-        statuses = {r.status for r in runner.ledger.records()}
-        assert "crashed" in statuses
-        # The failure table renders the history.
-        table = failure_table(runner.ledger)
-        assert table is not None and "crashed" in table.render()
-
-    def test_retried_results_bit_identical_to_first_try(self, tmp_path):
-        # Per-scenario seed derivation is resolved before dispatch, so
-        # the derive_seed stream is the same on attempt 1 and attempt 3
-        # -- retried results must be bit-identical to first-try ones,
-        # even for a genuinely stochastic fault-injection driver (E1).
-        scenarios = [Scenario("E1", {"grid": 6, "n_trials": 2}, tag="seed")]
-        clean = ResultStore(str(tmp_path / "clean.jsonl"))
-        CampaignRunner(clean, workers=2, base_seed=17).run(scenarios)
-
-        chaotic = ResultStore(str(tmp_path / "chaos.jsonl"))
-        runner = CampaignRunner(
-            chaotic, workers=2, base_seed=17,
-            retry=RetryPolicy(max_attempts=4, backoff=0.01),
-            chaos="worker_crash:p=1,attempts=2",
-        )
-        outcomes = runner.run(scenarios)
-        assert outcomes[0].status == "completed"
-        assert outcomes[0].attempts == 3  # two chaos crashes + success
-        assert _payloads(chaotic) == _payloads(clean)
-        # Both resolved the same injected seed.
-        resolved = runner.resolve(scenarios[0])
-        assert resolved.params["seed"] == derive_seed(17, scenarios[0].key)
-
     def test_failed_outcomes_survive_the_process(self, tmp_path):
         # A quarantined scenario's history must be re-loadable from
         # disk by a fresh ledger (nothing lives only in memory).
