@@ -2,17 +2,16 @@
 
 Every hard-won invariant of this reproduction -- bit-identical
 goldens, fp64 parity, spec round-trips, the orphaned-queue-lock hazard
--- is enforced at runtime by tests and verify gates, *after* a
-violation has shipped.  This package enforces them statically: an
-AST-based, registry-driven lint pass (mirroring the
-solver/fault/precond registry idiom) with a ``python -m
-repro.analysis`` CLI, per-rule in-source suppression
-(``# repro: allow(<rule-id>)``), and a checked-in baseline for
-anything deliberately grandfathered.
+-- is enforced at runtime by tests, *after* a violation has shipped.
+This package enforces them statically: an AST-based, registry-driven
+lint pass (mirroring the solver/fault/precond registry idiom) with a
+``python -m repro.analysis`` CLI and per-rule in-source suppression
+(``# repro: allow(<rule-id>)``).  Nothing is grandfathered: a finding
+is fixed or suppressed inline with a justification.
 
 Rules: ``determinism``, ``spec-strings``, ``driver-contract``,
-``dtype-flow``, ``process-safety``, ``doc-links``,
-``deprecated-import`` -- see ARCHITECTURE.md ("analysis layer").
+``dtype-flow``, ``process-safety``, ``doc-links`` -- see
+ARCHITECTURE.md ("analysis layer").
 
 Programmatic entry points::
 
@@ -21,13 +20,8 @@ Programmatic entry points::
     assert report.ok, report.findings
 """
 
-from repro.analysis.core import Baseline, Finding, Rule, SourceFile
-from repro.analysis.registry import (
-    RuleRegistry,
-    default_rule_registry,
-    resolve_rules,
-    rule_names,
-)
+from repro.analysis.core import Finding, Rule, SourceFile
+from repro.analysis.registry import RuleRegistry, default_rule_registry
 from repro.analysis.runner import (
     AnalysisContext,
     AnalysisReport,
@@ -38,12 +32,9 @@ from repro.analysis.runner import (
 __all__ = [
     "Finding",
     "SourceFile",
-    "Baseline",
     "Rule",
     "RuleRegistry",
     "default_rule_registry",
-    "rule_names",
-    "resolve_rules",
     "AnalysisContext",
     "AnalysisReport",
     "run_analysis",

@@ -4,48 +4,27 @@ Commands::
 
     python -m repro.analysis list
     python -m repro.analysis run [PATH ...]
-        [--rules id,id] [--format text|json]
-        [--baseline PATH | --no-baseline] [--update-baseline]
 
-``run`` defaults to ``src/repro`` resolved against the repository
-root, and picks up the checked-in baseline
-(``scripts/analysis_baseline.json``) automatically when present, so
-the acceptance invocation is simply ``python -m repro.analysis run
-src/repro``.  Exit status: 0 when no active (non-suppressed,
-non-baselined) findings remain, 1 otherwise, 2 on usage errors.
+``run`` applies every registered rule and defaults to ``src/repro``
+resolved against the repository root.  Exit status: 0 when no active
+(non-suppressed) finding remains, 1 otherwise, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from typing import List, Optional
 
-from repro.analysis.core import Baseline
-from repro.analysis.registry import default_rule_registry, resolve_rules
+from repro.analysis.registry import default_rule_registry
 from repro.analysis.runner import find_repo_root, run_analysis
 
 __all__ = ["main"]
 
-BASELINE_RELPATH = pathlib.Path("scripts") / "analysis_baseline.json"
-
-
-def _default_baseline(repo_root: pathlib.Path) -> Optional[pathlib.Path]:
-    candidate = repo_root / BASELINE_RELPATH
-    return candidate if candidate.exists() else None
-
 
 def _cmd_list(args: argparse.Namespace) -> int:
     registry = default_rule_registry()
-    if args.format == "json":
-        payload = [
-            {"id": rule.id, "title": rule.title, "rationale": rule.rationale}
-            for rule in registry
-        ]
-        print(json.dumps(payload, indent=2))
-        return 0
     width = max(len(rule.id) for rule in registry)
     print(f"registered analysis rules ({len(registry)}):")
     for rule in registry:
@@ -63,51 +42,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: no such path {path}", file=sys.stderr)
             return 2
 
-    try:
-        rules = resolve_rules(args.rules)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    baseline = Baseline.empty()
-    baseline_path: Optional[pathlib.Path]
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = pathlib.Path(args.baseline)
-        if not baseline_path.exists() and not args.update_baseline:
-            print(f"error: baseline file {baseline_path} not found", file=sys.stderr)
-            return 2
-    else:
-        baseline_path = _default_baseline(repo_root)
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-
-    report = run_analysis(paths, rules, baseline=baseline, repo_root=repo_root)
-
-    if args.update_baseline:
-        target = baseline_path or (repo_root / BASELINE_RELPATH)
-        Baseline.dump(report.findings + report.baselined, target)
-        print(
-            f"baseline updated: {target} "
-            f"({len(report.findings) + len(report.baselined)} findings recorded)"
-        )
-        return 0
-
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        status = "FAIL" if report.findings else "OK"
-        print(
-            f"analysis {status}: {len(report.findings)} finding(s), "
-            f"{len(report.suppressed)} suppressed, "
-            f"{len(report.baselined)} baselined, "
-            f"{report.files_scanned} files, "
-            f"{len(report.rules_run)} rules, "
-            f"{report.elapsed:.2f}s"
-        )
+    report = run_analysis(paths, list(default_rule_registry()), repo_root=repo_root)
+    for finding in report.findings:
+        print(finding.render())
+    status = "FAIL" if report.findings else "OK"
+    print(
+        f"analysis {status}: {len(report.findings)} finding(s), "
+        f"{len(report.suppressed)} suppressed, "
+        f"{report.files_scanned} files, "
+        f"{len(report.rules_run)} rules, "
+        f"{report.elapsed:.2f}s"
+    )
     return 0 if report.ok else 1
 
 
@@ -119,30 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     list_cmd = sub.add_parser("list", help="list registered rules")
-    list_cmd.add_argument("--format", choices=("text", "json"), default="text")
     list_cmd.set_defaults(func=_cmd_list)
 
     run_cmd = sub.add_parser("run", help="run the analysis pass")
     run_cmd.add_argument(
         "paths", nargs="*", help="files/directories to scan (default: src/repro)"
-    )
-    run_cmd.add_argument(
-        "--rules", help="comma-separated rule ids (default: every rule)"
-    )
-    run_cmd.add_argument("--format", choices=("text", "json"), default="text")
-    run_cmd.add_argument(
-        "--baseline",
-        help=f"baseline file (default: {BASELINE_RELPATH} under the repo root)",
-    )
-    run_cmd.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    run_cmd.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     run_cmd.set_defaults(func=_cmd_run)
     return parser

@@ -2,13 +2,14 @@
 
 The analysis pass is built from three small pieces:
 
-* :class:`Finding` -- one rule violation at one location, with a
-  line-independent :attr:`~Finding.fingerprint` so baselines survive
-  unrelated edits;
+* :class:`Finding` -- one rule violation at one location;
 * :class:`SourceFile` -- a lazily-parsed python file plus its
   ``# repro: allow(<rule-id>)`` suppression map; and
-* :class:`Baseline` -- the checked-in set of grandfathered findings
-  (``scripts/analysis_baseline.json``) that the CI gate tolerates.
+* :class:`Rule` -- the base class every analyzer subclasses.
+
+A finding is either fixed or suppressed inline with a justification;
+nothing is grandfathered.  Markdown has no suppression comments, so a
+finding in a ``*.md`` file is always fixed.
 
 Suppression grammar: a comment ``# repro: allow(rule-id)`` (several
 ids comma-separated) silences findings of those rules on its own line
@@ -20,23 +21,21 @@ comment-above-the-statement styles work::
     # repro: allow(determinism) -- ledger timestamps are metadata
     stamp = time.time()
 
-Suppressions are deliberate, reviewable markers: the verify gate fails
-the moment a suppressed line loses its comment.
+Suppressions are deliberate, reviewable markers: the self-run test
+fails the moment a suppressed line loses its comment.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import pathlib
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 __all__ = [
     "Finding",
     "SourceFile",
-    "Baseline",
     "Rule",
     "SUPPRESSION_RE",
     "dotted_name",
@@ -48,34 +47,14 @@ SUPPRESSION_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)\s*\)"
 )
 
-
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation: where, what, and why it matters.
-
-    ``line`` is 1-based.  The :attr:`fingerprint` excludes it on
-    purpose: baselined findings must survive lines shifting around
-    them, and a *new* violation of the same rule with the same message
-    in the same file is exactly the kind of copy-paste the baseline
-    should still tolerate only once it is re-recorded.
-    """
+    """One rule violation: its rule, file, 1-based line and message."""
 
     rule: str
     path: str
     line: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}::{self.path}::{self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -145,56 +124,6 @@ class SourceFile:
         return False
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """The checked-in set of grandfathered finding fingerprints."""
-
-    fingerprints: FrozenSet[str] = frozenset()
-    path: Optional[str] = None
-
-    @classmethod
-    def load(cls, path) -> "Baseline":
-        data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-        entries = data.get("findings", [])
-        prints = frozenset(
-            Finding(
-                rule=e["rule"], path=e["path"], line=0, message=e["message"]
-            ).fingerprint
-            for e in entries
-        )
-        return cls(fingerprints=prints, path=str(path))
-
-    @classmethod
-    def empty(cls) -> "Baseline":
-        return cls()
-
-    def contains(self, finding: Finding) -> bool:
-        return finding.fingerprint in self.fingerprints
-
-    @staticmethod
-    def dump(findings: Iterable[Finding], path) -> None:
-        """Write ``findings`` as a baseline file (sorted, line-free)."""
-        entries = sorted(
-            {
-                (f.rule, f.path, f.message)
-                for f in findings
-            }
-        )
-        payload = {
-            "comment": (
-                "Grandfathered repro.analysis findings; regenerate with "
-                "'python -m repro.analysis run --update-baseline'."
-            ),
-            "findings": [
-                {"rule": rule, "path": rel, "message": message}
-                for rule, rel, message in entries
-            ],
-        }
-        pathlib.Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-
-
 class Rule:
     """Base class of every analyzer.
 
@@ -203,7 +132,7 @@ class Rule:
     file; ``check_project`` runs once per pass with the full context
     (for rules over markdown files or cross-file contracts).  Both
     yield raw :class:`Finding` objects; the runner applies suppression
-    comments and the baseline afterwards.
+    comments afterwards.
     """
 
     id: str = ""

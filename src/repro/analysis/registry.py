@@ -1,19 +1,19 @@
 """Named rule registry: the analyzers, indexed like every other axis.
 
-Every analyzer registers here under a stable kebab-case id; the CLI
-``list`` command and the ``--rules`` filter read this table.  Adding a
+Every analyzer registers here under a stable kebab-case id; the CLI's
+``list`` and ``run`` commands read this table.  Adding a
 rule is: subclass :class:`repro.analysis.core.Rule` in a module under
 ``repro/analysis/rules/``, then add it to :func:`_builtin_rules`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.core import Rule
 from repro.spec import Registry
 
-__all__ = ["RuleRegistry", "default_rule_registry", "rule_names", "resolve_rules"]
+__all__ = ["RuleRegistry", "default_rule_registry"]
 
 
 def _builtin_rules() -> List[Rule]:
@@ -51,14 +51,3 @@ class RuleRegistry(Registry[Rule]):
 #: The process-wide registry over the built-in ruleset.
 default_rule_registry = RuleRegistry.default
 
-
-def rule_names() -> List[str]:
-    return default_rule_registry().names()
-
-
-def resolve_rules(spec: Optional[str]) -> List[Rule]:
-    """Resolve a comma-separated id list (``None`` -> every rule)."""
-    registry = default_rule_registry()
-    if spec is None:
-        return list(registry)
-    return [registry.get(part.strip()) for part in spec.split(",") if part.strip()]

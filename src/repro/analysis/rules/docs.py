@@ -2,8 +2,8 @@
 
 Consolidates the ad-hoc checker that used to live inline in
 ``scripts/verify.sh`` into the lint pass, so a moved or renamed
-document fails the same gate (and the same baseline/report machinery)
-as every other finding.
+document fails the same gate (and the same report) as every other
+finding.
 
 External links (``http://``, ``https://``, ``mailto:``) and pure
 ``#anchor`` references are skipped; relative targets must exist on

@@ -27,7 +27,9 @@ Collected from python sources:
 
 Collected from markdown: backtick spans and double-quoted tokens in
 every tracked ``*.md`` file whose leading segment names a known spec
-kind and that carries at least one ``name=value`` parameter.
+kind and that carries at least one ``name=value`` parameter.  The
+documents that record history (``CHANGES.md``, ``ROADMAP.md``, the
+open work item) are skipped: a bug report quotes the spec it refuses.
 
 A string is valid when the axis's own ``resolve`` accepts it, so bare
 registry names (``"bitflip_mantissa"``, ``"poly2"``, ``"fp32_fp16"``),
@@ -43,6 +45,7 @@ import re
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.core import Finding, Rule, SourceFile, dotted_name
+from repro.analysis.rules.docs import _HISTORY_DOCUMENTS
 
 __all__ = ["SpecStringsRule"]
 
@@ -210,8 +213,10 @@ class SpecStringsRule(Rule):
         tables = _tables()
         findings: List[Finding] = []
         for path in ctx.markdown_files():
-            text = path.read_text(encoding="utf-8")
             rel = ctx.rel(path)
+            if rel in _HISTORY_DOCUMENTS:
+                continue
+            text = path.read_text(encoding="utf-8")
             for token, line in _doc_tokens_with_lines(text):
                 flavour = _token_flavour(token, tables)
                 if flavour is None:

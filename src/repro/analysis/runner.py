@@ -2,11 +2,10 @@
 
 :func:`run_analysis` is the single entry point both the CLI and the
 self-run test use: it collects python files under the requested paths,
-runs every registered rule, then filters raw findings through the
-in-source ``# repro: allow(...)`` comments and the checked-in
-baseline.  The report keeps all three buckets (active / suppressed /
-baselined) so the CLI can show what was tolerated, not just what
-failed.
+runs the given rules, then filters raw findings through the
+in-source ``# repro: allow(...)`` comments.  The report keeps both
+buckets (active / suppressed) so the CLI can show what was tolerated,
+not just what failed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.core import Baseline, Finding, Rule, SourceFile
+from repro.analysis.core import Finding, Rule, SourceFile
 
 __all__ = ["AnalysisContext", "AnalysisReport", "run_analysis", "find_repo_root"]
 
@@ -27,7 +26,6 @@ _SKIP_DIRS = {"__pycache__", ".git", "node_modules", ".hypothesis"}
 # the analyzed paths (project rules need it to reach *.md files and
 # the experiments package regardless of which subtree was requested).
 _ROOT_MARKERS = ("ROADMAP.md", "setup.py", ".git")
-
 
 def find_repo_root(start: pathlib.Path) -> pathlib.Path:
     """Nearest ancestor of ``start`` carrying a repo-root marker."""
@@ -74,7 +72,6 @@ class AnalysisReport:
 
     findings: List[Finding]
     suppressed: List[Finding]
-    baselined: List[Finding]
     files_scanned: int
     rules_run: List[str]
     elapsed: float
@@ -82,22 +79,6 @@ class AnalysisReport:
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "files_scanned": self.files_scanned,
-            "rules": self.rules_run,
-            "elapsed_seconds": round(self.elapsed, 3),
-            "counts": {
-                "active": len(self.findings),
-                "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
-            },
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-        }
 
 
 def _collect_python_files(paths: Sequence[pathlib.Path]) -> List[pathlib.Path]:
@@ -126,18 +107,15 @@ def _collect_python_files(paths: Sequence[pathlib.Path]) -> List[pathlib.Path]:
 def run_analysis(
     paths: Sequence,
     rules: Sequence[Rule],
-    baseline: Optional[Baseline] = None,
     repo_root: Optional[pathlib.Path] = None,
 ) -> AnalysisReport:
     """Run ``rules`` over the python files under ``paths``.
 
-    Findings suppressed by ``# repro: allow(<rule-id>)`` comments and
-    findings whose fingerprints appear in ``baseline`` are filtered
-    out of :attr:`AnalysisReport.findings` but kept in their own
-    buckets for reporting.
+    Findings suppressed by ``# repro: allow(<rule-id>)`` comments are
+    filtered out of :attr:`AnalysisReport.findings` but kept in their
+    own bucket for reporting.
     """
     started = time.perf_counter()
-    baseline = baseline or Baseline.empty()
     path_objs = [pathlib.Path(p) for p in paths]
     if not path_objs:
         raise ValueError("run_analysis needs at least one path")
@@ -170,7 +148,6 @@ def run_analysis(
 
     active: List[Finding] = []
     suppressed: List[Finding] = []
-    baselined: List[Finding] = []
     # Two extraction routes may surface the same token (e.g. a quoted
     # string inside a backtick span); report each location once.
     unique = {(f.rule, f.path, f.line, f.message): f for f in raw}
@@ -180,15 +157,12 @@ def run_analysis(
         source = sources_by_rel.get(finding.path)
         if source is not None and source.allows(finding.line, finding.rule):
             suppressed.append(finding)
-        elif baseline.contains(finding):
-            baselined.append(finding)
         else:
             active.append(finding)
 
     return AnalysisReport(
         findings=active,
         suppressed=suppressed,
-        baselined=baselined,
         files_scanned=len(ctx.sources),
         rules_run=[rule.id for rule in rules],
         elapsed=time.perf_counter() - started,

@@ -206,13 +206,6 @@ class Comm(BaseCommunicator):
                 raise ProcessDeathError(self._rank, now)
             break
 
-    def pending_failure_time(self) -> Optional[float]:
-        """Next scheduled (unconsumed) failure time of this incarnation."""
-        for t in self._failure_times:
-            if (self._rank, t) not in self._state.consumed_failures:
-                return t
-        return None
-
     def revoke(self) -> None:
         """Revoke the current epoch (ULFM ``MPI_Comm_revoke`` analogue).
 

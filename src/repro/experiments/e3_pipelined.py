@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.registry import resolve_backend
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import poisson_2d
@@ -182,7 +183,8 @@ def run(
             "noise_stall": noise_stall,
             "seed": seed,
             **({"faults": fault_model.describe()} if faults is not None else {}),
-            **({"backend": _backend_string(backend)} if backend is not None else {}),
+            **({"backend": resolve_backend(backend).spec.to_string()}
+               if backend is not None else {}),
         },
     )
     # Attach the anchor table for completeness.
@@ -192,12 +194,6 @@ def run(
             backend, grid=grid, rows_per_rank=rows_per_rank, seed=seed
         )
     return result
-
-
-def _backend_string(backend) -> str:
-    from repro.comm.registry import resolve_backend
-
-    return resolve_backend(backend).spec.to_string()
 
 
 def _backend_section(backend, *, grid: int, rows_per_rank: int, seed: int) -> dict:
@@ -212,7 +208,6 @@ def _backend_section(backend, *, grid: int, rows_per_rank: int, seed: int) -> di
     backend beats the simulator's thread-and-copy event machinery on
     the identical job).
     """
-    from repro.comm.registry import resolve_backend
     from repro.experiments import backend_probe
 
     bound = resolve_backend(backend)

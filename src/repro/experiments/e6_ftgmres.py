@@ -117,7 +117,11 @@ def run(
     # Overflow/NaN *is* the injected fault's expected effect.
     with np.errstate(over="ignore", invalid="ignore"):
         for prob in fault_probabilities:
-            fault_model = fault_template.with_params(p=prob)
+            # The fault-free control (kind "none") takes no p.
+            fault_model = (
+                fault_template if fault_template.kind == "none"
+                else fault_template.with_params(p=prob)
+            )
             # --- all-unreliable plain GMRES baseline -----------------------
             conv = 0
             residuals = []

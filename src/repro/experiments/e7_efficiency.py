@@ -18,6 +18,7 @@ which local recovery is required to stay efficient).
 
 from __future__ import annotations
 
+from repro.comm.registry import resolve_backend
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.reliability.process import system_mtbf
 from repro.reliability.registry import resolve_faults
@@ -130,7 +131,8 @@ def run(
         summary=summary,
         parameters={
             "node_mtbf_years": node_mtbf_years,
-            **({"backend": _backend_string(backend)} if backend is not None else {}),
+            **({"backend": resolve_backend(backend).spec.to_string()}
+               if backend is not None else {}),
             "node_counts": tuple(node_counts),
             "checkpoint_time": checkpoint_time,
             "restart_time": restart_time,
@@ -140,12 +142,6 @@ def run(
             **({"faults": fault_model.describe()} if fault_model is not None else {}),
         },
     )
-
-
-def _backend_string(backend) -> str:
-    from repro.comm.registry import resolve_backend
-
-    return resolve_backend(backend).spec.to_string()
 
 
 def _backend_section(backend) -> dict:
@@ -160,7 +156,6 @@ def _backend_section(backend) -> dict:
     pipes and shared memory put them, so they are reported next to the
     model's parameters rather than asserted equal.
     """
-    from repro.comm.registry import resolve_backend
     from repro.experiments import backend_probe
     from repro.machine.collective_cost import allreduce_time
     from repro.machine.model import MachineModel

@@ -17,7 +17,7 @@ once and delegates the variation points to strategy objects:
 * :class:`~repro.krylov.engine.convergence.ConvergenceTest` -- the
   stopping rule.
 * :class:`~repro.krylov.engine.resilience.ResiliencePolicy` -- per
-  iteration observation: user hooks, skeptical monitors, fault
+  iteration observation: user hooks, skeptical checks, fault
   injection, residual guards.
 
 The public solver functions (:func:`repro.krylov.gmres.gmres` and

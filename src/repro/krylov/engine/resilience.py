@@ -20,7 +20,7 @@ Arnoldi-type scheme whose policy reads it, a scalar
   views (fault-injection campaigns),
 * raise :class:`CycleAbandoned` to discard the current Krylov cycle
   (the skeptical *restart* response), or
-* raise :class:`~repro.skeptical.policies.SkepticalAbort` (the
+* raise :class:`~repro.skeptical.checks.SkepticalAbort` (the
   *abort* response).
 """
 

@@ -12,8 +12,8 @@ vectors) and on the simulated distributed runtime.
 Two extension points matter for the resilience work:
 
 * ``iteration_hook(state)`` is called once per inner iteration with a
-  :class:`GmresState` view of the solver internals.  The skeptical
-  monitor uses it both to *inject* faults (writes into the basis or
+  :class:`GmresState` view of the solver internals.  The resilience
+  layers use it both to *inject* faults (writes into the basis or
   Hessenberg matrix) and to *check* invariants.  ``state.basis[i]``
   remains a writable view of basis vector ``i``, and ``state.basis``
   additionally exposes the whole block as an ndarray (``.array``).

@@ -221,10 +221,6 @@ class KrylovBasis:
         k = self.n_columns if k is None else int(k)
         return self._rows[:k].T
 
-    def local_row(self, j: int) -> np.ndarray:
-        """Writable, contiguous local storage of vector ``j``."""
-        return self._rows[j]
-
     def __len__(self) -> int:
         return self.n_columns
 

@@ -144,10 +144,6 @@ class PersistentStore:
         return [entry.step for entry in self._own]
 
     # ------------------------------------------------------------------
-    def mirrored_owners(self) -> List[int]:
-        """Ranks whose snapshots this rank is mirroring."""
-        return sorted(self._mirrored.keys())
-
     def mirrored_latest(self, owner: int) -> Optional[StoreEntry]:
         """Most recent mirrored snapshot of ``owner`` held here."""
         entries = self._mirrored.get(int(owner))

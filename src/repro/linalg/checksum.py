@@ -89,11 +89,6 @@ class ChecksummedMatrix:
         return self._matrix
 
     @property
-    def column_checksums(self) -> np.ndarray:
-        """The column-sum vector e^T A."""
-        return self._column_checksums.copy()
-
-    @property
     def shape(self) -> Tuple[int, int]:
         """Shape of the wrapped matrix."""
         return self._matrix.shape

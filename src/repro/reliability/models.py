@@ -462,14 +462,6 @@ class MessageCorruptionFaults(_ScheduledFaults):
 
     kind = "msg_corrupt"
 
-    def _validate(self) -> None:
-        super()._validate()
-        if "rate" in self.spec.params or "times" in self.spec.params:
-            raise ValueError(
-                "msg_corrupt supports only per-send probability p= "
-                "(sends have no global time axis)"
-            )
-
     @property
     def bits(self) -> Optional[Tuple[int, int]]:
         bits = self.spec.get("bits")

@@ -16,9 +16,9 @@ Three interchangeable wire forms exist:
 
 The string grammar is the shared one of :mod:`repro.spec` (full manual
 in CAMPAIGNS.md); this axis is one of the two that compose with ``"+"``.
-What the fault axis declares: its kinds (:data:`FAULT_KINDS`; parameter
-names are open -- each model reads the ones it knows) and the
-``compose`` kind with its ``children``.
+What the fault axis declares: its kinds with the parameter names each
+model reads (:data:`FAULT_KINDS`) and the ``compose`` kind with its
+``children``.
 
 Examples: ``"none"``, ``"bitflip:p=0.02,bits=52..62"``,
 ``"proc_fail:times=1.5;3.0,ranks=1;2"``,
@@ -39,13 +39,18 @@ __all__ = ["FaultSpec", "FAULT_KINDS", "compose"]
 
 COMPOSE_KIND = "compose"
 
-#: kind -> parameter names; ``None`` leaves the names open (the model
-#: classes in :mod:`repro.reliability.models`, one per kind, read the
-#: parameters they know).
-FAULT_KINDS: Dict[str, None] = dict.fromkeys(
-    ("none", "bitflip", "perturb", "msg_corrupt", "proc_fail",
-     "basis_bitflip", COMPOSE_KIND)
-)
+#: kind -> the parameter names its model class in
+#: :mod:`repro.reliability.models` reads.
+FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
+    "none": (),
+    "bitflip": ("p", "rate", "times", "horizon", "max_faults", "bits", "target"),
+    "perturb": ("p", "rate", "times", "horizon", "max_faults", "value", "scale", "target"),
+    "msg_corrupt": ("p", "bits"),
+    "proc_fail": ("times", "ranks", "rank", "mtbf", "mtbf_years", "model", "shape",
+                  "horizon", "max_failures"),
+    "basis_bitflip": ("bits", "at"),
+    COMPOSE_KIND: (),
+}
 
 
 @dataclass(frozen=True)

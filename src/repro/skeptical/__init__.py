@@ -10,22 +10,19 @@ PDE step, monotone residual histories, checksum identities.
 This subpackage provides:
 
 * :mod:`repro.skeptical.checks` -- a library of invariant checks, each
-  returning a :class:`CheckResult` with a severity and an estimated
-  cost, so experiments can report overhead.
-* :mod:`repro.skeptical.policies` -- what to do when a check fires:
-  the :class:`ResponsePolicy` protocol and the fail-stop
-  :class:`AbortPolicy`.
-* :mod:`repro.skeptical.monitor` -- :class:`SkepticalMonitor`, a
-  wrapper that attaches checks/policies to an iterative computation
-  via its iteration hook.
+  returning a :class:`CheckResult` with a verdict and an estimated
+  cost, so experiments can report overhead, and
+  :class:`SkepticalAbort`, the fail-stop response to a failed check.
 * :mod:`repro.skeptical.gmres_sdc` -- the SDC-detecting GMRES in the
   spirit of Elliott & Hoemmen's bit-flip-resilient GMRES, whose default
   check set (:class:`~repro.skeptical.gmres_sdc.SdcChecks`) both Krylov
-  engines run.
+  engines run; its responses to a detection are the cycle restart
+  (roll back) and the abort.
 """
 
 from repro.skeptical.checks import (
     CheckResult,
+    SkepticalAbort,
     orthogonality_check,
     hessenberg_bound_check,
     residual_consistency_check,
@@ -34,8 +31,6 @@ from repro.skeptical.checks import (
     monotonicity_check,
     spd_coefficient_check,
 )
-from repro.skeptical.policies import ResponsePolicy, AbortPolicy, SkepticalAbort
-from repro.skeptical.monitor import SkepticalMonitor
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
 __all__ = [
@@ -47,9 +42,6 @@ __all__ = [
     "conservation_check",
     "monotonicity_check",
     "spd_coefficient_check",
-    "ResponsePolicy",
-    "AbortPolicy",
     "SkepticalAbort",
-    "SkepticalMonitor",
     "sdc_detecting_gmres",
 ]

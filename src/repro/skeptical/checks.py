@@ -18,6 +18,7 @@ from repro.utils.validation import check_integer, check_non_negative, check_posi
 
 __all__ = [
     "CheckResult",
+    "SkepticalAbort",
     "finite_check",
     "orthogonality_check",
     "hessenberg_bound_check",
@@ -31,8 +32,7 @@ __all__ = [
 class CheckResult(NamedTuple):
     """Outcome of one invariant check (immutable).
 
-    A named tuple rather than a frozen dataclass: the monitor builds
-    four to six of these per solver iteration, and a tuple builds in
+    A named tuple rather than a frozen dataclass: a tuple builds in
     well under half the time.
 
     Attributes
@@ -61,6 +61,18 @@ class CheckResult(NamedTuple):
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.passed
+
+
+class SkepticalAbort(RuntimeError):
+    """Raised by the skeptical GMRES's ``"abort"`` response: the
+    fail-stop answer to a failed check (paper §II-A)."""
+
+    def __init__(self, check: CheckResult):
+        super().__init__(
+            f"skeptical check '{check.name}' failed: measure {check.measure:.3e} "
+            f"exceeds threshold {check.threshold:.3e}"
+        )
+        self.check = check
 
 
 def finite_check(array: np.ndarray, name: str = "finite") -> CheckResult:

@@ -30,7 +30,7 @@ only then.  On detection, the configured response applies: the default
 :class:`SdcAttempts` restarts GMRES from the current iterate, which is
 cheap and sufficient because GMRES restarts are already part of the
 algorithm (the "rolling back to a previous valid state" response of
-§II-A); ``abort`` raises :class:`~repro.skeptical.policies.SkepticalAbort`.
+§II-A); ``abort`` raises :class:`~repro.skeptical.checks.SkepticalAbort`.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ from repro.krylov.engine.resilience import (
 from repro.krylov.gmres import GmresState, gmres_engine
 from repro.krylov.result import SolveResult
 from repro.skeptical.checks import (
+    SkepticalAbort,
     finite_check,
     hessenberg_bound_check,
     monotonicity_check,
     orthogonality_check,
     residual_consistency_check,
 )
-from repro.skeptical.policies import SkepticalAbort
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
@@ -135,8 +135,7 @@ def _slot_rows(pairs):
 class SdcChecks:
     """The default SDC check set of one skeptical solve, and its counters.
 
-    Holds the check periods and thresholds, what a
-    :class:`~repro.skeptical.monitor.SkepticalMonitor` would count
+    Holds the check periods and thresholds, the counters
     (observations, checks run, check flops, detections -- at most one
     per observation -- and detection restarts) and the residual history
     of the current attempt.  The checks themselves are :meth:`sweep`.
@@ -164,14 +163,13 @@ class SdcChecks:
     def sweep(lanes, j: int, basis: np.ndarray, hess: np.ndarray, residuals) -> dict:
         """One observation of the default check set for every lane of a step.
 
-        Runs ``SkepticalMonitor.observe`` over the default check set in
-        registration order -- finite basis, finite Hessenberg column,
-        Hessenberg bound, residual monotonicity (all at
-        ``check_period``), then orthogonality and residual consistency
-        at their own periods -- counting the failing check and skipping
-        the rest, at most one detection per observation.  The three
-        cheap array checks are evaluated as one vectorized sweep over
-        the due lanes.  ``lanes`` holds ``(lane, slot)`` pairs in slot
+        Runs the default check set in order -- finite basis, finite
+        Hessenberg column, Hessenberg bound, residual monotonicity (all
+        at ``check_period``), then orthogonality and residual
+        consistency at their own periods -- counting the failing check
+        and skipping the rest, at most one detection per observation.
+        The three cheap array checks are evaluated as one vectorized
+        sweep over the due lanes.  ``lanes`` holds ``(lane, slot)`` pairs in slot
         order, a lane being anything with ``checks`` (its
         :class:`SdcChecks`) and ``true_residual(j, residual)``; a
         lockstep cohort passes its :class:`SdcCohort`, so per-lane Python
@@ -399,7 +397,7 @@ class SdcPolicy(ResiliencePolicy):
 
     A detection raises :class:`~repro.krylov.engine.resilience.CycleAbandoned`
     (``response="restart"``) or
-    :class:`~repro.skeptical.policies.SkepticalAbort` carrying the
+    :class:`~repro.skeptical.checks.SkepticalAbort` carrying the
     failing check's result (``response="abort"``).
     """
 
@@ -585,7 +583,7 @@ def sdc_detecting_gmres(
         ``"restart"`` (default) -- on detection, abandon the current
         Krylov cycle and restart from the current iterate;
         ``"abort"`` -- raise
-        :class:`~repro.skeptical.policies.SkepticalAbort`.
+        :class:`~repro.skeptical.checks.SkepticalAbort`.
     fault_hook:
         Optional callable run *before* the checks each iteration with
         the :class:`~repro.krylov.gmres.GmresState`; fault-injection

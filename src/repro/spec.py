@@ -249,8 +249,8 @@ class KindSpec:
 
     #: What the axis calls one of its things ("preconditioner").
     NOUN: ClassVar[str] = "spec"
-    #: kind -> the parameter names it takes (``None``: any name).
-    KINDS: ClassVar[Mapping[str, Optional[Collection[str]]]] = {}
+    #: kind -> the parameter names it takes.
+    KINDS: ClassVar[Mapping[str, Collection[str]]] = {}
     #: Wording of the unknown-parameter error; formatted with ``noun``,
     #: ``kind``, ``name`` (the first offender), ``names`` (all of them)
     #: and ``allowed``.
@@ -270,7 +270,7 @@ class KindSpec:
         for name in sorted(self.params):
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid parameter name {name!r}")
-            if allowed is not None and name not in allowed:
+            if name not in allowed:
                 raise ValueError(
                     self.PARAM_ERROR.format(
                         noun=self.NOUN, kind=kind, name=name,

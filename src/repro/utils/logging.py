@@ -1,7 +1,7 @@
 """Structured event logging.
 
-Fault injectors, skeptical monitors and resilience managers record what
-happened (a flip was injected, a check fired, a rank died, recovery
+Fault injectors, the simulated communicator and resilience managers
+record what happened (a flip was injected, a rank died, recovery
 completed) as :class:`Event` records in an :class:`EventLog`.  Tests
 and experiments then assert on the log rather than on printed output.
 """

@@ -67,13 +67,6 @@ class KernelCounters:
         """Bump the call counter of ``kernel`` without charging time."""
         self.counts[kernel] = self.counts.get(kernel, 0) + calls
 
-    def merge(self, other: "KernelCounters") -> None:
-        """Fold another counter set into this one (outer/inner solvers)."""
-        for key, value in other.seconds.items():
-            self.seconds[key] = self.seconds.get(key, 0.0) + value
-        for key, value in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + value
-
     def merge_dict(self, payload: Dict[str, Dict[str, float]]) -> None:
         """Fold an :meth:`as_dict`-shaped payload into this counter set.
 

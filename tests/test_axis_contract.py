@@ -215,8 +215,6 @@ class TestSpecs:
 
     def test_unknown_param_refused(self, axis):
         for kind, allowed in axis.spec.KINDS.items():
-            if allowed is None:
-                continue  # open parameter names (the fault axis)
             with pytest.raises(ValueError) as raised:
                 axis.spec(kind, {"no_such_param": 1})
             message = str(raised.value)
@@ -285,7 +283,12 @@ class TestDifferences:
 
     def test_fault_kinds_match_model_classes(self):
         assert set(FAULT_KINDS) == set(MODEL_KINDS)
-        assert all(allowed is None for allowed in FAULT_KINDS.values())
+        # Every kind declares its names; only the fault-free control and
+        # the composition take none of their own.
+        assert all(isinstance(allowed, tuple) for allowed in FAULT_KINDS.values())
+        assert {kind for kind, allowed in FAULT_KINDS.items() if not allowed} == {
+            "none", "compose",
+        }
 
     def test_solver_axis_has_no_spec(self):
         solver = AXES["solver"]

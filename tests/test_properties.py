@@ -17,7 +17,6 @@ from repro.linalg.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
 from repro.comm.ops import MAX, MIN, SUM
-from repro.skeptical import SkepticalAbort, SkepticalMonitor
 from repro.skeptical.checks import (
     finite_check,
     hessenberg_bound_check,
@@ -497,50 +496,40 @@ class TestSkepticalCheckFastPaths:
 
 
 def _default_sdc_monitor(
-    norm_estimate, *, check_period, orthogonality_period, residual_check_period,
-    hessenberg_safety, orthogonality_tol,
+    basis, hess, j, history, true_residual, observation, *, check_period,
+    orthogonality_period, residual_check_period, hessenberg_safety, orthogonality_tol,
 ):
-    """The standard SkP check set for GMRES as a configured monitor, in
-    registration order (``state["basis"]`` holds the basis vectors as rows)."""
-    monitor = SkepticalMonitor()
-    monitor.add_check(
-        "finite_basis",
-        lambda state: finite_check(state["basis"][state["inner"] + 1], name="finite_basis"),
-        period=check_period,
+    """The standard SkP check set for GMRES, observed once with the
+    fail-stop response: the six check functions in registration order at
+    their periods, stopping at the first failure.  ``basis`` holds the
+    basis vectors as rows, ``history`` ends with this step's residual and
+    ``observation`` is this observation's 1-based count.  Returns
+    ``(observations, checks_run, check_flops, detections, failing
+    CheckResult or None)``."""
+    checks = (
+        (check_period, lambda: finite_check(basis[j + 1], name="finite_basis")),
+        (check_period, lambda: finite_check(hess[: j + 2, j], name="finite_hessenberg")),
+        (check_period, lambda: hessenberg_bound_check(
+            hess, 1.0, n_columns=j + 1, safety=hessenberg_safety
+        )),
+        (check_period, lambda: monotonicity_check(history)),
+        (orthogonality_period, lambda: orthogonality_check(
+            basis[: j + 2].T, tol=orthogonality_tol
+        )),
+        (residual_check_period, lambda: residual_consistency_check(
+            history[-1], true_residual()
+        )),
     )
-    monitor.add_check(
-        "finite_hessenberg",
-        lambda state: finite_check(
-            state["hessenberg"][: state["inner"] + 2, state["inner"]], name="finite_hessenberg"
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "hessenberg_bound",
-        lambda state: hessenberg_bound_check(
-            state["hessenberg"], norm_estimate, n_columns=state["inner"] + 1,
-            safety=hessenberg_safety,
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "residual_monotone",
-        lambda state: monotonicity_check(state["residual_history"]),
-        period=check_period,
-    )
-    monitor.add_check(
-        "orthogonality",
-        lambda state: orthogonality_check(
-            state["basis"][: state["inner"] + 2].T, tol=orthogonality_tol
-        ),
-        period=orthogonality_period,
-    )
-    monitor.add_check(
-        "residual_consistency",
-        lambda state: residual_consistency_check(state["residual_norm"], state["true_residual"]()),
-        period=residual_check_period,
-    )
-    return monitor
+    run, flops = 0, 0.0
+    for period, check in checks:
+        if observation % period:
+            continue
+        result = check()
+        run += 1
+        flops += result.cost_flops
+        if not result.passed:
+            return observation, run, flops, 1, result
+    return observation, run, flops, 0, None
 
 
 class _SweptLane:
@@ -609,7 +598,7 @@ class TestSdcSweepMatchesTheMonitor:
     @staticmethod
     def _lane(lane, slot, j, basis, hess, history, observed):
         """A swept lane holding the drawn history and count, and the default
-        monitor's summary and failing check on a state with ``history``
+        monitor's counters and failing check on a state with ``history``
         before this step's residual and ``observed`` observations."""
         periods = dict(
             check_period=lane["periods"][0], orthogonality_period=lane["periods"][1],
@@ -619,34 +608,25 @@ class TestSdcSweepMatchesTheMonitor:
         swept = _SweptLane(SdcChecks(1.0, **periods), lane["truth"])
         swept.checks.observations = lane["observed"]
         swept.checks.residual_history = list(lane["history"])
-        monitor = _default_sdc_monitor(1.0, **periods)
-        monitor._observation_count = observed
         residual = lane["residual"]
-        state = {
-            "basis": basis[slot], "hessenberg": hess[slot], "inner": j,
-            "residual_norm": residual,
-            "residual_history": [*history, residual],
-            "true_residual": lambda residual=residual, truth=lane["truth"]: residual * truth,
-        }
-        failing = None
         with np.errstate(all="ignore"):
-            try:
-                monitor.observe(state)
-            except SkepticalAbort as abort:
-                failing = abort.check
-        return swept, (monitor.summary(), failing)
+            expected = _default_sdc_monitor(
+                basis[slot], hess[slot], j, [*history, residual],
+                lambda: residual * lane["truth"], observed + 1, **periods,
+            )
+        return swept, expected
 
     @staticmethod
     def _same_counters(swept, expected, failed, built):
         assert set(failed) == {
-            lane for (lane, _), (_, failing) in zip(swept, expected) if failing is not None
+            lane for (lane, _), (*_, failing) in zip(swept, expected) if failing is not None
         }
-        for (lane, _), (summary, failing) in zip(swept, expected):
+        for (lane, _), (observations, run, flops, detections, failing) in zip(swept, expected):
             checks = lane.checks
-            assert checks.observations == summary["observations"]
-            assert checks.checks_run == summary["checks_run"]
-            assert checks.check_flops == summary["check_flops"]  # exact
-            assert checks.detections == summary["detections"]
+            assert checks.observations == observations
+            assert checks.checks_run == run
+            assert checks.check_flops == flops  # exact
+            assert checks.detections == detections
             assert built.get(lane) == failing
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -655,11 +635,11 @@ class TestSdcSweepMatchesTheMonitor:
         slots, basis, hess, residuals = self._stacks(j, lanes)
         swept, expected = [], []
         for lane, slot in zip(lanes, slots):
-            one, summary = self._lane(
+            one, reference = self._lane(
                 lane, slot, j, basis, hess, lane["history"], lane["observed"]
             )
             swept.append((one, slot))
-            expected.append(summary)
+            expected.append(reference)
 
         with np.errstate(all="ignore"):
             failed = SdcChecks.sweep(swept, j, basis, hess, residuals)
@@ -688,12 +668,12 @@ class TestSdcSweepMatchesTheMonitor:
             cycle = (scale / ratios).tolist()
             res[1 : j + 1, slot] = cycle
             res[j + 1, slot] = lane["residual"]
-            one, summary = self._lane(
+            one, reference = self._lane(
                 lane, slot, j, basis, hess, [*lane["history"], *cycle], lane["observed"] + j
             )
             one.slot = slot
             swept.append((one, slot))
-            expected.append(summary)
+            expected.append(reference)
 
         cohort = SdcCohort(swept, table, res)
         with np.errstate(all="ignore"):

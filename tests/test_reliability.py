@@ -36,6 +36,7 @@ from repro.reliability import (
     resolve_faults,
     unreliable,
 )
+from repro.reliability.spec import FAULT_KINDS
 from repro.utils.rng import RngFactory
 
 
@@ -62,10 +63,20 @@ _int_lists = st.lists(
     st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=5
 ).map(tuple)
 _values = st.one_of(_scalars, _int_pairs, _int_lists)
-_param_maps = st.dictionaries(_names, _values, max_size=5)
+
+
+def _param_maps(kind):
+    """Parameter maps over the names ``kind`` declares."""
+    names = FAULT_KINDS[kind]
+    if not names:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(names), _values, max_size=5)
+
+
 _kinds = st.sampled_from(
     ["none", "bitflip", "perturb", "msg_corrupt", "proc_fail", "basis_bitflip"]
 )
+_kind_params = _kinds.flatmap(lambda kind: st.tuples(st.just(kind), _param_maps(kind)))
 
 
 class TestFaultSpec:
@@ -78,14 +89,15 @@ class TestFaultSpec:
 
     def test_parse_typed_values(self):
         spec = FaultSpec.parse(
-            "proc_fail:times=1.5;3.0,ranks=1;2,model=weibull,n=4,on=true,off=none"
+            "proc_fail:times=1.5;3.0,ranks=1;2,model=weibull,max_failures=4,"
+            "shape=true,horizon=none"
         )
         assert spec.params["times"] == (1.5, 3.0)
         assert spec.params["ranks"] == (1, 2)
         assert spec.params["model"] == "weibull"
-        assert spec.params["n"] == 4
-        assert spec.params["on"] is True
-        assert spec.params["off"] is None
+        assert spec.params["max_failures"] == 4
+        assert spec.params["shape"] is True
+        assert spec.params["horizon"] is None
 
     def test_parse_is_case_and_space_tolerant(self):
         assert FaultSpec.parse("BitFlip: p = 0.5") == FaultSpec.parse("bitflip:p=0.5")
@@ -132,21 +144,33 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault kind"):
             build_model("warp_core_breach:p=1.0")
 
-    @given(kind=_kinds, params=_param_maps)
+    @pytest.mark.parametrize(
+        "text, offender",
+        [
+            ("bitflip:prob=0.5", "prob"),  # was a fault-free control
+            ("proc_fail:mtbf=10,horizon=5,modle=weibull", "modle"),  # was exponential
+            ("basis_bitflip:bit=3", "bit"),
+        ],
+    )
+    def test_misspelt_parameter_refused(self, text, offender):
+        with pytest.raises(ValueError, match=f"does not take parameter '{offender}'"):
+            resolve_faults(text)
+
+    @given(kind_params=_kind_params)
     @settings(max_examples=150, deadline=None)
-    def test_string_round_trip(self, kind, params):
-        spec = FaultSpec(kind, params)
+    def test_string_round_trip(self, kind_params):
+        spec = FaultSpec(*kind_params)
         assert FaultSpec.parse(spec.to_string()) == spec
 
-    @given(kind=_kinds, params=_param_maps)
+    @given(kind_params=_kind_params)
     @settings(max_examples=150, deadline=None)
-    def test_dict_round_trip(self, kind, params):
-        spec = FaultSpec(kind, params)
+    def test_dict_round_trip(self, kind_params):
+        spec = FaultSpec(*kind_params)
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     @given(
-        left=_param_maps.map(lambda p: FaultSpec("bitflip", p)),
-        right=_param_maps.map(lambda p: FaultSpec("proc_fail", p)),
+        left=_param_maps("bitflip").map(lambda p: FaultSpec("bitflip", p)),
+        right=_param_maps("proc_fail").map(lambda p: FaultSpec("proc_fail", p)),
     )
     @settings(max_examples=50, deadline=None)
     def test_compose_round_trip(self, left, right):

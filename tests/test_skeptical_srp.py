@@ -13,10 +13,7 @@ from repro.reliability.bitflip import flip_bit_array
 from repro.krylov import ft_gmres
 from repro.linalg import poisson_2d, convection_diffusion_2d
 from repro.skeptical import (
-    AbortPolicy,
-    ResponsePolicy,
     SkepticalAbort,
-    SkepticalMonitor,
     conservation_check,
     finite_check,
     hessenberg_bound_check,
@@ -103,50 +100,6 @@ class TestChecks:
             failed.measure = 0.0
         with pytest.raises(TypeError):
             passed.details["k"] = 1
-
-
-class TestPoliciesAndMonitor:
-    def test_abort_policy_raises(self):
-        failing = finite_check(np.array([np.nan]))
-        with pytest.raises(SkepticalAbort):
-            AbortPolicy().handle(failing)
-
-    def test_monitor_periodic_checks(self):
-        monitor = SkepticalMonitor()
-        monitor.add_check("finite", lambda s: finite_check(s["x"]), period=2)
-        x = np.ones(3)
-        assert monitor.observe({"x": x}) is None  # observation 1: period not due
-        assert monitor.observe({"x": x}) is None  # observation 2: runs, passes
-        assert monitor.summary()["checks_run"] == 1
-
-    def test_monitor_detection_and_policy(self):
-        class Continue(ResponsePolicy):
-            def handle(self, check, context=None):
-                return "continue"
-
-        monitor = SkepticalMonitor(policy=Continue())
-        monitor.add_check("finite", lambda s: finite_check(s["x"]))
-        action = monitor.observe({"x": np.array([np.inf])})
-        assert action == "continue"
-        assert monitor.detected and monitor.n_detections == 1
-
-    def test_monitor_requires_check_result(self):
-        monitor = SkepticalMonitor()
-        monitor.add_check("bad", lambda s: True)
-        with pytest.raises(TypeError):
-            monitor.observe({})
-
-    def test_monitor_reset(self):
-        monitor = SkepticalMonitor()
-        monitor.add_check("finite", lambda s: finite_check(s["x"]))
-        monitor.observe({"x": np.ones(2)})
-        monitor.reset()
-        assert monitor.summary()["observations"] == 0
-
-    def test_monitor_period_validation(self):
-        monitor = SkepticalMonitor()
-        with pytest.raises(ValueError):
-            monitor.add_check("x", lambda s: finite_check(s["x"]), period=0)
 
 
 class TestSdcDetectingGmres:
