@@ -4,9 +4,9 @@
 #   * the tier-1 suite (which holds the axis/registry contract, the
 #     sim-vs-shmem differential, fp64 parity, engine/batch parity, the
 #     goldens, the execution-contract property -- workers, --batch and
-#     worker chaos never change a stored result -- and the
-#     static-analysis gate: every repro.analysis rule over src/repro
-#     and tests, clean, no suppression under src/, within 10 s);
+#     worker chaos never change a stored result -- and the lint,
+#     tests/test_analysis.py: its rules over src/repro, tests and the
+#     markdown, clean, no suppression under src/, within 10 s);
 #   * the backend conformance suite once more in a fresh interpreter.
 #
 #   scripts/verify.sh            # everything

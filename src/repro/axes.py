@@ -3,7 +3,7 @@
 Each axis module ends in one :class:`repro.spec.Axis` record named
 ``AXIS``; this is the one place that names them all.  Whatever iterates
 axes -- ``python -m repro.campaign list``, the ``spec-strings``
-analysis rule, ``tests/test_axis_contract.py`` -- iterates
+lint and the contract in ``tests/test_axis_contract.py`` -- iterates
 :func:`declared_axes`, so adding an axis is: declare its kinds table,
 its entries and its ``AXIS``, then add the module here.
 """

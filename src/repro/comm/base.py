@@ -167,7 +167,9 @@ def resolve_job_faults(
     a dict, a :class:`~repro.reliability.spec.FaultSpec` or a built
     model) -- the one uniform way every layer names its fault axis.
     Composite specs contribute their ``proc_fail`` component; specs
-    with no process-failure component resolve to an empty plan.
+    with no process-failure component resolve to an empty plan.  A plan
+    that kills a rank the job does not have is refused: dropping that
+    failure would run the job as a fault-free control.
     """
     check_integer(n_ranks, "n_ranks")
     if n_ranks <= 0:
@@ -189,14 +191,23 @@ def resolve_job_faults(
                     seed=fault_seed, name=f"messages/{rank}"
                 )
     if failure_plan is None:
-        return FailurePlan.none(), factory
-    if isinstance(failure_plan, FailurePlan):
-        return failure_plan, factory
-    model = resolve_faults(failure_plan)
-    try:
-        return model.failure_plan(n_ranks=int(n_ranks), seed=fault_seed), factory
-    except FaultCapabilityError:
-        return FailurePlan.none(), factory
+        plan = FailurePlan.none()
+    elif isinstance(failure_plan, FailurePlan):
+        plan = failure_plan
+    else:
+        try:
+            plan = resolve_faults(failure_plan).failure_plan(
+                n_ranks=int(n_ranks), seed=fault_seed
+            )
+        except FaultCapabilityError:
+            plan = FailurePlan.none()
+    for failure in plan:
+        if failure.rank >= n_ranks:
+            raise ValueError(
+                f"failure plan kills rank {failure.rank}, but the job has "
+                f"n_ranks={n_ranks}"
+            )
+    return plan, factory
 
 
 class BaseCommunicator(abc.ABC):

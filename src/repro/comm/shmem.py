@@ -3,8 +3,8 @@
 Ranks are real OS processes, each a :class:`~repro.utils.child.Child`
 of :func:`launch_shmem` (one channel back to the launcher), wired with
 one single-writer/single-reader OS pipe per ordered rank pair.  The
-design rules are the PR 6 doctrine the ``process-safety`` analysis rule
-enforces:
+design rules are the ones the process-hazard scan in
+``tests/test_comm_conformance.py`` checks:
 
 * **no shared ``multiprocessing.Queue``** -- a queue's writer lock dies
   with whichever killable process holds it and silently wedges every

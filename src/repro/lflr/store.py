@@ -30,7 +30,6 @@ from repro.utils.validation import check_integer
 __all__ = ["StoreEntry", "PersistentStore"]
 
 _MIRROR_TAG = 201
-_RESTORE_REQUEST_TAG = 202
 _RESTORE_REPLY_TAG = 203
 
 

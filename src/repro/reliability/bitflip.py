@@ -34,28 +34,11 @@ __all__ = [
     "bits_of",
     "float_from_bits",
     "flip_bit_float64",
-    "flip_bit_float32",
     "flip_bit_array",
     "flip_random_bit",
     "max_bit_index",
     "relative_perturbation",
-    "MANTISSA_BITS",
-    "EXPONENT_BITS",
-    "SIGN_BIT",
-    "MANTISSA_BITS_FP32",
-    "EXPONENT_BITS_FP32",
-    "SIGN_BIT_FP32",
 ]
-
-#: Bit indices (little-endian, 0 = least significant mantissa bit).
-MANTISSA_BITS = tuple(range(0, 52))
-EXPONENT_BITS = tuple(range(52, 63))
-SIGN_BIT = 63
-
-#: The float32 layout: 23 mantissa bits, 8 exponent bits, 1 sign bit.
-MANTISSA_BITS_FP32 = tuple(range(0, 23))
-EXPONENT_BITS_FP32 = tuple(range(23, 31))
-SIGN_BIT_FP32 = 31
 
 #: dtype -> same-width unsigned integer type for pattern views.
 _BIT_VIEWS = {
@@ -109,20 +92,6 @@ def flip_bit_float64(value: float, bit: int) -> float:
         raise ValueError(f"bit must be in [0, 63], got {bit}")
     pattern = np.uint64(bits_of(value)) ^ np.uint64(1 << bit)
     return float(pattern.view(np.float64))
-
-
-def flip_bit_float32(value: float, bit: int) -> float:
-    """Flip bit ``bit`` (0..31) of a single-precision value.
-
-    The float32 sibling of :func:`flip_bit_float64`: ``value`` is
-    rounded to float32 first, the flip happens in the 32-bit pattern,
-    and the corrupted float32 value is returned (as a Python float).
-    """
-    bit = check_integer(bit, "bit")
-    if not 0 <= bit <= 31:
-        raise ValueError(f"bit must be in [0, 31], got {bit}")
-    pattern = np.float32(value).view(np.uint32) ^ np.uint32(1 << bit)
-    return float(pattern.view(np.float32))
 
 
 def flip_bit_array(

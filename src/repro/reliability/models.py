@@ -93,6 +93,20 @@ def _resolve_rng(
     return fault_stream(seed, name)
 
 
+def _bit_range(spec: FaultSpec) -> Optional[Tuple[int, int]]:
+    """The spec's ``bits=LO..HI`` with ``0 <= LO <= HI <= 63``, or None."""
+    bits = spec.get("bits")
+    if bits is None:
+        return None
+    if not (
+        isinstance(bits, tuple) and len(bits) == 2
+        and all(type(bit) is int for bit in bits)
+        and 0 <= bits[0] <= bits[1] <= 63
+    ):
+        raise ValueError(f"bits must be LO..HI with 0 <= LO <= HI <= 63, got {bits!r}")
+    return bits
+
+
 class FaultModel:
     """Base fault model: a validated spec plus the capability surface."""
 
@@ -104,6 +118,14 @@ class FaultModel:
                 f"{type(self).__name__} cannot model kind {spec.kind!r}"
             )
         self.spec = spec
+        _bit_range(spec)
+        for cap in ("max_faults", "max_failures"):
+            value = spec.get(cap)
+            if value is not None and not (type(value) is int and value >= 1):
+                raise ValueError(
+                    f"{cap} must be an integer >= 1 (zero faults is spelled "
+                    f"'none'), got {value!r}"
+                )
         self._validate()
 
     def _validate(self) -> None:
@@ -123,7 +145,7 @@ class FaultModel:
     @property
     def bits(self) -> Optional[Tuple[int, int]]:
         """Inclusive bit-position range for bit-level models, else None."""
-        return None
+        return _bit_range(self.spec)
 
     def components(self) -> List["FaultModel"]:
         """The leaf models (just ``self`` for non-composite kinds)."""
@@ -279,19 +301,6 @@ class BitflipFaults(_ScheduledFaults):
     """
 
     kind = "bitflip"
-
-    def _validate(self) -> None:
-        super()._validate()
-        bits = self.spec.get("bits")
-        if bits is not None:
-            lo, hi = bits
-            if not (0 <= int(lo) <= int(hi) <= 63):
-                raise ValueError(f"invalid bits range {bits!r}")
-
-    @property
-    def bits(self) -> Optional[Tuple[int, int]]:
-        bits = self.spec.get("bits")
-        return (int(bits[0]), int(bits[1])) if bits is not None else None
 
     def injector(self, rng=None, *, seed=None, name="injector",
                  target=None, session=None) -> ArrayInjector:
@@ -462,11 +471,6 @@ class MessageCorruptionFaults(_ScheduledFaults):
 
     kind = "msg_corrupt"
 
-    @property
-    def bits(self) -> Optional[Tuple[int, int]]:
-        bits = self.spec.get("bits")
-        return (int(bits[0]), int(bits[1])) if bits is not None else None
-
     def message_corruptor(self, rng=None, *, seed=None, name="messages"):
         return MessageCorruptor(
             self.probability, _resolve_rng(rng, seed, name), bits=self.bits
@@ -566,17 +570,9 @@ class BasisBitflipFaults(FaultModel):
 
     kind = "basis_bitflip"
 
-    def _validate(self) -> None:
-        bits = self.spec.get("bits")
-        if bits is not None:
-            lo, hi = bits
-            if not (0 <= int(lo) <= int(hi) <= 63):
-                raise ValueError(f"invalid bits range {bits!r}")
-
     @property
     def bits(self) -> Tuple[int, int]:
-        bits = self.spec.get("bits", (0, 63))
-        return (int(bits[0]), int(bits[1]))
+        return _bit_range(self.spec) or (0, 63)
 
     def iteration_hook(self, rng=None, *, seed=None, name="basis", at=None):
         """A ``(hook, info)`` pair injecting one flip at iteration ``at``.

@@ -17,7 +17,7 @@ in another:
   a noun, its listing columns and its builtin entries
   (:class:`RegisteredSpec` is the entry shape the spec-named axes share);
 * :class:`Axis` -- one record per axis tying the three together, which
-  is what ``campaign list``, the ``spec-strings`` analysis rule and the
+  is what ``campaign list``, the ``spec-strings`` lint in ``tests/`` and the
   axis contract test iterate (:func:`repro.axes.declared_axes`).
 
 String grammar (see CAMPAIGNS.md for the full manual)::

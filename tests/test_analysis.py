@@ -1,46 +1,365 @@
-"""Tests of the static-analysis layer (``repro.analysis``).
+"""The repository lints itself: three rules over its sources and documents.
 
-Every rule gets at least one true-positive fixture and one
-suppressed/allow-listed fixture, exercised through the same
-:func:`repro.analysis.runner.run_analysis` entry point the CLI and the
-self-run test use.  The suite also self-hosts: the final test runs the
-full pass over this repository and asserts it is clean, with no
-suppression under ``src/``.
+* ``determinism`` -- no global-state RNG, calendar clock or hash-order
+  iteration in python (results must be pure functions of parameters and
+  seed, and campaign code outside the driver tables must order what it
+  lists);
+* ``spec-strings`` -- every fault / precond / precision / chaos /
+  backend spec quoted in python (entry-point arguments, axis keywords,
+  sweep dict values, docstrings) or in markdown parses against the live
+  axis declarations;
+* ``doc-links`` -- every relative markdown link, and every repo path
+  quoted in a markdown code span, names a file on disk.
+
+Each rule is a plain function over one parsed file that yields
+``(line, message)``.  ``TestSelfRun`` parses ``src/repro``, ``tests``,
+``README.md`` and every document its links reach once and runs every
+rule over them; the other tests plant one violation per check.  A python finding may be
+suppressed by ``# repro: allow(<rule>)`` on its own line or the line
+above, with a justification after it; nothing under ``src/`` carries
+one, and a markdown finding is fixed.
 """
 
+import ast
 import functools
 import importlib
 import pathlib
+import re
 import textwrap
+import time
+from types import SimpleNamespace
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.analysis.cli import main as cli_main
-from repro.analysis.core import SUPPRESSION_RE, Rule, SourceFile
-from repro.analysis.registry import RuleRegistry, default_rule_registry
-from repro.analysis.runner import find_repo_root, run_analysis
+from repro.axes import declared_axes
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-EXPECTED_RULES = [
-    "determinism",
-    "doc-links",
-    "driver-contract",
-    "dtype-flow",
-    "process-safety",
-    "spec-strings",
-]
+SUPPRESSION_RE = re.compile(
+    r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)\s*\)"
+)
+
+# Documents that record history rather than describe the tree: they
+# quote the spec a parser now refuses and the file a change deleted.
+HISTORY_DOCUMENTS = frozenset({"CHANGES.md", "ROADMAP.md"})
 
 
-def run_rules(tmp_path, files, rule_ids):
-    """Write fixture ``files`` under ``tmp_path`` and run ``rule_ids``."""
+class Source(NamedTuple):
+    """One linted file; ``tree`` is ``None`` for markdown."""
+
+    root: pathlib.Path
+    rel: str
+    text: str
+    tree: Optional[ast.AST]
+
+
+class Finding(NamedTuple):
+    path: str
+    line: int
+    message: str
+
+
+def load(root: pathlib.Path, packages, documents) -> List[Source]:
+    """Parse the python files under ``packages``; read ``documents``
+    (markdown paths relative to ``root``)."""
+    sources = []
+    for package in packages:
+        for path in sorted(package.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            rel = path.relative_to(root).as_posix()
+            sources.append(Source(root, rel, text, ast.parse(text, rel)))
+    for rel in documents:
+        sources.append(Source(root, rel, (root / rel).read_text(encoding="utf-8"), None))
+    return sources
+
+
+def documentation(root: pathlib.Path) -> List[str]:
+    """``README.md`` and every markdown file its relative links reach,
+    transitively, as paths relative to ``root``."""
+    root = root.resolve()
+    found, pending = set(), [root / "README.md"]
+    while pending:
+        path = pending.pop()
+        if path in found or not path.is_file():
+            continue
+        found.add(path)
+        for target in _LINK_RE.findall(path.read_text(encoding="utf-8")):
+            relative = target.split("#", 1)[0]
+            if relative.endswith(".md") and "://" not in relative:
+                linked = (path.parent / relative).resolve()
+                if root in linked.parents:
+                    pending.append(linked)
+    return sorted(path.relative_to(root).as_posix() for path in found)
+
+
+def allowed(lines: List[str], line: int, rule: str) -> bool:
+    """Whether a suppression comment on ``line`` or the line above names ``rule``."""
+    matches = (SUPPRESSION_RE.search(text) for text in lines[max(line - 2, 0):line])
+    return any(m and rule in re.split(r"\s*,\s*", m.group(1)) for m in matches)
+
+
+def findings(rule: str, sources) -> Tuple[List[Finding], List[Finding]]:
+    """``(active, suppressed)`` findings of ``rule`` over ``sources``."""
+    active, suppressed = [], []
+    for source in sources:
+        lines = source.text.splitlines()
+        for line, message in sorted(set(RULES[rule](source))):
+            waived = source.tree is not None and allowed(lines, line, rule)
+            (suppressed if waived else active).append(Finding(source.rel, line, message))
+    return active, suppressed
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for an Attribute/Name chain, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id, *reversed(parts)])
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Rule: determinism
+# ---------------------------------------------------------------------------
+
+# np.random attributes that build explicitly seeded streams.
+_NP_RANDOM_OK = {"Generator", "default_rng", "SeedSequence", "BitGenerator",
+                 "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64"}
+_WALL_CLOCK_CALLS = {"time.time", "time.time_ns", "datetime.now", "datetime.utcnow",
+                     "datetime.today", "datetime.datetime.now", "datetime.datetime.utcnow",
+                     "datetime.datetime.today", "date.today", "datetime.date.today"}
+_LISTING_CALLS = {"os.listdir", "glob.glob", "glob.iglob", "os.scandir"}
+_LISTING_METHODS = {"iterdir", "rglob", "glob"}
+
+
+def _call_hazard(call: ast.Call, stamps, ordered) -> Optional[str]:
+    name = dotted_name(call.func)
+    if name is None:
+        return None
+    if name.startswith(("np.random.", "numpy.random.")):
+        if name.rsplit(".", 1)[1] not in _NP_RANDOM_OK:
+            return (f"global-state RNG call {name}(); seed an explicit Generator "
+                    "(np.random.default_rng / reliability.seeding.derive_seed) instead")
+    elif name.startswith("random."):
+        return f"stdlib global-state RNG call {name}(); use an explicit numpy Generator instead"
+    elif name in _WALL_CLOCK_CALLS:
+        if call not in stamps:
+            return (f"wall-clock read {name}(); use time.perf_counter / time.monotonic, "
+                    "or pass it as an excluded-from-parity wall_time= metadata stamp")
+    elif call in ordered:
+        return None
+    elif name in _LISTING_CALLS or (
+        isinstance(call.func, ast.Attribute) and call.func.attr in _LISTING_METHODS
+        and dotted_name(call.func.value) not in ("glob", "os")
+    ):
+        return (f"{name}() lists files in filesystem order; wrap it in sorted(...) "
+                "for a deterministic sweep")
+    return None
+
+
+def determinism(source: Source) -> Iterator[Tuple[int, str]]:
+    """Global-state RNG, calendar-clock reads, set-order iteration and
+    unsorted directory listings.  A ``time.time()`` passed straight as a
+    ``wall_time=`` keyword is the ledger's metadata stamp and allowed."""
+    if source.tree is None:
+        return
+    nodes = list(ast.walk(source.tree))
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    stamps = {kw.value for call in calls for kw in call.keywords if kw.arg == "wall_time"}
+    ordered = {arg for call in calls if isinstance(call.func, ast.Name)
+               and call.func.id in ("sorted", "frozenset", "set", "len") for arg in call.args}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            if any(m == "random" or m.startswith("random.") for m in modules):
+                yield node.lineno, ("stdlib 'random' is global-state RNG; use an explicit "
+                                    "numpy Generator seeded via reliability.seeding")
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            is_set = isinstance(it, (ast.Set, ast.SetComp)) or (
+                isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id in ("set", "frozenset"))
+            if is_set and it not in ordered:
+                yield getattr(node, "lineno", it.lineno), (
+                    "iteration over a set draws hash order (randomized for strings); "
+                    "iterate a sorted(...) or a tuple instead")
+        elif isinstance(node, ast.Call):
+            hazard = _call_hazard(node, stamps, ordered)
+            if hazard:
+                yield node.lineno, hazard
+
+
+# ---------------------------------------------------------------------------
+# Rule: spec-strings
+# ---------------------------------------------------------------------------
+
+# A doc token must look like KIND:NAME=VALUE[,...] (optionally
+# "+"-composed) before it is dispatched to a parser.
+_DOC_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*:[^:\s]*=")
+_BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+_QUOTED_RE = re.compile(r'"([^"\s]+)"')
+
+
+def _callable_name(func) -> str:
+    """How source code spells a call of ``func``: ``f`` or ``Class.method``."""
+    owner = getattr(func, "__self__", None)
+    return f"{owner.__name__}.{func.__name__}" if isinstance(owner, type) else func.__name__
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_tables() -> SimpleNamespace:
+    """Spelled call name / keyword or dict key / spec kind -> axis name,
+    and axis name -> its ``resolve``, read off the axis declarations."""
+    tables = SimpleNamespace(resolve={}, calls={}, keys={}, kinds={})
+    for axis in declared_axes():
+        if axis.spec is None:
+            continue
+        tables.resolve[axis.name] = axis.resolve
+        for func in (axis.resolve, axis.spec.parse, *axis.entry_points):
+            tables.calls[_callable_name(func)] = axis.name
+        tables.keys.update(dict.fromkeys(axis.keywords, axis.name))
+        for kind in axis.spec.KINDS:
+            tables.kinds.setdefault(kind, axis.name)  # "none" is every axis's identity
+    return tables
+
+
+def _direct_strings(node: ast.AST) -> Iterator[Tuple[str, int]]:
+    """String literals that *are* the value: constants, literal
+    collections and conditional branches flow into the parsers verbatim;
+    dict keys and helper-call arguments inside the value do not."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, node.lineno
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for element in node.elts:
+            yield from _direct_strings(element)
+    elif isinstance(node, ast.IfExp):
+        yield from _direct_strings(node.body)
+        yield from _direct_strings(node.orelse)
+    elif isinstance(node, ast.BoolOp):
+        for value in node.values:
+            yield from _direct_strings(value)
+
+
+def _doc_specs(text: str) -> Iterator[Tuple[str, str]]:
+    """``(axis, token)`` of the spec-shaped tokens in backtick spans and
+    double quotes whose kind an axis declares; ``...`` or ``…`` marks a
+    grammar sketch, not a concrete spec."""
+    spans = [m.group(1) for m in _BACKTICK_RE.finditer(text)]
+    spans.extend(m.group(1) for m in _QUOTED_RE.finditer(text))
+    for span in spans:
+        for token in [span.strip().strip('"'), *(m.group(1) for m in _QUOTED_RE.finditer(span))]:
+            if _DOC_TOKEN_RE.match(token) and "..." not in token and "…" not in token:
+                axis = _axis_tables().kinds.get(token.split(":", 1)[0].split("+", 1)[0].lower())
+                if axis:
+                    yield axis, token
+
+
+def _quoted_specs(source: Source) -> Iterator[Tuple[str, str, int, str]]:
+    """``(axis, text, line, context)`` of every spec ``source`` quotes."""
+    tables = _axis_tables()
+    if source.tree is None:
+        if source.rel not in HISTORY_DOCUMENTS:
+            for lineno, line in enumerate(source.text.splitlines(), start=1):
+                for axis, token in _doc_specs(line):
+                    yield axis, token, lineno, "documentation"
+        return
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            if name is not None and node.args:
+                tail = name.split(".")
+                # Bare names and dotted access, "FaultSpec.parse" included.
+                axis = tables.calls.get(tail[-1]) or tables.calls.get(".".join(tail[-2:]))
+                if axis:
+                    for text, line in _direct_strings(node.args[0]):
+                        yield axis, text, line, f"argument of {name}"
+            for keyword in node.keywords:
+                if keyword.arg in tables.keys:
+                    for text, line in _direct_strings(keyword.value):
+                        yield tables.keys[keyword.arg], text, line, f"{keyword.arg}= keyword"
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value in tables.keys:
+                    for text, line in _direct_strings(value):
+                        yield tables.keys[key.value], text, line, f"{key.value!r} dict entry"
+        elif isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            for axis, token in _doc_specs(docstring or ""):
+                yield axis, token, node.body[0].lineno, "docstring example"
+
+
+def spec_strings(source: Source) -> Iterator[Tuple[int, str]]:
+    """Every quoted spec is one its axis's own ``resolve`` accepts."""
+    for axis, text, line, context in _quoted_specs(source):
+        try:
+            _axis_tables().resolve[axis](text)
+        except (ValueError, TypeError) as exc:
+            yield line, f"invalid {axis} spec {text!r} ({context}): {exc}"
+
+
+# ---------------------------------------------------------------------------
+# Rule: doc-links
+# ---------------------------------------------------------------------------
+
+# Every "](target)", not whole "[text](target)" links: link text may
+# itself hold brackets (badges), which would wave a dangling target by.
+_LINK_RE = re.compile(r"\]\(([^)\s]+)\)")
+# A fenced block, or an inline span (which may wrap, but not across a
+# blank line).
+_CODE_RE = re.compile(
+    r"^[ \t]*```.*?^[ \t]*```[ \t]*$|`(?:[^`\n]|\n(?![ \t]*\n))+`",
+    re.MULTILINE | re.DOTALL,
+)
+_PATH_RE = re.compile(
+    r"(?<![\w./-])(?:src|tests|benchmarks|scripts|examples)/[\w./*?<>{}\[\]$…-]+"
+)
+_EXTENSION_RE = re.compile(r"\.[A-Za-z0-9]+$")
+_PLACEHOLDER_CHARS = frozenset("*?<>{}[]$…")
+
+
+def doc_links(source: Source) -> Iterator[Tuple[int, str]]:
+    """Relative links resolve, and so do repo paths quoted as code
+    (globs and placeholders aside; history documents and the ledger's
+    archive quote what no longer exists)."""
+    if source.tree is not None:
+        return
+    text = source.text
+    here = (source.root / source.rel).parent
+    # A "](target)" inside code is not a link: drop code, keep line breaks.
+    prose = _CODE_RE.sub(lambda m: "\n" * m.group().count("\n"), text)
+    for lineno, line in enumerate(prose.splitlines(), start=1):
+        for match in _LINK_RE.finditer(line):
+            target = match.group(1)
+            relative = target.split("#", 1)[0]
+            if (relative and not target.startswith(("http://", "https://", "mailto:"))
+                    and not (here / relative).exists()):
+                yield lineno, f"dangling relative link -> {target}"
+    if source.rel in HISTORY_DOCUMENTS or source.rel.startswith("benchmarks/ledger/"):
+        return
+    for code in _CODE_RE.finditer(text):
+        for match in _PATH_RE.finditer(code.group()):
+            token = match.group().rstrip(".")
+            if (not _PLACEHOLDER_CHARS.intersection(token) and _EXTENSION_RE.search(token)
+                    and not (source.root / token).exists()):
+                line = text.count("\n", 0, code.start() + match.start()) + 1
+                yield line, f"dangling file path -> {token}"
+
+
+RULES = {"determinism": determinism, "doc-links": doc_links, "spec-strings": spec_strings}
+
+
+def lint(tmp_path, files, rule):
+    """Write fixture ``files`` under ``tmp_path``; ``rule``'s (active, suppressed)."""
     for rel, text in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text), encoding="utf-8")
-    registry = default_rule_registry()
-    rules = [registry.get(rule_id) for rule_id in rule_ids]
-    return run_analysis([tmp_path], rules, repo_root=tmp_path)
+    documents = [path.relative_to(tmp_path).as_posix() for path in sorted(tmp_path.rglob("*.md"))]
+    return findings(rule, load(tmp_path, [tmp_path], documents))
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +386,15 @@ class TestSuppressionGrammar:
             assert match is not None
             assert {p.strip() for p in match.group(1).split(",")} == expected
 
-    def test_comment_covers_own_line_and_line_below(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "x = 1  # repro: allow(some-rule)\n"
-            "# repro: allow(other-rule)\n"
-            "y = 2\n",
-            encoding="utf-8",
-        )
-        source = SourceFile(path, "mod.py")
-        assert source.allows(1, "some-rule")
-        assert source.allows(2, "some-rule")  # the line below line 1
-        assert source.allows(2, "other-rule")  # its own line
-        assert source.allows(3, "other-rule")  # the line below
-        assert not source.allows(4, "other-rule")
-        assert not source.allows(3, "some-rule")
-        assert not source.allows(1, "other-rule")
+    def test_comment_covers_own_line_and_line_below(self):
+        lines = ["x = 1  # repro: allow(some-rule)", "# repro: allow(other-rule)", "y = 2"]
+        assert allowed(lines, 1, "some-rule")
+        assert allowed(lines, 2, "some-rule")  # the line below line 1
+        assert allowed(lines, 2, "other-rule")  # its own line
+        assert allowed(lines, 3, "other-rule")  # the line below
+        assert not allowed(lines, 4, "other-rule")
+        assert not allowed(lines, 3, "some-rule")
+        assert not allowed(lines, 1, "other-rule")
 
 
 # ---------------------------------------------------------------------------
@@ -92,98 +404,69 @@ class TestSuppressionGrammar:
 
 class TestDeterminismRule:
     def test_global_numpy_rng_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import numpy as np
+        active, _ = lint(tmp_path, {"mod.py": """\
+            import numpy as np
 
-                def draw():
-                    return np.random.rand(4)
+            def draw():
+                return np.random.rand(4)
 
-                def seeded():
-                    return np.random.default_rng(7).random(4)
-                """
-            },
-            ["determinism"],
-        )
-        assert len(report.findings) == 1
-        assert "np.random.rand" in report.findings[0].message
-        assert report.findings[0].line == 4
+            def seeded():
+                return np.random.default_rng(7).random(4)
+            """}, "determinism")
+        assert [f.line for f in active] == [4]
+        assert "np.random.rand" in active[0].message
 
     def test_wall_clock_flagged_but_wall_time_keyword_allowed(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import time
+        active, _ = lint(tmp_path, {"mod.py": """\
+            import time
 
-                def stamp(record):
-                    record(wall_time=time.time())
-                    return time.time()
-                """
-            },
-            ["determinism"],
-        )
-        assert [f.line for f in report.findings] == [5]
-        assert "wall-clock read" in report.findings[0].message
+            def stamp(record):
+                record(wall_time=time.time())
+                return time.time()
+            """}, "determinism")
+        assert [f.line for f in active] == [5]
+        assert "wall-clock read" in active[0].message
 
     def test_stdlib_random_and_set_iteration_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import random
+        active, _ = lint(tmp_path, {"mod.py": """\
+            import random
 
-                def pick():
-                    out = []
-                    for item in {"a", "b"}:
-                        out.append(item)
-                    for item in sorted({"a", "b"}):
-                        out.append(item)
-                    return out
-                """
-            },
-            ["determinism"],
-        )
-        messages = sorted(f.message for f in report.findings)
-        assert len(messages) == 2
+            def pick():
+                out = [random.random()]
+                for item in {"a", "b"}:
+                    out.append(item)
+                for item in sorted({"a", "b"}):
+                    out.append(item)
+                return out
+            """}, "determinism")
+        messages = sorted(f.message for f in active)
+        assert len(messages) == 3
         assert "hash order" in messages[0]
         assert "stdlib 'random'" in messages[1]
+        assert "random.random()" in messages[2]
 
     def test_unsorted_listing_flagged_sorted_accepted(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import glob
+        active, _ = lint(tmp_path, {"mod.py": """\
+            import glob
 
-                def scan(pattern):
-                    unsorted_hits = glob.glob(pattern)
-                    ordered = sorted(glob.glob(pattern))
-                    return unsorted_hits, ordered
-                """
-            },
-            ["determinism"],
-        )
-        assert [f.line for f in report.findings] == [4]
+            def scan(pattern, root):
+                unsorted_hits = glob.glob(pattern)
+                ordered = sorted(glob.glob(pattern))
+                children = list(root.iterdir())
+                return unsorted_hits, ordered, children
+            """}, "determinism")
+        assert [f.line for f in active] == [4, 6]
 
     def test_suppression_comment_above(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import time
+        active, suppressed = lint(tmp_path, {"mod.py": """\
+            import time
 
-                def now():
-                    # repro: allow(determinism) -- ledger metadata only
-                    return time.time()
-                """
-            },
-            ["determinism"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
+            def now():
+                # repro: allow(determinism) -- ledger metadata only
+                return time.time()
+            """}, "determinism")
+        assert active == []
+        assert len(suppressed) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,69 +476,57 @@ class TestDeterminismRule:
 
 class TestSpecStringsRule:
     def test_invalid_keyword_spec_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                def configure(solver):
-                    return solver.solve(precond="ilu")
-                """
-            },
-            ["spec-strings"],
-        )
-        assert len(report.findings) == 1
-        assert "invalid precond spec 'ilu'" in report.findings[0].message
+        active, _ = lint(tmp_path, {"mod.py": """\
+            def configure(solver):
+                return solver.solve(precond="ilu")
+            """}, "spec-strings")
+        assert len(active) == 1
+        assert "invalid precond spec 'ilu'" in active[0].message
+
+    def test_entry_point_argument_and_docstring_flagged(self, tmp_path):
+        active, _ = lint(tmp_path, {"mod.py": '''\
+            def run(faults):
+                """Try `bitflip:prob=0.5` first."""
+                return resolve_faults("warpdrive:p=0.1")
+            '''}, "spec-strings")
+        assert [f.line for f in active] == [2, 3]
+        assert "(docstring example)" in active[0].message
+        assert "(argument of resolve_faults)" in active[1].message
 
     def test_valid_specs_pass(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                def configure(solver):
-                    return solver.solve(
-                        precond="ssor:omega=1.2",
-                        faults="bitflip:p=0.02",
-                        precision="fp32",
-                        chaos="worker_crash:p=0.5",
-                    )
+        active, _ = lint(tmp_path, {"mod.py": """\
+            def configure(solver):
+                return solver.solve(
+                    precond="ssor:omega=1.2",
+                    faults="bitflip:p=0.02",
+                    precision="fp32",
+                    chaos="worker_crash:p=0.5",
+                )
 
-                SWEEP = {"preconds": ["jacobi", "poly:k=4"]}
-                """
-            },
-            ["spec-strings"],
-        )
-        assert report.findings == []
+            SWEEP = {"preconds": ["jacobi", "poly:k=4"]}
+            """}, "spec-strings")
+        assert active == []
 
     def test_dict_literal_sweep_values_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": 'SWEEP = {"faults": ["none", "warpdrive:p=0.1"]}\n'
-            },
-            ["spec-strings"],
-        )
-        assert len(report.findings) == 1
-        assert "warpdrive" in report.findings[0].message
+        active, _ = lint(tmp_path, {
+            "mod.py": 'SWEEP = {"faults": ["none", "warpdrive:p=0.1"]}\n',
+        }, "spec-strings")
+        assert len(active) == 1
+        assert "warpdrive" in active[0].message
 
     def test_markdown_grammar_tables_validated(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "GRAMMAR.md": """\
-                The smoke sweep uses `poly:k=4` everywhere.
+        active, _ = lint(tmp_path, {
+            "GRAMMAR.md": """\
+            The smoke sweep uses `poly:k=4` everywhere.
 
-                A stale example: `poly:q=4` no longer parses.
+            A stale example: `poly:q=4` no longer parses.
 
-                Placeholders: `perturb:p=...,scale=...`, `perturb:p=…,scale=…`.
-                """,
-                # History may quote what the parsers refuse (a bug report).
-                **dict.fromkeys(("CHANGES.md", "ROADMAP.md"), "`poly:q=4`\n"),
-            },
-            ["spec-strings"],
-        )
-        assert len(report.findings) == 1
-        assert report.findings[0].path == "GRAMMAR.md"
-        assert report.findings[0].line == 3
+            Placeholders: `perturb:p=...,scale=...`, `perturb:p=…,scale=…`.
+            """,
+            # History may quote what the parsers refuse (a bug report).
+            **dict.fromkeys(("CHANGES.md", "ROADMAP.md"), "`poly:q=4`\n"),
+        }, "spec-strings")
+        assert [(f.path, f.line) for f in active] == [("GRAMMAR.md", 3)]
 
     def test_every_watched_entry_point_is_a_real_callable(self):
         """The rule's tables are derived from the axis declarations.
@@ -263,11 +534,10 @@ class TestSpecStringsRule:
         The hand-kept table they replace listed ``resolve_precisions``,
         a function that existed nowhere in the tree.
         """
-        from repro.analysis.rules.specs import _tables
         from repro.axes import AXIS_MODULES
 
         modules = [importlib.import_module(name) for name in AXIS_MODULES]
-        calls = _tables().calls
+        calls = _axis_tables().calls
         assert {"resolve_faults", "FaultSpec.parse", "parse_precond",
                 "resolve_preconds", "build_preconditioner", "parse_precision",
                 "resolve_backend", "CommSpec.parse", "ChaosSpec.parse"} <= set(calls)
@@ -279,362 +549,13 @@ class TestSpecStringsRule:
             assert found and all(callable(func) for func in found), name
 
     def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                def configure(solver):
-                    # repro: allow(spec-strings) -- negative fixture
-                    return solver.solve(precond="ilu")
-                """
-            },
-            ["spec-strings"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# Rule: driver-contract
-# ---------------------------------------------------------------------------
-
-
-class TestDriverContractRule:
-    def test_conforming_driver_passes(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e3_demo.py": """\
-                SPEC = ExperimentSpec(
-                    experiment="E3",
-                    smoke={"n": 2},
-                    golden={"n": 4, "tol": 1e-8},
-                )
-
-                def run(n=8, tol=1e-6):
-                    return n, tol
-
-                def run_batch(params_list, check=True):
-                    return [run(**p) for p in params_list]
-                """
-            },
-            ["driver-contract"],
-        )
-        assert report.findings == []
-
-    def test_smoke_keys_must_name_run_parameters(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e1_demo.py": """\
-                SPEC = ExperimentSpec(
-                    experiment="E1",
-                    smoke={"n": 4},
-                )
-
-                def run(m=1):
-                    return m
-                """
-            },
-            ["driver-contract"],
-        )
-        assert len(report.findings) == 1
-        assert "smoke= keys ['n']" in report.findings[0].message
-
-    def test_run_parameters_need_defaults_and_id_must_match(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e2_demo.py": """\
-                SPEC = ExperimentSpec(experiment="E7")
-
-                def run(n, *extras):
-                    return n
-                """
-            },
-            ["driver-contract"],
-        )
-        messages = "\n".join(f.message for f in report.findings)
-        assert "does not match the module filename prefix 'e2'" in messages
-        assert "have no defaults" in messages
-        assert "*args/**kwargs" in messages
-
-    def test_batch_driver_may_not_own_grouping_code(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e5_demo.py": """\
-                SPEC = ExperimentSpec(experiment="E5")
-
-                def run(n=8, seed=1):
-                    return n
-
-                def run_batch(params_list):
-                    resolved = [_bind_defaults(p) for p in params_list]
-                    assert _compatible(resolved)
-                    return [run(**p) for p in resolved]
-
-                def _bind_defaults(params):
-                    return dict(params)
-
-                def _compatible(resolved):
-                    return True
-                """,
-                # Without run_batch the names are just private helpers.
-                "experiments/e6_demo.py": """\
-                SPEC = ExperimentSpec(experiment="E6")
-
-                def run(n=8):
-                    return _compatible(n)
-
-                def _compatible(n):
-                    return n
-                """,
-            },
-            ["driver-contract"],
-        )
-        assert [f.path for f in report.findings] == ["experiments/e5_demo.py"] * 2
-        messages = "\n".join(f.message for f in report.findings)
-        assert "its own _bind_defaults()" in messages
-        assert "its own _compatible()" in messages
-
-    def test_missing_spec_and_non_driver_files(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e4_demo.py": "def run(n=1):\n    return n\n",
-                "helpers/e4_demo.py": "x = 1\n",
-                "experiments/common.py": "x = 1\n",
-            },
-            ["driver-contract"],
-        )
-        assert len(report.findings) == 1
-        assert report.findings[0].path == "experiments/e4_demo.py"
-        assert "SPEC = ExperimentSpec" in report.findings[0].message
-
-    def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "experiments/e1_demo.py": """\
-                SPEC = ExperimentSpec(
-                    experiment="E1",
-                    smoke={"n": 4},  # repro: allow(driver-contract) -- fixture
-                )
-
-                def run(m=1):
-                    return m
-                """
-            },
-            ["driver-contract"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# Rule: dtype-flow
-# ---------------------------------------------------------------------------
-
-
-class TestDtypeFlowRule:
-    def test_dtypeless_allocation_flagged_in_kernel_path_only(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "linalg/kern.py": """\
-                import numpy as np
-
-                def alloc(n):
-                    return np.zeros(n)
-
-                def alloc_typed(n, dtype):
-                    return np.zeros(n, dtype=dtype)
-                """,
-                "campaign/kern.py": """\
-                import numpy as np
-
-                def alloc(n):
-                    return np.zeros(n)
-                """,
-            },
-            ["dtype-flow"],
-        )
-        assert len(report.findings) == 1
-        assert report.findings[0].path == "linalg/kern.py"
-        assert "np.zeros() without dtype=" in report.findings[0].message
-
-    def test_mixed_dtype_product_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "krylov/engine/prod.py": """\
-                import numpy as np
-
-                def mixed(a, b):
-                    return np.dot(a.astype(np.float32), b)
-
-                def both_cast(a, b):
-                    return np.dot(a.astype(np.float32), b.astype(np.float32))
-                """
-            },
-            ["dtype-flow"],
-        )
-        assert [f.line for f in report.findings] == [4]
-        assert "silently promotes" in report.findings[0].message
-
-    def test_bare_float_literal_in_template_kernel_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "linalg/lit.py": """\
-                def halve(x, dtype):
-                    return 0.5 * x
-
-                def untemplated(x):
-                    return 0.5 * x
-                """
-            },
-            ["dtype-flow"],
-        )
-        assert [f.line for f in report.findings] == [2]
-        assert "bare float literal" in report.findings[0].message
-
-    def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "linalg/kern.py": """\
-                import numpy as np
-
-                def alloc(n):
-                    return np.zeros(n)  # repro: allow(dtype-flow) -- fp64 intended
-                """
-            },
-            ["dtype-flow"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# Rule: process-safety
-# ---------------------------------------------------------------------------
-
-
-class TestProcessSafetyRule:
-    def test_shared_queue_and_bare_pool_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import multiprocessing
-
-                def build():
-                    return multiprocessing.Queue(), multiprocessing.Pool(2)
-                """
-            },
-            ["process-safety"],
-        )
-        messages = "\n".join(f.message for f in report.findings)
-        assert len(report.findings) == 2
-        assert "orphans its writer lock" in messages
-        assert "bypasses SupervisedExecutor" in messages
-
-    def test_unbounded_ipc_blocking_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import multiprocessing
-                from multiprocessing.connection import wait
-
-                def drain(conn, conns):
-                    ready = wait(conns)
-                    bounded = wait(conns, timeout=1.0)
-                    if conn.poll(None):
-                        pass
-                    if conn.poll(0.1):
-                        pass
-                    return conn.recv()
-                """
-            },
-            ["process-safety"],
-        )
-        assert [f.line for f in report.findings] == [5, 7, 11]
-
-    def test_select_poll_without_finite_timeout_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import select
-
-                def wait_forever(conn):
-                    poller = select.poll()
-                    poller.register(conn.fileno(), select.POLLIN)
-                    poller.poll()
-                    poller.poll(-1)
-                    poller.poll(timeout=None)
-                    return factory.Queue()
-                """
-            },
-            ["process-safety"],
-        )
-        # The queue is not multiprocessing's: only the polls are reported.
-        assert [f.line for f in report.findings] == [6, 7, 8]
-        assert all("finite" in f.message for f in report.findings)
-
-    def test_select_poll_with_finite_timeout_passes(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import multiprocessing
-                import select
-                from select import poll
-
-                def wait_bounded(conn, remaining):
-                    poller = select.poll()
-                    other = poll()
-                    poller.register(conn.fileno(), select.POLLIN)
-                    if poller.poll(250):
-                        return True
-                    return bool(other.poll(min(remaining, 0.25) * 1000.0))
-                """
-            },
-            ["process-safety"],
-        )
-        assert report.findings == []
-
-    def test_gated_on_multiprocessing_import(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                def build(factory):
-                    return factory.Queue(), factory.recv()
-                """
-            },
-            ["process-safety"],
-        )
-        assert report.findings == []
-
-    def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import multiprocessing
-
-                def drain(conn):
-                    return conn.recv()  # repro: allow(process-safety) -- gated by wait()
-                """
-            },
-            ["process-safety"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
+        active, suppressed = lint(tmp_path, {"mod.py": """\
+            def configure(solver):
+                # repro: allow(spec-strings) -- negative fixture
+                return solver.solve(precond="ilu")
+            """}, "spec-strings")
+        assert active == []
+        assert len(suppressed) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -644,168 +565,83 @@ class TestProcessSafetyRule:
 
 class TestDocLinksRule:
     def test_dangling_relative_link_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "DOC.md": """\
-                [good](exists.md) and [external](https://example.com/x)
-                [anchor](#section) and [sub](sub/other.md#part)
-                [bad](missing.md)
-                """,
-                "exists.md": "ok\n",
-                "sub/other.md": "ok\n",
-            },
-            ["doc-links"],
-        )
-        assert len(report.findings) == 1
-        assert report.findings[0].line == 3
-        assert "missing.md" in report.findings[0].message
+        active, _ = lint(tmp_path, {
+            "DOC.md": """\
+            [good](exists.md) and [external](https://example.com/x)
+            [anchor](#section) and [sub](sub/other.md#part)
+            [bad](missing.md)
+            """,
+            "exists.md": "ok\n",
+            "sub/other.md": "ok\n",
+        }, "doc-links")
+        assert active == [("DOC.md", 3, "dangling relative link -> missing.md")]
 
     def test_quoted_path_to_a_missing_file_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "DOC.md": """\
-                Run `scripts/present.sh`, then (see `scripts/present.sh::main`
-                and `/elsewhere/scripts/gone.py`):
+        active, _ = lint(tmp_path, {
+            "DOC.md": """\
+            Run `scripts/present.sh`, then (see `scripts/present.sh::main`
+            and `/elsewhere/scripts/gone.py`):
 
-                ```bash
-                python scripts/present.sh --out /tmp/x.json
-                python benchmarks/gone.py --smoke
-                ```
-                """,
-                "scripts/present.sh": "ok\n",
-            },
-            ["doc-links"],
-        )
-        assert [(f.line, f.message) for f in report.findings] == [
+            ```bash
+            python scripts/present.sh --out /tmp/x.json
+            python benchmarks/gone.py --smoke
+            ```
+            """,
+            "scripts/present.sh": "ok\n",
+        }, "doc-links")
+        assert [(f.line, f.message) for f in active] == [
             (6, "dangling file path -> benchmarks/gone.py")
         ]
 
     def test_globs_history_documents_and_quoted_links_not_flagged(self, tmp_path):
         gone = "`benchmarks/gone.py` and `[text](gone.md)`\n"
-        report = run_rules(
-            tmp_path,
-            {
-                "DOC.md": "`benchmarks/bench_*.py`, `tests/goldens/<id>.txt`, "
-                          "`src/pkg/`, `[text](gone.md)`\n",
-                "CHANGES.md": gone,
-                "benchmarks/ledger/README.md": gone,
-            },
-            ["doc-links"],
-        )
-        assert report.findings == []
+        active, _ = lint(tmp_path, {
+            "DOC.md": "`benchmarks/bench_*.py`, `tests/goldens/<id>.txt`, "
+                      "`src/pkg/`, `[text](gone.md)`\n",
+            "CHANGES.md": gone,
+            "benchmarks/ledger/README.md": gone,
+        }, "doc-links")
+        assert active == []
+
+    def test_the_self_run_reads_what_the_readme_reaches(self, tmp_path):
+        for rel, text in {
+            "README.md": "[a](docs/A.md), [web](https://example.com/B.md), [up](../C.md)\n",
+            "docs/A.md": "[b](../B.md#part) and [missing](gone.md)\n",
+            "B.md": "[home](README.md)\n",
+            "NOTES.md": "nothing links here\n",
+        }.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_text(text, encoding="utf-8")
+        assert documentation(tmp_path) == ["B.md", "README.md", "docs/A.md"]
 
 
 # ---------------------------------------------------------------------------
-# Runner mechanics
+# Self-run: the repository passes its own lint
 # ---------------------------------------------------------------------------
 
 
-class TestRunnerMechanics:
-    def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {"broken.py": "def broken(:\n"},
-            ["determinism"],
-        )
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.rule == "parse-error"
-        assert "does not parse" in finding.message
-        assert finding.render() == f"broken.py:1: [parse-error] {finding.message}"
-
-    def test_find_repo_root(self, tmp_path):
-        (tmp_path / "ROADMAP.md").write_text("x\n", encoding="utf-8")
-        nested = tmp_path / "a" / "b"
-        nested.mkdir(parents=True)
-        assert find_repo_root(nested) == tmp_path.resolve()
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-
-class TestRuleRegistry:
-    def test_default_registry_names(self):
-        assert default_rule_registry().names() == EXPECTED_RULES
-
-    def test_duplicate_and_anonymous_rules_rejected(self):
-        class Dummy(Rule):
-            id = "dummy"
-            title = "dummy"
-
-        class Anonymous(Rule):
-            pass
-
-        registry = RuleRegistry([])
-        registry.add(Dummy())
-        with pytest.raises(ValueError, match="duplicate"):
-            registry.add(Dummy())
-        with pytest.raises(ValueError, match="no id"):
-            registry.add(Anonymous())
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-class TestCli:
-    def test_list_text(self, capsys):
-        assert cli_main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "registered analysis rules (6):" in out
-        for name in EXPECTED_RULES:
-            assert name in out
-
-    def test_run_prints_each_finding_and_exits_1(self, tmp_path, capsys):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(
-            "import numpy as np\nx = np.random.rand(4)\n", encoding="utf-8"
-        )
-        (finding,) = run_analysis([pkg], list(default_rule_registry())).findings
-        assert finding.rule == "determinism" and finding.line == 2
-
-        assert cli_main(["run", str(pkg)]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == finding.render()
-        assert out[1].startswith("analysis FAIL: 1 finding(s), 0 suppressed, 1 files")
-
-    def test_run_text_summary(self, tmp_path, capsys):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        assert cli_main(["run", str(pkg)]) == 0
-        out = capsys.readouterr().out
-        assert "analysis OK: 0 finding(s)" in out
-
-    def test_usage_errors_exit_2(self, tmp_path, capsys):
-        assert cli_main(["run", str(tmp_path / "nope")]) == 2
-        assert "no such path" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as raised:
-            cli_main(["run", "--baseline", str(tmp_path)])
-        assert raised.value.code == 2
-
-
-# ---------------------------------------------------------------------------
-# Self-hosting: the repository passes its own lint
-# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def self_run():
+    """One pass: every file parsed once, every rule run over all of them."""
+    started = time.perf_counter()
+    sources = load(REPO_ROOT, [REPO_ROOT / "src" / "repro", REPO_ROOT / "tests"],
+                   documentation(REPO_ROOT))
+    results = {rule: findings(rule, sources) for rule in RULES}
+    return SimpleNamespace(sources=sources, results=results,
+                           elapsed=time.perf_counter() - started)
 
 
 class TestSelfRun:
-    def test_repo_tree_is_clean(self):
-        report = run_analysis(
-            [REPO_ROOT / "src" / "repro", REPO_ROOT / "tests"],
-            list(default_rule_registry()),
-            repo_root=REPO_ROOT,
-        )
-        assert report.findings == [], "\n".join(f.render() for f in report.findings)
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_rule_finds_nothing(self, self_run, rule):
+        active, _ = self_run.results[rule]
+        assert active == [], "\n".join(f"{f.path}:{f.line}: {f.message}" for f in active)
+
+    def test_repo_tree_is_clean(self, self_run):
         # src/repro needs no waiver at all; the suppressions left are the
         # tests' deliberate negative fixtures.
-        assert [f.render() for f in report.suppressed if f.path.startswith("src/")] == []
-        # The whole pass must stay fast: >10s means an analyzer started
+        assert [s.rel for s in self_run.sources
+                if s.rel.startswith("src/") and SUPPRESSION_RE.search(s.text)] == []
+        # The whole pass must stay fast: >10s means a rule started
         # executing real work.
-        assert report.elapsed < 10.0
+        assert self_run.elapsed < 10.0

@@ -19,7 +19,6 @@ import re
 
 import pytest
 
-from repro.analysis.registry import default_rule_registry
 from repro.axes import declared_axes
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.registry import default_registry
@@ -33,7 +32,6 @@ SPEC_AXES = [axis for axis in AXES.values() if axis.spec is not None]
 REGISTRY_AXES = [axis for axis in AXES.values() if axis.registry is not None]
 REGISTRIES = {axis.name: axis.registry() for axis in REGISTRY_AXES}
 REGISTRIES["experiment"] = default_registry()
-REGISTRIES["rule"] = default_rule_registry()
 
 # Parameterized single-kind specs beyond the registered entries.
 SAMPLES = {

@@ -8,6 +8,7 @@ just the examples the built-in campaigns happen to use.
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import json
 import os
@@ -209,6 +210,26 @@ class TestScenarioKey:
         assert derive_seed(2013, key_a) != derive_seed(2014, key_a)
 
 
+# One planted driver per case: what it changes of a conforming
+# ``run``/``run_batch`` driver, and the one breach it then reports.
+_RUN_CONTRACT_CASES = {
+    "conforming": ({}, None),
+    "id-prefix": ({"experiment": "E7"},
+                  "experiment id 'E7' does not match the file-name prefix 'e2'"),
+    "run-default": ({"run": lambda n: n}, "run parameter 'n' has no default"),
+    "run-args": ({"run": lambda n=1, *extra: n}, "run takes *extra"),
+    "run-kwargs": ({"run": lambda n=1, **extra: n}, "run takes **extra"),
+    "batch-first": ({"run_batch": lambda items: items},
+                    "run_batch takes 'items' first, not params_list"),
+    "batch-default": ({"run_batch": lambda params_list, check: params_list},
+                      "run_batch parameter 'check' has no default"),
+    "bind-defaults": ({"namespace": ("_bind_defaults",)},
+                      "a run_batch driver defines its own _bind_defaults"),
+    "compatible": ({"namespace": ("_compatible",)},
+                   "a run_batch driver defines its own _compatible"),
+}
+
+
 class TestRegistry:
     def test_discovers_all_experiments(self):
         registry = default_registry()
@@ -293,6 +314,58 @@ class TestRegistry:
         for driver in default_registry():
             driver.validate_params(driver.spec.smoke)
             driver.validate_params(driver.spec.golden)
+
+    def test_drivers_keep_the_run_contract(self):
+        for driver in default_registry():
+            namespace = vars(importlib.import_module(driver.module))
+            assert _contract_breaches(driver, namespace) == [], driver.module
+
+    @pytest.mark.parametrize("case", sorted(_RUN_CONTRACT_CASES))
+    def test_the_run_contract_flags_each_breach(self, case):
+        changes, breach = _RUN_CONTRACT_CASES[case]
+        planted = {"experiment": "E2", "run": lambda n=1: n,
+                   "run_batch": lambda params_list, check=True: params_list,
+                   "namespace": (), **changes}
+        driver = RegisteredExperiment(
+            spec=ExperimentSpec(planted["experiment"], "planted"),
+            module="repro.experiments.e2_planted",
+            run=planted["run"], run_batch=planted["run_batch"],
+        )
+        breaches = _contract_breaches(driver, dict.fromkeys(planted["namespace"]))
+        assert breaches == ([breach] if breach else [])
+
+
+def _contract_breaches(driver, namespace):
+    """What ``driver`` breaks of the protocol the runner calls it by
+    (``namespace`` is its module's globals): a bare ``run()`` works and
+    takes no ``*args``/``**kwargs``, the id is the file-name prefix,
+    ``run_batch(params_list)`` needs nothing else, and default binding
+    and grouping stay in ``experiments.common.run_batch_by_seed``."""
+    breaches = []
+    prefix = driver.module.rsplit(".", 1)[-1].split("_", 1)[0]
+    if driver.experiment.lower() != prefix:
+        breaches.append(
+            f"experiment id {driver.experiment!r} does not match the file-name prefix {prefix!r}"
+        )
+    for param in inspect.signature(driver.run).parameters.values():
+        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            breaches.append(f"run takes {param}")
+        elif param.default is param.empty:
+            breaches.append(f"run parameter {param.name!r} has no default")
+    if driver.run_batch is not None:
+        first, *rest = inspect.signature(driver.run_batch).parameters.values()
+        if first.name != "params_list":
+            breaches.append(f"run_batch takes {first.name!r} first, not params_list")
+        breaches.extend(
+            f"run_batch parameter {param.name!r} has no default" for param in rest
+            if param.default is param.empty
+            and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+        )
+        breaches.extend(
+            f"a run_batch driver defines its own {name}"
+            for name in ("_bind_defaults", "_compatible") if name in namespace
+        )
+    return breaches
 
 
 def _fast_scenarios(n=3):

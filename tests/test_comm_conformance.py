@@ -32,8 +32,8 @@ every history entry).
 Satellites riding along: hypothesis property tests for the collectives
 (random shapes, fp64/fp32, 2-3 ranks), the shmem chaos soak (40
 random mid-collective SIGKILLs must surface as ``ProcFailure`` on
-survivors, never hang), and the ``process-safety`` rule coverage of
-the new backend package (no queues, no untimed waits, no suppressions).
+survivors, never hang), and the process-safety scan of ``src/repro``
+(one fork, no queues or pools, no untimed waits).
 
 PR 18 (the message path made cheap) adds the safety properties that
 must survive it, per backend -- a poisoned collective raises the same
@@ -47,7 +47,7 @@ The front-end cases keep the communicator one implementation: both
 backends subclass ``BaseCommunicator`` and define none of the
 collective forms, every rank on both backends charges a collective the
 same program time (computed once per key), and both launchers refuse
-the same bad rank counts.
+the same bad rank counts and failures of ranks the job does not have.
 
 The wire-format cases pin what an array looks like on arrival, on every
 backend: one table of dtypes, layouts and sizes either side of the
@@ -66,6 +66,7 @@ import os
 import pathlib
 import pickle
 import selectors
+import textwrap
 import time
 
 import numpy as np
@@ -93,6 +94,7 @@ from repro.experiments import backend_probe
 from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
 from repro.comm.sim import Comm
+from repro.reliability.process import FailurePlan
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -921,6 +923,55 @@ def _within(module, package):
     return module == package or module.startswith(package + ".")
 
 
+def _process_hazards(rel, tree):
+    """``(line, hazard)`` pairs of one ``src/repro`` module (``rel`` is
+    relative to ``src/repro``): ``os.fork`` outside ``utils/child.py``;
+    ``multiprocessing`` imported as anything but ``shared_memory`` or
+    ``resource_tracker``; a ``.poll(`` that may wait forever (no
+    timeout, ``None`` or a negative constant), the ``select.poll()``
+    constructor aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+                     for alias in node.names]
+            for name in names:
+                if _within(name, "multiprocessing") and not any(
+                    _within(name, f"multiprocessing.{ok}")
+                    for ok in ("shared_memory", "resource_tracker")
+                ):
+                    yield node.lineno, f"imports {name}"
+                if name == "os.fork" and rel != "utils/child.py":
+                    yield node.lineno, "forks outside utils/child.py"
+        elif isinstance(node, ast.Attribute) and node.attr == "fork":
+            if isinstance(node.value, ast.Name) and node.value.id == "os" and rel != "utils/child.py":
+                yield node.lineno, "forks outside utils/child.py"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "poll"
+              and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "select")):
+            timeout = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "timeout")]
+            if not timeout or any(
+                (isinstance(t, ast.Constant) and t.value is None)
+                or (isinstance(t, ast.UnaryOp) and isinstance(t.op, ast.USub)
+                    and isinstance(t.operand, ast.Constant))
+                for t in timeout
+            ):
+                yield node.lineno, ".poll() without a finite timeout"
+
+
+# One planted module per case, and the one hazard the scan reports on
+# its last line.
+_PROCESS_HAZARD_CASES = {
+    "fork": ("import os\npid = os.fork()\n", "forks outside utils/child.py"),
+    "fork-import": ("from os import fork\n", "forks outside utils/child.py"),
+    "multiprocessing": ("import multiprocessing\n", "imports multiprocessing"),
+    "queue": ("from multiprocessing import shared_memory, Queue\n",
+              "imports multiprocessing.Queue"),
+    "poll-untimed": ("conn.poll()\n", ".poll() without a finite timeout"),
+    "poll-none": ("conn.poll(None)\n", ".poll() without a finite timeout"),
+    "poll-negative": ("poller.poll(timeout=-1)\n", ".poll() without a finite timeout"),
+}
+
+
 class TestOneFrontEnd:
     @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
     def test_backends_subclass_the_front_end_and_add_no_forms(self, cls):
@@ -962,6 +1013,46 @@ class TestOneFrontEnd:
                 if package != "lflr":
                     assert not _within(module, "repro.comm.sim"), (path, module)
 
+    def test_one_fork_no_queue_and_every_poll_bounded(self):
+        """The process-safety scan over ``src/repro``: every forked process
+        is a ``utils.child.Child`` whose reads are deadline-bounded, and no
+        ``multiprocessing`` queue, pool or pipe exists to orphan a lock
+        when a worker is SIGKILLed."""
+        src = REPO_ROOT / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert list(_process_hazards(rel, tree)) == [], rel
+
+    @pytest.mark.parametrize("case", sorted(_PROCESS_HAZARD_CASES))
+    def test_the_process_scan_flags_each_hazard(self, case):
+        planted, hazard = _PROCESS_HAZARD_CASES[case]
+        found = list(_process_hazards("campaign/planted.py", ast.parse(planted)))
+        assert found == [(planted.count("\n"), hazard)]
+
+    def test_the_process_scan_passes_bounded_waits_and_the_one_fork(self):
+        planted = textwrap.dedent("""\
+            import multiprocessing.resource_tracker
+            import select
+            from multiprocessing import shared_memory
+
+            def wait(conn, timeout):
+                poller = select.poll()
+                return conn.poll(0.5), poller.poll(timeout * 1000.0), conn.poll(timeout=0)
+            """)
+        assert list(_process_hazards("campaign/planted.py", ast.parse(planted))) == []
+        assert list(_process_hazards("utils/child.py", ast.parse("import os\nos.fork()\n"))) == []
+
+    @pytest.mark.parametrize("backend", ["sim", "shmem"])
+    @pytest.mark.parametrize("rank", [4, 7])
+    def test_launch_refuses_a_failure_on_a_rank_it_does_not_have(self, backend, rank):
+        launcher = resolve_backend(backend)
+        refusal = f"kills rank {rank}, but the job has n_ranks=4"
+        with pytest.raises(ValueError, match=refusal):
+            launcher.launch(_identity_program, n_ranks=4, faults=f"proc_fail:ranks={rank},times=0.0")
+        with pytest.raises(ValueError, match=refusal):
+            launcher.launch(_identity_program, n_ranks=4, failure_plan=FailurePlan.single(0.0, rank))
+
     @pytest.mark.parametrize("backend", ["sim", "shmem"])
     @pytest.mark.parametrize(
         "n_ranks, error",
@@ -990,30 +1081,3 @@ class TestSpecAndRegistry:
             entry = default_backend_registry().get(name)
             assert entry.name == name
 
-
-# ----------------------------------------------------------------------
-# process-safety rule coverage of the backend package (satellite d)
-# ----------------------------------------------------------------------
-class TestProcessSafetyCoverage:
-    def test_backend_package_passes_process_safety_unsuppressed(self):
-        """The comm package obeys the PR 6 doctrine with no waivers.
-
-        ``process-safety`` must find nothing in :mod:`repro.comm` --
-        and nothing *suppressed* either: the shmem backend is designed
-        around single-writer pipes and bounded polls, so it needs no
-        ``# repro: allow`` at all.
-        """
-        from repro.analysis.registry import default_rule_registry
-        from repro.analysis.runner import run_analysis
-
-        report = run_analysis(
-            [REPO_ROOT / "src" / "repro" / "comm"],
-            [default_rule_registry().get("process-safety")],
-            repo_root=REPO_ROOT,
-        )
-        assert report.findings == []
-        assert report.suppressed == []
-
-    def test_no_allow_comments_in_backend_sources(self):
-        for path in (REPO_ROOT / "src" / "repro" / "comm").glob("*.py"):
-            assert "repro: allow" not in path.read_text(encoding="utf-8"), path

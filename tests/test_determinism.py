@@ -70,7 +70,7 @@ def test_different_seed_different_faults():
 def test_same_seed_same_faults_across_processes():
     # A bare Pool is exactly right here: the test checks numeric
     # reproducibility across interpreter processes, not robustness.
-    with multiprocessing.Pool(processes=2) as pool:  # repro: allow(process-safety)
+    with multiprocessing.Pool(processes=2) as pool:
         results = pool.map(run_faulty_solve, [SEED, SEED])
     assert results[0]["events"]
     assert results[0] == results[1]

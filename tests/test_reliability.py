@@ -288,6 +288,19 @@ class TestFaultModels:
         assert corruptor("hello") == "hello"
         assert corruptor(5) == 5
 
+    @pytest.mark.parametrize("spec, name", [
+        ("bitflip:p=1,max_faults=-1", "max_faults"),  # fired nothing, yet not null
+        ("bitflip:p=1,max_faults=1.5", "max_faults"),  # fired twice
+        ("proc_fail:mtbf=1,horizon=10,max_failures=-1", "max_failures"),  # dropped one
+        ("msg_corrupt:p=1,bits=70..80", "bits"),  # failed at the first send
+        ("bitflip:p=1,bits=5", "bits"),
+        ("basis_bitflip:bits=5", "bits"),
+        ("msg_corrupt:p=1,bits=5", "bits"),
+    ])
+    def test_caps_and_bit_ranges_are_refused_when_resolved(self, spec, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            resolve_faults(spec)
+
     def test_capability_errors_are_loud(self):
         with pytest.raises(FaultCapabilityError):
             resolve_faults("proc_fail:mtbf=1.0").injector(seed=0)
