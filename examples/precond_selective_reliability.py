@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from repro import precond, reliability
-from repro.krylov import default_solver_registry
+from repro.krylov.registry import default_solver_registry
 from repro.linalg import poisson_2d
 from repro.utils.tables import Table
 

@@ -89,6 +89,7 @@ from typing import (
     Union,
 )
 
+from repro.campaign.registry import default_registry
 from repro.campaign.spec import canonical_json
 from repro.campaign.store import LineAppender
 from repro.spec import Axis, KindSpec, split_composed
@@ -151,8 +152,6 @@ def default_execute(
     :data:`BATCH_RESULTS_KEY`, in member order.  The whole unit shares
     one fate: a raising batch fails (and is retried) as one task.
     """
-    from repro.campaign.registry import default_registry
-
     start = time.perf_counter()
     try:
         with warnings.catch_warnings():

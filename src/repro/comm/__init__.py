@@ -5,7 +5,9 @@ SPMD communicator contract -- collective forms, completion rule, cost
 rule, rank checks -- and every backend subclasses it.  The
 backend-neutral vocabulary lives here too: reduction ops
 (:mod:`repro.comm.ops`), requests (:mod:`repro.comm.requests`), payload
-helpers (:mod:`repro.comm.base`) and errors (:mod:`repro.comm.errors`).  Backends
+helpers (:mod:`repro.comm.base`) and errors (:mod:`repro.comm.errors`),
+and the row-distributed vectors and matrices the distributed solvers
+run on (:mod:`repro.comm.distributed`).  Backends
 sit behind a serializable :class:`~repro.comm.spec.CommSpec`:
 
 ========  ==========================================================

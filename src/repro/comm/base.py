@@ -1,7 +1,7 @@
 """The communicator front end every backend subclasses.
 
 :class:`BaseCommunicator` is the SPMD communicator contract -- the
-surface the distributed kernel layer (:mod:`repro.linalg.distributed`,
+surface the distributed kernel layer (:mod:`repro.comm.distributed`,
 :mod:`repro.krylov.ops`) uses -- and, written once, everything the
 backends share: the rank and peer checks, ``sendrecv``, ``compute`` and
 the eleven collective forms.  A backend supplies identity, program
@@ -49,7 +49,7 @@ import abc
 import copy
 import pickle
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,10 +58,11 @@ from repro.comm.ops import ReduceOp, SUM
 from repro.comm.requests import CompletedRequest, Request
 from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
+from repro.reliability.models import FaultCapabilityError
+from repro.reliability.process import FailurePlan
+from repro.reliability.registry import resolve_faults
 from repro.utils.validation import check_integer
 
-if TYPE_CHECKING:  # the reliability layer sits above the communicators
-    from repro.reliability.process import FailurePlan
 
 __all__ = [
     "BaseCommunicator",
@@ -174,11 +175,6 @@ def resolve_job_faults(
     check_integer(n_ranks, "n_ranks")
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    # Local imports: the reliability layer sits above the communicators.
-    from repro.reliability.models import FaultCapabilityError
-    from repro.reliability.process import FailurePlan
-    from repro.reliability.registry import resolve_faults
-
     factory = None
     if faults is not None:
         model = resolve_faults(faults)

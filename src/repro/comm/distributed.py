@@ -14,15 +14,13 @@ solvers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.base import BaseCommunicator
 from repro.comm.ops import SUM, MAX
 from repro.linalg.csr import CsrMatrix
-
-if TYPE_CHECKING:  # annotation-only: keeps repro.comm free to import linalg
-    from repro.comm.base import BaseCommunicator
 from repro.utils.validation import check_integer
 
 __all__ = ["block_ranges", "DistributedVector", "DistributedRowMatrix"]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,11 +65,9 @@ from repro.comm.ops import ReduceOp
 from repro.comm.requests import Request
 from repro.comm.simstate import CollectiveSlot, RuntimeState, VirtualClock
 from repro.machine.model import MachineModel
+from repro.reliability.process import FailurePlan
 from repro.utils.logging import EventLog
 from repro.utils.validation import check_integer
-
-if TYPE_CHECKING:  # the reliability layer sits above the runtime
-    from repro.reliability.process import FailurePlan
 
 __all__ = ["Comm", "SimRuntime", "RankResult", "run_spmd"]
 

@@ -35,8 +35,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
 from repro.comm.ops import MAX
 from repro.comm.registry import BoundBackend, resolve_backend
+from repro.krylov.registry import default_solver_registry
+from repro.linalg.matgen import poisson_2d
+from repro.utils.rng import RngFactory
 
 __all__ = [
     "distributed_solve",
@@ -57,11 +61,6 @@ def _solve_program(
     solver_kwargs: Dict[str, Any],
 ):
     """SPMD body of the distributed numerical anchor (runs on a rank)."""
-    from repro.krylov.registry import default_solver_registry
-    from repro.linalg.distributed import DistributedRowMatrix, DistributedVector
-    from repro.linalg.matgen import poisson_2d
-    from repro.utils.rng import RngFactory
-
     matrix = poisson_2d(grid)
     b = RngFactory(seed).spawn("rhs").standard_normal(matrix.n_rows)
     operator = DistributedRowMatrix.from_global(comm, matrix)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.registry import resolve_backend
+from repro.experiments import backend_probe
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import poisson_2d
@@ -208,8 +209,6 @@ def _backend_section(backend, *, grid: int, rows_per_rank: int, seed: int) -> di
     backend beats the simulator's thread-and-copy event machinery on
     the identical job).
     """
-    from repro.experiments import backend_probe
-
     bound = resolve_backend(backend)
     anchor = backend_probe.distributed_solve(
         bound, "cg", grid=grid, tol=1e-8, maxiter=2000, seed=seed

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.comm.registry import resolve_backend
+from repro.experiments import backend_probe
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import convection_diffusion_2d
@@ -201,9 +203,6 @@ def run(
         # identical ascending-rank order, so this residual history is
         # bit-identical across them -- the conformance suite's E6
         # differential gate pins exactly that.
-        from repro.comm.registry import resolve_backend
-        from repro.experiments import backend_probe
-
         bound = resolve_backend(backend)
         parameters["backend"] = bound.spec.to_string()
         summary["backend"] = {

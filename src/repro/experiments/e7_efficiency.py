@@ -19,9 +19,12 @@ which local recovery is required to stay efficient).
 from __future__ import annotations
 
 from repro.comm.registry import resolve_backend
+from repro.experiments import backend_probe
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.reliability.process import system_mtbf
 from repro.reliability.registry import resolve_faults
+from repro.machine.collective_cost import allreduce_time
+from repro.machine.model import MachineModel
 from repro.machine.efficiency import (
     cpr_efficiency,
     daly_optimal_interval,
@@ -156,10 +159,6 @@ def _backend_section(backend) -> dict:
     pipes and shared memory put them, so they are reported next to the
     model's parameters rather than asserted equal.
     """
-    from repro.experiments import backend_probe
-    from repro.machine.collective_cost import allreduce_time
-    from repro.machine.model import MachineModel
-
     bound = resolve_backend(backend)
     sizes = (1024, 65536, 1048576)
     measured = backend_probe.measure_collectives(

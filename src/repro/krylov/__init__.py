@@ -11,14 +11,16 @@ configuration to the campaign layer as a sweepable axis.
   every solver.
 * :mod:`repro.krylov.ops` -- a small dispatch layer so the same solver
   source runs on plain NumPy vectors and on
-  :class:`~repro.linalg.distributed.DistributedVector` objects over the
+  :class:`~repro.comm.distributed.DistributedVector` objects over the
   simulated runtime, plus the :class:`~repro.krylov.ops.KrylovBasis`
   block store whose fused BLAS-2 kernels (CGS2 orthogonalization,
   single-gemv restart correction) all Arnoldi-type solvers share.
 * :mod:`repro.krylov.engine` -- the unified solver engine and its
   strategy objects (see ARCHITECTURE.md).
 * :mod:`repro.krylov.registry` -- named solver configurations for
-  campaigns (solver x resilience-policy sweeps).
+  campaigns (solver x resilience-policy sweeps) and ``batch_solve``.
+  It names the skeptical solver too, so it sits above
+  :mod:`repro.skeptical` and this package does not import it.
 * :mod:`repro.krylov.gmres` -- restarted GMRES with right
   preconditioning and iteration hooks.
 * :mod:`repro.krylov.fgmres` -- flexible GMRES, and FT-GMRES: that
@@ -40,13 +42,6 @@ from repro.krylov.cg import cg
 from repro.krylov.ops import KrylovBasis, allocate_basis
 from repro.krylov.pipelined_gmres import pipelined_gmres
 from repro.krylov.pipelined_cg import pipelined_cg
-from repro.krylov.registry import (
-    RegisteredSolver,
-    SolverRegistry,
-    batch_solve,
-    default_solver_registry,
-    solver_names,
-)
 
 __all__ = [
     "SolveResult",
@@ -60,9 +55,4 @@ __all__ = [
     "allocate_basis",
     "pipelined_gmres",
     "pipelined_cg",
-    "RegisteredSolver",
-    "SolverRegistry",
-    "default_solver_registry",
-    "solver_names",
-    "batch_solve",
 ]

@@ -26,10 +26,17 @@ __all__ = ["cg", "cg_engine"]
 
 
 def cg_engine(
-    operator, *, tol, atol, maxiter, preconditioner, iteration_hook, policy
+    operator,
+    *,
+    tol: float = 1e-8,
+    atol: float = 0.0,
+    maxiter: int = 1000,
+    preconditioner=None,
+    iteration_hook: Optional[Callable[[int, float], None]] = None,
+    policy=None,
 ) -> SolverEngine:
     """The configured engine of one :func:`cg` solve (its keywords, all
-    of them); see :func:`repro.krylov.gmres.gmres_engine`."""
+    of them, and their defaults); see :func:`repro.krylov.gmres.gmres_engine`."""
     return SolverEngine(
         operator,
         CgScheme(preconditioner, maxiter=maxiter),
@@ -38,23 +45,17 @@ def cg_engine(
     )
 
 
-def cg(
-    operator,
-    b,
-    x0=None,
-    *,
-    tol: float = 1e-8,
-    atol: float = 0.0,
-    maxiter: int = 1000,
-    preconditioner=None,
-    iteration_hook: Optional[Callable[[int, float], None]] = None,
-    policy=None,
-) -> SolveResult:
+def cg(operator, b, x0=None, **options) -> SolveResult:
     """Solve the SPD system ``A x = b`` with preconditioned CG.
 
     Parameters
     ----------
-    operator, b, x0, tol, atol, maxiter, preconditioner:
+    operator, b, x0:
+        As in :func:`repro.krylov.gmres.gmres`.
+
+    The keywords, ``options``, are :func:`cg_engine`'s (defaults there):
+
+    tol, atol, maxiter, preconditioner:
         As in :func:`repro.krylov.gmres.gmres` (the preconditioner is
         applied symmetrically through the standard PCG recurrence).
     iteration_hook:
@@ -69,7 +70,4 @@ def cg(
         coefficients; skeptical checks use their positivity as an SPD
         invariant.
     """
-    return cg_engine(
-        operator, tol=tol, atol=atol, maxiter=maxiter, preconditioner=preconditioner,
-        iteration_hook=iteration_hook, policy=policy,
-    ).solve(b, x0)
+    return cg_engine(operator, **options).solve(b, x0)

@@ -42,12 +42,9 @@ from repro.krylov.engine.resilience import (
     ResiliencePolicy,
 )
 
-# The batched lockstep path imports the engine submodules above; keep
-# this import last so the package namespace is populated first.  (Its
-# lane spec classes are derived from the solver functions, which import
-# this package: take them from ``repro.krylov.engine.batch``.)
 from repro.krylov.engine.batch import (
     BATCH_GRAM_SCHMIDT,
+    ArnoldiLane,
     batched_matvec,
     run_arnoldi_batch,
     run_cg_batch,
@@ -75,6 +72,7 @@ __all__ = [
     "ResidualGuardPolicy",
     "CycleAbandoned",
     "IterationEvent",
+    "ArnoldiLane",
     "run_arnoldi_batch",
     "run_cg_batch",
     "batched_matvec",

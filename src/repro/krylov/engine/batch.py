@@ -26,9 +26,11 @@ that make this hold:
   :meth:`~repro.linalg.csr.CsrMatrix.matvec_block` (``np.add.reduceat``
   over gathered products), and the mask-chained
   :func:`~repro.linalg.blas.givens_rotation_many`.
-* Only the inner step is this module's own.  A lane holds the engine
-  its solver function builds (``gmres_engine``, ``cg_engine``) and the
-  attempt that engine begins (:class:`~repro.krylov.engine.core.ArnoldiAttempt`,
+* Only the inner step is this module's own.  The layer above builds
+  each lane from the engine its solver function builds
+  (``gmres_engine``, ``cg_engine``) and hands the lanes in; a lane
+  steps the attempt that engine begins
+  (:class:`~repro.krylov.engine.core.ArnoldiAttempt`,
   :class:`~repro.krylov.engine.cg.CgAttempt`), so the cycle head and
   tail, the event a policy sees, the result and every preconditioner
   application are the sequential engine's functions, with its charges.
@@ -37,7 +39,7 @@ that make this hold:
   the cycle dimension from
   :func:`~repro.krylov.engine.core.cycle_dimension` and the
   Gram-Schmidt kernel -- and a lane that converges, breaks down, is
-  abandoned by a skeptical detection or exhausts its budget simply
+  abandoned by a failed check or exhausts its budget simply
   leaves its cohort; the survivors keep going.
 * Per-lane fault hooks and resilience policies observe exactly the
   sequential per-iteration events, against live views of the stacked
@@ -47,9 +49,9 @@ that make this hold:
 
 Cost shape: a lockstep step is its stacked kernels plus array
 bookkeeping.  Per-lane Python runs only on events -- an observer that
-is due or watches every step, a skeptical check that fails or is due
+is due or watches every step, a lane's check that fails or is due
 (orthogonality, consistency), a lane leaving -- and a lane reads its
-step count, residual history, kernel seconds and skeptical counters
+step count, residual history, kernel seconds and check counters
 back from the cohort arrays when it leaves.  The cycle boundary enters
 the sequential engine's functions once per lane, but hands them the
 stacked true residuals (head and tail) and least-squares solves (tail).
@@ -62,45 +64,32 @@ its step count as the call count.  Call counts match the sequential
 solver exactly and only the attributed seconds are approximate; parity
 gates therefore compare everything except ``seconds``.
 
-Skeptical (SDC-detecting) lanes drive the attempt loop of
-:func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres`
-(:class:`~repro.skeptical.gmres_sdc.SdcAttempts`) at their cycle
-boundaries and its check set every step: the cohort's stacked arrays
-go to :meth:`~repro.skeptical.gmres_sdc.SdcChecks.sweep`, the function
-the sequential solve enters with one lane.  Only the ``"restart"``
-response is supported here (an ``"abort"`` would have to kill sibling
-lanes); the registry routes ``skeptical_abort`` solves to the
-sequential engine.
+A lane class may name a ``cohort`` class for its checks: a lockstep
+cohort holding such lanes builds one over them and their slots of the
+step-major table, calls its ``sweep`` every step (it returns the lanes
+whose cycle a check abandoned) and tells it when a lane leaves.  Such a
+lane drives its own attempt loop at the cycle boundaries, so an
+abandoned cycle restarts its solve from the last valid iterate.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import importlib
-import inspect
 import math
 import time
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.krylov import ops
 from repro.krylov.engine.convergence import ConvergenceTest
 from repro.krylov.engine.orthogonalize import HAPPY_BREAKDOWN_TOL, orthogonalize_many
-from repro.krylov.engine.resilience import (
-    CallbackPolicy,
-    IterationEvent,
-    cycle_start_true_residual,
-)
+from repro.krylov.engine.resilience import IterationEvent
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import back_substitution, back_substitution_many, givens_rotation_many
 from repro.linalg.csr import CsrMatrix
 
 __all__ = [
-    "GmresLaneSpec",
-    "SdcLaneSpec",
-    "CgLaneSpec",
+    "ArnoldiLane",
     "run_arnoldi_batch",
     "run_cg_batch",
     "batched_matvec",
@@ -113,64 +102,8 @@ BATCH_GRAM_SCHMIDT = ("cgs2", "classical")
 
 
 # ---------------------------------------------------------------------------
-# Lane specifications (one per scenario)
-# ---------------------------------------------------------------------------
-
-
-#: The solver function each lane spec class mirrors, field for parameter,
-#: and the parameters it leaves out (the skeptical lane is the
-#: ``"restart"`` response: no ``policy``).
-_LANE_SPECS = {
-    "GmresLaneSpec": ("repro.krylov.gmres", "gmres", ()),
-    "SdcLaneSpec": ("repro.skeptical.gmres_sdc", "sdc_detecting_gmres", ("policy",)),
-    "CgLaneSpec": ("repro.krylov.cg", "cg", ()),
-}
-
-
-@functools.cache
-def _lane_spec(name: str) -> type:
-    """A keyword-only dataclass with a field per parameter of the solver
-    function, at its default; ``operator`` defaults to ``None`` (the
-    batch's; a lane's own, e.g. a fault-injecting wrapper, is applied by
-    that lane alone).  Built by :func:`build_lane_specs`: the solver
-    functions import this module."""
-    module, function, omit = _LANE_SPECS[name]
-    parameters = inspect.signature(getattr(importlib.import_module(module), function)).parameters
-    defaults = {
-        key: None if key == "operator" else parameter.default
-        for key, parameter in parameters.items() if key not in omit
-    }
-    fields = [
-        (key, Any) if default is inspect.Parameter.empty else (key, Any, default)
-        for key, default in defaults.items()
-    ]
-    namespace = {"__module__": __name__, "__doc__": f"One :func:`{module}.{function}` scenario."}
-    return dataclasses.make_dataclass(name, fields, namespace=namespace, kw_only=True)
-
-
-def build_lane_specs() -> None:
-    """Called once the last solver module they mirror is imported."""
-    for name in _LANE_SPECS:
-        _lane_spec(name)
-
-
-def __getattr__(name: str):
-    if name in _LANE_SPECS:
-        return _lane_spec(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _solver_keywords(spec) -> dict:
-    """A lane spec as keywords of the solver function it mirrors: every
-    field but the lane's own data (``b``, ``x0``, ``operator``)."""
-    return {
-        name: value for name, value in vars(spec).items() if name not in ("b", "x0", "operator")
-    }
 
 
 def _basis_view(rows: np.ndarray):
@@ -255,27 +188,28 @@ def _matvec_rows(lanes, Z: np.ndarray, shared: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _PlainGmresLane:
-    """A plain/guarded GMRES scenario: the engine :func:`gmres` builds,
-    its one attempt stepped by the cohort instead of ``engine.solve``."""
+class ArnoldiLane:
+    """A plain/guarded GMRES scenario: the engine ``gmres_engine`` built
+    for it, its one attempt stepped by the cohort instead of ``engine.solve``.
 
-    is_sdc = False
+    Any lane :func:`run_arnoldi_batch` takes has this protocol: ``b``,
+    ``method`` (its Gram-Schmidt kernel), ``cohort`` (the class of its
+    checks, or ``None``), ``attempt``, ``slot``, ``abandoned`` and
+    ``result``, and :meth:`head`, :meth:`begin_cycle` and :meth:`tail_begin`.
+    """
 
-    def __init__(self, operator, spec):
-        # Local import: the solver functions sit above the engine package.
-        from repro.krylov.gmres import gmres_engine
+    cohort = None
 
-        self.engine = gmres_engine(
-            spec.operator if spec.operator is not None else operator, **_solver_keywords(spec)
-        )
-        if spec.gram_schmidt not in BATCH_GRAM_SCHMIDT:
+    def __init__(self, engine, b, x0=None):
+        self.engine = engine
+        self.method = engine.scheme.orthogonalizer.method
+        if self.method not in BATCH_GRAM_SCHMIDT:
             raise ValueError(
-                f"no batched kernel for gram_schmidt={spec.gram_schmidt!r}; "
+                f"no batched kernel for gram_schmidt={self.method!r}; "
                 "use the sequential solver for 'modified'"
             )
-        self.method = spec.gram_schmidt
-        self.b = np.asarray(spec.b, dtype=np.float64)
-        self.attempt = self.engine.begin(self.b, spec.x0)
+        self.b = np.asarray(b, dtype=np.float64)
+        self.attempt = engine.begin(self.b, x0)
         self.slot = -1
         self.abandoned = False
         self.result: Optional[SolveResult] = None
@@ -296,82 +230,8 @@ class _PlainGmresLane:
         return None
 
     def tail_begin(self):
-        """The attempt whose cycle tail remains (never ``None`` here)."""
-        return self.attempt
-
-
-class _SdcGmresLane:
-    """A skeptical GMRES scenario: :class:`~repro.skeptical.gmres_sdc.SdcAttempts`
-    driven at the cycle boundaries.
-
-    ``SdcAttempts`` hands out one GMRES engine per attempt, exactly as it
-    does to :func:`~repro.skeptical.gmres_sdc.sdc_detecting_gmres`; here
-    the cohort steps it and enters the attempt loop's check set
-    (:attr:`checks`) with its stacked arrays, so the engine's policy is
-    the fault hook alone.
-    """
-
-    is_sdc = True
-    method = "cgs2"  # the skeptical solver pins CGS2
-
-    def __init__(self, operator, spec):
-        # Local import: the skeptical driver sits above the engine.
-        from repro.skeptical.gmres_sdc import SdcAttempts
-
-        options = _solver_keywords(spec)
-        self.policy = CallbackPolicy.from_hook(options.pop("fault_hook"), "state")
-        self.driver = SdcAttempts(
-            spec.operator if spec.operator is not None else operator, spec.b, spec.x0,
-            policy="restart", **options,
-        )
-        self.b = self.driver.b
-        self.checks = self.driver.checks
-        self.engine = None
-        self.attempt = None
-        self.slot = -1
-        self.abandoned = False
-        self.result: Optional[SolveResult] = None
-
-    def _next(self):
-        """The attempt whose cycle is next, the driver's next one when
-        there is none; ``None`` (the result set) when the solve is over."""
-        if self.attempt is None and self.result is None:
-            self.engine = self.driver.next_engine(self.policy)
-            if self.engine is None:
-                self.result = self.driver.result()
-            else:
-                self.attempt = self.engine.begin(self.b, self.driver.x)
-        return self.attempt
-
-    def head(self):
-        a = self._next()
-        return a if a is not None and not a.done else None
-
-    def begin_cycle(self, r=None):
-        while (a := self._next()) is not None:
-            m = a.begin_cycle(r)
-            if m is not None:
-                return (m, self.method)
-            self.driver.complete(self.engine.finish(a.result()))
-            self.attempt = r = None
-        return None
-
-    def true_residual(self, j: int, residual: float) -> float:
-        """The residual-consistency check's truth after step ``j`` (the
-        reconstruct step charges the attempt as the sequential closure does)."""
-        a = self.attempt
-        return cycle_start_true_residual(
-            a.operator, a.b, j, residual, functools.partial(a.reconstruct_iterate, j)
-        )
-
-    def tail_begin(self):
-        """The attempt whose cycle tail remains; ``None`` when the sweep
-        abandoned the cycle (the driver restarts from the old iterate)."""
-        if self.abandoned:
-            self.driver.abandon(self.attempt.kernels.as_dict())
-            self.attempt = None
-            self.abandoned = False
-            return None
+        """The attempt whose cycle tail remains; ``None`` when a check
+        abandoned the cycle (never, for this lane)."""
         return self.attempt
 
 
@@ -425,7 +285,7 @@ def _run_cohort(lanes, m: int, method: str, n: int):
     ``(k,)`` vector (Givens rotations, rotated right-hand side,
     residuals, targets), so those operands are contiguous rows.  Lanes
     leave the active set on convergence, happy breakdown, non-finite
-    residual or skeptical abandonment; survivors proceed.  (The budget
+    residual or a check abandoning its cycle; survivors proceed.  (The budget
     needs no test: ``m`` never exceeds a lane's remaining iterations, so
     it can only run out at the last step, where the cycle ends anyway.)
 
@@ -435,13 +295,11 @@ def _run_cohort(lanes, m: int, method: str, n: int):
     are the running even shares and its call count is its step count.
     """
     G = len(lanes)
-    sdc = any(lane.is_sdc for lane in lanes)
-    if sdc:  # local import: the skeptical layer sits above the engine
-        from repro.skeptical.gmres_sdc import SdcChecks, SdcCohort
+    checked = next((lane.cohort for lane in lanes if lane.cohort is not None), None)
     basis = np.zeros((G, m + 1, n), dtype=np.float64)
     hess = np.zeros((G, m + 1, m), dtype=np.float64)
-    # (+ the skeptical lanes' rows of SdcCohort, so a slot swap carries them)
-    table = np.zeros((4 * m + 3 + (SdcCohort.ROWS if sdc else 0), G), dtype=np.float64)
+    # (+ the checked lanes' rows of their cohort, so a slot swap carries them)
+    table = np.zeros((4 * m + 3 + (checked.ROWS if checked else 0), G), dtype=np.float64)
     giv_c, giv_s, g = table[:m], table[m : 2 * m], table[2 * m : 3 * m + 1]
     res = table[3 * m + 1 : 4 * m + 2]  # res[j]: the residual entering step j
     targets = table[4 * m + 2]
@@ -461,9 +319,9 @@ def _run_cohort(lanes, m: int, method: str, n: int):
             every.append(lane)
         else:
             due.setdefault(a.fire_at - a.total_iteration - 1, []).append(lane)
-    if sdc:
-        pairs = [(lane, lane.slot) for lane in order if lane.is_sdc]
-        sdc = SdcCohort(pairs, table[4 * m + 3 :], res)
+    if checked:
+        pairs = [(lane, lane.slot) for lane in order if lane.cohort is not None]
+        checked = checked(pairs, table[4 * m + 3 :], res)
     no_precond = all(lane.attempt.preconditioner.preconditioner is None for lane in order)
     shared_operator = all(lane.attempt.operator is order[0].attempt.operator for lane in order)
     mv_sec = ortho_sec = 0.0
@@ -472,8 +330,8 @@ def _run_cohort(lanes, m: int, method: str, n: int):
 
     def leave(lane):
         _advance(lane, steps, res)
-        if lane.is_sdc:
-            sdc.leave(lane, steps)
+        if lane.cohort is not None:
+            checked.leave(lane, steps)
         kernels = lane.attempt.kernels
         kernels.add("matvec", mv_sec, calls=steps)
         kernels.add("orthogonalization", ortho_sec, calls=steps)
@@ -554,8 +412,8 @@ def _run_cohort(lanes, m: int, method: str, n: int):
         hess[idx, : j + 2, j] = col[: j + 2, :k].T
         now = np.abs(gb, out=res[j + 1, :k])
 
-        # Events: observers that can act at this step, the skeptical
-        # sweep, lanes leaving (abandoned -> non-finite -> converged or
+        # Events: observers that can act at this step, the checked
+        # lanes' sweep, lanes leaving (abandoned -> non-finite -> converged or
         # happy, the sequential loop's order of precedence).
         watchers = due[j] + every if j in due else every
         for lane in watchers:
@@ -563,7 +421,7 @@ def _run_cohort(lanes, m: int, method: str, n: int):
                 _advance(lane, steps, res)
                 a = lane.attempt
                 a.observe(j, a.total_iteration, a.residual_norms[-1])
-        abandoned = SdcChecks.sweep(sdc, j, basis, hess, now.tolist()) if sdc else ()
+        abandoned = checked.sweep(j, basis, hess, now.tolist()) if checked else ()
         stay = ~(now <= targets[:k]) & (now < np.inf)  # not met, and finite
         if any_happy:
             stay &= ~happy
@@ -588,41 +446,28 @@ def _run_cohort(lanes, m: int, method: str, n: int):
             for s_low, t_high in zip(lows, highs):
                 _swap_slots(order, s_low, t_high, basis, hess, table, g)
             k = new_k
-            if sdc:
-                sdc.pairs = [(lane, lane.slot) for lane in order[:k] if lane.is_sdc]
+            if checked:
+                checked.pairs = [(lane, lane.slot) for lane in order[:k] if lane.cohort is not None]
     for lane in order[:k]:
         leave(lane)
     return hess, g
 
 
-def run_arnoldi_batch(operator, specs: Sequence) -> List[SolveResult]:
-    """Solve ``S`` independent GMRES-family scenarios in lockstep.
+def run_arnoldi_batch(lanes: Sequence) -> List[SolveResult]:
+    """Solve ``S`` independent GMRES-family lanes in lockstep.
 
-    ``specs`` mixes :class:`GmresLaneSpec` (plain/guarded GMRES) and
-    :class:`SdcLaneSpec` (skeptical restart GMRES); all right-hand
-    sides must share one length, and ``operator`` is shared.  Returns
-    one :class:`~repro.krylov.result.SolveResult` per spec, in order,
+    ``lanes`` are :class:`ArnoldiLane` objects, or anything with their
+    protocol (a lane with a ``cohort`` class brings its checks); all
+    right-hand sides must share one length.  Returns one
+    :class:`~repro.krylov.result.SolveResult` per lane, in order,
     bit-identical to the sequential solver's.
 
     The cycle heads' residuals are formed first, for all lanes at once
     (:func:`_stacked_residuals`), and handed to their ``begin_cycle``.
     """
-    lane_types = {
-        _lane_spec("SdcLaneSpec"): _SdcGmresLane, _lane_spec("GmresLaneSpec"): _PlainGmresLane
-    }
-    lanes = []
-    n = None
-    for spec in specs:
-        if type(spec) not in lane_types:
-            raise TypeError(
-                f"unsupported lane spec type {type(spec).__name__}"
-            )
-        lane = lane_types[type(spec)](operator, spec)
-        if n is None:
-            n = lane.b.size
-        elif lane.b.size != n:
-            raise ValueError("all lanes of a batch must share one vector length")
-        lanes.append(lane)
+    n = lanes[0].b.size if lanes else 0
+    if any(lane.b.size != n for lane in lanes):
+        raise ValueError("all lanes of a batch must share one vector length")
     pool = list(lanes)
     while pool:
         heads = [lane for lane in pool if lane.head() is not None]
@@ -716,8 +561,12 @@ def _batched_cycle_tail(members, hess: np.ndarray, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[SolveResult]:
+def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
     """Solve ``S`` independent CG scenarios in lockstep.
+
+    Each lane is an ``(engine, b, x0)`` triple: the engine ``cg_engine``
+    built for it, and what it solves.  This loop steps the attempts
+    those engines begin instead of running them.
 
     Per-scenario convergence masks freeze finished lanes: a converged
     (or broken-down, or budget-exhausted) lane's rows of the stacked
@@ -735,21 +584,9 @@ def run_cg_batch(operator, specs: Sequence[CgLaneSpec], *, trace=None) -> List[S
     stacked iterate and residual arrays; the property-based freeze
     tests hook it.
     """
-    # Local import: the solver functions sit above the engine package.
-    from repro.krylov.cg import cg_engine
-
-    # A lane is the engine cg() builds and the attempt it begins (the
-    # sequential preamble); this loop steps the attempts instead of run().
-    engines = [
-        cg_engine(
-            spec.operator if spec.operator is not None else operator, **_solver_keywords(spec)
-        )
-        for spec in specs
-    ]
-    lanes = [
-        engine.begin(np.asarray(spec.b, dtype=np.float64), spec.x0)
-        for engine, spec in zip(engines, specs)
-    ]
+    engines = [engine for engine, _, _ in lanes]
+    # From here on a lane is the attempt its engine begins.
+    lanes = [engine.begin(np.asarray(b, dtype=np.float64), x0) for engine, b, x0 in lanes]
     if not lanes:
         return []
     n = lanes[0].x.size

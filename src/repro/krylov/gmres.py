@@ -43,14 +43,24 @@ __all__ = ["gmres", "gmres_engine", "GmresState"]
 
 
 def gmres_engine(
-    operator, *, tol, atol, restart, maxiter, preconditioner, iteration_hook, gram_schmidt, policy
+    operator,
+    *,
+    tol: float = 1e-8,
+    atol: float = 0.0,
+    restart: int = 30,
+    maxiter: int = 1000,
+    preconditioner=None,
+    iteration_hook: Optional[Callable[[GmresState], None]] = None,
+    gram_schmidt: str = "cgs2",
+    policy=None,
 ) -> SolverEngine:
     """The configured engine of one :func:`gmres` solve (its keywords,
-    all of them: the defaults are :func:`gmres`'s).
+    all of them, and their defaults).
 
     :func:`gmres` is this plus ``.solve(b, x0)``; a lockstep lane
-    (:mod:`repro.krylov.engine.batch`) builds the same engine and steps
-    its attempt itself, so both accept and refuse the same arguments.
+    (:class:`repro.krylov.engine.batch.ArnoldiLane`) is built on the
+    same engine and steps its attempt itself, so both accept and refuse
+    the same arguments.
     """
     if restart <= 0:
         raise ValueError("restart must be positive")
@@ -70,20 +80,7 @@ def gmres_engine(
     )
 
 
-def gmres(
-    operator,
-    b,
-    x0=None,
-    *,
-    tol: float = 1e-8,
-    atol: float = 0.0,
-    restart: int = 30,
-    maxiter: int = 1000,
-    preconditioner=None,
-    iteration_hook: Optional[Callable[[GmresState], None]] = None,
-    gram_schmidt: str = "cgs2",
-    policy=None,
-) -> SolveResult:
+def gmres(operator, b, x0=None, **options) -> SolveResult:
     """Solve ``A x = b`` with restarted, right-preconditioned GMRES.
 
     Parameters
@@ -91,12 +88,16 @@ def gmres(
     operator:
         The matrix ``A`` (:class:`~repro.linalg.csr.CsrMatrix`, dense
         ndarray, callable, or
-        :class:`~repro.linalg.distributed.DistributedRowMatrix`).
+        :class:`~repro.comm.distributed.DistributedRowMatrix`).
     b:
         Right-hand side (NumPy vector or
-        :class:`~repro.linalg.distributed.DistributedVector`).
+        :class:`~repro.comm.distributed.DistributedVector`).
     x0:
         Initial guess (defaults to zero).
+
+    The keywords, ``options``, are :func:`gmres_engine`'s (defaults
+    there):
+
     tol, atol:
         Convergence when ``|r| <= max(tol * |b|, atol)``.
     restart:
@@ -125,8 +126,4 @@ def gmres(
         ``info["kernels"]`` carries per-kernel call counts and
         wall-clock seconds (matvec, orthogonalization, preconditioner).
     """
-    return gmres_engine(
-        operator, tol=tol, atol=atol, restart=restart, maxiter=maxiter,
-        preconditioner=preconditioner, iteration_hook=iteration_hook,
-        gram_schmidt=gram_schmidt, policy=policy,
-    ).solve(b, x0)
+    return gmres_engine(operator, **options).solve(b, x0)

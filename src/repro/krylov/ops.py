@@ -5,8 +5,8 @@ unchanged on
 
 * plain NumPy vectors with a :class:`~repro.linalg.csr.CsrMatrix`,
   dense ndarray or callable operator (sequential execution), and
-* :class:`~repro.linalg.distributed.DistributedVector` operands with a
-  :class:`~repro.linalg.distributed.DistributedRowMatrix` operator
+* :class:`~repro.comm.distributed.DistributedVector` operands with a
+  :class:`~repro.comm.distributed.DistributedRowMatrix` operator
   (execution over any :class:`~repro.comm.base.BaseCommunicator`
   backend -- the simulated MPI runtime, where every global reduction
   pays the collective cost of the machine model, or the shared-memory
@@ -33,7 +33,7 @@ import numpy as np
 from repro.comm.ops import SUM
 from repro.comm.requests import CompletedRequest
 from repro.linalg.csr import CsrMatrix
-from repro.linalg.distributed import DistributedRowMatrix, DistributedVector
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
 
 __all__ = [
     "as_float",

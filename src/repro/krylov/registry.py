@@ -55,7 +55,16 @@ from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.krylov.cg import cg, cg_engine
+from repro.krylov.engine import ResidualGuardPolicy, batch
+from repro.krylov.fgmres import fgmres, ft_gmres
+from repro.krylov.gmres import gmres, gmres_engine
+from repro.krylov.pipelined_cg import pipelined_cg
+from repro.krylov.pipelined_gmres import pipelined_gmres
 from repro.krylov.result import SolveResult
+from repro.precond import parse_precond, resolve_preconds
+from repro.reliability.precision import cast_operator, cast_vector, parse_precision
+from repro.skeptical.gmres_sdc import SdcLane, sdc_detecting_gmres
 from repro.spec import Axis, Registry
 
 __all__ = [
@@ -74,7 +83,6 @@ GENERIC_POLICIES = ("none", "guard", "skeptical")
 
 def _guarded(solve_fn: Callable) -> Callable:
     """Dispatch of a policy-aware solver function: bare or residual-guarded."""
-    from repro.krylov.engine import ResidualGuardPolicy
 
     def dispatch(policy: str, options: dict, params: dict):
         if policy == "none":
@@ -242,12 +250,6 @@ class RegisteredSolver:
         """
         precision_label = None
         if precision is not None:
-            from repro.reliability.precision import (
-                cast_operator,
-                cast_vector,
-                parse_precision,
-            )
-
             pspec = parse_precision(precision)
             precision_label = pspec.to_string()
             if not pspec.is_default:
@@ -259,8 +261,6 @@ class RegisteredSolver:
                     x0 = cast_vector(x0, pspec)
         precond_label = None
         if precond is not None:
-            from repro.precond import parse_precond, resolve_preconds
-
             built = resolve_preconds(
                 precond,
                 matrix=precond_matrix if precond_matrix is not None else operator,
@@ -282,14 +282,6 @@ class RegisteredSolver:
 
 
 def _builtin_solvers() -> List[RegisteredSolver]:
-    # Local imports: the registry is imported by repro.krylov.__init__.
-    from repro.krylov.cg import cg
-    from repro.krylov.fgmres import fgmres, ft_gmres
-    from repro.krylov.gmres import gmres
-    from repro.krylov.pipelined_cg import pipelined_cg
-    from repro.krylov.pipelined_gmres import pipelined_gmres
-    from repro.skeptical.gmres_sdc import sdc_detecting_gmres
-
     def dispatch_sdc(policy, options, params):
         response = {"skeptical_restart": "restart", "skeptical_abort": "abort"}[policy]
         return sdc_detecting_gmres, dict(policy=response, **options, **params)
@@ -397,41 +389,30 @@ def _default_precision(value) -> bool:
     """Whether a lane's precision request keeps the float64 fast path."""
     if value is None:
         return True
-    from repro.reliability.precision import parse_precision
-
     return parse_precision(value).is_default
 
 
-def _lane_spec(call: PreparedSolve):
-    """The lockstep lane that is ``call``, or ``None`` when it has none.
+def _lockstep_lane(call: PreparedSolve) -> Optional[Callable[[], object]]:
+    """How the lockstep engine builds the lane of ``call``; ``None`` when
+    it has none.
 
-    The lockstep engine has a lane for the three solver functions its
-    ``*LaneSpec`` classes mirror, field for keyword; a call with a
-    keyword its spec does not declare, a Gram-Schmidt kernel without a
-    stacked form, or the skeptical ``"abort"`` response (aborting one
-    lane must not kill its siblings) stays with the sequential engine,
-    which accepts or refuses it as it would a single lane.
+    ``gmres`` with a Gram-Schmidt kernel that has a stacked form, ``cg``
+    and ``sdc_detecting_gmres`` under the ``"restart"`` response
+    (aborting one lane must not kill its siblings) have lanes; anything
+    else stays with the sequential engine.  A lane is built on the engine
+    its solver function builds from the same keywords, so it accepts or
+    refuses them as a separate solve does.  Nothing is built here: a
+    lane may touch its operator (and a fault stream) as it starts, which
+    only a batch that goes lockstep as a whole may do.
     """
-    from repro.krylov.cg import cg
-    from repro.krylov.engine import batch
-    from repro.krylov.gmres import gmres
-    from repro.skeptical.gmres_sdc import sdc_detecting_gmres
-
-    options = dict(call.options)
-    if call.function is gmres:
-        spec_type = batch.GmresLaneSpec
-        if options.get("gram_schmidt", "cgs2") not in batch.BATCH_GRAM_SCHMIDT:
-            return None
-    elif call.function is cg:
-        spec_type = batch.CgLaneSpec
-    elif call.function is sdc_detecting_gmres and options.pop("policy") == "restart":
-        spec_type = batch.SdcLaneSpec
-    else:
-        return None
-    try:
-        return spec_type(b=call.b, x0=call.x0, operator=call.operator, **options)
-    except TypeError:  # a keyword the spec does not declare
-        return None
+    function, options = call.function, call.options
+    if function is gmres and options.get("gram_schmidt", "cgs2") in batch.BATCH_GRAM_SCHMIDT:
+        return lambda: batch.ArnoldiLane(gmres_engine(call.operator, **options), call.b, call.x0)
+    if function is cg:
+        return lambda: (cg_engine(call.operator, **options), call.b, call.x0)
+    if function is sdc_detecting_gmres and options["policy"] == "restart":
+        return lambda: SdcLane(call.operator, call.b, call.x0, **options)
+    return None
 
 
 def batch_solve(
@@ -462,10 +443,10 @@ def batch_solve(
     refused with the same error, at any lane count, and results are
     bit-identical to ``S`` separate ``solve`` calls.
 
-    Lanes whose resolved call has a lockstep lane (:func:`_lane_spec`:
-    ``gmres``/``cg``/``sdc_detecting_gmres`` with keywords the lane
-    specs declare, a batchable Gram-Schmidt kernel and not the
-    skeptical ``"abort"`` response) advance together through
+    Lanes whose resolved call has a lockstep lane (:func:`_lockstep_lane`:
+    ``gmres`` with a batchable Gram-Schmidt kernel, ``cg``, and
+    ``sdc_detecting_gmres`` but for the skeptical ``"abort"`` response)
+    advance together through
     :func:`repro.krylov.engine.batch.run_arnoldi_batch` /
     :func:`~repro.krylov.engine.batch.run_cg_batch`; anything else
     (``skeptical_abort``, ``gram_schmidt="modified"``, the pipelined /
@@ -534,15 +515,13 @@ def batch_solve(
             bs, x0s, merged_all, operators, lane_precisions
         )
     )
-    if n_lanes == 1 or not all(_default_precision(value) for value in lane_precisions):
+    if n_lanes < 2 or not all(_default_precision(value) for value in lane_precisions):
         # Sequential engine: S independent solve() calls, one at a time.
         return [call.run() for call in calls]
     calls = list(calls)
-    specs = [_lane_spec(call) for call in calls]
-    if None in specs:
+    builders = [_lockstep_lane(call) for call in calls]
+    if None in builders:
         return [call.run() for call in calls]
-
-    from repro.krylov.engine import batch
-
-    run = batch.run_cg_batch if isinstance(specs[0], batch.CgLaneSpec) else batch.run_arnoldi_batch
-    return [call.finish(result) for call, result in zip(calls, run(operator, specs))]
+    run = batch.run_cg_batch if calls[0].function is cg else batch.run_arnoldi_batch
+    results = run([build() for build in builders])
+    return [call.finish(result) for call, result in zip(calls, results)]

@@ -16,7 +16,7 @@ class SolveResult:
     ----------
     x:
         The computed solution (NumPy array or
-        :class:`~repro.linalg.distributed.DistributedVector`, matching
+        :class:`~repro.comm.distributed.DistributedVector`, matching
         the input type).
     converged:
         Whether the requested tolerance was reached.

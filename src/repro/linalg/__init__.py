@@ -16,8 +16,9 @@ oracle):
 * :mod:`repro.linalg.checksum` -- Huang & Abraham checksum-encoded
   matrix operations (the classic ABFT scheme the paper cites as the
   root of algorithm-based fault tolerance).
-* :mod:`repro.linalg.distributed` -- row-distributed matrices and
-  vectors over the simulated MPI runtime.
+
+The row-distributed matrices and vectors sit with the communicator
+they run over, in :mod:`repro.comm.distributed`.
 """
 
 from repro.linalg.csr import CsrMatrix
@@ -44,7 +45,6 @@ from repro.linalg.checksum import (
     checked_matmul,
     correct_single_error,
 )
-from repro.linalg.distributed import DistributedVector, DistributedRowMatrix, block_ranges
 
 __all__ = [
     "CsrMatrix",
@@ -66,7 +66,4 @@ __all__ = [
     "checked_matvec",
     "checked_matmul",
     "correct_single_error",
-    "DistributedVector",
-    "DistributedRowMatrix",
-    "block_ranges",
 ]

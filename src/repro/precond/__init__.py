@@ -17,7 +17,7 @@ sweepable exactly like solvers and fault models.
 Quick tour::
 
     from repro import precond
-    from repro.krylov import default_solver_registry
+    from repro.krylov.registry import default_solver_registry
     from repro.linalg import poisson_2d
 
     A = poisson_2d(10)

@@ -55,15 +55,14 @@ Module map (mechanism -> declarative layer):
 * :mod:`~repro.reliability.process` -- process-failure (MTBF) models
   and replayable :class:`FailurePlan`.
 * :mod:`~repro.reliability.region` -- the SRP :class:`Region` (injector,
-  precision, cost model) and its ``unreliable()`` / ``reliable()``
-  constructors.
+  precision, cost model) and its ``reliable()`` constructor.
 * :mod:`~repro.reliability.cost` -- the reliability cost model.
 * :mod:`~repro.reliability.spec` -- declarative, serializable
   :class:`FaultSpec` (compact-string / dict round-trip).
 * :mod:`~repro.reliability.models` -- :class:`FaultModel` capability
   surface over the mechanisms above.
-* :mod:`~repro.reliability.registry` -- named fault models and
-  :func:`resolve_faults`.
+* :mod:`~repro.reliability.registry` -- named fault models,
+  :func:`resolve_faults` and the ``unreliable()`` region of a fault spec.
 * :mod:`~repro.reliability.precision` -- :class:`PrecisionSpec` and the
   named precision registry (the fourth sweepable axis).
 * :mod:`~repro.reliability.seeding` -- the per-scenario seed
@@ -93,7 +92,7 @@ from repro.reliability.process import (
     WeibullFailureModel,
     system_mtbf,
 )
-from repro.reliability.region import Region, reliable, unreliable
+from repro.reliability.region import Region, reliable
 from repro.reliability.cost import ReliabilityCostModel
 from repro.reliability.spec import FaultSpec, compose
 from repro.reliability.models import (
@@ -116,6 +115,7 @@ from repro.reliability.registry import (
     default_fault_registry,
     fault_names,
     resolve_faults,
+    unreliable,
 )
 from repro.reliability.precision import (
     PrecisionRegistry,

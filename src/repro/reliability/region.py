@@ -206,19 +206,6 @@ class Region:
         }
 
 
-def unreliable(faults="none", *, seed=None, name="unreliable") -> Region:
-    """An unreliable region for a fault spec.
-
-    ``faults`` is anything :func:`repro.reliability.resolve_faults`
-    accepts -- a registry name, a compact spec string, a dict or a
-    built model.  The injector draws from the canonical fault stream
-    of ``(seed, name)``.
-    """
-    from repro.reliability.registry import resolve_faults
-
-    return Region(resolve_faults(faults).injector(seed=seed, name=name))
-
-
 def reliable() -> Region:
     """A reliable region: never corrupted, never rounded."""
     return Region()

@@ -10,7 +10,8 @@ constructing injectors by hand.
 the toolkit: it accepts a registry name, a compact spec string, a dict,
 a :class:`FaultSpec` or an already-built model, applies optional
 parameter overrides, and returns the ready
-:class:`~repro.reliability.models.FaultModel`.
+:class:`~repro.reliability.models.FaultModel`; :func:`unreliable` is the
+SRP :class:`~repro.reliability.region.Region` of such a model.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from typing import List, Mapping, Union
 
 from repro.reliability.models import FaultModel, build_model
+from repro.reliability.region import Region
 from repro.reliability.spec import FaultSpec
 from repro.spec import Axis, RegisteredSpec, Registry
 
@@ -27,6 +29,7 @@ __all__ = [
     "default_fault_registry",
     "fault_names",
     "resolve_faults",
+    "unreliable",
     "AXIS",
 ]
 
@@ -131,6 +134,16 @@ def resolve_faults(
     if overrides:
         spec = spec.with_params(**overrides)
     return build_model(spec)
+
+
+def unreliable(faults="none", *, seed=None, name="unreliable") -> Region:
+    """An unreliable region for a fault spec.
+
+    ``faults`` is anything :func:`resolve_faults` accepts -- a registry
+    name, a compact spec string, a dict or a built model.  The injector
+    draws from the canonical fault stream of ``(seed, name)``.
+    """
+    return Region(resolve_faults(faults).injector(seed=seed, name=name))
 
 
 AXIS = Axis(

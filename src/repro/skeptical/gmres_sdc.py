@@ -42,7 +42,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.krylov import ops
-from repro.krylov.engine import batch
 from repro.krylov.engine.core import canonical_kernel_counters
 from repro.krylov.engine.resilience import (
     CallbackPolicy,
@@ -67,6 +66,8 @@ __all__ = [
     "sdc_detecting_gmres",
     "SdcAttempts",
     "SdcChecks",
+    "SdcCohort",
+    "SdcLane",
     "SdcPolicy",
     "estimate_operator_norm",
     "check_sdc_arguments",
@@ -343,6 +344,10 @@ class SdcCohort:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def sweep(self, j: int, basis: np.ndarray, hess: np.ndarray, residuals) -> dict:
+        """:meth:`SdcChecks.sweep` of this cohort at step ``j``."""
+        return SdcChecks.sweep(self, j, basis, hess, residuals)
+
     def observe(self, j: int):
         """The pairs due for the cheap, orthogonality and consistency checks at step ``j``."""
         due = [
@@ -435,18 +440,33 @@ class SdcAttempts:
     argument check, the norm estimate, the check set and its counters
     (:attr:`checks`), the budget (detection restarts and iterations
     left), what an abandoned cycle costs, what a completed attempt hands
-    over, and the final result.  Both engines drive it --
-    :func:`sdc_detecting_gmres` with a ``try/except CycleAbandoned``
-    loop around ``engine.solve``, a lockstep lane of
-    :mod:`repro.krylov.engine.batch` at its cycle boundaries -- and
-    differ only in who steps the engine :meth:`next_engine` returns.
+    over, and the final result.  Its keywords, and their defaults, are
+    all of :func:`sdc_detecting_gmres`'s but ``fault_hook``.  Both
+    engines drive it -- :func:`sdc_detecting_gmres` with a
+    ``try/except CycleAbandoned`` loop around ``engine.solve``, an
+    :class:`SdcLane` of the lockstep engine at its cycle boundaries --
+    and differ only in who steps the engine :meth:`next_engine` returns.
     """
 
     def __init__(
-        self, operator, b, x0, *, tol, atol, restart, maxiter, preconditioner,
-        check_period, orthogonality_period, residual_check_period,
-        hessenberg_safety, orthogonality_tol, max_restarts_on_detection, operator_norm,
-        policy,
+        self,
+        operator,
+        b,
+        x0=None,
+        *,
+        tol: float = 1e-8,
+        atol: float = 0.0,
+        restart: int = 30,
+        maxiter: int = 1000,
+        preconditioner=None,
+        check_period: int = 1,
+        orthogonality_period: int = 5,
+        residual_check_period: int = 10,
+        hessenberg_safety: float = 4.0,
+        orthogonality_tol: float = 1e-6,
+        policy: str = "restart",
+        max_restarts_on_detection: int = 5,
+        operator_norm: Optional[float] = None,
     ):
         check_sdc_arguments(
             tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
@@ -541,25 +561,85 @@ class SdcAttempts:
         )
 
 
+class SdcLane:
+    """A lockstep lane of :func:`sdc_detecting_gmres` (the ``"restart"``
+    response; an ``"abort"`` would have to kill its sibling lanes):
+    :class:`SdcAttempts` driven at the cycle boundaries.
+
+    ``SdcAttempts`` hands out one GMRES engine per attempt, exactly as it
+    does to :func:`sdc_detecting_gmres`; here the cohort steps it, and
+    its :attr:`cohort` class, :class:`SdcCohort`, enters the check set
+    (:attr:`checks`) with the stacked arrays, so the engine's policy is
+    the fault hook alone.  The lane protocol is that of
+    :class:`repro.krylov.engine.batch.ArnoldiLane`.
+    """
+
+    cohort = SdcCohort
+    method = "cgs2"  # the skeptical solver pins CGS2
+
+    def __init__(self, operator, b, x0=None, *, fault_hook=None, **options):
+        if options.get("policy", "restart") != "restart":
+            raise ValueError("a lockstep lane has the 'restart' response only")
+        self.driver = SdcAttempts(operator, b, x0, **options)
+        self.policy = CallbackPolicy.from_hook(fault_hook, "state")
+        self.b = self.driver.b
+        self.checks = self.driver.checks
+        self.engine = None
+        self.attempt = None
+        self.slot = -1
+        self.abandoned = False
+        self.result: Optional[SolveResult] = None
+
+    def _next(self):
+        """The attempt whose cycle is next, the driver's next one when
+        there is none; ``None`` (the result set) when the solve is over."""
+        if self.attempt is None and self.result is None:
+            self.engine = self.driver.next_engine(self.policy)
+            if self.engine is None:
+                self.result = self.driver.result()
+            else:
+                self.attempt = self.engine.begin(self.b, self.driver.x)
+        return self.attempt
+
+    def head(self):
+        a = self._next()
+        return a if a is not None and not a.done else None
+
+    def begin_cycle(self, r=None):
+        while (a := self._next()) is not None:
+            m = a.begin_cycle(r)
+            if m is not None:
+                return (m, self.method)
+            self.driver.complete(self.engine.finish(a.result()))
+            self.attempt = r = None
+        return None
+
+    def true_residual(self, j: int, residual: float) -> float:
+        """The residual-consistency check's truth after step ``j`` (the
+        reconstruct step charges the attempt as the sequential closure does)."""
+        a = self.attempt
+        return cycle_start_true_residual(
+            a.operator, a.b, j, residual, functools.partial(a.reconstruct_iterate, j)
+        )
+
+    def tail_begin(self):
+        """The attempt whose cycle tail remains; ``None`` when the sweep
+        abandoned the cycle (the driver restarts from the old iterate)."""
+        if self.abandoned:
+            self.driver.abandon(self.attempt.kernels.as_dict())
+            self.attempt = None
+            self.abandoned = False
+            return None
+        return self.attempt
+
+
 def sdc_detecting_gmres(
     operator,
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     *,
-    tol: float = 1e-8,
-    atol: float = 0.0,
-    restart: int = 30,
-    maxiter: int = 1000,
-    preconditioner=None,
-    check_period: int = 1,
-    orthogonality_period: int = 5,
-    residual_check_period: int = 10,
-    hessenberg_safety: float = 4.0,
-    orthogonality_tol: float = 1e-6,
-    policy: str = "restart",
     fault_hook: Optional[Callable[[GmresState], None]] = None,
-    max_restarts_on_detection: int = 5,
-    operator_norm: Optional[float] = None,
+    **options,
 ) -> SolveResult:
     """Restarted GMRES with skeptical SDC detection in the Arnoldi process.
 
@@ -567,9 +647,20 @@ def sdc_detecting_gmres(
 
     Parameters
     ----------
-    operator, b, x0, tol, atol, restart, maxiter, preconditioner:
+    operator, b, x0:
         As for :func:`repro.krylov.gmres.gmres` (sequential NumPy
         vectors only -- the checks need the basis as a dense array).
+    fault_hook:
+        Optional callable run *before* the checks each iteration with
+        the :class:`~repro.krylov.gmres.GmresState`; fault-injection
+        campaigns use it to corrupt the solver state exactly where a
+        bit flip would land.
+
+    The other keywords, ``options``, are :class:`SdcAttempts`'s
+    (defaults there):
+
+    tol, atol, restart, maxiter, preconditioner:
+        As for :func:`repro.krylov.gmres.gmres`.
     check_period:
         Run the cheap (finite / Hessenberg-bound / monotonicity) checks
         every ``check_period`` iterations.
@@ -584,11 +675,6 @@ def sdc_detecting_gmres(
         Krylov cycle and restart from the current iterate;
         ``"abort"`` -- raise
         :class:`~repro.skeptical.checks.SkepticalAbort`.
-    fault_hook:
-        Optional callable run *before* the checks each iteration with
-        the :class:`~repro.krylov.gmres.GmresState`; fault-injection
-        campaigns use it to corrupt the solver state exactly where a
-        bit flip would land.
     max_restarts_on_detection:
         Upper bound on detection-triggered restarts before giving up.
     operator_norm:
@@ -606,15 +692,8 @@ def sdc_detecting_gmres(
         restarts, ``info["check_flops"]`` the total checking cost and
         ``info["checks_run"]`` how many check evaluations were made.
     """
-    attempts = SdcAttempts(
-        operator, b, x0, tol=tol, atol=atol, restart=restart, maxiter=maxiter,
-        preconditioner=preconditioner, check_period=check_period,
-        orthogonality_period=orthogonality_period,
-        residual_check_period=residual_check_period, hessenberg_safety=hessenberg_safety,
-        orthogonality_tol=orthogonality_tol, max_restarts_on_detection=max_restarts_on_detection,
-        operator_norm=operator_norm, policy=policy,
-    )
-    skeptical = SdcPolicy(attempts.checks, operator, attempts.b, policy)
+    attempts = SdcAttempts(operator, b, x0, **options)
+    skeptical = SdcPolicy(attempts.checks, operator, attempts.b, attempts.policy)
     engine_policy = (
         skeptical
         if fault_hook is None
@@ -630,8 +709,3 @@ def sdc_detecting_gmres(
             attempts.complete(result)
 
     return attempts.result()
-
-
-# Always the last of the three solver modules the lockstep lane specs
-# mirror to finish importing: no solve (or campaign) inspects a signature.
-batch.build_lane_specs()

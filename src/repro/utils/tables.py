@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence
 
+from repro.utils.serialization import jsonify
+
 __all__ = ["Table", "one_line"]
 
 
@@ -114,8 +116,6 @@ class Table:
         with :func:`repro.utils.serialization.jsonify` so the result
         can be fed to ``json.dumps`` directly.
         """
-        from repro.utils.serialization import jsonify
-
         return {
             "columns": list(self.columns),
             "title": self.title,

@@ -32,8 +32,6 @@ every layer:
 from __future__ import annotations
 
 import collections
-import dataclasses
-import inspect
 import itertools
 import types
 
@@ -54,10 +52,10 @@ from repro.experiments import (
 )
 from repro.krylov.engine import batch as batch_engine
 from repro.krylov.engine import core as engine_core
-from repro.krylov import cg, gmres
 from repro.krylov import ops as krylov_ops
 from repro.krylov.engine import IterationEvent, ResidualGuardPolicy
-from repro.krylov.engine.batch import CgLaneSpec, run_cg_batch
+from repro.krylov.cg import cg_engine
+from repro.krylov.engine.batch import run_cg_batch
 from repro.krylov.engine.core import ArnoldiAttempt
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.blas import givens_rotation, givens_rotation_many
@@ -65,7 +63,7 @@ from repro.linalg.matgen import poisson_2d
 from repro.utils import timing
 from repro.reliability.models import BasisBitflipFaults
 from repro.reliability.spec import FaultSpec
-from repro.skeptical.gmres_sdc import SdcAttempts, SdcChecks, sdc_detecting_gmres
+from repro.skeptical.gmres_sdc import SdcAttempts, SdcChecks
 
 
 @pytest.fixture(scope="module")
@@ -116,16 +114,20 @@ class TestEngineParity:
             # Sequential-fallback configurations must agree too.
             ("pipelined_gmres", dict(tol=1e-8, maxiter=400)),
             ("fgmres", dict(tol=1e-8, maxiter=300, precond="jacobi")),
+            ("pipelined_cg", dict(tol=1e-10, maxiter=400)),
+            ("ft_gmres", dict(tol=1e-8, outer_maxiter=30, inner_maxiter=10)),
         ],
         ids=["gmres", "gmres-guard", "gmres-mgs", "gmres-jacobi", "cg",
              "cg-jacobi", "cg-guard", "sdc", "pipelined-fallback",
-             "fgmres-fallback"],
+             "fgmres-fallback", "pipelined-cg-fallback", "ft-gmres-fallback"],
     )
     def test_solver_policy_precond_matrix(self, matrix, rhs, solver, kwargs):
         registry = default_solver_registry()
-        batched = batch_solve(solver, matrix, rhs, **kwargs)
-        sequential = [registry.get(solver).solve(matrix, b, **kwargs) for b in rhs]
-        assert_lane_parity(batched, sequential)
+        # ... and no right-hand side is zero separate solves: an empty list.
+        for bs in (rhs, []):
+            batched = batch_solve(solver, matrix, bs, **kwargs)
+            sequential = [registry.get(solver).solve(matrix, b, **kwargs) for b in bs]
+            assert_lane_parity(batched, sequential)
 
     @pytest.mark.parametrize(
         "solver,kwargs",
@@ -461,23 +463,6 @@ class TestBadInputAgreement:
         # refused: False (accepted), True (a ValueError) or the exception type.
         expected = {False: None, True: ValueError}.get(refused, refused)
         assert (one[0] if isinstance(one[0], type) else None) is expected
-
-    def test_lane_specs_mirror_the_solver_signatures(self):
-        # batch_solve sends a call to the lockstep engine only when its
-        # keywords are fields of the lane spec: the specs must declare
-        # what the solver functions take (the skeptical lane has no
-        # ``policy``: it is the "restart" response).
-        for function, spec_type, not_in_lockstep in [
-            (gmres, batch_engine.GmresLaneSpec, set()),
-            (cg, batch_engine.CgLaneSpec, set()),
-            (sdc_detecting_gmres, batch_engine.SdcLaneSpec, {"policy"}),
-        ]:
-            keywords = set(inspect.signature(function).parameters) - not_in_lockstep
-            declared = {field.name: field.default for field in dataclasses.fields(spec_type)}
-            assert set(declared) == keywords
-            for name, parameter in inspect.signature(function).parameters.items():
-                if parameter.default is not inspect.Parameter.empty and name in declared:
-                    assert declared[name] == parameter.default, name
 
 
 class TestSharedBoundary:
@@ -837,9 +822,9 @@ class TestDriverParity:
         lane_counts = []
         lockstep = batch_engine.run_arnoldi_batch
 
-        def spy(operator, specs, *args, **kw):
-            lane_counts.append(len(specs))
-            return lockstep(operator, specs, *args, **kw)
+        def spy(lanes, *args, **kw):
+            lane_counts.append(len(lanes))
+            return lockstep(lanes, *args, **kw)
 
         monkeypatch.setattr(batch_engine, "run_arnoldi_batch", spy)
         batched = e8_solvers.run_batch(params)
@@ -962,10 +947,10 @@ class TestMaskFreezeProperty:
         # arrays must stay frozen for the rest of the lockstep run.
         matrix = poisson_2d(5)
         specs = [
-            CgLaneSpec(
-                b=np.random.default_rng(seed).standard_normal(matrix.n_rows),
-                tol=10.0 ** -exponent,
-                maxiter=maxiter,
+            (
+                cg_engine(matrix, tol=10.0 ** -exponent, maxiter=maxiter),
+                np.random.default_rng(seed).standard_normal(matrix.n_rows),
+                None,
             )
             for seed, exponent, maxiter in lanes
         ]
@@ -981,7 +966,7 @@ class TestMaskFreezeProperty:
                     assert np.array_equal(X[lane], x_frozen)
                     assert np.array_equal(R[lane], r_frozen)
 
-        results = run_cg_batch(matrix, specs, trace=trace)
+        results = run_cg_batch(specs, trace=trace)
         # The frozen rows are exactly what each lane returned.
         for lane, result in enumerate(results):
             if lane in snapshots:

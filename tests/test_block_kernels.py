@@ -165,7 +165,7 @@ class TestGmresBlockKernels:
     def test_distributed_column_views_are_live_state(self):
         """Distributed basis columns must alias solver storage so hooks
         can inject faults in distributed runs too."""
-        from repro.linalg import DistributedRowMatrix, DistributedVector
+        from repro.comm.distributed import DistributedRowMatrix, DistributedVector
         from repro.comm.sim import run_spmd
 
         matrix = poisson_2d(8)

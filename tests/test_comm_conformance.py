@@ -95,6 +95,7 @@ from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
 from repro.comm.sim import Comm
 from repro.reliability.process import FailurePlan
+from test_layers import _within
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -897,32 +898,6 @@ _FRONT_END = (
 )
 
 
-def _source_module(module):
-    """Whether ``module`` is a module file or a package in ``src/``."""
-    path = REPO_ROOT.joinpath("src", *module.split("."))
-    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
-
-
-def _imported_modules(path):
-    """The ``repro`` modules the imports in ``path`` name (``n`` of
-    ``from M import n`` included when it is a module itself)."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [
-                f"{node.module}.{alias.name}" for alias in node.names
-                if _source_module(f"{node.module}.{alias.name}")
-            ]
-        else:
-            continue
-        yield from (name for name in names if name.split(".")[0] == "repro")
-
-
-def _within(module, package):
-    return module == package or module.startswith(package + ".")
-
-
 def _process_hazards(rel, tree):
     """``(line, hazard)`` pairs of one ``src/repro`` module (``rel`` is
     relative to ``src/repro``): ``os.fork`` outside ``utils/child.py``;
@@ -995,23 +970,6 @@ class TestOneFrontEnd:
     def test_nothing_registers_virtually(self):
         for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
             assert "BaseCommunicator.register" not in path.read_text(encoding="utf-8"), path
-
-    def test_the_simulator_is_reached_only_through_the_front_end(self):
-        """Import layering over ``src/repro``: every ``repro`` import names
-        a module in the tree (a directory left holding only
-        ``__pycache__`` does not count), nothing outside ``repro.comm``
-        imports ``repro.comm.simstate``, and outside it only
-        ``repro.lflr`` (respawn, revoke, epochs) imports ``repro.comm.sim``."""
-        src = REPO_ROOT / "src" / "repro"
-        for path in sorted(src.rglob("*.py")):
-            package = path.relative_to(src).parts[0]
-            for module in _imported_modules(path):
-                assert _source_module(module), (path, module)
-                if package == "comm":
-                    continue
-                assert not _within(module, "repro.comm.simstate"), (path, module)
-                if package != "lflr":
-                    assert not _within(module, "repro.comm.sim"), (path, module)
 
     def test_one_fork_no_queue_and_every_poll_bounded(self):
         """The process-safety scan over ``src/repro``: every forked process

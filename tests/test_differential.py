@@ -18,7 +18,7 @@ import pytest
 
 from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
-from repro.linalg.distributed import DistributedRowMatrix, DistributedVector
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
 from repro.linalg.matgen import poisson_2d
 from repro.comm.sim import run_spmd
 from repro.utils.rng import RngFactory

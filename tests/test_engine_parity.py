@@ -30,9 +30,8 @@ import pytest
 
 from repro.krylov.fgmres import ft_gmres
 from repro.krylov import cg, fgmres, gmres, pipelined_cg, pipelined_gmres
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
 from repro.linalg import (
-    DistributedRowMatrix,
-    DistributedVector,
     JacobiPreconditioner,
     NeumannPolynomialPreconditioner,
     poisson_2d,

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.krylov import default_solver_registry
+from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import convection_diffusion_2d
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]

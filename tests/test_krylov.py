@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from repro.krylov import (
-    batch_solve,
     cg,
     fgmres,
     gmres,
     pipelined_cg,
     pipelined_gmres,
 )
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
+from repro.krylov.registry import batch_solve
 from repro.linalg import (
-    DistributedRowMatrix,
-    DistributedVector,
     JacobiPreconditioner,
     NeumannPolynomialPreconditioner,
     poisson_2d,

@@ -6,18 +6,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector, block_ranges
 from repro.linalg import (
     BlockJacobiPreconditioner,
     ChecksummedMatrix,
     CsrMatrix,
-    DistributedRowMatrix,
-    DistributedVector,
     IdentityPreconditioner,
     JacobiPreconditioner,
     NeumannPolynomialPreconditioner,
     SsorPreconditioner,
     back_substitution,
-    block_ranges,
     checked_matmul,
     checked_matvec,
     checksum_vector,

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import e10_precision
-from repro.krylov import batch_solve, default_solver_registry, solver_names
+from repro.krylov.registry import batch_solve, default_solver_registry, solver_names
 from repro.linalg import poisson_2d
 from repro.reliability.precision import (
     PRECISION_KINDS,

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import precond, reliability
-from repro.krylov import default_solver_registry
+from repro.krylov.registry import default_solver_registry
 from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
 from repro.linalg import poisson_2d

@@ -27,7 +27,7 @@ import pytest
 from repro.experiments import e9_precond
 from repro.linalg import csr as csr_module
 from repro.linalg.csr import CsrMatrix
-from repro.linalg.distributed import DistributedRowMatrix
+from repro.comm.distributed import DistributedRowMatrix
 from repro.linalg.matgen import (
     clear_matrix_cache,
     convection_diffusion_2d,

@@ -13,7 +13,7 @@ from repro.reliability.bitflip import flip_bit_array, flip_bit_float64
 from repro.linalg.blas import back_substitution, back_substitution_many, givens_rotation
 from repro.linalg.checksum import checked_matmul
 from repro.linalg.csr import CsrMatrix
-from repro.linalg.distributed import block_ranges
+from repro.comm.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
 from repro.comm.ops import MAX, MIN, SUM

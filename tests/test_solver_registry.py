@@ -12,10 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.krylov import SolveResult, default_solver_registry, gmres, solver_names
+from repro.krylov import SolveResult, gmres
+from repro.krylov.registry import default_solver_registry, solver_names
 from repro.krylov.engine import ResidualGuardPolicy
 from repro.krylov.engine.core import CANONICAL_KERNELS
-from repro.linalg import DistributedRowMatrix, DistributedVector, poisson_2d
+from repro.comm.distributed import DistributedRowMatrix, DistributedVector
+from repro.linalg import poisson_2d
 from repro.comm.sim import run_spmd
 
 REGISTRY = default_solver_registry()
