@@ -52,9 +52,9 @@ from typing import List, Optional
 from repro.axes import declared_axes
 from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 from repro.campaign.registry import default_registry
-from repro.campaign.executor import FailureLedger, RetryPolicy
+from repro.campaign.executor import FAILURE_OUTCOMES, FailureLedger, RetryPolicy
 from repro.campaign.report import render_report
-from repro.campaign.runner import CampaignRunner, FAILED_STATUSES, ScenarioOutcome
+from repro.campaign.runner import CampaignRunner, ScenarioOutcome
 from repro.campaign.spec import Scenario
 from repro.campaign.store import ResultStore
 from repro.utils.tables import Table
@@ -242,7 +242,7 @@ def _cmd_run(args) -> int:
         timeout=args.timeout,
         retry=RetryPolicy(max_attempts=args.retries, backoff=args.backoff),
         chaos=args.chaos,
-        ledger=False if args.no_ledger else None,
+        ledger=not args.no_ledger,
         batch=args.batch,
     )
 
@@ -267,7 +267,7 @@ def _cmd_run(args) -> int:
     outcomes = runner.run(scenarios)
     ran = sum(o.status == "completed" for o in outcomes)
     cached = sum(o.status == "cached" for o in outcomes)
-    failed = sum(o.status in FAILED_STATUSES for o in outcomes)
+    failed = sum(o.status in FAILURE_OUTCOMES for o in outcomes)
     retried = sum(o.attempts > 1 for o in outcomes)
     experiments = sorted({o.scenario.experiment for o in outcomes})
     print(

@@ -16,15 +16,16 @@ Pieces
     Deterministic attempt budget + exponential backoff, with a
     transient-vs-poison classification: crashes, timeouts and corrupt
     results are *transient* (worth retrying -- the environment failed,
-    not the scenario), driver exceptions are *poison* by default (the
-    same inputs will raise again).  Transient scenarios that exhaust
-    their budget are *quarantined*.
+    not the scenario), driver exceptions are *poison* and never retried
+    (the same inputs will raise again).  Transient scenarios that
+    exhaust their budget are *quarantined*.
 :class:`FailureLedger`
     Crash-consistent JSONL sidecar next to the
     :class:`~repro.campaign.store.ResultStore` recording one
-    :class:`AttemptRecord` per executed attempt -- successes included
-    -- so failure history survives the process and ``campaign run
-    --retry-failed`` can re-target exactly the failed/quarantined set.
+    :class:`AttemptRecord` per executed attempt and scenario --
+    successes included, and every member of a batched unit -- so failure
+    history survives the process and ``campaign run --retry-failed`` can
+    re-target exactly the failed/quarantined set.
 :class:`ChaosSpec`
     Fault injection for the runner's own workers, in the shared
     spec-string grammar (:mod:`repro.spec`):
@@ -43,6 +44,11 @@ Pieces
     deadlines (kill + respawn on expiry), detects hard worker death by
     the channel's hang-up, verifies result checksums, and applies the
     retry policy until every scenario reaches a terminal state.
+    ``workers=0`` runs each task in the calling process instead: no
+    child, so no timeout and no chaos, and since poison is never
+    retried, one attempt per task.  Every campaign unit goes through
+    :meth:`SupervisedExecutor.run`, which is the one code path that
+    executes a unit, applies the retry policy and journals its attempts.
 
     A task queues behind a busy worker only while the ready backlog
     outnumbers the workers; its deadline starts when it becomes the head.
@@ -165,6 +171,11 @@ def default_execute(
                         "must not dispatch batched units to it"
                     )
                 results = driver.run_batch([dict(p) for p in members])
+                if len(results) != len(members):
+                    raise RuntimeError(
+                        f"{driver.experiment}.run_batch returned "
+                        f"{len(results)} results for {len(members)} scenarios"
+                    )
                 payload = {BATCH_RESULTS_KEY: [r.to_dict() for r in results]}
                 return payload, None, time.perf_counter() - start
             result = driver.run(**params)
@@ -206,16 +217,14 @@ class RetryPolicy:
         jitter -- so campaign wall-time under chaos is reproducible.
     backoff_factor:
         Exponential growth factor of the backoff.
-    retry_errors:
-        Whether *poison* attempts (driver exceptions) are retried too.
-        Off by default: a deterministic driver raises identically every
-        time, so retrying wastes the budget.
+
+    Only *transient* attempts are retried: a deterministic driver raises
+    identically every time, so retrying *poison* would waste the budget.
     """
 
     max_attempts: int = 3
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    retry_errors: bool = False
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -235,11 +244,10 @@ class RetryPolicy:
 
     def should_retry(self, status: str, attempts_used: int) -> bool:
         """Whether a scenario gets another attempt after ``status``."""
-        if attempts_used >= self.max_attempts:
-            return False
-        if self.classify(status) == "transient":
-            return True
-        return self.retry_errors
+        return (
+            attempts_used < self.max_attempts
+            and self.classify(status) == "transient"
+        )
 
     def terminal_outcome(self, status: str) -> str:
         """Terminal scenario outcome once retries are exhausted."""
@@ -617,7 +625,8 @@ class ExecutionResult:
     ``"quarantined"`` (transient-failure budget exhausted).
     ``attempts`` counts every try, ``history`` their per-attempt
     statuses in order (e.g. ``("crashed", "ok")``), ``text`` the
-    verified canonical JSON text ``result`` arrived as.
+    verified canonical JSON text ``result`` arrived as from a worker
+    (``None`` when it ran in the calling process).
     """
 
     key: str
@@ -637,6 +646,7 @@ class _TaskState:
     key: str
     experiment: str
     params: dict
+    members: Tuple[str, ...] = ()
     attempts: int = 0
     ready_at: float = 0.0
     history: List[str] = field(default_factory=list)
@@ -659,7 +669,9 @@ class SupervisedExecutor:
     Parameters
     ----------
     workers:
-        Worker process count (capped at the task count per run).
+        Worker process count (capped at the task count per run); ``0``
+        runs every task in the calling process, which can enforce
+        neither a ``timeout`` nor ``chaos`` and so refuses both.
     timeout:
         Per-scenario wall-clock budget in seconds; ``None`` disables
         deadlines.  An expired worker is SIGKILLed and respawned; the
@@ -674,10 +686,13 @@ class SupervisedExecutor:
         Root of the chaos injection draws (pure-function, see
         :func:`_chaos_draw`).
     ledger:
-        Optional :class:`FailureLedger`; every attempt is journaled.
+        Optional :class:`FailureLedger`; every attempt is journaled once
+        per member key of its task, with an even share of its elapsed
+        time.
     execute:
         Module-level callable ``(experiment, params, attempt) ->
-        (result_dict, error, elapsed)`` run inside the workers.
+        (result_dict, error, elapsed)`` run inside the workers (or the
+        calling process).
         Defaults to :func:`default_execute` (the experiment registry);
         tests substitute crashing/hanging fixtures.
     """
@@ -693,14 +708,19 @@ class SupervisedExecutor:
         ledger: Optional[FailureLedger] = None,
         execute: Optional[Callable] = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         self.workers = int(workers)
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = ChaosSpec.parse(chaos) if chaos is not None else ChaosSpec(())
+        if self.workers == 0 and (timeout is not None or self.chaos):
+            raise ValueError(
+                "workers=0 runs in the calling process, which can enforce "
+                "neither a timeout nor chaos"
+            )
         self.chaos_seed = int(chaos_seed)
         self.ledger = ledger
         self.execute = execute if execute is not None else default_execute
@@ -708,17 +728,20 @@ class SupervisedExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        tasks: Sequence[Tuple[str, str, Mapping[str, Any]]],
+        tasks: Sequence[Tuple],
         completed: Optional[Callable[[int, ExecutionResult], None]] = None,
     ) -> List[ExecutionResult]:
-        """Drive every ``(key, experiment, params)`` task to a terminal state.
+        """Drive every ``(key, experiment, params[, member_keys])`` task to
+        a terminal state.
 
-        Results are returned in input order; ``completed(slot, result)``
-        fires as each task concludes (in completion order).
+        ``key`` seeds the chaos draws; the ledger journals each attempt
+        under ``member_keys`` (default ``(key,)``).  Results are returned
+        in input order; ``completed(slot, result)`` fires as each task
+        concludes (in completion order).
         """
         states = [
-            _TaskState(slot, key, experiment, dict(params))
-            for slot, (key, experiment, params) in enumerate(tasks)
+            _TaskState(slot, key, experiment, dict(params), *members)
+            for slot, (key, experiment, params, *members) in enumerate(tasks)
         ]
         results: List[Optional[ExecutionResult]] = [None] * len(states)
         if not states:
@@ -753,7 +776,8 @@ class SupervisedExecutor:
             inflight.setdefault(worker, deque()).append(state)
 
         def conclude(state: _TaskState, status: str, *, error=None,
-                     elapsed=0.0, text=None, worker_pid=None) -> None:
+                     elapsed=0.0, text=None, result=None,
+                     worker_pid=None) -> None:
             state.history.append(status)
             retrying = status != "ok" and self.retry.should_retry(
                 status, state.attempts
@@ -774,7 +798,7 @@ class SupervisedExecutor:
                 key=state.key,
                 experiment=state.experiment,
                 status=outcome,
-                result=json.loads(text) if text is not None else None,
+                result=json.loads(text) if text is not None else result,
                 error=error,
                 elapsed=elapsed,
                 attempts=state.attempts,
@@ -824,6 +848,17 @@ class SupervisedExecutor:
                 while len(queue) < DEPTH and ready > worker_count:
                     send(worker)
                     ready -= 1
+
+        if self.workers == 0:
+            # In process an attempt is "ok" or "error", never retried.
+            for state in states:
+                state.attempts = 1
+                result, error, elapsed = self.execute(
+                    state.experiment, state.params, 1
+                )
+                conclude(state, "ok" if error is None else "error",
+                         error=error, elapsed=elapsed, result=result)
+            return list(results)  # type: ignore[return-value]
 
         try:
             for _ in range(worker_count):
@@ -905,16 +940,18 @@ class SupervisedExecutor:
     ) -> None:
         if self.ledger is None:
             return
-        self.ledger.record(
-            AttemptRecord(
-                key=state.key,
-                experiment=state.experiment,
-                attempt=state.attempts,
-                status=status,
-                outcome=outcome,
-                error=error,
-                elapsed=float(elapsed),
-                worker=worker_pid,
-                wall_time=time.time(),
+        keys = state.members or (state.key,)
+        for key in keys:
+            self.ledger.record(
+                AttemptRecord(
+                    key=key,
+                    experiment=state.experiment,
+                    attempt=state.attempts,
+                    status=status,
+                    outcome=outcome,
+                    error=error,
+                    elapsed=float(elapsed) / len(keys),
+                    worker=worker_pid,
+                    wall_time=time.time(),
+                )
             )
-        )

@@ -12,13 +12,15 @@ The :class:`CampaignRunner` takes a list of
 * *memoizes* against the result store -- scenarios whose resolved key
   is already stored are skipped, which makes re-running a completed
   campaign a no-op;
-* *executes* the rest, either in-process or on the supervised
-  multiprocessing executor (:mod:`repro.campaign.executor`), appending
-  each success to the store as it arrives;
-* *journals* every attempt -- success or failure -- to the
-  :class:`~repro.campaign.executor.FailureLedger` sidecar next to the
-  store, so failures survive the process and ``campaign run
-  --retry-failed`` can re-target exactly the failed/quarantined set.
+* *executes* the rest -- one scenario, or one lockstep group under
+  ``batch``, per unit -- through the supervised executor
+  (:mod:`repro.campaign.executor`), appending each success to the store
+  as it arrives;
+* has the executor *journal* every attempt -- success or failure -- of
+  every scenario to the :class:`~repro.campaign.executor.FailureLedger`
+  sidecar next to the store, so failures survive the process and
+  ``campaign run --retry-failed`` can re-target exactly the
+  failed/quarantined set.
 
 The supervised executor treats workers the way FT-GMRES treats its
 inner solver: an unreliable resource whose faults (crashes, hangs,
@@ -30,21 +32,17 @@ execution works under both fork and spawn start methods.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.campaign.executor import (
     BATCH_PARAMS_KEY,
     BATCH_RESULTS_KEY,
-    FAILURE_OUTCOMES,
-    AttemptRecord,
     ChaosSpec,
     ExecutionResult,
     FailureLedger,
     RetryPolicy,
     SupervisedExecutor,
-    default_execute,
 )
 from repro.campaign.registry import ExperimentRegistry, default_registry
 from repro.campaign.spec import Scenario, scenario_key
@@ -61,11 +59,7 @@ __all__ = [
     "ScenarioOutcome",
     "derive_seed",
     "plan_batch_groups",
-    "FAILED_STATUSES",
 ]
-
-# Outcome statuses that mean a scenario did not produce a result.
-FAILED_STATUSES = ("failed", "timeout", "quarantined")
 
 
 @dataclass(frozen=True)
@@ -145,9 +139,11 @@ class CampaignRunner:
         Result store for memoization and persistence; ``None`` disables
         both (every scenario always runs).
     workers:
-        ``1`` executes in-process (unless ``timeout`` or ``chaos``
-        require a supervised subprocess); ``> 1`` uses a supervised
-        pool of long-lived worker processes.
+        ``1`` executes in the calling process (unless ``timeout`` or
+        ``chaos`` require a supervised subprocess); ``> 1`` uses a
+        supervised pool of long-lived worker processes.  Either way the
+        :class:`~repro.campaign.executor.SupervisedExecutor` runs every
+        unit.
     base_seed:
         Root of the per-scenario seed derivation (and of the chaos
         injection draws).
@@ -169,11 +165,9 @@ class CampaignRunner:
         string such as ``"worker_crash:p=0.1"``) injecting faults into
         the runner's own workers -- the chaos harness.
     ledger:
-        Failure-ledger wiring: ``None`` (default) journals to the
-        store's sidecar (``<store>.ledger.jsonl``) when a store is
-        configured; ``False`` disables journaling; a path or
-        :class:`~repro.campaign.executor.FailureLedger` overrides the
-        location.
+        ``True`` (default) journals every attempt to the store's sidecar
+        (``<store>.ledger.jsonl``) when a store is configured; ``False``
+        disables journaling.
     batch:
         Batched dispatch: ``1`` (default) runs scenario-at-a-time;
         any other value groups pending scenarios that share a driver
@@ -182,8 +176,8 @@ class CampaignRunner:
         members (``0`` = unbounded), each executed as *one* supervised
         task -- one retry budget, one chaos draw stream, one timeout.
         Results are bit-identical to the sequential path (the driver
-        batch protocol guarantees it); the ledger records one terminal
-        outcome per member scenario.
+        batch protocol guarantees it); the ledger records every attempt
+        of the unit under each member's key.
     """
 
     def __init__(
@@ -197,7 +191,7 @@ class CampaignRunner:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         chaos: Union[ChaosSpec, str, Mapping, None] = None,
-        ledger: Union[FailureLedger, str, bool, None] = None,
+        ledger: bool = True,
         batch: int = 1,
     ):
         if workers < 1:
@@ -212,21 +206,11 @@ class CampaignRunner:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = ChaosSpec.parse(chaos) if chaos is not None else ChaosSpec(())
-        self.ledger = self._resolve_ledger(ledger)
+        self.ledger = (
+            FailureLedger(FailureLedger.path_for(store.path))
+            if ledger and store is not None else None
+        )
         self.batch = int(batch)
-
-    def _resolve_ledger(
-        self, ledger: Union[FailureLedger, str, bool, None]
-    ) -> Optional[FailureLedger]:
-        if ledger is False:
-            return None
-        if isinstance(ledger, FailureLedger):
-            return ledger
-        if isinstance(ledger, str):
-            return FailureLedger(ledger)
-        if self.store is not None:
-            return FailureLedger(FailureLedger.path_for(self.store.path))
-        return None
 
     # ------------------------------------------------------------------
     def resolve(self, scenario: Scenario) -> Scenario:
@@ -280,53 +264,17 @@ class CampaignRunner:
             else:
                 pending.append((index, scenario))
 
-        def finish(slot: int, status: str, result, error, elapsed,
-                   attempts: int = 1, text: Optional[str] = None) -> None:
-            # Called as each scenario reaches a terminal state, so the
-            # store grows incrementally: killing a long campaign loses
-            # only the scenarios still in flight, and the re-run
-            # resumes from everything already appended.
-            index, scenario = pending[slot]
-            key = scenario.key
-            if status == "completed":
-                if self.store is not None:
-                    self.store.append(
-                        key,
-                        experiment=scenario.experiment,
-                        tag=scenario.tag,
-                        params=scenario.params,
-                        result=result,
-                        elapsed=elapsed,
-                        result_text=text,
-                    )
-                outcome = ScenarioOutcome(
-                    scenario=scenario, key=key, status="completed",
-                    result=result, elapsed=elapsed, attempts=attempts,
-                )
-            else:
-                outcome = ScenarioOutcome(
-                    scenario=scenario, key=key, status=status,
-                    error=error, elapsed=elapsed, attempts=attempts,
-                )
-            outcomes[index] = outcome
-            self._report(outcome)
-
-        supervised = (
-            self.workers > 1 or self.timeout is not None or bool(self.chaos)
-        )
-        batching = self.batch != 1
-        if batching:
+        if self.batch == 1:
+            units = [[slot] for slot in range(len(pending))]
+        else:
             units = plan_batch_groups(
                 [s for _, s in pending], self.registry, self.batch
             )
-        else:
-            units = [[slot] for slot in range(len(pending))]
 
-        def unit_task(unit: List[int]) -> Tuple[str, str, dict]:
-            if len(unit) == 1:
-                scenario = pending[unit[0]][1]
-                return (scenario.key, scenario.experiment, dict(scenario.params))
+        def unit_task(unit: List[int]) -> tuple:
             members = [pending[slot][1] for slot in unit]
+            if len(members) == 1:
+                return (members[0].key, members[0].experiment, members[0].params)
             payload = {BATCH_PARAMS_KEY: [dict(m.params) for m in members]}
             # Content-derived unit key: stable across runs, so chaos
             # draws and retry histories of a batched unit reproduce.
@@ -334,119 +282,54 @@ class CampaignRunner:
                 scenario_key(members[0].experiment, payload),
                 members[0].experiment,
                 payload,
+                tuple(m.key for m in members),
             )
 
-        def conclude_unit(unit: List[int], final: ExecutionResult) -> None:
-            # Fan one unit's terminal state out to its member
-            # scenarios: a completed batch unpacks per-member results
-            # (in member order); a failed/timeout/quarantined unit
-            # fails every member -- the unit shares one fate, exactly
-            # like one scenario under the non-batched runner.
-            batched = len(unit) > 1
-            members_payload = None
-            if batched and final.status == "completed":
-                members_payload = (final.result or {}).get(BATCH_RESULTS_KEY)
-                if (
-                    not isinstance(members_payload, list)
-                    or len(members_payload) != len(unit)
-                ):
-                    got = (
-                        len(members_payload)
-                        if isinstance(members_payload, list) else "no"
-                    )
-                    final = ExecutionResult(
-                        key=final.key, experiment=final.experiment,
-                        status="failed",
-                        error=f"batched unit returned a malformed result "
-                              f"({got} member results for {len(unit)} "
-                              f"scenarios)",
-                        elapsed=final.elapsed, attempts=final.attempts,
-                        history=final.history,
-                    )
-            # Wall time is a property of the unit; members report an
-            # equal share so campaign-level elapsed sums stay honest.
-            share = final.elapsed / len(unit) if batched else final.elapsed
-            attempt_status = (
-                final.history[-1] if final.history
-                else ("ok" if final.status == "completed" else "error")
-            )
-            for position, slot in enumerate(unit):
-                scenario = pending[slot][1]
-                if batching:
-                    # Batch mode journals terminal outcomes per member
-                    # (the executor, which only knows unit keys, runs
-                    # ledger-less); per-attempt retry history is a
-                    # non-batched-run detail.
-                    self._journal_terminal(
-                        scenario, attempt_status, final.status,
-                        final.error, share, final.attempts,
-                    )
-                if final.status == "completed":
-                    member = (
-                        members_payload[position]
-                        if members_payload is not None else final.result
-                    )
-                    finish(slot, "completed", member, None, share,
-                           final.attempts, None if batched else final.text)
-                else:
-                    finish(slot, final.status, None, final.error, share,
-                           final.attempts)
-
-        if supervised and pending:
-            tasks = [unit_task(unit) for unit in units]
-            executor = SupervisedExecutor(
-                workers=self.workers,
-                timeout=self.timeout,
-                retry=self.retry,
-                chaos=self.chaos,
-                chaos_seed=self.base_seed,
-                ledger=None if batching else self.ledger,
-            )
-
-            def completed(index: int, final: ExecutionResult) -> None:
-                conclude_unit(units[index], final)
-
-            executor.run(tasks, completed=completed)
-        elif pending:
-            for unit in units:
-                key, experiment, params = unit_task(unit)
-                result, error, elapsed = default_execute(experiment, params)
-                status = "completed" if error is None else "failed"
-                attempt_status = "ok" if error is None else "error"
-                if not batching:  # one attempt, journaled as terminal
-                    self._journal_terminal(pending[unit[0]][1], attempt_status,
-                                           status, error, elapsed, 1)
-                conclude_unit(
-                    unit,
-                    ExecutionResult(
-                        key=key, experiment=experiment, status=status,
-                        result=result, error=error, elapsed=elapsed,
-                        attempts=1, history=(attempt_status,),
-                    ),
+        def conclude_unit(number: int, final: ExecutionResult) -> None:
+            # Called as each unit reaches a terminal state, so the store
+            # grows incrementally: killing a long campaign loses only the
+            # units still in flight, and the re-run resumes from
+            # everything already appended.  A unit shares one fate; a
+            # completed batch unpacks per-member results in member order,
+            # and members report an equal share of the unit's wall time.
+            unit = units[number]
+            completed = final.status == "completed"
+            results = [None] * len(unit)
+            if completed:
+                results = (final.result[BATCH_RESULTS_KEY] if len(unit) > 1
+                           else [final.result])
+            for slot, result in zip(unit, results):
+                index, scenario = pending[slot]
+                outcome = ScenarioOutcome(
+                    scenario=scenario, key=scenario.key, status=final.status,
+                    result=result, error=final.error,
+                    elapsed=final.elapsed / len(unit), attempts=final.attempts,
                 )
-        return outcomes
+                if completed and self.store is not None:
+                    self.store.append(
+                        scenario.key,
+                        experiment=scenario.experiment,
+                        tag=scenario.tag,
+                        params=scenario.params,
+                        result=result,
+                        elapsed=outcome.elapsed,
+                        result_text=final.text if len(unit) == 1 else None,
+                    )
+                outcomes[index] = outcome
+                self._report(outcome)
 
-    # ------------------------------------------------------------------
-    def _journal_terminal(
-        self, scenario: Scenario, status: str, outcome: str,
-        error: Optional[str], elapsed: float, attempts: int,
-    ) -> None:
-        """Journal one scenario's terminal outcome to the ledger."""
-        if self.ledger is None:
-            return
-        self.ledger.record(
-            AttemptRecord(
-                key=scenario.key,
-                experiment=scenario.experiment,
-                attempt=int(attempts),
-                status=status,
-                outcome=outcome,
-                error=error,
-                elapsed=float(elapsed),
-                worker=None,
-                wall_time=_time.time(),
-            )
+        in_process = (
+            self.workers == 1 and self.timeout is None and not self.chaos
         )
+        SupervisedExecutor(
+            workers=0 if in_process else self.workers,
+            timeout=self.timeout,
+            retry=self.retry,
+            chaos=self.chaos,
+            chaos_seed=self.base_seed,
+            ledger=self.ledger,
+        ).run([unit_task(unit) for unit in units], completed=conclude_unit)
+        return outcomes
 
     # ------------------------------------------------------------------
     def _report(self, outcome: ScenarioOutcome) -> None:

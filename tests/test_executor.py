@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.campaign.builtin import builtin_campaign
 from repro.campaign.cli import main as cli_main
 from repro.campaign.executor import (
     FAILURE_OUTCOMES,
@@ -113,10 +114,8 @@ class TestRetryPolicy:
         assert policy.should_retry("crashed", 1)
         assert policy.should_retry("timeout", 2)
         assert not policy.should_retry("crashed", 3)
-        # Poison is never retried by default ...
+        # Poison is never retried.
         assert not policy.should_retry("error", 1)
-        # ... unless explicitly requested.
-        assert RetryPolicy(retry_errors=True).should_retry("error", 1)
 
     def test_terminal_outcomes(self):
         policy = RetryPolicy()
@@ -301,6 +300,10 @@ def _executor(**kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=3, backoff=0.01))
     kwargs.setdefault("workers", 2)
     return SupervisedExecutor(**kwargs)
+
+
+def _refuse_to_fork(*args, **kwargs):
+    raise AssertionError("workers=0 must not start a child")
 
 
 def _record_submits(monkeypatch, log):
@@ -570,6 +573,40 @@ class TestSupervisedExecutor:
         # 0.6 s one), to the worker it freed.
         assert third == first and 0.15 < sent_at - start < 0.55
 
+    def test_in_process_mode_journals_like_a_worker(self, tmp_path, monkeypatch):
+        # workers=0 runs the tasks in input order without a child and
+        # journals what one worker does, apart from the worker pid.
+        tasks = [("bad", "EX", {"boom": True}), ("good", "EX", {"boom": False}),
+                 ("unit", "EX", {"boom": False}, ("m1", "m2"))]
+
+        def run(workers):
+            ledger = FailureLedger(str(tmp_path / f"{workers}.jsonl"))
+            order = []
+            results = _executor(
+                execute=_raising_execute, ledger=ledger, workers=workers
+            ).run(tasks, completed=lambda slot, r: order.append(slot))
+            return results, order, ledger.records()
+
+        supervised, _, worker_journal = run(1)
+        monkeypatch.setattr(Child, "start", _refuse_to_fork)
+        inline, order, journal = run(0)
+        assert order == [0, 1, 2]
+        assert [r.status for r in inline] == ["failed", "completed", "completed"]
+        assert [r.result for r in inline] == [r.result for r in supervised]
+        expected = [("bad", 1, "error", "failed"), ("good", 1, "ok", "completed"),
+                    ("m1", 1, "ok", "completed"), ("m2", 1, "ok", "completed")]
+        for records in (journal, worker_journal):
+            assert [(r.key, r.attempt, r.status, r.outcome) for r in records] == expected
+        assert all(r.worker is None for r in journal)
+        assert all(r.worker is not None for r in worker_journal)
+        # Each member journals an even share of the unit's elapsed time.
+        assert [r.elapsed for r in journal[2:]] == [0.005, 0.005]
+
+    def test_in_process_mode_refuses_what_it_cannot_enforce(self):
+        for refused in ({"timeout": 1.0}, {"chaos": "worker_crash:p=1"}):
+            with pytest.raises(ValueError, match="calling process"):
+                SupervisedExecutor(workers=0, **refused)
+
     def test_completed_callback_fires_per_terminal_result(self):
         seen = []
         _executor(execute=_ok_execute).run(
@@ -608,8 +645,6 @@ class TestRunnerResilience:
             assert records[-1].outcome == "quarantined"
 
     def test_in_process_failures_are_journaled(self, tmp_path):
-        # The sequential path journals too: today's satellite fix for
-        # "runner.py only ever appends successes".
         store_path = str(tmp_path / "s.jsonl")
         runner = CampaignRunner(ResultStore(store_path), workers=1)
         outcomes = runner.run(
@@ -704,11 +739,25 @@ class TestFailureReport:
         ledger.record(AttemptRecord("clean", "E7", 1, "ok", outcome="completed"))
         assert failure_table(ledger) is None
 
-    def test_troubled_history_is_shown(self, tmp_path):
-        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
-        ledger.record(AttemptRecord("k", "E7", 1, "crashed"))
-        ledger.record(AttemptRecord("k", "E7", 2, "ok", outcome="completed"))
+    @pytest.mark.parametrize("batch", [1, 0])
+    def test_troubled_history_is_shown(self, tmp_path, batch):
+        # Every unit's first attempt crashes.  Batched or not, each
+        # scenario's key holds both attempts and gets its report row.
+        scenarios = [s for s in builtin_campaign("replicas")
+                     if s.experiment == "E1"][:3]
+        store = ResultStore(str(tmp_path / "s.jsonl"))
+        CampaignRunner(
+            store, workers=1, batch=batch, chaos="worker_crash:p=1,attempts=1",
+            retry=RetryPolicy(max_attempts=3, backoff=0.01),
+        ).run(scenarios)
+        ledger = FailureLedger(FailureLedger.path_for(store.path))
+        history = ledger.history()
+        assert len(history) == len(scenarios)
+        for records in history.values():
+            assert [(r.attempt, r.status, r.outcome) for r in records] == [
+                (1, "crashed", None), (2, "ok", "completed")]
         table = failure_table(ledger)
+        assert len(table.to_dicts()) == len(scenarios)
         rendered = table.render()
         assert "crashed>ok" in rendered and "completed" in rendered
 
