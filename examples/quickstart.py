@@ -34,7 +34,7 @@ def demo_skeptical():
             flip_bit_array(np.asarray(state.basis[state.inner + 1]), 5, 61, inplace=True)
             done[0] = True
 
-    result = sdc_detecting_gmres(matrix, b, tol=1e-8, fault_hook=flip_once)
+    result = sdc_detecting_gmres(matrix, b, tol=1e-8, iteration_hook=flip_once)
     residual = np.linalg.norm(matrix.matvec(np.asarray(result.x)) - b) / np.linalg.norm(b)
     print(f"  converged={result.converged}  detections={result.detected_faults}  "
           f"relative residual={residual:.2e}\n")

@@ -173,7 +173,7 @@ def _run_lanes(
                             "sdc_gmres", matrix, b_list, policy="skeptical_restart",
                             check_period=check_period, **solve_params,
                             lane_params=[
-                                {"fault_hook": hook, "operator_norm": norm}
+                                {"iteration_hook": hook, "operator_norm": norm}
                                 for hook, norm in zip(hooks, norms)
                             ],
                         )

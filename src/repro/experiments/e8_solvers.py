@@ -42,7 +42,7 @@ from repro.experiments.common import (
     iteration_budget,
     run_batch_by_seed,
 )
-from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.krylov.registry import SKEPTICAL_RESPONSES, batch_solve, default_solver_registry
 from repro.reliability.registry import resolve_faults
 from repro.reliability.seeding import derive_fault_seed
 from repro.skeptical.gmres_sdc import estimate_operator_norm
@@ -174,11 +174,8 @@ def _run_lanes(
     for name in names:
         solver = registry.get(name)
         fault_seeds = [derive_fault_seed(seed, name) for seed in seeds]
-        # Per-lane ||A|| estimates ride as lane parameters (the shared
-        # policy_options route cannot hold per-lane values).
-        skeptical = solver.resolve_policy(policy) in (
-            "skeptical_restart", "skeptical_abort"
-        )
+        # Per-lane ||A|| estimates ride as lane parameters.
+        skeptical = solver.resolve_policy(policy) in SKEPTICAL_RESPONSES
         lane_params = [
             {"operator_norm": norm} if skeptical else {} for norm in trusted_norms
         ]

@@ -22,7 +22,6 @@ from repro.krylov.engine.cg import CgScheme, PipelinedCgScheme
 from repro.krylov.engine.convergence import ConvergenceTest
 from repro.krylov.engine.core import ArnoldiScheme, GmresState, IterationScheme, SolverEngine
 from repro.krylov.engine.orthogonalize import (
-    GRAM_SCHMIDT_METHODS,
     BlockedOrthogonalizer,
     Orthogonalizer,
     PipelinedOrthogonalizer,
@@ -43,7 +42,6 @@ from repro.krylov.engine.resilience import (
 )
 
 from repro.krylov.engine.batch import (
-    BATCH_GRAM_SCHMIDT,
     ArnoldiLane,
     batched_matvec,
     run_arnoldi_batch,
@@ -61,7 +59,6 @@ __all__ = [
     "Orthogonalizer",
     "BlockedOrthogonalizer",
     "PipelinedOrthogonalizer",
-    "GRAM_SCHMIDT_METHODS",
     "PreconditionerStrategy",
     "RightPreconditioner",
     "FlexiblePreconditioner",
@@ -76,5 +73,4 @@ __all__ = [
     "run_arnoldi_batch",
     "run_cg_batch",
     "batched_matvec",
-    "BATCH_GRAM_SCHMIDT",
 ]

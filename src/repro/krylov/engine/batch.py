@@ -35,12 +35,11 @@ that make this hold:
   tail, the event a policy sees, the result and every preconditioner
   application are the sequential engine's functions, with its charges.
 * Lanes never join a cycle midway: a restart cycle is the lockstep
-  unit.  Lanes are grouped into *cohorts* keyed by ``(m, method)`` --
-  the cycle dimension from
-  :func:`~repro.krylov.engine.core.cycle_dimension` and the
-  Gram-Schmidt kernel -- and a lane that converges, breaks down, is
-  abandoned by a failed check or exhausts its budget simply
-  leaves its cohort; the survivors keep going.
+  unit.  Lanes are grouped into *cohorts* keyed by the cycle dimension
+  ``m`` from :func:`~repro.krylov.engine.core.cycle_dimension`, and a
+  lane that converges, breaks down, is abandoned by a failed check or
+  exhausts its budget simply leaves its cohort; the survivors keep
+  going.
 * Per-lane fault hooks and resilience policies observe exactly the
   sequential per-iteration events, against live views of the stacked
   arrays, so injected faults land in the real solver state.  An
@@ -93,12 +92,7 @@ __all__ = [
     "run_arnoldi_batch",
     "run_cg_batch",
     "batched_matvec",
-    "BATCH_GRAM_SCHMIDT",
 ]
-
-#: Gram-Schmidt kernels with a verified batched form ("modified" has an
-#: inherently sequential per-vector recurrence; those lanes fall back).
-BATCH_GRAM_SCHMIDT = ("cgs2", "classical")
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +187,15 @@ class ArnoldiLane:
     for it, its one attempt stepped by the cohort instead of ``engine.solve``.
 
     Any lane :func:`run_arnoldi_batch` takes has this protocol: ``b``,
-    ``method`` (its Gram-Schmidt kernel), ``cohort`` (the class of its
-    checks, or ``None``), ``attempt``, ``slot``, ``abandoned`` and
-    ``result``, and :meth:`head`, :meth:`begin_cycle` and :meth:`tail_begin`.
+    ``cohort`` (the class of its checks, or ``None``), ``attempt``,
+    ``slot``, ``abandoned`` and ``result``, and :meth:`head`,
+    :meth:`begin_cycle` and :meth:`tail_begin`.
     """
 
     cohort = None
 
     def __init__(self, engine, b, x0=None):
         self.engine = engine
-        self.method = engine.scheme.orthogonalizer.method
-        if self.method not in BATCH_GRAM_SCHMIDT:
-            raise ValueError(
-                f"no batched kernel for gram_schmidt={self.method!r}; "
-                "use the sequential solver for 'modified'"
-            )
         self.b = np.asarray(b, dtype=np.float64)
         self.attempt = engine.begin(self.b, x0)
         self.slot = -1
@@ -221,11 +209,12 @@ class ArnoldiLane:
 
     def begin_cycle(self, r=None):
         """Run the cycle head (on ``r``, the residual :meth:`head` asked
-        for, when it was stacked); return a cohort key, ``None`` when solved."""
+        for, when it was stacked); return its cycle dimension (the cohort
+        key), ``None`` when solved."""
         if self.result is None:
             m = self.attempt.begin_cycle(r)
             if m is not None:
-                return (m, self.method)
+                return m
             self.result = self.engine.finish(self.attempt.result())
         return None
 
@@ -273,21 +262,21 @@ def _swap_slots(order, s: int, t: int, basis, hess, table, g) -> None:
         lane.attempt.lsq._g = g[:, slot]
 
 
-def _run_cohort(lanes, m: int, method: str, n: int):
+def _run_cohort(lanes, m: int, n: int):
     """Advance one restart cycle of a cohort of lanes in lockstep; return
     the Hessenberg stack and the rotated right-hand sides ``g`` (step-major)
     the cycle tail solves.
 
-    All lanes share the cycle dimension ``m`` and Gram-Schmidt
-    ``method``; each occupies one slot of the stacked basis
-    ``(G, m+1, n)`` and Hessenberg ``(G, m+1, m)`` arrays and one column
-    of a step-major ``table`` holding everything a step reads as a
-    ``(k,)`` vector (Givens rotations, rotated right-hand side,
-    residuals, targets), so those operands are contiguous rows.  Lanes
-    leave the active set on convergence, happy breakdown, non-finite
-    residual or a check abandoning its cycle; survivors proceed.  (The budget
-    needs no test: ``m`` never exceeds a lane's remaining iterations, so
-    it can only run out at the last step, where the cycle ends anyway.)
+    All lanes share the cycle dimension ``m``; each occupies one slot of
+    the stacked basis ``(G, m+1, n)`` and Hessenberg ``(G, m+1, m)``
+    arrays and one column of a step-major ``table`` holding everything a
+    step reads as a ``(k,)`` vector (Givens rotations, rotated
+    right-hand side, residuals, targets), so those operands are
+    contiguous rows.  Lanes leave the active set on convergence, happy
+    breakdown, non-finite residual or a check abandoning its cycle;
+    survivors proceed.  (The budget needs no test: ``m`` never exceeds a
+    lane's remaining iterations, so it can only run out at the last
+    step, where the cycle ends anyway.)
 
     Per-lane Python runs only on events (module docstring, "Cost
     shape"); a lane reads its step count, residuals and kernel seconds
@@ -363,7 +352,7 @@ def _run_cohort(lanes, m: int, method: str, n: int):
 
         # Orthogonalization span (Gram-Schmidt, norm, happy test,
         # append), batched; one charged call per lane as sequentially.
-        W1, coeffs = orthogonalize_many(basis[idx, : j + 1, :], W, method)
+        W1, coeffs = orthogonalize_many(basis[idx, : j + 1, :], W)
         h_next = np.sqrt(np.matmul(W1[:, None, :], W1[:, :, None])[:, 0, 0])
         happy = h_next <= HAPPY_BREAKDOWN_TOL * np.maximum(res[j, :k], 1.0)
         any_happy = happy.any()
@@ -479,8 +468,8 @@ def run_arnoldi_batch(lanes: Sequence) -> List[SolveResult]:
             if key is not None:
                 cohorts.setdefault(key, []).append(lane)
         pool = []
-        for (m, method), members in cohorts.items():
-            _batched_cycle_tail(members, *_run_cohort(members, m, method, n))
+        for m, members in cohorts.items():
+            _batched_cycle_tail(members, *_run_cohort(members, m, n))
             pool.extend(members)
     return [lane.result for lane in lanes]
 

@@ -9,8 +9,8 @@ observed iterations.  :class:`SolverEngine` extracts that machinery
 once and delegates the variation points to strategy objects:
 
 * :class:`~repro.krylov.engine.orthogonalize.Orthogonalizer` -- the
-  Gram-Schmidt kernel (blocking CGS2/classical/modified, or the fused
-  single-reduction wave of the pipelined variants).
+  Gram-Schmidt kernel (blocking CGS2, or the fused single-reduction
+  wave of the pipelined variants).
 * :class:`~repro.krylov.engine.precondition.PreconditionerStrategy` --
   fixed right preconditioning vs flexible (per-iteration, possibly
   unreliable inner solves with the reliable-outer vetting of FT-GMRES).

@@ -6,9 +6,8 @@ two families in the toolkit differ in their *communication pattern*,
 not their algebra:
 
 * :class:`BlockedOrthogonalizer` -- the baseline blocking kernel:
-  :meth:`~repro.krylov.ops.KrylovBasis.orthogonalize` (CGS2 by default,
-  classical or modified Gram-Schmidt on request) followed by an
-  explicit norm.  Two fused reductions per CGS2 step on the simulated
+  :meth:`~repro.krylov.ops.KrylovBasis.orthogonalize` (CGS2) followed
+  by an explicit norm.  Two fused reductions per step on the simulated
   runtime.
 * :class:`PipelinedOrthogonalizer` -- the latency-reduced kernel of
   p(l)-GMRES: ONE fused non-blocking reduction carries all projection
@@ -34,12 +33,9 @@ __all__ = [
     "Orthogonalizer",
     "BlockedOrthogonalizer",
     "PipelinedOrthogonalizer",
-    "GRAM_SCHMIDT_METHODS",
     "HAPPY_BREAKDOWN_TOL",
     "orthogonalize_many",
 ]
-
-GRAM_SCHMIDT_METHODS = ("cgs2", "classical", "modified")
 
 # Happy-breakdown threshold of the blocking kernel, relative to the
 # cycle residual: shared with the batched lockstep path so both decide
@@ -47,8 +43,8 @@ GRAM_SCHMIDT_METHODS = ("cgs2", "classical", "modified")
 HAPPY_BREAKDOWN_TOL = 1e-14
 
 
-def orthogonalize_many(rows: np.ndarray, w: np.ndarray, method: str = "cgs2"):
-    """One Gram-Schmidt step for a stack of independent lanes.
+def orthogonalize_many(rows: np.ndarray, w: np.ndarray):
+    """One CGS2 step for a stack of independent lanes.
 
     ``rows`` is ``(G, k, n)`` (lane ``g``'s first ``k`` basis vectors as
     rows) and ``w`` is ``(G, n)``.  Returns ``(w_orth, coefficients)``
@@ -59,18 +55,13 @@ def orthogonalize_many(rows: np.ndarray, w: np.ndarray, method: str = "cgs2"):
     one stacked batch dimension reduces each lane with the same gemv
     kernel as the sequential ``rows @ w`` / ``coefficients @ rows``
     calls, so the floats are identical (``np.einsum`` is NOT, and must
-    not be substituted here).  ``"modified"`` has no batched form; the
-    caller falls back per lane.
+    not be substituted here).
     """
-    if method not in ("cgs2", "classical"):
-        raise ValueError(f"no batched kernel for gram_schmidt={method!r}")
     coefficients = np.matmul(rows, w[:, :, None])[:, :, 0]
     w = w - np.matmul(coefficients[:, None, :], rows)[:, 0, :]
-    if method == "cgs2":
-        correction = np.matmul(rows, w[:, :, None])[:, :, 0]
-        w -= np.matmul(correction[:, None, :], rows)[:, 0, :]
-        coefficients = coefficients + correction
-    return w, coefficients
+    correction = np.matmul(rows, w[:, :, None])[:, :, 0]
+    w -= np.matmul(correction[:, None, :], rows)[:, 0, :]
+    return w, coefficients + correction
 
 
 class Orthogonalizer:
@@ -91,18 +82,12 @@ class Orthogonalizer:
 
 
 class BlockedOrthogonalizer(Orthogonalizer):
-    """Blocking Gram-Schmidt via the :class:`~repro.krylov.ops.KrylovBasis` kernels."""
-
-    def __init__(self, method: str = "cgs2", *, advertise: bool = True):
-        if method not in GRAM_SCHMIDT_METHODS:
-            raise ValueError(f"gram_schmidt must be one of {GRAM_SCHMIDT_METHODS}")
-        self.method = method
-        self._advertise = advertise
+    """Blocking CGS2 via the :class:`~repro.krylov.ops.KrylovBasis` kernels."""
 
     def step(self, engine, basis, w, j: int, cycle_residual: float):
         kernels = engine.kernels
         t0 = kernels.tick()
-        w, coefficients = basis.orthogonalize(w, method=self.method, k=j + 1)
+        w, coefficients = basis.orthogonalize(w, k=j + 1)
         h_next = ops.norm(w)
         happy = h_next <= HAPPY_BREAKDOWN_TOL * max(cycle_residual, 1.0)
         if not happy:
@@ -111,10 +96,6 @@ class BlockedOrthogonalizer(Orthogonalizer):
             basis.append_zero()
         kernels.charge("orthogonalization", t0)
         return coefficients, h_next, happy
-
-    def contribute_info(self, info: dict) -> None:
-        if self._advertise:
-            info["gram_schmidt"] = self.method
 
 
 class PipelinedOrthogonalizer(Orthogonalizer):

@@ -86,7 +86,7 @@ def fgmres(
     engine = SolverEngine(
         operator,
         ArnoldiScheme(
-            BlockedOrthogonalizer("cgs2", advertise=False),
+            BlockedOrthogonalizer(),
             FlexiblePreconditioner(inner_solve),
             restart=restart,
             maxiter=maxiter,

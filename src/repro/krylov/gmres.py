@@ -5,7 +5,7 @@ wrapper over the :mod:`repro.krylov.engine`: the restarted-Arnoldi
 machinery lives in :class:`~repro.krylov.engine.core.ArnoldiScheme`,
 and this configuration pairs it with the blocking
 :class:`~repro.krylov.engine.orthogonalize.BlockedOrthogonalizer`
-(classical Gram-Schmidt with reorthogonalization, CGS2, by default) and
+(classical Gram-Schmidt with reorthogonalization, CGS2) and
 fixed right preconditioning.  The same code runs sequentially (NumPy
 vectors) and on the simulated distributed runtime.
 
@@ -51,7 +51,6 @@ def gmres_engine(
     maxiter: int = 1000,
     preconditioner=None,
     iteration_hook: Optional[Callable[[GmresState], None]] = None,
-    gram_schmidt: str = "cgs2",
     policy=None,
 ) -> SolverEngine:
     """The configured engine of one :func:`gmres` solve (its keywords,
@@ -69,7 +68,7 @@ def gmres_engine(
     return SolverEngine(
         operator,
         ArnoldiScheme(
-            BlockedOrthogonalizer(gram_schmidt),
+            BlockedOrthogonalizer(),
             RightPreconditioner(preconditioner),
             restart=restart,
             maxiter=maxiter,
@@ -110,11 +109,6 @@ def gmres(operator, b, x0=None, **options) -> SolveResult:
         Callback invoked after every inner iteration with a
         :class:`GmresState`; may mutate ``basis``/``hessenberg`` (that
         is how faults are injected for the SDC experiments).
-    gram_schmidt:
-        ``"cgs2"`` (default; classical Gram-Schmidt with
-        reorthogonalization, the blocked BLAS-2 kernel),
-        ``"classical"`` (one CGS pass) or ``"modified"`` (legacy
-        one-vector-at-a-time MGS, kept for comparison runs).
     policy:
         Optional :class:`~repro.krylov.engine.resilience.ResiliencePolicy`
         observing every iteration; composed with ``iteration_hook``

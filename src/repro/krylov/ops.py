@@ -268,30 +268,27 @@ class KrylovBasis:
         """
         raise NotImplementedError
 
-    # -- shared orthogonalization kernels ------------------------------
+    # -- shared orthogonalization kernel -------------------------------
     def orthogonalize(self, w, method: str = "cgs2", k: Optional[int] = None):
         """Orthogonalize ``w`` against the first ``k`` stored vectors.
 
-        ``method`` is ``"cgs2"`` (classical Gram-Schmidt run twice --
-        the default block kernel, as robust as MGS at BLAS-2 speed),
-        ``"classical"`` (one CGS pass) or ``"modified"`` (the legacy
-        one-vector-at-a-time MGS recurrence, kept for comparison runs).
-        Returns ``(w_orth, coefficients)``; the coefficient vector is
-        the accumulated Hessenberg column.
+        The one kernel is ``"cgs2"``: classical Gram-Schmidt run twice,
+        as robust as MGS at BLAS-2 speed; any other ``method`` is
+        refused.  Returns ``(w_orth, coefficients)``; the coefficient
+        vector is the accumulated Hessenberg column.
         """
+        _check_cgs2(method)
         k = self.n_columns if k is None else int(k)
-        if method == "modified":
-            return self._mgs(w, k)
         coefficients = self.block_dot(w, k)
         w = self.block_axpy(coefficients, w, k)
-        if method == "cgs2":
-            correction = self.block_dot(w, k)
-            w = self.block_axpy(correction, w, k)
-            coefficients = coefficients + correction
-        return w, coefficients
+        correction = self.block_dot(w, k)
+        w = self.block_axpy(correction, w, k)
+        return w, coefficients + correction
 
-    def _mgs(self, w, k: int):
-        raise NotImplementedError
+
+def _check_cgs2(method: str) -> None:
+    if method != "cgs2":
+        raise ValueError(f"the Gram-Schmidt kernel is 'cgs2', not {method!r}")
 
 
 class _DenseKrylovBasis(KrylovBasis):
@@ -303,17 +300,14 @@ class _DenseKrylovBasis(KrylovBasis):
     def orthogonalize(self, w, method: str = "cgs2", k: Optional[int] = None):
         # Specialized to the minimal number of NumPy calls: at small n
         # the interpreter round trips cost more than the gemvs.
+        _check_cgs2(method)
         k = self.n_columns if k is None else int(k)
-        if method == "modified":
-            return self._mgs(w, k)
         rows = self._rows[:k]
         coefficients = rows @ w
         w = w - coefficients @ rows
-        if method == "cgs2":
-            correction = rows @ w
-            w -= correction @ rows  # in place: w was freshly allocated above
-            coefficients = coefficients + correction
-        return w, coefficients
+        correction = rows @ w
+        w -= correction @ rows  # in place: w was freshly allocated above
+        return w, coefficients + correction
 
     def append(self, vec, scale: float = 1.0):
         row = self._rows[self.n_columns]
@@ -342,15 +336,6 @@ class _DenseKrylovBasis(KrylovBasis):
         payload[:k] = self._rows[:k] @ w
         payload[k] = float(w @ w)
         return CompletedRequest(payload, operation="fused_projection")
-
-    def _mgs(self, w, k: int):
-        w = as_float(w).copy()
-        coefficients = np.zeros(k, dtype=np.float64)
-        for i in range(k):
-            v = self._rows[i]
-            coefficients[i] = float(v @ w)
-            w -= coefficients[i] * v
-        return w, coefficients
 
 
 class _DistributedKrylovBasis(KrylovBasis):
@@ -405,14 +390,6 @@ class _DistributedKrylovBasis(KrylovBasis):
         payload[k] = float(w.local @ w.local)
         self._comm.compute(2.0 * (k + 1) * w.local_size)
         return self._comm.iallreduce(payload, op=SUM)
-
-    def _mgs(self, w: DistributedVector, k: int):
-        w = w.copy()
-        coefficients = np.zeros(k, dtype=np.float64)
-        for i in range(k):
-            coefficients[i] = self.column(i).dot(w)
-            w.local -= coefficients[i] * self._rows[i]
-        return w, coefficients
 
 
 def allocate_basis(template: Vector, max_vectors: int) -> KrylovBasis:

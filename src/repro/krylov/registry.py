@@ -81,23 +81,16 @@ __all__ = [
 GENERIC_POLICIES = ("none", "guard", "skeptical")
 
 
-def _guarded(solve_fn: Callable) -> Callable:
-    """Dispatch of a policy-aware solver function: bare or residual-guarded."""
-
-    def dispatch(policy: str, options: dict, params: dict):
-        if policy == "none":
-            return solve_fn, params
-        return solve_fn, dict(params, policy=ResidualGuardPolicy(**options))
-
-    return dispatch
+# The skeptical policies: ``sdc_detecting_gmres`` under this response.
+SKEPTICAL_RESPONSES = {"skeptical_restart": "restart", "skeptical_abort": "abort"}
 
 
 @dataclass
 class PreparedSolve:
     """One resolved :meth:`RegisteredSolver.solve` call, not yet run.
 
-    The solver function the entry's dispatch picked, the arguments it
-    will receive, and the labels its result is annotated with.
+    The solver function the policy picked, the arguments it will
+    receive, and the labels its result is annotated with.
     :meth:`RegisteredSolver.solve` runs it at once; :func:`batch_solve`
     first looks whether the same call has a lockstep lane.
     """
@@ -144,9 +137,9 @@ class RegisteredSolver:
     policies:
         Concrete resilience-policy names this solver supports; the
         first entry is the default.
-    spd_only:
-        Whether the solver requires a symmetric positive definite
-        operator.
+    function:
+        The solver function a call runs, but under a ``skeptical_*``
+        policy, which runs :func:`sdc_detecting_gmres` instead.
     distributed:
         Whether the solver runs on the simulated distributed backend.
     precond_param:
@@ -160,8 +153,7 @@ class RegisteredSolver:
     family: str
     title: str
     policies: Tuple[str, ...]
-    _dispatch: Callable = field(repr=False)
-    spd_only: bool = False
+    function: Callable = field(repr=False)
     distributed: bool = True
     precond_param: str = "preconditioner"
 
@@ -215,7 +207,6 @@ class RegisteredSolver:
         x0=None,
         *,
         policy: Optional[str] = None,
-        policy_options: Optional[Mapping] = None,
         precond=None,
         precond_matrix=None,
         precision=None,
@@ -225,13 +216,14 @@ class RegisteredSolver:
 
         The one mapping from the declarative surface to a solver call,
         for one lane and for many (:func:`batch_solve`): casts for
-        ``precision``, builds ``precond``, and asks the entry's dispatch
-        -- ``(policy, options, params) -> (solver function, its
-        keywords)`` -- what the call comes down to.
+        ``precision``, builds ``precond``, and maps the policy --
+        ``residual_guard`` adds a
+        :class:`~repro.krylov.engine.ResidualGuardPolicy` to the call,
+        ``skeptical_*`` runs :func:`sdc_detecting_gmres` on the same
+        keywords with ``policy=<response>``.
 
-        ``params`` are forwarded to the underlying solver function;
-        ``policy_options`` configure the policy object (e.g. the
-        residual guard's ``growth_factor``).  ``precond`` is anything
+        ``params`` are forwarded to the solver function, which refuses
+        any keyword it does not take.  ``precond`` is anything
         :func:`repro.precond.resolve_preconds` accepts (registry name,
         compact spec string, dict, :class:`~repro.precond.PrecondSpec`
         or a built preconditioner object); spec-shaped values are built
@@ -274,21 +266,19 @@ class RegisteredSolver:
             if built is not None:
                 params[self.precond_param] = built
         effective = self.resolve_policy(policy)
-        function, options = self._dispatch(effective, dict(policy_options or {}), dict(params))
+        function = self.function
+        if effective == "residual_guard":
+            params["policy"] = ResidualGuardPolicy()
+        elif effective in SKEPTICAL_RESPONSES:
+            function = sdc_detecting_gmres
+            params["policy"] = SKEPTICAL_RESPONSES[effective]
         return PreparedSolve(
-            function, operator, b, x0, options, self.name, effective, precond_label,
+            function, operator, b, x0, params, self.name, effective, precond_label,
             precision_label,
         )
 
 
 def _builtin_solvers() -> List[RegisteredSolver]:
-    def dispatch_sdc(policy, options, params):
-        response = {"skeptical_restart": "restart", "skeptical_abort": "abort"}[policy]
-        return sdc_detecting_gmres, dict(policy=response, **options, **params)
-
-    def dispatch_ft(policy, options, params):
-        return ft_gmres, dict(**options, **params)
-
     guard_only = ("none", "residual_guard")
     return [
         RegisteredSolver(
@@ -296,14 +286,14 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="Restarted GMRES, right preconditioning, blocking CGS2",
             policies=("none", "residual_guard", "skeptical_restart", "skeptical_abort"),
-            _dispatch=_dispatch_gmres(_guarded(gmres), dispatch_sdc),
+            function=gmres,
         ),
         RegisteredSolver(
             name="fgmres",
             family="gmres",
             title="Flexible GMRES (variable preconditioner, reliable outer)",
             policies=guard_only,
-            _dispatch=_guarded(fgmres),
+            function=fgmres,
             precond_param="inner_solve",
         ),
         RegisteredSolver(
@@ -311,30 +301,28 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="gmres",
             title="Single-reduction (latency-tolerant) GMRES",
             policies=guard_only,
-            _dispatch=_guarded(pipelined_gmres),
+            function=pipelined_gmres,
         ),
         RegisteredSolver(
             name="cg",
             family="cg",
             title="Preconditioned conjugate gradients",
             policies=guard_only,
-            _dispatch=_guarded(cg),
-            spd_only=True,
+            function=cg,
         ),
         RegisteredSolver(
             name="pipelined_cg",
             family="cg",
             title="Pipelined (overlapped single-reduction) CG",
             policies=guard_only,
-            _dispatch=_guarded(pipelined_cg),
-            spd_only=True,
+            function=pipelined_cg,
         ),
         RegisteredSolver(
             name="sdc_gmres",
             family="gmres",
             title="SDC-detecting (skeptical) GMRES",
             policies=("skeptical_restart", "skeptical_abort"),
-            _dispatch=dispatch_sdc,
+            function=sdc_detecting_gmres,
             distributed=False,
         ),
         RegisteredSolver(
@@ -342,27 +330,10 @@ def _builtin_solvers() -> List[RegisteredSolver]:
             family="outer_inner",
             title="Fault-tolerant GMRES (selective reliability, unreliable inner)",
             policies=("srp",),
-            _dispatch=dispatch_ft,
+            function=ft_gmres,
             distributed=False,
         ),
     ]
-
-
-def _dispatch_gmres(guarded: Callable, skeptical: Callable) -> Callable:
-    """GMRES dispatch: plain / guarded / full skeptical by policy name."""
-
-    def dispatch(policy, options, params):
-        if policy in ("none", "residual_guard"):
-            return guarded(policy, options, params)
-        params.pop("gram_schmidt", None)  # the skeptical solver pins CGS2
-        # Uniform solve() contract: a gmres iteration_hook becomes the
-        # skeptical solver's pre-check hook (same run-before-checks slot).
-        hook = params.pop("iteration_hook", None)
-        if hook is not None and "fault_hook" not in params:
-            params["fault_hook"] = hook
-        return skeptical(policy, options, params)
-
-    return dispatch
 
 
 class SolverRegistry(Registry[RegisteredSolver]):
@@ -396,17 +367,17 @@ def _lockstep_lane(call: PreparedSolve) -> Optional[Callable[[], object]]:
     """How the lockstep engine builds the lane of ``call``; ``None`` when
     it has none.
 
-    ``gmres`` with a Gram-Schmidt kernel that has a stacked form, ``cg``
-    and ``sdc_detecting_gmres`` under the ``"restart"`` response
-    (aborting one lane must not kill its siblings) have lanes; anything
-    else stays with the sequential engine.  A lane is built on the engine
+    ``gmres``, ``cg`` and ``sdc_detecting_gmres`` under the
+    ``"restart"`` response (aborting one lane must not kill its
+    siblings) have lanes; anything else stays with the sequential
+    engine.  A lane is built on the engine
     its solver function builds from the same keywords, so it accepts or
     refuses them as a separate solve does.  Nothing is built here: a
     lane may touch its operator (and a fault stream) as it starts, which
     only a batch that goes lockstep as a whole may do.
     """
     function, options = call.function, call.options
-    if function is gmres and options.get("gram_schmidt", "cgs2") in batch.BATCH_GRAM_SCHMIDT:
+    if function is gmres:
         return lambda: batch.ArnoldiLane(gmres_engine(call.operator, **options), call.b, call.x0)
     if function is cg:
         return lambda: (cg_engine(call.operator, **options), call.b, call.x0)
@@ -422,7 +393,6 @@ def batch_solve(
     x0s=None,
     *,
     policy: Optional[str] = None,
-    policy_options: Optional[Mapping] = None,
     precond=None,
     precond_matrix=None,
     precision=None,
@@ -434,31 +404,30 @@ def batch_solve(
     """Solve ``S`` independent right-hand sides of one named solver.
 
     The batched counterpart of :meth:`RegisteredSolver.solve`: the same
-    declarative surface (named solver, named policy, ``policy_options``,
-    declarative ``precond``), applied to a list of right-hand sides
-    ``bs`` (optionally per-lane ``x0s`` and per-lane parameter
-    overrides ``lane_params``, e.g. a per-scenario ``iteration_hook``).
+    declarative surface (named solver, named policy, declarative
+    ``precond``), applied to a list of right-hand sides ``bs``
+    (optionally per-lane ``x0s`` and per-lane parameter overrides
+    ``lane_params``, e.g. a per-scenario ``iteration_hook``).
     Every lane is resolved by :meth:`RegisteredSolver.prepare`, as a
     separate ``solve`` call would be, so the same input is accepted, or
     refused with the same error, at any lane count, and results are
     bit-identical to ``S`` separate ``solve`` calls.
 
     Lanes whose resolved call has a lockstep lane (:func:`_lockstep_lane`:
-    ``gmres`` with a batchable Gram-Schmidt kernel, ``cg``, and
-    ``sdc_detecting_gmres`` but for the skeptical ``"abort"`` response)
-    advance together through
+    ``gmres``, ``cg``, and ``sdc_detecting_gmres`` but for the skeptical
+    ``"abort"`` response) advance together through
     :func:`repro.krylov.engine.batch.run_arnoldi_batch` /
     :func:`~repro.krylov.engine.batch.run_cg_batch`; anything else
-    (``skeptical_abort``, ``gram_schmidt="modified"``, the pipelined /
-    flexible / distributed solvers) runs as per-lane sequential solves,
-    so callers never need to special-case batchability.  So does a
+    (``skeptical_abort``, the pipelined / flexible / distributed
+    solvers) runs as per-lane sequential solves, so callers never need
+    to special-case batchability.  So does a
     single lane (one lane through the lockstep engine costs about 2-3x
     the sequential one): the engine is picked by the lane count.  That
     rule is about *which engine owns which lane count*,
     not a speed crossover -- per lane the lockstep engine overtakes the
-    sequential one from about 2-3 lanes (``sdc_gmres``), 3 (``cg``) or
-    4-5 (``gmres``) at n = 64; PERFORMANCE.md, "Lockstep engine", has
-    the table.
+    sequential one from about 3 lanes (``cg``), 4 (``sdc_gmres``) or 5
+    (``gmres``) at n = 64; PERFORMANCE.md, "Lockstep engine", has the
+    table.
 
     ``precision`` (batch-wide, or per lane via a ``"precision"`` key in
     ``lane_params``) is the same declarative axis as
@@ -504,7 +473,6 @@ def batch_solve(
             b,
             x0,
             policy=effective,
-            policy_options=policy_options,
             precond=merged.pop("precond", precond),
             # A lane's private operator is a wrapper; the shared one anchors.
             precond_matrix=operator if precond_matrix is None and lane_op is not None else precond_matrix,

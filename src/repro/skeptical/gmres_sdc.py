@@ -441,7 +441,7 @@ class SdcAttempts:
     (:attr:`checks`), the budget (detection restarts and iterations
     left), what an abandoned cycle costs, what a completed attempt hands
     over, and the final result.  Its keywords, and their defaults, are
-    all of :func:`sdc_detecting_gmres`'s but ``fault_hook``.  Both
+    all of :func:`sdc_detecting_gmres`'s but ``iteration_hook``.  Both
     engines drive it -- :func:`sdc_detecting_gmres` with a
     ``try/except CycleAbandoned`` loop around ``engine.solve``, an
     :class:`SdcLane` of the lockstep engine at its cycle boundaries --
@@ -489,9 +489,8 @@ class SdcAttempts:
             np.array(x0, dtype=np.float64, copy=True) if x0 is not None
             else np.zeros_like(self.b)
         )
-        self._gmres_options = dict(  # the skeptical solver pins CGS2
-            tol=tol, atol=atol, restart=restart, preconditioner=preconditioner,
-            gram_schmidt="cgs2", iteration_hook=None,
+        self._gmres_options = dict(
+            tol=tol, atol=atol, restart=restart, preconditioner=preconditioner
         )
         self.maxiter = maxiter
         self.max_restarts_on_detection = max_restarts_on_detection
@@ -570,18 +569,17 @@ class SdcLane:
     does to :func:`sdc_detecting_gmres`; here the cohort steps it, and
     its :attr:`cohort` class, :class:`SdcCohort`, enters the check set
     (:attr:`checks`) with the stacked arrays, so the engine's policy is
-    the fault hook alone.  The lane protocol is that of
+    the iteration hook alone.  The lane protocol is that of
     :class:`repro.krylov.engine.batch.ArnoldiLane`.
     """
 
     cohort = SdcCohort
-    method = "cgs2"  # the skeptical solver pins CGS2
 
-    def __init__(self, operator, b, x0=None, *, fault_hook=None, **options):
+    def __init__(self, operator, b, x0=None, *, iteration_hook=None, **options):
         if options.get("policy", "restart") != "restart":
             raise ValueError("a lockstep lane has the 'restart' response only")
         self.driver = SdcAttempts(operator, b, x0, **options)
-        self.policy = CallbackPolicy.from_hook(fault_hook, "state")
+        self.policy = CallbackPolicy.from_hook(iteration_hook, "state")
         self.b = self.driver.b
         self.checks = self.driver.checks
         self.engine = None
@@ -609,7 +607,7 @@ class SdcLane:
         while (a := self._next()) is not None:
             m = a.begin_cycle(r)
             if m is not None:
-                return (m, self.method)
+                return m
             self.driver.complete(self.engine.finish(a.result()))
             self.attempt = r = None
         return None
@@ -638,7 +636,7 @@ def sdc_detecting_gmres(
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     *,
-    fault_hook: Optional[Callable[[GmresState], None]] = None,
+    iteration_hook: Optional[Callable[[GmresState], None]] = None,
     **options,
 ) -> SolveResult:
     """Restarted GMRES with skeptical SDC detection in the Arnoldi process.
@@ -650,7 +648,7 @@ def sdc_detecting_gmres(
     operator, b, x0:
         As for :func:`repro.krylov.gmres.gmres` (sequential NumPy
         vectors only -- the checks need the basis as a dense array).
-    fault_hook:
+    iteration_hook:
         Optional callable run *before* the checks each iteration with
         the :class:`~repro.krylov.gmres.GmresState`; fault-injection
         campaigns use it to corrupt the solver state exactly where a
@@ -696,8 +694,8 @@ def sdc_detecting_gmres(
     skeptical = SdcPolicy(attempts.checks, operator, attempts.b, attempts.policy)
     engine_policy = (
         skeptical
-        if fault_hook is None
-        else CompositePolicy([CallbackPolicy(fault_hook, "state"), skeptical])
+        if iteration_hook is None
+        else CompositePolicy([CallbackPolicy(iteration_hook, "state"), skeptical])
     )
 
     while (engine := attempts.next_engine(engine_policy)) is not None:

@@ -104,7 +104,6 @@ class TestEngineParity:
         [
             ("gmres", dict(tol=1e-8, restart=30, maxiter=600)),
             ("gmres", dict(tol=1e-8, restart=25, maxiter=500, policy="residual_guard")),
-            ("gmres", dict(tol=1e-8, restart=30, maxiter=600, gram_schmidt="classical")),
             ("gmres", dict(tol=1e-8, restart=30, maxiter=600, precond="jacobi")),
             ("cg", dict(tol=1e-10, maxiter=400)),
             ("cg", dict(tol=1e-10, maxiter=400, precond="jacobi")),
@@ -117,7 +116,7 @@ class TestEngineParity:
             ("pipelined_cg", dict(tol=1e-10, maxiter=400)),
             ("ft_gmres", dict(tol=1e-8, outer_maxiter=30, inner_maxiter=10)),
         ],
-        ids=["gmres", "gmres-guard", "gmres-mgs", "gmres-jacobi", "cg",
+        ids=["gmres", "gmres-guard", "gmres-jacobi", "cg",
              "cg-jacobi", "cg-guard", "sdc", "pipelined-fallback",
              "fgmres-fallback", "pipelined-cg-fallback", "ft-gmres-fallback"],
     )
@@ -167,12 +166,10 @@ class TestEngineParity:
                       maxiter=600, check_period=1)
         batched = batch_solve(
             "sdc_gmres", matrix, rhs, **kwargs,
-            lane_params=[{"fault_hook": hook(7 + i)} for i in range(len(rhs))],
+            lane_params=[{"iteration_hook": hook(7 + i)} for i in range(len(rhs))],
         )
         sequential = [
-            registry.get("sdc_gmres").solve(
-                matrix, b, **kwargs, policy_options={"fault_hook": hook(7 + i)}
-            )
+            registry.get("sdc_gmres").solve(matrix, b, **kwargs, iteration_hook=hook(7 + i))
             for i, b in enumerate(rhs)
         ]
         assert_lane_parity(batched, sequential)
@@ -224,14 +221,13 @@ class TestEngineParity:
         bs = [np.random.default_rng(60 + i // 2).standard_normal(matrix.n_rows) for i in range(8)]
         bs.append(eigenvector)
         tols = [1e-4, 1e-4, 1e-6, 1e-6, 1e-8, 1e-8, 1e-10, 1e-10, 1e-8]
-        hook_name = "fault_hook" if solver == "sdc_gmres" else "iteration_hook"
         kwargs = dict(restart=30, maxiter=600)
         if solver == "sdc_gmres":
             kwargs["policy"] = "skeptical_restart"
 
         def lane_params():
             params = [{"tol": tol} for tol in tols]
-            params[1][hook_name] = ZeroPivot()
+            params[1]["iteration_hook"] = ZeroPivot()
             return params
 
         stacked = []  # (lanes, raised) per stacked solve
@@ -249,11 +245,9 @@ class TestEngineParity:
         monkeypatch.setattr(batch_engine, "back_substitution_many", spy)
         batched = batch_solve(solver, matrix, bs, lane_params=lane_params(), **kwargs)
         entry = default_solver_registry().get(solver)
-        sequential = []
-        for b, params in zip(bs, lane_params()):
-            if hook_name in params and solver == "sdc_gmres":
-                params["policy_options"] = {"fault_hook": params.pop(hook_name)}
-            sequential.append(entry.solve(matrix, b, **kwargs, **params))
+        sequential = [
+            entry.solve(matrix, b, **kwargs, **params) for b, params in zip(bs, lane_params())
+        ]
         assert_lane_parity(batched, sequential)
         assert len({r.iterations for r in batched}) > 3
         assert batched[1].breakdown and not batched[0].breakdown
@@ -352,7 +346,6 @@ class TestLockstepFuzz:
             kwargs.update(policy="skeptical_restart", check_period=check_period)
         elif guard:
             kwargs["policy"] = "residual_guard"
-        hook_name = "fault_hook" if solver == "sdc_gmres" else "iteration_hook"
 
         bs, x0s = [], []
         for lane in lanes:
@@ -375,19 +368,17 @@ class TestLockstepFuzz:
                 if lane["tol"] is not None:
                     extra["tol"] = lane["tol"]
                 if lane["hook"] is not None and solver != "cg":
-                    extra[hook_name] = _bitflip_hook(*lane["hook"])
+                    extra["iteration_hook"] = _bitflip_hook(*lane["hook"])
                 params.append(extra)
             return params
 
         entry = default_solver_registry().get(solver)
         # Degenerate right-hand sides and flipped exponents overflow by design.
         with np.errstate(all="ignore"):
-            sequential = []
-            for b, x0, extra in zip(bs, x0s, lane_params()):
-                merged = dict(kwargs, **extra)
-                if "fault_hook" in merged:
-                    merged["policy_options"] = {"fault_hook": merged.pop("fault_hook")}
-                sequential.append(entry.solve(matrix, b, x0, **merged))
+            sequential = [
+                entry.solve(matrix, b, x0, **dict(kwargs, **extra))
+                for b, x0, extra in zip(bs, x0s, lane_params())
+            ]
             batched = batch_solve(
                 solver, matrix, bs, x0s, lane_params=lane_params(), **kwargs
             )
@@ -432,19 +423,24 @@ class TestBadInputAgreement:
             ("gmres", dict(tol=0.0, maxiter=7), False),
             ("cg", dict(tol=0.0, maxiter=7), False),
             # Keywords the solver function does not take are refused by
-            # the solver function, whatever the lane count: the skeptical
-            # solver has no gram_schmidt, iteration_hook or monitor, and
-            # nobody has a bogus.
+            # the solver function, whatever the lane count: no solver has
+            # a gram_schmidt (CGS2 is the one kernel) or a fault_hook (the
+            # hook is iteration_hook everywhere), the skeptical solver has
+            # no monitor, and nobody has a bogus.
             ("sdc_gmres", dict(_SKEPTICAL, gram_schmidt="classical"), TypeError),
-            ("sdc_gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook), TypeError),
+            ("sdc_gmres", dict(_SKEPTICAL, fault_hook=_no_op_hook), TypeError),
             ("sdc_gmres", dict(_SKEPTICAL, monitor=object()), TypeError),
             ("sdc_gmres", dict(_SKEPTICAL, bogus=1), TypeError),
             ("gmres", dict(bogus=1), TypeError),
             ("gmres", dict(policy="residual_guard", bogus=1), TypeError),
             ("cg", dict(bogus=1), TypeError),
-            # Legal: "gmres" under the skeptical policy maps its own
-            # keywords onto the skeptical solver's (the one dispatch).
-            ("gmres", dict(_SKEPTICAL, gram_schmidt="classical"), False),
+            # "gmres" under the skeptical policy runs the skeptical solver
+            # on the same keywords: nothing a caller asked for is dropped.
+            ("gmres", dict(_SKEPTICAL, gram_schmidt="modified"), TypeError),
+            ("gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook, fault_hook=_no_op_hook),
+             TypeError),
+            # Legal: the hook has one name, on every solver.
+            ("sdc_gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook), False),
             ("gmres", dict(_SKEPTICAL, iteration_hook=_no_op_hook), False),
         ],
     )
@@ -517,7 +513,7 @@ class TestSharedBoundary:
                 else:  # an exponent flip at step 4: one detection, one restart
                     kwargs = dict(_SKEPTICAL)
                     lane_params = [
-                        {"fault_hook": _bitflip_hook((52, 62), i, 4)}
+                        {"iteration_hook": _bitflip_hook((52, 62), i, 4)}
                         for i in range(start, start + lanes)
                     ]
                 with np.errstate(all="ignore"):

@@ -61,7 +61,7 @@ class TestKrylovBasis:
         for j in range(k):
             basis.append(q[:, j])
         w = base + 1e-8 * rng.standard_normal(n)
-        w1, _ = basis.orthogonalize(np.array(w), method="classical", k=k)
+        w1 = basis.block_axpy(basis.block_dot(w, k), np.array(w), k)  # one pass
         w2, _ = basis.orthogonalize(np.array(w), method="cgs2", k=k)
         defect1 = np.max(np.abs(basis.matrix(k).T @ (w1 / np.linalg.norm(w1))))
         defect2 = np.max(np.abs(basis.matrix(k).T @ (w2 / np.linalg.norm(w2))))
@@ -130,19 +130,13 @@ class TestGmresBlockKernels:
         np.testing.assert_allclose(matrix @ np.asarray(result.x), b, atol=1e-10)
 
     def test_old_vs_new_gmres_equivalence(self, rng):
-        """Legacy MGS and blocked CGS2 must agree on a fixed seed."""
+        """Blocked CGS2 GMRES must reach the direct solution on a fixed seed."""
         matrix = convection_diffusion_2d(10, peclet=10.0)
         b = np.random.default_rng(2013).standard_normal(matrix.n_rows)
-        legacy = gmres(matrix, b, tol=1e-12, restart=40, maxiter=800,
-                       gram_schmidt="modified")
-        blocked = gmres(matrix, b, tol=1e-12, restart=40, maxiter=800,
-                        gram_schmidt="cgs2")
-        assert legacy.converged and blocked.converged
-        assert np.linalg.norm(
-            np.asarray(legacy.x) - np.asarray(blocked.x)
-        ) <= 1e-10 * np.linalg.norm(np.asarray(legacy.x))
-        # Convergence behaviour matches too (same restart structure).
-        assert abs(legacy.iterations - blocked.iterations) <= 2
+        blocked = gmres(matrix, b, tol=1e-12, restart=40, maxiter=800)
+        direct = np.linalg.solve(matrix.to_dense(), b)
+        assert blocked.converged
+        assert np.linalg.norm(np.asarray(blocked.x) - direct) <= 1e-10 * np.linalg.norm(direct)
 
     def test_hook_mutation_reaches_solver(self, rng):
         """Corrupting state.basis through the hook must derail the solve

@@ -84,16 +84,6 @@ def _case_gmres_preconditioned():
     return _digest(gmres(matrix, b, tol=1e-9, restart=20, maxiter=300, preconditioner=M))
 
 
-def _case_gmres_classical():
-    matrix, b = _problem()
-    return _digest(gmres(matrix, b, tol=1e-8, restart=25, maxiter=200, gram_schmidt="classical"))
-
-
-def _case_gmres_modified():
-    matrix, b = _problem(n_grid=8)
-    return _digest(gmres(matrix, b, tol=1e-8, restart=15, maxiter=200, gram_schmidt="modified"))
-
-
 def _case_gmres_nonsymmetric():
     matrix = convection_diffusion_2d(8, peclet=8.0)
     rng = np.random.default_rng(11)
@@ -183,14 +173,14 @@ def _case_sdc_gmres_detected_fault():
     matrix, b = _problem(n_grid=8)
     injected = {"done": False}
 
-    def fault_hook(state):
+    def hook(state):
         if not injected["done"] and state.total_iteration == 5:
             injected["done"] = True
             # Corrupt the newest basis vector in place (exponent-scale hit).
             state.basis[state.inner + 1][3] += 1.0e6
 
     result = sdc_detecting_gmres(
-        matrix, b, tol=1e-8, restart=20, maxiter=300, fault_hook=fault_hook
+        matrix, b, tol=1e-8, restart=20, maxiter=300, iteration_hook=hook
     )
     digest = _digest(result)
     digest["detection_restarts"] = int(result.info["detection_restarts"])
@@ -233,8 +223,6 @@ def _distributed_case(solver_name: str):
 _CASES = {
     "gmres_restarted": _case_gmres_restarted,
     "gmres_preconditioned": _case_gmres_preconditioned,
-    "gmres_classical": _case_gmres_classical,
-    "gmres_modified": _case_gmres_modified,
     "gmres_nonsymmetric": _case_gmres_nonsymmetric,
     "fgmres_unpreconditioned": _case_fgmres_unpreconditioned,
     "fgmres_inner_gmres": _case_fgmres_inner_gmres,

@@ -84,6 +84,16 @@ def test_ledger_spec_probes_reach_the_region(ledger_probes):
     assert out["reliability.injections"] > 0
 
 
+def test_ledger_krylov_probe_runs(ledger_probes):
+    # The ledger's one call into KrylovBasis.orthogonalize's method argument.
+    out = {}
+    ledger_probes.probe_krylov_ops(out, seed=7)
+    rows = ["krylov.ops.cgs2_us.n64k20", "krylov.ops.cgs2_us.n16384k20",
+            "krylov.ops.lincomb_us.n16384k40"]
+    assert sorted(out) == sorted(rows)
+    assert all(out[row] > 0 for row in rows)
+
+
 def test_ft_gmres_reports_the_inner_solve_kernel():
     matrix = convection_diffusion_2d(8, peclet=10.0)
     b = np.random.default_rng(7).standard_normal(matrix.n_rows)

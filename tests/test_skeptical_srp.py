@@ -122,7 +122,7 @@ class TestSdcDetectingGmres:
         # The flipped exponent overflows the orthogonality Gram by design.
         with np.errstate(over="ignore"):
             result = sdc_detecting_gmres(
-                poisson_small, b, tol=1e-8, restart=30, maxiter=600, fault_hook=fault_hook
+                poisson_small, b, tol=1e-8, restart=30, maxiter=600, iteration_hook=fault_hook
             )
         assert injected["done"]
         assert result.detected_faults >= 1
@@ -139,7 +139,7 @@ class TestSdcDetectingGmres:
 
         with pytest.raises(SkepticalAbort):
             sdc_detecting_gmres(poisson_small, b, tol=1e-8, maxiter=200,
-                                fault_hook=fault_hook, policy="abort")
+                                iteration_hook=fault_hook, policy="abort")
 
     def test_invalid_policy(self, poisson_tiny):
         with pytest.raises(ValueError):
