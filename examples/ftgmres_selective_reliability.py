@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.krylov import ft_gmres
 from repro.linalg import convection_diffusion_2d
+from repro.reliability import resolve_faults
 from repro.utils.tables import Table
 
 if __name__ == "__main__":
@@ -24,7 +25,8 @@ if __name__ == "__main__":
                    "unreliable_flops_pct", "faults_injected"],
                   title="FT-GMRES under increasing unreliable-region fault rates")
     for prob in (0.0, 0.02, 0.05, 0.1, 0.2):
-        result = ft_gmres(matrix, b, tol=1e-8, fault_probability=prob, seed=11)
+        region = resolve_faults(f"bitflip:p={prob}").environment(seed=11)
+        result = ft_gmres(matrix, b, tol=1e-8, region=region)
         residual = np.linalg.norm(matrix.matvec(np.asarray(result.x)) - b) / np.linalg.norm(b)
         table.add_row(prob, result.converged, result.iterations, residual,
                       100.0 * result.info["unreliable_fraction_flops"],

@@ -14,7 +14,7 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.reliability import FailurePlan
+from repro.reliability import FailurePlan, resolve_faults
 from repro.reliability.bitflip import flip_bit_array
 from repro.krylov import ft_gmres
 from repro.lflr import run_lflr_heat
@@ -67,7 +67,8 @@ def demo_srp():
     warnings.simplefilter("ignore", RuntimeWarning)
     matrix = poisson_2d(16)
     b = np.random.default_rng(1).standard_normal(matrix.n_rows)
-    result = ft_gmres(matrix, b, tol=1e-8, fault_probability=0.1, seed=3)
+    region = resolve_faults("bitflip:p=0.1").environment(seed=3)
+    result = ft_gmres(matrix, b, tol=1e-8, region=region)
     residual = np.linalg.norm(matrix.matvec(np.asarray(result.x)) - b) / np.linalg.norm(b)
     frac = result.info["unreliable_fraction_flops"]
     print(f"  converged={result.converged}  relative residual={residual:.2e}")

@@ -199,7 +199,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     # The positional form and the --campaign flag are synonyms; naming
     # two different campaigns is ambiguous, not a precedence question.
     requested = [
@@ -215,13 +215,6 @@ def _cmd_run(args) -> int:
         )
         return 2
     campaign = requested[0] if requested else "default"
-    scenarios = _filter_scenarios(
-        builtin_campaign(campaign), args.experiment, args.tag
-    )
-    if not scenarios:
-        print("nothing to run (filters matched no scenarios)", file=sys.stderr)
-        return 2
-    store = None if args.no_store else ResultStore(args.store)
 
     def progress(outcome: ScenarioOutcome) -> None:
         marker = {
@@ -234,17 +227,27 @@ def _cmd_run(args) -> int:
         if outcome.error:
             print(outcome.error, file=sys.stderr)
 
-    runner = CampaignRunner(
-        store,
-        workers=args.workers,
-        base_seed=args.base_seed,
-        progress=progress,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries, backoff=args.backoff),
-        chaos=args.chaos,
-        ledger=not args.no_ledger,
-        batch=args.batch,
-    )
+    try:  # every input is resolved here, before anything runs
+        scenarios = _filter_scenarios(
+            builtin_campaign(campaign), args.experiment, args.tag
+        )
+        store = None if args.no_store else ResultStore(args.store)
+        runner = CampaignRunner(
+            store,
+            workers=args.workers,
+            base_seed=args.base_seed,
+            progress=progress,
+            timeout=args.timeout,
+            retry=RetryPolicy(max_attempts=args.retries, backoff=args.backoff),
+            chaos=args.chaos,
+            ledger=not args.no_ledger,
+            batch=args.batch,
+        )
+    except (KeyError, ValueError) as error:
+        parser.error(error.args[0])
+    if not scenarios:
+        print("nothing to run (filters matched no scenarios)", file=sys.stderr)
+        return 2
 
     if args.retry_failed:
         # Re-target exactly the failed/quarantined set the ledger
@@ -290,9 +293,16 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command; a bad input (unknown campaign or experiment, an
+    out-of-range number, a malformed chaos spec) exits with status 2 and
+    a one-line usage error before any scenario runs."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
-        return _cmd_list(args)
+        try:  # listing only looks things up
+            return _cmd_list(args)
+        except (KeyError, ValueError) as error:
+            parser.error(error.args[0])
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     return _cmd_report(args)

@@ -198,6 +198,8 @@ class CampaignRunner:
             raise ValueError("workers must be >= 1")
         if batch < 0:
             raise ValueError("batch must be >= 0 (0 = unbounded group size)")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive (or None)")
         self.store = store
         self.workers = int(workers)
         self.base_seed = int(base_seed)

@@ -8,24 +8,14 @@ with machine size dooms pure CPR.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.comm.base import payload_nbytes
+from repro.comm.base import copy_payload, payload_nbytes
 from repro.machine.model import MachineModel
 from repro.utils.validation import check_integer
 
 __all__ = ["Checkpoint", "CheckpointStore"]
-
-
-def _deep_copy(state: Dict[str, Any]) -> Dict[str, Any]:
-    out = {}
-    for key, value in state.items():
-        out[key] = value.copy() if isinstance(value, np.ndarray) else copy.deepcopy(value)
-    return out
 
 
 @dataclass
@@ -74,7 +64,8 @@ class CheckpointStore:
         per_rank = nbytes / self.n_ranks
         write_time = self.machine.checkpoint_time(per_rank)
         checkpoint = Checkpoint(
-            step=int(step), state=_deep_copy(state), nbytes=nbytes, write_time=write_time
+            step=int(step), state={key: copy_payload(value) for key, value in state.items()},
+            nbytes=nbytes, write_time=write_time,
         )
         self._checkpoints.append(checkpoint)
         if len(self._checkpoints) > self.keep:
@@ -98,7 +89,7 @@ class CheckpointStore:
         self.reads += 1
         return Checkpoint(
             step=checkpoint.step,
-            state=_deep_copy(checkpoint.state),
+            state={key: copy_payload(value) for key, value in checkpoint.state.items()},
             nbytes=checkpoint.nbytes,
             write_time=checkpoint.write_time,
         )

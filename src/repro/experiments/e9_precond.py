@@ -272,10 +272,7 @@ def _solve_cell(
     operator, each seeded from that lane's fault seed.
     """
     params = {"tol": tol, **iteration_budget(solver.name, maxiter)}
-    if solver.name == "ft_gmres":
-        lane_params = [{"seed": fault_seed} for fault_seed in fault_seeds]
-    else:
-        lane_params = [{} for _ in fault_seeds]
+    lane_params = [{} for _ in fault_seeds]
     regions = operators = None
     if soft_model is not None and target == "precond" and builts[0] is not None:
         regions = [

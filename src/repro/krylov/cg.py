@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.krylov.engine import CgScheme, ConvergenceTest, SolverEngine
-from repro.krylov.engine.resilience import compose_policy
+from repro.krylov.engine.resilience import IterationEvent, compose_policy
 from repro.krylov.result import SolveResult
 
 __all__ = ["cg", "cg_engine"]
@@ -32,7 +32,7 @@ def cg_engine(
     atol: float = 0.0,
     maxiter: int = 1000,
     preconditioner=None,
-    iteration_hook: Optional[Callable[[int, float], None]] = None,
+    iteration_hook: Optional[Callable[[IterationEvent], None]] = None,
     policy=None,
 ) -> SolverEngine:
     """The configured engine of one :func:`cg` solve (its keywords, all
@@ -41,7 +41,7 @@ def cg_engine(
         operator,
         CgScheme(preconditioner, maxiter=maxiter),
         convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "scalar"),
+        policy=compose_policy(policy, iteration_hook),
     )
 
 
@@ -59,7 +59,9 @@ def cg(operator, b, x0=None, **options) -> SolveResult:
         As in :func:`repro.krylov.gmres.gmres` (the preconditioner is
         applied symmetrically through the standard PCG recurrence).
     iteration_hook:
-        Optional callback ``hook(iteration, residual_norm)``.
+        Optional callback ``hook(event)``, called every iteration with an
+        :class:`~repro.krylov.engine.resilience.IterationEvent`
+        (``total_iteration``, ``residual_norm``).
     policy:
         Optional :class:`~repro.krylov.engine.resilience.ResiliencePolicy`.
 

@@ -12,7 +12,9 @@ A :class:`ResiliencePolicy` unifies all of it behind one ``observe``
 call per inner iteration.  The engine constructs an iteration event
 (the full :class:`~repro.krylov.engine.core.GmresState` for an
 Arnoldi-type scheme whose policy reads it, a scalar
-:class:`IterationEvent` otherwise) and hands it to the policy, which may
+:class:`IterationEvent` otherwise) and hands it to the policy.  An
+``iteration_hook`` is a policy too (:class:`CallbackPolicy`) and gets
+that same event on every solver.  A policy may
 
 * record/report (detection-only policies such as
   :class:`ResidualGuardPolicy`),
@@ -113,40 +115,19 @@ class NullPolicy(ResiliencePolicy):
 
 
 class CallbackPolicy(ResiliencePolicy):
-    """Adapts a user iteration hook to the policy protocol.
-
-    ``style="state"`` calls ``callback(event)`` with the full event
-    (the historical :func:`repro.krylov.gmres.gmres` hook signature);
-    ``style="scalar"`` calls ``callback(total_iteration,
-    residual_norm)`` (the FGMRES/pipelined/CG signature).
-    """
+    """Adapts a user iteration hook to the policy protocol: ``callback(event)``
+    with the iteration event of every solver."""
 
     name = "callback"
 
-    def __init__(self, callback: Callable, style: str = "state"):
-        if style not in ("state", "scalar"):
-            raise ValueError("style must be 'state' or 'scalar'")
+    def __init__(self, callback: Callable):
         self.callback = callback
-        self.style = style
         # A hook that can act at one iteration only says so (e.g.
         # BasisBitflipFaults.iteration_hook); anything else: every step.
         self.fire_at = getattr(callback, "fire_at", None)
 
-    @property
-    def needs_arnoldi_state(self) -> bool:
-        # A scalar-style callback never sees the event object at all.
-        return self.style == "state"
-
-    @classmethod
-    def from_hook(cls, hook: Optional[Callable], style: str) -> ResiliencePolicy:
-        """Wrap ``hook`` (or return the inert policy for ``None``)."""
-        return NullPolicy() if hook is None else cls(hook, style)
-
     def observe(self, event) -> None:
-        if self.style == "state":
-            self.callback(event)
-        else:
-            self.callback(event.total_iteration, event.residual_norm)
+        self.callback(event)
 
 
 class CompositePolicy(ResiliencePolicy):
@@ -175,22 +156,19 @@ class CompositePolicy(ResiliencePolicy):
 
 
 def compose_policy(
-    policy: Optional[ResiliencePolicy],
-    iteration_hook: Optional[Callable],
-    style: str,
+    policy: Optional[ResiliencePolicy], iteration_hook: Optional[Callable]
 ) -> ResiliencePolicy:
-    """Merge an explicit policy with a legacy iteration hook.
+    """Merge an explicit policy with an iteration hook; with neither, the
+    inert :class:`NullPolicy`.
 
-    The hook (adapted through :class:`CallbackPolicy` with the solver's
-    historical ``style``) runs *before* the policy, preserving the
-    inject-then-check ordering the fault campaigns rely on.
+    The hook (adapted through :class:`CallbackPolicy`) runs *before* the
+    policy, preserving the inject-then-check ordering the fault
+    campaigns rely on.
     """
-    hook_policy = CallbackPolicy.from_hook(iteration_hook, style)
-    if policy is None:
-        return hook_policy
     if iteration_hook is None:
-        return policy
-    return CompositePolicy([hook_policy, policy])
+        return policy if policy is not None else NullPolicy()
+    hook_policy = CallbackPolicy(iteration_hook)
+    return hook_policy if policy is None else CompositePolicy([hook_policy, policy])
 
 
 class ResidualGuardPolicy(ResiliencePolicy):
@@ -198,7 +176,7 @@ class ResidualGuardPolicy(ResiliencePolicy):
 
     Watches the per-iteration (recurrence) residual norms and flags an
     iteration as suspicious when the value is non-finite or exceeds
-    ``growth_factor`` times the best residual seen so far -- the
+    ``GROWTH_FACTOR`` (1e4) times the best residual seen so far -- the
     signature of a large corrupted coefficient.  O(1) per iteration, no
     access to solver internals, so it composes with *every* registered
     solver (the full Arnoldi-state checks of
@@ -211,11 +189,9 @@ class ResidualGuardPolicy(ResiliencePolicy):
     name = "residual_guard"
     # Observes only the scalar residual/iteration fields.
     needs_arnoldi_state = False
+    GROWTH_FACTOR = 1e4
 
-    def __init__(self, growth_factor: float = 1e4):
-        if growth_factor <= 1.0:
-            raise ValueError("growth_factor must exceed 1")
-        self.growth_factor = float(growth_factor)
+    def __init__(self):
         self.detections = 0
         self.events: List[dict] = []
         self._best = math.inf
@@ -223,7 +199,7 @@ class ResidualGuardPolicy(ResiliencePolicy):
     def observe(self, event) -> None:
         residual = float(event.residual_norm)
         if not math.isfinite(residual) or (
-            self._best < math.inf and residual > self.growth_factor * self._best
+            self._best < math.inf and residual > self.GROWTH_FACTOR * self._best
         ):
             self.detections += 1
             self.events.append(
@@ -237,7 +213,7 @@ class ResidualGuardPolicy(ResiliencePolicy):
         result.detected_faults += self.detections
         result.info["residual_guard"] = {
             "detections": self.detections,
-            "growth_factor": self.growth_factor,
+            "growth_factor": self.GROWTH_FACTOR,
             "events": list(self.events),
         }
 

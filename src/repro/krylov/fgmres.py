@@ -30,6 +30,7 @@ from repro.krylov.engine import (
     BlockedOrthogonalizer,
     ConvergenceTest,
     FlexiblePreconditioner,
+    GmresState,
     SolverEngine,
 )
 from repro.krylov.engine.resilience import compose_policy
@@ -52,7 +53,7 @@ def fgmres(
     restart: int = 30,
     maxiter: int = 300,
     inner_solve: Optional[Callable[[Any], Any]] = None,
-    iteration_hook: Optional[Callable[[int, float], None]] = None,
+    iteration_hook: Optional[Callable[[GmresState], None]] = None,
     policy=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with flexible (variable-preconditioner) GMRES.
@@ -69,7 +70,9 @@ def fgmres(
         ``A z = v_j``).  ``None`` means ``z_j = v_j`` (unpreconditioned,
         equivalent to plain GMRES).
     iteration_hook:
-        Optional callback ``hook(total_iteration, residual_norm)``.
+        Optional callback ``hook(state)``, called every inner iteration
+        with the :class:`~repro.krylov.engine.core.GmresState`, as in
+        :func:`repro.krylov.gmres.gmres`.
     policy:
         Optional :class:`~repro.krylov.engine.resilience.ResiliencePolicy`.
 
@@ -92,7 +95,7 @@ def fgmres(
             maxiter=maxiter,
         ),
         convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "scalar"),
+        policy=compose_policy(policy, iteration_hook),
     )
     return engine.solve(b, x0)
 
@@ -108,12 +111,8 @@ def ft_gmres(
     inner_tol: float = 1e-2,
     inner_maxiter: int = 20,
     inner_restart: int = 20,
-    fault_probability: Optional[float] = None,
-    bit_range=None,
-    seed: Optional[int] = None,
     preconditioner=None,
     region: Optional[Region] = None,
-    cost_model=None,
 ) -> SolveResult:
     """Fault-tolerant GMRES (Bridges, Ferreira, Heroux, Hoemmen; §III-D).
 
@@ -123,25 +122,18 @@ def ft_gmres(
     the inner operator applications can be corrupted, and the outer
     iteration vets each inner result before it touches its own state.
 
-    ``region`` is the unreliable :class:`~repro.reliability.region.Region`,
-    e.g. ``FaultModel.environment(seed=...)``.  Without one, a
-    Bernoulli bit-flip region is built from ``fault_probability``
-    (default 0), ``bit_range``, ``seed`` and ``cost_model``; passing
-    any of those *with* ``region`` is refused.
+    ``region`` is the unreliable :class:`~repro.reliability.region.Region`
+    and the one way to name the faults, e.g.
+    ``resolve_faults("bitflip:p=0.1").environment(seed=3)``; the
+    default is the fault-free ``resolve_faults("none").environment()``.
 
     ``info`` gains ``srp_summary`` and ``srp_cost`` (the region's
     accounting, with the outer matvecs as the reliable work) and
     ``unreliable_fraction_flops``; ``detected_faults`` is the number of
     faults the region injected.
     """
-    knobs = {"fault_probability": fault_probability, "bit_range": bit_range,
-             "seed": seed, "cost_model": cost_model}
     if region is None:
-        model = resolve_faults("bitflip:p=0.0", p=fault_probability, bits=bit_range)
-        region = model.environment(seed=seed, cost_model=cost_model)
-    elif any(value is not None for value in knobs.values()):
-        given = sorted(name for name, value in knobs.items() if value is not None)
-        raise ValueError(f"ft_gmres: pass the faults as region= or as {given}, not both")
+        region = resolve_faults("none").environment()
     nnz = matrix.nnz if isinstance(matrix, CsrMatrix) else int(np.count_nonzero(matrix))
     inner_operator = region.operator(matrix, flops_per_call=2.0 * nnz)
     outer = reliable()

@@ -75,7 +75,7 @@ def gmres_engine(
             update_on_breakdown=True,
         ),
         convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "state"),
+        policy=compose_policy(policy, iteration_hook),
     )
 
 

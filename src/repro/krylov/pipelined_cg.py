@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.krylov.engine import ConvergenceTest, PipelinedCgScheme, SolverEngine
-from repro.krylov.engine.resilience import compose_policy
+from repro.krylov.engine.resilience import IterationEvent, compose_policy
 from repro.krylov.result import SolveResult
 
 __all__ = ["pipelined_cg"]
@@ -43,7 +43,7 @@ def pipelined_cg(
     atol: float = 0.0,
     maxiter: int = 1000,
     preconditioner=None,
-    iteration_hook: Optional[Callable[[int, float], None]] = None,
+    iteration_hook: Optional[Callable[[IterationEvent], None]] = None,
     policy=None,
 ) -> SolveResult:
     """Solve the SPD system ``A x = b`` with pipelined (overlapped) CG.
@@ -58,6 +58,6 @@ def pipelined_cg(
         operator,
         PipelinedCgScheme(preconditioner, maxiter=maxiter),
         convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "scalar"),
+        policy=compose_policy(policy, iteration_hook),
     )
     return engine.solve(b, x0)

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 from repro.krylov.engine import (
     ArnoldiScheme,
     ConvergenceTest,
+    GmresState,
     PipelinedOrthogonalizer,
     RightPreconditioner,
     SolverEngine,
@@ -51,13 +52,14 @@ def pipelined_gmres(
     maxiter: int = 1000,
     preconditioner=None,
     reorthogonalize: bool = True,
-    iteration_hook: Optional[Callable[[int, float], None]] = None,
+    iteration_hook: Optional[Callable[[GmresState], None]] = None,
     policy=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with single-reduction (latency-reduced) GMRES.
 
-    Parameters match :func:`repro.krylov.gmres.gmres`;
-    ``reorthogonalize`` adds a second (also fused) orthogonalization
+    Parameters match :func:`repro.krylov.gmres.gmres` (``iteration_hook``
+    too: ``hook(state)`` with the :class:`GmresState` of every
+    iteration); ``reorthogonalize`` adds a second (also fused) orthogonalization
     pass, which restores most of MGS's robustness at the cost of a
     second reduction wave -- together the two passes are exactly the
     CGS2 kernel of the baseline solver, split so each wave can be
@@ -83,6 +85,6 @@ def pipelined_gmres(
             maxiter=maxiter,
         ),
         convergence=ConvergenceTest(tol=tol, atol=atol),
-        policy=compose_policy(policy, iteration_hook, "scalar"),
+        policy=compose_policy(policy, iteration_hook),
     )
     return engine.solve(b, x0)

@@ -18,13 +18,10 @@ model and fails (visibly) if the partner is already dead.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.comm.base import BaseCommunicator, payload_nbytes
+from repro.comm.base import BaseCommunicator, copy_payload, payload_nbytes
 from repro.utils.validation import check_integer
 
 __all__ = ["StoreEntry", "PersistentStore"]
@@ -33,22 +30,16 @@ _MIRROR_TAG = 201
 _RESTORE_REPLY_TAG = 203
 
 
-def _deep_copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in state.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.copy()
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 @dataclass
 class StoreEntry:
     """One persisted snapshot: a step label plus a state dictionary."""
 
     step: int
     state: Dict[str, Any]
+
+    def copy(self) -> "StoreEntry":
+        """A copy whose state shares no mutable value with this one."""
+        return StoreEntry(self.step, {key: copy_payload(v) for key, v in self.state.items()})
 
 
 class PersistentStore:
@@ -105,7 +96,7 @@ class PersistentStore:
         skipped (there is nowhere to put a redundant copy).
         """
         check_integer(step, "step")
-        entry = StoreEntry(step=int(step), state=_deep_copy_state(state))
+        entry = StoreEntry(step=int(step), state=state).copy()
         self._own.append(entry)
         if len(self._own) > self.history:
             self._own.pop(0)
@@ -135,7 +126,7 @@ class PersistentStore:
         """Locally persisted snapshot with the given step label."""
         for entry in reversed(self._own):
             if entry.step == step:
-                return StoreEntry(step=entry.step, state=_deep_copy_state(entry.state))
+                return entry.copy()
         return None
 
     def own_steps(self) -> List[int]:
@@ -148,15 +139,14 @@ class PersistentStore:
         entries = self._mirrored.get(int(owner))
         if not entries:
             return None
-        entry = entries[-1]
-        return StoreEntry(step=entry.step, state=_deep_copy_state(entry.state))
+        return entries[-1].copy()
 
     def mirrored_at_step(self, owner: int, step: int) -> Optional[StoreEntry]:
         """Mirrored snapshot of ``owner`` at a specific step, if held."""
         entries = self._mirrored.get(int(owner), [])
         for entry in reversed(entries):
             if entry.step == step:
-                return StoreEntry(step=entry.step, state=_deep_copy_state(entry.state))
+                return entry.copy()
         return None
 
     # ------------------------------------------------------------------
@@ -186,5 +176,5 @@ class PersistentStore:
             return None
         entry = StoreEntry(step=int(payload["step"]), state=payload["state"])
         # Seed the local history so subsequent persists behave normally.
-        self._own.append(StoreEntry(step=entry.step, state=_deep_copy_state(entry.state)))
+        self._own.append(entry.copy())
         return entry

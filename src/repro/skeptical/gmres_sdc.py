@@ -44,10 +44,9 @@ import numpy as np
 from repro.krylov import ops
 from repro.krylov.engine.core import canonical_kernel_counters
 from repro.krylov.engine.resilience import (
-    CallbackPolicy,
-    CompositePolicy,
     CycleAbandoned,
     ResiliencePolicy,
+    compose_policy,
     cycle_start_true_residual,
 )
 from repro.krylov.gmres import GmresState, gmres_engine
@@ -74,45 +73,38 @@ __all__ = [
 ]
 
 
-def check_sdc_arguments(
-    tol, restart, maxiter, periods, hessenberg_safety, orthogonality_tol, operator_norm, policy
-) -> None:
-    """Validate the skeptical solver's arguments (``periods``: the check,
-    orthogonality and residual-check periods, in that order).
+def check_sdc_arguments(tol, restart, maxiter, check_period, operator_norm, policy) -> None:
+    """Validate the skeptical solver's arguments.
 
     :class:`SdcAttempts` runs it before anything else -- before the
     operator is touched -- so both engines refuse the same input with
     the same message (names as in the checks that would fail later).
     """
-    check_integer(periods[0], "check_period")
+    check_integer(check_period, "check_period")
     check_positive(tol, "tol")
-    for period in periods:
-        check_integer(period, "period")
-        if period <= 0:
-            raise ValueError("period must be positive")
+    if check_period <= 0:
+        raise ValueError("period must be positive")
     if restart <= 0:
         raise ValueError("restart must be positive")
     if maxiter <= 0:
         raise ValueError("maxiter must be positive")
-    check_positive(hessenberg_safety, "safety")
-    check_positive(orthogonality_tol, "tol")
     if operator_norm is not None:
         check_positive(operator_norm, "operator_norm_estimate")
     if policy not in ("restart", "abort"):
         raise ValueError("policy must be 'restart' or 'abort'")
 
 
-def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> float:
+def estimate_operator_norm(operator, probe: np.ndarray) -> float:
     """Cheap randomized lower-bound estimate of ||A||_2.
 
-    A few matvecs on random unit vectors give a (slight under-)estimate
+    Four matvecs on random unit vectors give a (slight under-)estimate
     that the Hessenberg-bound check then loosens with its safety
     factor.
     """
     rng = np.random.default_rng(12345)
     estimate = 0.0
     size = probe.size
-    for _ in range(max(1, n_samples)):
+    for _ in range(4):
         v = rng.standard_normal(size)
         v /= np.linalg.norm(v)
         av = ops.matvec(operator, v)
@@ -136,23 +128,24 @@ def _slot_rows(pairs):
 class SdcChecks:
     """The default SDC check set of one skeptical solve, and its counters.
 
-    Holds the check periods and thresholds, the counters
-    (observations, checks run, check flops, detections -- at most one
-    per observation -- and detection restarts) and the residual history
-    of the current attempt.  The checks themselves are :meth:`sweep`.
+    Holds the cheap checks' period (``check_period``, E1's ablation
+    knob) and Hessenberg threshold, the counters (observations, checks
+    run, check flops, detections -- at most one per observation -- and
+    detection restarts) and the residual history of the current
+    attempt.  The other periods and thresholds are the class constants
+    below, the same for every solve.  The checks themselves are
+    :meth:`sweep`.
     """
 
-    def __init__(
-        self, norm_estimate: float, *, check_period: int, orthogonality_period: int,
-        residual_check_period: int, hessenberg_safety: float, orthogonality_tol: float,
-    ):
+    ORTHOGONALITY_PERIOD = 5
+    RESIDUAL_CHECK_PERIOD = 10
+    HESSENBERG_SAFETY = 4.0
+    ORTHOGONALITY_TOL = 1e-6
+
+    def __init__(self, norm_estimate: float, *, check_period: int):
         self.check_period = int(check_period)
-        self.orthogonality_period = int(orthogonality_period)
-        self.residual_check_period = int(residual_check_period)
         self.norm_estimate = norm_estimate
-        self.hessenberg_safety = hessenberg_safety
-        self.hessenberg_threshold = float(hessenberg_safety) * norm_estimate
-        self.orthogonality_tol = float(orthogonality_tol)
+        self.hessenberg_threshold = self.HESSENBERG_SAFETY * norm_estimate
         self.observations = 0
         self.checks_run = 0
         self.check_flops = 0.0
@@ -200,9 +193,9 @@ class SdcChecks:
                 checks.residual_history.append(residuals[pair[1]])
                 if obs % checks.check_period == 0:
                     due.append(pair)
-                if obs % checks.orthogonality_period == 0:
+                if obs % SdcChecks.ORTHOGONALITY_PERIOD == 0:
                     ortho.append(pair)
-                if obs % checks.residual_check_period == 0:
+                if obs % SdcChecks.RESIDUAL_CHECK_PERIOD == 0:
                     consistency.append(pair)
         if due:
             rows = _slot_rows(due)
@@ -237,7 +230,7 @@ class SdcChecks:
                         ran = 3
                         build = functools.partial(
                             hessenberg_bound_check, hess[slot], checks.norm_estimate,
-                            n_columns=j + 1, safety=checks.hessenberg_safety,
+                            n_columns=j + 1, safety=SdcChecks.HESSENBERG_SAFETY,
                         )
                     else:
                         ran = 2
@@ -280,11 +273,11 @@ class SdcChecks:
                 d = defect[i]
                 checks.checks_run += 1
                 checks.check_flops += cost
-                if not (math.isfinite(d) and d <= checks.orthogonality_tol):
+                if not (math.isfinite(d) and d <= SdcChecks.ORTHOGONALITY_TOL):
                     checks.detections += 1
                     checks.detection_restarts += 1
                     failed[lane] = functools.partial(
-                        orthogonality_check, basis[slot, :k].T, tol=checks.orthogonality_tol
+                        orthogonality_check, basis[slot, :k].T, tol=SdcChecks.ORTHOGONALITY_TOL
                     )
         for lane, slot in consistency:
             if lane in failed:
@@ -333,9 +326,8 @@ class SdcCohort:
             table[:, slot] = (
                 min(checks.hessenberg_threshold, _VACANT), *[_VACANT] * (3 - len(recent)), *recent
             )
-            periods = (
-                checks.check_period, checks.orthogonality_period, checks.residual_check_period
-            )
+            periods = (checks.check_period, SdcChecks.ORTHOGONALITY_PERIOD,
+                       SdcChecks.RESIDUAL_CHECK_PERIOD)
             for kind, period in enumerate(periods):
                 if kind or not self._every:  # due where observations + j + 1 is a multiple
                     for j in range(period - 1 - checks.observations % period, m, period):
@@ -439,14 +431,17 @@ class SdcAttempts:
     Owns what surrounds the GMRES attempts of one skeptical solve: the
     argument check, the norm estimate, the check set and its counters
     (:attr:`checks`), the budget (detection restarts and iterations
-    left), what an abandoned cycle costs, what a completed attempt hands
-    over, and the final result.  Its keywords, and their defaults, are
-    all of :func:`sdc_detecting_gmres`'s but ``iteration_hook``.  Both
+    left: at most :attr:`MAX_RESTARTS_ON_DETECTION` detection restarts),
+    what an abandoned cycle costs, what a completed attempt hands over,
+    and the final result.  Its keywords, and their defaults, are all of
+    :func:`sdc_detecting_gmres`'s but ``iteration_hook``.  Both
     engines drive it -- :func:`sdc_detecting_gmres` with a
     ``try/except CycleAbandoned`` loop around ``engine.solve``, an
     :class:`SdcLane` of the lockstep engine at its cycle boundaries --
     and differ only in who steps the engine :meth:`next_engine` returns.
     """
+
+    MAX_RESTARTS_ON_DETECTION = 5
 
     def __init__(
         self,
@@ -460,18 +455,10 @@ class SdcAttempts:
         maxiter: int = 1000,
         preconditioner=None,
         check_period: int = 1,
-        orthogonality_period: int = 5,
-        residual_check_period: int = 10,
-        hessenberg_safety: float = 4.0,
-        orthogonality_tol: float = 1e-6,
         policy: str = "restart",
-        max_restarts_on_detection: int = 5,
         operator_norm: Optional[float] = None,
     ):
-        check_sdc_arguments(
-            tol, restart, maxiter, (check_period, orthogonality_period, residual_check_period),
-            hessenberg_safety, orthogonality_tol, operator_norm, policy,
-        )
+        check_sdc_arguments(tol, restart, maxiter, check_period, operator_norm, policy)
         self.operator = operator
         self.policy = policy
         self.b = np.asarray(b, dtype=np.float64)
@@ -479,12 +466,7 @@ class SdcAttempts:
             float(operator_norm) if operator_norm is not None
             else estimate_operator_norm(operator, self.b)
         )
-        self.checks = SdcChecks(
-            self.norm_estimate, check_period=check_period,
-            orthogonality_period=orthogonality_period,
-            residual_check_period=residual_check_period,
-            hessenberg_safety=hessenberg_safety, orthogonality_tol=orthogonality_tol,
-        )
+        self.checks = SdcChecks(self.norm_estimate, check_period=check_period)
         self.x = (
             np.array(x0, dtype=np.float64, copy=True) if x0 is not None
             else np.zeros_like(self.b)
@@ -493,7 +475,6 @@ class SdcAttempts:
             tol=tol, atol=atol, restart=restart, preconditioner=preconditioner
         )
         self.maxiter = maxiter
-        self.max_restarts_on_detection = max_restarts_on_detection
         self.attempts = 0
         self.total_iterations = 0
         self.residual_norms: list = []
@@ -510,7 +491,7 @@ class SdcAttempts:
         if (
             self.converged
             or self.breakdown
-            or self.attempts > self.max_restarts_on_detection
+            or self.attempts > self.MAX_RESTARTS_ON_DETECTION
             or remaining <= 0
         ):
             return None
@@ -579,7 +560,7 @@ class SdcLane:
         if options.get("policy", "restart") != "restart":
             raise ValueError("a lockstep lane has the 'restart' response only")
         self.driver = SdcAttempts(operator, b, x0, **options)
-        self.policy = CallbackPolicy.from_hook(iteration_hook, "state")
+        self.policy = compose_policy(None, iteration_hook)
         self.b = self.driver.b
         self.checks = self.driver.checks
         self.engine = None
@@ -661,20 +642,17 @@ def sdc_detecting_gmres(
         As for :func:`repro.krylov.gmres.gmres`.
     check_period:
         Run the cheap (finite / Hessenberg-bound / monotonicity) checks
-        every ``check_period`` iterations.
-    orthogonality_period, residual_check_period:
-        Periods of the two more expensive checks.
-    hessenberg_safety:
-        Safety factor of the Hessenberg bound.
-    orthogonality_tol:
-        Tolerance of the basis-orthogonality check.
+        every ``check_period`` iterations.  The two more expensive
+        checks run every :attr:`SdcChecks.ORTHOGONALITY_PERIOD` (5) and
+        :attr:`SdcChecks.RESIDUAL_CHECK_PERIOD` (10) iterations; the
+        Hessenberg bound's safety factor is
+        :attr:`SdcChecks.HESSENBERG_SAFETY` (4.0) and the orthogonality
+        tolerance :attr:`SdcChecks.ORTHOGONALITY_TOL` (1e-6).
     policy:
         ``"restart"`` (default) -- on detection, abandon the current
         Krylov cycle and restart from the current iterate;
         ``"abort"`` -- raise
         :class:`~repro.skeptical.checks.SkepticalAbort`.
-    max_restarts_on_detection:
-        Upper bound on detection-triggered restarts before giving up.
     operator_norm:
         Trusted ``||A||`` estimate for the Hessenberg-bound check.  By
         default it is probed from ``operator`` with a few matvecs;
@@ -687,16 +665,14 @@ def sdc_detecting_gmres(
     SolveResult
         ``detected_faults`` counts failed checks;
         ``info["detection_restarts"]`` counts detection-triggered
-        restarts, ``info["check_flops"]`` the total checking cost and
+        restarts (at most
+        :attr:`SdcAttempts.MAX_RESTARTS_ON_DETECTION`, 5, before it
+        gives up), ``info["check_flops"]`` the total checking cost and
         ``info["checks_run"]`` how many check evaluations were made.
     """
     attempts = SdcAttempts(operator, b, x0, **options)
     skeptical = SdcPolicy(attempts.checks, operator, attempts.b, attempts.policy)
-    engine_policy = (
-        skeptical
-        if iteration_hook is None
-        else CompositePolicy([CallbackPolicy(iteration_hook, "state"), skeptical])
-    )
+    engine_policy = compose_policy(skeptical, iteration_hook)
 
     while (engine := attempts.next_engine(engine_policy)) is not None:
         try:

@@ -765,3 +765,28 @@ class TestCli:
     def test_report_empty_store(self, tmp_path, capsys):
         assert cli_main(["report", "--store", str(tmp_path / "none.jsonl")]) == 0
         assert "no completed scenarios" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "nope"], "unknown campaign 'nope'"),
+        (["run", "--smoke", "--experiment", "E99"], "unknown experiment 'E99'"),
+        (["run", "--smoke", "--workers", "0"], "workers must be >= 1"),
+        (["run", "--smoke", "--chaos", "worker_crash:q=1"], "does not take parameters"),
+        (["run", "--smoke", "--batch", "-1"], "batch must be >= 0"),
+        (["run", "--smoke", "--retries", "0"], "max_attempts must be >= 1"),
+        (["run", "--smoke", "--timeout", "-1"], "timeout must be positive"),
+        (["run", "--smoke", "--backoff", "-1"], "backoff must be >= 0"),
+        (["list", "--experiment", "E99"], "unknown experiment 'E99'"),
+        (["list", "--campaign", "nope"], "unknown campaign 'nope'"),
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, message, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(CampaignRunner, "run", lambda runner, scenarios: ran.append(1))
+        if argv[0] == "run":
+            argv = [*argv, "--store", str(tmp_path / "bad.jsonl")]
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert ran == [] and sorted(tmp_path.iterdir()) == []
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: python -m repro.campaign")
+        assert error.startswith("python -m repro.campaign: error: ") and message in error

@@ -38,6 +38,7 @@ from repro.linalg import (
 )
 from repro.linalg.matgen import convection_diffusion_2d
 from repro.comm.sim import run_spmd
+from repro.reliability import resolve_faults
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
 DATA_PATH = pathlib.Path(__file__).parent / "data" / "engine_parity.json"
@@ -160,8 +161,7 @@ def _case_ft_gmres_faulty():
         inner_tol=1e-2,
         inner_maxiter=8,
         inner_restart=8,
-        fault_probability=0.05,
-        seed=42,
+        region=resolve_faults("bitflip:p=0.05").environment(seed=42),
     )
     digest = _digest(result)
     digest["faults_injected"] = int(result.info["srp_summary"]["faults_injected"])

@@ -145,7 +145,8 @@ class TestCg:
     def test_iteration_hook(self, poisson_tiny, rng):
         b = rng.standard_normal(poisson_tiny.n_rows)
         residuals = []
-        cg(poisson_tiny, b, tol=1e-10, iteration_hook=lambda i, r: residuals.append(r))
+        cg(poisson_tiny, b, tol=1e-10,
+           iteration_hook=lambda event: residuals.append(event.residual_norm))
         assert residuals and residuals[-1] < residuals[0]
 
     def test_exact_after_n_iterations(self, rng):

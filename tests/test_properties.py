@@ -495,30 +495,26 @@ class TestSkepticalCheckFastPaths:
 # ----------------------------------------------------------------------
 
 
-def _default_sdc_monitor(
-    basis, hess, j, history, true_residual, observation, *, check_period,
-    orthogonality_period, residual_check_period, hessenberg_safety, orthogonality_tol,
-):
+def _default_sdc_monitor(basis, hess, j, history, true_residual, observation, check_period):
     """The standard SkP check set for GMRES, observed once with the
     fail-stop response: the six check functions in registration order at
     their periods, stopping at the first failure.  ``basis`` holds the
     basis vectors as rows, ``history`` ends with this step's residual and
     ``observation`` is this observation's 1-based count.  Returns
     ``(observations, checks_run, check_flops, detections, failing
-    CheckResult or None)``."""
+    CheckResult or None)``.
+
+    Its periods (5, 10), Hessenberg safety factor (4.0, on a norm
+    estimate of 1) and orthogonality tolerance (1e-6) are written out
+    here, not read from :class:`SdcChecks`, so a change to one of the
+    solver's constants shows as a mismatch."""
     checks = (
         (check_period, lambda: finite_check(basis[j + 1], name="finite_basis")),
         (check_period, lambda: finite_check(hess[: j + 2, j], name="finite_hessenberg")),
-        (check_period, lambda: hessenberg_bound_check(
-            hess, 1.0, n_columns=j + 1, safety=hessenberg_safety
-        )),
+        (check_period, lambda: hessenberg_bound_check(hess, 1.0, n_columns=j + 1, safety=4.0)),
         (check_period, lambda: monotonicity_check(history)),
-        (orthogonality_period, lambda: orthogonality_check(
-            basis[: j + 2].T, tol=orthogonality_tol
-        )),
-        (residual_check_period, lambda: residual_consistency_check(
-            history[-1], true_residual()
-        )),
+        (5, lambda: orthogonality_check(basis[: j + 2].T, tol=1e-6)),
+        (10, lambda: residual_consistency_check(history[-1], true_residual())),
     )
     run, flops = 0, 0.0
     for period, check in checks:
@@ -549,20 +545,29 @@ _sdc_residual = st.one_of(
 _sdc_lane = st.fixed_dictionaries(
     {
         "skip_slot": st.booleans(),  # a non-SDC lane sits in the slot before
-        "observed": st.integers(0, 5),
-        "periods": st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-        "safety": st.sampled_from([1.0, 4.0]),
+        # Up to 29 earlier observations: at the 10th, 20th and 30th the
+        # cheap, orthogonality and consistency checks are all due.
+        "observed": st.integers(0, 29),
+        "check_period": st.integers(1, 3),
         "history": st.lists(_sdc_residual, max_size=6),
         "residual": _sdc_residual,
         "truth": st.sampled_from([1.0, 1.0 + 1e-9, 2.0, float("nan")]),
-        # (array, row draw, column draw, value): NaN/+-inf/1e300, or a
-        # finite 100 that only the bound or the orthogonality check sees.
+        # (array, row draw, column draw, value): NaN/+-inf/1e300, a
+        # finite 100 that only the bound or the orthogonality check sees,
+        # or a Hessenberg entry at and just past the bound 4.0; or a
+        # basis row tilted towards the next by just under and over the
+        # orthogonality tolerance 1e-6.
         "corrupt": st.one_of(
             st.none(),
             st.tuples(
                 st.sampled_from(["basis", "hessenberg"]), st.integers(0, 99),
                 st.integers(0, 99),
-                st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, 100.0]),
+                st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, 100.0,
+                                 4.0, float(np.nextafter(4.0, 5.0))]),
+            ),
+            st.tuples(
+                st.just("tilt"), st.integers(0, 99), st.integers(0, 99),
+                st.sampled_from([0.999999e-6, 1.000001e-6]),
             ),
         ),
         "seed": st.integers(0, 2**16),
@@ -589,7 +594,9 @@ class TestSdcSweepMatchesTheMonitor:
             residuals[slot] = lane["residual"]
             if lane["corrupt"] is not None:
                 array, row, col, value = lane["corrupt"]
-                if array == "basis":  # the newest row, or one the Gram reads
+                if array == "tilt":  # one Gram entry off by ``value``
+                    basis[slot, row % (j + 2)] += value * basis[slot, (row + 1) % (j + 2)]
+                elif array == "basis":  # the newest row, or one the Gram reads
                     basis[slot, j + 1 if row % 2 else row % (j + 2), col % n] = value
                 else:  # the Hessenberg window
                     hess[slot, row % (j + 2), col % (j + 1)] = value
@@ -600,19 +607,14 @@ class TestSdcSweepMatchesTheMonitor:
         """A swept lane holding the drawn history and count, and the default
         monitor's counters and failing check on a state with ``history``
         before this step's residual and ``observed`` observations."""
-        periods = dict(
-            check_period=lane["periods"][0], orthogonality_period=lane["periods"][1],
-            residual_check_period=lane["periods"][2], hessenberg_safety=lane["safety"],
-            orthogonality_tol=1e-6,
-        )
-        swept = _SweptLane(SdcChecks(1.0, **periods), lane["truth"])
+        swept = _SweptLane(SdcChecks(1.0, check_period=lane["check_period"]), lane["truth"])
         swept.checks.observations = lane["observed"]
         swept.checks.residual_history = list(lane["history"])
         residual = lane["residual"]
         with np.errstate(all="ignore"):
             expected = _default_sdc_monitor(
                 basis[slot], hess[slot], j, [*history, residual],
-                lambda: residual * lane["truth"], observed + 1, **periods,
+                lambda: residual * lane["truth"], observed + 1, lane["check_period"],
             )
         return swept, expected
 

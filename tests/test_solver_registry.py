@@ -9,13 +9,29 @@ and the canonical kernel-counter schema the engine guarantees.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.krylov import SolveResult, gmres, pipelined_cg
-from repro.krylov.registry import default_solver_registry, solver_names
-from repro.krylov.engine import ResidualGuardPolicy
+from repro.krylov import SolveResult, cg, gmres
+from repro.krylov.cg import cg_engine
+from repro.krylov.gmres import gmres_engine
+from repro.krylov.registry import batch_solve, default_solver_registry, solver_names
+from repro.krylov.engine import (
+    CallbackPolicy,
+    GmresState,
+    IterationEvent,
+    ResidualGuardPolicy,
+    batch,
+)
 from repro.krylov.engine.core import CANONICAL_KERNELS
+from repro.skeptical.gmres_sdc import (
+    SdcAttempts,
+    SdcChecks,
+    estimate_operator_norm,
+    sdc_detecting_gmres,
+)
 from repro.comm.distributed import DistributedRowMatrix, DistributedVector
 from repro.linalg import poisson_2d
 from repro.comm.sim import run_spmd
@@ -124,39 +140,33 @@ class TestRegistryBackedWrappers:
     def test_residual_guard_unit_mechanics(self):
         from repro.krylov.engine import IterationEvent
 
-        guard = ResidualGuardPolicy(growth_factor=10.0)
-        for i, r in enumerate((8.0, 4.0, 1.0, 0.5)):
+        guard = ResidualGuardPolicy()
+        for i, r in enumerate((8.0, 4.0, 1.0, 0.5, 4e3)):
             guard.observe(IterationEvent(total_iteration=i + 1, residual_norm=r))
-        assert guard.detections == 0
-        guard.observe(IterationEvent(total_iteration=5, residual_norm=50.0))
-        guard.observe(IterationEvent(total_iteration=6, residual_norm=float("nan")))
+        assert guard.detections == 0  # 4e3 is within 1e4 times the best, 0.5
+        guard.observe(IterationEvent(total_iteration=6, residual_norm=6e3))
+        guard.observe(IterationEvent(total_iteration=7, residual_norm=float("nan")))
         assert guard.detections == 2
-        assert [e["iteration"] for e in guard.events] == [5, 6]
+        assert [e["iteration"] for e in guard.events] == [6, 7]
 
-    def test_residual_guard_flags_corrupted_recurrence(self):
-        # Corrupt ONE operator application mid-solve: the pipelined-CG
-        # recurrence drifts and its observed residuals jump, which the
-        # solver-agnostic guard must flag.  (The GMRES recurrence
-        # residual is monotone by construction, which is exactly why
-        # the full skeptical checks inspect the Arnoldi state instead;
-        # classic CG breaks down immediately on the same fault.)  At the
-        # default growth factor of 1e4 this jump is not flagged.
+    @pytest.mark.parametrize("name", ["gmres", "fgmres", "pipelined_gmres"])
+    def test_residual_guard_flags_corrupted_recurrence(self, name):
+        # A NaN written into the next Arnoldi basis vector makes the
+        # following step's recurrence residual non-finite, which the
+        # solver-agnostic guard flags at its default growth factor.  (A
+        # finite corruption of a CG-type recurrence seldom grows the
+        # residual 1e4-fold: the next step length renormalises it.)
         matrix, b = _problem()
-        calls = {"n": 0}
 
-        def flaky_operator(v):
-            calls["n"] += 1
-            out = matrix.matvec(np.asarray(v, dtype=np.float64))
-            if calls["n"] == 8:
-                out = out + 1e2
-            return out
+        def corrupt(state):
+            if state.total_iteration == 5:
+                state.basis[state.inner + 1][3] = np.nan
 
-        result = pipelined_cg(
-            flaky_operator, b, policy=ResidualGuardPolicy(growth_factor=10.0),
-            tol=1e-10, maxiter=300,
+        result = REGISTRY.get(name).solve(
+            matrix, b, policy="residual_guard", iteration_hook=corrupt, tol=1e-10, maxiter=300
         )
-        assert result.detected_faults > 0
-        assert result.info["residual_guard"]["detections"] == result.detected_faults
+        assert result.detected_faults == result.info["residual_guard"]["detections"] == 1
+        assert [e["iteration"] for e in result.info["residual_guard"]["events"]] == [6]
 
     def test_residual_guard_inert_on_clean_run(self):
         matrix, b = _problem()
@@ -186,3 +196,122 @@ class TestRegistryBackedWrappers:
 
         for outcomes in run_spmd(4, program):
             assert all(outcomes.values())
+
+
+# ----------------------------------------------------------------------
+# The declared solver surface
+# ----------------------------------------------------------------------
+
+_GMRES = ("tol", "atol", "restart", "maxiter", "preconditioner", "iteration_hook", "policy")
+_CG = ("tol", "atol", "maxiter", "preconditioner", "iteration_hook", "policy")
+_SDC = (
+    "tol", "atol", "restart", "maxiter", "preconditioner", "check_period", "policy",
+    "operator_norm",
+)
+
+#: The keyword parameters of every registered solver function (a
+#: ``**options`` read as the keywords of the builder it forwards them to)
+#: and of ``SdcAttempts``, in signature order.  A new option shows up as
+#: an edit of this table.
+SOLVER_SURFACE = {
+    "gmres": _GMRES,
+    "fgmres": ("tol", "atol", "restart", "maxiter", "inner_solve", "iteration_hook", "policy"),
+    "pipelined_gmres": (
+        "tol", "atol", "restart", "maxiter", "preconditioner", "reorthogonalize",
+        "iteration_hook", "policy",
+    ),
+    "cg": _CG,
+    "pipelined_cg": _CG,
+    "sdc_gmres": ("iteration_hook", *_SDC),
+    "ft_gmres": (
+        "tol", "outer_maxiter", "outer_restart", "inner_tol", "inner_maxiter",
+        "inner_restart", "preconditioner", "region",
+    ),
+}
+
+_FORWARDS = {gmres: gmres_engine, cg: cg_engine, sdc_detecting_gmres: SdcAttempts}
+
+#: The skeptical solver's former tuning keywords, now SdcChecks constants.
+_CHECK_CONSTANTS = (
+    "orthogonality_period", "residual_check_period", "hessenberg_safety", "orthogonality_tol",
+)
+
+
+def _keywords(function) -> tuple:
+    """The keywords ``function`` takes, ``**options`` followed to its builder."""
+    names = []
+    for param in inspect.signature(function).parameters.values():
+        if param.kind is param.KEYWORD_ONLY:
+            names.append(param.name)
+        elif param.kind is param.VAR_KEYWORD:
+            names.extend(_keywords(_FORWARDS[function]))
+    return tuple(names)
+
+
+class TestDeclaredSurface:
+    def test_every_solver_takes_the_declared_keywords(self):
+        assert {solver.name: _keywords(solver.function) for solver in REGISTRY} == SOLVER_SURFACE
+        assert _keywords(SdcAttempts) == _SDC
+
+    @pytest.mark.parametrize("solver, keyword", [
+        *[("sdc_gmres", name) for name in (*_CHECK_CONSTANTS, "max_restarts_on_detection")],
+        *[("ft_gmres", name) for name in ("fault_probability", "bit_range", "seed", "cost_model")],
+    ])
+    def test_a_removed_solver_keyword_is_refused(self, solver, keyword):
+        matrix, b = _problem(grid=4)
+        with pytest.raises(TypeError, match=keyword):
+            REGISTRY.get(solver).solve(matrix, b, **{keyword: 1})
+
+    def test_the_removed_tuning_keywords_are_refused(self):
+        matrix, b = _problem(grid=4)
+        for build, keyword in (
+            *[(lambda **kw: SdcChecks(1.0, check_period=1, **kw), name)
+              for name in _CHECK_CONSTANTS],
+            (lambda **kw: estimate_operator_norm(matrix, b, **kw), "n_samples"),
+            (lambda **kw: CallbackPolicy(print, **kw), "style"),
+            (lambda **kw: ResidualGuardPolicy(**kw), "growth_factor"),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                build(**{keyword: 1})
+
+
+# ----------------------------------------------------------------------
+# One hook signature: the iteration event, on every solver
+# ----------------------------------------------------------------------
+
+_HOOKED = [name for name, keywords in SOLVER_SURFACE.items() if "iteration_hook" in keywords]
+
+
+def _recorder(log):
+    def hook(event):
+        log.append((type(event), event.total_iteration, event.inner, event.outer,
+                    event.residual_norm))
+    return hook
+
+
+@pytest.mark.parametrize("name", _HOOKED)
+def test_every_hook_gets_one_event_per_iteration(name, monkeypatch):
+    solver = REGISTRY.get(name)
+    matrix, b = _problem()
+    params = _solver_params(solver)
+    solo = []
+    result = solver.solve(matrix, b, iteration_hook=_recorder(solo), **params)
+    event_type = IterationEvent if solver.family == "cg" else GmresState
+    assert {kind for kind, *_ in solo} == {event_type}
+    assert [total for _, total, *_ in solo] == list(range(1, result.iterations + 1))
+
+    lockstep = []
+    for engine in ("run_arnoldi_batch", "run_cg_batch"):
+        run = getattr(batch, engine)
+        monkeypatch.setattr(batch, engine, lambda lanes, run=run: lockstep.append(lanes) or run(lanes))
+    lanes = [[], []]
+    batch_solve(name, matrix, [b, b], **params,
+                lane_params=[{"iteration_hook": _recorder(log)} for log in lanes])
+    assert lanes == [solo, solo]
+    assert bool(lockstep) == (name in ("gmres", "cg", "sdc_gmres"))
+
+
+def test_ft_gmres_takes_no_iteration_hook():
+    matrix, b = _problem()
+    with pytest.raises(TypeError, match="iteration_hook"):
+        REGISTRY.get("ft_gmres").solve(matrix, b, iteration_hook=print)
