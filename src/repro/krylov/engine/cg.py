@@ -20,9 +20,8 @@ protocol (policies receive scalar
 
 from __future__ import annotations
 
+import math
 from typing import List
-
-import numpy as np
 
 from repro.krylov import ops
 from repro.krylov.engine.core import IterationScheme, SolverEngine
@@ -51,7 +50,7 @@ class CgAttempt:
         self.fire_at = getattr(engine.policy, "fire_at", None)  # None: observe every iteration
         self.target = target
         t0 = kernels.tick()
-        r = ops.axpby(1.0, b, -1.0, ops.matvec(self.operator, x))
+        r = ops.xpby(b, -1.0, ops.matvec(self.operator, x))
         kernels.charge("matvec", t0)
         t0 = kernels.tick()
         z = ops.apply_preconditioner(self.preconditioner, r)
@@ -114,21 +113,21 @@ class CgScheme(IterationScheme):
             ap = ops.matvec(operator, p)
             kernels.charge("matvec", t0)
             p_ap = ops.dot(p, ap)
-            if p_ap <= 0.0 or not np.isfinite(p_ap):
+            if p_ap <= 0.0 or not math.isfinite(p_ap):
                 # Loss of positive definiteness: either the operator is
                 # not SPD or a fault corrupted the recurrence.
                 breakdown = True
                 break
             alpha = rz / p_ap
             alphas.append(float(alpha))
-            x = ops.axpby(1.0, x, float(alpha), p)
-            r = ops.axpby(1.0, r, -float(alpha), ap)
+            x = ops.xpby(x, float(alpha), p)
+            r = ops.xpby(r, -float(alpha), ap)
             residual = ops.norm(r)
             iteration += 1
             residual_norms.append(residual)
             if fire_at is None or fire_at == iteration:
                 policy.observe(IterationEvent(total_iteration=iteration, residual_norm=residual))
-            if not np.isfinite(residual):
+            if not math.isfinite(residual):
                 breakdown = True
                 break
             if convergence.is_met(residual, target):
@@ -138,13 +137,13 @@ class CgScheme(IterationScheme):
             z = ops.apply_preconditioner(self.preconditioner, r)
             kernels.charge("preconditioner", t0)
             rz_next = ops.dot(r, z)
-            if not np.isfinite(rz_next):
+            if not math.isfinite(rz_next):
                 breakdown = True
                 break
             beta = rz_next / rz
             betas.append(float(beta))
             rz = rz_next
-            p = ops.axpby(1.0, z, float(beta), p)
+            p = ops.xpby(z, float(beta), p)
 
         attempt.x = x
         attempt.converged, attempt.breakdown, attempt.iteration = converged, breakdown, iteration
@@ -166,9 +165,10 @@ class PipelinedCgScheme(IterationScheme):
         kernels = engine.kernels
         policy = engine.policy
         convergence = engine.convergence
+        fire_at = getattr(policy, "fire_at", None)  # None: observe every iteration
 
         t0 = kernels.tick()
-        r = ops.axpby(1.0, b, -1.0, ops.matvec(operator, x))
+        r = ops.xpby(b, -1.0, ops.matvec(operator, x))
         kernels.charge("matvec", t0)
         t0 = kernels.tick()
         u = ops.apply_preconditioner(self.preconditioner, r)
@@ -207,7 +207,7 @@ class PipelinedCgScheme(IterationScheme):
             overlapped += 1
             gamma, delta = (float(v) for v in fused.wait())
 
-            if not np.isfinite(gamma) or not np.isfinite(delta):
+            if not math.isfinite(gamma) or not math.isfinite(delta):
                 breakdown = True
                 break
 
@@ -220,7 +220,7 @@ class PipelinedCgScheme(IterationScheme):
             else:
                 beta = 0.0
                 denom = delta
-            if denom == 0.0 or not np.isfinite(denom):
+            if denom == 0.0 or not math.isfinite(denom):
                 breakdown = True
                 break
             alpha = gamma / denom
@@ -231,23 +231,24 @@ class PipelinedCgScheme(IterationScheme):
                 s = ops.copy_vector(w)
                 p = ops.copy_vector(u)
             else:
-                z = ops.axpby(1.0, n_w, float(beta), z)
-                q = ops.axpby(1.0, m_w, float(beta), q)
-                s = ops.axpby(1.0, w, float(beta), s)
-                p = ops.axpby(1.0, u, float(beta), p)
+                z = ops.xpby(n_w, float(beta), z)
+                q = ops.xpby(m_w, float(beta), q)
+                s = ops.xpby(w, float(beta), s)
+                p = ops.xpby(u, float(beta), p)
 
-            x = ops.axpby(1.0, x, float(alpha), p)
-            r = ops.axpby(1.0, r, -float(alpha), s)
-            u = ops.axpby(1.0, u, -float(alpha), q)
-            w = ops.axpby(1.0, w, -float(alpha), z)
+            x = ops.xpby(x, float(alpha), p)
+            r = ops.xpby(r, -float(alpha), s)
+            u = ops.xpby(u, -float(alpha), q)
+            w = ops.xpby(w, -float(alpha), z)
 
             gamma_old = gamma
             alpha_old = alpha
             iteration += 1
             residual = ops.norm(r)
             residual_norms.append(residual)
-            policy.observe(IterationEvent(total_iteration=iteration, residual_norm=residual))
-            if not np.isfinite(residual):
+            if fire_at is None or fire_at == iteration:
+                policy.observe(IterationEvent(total_iteration=iteration, residual_norm=residual))
+            if not math.isfinite(residual):
                 breakdown = True
                 break
             if convergence.is_met(residual, target):

@@ -184,7 +184,7 @@ class ArnoldiAttempt:
         """``b - A x`` of the current iterate (a charged matvec)."""
         kernels = self.kernels
         t0 = kernels.tick()
-        r = ops.axpby(1.0, self.b, -1.0, ops.matvec(self.operator, self.x))
+        r = ops.xpby(self.b, -1.0, ops.matvec(self.operator, self.x))
         kernels.charge("matvec", t0)
         return r
 

@@ -91,7 +91,7 @@ class RightPreconditioner(PreconditionerStrategy):
             t0 = kernels.tick()
             update = ops.apply_preconditioner(self.preconditioner, update)
             kernels.charge("preconditioner", t0)
-        return ops.axpby(1.0, x, 1.0, update)
+        return ops.xpby(x, 1.0, update)
 
 
 class FlexiblePreconditioner(PreconditionerStrategy):
@@ -153,7 +153,7 @@ class FlexiblePreconditioner(PreconditionerStrategy):
     def apply_update(self, engine, x, basis, y: np.ndarray, k: int):
         kernels = engine.kernels
         t0 = kernels.tick()
-        x = ops.axpby(1.0, x, 1.0, self._z_block.lincomb(y, k=k))
+        x = ops.xpby(x, 1.0, self._z_block.lincomb(y, k=k))
         kernels.charge("basis_update", t0)
         return x
 

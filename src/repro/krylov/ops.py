@@ -41,7 +41,7 @@ __all__ = [
     "dot",
     "fused_dots",
     "norm",
-    "axpby",
+    "xpby",
     "copy_vector",
     "zeros_like",
     "to_local",
@@ -131,18 +131,17 @@ def norm(x: Vector) -> float:
     return float(np.sqrt(x @ x))
 
 
-def axpby(alpha: float, x: Vector, beta: float, y: Vector) -> Vector:
-    """Return ``alpha * x + beta * y`` as a new vector."""
+def xpby(x: Vector, beta: float, y: Vector) -> Vector:
+    """Return ``x + beta * y`` as a new vector."""
     if isinstance(x, DistributedVector):
         x._check_compatible(y)
-        local = alpha * x.local
-        local += beta * y.local
+        local = x.local + beta * y.local
         x.comm.compute(x.local_size)  # charged as the scale + axpy it replaces
         x.comm.compute(2.0 * x.local_size)
         return DistributedVector.from_local_view(x.comm, local, x.global_size, x.offset)
     # Python-float scalars do not upcast float32 arrays under NumPy
     # promotion, so a reduced-precision pair stays reduced here.
-    return alpha * as_float(x) + beta * as_float(y)
+    return as_float(x) + beta * as_float(y)
 
 
 def copy_vector(x: Vector) -> Vector:

@@ -29,11 +29,15 @@ Two things keep the bandwidth-bound sizes fast in pure NumPy:
   matrix from the changed values.
 
 The pattern also carries the **sweep schedule** of the triangular
-solves SSOR needs (:class:`_SweepSchedule`): rows grouped into levels
-by dependency depth in the strictly lower and the strictly upper part,
-so a Gauss-Seidel sweep is a few whole-level vector operations per
-level instead of a Python loop over rows.  Like the slab layout it is
-structure only, built on first use and shared by every value-copy.
+solves SSOR needs.  Rows are grouped into wavefront levels by
+dependency depth in the strictly lower and the strictly upper part;
+from a mean of :data:`_ROW_SWEEP_MAX_WIDTH` rows per level on, a
+Gauss-Seidel sweep is a few whole-level vector operations per level
+(:class:`_SweepSchedule`), below it a loop over rows on Python floats
+(:class:`_RowSweeps`), which is cheaper than the NumPy calls of a
+narrow level.  Both give the same bits; which one runs is decided by
+the pattern alone.  Like the slab layout the schedule is structure
+only, built on first use and shared by every value-copy.
 """
 
 from __future__ import annotations
@@ -65,6 +69,16 @@ _SLAB_MIN_ROWS = 1024
 #: sum is a plain left-to-right loop only below 8 addends, so longer
 #: rows would no longer be bit-equal.
 _SLAB_MAX_ROW_LENGTH = 8
+
+
+#: Mean wavefront width (rows per level, over both triangles) from which
+#: SSOR sweeps level by level rather than row by row on Python floats.
+#: Measured crossover (PERFORMANCE.md, "Preconditioner"): a 2-D grid of
+#: side k has k*k/(2k-1) rows per level; the row path wins up to side 32
+#: (16.3 rows, 584 vs 693 us), the paths tie at 36 (18.3) and the level
+#: path wins from 40 (20.3, 823 vs 990 us).  A chain (1 row per level)
+#: sweeps by rows at any length, 13x faster at n = 1024.
+_ROW_SWEEP_MAX_WIDTH = 18
 
 
 _ZERO = np.zeros((), dtype=np.float64)
@@ -146,18 +160,49 @@ class _SlabLayout:
         return sums
 
 
+class _Triangle:
+    """The strictly lower or strictly upper entries of a square pattern.
+
+    ``entries`` are their CSR positions in CSR order, ``rows``/``cols``
+    their coordinates and ``stops[i]`` the end of row ``i``'s run among
+    them.  ``depth[i]`` is row ``i``'s wavefront depth: one more than
+    the deepest row it reads, 0 when it reads none; ``levels`` counts
+    the distinct depths.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "counts", "stops", "depth", "levels")
+
+    def __init__(self, pattern: "_Pattern", lower: bool):
+        n = pattern.shape[0]
+        row_ids = pattern.row_ids()
+        self.entries = np.flatnonzero(
+            pattern.indices < row_ids if lower else pattern.indices > row_ids
+        )
+        self.rows, self.cols = row_ids[self.entries], pattern.indices[self.entries]
+        self.counts = np.bincount(self.rows, minlength=n)
+        self.stops = np.cumsum(self.counts, dtype=np.int64)
+        # Depth is a recurrence along the sweep direction: one pass over
+        # plain lists, O(entries), instead of one masked scan per level.
+        ptr, reads = [0] + self.stops.tolist(), self.cols.tolist()
+        depth_of = [0] * n
+        for i in range(n) if lower else range(n - 1, -1, -1):
+            if ptr[i + 1] > ptr[i]:
+                depth_of[i] = 1 + max([depth_of[j] for j in reads[ptr[i] : ptr[i + 1]]])
+        self.depth = np.array(depth_of, dtype=np.int64)
+        self.levels = 1 + max(depth_of) if n else 0
+
+
 class _LevelSchedule:
     """Wavefront order of one strictly triangular part of a square pattern.
 
-    A row's *depth* is one more than the deepest row it reads (0 when it
-    reads none), so the rows of one level depend only on earlier levels
-    and are solved together.  Rows are renumbered level by level and,
-    inside a level, by falling entry count: the rows that own a ``j``-th
-    entry are then a prefix of their level, and the level's entries are
-    stored as contiguous slabs (slab ``j`` = every such row's ``j``-th
-    entry, in CSR order within the row) with no padding.  Nothing is ever
-    multiplied against a slot the row does not own, so an infinite
-    neighbour cannot turn into ``0 * inf``.
+    The rows of one level (equal depth, see :class:`_Triangle`) depend
+    only on earlier levels and are solved together.  Rows are renumbered
+    level by level and, inside a level, by falling entry count: the rows
+    that own a ``j``-th entry are then a prefix of their level, and the
+    level's entries are stored as contiguous slabs (slab ``j`` = every
+    such row's ``j``-th entry, in CSR order within the row) with no
+    padding.  Nothing is ever multiplied against a slot the row does not
+    own, so an infinite neighbour cannot turn into ``0 * inf``.
 
     Everything here is in the schedule's own numbering: ``order[p]`` is
     the row at position ``p``, ``position`` its inverse, ``entries`` the
@@ -166,23 +211,10 @@ class _LevelSchedule:
 
     __slots__ = ("order", "position", "entries", "_first", "_levels")
 
-    def __init__(self, pattern: "_Pattern", lower: bool):
-        n = pattern.shape[0]
-        row_ids = pattern.row_ids()
-        chosen = np.flatnonzero(
-            pattern.indices < row_ids if lower else pattern.indices > row_ids
-        )
-        rows, cols = row_ids[chosen], pattern.indices[chosen]
-        counts = np.bincount(rows, minlength=n)
-        stops = np.cumsum(counts, dtype=np.int64)
-        # Depth is a recurrence along the sweep direction: one pass over
-        # plain lists, O(entries), instead of one masked scan per level.
-        ptr, reads = [0] + stops.tolist(), cols.tolist()
-        depth_of = [0] * n
-        for i in range(n) if lower else range(n - 1, -1, -1):
-            if ptr[i + 1] > ptr[i]:
-                depth_of[i] = 1 + max([depth_of[j] for j in reads[ptr[i] : ptr[i + 1]]])
-        depth = np.array(depth_of, dtype=np.int64)
+    def __init__(self, triangle: _Triangle):
+        depth, counts, stops = triangle.depth, triangle.counts, triangle.stops
+        rows, chosen = triangle.rows, triangle.entries
+        n = depth.size
         self.order = np.lexsort((-counts, depth))
         self.position = np.empty(n, dtype=np.int64)
         self.position[self.order] = np.arange(n, dtype=np.int64)
@@ -191,7 +223,7 @@ class _LevelSchedule:
         level = depth[rows]
         by = np.lexsort((self.position[rows], place, level))
         self.entries = chosen[by]
-        cols = self.position[cols[by]]
+        cols = self.position[triangle.cols[by]]
         level, place = level[by], place[by]
         new_slab = np.ones(chosen.size, dtype=bool)
         new_slab[1:] = (level[1:] != level[:-1]) | (place[1:] != place[:-1])
@@ -260,11 +292,105 @@ class _SweepSchedule:
 
     __slots__ = ("forward", "backward", "forward_to_backward")
 
-    def __init__(self, pattern: "_Pattern"):
-        self.forward = _LevelSchedule(pattern, lower=True)
-        self.backward = _LevelSchedule(pattern, lower=False)
+    def __init__(self, lower: _Triangle, upper: _Triangle):
+        self.forward = _LevelSchedule(lower)
+        self.backward = _LevelSchedule(upper)
         #: Gathers a forward-ordered vector into backward order.
         self.forward_to_backward = self.forward.position[self.backward.order]
+
+    def capture(self, data: np.ndarray, diag: np.ndarray) -> tuple:
+        """The values :meth:`ssor` reads, permuted into schedule order."""
+        forward, backward = self.forward, self.backward
+        return (
+            data[forward.entries].astype(np.float64),
+            data[backward.entries].astype(np.float64),
+            diag[forward.order],
+            diag[backward.order],
+        )
+
+    def ssor(self, values: tuple, omega: float, b: np.ndarray) -> np.ndarray:
+        """One SSOR application to float64 ``b`` with :meth:`capture`'d values."""
+        lower, upper, diag_forward, diag_backward = values
+        forward, backward = self.forward, self.backward
+        # Forward sweep: (D/omega + L) x = b
+        x = forward.solve(lower, diag_forward, omega, b.take(forward.order))
+        # Backward sweep: (D/omega + U) y = D x / omega
+        y = x.take(self.forward_to_backward)
+        np.multiply(diag_backward, y, out=y)
+        np.divide(y, omega, out=y)
+        backward.solve(upper, diag_backward, omega, y)
+        return y.take(backward.position)
+
+
+class _RowSweeps:
+    """Both triangular sweeps of a square pattern, row by row (for SSOR).
+
+    Where a wavefront level holds few rows the NumPy calls of a level
+    cost more than its arithmetic, so the sweeps run on Python floats
+    instead: each row keeps its triangle's entries in CSR order, and
+    the sums are the level solve's, ``s = 0.0 + v0*x[c0] + v1*x[c1] +
+    ...`` left to right, then ``((rhs - s) * omega) / d`` (``(rhs *
+    omega) / d`` for a row that reads nothing).  Both paths round the
+    same operations in the same order, so they give the same bits.
+
+    The backward sweep is stored reversed (row ``n - 1`` first, columns
+    renumbered to ``n - 1 - c``), so both sweeps append rows in order.
+    """
+
+    __slots__ = ("_forward", "_backward")
+
+    def __init__(self, lower: _Triangle, upper: _Triangle):
+        n = lower.depth.size
+        #: Per sweep: the entries' CSR positions and their columns as
+        #: sweep positions, and each row's (start, stop) into both, in
+        #: sweep order.
+        self._forward = (lower.entries, lower.cols.tolist(), self._bounds(lower.stops))
+        self._backward = (
+            upper.entries, (n - 1 - upper.cols).tolist(), self._bounds(upper.stops)[::-1]
+        )
+
+    @staticmethod
+    def _bounds(stops: np.ndarray) -> list:
+        stops = stops.tolist()
+        return list(zip([0] + stops[:-1], stops))
+
+    @staticmethod
+    def _rows(sweep: tuple, data: np.ndarray) -> tuple:
+        entries, cols, bounds = sweep
+        values = data[entries].astype(np.float64).tolist()
+        return tuple(tuple(zip(values[lo:hi], cols[lo:hi])) for lo, hi in bounds)
+
+    def capture(self, data: np.ndarray, diag: np.ndarray) -> tuple:
+        """The values :meth:`ssor` reads: ``(value, column)`` pairs per row."""
+        diag = diag.tolist()
+        return (
+            self._rows(self._forward, data), self._rows(self._backward, data),
+            diag, diag[::-1],
+        )
+
+    @staticmethod
+    def _solve(rows: tuple, rhs: Iterable, diag: list, omega: float) -> list:
+        """``(D/omega + T) x = rhs`` in sweep order, row by row."""
+        x: list = []
+        append = x.append
+        for row, b, d in zip(rows, rhs, diag):
+            if row:
+                s = 0.0
+                for v, c in row:
+                    s += v * x[c]
+                append(((b - s) * omega) / d)
+            else:
+                append((b * omega) / d)
+        return x
+
+    def ssor(self, values: tuple, omega: float, b: np.ndarray) -> np.ndarray:
+        """One SSOR application to float64 ``b`` with :meth:`capture`'d values."""
+        lower, upper, diag, diag_backward = values
+        x = self._solve(lower, b.ravel().tolist(), diag, omega)
+        rhs = [(d * v) / omega for d, v in zip(diag_backward, reversed(x))]
+        y = self._solve(upper, rhs, diag_backward, omega)
+        y.reverse()
+        return np.array(y, dtype=np.float64)
 
 
 class _Pattern:
@@ -315,7 +441,7 @@ class _Pattern:
             n_rows >= _SLAB_MIN_ROWS and lengths.max() <= _SLAB_MAX_ROW_LENGTH
         )
         self._slabs: Optional[_SlabLayout] = None
-        self._sweeps: Optional[_SweepSchedule] = None
+        self._sweeps: Optional[Union[_SweepSchedule, _RowSweeps]] = None
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry, in CSR order."""
@@ -335,15 +461,22 @@ class _Pattern:
             layout = self._slabs = _SlabLayout(self.indptr, self.indices)
         return layout
 
-    def sweeps(self) -> _SweepSchedule:
-        """The triangular sweep schedule (square patterns), built on first use.
+    def sweeps(self) -> Union[_SweepSchedule, _RowSweeps]:
+        """The triangular sweeps (square patterns), built on first use.
 
-        Racing rank threads publish equal schedules with one attribute
-        assignment each, as for :meth:`slabs`.
+        Level by level where a wavefront level holds
+        :data:`_ROW_SWEEP_MAX_WIDTH` rows or more on average over both
+        triangles, row by row below.  Racing rank threads publish equal
+        schedules with one attribute assignment each, as for :meth:`slabs`.
         """
         schedule = self._sweeps
         if schedule is None:
-            schedule = self._sweeps = _SweepSchedule(self)
+            lower, upper = _Triangle(self, lower=True), _Triangle(self, lower=False)
+            if 2 * self.shape[0] < _ROW_SWEEP_MAX_WIDTH * (lower.levels + upper.levels):
+                schedule = _RowSweeps(lower, upper)
+            else:
+                schedule = _SweepSchedule(lower, upper)
+            self._sweeps = schedule
         return schedule
 
 
@@ -674,8 +807,8 @@ class CsrMatrix:
         """Row index of every stored entry, in CSR order (COO-style rows)."""
         return self._pattern.row_ids()
 
-    def sweep_schedule(self) -> _SweepSchedule:
-        """The level schedule of the triangular sweeps (square matrices).
+    def sweep_schedule(self) -> Union[_SweepSchedule, _RowSweeps]:
+        """The schedule of the triangular sweeps (square matrices).
 
         Structure only: built once per pattern and shared by every
         value-copy, so asking again is free.

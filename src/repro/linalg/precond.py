@@ -15,9 +15,10 @@ permuted off-diagonals; inverted dense blocks), so writing to
 ``matrix.data`` afterwards does not change their ``apply`` -- build a
 new preconditioner from the changed matrix.  Only the polynomial
 preconditioner reads the matrix live (through ``matvec``) next to the
-diagonal it captured at construction.  No ``apply`` loops over single
-rows in Python; SSOR sweeps level by level over the schedule the
-matrix pattern shares (see :mod:`repro.linalg.csr`).
+diagonal it captured at construction.  SSOR sweeps over the schedule
+the matrix pattern shares (see :mod:`repro.linalg.csr`): level by
+level, or row by row on Python floats where levels are narrow; no
+other ``apply`` loops over single rows in Python.
 
 This module is the mechanism layer only.  The declarative surface --
 serializable spec strings (``"jacobi"``, ``"ssor:omega=1.2"``,
@@ -85,27 +86,28 @@ class SsorPreconditioner(Preconditioner):
     """Symmetric successive over-relaxation preconditioner.
 
     Applies one forward and one backward Gauss-Seidel-like sweep with
-    relaxation factor ``omega``.  Each sweep runs level by level over
-    the matrix pattern's shared sweep schedule
-    (:meth:`CsrMatrix.sweep_schedule`): the rows of a level depend only
-    on earlier levels, so a level is a handful of whole-level NumPy
-    operations and no Python loop visits single rows.
+    relaxation factor ``omega``, over the matrix pattern's shared sweep
+    schedule (:meth:`CsrMatrix.sweep_schedule`).  The pattern picks one
+    of two paths: where a wavefront level holds many rows, a level is a
+    handful of whole-level NumPy operations (the rows of a level depend
+    only on earlier levels); where it holds few -- chains, small grids,
+    every E9 problem -- the sweeps run row by row on Python floats,
+    which is cheaper than the NumPy calls of a narrow level.
 
     **Values are captured at construction** -- the diagonal and the
-    off-diagonal entries, widened to float64 and permuted into schedule
-    order.  Writing to ``matrix.data`` afterwards does not change
-    ``apply``; build a new preconditioner from the changed matrix.
+    off-diagonal entries, widened to float64 and laid out for the
+    path's sweeps.  Writing to ``matrix.data`` afterwards does not
+    change ``apply``; build a new preconditioner from the changed matrix.
 
-    **Arithmetic.**  Per row the forward sweep is ``x_i = omega *
-    (b_i - s) / d_i`` with ``s = 0.0 + a_ij0*x_j0 + a_ij1*x_j1 + ...``
-    over the row's strictly lower entries in CSR order, every product
-    and sum rounded (NumPy has no fused multiply-add); the backward
-    sweep is the same over the strictly upper entries with ``d_i * x_i /
-    omega`` as right-hand side.  A row loop that forms ``s`` with a BLAS
-    dot product gives the same bits wherever the products are exact --
-    every ``poisson_*`` matrix, whose off-diagonals are -1 -- and
-    otherwise differs by the roundings a fusing BLAS skips (about 1e-13
-    relative); the result here does not depend on the linked BLAS.
+    **Arithmetic.**  Per row the forward sweep is ``x_i = ((b_i - s) *
+    omega) / d_i`` with ``s = 0.0 + a_ij0*x_j0 + a_ij1*x_j1 + ...`` over
+    the row's strictly lower entries in CSR order, every product and sum
+    rounded (no fused multiply-add), and ``(b_i * omega) / d_i`` for a
+    row with no lower entry; the backward sweep is the same over the
+    strictly upper entries with ``(d_i * x_i) / omega`` as right-hand
+    side.  Both paths round these operations in this order, so they
+    give the same bits on every matrix and input, and the result does
+    not depend on the linked BLAS.
     """
 
     def __init__(self, matrix: CsrMatrix, omega: float = 1.0):
@@ -118,27 +120,15 @@ class SsorPreconditioner(Preconditioner):
         diag = matrix.diagonal_values().astype(np.float64)
         if np.any(diag == 0.0):
             raise ValueError("SSOR requires a nonzero diagonal")
-        self._schedule = schedule = matrix.sweep_schedule()
-        forward, backward = schedule.forward, schedule.backward
-        self._lower = matrix.data[forward.entries].astype(np.float64)
-        self._upper = matrix.data[backward.entries].astype(np.float64)
-        self._diag_forward = diag[forward.order]
-        self._diag_backward = diag[backward.order]
+        self._schedule = matrix.sweep_schedule()
+        self._values = self._schedule.capture(matrix.data, diag)
+        self._n = matrix.n_rows
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         b = np.asarray(vector, dtype=np.float64)
-        if b.size != self._diag_forward.size:
+        if b.size != self._n:
             raise ValueError("vector length does not match the matrix")
-        omega = self._omega
-        forward, backward = self._schedule.forward, self._schedule.backward
-        # Forward sweep: (D/omega + L) x = b
-        x = forward.solve(self._lower, self._diag_forward, omega, b.take(forward.order))
-        # Backward sweep: (D/omega + U) y = D x / omega
-        y = x.take(self._schedule.forward_to_backward)
-        np.multiply(self._diag_backward, y, out=y)
-        np.divide(y, omega, out=y)
-        backward.solve(self._upper, self._diag_backward, omega, y)
-        return y.take(backward.position)
+        return self._schedule.ssor(self._values, self._omega, b)
 
 
 class NeumannPolynomialPreconditioner(Preconditioner):

@@ -13,6 +13,7 @@ from repro.krylov import (
     pipelined_gmres,
 )
 from repro.comm.distributed import DistributedRowMatrix, DistributedVector
+from repro.krylov.engine import cg as cg_module
 from repro.krylov.registry import batch_solve
 from repro.linalg import (
     JacobiPreconditioner,
@@ -154,6 +155,42 @@ class TestCg:
         b = rng.standard_normal(matrix.n_rows)
         result = cg(matrix, b, tol=1e-12, maxiter=60)
         assert result.converged and result.iterations <= 40
+
+
+class TestCgFireAt:
+    """Both CG schemes honour ``ResiliencePolicy.fire_at``: a hook that
+    declares the one iteration it acts at is called there only, and the
+    bare solver (``NullPolicy``, ``fire_at = 0``) builds no event."""
+
+    SOLVERS = {"cg": cg, "pipelined_cg": pipelined_cg}
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_a_declared_hook_is_called_once_at_its_iteration(self, name, poisson_small, rng):
+        b = rng.standard_normal(poisson_small.n_rows)
+        seen = []
+
+        def hook(event):
+            seen.append(event.total_iteration)
+
+        hook.fire_at = 5
+        result = self.SOLVERS[name](poisson_small, b, tol=1e-10, iteration_hook=hook)
+        assert result.iterations > 10
+        assert seen == [5]
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_the_bare_solver_builds_no_event(self, name, poisson_small, rng, monkeypatch):
+        built = []
+
+        class CountedEvent(cg_module.IterationEvent):
+            def __init__(self, **fields):
+                built.append(fields["total_iteration"])
+                super().__init__(**fields)
+
+        monkeypatch.setattr(cg_module, "IterationEvent", CountedEvent)
+        b = rng.standard_normal(poisson_small.n_rows)
+        result = self.SOLVERS[name](poisson_small, b, tol=1e-10)
+        assert result.converged and result.iterations > 10
+        assert built == []
 
 
 class TestPipelinedVariants:

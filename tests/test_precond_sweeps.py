@@ -1,25 +1,32 @@
-"""The preconditioner tier without interpreted row loops.
+"""The preconditioner tier: both SSOR sweep paths and the vectorised extractions.
 
-What the level-scheduled SSOR sweeps, the vectorised block extraction
-and the vectorised distributed diagonal must preserve:
+What the two SSOR sweep paths (level by level over a wavefront
+schedule, row by row on Python floats), the vectorised block
+extraction and the vectorised distributed diagonal must preserve:
 
-* ``SsorPreconditioner.apply`` gives the same *bits* as the row loop it
-  replaced (kept below as the reference, BLAS dot product included) on
-  every ``poisson_*`` matrix, for non-finite, huge, tiny and signed-zero
-  inputs, and agrees with it and with a dense oracle to 1e-12 elsewhere,
+* both sweep paths, each forced on the same matrix, give the same
+  *bits* on every matrix below (unsorted and repeated columns, long
+  rows, triangular, diagonal, float32 and float16 storage) for
+  non-finite, huge, tiny and signed-zero inputs, and ``apply`` agrees
+  with a dense oracle to 1e-12,
+* which path runs is decided by the pattern alone (mean rows per
+  wavefront level against ``_ROW_SWEEP_MAX_WIDTH``), and below the
+  constant no level schedule is built,
 * ``CsrMatrix.row`` has no caller left in the preconditioner tier,
 * the sweep schedule is structure: one object per pattern, shared by
-  value-copies, never rebuilt by a second preconditioner,
-* values are captured at construction (stale-values rule),
+  value-copies, never rebuilt by a second preconditioner, on both paths,
+* values are captured at construction (stale-values rule), on both paths,
 * block Jacobi sums duplicate entries at every size,
 * the ``ssor`` cells of an E9 golden-shaped run are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,28 +43,6 @@ from repro.linalg.matgen import (
 )
 from repro.linalg.precond import BlockJacobiPreconditioner, SsorPreconditioner
 from repro.comm.sim import run_spmd
-
-
-def row_loop_ssor(matrix: CsrMatrix, omega: float, vector: np.ndarray) -> np.ndarray:
-    """The parent commit's ``SsorPreconditioner.apply``: two loops over rows."""
-    diag = matrix.diagonal_values()
-    b = np.asarray(vector, dtype=np.float64)
-    n = matrix.n_rows
-    x = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        cols, vals = matrix.row(i)
-        acc = b[i]
-        lower = cols < i
-        acc -= vals[lower] @ x[cols[lower]]
-        x[i] = omega * acc / diag[i]
-    y = x.copy()
-    for i in range(n - 1, -1, -1):
-        cols, vals = matrix.row(i)
-        acc = diag[i] * x[i] / omega
-        upper = cols > i
-        acc -= vals[upper] @ y[cols[upper]]
-        y[i] = omega * acc / diag[i]
-    return y
 
 
 def dense_ssor(matrix: CsrMatrix, omega: float, vector: np.ndarray) -> np.ndarray:
@@ -104,6 +89,37 @@ def scrambled_dominant(rng, n, max_len, *, dtype=np.float64, storage=None) -> Cs
     )
 
 
+WIDTH = csr_module._ROW_SWEEP_MAX_WIDTH
+PATHS = {"levels": csr_module._SweepSchedule, "rows": csr_module._RowSweeps}
+
+
+def ssor_on(path, matrix, omega=1.0):
+    """A twin of ``matrix`` (same entries, a pattern of its own) and an
+    ``SsorPreconditioner`` on it whose sweeps take ``path``, forced
+    through the width constant."""
+    twin = CsrMatrix(
+        matrix.indptr, matrix.indices, matrix.data.copy(), matrix.shape,
+        dtype=matrix.dtype, storage=matrix.data.dtype,
+    )
+    width = math.inf if path == "rows" else 0
+    with mock.patch.object(csr_module, "_ROW_SWEEP_MAX_WIDTH", width):
+        precond = SsorPreconditioner(twin, omega=omega)
+    assert type(precond._schedule) is PATHS[path]
+    return twin, precond
+
+
+def level_schedule(matrix: CsrMatrix):
+    """The level schedule of ``matrix``'s structure, whatever its width."""
+    return ssor_on("levels", matrix)[1]._schedule
+
+
+def forbid(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not be built for this matrix")
+
+    monkeypatch.setattr(csr_module, name, refuse)
+
+
 def forbid_row(monkeypatch):
     def refuse(self, i):
         raise AssertionError("CsrMatrix.row must not be called here")
@@ -112,23 +128,46 @@ def forbid_row(monkeypatch):
 
 
 def count_schedule_builds(monkeypatch) -> list:
+    """Records every triangle and level schedule built from a pattern."""
     built = []
-    original = csr_module._LevelSchedule.__init__
+    for name in ("_Triangle", "_LevelSchedule"):
+        original = getattr(csr_module, name).__init__
 
-    def counting(self, pattern, lower):
-        built.append(lower)
-        original(self, pattern, lower)
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(csr_module._LevelSchedule, "__init__", counting)
+        monkeypatch.setattr(getattr(csr_module, name), "__init__", counting)
     return built
 
 
-POISSON = {
-    "poisson_1d(64)": lambda: poisson_1d(64),
-    "poisson_2d(5)": lambda: poisson_2d(5),
-    "poisson_2d(8)": lambda: poisson_2d(8),
-    "poisson_2d(10)": lambda: poisson_2d(10),
-    "poisson_2d(33)": lambda: poisson_2d(33),  # n = 1089: slab-plan sized
+#: The module's matrix list: name -> builder(rng).
+MATRICES = {
+    "poisson_1d(64)": lambda rng: poisson_1d(64),
+    "poisson_2d(5)": lambda rng: poisson_2d(5),
+    "poisson_2d(8)": lambda rng: poisson_2d(8),
+    "poisson_2d(10)": lambda rng: poisson_2d(10),
+    "poisson_2d(33)": lambda rng: poisson_2d(33),  # n = 1089: slab-plan sized
+    "convection_diffusion": lambda rng: convection_diffusion_2d(8, peclet=10.0),
+    "convection_upwind": lambda rng: convection_diffusion_2d(
+        9, peclet=100.0, wind=(1.0, -0.5)
+    ),
+    "scrambled": lambda rng: scrambled_dominant(rng, 70, 6),
+    "scrambled_long_rows": lambda rng: scrambled_dominant(rng, 40, 30),
+    "upper_triangular": lambda rng: CsrMatrix.from_dense(
+        np.triu(rng.standard_normal((30, 30))) + 40.0 * np.eye(30)
+    ),
+    "lower_triangular": lambda rng: CsrMatrix.from_dense(
+        np.tril(rng.standard_normal((30, 30))) + 40.0 * np.eye(30)
+    ),
+    "diagonal": lambda rng: CsrMatrix.diagonal(rng.uniform(1.0, 3.0, size=25)),
+    "float32": lambda rng: scrambled_dominant(rng, 60, 5, dtype=np.float32),
+    "float16_storage": lambda rng: scrambled_dominant(
+        rng, 60, 5, dtype=np.float32, storage=np.float16
+    ),
+    "poisson_float16": lambda rng: poisson_2d(7).astype(
+        np.float32, storage=np.float16
+    ),
 }
 
 
@@ -140,6 +179,7 @@ def special_inputs(rng, n):
         [0.0, -0.0, np.inf, -np.inf],
         [1e200, -1e200, 1e-200, -1e-200],
         [np.inf, 1e200, -0.0, 1e-200],
+        [np.nan, -np.inf, 0.0, -1e200],
     ):
         for _ in range(4):
             v = rng.standard_normal(n)
@@ -154,19 +194,18 @@ def special_inputs(rng, n):
 
 
 class TestSweepBits:
-    @pytest.mark.parametrize("omega", [1.0, 1.2])
-    @pytest.mark.parametrize("name", sorted(POISSON))
-    def test_apply_equals_the_row_loop_bit_for_bit(self, name, omega):
-        matrix = POISSON[name]()
-        precond = SsorPreconditioner(matrix, omega=omega)
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.2])
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_both_paths_give_the_same_bits(self, name, omega):
+        """The row path raises no floating-point warning, so both run
+        with every warning silenced."""
         rng = np.random.default_rng(2013)
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        matrix = MATRICES[name](rng)
+        _, levels = ssor_on("levels", matrix, omega)
+        _, rows = ssor_on("rows", matrix, omega)
+        with np.errstate(all="ignore"):
             for vector in special_inputs(rng, matrix.n_rows):
-                assert same_bits(
-                    precond.apply(vector), row_loop_ssor(matrix, omega, vector)
-                )
+                assert same_bits(rows.apply(vector), levels.apply(vector))
 
     def test_an_infinite_neighbour_does_not_poison_rows_that_do_not_read_it(self):
         """Rows of one level have different lengths; nothing may multiply
@@ -175,20 +214,20 @@ class TestSweepBits:
         vector = np.ones(matrix.n_rows)
         vector[0] = np.inf
         with np.errstate(invalid="ignore", over="ignore"):
-            result = SsorPreconditioner(matrix).apply(vector)
-            expected = row_loop_ssor(matrix, 1.0, vector)
+            result = ssor_on("levels", matrix)[1].apply(vector)
+        expected = ssor_on("rows", matrix)[1].apply(vector)
         assert same_bits(result, expected)
+        assert not np.isnan(result).any()  # inf, never a padded 0 * inf
 
-    def test_apply_keeps_its_input_checks_and_float64_coercion(self):
-        matrix = poisson_2d(4)
-        precond = SsorPreconditioner(matrix, omega=1.3)
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_apply_keeps_its_input_checks_and_float64_coercion(self, path):
+        _, precond = ssor_on(path, poisson_2d(4), omega=1.3)
         vector = np.arange(16, dtype=np.float32)
         result = precond.apply(list(vector))
         assert result.dtype == np.float64
-        assert same_bits(result, row_loop_ssor(matrix, 1.3, vector))
         wide = vector.astype(np.float64)
-        precond.apply(wide)  # the sweeps run in place, but never on the input
-        assert same_bits(wide, vector.astype(np.float64))
+        assert same_bits(result, precond.apply(wide))
+        assert same_bits(wide, vector.astype(np.float64))  # never swept in place
         with pytest.raises(ValueError, match="length"):
             precond.apply(np.ones(15))
 
@@ -203,49 +242,62 @@ class TestSweepBits:
             SsorPreconditioner(CsrMatrix([0, 1, 2], [1, 0], [1.0, 1.0], (2, 2)))
 
 
-class TestDenseOracle:
-    CASES = {
-        "convection_diffusion": lambda rng: convection_diffusion_2d(8, peclet=10.0),
-        "convection_upwind": lambda rng: convection_diffusion_2d(
-            9, peclet=100.0, wind=(1.0, -0.5)
-        ),
-        "scrambled": lambda rng: scrambled_dominant(rng, 70, 6),
-        "scrambled_long_rows": lambda rng: scrambled_dominant(rng, 40, 30),
-        "upper_triangular": lambda rng: CsrMatrix.from_dense(
-            np.triu(rng.standard_normal((30, 30))) + 40.0 * np.eye(30)
-        ),
-        "lower_triangular": lambda rng: CsrMatrix.from_dense(
-            np.tril(rng.standard_normal((30, 30))) + 40.0 * np.eye(30)
-        ),
-        "diagonal": lambda rng: CsrMatrix.diagonal(rng.uniform(1.0, 3.0, size=25)),
-        "float32": lambda rng: scrambled_dominant(rng, 60, 5, dtype=np.float32),
-        "float16_storage": lambda rng: scrambled_dominant(
-            rng, 60, 5, dtype=np.float32, storage=np.float16
-        ),
-        "poisson_float16": lambda rng: poisson_2d(7).astype(
-            np.float32, storage=np.float16
-        ),
-    }
+class TestPathSelection:
+    """Mean rows per wavefront level (both triangles) picks the path; a
+    grid of side ``k`` has ``k * k / (2k - 1)``."""
 
+    #: The smallest 2-D grid whose mean level width reaches the constant.
+    SIDE = next(k for k in range(2, 1000) if k * k >= WIDTH * (2 * k - 1))
+
+    def test_just_below_the_width_constant_sweeps_by_rows(self, monkeypatch):
+        clear_matrix_cache()
+        matrix = poisson_2d(self.SIDE - 1)
+        forbid(monkeypatch, "_LevelSchedule")
+        precond = SsorPreconditioner(matrix, omega=1.2)
+        assert type(precond._schedule) is csr_module._RowSweeps
+        precond.apply(np.ones(matrix.n_rows))
+
+    def test_at_the_width_constant_sweeps_by_levels(self, monkeypatch):
+        clear_matrix_cache()
+        matrix = poisson_2d(self.SIDE)
+        forbid(monkeypatch, "_RowSweeps")
+        precond = SsorPreconditioner(matrix, omega=1.2)
+        assert type(precond._schedule) is csr_module._SweepSchedule
+        precond.apply(np.ones(matrix.n_rows))
+
+    @pytest.mark.parametrize("build, path", [
+        (lambda: poisson_1d(4096), "rows"),
+        (lambda: CsrMatrix.diagonal(np.ones(WIDTH - 1)), "rows"),
+        (lambda: CsrMatrix.diagonal(np.ones(WIDTH)), "levels"),
+    ], ids=["chain", "narrow_diagonal", "wide_diagonal"])
+    def test_chains_and_diagonals(self, build, path):
+        """A chain is one row per level at any length; a diagonal matrix is
+        one level of ``n`` rows in each triangle."""
+        assert type(build().sweep_schedule()) is PATHS[path]
+
+    def test_the_row_path_is_what_e9_sweeps(self):
+        assert type(poisson_2d(8).sweep_schedule()) is csr_module._RowSweeps
+
+
+class TestDenseOracle:
     @pytest.mark.parametrize("omega", [1.0, 0.7, 1.6])
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(set(MATRICES) - {"poisson_2d(33)"}))
     def test_apply_solves_the_ssor_system(self, name, omega):
         rng = np.random.default_rng(14)
-        matrix = self.CASES[name](rng)
+        matrix = MATRICES[name](rng)
         precond = SsorPreconditioner(matrix, omega=omega)
         for _ in range(3):
             vector = rng.standard_normal(matrix.n_rows)
             result = precond.apply(vector)
             assert relative_gap(result, dense_ssor(matrix, omega, vector)) < 1e-12
-            assert relative_gap(result, row_loop_ssor(matrix, omega, vector)) < 1e-12
 
     def test_a_diagonal_matrix_is_one_level(self):
-        schedule = CsrMatrix.diagonal(np.arange(1.0, 9.0)).sweep_schedule()
+        schedule = level_schedule(CsrMatrix.diagonal(np.arange(1.0, 9.0)))
         assert schedule.forward._levels == [] and schedule.backward._levels == []
         assert schedule.forward._first == 8
 
     def test_a_chain_is_one_row_per_level(self):
-        schedule = poisson_1d(12).sweep_schedule()
+        schedule = level_schedule(poisson_1d(12))
         assert len(schedule.forward._levels) == 11
         assert schedule.forward.order.tolist() == list(range(12))
         assert schedule.backward.order.tolist() == list(range(11, -1, -1))
@@ -255,11 +307,17 @@ class TestDenseOracle:
         assert SsorPreconditioner(empty).apply(np.zeros(0)).shape == (0,)
 
 
+#: A grid on each side of the width constant: (side, path its sweeps take).
+GRIDS = [(9, "rows"), (40, "levels")]
+
+
 class TestNoRowCalls:
-    def test_ssor_build_and_apply(self, monkeypatch):
-        matrix = poisson_2d(8)
+    @pytest.mark.parametrize("side", [8, 40])
+    def test_ssor_build_and_apply(self, monkeypatch, side):
+        clear_matrix_cache()
+        matrix = poisson_2d(side)
         forbid_row(monkeypatch)
-        SsorPreconditioner(matrix, omega=1.2).apply(np.ones(64))
+        SsorPreconditioner(matrix, omega=1.2).apply(np.ones(matrix.n_rows))
 
     @pytest.mark.parametrize("n", [64, 2049])
     def test_block_jacobi_build(self, monkeypatch, n):
@@ -291,36 +349,45 @@ class TestNoRowCalls:
 
 
 class TestSharedSchedule:
-    def test_value_copies_share_one_schedule(self):
-        matrix = convection_diffusion_2d(6, peclet=3.0)
+    @pytest.mark.parametrize("side, path", GRIDS)
+    def test_value_copies_share_one_schedule(self, side, path):
+        matrix = convection_diffusion_2d(side, peclet=3.0)
         schedule = matrix.sweep_schedule()
+        assert type(schedule) is PATHS[path]
         assert matrix.copy().sweep_schedule() is schedule
         assert matrix.astype(np.float32, storage=np.float16).sweep_schedule() is schedule
         assert (2.0 * matrix).sweep_schedule() is schedule
 
-    def test_matgen_cache_copies_share_one_schedule(self):
+    @pytest.mark.parametrize("side, path", GRIDS)
+    def test_matgen_cache_copies_share_one_schedule(self, side, path):
         clear_matrix_cache()
-        first, second = poisson_2d(9), poisson_2d(9)
+        first, second = poisson_2d(side), poisson_2d(side)
         assert first is not second
         assert first.sweep_schedule() is second.sweep_schedule()
 
-    def test_a_second_preconditioner_does_not_reschedule(self, monkeypatch):
+    @pytest.mark.parametrize("side, path", GRIDS)
+    def test_a_second_preconditioner_does_not_reschedule(self, monkeypatch, side, path):
         clear_matrix_cache()
         built = count_schedule_builds(monkeypatch)
-        first = SsorPreconditioner(poisson_2d(9), omega=1.0)
-        assert sorted(built) == [False, True]
-        second = SsorPreconditioner(poisson_2d(9), omega=1.2)
-        third = SsorPreconditioner(poisson_2d(9).astype(np.float32))
-        assert len(built) == 2
+        first = SsorPreconditioner(poisson_2d(side), omega=1.0)
+        levels = ["_LevelSchedule"] * 2 if path == "levels" else []
+        assert sorted(built) == levels + ["_Triangle"] * 2
+        second = SsorPreconditioner(poisson_2d(side), omega=1.2)
+        third = SsorPreconditioner(poisson_2d(side).astype(np.float32))
+        assert len(built) == 2 + len(levels)
         assert first._schedule is second._schedule is third._schedule
+        assert type(first._schedule) is PATHS[path]
 
-    def test_racing_threads_publish_one_schedule(self):
+    @pytest.mark.parametrize("side, path", GRIDS)
+    def test_racing_threads_publish_one_schedule(self, side, path):
         """Sim rank threads may all meet an unscheduled pattern at once:
         each builds an equal schedule and publication is one assignment."""
         clear_matrix_cache()
-        vector = np.random.default_rng(3).standard_normal(144)
-        expected = row_loop_ssor(poisson_2d(12), 1.2, vector)
-        twins = [poisson_2d(12) for _ in range(8)]
+        n = side * side
+        vector = np.random.default_rng(3).standard_normal(n)
+        other = "levels" if path == "rows" else "rows"
+        expected = ssor_on(other, poisson_2d(side), 1.2)[1].apply(vector)
+        twins = [poisson_2d(side) for _ in range(8)]
         start = threading.Barrier(len(twins))
         results = [None] * len(twins)
 
@@ -342,13 +409,14 @@ class TestSharedSchedule:
         assert not any(t.is_alive() for t in threads)
         assert all(same_bits(r, expected) for r in results)
         assert len({id(t.sweep_schedule()) for t in twins}) == 1
+        assert type(twins[0].sweep_schedule()) is PATHS[path]
 
 
 class TestStaleValues:
-    def test_writes_after_construction_do_not_change_apply(self):
-        matrix = convection_diffusion_2d(7, peclet=5.0)
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_writes_after_construction_do_not_change_apply(self, path):
+        matrix, precond = ssor_on(path, convection_diffusion_2d(7, peclet=5.0), 1.1)
         vector = np.random.default_rng(4).standard_normal(49)
-        precond = SsorPreconditioner(matrix, omega=1.1)
         before = precond.apply(vector)
         matrix.data[:] = 0.5 * matrix.data + 1.0
         assert same_bits(precond.apply(vector), before)
@@ -356,8 +424,9 @@ class TestStaleValues:
         assert not np.allclose(rebuilt, before)
         assert relative_gap(rebuilt, dense_ssor(matrix, 1.1, vector)) < 1e-12
 
-    def test_apply_does_not_write_to_the_captured_values(self):
-        precond = SsorPreconditioner(poisson_2d(6), omega=1.2)
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_apply_does_not_write_to_the_captured_values(self, path):
+        _, precond = ssor_on(path, poisson_2d(6), omega=1.2)
         vector = np.random.default_rng(5).standard_normal(36)
         first = precond.apply(vector)
         assert same_bits(precond.apply(vector), first)
