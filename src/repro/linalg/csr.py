@@ -29,15 +29,13 @@ Two things keep the bandwidth-bound sizes fast in pure NumPy:
   matrix from the changed values.
 
 The pattern also carries the **sweep schedule** of the triangular
-solves SSOR needs.  Rows are grouped into wavefront levels by
-dependency depth in the strictly lower and the strictly upper part;
-from a mean of :data:`_ROW_SWEEP_MAX_WIDTH` rows per level on, a
-Gauss-Seidel sweep is a few whole-level vector operations per level
-(:class:`_SweepSchedule`), below it a loop over rows on Python floats
-(:class:`_RowSweeps`), which is cheaper than the NumPy calls of a
-narrow level.  Both give the same bits; which one runs is decided by
-the pattern alone.  Like the slab layout the schedule is structure
-only, built on first use and shared by every value-copy.
+solves SSOR needs (:class:`_RowSweeps`): each row's strictly lower and
+strictly upper entries in CSR order, which the preconditioner captures
+as Python floats and sweeps row by row.  A row loop on Python floats
+beats a vectorised wavefront sweep on chains of any length and on 2-D
+grids up to side 32 (PERFORMANCE.md, "Preconditioner").  Like the slab
+layout the schedule is structure only, built on first use and shared
+by every value-copy.
 """
 
 from __future__ import annotations
@@ -69,19 +67,6 @@ _SLAB_MIN_ROWS = 1024
 #: sum is a plain left-to-right loop only below 8 addends, so longer
 #: rows would no longer be bit-equal.
 _SLAB_MAX_ROW_LENGTH = 8
-
-
-#: Mean wavefront width (rows per level, over both triangles) from which
-#: SSOR sweeps level by level rather than row by row on Python floats.
-#: Measured crossover (PERFORMANCE.md, "Preconditioner"): a 2-D grid of
-#: side k has k*k/(2k-1) rows per level; the row path wins up to side 32
-#: (16.3 rows, 584 vs 693 us), the paths tie at 36 (18.3) and the level
-#: path wins from 40 (20.3, 823 vs 990 us).  A chain (1 row per level)
-#: sweeps by rows at any length, 13x faster at n = 1024.
-_ROW_SWEEP_MAX_WIDTH = 18
-
-
-_ZERO = np.zeros((), dtype=np.float64)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -160,237 +145,47 @@ class _SlabLayout:
         return sums
 
 
-class _Triangle:
-    """The strictly lower or strictly upper entries of a square pattern.
-
-    ``entries`` are their CSR positions in CSR order, ``rows``/``cols``
-    their coordinates and ``stops[i]`` the end of row ``i``'s run among
-    them.  ``depth[i]`` is row ``i``'s wavefront depth: one more than
-    the deepest row it reads, 0 when it reads none; ``levels`` counts
-    the distinct depths.
-    """
-
-    __slots__ = ("entries", "rows", "cols", "counts", "stops", "depth", "levels")
-
-    def __init__(self, pattern: "_Pattern", lower: bool):
-        n = pattern.shape[0]
-        row_ids = pattern.row_ids()
-        self.entries = np.flatnonzero(
-            pattern.indices < row_ids if lower else pattern.indices > row_ids
-        )
-        self.rows, self.cols = row_ids[self.entries], pattern.indices[self.entries]
-        self.counts = np.bincount(self.rows, minlength=n)
-        self.stops = np.cumsum(self.counts, dtype=np.int64)
-        # Depth is a recurrence along the sweep direction: one pass over
-        # plain lists, O(entries), instead of one masked scan per level.
-        ptr, reads = [0] + self.stops.tolist(), self.cols.tolist()
-        depth_of = [0] * n
-        for i in range(n) if lower else range(n - 1, -1, -1):
-            if ptr[i + 1] > ptr[i]:
-                depth_of[i] = 1 + max([depth_of[j] for j in reads[ptr[i] : ptr[i + 1]]])
-        self.depth = np.array(depth_of, dtype=np.int64)
-        self.levels = 1 + max(depth_of) if n else 0
-
-
-class _LevelSchedule:
-    """Wavefront order of one strictly triangular part of a square pattern.
-
-    The rows of one level (equal depth, see :class:`_Triangle`) depend
-    only on earlier levels and are solved together.  Rows are renumbered
-    level by level and, inside a level, by falling entry count: the rows
-    that own a ``j``-th entry are then a prefix of their level, and the
-    level's entries are stored as contiguous slabs (slab ``j`` = every
-    such row's ``j``-th entry, in CSR order within the row) with no
-    padding.  Nothing is ever multiplied against a slot the row does not
-    own, so an infinite neighbour cannot turn into ``0 * inf``.
-
-    Everything here is in the schedule's own numbering: ``order[p]`` is
-    the row at position ``p``, ``position`` its inverse, ``entries`` the
-    CSR positions of the scheduled entries in slab order.
-    """
-
-    __slots__ = ("order", "position", "entries", "_first", "_levels")
-
-    def __init__(self, triangle: _Triangle):
-        depth, counts, stops = triangle.depth, triangle.counts, triangle.stops
-        rows, chosen = triangle.rows, triangle.entries
-        n = depth.size
-        self.order = np.lexsort((-counts, depth))
-        self.position = np.empty(n, dtype=np.int64)
-        self.position[self.order] = np.arange(n, dtype=np.int64)
-        # Entries sorted by (level, place within the row, row position).
-        place = np.arange(chosen.size, dtype=np.int64) - (stops - counts)[rows]
-        level = depth[rows]
-        by = np.lexsort((self.position[rows], place, level))
-        self.entries = chosen[by]
-        cols = self.position[triangle.cols[by]]
-        level, place = level[by], place[by]
-        new_slab = np.ones(chosen.size, dtype=bool)
-        new_slab[1:] = (level[1:] != level[:-1]) | (place[1:] != place[:-1])
-        slab_starts = np.flatnonzero(new_slab)
-        slab_level = level[slab_starts].tolist() + [-1]
-        slab_starts = slab_starts.tolist() + [chosen.size]
-        row_stops = np.cumsum(np.bincount(depth, minlength=1), dtype=np.int64).tolist()
-        #: Rows [0, _first) read nothing.
-        self._first = row_stops[0]
-        #: (first row, end row, first entry, end entry, positions the
-        #: entries read, slabs after the first as (start, stop) offsets
-        #: into the level's entries)
-        self._levels = []
-        k = 0
-        for d in range(1, len(row_stops)):
-            begin = slab_starts[k]
-            k += 1  # slab 0: every row of a level past the first reads something
-            tails = []
-            while slab_level[k] == d:
-                tails.append((slab_starts[k] - begin, slab_starts[k + 1] - begin))
-                k += 1
-            end = slab_starts[k]
-            self._levels.append(
-                (row_stops[d - 1], row_stops[d], begin, end, cols[begin:end], tails)
-            )
-
-    def solve(
-        self, values: np.ndarray, diag: np.ndarray, omega: float, x: np.ndarray
-    ) -> np.ndarray:
-        """Solve ``(D/omega + T) x = rhs`` in place for the scheduled triangle ``T``.
-
-        ``x`` holds the right-hand side on entry and the solution on
-        return; it and ``diag`` are in ``order``, ``values`` are T's
-        entries in ``entries`` order, all float64.  Per row this is
-        ``x = omega * (rhs - s) / diag`` with ``s = 0.0 + v0*x[c0] +
-        v1*x[c1] + ...`` summed left to right in CSR order.
-        """
-        multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
-        omega = np.asarray(omega, dtype=np.float64)
-        out = x[: self._first]
-        multiply(out, omega, out)
-        divide(out, diag[: self._first], out)
-        # Inside the loop no ufunc writes into one of its own operands
-        # (NumPy's overlap handling doubles the cost of a small call):
-        # results alternate between the gather's array and the products'.
-        for lo, hi, begin, end, cols, tails in self._levels:
-            gathered = x.take(cols)
-            products = multiply(values[begin:end], gathered)
-            rows = hi - lo
-            sums, scratch = gathered[:rows], products[:rows]
-            # 0.0 + p: a lone -0.0 product must not flip the sign of a
-            # zero right-hand side (-0.0 - -0.0 is +0.0, -0.0 - 0.0 is not).
-            add(scratch, _ZERO, sums)
-            for start, stop in tails:
-                head = sums[: stop - start]
-                add(head, products[start:stop], head)
-            out = x[lo:hi]
-            subtract(out, sums, scratch)
-            multiply(scratch, omega, sums)
-            divide(sums, diag[lo:hi], out)
-        return x
-
-
-class _SweepSchedule:
-    """Both triangular level schedules of a square pattern (for SSOR)."""
-
-    __slots__ = ("forward", "backward", "forward_to_backward")
-
-    def __init__(self, lower: _Triangle, upper: _Triangle):
-        self.forward = _LevelSchedule(lower)
-        self.backward = _LevelSchedule(upper)
-        #: Gathers a forward-ordered vector into backward order.
-        self.forward_to_backward = self.forward.position[self.backward.order]
-
-    def capture(self, data: np.ndarray, diag: np.ndarray) -> tuple:
-        """The values :meth:`ssor` reads, permuted into schedule order."""
-        forward, backward = self.forward, self.backward
-        return (
-            data[forward.entries].astype(np.float64),
-            data[backward.entries].astype(np.float64),
-            diag[forward.order],
-            diag[backward.order],
-        )
-
-    def ssor(self, values: tuple, omega: float, b: np.ndarray) -> np.ndarray:
-        """One SSOR application to float64 ``b`` with :meth:`capture`'d values."""
-        lower, upper, diag_forward, diag_backward = values
-        forward, backward = self.forward, self.backward
-        # Forward sweep: (D/omega + L) x = b
-        x = forward.solve(lower, diag_forward, omega, b.take(forward.order))
-        # Backward sweep: (D/omega + U) y = D x / omega
-        y = x.take(self.forward_to_backward)
-        np.multiply(diag_backward, y, out=y)
-        np.divide(y, omega, out=y)
-        backward.solve(upper, diag_backward, omega, y)
-        return y.take(backward.position)
-
-
 class _RowSweeps:
-    """Both triangular sweeps of a square pattern, row by row (for SSOR).
+    """SSOR's two triangular sweeps over a square pattern, row by row.
 
-    Where a wavefront level holds few rows the NumPy calls of a level
-    cost more than its arithmetic, so the sweeps run on Python floats
-    instead: each row keeps its triangle's entries in CSR order, and
-    the sums are the level solve's, ``s = 0.0 + v0*x[c0] + v1*x[c1] +
-    ...`` left to right, then ``((rhs - s) * omega) / d`` (``(rhs *
-    omega) / d`` for a row that reads nothing).  Both paths round the
-    same operations in the same order, so they give the same bits.
-
-    The backward sweep is stored reversed (row ``n - 1`` first, columns
-    renumbered to ``n - 1 - c``), so both sweeps append rows in order.
+    ``forward`` covers the strictly lower entries, ``backward`` the
+    strictly upper ones, each as ``(entries, cols, bounds)``: the
+    entries' CSR positions in CSR order, their columns as sweep
+    positions, and each row's ``(start, stop)`` into both, in sweep
+    order.  The backward sweep runs from row ``n - 1`` down, so it is
+    stored reversed (columns renumbered to ``n - 1 - c``) and both
+    sweeps visit their rows in stored order.
     """
 
-    __slots__ = ("_forward", "_backward")
+    __slots__ = ("forward", "backward")
 
-    def __init__(self, lower: _Triangle, upper: _Triangle):
-        n = lower.depth.size
-        #: Per sweep: the entries' CSR positions and their columns as
-        #: sweep positions, and each row's (start, stop) into both, in
-        #: sweep order.
-        self._forward = (lower.entries, lower.cols.tolist(), self._bounds(lower.stops))
-        self._backward = (
-            upper.entries, (n - 1 - upper.cols).tolist(), self._bounds(upper.stops)[::-1]
+    def __init__(self, pattern: "_Pattern"):
+        n = pattern.shape[0]
+        row_ids, indices = pattern.row_ids(), pattern.indices
+        lower = np.flatnonzero(indices < row_ids)
+        upper = np.flatnonzero(indices > row_ids)
+        self.forward = (lower, indices[lower].tolist(), self._bounds(row_ids[lower], n))
+        self.backward = (
+            upper,
+            (n - 1 - indices[upper]).tolist(),
+            self._bounds(row_ids[upper], n)[::-1],
         )
 
     @staticmethod
-    def _bounds(stops: np.ndarray) -> list:
-        stops = stops.tolist()
+    def _bounds(rows: np.ndarray, n: int) -> list:
+        stops = np.cumsum(np.bincount(rows, minlength=n), dtype=np.int64).tolist()
         return list(zip([0] + stops[:-1], stops))
 
+    def rows(self, data: np.ndarray) -> tuple:
+        """``data``'s entries of both sweeps: per row, in sweep order, a
+        tuple of ``(value, column)`` pairs with values widened to float64."""
+        return self._pairs(self.forward, data), self._pairs(self.backward, data)
+
     @staticmethod
-    def _rows(sweep: tuple, data: np.ndarray) -> tuple:
+    def _pairs(sweep: tuple, data: np.ndarray) -> tuple:
         entries, cols, bounds = sweep
         values = data[entries].astype(np.float64).tolist()
         return tuple(tuple(zip(values[lo:hi], cols[lo:hi])) for lo, hi in bounds)
-
-    def capture(self, data: np.ndarray, diag: np.ndarray) -> tuple:
-        """The values :meth:`ssor` reads: ``(value, column)`` pairs per row."""
-        diag = diag.tolist()
-        return (
-            self._rows(self._forward, data), self._rows(self._backward, data),
-            diag, diag[::-1],
-        )
-
-    @staticmethod
-    def _solve(rows: tuple, rhs: Iterable, diag: list, omega: float) -> list:
-        """``(D/omega + T) x = rhs`` in sweep order, row by row."""
-        x: list = []
-        append = x.append
-        for row, b, d in zip(rows, rhs, diag):
-            if row:
-                s = 0.0
-                for v, c in row:
-                    s += v * x[c]
-                append(((b - s) * omega) / d)
-            else:
-                append((b * omega) / d)
-        return x
-
-    def ssor(self, values: tuple, omega: float, b: np.ndarray) -> np.ndarray:
-        """One SSOR application to float64 ``b`` with :meth:`capture`'d values."""
-        lower, upper, diag, diag_backward = values
-        x = self._solve(lower, b.ravel().tolist(), diag, omega)
-        rhs = [(d * v) / omega for d, v in zip(diag_backward, reversed(x))]
-        y = self._solve(upper, rhs, diag_backward, omega)
-        y.reverse()
-        return np.array(y, dtype=np.float64)
 
 
 class _Pattern:
@@ -441,7 +236,7 @@ class _Pattern:
             n_rows >= _SLAB_MIN_ROWS and lengths.max() <= _SLAB_MAX_ROW_LENGTH
         )
         self._slabs: Optional[_SlabLayout] = None
-        self._sweeps: Optional[Union[_SweepSchedule, _RowSweeps]] = None
+        self._sweeps: Optional[_RowSweeps] = None
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry, in CSR order."""
@@ -461,23 +256,16 @@ class _Pattern:
             layout = self._slabs = _SlabLayout(self.indptr, self.indices)
         return layout
 
-    def sweeps(self) -> Union[_SweepSchedule, _RowSweeps]:
-        """The triangular sweeps (square patterns), built on first use.
+    def sweeps(self) -> _RowSweeps:
+        """SSOR's triangular sweeps (square patterns), built on first use.
 
-        Level by level where a wavefront level holds
-        :data:`_ROW_SWEEP_MAX_WIDTH` rows or more on average over both
-        triangles, row by row below.  Racing rank threads publish equal
-        schedules with one attribute assignment each, as for :meth:`slabs`.
+        Racing rank threads publish equal sweeps with one attribute
+        assignment each, as for :meth:`slabs`.
         """
-        schedule = self._sweeps
-        if schedule is None:
-            lower, upper = _Triangle(self, lower=True), _Triangle(self, lower=False)
-            if 2 * self.shape[0] < _ROW_SWEEP_MAX_WIDTH * (lower.levels + upper.levels):
-                schedule = _RowSweeps(lower, upper)
-            else:
-                schedule = _SweepSchedule(lower, upper)
-            self._sweeps = schedule
-        return schedule
+        sweeps = self._sweeps
+        if sweeps is None:
+            sweeps = self._sweeps = _RowSweeps(self)
+        return sweeps
 
 
 def _check_compute_dtype(dtype) -> np.dtype:
@@ -807,7 +595,7 @@ class CsrMatrix:
         """Row index of every stored entry, in CSR order (COO-style rows)."""
         return self._pattern.row_ids()
 
-    def sweep_schedule(self) -> Union[_SweepSchedule, _RowSweeps]:
+    def sweep_schedule(self) -> _RowSweeps:
         """The schedule of the triangular sweeps (square matrices).
 
         Structure only: built once per pattern and shared by every

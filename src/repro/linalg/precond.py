@@ -15,10 +15,10 @@ permuted off-diagonals; inverted dense blocks), so writing to
 ``matrix.data`` afterwards does not change their ``apply`` -- build a
 new preconditioner from the changed matrix.  Only the polynomial
 preconditioner reads the matrix live (through ``matvec``) next to the
-diagonal it captured at construction.  SSOR sweeps over the schedule
-the matrix pattern shares (see :mod:`repro.linalg.csr`): level by
-level, or row by row on Python floats where levels are narrow; no
-other ``apply`` loops over single rows in Python.
+diagonal it captured at construction.  SSOR sweeps row by row on
+Python floats over the schedule the matrix pattern shares (see
+:mod:`repro.linalg.csr`); no other ``apply`` loops over single rows in
+Python.
 
 This module is the mechanism layer only.  The declarative surface --
 serializable spec strings (``"jacobi"``, ``"ssor:omega=1.2"``,
@@ -86,18 +86,18 @@ class SsorPreconditioner(Preconditioner):
     """Symmetric successive over-relaxation preconditioner.
 
     Applies one forward and one backward Gauss-Seidel-like sweep with
-    relaxation factor ``omega``, over the matrix pattern's shared sweep
-    schedule (:meth:`CsrMatrix.sweep_schedule`).  The pattern picks one
-    of two paths: where a wavefront level holds many rows, a level is a
-    handful of whole-level NumPy operations (the rows of a level depend
-    only on earlier levels); where it holds few -- chains, small grids,
-    every E9 problem -- the sweeps run row by row on Python floats,
-    which is cheaper than the NumPy calls of a narrow level.
+    relaxation factor ``omega``, row by row on Python floats over the
+    rows of the matrix pattern's shared sweep schedule
+    (:meth:`CsrMatrix.sweep_schedule`).  A sweep is sequential along
+    its dependency chain; a row on Python floats costs less than the
+    NumPy calls that would solve a wavefront of rows together, on
+    chains of any length and on 2-D grids up to side 32 -- every E9
+    problem included (PERFORMANCE.md, "Preconditioner").
 
     **Values are captured at construction** -- the diagonal and the
-    off-diagonal entries, widened to float64 and laid out for the
-    path's sweeps.  Writing to ``matrix.data`` afterwards does not
-    change ``apply``; build a new preconditioner from the changed matrix.
+    off-diagonal entries, widened to float64, as Python floats per row.
+    Writing to ``matrix.data`` afterwards does not change ``apply``;
+    build a new preconditioner from the changed matrix.
 
     **Arithmetic.**  Per row the forward sweep is ``x_i = ((b_i - s) *
     omega) / d_i`` with ``s = 0.0 + a_ij0*x_j0 + a_ij1*x_j1 + ...`` over
@@ -105,9 +105,10 @@ class SsorPreconditioner(Preconditioner):
     rounded (no fused multiply-add), and ``(b_i * omega) / d_i`` for a
     row with no lower entry; the backward sweep is the same over the
     strictly upper entries with ``(d_i * x_i) / omega`` as right-hand
-    side.  Both paths round these operations in this order, so they
-    give the same bits on every matrix and input, and the result does
-    not depend on the linked BLAS.
+    side.  The result does not depend on the linked BLAS, and Python
+    float arithmetic raises no floating-point warning.  No
+    ``ZeroDivisionError`` is reachable: the diagonal is nonzero and
+    ``omega`` positive, both checked here.
     """
 
     def __init__(self, matrix: CsrMatrix, omega: float = 1.0):
@@ -120,15 +121,37 @@ class SsorPreconditioner(Preconditioner):
         diag = matrix.diagonal_values().astype(np.float64)
         if np.any(diag == 0.0):
             raise ValueError("SSOR requires a nonzero diagonal")
-        self._schedule = matrix.sweep_schedule()
-        self._values = self._schedule.capture(matrix.data, diag)
-        self._n = matrix.n_rows
+        self._lower, self._upper = matrix.sweep_schedule().rows(matrix.data)
+        self._diag = diag.tolist()
+        self._diag_backward = self._diag[::-1]
+
+    @staticmethod
+    def _sweep(rows: tuple, rhs: list, diag: list, omega: float) -> list:
+        """``(D/omega + T) x = rhs`` in sweep order, row by row."""
+        x: list = []
+        append = x.append
+        for row, b, d in zip(rows, rhs, diag):
+            if row:
+                s = 0.0
+                for v, c in row:
+                    s += v * x[c]
+                append(((b - s) * omega) / d)
+            else:
+                append((b * omega) / d)
+        return x
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         b = np.asarray(vector, dtype=np.float64)
-        if b.size != self._n:
+        if b.size != len(self._diag):
             raise ValueError("vector length does not match the matrix")
-        return self._schedule.ssor(self._values, self._omega, b)
+        omega, diag_backward = self._omega, self._diag_backward
+        # Forward sweep: (D/omega + L) x = b
+        x = self._sweep(self._lower, b.ravel().tolist(), self._diag, omega)
+        # Backward sweep, rows n-1 down to 0: (D/omega + U) y = D x / omega
+        rhs = [(d * v) / omega for d, v in zip(diag_backward, reversed(x))]
+        y = self._sweep(self._upper, rhs, diag_backward, omega)
+        y.reverse()
+        return np.array(y, dtype=np.float64)
 
 
 class NeumannPolynomialPreconditioner(Preconditioner):

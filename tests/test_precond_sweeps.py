@@ -1,32 +1,27 @@
-"""The preconditioner tier: both SSOR sweep paths and the vectorised extractions.
+"""The preconditioner tier: the SSOR row sweeps and the vectorised extractions.
 
-What the two SSOR sweep paths (level by level over a wavefront
-schedule, row by row on Python floats), the vectorised block
-extraction and the vectorised distributed diagonal must preserve:
+What the SSOR row sweeps, the vectorised block extraction and the
+vectorised distributed diagonal must preserve:
 
-* both sweep paths, each forced on the same matrix, give the same
-  *bits* on every matrix below (unsorted and repeated columns, long
-  rows, triangular, diagonal, float32 and float16 storage) for
-  non-finite, huge, tiny and signed-zero inputs, and ``apply`` agrees
-  with a dense oracle to 1e-12,
-* which path runs is decided by the pattern alone (mean rows per
-  wavefront level against ``_ROW_SWEEP_MAX_WIDTH``), and below the
-  constant no level schedule is built,
+* ``SsorPreconditioner.apply`` gives the same *bits* as the documented
+  arithmetic spelled out over the raw CSR arrays (``reference_ssor``)
+  on every matrix below (unsorted and repeated columns, long rows,
+  triangular, diagonal, float32 and float16 storage) for non-finite,
+  huge, tiny and signed-zero inputs, and agrees with a dense oracle to
+  1e-12,
 * ``CsrMatrix.row`` has no caller left in the preconditioner tier,
 * the sweep schedule is structure: one object per pattern, shared by
-  value-copies, never rebuilt by a second preconditioner, on both paths,
-* values are captured at construction (stale-values rule), on both paths,
+  value-copies, never rebuilt by a second preconditioner,
+* values are captured at construction (stale-values rule),
 * block Jacobi sums duplicate entries at every size,
 * the ``ssor`` cells of an E9 golden-shaped run are unchanged.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +38,35 @@ from repro.linalg.matgen import (
 )
 from repro.linalg.precond import BlockJacobiPreconditioner, SsorPreconditioner
 from repro.comm.sim import run_spmd
+
+
+def reference_ssor(matrix: CsrMatrix, omega: float, vector: np.ndarray) -> np.ndarray:
+    """The arithmetic ``SsorPreconditioner`` documents, straight off the
+    CSR arrays: per row ``s = 0.0 + a_ij0*x_j0 + ...`` over the strictly
+    lower (forward, rows ascending) or strictly upper (backward, rows
+    descending) entries in CSR order, then ``((rhs - s) * omega) / d``,
+    or ``(rhs * omega) / d`` for a row with no such entry; the backward
+    right-hand side is ``(d * x) / omega``.  Python floats throughout."""
+    indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
+    data = matrix.data.astype(np.float64).tolist()
+    diag = matrix.diagonal_values().astype(np.float64).tolist()
+    n = matrix.n_rows
+
+    def sweep(rhs, rows, reads):
+        x = [0.0] * n
+        for i in rows:
+            s, read = 0.0, False
+            for k in range(indptr[i], indptr[i + 1]):
+                if reads(indices[k], i):
+                    s += data[k] * x[indices[k]]
+                    read = True
+            x[i] = (((rhs[i] - s) if read else rhs[i]) * omega) / diag[i]
+        return x
+
+    b = np.asarray(vector, dtype=np.float64).tolist()
+    x = sweep(b, range(n), lambda j, i: j < i)
+    rhs = [(d * v) / omega for d, v in zip(diag, x)]
+    return np.array(sweep(rhs, range(n - 1, -1, -1), lambda j, i: j > i))
 
 
 def dense_ssor(matrix: CsrMatrix, omega: float, vector: np.ndarray) -> np.ndarray:
@@ -89,37 +113,6 @@ def scrambled_dominant(rng, n, max_len, *, dtype=np.float64, storage=None) -> Cs
     )
 
 
-WIDTH = csr_module._ROW_SWEEP_MAX_WIDTH
-PATHS = {"levels": csr_module._SweepSchedule, "rows": csr_module._RowSweeps}
-
-
-def ssor_on(path, matrix, omega=1.0):
-    """A twin of ``matrix`` (same entries, a pattern of its own) and an
-    ``SsorPreconditioner`` on it whose sweeps take ``path``, forced
-    through the width constant."""
-    twin = CsrMatrix(
-        matrix.indptr, matrix.indices, matrix.data.copy(), matrix.shape,
-        dtype=matrix.dtype, storage=matrix.data.dtype,
-    )
-    width = math.inf if path == "rows" else 0
-    with mock.patch.object(csr_module, "_ROW_SWEEP_MAX_WIDTH", width):
-        precond = SsorPreconditioner(twin, omega=omega)
-    assert type(precond._schedule) is PATHS[path]
-    return twin, precond
-
-
-def level_schedule(matrix: CsrMatrix):
-    """The level schedule of ``matrix``'s structure, whatever its width."""
-    return ssor_on("levels", matrix)[1]._schedule
-
-
-def forbid(monkeypatch, name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} must not be built for this matrix")
-
-    monkeypatch.setattr(csr_module, name, refuse)
-
-
 def forbid_row(monkeypatch):
     def refuse(self, i):
         raise AssertionError("CsrMatrix.row must not be called here")
@@ -128,16 +121,15 @@ def forbid_row(monkeypatch):
 
 
 def count_schedule_builds(monkeypatch) -> list:
-    """Records every triangle and level schedule built from a pattern."""
+    """Records every sweep schedule built from a pattern."""
     built = []
-    for name in ("_Triangle", "_LevelSchedule"):
-        original = getattr(csr_module, name).__init__
+    original = csr_module._RowSweeps.__init__
 
-        def counting(self, *args, _name=name, _original=original, **kwargs):
-            built.append(_name)
-            _original(self, *args, **kwargs)
+    def counting(self, pattern):
+        built.append(pattern)
+        original(self, pattern)
 
-        monkeypatch.setattr(getattr(csr_module, name), "__init__", counting)
+    monkeypatch.setattr(csr_module._RowSweeps, "__init__", counting)
     return built
 
 
@@ -196,32 +188,18 @@ def special_inputs(rng, n):
 class TestSweepBits:
     @pytest.mark.parametrize("omega", [0.7, 1.0, 1.2])
     @pytest.mark.parametrize("name", sorted(MATRICES))
-    def test_both_paths_give_the_same_bits(self, name, omega):
-        """The row path raises no floating-point warning, so both run
-        with every warning silenced."""
+    def test_apply_equals_the_reference_bit_for_bit(self, name, omega):
+        """Python float arithmetic raises no floating-point warning, so
+        neither side needs ``np.errstate``."""
         rng = np.random.default_rng(2013)
         matrix = MATRICES[name](rng)
-        _, levels = ssor_on("levels", matrix, omega)
-        _, rows = ssor_on("rows", matrix, omega)
-        with np.errstate(all="ignore"):
-            for vector in special_inputs(rng, matrix.n_rows):
-                assert same_bits(rows.apply(vector), levels.apply(vector))
+        precond = SsorPreconditioner(matrix, omega=omega)
+        for vector in special_inputs(rng, matrix.n_rows):
+            expected = reference_ssor(matrix, omega, vector)
+            assert same_bits(precond.apply(vector), expected)
 
-    def test_an_infinite_neighbour_does_not_poison_rows_that_do_not_read_it(self):
-        """Rows of one level have different lengths; nothing may multiply
-        a zero against a slot another row owns."""
-        matrix = poisson_2d(6)
-        vector = np.ones(matrix.n_rows)
-        vector[0] = np.inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            result = ssor_on("levels", matrix)[1].apply(vector)
-        expected = ssor_on("rows", matrix)[1].apply(vector)
-        assert same_bits(result, expected)
-        assert not np.isnan(result).any()  # inf, never a padded 0 * inf
-
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_apply_keeps_its_input_checks_and_float64_coercion(self, path):
-        _, precond = ssor_on(path, poisson_2d(4), omega=1.3)
+    def test_apply_keeps_its_input_checks_and_float64_coercion(self):
+        precond = SsorPreconditioner(poisson_2d(4), omega=1.3)
         vector = np.arange(16, dtype=np.float32)
         result = precond.apply(list(vector))
         assert result.dtype == np.float64
@@ -242,43 +220,6 @@ class TestSweepBits:
             SsorPreconditioner(CsrMatrix([0, 1, 2], [1, 0], [1.0, 1.0], (2, 2)))
 
 
-class TestPathSelection:
-    """Mean rows per wavefront level (both triangles) picks the path; a
-    grid of side ``k`` has ``k * k / (2k - 1)``."""
-
-    #: The smallest 2-D grid whose mean level width reaches the constant.
-    SIDE = next(k for k in range(2, 1000) if k * k >= WIDTH * (2 * k - 1))
-
-    def test_just_below_the_width_constant_sweeps_by_rows(self, monkeypatch):
-        clear_matrix_cache()
-        matrix = poisson_2d(self.SIDE - 1)
-        forbid(monkeypatch, "_LevelSchedule")
-        precond = SsorPreconditioner(matrix, omega=1.2)
-        assert type(precond._schedule) is csr_module._RowSweeps
-        precond.apply(np.ones(matrix.n_rows))
-
-    def test_at_the_width_constant_sweeps_by_levels(self, monkeypatch):
-        clear_matrix_cache()
-        matrix = poisson_2d(self.SIDE)
-        forbid(monkeypatch, "_RowSweeps")
-        precond = SsorPreconditioner(matrix, omega=1.2)
-        assert type(precond._schedule) is csr_module._SweepSchedule
-        precond.apply(np.ones(matrix.n_rows))
-
-    @pytest.mark.parametrize("build, path", [
-        (lambda: poisson_1d(4096), "rows"),
-        (lambda: CsrMatrix.diagonal(np.ones(WIDTH - 1)), "rows"),
-        (lambda: CsrMatrix.diagonal(np.ones(WIDTH)), "levels"),
-    ], ids=["chain", "narrow_diagonal", "wide_diagonal"])
-    def test_chains_and_diagonals(self, build, path):
-        """A chain is one row per level at any length; a diagonal matrix is
-        one level of ``n`` rows in each triangle."""
-        assert type(build().sweep_schedule()) is PATHS[path]
-
-    def test_the_row_path_is_what_e9_sweeps(self):
-        assert type(poisson_2d(8).sweep_schedule()) is csr_module._RowSweeps
-
-
 class TestDenseOracle:
     @pytest.mark.parametrize("omega", [1.0, 0.7, 1.6])
     @pytest.mark.parametrize("name", sorted(set(MATRICES) - {"poisson_2d(33)"}))
@@ -291,31 +232,28 @@ class TestDenseOracle:
             result = precond.apply(vector)
             assert relative_gap(result, dense_ssor(matrix, omega, vector)) < 1e-12
 
-    def test_a_diagonal_matrix_is_one_level(self):
-        schedule = level_schedule(CsrMatrix.diagonal(np.arange(1.0, 9.0)))
-        assert schedule.forward._levels == [] and schedule.backward._levels == []
-        assert schedule.forward._first == 8
+    def test_a_diagonal_matrix_sweeps_no_entries(self):
+        matrix = CsrMatrix.diagonal(np.arange(1.0, 9.0))
+        lower, upper = matrix.sweep_schedule().rows(matrix.data)
+        assert lower == upper == ((),) * 8
 
-    def test_a_chain_is_one_row_per_level(self):
-        schedule = level_schedule(poisson_1d(12))
-        assert len(schedule.forward._levels) == 11
-        assert schedule.forward.order.tolist() == list(range(12))
-        assert schedule.backward.order.tolist() == list(range(11, -1, -1))
+    def test_a_chain_reads_one_entry_per_row_and_sweeps_back_reversed(self):
+        """Backward rows are stored from row ``n - 1`` down, their columns
+        renumbered to ``n - 1 - c``: both sweeps read the row before."""
+        matrix = poisson_1d(4)
+        lower, upper = matrix.sweep_schedule().rows(matrix.data)
+        assert lower == ((), ((-1.0, 0),), ((-1.0, 1),), ((-1.0, 2),))
+        assert upper == lower
 
     def test_the_empty_matrix(self):
         empty = CsrMatrix([0], [], [], (0, 0))
         assert SsorPreconditioner(empty).apply(np.zeros(0)).shape == (0,)
 
 
-#: A grid on each side of the width constant: (side, path its sweeps take).
-GRIDS = [(9, "rows"), (40, "levels")]
-
-
 class TestNoRowCalls:
-    @pytest.mark.parametrize("side", [8, 40])
-    def test_ssor_build_and_apply(self, monkeypatch, side):
+    def test_ssor_build_and_apply(self, monkeypatch):
         clear_matrix_cache()
-        matrix = poisson_2d(side)
+        matrix = poisson_2d(8)
         forbid_row(monkeypatch)
         SsorPreconditioner(matrix, omega=1.2).apply(np.ones(matrix.n_rows))
 
@@ -349,45 +287,36 @@ class TestNoRowCalls:
 
 
 class TestSharedSchedule:
-    @pytest.mark.parametrize("side, path", GRIDS)
-    def test_value_copies_share_one_schedule(self, side, path):
-        matrix = convection_diffusion_2d(side, peclet=3.0)
+    def test_value_copies_share_one_schedule(self):
+        matrix = convection_diffusion_2d(6, peclet=3.0)
         schedule = matrix.sweep_schedule()
-        assert type(schedule) is PATHS[path]
         assert matrix.copy().sweep_schedule() is schedule
         assert matrix.astype(np.float32, storage=np.float16).sweep_schedule() is schedule
         assert (2.0 * matrix).sweep_schedule() is schedule
 
-    @pytest.mark.parametrize("side, path", GRIDS)
-    def test_matgen_cache_copies_share_one_schedule(self, side, path):
+    def test_matgen_cache_copies_share_one_schedule(self):
         clear_matrix_cache()
-        first, second = poisson_2d(side), poisson_2d(side)
+        first, second = poisson_2d(9), poisson_2d(9)
         assert first is not second
         assert first.sweep_schedule() is second.sweep_schedule()
 
-    @pytest.mark.parametrize("side, path", GRIDS)
-    def test_a_second_preconditioner_does_not_reschedule(self, monkeypatch, side, path):
+    def test_a_second_preconditioner_does_not_reschedule(self, monkeypatch):
         clear_matrix_cache()
         built = count_schedule_builds(monkeypatch)
-        first = SsorPreconditioner(poisson_2d(side), omega=1.0)
-        levels = ["_LevelSchedule"] * 2 if path == "levels" else []
-        assert sorted(built) == levels + ["_Triangle"] * 2
-        second = SsorPreconditioner(poisson_2d(side), omega=1.2)
-        third = SsorPreconditioner(poisson_2d(side).astype(np.float32))
-        assert len(built) == 2 + len(levels)
-        assert first._schedule is second._schedule is third._schedule
-        assert type(first._schedule) is PATHS[path]
+        SsorPreconditioner(poisson_2d(9), omega=1.0)
+        assert len(built) == 1
+        SsorPreconditioner(poisson_2d(9), omega=1.2)
+        SsorPreconditioner(poisson_2d(9).astype(np.float32))
+        assert len(built) == 1
+        assert poisson_2d(9).sweep_schedule() is built[0].sweeps()
 
-    @pytest.mark.parametrize("side, path", GRIDS)
-    def test_racing_threads_publish_one_schedule(self, side, path):
+    def test_racing_threads_publish_one_schedule(self):
         """Sim rank threads may all meet an unscheduled pattern at once:
         each builds an equal schedule and publication is one assignment."""
         clear_matrix_cache()
-        n = side * side
-        vector = np.random.default_rng(3).standard_normal(n)
-        other = "levels" if path == "rows" else "rows"
-        expected = ssor_on(other, poisson_2d(side), 1.2)[1].apply(vector)
-        twins = [poisson_2d(side) for _ in range(8)]
+        vector = np.random.default_rng(3).standard_normal(144)
+        expected = reference_ssor(poisson_2d(12), 1.2, vector)
+        twins = [poisson_2d(12) for _ in range(8)]
         start = threading.Barrier(len(twins))
         results = [None] * len(twins)
 
@@ -409,14 +338,13 @@ class TestSharedSchedule:
         assert not any(t.is_alive() for t in threads)
         assert all(same_bits(r, expected) for r in results)
         assert len({id(t.sweep_schedule()) for t in twins}) == 1
-        assert type(twins[0].sweep_schedule()) is PATHS[path]
 
 
 class TestStaleValues:
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_writes_after_construction_do_not_change_apply(self, path):
-        matrix, precond = ssor_on(path, convection_diffusion_2d(7, peclet=5.0), 1.1)
+    def test_writes_after_construction_do_not_change_apply(self):
+        matrix = convection_diffusion_2d(7, peclet=5.0)
         vector = np.random.default_rng(4).standard_normal(49)
+        precond = SsorPreconditioner(matrix, omega=1.1)
         before = precond.apply(vector)
         matrix.data[:] = 0.5 * matrix.data + 1.0
         assert same_bits(precond.apply(vector), before)
@@ -424,9 +352,8 @@ class TestStaleValues:
         assert not np.allclose(rebuilt, before)
         assert relative_gap(rebuilt, dense_ssor(matrix, 1.1, vector)) < 1e-12
 
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_apply_does_not_write_to_the_captured_values(self, path):
-        _, precond = ssor_on(path, poisson_2d(6), omega=1.2)
+    def test_apply_does_not_write_to_the_captured_values(self):
+        precond = SsorPreconditioner(poisson_2d(6), omega=1.2)
         vector = np.random.default_rng(5).standard_normal(36)
         first = precond.apply(vector)
         assert same_bits(precond.apply(vector), first)
