@@ -61,6 +61,7 @@ from repro.machine.model import MachineModel
 from repro.reliability.models import FaultCapabilityError
 from repro.reliability.process import FailurePlan
 from repro.reliability.registry import resolve_faults
+from repro.reliability.seeding import fault_stream
 from repro.utils.validation import check_integer
 
 
@@ -184,7 +185,7 @@ def resolve_job_faults(
         if msg_model is not None:
             def factory(rank: int):
                 return msg_model.message_corruptor(
-                    seed=fault_seed, name=f"messages/{rank}"
+                    fault_stream(fault_seed, f"messages/{rank}")
                 )
     if failure_plan is None:
         plan = FailurePlan.none()

@@ -57,7 +57,7 @@ from repro.precond import parse_precond, precond_names, resolve_preconds
 from repro.reliability import Region
 from repro.reliability.precision import default_precision_registry, parse_precision
 from repro.reliability.registry import resolve_faults
-from repro.reliability.seeding import derive_fault_seed
+from repro.reliability.seeding import derive_fault_seed, fault_stream
 from repro.utils.tables import Table
 from repro.utils.validation import check_in
 
@@ -342,7 +342,7 @@ def _solve_cell(
         # them on M^{-1} v (identity rounding when there is no stage).
         regions = [
             Region(
-                soft_model.injector(seed=fault_seed, name=f"precision/{solver.name}")
+                soft_model.injector(fault_stream(fault_seed, f"precision/{solver.name}"))
                 if inject else None,
                 precision=region_precision,
             )

@@ -62,7 +62,7 @@ def _make_hook(fault_model, rng, inject_at):
     """
     if fault_model.is_null:
         return None
-    return fault_model.iteration_hook(rng, at=inject_at)[0]
+    return fault_model.iteration_hook(rng, at=inject_at)
 
 
 def _outcome(matrix, b, result, detected, *, tol):

@@ -88,10 +88,11 @@ def run(
     if fault_template.kind != "none":
         # The sweep re-parameterizes the when-axis as the per-call
         # probability, so a template pinning its own when-axis
-        # (times=/rate=) must shed it before each p=prob override.
+        # (times=/rate=, with the rate's horizon=) must shed it before
+        # each p=prob override.
         stripped = {
             k: v for k, v in fault_template.spec.params.items()
-            if k not in ("times", "rate")
+            if k not in ("times", "rate", "horizon")
         }
         fault_template = resolve_faults(FaultSpec(fault_template.spec.kind, stripped))
 

@@ -27,12 +27,13 @@ FaultSpec string forms (the sweepable wire format; full grammar in
 
     none                                  # the fault-free control
     bitflip:p=0.02,bits=52..62            # Bernoulli exponent-bit flips
-    bitflip:rate=0.5,max_faults=3         # Poisson schedule, capped
+    bitflip:rate=0.5,horizon=100          # Poisson arrivals up to t=100
+    bitflip:p=0.5,max_faults=3            # Bernoulli schedule, capped
     perturb:p=0.01,scale=1000.0           # SDC value perturbation
     msg_corrupt:p=0.001                   # per-send payload corruption
     proc_fail:mtbf=3600,horizon=7200      # sampled process failures
     proc_fail:times=1.5;3.0,ranks=1;2     # explicit failure plan
-    basis_bitflip:bits=0..63,at=6         # targeted Krylov-basis flip
+    basis_bitflip:bits=0..63              # targeted Krylov-basis flip
     bitflip:p=0.05+proc_fail:mtbf=3600    # "+" composes soft + hard
 
 Every form round-trips exactly through ``FaultSpec.parse`` /
@@ -50,8 +51,8 @@ Module map (mechanism -> declarative layer):
 * :mod:`~repro.reliability.schedule` -- deterministic / Poisson /
   Bernoulli fault schedules.
 * :mod:`~repro.reliability.injector` -- the array injectors' shared
-  schedule loop, the bit-flip :class:`ArrayInjector` and the
-  :class:`FaultEvent` records their sessions keep.
+  schedule loop, the bit-flip :class:`ArrayInjector` and the one
+  :class:`FaultEvent` record each injector keeps per injected fault.
 * :mod:`~repro.reliability.process` -- process-failure (MTBF) models
   and replayable :class:`FailurePlan`.
 * :mod:`~repro.reliability.region` -- the SRP :class:`Region` (injector,
@@ -60,7 +61,9 @@ Module map (mechanism -> declarative layer):
 * :mod:`~repro.reliability.spec` -- declarative, serializable
   :class:`FaultSpec` (compact-string / dict round-trip).
 * :mod:`~repro.reliability.models` -- :class:`FaultModel` capability
-  surface over the mechanisms above.
+  surface over the mechanisms above: ``injector``,
+  ``message_corruptor`` and ``iteration_hook`` take a generator,
+  ``environment`` and ``failure_plan`` a scenario seed.
 * :mod:`~repro.reliability.registry` -- named fault models,
   :func:`resolve_faults` and the ``unreliable()`` region of a fault spec.
 * :mod:`~repro.reliability.precision` -- :class:`PrecisionSpec` and the
@@ -84,7 +87,7 @@ from repro.reliability.schedule import (
     NeverSchedule,
     PoissonSchedule,
 )
-from repro.reliability.injector import ArrayInjector, FaultEvent, InjectionSession
+from repro.reliability.injector import ArrayInjector, FaultEvent
 from repro.reliability.process import (
     ExponentialFailureModel,
     FailurePlan,
@@ -144,7 +147,6 @@ __all__ = [
     # injectors
     "ArrayInjector",
     "FaultEvent",
-    "InjectionSession",
     "PerturbationInjector",
     "MessageCorruptor",
     # process failures

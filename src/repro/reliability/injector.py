@@ -4,9 +4,8 @@
 injectors: it asks a
 :class:`~repro.reliability.schedule.FaultSchedule` how many faults are
 due (when), corrupts one random victim element per fault, and records
-every injected fault as a :class:`FaultEvent` in an
-:class:`InjectionSession` mirrored into an
-:class:`~repro.utils.logging.EventLog`.  :class:`ArrayInjector` flips a
+every injected fault once, as a :class:`FaultEvent` in its
+:attr:`~ScheduledInjector.events`.  :class:`ArrayInjector` flips a
 random bit of the victim (what);
 :class:`~repro.reliability.models.PerturbationInjector` overwrites or
 scales it.  The unreliable regions of :mod:`repro.reliability` use
@@ -23,10 +22,9 @@ import numpy as np
 
 from repro.reliability.bitflip import flip_bit_array, max_bit_index, relative_perturbation
 from repro.reliability.schedule import FaultSchedule, NeverSchedule
-from repro.utils.logging import EventLog
 from repro.utils.rng import as_generator
 
-__all__ = ["ArrayInjector", "FaultEvent", "InjectionSession", "ScheduledInjector"]
+__all__ = ["ArrayInjector", "FaultEvent", "ScheduledInjector"]
 
 
 @dataclass(frozen=True)
@@ -60,53 +58,19 @@ class FaultEvent:
     magnitude: Optional[float] = None
 
 
-class InjectionSession:
-    """Book-keeping shared by injectors during one run.
-
-    Collects the :class:`FaultEvent` records and exposes counters that
-    the experiment drivers read after the run.
-    """
-
-    def __init__(self, log: Optional[EventLog] = None):
-        self.log = log if log is not None else EventLog()
-        self.events: List[FaultEvent] = []
-
-    def record(self, event: FaultEvent) -> None:
-        """Store a fault event and mirror it into the event log."""
-        self.events.append(event)
-        self.log.record(
-            "fault_injected",
-            time=event.time,
-            target=event.target,
-            fault_kind=event.kind,
-            bit=event.bit,
-            location=event.location,
-            magnitude=event.magnitude,
-        )
-
-    @property
-    def n_injected(self) -> int:
-        """Total number of injected faults in this session."""
-        return len(self.events)
-
-    def clear(self) -> None:
-        """Forget all recorded events (does not clear the shared log)."""
-        self.events.clear()
-
-
 class ScheduledInjector:
     """The schedule loop shared by the array injectors.
 
     Subclasses supply :meth:`_corrupt`, the per-victim step; the
-    schedule, the session recording, :attr:`n_injected` and
+    schedule, the :attr:`events` record, :attr:`n_injected` and
     :meth:`reset` live here once.
     """
 
-    def __init__(self, schedule, rng, target, session):
+    def __init__(self, schedule, rng, target):
         self.schedule = schedule if schedule is not None else NeverSchedule()
         self._rng = as_generator(rng)
         self.target = target
-        self.session = session if session is not None else InjectionSession()
+        self.events: List[FaultEvent] = []
 
     def maybe_inject(self, array: np.ndarray, now: float = 0.0) -> np.ndarray:
         """Possibly corrupt ``array`` in place, according to the schedule.
@@ -120,7 +84,7 @@ class ScheduledInjector:
         if n_faults == 0 or arr.size == 0:
             return arr
         for _ in range(n_faults):
-            self.session.record(self._corrupt(arr, now))
+            self.events.append(self._corrupt(arr, now))
         return arr
 
     def _corrupt(self, arr: np.ndarray, now: float) -> FaultEvent:
@@ -130,12 +94,12 @@ class ScheduledInjector:
     @property
     def n_injected(self) -> int:
         """Number of faults injected so far through this injector."""
-        return self.session.n_injected
+        return len(self.events)
 
     def reset(self) -> None:
-        """Reset the schedule and forget session events."""
+        """Reset the schedule and forget the recorded events."""
         self.schedule.reset()
-        self.session.clear()
+        self.events.clear()
 
 
 class ArrayInjector(ScheduledInjector):
@@ -158,9 +122,6 @@ class ArrayInjector(ScheduledInjector):
     target:
         Label attached to the fault events (useful when one injector
         guards one named data structure).
-    session:
-        Shared :class:`InjectionSession`; a private one is created if
-        omitted.
     """
 
     def __init__(
@@ -170,9 +131,8 @@ class ArrayInjector(ScheduledInjector):
         *,
         bit_range: Optional[Tuple[int, int]] = None,
         target: str = "array",
-        session: Optional[InjectionSession] = None,
     ):
-        super().__init__(schedule, rng, target, session)
+        super().__init__(schedule, rng, target)
         self.bit_range = bit_range
 
     def _corrupt(self, arr: np.ndarray, now: float) -> FaultEvent:

@@ -2,26 +2,30 @@
 
 A :class:`FaultModel` turns a :class:`~repro.reliability.spec.FaultSpec`
 into the concrete machinery the rest of the toolkit consumes --
-schedules, injectors, selective-reliability regions, failure plans,
-message corruptors and engine iteration hooks -- through one capability
+injectors, selective-reliability regions, failure plans, message
+corruptors and engine iteration hooks -- through one capability
 surface, so drivers never construct injectors by hand:
 
-===============  ====================================================
-capability        consumed by
-===============  ====================================================
-``schedule``      anything that needs a *when* (injectors)
-``injector``      :class:`~repro.reliability.region.Region`
-``environment``   SRP solvers / operator-wrapping experiments (E3, E6,
-                  E8, E9): an unreliable ``Region``
-``failure_plan``  :mod:`repro.comm` launchers, LFLR/CPR experiments (E4, E7)
-``message_corruptor``  :class:`repro.comm.sim.Comm` send paths
-``iteration_hook``     the solver engine's resilience-policy surface
-===============  ====================================================
+============================  ===========================================
+capability                    consumed by
+============================  ===========================================
+``injector(rng, target=)``    array injectors: ``unreliable()``'s and E10's
+                              :class:`~repro.reliability.region.Region`,
+                              E6's all-unreliable baseline
+``environment(seed=)``        SRP solvers / operator-wrapping experiments
+                              (E3, E6, E8, E9): an unreliable ``Region``
+``failure_plan(seed=)``       :mod:`repro.comm` launchers, LFLR/CPR
+                              experiments (E4, E7)
+``message_corruptor(rng)``    :class:`repro.comm.sim.Comm` send paths
+``iteration_hook(rng, at=)``  the solver engines' per-iteration hook (E1)
+============================  ===========================================
 
-Every capability takes either an explicit ``rng`` (a shared generator,
-for legacy-parity wiring) or a ``seed``/``name`` pair resolved through
-:func:`repro.reliability.seeding.fault_stream`, so the same scenario
-seed draws the same fault sequence at every entry point.
+``injector``, ``message_corruptor`` and ``iteration_hook`` draw from
+the generator they are handed; a caller that names its stream passes
+:func:`repro.reliability.seeding.fault_stream` ``(seed, name)``, so the
+same scenario seed draws the same fault sequence at every entry point.
+``environment`` and ``failure_plan`` take the scenario seed and keep
+their per-kind stream inside the model.
 
 Models a given kind does not support raise
 :class:`FaultCapabilityError` -- e.g. asking a process-failure model
@@ -30,7 +34,7 @@ for an array injector is a programming error, not an empty schedule.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -80,17 +84,6 @@ _SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 
 class FaultCapabilityError(TypeError):
     """A fault model was asked for a capability its kind does not have."""
-
-
-def _resolve_rng(
-    rng: Union[None, int, np.random.Generator],
-    seed: Optional[int],
-    name: str,
-) -> np.random.Generator:
-    """Shared-generator override, or the canonical named fault stream."""
-    if rng is not None:
-        return as_generator(rng)
-    return fault_stream(seed, name)
 
 
 def _bit_range(spec: FaultSpec) -> Optional[Tuple[int, int]]:
@@ -196,11 +189,7 @@ class FaultModel:
             f"fault model kind {self.kind!r} has no {capability!r} capability"
         )
 
-    def schedule(self, rng=None, *, seed=None, name="schedule") -> FaultSchedule:
-        raise self._unsupported("schedule")
-
-    def injector(self, rng=None, *, seed=None, name="injector",
-                 target=None, session=None):
+    def injector(self, rng, *, target=None):
         raise self._unsupported("injector")
 
     def environment(self, *, seed=None, cost_model=None) -> Region:
@@ -209,10 +198,10 @@ class FaultModel:
     def failure_plan(self, *, n_ranks=None, horizon=None, seed=None) -> FailurePlan:
         raise self._unsupported("failure_plan")
 
-    def message_corruptor(self, rng=None, *, seed=None, name="messages"):
+    def message_corruptor(self, rng):
         raise self._unsupported("message_corruptor")
 
-    def iteration_hook(self, rng=None, *, seed=None, name="basis", at=None):
+    def iteration_hook(self, rng, *, at):
         raise self._unsupported("iteration_hook")
 
 
@@ -225,17 +214,8 @@ class NoFaults(FaultModel):
     def is_null(self) -> bool:
         return True
 
-    def schedule(self, rng=None, *, seed=None, name="schedule") -> FaultSchedule:
-        return NeverSchedule()
-
-    def injector(self, rng=None, *, seed=None, name="injector",
-                 target=None, session=None) -> ArrayInjector:
-        return ArrayInjector(
-            schedule=NeverSchedule(),
-            rng=_resolve_rng(rng, seed, name),
-            target=target or "array",
-            session=session,
-        )
+    def injector(self, rng, *, target=None) -> ArrayInjector:
+        return ArrayInjector(NeverSchedule(), rng, target=target or "array")
 
     def environment(self, *, seed=None, cost_model=None) -> Region:
         return Region(cost_model=cost_model)
@@ -245,23 +225,45 @@ class NoFaults(FaultModel):
 
 
 class _ScheduledFaults(FaultModel):
-    """Shared when-axis handling: ``p`` | ``rate`` | ``times``."""
+    """Shared when-axis handling: ``p`` | ``rate`` | ``times``.
+
+    ``max_faults`` caps the Bernoulli ``p`` schedule and ``horizon``
+    bounds the Poisson ``rate`` schedule; neither is accepted where it
+    would be dropped.  A spec with no when-axis is the fault-free
+    template whose ``p`` a driver's sweep fills in (E6), so it may
+    carry ``max_faults``.
+    """
 
     def _validate(self) -> None:
-        given = [k for k in ("p", "rate", "times") if k in self.spec.params]
+        params = self.spec.params
+        given = [k for k in ("p", "rate", "times") if k in params]
         if len(given) > 1:
             raise ValueError(
                 f"fault spec {self.describe()!r} mixes {given}; give exactly "
                 f"one of p (Bernoulli), rate (Poisson) or times (deterministic)"
             )
-        if "p" in self.spec.params:
-            check_probability(float(self.spec.params["p"]), "p")
+        if "max_faults" in params and given not in ([], ["p"]):
+            raise ValueError(
+                f"fault spec {self.describe()!r}: max_faults= caps the "
+                f"Bernoulli p= schedule only"
+            )
+        if "horizon" in params and given != ["rate"]:
+            raise ValueError(
+                f"fault spec {self.describe()!r}: horizon= bounds the "
+                f"Poisson rate= schedule only"
+            )
+        if "p" in params:
+            check_probability(float(params["p"]), "p")
 
     @property
     def probability(self) -> float:
         return float(self.spec.get("p", 0.0))
 
-    def schedule(self, rng=None, *, seed=None, name="schedule") -> FaultSchedule:
+    def _schedule(self, rng: np.random.Generator) -> FaultSchedule:
+        """The spec's when-axis, drawing from ``rng``."""
+        if not isinstance(rng, np.random.Generator):
+            # A seed would seed the schedule and the victim draws alike.
+            raise TypeError(f"injector needs a numpy Generator, got {type(rng).__name__}")
         params = self.spec.params
         if "times" in params:
             times = params["times"]
@@ -270,15 +272,11 @@ class _ScheduledFaults(FaultModel):
             return DeterministicSchedule(times)
         if "rate" in params:
             return PoissonSchedule(
-                float(params["rate"]),
-                rng=_resolve_rng(rng, seed, name),
-                horizon=params.get("horizon"),
+                float(params["rate"]), rng=rng, horizon=params.get("horizon")
             )
         if "p" in params:
             return BernoulliPerCallSchedule(
-                float(params["p"]),
-                rng=_resolve_rng(rng, seed, name),
-                max_faults=params.get("max_faults"),
+                float(params["p"]), rng=rng, max_faults=params.get("max_faults")
             )
         return NeverSchedule()
 
@@ -302,18 +300,13 @@ class BitflipFaults(_ScheduledFaults):
 
     kind = "bitflip"
 
-    def injector(self, rng=None, *, seed=None, name="injector",
-                 target=None, session=None) -> ArrayInjector:
+    def injector(self, rng, *, target=None) -> ArrayInjector:
         # One shared generator drives schedule and victim selection, in
         # that construction order -- the exact legacy wiring of the E6
         # all-unreliable baseline, so spec-driven runs replay old draws.
-        gen = _resolve_rng(rng, seed, name)
         return ArrayInjector(
-            schedule=self.schedule(gen),
-            rng=gen,
-            bit_range=self.bits,
+            self._schedule(rng), rng, bit_range=self.bits,
             target=target or self.spec.get("target", "array"),
-            session=session,
         )
 
     def environment(self, *, seed=None, cost_model=None) -> Region:
@@ -336,11 +329,10 @@ class PerturbationInjector(ScheduledInjector):
     slots into a :class:`~repro.reliability.region.Region` unchanged.
     """
 
-    def __init__(self, schedule, rng, *, value=None, scale=None,
-                 target="array", session=None):
+    def __init__(self, schedule, rng, *, value=None, scale=None, target="array"):
         if (value is None) == (scale is None):
             raise ValueError("give exactly one of value= or scale=")
-        super().__init__(schedule, rng, target, session)
+        super().__init__(schedule, rng, target)
         self.value = value
         self.scale = scale
 
@@ -380,18 +372,17 @@ class PerturbationFaults(_ScheduledFaults):
                 f"value= or scale="
             )
 
-    def injector(self, rng=None, *, seed=None, name="injector",
-                 target=None, session=None) -> PerturbationInjector:
-        gen = _resolve_rng(rng, seed, name)
+    def injector(self, rng, *, target=None) -> PerturbationInjector:
         return PerturbationInjector(
-            self.schedule(gen), gen,
+            self._schedule(rng), rng,
             value=self.spec.get("value"), scale=self.spec.get("scale"),
             target=target or self.spec.get("target", "array"),
-            session=session,
         )
 
     def environment(self, *, seed=None, cost_model=None) -> Region:
-        return Region(self.injector(seed=seed), cost_model=cost_model)
+        return Region(
+            self.injector(fault_stream(seed, "injector")), cost_model=cost_model
+        )
 
 
 class MessageCorruptor:
@@ -471,10 +462,8 @@ class MessageCorruptionFaults(_ScheduledFaults):
 
     kind = "msg_corrupt"
 
-    def message_corruptor(self, rng=None, *, seed=None, name="messages"):
-        return MessageCorruptor(
-            self.probability, _resolve_rng(rng, seed, name), bits=self.bits
-        )
+    def message_corruptor(self, rng) -> MessageCorruptor:
+        return MessageCorruptor(self.probability, rng, bits=self.bits)
 
 
 class ProcessFaults(FaultModel):
@@ -482,8 +471,9 @@ class ProcessFaults(FaultModel):
 
     Parameters: either explicit ``times``/``ranks`` pairs, or a
     sampled plan via ``mtbf`` (seconds) or ``mtbf_years`` with
-    ``model`` = ``exponential`` (default) or ``weibull`` (plus
-    ``shape``), bounded by ``horizon`` and ``max_failures``.  A single
+    ``model`` = ``exponential`` (default) or ``weibull`` (plus its
+    ``shape``, refused with the exponential model), bounded by
+    ``horizon`` and ``max_failures``.  A single
     ``rank`` parameter marks the victim rank for experiments that kill
     exactly one block (e.g. E5).
     """
@@ -499,6 +489,11 @@ class ProcessFaults(FaultModel):
         model = params.get("model", "exponential")
         if model not in ("exponential", "weibull"):
             raise ValueError(f"unknown failure model {model!r}")
+        if "shape" in params and model != "weibull":
+            raise ValueError(
+                f"proc_fail spec {self.describe()!r}: shape= shapes the "
+                f"Weibull model only; give it with model=weibull"
+            )
 
     @property
     def mtbf(self) -> Optional[float]:
@@ -561,9 +556,10 @@ class ProcessFaults(FaultModel):
 class BasisBitflipFaults(FaultModel):
     """Targeted bit flip in the newest Krylov basis vector.
 
-    The controlled-injection model of experiment E1: at iteration
-    ``at``, flip one uniformly chosen bit (within ``bits``) of one
-    uniformly chosen element of the newest Arnoldi basis vector.
+    The controlled-injection model of experiment E1: at the iteration
+    the caller names (``iteration_hook(rng, at=)``), flip one uniformly
+    chosen bit (within ``bits``) of one uniformly chosen element of the
+    newest Arnoldi basis vector.
     Exposed as an engine iteration hook so it composes with any
     Arnoldi-type solver through the resilience-policy surface.
     """
@@ -574,33 +570,32 @@ class BasisBitflipFaults(FaultModel):
     def bits(self) -> Tuple[int, int]:
         return _bit_range(self.spec) or (0, 63)
 
-    def iteration_hook(self, rng=None, *, seed=None, name="basis", at=None):
-        """A ``(hook, info)`` pair injecting one flip at iteration ``at``.
+    def iteration_hook(self, rng, *, at):
+        """A hook injecting one flip at iteration ``at``.
 
         The draw order (bit first, victim index at fire time) is the
         historical E1 order, so spec-driven campaigns replay the seed
         goldens bit-for-bit.
         """
-        gen = _resolve_rng(rng, seed, name)
         low, high = self.bits
-        flip_bit = int(gen.integers(low, high + 1))
-        fire_at = int(at if at is not None else self.spec.get("at", 0))
-        info = {"done": False, "bit": flip_bit, "index": None}
+        flip_bit = int(rng.integers(low, high + 1))
+        fire_at = int(at)
+        done = False
 
         def hook(state):
-            if info["done"] or state.total_iteration != fire_at:
+            nonlocal done
+            if done or state.total_iteration != fire_at:
                 return
             target = np.asarray(state.basis[state.inner + 1])
             if target.size == 0:
                 return
-            index = int(gen.integers(0, target.size))
+            index = int(rng.integers(0, target.size))
             flip_bit_array(target, index, flip_bit, inplace=True)
-            info["done"] = True
-            info["index"] = index
+            done = True
 
         # The engines' ``fire_at`` contract: no call at other iterations.
         hook.fire_at = fire_at
-        return hook, info
+        return hook
 
 
 class CompositeFaults(FaultModel):
@@ -653,14 +648,8 @@ class CompositeFaults(FaultModel):
                 continue
         raise self._unsupported(capability)
 
-    def schedule(self, rng=None, *, seed=None, name="schedule"):
-        return self._delegate("schedule", rng, seed=seed, name=name)
-
-    def injector(self, rng=None, *, seed=None, name="injector",
-                 target=None, session=None):
-        return self._delegate(
-            "injector", rng, seed=seed, name=name, target=target, session=session
-        )
+    def injector(self, rng, *, target=None):
+        return self._delegate("injector", rng, target=target)
 
     def environment(self, *, seed=None, cost_model=None) -> Region:
         return self._delegate("environment", seed=seed, cost_model=cost_model)
@@ -670,15 +659,11 @@ class CompositeFaults(FaultModel):
             "failure_plan", n_ranks=n_ranks, horizon=horizon, seed=seed
         )
 
-    def message_corruptor(self, rng=None, *, seed=None, name="messages"):
-        return self._delegate(
-            "message_corruptor", rng, seed=seed, name=name
-        )
+    def message_corruptor(self, rng):
+        return self._delegate("message_corruptor", rng)
 
-    def iteration_hook(self, rng=None, *, seed=None, name="basis", at=None):
-        return self._delegate(
-            "iteration_hook", rng, seed=seed, name=name, at=at
-        )
+    def iteration_hook(self, rng, *, at):
+        return self._delegate("iteration_hook", rng, at=at)
 
 
 MODEL_KINDS: Dict[str, Type[FaultModel]] = {

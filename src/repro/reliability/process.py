@@ -183,17 +183,6 @@ class FailurePlan:
         """Planned failures of one rank."""
         return [f for f in self._failures if f.rank == rank]
 
-    def first_failure_time(self, rank: int) -> Optional[float]:
-        """Time of the first planned failure of ``rank``, or ``None``."""
-        for failure in self._failures:
-            if failure.rank == rank:
-                return failure.time
-        return None
-
-    def failures_in(self, start: float, end: float) -> List[RankFailure]:
-        """Failures with ``start < time <= end`` (interval semantics of a step)."""
-        return [f for f in self._failures if start < f.time <= end]
-
     def __len__(self) -> int:
         return len(self._failures)
 

@@ -20,6 +20,7 @@ from typing import List, Mapping, Union
 
 from repro.reliability.models import FaultModel, build_model
 from repro.reliability.region import Region
+from repro.reliability.seeding import fault_stream
 from repro.reliability.spec import FaultSpec
 from repro.spec import Axis, RegisteredSpec, Registry
 
@@ -143,7 +144,7 @@ def unreliable(faults="none", *, seed=None, name="unreliable") -> Region:
     name, a compact spec string, a dict or a built model.  The injector
     draws from the canonical fault stream of ``(seed, name)``.
     """
-    return Region(resolve_faults(faults).injector(seed=seed, name=name))
+    return Region(resolve_faults(faults).injector(fault_stream(seed, name)))
 
 
 AXIS = Axis(

@@ -20,7 +20,7 @@ Three concrete schedules cover the experiments:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -92,16 +92,6 @@ class DeterministicSchedule(FaultSchedule):
     def reset(self) -> None:
         self._cursor = 0
 
-    @property
-    def remaining(self) -> int:
-        """Number of scheduled faults not yet fired."""
-        return len(self._times) - self._cursor
-
-    @property
-    def times(self) -> List[float]:
-        """The scheduled coordinates (sorted)."""
-        return list(self._times)
-
 
 class PoissonSchedule(FaultSchedule):
     """Poisson-process fault arrivals with a fixed rate.
@@ -130,20 +120,17 @@ class PoissonSchedule(FaultSchedule):
         self.rate = check_non_negative(rate, "rate")
         self._rng = as_generator(rng)
         self._next: Optional[float] = None
-        self._last_now = 0.0
-        self._pending: List[float] = []
+        self._deterministic: Optional[DeterministicSchedule] = None
         if horizon is not None and self.rate > 0:
             check_non_negative(horizon, "horizon")
+            arrivals: List[float] = []
             t = 0.0
             while True:
                 t += float(self._rng.exponential(1.0 / self.rate))
                 if t > horizon:
                     break
-                self._pending.append(t)
-            self._deterministic = DeterministicSchedule(self._pending)
-        else:
-            self._deterministic = None
-        self._initial_pending = list(self._pending)
+                arrivals.append(t)
+            self._deterministic = DeterministicSchedule(arrivals)
 
     def _sample_next(self, start: float) -> float:
         return start + float(self._rng.exponential(1.0 / self.rate))
@@ -165,11 +152,6 @@ class PoissonSchedule(FaultSchedule):
         if self._deterministic is not None:
             self._deterministic.reset()
         self._next = None
-
-    @property
-    def presampled_times(self) -> List[float]:
-        """The pre-sampled arrival times (only with ``horizon``)."""
-        return list(self._initial_pending)
 
 
 class BernoulliPerCallSchedule(FaultSchedule):
@@ -203,8 +185,3 @@ class BernoulliPerCallSchedule(FaultSchedule):
 
     def reset(self) -> None:
         self._fired = 0
-
-    @property
-    def fired(self) -> int:
-        """Number of faults fired so far."""
-        return self._fired

@@ -48,7 +48,7 @@ FAULT_KINDS: Dict[str, Tuple[str, ...]] = {
     "msg_corrupt": ("p", "bits"),
     "proc_fail": ("times", "ranks", "rank", "mtbf", "mtbf_years", "model", "shape",
                   "horizon", "max_failures"),
-    "basis_bitflip": ("bits", "at"),
+    "basis_bitflip": ("bits",),
     COMPOSE_KIND: (),
 }
 

@@ -159,8 +159,7 @@ class TestEngineParity:
         model = BasisBitflipFaults(FaultSpec("basis_bitflip", {"bits": (30, 55)}))
 
         def hook(seed):
-            h, _info = model.iteration_hook(np.random.default_rng(seed), at=5)
-            return h
+            return model.iteration_hook(np.random.default_rng(seed), at=5)
 
         kwargs = dict(policy="skeptical_restart", tol=1e-8, restart=30,
                       maxiter=600, check_period=1)
@@ -282,7 +281,7 @@ def _canonical(value):
 
 def _bitflip_hook(bits, seed, at):
     model = BasisBitflipFaults(FaultSpec("basis_bitflip", {"bits": bits}))
-    return model.iteration_hook(np.random.default_rng(seed), at=at)[0]
+    return model.iteration_hook(np.random.default_rng(seed), at=at)
 
 
 _BIT_CLASSES = [(0, 25), (26, 51), (52, 62), (63, 63)]

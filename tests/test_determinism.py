@@ -46,7 +46,7 @@ def run_faulty_solve(seed: int):
     result = gmres(unreliable_op, b, tol=1e-8, restart=20, maxiter=200)
     events = tuple(
         (e.kind, e.target, e.location, e.bit, e.time, e.magnitude)
-        for e in injector.session.events
+        for e in injector.events
     )
     return {
         "events": events,

@@ -11,6 +11,7 @@ registry contract every axis shares is ``tests/test_axis_contract.py``.)
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reliability import (
+    BernoulliPerCallSchedule,
     BitflipFaults,
     FailurePlan,
     FaultCapabilityError,
@@ -36,6 +38,8 @@ from repro.reliability import (
     resolve_faults,
     unreliable,
 )
+from repro.reliability.injector import ArrayInjector, ScheduledInjector
+from repro.reliability.models import MODEL_KINDS
 from repro.reliability.spec import FAULT_KINDS
 from repro.utils.rng import RngFactory
 
@@ -150,6 +154,7 @@ class TestFaultSpec:
             ("bitflip:prob=0.5", "prob"),  # was a fault-free control
             ("proc_fail:mtbf=10,horizon=5,modle=weibull", "modle"),  # was exponential
             ("basis_bitflip:bit=3", "bit"),
+            ("basis_bitflip:at=6", "at"),  # ran at E1's inject_at
         ],
     )
     def test_misspelt_parameter_refused(self, text, offender):
@@ -216,7 +221,7 @@ class TestFaultRegistry:
 class TestFaultModels:
     def test_bitflip_injector_corrupts(self):
         model = resolve_faults("bitflip:p=1.0,bits=52..62")
-        injector = model.injector(seed=7)
+        injector = model.injector(np.random.default_rng(7))
         data = np.ones(16)
         injector.maybe_inject(data, now=0.0)
         assert injector.n_injected == 1
@@ -246,14 +251,15 @@ class TestFaultModels:
 
     def test_perturb_injector_overwrite_and_scale(self):
         overwrite = PerturbationInjector(
-            resolve_faults("none").schedule(), 0, value=123.0
+            BernoulliPerCallSchedule(1.0, rng=1), 0, value=123.0
         )
         data = np.zeros(4)
-        overwrite.schedule = resolve_faults("perturb:p=1.0,value=123.0").schedule(seed=1)
         overwrite.maybe_inject(data)
         assert 123.0 in data
 
-        scale = resolve_faults("perturb:p=1.0,scale=1000.0").injector(seed=2)
+        scale = resolve_faults("perturb:p=1.0,scale=1000.0").injector(
+            np.random.default_rng(2)
+        )
         data = np.full(4, 2.0)
         scale.maybe_inject(data)
         assert np.sum(data == 2000.0) == 1
@@ -303,7 +309,7 @@ class TestFaultModels:
 
     def test_capability_errors_are_loud(self):
         with pytest.raises(FaultCapabilityError):
-            resolve_faults("proc_fail:mtbf=1.0").injector(seed=0)
+            resolve_faults("proc_fail:mtbf=1.0").injector(np.random.default_rng(0))
         with pytest.raises(FaultCapabilityError):
             resolve_faults("bitflip:p=0.1").failure_plan(n_ranks=2)
 
@@ -348,7 +354,9 @@ class TestFaultModels:
         assert region.injector.target == "net"
 
     def test_perturb_injector_handles_non_contiguous_views(self):
-        injector = resolve_faults("perturb:p=1.0,value=123.0").injector(seed=2)
+        injector = resolve_faults("perturb:p=1.0,value=123.0").injector(
+            np.random.default_rng(2)
+        )
         base = np.zeros((4, 4))
         view = base.T[:, :3]  # non-contiguous
         injector.maybe_inject(view)
@@ -360,7 +368,7 @@ class TestFaultModels:
         # capability as a no-op and must not win the delegation.
         combo = resolve_faults("none+proc_fail:times=1.5,rank=1")
         assert len(combo.failure_plan()) == 1
-        injector = resolve_faults("none+bitflip:p=1.0").injector(seed=1)
+        injector = resolve_faults("none+bitflip:p=1.0").injector(np.random.default_rng(1))
         data = np.ones(8)
         injector.maybe_inject(data)
         assert injector.n_injected == 1
@@ -370,9 +378,106 @@ class TestFaultModels:
         assert model.is_null
         assert model.probability == 0.0
         data = np.ones(4)
-        model.injector(seed=1).maybe_inject(data)
+        model.injector(np.random.default_rng(1)).maybe_inject(data)
         np.testing.assert_array_equal(data, 1.0)
         assert len(model.failure_plan()) == 0
+
+
+# ---------------------------------------------------------------------------
+# The declared capability surface (a new option is a diff of this table)
+# ---------------------------------------------------------------------------
+
+#: capability or injector class -> the parameters a caller sets.
+FAULT_SURFACE = {
+    "injector": ("rng", "target"),
+    "environment": ("seed", "cost_model"),
+    "failure_plan": ("n_ranks", "horizon", "seed"),
+    "message_corruptor": ("rng",),
+    "iteration_hook": ("rng", "at"),
+    "ScheduledInjector": ("schedule", "rng", "target"),
+    "ArrayInjector": ("schedule", "rng", "bit_range", "target"),
+    "PerturbationInjector": ("schedule", "rng", "value", "scale", "target"),
+}
+
+_CAPABILITIES = ("injector", "environment", "failure_plan", "message_corruptor",
+                 "iteration_hook")
+
+
+def _gen():
+    return np.random.default_rng(0)
+
+
+def _parameters(callable_) -> tuple:
+    return tuple(name for name in inspect.signature(callable_).parameters if name != "self")
+
+
+class TestDeclaredFaultSurface:
+    @pytest.mark.parametrize("model_class", sorted(MODEL_KINDS.values(), key=lambda c: c.kind))
+    def test_every_model_takes_the_declared_parameters(self, model_class):
+        assert {cap: _parameters(getattr(model_class, cap)) for cap in _CAPABILITIES} == {
+            cap: FAULT_SURFACE[cap] for cap in _CAPABILITIES
+        }
+        assert not hasattr(model_class, "schedule")
+
+    def test_every_injector_takes_the_declared_parameters(self):
+        for injector_class in (ScheduledInjector, ArrayInjector, PerturbationInjector):
+            assert _parameters(injector_class) == FAULT_SURFACE[injector_class.__name__]
+
+    @pytest.mark.parametrize("surface, keyword", [
+        *[("injector", keyword) for keyword in ("seed", "name", "session")],
+        *[(capability, keyword) for capability in ("message_corruptor", "iteration_hook")
+          for keyword in ("seed", "name")],
+        ("ArrayInjector", "session"),
+        ("PerturbationInjector", "session"),
+    ])
+    def test_a_removed_keyword_is_refused(self, surface, keyword):
+        build = {
+            "injector": lambda **kw: resolve_faults("bitflip:p=1.0").injector(_gen(), **kw),
+            "message_corruptor":
+                lambda **kw: resolve_faults("msg_corrupt:p=1.0").message_corruptor(_gen(), **kw),
+            "iteration_hook":
+                lambda **kw: resolve_faults("basis_bitflip").iteration_hook(_gen(), at=1, **kw),
+            "ArrayInjector": lambda **kw: ArrayInjector(**kw),
+            "PerturbationInjector":
+                lambda **kw: PerturbationInjector(None, _gen(), value=1.0, **kw),
+        }[surface]
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: 1})
+
+    @pytest.mark.parametrize("spec", ["bitflip:p=1.0", "perturb:p=1.0,value=0.0"])
+    def test_an_injector_is_handed_a_generator_not_a_seed(self, spec):
+        with pytest.raises(TypeError, match="Generator"):
+            resolve_faults(spec).injector(7)
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("bitflip:rate=5.0,max_faults=3", "max_faults= caps"),  # ran uncapped
+        ("bitflip:times=1;2;3;4;5,max_faults=2", "max_faults= caps"),  # all 5 fired
+        ("perturb:rate=1.0,max_faults=1,scale=2.0", "max_faults= caps"),
+        ("bitflip:p=1.0,horizon=2", "horizon= bounds"),  # fired on every call
+        ("bitflip:times=1,horizon=2", "horizon= bounds"),
+        ("perturb:horizon=2,value=0.0", "horizon= bounds"),
+        ("proc_fail:mtbf=10,shape=0.5", "shape= shapes"),  # the exponential plan
+        ("proc_fail:mtbf=10,model=exponential,shape=0.5", "shape= shapes"),
+    ])
+    def test_a_parameter_the_model_would_drop_is_refused(self, spec, reason):
+        with pytest.raises(ValueError, match=reason):
+            resolve_faults(spec)
+
+    def test_horizon_and_shape_act_where_they_are_taken(self):
+        def injected(calls):
+            injector = resolve_faults("bitflip:rate=5.0,horizon=2").injector(_gen())
+            for now in range(1, calls + 1):
+                injector.maybe_inject(np.ones(4), now=float(now))
+            return injector.n_injected
+
+        def plan(spec):
+            return [(f.time, f.rank)
+                    for f in resolve_faults(spec).failure_plan(n_ranks=3, horizon=50, seed=4)]
+
+        assert 0 < injected(2) == injected(10)
+        assert plan("proc_fail:mtbf=10,model=weibull,shape=0.5") != plan(
+            "proc_fail:mtbf=10,model=weibull"
+        )
 
 
 class TestSeeding:
