@@ -212,25 +212,26 @@ class RetryPolicy:
     max_attempts:
         Total attempts a scenario may consume (first try included).
     backoff:
-        Delay in seconds before the second attempt; attempt ``n`` waits
-        ``backoff * backoff_factor**(n - 2)``.  Deterministic -- no
-        jitter -- so campaign wall-time under chaos is reproducible.
-    backoff_factor:
-        Exponential growth factor of the backoff.
+        Delay in seconds before the second attempt; each later attempt
+        waits :attr:`BACKOFF_FACTOR` (2) times as long as the one
+        before, so attempt ``n`` waits ``backoff * 2**(n - 2)``.
+        Deterministic -- no jitter -- so campaign wall-time under chaos
+        is reproducible.
 
     Only *transient* attempts are retried: a deterministic driver raises
     identically every time, so retrying *poison* would waste the budget.
     """
 
+    BACKOFF_FACTOR = 2.0
+
     max_attempts: int = 3
     backoff: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be >= 0 and backoff_factor >= 1")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
 
     def classify(self, status: str) -> str:
         """``"transient"`` (environment failed) or ``"poison"`` (scenario did)."""
@@ -240,7 +241,7 @@ class RetryPolicy:
         """Backoff in seconds before ``attempt`` (1-based; first is free)."""
         if attempt <= 1:
             return 0.0
-        return self.backoff * self.backoff_factor ** (attempt - 2)
+        return self.backoff * self.BACKOFF_FACTOR ** (attempt - 2)
 
     def should_retry(self, status: str, attempts_used: int) -> bool:
         """Whether a scenario gets another attempt after ``status``."""

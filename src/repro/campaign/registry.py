@@ -60,10 +60,6 @@ class RegisteredExperiment:
         object.__setattr__(self, "_accepted_set", frozenset(accepted))
 
     @property
-    def supports_batch(self) -> bool:
-        return self.run_batch is not None
-
-    @property
     def experiment(self) -> str:
         return self.spec.experiment
 

@@ -94,7 +94,3 @@ class CheckpointStore:
             write_time=checkpoint.write_time,
         )
 
-    @property
-    def n_stored(self) -> int:
-        """Number of checkpoints currently retained."""
-        return len(self._checkpoints)

@@ -234,10 +234,6 @@ class BaseCommunicator(abc.ABC):
         """The machine model driving program time."""
         return self._machine
 
-    def single_rank(self) -> bool:
-        """True when the communicator has exactly one rank."""
-        return self.size == 1
-
     def _check_rank(self, rank: int) -> None:
         if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
             raise InvalidRankError(f"rank must be an integer, got {rank!r}")

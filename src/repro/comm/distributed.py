@@ -14,12 +14,12 @@ solvers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.comm.base import BaseCommunicator
-from repro.comm.ops import SUM, MAX
+from repro.comm.ops import SUM
 from repro.linalg.csr import CsrMatrix
 from repro.utils.validation import check_integer
 
@@ -118,23 +118,11 @@ class DistributedVector:
         self.comm.compute(2.0 * self.local_size)
         return float(self.comm.allreduce(local_dot, op=SUM))
 
-    def idot(self, other: "DistributedVector"):
-        """Non-blocking global inner product; returns a Request."""
-        self._check_compatible(other)
-        local_dot = float(self.local @ other.local)
-        self.comm.compute(2.0 * self.local_size)
-        return self.comm.iallreduce(local_dot, op=SUM)
-
     def norm(self) -> float:
         """Global 2-norm (one allreduce)."""
         local_sq = float(self.local @ self.local)
         self.comm.compute(2.0 * self.local_size)
         return float(np.sqrt(self.comm.allreduce(local_sq, op=SUM)))
-
-    def norm_inf(self) -> float:
-        """Global infinity norm (one allreduce with MAX)."""
-        local_max = float(np.max(np.abs(self.local))) if self.local.size else 0.0
-        return float(self.comm.allreduce(local_max, op=MAX))
 
     def axpy(self, alpha: float, other: "DistributedVector") -> "DistributedVector":
         """In-place ``self += alpha * other``; returns self."""

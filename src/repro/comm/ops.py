@@ -34,10 +34,6 @@ class ReduceOp:
         self._func = func
         self.identity = identity
 
-    def combine(self, a: Any, b: Any) -> Any:
-        """Combine two operands."""
-        return self._func(a, b)
-
     def reduce(self, values: list) -> Any:
         """Reduce a list of operands left-to-right."""
         if not values:

@@ -1,37 +1,21 @@
-"""Backend-axis probes shared by the E3/E6/E7 drivers.
-
-When an experiment driver is given an explicit ``backend=`` spec, it
-augments its (unchanged, golden-pinned) analytic results with measured
-evidence from that communicator backend:
+"""Backend-axis probes: a distributed Krylov anchor and collective timings.
 
 * :func:`distributed_solve` -- the *numerical anchor*: the same Krylov
-  solve the driver runs sequentially, executed as a genuine SPMD
-  program over the backend's distributed objects.  Returns the
-  residual-norm history, which is **bit-identical** across the
-  backends (sim, shmem), since every backend folds reductions in rank
-  order -- the conformance suite's differential gate pins exactly that.
-* :func:`measure_iteration` -- measured wall-clock per iteration of a
-  pipelined-CG-shaped workload (local vector flops + one vector
-  allreduce), on any backend.  The E3 driver compares sim-vs-shmem on
-  the same job to quantify what running ranks as real processes with
-  shared-memory payload transport buys over the simulator's
-  thread-and-copy event machinery.
-* :func:`measure_collectives` / :func:`alpha_beta_fit` -- measured
-  collective latencies across payload sizes, and a least-squares
-  alpha-beta fit; the E7 driver holds these against the machine
-  model's analytic collective costs, validating that the model's
-  *functional form* (latency term plus bandwidth term) describes a
-  real transport, not only the simulated one.
-
-Wall-clock numbers only ever enter result ``summary`` sections that
-exist when ``backend=`` was explicitly requested, so default-backend
-goldens stay byte-identical.
+  solve a driver runs sequentially, executed as a genuine SPMD program
+  over a backend's distributed objects.  Returns the residual-norm
+  history, which is **bit-identical** across the backends (sim, shmem),
+  since every backend folds reductions in rank order -- the conformance
+  suite's differential gate pins exactly that.  E3 and E6 store it
+  when given ``backend=``; it is a pure function of its arguments.
+* :func:`measure_collectives` -- measured wall-clock seconds per
+  collective call by kind and payload size, for the benchmark ledger.
+  No experiment result holds a wall-clock number.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +26,7 @@ from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import poisson_2d
 from repro.utils.rng import RngFactory
 
-__all__ = [
-    "distributed_solve",
-    "measure_iteration",
-    "measure_stall_scaling",
-    "measure_collectives",
-    "alpha_beta_fit",
-]
+__all__ = ["distributed_solve", "measure_collectives"]
 
 
 def _solve_program(
@@ -115,105 +93,6 @@ def distributed_solve(
     return dict(reference, backend=bound.spec.to_string(), procs=len(values))
 
 
-def _iteration_program(comm, n_local: int, iterations: int, warmup: int):
-    """Pipelined-CG-shaped timing body: local flops + vector allreduce."""
-    x = np.full(n_local, 1.0 + comm.rank)
-    y = np.full(n_local, 0.5)
-    best = None
-    for _ in range(warmup):
-        y = 0.999 * y + 0.001 * x
-        comm.allreduce(y)
-    start = time.perf_counter()
-    for _ in range(iterations):
-        y = 0.999 * y + 0.001 * x  # the overlappable local work
-        comm.allreduce(y)          # the synchronization being measured
-    elapsed = time.perf_counter() - start
-    # The job finishes when its slowest rank does.
-    slowest = comm.allreduce(elapsed, op=MAX)
-    return slowest / iterations
-
-
-def measure_iteration(
-    backend,
-    *,
-    n_local: int = 100_000,
-    iterations: int = 50,
-    warmup: int = 5,
-    procs: Optional[int] = None,
-) -> float:
-    """Measured seconds per pipelined-CG-shaped iteration on a backend."""
-    bound = resolve_backend(backend)
-    values = bound.launch(
-        _iteration_program, n_local, iterations, warmup, n_ranks=procs
-    )
-    return float(values[0])
-
-
-def _stall_program(
-    comm,
-    n_global: int,
-    stall_events: int,
-    stall_seconds: float,
-    iterations: int,
-):
-    """Stall-bound SPMD timing body (runs on a rank).
-
-    Each iteration interleaves this rank's share of the local vector
-    work with its share of *real* stall events -- ``time.sleep`` calls
-    standing in for the OS/device stalls E3's ``EccStallNoise`` models.
-    A sleeping process genuinely yields the CPU, so on a real-process
-    backend the stalls of one rank overlap the compute (and stalls) of
-    the others -- the measurable core of the paper's latency-tolerance
-    argument, and the one source of wall-clock speedup that does not
-    require spare cores.
-    """
-    n_local = n_global // comm.size
-    my_events = stall_events // comm.size
-    x = np.full(n_local, 1.0 + comm.rank)
-    y = np.full(n_local, 0.5)
-    comm.barrier()
-    start = time.perf_counter()
-    for _ in range(iterations):
-        for _ in range(my_events):
-            y = 0.999 * y + 0.001 * x
-            time.sleep(stall_seconds)
-        comm.allreduce(float(y[0]))
-    elapsed = time.perf_counter() - start
-    slowest = comm.allreduce(elapsed, op=MAX)
-    return slowest / iterations
-
-
-def measure_stall_scaling(
-    backend,
-    *,
-    procs_list: Sequence[int] = (1, 4),
-    n_global: int = 400_000,
-    stall_events: int = 32,
-    stall_seconds: float = 500e-6,
-    iterations: int = 20,
-) -> Dict[int, float]:
-    """Measured strong scaling of the stall-bound workload.
-
-    Returns ``{procs: seconds_per_iteration}`` for the *same global
-    job* (fixed total work and fixed total stall budget) run at each
-    rank count on ``backend``.  ``T(1)/T(p) > 1`` demonstrates real
-    overlap: distributed ranks hide each other's stall time.
-    """
-    bound = resolve_backend(backend)
-    timings: Dict[int, float] = {}
-    for procs in procs_list:
-        values = bound.launch(
-            _stall_program,
-            n_global,
-            stall_events,
-            stall_seconds,
-            iterations,
-            n_ranks=procs,
-        )
-        timings[int(procs)] = float(values[0])
-    return timings
-
-
 def _collective_program(comm, kinds: Sequence[str], nbytes_list: Sequence[int],
                         iterations: int):
     """Timing body for :func:`measure_collectives` (runs on a rank)."""
@@ -255,24 +134,3 @@ def measure_collectives(
     )
     return values[0]
 
-
-def alpha_beta_fit(
-    sizes: Sequence[int], times: Sequence[float]
-) -> Tuple[float, float, float]:
-    """Least-squares ``t = alpha + nbytes/bandwidth`` fit.
-
-    Returns ``(alpha_seconds, bandwidth_bytes_per_s, r_squared)`` --
-    the empirical counterparts of the machine model's ``latency`` and
-    ``bandwidth`` parameters.  A high r-squared on measured collectives
-    is the evidence that the model's alpha-beta functional form
-    describes the real transport.
-    """
-    x = np.asarray(sizes, dtype=np.float64)
-    y = np.asarray(times, dtype=np.float64)
-    beta, alpha = np.polyfit(x, y, 1)
-    predicted = alpha + beta * x
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    bandwidth = 1.0 / beta if beta > 0 else float("inf")
-    return float(alpha), float(bandwidth), float(r_squared)

@@ -82,6 +82,10 @@ def _render_mapping(label: str, mapping: Mapping[str, Any]) -> List[str]:
 class ExperimentResult:
     """What every experiment driver returns.
 
+    A pure function of its parameters: it holds no wall-clock value,
+    so the campaign store, the goldens and the execution-contract
+    property compare it byte for byte.
+
     Attributes
     ----------
     experiment:

@@ -18,13 +18,9 @@ which local recovery is required to stay efficient).
 
 from __future__ import annotations
 
-from repro.comm.registry import resolve_backend
-from repro.experiments import backend_probe
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.reliability.process import system_mtbf
 from repro.reliability.registry import resolve_faults
-from repro.machine.collective_cost import allreduce_time
-from repro.machine.model import MachineModel
 from repro.machine.efficiency import (
     cpr_efficiency,
     daly_optimal_interval,
@@ -59,7 +55,6 @@ def run(
     mtbf_sweep_hours=(24.0, 12.0, 6.0, 3.0, 1.0),
     sweep_nodes: int = 100_000,
     faults=None,
-    backend=None,
 ) -> ExperimentResult:
     """Run experiment E7 and return its table.
 
@@ -120,8 +115,6 @@ def run(
     )
     summary["crossover_mtbf_hours"] = crossover / 3600.0
     summary["sweep_table"] = sweep.render()
-    if backend is not None:
-        summary["backend"] = _backend_section(backend)
     return ExperimentResult(
         experiment="E7",
         claim=(
@@ -134,8 +127,6 @@ def run(
         summary=summary,
         parameters={
             "node_mtbf_years": node_mtbf_years,
-            **({"backend": resolve_backend(backend).spec.to_string()}
-               if backend is not None else {}),
             "node_counts": tuple(node_counts),
             "checkpoint_time": checkpoint_time,
             "restart_time": restart_time,
@@ -146,45 +137,3 @@ def run(
         },
     )
 
-
-def _backend_section(backend) -> dict:
-    """Hold the machine model's collective costs against measurement.
-
-    E7's efficiency claims rest on the analytic machine model; when a
-    real backend is requested, its collectives are *measured* across
-    payload sizes and fitted to the same alpha-beta form the model
-    uses.  A high ``r_squared`` on the fit says the model's functional
-    form (fixed latency plus a bandwidth term) describes the real
-    transport; the fitted latency/bandwidth land wherever the host's
-    pipes and shared memory put them, so they are reported next to the
-    model's parameters rather than asserted equal.
-    """
-    bound = resolve_backend(backend)
-    sizes = (1024, 65536, 1048576)
-    measured = backend_probe.measure_collectives(
-        bound, kinds=("barrier", "allreduce"), nbytes_list=sizes
-    )
-    alpha, bandwidth, r_squared = backend_probe.alpha_beta_fit(
-        sizes, [measured["allreduce"][n] for n in sizes]
-    )
-    model = MachineModel.ideal()
-    return {
-        "spec": bound.spec.to_string(),
-        "procs": bound.procs,
-        "measured_seconds": {
-            kind: {str(n): t for n, t in by_size.items()}
-            for kind, by_size in measured.items()
-        },
-        "predicted_allreduce_seconds": {
-            str(n): allreduce_time(model, bound.procs, n) for n in sizes
-        },
-        "alpha_beta_fit": {
-            "alpha_seconds": alpha,
-            "bandwidth_bytes_per_s": bandwidth,
-            "r_squared": r_squared,
-        },
-        "model_parameters": {
-            "latency": model.latency,
-            "bandwidth": model.bandwidth,
-        },
-    }

@@ -110,10 +110,6 @@ class CoarseModelStore:
         self._sizes[int(owner)] = field.size
         return coarse
 
-    def owners(self):
-        """Owners with a stored snapshot."""
-        return sorted(self._snapshots.keys())
-
     def recover(self, owner: int) -> Optional[np.ndarray]:
         """Rebuild ``owner``'s fine field from its stored coarse model."""
         snapshot = self._snapshots.get(int(owner))

@@ -118,20 +118,12 @@ class PersistentStore:
             mirrored.pop(0)
 
     # ------------------------------------------------------------------
-    def latest_own(self) -> Optional[StoreEntry]:
-        """Most recent locally persisted snapshot."""
-        return self._own[-1] if self._own else None
-
     def own_at_step(self, step: int) -> Optional[StoreEntry]:
         """Locally persisted snapshot with the given step label."""
         for entry in reversed(self._own):
             if entry.step == step:
                 return entry.copy()
         return None
-
-    def own_steps(self) -> List[int]:
-        """Step labels currently retained locally."""
-        return [entry.step for entry in self._own]
 
     # ------------------------------------------------------------------
     def mirrored_latest(self, owner: int) -> Optional[StoreEntry]:

@@ -125,13 +125,6 @@ class Grid1D:
             right_ghost = right
         return left_ghost, right_ghost
 
-    def global_sum(self, values: np.ndarray) -> float:
-        """Sum a local quantity across all ranks (or locally if sequential)."""
-        local = float(np.sum(values))
-        if self.comm is None:
-            return local
-        return float(self.comm.allreduce(local))
-
     def gather_field(self, u_local: np.ndarray) -> Optional[np.ndarray]:
         """Gather the full field on every rank (``None`` never returned)."""
         if self.comm is None:

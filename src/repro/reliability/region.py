@@ -13,7 +13,12 @@ compute that runs cheaply -- unreliably, at reduced precision, or both
 It wraps the pieces that run inside it -- an operator, a preconditioner
 ``M^{-1} v`` or a whole FGMRES inner solve -- and keeps one timestamp
 (:attr:`Region.now`, handed to the fault schedule) and one set of
-counters (applications, flops, faults injected).  A wrapped apply
+counters (applications, flops, faults injected).  The timestamp counts
+*phases*: one :meth:`~Region.inner_solve` call is one phase, however
+many stage applications run inside it, and a stage applied outside any
+inner solve is a phase of its own.  A time-based schedule (``times=``,
+``rate=``) therefore fires on a wrapped operator or preconditioner as
+well as on FT-GMRES's inner solves.  A wrapped apply
 rounds its input to the region's precision, runs, rounds its result
 and widens it back to float64; only then may the injector corrupt it,
 so a fault lands on the value the reliable caller receives.
@@ -70,6 +75,8 @@ class RegionStage:
 
     def __call__(self, x):
         region = self.region
+        if not region._in_phase:
+            region.now += 1.0
         result = region._rounded(self._apply, x)
         region.applications += 1
         region.flops += self.flops_per_call
@@ -104,7 +111,8 @@ class Region:
     ----------
     now:
         Logical timestamp handed to the fault schedule on every
-        application; :meth:`inner_solve` advances it by one per call.
+        application: it advances by one per :meth:`inner_solve` call
+        and by one per stage application outside an inner solve.
     applications, flops:
         Applications of, and flops charged by, the region's stages.
     """
@@ -115,6 +123,7 @@ class Region:
         self._low = None if self.precision.is_default else self.precision.compute_dtype
         self.cost_model = cost_model if cost_model is not None else ReliabilityCostModel()
         self.now = 0.0
+        self._in_phase = False
         self.applications = 0
         self.flops = 0.0
 
@@ -176,7 +185,11 @@ class Region:
 
         def phase(v):
             self.now += 1.0
-            return self._rounded(solve, v)
+            self._in_phase = True
+            try:
+                return self._rounded(solve, v)
+            finally:
+                self._in_phase = False
 
         return phase
 

@@ -27,9 +27,7 @@ from repro.skeptical.checks import (
     hessenberg_bound_check,
     residual_consistency_check,
     finite_check,
-    conservation_check,
     monotonicity_check,
-    spd_coefficient_check,
 )
 from repro.skeptical.gmres_sdc import sdc_detecting_gmres
 
@@ -39,9 +37,7 @@ __all__ = [
     "hessenberg_bound_check",
     "residual_consistency_check",
     "finite_check",
-    "conservation_check",
     "monotonicity_check",
-    "spd_coefficient_check",
     "SkepticalAbort",
     "sdc_detecting_gmres",
 ]

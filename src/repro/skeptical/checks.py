@@ -23,9 +23,7 @@ __all__ = [
     "orthogonality_check",
     "hessenberg_bound_check",
     "residual_consistency_check",
-    "conservation_check",
     "monotonicity_check",
-    "spd_coefficient_check",
 ]
 
 
@@ -200,31 +198,6 @@ def residual_consistency_check(
                        threshold=rtol)
 
 
-def conservation_check(
-    quantity_before: float,
-    quantity_after: float,
-    *,
-    expected_change: float = 0.0,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-    name: str = "conservation",
-) -> CheckResult:
-    """A conserved quantity (mass, energy) must change only as expected.
-
-    This is the PDE-side skeptical check: explicit finite-difference
-    heat steps conserve the total of the field up to boundary
-    fluxes that the caller supplies as ``expected_change``.
-    """
-    check_non_negative(rtol, "rtol")
-    if not math.isfinite(quantity_after):
-        return CheckResult(name=name, passed=False, measure=float("inf"), threshold=rtol)
-    expected = quantity_before + expected_change
-    scale = max(abs(expected), abs(quantity_before), atol)
-    gap = abs(quantity_after - expected) / scale
-    return CheckResult(name=name, passed=bool(gap <= rtol), measure=float(gap),
-                       threshold=rtol)
-
-
 def monotonicity_check(
     history: Sequence[float],
     *,
@@ -258,23 +231,3 @@ def monotonicity_check(
     ratio = recent[-1] / reference
     return CheckResult(name=name, passed=bool(ratio <= allowed_increase),
                        measure=float(ratio), threshold=allowed_increase)
-
-
-def spd_coefficient_check(
-    alphas: Sequence[float],
-    *,
-    name: str = "spd_coefficients",
-) -> CheckResult:
-    """CG step lengths must be positive for an SPD operator.
-
-    A negative or non-finite ``alpha`` means either the operator is not
-    SPD or the recurrence has been corrupted; in both cases the solve
-    cannot be trusted.
-    """
-    values = [float(a) for a in alphas]
-    if not values:
-        return CheckResult(name=name, passed=True, measure=0.0, threshold=0.0)
-    worst = min(values)
-    finite = all(map(math.isfinite, values))
-    return CheckResult(name=name, passed=bool(finite and worst > 0.0),
-                       measure=float(worst if finite else float("-inf")), threshold=0.0)

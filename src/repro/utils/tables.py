@@ -8,7 +8,7 @@ be compared side-by-side with the qualitative claims recorded in
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.utils.serialization import jsonify
 
@@ -92,11 +92,6 @@ class Table:
             row = list(values)
         self.rows.append(row)
 
-    def add_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many positional rows."""
-        for row in rows:
-            self.add_row(*row)
-
     def column(self, name: str) -> List[Any]:
         """Return the raw values of one column."""
         try:
@@ -104,10 +99,6 @@ class Table:
         except ValueError as exc:
             raise KeyError(name) from exc
         return [row[idx] for row in self.rows]
-
-    def to_dicts(self) -> List[dict]:
-        """Return the rows as a list of ``{column: value}`` dictionaries."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def to_dict(self) -> dict:
         """Return a JSON-compatible description of the whole table.

@@ -898,7 +898,7 @@ class TestBatchGroupingProperties:
                 # Only shape-compatible scenarios of a batch-capable
                 # driver share a group: same experiment, same params
                 # except the seed.
-                assert driver.supports_batch
+                assert driver.run_batch is not None
                 reference = {
                     k: v for k, v in members[0].params.items() if k != "seed"
                 }
@@ -919,7 +919,7 @@ class TestBatchGroupingProperties:
         registry = default_registry()
         for group in plan_batch_groups(scenarios):
             driver = registry.get(scenarios[group[0]].experiment)
-            if not driver.supports_batch:
+            if driver.run_batch is None:
                 assert len(group) == 1
 
 

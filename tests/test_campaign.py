@@ -263,7 +263,7 @@ class TestRegistry:
             "E7 (efficiency) does not accept parameters ['bogus', 'zeta']; "
             "accepted: ['node_mtbf_years', 'node_counts', 'checkpoint_time', "
             "'restart_time', 'local_recovery_time', 'redundancy_overhead', "
-            "'mtbf_sweep_hours', 'sweep_nodes', 'faults', 'backend']"
+            "'mtbf_sweep_hours', 'sweep_nodes', 'faults']"
         )
 
     def test_accepted_params_follow_signature_order(self):

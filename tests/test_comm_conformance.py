@@ -110,9 +110,9 @@ def launch(backend: str, procs: int, func, *args, timeout: float = 30.0, **kwarg
     )
 
 
-def ordered_fold(op, contributions):
-    """The reference reduction: ascending-rank, left-to-right fold."""
-    return functools.reduce(op.combine, contributions)
+def ordered_fold(ufunc, contributions):
+    """The reference reduction: ascending-rank, left-to-right NumPy fold."""
+    return functools.reduce(ufunc, contributions)
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +488,8 @@ class TestContract:
         procs = 4
         values = [rng.standard_normal(16) for _ in range(procs)]
         results = launch(backend, procs, _collectives_program, values)
-        ref_sum = ordered_fold(SUM, values)
-        ref_max = ordered_fold(MAX, values)
+        ref_sum = ordered_fold(np.add, values)
+        ref_max = ordered_fold(np.maximum, values)
         for rank, out in enumerate(results):
             # Bit-identical, not approximately equal: ordered backends
             # promise the exact ascending-rank fold.
@@ -592,7 +592,7 @@ class TestContract:
         assert nbytes <= shmem.SHM_THRESHOLD_BYTES < nbytes + 16
         n, procs = nbytes // 8, 3
         reference = ordered_fold(
-            SUM,
+            np.add,
             [np.arange(n, dtype=np.float64) * (r + 1) + 0.1 for r in range(procs)],
         )
         for out in launch(backend, procs, _threshold_allreduce_program, n):
@@ -759,7 +759,9 @@ class TestCollectiveProperties:
         values = launch(
             backend, procs, _property_allreduce_program, contributions, op_name
         )
-        reference = ordered_fold({"SUM": SUM, "MAX": MAX}[op_name], contributions)
+        reference = ordered_fold(
+            {"SUM": np.add, "MAX": np.maximum}[op_name], contributions
+        )
         for out in values:
             assert out.dtype == reference.dtype
             assert np.array_equal(out, reference)

@@ -11,7 +11,8 @@ chaos.  Each example runs into a fresh store and ledger and asserts
 
 (a) the store holds exactly the keys and payloads of an in-process
     reference run (one worker, no chaos, no batching), byte for byte
-    apart from ``kernel_seconds`` (wall clock);
+    (a result is a function of its parameters: none holds a wall-clock
+    value);
 (b) a re-run with the same configuration reports every scenario
     ``cached`` and leaves the store and ledger bytes unchanged;
 (c) the ledger accounts for every chaos attempt: each scenario's key
@@ -79,19 +80,6 @@ def _cells(experiment: str, tag: str, count: int) -> List[Scenario]:
     return found[:count]
 
 
-def _without_wall_clock(value):
-    if isinstance(value, dict):
-        return {k: _without_wall_clock(v) for k, v in value.items()
-                if k != "kernel_seconds"}
-    if isinstance(value, list):
-        return [_without_wall_clock(v) for v in value]
-    return value
-
-
-def _payload(result: dict) -> str:
-    return canonical_json(_without_wall_clock(result))
-
-
 #: Reference payload per scenario key, kept across examples.
 _REFERENCE: Dict[str, str] = {}
 
@@ -100,7 +88,7 @@ def _reference(scenarios: List[Scenario]) -> Dict[str, str]:
     missing = [s for s in scenarios if s.key not in _REFERENCE]
     for outcome in CampaignRunner(base_seed=BASE_SEED, ledger=False).run(missing):
         assert outcome.status == "completed", outcome.error
-        _REFERENCE[outcome.key] = _payload(outcome.result)
+        _REFERENCE[outcome.key] = canonical_json(outcome.result)
     return {s.key: _REFERENCE[s.key] for s in scenarios}
 
 
@@ -169,7 +157,7 @@ def _check_contract(scenarios, workers, batch, chaos, timeout):
         ]
 
         # (a) the reference's keys and payloads, and nothing else.
-        stored = {r.key: _payload(r.result)
+        stored = {r.key: canonical_json(r.result)
                   for r in ResultStore(str(store)).records()}
         assert stored == reference
 

@@ -11,7 +11,9 @@ import warnings
 
 import pytest
 
+from repro.campaign.spec import canonical_json
 from repro.experiments import (
+    backend_probe,
     e1_sdc_detection,
     e2_abft,
     e3_pipelined,
@@ -28,6 +30,11 @@ from repro.rbsp import (
     scaling_study,
     synchronous_iteration_time,
 )
+
+
+def _rows(table):
+    """The table's rows as ``{column: value}`` dicts."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
 
 
 class TestRbspHelpers:
@@ -60,7 +67,7 @@ class TestExperimentE1:
     def test_skeptical_eliminates_sdc_and_crash_for_severe_flips(self):
         result = e1_sdc_detection.run(grid=12, n_trials=4, inject_at=6)
         assert isinstance(result, ExperimentResult)
-        rows = result.table.to_dicts()
+        rows = _rows(result.table)
         for row in rows:
             if row["solver"] == "skeptical" and row["bit_class"] in ("exponent", "sign"):
                 assert row["sdc"] == 0.0
@@ -83,7 +90,7 @@ class TestExperimentE1:
 class TestExperimentE2:
     def test_detection_and_correction_dominate(self):
         result = e2_abft.run(sizes=(16,), n_trials=15)
-        rows = [r for r in result.table.to_dicts() if r["kernel"] == "matmul"]
+        rows = [r for r in _rows(result.table) if r["kernel"] == "matmul"]
         for row in rows:
             assert row["detection_rate"] >= 0.5
             assert row["correction_rate"] == row["detection_rate"]
@@ -108,7 +115,7 @@ class TestExperimentE4:
     def test_lflr_correct_and_cheaper_than_cpr(self):
         result = e4_lflr_vs_cpr.run(n_ranks=4, n_global=40, n_steps=25,
                                     failure_counts=(0, 1))
-        rows = {row["n_failures"]: row for row in result.table.to_dicts()}
+        rows = {row["n_failures"]: row for row in _rows(result.table)}
         assert rows[0]["lflr_correct"] and rows[1]["lflr_correct"]
         assert rows[1]["lflr_recoveries"] == 1
         assert rows[1]["cpr_restarts"] == 1
@@ -136,7 +143,32 @@ class TestExperimentE6:
         assert result.summary["ftgmres_0.1_unreliable_fraction"] > 0.5
 
 
+@pytest.mark.parametrize("driver, solver, solve_kwargs", [
+    (e3_pipelined, "cg", {"maxiter": 2000}),
+    (e6_ftgmres, "gmres", {"maxiter": 400, "restart": 10}),
+], ids=["E3", "E6"])
+def test_backend_section_is_the_distributed_anchor(driver, solver, solve_kwargs):
+    # The backend= branch stores the SPMD anchor and nothing measured,
+    # so the result replays byte for byte.
+    params = dict(driver.SPEC.smoke, backend="sim:procs=2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        first, second = (driver.run(**params) for _ in range(2))
+    assert first.summary["backend"] == {
+        "spec": "sim:procs=2",
+        "anchor": backend_probe.distributed_solve(
+            "sim:procs=2", solver, grid=params["grid"], tol=1e-8, seed=2013,
+            **solve_kwargs,
+        ),
+    }
+    assert canonical_json(first.to_dict()) == canonical_json(second.to_dict())
+
+
 class TestExperimentE7:
+    def test_backend_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            e7_efficiency.run(backend="sim")
+
     def test_cpr_collapses_while_lflr_stays_high(self):
         result = e7_efficiency.run(node_counts=(1_000, 100_000, 1_000_000))
         assert result.summary["cpr_eff_1000"] > result.summary["cpr_eff_1000000"]

@@ -13,12 +13,11 @@ Regenerating after an *intentional* change::
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
     git diff tests/goldens/   # review every change before committing
 
-Excluded from the golden text (and only these):
-
-* wall-clock timings (``kernel_seconds`` -- the one summary entry that
-  is not a pure function of the seed), and
-* nested renderings (multi-line strings such as E3's ``anchor_table``),
-  which are covered by the drivers' own claim tests instead.
+Excluded from the golden text (and only these): nested sections
+(dicts) and nested renderings (multi-line strings such as E3's
+``anchor_table``), which are covered by the drivers' own claim tests
+instead.  No result holds a wall-clock value, so nothing is excluded
+for being nondeterministic.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from repro.campaign.registry import default_registry
 from repro.campaign.spec import canonical_json
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-# Summary keys that are wall-clock derived and therefore not golden.
-_NONDETERMINISTIC_KEYS = {"kernel_seconds"}
 
 _DRIVERS = list(default_registry())
 
@@ -60,7 +56,7 @@ def golden_text(result) -> str:
     ]
     for key in sorted(result.summary):
         value = result.summary[key]
-        if key in _NONDETERMINISTIC_KEYS or isinstance(value, dict):
+        if isinstance(value, dict):
             continue
         if isinstance(value, str) and "\n" in value:
             continue

@@ -28,7 +28,6 @@ from repro.pde import (
     stable_time_step,
 )
 from repro.comm.sim import run_spmd
-from repro.skeptical import conservation_check
 
 
 @pytest.fixture
@@ -51,7 +50,6 @@ class TestGrid:
         grid = Grid1D(None, 16)
         assert grid.n_local == 16
         assert grid.exchange_halos(np.ones(16)) == (0.0, 0.0)
-        assert grid.global_sum(np.ones(16)) == 16.0
 
     def test_distributed_halo_exchange(self):
         n_global = 12
@@ -128,7 +126,7 @@ class TestHeat:
         with pytest.raises(ValueError):
             heat_step_explicit(np.ones(4), dt=-1.0, h=0.1, alpha=1.0)
 
-    def test_conservation_check_integration(self):
+    def test_total_heat_changes_by_the_boundary_flux(self):
         # Zero Dirichlet boundaries: each forward-Euler step changes the
         # total by exactly the boundary flux -dt * alpha * (u_1 + u_n) / h.
         problem = HeatProblem1D(n_points=64)
@@ -138,8 +136,8 @@ class TestHeat:
             flux -= problem.dt * problem.alpha * (problem.u[0] + problem.u[-1]) / problem.h
             problem.step()
         after = problem.total_heat()
-        assert conservation_check(before, after, expected_change=flux).passed
-        assert not conservation_check(before, after).passed
+        assert after == pytest.approx(before + flux, rel=1e-8)
+        assert after != pytest.approx(before, rel=1e-8)
 
 
 class TestImplicitHeat:
@@ -199,7 +197,6 @@ class TestCoarseModel:
         assert np.max(np.abs(rebuilt - field)) < 0.25
         assert store.memory_overhead(2) == pytest.approx(8 / 32)
         assert store.recover(owner=7) is None
-        assert store.owners() == [2]
 
     def test_better_than_zero_bootstrap(self):
         field = np.sin(np.linspace(0, 3, 64)) + 1.0
@@ -221,7 +218,7 @@ class TestPersistentStore:
             store = PersistentStore(comm, history=3)
             store.persist(0, {"u": np.full(4, float(comm.rank))})
             store.persist(1, {"u": np.full(4, 10.0 + comm.rank)})
-            latest = store.latest_own()
+            latest = store.own_at_step(1)
             mirrored = store.mirrored_latest(store.mirror_source)
             return (
                 latest.step,
@@ -241,12 +238,12 @@ class TestPersistentStore:
             store = PersistentStore(comm, history=2)
             for step in range(4):
                 store.persist(step, {"u": np.array([float(step)])}, mirror=False)
-            return store.own_steps(), store.own_at_step(3).state["u"][0], store.own_at_step(0)
+            retained = [s for s in range(4) if store.own_at_step(s) is not None]
+            return retained, store.own_at_step(3).state["u"][0]
 
-        steps, latest, missing = run_spmd(1, program)[0]
-        assert steps == [2, 3]
+        retained, latest = run_spmd(1, program)[0]
+        assert retained == [2, 3]
         assert latest == 3.0
-        assert missing is None
 
     def test_partner_mapping(self):
         def program(comm):
@@ -272,7 +269,7 @@ class TestPersistentStore:
             data = np.ones(3)
             store.persist(0, {"u": data}, mirror=False)
             data[:] = 99.0
-            return float(store.latest_own().state["u"][0])
+            return float(store.own_at_step(0).state["u"][0])
 
         assert run_spmd(1, program) == [1.0]
 
@@ -332,14 +329,14 @@ class TestCheckpointRestart:
         restored = store.read_latest()
         assert restored.step == 10
         assert np.allclose(restored.state["u"], np.arange(4.0) * 2)
-        assert store.n_stored == 2
+        assert [c.step for c in store._checkpoints] == [5, 10]
         assert store.total_write_time > 0
 
     def test_store_keep_limit(self):
         store = CheckpointStore(MachineModel(), n_ranks=1, keep=1)
         store.write(1, {"x": 1.0})
         store.write(2, {"x": 2.0})
-        assert store.n_stored == 1
+        assert [c.step for c in store._checkpoints] == [2]
         assert store.latest().step == 2
 
     def test_cpr_fault_free(self):

@@ -415,7 +415,7 @@ def test_e9_ssor_cells_are_pinned():
         (row["solver"], row["precond"]): (
             row["iterations"], row["converged"], row["faults"], row["outcome"]
         )
-        for row in table.to_dicts()
+        for row in (dict(zip(table.columns, cells)) for cells in table.rows)
     }
     assert cells == {
         ("gmres", "ssor:omega=1.0"): (26, True, 4, "benign"),

@@ -518,6 +518,22 @@ class TestDomains:
             np.testing.assert_array_equal(data, 1.0)
             assert domain.faults_injected() == 0
 
+    @pytest.mark.parametrize("stage", ["operator", "preconditioner"])
+    @pytest.mark.parametrize("spec, expected", [
+        ("bitflip:times=1;2;3", 3),
+        ("bitflip:rate=5.0", 66),
+        ("bitflip:p=1.0", 10),
+    ])
+    def test_time_based_spec_fires_on_a_wrapped_stage(self, stage, spec, expected):
+        # A stage applied outside any inner solve is one phase of the
+        # region's clock, so time-based schedules see time pass.
+        with unreliable(spec, seed=1) as domain:
+            apply = getattr(domain, stage)(np.copy)
+            for _ in range(10):
+                apply(np.ones(8))
+            assert domain.now == 10.0
+            assert domain.faults_injected() == expected
+
     def test_domain_operator_under_a_registered_solver(self):
         from repro.krylov.registry import default_solver_registry
         from repro.linalg.matgen import poisson_2d

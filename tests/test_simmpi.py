@@ -151,10 +151,9 @@ class TestCollectives:
                 comm.allreduce(5),
                 comm.allgather(7),
                 comm.bcast(3, root=0),
-                comm.single_rank(),
             )
 
-        assert run_spmd(1, program) == [(5, [7], 3, True)]
+        assert run_spmd(1, program) == [(5, [7], 3)]
 
     def test_scatter_requires_enough_chunks(self):
         def program(comm):

@@ -110,11 +110,13 @@ class TestTable:
     def test_named_rows(self):
         table = Table(["a", "b"])
         table.add_row(a=1, b=2)
-        assert table.to_dicts() == [{"a": 1, "b": 2}]
+        table.add_row(b=4, a=3)
+        assert table.rows == [[1, 2], [3, 4]]
 
     def test_column_access(self):
         table = Table(["a", "b"])
-        table.add_rows([(1, 2), (3, 4)])
+        table.add_row(1, 2)
+        table.add_row(3, 4)
         assert table.column("b") == [2, 4]
         with pytest.raises(KeyError):
             table.column("c")
