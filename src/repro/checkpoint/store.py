@@ -9,7 +9,7 @@ with machine size dooms pure CPR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.comm.base import copy_payload, payload_nbytes
 from repro.machine.model import MachineModel
@@ -29,7 +29,9 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """Stores global checkpoints and accounts for their I/O cost.
+    """Stores the latest global checkpoint and accounts for the I/O cost
+    of every one written.  Restart reads only the latest, so a write
+    replaces its predecessor.
 
     Parameters
     ----------
@@ -39,19 +41,15 @@ class CheckpointStore:
         Number of ranks whose state a global checkpoint contains; the
         write time is ``total_bytes / (n_ranks * checkpoint_bandwidth)``
         assuming ranks write their shares in parallel.
-    keep:
-        Number of most recent checkpoints retained.
     """
 
-    def __init__(self, machine: MachineModel, n_ranks: int = 1, *, keep: int = 2):
+    def __init__(self, machine: MachineModel, n_ranks: int = 1):
         check_integer(n_ranks, "n_ranks")
-        check_integer(keep, "keep")
-        if n_ranks <= 0 or keep <= 0:
-            raise ValueError("n_ranks and keep must be positive")
+        if n_ranks <= 0:
+            raise ValueError("n_ranks must be positive")
         self.machine = machine
         self.n_ranks = int(n_ranks)
-        self.keep = int(keep)
-        self._checkpoints: List[Checkpoint] = []
+        self._latest: Optional[Checkpoint] = None
         self.total_write_time = 0.0
         self.total_read_time = 0.0
         self.writes = 0
@@ -67,16 +65,14 @@ class CheckpointStore:
             step=int(step), state={key: copy_payload(value) for key, value in state.items()},
             nbytes=nbytes, write_time=write_time,
         )
-        self._checkpoints.append(checkpoint)
-        if len(self._checkpoints) > self.keep:
-            self._checkpoints.pop(0)
+        self._latest = checkpoint
         self.total_write_time += write_time
         self.writes += 1
         return checkpoint
 
     def latest(self) -> Optional[Checkpoint]:
         """Most recent checkpoint, or ``None`` if nothing was written."""
-        return self._checkpoints[-1] if self._checkpoints else None
+        return self._latest
 
     def read_latest(self) -> Optional[Checkpoint]:
         """Read back the most recent checkpoint (accounting restart I/O)."""

@@ -160,6 +160,7 @@ def run(
         "rows_per_rank": rows_per_rank,
         "noise_event_rate": noise_event_rate,
         "noise_stall": noise_stall,
+        "iterations": iterations,
         "seed": seed,
         **({"faults": fault_model.describe()} if faults is not None else {}),
     }

@@ -53,7 +53,6 @@ def run(
     local_recovery_time: float = 2.0,
     redundancy_overhead: float = 0.02,
     mtbf_sweep_hours=(24.0, 12.0, 6.0, 3.0, 1.0),
-    sweep_nodes: int = 100_000,
     faults=None,
 ) -> ExperimentResult:
     """Run experiment E7 and return its table.
@@ -132,7 +131,7 @@ def run(
             "restart_time": restart_time,
             "local_recovery_time": local_recovery_time,
             "redundancy_overhead": redundancy_overhead,
-            "sweep_nodes": sweep_nodes,
+            "mtbf_sweep_hours": tuple(mtbf_sweep_hours),
             **({"faults": fault_model.describe()} if fault_model is not None else {}),
         },
     )

@@ -53,9 +53,10 @@ def orthogonalize_many(rows: np.ndarray, w: np.ndarray):
     Bit-parity contract: per lane this computes exactly what
     ``_DenseKrylovBasis.orthogonalize`` computes -- ``np.matmul`` with
     one stacked batch dimension reduces each lane with the same gemv
-    kernel as the sequential ``rows @ w`` / ``coefficients @ rows``
-    calls, so the floats are identical (``np.einsum`` is NOT, and must
-    not be substituted here).
+    kernel as the sequential ``rows.dot(w)`` / ``coefficients.dot(rows)``
+    calls, so the floats are identical
+    (``tests/test_block_kernels.py::TestDispatchParity`` pins it;
+    ``np.einsum`` is NOT, and must not be substituted here).
     """
     coefficients = np.matmul(rows, w[:, :, None])[:, :, 0]
     w = w - np.matmul(coefficients[:, None, :], rows)[:, 0, :]
@@ -135,7 +136,7 @@ class PipelinedOrthogonalizer(Orthogonalizer):
             h_next = ops.norm(w)
         else:
             # Pythagorean identity: avoids a second reduction.
-            h_next_sq = w_norm_sq - float(coefficients @ coefficients)
+            h_next_sq = w_norm_sq - float(coefficients.dot(coefficients))
             h_next = math.sqrt(max(h_next_sq, 0.0))
         happy = h_next <= 1e-12 * max(math.sqrt(max(w_norm_sq, 0.0)), 1.0)
         if not happy:

@@ -22,6 +22,11 @@ and the restart correction is a single ``V_k @ y``.  Fault injectors
 keep working because :meth:`KrylovBasis.column` returns a writable view
 of the stored vector (sequential execution), exactly like the mutable
 list entries of the pre-block implementation.
+
+The sequential kernels call ``ndarray.dot``, never ``@``: both reach the
+same BLAS routine with the same bits, but ``@`` pays about 0.4 µs more
+dispatch per call, most of a product at the sizes campaigns sweep
+(``tests/test_analysis.py``'s ``matmul-dispatch`` rule keeps it out).
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def matvec(operator: Operator, x: Vector) -> Vector:
     if isinstance(operator, CsrMatrix):
         return operator.matvec(as_float(x))
     if isinstance(operator, np.ndarray):
-        return operator @ as_float(x)
+        return operator.dot(as_float(x))
     if callable(operator):
         return operator(x)
     raise TypeError(f"unsupported operator type {type(operator).__name__}")
@@ -96,7 +101,7 @@ def dot(x: Vector, y: Vector) -> float:
     """Global inner product."""
     if isinstance(x, DistributedVector):
         return x.dot(y)
-    return float(as_float(x) @ as_float(y))
+    return float(as_float(x).dot(as_float(y)))
 
 
 def fused_dots(pairs: Sequence[Tuple[Vector, Vector]]):
@@ -114,7 +119,7 @@ def fused_dots(pairs: Sequence[Tuple[Vector, Vector]]):
         comm = first.comm
         local = np.empty(len(pairs), dtype=np.float64)
         for i, (x, y) in enumerate(pairs):
-            local[i] = float(x.local @ y.local)
+            local[i] = float(x.local.dot(y.local))
             comm.compute(2.0 * x.local_size)
         return comm.iallreduce(local, op=SUM)
     values = np.array([dot(x, y) for x, y in pairs], dtype=np.float64)
@@ -128,7 +133,7 @@ def norm(x: Vector) -> float:
     x = as_float(x)
     # sqrt(x . x) is what np.linalg.norm computes for 1-D input, minus
     # the generic-dispatch overhead that matters at small n.
-    return float(np.sqrt(x @ x))
+    return float(np.sqrt(x.dot(x)))
 
 
 def xpby(x: Vector, beta: float, y: Vector) -> Vector:
@@ -302,10 +307,10 @@ class _DenseKrylovBasis(KrylovBasis):
         _check_cgs2(method)
         k = self.n_columns if k is None else int(k)
         rows = self._rows[:k]
-        coefficients = rows @ w
-        w = w - coefficients @ rows
-        correction = rows @ w
-        w -= correction @ rows  # in place: w was freshly allocated above
+        coefficients = rows.dot(w)
+        w = w - coefficients.dot(rows)
+        correction = rows.dot(w)
+        w -= correction.dot(rows)  # in place: w was freshly allocated above
         return w, coefficients + correction
 
     def append(self, vec, scale: float = 1.0):
@@ -316,24 +321,24 @@ class _DenseKrylovBasis(KrylovBasis):
 
     def block_dot(self, w, k: Optional[int] = None) -> np.ndarray:
         k = self.n_columns if k is None else int(k)
-        return self._rows[:k] @ w
+        return self._rows[:k].dot(w)
 
     def block_axpy(self, coefficients, w, k: Optional[int] = None):
         k = self.n_columns if k is None else int(k)
-        return w - coefficients @ self._rows[:k]
+        return w - coefficients.dot(self._rows[:k])
 
     def lincomb(self, coefficients, k: Optional[int] = None) -> np.ndarray:
         k = self.n_columns if k is None else int(k)
         # Match the basis dtype: a float64 coefficient vector against a
         # float32 basis would otherwise upcast the whole (k, n) block
         # for one gemv, throwing away the memory-traffic win.
-        return np.asarray(coefficients, dtype=self._rows.dtype) @ self._rows[:k]
+        return np.asarray(coefficients, dtype=self._rows.dtype).dot(self._rows[:k])
 
     def fused_projection(self, w, k: Optional[int] = None):
         k = self.n_columns if k is None else int(k)
         payload = np.empty(k + 1, dtype=np.float64)
-        payload[:k] = self._rows[:k] @ w
-        payload[k] = float(w @ w)
+        payload[:k] = self._rows[:k].dot(w)
+        payload[k] = float(w.dot(w))
         return CompletedRequest(payload, operation="fused_projection")
 
 
@@ -367,26 +372,26 @@ class _DistributedKrylovBasis(KrylovBasis):
 
     def block_dot(self, w: DistributedVector, k: Optional[int] = None) -> np.ndarray:
         k = self.n_columns if k is None else int(k)
-        local = self._rows[:k] @ w.local
+        local = self._rows[:k].dot(w.local)
         self._comm.compute(2.0 * k * w.local_size)
         return np.asarray(self._comm.allreduce(local, op=SUM), dtype=np.float64)
 
     def block_axpy(self, coefficients, w: DistributedVector, k: Optional[int] = None):
         k = self.n_columns if k is None else int(k)
         self._comm.compute(2.0 * k * w.local_size)
-        return self._wrap(w.local - coefficients @ self._rows[:k])
+        return self._wrap(w.local - coefficients.dot(self._rows[:k]))
 
     def lincomb(self, coefficients, k: Optional[int] = None) -> DistributedVector:
         k = self.n_columns if k is None else int(k)
-        local = np.asarray(coefficients, dtype=np.float64) @ self._rows[:k]
+        local = np.asarray(coefficients, dtype=np.float64).dot(self._rows[:k])
         self._comm.compute(2.0 * k * self._rows.shape[1])
         return self._wrap(local)
 
     def fused_projection(self, w: DistributedVector, k: Optional[int] = None):
         k = self.n_columns if k is None else int(k)
         payload = np.empty(k + 1, dtype=np.float64)
-        payload[:k] = self._rows[:k] @ w.local
-        payload[k] = float(w.local @ w.local)
+        payload[:k] = self._rows[:k].dot(w.local)
+        payload[k] = float(w.local.dot(w.local))
         self._comm.compute(2.0 * (k + 1) * w.local_size)
         return self._comm.iallreduce(payload, op=SUM)
 

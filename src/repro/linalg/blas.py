@@ -133,7 +133,7 @@ def back_substitution(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # and back substitution must ignore them.
     y = np.zeros(n, dtype=np.float64)
     for i in range(n - 1, -1, -1):
-        y[i] = (rhs[i] - upper[i, i + 1 : n] @ y[i + 1 : n]) / pivots[i]
+        y[i] = (rhs[i] - upper[i, i + 1 : n].dot(y[i + 1 : n])) / pivots[i]
     return y
 
 
@@ -142,8 +142,8 @@ def back_substitution_many(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Each lane's ``y`` is bit for bit the per-lane one: row ``i`` is one
     stacked ``(L, 1, k-i-1) @ (L, k-i-1, 1)`` matmul, which NumPy hands
-    lane by lane to the dot kernel of the per-lane ``upper[i, i+1:] @
-    y[i+1:]``, on the same strides.  A lane with a zero or non-finite
+    lane by lane to the dot kernel of the per-lane ``upper[i,
+    i+1:].dot(y[i+1:])``, on the same strides.  A lane with a zero or non-finite
     pivot raises the per-lane ``np.linalg.LinAlgError``.
     """
     upper = np.asarray(upper, dtype=np.float64)

@@ -17,11 +17,12 @@ are checked by one default check set, :class:`SdcChecks`,
 * a periodic residual-consistency check (recurrence vs true residual,
   one extra matvec).
 
-The check set is written once, as :meth:`SdcChecks.sweep` -- one
-observation for a stack of lanes -- and both engines enter it: the
-lockstep engine (:mod:`repro.krylov.engine.batch`) with its cohort's
-stacked basis and Hessenberg arrays, the sequential solve through
-:class:`SdcPolicy` with one-lane views of its own.  The functions of
+The per-lane decisions are written once, as the methods of
+:class:`SdcChecks`, and both engines run them: the sequential solve
+through :class:`SdcPolicy`, which walks one lane on plain views
+(:meth:`SdcChecks.walk`), the lockstep engine
+(:mod:`repro.krylov.engine.batch`) through :meth:`SdcCohort.sweep`,
+which feeds them stacked reductions over its cohort.  The functions of
 :mod:`repro.skeptical.checks` are its reference; they build the
 :class:`~repro.skeptical.checks.CheckResult` of a failing check, and
 only then.  On detection, the configured response applies: the default
@@ -116,13 +117,17 @@ def _slot_rows(pairs):
     """Index of the slots of ``pairs``: a slice when they are the leading
     slots in order (views, no gather copies -- the all-lanes-due common
     case), else an index array."""
-    if len(pairs) == 1:
-        slot = pairs[0][1]
-        return slice(slot, slot + 1)
     slots = [slot for _, slot in pairs]
     if slots == list(range(len(slots))):
         return slice(0, len(slots))
     return np.asarray(slots, dtype=np.intp)
+
+
+def _cheap_flops(n: int, j: int, ran: int) -> float:
+    """Flops of the first ``ran`` cheap checks after step ``j``: the newest
+    basis row (``n``), Hessenberg column (``j + 2``) and window (``(j +
+    2)(j + 1)``); monotonicity is free."""
+    return float(n + (0, j + 2, (j + 2) ** 2, (j + 2) ** 2)[ran - 1])
 
 
 class SdcChecks:
@@ -130,11 +135,20 @@ class SdcChecks:
 
     Holds the cheap checks' period (``check_period``, E1's ablation
     knob) and Hessenberg threshold, the counters (observations, checks
-    run, check flops, detections -- at most one per observation -- and
-    detection restarts) and the residual history of the current
+    run, check flops and detections -- at most one per observation, each
+    a detection restart) and the residual history of the current
     attempt.  The other periods and thresholds are the class constants
-    below, the same for every solve.  The checks themselves are
-    :meth:`sweep`.
+    below, the same for every solve.
+
+    The per-lane decisions are :meth:`cheap`, :meth:`orthogonality` and
+    :meth:`consistency`: each books what ran and returns the failing
+    check's builder (``build()`` is its
+    :class:`~repro.skeptical.checks.CheckResult` as its
+    :mod:`~repro.skeptical.checks` function gives it on the state as it
+    is now) or ``None``.  :meth:`walk` runs them for one sequential lane
+    on plain views, :meth:`SdcCohort.sweep` for a lockstep cohort on
+    stacked reductions.  (``check_flops`` only ever adds integer-valued
+    floats, so folding passed checks into one add is exact.)
     """
 
     ORTHOGONALITY_PERIOD = 5
@@ -150,155 +164,98 @@ class SdcChecks:
         self.checks_run = 0
         self.check_flops = 0.0
         self.detections = 0
-        self.detection_restarts = 0
         self.residual_history: list = []
 
-    @staticmethod
-    def sweep(lanes, j: int, basis: np.ndarray, hess: np.ndarray, residuals) -> dict:
-        """One observation of the default check set for every lane of a step.
+    def walk(self, lane, j: int, basis: np.ndarray, hess: np.ndarray, residual: float):
+        """One observation of the default check set for one lane.
 
         Runs the default check set in order -- finite basis, finite
         Hessenberg column, Hessenberg bound, residual monotonicity (all
         at ``check_period``), then orthogonality and residual
         consistency at their own periods -- counting the failing check
-        and skipping the rest, at most one detection per observation.
-        The three cheap array checks are evaluated as one vectorized
-        sweep over the due lanes.  ``lanes`` holds ``(lane, slot)`` pairs in slot
-        order, a lane being anything with ``checks`` (its
-        :class:`SdcChecks`) and ``true_residual(j, residual)``; a
-        lockstep cohort passes its :class:`SdcCohort`, so per-lane Python
-        runs only on events (a failing check, a due orthogonality or
-        consistency check).  ``basis`` and ``hess`` are the ``(G, m+1,
-        n)`` and ``(G, m+1, m)`` stacks after step ``j``, ``residuals``
-        this step's residual per slot.  (``check_flops`` only ever adds
-        integer-valued floats, so folding passed checks into one add is
-        exact.)
-
-        Returns ``{lane: build}`` for the lanes a check failed on;
-        ``build()`` is the failing check's
-        :class:`~repro.skeptical.checks.CheckResult` as its
-        :mod:`~repro.skeptical.checks` function gives it on the state
-        as it is now.
+        and skipping the rest.  ``basis`` and ``hess`` are the lane's
+        ``(m+1, n)`` rows and ``(m+1, m)`` Hessenberg after step ``j``,
+        ``residual`` this step's; ``lane.true_residual(j, residual)`` is
+        the consistency check's truth.
         """
-        failed = {}
-        n = basis.shape[2]
-        cohort = lanes if isinstance(lanes, SdcCohort) else None
-        if cohort is not None:
-            due, ortho, consistency = cohort.observe(j)
-        else:
-            due, ortho, consistency = [], [], []
-            for pair in lanes:
-                checks = pair[0].checks
-                checks.observations = obs = checks.observations + 1
-                checks.residual_history.append(residuals[pair[1]])
-                if obs % checks.check_period == 0:
-                    due.append(pair)
-                if obs % SdcChecks.ORTHOGONALITY_PERIOD == 0:
-                    ortho.append(pair)
-                if obs % SdcChecks.RESIDUAL_CHECK_PERIOD == 0:
-                    consistency.append(pair)
-        if due:
-            rows = _slot_rows(due)
-            fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
-            # NaN propagates through max and inf is the max, so the bound
-            # test below also fails on any non-finite window entry.
-            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2))
-            # Cumulative cost of the array checks when 1, 2, 3 or all 4 ran.
-            costs = (float(n), float(n + j + 2), float(n + (j + 2) + (j + 2) * (j + 1)))
-            costs += costs[2:]
-            histories = None  # monotonicity reads each lane's own
-            if cohort is not None:
-                histories = cohort.book(due, rows, j, fb_pass, max_entry, costs[3])
-                if histories is None:  # every lane passed: booked at once
-                    due = ()
-            fb_pass, max_entry = fb_pass.tolist(), max_entry.tolist()
-            for i, (lane, slot) in enumerate(due):
-                checks = lane.checks
-                history = checks.residual_history if histories is None else histories[i]
-                me = max_entry[i]
-                build = None
-                if not fb_pass[i]:
-                    ran = 1
-                    build = functools.partial(
-                        finite_check, basis[slot, j + 1], name="finite_basis"
-                    )
-                elif not (math.isfinite(me) and me <= checks.hessenberg_threshold):
-                    # The bound failed; the check before it (finite newest
-                    # column, part of the same window) may have failed first.
-                    column = hess[slot, : j + 2, j]
-                    if np.isfinite(column).all():
-                        ran = 3
-                        build = functools.partial(
-                            hessenberg_bound_check, hess[slot], checks.norm_estimate,
-                            n_columns=j + 1, safety=SdcChecks.HESSENBERG_SAFETY,
-                        )
-                    else:
-                        ran = 2
-                        build = functools.partial(finite_check, column, name="finite_hessenberg")
-                else:
-                    # All three passed; the fourth is monotonicity_check
-                    # (history[-4:], default window/allowed_increase, zero
-                    # cost_flops), inlined -- no history: the cohort passed it.
-                    ran = 4
-                    recent = () if history is None else history[-4:]
-                    if len(recent) < 2:
-                        mono_pass = True
-                    elif not all(map(math.isfinite, recent)):
-                        mono_pass = False
-                    else:
-                        reference = min(recent[:-1])
-                        mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
-                    if not mono_pass:
-                        build = functools.partial(monotonicity_check, history)
-                checks.checks_run += ran
-                checks.check_flops += costs[ran - 1]
-                if build is not None:
-                    checks.detections += 1
-                    checks.detection_restarts += 1
-                    failed[lane] = build
-        # Orthogonality defect, vectorized: batched (D, k, n) @ (D, n, k)
-        # Gram matrices are bit-identical to the per-lane ``v.T @ v`` of
-        # orthogonality_check (pinned by the parity suite).
-        if failed:
-            ortho = [pair for pair in ortho if pair[0] not in failed]
-        if ortho:
-            k = j + 2
-            V = basis[_slot_rows(ortho), :k, :]
-            grams = np.matmul(V, V.transpose(0, 2, 1))
-            # A non-finite Gram entry makes the defect inf or NaN: it fails.
-            defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
-            cost = 2.0 * n * k * k
-            for i, (lane, slot) in enumerate(ortho):
-                checks = lane.checks
-                d = defect[i]
-                checks.checks_run += 1
-                checks.check_flops += cost
-                if not (math.isfinite(d) and d <= SdcChecks.ORTHOGONALITY_TOL):
-                    checks.detections += 1
-                    checks.detection_restarts += 1
-                    failed[lane] = functools.partial(
-                        orthogonality_check, basis[slot, :k].T, tol=SdcChecks.ORTHOGONALITY_TOL
-                    )
-        for lane, slot in consistency:
-            if lane in failed:
-                continue
-            checks = lane.checks
-            residual = residuals[slot]
-            true_residual = lane.true_residual(j, residual)
-            check = residual_consistency_check(residual, true_residual)
-            checks.checks_run += 1
-            checks.check_flops += check.cost_flops
-            if not check.passed:
-                checks.detections += 1
-                checks.detection_restarts += 1
-                failed[lane] = functools.partial(
-                    residual_consistency_check, residual, true_residual
+        self.observations = obs = self.observations + 1
+        self.residual_history.append(residual)
+        build = None
+        if obs % self.check_period == 0:
+            build = self.cheap(  # a count: ndarray.all() costs a Python-level wrapper
+                j, np.count_nonzero(np.isfinite(basis[j + 1])) == basis.shape[1],
+                np.abs(hess[: j + 2, : j + 1]).max(), self.residual_history, basis, hess,
+            )
+        if build is None and obs % self.ORTHOGONALITY_PERIOD == 0:
+            rows = basis[: j + 2]
+            gram = rows.dot(rows.T)
+            gram.flat[:: j + 3] -= 1.0
+            build = self.orthogonality(np.abs(gram).max(), rows)
+        if build is None and obs % self.RESIDUAL_CHECK_PERIOD == 0:
+            build = self.consistency(residual, lane.true_residual(j, residual))
+        return build
+
+    def cheap(self, j: int, finite, max_entry, history, basis, hess):
+        """The four cheap checks after step ``j``, given the newest basis
+        row's finiteness and the Hessenberg window's largest magnitude
+        (NaN propagates through the maximum and inf is one, so the bound
+        test also fails on a non-finite entry).  ``history`` is what
+        monotonicity reads, ``None`` when it is known to pass; ``basis``
+        and ``hess`` are read only to build a failing check."""
+        if not finite:
+            ran, build = 1, functools.partial(finite_check, basis[j + 1], name="finite_basis")
+        elif not (math.isfinite(max_entry) and max_entry <= self.hessenberg_threshold):
+            # The bound failed; the check before it (finite newest
+            # column, part of the same window) may have failed first.
+            column = hess[: j + 2, j]
+            if np.isfinite(column).all():
+                ran, build = 3, functools.partial(
+                    hessenberg_bound_check, hess, self.norm_estimate,
+                    n_columns=j + 1, safety=self.HESSENBERG_SAFETY,
                 )
-        return failed
+            else:
+                ran, build = 2, functools.partial(finite_check, column, name="finite_hessenberg")
+        else:
+            # All three passed; the fourth is monotonicity_check
+            # (history[-4:], default window/allowed_increase, zero
+            # cost_flops), inlined.
+            ran, build = 4, None
+            recent = () if history is None else history[-4:]
+            if len(recent) >= 2:
+                reference = min(recent[:-1])
+                if not (all(map(math.isfinite, recent))
+                        and (reference <= 0.0 or recent[-1] / reference <= 1.5)):
+                    build = functools.partial(monotonicity_check, history)
+        self.checks_run += ran
+        self.check_flops += _cheap_flops(basis.shape[1], j, ran)
+        self.detections += build is not None
+        return build
+
+    def orthogonality(self, defect, rows: np.ndarray):
+        """The orthogonality check of the ``k`` basis vectors ``rows``, given
+        the defect ``max |V^T V - I|`` (inf or NaN on a non-finite Gram
+        entry: it fails)."""
+        k, n = rows.shape
+        self.checks_run += 1
+        self.check_flops += 2.0 * n * k * k
+        if math.isfinite(defect) and defect <= self.ORTHOGONALITY_TOL:
+            return None
+        self.detections += 1
+        return functools.partial(orthogonality_check, rows.T, tol=self.ORTHOGONALITY_TOL)
+
+    def consistency(self, residual: float, true_residual: float):
+        """The residual-consistency check of the recurrence ``residual``."""
+        check = residual_consistency_check(residual, true_residual)
+        self.checks_run += 1
+        self.check_flops += check.cost_flops
+        if check.passed:
+            return None
+        self.detections += 1
+        return functools.partial(residual_consistency_check, residual, true_residual)
 
 
 class SdcCohort:
-    """The skeptical lanes of a lockstep cohort, as :meth:`SdcChecks.sweep` books them.
+    """The skeptical lanes of a lockstep cohort, and their :meth:`sweep`.
 
     An observation stays out of a lane's :class:`SdcChecks` until
     :meth:`leave` folds it in: its count is the lane's step count, its
@@ -337,8 +294,54 @@ class SdcCohort:
         return len(self.pairs)
 
     def sweep(self, j: int, basis: np.ndarray, hess: np.ndarray, residuals) -> dict:
-        """:meth:`SdcChecks.sweep` of this cohort at step ``j``."""
-        return SdcChecks.sweep(self, j, basis, hess, residuals)
+        """One observation of the default check set for every lane at step ``j``.
+
+        The checks and their order are :meth:`SdcChecks.walk`'s; the
+        three cheap array checks and the orthogonality defect are
+        evaluated as stacked reductions over the due lanes, so per-lane
+        Python runs only on events (a failing check, a due orthogonality
+        or consistency check).  ``basis`` and ``hess`` are the cohort's
+        ``(G, m+1, n)`` and ``(G, m+1, m)`` stacks after step ``j``,
+        ``residuals`` this step's residual per slot.  Returns ``{lane:
+        build}`` for the lanes a check failed on.
+        """
+        failed = {}
+        due, ortho, consistency = self.observe(j)
+        if due:
+            rows = _slot_rows(due)
+            fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
+            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2))
+            histories = self.book(due, rows, j, fb_pass, max_entry,
+                                  _cheap_flops(basis.shape[2], j, 4))
+            if histories is not None:  # else every lane passed: booked at once
+                fb_pass, max_entry = fb_pass.tolist(), max_entry.tolist()
+                for i, (lane, slot) in enumerate(due):
+                    build = lane.checks.cheap(
+                        j, fb_pass[i], max_entry[i], histories[i], basis[slot], hess[slot]
+                    )
+                    if build is not None:
+                        failed[lane] = build
+        # Batched (D, k, n) @ (D, n, k) Gram matrices are bit-identical to
+        # the per-lane ``v.T @ v`` of orthogonality_check (pinned by the
+        # parity suite).
+        if failed:
+            ortho = [pair for pair in ortho if pair[0] not in failed]
+        if ortho:
+            k = j + 2
+            V = basis[_slot_rows(ortho), :k, :]
+            grams = np.matmul(V, V.transpose(0, 2, 1))
+            defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
+            for i, (lane, slot) in enumerate(ortho):
+                build = lane.checks.orthogonality(defect[i], basis[slot, :k])
+                if build is not None:
+                    failed[lane] = build
+        for lane, slot in consistency:
+            if lane not in failed:
+                residual = residuals[slot]
+                build = lane.checks.consistency(residual, lane.true_residual(j, residual))
+                if build is not None:
+                    failed[lane] = build
+        return failed
 
     def observe(self, j: int):
         """The pairs due for the cheap, orthogonality and consistency checks at step ``j``."""
@@ -388,9 +391,8 @@ _VACANT = float(np.finfo(np.float64).max)
 
 
 class SdcPolicy(ResiliencePolicy):
-    """The engine policy of a sequential skeptical solve: :meth:`SdcChecks.sweep`
-    on one lane, over ``(1, m+1, n)`` / ``(1, m+1, m)`` views of the
-    event's basis and Hessenberg.
+    """The engine policy of a sequential skeptical solve: :meth:`SdcChecks.walk`
+    over the event's basis rows and Hessenberg.
 
     A detection raises :class:`~repro.krylov.engine.resilience.CycleAbandoned`
     (``response="restart"``) or
@@ -405,18 +407,16 @@ class SdcPolicy(ResiliencePolicy):
         self.operator = operator
         self.b = b
         self.response = response
-        self._lane = [(self, 0)]
         self._event = None
 
     def observe(self, event) -> None:
         self._event = event
-        failed = SdcChecks.sweep(
-            self._lane, event.inner, event.basis._rows[None], event.hessenberg[None],
-            (event.residual_norm,),
+        build = self.checks.walk(
+            self, event.inner, event.basis._rows, event.hessenberg, event.residual_norm
         )
-        if failed:
+        if build is not None:
             if self.response == "abort":
-                raise SkepticalAbort(failed[self]())
+                raise SkepticalAbort(build())
             raise CycleAbandoned()
 
     def true_residual(self, j: int, residual: float) -> float:
@@ -530,7 +530,7 @@ class SdcAttempts:
             breakdown=self.breakdown,
             detected_faults=checks.detections,
             info={
-                "detection_restarts": checks.detection_restarts,
+                "detection_restarts": checks.detections,
                 "checks_run": float(checks.checks_run),
                 "check_flops": float(checks.check_flops),
                 "policy": self.policy,

@@ -1,4 +1,4 @@
-"""The repository lints itself: three rules over its sources and documents.
+"""The repository lints itself: four rules over its sources and documents.
 
 * ``determinism`` -- no global-state RNG, calendar clock or hash-order
   iteration in python (results must be pure functions of parameters and
@@ -9,7 +9,10 @@
   sweep dict values, docstrings) or in markdown parses against the live
   axis declarations;
 * ``doc-links`` -- every relative markdown link, and every repo path
-  quoted in a markdown code span, names a file on disk.
+  quoted in a markdown code span, names a file on disk;
+* ``matmul-dispatch`` -- no ``@`` operator in the sequential kernel
+  modules (``ndarray.dot`` reaches the same BLAS call with the same bits
+  for less dispatch, which dominates at the sizes campaigns sweep).
 
 Each rule is a plain function over one parsed file that yields
 ``(line, message)``.  ``TestSelfRun`` parses ``src/repro``, ``tests``,
@@ -349,7 +352,31 @@ def doc_links(source: Source) -> Iterator[Tuple[int, str]]:
                 yield line, f"dangling file path -> {token}"
 
 
-RULES = {"determinism": determinism, "doc-links": doc_links, "spec-strings": spec_strings}
+# ---------------------------------------------------------------------------
+# Rule: matmul-dispatch
+# ---------------------------------------------------------------------------
+
+# The modules of the sequential Krylov step; the lockstep engine's
+# stacked ``np.matmul(...)`` calls are calls, not operators, and stay.
+SEQUENTIAL_KERNELS = frozenset({
+    "repro/krylov/ops.py", "repro/linalg/blas.py", "repro/krylov/engine/core.py",
+    "repro/krylov/engine/orthogonalize.py", "repro/krylov/engine/precondition.py",
+    "repro/krylov/engine/cg.py", "repro/skeptical/gmres_sdc.py",
+})
+
+
+def matmul_dispatch(source: Source) -> Iterator[Tuple[int, str]]:
+    """``a @ b`` and ``a @= b`` in a sequential kernel module."""
+    if source.tree is None or source.rel.removeprefix("src/") not in SEQUENTIAL_KERNELS:
+        return
+    for node in ast.walk(source.tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, ("'@' costs more dispatch than ndarray.dot for the same BLAS "
+                                "call and bits; write a.dot(b) on the sequential path")
+
+
+RULES = {"determinism": determinism, "doc-links": doc_links,
+         "matmul-dispatch": matmul_dispatch, "spec-strings": spec_strings}
 
 
 def lint(tmp_path, files, rule):
@@ -613,6 +640,23 @@ class TestDocLinksRule:
             (tmp_path / rel).parent.mkdir(exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
         assert documentation(tmp_path) == ["B.md", "README.md", "docs/A.md"]
+
+
+class TestMatmulDispatchRule:
+    def test_operator_flagged_in_a_kernel_module_only(self, tmp_path):
+        body = """\
+            import numpy as np
+
+            def step(rows, w, stack, v):
+                h = rows.dot(w)
+                w = w - h @ rows
+                many = np.matmul(stack, v)
+                return w, h, many
+            """
+        active, _ = lint(tmp_path, {"src/repro/krylov/ops.py": body,
+                                    "src/repro/krylov/engine/batch.py": body},
+                         "matmul-dispatch")
+        assert [(f.path, f.line) for f in active] == [("src/repro/krylov/ops.py", 5)]
 
 
 # ---------------------------------------------------------------------------

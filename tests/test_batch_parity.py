@@ -462,12 +462,13 @@ class TestBadInputAgreement:
 
 class TestSharedBoundary:
     """The engines differ in their inner step only: the cycle boundary,
-    the event a policy sees, the skeptical attempt loop and its check
-    set are the same function objects, entered the same number of times
-    per lane."""
+    the event a policy sees and the skeptical attempt loop are the same
+    function objects, entered the same number of times per lane, and
+    both run each lane's checks through the same per-lane decisions."""
 
     ATTEMPT = ["begin_cycle", "start_cycle", "update_solution", "close_cycle", "result"]
     DRIVER = ["next_engine", "abandon", "complete", "result"]
+    CASCADE = ["cheap", "orthogonality", "consistency"]  # SdcChecks' per-lane decisions
 
     @pytest.fixture
     def calls(self, monkeypatch, rhs):
@@ -492,14 +493,15 @@ class TestSharedBoundary:
 
     @pytest.mark.parametrize("solver", ["gmres", "sdc_gmres"])
     def test_both_engines_enter_the_same_boundary(self, matrix, rhs, calls, monkeypatch, solver):
-        swept = []  # lanes per entry into the one SDC check set
-        sweep = SdcChecks.sweep
+        swept = collections.defaultdict(set)  # decision -> the SdcChecks it ran for
+        for name in self.CASCADE:
+            decide = getattr(SdcChecks, name)
 
-        def counted_sweep(lanes, *args):
-            swept.append(len(lanes))
-            return sweep(lanes, *args)
+            def counted(checks, *args, _decide=decide, _name=name):
+                swept[_name].add(checks)
+                return _decide(checks, *args)
 
-        monkeypatch.setattr(SdcChecks, "sweep", staticmethod(counted_sweep))
+            monkeypatch.setattr(SdcChecks, name, counted)
 
         def run(lanes):
             calls.clear()
@@ -520,18 +522,23 @@ class TestSharedBoundary:
                         solver, matrix, rhs[start:start + lanes], tol=1e-8, restart=10,
                         maxiter=600, lane_params=lane_params, **kwargs,
                     )
-            return results, dict(calls), list(swept)
+            return results, dict(calls), {name: len(sets) for name, sets in swept.items()}
 
         sequential, one_lane, one_swept = run(1)
         lockstep, three_lanes, three_swept = run(3)
         assert_lane_parity(lockstep, sequential)
         if solver == "gmres":
-            assert one_swept == three_swept == []
-        else:  # one check set, entered per lane-step by either engine
-            assert set(one_swept) == {1} and max(three_swept) == 3
-            assert sum(one_swept) == sum(three_swept)
+            assert one_swept == three_swept == {}
+        else:  # every lane's checks ran the one cascade, under either engine (the
+            # lockstep cohort decides a step every lane passed without it)
+            assert one_swept == dict.fromkeys(self.CASCADE, 3)
+            assert three_swept["orthogonality"] == three_swept["consistency"] == 3
+            for one, three in zip(sequential, lockstep):
+                assert one.detected_faults == three.detected_faults == 1
+                for name in ("checks_run", "check_flops", "detection_restarts"):
+                    assert one.info[name] == three.info[name], name
         # What both engines must enter equally often.  The event builder
-        # counts for gmres only: the sequential engine reaches the sweep
+        # counts for gmres only: the sequential engine reaches the checks
         # through its policy's event, the lockstep one directly, so there
         # the fault hook is the one lockstep observer.
         shared = [f"ArnoldiAttempt.{name}" for name in self.ATTEMPT]

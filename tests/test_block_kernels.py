@@ -10,8 +10,10 @@ Covers the invariants the kernel refactor must preserve:
   views,
 * the CSR ``reduceat`` matvec is exact for matrices with empty rows,
 * the model-problem generator cache returns equal but independent
-  matrices, and
-* the solvers surface per-kernel timing counters.
+  matrices,
+* the solvers surface per-kernel timing counters, and
+* ``ndarray.dot``, ``@`` and the lanes of a stacked ``np.matmul`` give
+  the same bits on the shapes the two Krylov engines reduce.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.krylov import allocate_basis, gmres
+from repro.krylov.engine.orthogonalize import orthogonalize_many
 from repro.krylov.ops import fused_dots
+from repro.linalg.blas import back_substitution, back_substitution_many
 from repro.linalg.csr import CsrMatrix
 from repro.linalg.matgen import (
     clear_matrix_cache,
@@ -114,6 +118,65 @@ class TestKrylovBasis:
         np.testing.assert_allclose(
             values, [x @ y, y @ z, x @ x], rtol=1e-14
         )
+
+
+class TestDispatchParity:
+    """The sequential engine reduces with ``ndarray.dot`` (no ``@``
+    dispatch cost at small n) and the lockstep engine with one stacked
+    ``np.matmul`` per kernel; their bit parity rests on all three
+    handing each lane to the same BLAS kernel on the same strides.  A
+    NumPy or BLAS build that breaks that fails here, by name."""
+
+    LANES = 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [36, 64, 100, 1024, 16384])
+    def test_dot_matmul_and_stacked_lanes_agree(self, dtype, n):
+        rng = np.random.default_rng(n)
+        # Lane g's first k basis vectors are rows[g, :k], as in the cohort stack.
+        stack = rng.standard_normal((self.LANES, 32, n)).astype(dtype)
+        w = rng.standard_normal((self.LANES, n)).astype(dtype)
+        for k in range(1, 32):
+            rows = stack[:, :k, :]
+            h = np.matmul(rows, w[:, :, None])[:, :, 0]
+            back = np.matmul(h[:, None, :], rows)[:, 0, :]
+            w_orth, coefficients = orthogonalize_many(rows, w.copy())
+            for g in range(self.LANES):
+                lane = rows[g]
+                assert _same_bits(lane.dot(w[g]), lane @ w[g], h[g]), (k, g)
+                assert _same_bits(h[g].dot(lane), h[g] @ lane, back[g]), (k, g)
+                assert _same_bits(w[g].dot(w[g]), w[g] @ w[g]), (k, g)
+                basis = allocate_basis(np.zeros(n, dtype=dtype), 32)
+                for row in lane:
+                    basis.append(row)
+                one_w, one_coefficients = basis.orthogonalize(w[g].copy(), k=k)
+                assert _same_bits(one_w, w_orth[g]), (k, g)
+                assert _same_bits(one_coefficients, coefficients[g]), (k, g)
+
+    @pytest.mark.parametrize("k", range(1, 32))
+    def test_back_substitution_rows_agree(self, k):
+        rng = np.random.default_rng(k)
+        upper = np.triu(rng.uniform(-1.0, 1.0, (self.LANES, k, k)))
+        upper[:, range(k), range(k)] += 2.0
+        rhs = rng.standard_normal((self.LANES, k))
+        many = back_substitution_many(upper, rhs)
+        # Row i of the stacked solve: one (L, 1, k-i-1) @ (L, k-i-1, 1) matmul.
+        stacked = [np.matmul(upper[:, i : i + 1, i + 1 :], many[:, i + 1 :, None])[:, 0, 0]
+                   for i in range(k)]
+        for g in range(self.LANES):
+            y = back_substitution(upper[g], rhs[g])
+            assert _same_bits(y, many[g]), g
+            for i in range(k - 1):
+                row, tail = upper[g, i, i + 1 :], y[i + 1 :]
+                assert _same_bits(row.dot(tail), row @ tail, stacked[i][g]), (g, i)
+
+
+def _same_bits(*values) -> bool:
+    first = np.asarray(values[0])
+    return all(
+        np.asarray(v).dtype == first.dtype and np.asarray(v).tobytes() == first.tobytes()
+        for v in values[1:]
+    )
 
 
 class TestGmresBlockKernels:

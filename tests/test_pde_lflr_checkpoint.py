@@ -3,6 +3,9 @@ recovery and the checkpoint/restart baseline."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -323,20 +326,22 @@ class TestLflrHeatDriver:
 class TestCheckpointRestart:
     def test_store_write_read_roundtrip(self):
         machine = MachineModel(checkpoint_bandwidth=1e6)
-        store = CheckpointStore(machine, n_ranks=2, keep=2)
+        store = CheckpointStore(machine, n_ranks=2)
         store.write(5, {"u": np.arange(4.0)})
         store.write(10, {"u": np.arange(4.0) * 2})
         restored = store.read_latest()
         assert restored.step == 10
         assert np.allclose(restored.state["u"], np.arange(4.0) * 2)
-        assert [c.step for c in store._checkpoints] == [5, 10]
+        assert (store.writes, store.reads) == (2, 1)
         assert store.total_write_time > 0
 
     def test_store_keep_limit(self):
-        store = CheckpointStore(MachineModel(), n_ranks=1, keep=1)
-        store.write(1, {"x": 1.0})
-        store.write(2, {"x": 2.0})
-        assert [c.step for c in store._checkpoints] == [2]
+        # Only the latest checkpoint is held: its predecessor is freed.
+        store = CheckpointStore(MachineModel(), n_ranks=1)
+        first = weakref.ref(store.write(1, {"x": np.zeros(8)}))
+        store.write(2, {"x": np.ones(8)})
+        gc.collect()
+        assert first() is None
         assert store.latest().step == 2
 
     def test_cpr_fault_free(self):

@@ -491,7 +491,8 @@ class TestSkepticalCheckFastPaths:
 
 
 # ----------------------------------------------------------------------
-# The default SDC check set: the one sweep against the monitor it replaced
+# The default SDC check set: the one-lane walk and the cohort sweep against
+# the monitor they replaced
 # ----------------------------------------------------------------------
 
 
@@ -644,7 +645,11 @@ class TestSdcSweepMatchesTheMonitor:
             expected.append(reference)
 
         with np.errstate(all="ignore"):
-            failed = SdcChecks.sweep(swept, j, basis, hess, residuals)
+            walked = {
+                lane: lane.checks.walk(lane, j, basis[slot], hess[slot], residuals[slot])
+                for lane, slot in swept
+            }
+            failed = {lane: build for lane, build in walked.items() if build is not None}
             built = {lane: build() for lane, build in failed.items()}
         self._same_counters(swept, expected, failed, built)
 
@@ -679,7 +684,7 @@ class TestSdcSweepMatchesTheMonitor:
 
         cohort = SdcCohort(swept, table, res)
         with np.errstate(all="ignore"):
-            failed = SdcChecks.sweep(cohort, j, basis, hess, residuals)
+            failed = cohort.sweep(j, basis, hess, residuals)
             built = {lane: build() for lane, build in failed.items()}
         for lane, _ in swept:
             cohort.leave(lane, j + 1)
