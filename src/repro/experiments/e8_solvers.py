@@ -135,9 +135,9 @@ def _run_lanes(
 
     Each solver row solves all lanes as one
     :func:`repro.krylov.registry.batch_solve` call, with per-lane
-    fault-injecting operators and per-lane trusted ``operator_norm``
-    estimates carried as lane parameters so every lane draws the fault
-    stream of its own seed.
+    fault-injecting operators, so every lane draws the fault stream of
+    its own seed, and one trusted ``operator_norm`` estimate shared by
+    the skeptical solvers' lanes.
     """
     registry = default_solver_registry()
     names = as_axis(solvers, registry.names())
@@ -160,8 +160,9 @@ def _run_lanes(
     lanes = range(len(seeds))
     # Setup runs in reliable mode (the SkP assumption): the skeptical
     # solvers get their ||A|| estimate from the *clean* matrix, never
-    # through the fault-injecting operator wrapper.
-    trusted_norms = [estimate_operator_norm(matrix, b) for b in b_list]
+    # through the fault-injecting operator wrapper.  The estimate reads
+    # only the size of ``b``, so one serves every lane.
+    trusted_norm = estimate_operator_norm(matrix, b_list[0])
 
     tables = [
         Table(
@@ -174,15 +175,13 @@ def _run_lanes(
     for name in names:
         solver = registry.get(name)
         fault_seeds = [derive_fault_seed(seed, name) for seed in seeds]
-        # Per-lane ||A|| estimates ride as lane parameters.
-        skeptical = solver.resolve_policy(policy) in SKEPTICAL_RESPONSES
-        lane_params = [
-            {"operator_norm": norm} if skeptical else {} for norm in trusted_norms
-        ]
+        lane_params = [{} for _ in lanes]
         regions = operators = None
         if soft_model is not None:
             regions = [soft_model.environment(seed=fault_seed) for fault_seed in fault_seeds]
         params = iteration_budget(solver.name, maxiter)
+        if solver.resolve_policy(policy) in SKEPTICAL_RESPONSES:
+            params["operator_norm"] = trusted_norm
         if solver.name == "ft_gmres":
             # Selective reliability: the same region goes to the inner
             # solves, the outer iteration stays reliable.

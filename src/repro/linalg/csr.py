@@ -15,9 +15,14 @@ Two things keep the bandwidth-bound sizes fast in pure NumPy:
   instead reduces through a lazily built sliced-ELL layout
   (:class:`_SlabLayout`): rows are bucketed by length and the j-th
   entries of a bucket's rows are stored contiguously, so a row sum is
-  a few contiguous vector adds.  The adds are ordered exactly as
-  ``reduceat`` orders them, so both paths give the same bits; which
-  one runs is decided by the matrix alone.
+  a few contiguous vector adds.  From :data:`_WINDOW_MIN_ROWS` rows on
+  a bucket whose j-th entries all sit one fixed shift from their row
+  (the interior of a chain or of a grid stencil) skips the gather of
+  ``x`` too: each slab multiplies a contiguous *window* of ``x`` and
+  the sums go straight into the result.  The adds are ordered exactly
+  as ``reduceat`` orders them, so every path gives the same bits;
+  which one runs is decided by the matrix alone (and, for a matrix
+  with windows, by whether ``x`` is finite).
 * **Shared structure.**  ``indptr``/``indices`` (read-only from
   construction) and everything derived from them, the slab layout
   included, live in one :class:`_Pattern` that ``copy()``,
@@ -68,6 +73,13 @@ _SLAB_MIN_ROWS = 1024
 #: rows would no longer be bit-equal.
 _SLAB_MAX_ROW_LENGTH = 8
 
+#: Row count from which the slab plan reads ``x`` through windows where a
+#: bucket allows it.  Measured crossover, both paths forced on one matrix
+#: (PERFORMANCE.md, "Kernel"): the gather still wins at 3 136 rows (21.1
+#: vs 22.3 us Poisson, 22.2 vs 22.9 convection-diffusion), the windows
+#: from 4 096 on (25.5 vs 24.8, 27.0 vs 25.1; 95 vs 56-62 at 16 384).
+_WINDOW_MIN_ROWS = 4096
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
@@ -80,58 +92,76 @@ class _SlabLayout:
 
     Rows are bucketed by length (row order kept inside a bucket); for a
     bucket of ``m`` rows of length ``k`` the entries are laid out as
-    ``k`` contiguous *slabs* of ``m`` values, slab ``j`` holding every
-    row's ``j``-th entry.  :meth:`reduce` then sums each bucket as
-    ``slab0 + (slab1 + slab2 + ...)`` -- the order ``np.add.reduceat``
-    uses inside a segment (plain left-to-right is not bit-equal).
+    ``k`` *slabs*, slab ``j`` holding every row's ``j``-th entry.  Every
+    bucket is summed as ``slab0 + (slab1 + slab2 + ...)`` -- the order
+    ``np.add.reduceat`` uses inside a segment (plain left-to-right is not
+    bit-equal).
+
+    A gathered bucket's slabs are ``m`` contiguous values multiplied by
+    one gather of ``x`` over :attr:`indices`.  A *window* bucket (see
+    :func:`_window`) has slabs that span its whole row range, zeros at
+    the other buckets' rows, laid out apart from the gathered ones; its
+    sums are written into that range of the result first and the other
+    rows there are overwritten after.
     """
 
-    __slots__ = ("indices", "_first", "_buckets", "_row_slots", "_empty_rows")
+    __slots__ = ("indices", "windows", "_buckets", "_rows", "_row_slots",
+                 "_empty_rows", "_n_rows")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, windows: bool):
         lengths = np.diff(indptr)
         order = np.argsort(lengths, kind="stable")
-        # Position, in CSR order, of the first entry of each row, rows
-        # taken bucket by bucket.
-        self._first = indptr[:-1][order]
         ks, starts = np.unique(lengths[order], return_index=True)
         stops = np.append(starts[1:], lengths.size)
-        #: (row length, rows, offset of slab 0, first row in bucket order)
-        self._buckets = []
-        # Where each row's sum ends up: its place in its bucket's slab 0.
-        slots = np.zeros(lengths.size, dtype=np.int64)
-        offset = 0
+        #: (row length, CSR position of each row's first entry, offset of
+        #: slab 0, slab length, place of each row in its slab); window
+        #: buckets add (first row of the range, x start of each slab).
+        self._buckets, self.windows, gathered = [], [], []
+        gathered_size = window_size = 0
         for k, start, stop in zip(ks.tolist(), starts.tolist(), stops.tolist()):
             if k:
-                self._buckets.append((k, stop - start, offset, start))
-                slots[start:stop] = np.arange(
-                    offset, offset + stop - start, dtype=np.int64
-                )
-                offset += k * (stop - start)
-        self._row_slots = np.empty_like(slots)
-        self._row_slots[order] = slots
-        # Empty rows own no slot; they borrow slot 0 and are zeroed after.
+                rows = order[start:stop]
+                first = indptr[rows]
+                window = _window(rows, first, indices, k, self.windows) if windows else None
+                if window is None:
+                    gathered.append(rows)
+                    self._buckets.append((k, first, gathered_size, rows.size, slice(None)))
+                    gathered_size += k * rows.size
+                else:
+                    self.windows.append((k, first, window_size, *window))
+                    window_size += k * window[0]
+        # Each gathered row and where its sum ends up: its place in its
+        # bucket's slab 0.  Empty rows are zeroed after.
+        self._n_rows = lengths.size
         self._empty_rows = np.flatnonzero(lengths == 0)
-        self.indices = self.permute(indices)
+        self._rows = np.concatenate([order[:0]] + gathered)
+        self._row_slots = np.concatenate(
+            [order[:0]] + [offset + np.arange(m) for _, _, offset, m, _ in self._buckets]
+        )
+        self.indices = self._permute(indices, self._buckets)
 
-    def permute(self, entries: np.ndarray) -> np.ndarray:
-        """A CSR-ordered per-entry array rearranged into slab order."""
-        out = np.empty_like(entries)
-        for k, rows, offset, start in self._buckets:
-            first = self._first[start : start + rows]
+    def permute(self, entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """A CSR-ordered per-entry array rearranged into slab order: the
+        gathered buckets' part and the window buckets' part."""
+        return self._permute(entries, self._buckets), self._permute(entries, self.windows)
+
+    @staticmethod
+    def _permute(entries: np.ndarray, buckets: list) -> np.ndarray:
+        out = np.zeros(sum(k * span for k, _, _, span, *_ in buckets), entries.dtype)
+        for k, first, offset, span, places, *_ in buckets:
             for j in range(k):
-                out[offset + j * rows : offset + (j + 1) * rows] = entries[first + j]
+                out[offset + j * span : offset + (j + 1) * span][places] = entries[first + j]
         return out
 
-    def reduce(self, products: np.ndarray) -> np.ndarray:
-        """Row sums of slab-ordered ``products`` (which is overwritten).
+    def reduce(self, products: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row sums: the gathered buckets' from ``products`` (their
+        slab-ordered products, overwritten), the window buckets' from
+        ``values`` (their part of :meth:`permute`) and a finite ``x``.
 
-        Sums are accumulated inside ``products`` and gathered into one
-        fresh row-ordered vector, so a matvec allocates nothing else.
+        Sums are accumulated inside ``products`` and in the one fresh
+        row-ordered result, so a matvec allocates little else.
         """
-        if not products.size:
-            return np.zeros(self._row_slots.size, dtype=products.dtype)
-        for k, rows, offset, _ in self._buckets:
+        for k, _, offset, rows, _ in self._buckets:
             if k == 1:
                 continue
             slabs = products[offset : offset + k * rows].reshape(k, rows)
@@ -139,10 +169,50 @@ class _SlabLayout:
             for j in range(2, k):
                 np.add(rest, slabs[j], out=rest)
             np.add(slabs[0], rest, out=slabs[0])
-        sums = products.take(self._row_slots)
+        sums = np.empty(self._n_rows, dtype=products.dtype)
+        for window in self.windows:
+            _window_sums(sums, values, x, *window)
+        sums[self._rows] = products.take(self._row_slots)
         if self._empty_rows.size:
             sums[self._empty_rows] = 0.0
         return sums
+
+
+def _window(rows, first, indices, k: int, taken: list):
+    """``(span, places, first row, x starts)`` of a window bucket, or
+    ``None``.  Each of the bucket's ``k`` slabs must read ``x`` at
+    ``rows`` plus one shift; ``rows`` must fill at least half of their
+    range (a sparser window multiplies more zeros than the gather it
+    replaces is worth); and the range must not meet one already
+    ``taken``, whose sums would be overwritten.  The half is measured
+    (PERFORMANCE.md, "Kernel"): gather / window time of a k = 3 (k = 5)
+    stencil bucket at n = 16 384 reads 1.43 (1.54) at fill 0.75, 1.05
+    (1.06) at 0.5, 0.91 (0.82) at 0.33 and 0.83 (0.84) at 0.25."""
+    row0 = int(rows[0])
+    span = int(rows[-1]) - row0 + 1
+    if span > 2 * rows.size or any(
+        row0 < start + length and start < row0 + span
+        for _, _, _, length, _, start, _ in taken
+    ):
+        return None
+    shifts = indices[first + np.arange(k)[:, None]] - rows
+    if (shifts != shifts[:, :1]).any():
+        return None
+    return span, rows - row0, row0, (row0 + shifts[:, 0]).tolist()
+
+
+def _window_sums(sums, values, x, k, first, offset, span, places, row0, starts) -> None:
+    """A window bucket's row sums, written into ``sums[row0 : row0 +
+    span]`` (the other buckets' rows there get junk, overwritten after)."""
+    slabs = values[offset : offset + k * span].reshape(k, span)
+    out = sums[row0 : row0 + span]
+    windows = [x[start : start + span] for start in starts]
+    np.multiply(slabs[0], windows[0], out=out)
+    if k > 1:
+        rest, term = slabs[1] * windows[1], np.empty_like(out)
+        for j in range(2, k):
+            np.add(rest, np.multiply(slabs[j], windows[j], out=term), out=rest)
+        np.add(out, rest, out=out)
 
 
 class _RowSweeps:
@@ -253,7 +323,10 @@ class _Pattern:
         """
         layout = self._slabs
         if layout is None:
-            layout = self._slabs = _SlabLayout(self.indptr, self.indices)
+            layout = self._slabs = _SlabLayout(
+                self.indptr, self.indices,
+                windows=self.shape[0] >= _WINDOW_MIN_ROWS,
+            )
         return layout
 
     def sweeps(self) -> _RowSweeps:
@@ -350,8 +423,9 @@ class CsrMatrix:
         # Dtype of matvec products: NumPy promotion of storage x compute
         # (float16 storage widens to the compute dtype, never narrows it).
         self._result_dtype = np.result_type(self.data.dtype, self.dtype)
-        # ``data`` in slab order, built by the first slab matvec.
-        self._slab_data: Optional[np.ndarray] = None
+        # ``data`` in slab order (gathered, window part), built by the
+        # first slab matvec.
+        self._slab_data: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _with_values(self, data: np.ndarray, *, dtype=None, storage=None) -> "CsrMatrix":
         """A matrix over the same (shared, already validated) pattern."""
@@ -511,7 +585,12 @@ class CsrMatrix:
             )
         pattern = self._pattern
         if pattern.slab_eligible:
-            return self._slab_matvec(x)
+            layout = pattern.slabs()
+            # A window also multiplies the zeros between its rows, which
+            # on an inf would raise a warning the reference never does:
+            # a non-finite ``x`` takes ``reduceat`` there, for equal bits.
+            if not layout.windows or np.isfinite(x).all():
+                return self._slab_matvec(layout, x)
         products = self.data * x[pattern.indices]
         if not pattern.has_empty_rows:
             if self.n_rows == 0:
@@ -524,8 +603,7 @@ class CsrMatrix:
             )
         return result
 
-    def _slab_matvec(self, x: np.ndarray) -> np.ndarray:
-        layout = self._pattern.slabs()
+    def _slab_matvec(self, layout: _SlabLayout, x: np.ndarray) -> np.ndarray:
         values = self._slab_data
         if values is None:
             # The plan multiplies by its own permuted copy of ``data``;
@@ -538,9 +616,10 @@ class CsrMatrix:
         # second nnz-sized temporary per call costs most of the gain
         # (glibc trims and re-faults the heap top every time), and a
         # buffer kept on the matrix would not be safe under rank threads.
-        products = x.astype(self._result_dtype, copy=False).take(layout.indices)
-        np.multiply(values, products, out=products)
-        return layout.reduce(products)
+        x = x.astype(self._result_dtype, copy=False)
+        products = x.take(layout.indices)
+        np.multiply(values[0], products, out=products)
+        return layout.reduce(products, values[1], x)
 
     def matvec_block(self, X: np.ndarray) -> np.ndarray:
         """Return ``(A @ X.T).T`` for a stack of vectors ``X`` of shape ``(S, n)``.

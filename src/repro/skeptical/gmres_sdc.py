@@ -100,7 +100,7 @@ def estimate_operator_norm(operator, probe: np.ndarray) -> float:
 
     Four matvecs on random unit vectors give a (slight under-)estimate
     that the Hessenberg-bound check then loosens with its safety
-    factor.
+    factor.  Only ``probe``'s size is read.
     """
     rng = np.random.default_rng(12345)
     estimate = 0.0

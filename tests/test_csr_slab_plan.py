@@ -10,6 +10,10 @@ What the kernel tier must preserve:
 * which path runs is decided by the matrix alone (row count, longest
   row), and ``matvec_block`` keeps agreeing with ``matvec`` row by row,
 * ``diagonal_values`` equals the per-row loop it replaced,
+* from ``_WINDOW_MIN_ROWS`` rows on, the buckets that read ``x`` at
+  their rows plus one shift per slab (a chain's or a grid stencil's
+  interior) read it through contiguous windows, with the same bits, and
+  a non-finite ``x`` takes ``reduceat`` on such a matrix,
 * value-copies share the immutable pattern and own their values, and a
   write to ``data`` after the plan froze it raises,
 * iteration counts of a ``solves_large``-shaped run are unchanged.
@@ -27,17 +31,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.distributed import DistributedRowMatrix
+from repro.comm.sim import run_spmd
 from repro.krylov.registry import default_solver_registry
 from repro.linalg import csr as csr_module
 from repro.linalg.csr import CsrMatrix
 from repro.linalg.matgen import (
     clear_matrix_cache,
     convection_diffusion_2d,
+    poisson_1d,
     poisson_2d,
 )
 
 MIN_ROWS = csr_module._SLAB_MIN_ROWS
 MAX_LEN = csr_module._SLAB_MAX_ROW_LENGTH
+WINDOW_ROWS = csr_module._WINDOW_MIN_ROWS
 
 
 def reduceat_matvec(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -91,6 +99,26 @@ def forbid_slab_path(monkeypatch):
         raise AssertionError("the slab layout must not be built for this matrix")
 
     monkeypatch.setattr(csr_module, "_SlabLayout", refuse)
+
+
+def forbid_window_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no bucket of this matrix may read x through a window")
+
+    monkeypatch.setattr(csr_module, "_window_sums", refuse)
+
+
+def window_lengths(matrix: CsrMatrix) -> list:
+    """Row lengths of the buckets the plan reads through windows."""
+    return [window[0] for window in matrix._pattern.slabs().windows]
+
+
+def rebuilt(matrix: CsrMatrix) -> CsrMatrix:
+    """The same matrix over a fresh pattern (no plan, not the matgen cache's)."""
+    return CsrMatrix(
+        np.array(matrix.indptr), np.array(matrix.indices), matrix.data.copy(),
+        matrix.shape, dtype=matrix.dtype, storage=matrix.data.dtype,
+    )
 
 
 DTYPES = [
@@ -158,6 +186,120 @@ class TestSlabMatvecBits:
         assert same_bits(as_ints, matrix.matvec(np.arange(matrix.n_cols, dtype=np.float64)))
 
 
+class TestWindowMatvecBits:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, MAX_LEN),
+        grid=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        gap=st.floats(0.0, 1.0),
+        extra_cols=st.integers(0, 30),
+        dtypes=st.sampled_from(DTYPES),
+        strided=st.booleans(),
+        specials=st.lists(
+            st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0]), max_size=6
+        ),
+    )
+    def test_a_grid_block_among_random_rows_equals_reduceat(
+        self, seed, k, grid, gap, extra_cols, dtypes, strided, specials
+    ):
+        """Rows ``row0 + s*r + c`` of length ``k``, slab ``j`` reading
+        column ``row + shift_j``; every other row random (empty ones
+        included).  Shorter rows sit after the block only, so no window
+        taken before it can overlap it and the block is always one."""
+        rng = np.random.default_rng(seed)
+        (R, C), (dtype, storage) = grid, dtypes
+        stride = C + int(gap * C)
+        n = WINDOW_ROWS + int(rng.integers(0, 40))
+        n_cols = n + extra_cols
+        span = stride * (R - 1) + C
+        row0 = int(rng.integers(0, n - span + 1))
+        block = row0 + (stride * np.arange(R)[:, None] + np.arange(C)).ravel()
+        longer = [0] + list(range(k + 1, MAX_LEN + 1))
+        other = [length for length in range(MAX_LEN + 1) if length != k]
+        lengths = np.where(
+            np.arange(n) < row0 + span,
+            rng.choice(longer, size=n),
+            rng.choice(other, size=n),
+        )
+        lengths[block] = k
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = rng.integers(0, n_cols, size=int(indptr[-1]))
+        shifts = rng.integers(-row0, n_cols - (row0 + span) + 1, size=k)
+        indices[indptr[block][:, None] + np.arange(k)] = block[:, None] + shifts
+        data = rng.standard_normal(indices.size) * 10.0 ** rng.integers(-3, 4, size=indices.size)
+        for value in specials[: len(specials) // 2]:
+            data[rng.integers(0, data.size)] = value
+        matrix = CsrMatrix(indptr, indices, data, (n, n_cols), dtype=dtype, storage=storage)
+        assert k in window_lengths(matrix)
+        x = rng.standard_normal(2 * n_cols)[:: 2 if strided else 1][:n_cols]
+        for value in specials[len(specials) // 2 :]:
+            x[rng.integers(0, n_cols)] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(matrix.matvec(x), reduceat_matvec(matrix, x))
+
+    @pytest.mark.parametrize("build", [
+        lambda n: poisson_1d(n),
+        lambda n: poisson_2d(int(round(n ** 0.5))),
+        lambda n: convection_diffusion_2d(int(round(n ** 0.5)), peclet=10.0),
+    ], ids=["poisson_1d", "poisson_2d", "convdiff"])
+    @pytest.mark.parametrize("n", [WINDOW_ROWS - 127, WINDOW_ROWS])
+    def test_model_problems_on_both_sides_of_the_constant(self, build, n):
+        matrix = build(n)
+        assert (matrix.n_rows >= WINDOW_ROWS) == bool(window_lengths(matrix))
+        x = np.random.default_rng(n).standard_normal(matrix.n_cols)
+        assert same_bits(matrix.matvec(x), reduceat_matvec(matrix, x))
+        assert same_bits(matrix.matvec(x[::-1].copy()[::-1]), reduceat_matvec(matrix, x))
+
+    def test_interleaved_buckets_keep_one_window(self):
+        """Even rows of length 2 and odd rows of length 3, each with a
+        shift per slab: both fill half their range, but the ranges meet,
+        so only the first bucket may write its range of the result."""
+        n = WINDOW_ROWS
+        lengths = np.where(np.arange(n) % 2, 3, 2)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        shifts = np.concatenate([[0, 1] if k == 2 else [0, -1, -1] for k in lengths])
+        indices = np.repeat(np.arange(n), lengths) + shifts
+        rng = np.random.default_rng(10)
+        matrix = CsrMatrix(indptr, indices, rng.standard_normal(indices.size), (n, n))
+        assert window_lengths(matrix) == [2]
+        x = rng.standard_normal(n)
+        assert same_bits(matrix.matvec(x), reduceat_matvec(matrix, x))
+
+    @pytest.mark.parametrize("every, windows", [(2, [3]), (3, [])])
+    def test_a_bucket_filling_less_than_half_its_range_stays_gathered(self, every, windows):
+        """Every ``every``-th row reads ``x`` at ``row - 1, row, row + 1``;
+        the rows between hold two random columns."""
+        n = WINDOW_ROWS
+        rng = np.random.default_rng(every)
+        stencil = np.arange(n) % every == 1
+        lengths = np.where(stencil, 3, 2)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = rng.integers(0, n + 1, size=int(indptr[-1]))
+        rows = np.flatnonzero(stencil)
+        indices[indptr[rows][:, None] + np.arange(3)] = rows[:, None] + np.arange(-1, 2)
+        matrix = CsrMatrix(indptr, indices, rng.standard_normal(indices.size), (n, n + 1))
+        assert window_lengths(matrix) == windows
+        x = rng.standard_normal(n + 1)
+        assert same_bits(matrix.matvec(x), reduceat_matvec(matrix, x))
+
+    def test_row_blocks_of_the_distributed_matrix(self):
+        """Three ranks cut a side-128 grid mid grid-row: each block's
+        interior is still one window, starting and ending in a partial
+        grid row."""
+        matrix = poisson_2d(128)
+        x = np.random.default_rng(3).standard_normal(matrix.n_cols)
+
+        def program(comm):
+            block = DistributedRowMatrix.from_global(comm, matrix).local_block
+            return window_lengths(block), block.matvec(x)
+
+        results = run_spmd(3, program)
+        assert [lengths for lengths, _ in results] == [[5]] * 3
+        got = np.concatenate([sums for _, sums in results])
+        assert same_bits(got, reduceat_matvec(matrix, x))
+
+
 class TestPathSelection:
     def test_long_row_takes_reduceat(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -188,7 +330,7 @@ class TestPathSelection:
         reduce = csr_module._SlabLayout.reduce
         monkeypatch.setattr(
             csr_module._SlabLayout, "reduce",
-            lambda self, products: calls.append(1) or reduce(self, products),
+            lambda self, *args: calls.append(1) or reduce(self, *args),
         )
         matrix.matvec(rng.standard_normal(50))
         assert calls == [1]
@@ -202,6 +344,58 @@ class TestPathSelection:
         block = matrix.matvec_block(X)
         for s, row in enumerate(rows):
             assert same_bits(block[s], row)
+
+
+    def test_each_side_of_the_window_constant_takes_its_own_path(self, monkeypatch):
+        below, at = rebuilt(poisson_2d(63)), rebuilt(poisson_2d(64))
+        assert below.n_rows < WINDOW_ROWS == at.n_rows
+        calls = []
+        window_sums = csr_module._window_sums
+        monkeypatch.setattr(
+            csr_module, "_window_sums",
+            lambda *args: calls.append(1) or window_sums(*args),
+        )
+        x = np.random.default_rng(8).standard_normal(at.n_cols)
+        assert same_bits(at.matvec(x), reduceat_matvec(at, x))
+        assert calls == [1] and window_lengths(at) == [5]
+        forbid_window_path(monkeypatch)
+        x = x[: below.n_cols]
+        assert same_bits(below.matvec(x), reduceat_matvec(below, x))
+        assert window_lengths(below) == []
+
+    def test_a_non_finite_x_skips_the_windows_and_warns_as_reduceat_does(self, monkeypatch):
+        """x[127] is read at a boundary row inside the window range, where
+        a window would multiply a zero by it."""
+        matrix = rebuilt(poisson_2d(64))
+        x = np.ones(matrix.n_cols)
+        matrix.matvec(x)
+        forbid_window_path(monkeypatch)
+        for special in (np.inf, np.nan):
+            x[127] = special
+            with np.errstate(all="raise"):
+                assert same_bits(matrix.matvec(x), reduceat_matvec(matrix, x))
+
+    def test_solvers_return_the_same_bits_with_windows_forced_off(self, monkeypatch):
+        """Grid 128: ``cg``/``jacobi`` and ``gmres``/``poly4`` as in
+        ``solves_large`` (40 iterations: a differing matvec shows in the
+        first), on the cached (window) matrices and on rebuilt twins
+        whose plan was built with the window path off."""
+        registry = default_solver_registry()
+        cases = [
+            ("cg", poisson_2d(128), dict(precond="jacobi")),
+            ("gmres", convection_diffusion_2d(128, peclet=10.0),
+             dict(precond="poly4", restart=40)),
+        ]
+        b = np.random.default_rng(2013).standard_normal(128 * 128)
+        on = [registry.get(name).solve(m, b, tol=1e-8, maxiter=40, **kw)
+              for name, m, kw in cases]
+        monkeypatch.setattr(csr_module, "_WINDOW_MIN_ROWS", 2**62)
+        off = [rebuilt(m) for _, m, _ in cases]
+        for (name, m, kw), twin, result in zip(cases, off, on):
+            again = registry.get(name).solve(twin, b, tol=1e-8, maxiter=40, **kw)
+            assert window_lengths(m) == [5] and window_lengths(twin) == []
+            assert same_bits(again.x, result.x), name
+            assert again.residual_norms == result.residual_norms, name
 
 
 class TestDiagonalValues:
@@ -282,6 +476,17 @@ class TestSharedStructure:
         twin.data[:] *= 1.0
         assert same_bits(2.0 * twin.matvec(x), doubled)
 
+    def test_writing_data_after_a_window_matvec_raises(self):
+        matrix = rebuilt(poisson_2d(64))
+        x = np.random.default_rng(9).standard_normal(matrix.n_cols)
+        before = matrix.matvec(x)
+        assert window_lengths(matrix) == [5]
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.data[0] = 0.0
+        twin = pickle.loads(pickle.dumps(matrix))
+        assert same_bits(twin.matvec(x), before)
+        assert window_lengths(twin) == [5]
+
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
     def test_clones_re_arm_the_stale_plan_guard(self, clone):
         matrix = poisson_2d(32)
@@ -294,31 +499,39 @@ class TestSharedStructure:
 
     def test_rank_threads_racing_to_build_the_plan_agree(self):
         """More threads than cores, all first-touching one shared pattern."""
-        clear_matrix_cache()
-        x = np.random.default_rng(1).standard_normal(48 * 48)
-        expected = reduceat_matvec(poisson_2d(48), x)
-        twins = [poisson_2d(48) for _ in range(8)]
-        start = threading.Barrier(len(twins))
-        results = [None] * len(twins)
+        race_to_build_the_plan(48)
 
-        def work(i):
-            start.wait(timeout=10)
-            for _ in range(20):
-                results[i] = twins[i].matvec(x)
+    def test_rank_threads_racing_to_build_a_window_plan_agree(self):
+        race_to_build_the_plan(96)
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(twins))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(same_bits(r, expected) for r in results)
-        assert len({id(t._pattern._slabs) for t in twins}) == 1
+
+def race_to_build_the_plan(grid: int) -> None:
+    clear_matrix_cache()
+    x = np.random.default_rng(1).standard_normal(grid * grid)
+    expected = reduceat_matvec(poisson_2d(grid), x)
+    twins = [poisson_2d(grid) for _ in range(8)]
+    start = threading.Barrier(len(twins))
+    results = [None] * len(twins)
+
+    def work(i):
+        start.wait(timeout=10)
+        for _ in range(20):
+            results[i] = twins[i].matvec(x)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(twins))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(same_bits(r, expected) for r in results)
+    assert len({id(t._pattern._slabs) for t in twins}) == 1
+    assert bool(window_lengths(twins[0])) == (grid * grid >= WINDOW_ROWS)
 
 
 class TestNeumannApply:

@@ -261,7 +261,8 @@ class TestCheckCostShape:
         monkeypatch.undo()
 
         grid, n_trials = golden["grid"], golden["n_trials"]
-        assert calls == [grid * grid] * len(seeds)  # was 4 * n_trials per scenario
+        # once per batch: the estimate reads only the size of ``b``
+        assert calls == [grid * grid]
         assert len(skeptical_solves) == 4 * n_trials * len(seeds)
         # ... and it is the estimate each solve would have made on its own.
         own = estimate(poisson_2d(grid), np.empty(grid * grid))
