@@ -120,10 +120,29 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     """Run several E1 scenarios; results identical to per-scenario :func:`run`.
 
     Scenarios that agree on everything except ``seed`` share one pass
-    of the driver body, one lane each (see
-    :func:`repro.experiments.common.run_batch_by_seed`).
+    of the driver body (see
+    :func:`repro.experiments.common.run_batch_by_seed`), one lane per
+    seed and bit class of a :data:`_CLASSES_PER_BATCH`-class batch.
     """
     return run_batch_by_seed(run, _run_lanes, params_list)
+
+
+#: Bit classes whose lanes share one ``batch_solve`` call per (solver,
+#: trial): the classes' streams are independent, and most of a lockstep
+#: step's cost does not grow with its lane count.  ``replicas_batch``
+#: (``--rounds 1``, seed 961, six rotated rounds) against one class per
+#: call, and the tracemalloc peak of one 24-seed E1 ``run_batch``:
+#:
+#: =======  ==================  ===========  ================
+#: classes  work_per_s          peak_rss_mb  tracemalloc peak
+#: =======  ==================  ===========  ================
+#: 1        1                   47.9 MiB     1.24 MiB
+#: 2        x1.15, 5 of 6 won   +1.9 %       2.22 MiB
+#: 4        x1.21, 6 of 6 won   +6.6 %       4.05 MiB
+#: =======  ==================  ===========  ================
+#:
+#: Four classes would cost more RSS than the 5 % bound of the benchmark.
+_CLASSES_PER_BATCH = 2
 
 
 def _run_lanes(
@@ -131,12 +150,14 @@ def _run_lanes(
 ) -> List[ExperimentResult]:
     """The one E1 body: one lane per seed, everything else shared.
 
-    Each (bit-class, solver) cell of every trial solves all lanes as
-    one :func:`repro.krylov.registry.batch_solve` call, with per-lane
-    fault hooks drawing from per-lane RNG streams in the exact
-    single-lane order (hook creation before the trial's solve, victim
-    draw at fire time inside it).  Each cell's outcomes are counted as
-    its trials finish, in trial order.
+    Each solver's trial solves :data:`_CLASSES_PER_BATCH` bit classes
+    of all seeds as one :func:`repro.krylov.registry.batch_solve` call
+    (a lane per class and seed; the classes' fault models differ only
+    in their bit range), with per-lane fault hooks drawing from
+    per-(class, seed) RNG streams in the exact single-lane order (hook
+    creation before the trial's solve, victim draw at fire time inside
+    it).  Each cell's outcomes are counted as its trials finish, in
+    trial order, and the cells enter the table class by class.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -154,34 +175,39 @@ def _run_lanes(
     norm = estimate_operator_norm(matrix, b_list[0])
     solver_flops = [2.0 * matrix.nnz * max(r.iterations, 1) for r in baselines]
 
-    tables = [_result_table() for _ in lanes]
-    summaries: List[dict] = [{} for _ in lanes]
-    for class_name, bit_range in _BIT_CLASSES.items():
-        class_model = (
-            fault_template
-            if fault_template.is_null
-            else fault_template.with_params(bits=bit_range)
-        )
+    models = {
+        name: fault_template if fault_template.is_null else fault_template.with_params(bits=bits)
+        for name, bits in _BIT_CLASSES.items()
+    }
+    names = list(_BIT_CLASSES)
+    cells = {}  # (bit class, skeptical) -> one Counter per seed
+    for first in range(0, len(names), _CLASSES_PER_BATCH):
+        group = names[first : first + _CLASSES_PER_BATCH]
+        group_bs = b_list * len(group)
         for skeptical in (False, True):
-            rngs = [f.spawn(f"{class_name}-{skeptical}") for f in factories]
-            cells = [Counter() for _ in lanes]
+            # One lane and one stream per (class, seed), class-major.
+            streams = [
+                (models[name], f.spawn(f"{name}-{skeptical}")) for name in group for f in factories
+            ]
+            counters = [Counter() for _ in streams]
             # Overflow/NaN *is* the injected fault's expected effect.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _trial in range(n_trials):
-                    hooks = [_make_hook(class_model, rng, inject_at) for rng in rngs]
+                    lane_params = [
+                        {"iteration_hook": _make_hook(model, rng, inject_at)}
+                        for model, rng in streams
+                    ]
                     if skeptical:
                         results = batch_solve(
-                            "sdc_gmres", matrix, b_list, policy="skeptical_restart",
+                            "sdc_gmres", matrix, group_bs, policy="skeptical_restart",
                             check_period=check_period, operator_norm=norm,
-                            **solve_params,
-                            lane_params=[{"iteration_hook": hook} for hook in hooks],
+                            **solve_params, lane_params=lane_params,
                         )
                     else:
                         results = batch_solve(
-                            "gmres", matrix, b_list, **solve_params,
-                            lane_params=[{"iteration_hook": hook} for hook in hooks],
+                            "gmres", matrix, group_bs, **solve_params, lane_params=lane_params,
                         )
-                    for cell, b, result in zip(cells, b_list, results):
+                    for cell, b, result in zip(counters, group_bs, results):
                         detected = skeptical and result.detected_faults > 0
                         cell[_outcome(matrix, b, result, detected, tol=tol)] += 1
                         cell["detections"] += int(detected)
@@ -189,9 +215,16 @@ def _run_lanes(
                         cell["check_flops"] += (
                             result.info.get("check_flops", 0.0) if skeptical else 0.0
                         )
+            for c, name in enumerate(group):
+                cells[name, skeptical] = counters[c * len(seeds) : (c + 1) * len(seeds)]
+
+    tables = [_result_table() for _ in lanes]
+    summaries: List[dict] = [{} for _ in lanes]
+    for name in names:
+        for skeptical in (False, True):
             for s in lanes:
                 _add_cell(
-                    tables[s], summaries[s], cells[s], n_trials, class_name,
+                    tables[s], summaries[s], cells[name, skeptical][s], n_trials, name,
                     skeptical, solver_flops[s],
                 )
     return [

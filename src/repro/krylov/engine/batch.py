@@ -549,6 +549,14 @@ def _batched_cycle_tail(members, hess: np.ndarray, g: np.ndarray) -> None:
 # Batched CG
 # ---------------------------------------------------------------------------
 
+#: Fewest lanes for which a lockstep CG step pays: below it a batch's
+#: lanes are handed to the sequential step (:meth:`CgScheme.run` resumes
+#: their attempts), and the registry sends a smaller batch there whole.
+#: ``batch_solve("cg", ...)`` relative to as many ``solve`` calls
+#: (n = 64, PERFORMANCE.md, "Lockstep engine"): 0.76x at 2 lanes, 1.09x
+#: at 3, 1.38x at 4.
+_CG_MIN_LANES = 3
+
 
 def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
     """Solve ``S`` independent CG scenarios in lockstep.
@@ -567,6 +575,11 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
     (every lane enters at step 0, so its matvec seconds are the running
     even shares and its counts follow from the step it left at), when
     it has a preconditioner to apply, or when its policy observes.
+
+    Once fewer than :data:`_CG_MIN_LANES` lanes are active, the rest are
+    handed to the sequential step: each attempt gets its rows of the
+    stacks back and :meth:`~repro.krylov.engine.cg.CgScheme.run` resumes
+    it where the lockstep loop left it, with the same arithmetic.
 
     ``trace(step, advanced_lane_ids, X, R)``, when given, is called
     after every lockstep step with the (read-only by convention)
@@ -595,18 +608,24 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
     mv_sec = 0.0
     step = 0
 
-    def leave(ids, iterations: int, applications: int):
-        # The lanes left during step ``step``, ``iterations`` updates and
+    def leave(ids, iterations: int, applications: int, matvecs: Optional[int] = None):
+        # The lanes left during step ``step`` (after its matvec unless
+        # ``matvecs`` says otherwise), ``iterations`` updates and
         # ``applications`` in-loop preconditioner applications done.
         for i in ids:
             lane = lanes[i]
             lane.iteration = iterations
-            lane.kernels.add("matvec", mv_sec, calls=step + 1)
+            lane.kernels.add("matvec", mv_sec, calls=step + 1 if matvecs is None else matvecs)
             if lane.preconditioner is None:  # applied as a plain alias, below
                 lane.kernels.add("preconditioner", 0.0, calls=applications)
 
     gi = np.flatnonzero([not lane.converged for lane in lanes])
+    rest = ()  # the lanes handed to the sequential step
     while gi.size:
+        if gi.size < _CG_MIN_LANES:
+            rest = set(gi.tolist())
+            leave(rest, step, step, matvecs=step)
+            break
         Pg = P[gi]
         t0 = time.perf_counter()
         if shared_operator:
@@ -691,7 +710,10 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
         step += 1
 
     results = []
-    for engine, lane, x in zip(engines, lanes, X):
-        lane.x = np.array(x, dtype=np.float64, copy=True)
+    for i, (engine, lane) in enumerate(zip(engines, lanes)):
+        lane.x = np.array(X[i], dtype=np.float64, copy=True)
+        if i in rest:
+            lane.r, lane.p, lane.rz = R[i].copy(), P[i].copy(), float(rz[i])
+            engine.scheme.run(lane)
         results.append(engine.finish(lane.result()))
     return results

@@ -37,7 +37,9 @@ class CgAttempt:
     Shared with the lockstep engine
     (:func:`repro.krylov.engine.batch.run_cg_batch`), which stacks the
     vectors of its lanes' attempts and writes each lane's outcome back
-    before asking for the result.
+    before asking for the result -- or, for its last few lanes, writes
+    back their state (``x``, ``r``, ``p``, ``rz``, ``iteration``) and
+    lets :meth:`CgScheme.run` finish them.
     """
 
     def __init__(self, engine: SolverEngine, scheme: "CgScheme", b, x, target: float):
@@ -103,9 +105,9 @@ class CgScheme(IterationScheme):
         target = attempt.target
         x, r, p, rz = attempt.x, attempt.r, attempt.p, attempt.rz
         residual_norms, alphas, betas = attempt.residual_norms, attempt.alphas, attempt.betas
-        converged = attempt.converged
-        breakdown = False
-        iteration = 0
+        # From where the attempt stands: its start, or where the lockstep
+        # engine handed it over.
+        converged, breakdown, iteration = attempt.converged, attempt.breakdown, attempt.iteration
         fire_at = attempt.fire_at
 
         while not converged and not breakdown and iteration < self.maxiter:

@@ -275,7 +275,10 @@ class ArnoldiAttempt:
 
     def close_cycle(self, true_residual: float) -> None:
         """Second half of the cycle tail: the true residual of the
-        updated iterate replaces the cycle's last recurrence value."""
+        updated iterate replaces the cycle's last recurrence value.  The
+        cycle's storage is dropped: in the lockstep engine it is a view
+        of the cohort's stacks, which would outlive the cohort."""
+        self.basis = self.lsq = None
         self.residual_norms[-1] = true_residual
         if self.convergence.is_met(true_residual, self.target):
             self.converged = True

@@ -363,9 +363,25 @@ def _default_precision(value) -> bool:
     return parse_precision(value).is_default
 
 
-def _lockstep_lane(call: PreparedSolve) -> Optional[Callable[[], object]]:
-    """How the lockstep engine builds the lane of ``call``; ``None`` when
-    it has none.
+#: Fewest lanes for which a lockstep batch beats as many sequential
+#: solves, per lane class (``cg``'s is the lockstep engine's own,
+#: :data:`repro.krylov.engine.batch._CG_MIN_LANES`).  ``batch_solve``
+#: relative to ``len(bs)`` ``solve`` calls at n = 64 (PERFORMANCE.md,
+#: "Lockstep engine"):
+#:
+#: =============  =====  =====  =====  =====  =====
+#: lanes            2      3      4      5      8
+#: =============  =====  =====  =====  =====  =====
+#: ``gmres``      0.53x  0.74x  0.94x  1.13x  1.62x
+#: ``sdc_gmres``  0.68x  0.95x  1.15x  1.35x  1.87x
+#: =============  =====  =====  =====  =====  =====
+_GMRES_MIN_LANES = 5
+_SDC_MIN_LANES = 4
+
+
+def _lockstep_lane(call: PreparedSolve) -> Optional[Tuple[int, Callable[[], object]]]:
+    """The fewest lanes the lockstep engine takes of ``call``'s class, and
+    how it builds the lane of ``call``; ``None`` when it has none.
 
     ``gmres``, ``cg`` and ``sdc_detecting_gmres`` under the
     ``"restart"`` response (aborting one lane must not kill its
@@ -378,11 +394,13 @@ def _lockstep_lane(call: PreparedSolve) -> Optional[Callable[[], object]]:
     """
     function, options = call.function, call.options
     if function is gmres:
-        return lambda: batch.ArnoldiLane(gmres_engine(call.operator, **options), call.b, call.x0)
+        return _GMRES_MIN_LANES, lambda: batch.ArnoldiLane(
+            gmres_engine(call.operator, **options), call.b, call.x0
+        )
     if function is cg:
-        return lambda: (cg_engine(call.operator, **options), call.b, call.x0)
+        return batch._CG_MIN_LANES, lambda: (cg_engine(call.operator, **options), call.b, call.x0)
     if function is sdc_detecting_gmres and options["policy"] == "restart":
-        return lambda: SdcLane(call.operator, call.b, call.x0, **options)
+        return _SDC_MIN_LANES, lambda: SdcLane(call.operator, call.b, call.x0, **options)
     return None
 
 
@@ -417,17 +435,17 @@ def batch_solve(
     ``gmres``, ``cg``, and ``sdc_detecting_gmres`` but for the skeptical
     ``"abort"`` response) advance together through
     :func:`repro.krylov.engine.batch.run_arnoldi_batch` /
-    :func:`~repro.krylov.engine.batch.run_cg_batch`; anything else
+    :func:`~repro.krylov.engine.batch.run_cg_batch` when there are at
+    least as many as their class's measured crossover -- 5 for
+    ``gmres``, 4 for ``sdc_detecting_gmres``, 3 for ``cg``
+    (:data:`_GMRES_MIN_LANES`, :data:`_SDC_MIN_LANES`,
+    ``batch._CG_MIN_LANES``; below it a stacked step costs more than
+    the sequential steps it replaces, and one lane is never a batch).
+    A smaller group, and anything without a lockstep lane
     (``skeptical_abort``, the pipelined / flexible / distributed
-    solvers) runs as per-lane sequential solves, so callers never need
-    to special-case batchability.  So does a
-    single lane (one lane through the lockstep engine costs about 2-3x
-    the sequential one): the engine is picked by the lane count.  That
-    rule is about *which engine owns which lane count*,
-    not a speed crossover -- per lane the lockstep engine overtakes the
-    sequential one from about 3 lanes (``cg``), 4 (``sdc_gmres``) or 5
-    (``gmres``) at n = 64; PERFORMANCE.md, "Lockstep engine", has the
-    table.
+    solvers), runs as per-lane sequential solves, so callers never need
+    to special-case batchability.  A lockstep CG batch hands its last
+    lanes to the sequential step the same way.
 
     ``precision`` (batch-wide, or per lane via a ``"precision"`` key in
     ``lane_params``) is the same declarative axis as
@@ -487,9 +505,10 @@ def batch_solve(
         # Sequential engine: S independent solve() calls, one at a time.
         return [call.run() for call in calls]
     calls = list(calls)
-    builders = [_lockstep_lane(call) for call in calls]
-    if None in builders:
+    lanes = [_lockstep_lane(call) for call in calls]
+    if None in lanes or n_lanes < lanes[0][0]:
+        # No lockstep lane, or fewer lanes than the stacked step pays for.
         return [call.run() for call in calls]
     run = batch.run_cg_batch if calls[0].function is cg else batch.run_arnoldi_batch
-    results = run([build() for build in builders])
+    results = run([build() for _, build in lanes])
     return [call.finish(result) for call, result in zip(calls, results)]

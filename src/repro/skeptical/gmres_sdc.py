@@ -297,8 +297,9 @@ class SdcCohort:
         """One observation of the default check set for every lane at step ``j``.
 
         The checks and their order are :meth:`SdcChecks.walk`'s; the
-        three cheap array checks and the orthogonality defect are
-        evaluated as stacked reductions over the due lanes, so per-lane
+        three cheap array checks and the orthogonality defect are stacked
+        reductions over the due lanes (no ``abs`` copy of the Hessenberg
+        window; the Grams of the leading slots, ``- I`` in place), so per-lane
         Python runs only on events (a failing check, a due orthogonality
         or consistency check).  ``basis`` and ``hess`` are the cohort's
         ``(G, m+1, n)`` and ``(G, m+1, m)`` stacks after step ``j``,
@@ -310,7 +311,8 @@ class SdcCohort:
         if due:
             rows = _slot_rows(due)
             fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
-            max_entry = np.abs(hess[rows, : j + 2, : j + 1]).max(axis=(1, 2))
+            window = hess[rows, : j + 2, : j + 1]  # max |h|; NaN and +-inf still fail
+            max_entry = np.maximum(window.max(axis=(1, 2)), -window.min(axis=(1, 2)))
             histories = self.book(due, rows, j, fb_pass, max_entry,
                                   _cheap_flops(basis.shape[2], j, 4))
             if histories is not None:  # else every lane passed: booked at once
@@ -321,18 +323,16 @@ class SdcCohort:
                     )
                     if build is not None:
                         failed[lane] = build
-        # Batched (D, k, n) @ (D, n, k) Gram matrices are bit-identical to
-        # the per-lane ``v.T @ v`` of orthogonality_check (pinned by the
-        # parity suite).
         if failed:
             ortho = [pair for pair in ortho if pair[0] not in failed]
-        if ortho:
-            k = j + 2
-            V = basis[_slot_rows(ortho), :k, :]
+        if ortho:  # Grams of the slots up to the last due one: the per-lane
+            k = j + 2  # ``v.T @ v`` of orthogonality_check bit for bit, - I in place
+            V = basis[: max(slot for _, slot in ortho) + 1, :k, :]
             grams = np.matmul(V, V.transpose(0, 2, 1))
-            defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
-            for i, (lane, slot) in enumerate(ortho):
-                build = lane.checks.orthogonality(defect[i], basis[slot, :k])
+            grams.reshape(len(V), -1)[:, :: k + 1] -= 1.0
+            defect = np.abs(grams, out=grams).max(axis=(1, 2)).tolist()
+            for lane, slot in ortho:
+                build = lane.checks.orthogonality(defect[slot], basis[slot, :k])
                 if build is not None:
                     failed[lane] = build
         for lane, slot in consistency:

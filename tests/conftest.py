@@ -43,8 +43,22 @@ def update_parity(request) -> bool:
     """Whether ``--update-parity`` was passed (see tests/test_engine_parity.py)."""
     return request.config.getoption("--update-parity")
 
+from repro.krylov import registry as solver_registry
+from repro.krylov.engine import batch as batch_engine
 from repro.linalg.matgen import convection_diffusion_2d, poisson_1d, poisson_2d
 from repro.machine.model import MachineModel
+
+
+@pytest.fixture
+def force_lockstep(monkeypatch):
+    """The lockstep routing constants at 1, the way the slab-path tests
+    force a path: every ``batch_solve`` group of two or more
+    lockstep-capable lanes takes the lockstep engine, and a CG batch
+    keeps its last lanes there.  For the tests whose subject is the
+    lockstep engine at 2-5 lanes, below the measured crossovers."""
+    monkeypatch.setattr(solver_registry, "_GMRES_MIN_LANES", 1)
+    monkeypatch.setattr(solver_registry, "_SDC_MIN_LANES", 1)
+    monkeypatch.setattr(batch_engine, "_CG_MIN_LANES", 1)
 
 
 @pytest.fixture

@@ -27,6 +27,11 @@ every layer:
   freezes finished lanes' iterates for good;
 * ledger -- a quarantined key completed later (e.g. by a batch
   sibling's unit) leaves ``failed_keys()`` once the store holds it.
+
+``batch_solve`` goes lockstep only from a lane class's measured
+crossover; the classes whose subject is the lockstep engine at 2-5
+lanes take the ``force_lockstep`` fixture (the routing constants at 1),
+and ``tests/test_lockstep_routing.py`` pins the real constants.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ def assert_lane_parity(results, seq_results):
 # ----------------------------------------------------------------------
 # Engine layer: batch_solve vs S sequential solve() calls.
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("force_lockstep")
 class TestEngineParity:
     @pytest.mark.parametrize(
         "solver,kwargs",
@@ -309,6 +315,7 @@ def _lane(rhs_seed, rhs_kind="normal", hook=None):
             "maxiter": 200, "tol": None, "hook": hook}
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestLockstepFuzz:
     # Pinned cases for the branches a random draw rarely reaches: a
     # happy breakdown beside ordinary lanes (the masked basis append),
@@ -400,6 +407,7 @@ def _no_op_hook(state):
     pass
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestBadInputAgreement:
     @pytest.mark.parametrize(
         "solver,kwargs,refused",
@@ -460,6 +468,7 @@ class TestBadInputAgreement:
         assert (one[0] if isinstance(one[0], type) else None) is expected
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestSharedBoundary:
     """The engines differ in their inner step only: the cycle boundary,
     the event a policy sees and the skeptical attempt loop are the same
@@ -746,6 +755,7 @@ def assert_driver_parity(module, config, seeds):
         assert canonical_json(b.to_dict()) == canonical_json(s.to_dict())
 
 
+@pytest.mark.usefixtures("force_lockstep")
 class TestDriverParity:
     def test_e1_matches_sequential(self):
         assert_driver_parity(
@@ -944,35 +954,49 @@ class TestMaskFreezeProperty:
         )
     )
     def test_converged_lane_rows_never_change(self, lanes):
-        # Once a lane leaves the advancing set (converged, broken down
-        # or out of budget), its rows of the stacked iterate/residual
+        # Once a lane leaves the advancing set (converged, broken down,
+        # out of budget, or handed to the sequential step with the
+        # batch's last lanes), its rows of the stacked iterate/residual
         # arrays must stay frozen for the rest of the lockstep run.
         matrix = poisson_2d(5)
-        specs = [
-            (
-                cg_engine(matrix, tol=10.0 ** -exponent, maxiter=maxiter),
-                np.random.default_rng(seed).standard_normal(matrix.n_rows),
-                None,
-            )
-            for seed, exponent, maxiter in lanes
-        ]
+
+        def specs():
+            return [
+                (
+                    cg_engine(matrix, tol=10.0 ** -exponent, maxiter=maxiter),
+                    np.random.default_rng(seed).standard_normal(matrix.n_rows),
+                    None,
+                )
+                for seed, exponent, maxiter in lanes
+            ]
+
         snapshots = {}
+        advanced_steps = collections.Counter()
 
         def trace(step, advanced, X, R):
             advancing = set(advanced)
-            for lane in range(len(specs)):
+            for lane in range(len(lanes)):
                 if lane in advancing:
+                    advanced_steps[lane] += 1
                     snapshots[lane] = (X[lane].copy(), R[lane].copy())
                 elif lane in snapshots:
                     x_frozen, r_frozen = snapshots[lane]
                     assert np.array_equal(X[lane], x_frozen)
                     assert np.array_equal(R[lane], r_frozen)
 
-        results = run_cg_batch(specs, trace=trace)
-        # The frozen rows are exactly what each lane returned.
-        for lane, result in enumerate(results):
-            if lane in snapshots:
+        results = run_cg_batch(specs(), trace=trace)
+        for lane, (result, (engine, b, _)) in enumerate(zip(results, specs())):
+            # A lane that left in lockstep (its iterations are its
+            # lockstep steps) returned exactly its frozen row; every lane,
+            # a handed-off one included, returned the sequential solve.
+            if lane in snapshots and result.iterations == advanced_steps[lane]:
                 assert np.array_equal(result.x, snapshots[lane][0])
+            sequential = engine.solve(b)
+            assert result.x.tobytes() == sequential.x.tobytes()
+            assert result.residual_norms == sequential.residual_norms
+            assert (result.iterations, result.converged, result.breakdown) == (
+                sequential.iterations, sequential.converged, sequential.breakdown
+            )
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,7 @@ class TestFp64Parity:
         assert explicit.info["precision"] == "fp64"
 
 
+@pytest.mark.usefixtures("force_lockstep")  # 3-4 lanes, below the gmres crossover
 class TestBatchPrecision:
     def test_batch_fp64_matches_sequential_bitwise(self):
         matrix, _ = _problem()

@@ -576,6 +576,29 @@ _sdc_lane = st.fixed_dictionaries(
 )
 
 
+# Hessenberg and basis entries the in-place sweep must read as the walk
+# does: non-finite, signed zeros, and magnitudes at and past the bound 4.0.
+_window_entry = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1.0, -3.5, 4.0,
+     float(np.nextafter(4.0, 5.0)), -float(np.nextafter(4.0, 5.0))]
+)
+_entries = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), _window_entry), max_size=6)
+_window_lane = st.fixed_dictionaries(
+    {
+        "skip_slot": st.booleans(),
+        "observed": st.integers(0, 29),
+        "check_period": st.integers(1, 3),
+        "history": st.lists(_sdc_residual, max_size=6),
+        "residual": _sdc_residual,
+        "truth": st.sampled_from([1.0, 2.0, float("nan")]),
+        "zero_window": st.booleans(),
+        "hess": _entries,
+        "basis": _entries,
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
 class TestSdcSweepMatchesTheMonitor:
     M, N = 5, 8  # cycle dimension and vector length of the drawn states
 
@@ -692,3 +715,54 @@ class TestSdcSweepMatchesTheMonitor:
         for (lane, slot), drawn in zip(swept, lanes):
             history = [*drawn["history"], *res[1 : j + 2, slot].tolist()]
             assert np.array_equal(lane.checks.residual_history, history, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(j=st.integers(0, M - 1), lanes=st.lists(_window_lane, min_size=1, max_size=4))
+    def test_in_place_sweep_equals_the_walk(self, j, lanes):
+        # The cohort forms the Hessenberg bound as max and -min of the
+        # window and the Gram defect in place on the leading slots' Grams;
+        # on windows holding NaN, +-inf and -0.0 (a whole window of -0.0
+        # too) every lane's verdict, failing check and counters must be
+        # what the sequential walk gives on the same state.
+        slots, basis, hess, residuals = self._stacks(j, [dict(lane, corrupt=None) for lane in lanes])
+        res = np.zeros((self.M + 1, len(residuals)))
+        table = np.zeros((SdcCohort.ROWS, len(residuals)))
+        swept, walked = [], []
+        for lane, slot in zip(lanes, slots):
+            if lane["zero_window"]:
+                hess[slot, : j + 2, : j + 1] = -0.0
+            for row, col, value in lane["hess"]:
+                hess[slot, row % (j + 2), col % (j + 1)] = value
+            for row, col, value in lane["basis"]:
+                basis[slot, row % (j + 2), col % self.N] = value
+            cycle = [residuals[slot] if 0.0 < residuals[slot] < np.inf else 1.0] * j
+            res[1 : j + 1, slot] = cycle
+            res[j + 1, slot] = residuals[slot]
+            pair = []
+            for observed, history in ((lane["observed"], lane["history"]),
+                                      (lane["observed"] + j, [*lane["history"], *cycle])):
+                one = _SweptLane(SdcChecks(1.0, check_period=lane["check_period"]), lane["truth"])
+                one.checks.observations, one.checks.residual_history = observed, list(history)
+                one.slot = slot
+                pair.append(one)
+            swept.append((pair[0], slot))
+            walked.append((pair[1], slot))
+
+        cohort = SdcCohort(swept, table, res)
+        with np.errstate(all="ignore"):
+            failed = cohort.sweep(j, basis, hess, residuals)
+            built = {lane: repr(build()) for lane, build in failed.items()}
+            walks = [
+                lane.checks.walk(lane, j, basis[slot], hess[slot], residuals[slot])
+                for lane, slot in walked
+            ]
+            expected = [None if build is None else repr(build()) for build in walks]
+        for (lane, _), (walk, _), failing in zip(swept, walked, expected):
+            cohort.leave(lane, j + 1)
+            assert built.get(lane) == failing
+            ours, theirs = lane.checks, walk.checks
+            assert (ours.observations, ours.checks_run, ours.detections) == (
+                theirs.observations, theirs.checks_run, theirs.detections
+            )
+            assert ours.check_flops == theirs.check_flops  # exact
+            assert np.array_equal(ours.residual_history, theirs.residual_history, equal_nan=True)

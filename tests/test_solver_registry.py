@@ -289,6 +289,7 @@ def _recorder(log):
     return hook
 
 
+@pytest.mark.usefixtures("force_lockstep")  # two lanes, below every crossover
 @pytest.mark.parametrize("name", _HOOKED)
 def test_every_hook_gets_one_event_per_iteration(name, monkeypatch):
     solver = REGISTRY.get(name)
