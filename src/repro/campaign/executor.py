@@ -369,10 +369,6 @@ class FailureLedger:
         self._records.append(record)
         return record
 
-    def records(self) -> List[AttemptRecord]:
-        """All attempts, in journal (chronological) order."""
-        return list(self._records)
-
     def history(self) -> Dict[str, List[AttemptRecord]]:
         """Attempts grouped per scenario key, in journal order."""
         grouped: Dict[str, List[AttemptRecord]] = {}

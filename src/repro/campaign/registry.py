@@ -76,10 +76,6 @@ class RegisteredExperiment:
             self.spec.title,
         )
 
-    def accepted_params(self) -> Tuple[str, ...]:
-        """Names of the keyword parameters ``run()`` accepts, in signature order."""
-        return self._accepted
-
     def accepts(self, param: str) -> bool:
         return param in self._accepted_set
 
@@ -139,8 +135,6 @@ class ExperimentRegistry(Registry[RegisteredExperiment]):
     def names(self) -> List[str]:
         """Sorted experiment ids ("E1" ... )."""
         return [d.experiment for d in self._drivers]
-
-    experiments = names
 
     def __iter__(self):
         return iter(self._drivers)

@@ -12,7 +12,7 @@ Three views:
 The *headline* of a scenario is a compact digest of its result
 summary: the first few scalar entries, which for every E1-E9 driver
 carry the qualitative claim (detection rates, speedups, efficiency
-gaps).  Full tables stay available via ``StoreRecord.experiment_result()``.
+gaps).  Full tables stay in each record's ``result``.
 """
 
 from __future__ import annotations

@@ -148,16 +148,6 @@ class Sweep:
                     f"zip sweep axes must have equal lengths, got {sorted(lengths)}"
                 )
 
-    def __len__(self) -> int:
-        if not self.axes:
-            return 1
-        if self.mode == "zip":
-            return len(next(iter(self.axes.values())))
-        count = 1
-        for values in self.axes.values():
-            count *= len(values)
-        return count
-
     def expand(self) -> List[Scenario]:
         """Materialize the scenarios, in deterministic axis order."""
         names = sorted(self.axes)

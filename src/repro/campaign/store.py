@@ -76,10 +76,6 @@ class StoreRecord:
     elapsed: float
     result: dict
 
-    def experiment_result(self) -> ExperimentResult:
-        """Deserialize the stored :class:`ExperimentResult`."""
-        return ExperimentResult.from_dict(self.result)
-
     def to_json(self, result_text: Optional[str] = None) -> str:
         """The store line, keys sorted, compact.  ``result_text`` is
         ``result`` already so encoded (a worker's verified canonical
@@ -147,9 +143,6 @@ class ResultStore:
             )
 
     # ------------------------------------------------------------------
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -67,7 +67,7 @@ def run_cpr_stepped(
     initial_state: Dict[str, Any],
     n_steps: int,
     *,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     n_ranks: int = 4,
     interval: int = 10,
     step_time: float = 1e-3,
@@ -107,7 +107,6 @@ def run_cpr_stepped(
     check_positive(step_time, "step_time")
     if interval <= 0 or n_steps < 0:
         raise ValueError("interval must be positive and n_steps non-negative")
-    machine = machine if machine is not None else MachineModel.commodity_cluster()
     failure_plan = failure_plan if failure_plan is not None else FailurePlan.none()
     store = CheckpointStore(machine, n_ranks=n_ranks)
 

@@ -37,7 +37,6 @@ from repro.comm.registry import (
     BackendRegistry,
     BoundBackend,
     RegisteredBackend,
-    backend_names,
     default_backend_registry,
     resolve_backend,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "CommTimeoutError",
     "ProcFailure",
     "RegisteredBackend",
-    "backend_names",
     "default_backend_registry",
     "resolve_backend",
 ]

@@ -4,12 +4,17 @@
 surface the distributed kernel layer (:mod:`repro.comm.distributed`,
 :mod:`repro.krylov.ops`) uses -- and, written once, everything the
 backends share: the rank and peer checks, ``sendrecv``, ``compute`` and
-the eleven collective forms.  A backend supplies identity, program
-time, liveness, point-to-point transport and one blocking collective
-hook, ``_collective``; one that can overlap collectives also overrides
-``_start_collective``, which otherwise completes eagerly.  Every
-backend completes a collective with the one rule
-:func:`complete_collective` and charges it with
+the five collective forms (``barrier``, ``bcast``, ``allreduce``,
+``allgather`` and the non-blocking ``iallreduce``).  Those, with
+``send``, ``recv`` and ``isend``, are the nine operations the programs
+issue: LFLR agrees on a step with ``allreduce(MIN)``, mirrors state with
+``sendrecv`` and recovers behind a ``barrier``; pipelined Krylov hides
+one ``iallreduce``; the distributed kernels ``allgather``.  A backend
+supplies identity, program time, liveness, point-to-point transport
+and one blocking collective hook, ``_collective``; one that can overlap
+collectives also overrides ``_start_collective``, which otherwise
+completes eagerly.  Every backend completes a collective with the one
+rule :func:`complete_collective` and charges it with
 :meth:`BaseCommunicator._collective_cost`.  The conformance suite
 (``tests/test_comm_conformance.py``) runs one parametrized test body
 against every registered backend.
@@ -25,13 +30,13 @@ Semantics shared by all backends:
 * a bounded wait that expires raises
   :class:`~repro.comm.errors.CommTimeoutError` -- no backend is
   permitted to hang;
-* an exception raised while a collective completes (too few
-  ``scatter`` chunks, a reduction over mismatched shapes) poisons it:
+* an exception raised while a collective completes (a reduction over
+  arrays of mismatched shapes) poisons it:
   every participant raises the same typed error, promptly -- nobody is
   left to wait out a timeout;
-* every backend folds a reduction in rank order: ``allreduce`` and
-  ``reduce`` complete through :func:`complete_collective`, ascending
-  rank, left to right -- the property that makes sim and shmem results
+* every backend folds a reduction in rank order: ``allreduce``
+  completes through :func:`complete_collective`, ascending rank, left
+  to right -- the property that makes sim and shmem results
   bit-identical;
 * ``compute(flops)`` / ``advance(seconds)`` drive the backend's notion
   of *program time*: virtual seconds on the simulator, a logical clock
@@ -49,7 +54,7 @@ import abc
 import copy
 import pickle
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,29 +123,20 @@ def complete_collective(
 ) -> Dict[int, Any]:
     """Per-rank results of a collective once every contribution is in.
 
-    Reductions fold the contributions in ascending rank order, left to
-    right, so every backend calling this produces bit-identical
-    results.  ``reduce`` and ``gather`` deliver ``None`` off the root.
-    Raises ``ValueError`` for a ``scatter`` root short of chunks; the
-    backend then poisons the collective.
+    ``allreduce`` folds the contributions in ascending rank order, left
+    to right, so every backend calling this produces bit-identical
+    results.  A fold that raises (arrays of mismatched shapes) raises
+    here; the backend then poisons the collective.
     """
     ranks = sorted(contributions)
-    values = [contributions[r] for r in ranks]
-    if kind == "scatter":
-        chunks = contributions.get(root)
-        if chunks is None or len(chunks) < len(ranks):
-            raise ValueError("scatter root must provide one chunk per participant")
-        return {r: chunks[i] for i, r in enumerate(ranks)}
-    if kind in ("allreduce", "reduce"):
-        result = (op if op is not None else SUM).reduce(values)
-    elif kind in ("gather", "allgather"):
-        result = values
+    if kind == "allreduce":
+        result = (op if op is not None else SUM).reduce([contributions[r] for r in ranks])
+    elif kind == "allgather":
+        result = [contributions[r] for r in ranks]
     elif kind == "bcast":
         result = contributions.get(root)
     else:  # barrier
         result = None
-    if kind in ("reduce", "gather"):
-        return {r: (result if r == root else None) for r in ranks}
     return dict.fromkeys(ranks, result)
 
 
@@ -154,50 +150,49 @@ def resolve_job_faults(
 
     Refuses an ``n_ranks`` that is not a positive integer (bools,
     floats and strings included), then returns ``(plan, factory)``:
-    the failure plan -- ``failure_plan`` if given, else the
-    ``proc_fail`` component of ``faults`` -- and, when ``faults`` has a
-    ``msg_corrupt`` component, a ``rank -> corruptor`` factory (else
-    ``None``).  Each rank's corruptor draws from a stream named after
+    the failure plan -- ``failure_plan`` if given, else the one the
+    ``proc_fail`` component of ``faults`` draws -- and, when ``faults``
+    has a ``msg_corrupt`` component, a ``rank -> corruptor`` factory
+    (else ``None``).  Each rank's corruptor draws from a stream named after
     the rank, so any launcher agreeing on ``(fault_seed, rank)``
     replays the same corruption sequence (see
     :mod:`repro.reliability.seeding`).
 
-    ``failure_plan`` accepts ``None`` (no failures), a ready
-    :class:`~repro.reliability.process.FailurePlan`, or anything
-    :func:`repro.reliability.resolve_faults` accepts (a registry name,
+    ``failure_plan`` is ``None`` or a ready
+    :class:`~repro.reliability.process.FailurePlan`; anything else is a
+    ``TypeError``.  Fault specs go through ``faults`` (anything
+    :func:`repro.reliability.resolve_faults` accepts: a registry name,
     a compact spec string such as ``"proc_fail:mtbf=3600,horizon=7200"``,
     a dict, a :class:`~repro.reliability.spec.FaultSpec` or a built
-    model) -- the one uniform way every layer names its fault axis.
-    Composite specs contribute their ``proc_fail`` component; specs
-    with no process-failure component resolve to an empty plan.  A plan
-    that kills a rank the job does not have is refused: dropping that
-    failure would run the job as a fault-free control.
+    model) -- the one way every layer names its fault axis.  A spec
+    with no ``proc_fail`` component kills no rank.  A plan that kills a
+    rank the job does not have is refused: dropping that failure would
+    run the job as a fault-free control.
     """
     check_integer(n_ranks, "n_ranks")
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    factory = None
+    if failure_plan is not None and not isinstance(failure_plan, FailurePlan):
+        raise TypeError(
+            f"failure_plan must be a FailurePlan or None, got {failure_plan!r}; "
+            "name a fault spec with faults="
+        )
+    plan, factory = failure_plan, None
     if faults is not None:
         model = resolve_faults(faults)
-        if failure_plan is None:
-            failure_plan = model
+        if plan is None:
+            try:
+                plan = model.failure_plan(n_ranks=int(n_ranks), seed=fault_seed)
+            except FaultCapabilityError:
+                plan = FailurePlan.none()
         msg_model = model.component("msg_corrupt")
         if msg_model is not None:
             def factory(rank: int):
                 return msg_model.message_corruptor(
                     fault_stream(fault_seed, f"messages/{rank}")
                 )
-    if failure_plan is None:
+    if plan is None:
         plan = FailurePlan.none()
-    elif isinstance(failure_plan, FailurePlan):
-        plan = failure_plan
-    else:
-        try:
-            plan = resolve_faults(failure_plan).failure_plan(
-                n_ranks=int(n_ranks), seed=fault_seed
-            )
-        except FaultCapabilityError:
-            plan = FailurePlan.none()
     for failure in plan:
         if failure.rank >= n_ranks:
             raise ValueError(
@@ -290,10 +285,6 @@ class BaseCommunicator(abc.ABC):
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; returns a waitable request."""
 
-    @abc.abstractmethod
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Non-blocking receive; the payload arrives at ``wait()``."""
-
     def _check_peer(self, peer: int, verb: str) -> None:
         """What every point-to-point operation checks first.
 
@@ -343,9 +334,7 @@ class BaseCommunicator(abc.ABC):
         rank, so eager completion preserves results (and bit-identity);
         only the overlap the simulator *models* is not realized.
         """
-        return CompletedRequest(
-            self._collective(kind, value, op, root), operation=f"i{kind}"
-        )
+        return CompletedRequest(self._collective(kind, value, op, root))
 
     def _collective_cost(self, kind: str, contributions: Dict[int, Any]) -> float:
         """Program-time charge of a completed collective, equal on every rank.
@@ -373,46 +362,15 @@ class BaseCommunicator(abc.ABC):
             "bcast", value if self.rank == root else None, root=root
         )
 
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        """Reduce to ``root``; non-root ranks return ``None``."""
-        self._check_rank(root)
-        return self._collective("reduce", value, op, root)
-
     def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Reduce and deliver the result to every rank."""
         return self._collective("allreduce", value, op)
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather per-rank values into a rank-ordered list at ``root``."""
-        self._check_rank(root)
-        return self._collective("gather", value, root=root)
 
     def allgather(self, value: Any) -> List[Any]:
         """Gather per-rank values into a rank-ordered list everywhere."""
         return self._collective("allgather", value)
 
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Scatter a sequence from ``root``; each rank gets one element."""
-        self._check_rank(root)
-        chunks = list(values) if (self.rank == root and values is not None) else None
-        return self._collective("scatter", chunks, root=root)
-
-    # -- non-blocking collectives ----------------------------------------
+    # -- non-blocking collective -----------------------------------------
     def iallreduce(self, value: Any, op: ReduceOp = SUM) -> Request:
         """Non-blocking allreduce (the pipelined-Krylov workhorse)."""
         return self._start_collective("allreduce", value, op)
-
-    def ibarrier(self) -> Request:
-        """Non-blocking barrier."""
-        return self._start_collective("barrier", None)
-
-    def iallgather(self, value: Any) -> Request:
-        """Non-blocking allgather."""
-        return self._start_collective("allgather", value)
-
-    def ibcast(self, value: Any, root: int = 0) -> Request:
-        """Non-blocking broadcast."""
-        self._check_rank(root)
-        return self._start_collective(
-            "bcast", value if self.rank == root else None, root=root
-        )

@@ -124,19 +124,6 @@ class DistributedVector:
         self.comm.compute(2.0 * self.local_size)
         return float(np.sqrt(self.comm.allreduce(local_sq, op=SUM)))
 
-    def axpy(self, alpha: float, other: "DistributedVector") -> "DistributedVector":
-        """In-place ``self += alpha * other``; returns self."""
-        self._check_compatible(other)
-        self.local += alpha * other.local
-        self.comm.compute(2.0 * self.local_size)
-        return self
-
-    def scale(self, alpha: float) -> "DistributedVector":
-        """In-place scaling; returns self."""
-        self.local *= alpha
-        self.comm.compute(self.local_size)
-        return self
-
     def gather_global(self) -> np.ndarray:
         """Return the full global vector on every rank (one allgather)."""
         pieces = self.comm.allgather(self.local)
@@ -147,12 +134,6 @@ class DistributedVector:
             raise TypeError("expected a DistributedVector")
         if other.global_size != self.global_size or other.local.size != self.local.size:
             raise ValueError("distributed vectors have mismatched distributions")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DistributedVector(rank={self.comm.rank}, local={self.local_size}, "
-            f"global={self.global_size})"
-        )
 
 
 class DistributedRowMatrix:
@@ -181,11 +162,6 @@ class DistributedRowMatrix:
         start, stop = ranges[comm.rank]
         return cls(comm, matrix.row_slice(start, stop), matrix.shape, start)
 
-    @property
-    def local_rows(self) -> int:
-        """Number of locally owned rows."""
-        return self.local_block.n_rows
-
     def matvec(self, x: DistributedVector) -> DistributedVector:
         """Distributed matrix-vector product; returns a new vector."""
         if not isinstance(x, DistributedVector):
@@ -198,20 +174,4 @@ class DistributedRowMatrix:
         # The product is a fresh array nobody else holds: wrap, don't copy.
         return DistributedVector.from_local_view(
             self.comm, local_result, self.global_shape[0], self.row_offset
-        )
-
-    def diagonal(self) -> DistributedVector:
-        """The locally owned part of the global diagonal."""
-        block = self.local_block
-        diag_local = np.zeros(self.local_rows, dtype=np.float64)
-        rows = block.row_ids()
-        hits = np.flatnonzero(block.indices == rows + self.row_offset)
-        # add.at, not assignment: duplicate diagonal entries are summed.
-        np.add.at(diag_local, rows[hits], block.data[hits])
-        return DistributedVector(self.comm, diag_local, self.global_shape[0], self.row_offset)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DistributedRowMatrix(rank={self.comm.rank}, local_rows={self.local_rows}, "
-            f"global_shape={self.global_shape})"
         )

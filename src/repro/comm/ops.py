@@ -1,8 +1,9 @@
 """Reduction operations for collectives.
 
 A :class:`ReduceOp` pairs a binary combining function with an identity
-element; reductions over NumPy arrays are element-wise.  The standard
-MPI-like operations are provided as module-level singletons.
+element; reductions over NumPy arrays are element-wise.  The three
+operations the programs reduce with -- ``SUM``, ``MAX`` and ``MIN`` --
+are module-level singletons.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["ReduceOp", "SUM", "PROD", "MAX", "MIN", "LAND", "LOR"]
+__all__ = ["ReduceOp", "SUM", "MAX", "MIN"]
 
 
 class ReduceOp:
@@ -43,16 +44,9 @@ class ReduceOp:
             result = self._func(result, value)
         return result
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReduceOp({self.name})"
-
 
 def _add(a, b):
     return np.add(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a + b
-
-
-def _mul(a, b):
-    return np.multiply(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a * b
 
 
 def _max(a, b):
@@ -63,17 +57,6 @@ def _min(a, b):
     return np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
 
 
-def _land(a, b):
-    return np.logical_and(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else bool(a) and bool(b)
-
-
-def _lor(a, b):
-    return np.logical_or(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else bool(a) or bool(b)
-
-
 SUM = ReduceOp("SUM", _add, 0)
-PROD = ReduceOp("PROD", _mul, 1)
 MAX = ReduceOp("MAX", _max, float("-inf"))
 MIN = ReduceOp("MIN", _min, float("inf"))
-LAND = ReduceOp("LAND", _land, True)
-LOR = ReduceOp("LOR", _lor, False)

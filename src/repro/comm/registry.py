@@ -28,7 +28,6 @@ __all__ = [
     "BoundBackend",
     "BackendRegistry",
     "default_backend_registry",
-    "backend_names",
     "resolve_backend",
     "AXIS",
 ]
@@ -78,10 +77,6 @@ class BoundBackend:
     spec: CommSpec
 
     @property
-    def name(self) -> str:
-        return self.entry.name
-
-    @property
     def procs(self) -> int:
         return self.spec.procs
 
@@ -101,7 +96,10 @@ class BoundBackend:
         Returns the per-rank return values in rank order (``None`` for
         ranks killed by an injected hard fault).  ``n_ranks`` defaults
         to the spec's ``procs``; the spec's ``watchdog``/``timeout``
-        parameter becomes the backend's per-wait bound.
+        parameter becomes the backend's per-wait bound.  ``failure_plan``
+        is a :class:`~repro.reliability.process.FailurePlan` or ``None``;
+        fault specs go through ``faults``
+        (:func:`~repro.comm.base.resolve_job_faults`).
         """
         launch = getattr(importlib.import_module(self.entry.module), self.entry.launcher)
         timeout = self.spec.get("timeout", self.spec.get("watchdog"))
@@ -146,11 +144,6 @@ class BackendRegistry(Registry[RegisteredBackend]):
 
 #: The process-wide registry of built-in backends.
 default_backend_registry = BackendRegistry.default
-
-
-def backend_names() -> List[str]:
-    """Sorted names of all registered backends."""
-    return default_backend_registry().names()
 
 
 def resolve_backend(

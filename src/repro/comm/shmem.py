@@ -44,10 +44,10 @@ rule (:func:`repro.comm.base.complete_collective`, an ascending-rank,
 left-to-right fold -- what makes distributed solves bit-identical
 across the two backends) and sends every rank its result and the
 collective's program-time cost.  A collective whose completion *raises*
-at the coordinator (``scatter`` with too few chunks) is poisoned: the
-coordinator posts the error to every peer before raising it, so every
-participant raises the same typed error.  The non-blocking forms
-complete eagerly (the front end's default).
+at the coordinator (a reduction over arrays of mismatched shapes) is
+poisoned: the coordinator posts the error to every peer before raising
+it, so every participant raises the same typed error.  The non-blocking
+``iallreduce`` completes eagerly (the front end's default).
 
 A message is one :mod:`repro.utils.child` frame (length header, pickled
 message), written with one ``os.write``.  A plain numeric ndarray in
@@ -236,7 +236,7 @@ class ShmemComm(BaseCommunicator):
     # -- payload encoding ----------------------------------------------
     def _encode_payload(self, obj: Any) -> Tuple:
         """Raw bytes for a plain numeric ndarray and, element by element,
-        a top-level list or tuple of them (the gather results); anything
+        a top-level list or tuple of them (the allgather results); anything
         else (objects, structured dtypes, subclasses) is pickled inline."""
         if _is_raw(obj):
             return self._encode_array(obj)
@@ -379,11 +379,7 @@ class ShmemComm(BaseCommunicator):
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         # Sends are buffered, so the eager form completes immediately.
         self.send(obj, dest, tag=tag)
-        return CompletedRequest(None, operation="isend")
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        self._check_peer(source, "recv from")
-        return Request(lambda _req: self.recv(source, tag), operation="irecv")
+        return CompletedRequest(None)
 
     # -- collectives ---------------------------------------------------
     def _collective(self, kind: str, value: Any, op=None, root=None) -> Any:
@@ -459,12 +455,6 @@ class ShmemComm(BaseCommunicator):
             if dest not in gone:
                 self._post(dest, ("collfail", seq, verdict))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShmemComm(rank={self._rank}, size={self._size}, "
-            f"pid={os.getpid()}, t={self._clock:.6g})"
-        )
-
 
 # ----------------------------------------------------------------------
 # Launcher
@@ -521,13 +511,13 @@ def launch_shmem(
     """Run ``func(comm, *args, **kwargs)`` on ``n_ranks`` OS processes.
 
     The shmem counterpart of :func:`repro.comm.sim.run_spmd`, with
-    the same fault-axis surface: ``faults``/``failure_plan`` map
-    ``proc_fail`` components to scheduled self-SIGKILLs and
-    ``msg_corrupt`` components to pipe-boundary payload corruption,
-    seeded identically to the simulator.  Returns the per-rank return
-    values in rank order; a rank killed by a hard fault yields ``None``
-    (mirroring the simulator's died-rank reporting), and a rank that
-    *raised* re-raises in the caller.
+    the same fault-axis surface: a ``failure_plan`` (or the
+    ``proc_fail`` component of ``faults``) maps to scheduled
+    self-SIGKILLs and a ``msg_corrupt`` component to pipe-boundary
+    payload corruption, seeded identically to the simulator.  Returns
+    the per-rank return values in rank order; a rank killed by a hard
+    fault yields ``None`` (mirroring the simulator's died-rank
+    reporting), and a rank that *raised* re-raises in the caller.
 
     Each rank is a :class:`~repro.utils.child.Child` that reports its
     outcome on its channel within ``JOIN_TIMEOUT``; after the shutdown

@@ -18,10 +18,10 @@ care about:
   advance it according to a :class:`~repro.machine.model.MachineModel`,
   so performance results are deterministic and machine-parameterized
   rather than wall-clock noise.
-* Blocking and non-blocking point-to-point messages and collectives
-  (barrier, broadcast, reduce, allreduce, gather, allgather, scatter,
-  and their ``i``-prefixed asynchronous forms); the MPI-3 style
-  non-blocking collectives' latency is hidden by overlapped work, as
+* Blocking and non-blocking point-to-point sends, blocking receives
+  and the front end's collectives (barrier, broadcast, allreduce,
+  allgather and the non-blocking ``iallreduce``); the MPI-3 style
+  non-blocking allreduce's latency is hidden by overlapped work, as
   the RBSP / pipelined-Krylov algorithms need.
 * Hard-fault injection: a :class:`~repro.reliability.process.FailurePlan`
   kills ranks at prescribed virtual times.  The death surfaces inside
@@ -296,7 +296,7 @@ class Comm(BaseCommunicator):
             self.clock.wait_until(send_time + latency)
             return None
 
-        return Request(_complete, operation="isend")
+        return Request(_complete)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from ``source``.
@@ -340,15 +340,6 @@ class Comm(BaseCommunicator):
         self.clock.wait_until(available)
         return payload
 
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Non-blocking receive; completion happens at :meth:`Request.wait`."""
-        self._check_peer(source, "recv from")
-
-        def _complete(_req: Request) -> Any:
-            return self.recv(source, tag)
-
-        return Request(_complete, operation="irecv")
-
     # ------------------------------------------------------------------
     # Collectives (the front end's forms over a post/complete core)
     # ------------------------------------------------------------------
@@ -362,7 +353,7 @@ class Comm(BaseCommunicator):
         """Post this rank's contribution and return the collective's slot.
 
         The last contribution completes the collective.  If completing
-        *raises* (too few scatter chunks, mismatched reduction shapes)
+        *raises* (a reduction over arrays of mismatched shapes)
         the slot is poisoned: the error is raised here and every other
         participant raises a copy of it from its completion.
         """
@@ -452,13 +443,7 @@ class Comm(BaseCommunicator):
     def _start_collective(self, kind: str, value: Any, op=None, root=None) -> Request:
         """Non-blocking collective: post now, complete at ``wait``."""
         slot = self._post_collective(kind, value, op, root)
-        return Request(lambda _req: self._complete_collective(slot), operation=kind)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Comm(rank={self._rank}, size={self.size}, epoch={self._epoch}, "
-            f"t={self.clock.now:.6g})"
-        )
+        return Request(lambda _req: self._complete_collective(slot))
 
 
 @dataclass
@@ -511,13 +496,14 @@ class SimRuntime:
         Machine model used for virtual-time accounting (defaults to
         :meth:`MachineModel.ideal`).
     failure_plan:
-        Hard-fault plan; ``None`` means no rank ever dies.  Also
-        accepts a declarative fault spec (registry name, compact spec
-        string, dict, :class:`~repro.reliability.spec.FaultSpec` or
-        built model) resolved through :func:`~repro.comm.base.resolve_job_faults`.
+        Hard-fault plan, a :class:`~repro.reliability.process.FailurePlan`;
+        ``None`` means no rank dies unless ``faults`` says so.
     faults:
-        Declarative fault spec for the runtime as a whole: its
-        ``proc_fail`` component supplies the failure plan (unless
+        Declarative fault spec for the runtime as a whole (registry
+        name, compact spec string, dict,
+        :class:`~repro.reliability.spec.FaultSpec` or built model),
+        resolved through :func:`~repro.comm.base.resolve_job_faults`:
+        its ``proc_fail`` component supplies the failure plan (unless
         ``failure_plan`` is given explicitly) and its ``msg_corrupt``
         component corrupts message payloads on the simulated
         interconnect.
@@ -730,14 +716,6 @@ class SimRuntime:
         self.start(func, *args, **kwargs)
         return self.join(timeout=timeout)
 
-    # ------------------------------------------------------------------
-    def values(self, results: Optional[List[RankResult]] = None) -> List[Any]:
-        """Return the per-rank return values in rank order."""
-        if results is None:
-            results = [entry.result for entry in self._threads.values()]
-        ordered = sorted(results, key=lambda r: r.rank)
-        return [r.value for r in ordered]
-
     def max_finish_time(self) -> float:
         """Latest virtual finish time over all rank incarnations."""
         times = [entry.result.finish_time for entry in self._threads.values()]
@@ -765,8 +743,8 @@ def run_spmd(
 
         totals = run_spmd(4, program)   # [6, 6, 6, 6]
 
-    ``failure_plan`` and ``faults`` accept declarative fault specs
-    exactly like :class:`SimRuntime`; ``timeout`` -- the launch
+    ``failure_plan`` and ``faults`` mean what they mean to
+    :class:`SimRuntime`; ``timeout`` -- the launch
     contract's per-wait bound -- is the runtime's wall-clock
     ``watchdog``.  The ``sim`` registry entry launches through here.
     """

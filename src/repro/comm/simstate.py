@@ -279,16 +279,3 @@ class VirtualClock:
             self._idle += time - self._now
             self._now = time
         return self._now
-
-    def copy(self) -> "VirtualClock":
-        """Return an independent copy (used when respawning a rank)."""
-        clone = VirtualClock(self._now)
-        clone._busy = self._busy
-        clone._idle = self._idle
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"VirtualClock(now={self._now:.6g}, busy={self._busy:.6g}, "
-            f"idle={self._idle:.6g})"
-        )

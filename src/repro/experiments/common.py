@@ -140,9 +140,6 @@ class ExperimentResult:
             parameters=dict(data.get("parameters", {})),
         )
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.render()
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:

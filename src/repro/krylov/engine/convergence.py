@@ -2,9 +2,8 @@
 
 Every solver in the toolkit uses the same stopping rule -- converge
 when ``|r| <= max(tol * |b|, atol)`` with a fallback to ``tol`` for a
-zero right-hand side -- but each used to inline it.  The engine owns a
-:class:`ConvergenceTest` instead, so alternative rules (absolute-only,
-per-component, energy norm) slot in without touching the core loop.
+zero right-hand side.  :class:`ConvergenceTest` is that one rule,
+written once for both engines instead of inlined per solver.
 """
 
 from __future__ import annotations

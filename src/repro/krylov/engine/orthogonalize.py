@@ -10,11 +10,10 @@ not their algebra:
   by an explicit norm.  Two fused reductions per step on the simulated
   runtime.
 * :class:`PipelinedOrthogonalizer` -- the latency-reduced kernel of
-  p(l)-GMRES: ONE fused non-blocking reduction carries all projection
-  coefficients plus ``|w|^2``, the norm of the orthogonalized vector
-  comes from the Pythagorean identity (or a second wave when
-  reorthogonalization is on), and the strategy counts its reduction
-  waves for the E3 synchronization comparison.
+  p(l)-GMRES: each of its two waves is ONE fused non-blocking
+  reduction carrying all projection coefficients plus ``|w|^2``, and
+  the strategy counts its reduction waves for the E3 synchronization
+  comparison.
 
 Both return ``(coefficients, h_next, happy)`` and leave the basis with
 the new vector appended, so the engine core loop is identical either
@@ -100,18 +99,16 @@ class BlockedOrthogonalizer(Orthogonalizer):
 
 
 class PipelinedOrthogonalizer(Orthogonalizer):
-    """Single-reduction (fused-wave) orthogonalization of p(l)-GMRES.
+    """Fused-wave orthogonalization of p(l)-GMRES.
 
-    ``reorthogonalize`` adds a second fused wave (together the two waves
-    are exactly CGS2); otherwise the new vector's norm comes from the
-    Pythagorean identity at the price of squared-cancellation
-    sensitivity.  The instance accumulates :attr:`reduction_waves` and
+    Two fused waves, each one non-blocking reduction of the projection
+    coefficients and the candidate's squared norm: together they are
+    exactly CGS2.  The instance accumulates :attr:`reduction_waves` and
     :attr:`mgs_equivalent` (what one-coefficient-at-a-time MGS would
     have cost) across the solve.
     """
 
-    def __init__(self, reorthogonalize: bool = True):
-        self.reorthogonalize = bool(reorthogonalize)
+    def __init__(self):
         self.reduction_waves = 0
         self.mgs_equivalent = 0
 
@@ -126,18 +123,13 @@ class PipelinedOrthogonalizer(Orthogonalizer):
         w_norm_sq = float(payload[j + 1])
         # Form the orthogonalized vector locally (one gemv).
         w = basis.block_axpy(coefficients, w, k=j + 1)
-        if self.reorthogonalize:
-            projection2 = basis.fused_projection(w, k=j + 1)
-            self.reduction_waves += 1
-            payload2 = projection2.wait()
-            corrections = np.asarray(payload2[: j + 1], dtype=np.float64)
-            w = basis.block_axpy(corrections, w, k=j + 1)
-            coefficients = coefficients + corrections
-            h_next = ops.norm(w)
-        else:
-            # Pythagorean identity: avoids a second reduction.
-            h_next_sq = w_norm_sq - float(coefficients.dot(coefficients))
-            h_next = math.sqrt(max(h_next_sq, 0.0))
+        projection2 = basis.fused_projection(w, k=j + 1)
+        self.reduction_waves += 1
+        payload2 = projection2.wait()
+        corrections = np.asarray(payload2[: j + 1], dtype=np.float64)
+        w = basis.block_axpy(corrections, w, k=j + 1)
+        coefficients = coefficients + corrections
+        h_next = ops.norm(w)
         happy = h_next <= 1e-12 * max(math.sqrt(max(w_norm_sq, 0.0)), 1.0)
         if not happy:
             basis.append(w, scale=1.0 / h_next)

@@ -123,7 +123,7 @@ def fused_dots(pairs: Sequence[Tuple[Vector, Vector]]):
             comm.compute(2.0 * x.local_size)
         return comm.iallreduce(local, op=SUM)
     values = np.array([dot(x, y) for x, y in pairs], dtype=np.float64)
-    return CompletedRequest(values, operation="fused_dots")
+    return CompletedRequest(values)
 
 
 def norm(x: Vector) -> float:
@@ -339,7 +339,7 @@ class _DenseKrylovBasis(KrylovBasis):
         payload = np.empty(k + 1, dtype=np.float64)
         payload[:k] = self._rows[:k].dot(w)
         payload[k] = float(w.dot(w))
-        return CompletedRequest(payload, operation="fused_projection")
+        return CompletedRequest(payload)
 
 
 class _DistributedKrylovBasis(KrylovBasis):

@@ -1,26 +1,25 @@
-"""Latency-reduced (single-reduction) GMRES.
+"""Latency-reduced (fused-reduction) GMRES.
 
 Classic GMRES with modified Gram-Schmidt performs ``j + 2`` *separate,
 serialized* global reductions in iteration ``j`` (one per projection
 coefficient plus the norm).  The latency-tolerant reformulation cited
 by the paper (p(l)-GMRES of Ghysels et al.) attacks exactly this: use
 classical Gram-Schmidt so all projection coefficients come from **one**
-fused reduction, obtain the new basis vector's norm from the same
-reduction via the Pythagorean identity
-``|w_orth|^2 = |w|^2 - sum_i c_i^2``, and post that reduction as a
-non-blocking collective so it can be overlapped with local work.
+fused reduction, and post that reduction as a non-blocking collective
+so it can be overlapped with local work.
 
 This configuration pairs the shared restarted-Arnoldi engine core with
 :class:`~repro.krylov.engine.orthogonalize.PipelinedOrthogonalizer`:
-the fused wave is ONE ``iallreduce`` of the stacked ``[V_jᵀ w, |w|²]``
+each fused wave is ONE ``iallreduce`` of the stacked ``[V_jᵀ w, |w|²]``
 payload (sequentially, one gemv), and the local orthogonalization
-update is a single ``w -= V_j h`` gemv.  The *depth-l* pipelining of
-p(l)-GMRES -- overlapping the reduction with the next matrix--vector
-product across iterations -- changes only the timing, not the
-numerics; its timing effect is modeled analytically in experiment E3
-(:mod:`repro.rbsp.variability`), while this implementation demonstrates
-the reduced synchronization count (1 fused reduction per iteration
-versus ``j + 2``) on the simulated runtime.
+update is a single ``w -= V_j h`` gemv.  Two waves per step make the
+CGS2 kernel of the baseline solver, so the numerics are the baseline's.
+The *depth-l* pipelining of p(l)-GMRES -- overlapping the reduction with
+the next matrix--vector product across iterations -- changes only the
+timing, not the numerics; its timing effect is modeled analytically in
+experiment E3 (:mod:`repro.rbsp.variability`), while this
+implementation demonstrates the reduced synchronization count (two
+fused waves per iteration versus ``j + 2``) on the simulated runtime.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ def pipelined_gmres(
     restart: int = 30,
     maxiter: int = 1000,
     preconditioner=None,
-    reorthogonalize: bool = True,
     iteration_hook: Optional[Callable[[GmresState], None]] = None,
     policy=None,
 ) -> SolveResult:
@@ -59,11 +57,9 @@ def pipelined_gmres(
 
     Parameters match :func:`repro.krylov.gmres.gmres` (``iteration_hook``
     too: ``hook(state)`` with the :class:`GmresState` of every
-    iteration); ``reorthogonalize`` adds a second (also fused) orthogonalization
-    pass, which restores most of MGS's robustness at the cost of a
-    second reduction wave -- together the two passes are exactly the
-    CGS2 kernel of the baseline solver, split so each wave can be
-    posted non-blocking.
+    iteration).  Each step orthogonalizes in two fused passes, one
+    reduction wave each -- together exactly the CGS2 kernel of the
+    baseline solver, split so each wave can be posted non-blocking.
 
     Returns
     -------
@@ -79,7 +75,7 @@ def pipelined_gmres(
     engine = SolverEngine(
         operator,
         ArnoldiScheme(
-            PipelinedOrthogonalizer(reorthogonalize),
+            PipelinedOrthogonalizer(),
             RightPreconditioner(preconditioner),
             restart=restart,
             maxiter=maxiter,

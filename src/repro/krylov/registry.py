@@ -71,7 +71,6 @@ __all__ = [
     "RegisteredSolver",
     "SolverRegistry",
     "default_solver_registry",
-    "solver_names",
     "batch_solve",
     "AXIS",
 ]
@@ -346,11 +345,6 @@ class SolverRegistry(Registry[RegisteredSolver]):
 
 #: The process-wide registry of named solver configurations.
 default_solver_registry = SolverRegistry.default
-
-
-def solver_names() -> List[str]:
-    """Sorted names of all registered solvers."""
-    return default_solver_registry().names()
 
 
 AXIS = Axis(name="solver", registry=default_solver_registry)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["SolveResult"]
 
@@ -45,14 +45,3 @@ class SolveResult:
     breakdown: bool = False
     detected_faults: int = 0
     info: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def final_residual(self) -> Optional[float]:
-        """Last recorded residual norm (``None`` if no history)."""
-        return self.residual_norms[-1] if self.residual_norms else None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SolveResult(converged={self.converged}, iterations={self.iterations}, "
-            f"final_residual={self.final_residual!r}, breakdown={self.breakdown})"
-        )

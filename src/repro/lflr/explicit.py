@@ -178,7 +178,7 @@ def run_lflr_heat(
     n_steps: int = 40,
     alpha: float = 1.0,
     failure_plan: Optional[FailurePlan] = None,
-    machine: Optional[MachineModel] = None,
+    machine: MachineModel,
     faults=None,
     fault_seed: Optional[int] = None,
     partner_offset: int = 1,
@@ -200,8 +200,7 @@ def run_lflr_heat(
     failure_plan:
         Hard-fault plan in *virtual seconds* (``None`` = fault free).
     machine:
-        Machine model (defaults to the commodity-cluster model so
-        virtual times are non-trivial).
+        Machine model driving virtual time.
     faults, fault_seed:
         Declarative fault spec forwarded to :class:`SimRuntime`
         (an explicit ``failure_plan`` still wins for hard faults; the
@@ -234,7 +233,6 @@ def run_lflr_heat(
     check_positive(alpha, "alpha")
     if n_ranks < 2 and failure_plan is not None and len(failure_plan) > 0:
         raise ValueError("failures require at least 2 ranks (no partner otherwise)")
-    machine = machine if machine is not None else MachineModel.commodity_cluster()
     h = 1.0 / (n_global + 1)
     config = {
         "n_global": n_global,

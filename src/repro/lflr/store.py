@@ -86,8 +86,8 @@ class PersistentStore:
         return (self.comm.rank - self.partner_offset) % self.comm.size
 
     # ------------------------------------------------------------------
-    def persist(self, step: int, state: Dict[str, Any], *, mirror: bool = True) -> None:
-        """Persist a snapshot locally and (by default) mirror it to the partner.
+    def persist(self, step: int, state: Dict[str, Any]) -> None:
+        """Persist a snapshot locally and mirror it to the partner.
 
         Mirroring is a symmetric exchange: this rank sends its snapshot
         to its partner and receives its ``mirror_source``'s snapshot in
@@ -100,7 +100,7 @@ class PersistentStore:
         self._own.append(entry)
         if len(self._own) > self.history:
             self._own.pop(0)
-        if not mirror or self.comm.size == 1:
+        if self.comm.size == 1:
             return
         payload = {"step": entry.step, "state": entry.state, "owner": self.comm.rank}
         self.bytes_mirrored += payload_nbytes(payload.get("state"))
@@ -133,22 +133,10 @@ class PersistentStore:
             return None
         return entries[-1].copy()
 
-    def mirrored_at_step(self, owner: int, step: int) -> Optional[StoreEntry]:
-        """Mirrored snapshot of ``owner`` at a specific step, if held."""
-        entries = self._mirrored.get(int(owner), [])
-        for entry in reversed(entries):
-            if entry.step == step:
-                return entry.copy()
-        return None
-
     # ------------------------------------------------------------------
-    def reply_restore(self, requester: int, owner: int, step: Optional[int] = None) -> None:
-        """Send the mirrored snapshot of ``owner`` to ``requester``."""
-        entry = None
-        if step is not None:
-            entry = self.mirrored_at_step(owner, step)
-        if entry is None:
-            entry = self.mirrored_latest(owner)
+    def reply_restore(self, requester: int, owner: int) -> None:
+        """Send the latest mirrored snapshot of ``owner`` to ``requester``."""
+        entry = self.mirrored_latest(owner)
         payload = None
         if entry is not None:
             payload = {"step": entry.step, "state": entry.state, "owner": owner}

@@ -5,8 +5,8 @@ here from scratch on top of NumPy (SciPy is used only as a test
 oracle):
 
 * :mod:`repro.linalg.csr` -- compressed-sparse-row matrices with
-  matvec, transpose-matvec, row/diagonal extraction and conversion
-  helpers.
+  matvec, transpose-matvec, row slices, diagonal extraction and dtype
+  conversion.
 * :mod:`repro.linalg.matgen` -- model-problem generators: 1-D/2-D
   Poisson, convection-diffusion and tridiagonal matrices.
 * :mod:`repro.linalg.blas` -- the GMRES least-squares kernels (Givens
@@ -31,7 +31,6 @@ from repro.linalg.matgen import (
 from repro.linalg.blas import givens_rotation, back_substitution
 from repro.linalg.precond import (
     Preconditioner,
-    IdentityPreconditioner,
     JacobiPreconditioner,
     SsorPreconditioner,
     NeumannPolynomialPreconditioner,
@@ -39,7 +38,6 @@ from repro.linalg.precond import (
 )
 from repro.linalg.checksum import (
     ChecksummedMatrix,
-    checksum_vector,
     verify_checksum,
     checked_matvec,
     checked_matmul,
@@ -55,13 +53,11 @@ __all__ = [
     "givens_rotation",
     "back_substitution",
     "Preconditioner",
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
     "SsorPreconditioner",
     "NeumannPolynomialPreconditioner",
     "BlockJacobiPreconditioner",
     "ChecksummedMatrix",
-    "checksum_vector",
     "verify_checksum",
     "checked_matvec",
     "checked_matmul",

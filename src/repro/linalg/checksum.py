@@ -26,10 +26,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.linalg.csr import CsrMatrix
-from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
-    "checksum_vector",
     "verify_checksum",
     "ChecksummedMatrix",
     "checked_matvec",
@@ -39,28 +37,19 @@ __all__ = [
 ]
 
 
-def checksum_vector(vector: np.ndarray) -> float:
-    """Return the checksum (sum of entries) of a vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    return float(vector.sum())
-
-
-def verify_checksum(
-    vector: np.ndarray, expected: float, *, rtol: float = 1e-8, atol: float = 1e-12
-) -> bool:
+def verify_checksum(vector: np.ndarray, expected: float) -> bool:
     """Check a vector against its expected checksum with a mixed tolerance.
 
-    The tolerance is relative to the 1-norm of the vector, which is the
-    natural scale of rounding error accumulated by the sum.
+    The tolerance, ``1e-12`` plus ``1e-8`` times the 1-norm of the
+    vector, is relative to the natural scale of rounding error
+    accumulated by the sum.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    check_non_negative(rtol, "rtol")
-    check_non_negative(atol, "atol")
     actual = vector.sum()
     if not np.isfinite(actual) or not np.isfinite(expected):
         return bool(np.isfinite(actual) == np.isfinite(expected) and actual == expected)
     scale = np.abs(vector).sum()
-    return bool(abs(actual - expected) <= atol + rtol * max(scale, 1.0))
+    return bool(abs(actual - expected) <= 1e-12 + 1e-8 * max(scale, 1.0))
 
 
 class ChecksummedMatrix:
@@ -83,16 +72,6 @@ class ChecksummedMatrix:
             self._matrix = dense
             self._column_checksums = dense.sum(axis=0)
 
-    @property
-    def matrix(self):
-        """The wrapped matrix (CSR or dense ndarray)."""
-        return self._matrix
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the wrapped matrix."""
-        return self._matrix.shape
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Plain (unchecked) matvec."""
         if isinstance(self._matrix, CsrMatrix):
@@ -109,8 +88,6 @@ def checked_matvec(
     matrix: Union[ChecksummedMatrix, CsrMatrix, np.ndarray],
     x: np.ndarray,
     *,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
     corrupt=None,
 ) -> Tuple[np.ndarray, bool]:
     """Matrix-vector product with checksum verification.
@@ -137,7 +114,7 @@ def checked_matvec(
     result = wrapped.matvec(x)
     if corrupt is not None:
         result = corrupt(result)
-    ok = verify_checksum(result, expected, rtol=rtol, atol=atol)
+    ok = verify_checksum(result, expected)
     return result, ok
 
 
@@ -156,8 +133,6 @@ def checked_matmul(
     a: np.ndarray,
     b: np.ndarray,
     *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     corrupt=None,
     correct: bool = False,
 ) -> Tuple[np.ndarray, MatmulCheckReport]:
@@ -167,13 +142,14 @@ def checked_matmul(
     and B with a row-checksum column; the product of the extended
     matrices then contains both the row and column checksums of C, and
     a single corrupted element of C is located by the intersection of
-    the violated row and column and repaired from either checksum.
+    the violated row and column and repaired from either checksum.  A
+    checksum is violated when it is not finite or misses by more than
+    ``1e-10`` plus ``1e-8`` times the 1-norm of its row or column.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError("incompatible shapes for matmul")
-    check_non_negative(rtol, "rtol")
     c = a @ b
     if corrupt is not None:
         c = corrupt(c)
@@ -187,8 +163,8 @@ def checked_matmul(
     with np.errstate(invalid="ignore"):
         col_diff = actual_col - expected_col
         row_diff = actual_row - expected_row
-    col_bad = ~np.isfinite(actual_col) | (np.abs(col_diff) > atol + rtol * col_scale)
-    row_bad = ~np.isfinite(actual_row) | (np.abs(row_diff) > atol + rtol * row_scale)
+    col_bad = ~np.isfinite(actual_col) | (np.abs(col_diff) > 1e-10 + 1e-8 * col_scale)
+    row_bad = ~np.isfinite(actual_row) | (np.abs(row_diff) > 1e-10 + 1e-8 * row_scale)
     ok = not (col_bad.any() or row_bad.any())
     report = MatmulCheckReport(ok=ok, row_violations=np.nonzero(row_bad)[0],
                                col_violations=np.nonzero(col_bad)[0])

@@ -25,9 +25,8 @@ Two things keep the bandwidth-bound sizes fast in pure NumPy:
   with windows, by whether ``x`` is finite).
 * **Shared structure.**  ``indptr``/``indices`` (read-only from
   construction) and everything derived from them, the slab layout
-  included, live in one :class:`_Pattern` that ``copy()``,
-  ``astype()``, ``scale_rows()`` and scalar multiplication share;
-  those only copy ``data``.  The slab plan keeps a permuted copy of
+  included, live in one :class:`_Pattern` that ``copy()`` and
+  ``astype()`` share; those only copy ``data``.  The slab plan keeps a permuted copy of
   ``data``, so building it marks that matrix's ``data`` read-only: an
   in-place write afterwards raises instead of leaving the plan stale.
   Write to ``data`` before the first large matvec, or build a new
@@ -45,7 +44,7 @@ by every value-copy.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -447,26 +446,6 @@ class CsrMatrix:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        *,
-        tol: float = 0.0,
-        dtype=np.float64,
-        storage=None,
-    ) -> "CsrMatrix":
-        """Build from a dense array, dropping entries with ``|a_ij| <= tol``."""
-        arr = np.asarray(dense, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("from_dense expects a 2-D array")
-        mask = np.abs(arr) > tol
-        indptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(mask.sum(axis=1))
-        indices = np.nonzero(mask)[1]
-        data = arr[mask]
-        return cls(indptr, indices, data, arr.shape, dtype=dtype, storage=storage)
-
-    @classmethod
     def from_coo(
         cls,
         rows: Iterable[int],
@@ -518,17 +497,6 @@ class CsrMatrix:
         data = np.ones(n, dtype=np.float64)
         return cls(indptr, indices, data, (n, n), dtype=dtype, storage=storage)
 
-    @classmethod
-    def diagonal(
-        cls, values: Iterable[float], *, dtype=np.float64, storage=None
-    ) -> "CsrMatrix":
-        """A diagonal matrix with the given diagonal values."""
-        vals = np.asarray(values, dtype=np.float64)
-        n = vals.size
-        indptr = np.arange(n + 1, dtype=np.int64)
-        indices = np.arange(n, dtype=np.int64)
-        return cls(indptr, indices, vals.copy(), (n, n), dtype=dtype, storage=storage)
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
@@ -551,12 +519,6 @@ class CsrMatrix:
     def is_square(self) -> bool:
         """Whether the matrix is square."""
         return self.shape[0] == self.shape[1]
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        """Dtype the stored entries are held in (may be narrower than
-        the compute dtype, e.g. float16 storage under float32 compute)."""
-        return self.data.dtype
 
     def astype(self, dtype, *, storage=None) -> "CsrMatrix":
         """Return a copy with the given compute (and optional storage) dtype.
@@ -658,9 +620,6 @@ class CsrMatrix:
         np.add.at(result, self.indices, self.data * y[self._pattern.row_ids()])
         return result
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
-
     def diagonal_values(self) -> np.ndarray:
         """Extract the main diagonal (zeros where no entry is stored)."""
         diag = np.zeros(min(self.shape), dtype=self.dtype)
@@ -682,14 +641,6 @@ class CsrMatrix:
         """
         return self._pattern.sweeps()
 
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(columns, values)`` of row ``i``."""
-        check_integer(i, "i")
-        if not 0 <= i < self.n_rows:
-            raise IndexError(f"row {i} out of range")
-        start, end = self.indptr[i], self.indptr[i + 1]
-        return self.indices[start:end].copy(), self.data[start:end].copy()
-
     def row_slice(self, start: int, stop: int) -> "CsrMatrix":
         """Return rows ``start:stop`` as a new CSR matrix (same column space)."""
         check_integer(start, "start")
@@ -710,21 +661,6 @@ class CsrMatrix:
         np.add.at(dense, (self._pattern.row_ids(), self.indices), self.data)
         return dense
 
-    def transpose(self) -> "CsrMatrix":
-        """Return the transpose as a new CSR matrix."""
-        return CsrMatrix.from_coo(
-            self.indices, self._pattern.row_ids(), self.data,
-            (self.n_cols, self.n_rows),
-            dtype=self.dtype, storage=self.data.dtype,
-        )
-
-    def scale_rows(self, factors: np.ndarray) -> "CsrMatrix":
-        """Return ``diag(factors) @ A`` as a new matrix."""
-        factors = np.asarray(factors, dtype=self.dtype)
-        if factors.shape != (self.n_rows,):
-            raise ValueError("factors must have one entry per row")
-        return self._with_values(self.data * factors[self._pattern.row_ids()])
-
     def copy(self) -> "CsrMatrix":
         """A matrix with its own ``data`` over the shared, immutable pattern."""
         return self._with_values(self.data.copy())
@@ -741,13 +677,3 @@ class CsrMatrix:
             self.shape,
             dtype=np.result_type(self.dtype, other.dtype),
         )
-
-    def __mul__(self, scalar: Union[int, float]) -> "CsrMatrix":
-        if not isinstance(scalar, (int, float, np.floating, np.integer)):
-            return NotImplemented
-        return self._with_values(self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -40,7 +40,6 @@ from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
     "Preconditioner",
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
     "SsorPreconditioner",
     "NeumannPolynomialPreconditioner",
@@ -57,13 +56,6 @@ class Preconditioner:
 
     def __call__(self, vector: np.ndarray) -> np.ndarray:
         return self.apply(vector)
-
-
-class IdentityPreconditioner(Preconditioner):
-    """No preconditioning (M = I)."""
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        return np.array(vector, dtype=np.float64, copy=True)
 
 
 class JacobiPreconditioner(Preconditioner):
@@ -238,11 +230,6 @@ class BlockJacobiPreconditioner(Preconditioner):
                 self._factors.append(None)
                 continue
             self._factors.append(np.linalg.inv(block))
-
-    @property
-    def block_ranges(self) -> List[tuple]:
-        """The (start, stop) row range of each block."""
-        return list(self._ranges)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64)

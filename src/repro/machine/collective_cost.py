@@ -58,12 +58,12 @@ def barrier_time(machine: MachineModel, n_ranks: int) -> float:
 def collective_time(machine: MachineModel, kind: str, n_ranks: int, n_bytes: float) -> float:
     """Cost of one collective of ``kind`` -- the communicators' one cost rule.
 
-    ``barrier`` is a zero-byte allreduce; ``bcast``/``scatter``/
-    ``gather``/``allgather`` are modeled as a (possibly reversed)
-    broadcast tree carrying ``n_bytes``; reductions are allreduces.
+    ``barrier`` is a zero-byte allreduce; ``bcast`` and ``allgather``
+    are modeled as a broadcast tree carrying ``n_bytes``; ``allreduce``
+    is itself.
     """
     if kind == "barrier":
         return barrier_time(machine, n_ranks)
-    if kind in ("bcast", "scatter", "gather", "allgather"):
+    if kind in ("bcast", "allgather"):
         return broadcast_time(machine, n_ranks, n_bytes)
     return allreduce_time(machine, n_ranks, n_bytes)

@@ -133,22 +133,16 @@ def efficiency_crossover_mtbf(
     recovery_time: float,
     restart_time: float = 0.0,
     redundancy_overhead: float = 0.02,
-    *,
-    lo: float = 1.0,
-    hi: float = 1.0e9,
-    tol: float = 1e-3,
 ) -> float:
     """System MTBF at which CPR efficiency equals LFLR efficiency.
 
     Below the returned MTBF, LFLR is strictly more efficient; above it,
     the constant redundancy overhead of LFLR can make CPR (with very
-    rare failures) slightly better.  Found by bisection on the
-    difference of the two efficiency models.
+    rare failures) slightly better.  Found by bisection in log space on
+    the difference of the two efficiency models, over ``[1, 1e9]``
+    seconds, to a relative width of ``1e-3``.
     """
-    check_positive(lo, "lo")
-    check_positive(hi, "hi")
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
+    lo, hi = 1.0, 1.0e9
 
     def diff(mtbf: float) -> float:
         return cpr_efficiency(checkpoint_time, mtbf, restart_time) - lflr_efficiency(
@@ -161,7 +155,7 @@ def efficiency_crossover_mtbf(
     if f_lo < 0 and f_hi < 0:
         return hi  # LFLR always better in range.
     a, b = lo, hi
-    while b - a > tol * max(1.0, a):
+    while b - a > 1e-3 * max(1.0, a):
         mid = math.sqrt(a * b)  # bisection in log space
         if (diff(a) <= 0) == (diff(mid) <= 0):
             a = mid

@@ -103,19 +103,6 @@ class MachineModel:
         check_non_negative(n_bytes_per_rank, "n_bytes_per_rank")
         return n_bytes_per_rank / self.checkpoint_bandwidth
 
-    def restart_time(self, n_bytes_per_rank: float) -> float:
-        """Time for a global restart: relaunch plus reading the checkpoint."""
-        return self.restart_overhead + self.checkpoint_time(n_bytes_per_rank)
-
-    def local_recovery_time(self, n_bytes_recovered: float) -> float:
-        """Time for LFLR recovery of one rank's state from neighbours.
-
-        Consists of the fixed respawn overhead plus pulling the
-        redundant copy of the lost state over the network.
-        """
-        check_non_negative(n_bytes_recovered, "n_bytes_recovered")
-        return self.local_recovery_overhead + self.message_time(n_bytes_recovered)
-
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
@@ -123,16 +110,6 @@ class MachineModel:
     def ideal(cls) -> "MachineModel":
         """A noise-free machine with negligible latency (for unit tests)."""
         return cls(latency=0.0, noise=NoNoise())
-
-    @classmethod
-    def commodity_cluster(cls, noise: Optional[NoiseModel] = None) -> "MachineModel":
-        """Parameters loosely resembling a commodity InfiniBand cluster."""
-        return cls(
-            flop_rate=5.0e9,
-            latency=2.0e-6,
-            bandwidth=5.0e9,
-            noise=noise if noise is not None else NoNoise(),
-        )
 
     @classmethod
     def leadership_class(cls, noise: Optional[NoiseModel] = None) -> "MachineModel":

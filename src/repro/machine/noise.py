@@ -55,9 +55,6 @@ class NoNoise(NoiseModel):
     def mean_overhead(self, base_time: float) -> float:
         return 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NoNoise()"
-
 
 class EccStallNoise(NoiseModel):
     """Stalls whose *rate* grows with the length of the interval.

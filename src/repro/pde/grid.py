@@ -53,19 +53,16 @@ class Grid1D:
         the whole domain).
     n_global:
         Total number of interior grid points.
-    boundary_value:
-        Dirichlet value used at both physical boundaries.
+
+    Both physical boundaries hold the homogeneous Dirichlet value 0.
     """
 
-    def __init__(
-        self, comm: Optional[BaseCommunicator], n_global: int, *, boundary_value: float = 0.0
-    ):
+    def __init__(self, comm: Optional[BaseCommunicator], n_global: int):
         check_integer(n_global, "n_global")
         if n_global <= 0:
             raise ValueError("n_global must be positive")
         self.comm = comm
         self.n_global = int(n_global)
-        self.boundary_value = float(boundary_value)
         n_ranks = comm.size if comm is not None else 1
         rank = comm.rank if comm is not None else 0
         ranges = partition_interval(self.n_global, n_ranks)
@@ -88,8 +85,8 @@ class Grid1D:
     def exchange_halos(self, u_local: np.ndarray) -> Tuple[float, float]:
         """Exchange boundary values with neighbours.
 
-        Returns ``(left_ghost, right_ghost)``; physical boundaries use
-        the Dirichlet value.  Communication goes through the simulated
+        Returns ``(left_ghost, right_ghost)``; physical boundaries give
+        the Dirichlet value 0.  Communication goes through the simulated
         communicator and therefore participates in failure detection --
         a dead neighbour surfaces as
         :class:`~repro.comm.errors.RankFailedError` here.
@@ -97,8 +94,7 @@ class Grid1D:
         u_local = np.asarray(u_local, dtype=np.float64)
         if u_local.size != self.n_local:
             raise ValueError("u_local has the wrong length for this rank's block")
-        left_ghost = self.boundary_value
-        right_ghost = self.boundary_value
+        left_ghost = right_ghost = 0.0
         if self.comm is None:
             return left_ghost, right_ghost
         comm = self.comm

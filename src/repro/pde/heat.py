@@ -12,7 +12,7 @@ current field, one block per rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,24 +36,22 @@ def stable_time_step(h: float, alpha: float, safety: float = 0.9) -> float:
     return safety * h * h / (2.0 * alpha)
 
 
-def gaussian_initial_condition(x: np.ndarray, center: float = 0.5, width: float = 0.1) -> np.ndarray:
-    """A Gaussian bump, the standard smooth initial condition."""
+def gaussian_initial_condition(x: np.ndarray) -> np.ndarray:
+    """A Gaussian bump (centre 0.5, width 0.1), the standard smooth
+    initial condition."""
     x = np.asarray(x, dtype=np.float64)
-    check_positive(width, "width")
-    return np.exp(-((x - center) ** 2) / (2.0 * width * width))
+    return np.exp(-((x - 0.5) ** 2) / (2.0 * 0.1 * 0.1))
 
 
-def heat_step_explicit(
-    u: np.ndarray, dt: float, h: float, alpha: float,
-    *, left_boundary: float = 0.0, right_boundary: float = 0.0,
-) -> np.ndarray:
-    """One forward-Euler step on a full (non-distributed) field."""
+def heat_step_explicit(u: np.ndarray, dt: float, h: float, alpha: float) -> np.ndarray:
+    """One forward-Euler step on a full (non-distributed) field with
+    homogeneous Dirichlet boundaries."""
     u = np.asarray(u, dtype=np.float64)
     check_positive(dt, "dt")
     check_positive(h, "h")
     padded = np.empty(u.size + 2, dtype=np.float64)
-    padded[0] = left_boundary
-    padded[-1] = right_boundary
+    padded[0] = 0.0
+    padded[-1] = 0.0
     padded[1:-1] = u
     laplacian = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / (h * h)
     return u + dt * alpha * laplacian
@@ -119,10 +117,6 @@ class HeatProblem1D:
             if record:
                 self.history.append(self.u.copy())
         return self.u
-
-    def total_heat(self) -> float:
-        """The conserved-up-to-boundary-flux total of the field."""
-        return float(self.u.sum() * self.h)
 
     def run(self, n_steps: int) -> np.ndarray:
         """Reset and run ``n_steps`` steps from the initial condition."""

@@ -71,11 +71,6 @@ class ImplicitHeatProblem1D:
         self.u = gaussian_initial_condition(self.x)
         self.cg_iterations: List[int] = []
 
-    def reset(self) -> None:
-        """Restore the initial condition and clear counters."""
-        self.u = gaussian_initial_condition(self.x)
-        self.cg_iterations.clear()
-
     def step(self, n_steps: int = 1, *, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance ``n_steps`` backward-Euler steps.
 
@@ -95,7 +90,3 @@ class ImplicitHeatProblem1D:
             self.cg_iterations.append(result.iterations)
             x0 = None
         return self.u
-
-    def total_heat(self) -> float:
-        """Discrete total of the field."""
-        return float(self.u.sum() * self.h)

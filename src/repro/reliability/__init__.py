@@ -77,7 +77,6 @@ from repro.reliability.bitflip import (
     flip_bit_array,
     flip_bit_float64,
     flip_random_bit,
-    float_from_bits,
     relative_perturbation,
 )
 from repro.reliability.schedule import (
@@ -116,7 +115,6 @@ from repro.reliability.registry import (
     FaultRegistry,
     RegisteredFaultModel,
     default_fault_registry,
-    fault_names,
     resolve_faults,
     unreliable,
 )
@@ -126,14 +124,12 @@ from repro.reliability.precision import (
     RegisteredPrecision,
     default_precision_registry,
     parse_precision,
-    precision_names,
 )
 from repro.reliability.seeding import derive_fault_seed, derive_seed, fault_stream
 
 __all__ = [
     # bit-level primitives
     "bits_of",
-    "float_from_bits",
     "flip_bit_float64",
     "flip_bit_array",
     "flip_random_bit",
@@ -176,14 +172,12 @@ __all__ = [
     "FaultRegistry",
     "RegisteredFaultModel",
     "default_fault_registry",
-    "fault_names",
     "resolve_faults",
     # precision (the fourth axis)
     "PrecisionSpec",
     "RegisteredPrecision",
     "PrecisionRegistry",
     "default_precision_registry",
-    "precision_names",
     "parse_precision",
     # seeding
     "derive_seed",

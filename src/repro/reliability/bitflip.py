@@ -32,7 +32,6 @@ from repro.utils.validation import check_integer
 
 __all__ = [
     "bits_of",
-    "float_from_bits",
     "flip_bit_float64",
     "flip_bit_array",
     "flip_random_bit",
@@ -60,13 +59,6 @@ def max_bit_index(dtype) -> int:
 def bits_of(value: float) -> int:
     """Return the 64-bit integer pattern of a double-precision value."""
     return int(np.float64(value).view(np.uint64))
-
-
-def float_from_bits(bits: int) -> float:
-    """Return the double-precision value whose bit pattern is ``bits``."""
-    if not 0 <= int(bits) < 2**64:
-        raise ValueError("bits must fit in 64 bits")
-    return float(np.uint64(bits).view(np.float64))
 
 
 def flip_bit_float64(value: float, bit: int) -> float:

@@ -62,8 +62,8 @@ class ScheduledInjector:
     """The schedule loop shared by the array injectors.
 
     Subclasses supply :meth:`_corrupt`, the per-victim step; the
-    schedule, the :attr:`events` record, :attr:`n_injected` and
-    :meth:`reset` live here once.
+    schedule, the :attr:`events` record and :attr:`n_injected` live
+    here once.
     """
 
     def __init__(self, schedule, rng, target):
@@ -95,11 +95,6 @@ class ScheduledInjector:
     def n_injected(self) -> int:
         """Number of faults injected so far through this injector."""
         return len(self.events)
-
-    def reset(self) -> None:
-        """Reset the schedule and forget the recorded events."""
-        self.schedule.reset()
-        self.events.clear()
 
 
 class ArrayInjector(ScheduledInjector):

@@ -180,9 +180,6 @@ class FaultModel:
         """The compact spec-string form (stable, parseable)."""
         return self.spec.to_string()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.describe()!r})"
-
     # -- capabilities (unsupported by default) ------------------------
     def _unsupported(self, capability: str) -> FaultCapabilityError:
         return FaultCapabilityError(

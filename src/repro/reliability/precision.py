@@ -55,7 +55,6 @@ __all__ = [
     "RegisteredPrecision",
     "PrecisionRegistry",
     "default_precision_registry",
-    "precision_names",
     "parse_precision",
     "cast_operator",
     "cast_vector",
@@ -180,11 +179,6 @@ class PrecisionRegistry(Registry[RegisteredPrecision]):
 default_precision_registry = PrecisionRegistry.default
 
 
-def precision_names() -> List[str]:
-    """Sorted names of all registered precision configurations."""
-    return default_precision_registry().names()
-
-
 def parse_precision(
     value: Union[None, str, Mapping, "PrecisionSpec"]
 ) -> PrecisionSpec:
@@ -259,7 +253,7 @@ def cast_operator(operator, spec: PrecisionSpec):
     if isinstance(operator, CsrMatrix):
         if (
             operator.dtype == spec.compute_dtype
-            and operator.storage_dtype == spec.storage_dtype
+            and operator.data.dtype == spec.storage_dtype
         ):
             return operator
         return operator.astype(spec.compute_dtype, storage=spec.storage_dtype)

@@ -73,9 +73,6 @@ class ExponentialFailureModel(ProcessFailureModel):
     def node_mtbf(self) -> float:
         return self.mtbf
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ExponentialFailureModel(mtbf={self.mtbf})"
-
 
 class WeibullFailureModel(ProcessFailureModel):
     """Weibull-distributed failure interarrivals.
@@ -101,9 +98,6 @@ class WeibullFailureModel(ProcessFailureModel):
         from math import gamma
 
         return self.scale * gamma(1.0 + 1.0 / self.shape)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WeibullFailureModel(scale={self.scale}, shape={self.shape})"
 
 
 @dataclass(frozen=True)

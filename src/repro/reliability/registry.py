@@ -28,7 +28,6 @@ __all__ = [
     "RegisteredFaultModel",
     "FaultRegistry",
     "default_fault_registry",
-    "fault_names",
     "resolve_faults",
     "unreliable",
     "AXIS",
@@ -106,11 +105,6 @@ class FaultRegistry(Registry[RegisteredFaultModel]):
 
 #: The process-wide registry of named fault models.
 default_fault_registry = FaultRegistry.default
-
-
-def fault_names() -> List[str]:
-    """Sorted names of all registered fault models."""
-    return default_fault_registry().names()
 
 
 def resolve_faults(

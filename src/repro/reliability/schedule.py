@@ -48,13 +48,6 @@ class FaultSchedule:
         """Return how many faults are due at coordinate ``now``."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Reset internal state so the schedule can be replayed."""
-        # Default: stateless schedule.
-
-    def __call__(self, now: float) -> int:
-        return self.due(now)
-
 
 class NeverSchedule(FaultSchedule):
     """A schedule that never fires (useful as a fault-free control)."""
@@ -88,9 +81,6 @@ class DeterministicSchedule(FaultSchedule):
             count += 1
             self._cursor += 1
         return count
-
-    def reset(self) -> None:
-        self._cursor = 0
 
 
 class PoissonSchedule(FaultSchedule):
@@ -148,11 +138,6 @@ class PoissonSchedule(FaultSchedule):
             self._next = self._sample_next(self._next)
         return count
 
-    def reset(self) -> None:
-        if self._deterministic is not None:
-            self._deterministic.reset()
-        self._next = None
-
 
 class BernoulliPerCallSchedule(FaultSchedule):
     """Each injection opportunity fires independently with probability p.
@@ -182,6 +167,3 @@ class BernoulliPerCallSchedule(FaultSchedule):
             self._fired += 1
             return 1
         return 0
-
-    def reset(self) -> None:
-        self._fired = 0

@@ -9,7 +9,7 @@ and experiments then assert on the log rather than on printed output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Event", "EventLog"]
 
@@ -65,31 +65,9 @@ class EventLog:
         self._events.append(event)
         return event
 
-    def append(self, event: Event) -> None:
-        """Append an existing event record."""
-        if not isinstance(event, Event):
-            raise TypeError("EventLog.append expects an Event")
-        self._events.append(event)
-
-    def extend(self, other: "EventLog") -> None:
-        """Append all events of another log."""
-        self._events.extend(other._events)
-
-    def select(
-        self,
-        kind: Optional[str] = None,
-        rank: Optional[int] = None,
-        predicate: Optional[Callable[[Event], bool]] = None,
-    ) -> List[Event]:
+    def select(self, kind: Optional[str] = None, rank: Optional[int] = None) -> List[Event]:
         """Return events matching the given filters."""
-        out = []
-        for event in self._events:
-            if not event.matches(kind=kind, rank=rank):
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            out.append(event)
-        return out
+        return [event for event in self._events if event.matches(kind=kind, rank=rank)]
 
     def count(self, kind: Optional[str] = None, rank: Optional[int] = None) -> int:
         """Count events matching the filters."""
@@ -102,16 +80,3 @@ class EventLog:
             if event.kind not in seen:
                 seen.append(event.kind)
         return seen
-
-    def clear(self) -> None:
-        """Remove all events."""
-        self._events.clear()
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __getitem__(self, index: int) -> Event:
-        return self._events[index]

@@ -61,11 +61,6 @@ class RngFactory:
         self._seed = seed
         self._root = np.random.SeedSequence(seed)
 
-    @property
-    def seed(self) -> Optional[int]:
-        """Root seed this factory was created with."""
-        return self._seed
-
     def spawn(self, name: str) -> np.random.Generator:
         """Return a generator keyed by ``name``.
 
@@ -74,9 +69,6 @@ class RngFactory:
         key = _name_to_key(name)
         seq = np.random.SeedSequence(entropy=self._root.entropy, spawn_key=(key,))
         return np.random.default_rng(seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RngFactory(seed={self._seed!r})"
 
 
 def as_generator(

@@ -147,9 +147,3 @@ class Table:
         for row in cells:
             lines.append("  ".join(row[j].ljust(widths[j]) for j in range(len(row))))
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __str__(self) -> str:
-        return self.render()

@@ -63,10 +63,6 @@ class KernelCounters:
         self.seconds[kernel] = self.seconds.get(kernel, 0.0) + seconds
         self.counts[kernel] = self.counts.get(kernel, 0) + calls
 
-    def count(self, kernel: str, calls: int = 1) -> None:
-        """Bump the call counter of ``kernel`` without charging time."""
-        self.counts[kernel] = self.counts.get(kernel, 0) + calls
-
     def merge_dict(self, payload: Dict[str, Dict[str, float]]) -> None:
         """Fold an :meth:`as_dict`-shaped payload into this counter set.
 

@@ -43,10 +43,19 @@ def update_parity(request) -> bool:
     """Whether ``--update-parity`` was passed (see tests/test_engine_parity.py)."""
     return request.config.getoption("--update-parity")
 
+import scipy.sparse
+
 from repro.krylov import registry as solver_registry
 from repro.krylov.engine import batch as batch_engine
+from repro.linalg.csr import CsrMatrix
 from repro.linalg.matgen import convection_diffusion_2d, poisson_1d, poisson_2d
 from repro.machine.model import MachineModel
+
+
+def csr_from_dense(dense) -> CsrMatrix:
+    """The ``CsrMatrix`` of the nonzeros of ``dense``, as scipy stores them."""
+    sparse = scipy.sparse.csr_array(np.asarray(dense, dtype=np.float64))
+    return CsrMatrix(sparse.indptr, sparse.indices, sparse.data, sparse.shape)
 
 
 @pytest.fixture

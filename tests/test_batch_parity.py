@@ -1024,7 +1024,7 @@ class TestLedgerReconciliation:
         assert rerun[0].status == "cached"
         reconciled = FailureLedger(ledger_path)
         assert key not in reconciled.failed_keys()
-        assert reconciled.records()[-1].status == "reconciled"
+        assert reconciled._records[-1].status == "reconciled"
 
     def test_mark_completed_clears_failed_key(self, tmp_path):
         ledger = FailureLedger(str(tmp_path / "ledger.jsonl"))
@@ -1036,4 +1036,4 @@ class TestLedgerReconciliation:
         ledger.mark_completed("k1", "E8")
         assert ledger.failed_keys() == []
         # Append-only history survives the reconciliation.
-        assert [r.outcome for r in ledger.records()] == ["timeout", "completed"]
+        assert [r.outcome for r in ledger._records] == ["timeout", "completed"]

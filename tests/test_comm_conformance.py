@@ -43,11 +43,13 @@ time, nobody ever aliases anybody's arrays -- and the cost *shape* of
 the shmem path as counts, never timings: no selector per message, no
 sleep per launch.
 
-The front-end cases keep the communicator one implementation: both
-backends subclass ``BaseCommunicator`` and define none of the
-collective forms, every rank on both backends charges a collective the
-same program time (computed once per key), and both launchers refuse
-the same bad rank counts and failures of ranks the job does not have.
+The front-end cases keep the communicator one implementation: the
+front end declares the nine operations of ``COMM_SURFACE`` and both
+backends take them with the declared parameters, both backends
+subclass ``BaseCommunicator`` and define none of the collective forms,
+every rank on both backends charges a collective the same program time
+(computed once per key), and both launchers refuse the same bad rank
+counts and failures of ranks the job does not have.
 
 The wire-format cases pin what an array looks like on arrival, on every
 backend: one table of dtypes, layouts and sizes either side of the
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import inspect
 import io
 import os
 import pathlib
@@ -81,7 +84,6 @@ from repro.comm import (
     CommSpec,
     CommTimeoutError,
     ProcFailure,
-    backend_names,
     default_backend_registry,
     resolve_backend,
 )
@@ -89,7 +91,6 @@ from repro.comm import base as comm_base
 from repro.comm import shmem
 from repro.comm.errors import SimDeadlockError
 from repro.comm.ops import MAX, SUM
-from repro.comm.requests import waitall, waitany
 from repro.experiments import backend_probe
 from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
@@ -100,7 +101,7 @@ from test_layers import _within
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Every registered backend.
-BACKENDS = backend_names()
+BACKENDS = default_backend_registry().names()
 
 
 def launch(backend: str, procs: int, func, *args, timeout: float = 30.0, **kwargs):
@@ -158,13 +159,8 @@ def _collectives_program(comm, values):
     out = {
         "allreduce_sum": comm.allreduce(mine),
         "allreduce_max": comm.allreduce(mine, op=MAX),
-        "reduce_root": comm.reduce(mine, root=0),
         "bcast": comm.bcast(("payload", 7) if comm.rank == 0 else None),
-        "gather": comm.gather(comm.rank * 10, root=0),
         "allgather": comm.allgather(comm.rank * 10),
-        "scatter": comm.scatter(
-            [100 + r for r in range(comm.size)] if comm.rank == 0 else None
-        ),
     }
     comm.barrier()
     return out
@@ -173,14 +169,10 @@ def _collectives_program(comm, values):
 def _nonblocking_program(comm):
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
-    requests = [
-        comm.isend(("ring", comm.rank), right, tag=3),
-        comm.irecv(left, tag=3),
-        comm.iallreduce(float(comm.rank)),
-    ]
-    index, first = waitany(requests)
-    rest = waitall(requests)
-    return (index, first, rest[1][1], rest[2])
+    sent = comm.isend(("ring", comm.rank), right, tag=3)
+    reduced = comm.iallreduce(float(comm.rank))
+    received = comm.recv(left, tag=3)
+    return (sent.wait(), received[1], reduced.wait())
 
 
 def _mismatch_program(comm):
@@ -242,10 +234,10 @@ def _chaos_program(comm, steps, step_time):
     return ("completed", [], completed)
 
 
-def _poisoned_scatter_program(comm):
+def _poisoned_allreduce_program(comm):
     start = time.monotonic()
     try:
-        comm.scatter([1] if comm.rank == 0 else None, root=0)
+        comm.allreduce(np.ones(2 + comm.rank))  # shapes (2,) and (3,): no fold
         return ("no error", 0.0)
     except Exception as exc:  # noqa: BLE001 - the type is what is asserted
         return (type(exc).__name__, time.monotonic() - start)
@@ -332,8 +324,8 @@ def _uneven_collective_program(comm, kind):
     """One collective whose contributions differ in size; the rank's time."""
     if kind == "bcast":
         comm.bcast(_BIG if comm.rank == 0 else None)
-    elif kind == "scatter":
-        comm.scatter([_BIG, _BIG[:8]] if comm.rank == 0 else None)
+    elif kind == "allreduce":
+        comm.allreduce(_BIG if comm.rank == 0 else 0.0)
     else:
         comm.allgather(_BIG if comm.rank == 0 else _BIG[:8])
     return comm.now()
@@ -495,31 +487,20 @@ class TestContract:
             # promise the exact ascending-rank fold.
             assert np.array_equal(out["allreduce_sum"], ref_sum)
             assert np.array_equal(out["allreduce_max"], ref_max)
-            if rank == 0:
-                assert np.array_equal(out["reduce_root"], ref_sum)
-                assert out["gather"] == [r * 10 for r in range(procs)]
-            else:
-                assert out["reduce_root"] is None
-                assert out["gather"] is None
             assert out["bcast"] == ("payload", 7)
             assert out["allgather"] == [r * 10 for r in range(procs)]
-            assert out["scatter"] == 100 + rank
 
     def test_single_rank_degenerate_collectives(self, backend):
         values = launch(backend, 1, _collectives_program, [np.arange(4.0)])
         out = values[0]
         assert np.array_equal(out["allreduce_sum"], np.arange(4.0))
         assert out["allgather"] == [0]
-        assert out["scatter"] == 100
 
-    def test_nonblocking_and_waitany_waitall(self, backend):
+    def test_isend_and_iallreduce_complete_around_a_recv(self, backend):
         procs = 3
         results = launch(backend, procs, _nonblocking_program)
-        for rank, (index, _first, ring_from, total) in enumerate(results):
-            # waitany prefers already-completed requests: isend (and on
-            # eager backends iallreduce) complete immediately, so the
-            # returned index is never the blocking irecv.
-            assert index in (0, 2)
+        for rank, (sent, ring_from, total) in enumerate(results):
+            assert sent is None
             assert ring_from == (rank - 1) % procs
             assert total == sum(range(procs))
 
@@ -539,7 +520,7 @@ class TestContract:
 
         ROADMAP, "The simulator knows when it is stuck".
         """
-        values = launch(backend, 2, _poisoned_scatter_program)
+        values = launch(backend, 2, _poisoned_allreduce_program)
         assert [name for name, _ in values] == ["ValueError", "ValueError"]
         assert all(elapsed < 1.0 for _, elapsed in values)
 
@@ -682,11 +663,11 @@ class TestCrossBackend:
 
     @pytest.mark.parametrize(
         "kind, nbytes",
-        [("bcast", _BIG.nbytes), ("scatter", _BIG.nbytes + 64), ("allgather", _BIG.nbytes)],
+        [("bcast", _BIG.nbytes), ("allreduce", _BIG.nbytes), ("allgather", _BIG.nbytes)],
     )
     def test_collective_time_is_one_rule_on_every_rank(self, kind, nbytes):
         """Every rank on both backends charges the largest contribution."""
-        machine = MachineModel.commodity_cluster()
+        machine = MachineModel(flop_rate=5.0e9, latency=2.0e-6, bandwidth=5.0e9)
         expected = collective_time(machine, kind, 2, nbytes)
         for backend in ("sim", "shmem"):
             times = launch(backend, 2, _uneven_collective_program, kind, machine=machine)
@@ -894,9 +875,29 @@ class TestShmemCostShape:
 # One front end
 # ----------------------------------------------------------------------
 _FRONT_END = (
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
-    "iallreduce", "ibarrier", "iallgather", "ibcast",
+    "barrier", "bcast", "allreduce", "allgather", "iallreduce",
     "_check_rank", "_finish_collective", "_collective_cost", "sendrecv",
+)
+
+#: The communication operations of ``BaseCommunicator`` -- the nine the
+#: programs issue -- and the parameters a caller sets, in signature
+#: order.  A new operation shows up as an edit of this table.
+COMM_SURFACE = {
+    "send": ("obj", "dest", "tag"),
+    "recv": ("source", "tag"),
+    "isend": ("obj", "dest", "tag"),
+    "sendrecv": ("sendobj", "dest", "source", "sendtag", "recvtag"),
+    "barrier": (),
+    "bcast": ("value", "root"),
+    "allreduce": ("value", "op"),
+    "allgather": ("value",),
+    "iallreduce": ("value", "op"),
+}
+
+#: The rest of the public front end: identity, program time, liveness.
+_COMM_STATE = (
+    "rank", "size", "machine", "now", "advance", "compute",
+    "alive_ranks", "dead_ranks", "is_alive",
 )
 
 
@@ -950,6 +951,23 @@ _PROCESS_HAZARD_CASES = {
 
 
 class TestOneFrontEnd:
+    def test_the_front_end_declares_nine_operations(self):
+        public = {name for name in dir(BaseCommunicator) if not name.startswith("_")}
+        assert public == set(COMM_SURFACE) | set(_COMM_STATE)
+
+    @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
+    def test_every_backend_takes_the_declared_parameters(self, cls):
+        surface = {
+            name: tuple(p for p in inspect.signature(getattr(cls, name)).parameters if p != "self")
+            for name in COMM_SURFACE
+        }
+        assert surface == COMM_SURFACE
+
+    @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
+    def test_the_removed_operations_are_gone_on_every_backend(self, cls):
+        removed = ("reduce", "gather", "scatter", "ibarrier", "iallgather", "ibcast", "irecv")
+        assert [name for name in removed if hasattr(cls, name)] == []
+
     @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
     def test_backends_subclass_the_front_end_and_add_no_forms(self, cls):
         assert issubclass(cls, BaseCommunicator)
@@ -1036,8 +1054,8 @@ class TestSpecAndRegistry:
             CommSpec.parse("shmem:procs=0")  # repro: allow(spec-strings) -- negative fixture
 
     def test_registry_lists_all_kinds(self):
-        assert backend_names() == ["shmem", "sim"]
-        for name in backend_names():
+        assert default_backend_registry().names() == ["shmem", "sim"]
+        for name in default_backend_registry().names():
             entry = default_backend_registry().get(name)
             assert entry.name == name
 

@@ -235,7 +235,7 @@ class TestFailureLedger:
         reloaded = FailureLedger(str(path))
         # The first record after the partial line starts on a fresh
         # line instead of being glued onto it and dropped with it.
-        assert [r.key for r in reloaded.records()] == ["k1", "k2", "k3"]
+        assert [r.key for r in reloaded._records] == ["k1", "k2", "k3"]
         assert reloaded.failed_keys() == ["k2"]
         assert path.read_bytes().startswith(good + b'{"key": "k2", "trunc\n{')
         assert b"\n\n" not in path.read_bytes()
@@ -585,7 +585,7 @@ class TestSupervisedExecutor:
             results = _executor(
                 execute=_raising_execute, ledger=ledger, workers=workers
             ).run(tasks, completed=lambda slot, r: order.append(slot))
-            return results, order, ledger.records()
+            return results, order, list(ledger._records)
 
         supervised, _, worker_journal = run(1)
         monkeypatch.setattr(Child, "start", _refuse_to_fork)

@@ -57,7 +57,7 @@ class TestRbspHelpers:
         machine = MachineModel.leadership_class()
         model = IterationTimeModel(local_flops=1e5)
         table = scaling_study(machine, model, (4, 64, 1024))
-        assert len(table) == 3
+        assert len(table.rows) == 3
         assert table.column("ranks") == [4, 64, 1024]
         with pytest.raises(ValueError):
             scaling_study(machine, model, ())

@@ -18,7 +18,6 @@ from repro.reliability import (
     flip_bit_array,
     flip_bit_float64,
     flip_random_bit,
-    float_from_bits,
     relative_perturbation,
 )
 from repro.experiments.common import classify_outcome
@@ -28,7 +27,7 @@ from repro.reliability.process import system_mtbf
 class TestBitflip:
     def test_roundtrip_bits(self):
         value = 3.14159
-        assert float_from_bits(bits_of(value)) == value
+        assert np.array(bits_of(value), dtype=np.uint64).view(np.float64)[()] == value
 
     def test_flip_is_involution(self):
         value = -42.5
@@ -132,12 +131,6 @@ class TestSchedules:
         assert schedule.due(3.0) == 2
         assert schedule.due(10.0) == 0
 
-    def test_deterministic_reset(self):
-        schedule = DeterministicSchedule([1.0])
-        assert schedule.due(2.0) == 1
-        schedule.reset()
-        assert schedule.due(2.0) == 1
-
     def test_deterministic_rejects_negative(self):
         with pytest.raises(ValueError):
             DeterministicSchedule([-1.0])
@@ -164,8 +157,6 @@ class TestSchedules:
     def test_bernoulli_max_faults(self):
         schedule = BernoulliPerCallSchedule(1.0, rng=1, max_faults=2)
         assert sum(schedule.due(i) for i in range(10)) == 2
-        schedule.reset()
-        assert schedule.due(0) == 1
 
 
 class TestInjectors:
@@ -227,13 +218,6 @@ class TestInjectors:
         with pytest.raises(TypeError):
             injector.maybe_inject(np.ones(3, dtype=np.int32), now=0.0)
 
-    def test_array_injector_reset(self):
-        injector = ArrayInjector(DeterministicSchedule([0.0]), rng=1)
-        injector.maybe_inject(np.ones(3), now=0.0)
-        injector.reset()
-        assert injector.n_injected == 0
-        injector.maybe_inject(np.ones(3), now=0.0)
-        assert injector.n_injected == 1
 
 
 class TestProcessFailureModels:

@@ -220,13 +220,6 @@ class TestPipelinedVariants:
         result = pipelined_gmres(poisson_small, b, tol=1e-8, restart=30, maxiter=300)
         assert result.info["reduction_waves"] < result.info["mgs_equivalent_reductions"]
 
-    def test_pipelined_gmres_without_reorthogonalization(self, poisson_small, rng):
-        b = rng.standard_normal(poisson_small.n_rows)
-        result = pipelined_gmres(poisson_small, b, tol=1e-8, restart=40, maxiter=400,
-                                 reorthogonalize=False)
-        assert result.converged
-        assert relative_residual(poisson_small, result.x, b) < 1e-7
-
     def test_pipelined_cg_preconditioned(self, poisson_small, rng):
         b = rng.standard_normal(poisson_small.n_rows)
         result = pipelined_cg(poisson_small, b, tol=1e-10,

@@ -33,6 +33,11 @@ from repro.pde import (
 from repro.comm.sim import run_spmd
 
 
+#: A commodity InfiniBand cluster, roughly: CPR's checkpoint and restart
+#: costs are non-trivial on it.
+CLUSTER = MachineModel(flop_rate=5.0e9, latency=2.0e-6, bandwidth=5.0e9)
+
+
 @pytest.fixture
 def lflr_machine():
     """Machine with tiny recovery overhead so failure tests stay fast."""
@@ -83,6 +88,11 @@ class TestGrid:
             grid.exchange_halos(np.ones(5))
 
 
+def total_heat(problem) -> float:
+    """The discrete total of a heat field, ``h * sum(u)``."""
+    return float(problem.u.sum() * problem.h)
+
+
 class TestHeat:
     def test_stable_step_formula(self):
         assert stable_time_step(0.1, 1.0, safety=1.0) == pytest.approx(0.005)
@@ -96,10 +106,10 @@ class TestHeat:
 
     def test_total_heat_decreases_monotonically(self):
         problem = HeatProblem1D(n_points=64)
-        totals = [problem.total_heat()]
+        totals = [total_heat(problem)]
         for _ in range(5):
             problem.step(10)
-            totals.append(problem.total_heat())
+            totals.append(total_heat(problem))
         assert all(totals[i + 1] <= totals[i] + 1e-15 for i in range(5))
 
     def test_distributed_step_matches_sequential(self):
@@ -133,12 +143,12 @@ class TestHeat:
         # Zero Dirichlet boundaries: each forward-Euler step changes the
         # total by exactly the boundary flux -dt * alpha * (u_1 + u_n) / h.
         problem = HeatProblem1D(n_points=64)
-        before = problem.total_heat()
+        before = total_heat(problem)
         flux = 0.0
         for _ in range(10):
             flux -= problem.dt * problem.alpha * (problem.u[0] + problem.u[-1]) / problem.h
             problem.step()
-        after = problem.total_heat()
+        after = total_heat(problem)
         assert after == pytest.approx(before + flux, rel=1e-8)
         assert after != pytest.approx(before, rel=1e-8)
 
@@ -170,8 +180,6 @@ class TestImplicitHeat:
         problem = ImplicitHeatProblem1D(n_points=32, dt=1e-3)
         problem.step(3)
         assert len(problem.cg_iterations) == 3
-        problem.reset()
-        assert problem.cg_iterations == []
 
 
 class TestCoarseModel:
@@ -240,7 +248,7 @@ class TestPersistentStore:
         def program(comm):
             store = PersistentStore(comm, history=2)
             for step in range(4):
-                store.persist(step, {"u": np.array([float(step)])}, mirror=False)
+                store.persist(step, {"u": np.array([float(step)])})
             retained = [s for s in range(4) if store.own_at_step(s) is not None]
             return retained, store.own_at_step(3).state["u"][0]
 
@@ -270,7 +278,7 @@ class TestPersistentStore:
         def program(comm):
             store = PersistentStore(comm, history=2)
             data = np.ones(3)
-            store.persist(0, {"u": data}, mirror=False)
+            store.persist(0, {"u": data})
             data[:] = 99.0
             return float(store.own_at_step(0).state["u"][0])
 
@@ -347,7 +355,7 @@ class TestCheckpointRestart:
     def test_cpr_fault_free(self):
         result = run_cpr_stepped(
             lambda state, i: {"x": state["x"] + 1.0},
-            {"x": 0.0}, 20, interval=5, step_time=0.01,
+            {"x": 0.0}, 20, machine=CLUSTER, interval=5, step_time=0.01,
         )
         assert result.state["x"] == 20.0
         assert result.n_restarts == 0
@@ -358,7 +366,8 @@ class TestCheckpointRestart:
         plan = FailurePlan.single(0.14, 2)
         result = run_cpr_stepped(
             lambda state, i: {"x": state["x"] + 1.0},
-            {"x": 0.0}, 20, interval=5, step_time=0.01, failure_plan=plan,
+            {"x": 0.0}, 20, machine=CLUSTER, interval=5, step_time=0.01,
+            failure_plan=plan,
         )
         assert result.state["x"] == 20.0
         assert result.n_restarts == 1
@@ -369,9 +378,11 @@ class TestCheckpointRestart:
         def step(state, i):
             return {"x": state["x"] + 1.0}
 
-        base = run_cpr_stepped(step, {"x": 0.0}, 30, interval=10, step_time=0.01)
+        base = run_cpr_stepped(step, {"x": 0.0}, 30, machine=CLUSTER, interval=10,
+                               step_time=0.01)
         plan = FailurePlan([(0.05, 0), (0.21, 1)])
-        faulty = run_cpr_stepped(step, {"x": 0.0}, 30, interval=10, step_time=0.01,
+        faulty = run_cpr_stepped(step, {"x": 0.0}, 30, machine=CLUSTER, interval=10,
+                                 step_time=0.01,
                                  failure_plan=plan)
         assert faulty.virtual_time > base.virtual_time
         assert faulty.n_restarts == 2
@@ -385,10 +396,10 @@ class TestCheckpointRestart:
 
         heat.reset()
         plan = FailurePlan.single(0.03, 1)
-        result = run_cpr_stepped(step, {"u": heat.u.copy()}, 15, interval=4,
+        result = run_cpr_stepped(step, {"u": heat.u.copy()}, 15, machine=CLUSTER, interval=4,
                                  step_time=0.01, failure_plan=plan)
         assert np.allclose(result.state["u"], reference, atol=1e-13)
 
     def test_cpr_validation(self):
         with pytest.raises(ValueError):
-            run_cpr_stepped(lambda s, i: s, {"x": 0.0}, 5, interval=0)
+            run_cpr_stepped(lambda s, i: s, {"x": 0.0}, 5, machine=CLUSTER, interval=0)

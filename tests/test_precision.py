@@ -27,15 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import e10_precision
-from repro.krylov.registry import batch_solve, default_solver_registry, solver_names
+from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg import poisson_2d
 from repro.reliability.precision import (
     PRECISION_KINDS,
     PrecisionSpec,
     cast_operator,
     cast_vector,
+    default_precision_registry,
     parse_precision,
-    precision_names,
 )
 from repro.reliability.region import Region, RegionStage
 
@@ -129,7 +129,7 @@ class TestPrecisionSpec:
 
 class TestPrecisionRegistry:
     def test_names_cover_the_builtin_set(self):
-        assert {"fp64", "fp32", "fp32_fp16"} <= set(precision_names())
+        assert {"fp64", "fp32", "fp32_fp16"} <= set(default_precision_registry().names())
 
     def test_parse_precision_wire_forms(self):
         assert parse_precision(None) == PrecisionSpec("fp64")
@@ -160,7 +160,7 @@ class TestCastingAndDomains:
         matrix, _ = _problem()
         low = cast_operator(matrix, parse_precision("fp32:storage=fp16"))
         assert low.dtype == np.float32
-        assert low.storage_dtype == np.float16
+        assert low.data.dtype == np.float16
         x = np.ones(matrix.n_cols, dtype=np.float32)
         assert low.matvec(x).dtype == np.float32
 
@@ -208,7 +208,7 @@ class TestCastingAndDomains:
 # fp64 parity: precision="fp64" is the default path, bit for bit
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", solver_names())
+@pytest.mark.parametrize("name", default_solver_registry().names())
 class TestFp64Parity:
     def test_fp64_is_bitwise_the_default_path(self, name):
         solver = REGISTRY.get(name)

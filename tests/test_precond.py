@@ -198,9 +198,9 @@ class TestResolution:
     def test_bjacobi_block_size_maps_to_block_count(self):
         matrix, _ = _problem(grid=8)  # 64 rows
         built = resolve_preconds("bjacobi:bs=8", matrix=matrix)
-        assert len(built.block_ranges) == 8
+        assert len(built._ranges) == 8
         whole = resolve_preconds("bjacobi:bs=100000", matrix=matrix)
-        assert len(whole.block_ranges) == 1
+        assert len(whole._ranges) == 1
 
 
 # ---------------------------------------------------------------------------

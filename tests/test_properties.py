@@ -12,7 +12,6 @@ from repro.campaign.spec import Scenario, scenario_key
 from repro.reliability.bitflip import flip_bit_array, flip_bit_float64
 from repro.linalg.blas import back_substitution, back_substitution_many, givens_rotation
 from repro.linalg.checksum import checked_matmul
-from repro.linalg.csr import CsrMatrix
 from repro.comm.distributed import block_ranges
 from repro.lflr.coarse import prolong_field, restrict_field
 from repro.machine.efficiency import cpr_efficiency, daly_optimal_interval, lflr_efficiency
@@ -25,6 +24,8 @@ from repro.skeptical.checks import (
     residual_consistency_check,
 )
 from repro.skeptical.gmres_sdc import SdcChecks, SdcCohort
+
+from conftest import csr_from_dense
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -69,21 +70,10 @@ class TestCsrProperties:
     )
     @settings(max_examples=50)
     def test_dense_roundtrip_and_matvec(self, dense):
-        matrix = CsrMatrix.from_dense(dense)
+        matrix = csr_from_dense(dense)
         assert np.allclose(matrix.to_dense(), dense)
         x = np.ones(dense.shape[1])
         assert np.allclose(matrix.matvec(x), dense @ x)
-
-    @given(
-        dense=hnp.arrays(
-            np.float64, st.tuples(st.integers(1, 10), st.integers(1, 10)),
-            elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
-        )
-    )
-    @settings(max_examples=50)
-    def test_transpose_involution(self, dense):
-        matrix = CsrMatrix.from_dense(dense)
-        assert np.allclose(matrix.transpose().transpose().to_dense(), dense)
 
     @given(
         dense=hnp.arrays(
@@ -94,7 +84,7 @@ class TestCsrProperties:
     )
     @settings(max_examples=50)
     def test_rmatvec_is_transpose_matvec(self, dense, y_seed):
-        matrix = CsrMatrix.from_dense(dense)
+        matrix = csr_from_dense(dense)
         y = np.random.default_rng(y_seed).standard_normal(dense.shape[0])
         assert np.allclose(matrix.rmatvec(y), dense.T @ y)
 

@@ -30,9 +30,9 @@ from repro.reliability import (
     PerturbationInjector,
     build_model,
     compose,
+    default_fault_registry,
     derive_fault_seed,
     derive_seed,
-    fault_names,
     fault_stream,
     reliable,
     resolve_faults,
@@ -192,7 +192,7 @@ class TestFaultSpec:
 
 class TestFaultRegistry:
     def test_expected_names_present(self):
-        names = fault_names()
+        names = default_fault_registry().names()
         for name in ("none", "bitflip", "bitflip_exponent", "basis_bitflip",
                      "sdc_value", "msg_corrupt", "proc_fail"):
             assert name in names
@@ -559,12 +559,29 @@ class TestSimmpiFaultSpecs:
     def test_coerce_failure_plan_from_spec(self):
         from repro.comm.base import resolve_job_faults
 
-        plan = resolve_job_faults(4, "proc_fail:times=0.5;1.5,ranks=1;2")[0]
+        plan = resolve_job_faults(4, faults="proc_fail:times=0.5;1.5,ranks=1;2")[0]
         assert [(f.time, f.rank) for f in plan] == [(0.5, 1), (1.5, 2)]
         assert len(resolve_job_faults(4, None)[0]) == 0
-        assert len(resolve_job_faults(4, "bitflip:p=0.5")[0]) == 0
+        assert len(resolve_job_faults(4, faults="bitflip:p=0.5")[0]) == 0
         existing = FailurePlan.single(1.0, 0)
         assert resolve_job_faults(4, existing)[0] is existing
+        both = resolve_job_faults(4, existing, faults="proc_fail:times=0.5,ranks=1")
+        assert both[0] is existing
+
+    @pytest.mark.parametrize("spec", ["bitflip:p=0.5", "proc_fail:times=0.5,ranks=1"])
+    def test_a_spec_given_as_failure_plan_is_refused(self, spec):
+        # One route per fault: a spec goes through faults=.  Given as
+        # failure_plan, "bitflip:p=0.5" used to become an empty plan and
+        # run the job as a fault-free control.
+        from repro.comm.base import resolve_job_faults
+        from repro.comm.sim import SimRuntime, run_spmd
+
+        with pytest.raises(TypeError, match="faults="):
+            resolve_job_faults(4, spec)
+        with pytest.raises(TypeError, match="faults="):
+            SimRuntime(4, failure_plan=spec)
+        with pytest.raises(TypeError, match="faults="):
+            run_spmd(2, lambda comm: comm.rank, failure_plan=spec)
 
     def test_runtime_resolves_composite_faults(self):
         from repro.comm.sim import SimRuntime

@@ -17,7 +17,7 @@ import pytest
 from repro.krylov import SolveResult, cg, gmres
 from repro.krylov.cg import cg_engine
 from repro.krylov.gmres import gmres_engine
-from repro.krylov.registry import batch_solve, default_solver_registry, solver_names
+from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.krylov.engine import (
     CallbackPolicy,
     GmresState,
@@ -75,7 +75,7 @@ def _assert_contract(result: SolveResult, tol: float = 1e-8) -> None:
 class TestRegistryLookup:
     def test_names_cover_all_six_engine_wrappers(self):
         assert {"gmres", "fgmres", "pipelined_gmres", "cg", "pipelined_cg",
-                "ft_gmres"} <= set(solver_names())
+                "ft_gmres"} <= set(default_solver_registry().names())
 
     def test_unknown_solver_raises_with_known_names(self):
         with pytest.raises(KeyError, match="gmres"):
@@ -95,7 +95,7 @@ class TestRegistryLookup:
                 assert resolved in solver.policies
 
 
-@pytest.mark.parametrize("name", solver_names())
+@pytest.mark.parametrize("name", default_solver_registry().names())
 class TestSolveResultContract:
     def test_default_policy_contract(self, name):
         solver = REGISTRY.get(name)
@@ -216,10 +216,7 @@ _SDC = (
 SOLVER_SURFACE = {
     "gmres": _GMRES,
     "fgmres": ("tol", "atol", "restart", "maxiter", "inner_solve", "iteration_hook", "policy"),
-    "pipelined_gmres": (
-        "tol", "atol", "restart", "maxiter", "preconditioner", "reorthogonalize",
-        "iteration_hook", "policy",
-    ),
+    "pipelined_gmres": _GMRES,
     "cg": _CG,
     "pipelined_cg": _CG,
     "sdc_gmres": ("iteration_hook", *_SDC),
@@ -256,6 +253,7 @@ class TestDeclaredSurface:
     @pytest.mark.parametrize("solver, keyword", [
         *[("sdc_gmres", name) for name in (*_CHECK_CONSTANTS, "max_restarts_on_detection")],
         *[("ft_gmres", name) for name in ("fault_probability", "bit_range", "seed", "cost_model")],
+        ("pipelined_gmres", "reorthogonalize"),
     ])
     def test_a_removed_solver_keyword_is_refused(self, solver, keyword):
         matrix, b = _problem(grid=4)

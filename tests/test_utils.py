@@ -49,9 +49,6 @@ class TestRngFactory:
         x2 = factory2.spawn("b").standard_normal(3)
         assert np.array_equal(x1, x2)
 
-    def test_seed_property(self):
-        assert RngFactory(42).seed == 42
-
     def test_as_generator_accepts_all_forms(self):
         assert isinstance(as_generator(None), np.random.Generator)
         assert isinstance(as_generator(3), np.random.Generator)
@@ -144,12 +141,6 @@ class TestTable:
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
             Table([])
-
-    def test_len(self):
-        table = Table(["a"])
-        assert len(table) == 0
-        table.add_row(1)
-        assert len(table) == 1
 
     def test_to_dict_round_trip(self):
         table = Table(["n", "err", "ok"], title="demo", float_fmt=".6g")
@@ -379,35 +370,6 @@ class TestEventLog:
         log.record("b")
         log.record("a")
         assert log.kinds() == ["a", "b"]
-
-    def test_predicate_filter(self):
-        log = EventLog()
-        log.record("x", value=1)
-        log.record("x", value=5)
-        big = log.select("x", predicate=lambda e: e.details["value"] > 2)
-        assert len(big) == 1
-
-    def test_append_type_checked(self):
-        log = EventLog()
-        with pytest.raises(TypeError):
-            log.append("not an event")
-        log.append(Event(kind="ok"))
-        assert len(log) == 1
-
-    def test_extend_and_clear(self):
-        a, b = EventLog(), EventLog()
-        a.record("x")
-        b.record("y")
-        a.extend(b)
-        assert len(a) == 2
-        a.clear()
-        assert len(a) == 0
-
-    def test_getitem_and_iter(self):
-        log = EventLog()
-        log.record("x")
-        assert log[0].kind == "x"
-        assert [e.kind for e in log] == ["x"]
 
     def test_event_matches(self):
         event = Event(kind="a", rank=3)
