@@ -633,7 +633,8 @@ class CompositeFaults(FaultModel):
 
     def _delegate(self, capability: str, *args, **kwargs):
         # Null components must not shadow active ones: "none" supports
-        # every capability as a working no-op, so composing it first
+        # the injector, environment and failure-plan capabilities as
+        # working no-ops, so composing it first
         # (e.g. compose(control, extra)) would otherwise silently
         # disable the rest.  Null children only serve when nothing
         # active supports the capability.

@@ -201,6 +201,19 @@ def _survivor_program(comm, victim):
     return "completed"
 
 
+def _liveness_program(comm, victim):
+    comm.advance(1.0)  # crosses the victim's scheduled failure time
+    try:
+        comm.allreduce(1.0)
+    except ProcFailure:
+        pass
+    return (
+        sorted(comm.alive_ranks()),
+        sorted(comm.dead_ranks()),
+        [comm.is_alive(rank) for rank in range(comm.size)],
+    )
+
+
 def _corrupt_p2p_program(comm, n):
     if comm.rank == 0:
         comm.send(np.ones(n), 1, tag=4)
@@ -610,6 +623,25 @@ class TestContract:
         for rank in (0, 2):
             assert values[rank] == ("detected", [victim])
 
+    def test_survivors_agree_on_who_is_dead(self, backend):
+        victim = 1
+        values = launch(
+            backend, 3, _liveness_program, victim,
+            faults=f"proc_fail:times=0.5,ranks={victim}",
+        )
+        assert values[victim] is None
+        for rank in (0, 2):
+            assert values[rank] == ([0, 2], [victim], [True, False, True])
+
+    def test_measure_collectives_times_every_kind_and_size(self, backend):
+        timings = backend_probe.measure_collectives(
+            f"{backend}:procs=2", nbytes_list=(64, 4096), iterations=2
+        )
+        assert set(timings) == {"barrier", "allreduce", "bcast"}
+        for per_size in timings.values():
+            assert set(per_size) == {64, 4096}
+            assert all(np.isfinite(t) and t > 0.0 for t in per_size.values())
+
 
 # ----------------------------------------------------------------------
 # Cross-backend fault-spec equivalence
@@ -968,6 +1000,14 @@ class TestOneFrontEnd:
         removed = ("reduce", "gather", "scatter", "ibarrier", "iallgather", "ibcast", "irecv")
         assert [name for name in removed if hasattr(cls, name)] == []
 
+    def test_a_backend_implements_identity_liveness_and_point_to_point(self):
+        # A backend supplies identity, time, liveness, point-to-point
+        # and one _collective; the front end builds the other operations.
+        assert BaseCommunicator.__abstractmethods__ == {
+            "rank", "size", "now", "advance", "alive_ranks", "dead_ranks", "is_alive",
+            "send", "recv", "isend", "_collective",
+        }
+
     @pytest.mark.parametrize("cls", [Comm, shmem.ShmemComm])
     def test_backends_subclass_the_front_end_and_add_no_forms(self, cls):
         assert issubclass(cls, BaseCommunicator)
@@ -1030,6 +1070,15 @@ class TestOneFrontEnd:
             launcher.launch(_identity_program, n_ranks=4, faults=f"proc_fail:ranks={rank},times=0.0")
         with pytest.raises(ValueError, match=refusal):
             launcher.launch(_identity_program, n_ranks=4, failure_plan=FailurePlan.single(0.0, rank))
+
+    @pytest.mark.parametrize("backend", ["sim", "shmem"])
+    def test_launch_refuses_a_fault_spec_given_as_failure_plan(self, backend):
+        # A spec goes through faults=; as failure_plan it would run the
+        # job without its faults.
+        with pytest.raises(TypeError, match="faults="):
+            resolve_backend(backend).launch(
+                _identity_program, n_ranks=2, failure_plan="proc_fail:times=0.5,ranks=1"
+            )
 
     @pytest.mark.parametrize("backend", ["sim", "shmem"])
     @pytest.mark.parametrize(

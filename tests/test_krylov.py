@@ -220,6 +220,18 @@ class TestPipelinedVariants:
         result = pipelined_gmres(poisson_small, b, tol=1e-8, restart=30, maxiter=300)
         assert result.info["reduction_waves"] < result.info["mgs_equivalent_reductions"]
 
+    def test_pipelined_gmres_runs_two_fused_waves_per_step(self, poisson_small, rng):
+        # CGS2: every Arnoldi step projects twice, each projection one
+        # fused reduction, where MGS would reduce once per coefficient
+        # plus once for the norm.
+        b = rng.standard_normal(poisson_small.n_rows)
+        result = pipelined_gmres(poisson_small, b, tol=1e-8, restart=10, maxiter=300)
+        assert result.converged and result.iterations > 10
+        assert result.info["reduction_waves"] == 2 * result.iterations
+        assert result.info["mgs_equivalent_reductions"] == sum(
+            step % 10 + 2 for step in range(result.iterations)
+        )
+
     def test_pipelined_cg_preconditioned(self, poisson_small, rng):
         b = rng.standard_normal(poisson_small.n_rows)
         result = pipelined_cg(poisson_small, b, tol=1e-10,

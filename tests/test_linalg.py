@@ -39,7 +39,22 @@ def orthonormal_basis(rng, n, k):
     return basis
 
 
+#: The public members of ``CsrMatrix`` -- those the program calls.  A new
+#: member shows up as an edit of this set.
+CSR_SURFACE = {
+    "astype", "copy", "diagonal_values", "from_coo", "identity", "is_square",
+    "matvec", "matvec_block", "n_cols", "n_rows", "nnz", "rmatvec", "row_ids",
+    "row_slice", "sweep_schedule", "to_dense",
+}
+
+
 class TestCsrMatrix:
+    def test_the_public_surface(self):
+        assert {name for name in dir(CsrMatrix) if not name.startswith("_")} == CSR_SURFACE
+        # ``+`` is the one operator; products are spelled matvec/matvec_block.
+        operators = ("__add__", "__mul__", "__rmul__", "__matmul__", "__sub__")
+        assert [op for op in operators if hasattr(CsrMatrix, op)] == ["__add__"]
+
     def test_to_dense_roundtrip(self, rng):
         dense = rng.standard_normal((6, 4))
         dense[dense < 0.3] = 0.0
@@ -265,6 +280,26 @@ class TestChecksums:
         assert verify_checksum(v, 4.0)
         assert not verify_checksum(v, 5.0)
         assert not verify_checksum(np.array([np.inf, 1.0]), 4.0)
+
+    def test_verify_checksum_tolerance_scales_with_the_one_norm(self):
+        # 1e-12 absolute plus 1e-8 relative to the 1-norm (at least 1).
+        big = np.full(1000, 1.0e6)  # sum and 1-norm 1e9: tolerance ~10
+        assert verify_checksum(big, 1.0e9 + 5.0)
+        assert not verify_checksum(big, 1.0e9 + 20.0)
+        tiny = np.array([1.0e-9, -1.0e-9])  # 1-norm below 1: tolerance ~1e-8
+        assert verify_checksum(tiny, 5.0e-9)
+        assert not verify_checksum(tiny, 2.0e-8)
+
+    def test_checked_matvec_flags_a_flip_above_rounding_only(self, rng):
+        matrix = poisson_2d(6)
+        x = rng.standard_normal(matrix.n_rows)
+        # A flip in the lowest mantissa bit is rounding-sized: accepted.
+        _, ok = checked_matvec(matrix, x, corrupt=lambda y: flip_bit_array(y, 3, 0))
+        assert ok
+        # A flip in the upper mantissa moves one entry by a visible
+        # fraction: refused.
+        _, ok = checked_matvec(matrix, x, corrupt=lambda y: flip_bit_array(y, 3, 50))
+        assert not ok
 
     def test_matmul_detection_and_correction(self, rng):
         a = rng.standard_normal((8, 8))

@@ -116,3 +116,17 @@ class TestEfficiencyModels:
     def test_crossover_is_bracketed(self):
         crossover = efficiency_crossover_mtbf(300.0, 2.0, 600.0)
         assert 1.0 <= crossover <= 1e9
+
+    def test_efficiencies_meet_at_the_crossover(self):
+        crossover = efficiency_crossover_mtbf(300.0, 2.0, 600.0)
+        assert cpr_efficiency(300.0, crossover, 600.0) == pytest.approx(
+            lflr_efficiency(2.0, crossover), rel=1e-5
+        )
+        # LFLR wins below the crossover, CPR above it.
+        assert lflr_efficiency(2.0, crossover / 2) > cpr_efficiency(300.0, crossover / 2, 600.0)
+        assert cpr_efficiency(300.0, crossover * 2, 600.0) > lflr_efficiency(2.0, crossover * 2)
+
+    def test_crossover_clamps_to_the_bracket_floor(self):
+        # A checkpoint that costs nothing: CPR is at least as good
+        # everywhere in [1, 1e9] s, so the crossover is the floor.
+        assert efficiency_crossover_mtbf(1e-9, 2.0, redundancy_overhead=0.5) == 1.0

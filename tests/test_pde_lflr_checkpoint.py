@@ -128,6 +128,24 @@ class TestHeat:
         for field in run_spmd(4, program):
             assert np.allclose(field, expected, atol=1e-13)
 
+    def test_explicit_step_is_the_dirichlet_stencil(self, rng):
+        # Homogeneous Dirichlet boundaries: u + dt * alpha * L u with the
+        # second-difference matrix L that drops the outside neighbours.
+        u = rng.standard_normal(9)
+        dt, h, alpha = 1e-3, 0.1, 2.0
+        laplacian = (np.diag(np.full(8, 1.0), -1) - 2.0 * np.eye(9)
+                     + np.diag(np.full(8, 1.0), 1)) / (h * h)
+        np.testing.assert_allclose(
+            heat_step_explicit(u, dt, h, alpha), u + dt * alpha * (laplacian @ u),
+            rtol=1e-14, atol=1e-14,
+        )
+
+    def test_gaussian_initial_condition_is_centred_with_width_a_tenth(self):
+        values = gaussian_initial_condition([0.5, 0.4, 0.6, 0.3])
+        np.testing.assert_allclose(
+            values, [1.0, np.exp(-0.5), np.exp(-0.5), np.exp(-2.0)], rtol=1e-12
+        )
+
     def test_step_records_history(self):
         problem = HeatProblem1D(n_points=16)
         problem.step(3, record=True)

@@ -168,6 +168,19 @@ class TestCastingAndDomains:
         low = cast_operator(lambda x: x * 3.0, parse_precision("fp32"))
         assert low(np.ones(3)).dtype == np.float32
 
+    def test_cast_operator_callable_keeps_the_operators_attributes(self):
+        class Scaled:
+            n_rows = 3
+
+            def __call__(self, x):
+                return np.float64(1.0 / 3.0) * x
+
+        low = cast_operator(Scaled(), parse_precision("fp32"))
+        assert low.n_rows == 3
+        assert np.array_equal(low(np.ones(3)), np.full(3, np.float32(1.0 / 3.0)))
+        with pytest.raises(AttributeError):
+            low.n_cols
+
     def test_low_precision_operator_keeps_caller_in_fp64(self):
         matrix, b = _problem()
         with Region(precision="fp32") as dom:

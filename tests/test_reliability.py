@@ -28,6 +28,7 @@ from repro.reliability import (
     MessageCorruptor,
     NoFaults,
     PerturbationInjector,
+    Region,
     build_model,
     compose,
     default_fault_registry,
@@ -364,8 +365,9 @@ class TestFaultModels:
         assert np.sum(base == 123.0) == 1
 
     def test_null_components_do_not_shadow_active_ones(self):
-        # compose(control, extra): the "none" child supports every
-        # capability as a no-op and must not win the delegation.
+        # compose(control, extra): the "none" child supports the injector
+        # and failure-plan capabilities as no-ops and must not win the
+        # delegation.
         combo = resolve_faults("none+proc_fail:times=1.5,rank=1")
         assert len(combo.failure_plan()) == 1
         injector = resolve_faults("none+bitflip:p=1.0").injector(np.random.default_rng(1))
@@ -478,6 +480,57 @@ class TestDeclaredFaultSurface:
         assert plan("proc_fail:mtbf=10,model=weibull,shape=0.5") != plan(
             "proc_fail:mtbf=10,model=weibull"
         )
+
+
+#: A spec of every model kind -> the capabilities it supports and the
+#: type each hands out; the rest raise FaultCapabilityError.  A composite
+#: supports what its active children do.
+CAPABILITY_MATRIX = {
+    "none": {"injector": ArrayInjector, "environment": Region,
+             "failure_plan": FailurePlan},
+    "bitflip:p=0.1": {"injector": ArrayInjector, "environment": Region},
+    "perturb:p=0.1,scale=2.0": {"injector": PerturbationInjector, "environment": Region},
+    "msg_corrupt:p=0.1": {"message_corruptor": MessageCorruptor},
+    "proc_fail:times=1.0,rank=1": {"failure_plan": FailurePlan},
+    "basis_bitflip": {"iteration_hook": object},
+    "bitflip:p=0.1+msg_corrupt:p=0.1": {
+        "injector": ArrayInjector, "environment": Region,
+        "message_corruptor": MessageCorruptor,
+    },
+    "basis_bitflip+proc_fail:times=1.0,rank=1": {
+        "failure_plan": FailurePlan, "iteration_hook": object,
+    },
+}
+
+_CAPABILITY_CALLS = {
+    "injector": lambda model: model.injector(_gen()),
+    "environment": lambda model: model.environment(seed=1),
+    "failure_plan": lambda model: model.failure_plan(n_ranks=2, horizon=10.0, seed=1),
+    "message_corruptor": lambda model: model.message_corruptor(_gen()),
+    "iteration_hook": lambda model: model.iteration_hook(_gen(), at=3),
+}
+
+
+class TestCapabilityMatrix:
+    def test_the_matrix_covers_every_kind(self):
+        kinds = {build_model(spec).kind for spec in CAPABILITY_MATRIX}
+        assert kinds == set(MODEL_KINDS)
+
+    @pytest.mark.parametrize("spec", list(CAPABILITY_MATRIX))
+    def test_a_model_supports_exactly_its_capabilities(self, spec):
+        model = resolve_faults(spec)
+        supported = CAPABILITY_MATRIX[spec]
+        for capability, call in _CAPABILITY_CALLS.items():
+            if capability in supported:
+                handed_out = call(model)
+                assert isinstance(handed_out, supported[capability])
+                if capability == "iteration_hook":
+                    assert callable(handed_out)
+                continue
+            with pytest.raises(FaultCapabilityError) as refused:
+                call(model)
+            assert repr(model.kind) in str(refused.value)
+            assert repr(capability) in str(refused.value)
 
 
 class TestSeeding:

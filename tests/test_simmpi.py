@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.comm.errors import InvalidRankError, RankFailedError, SimDeadlockError
+from repro.comm.errors import (
+    CommTimeoutError,
+    InvalidRankError,
+    RankFailedError,
+    SimDeadlockError,
+)
 from repro.comm.ops import MAX, MIN, SUM
 from repro.reliability import FailurePlan
 from repro.machine import MachineModel
@@ -297,6 +303,21 @@ class TestDeadlockAndErrors:
         results = runtime.run(program)
         values = {r.value for r in results}
         assert "RuntimeError" in values or "SimDeadlockError" in values
+
+    @pytest.mark.parametrize("error, fields", [
+        (RankFailedError([3, 1], "allreduce", 2.5),
+         {"failed_ranks": frozenset({1, 3}), "operation": "allreduce", "detected_at": 2.5}),
+        (SimDeadlockError(1, "recv", 4.0),
+         {"rank": 1, "operation": "recv", "waited": 4.0}),
+        (CommTimeoutError(0, "barrier", 30.0),
+         {"rank": 0, "operation": "barrier", "waited": 30.0}),
+    ], ids=["RankFailedError", "SimDeadlockError", "CommTimeoutError"])
+    def test_errors_survive_a_process_boundary(self, error, fields):
+        # The shmem backend ships rank outcomes through pickling channels.
+        twin = pickle.loads(pickle.dumps(error))
+        assert type(twin) is type(error)
+        assert str(twin) == str(error)
+        assert {name: getattr(twin, name) for name in fields} == fields
 
 
 class TestFailuresAndRecovery:
