@@ -57,7 +57,8 @@ Subpackage overview
 ``repro.pde``
     Structured-grid heat problems used by the experiments.
 ``repro.experiments``
-    Drivers that regenerate every experiment in EXPERIMENTS.md.
+    Drivers that regenerate every experiment table pinned in
+    ``tests/goldens/``.
 """
 
 __version__ = "1.0.0"

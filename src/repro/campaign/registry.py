@@ -6,8 +6,8 @@ the driver protocol -- a module-level
 ``run(**params) -> ExperimentResult`` callable -- and indexes them by
 experiment id ("E1") and short name ("sdc_detection"), both
 case-insensitive.  Everything the campaign layer knows about an
-experiment flows through here; nothing is hard-wired to seven drivers,
-so an ``e8_*.py`` module that implements the protocol is swept
+experiment flows through here; nothing is hard-wired to ten drivers,
+so an ``e11_*.py`` module that implements the protocol is swept
 automatically.
 """
 

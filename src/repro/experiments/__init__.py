@@ -6,13 +6,15 @@ table is exactly what the corresponding benchmark prints, plus a
 module-level :class:`ExperimentSpec` named ``SPEC`` describing the
 driver to the campaign registry (id, tags, smoke/golden parameter
 sets).  The drivers are deliberately parameterized so the benchmarks
-can run a quick configuration while the tables in EXPERIMENTS.md use a
-fuller one.
+can run a quick configuration while the tables in ``tests/goldens/``
+pin a fuller one.  A result's ``parameters`` are derived from ``run``'s
+signature (:func:`~repro.experiments.common.records_parameters`); a
+driver supplies only the values it resolves from ``None``.
 
 :func:`iter_driver_modules` is the discovery entry point used by
 :mod:`repro.campaign.registry`: it yields every module in this package
 that implements the driver protocol (``SPEC`` + ``run``), so adding an
-``e8_*.py`` module with both automatically makes it sweepable.
+``e11_*.py`` module with both automatically makes it sweepable.
 """
 
 from __future__ import annotations
@@ -22,30 +24,8 @@ import pkgutil
 from typing import Iterator
 
 from repro.experiments.common import ExperimentResult, ExperimentSpec
-from repro.experiments import (
-    e1_sdc_detection,
-    e2_abft,
-    e3_pipelined,
-    e4_lflr_vs_cpr,
-    e5_coarse_recovery,
-    e6_ftgmres,
-    e7_efficiency,
-    e8_solvers,
-)
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentSpec",
-    "iter_driver_modules",
-    "e1_sdc_detection",
-    "e2_abft",
-    "e3_pipelined",
-    "e4_lflr_vs_cpr",
-    "e5_coarse_recovery",
-    "e6_ftgmres",
-    "e7_efficiency",
-    "e8_solvers",
-]
+__all__ = ["ExperimentResult", "ExperimentSpec", "iter_driver_modules"]
 
 
 def iter_driver_modules() -> Iterator[object]:

@@ -1,11 +1,14 @@
 """Shared experiment infrastructure.
 
-Five pieces live here:
+Six pieces live here:
 
 * :class:`ExperimentResult` -- the value every driver's ``run()``
   returns, now JSON round-trippable (:meth:`ExperimentResult.to_dict` /
   :meth:`ExperimentResult.from_dict`) so the campaign result store can
   persist it.
+* :func:`records_parameters` -- the one place a result's
+  ``parameters`` are filled: it decorates every driver's ``run``, and
+  :func:`run_batch_by_seed` fills each lane's from its binding.
 * :class:`ExperimentSpec` -- the registry protocol.  Each driver module
   ``e*.py`` exposes a module-level ``SPEC`` describing itself (id,
   short name, tags) plus two canonical reduced configurations: a
@@ -18,7 +21,8 @@ Five pieces live here:
   definition of "same except ``seed``" it shares with the campaign
   runner's :func:`~repro.campaign.runner.plan_batch_groups`.  It binds
   defaults against :func:`run_signature`, the one introspection of a
-  driver, which the campaign registry reads too.
+  driver, which the campaign registry and :func:`records_parameters`
+  read too.
 * :class:`TrustedProblem`, :func:`as_axis` and :func:`iteration_budget`
   -- what the sweeping drivers (E8-E10) share: the SPD model problem
   with one trusted direct solution per lane to classify outcomes
@@ -38,7 +42,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.registry import resolve_backend
 from repro.linalg.matgen import poisson_2d
+from repro.reliability.registry import resolve_faults
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import canonical_json, jsonify
 from repro.utils.tables import Table, one_line
@@ -52,6 +58,7 @@ __all__ = [
     "batch_signature",
     "classify_outcome",
     "iteration_budget",
+    "records_parameters",
     "run_batch_by_seed",
     "run_signature",
 ]
@@ -89,17 +96,20 @@ class ExperimentResult:
     Attributes
     ----------
     experiment:
-        Identifier ("E1" ... "E7").
+        Identifier ("E1" ... "E10").
     claim:
         One-sentence statement of the paper claim being tested.
     table:
-        The reproduced table (see EXPERIMENTS.md for the recorded copy).
+        The reproduced table (``tests/goldens/`` holds the recorded
+        copy at each driver's golden parameters).
     summary:
         Headline scalars extracted from the table (detection rate,
         speedup at the largest scale, crossover point, ...), used by the
         tests that assert the qualitative claim holds.
     parameters:
-        The parameters the experiment was run with, for provenance.
+        Every name ``run`` accepts and its value, derived from ``run``'s
+        signature by :func:`records_parameters`; a driver supplies only
+        the values it resolves from ``None`` (E8's ``solvers``, say).
     """
 
     experiment: str
@@ -148,7 +158,7 @@ class ExperimentSpec:
     Attributes
     ----------
     experiment:
-        Canonical identifier ("E1" ... "E7").
+        Canonical identifier ("E1" ... "E10").
     name:
         Short slug used in CLI listings and scenario tags
         (e.g. ``"sdc_detection"``).
@@ -207,6 +217,46 @@ def _bind_defaults(
     return dict(bound.arguments)
 
 
+# Recorded as canonical spec strings, and left out when ``None``.
+_SPEC_PARAMETERS = {
+    "faults": lambda value: resolve_faults(value).describe(),
+    "backend": lambda value: resolve_backend(value).spec.to_string(),
+}
+
+
+def _recorded(params: Mapping[str, Any], resolved: Mapping[str, Any]) -> Dict[str, Any]:
+    """What a result records of ``params``, every name ``run`` accepts:
+    the value the driver ``resolved`` from a ``None`` default, else
+    sequences as tuples and specs as :data:`_SPEC_PARAMETERS` says."""
+    recorded = {}
+    for name, value in params.items():
+        if name in resolved:
+            value = resolved[name]
+        elif name in _SPEC_PARAMETERS:
+            if value is None:
+                continue
+            value = _SPEC_PARAMETERS[name](value)
+        elif isinstance(value, (list, tuple)):
+            value = tuple(value)
+        recorded[name] = value
+    return recorded
+
+
+def records_parameters(run: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    """Decorate a driver's ``run`` so its result records every name it
+    accepts: ``run``'s defaults, read once off :func:`run_signature`,
+    overlaid with the call's keywords (see :func:`_recorded`)."""
+    defaults = {name: p.default for name, p in run_signature(run).parameters.items()}
+
+    @functools.wraps(run)
+    def recorded(**params) -> ExperimentResult:
+        result = run(**params)
+        result.parameters = _recorded({**defaults, **params}, result.parameters)
+        return result
+
+    return recorded
+
+
 def run_batch_by_seed(
     run: Callable[..., ExperimentResult],
     run_lanes: Callable[..., List[ExperimentResult]],
@@ -218,7 +268,8 @@ def run_batch_by_seed(
     one result per seed, each identical to ``run(seed=seed, **shared)``
     (which is that body with a single lane).  Scenarios are bound to
     ``run``'s defaults, grouped by :func:`batch_signature`, and each
-    group is one ``run_lanes`` call; results come back in input order.
+    group is one ``run_lanes`` call; results come back in input order,
+    recording their bound parameters as ``run``'s results do.
     """
     signature = run_signature(run)
     resolved = [_bind_defaults(signature, params) for params in params_list]
@@ -230,6 +281,7 @@ def run_batch_by_seed(
         shared = {k: v for k, v in resolved[members[0]].items() if k != "seed"}
         seeds = [resolved[index]["seed"] for index in members]
         for index, result in zip(members, run_lanes(seeds, **shared)):
+            result.parameters = _recorded(resolved[index], result.parameters)
             results[index] = result
     return results
 

@@ -50,6 +50,7 @@ from repro.experiments.common import (
     TrustedProblem,
     as_axis,
     iteration_budget,
+    records_parameters,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -103,6 +104,7 @@ def _fgmres_inner_solve(matrix, built, registry, precision_label):
     return inner_solve
 
 
+@records_parameters
 def run(
     *,
     grid: int = 8,
@@ -274,25 +276,18 @@ def _run_lanes(
             "target": target,
             "faults": fault_model.describe(),
         }
-        parameters = {
-            "grid": grid,
-            "solvers": tuple(solver_list),
-            "precisions": tuple(precision_list),
-            "preconds": tuple(precond_list),
-            "faults": fault_model.describe(),
-            "target": target,
-            "tol": tol,
-            "maxiter": maxiter,
-            "error_tolerance": error_tolerance,
-            "seed": seeds[s],
-        }
         out.append(
             ExperimentResult(
                 experiment="E10",
                 claim=_CLAIM,
                 table=tables[s],
                 summary=summary,
-                parameters=parameters,
+                parameters={
+                    "solvers": tuple(solver_list),
+                    "precisions": tuple(precision_list),
+                    "preconds": tuple(precond_list),
+                    "faults": fault_model.describe(),
+                },
             )
         )
     return out

@@ -24,6 +24,7 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     classify_outcome,
+    records_parameters,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve
@@ -42,6 +43,11 @@ SPEC = ExperimentSpec(
     tags=("skeptical", "gmres", "faults", "sdc"),
     smoke={"grid": 8, "n_trials": 2, "inject_at": 5},
     golden={"grid": 10, "n_trials": 3, "inject_at": 5, "seed": 2013},
+)
+
+_CLAIM = (
+    "Cheap invariant checks in the Arnoldi process detect harmful bit flips "
+    "and eliminate silent data corruption at small overhead."
 )
 
 _BIT_CLASSES = {
@@ -77,6 +83,7 @@ def _outcome(matrix, b, result, detected, *, tol):
     )
 
 
+@records_parameters
 def run(
     *,
     grid: int = 20,
@@ -161,7 +168,7 @@ def _run_lanes(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    fault_template, faults_label = _resolve_template(faults)
+    fault_template = _resolve_template(faults)
     matrix = poisson_2d(grid)
     factories = [RngFactory(seed) for seed in seeds]
     b_list = [f.spawn("rhs").standard_normal(matrix.n_rows) for f in factories]
@@ -228,11 +235,9 @@ def _run_lanes(
                     skeptical, solver_flops[s],
                 )
     return [
-        _finish_result(
-            tables[s], summaries[s], baselines[s].iterations,
-            grid=grid, n_trials=n_trials, inject_at=inject_at,
-            check_period=check_period, seed=seeds[s],
-            faults_label=faults_label,
+        ExperimentResult(
+            experiment="E1", claim=_CLAIM, table=tables[s],
+            summary={**summaries[s], "baseline_iterations": baselines[s].iterations},
         )
         for s in lanes
     ]
@@ -240,12 +245,9 @@ def _run_lanes(
 
 def _resolve_template(faults):
     """Resolve the fault axis exactly as :func:`run` historically did."""
-    # Record the requested axis value (like every other driver); the
-    # template below may degrade to the component E1 actually consumes.
     fault_template = resolve_faults(
         faults if faults is not None else "basis_bitflip"
     )
-    faults_label = fault_template.describe() if faults is not None else None
     # Degrade gracefully on a shared fault axis: any bit-level model
     # becomes the targeted basis flip it implies, and models with no
     # bit-level component (e.g. pure proc_fail) run the campaign
@@ -261,7 +263,7 @@ def _resolve_template(faults):
             )
         else:
             fault_template = resolve_faults("none")
-    return fault_template, faults_label
+    return fault_template
 
 
 def _result_table() -> Table:
@@ -300,28 +302,3 @@ def _add_cell(table, summary, cell, n_trials, class_name, skeptical, solver_flop
     summary[key + "_sdc_rate"] = sdc_rate
     summary[key + "_detection_rate"] = detection_rate
 
-
-def _finish_result(
-    table, summary, baseline_iterations, *, grid, n_trials, inject_at,
-    check_period, seed, faults_label,
-) -> ExperimentResult:
-    summary["baseline_iterations"] = baseline_iterations
-    parameters = {
-        "grid": grid,
-        "n_trials": n_trials,
-        "inject_at": inject_at,
-        "check_period": check_period,
-        "seed": seed,
-    }
-    if faults_label is not None:
-        parameters["faults"] = faults_label
-    return ExperimentResult(
-        experiment="E1",
-        claim=(
-            "Cheap invariant checks in the Arnoldi process detect harmful bit flips "
-            "and eliminate silent data corruption at small overhead."
-        ),
-        table=table,
-        summary=summary,
-        parameters=parameters,
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.linalg.checksum import checked_matmul, checked_matvec
 from repro.linalg.matgen import poisson_2d
 from repro.reliability.bitflip import flip_bit_array
@@ -34,6 +34,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     sizes=(16, 32, 64),
@@ -160,10 +161,4 @@ def run(
         ),
         table=table,
         summary=summary,
-        parameters={
-            "sizes": tuple(sizes),
-            "n_trials": n_trials,
-            "seed": seed,
-            **({"faults": fault_model.describe()} if faults is not None else {}),
-        },
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.comm.registry import resolve_backend
 from repro.experiments import backend_probe
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import poisson_2d
 from repro.machine.model import MachineModel
@@ -52,6 +52,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     grid: int = 16,
@@ -154,23 +155,12 @@ def run(
         "pipe_efficiency_at_largest_p": scaling.column("pipe_efficiency")[-1],
         "anchor_table": anchor.render(),
     }
-    parameters = {
-        "grid": grid,
-        "rank_counts": tuple(rank_counts),
-        "rows_per_rank": rows_per_rank,
-        "noise_event_rate": noise_event_rate,
-        "noise_stall": noise_stall,
-        "iterations": iterations,
-        "seed": seed,
-        **({"faults": fault_model.describe()} if faults is not None else {}),
-    }
     if backend is not None:
         # The fault-free CG anchor as a genuine SPMD solve over the
         # requested communicator.  Every backend reduces in ascending
         # rank order, so this residual history is bit-identical across
         # them -- the conformance suite's E3 differential gate pins it.
         bound = resolve_backend(backend)
-        parameters["backend"] = bound.spec.to_string()
         summary["backend"] = {
             "spec": bound.spec.to_string(),
             "anchor": backend_probe.distributed_solve(
@@ -186,5 +176,4 @@ def run(
         ),
         table=scaling,
         summary=summary,
-        parameters=parameters,
     )

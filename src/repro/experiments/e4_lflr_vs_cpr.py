@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkpoint.cpr import run_cpr_stepped
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.reliability.process import FailurePlan
 from repro.reliability.registry import resolve_faults
 from repro.lflr.explicit import run_lflr_heat
@@ -45,6 +45,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     n_ranks: int = 4,
@@ -189,12 +190,4 @@ def run(
         ),
         table=table,
         summary=summary,
-        parameters={
-            "n_ranks": n_ranks,
-            "n_global": n_global,
-            "n_steps": n_steps,
-            "checkpoint_interval": checkpoint_interval,
-            "seed": seed,
-            **({"faults": fault_model.describe()} if fault_model is not None else {}),
-        },
     )

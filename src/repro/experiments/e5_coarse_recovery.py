@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.krylov.registry import default_solver_registry
 from repro.lflr.coarse import CoarseModelStore, prolong_field
 from repro.pde.implicit import ImplicitHeatProblem1D
@@ -52,6 +52,7 @@ def _cg_iterations_from(problem: ImplicitHeatProblem1D, guess: np.ndarray) -> in
     return result.iterations
 
 
+@records_parameters
 def run(
     *,
     n_points: int = 128,
@@ -145,13 +146,4 @@ def run(
         ),
         table=table,
         summary=summary,
-        parameters={
-            "n_points": n_points,
-            "n_ranks": n_ranks,
-            "steps_before_failure": steps_before_failure,
-            "dt": dt,
-            "coarsening_factors": tuple(coarsening_factors),
-            "seed": seed,
-            **({"faults": fault_model.describe()} if fault_model is not None else {}),
-        },
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.comm.registry import resolve_backend
 from repro.experiments import backend_probe
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import convection_diffusion_2d
 from repro.reliability.cost import ReliabilityCostModel
@@ -55,6 +55,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     grid: int = 12,
@@ -82,7 +83,6 @@ def run(
     # component of a shared axis applies here; specs without one (e.g.
     # pure proc_fail) sweep the rates fault-free.
     fault_template = resolve_faults(faults if faults is not None else "bitflip")
-    faults_label = fault_template.describe() if faults is not None else None
     if not fault_template.is_null:
         fault_template = fault_template.soft_component() or resolve_faults("none")
     if fault_template.kind != "none":
@@ -186,17 +186,6 @@ def run(
             )
             summary[f"ftgmres_{prob}_converged"] = conv / n_trials
             summary[f"ftgmres_{prob}_unreliable_fraction"] = float(np.mean(unreliable_fracs))
-    parameters = {
-        "grid": grid,
-        "fault_probabilities": tuple(fault_probabilities),
-        "tol": tol,
-        "outer_maxiter": outer_maxiter,
-        "inner_maxiter": inner_maxiter,
-        "n_trials": n_trials,
-        "seed": seed,
-    }
-    if faults_label is not None:
-        parameters["faults"] = faults_label
     if backend is not None:
         # Backend-axis evidence (never present in default/golden runs):
         # the fault-free GMRES anchor executed as a genuine SPMD solve
@@ -205,7 +194,6 @@ def run(
         # bit-identical across them -- the conformance suite's E6
         # differential gate pins exactly that.
         bound = resolve_backend(backend)
-        parameters["backend"] = bound.spec.to_string()
         summary["backend"] = {
             "spec": bound.spec.to_string(),
             "anchor": backend_probe.distributed_solve(
@@ -222,5 +210,4 @@ def run(
         ),
         table=table,
         summary=summary,
-        parameters=parameters,
     )

@@ -18,7 +18,7 @@ which local recovery is required to stay efficient).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import ExperimentResult, ExperimentSpec, records_parameters
 from repro.reliability.process import system_mtbf
 from repro.reliability.registry import resolve_faults
 from repro.machine.efficiency import (
@@ -44,6 +44,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     node_mtbf_years: float = 5.0,
@@ -124,15 +125,5 @@ def run(
         ),
         table=table,
         summary=summary,
-        parameters={
-            "node_mtbf_years": node_mtbf_years,
-            "node_counts": tuple(node_counts),
-            "checkpoint_time": checkpoint_time,
-            "restart_time": restart_time,
-            "local_recovery_time": local_recovery_time,
-            "redundancy_overhead": redundancy_overhead,
-            "mtbf_sweep_hours": tuple(mtbf_sweep_hours),
-            **({"faults": fault_model.describe()} if fault_model is not None else {}),
-        },
     )
 

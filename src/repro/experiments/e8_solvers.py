@@ -40,6 +40,7 @@ from repro.experiments.common import (
     TrustedProblem,
     as_axis,
     iteration_budget,
+    records_parameters,
     run_batch_by_seed,
 )
 from repro.krylov.registry import SKEPTICAL_RESPONSES, batch_solve, default_solver_registry
@@ -62,6 +63,7 @@ SPEC = ExperimentSpec(
 )
 
 
+@records_parameters
 def run(
     *,
     grid: int = 8,
@@ -229,27 +231,15 @@ def _run_lanes(
             "policy": policy,
             "fault_probability": fault_probability if faults is None else fault_p,
         }
-        parameters = {
-            "grid": grid,
-            "solvers": tuple(names),
-            "policy": policy,
-            "fault_probability": fault_probability,
-            "bit_range": tuple(bit_range) if bit_range is not None else None,
-            "tol": tol,
-            "maxiter": maxiter,
-            "error_tolerance": error_tolerance,
-            "seed": seeds[s],
-        }
         if faults is not None:
             summary["faults"] = fault_model.describe()
-            parameters["faults"] = fault_model.describe()
         out.append(
             ExperimentResult(
                 experiment="E8",
                 claim=_CLAIM,
                 table=tables[s],
                 summary=summary,
-                parameters=parameters,
+                parameters={"solvers": tuple(names)},
             )
         )
     return out

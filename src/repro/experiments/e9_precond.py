@@ -52,6 +52,7 @@ from repro.experiments.common import (
     TrustedProblem,
     as_axis,
     iteration_budget,
+    records_parameters,
     run_batch_by_seed,
 )
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -86,6 +87,7 @@ SPEC = ExperimentSpec(
 _DEFAULT_SOLVERS = ("gmres", "fgmres", "pipelined_gmres", "cg", "pipelined_cg")
 
 
+@records_parameters
 def run(
     *,
     grid: int = 8,
@@ -236,24 +238,17 @@ def _run_lanes(
             "target": target,
             "faults": fault_model.describe(),
         }
-        parameters = {
-            "grid": grid,
-            "solvers": tuple(solver_list),
-            "preconds": tuple(precond_list),
-            "faults": fault_model.describe(),
-            "target": target,
-            "tol": tol,
-            "maxiter": maxiter,
-            "error_tolerance": error_tolerance,
-            "seed": seeds[s],
-        }
         out.append(
             ExperimentResult(
                 experiment="E9",
                 claim=_CLAIM,
                 table=tables[s],
                 summary=summary,
-                parameters=parameters,
+                parameters={
+                    "solvers": tuple(solver_list),
+                    "preconds": tuple(precond_list),
+                    "faults": fault_model.describe(),
+                },
             )
         )
     return out

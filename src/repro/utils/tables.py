@@ -2,8 +2,8 @@
 
 Every experiment in :mod:`repro.experiments` produces a
 :class:`Table`; benchmarks print it so that the reproduced results can
-be compared side-by-side with the qualitative claims recorded in
-``EXPERIMENTS.md``.
+be compared side-by-side with the recorded copies in
+``tests/goldens/``.
 """
 
 from __future__ import annotations

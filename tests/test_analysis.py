@@ -8,8 +8,9 @@
   backend spec quoted in python (entry-point arguments, axis keywords,
   sweep dict values, docstrings) or in markdown parses against the live
   axis declarations;
-* ``doc-links`` -- every relative markdown link, and every repo path
-  quoted in a markdown code span, names a file on disk;
+* ``doc-links`` -- every relative markdown link, every repo path
+  quoted in a markdown code span, and every ``*.md`` name in a python
+  module, class or function docstring names a file on disk;
 * ``matmul-dispatch`` -- no ``@`` operator in the sequential kernel
   modules (``ndarray.dot`` reaches the same BLAS call with the same bits
   for less dispatch, which dominates at the sizes campaigns sweep).
@@ -322,13 +323,24 @@ _PATH_RE = re.compile(
 )
 _EXTENSION_RE = re.compile(r"\.[A-Za-z0-9]+$")
 _PLACEHOLDER_CHARS = frozenset("*?<>{}[]$…")
+# A document name in a docstring, repo-relative; not part of a URL.
+_DOCUMENT_RE = re.compile(r"(?<![\w./:-])[\w./-]+\.md\b")
+_DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def doc_links(source: Source) -> Iterator[Tuple[int, str]]:
     """Relative links resolve, and so do repo paths quoted as code
     (globs and placeholders aside; history documents and the ledger's
-    archive quote what no longer exists)."""
+    archive quote what no longer exists) and the documents python
+    docstrings name."""
     if source.tree is not None:
+        for node in ast.walk(source.tree):
+            if isinstance(node, _DOCSTRING_OWNERS) and ast.get_docstring(node) is not None:
+                doc = node.body[0].value
+                for match in _DOCUMENT_RE.finditer(doc.value):
+                    if not (source.root / match.group()).is_file():
+                        line = doc.lineno + doc.value.count("\n", 0, match.start())
+                        yield line, f"docstring names a missing document -> {match.group()}"
         return
     text = source.text
     here = (source.root / source.rel).parent
@@ -640,6 +652,26 @@ class TestDocLinksRule:
             (tmp_path / rel).parent.mkdir(exist_ok=True)
             (tmp_path / rel).write_text(text, encoding="utf-8")
         assert documentation(tmp_path) == ["B.md", "README.md", "docs/A.md"]
+
+
+    def test_docstring_naming_a_missing_document_flagged(self, tmp_path):
+        active, _ = lint(tmp_path, {
+            "pkg/mod.py": '''\
+            """See NOTES.md and https://example.com/WEB.md."""
+
+            NOTE = "GONE.md in a string is not a docstring"
+
+
+            class Thing:
+                """Documented in docs/THING.md,
+                and in GONE.md."""
+            ''',
+            "NOTES.md": "ok\n",
+            "docs/THING.md": "ok\n",
+        }, "doc-links")
+        assert [(f.path, f.line, f.message) for f in active] == [
+            ("pkg/mod.py", 8, "docstring names a missing document -> GONE.md")
+        ]
 
 
 class TestMatmulDispatchRule:

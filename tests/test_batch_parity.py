@@ -800,6 +800,23 @@ class TestDriverParity:
             seeds=[2013, 2014, 2015],
         )
 
+    @pytest.mark.parametrize(
+        "module", [e1_sdc_detection, e8_solvers, e9_precond, e10_precision],
+        ids=["E1", "E8", "E9", "E10"],
+    )
+    def test_run_and_run_batch_record_equal_parameters(self, module):
+        # Mixed seeds (one left to its default), a fault spec in a
+        # non-canonical spelling, and the smoke parameters as reloaded
+        # from JSON (lists where the spec has tuples): every lane records
+        # exactly what run() records.
+        smoke = dict(module.SPEC.smoke)
+        faulty = dict(smoke, faults="bitflip:p=0.05,bits=52..62")
+        reloaded = {k: list(v) if isinstance(v, tuple) else v for k, v in smoke.items()}
+        params = [dict(smoke, seed=5), faulty, dict(reloaded, seed=3),
+                  dict(faulty, seed=5), smoke]
+        batched = module.run_batch(params)
+        assert [b.parameters for b in batched] == [module.run(**p).parameters for p in params]
+
     def test_empty_and_singleton_batches(self):
         assert e8_solvers.run_batch([]) == []
         config = dict(grid=6, solvers=("gmres",), policy="none", seed=77)

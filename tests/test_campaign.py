@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.axes import declared_axes
 from repro.campaign import spec as spec_module
 from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 from repro.campaign.cli import main as cli_main
@@ -371,6 +372,84 @@ def _contract_breaches(driver, namespace):
             for name in ("_bind_defaults", "_compatible") if name in namespace
         )
     return breaches
+
+
+# Second values of the names neither an axis declaration nor the type
+# rule of ``_second_value`` reaches: choices and non-axis ``None``s.
+_SECOND_VALUES = {
+    ("E8", "policy"): "skeptical",
+    ("E8", "bit_range"): (52, 62),
+    ("E9", "target"): "operator",
+    ("E10", "target"): "outer",
+}
+
+
+def _as_axis_value(value):
+    """An axis parameter's value as the tuple of entries it names."""
+    if isinstance(value, str):
+        return (value,)
+    return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
+def _second_value(driver, name, value):
+    """A value of ``name`` other than ``value`` that ``driver.run`` accepts.
+
+    An axis parameter takes the first declared entry (the axis identity,
+    then the registry's names) that differs from ``value``; a number
+    steps, a sequence loses its last entry (or repeats a lone one).
+    """
+    if (driver.experiment, name) in _SECOND_VALUES:
+        return _SECOND_VALUES[driver.experiment, name]
+    for axis in declared_axes():
+        if name in axis.keywords or name == axis.name + "s":
+            entries = [axis.identity] if axis.identity else []
+            entries += axis.registry().names()
+            return next(e for e in entries if _as_axis_value(e) != _as_axis_value(value))
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 2 * value if value else 0.01
+    if isinstance(value, tuple):
+        return value[:-1] if len(value) > 1 else value * 2
+    raise AssertionError(f"{driver.experiment}: no second value for {name}={value!r}")
+
+
+class TestRecordedParameters:
+    """A result is a function of its recorded parameters, by construction.
+
+    At each driver's smoke parameters, the result records every name
+    ``run`` accepts (``faults``/``backend`` only when given), changing
+    any one of them changes what is recorded, and re-running with what
+    was recorded reproduces the result byte for byte.
+    """
+
+    @pytest.mark.parametrize("experiment", default_registry().names())
+    def test_every_accepted_name_is_recorded(self, experiment):
+        driver = default_registry().get(experiment)
+        smoke = dict(driver.spec.smoke)
+        base = driver.run(**smoke)
+        defaults = {
+            name: param.default
+            for name, param in inspect.signature(driver.run).parameters.items()
+        }
+        current = {**defaults, **smoke}
+        assert set(base.parameters) == {
+            name for name, value in current.items()
+            if value is not None or name not in ("faults", "backend")
+        }
+        again = driver.run(**base.parameters)
+        assert spec_module.canonical_json(again.to_dict()) == spec_module.canonical_json(
+            base.to_dict()
+        )
+        for name, value in current.items():
+            second = _second_value(driver, name, value)
+            changed = driver.run(**{**smoke, name: second})
+            assert changed.parameters[name] != base.parameters.get(name), (name, second)
+            assert {k: v for k, v in changed.parameters.items() if k != name} == {
+                k: v for k, v in base.parameters.items() if k != name
+            }, name
 
 
 def _fast_scenarios(n=3):

@@ -1,8 +1,8 @@
 """Smoke and claim tests for the experiment drivers and the RBSP helpers.
 
 Each experiment is run in a reduced configuration; the assertions check
-the *qualitative* claim recorded in EXPERIMENTS.md (who wins, in which
-direction), not absolute numbers.
+the *qualitative* claim of each driver (who wins, in which direction),
+not absolute numbers; ``tests/goldens/`` pins the tables themselves.
 """
 
 from __future__ import annotations
