@@ -9,6 +9,10 @@
 #     markdown, clean, no suppression under src/, within 10 s);
 #   * the backend conformance suite once more in a fresh interpreter.
 #
+# The tier-1 stage ends with its wall and CPU seconds (bash `time`:
+# user and sys include every child the suite waited for, e.g. the
+# shmem ranks and campaign workers), since CI wall time is a benchmark.
+#
 #   scripts/verify.sh            # everything
 #   scripts/verify.sh --fast     # skip the fresh-interpreter conformance run
 #
@@ -24,7 +28,8 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 echo "== tier-1 test suite =="
-python -m pytest -x -q
+TIMEFORMAT='tier-1 seconds: wall %R, cpu %U user + %S sys (children included)'
+time python -m pytest -x -q
 
 echo
 echo "== backend conformance gate (fresh interpreter) =="

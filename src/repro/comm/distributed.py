@@ -118,11 +118,15 @@ class DistributedVector:
         self.comm.compute(2.0 * self.local_size)
         return float(self.comm.allreduce(local_dot, op=SUM))
 
-    def norm(self) -> float:
-        """Global 2-norm (one allreduce)."""
+    def squared_norm(self) -> float:
+        """Global ``x . x`` (one allreduce)."""
         local_sq = float(self.local @ self.local)
         self.comm.compute(2.0 * self.local_size)
-        return float(np.sqrt(self.comm.allreduce(local_sq, op=SUM)))
+        return float(self.comm.allreduce(local_sq, op=SUM))
+
+    def norm(self) -> float:
+        """Global 2-norm (one allreduce)."""
+        return float(np.sqrt(self.squared_norm()))
 
     def gather_global(self) -> np.ndarray:
         """Return the full global vector on every rank (one allgather)."""

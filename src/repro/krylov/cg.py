@@ -3,10 +3,12 @@
 The symmetric-positive-definite workhorse, used by the implicit PDE
 time stepper (backward Euler on the heat equation) and as the baseline
 against which :mod:`repro.krylov.pipelined_cg` is compared.  Each
-iteration performs **two** blocking global reductions (the
-``r^T z`` and ``p^T A p`` inner products) plus one for the convergence
-norm -- the synchronization pattern whose latency sensitivity motivates
-the RBSP model.
+iteration performs blocking global reductions for the ``p^T A p`` and
+``r^T z`` inner products and the convergence norm ``||r||`` -- the
+synchronization pattern whose latency sensitivity motivates the RBSP
+model.  Without a preconditioner ``z`` is ``r``, so ``r^T z`` is the
+square of the norm and the iteration makes **two** reductions; with
+one it makes three.
 
 Thin wrapper over the :mod:`repro.krylov.engine` running
 :class:`~repro.krylov.engine.cg.CgScheme`, so CG reports the same

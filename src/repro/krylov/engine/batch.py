@@ -653,7 +653,8 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
         X[gi] = X[gi] + alpha[:, None] * Pg
         Rg = R[gi] + (-alpha)[:, None] * AP
         R[gi] = Rg
-        res = np.sqrt(np.matmul(Rg[:, None, :], Rg[:, :, None])[:, 0, 0])
+        sq = np.matmul(Rg[:, None, :], Rg[:, :, None])[:, 0, 0]
+        res = np.sqrt(sq)
         residuals = res.tolist()
         for i, value, residual in zip(ids, alpha.tolist(), residuals):
             lanes[i].alphas.append(value)
@@ -676,10 +677,12 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
                 else:
                     lanes[i].breakdown = True
             leave(out, step + 1, step)
-            gi, Rg = gi[alive], Rg[alive]
+            gi, Rg, sq = gi[alive], Rg[alive], sq[alive]
         # z = M^{-1} r: the residual rows themselves (nothing below
         # writes to them) except where a lane has a preconditioner.
+        # Without one, (r, z) is the squared norm ``res`` is the root of.
         Z = Rg
+        rz_next = sq
         if preconditioned:
             Z = Rg.copy()
             for row, i in enumerate(gi.tolist()):
@@ -688,7 +691,7 @@ def run_cg_batch(lanes: Sequence, *, trace=None) -> List[SolveResult]:
                     t0 = lane.kernels.tick()
                     Z[row] = ops.apply_preconditioner(lane.preconditioner, Rg[row])
                     lane.kernels.charge("preconditioner", t0)
-        rz_next = np.matmul(Rg[:, None, :], Z[:, :, None])[:, 0, 0]
+            rz_next = np.matmul(Rg[:, None, :], Z[:, :, None])[:, 0, 0]
         good = np.isfinite(rz_next)
         if not good.all():
             out = gi[~good].tolist()

@@ -9,8 +9,12 @@ counter schema, and the unified
 protocol (policies receive scalar
 :class:`~repro.krylov.engine.resilience.IterationEvent` objects).
 
-* :class:`CgScheme` -- classic preconditioned CG: two blocking global
-  reductions per iteration plus the convergence norm.
+* :class:`CgScheme` -- classic preconditioned CG: blocking global
+  reductions for ``(p, Ap)``, ``(r, z)`` and the convergence norm per
+  iteration.  Without a preconditioner ``z`` is ``r`` (an alias, its
+  application counted at 0 s), and ``(r, z)`` and ``||r||`` come from
+  one :func:`~repro.krylov.ops.squared_norm`: two reductions, with the
+  same bits in every dtype.
 * :class:`PipelinedCgScheme` -- Ghysels & Vanroose pipelined CG: ONE
   fused non-blocking reduction for the two inner products, overlapped
   with the next operator application, at the cost of three extra vector
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import math
 from typing import List
+
+import numpy as np
 
 from repro.krylov import ops
 from repro.krylov.engine.core import IterationScheme, SolverEngine
@@ -54,14 +60,23 @@ class CgAttempt:
         t0 = kernels.tick()
         r = ops.xpby(b, -1.0, ops.matvec(self.operator, x))
         kernels.charge("matvec", t0)
-        t0 = kernels.tick()
-        z = ops.apply_preconditioner(self.preconditioner, r)
-        kernels.charge("preconditioner", t0)
+        if self.preconditioner is None:
+            # z is r: (r, z) is the squared norm the convergence test
+            # takes the root of, so one reduction serves both.
+            kernels.add("preconditioner", 0.0)
+            z = r
+            sq = ops.squared_norm(r)
+            self.rz = float(sq)
+        else:
+            t0 = kernels.tick()
+            z = ops.apply_preconditioner(self.preconditioner, r)
+            kernels.charge("preconditioner", t0)
+            self.rz = ops.dot(r, z)
+            sq = ops.squared_norm(r)
+        residual = float(np.sqrt(sq))
         self.x = x
         self.r = r
         self.p = ops.copy_vector(z)
-        self.rz = ops.dot(r, z)
-        residual = ops.norm(r)
         self.residual_norms: List[float] = [residual]
         self.alphas: List[float] = []
         self.betas: List[float] = []
@@ -109,6 +124,7 @@ class CgScheme(IterationScheme):
         # engine handed it over.
         converged, breakdown, iteration = attempt.converged, attempt.breakdown, attempt.iteration
         fire_at = attempt.fire_at
+        preconditioner = self.preconditioner
 
         while not converged and not breakdown and iteration < self.maxiter:
             t0 = kernels.tick()
@@ -124,7 +140,8 @@ class CgScheme(IterationScheme):
             alphas.append(float(alpha))
             x = ops.xpby(x, float(alpha), p)
             r = ops.xpby(r, -float(alpha), ap)
-            residual = ops.norm(r)
+            sq = ops.squared_norm(r)
+            residual = float(np.sqrt(sq))
             iteration += 1
             residual_norms.append(residual)
             if fire_at is None or fire_at == iteration:
@@ -135,10 +152,14 @@ class CgScheme(IterationScheme):
             if convergence.is_met(residual, target):
                 converged = True
                 break
-            t0 = kernels.tick()
-            z = ops.apply_preconditioner(self.preconditioner, r)
-            kernels.charge("preconditioner", t0)
-            rz_next = ops.dot(r, z)
+            if preconditioner is None:
+                kernels.add("preconditioner", 0.0)
+                z, rz_next = r, float(sq)
+            else:
+                t0 = kernels.tick()
+                z = ops.apply_preconditioner(preconditioner, r)
+                kernels.charge("preconditioner", t0)
+                rz_next = ops.dot(r, z)
             if not math.isfinite(rz_next):
                 breakdown = True
                 break

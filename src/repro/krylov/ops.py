@@ -45,6 +45,7 @@ __all__ = [
     "matvec",
     "dot",
     "fused_dots",
+    "squared_norm",
     "norm",
     "xpby",
     "copy_vector",
@@ -126,14 +127,25 @@ def fused_dots(pairs: Sequence[Tuple[Vector, Vector]]):
     return CompletedRequest(values)
 
 
+def squared_norm(x: Vector):
+    """Global ``x . x``: the scalar :func:`norm` takes the root of.
+
+    A NumPy scalar in the vector's own dtype (float32 stays float32) on
+    the sequential path, the allreduced local sum (one reduction) for a
+    :class:`DistributedVector`.  Unpreconditioned CG reads its ``(r, z)``
+    here and its convergence norm from the root of the same scalar.
+    """
+    if isinstance(x, DistributedVector):
+        return x.squared_norm()
+    x = as_float(x)
+    return x.dot(x)
+
+
 def norm(x: Vector) -> float:
     """Global 2-norm."""
-    if isinstance(x, DistributedVector):
-        return x.norm()
-    x = as_float(x)
     # sqrt(x . x) is what np.linalg.norm computes for 1-D input, minus
     # the generic-dispatch overhead that matters at small n.
-    return float(np.sqrt(x.dot(x)))
+    return float(np.sqrt(squared_norm(x)))
 
 
 def xpby(x: Vector, beta: float, y: Vector) -> Vector:

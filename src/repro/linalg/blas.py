@@ -91,15 +91,19 @@ def rotate_hessenberg_column(col: list, g: list, givens: list, j: int) -> float:
     ``col`` and to the least-squares right-hand side ``g``.  Operates
     on plain lists: the column is tiny and per-element ndarray indexing
     would dominate this O(j) recurrence at small n.  Returns the new
-    recurrence residual ``|g[j + 1]|``.
+    recurrence residual ``|g[j + 1]|``.  ``givens`` holds the ``j``
+    rotations of the earlier columns.
     """
-    for i, (c, s) in enumerate(givens):
-        a, b = col[i], col[i + 1]
-        col[i] = c * a + s * b
-        col[i + 1] = c * b - s * a
-    c, s = givens_rotation(col[j], col[j + 1])
+    # Rotation i writes col[i + 1], which rotation i + 1 reads back:
+    # carry that entry in ``a`` instead of through the list.
+    a = col[0]
+    for i, (c, s) in enumerate(givens, 1):
+        b = col[i]
+        col[i - 1] = c * a + s * b
+        a = c * b - s * a
+    b = col[j + 1]
+    c, s = givens_rotation(a, b)
     givens.append((c, s))
-    a, b = col[j], col[j + 1]
     col[j] = c * a + s * b
     col[j + 1] = c * b - s * a
     a, b = g[j], g[j + 1]

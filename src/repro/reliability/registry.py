@@ -16,6 +16,7 @@ SRP :class:`~repro.reliability.region.Region` of such a model.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Mapping, Union
 
 from repro.reliability.models import FaultModel, build_model
@@ -107,6 +108,16 @@ class FaultRegistry(Registry[RegisteredFaultModel]):
 default_fault_registry = FaultRegistry.default
 
 
+@lru_cache(maxsize=256)
+def _parse_string(text: str) -> FaultSpec:
+    """:meth:`FaultSpec.parse` of a compact string, once per string.
+
+    Strings and specs are both immutable (a spec's ``params`` is a
+    read-only view), so every caller may share the one parse.
+    """
+    return FaultSpec.parse(text)
+
+
 def resolve_faults(
     value: Union[None, str, Mapping, FaultSpec, FaultModel],
     **overrides,
@@ -125,7 +136,7 @@ def resolve_faults(
         value = "none"
     if isinstance(value, str) and value in default_fault_registry():
         return default_fault_registry().get(value).build(**overrides)
-    spec = FaultSpec.parse(value)
+    spec = _parse_string(value) if isinstance(value, str) else FaultSpec.parse(value)
     if overrides:
         spec = spec.with_params(**overrides)
     return build_model(spec)

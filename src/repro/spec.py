@@ -39,7 +39,8 @@ scenario-key material.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -241,7 +242,9 @@ class KindSpec:
         The case-folded kind name.
     params:
         Parameters sorted by name (values are scalars or tuples of
-        scalars); treat as read-only.
+        scalars), as a read-only view: a spec never changes after
+        construction, so a parse may be cached; derive a changed spec
+        with :meth:`with_params`.
     """
 
     kind: str
@@ -281,7 +284,15 @@ class KindSpec:
             params[name] = _normalize_value(self.params[name])
         object.__setattr__(self, "kind", kind)
         self._check_values(params)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType(params))
+
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies; rebuild from
+        # the field values with a plain dict.
+        values = (getattr(self, f.name) for f in fields(self))
+        return (type(self), tuple(
+            dict(value) if isinstance(value, MappingProxyType) else value for value in values
+        ))
 
     def _check_values(self, params: Dict[str, Any]) -> None:
         """Axis hook: raise on bad parameter values (may canonicalize them).

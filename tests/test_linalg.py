@@ -25,6 +25,7 @@ from repro.linalg import (
     verify_checksum,
 )
 from repro.reliability.bitflip import flip_bit_array
+from repro.linalg.blas import rotate_hessenberg_column
 from repro.krylov.ops import allocate_basis
 from repro.comm.sim import run_spmd
 
@@ -175,6 +176,35 @@ class TestBlasKernels:
             c, s = givens_rotation(a, b)
             assert abs(c * b - s * a) < 1e-12 * max(abs(a), abs(b), 1.0)
             assert c * c + s * s == pytest.approx(1.0)
+
+    def test_rotate_hessenberg_column_matches_two_read_loop(self, rng):
+        # The reference reads and writes both entries of every rotation
+        # through the list; the kernel carries the chained one in a
+        # local.  Same operations in the same order: equal bits.
+        def reference(col, g, givens, j):
+            for i, (c, s) in enumerate(givens):
+                a, b = col[i], col[i + 1]
+                col[i] = c * a + s * b
+                col[i + 1] = c * b - s * a
+            c, s = givens_rotation(col[j], col[j + 1])
+            givens.append((c, s))
+            a, b = col[j], col[j + 1]
+            col[j] = c * a + s * b
+            col[j + 1] = c * b - s * a
+            a, b = g[j], g[j + 1]
+            g[j] = c * a + s * b
+            g[j + 1] = c * b - s * a
+            return abs(g[j + 1])
+
+        m = 26
+        states = [([1.5] + [0.0] * m, []), ([1.5] + [0.0] * m, [])]
+        for j in range(m):
+            column = rng.standard_normal(j + 2).tolist()
+            outs = []
+            for rotate, (g, givens) in zip((rotate_hessenberg_column, reference), states):
+                col = list(column)
+                outs.append((rotate(col, g, givens, j), col, list(g), list(givens)))
+            assert outs[0] == outs[1]
 
     def test_back_substitution_matches_solve(self, rng):
         upper = np.triu(rng.standard_normal((6, 6))) + 3 * np.eye(6)

@@ -11,7 +11,9 @@ registry contract every axis shares is ``tests/test_axis_contract.py``.)
 
 from __future__ import annotations
 
+import copy
 import inspect
+import pickle
 import warnings
 
 import numpy as np
@@ -117,6 +119,29 @@ class TestFaultSpec:
         spec = FaultSpec.parse("bitflip:p=0.1")
         assert FaultSpec.parse(spec) is spec
         assert FaultSpec.parse({"kind": "bitflip", "p": 0.1}) == spec
+
+    def test_params_are_read_only_and_round_trip(self):
+        spec = FaultSpec.parse("bitflip:p=0.05,bits=52..62+perturb:value=1.0")
+        for part in (spec, *spec.children):
+            with pytest.raises(TypeError):
+                part.params["p"] = 1.0
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert copy.deepcopy(spec) == spec
+        assert spec.children[0].with_params(p=0.5).params["p"] == 0.5
+
+    def test_resolve_parses_a_spec_string_once(self, monkeypatch):
+        text = "bitflip:bits=50..51,p=0.0625"
+        calls = []
+        parse = FaultSpec.parse.__func__
+        monkeypatch.setattr(
+            FaultSpec, "parse",
+            classmethod(lambda cls, value: calls.append(value) or parse(cls, value)),
+        )
+        first, second = resolve_faults(text), resolve_faults(text)
+        assert first is not second and first.spec is second.spec
+        assert calls.count(text) <= 1  # 0 when an earlier test resolved it
+        assert resolve_faults(text, p=0.5).spec.params["p"] == 0.5
+        assert resolve_faults(text).spec.params["p"] == 0.0625
 
     def test_malformed_strings_raise(self):
         for text in ("", "bitflip:p", "bitflip:=1", "a+", "bad kind:x=1"):
