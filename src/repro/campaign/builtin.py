@@ -4,7 +4,7 @@ Six ship with the toolkit:
 
 * ``smoke`` -- every experiment at its :attr:`ExperimentSpec.smoke`
   configuration plus a few one-axis sweeps; what ``campaign run
-  --smoke`` executes.
+  smoke`` executes.
 * ``default`` -- a broader grid over E1-E7 (what a bare ``campaign
   run`` executes), sized to finish in well under a minute.
 * ``solvers`` -- E8: every registered solver under every generic
@@ -212,7 +212,7 @@ def _replicas() -> List[Scenario]:
     # Seed-replica sweeps over three of the four batch-capable drivers
     # (E1/E8/E9; E10 exports run_batch too): every scenario in a sweep
     # shares all parameters except ``seed``, so
-    # ``campaign run --campaign replicas --batch 0`` groups each sweep
+    # ``campaign run replicas --batch 0`` groups each sweep
     # into a single lockstep batch.  This is the shape batch mode is
     # built for -- Monte-Carlo replication of one configuration -- and
     # what the benchmark harness runs.

@@ -15,24 +15,24 @@ with the columns its registry declares -- and the built-in campaigns
 
 Show the scenarios of a campaign::
 
-    python -m repro.campaign list --campaign smoke
+    python -m repro.campaign list smoke
 
-Run a built-in campaign (positional name or ``--campaign``)::
+Run a built-in campaign by name (``default`` when none is given)::
 
     python -m repro.campaign run precond
     python -m repro.campaign run --workers 2 --store campaign_results.jsonl
 
 Run only the E1/E6 slice of the smoke campaign::
 
-    python -m repro.campaign run --smoke --experiment E1 --experiment E6
+    python -m repro.campaign run smoke --experiment E1 --experiment E6
 
 Run under supervision -- per-scenario timeout, retry budget, chaos
 injection into the runner's own workers -- then re-execute exactly the
 failed/quarantined set::
 
-    python -m repro.campaign run --smoke --timeout 30 --retries 5 \
+    python -m repro.campaign run smoke --timeout 30 --retries 5 \
         --chaos "worker_crash:p=0.3+worker_hang:p=0.1"
-    python -m repro.campaign run --smoke --retry-failed
+    python -m repro.campaign run smoke --retry-failed
 
 Render the aggregate report (including the failure history from the
 ledger sidecar) of everything completed so far::
@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "list", help="list experiments, campaigns, or a campaign's scenarios"
     )
     list_cmd.add_argument(
-        "--campaign", help="show the scenarios of this built-in campaign"
+        "campaign", nargs="?", default=None,
+        help="show the scenarios of this built-in campaign",
     )
     list_cmd.add_argument("--experiment", action="append", default=None,
                           help="filter by experiment id or name (repeatable)")
@@ -83,17 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_cmd = commands.add_parser("run", help="execute a campaign")
     run_cmd.add_argument(
-        "campaign_name", nargs="?", default=None,
-        help="built-in campaign to run (same as --campaign)",
-    )
-    run_cmd.add_argument(
-        "--campaign", default=None,
+        "campaign", nargs="?", default="default",
         help=f"built-in campaign to run (default: 'default'; "
              f"known: {', '.join(builtin_campaign_names())})",
-    )
-    run_cmd.add_argument(
-        "--smoke", action="store_true",
-        help="shorthand for --campaign smoke",
     )
     run_cmd.add_argument("--experiment", action="append", default=None,
                          help="run only these experiments (repeatable)")
@@ -200,21 +193,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
-    # The positional form and the --campaign flag are synonyms; naming
-    # two different campaigns is ambiguous, not a precedence question.
-    requested = [
-        name for name in (args.campaign_name, args.campaign,
-                          "smoke" if args.smoke else None)
-        if name is not None
-    ]
-    if len(set(requested)) > 1:
-        print(
-            f"conflicting campaign selections: {', '.join(sorted(set(requested)))} "
-            f"-- give one of the positional name, --campaign or --smoke",
-            file=sys.stderr,
-        )
-        return 2
-    campaign = requested[0] if requested else "default"
+    campaign = args.campaign
 
     def progress(outcome: ScenarioOutcome) -> None:
         marker = {

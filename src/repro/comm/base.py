@@ -336,14 +336,14 @@ class BaseCommunicator(abc.ABC):
         """
         return CompletedRequest(self._collective(kind, value, op, root))
 
-    def _collective_cost(self, kind: str, contributions: Dict[int, Any]) -> float:
+    def _collective_cost(self, contributions: Dict[int, Any]) -> float:
         """Program-time charge of a completed collective, equal on every rank.
 
         The cost rule sees the largest contribution, so the charge never
         depends on which rank arrived last.  The rule is pure in
-        ``(kind, ranks, bytes)``, so each key is computed once.
+        ``(ranks, bytes)``, so each key is computed once.
         """
-        key = (kind, len(contributions), max(map(payload_nbytes, contributions.values())))
+        key = (len(contributions), max(map(payload_nbytes, contributions.values())))
         costs = self.__dict__.setdefault("_costs", {})
         cost = costs.get(key)
         if cost is None:

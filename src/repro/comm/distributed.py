@@ -124,10 +124,6 @@ class DistributedVector:
         self.comm.compute(2.0 * self.local_size)
         return float(self.comm.allreduce(local_sq, op=SUM))
 
-    def norm(self) -> float:
-        """Global 2-norm (one allreduce)."""
-        return float(np.sqrt(self.squared_norm()))
-
     def gather_global(self) -> np.ndarray:
         """Return the full global vector on every rank (one allgather)."""
         pieces = self.comm.allgather(self.local)

@@ -422,7 +422,7 @@ class ShmemComm(BaseCommunicator):
             except Exception as exc:
                 self._poison(seq, portable_error(exc, 0))
                 raise
-            cost = self._collective_cost(kind, contributions)
+            cost = self._collective_cost(contributions)
             for dest in range(1, self._size):
                 self._post(
                     dest, ("collres", seq, self._encode_payload(results[dest]), cost)

@@ -379,7 +379,7 @@ class Comm(BaseCommunicator):
                 except Exception as exc:
                     slot.failed, slot.error = True, exc
                     raise
-                cost = self._collective_cost(kind, slot.contributions)
+                cost = self._collective_cost(slot.contributions)
                 slot.completion_time = max(slot.arrival_times.values()) + cost
                 slot.done = True
         return slot

@@ -11,11 +11,13 @@ Six pieces live here:
   :func:`run_batch_by_seed` fills each lane's from its binding.
 * :class:`ExperimentSpec` -- the registry protocol.  Each driver module
   ``e*.py`` exposes a module-level ``SPEC`` describing itself (id,
-  short name, tags) plus two canonical reduced configurations: a
-  ``smoke`` one for quick campaign sweeps and a ``golden`` one pinned
-  by the golden regression tests.  :mod:`repro.campaign.registry`
-  auto-discovers drivers by scanning this package for modules that
-  define both ``SPEC`` and ``run(**params) -> ExperimentResult``.
+  short name, claim, tags) plus two canonical reduced configurations:
+  a ``smoke`` one for quick campaign sweeps and a ``golden`` one
+  pinned by the golden regression tests.  A driver builds its results
+  with :meth:`ExperimentSpec.result`, so the id and claim are stated
+  once.  :mod:`repro.campaign.registry` auto-discovers drivers by
+  scanning this package for modules that define both ``SPEC`` and
+  ``run(**params) -> ExperimentResult``.
 * :func:`run_batch_by_seed` -- the one ``run_batch`` every
   batch-capable driver exports, and :func:`batch_signature`, the one
   definition of "same except ``seed``" it shares with the campaign
@@ -24,9 +26,10 @@ Six pieces live here:
   driver, which the campaign registry and :func:`records_parameters`
   read too.
 * :class:`TrustedProblem`, :func:`as_axis` and :func:`iteration_budget`
-  -- what the sweeping drivers (E8-E10) share: the SPD model problem
-  with one trusted direct solution per lane to classify outcomes
-  against and one outcome counter per lane, the ``None | str |
+  -- what the sweeping drivers (E8-E10) share: the lane scaffold (the
+  SPD model problem with one trusted direct solution, one table and
+  one outcome counter per lane; :meth:`TrustedProblem.solve`, the one
+  cell body, and :meth:`TrustedProblem.results`), the ``None | str |
   sequence`` convention of their axis parameters, and each solver's
   share of their ``maxiter``.
 * :func:`classify_outcome` -- the outcome taxonomy (benign, detected,
@@ -37,12 +40,14 @@ from __future__ import annotations
 
 import functools
 import inspect
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.registry import resolve_backend
+from repro.krylov.registry import batch_solve
 from repro.linalg.matgen import poisson_2d
 from repro.reliability.registry import resolve_faults
 from repro.utils.rng import RngFactory
@@ -164,12 +169,15 @@ class ExperimentSpec:
         (e.g. ``"sdc_detection"``).
     title:
         One-line human description.
+    claim:
+        One-sentence statement of the paper claim the driver tests;
+        every result :meth:`result` builds carries it.
     tags:
         Free-form labels campaigns can filter on
         (``campaign run --tag gmres``).
     smoke:
         Reduced parameter overrides that finish in roughly a second;
-        the ``--smoke`` campaign and quick sweeps start from these.
+        the ``smoke`` campaign and quick sweeps start from these.
     golden:
         Pinned parameters of the golden regression tests
         (``tests/test_goldens.py``).  Changing them invalidates the
@@ -179,9 +187,17 @@ class ExperimentSpec:
     experiment: str
     name: str
     title: str = ""
+    claim: str = ""
     tags: Tuple[str, ...] = ()
     smoke: Mapping[str, Any] = field(default_factory=dict)
     golden: Mapping[str, Any] = field(default_factory=dict)
+
+    def result(self, table: Table, summary: Dict[str, Any], **resolved) -> ExperimentResult:
+        """A result of this experiment: its id and claim, ``table`` and
+        ``summary``, and the parameter values the driver ``resolved``
+        from a ``None`` default (the rest :func:`records_parameters`
+        derives)."""
+        return ExperimentResult(self.experiment, self.claim, table, summary, resolved)
 
 
 def batch_signature(params: Mapping[str, Any]) -> str:
@@ -336,15 +352,20 @@ def classify_outcome(
 
 
 class TrustedProblem:
-    """The 2-D Poisson problem of a sweeping driver, one lane per seed.
+    """The lane scaffold of a sweeping driver: the 2-D Poisson problem,
+    one lane per seed.
 
     Holds the matrix, each lane's right-hand side (the ``"rhs"`` stream
     of its seed), the direct solution every solver outcome of that lane
-    is classified against, and each lane's outcome counts
-    (:attr:`counts`), which :meth:`classify` adds to.
+    is classified against, each lane's table (:attr:`tables`: the
+    driver's ``columns`` under ``title``; the driver adds the rows) and
+    each lane's outcome counts (:attr:`counts`, which :meth:`solve`
+    adds to and a driver may add its own keys to).
     """
 
-    def __init__(self, grid: int, seeds: Sequence[int]) -> None:
+    def __init__(
+        self, grid: int, seeds: Sequence[int], columns: Sequence[str], title: str
+    ) -> None:
         self.matrix = poisson_2d(grid)
         dense = self.matrix.to_dense()
         self.b_list = [
@@ -353,43 +374,63 @@ class TrustedProblem:
         ]
         self._x_refs = [np.linalg.solve(dense, b) for b in self.b_list]
         self._x_ref_norms = [float(np.linalg.norm(x)) for x in self._x_refs]
-        self.counts = [
-            dict.fromkeys(
-                ("n_runs", "n_correct", "n_detected", "n_silent", "total_faults"), 0
-            )
-            for _ in seeds
-        ]
+        self.tables = [Table(list(columns), title=title) for _ in seeds]
+        self.counts = [Counter() for _ in seeds]
 
-    def classify(
-        self, lane: int, result, error_tolerance: float, faults: int
-    ) -> Tuple[str, str, bool]:
-        """``(error cell, outcome, correct)`` of one lane's solve result.
+    def solve(
+        self, solver: str, error_tolerance: float, regions, **options
+    ) -> List[Tuple[Any, int, str, str, bool]]:
+        """One cell of the sweep: ``solver`` over every lane.
 
-        The error is relative to the trusted solution (``inf`` for a
-        non-finite iterate), the outcome is :func:`classify_outcome`'s,
-        and ``correct`` means converged *and* within ``error_tolerance``.
-        The run, and the ``faults`` injected into it, are counted in
-        ``counts[lane]``.
+        The lanes run as one :func:`repro.krylov.registry.batch_solve`
+        call with ``options``; overflow and NaN are the injected faults'
+        expected effect, so they do not warn.  ``regions`` are the
+        lanes' fault-injecting regions (``None`` when the cell runs
+        clean).  Returns one ``(result, faults, error cell,
+        outcome, correct)`` per lane: ``faults`` its region injected,
+        the error relative to the trusted solution (``inf`` for a
+        non-finite iterate), :func:`classify_outcome`'s outcome, and
+        ``correct`` meaning converged *and* within ``error_tolerance``.
+        Each run, and its faults, is counted in ``counts[lane]``.
         """
-        x = np.asarray(result.x, dtype=np.float64)
-        finite = bool(np.all(np.isfinite(x)))
-        error = (
-            float(np.linalg.norm(x - self._x_refs[lane])) / self._x_ref_norms[lane]
-            if finite
-            else float("inf")
-        )
-        detected = result.detected_faults > 0
-        outcome = classify_outcome(
-            converged=result.converged,
-            error_norm=error,
-            tolerance=error_tolerance,
-            detected=detected,
-        )
-        correct = bool(result.converged and error <= error_tolerance)
-        counts = self.counts[lane]
-        counts["n_runs"] += 1
-        counts["n_correct"] += int(correct)
-        counts["n_detected"] += int(detected)
-        counts["n_silent"] += int(outcome == "sdc")
-        counts["total_faults"] += faults
-        return f"{error:.3e}" if finite else "inf", outcome, correct
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = batch_solve(solver, self.matrix, self.b_list, **options)
+        cells = []
+        for lane, result in enumerate(results):
+            faults = regions[lane].faults_injected() if regions else 0
+            x = np.asarray(result.x, dtype=np.float64)
+            finite = bool(np.all(np.isfinite(x)))
+            error = (
+                float(np.linalg.norm(x - self._x_refs[lane])) / self._x_ref_norms[lane]
+                if finite
+                else float("inf")
+            )
+            detected = result.detected_faults > 0
+            outcome = classify_outcome(
+                converged=result.converged,
+                error_norm=error,
+                tolerance=error_tolerance,
+                detected=detected,
+            )
+            correct = bool(result.converged and error <= error_tolerance)
+            self.counts[lane].update(
+                n_runs=1, n_correct=int(correct), n_detected=int(detected),
+                n_silent=int(outcome == "sdc"), total_faults=faults,
+            )
+            error_cell = f"{error:.3e}" if finite else "inf"
+            cells.append((result, faults, error_cell, outcome, correct))
+        return cells
+
+    def results(
+        self,
+        spec: ExperimentSpec,
+        summary: Callable[[Counter], Dict[str, Any]],
+        **resolved,
+    ) -> List[ExperimentResult]:
+        """One result per lane: its table, the ``summary`` of its
+        :attr:`counts`, and the ``resolved`` parameter values
+        (:meth:`ExperimentSpec.result`)."""
+        return [
+            spec.result(table, summary(counts), **resolved)
+            for table, counts in zip(self.tables, self.counts)
+        ]

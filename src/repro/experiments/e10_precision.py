@@ -40,9 +40,8 @@ axes stack on the same inner/outer boundary.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+import functools
+from typing import List, Optional, Sequence, Union
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -53,13 +52,12 @@ from repro.experiments.common import (
     records_parameters,
     run_batch_by_seed,
 )
-from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.krylov.registry import default_solver_registry
 from repro.precond import parse_precond, precond_names, resolve_preconds
 from repro.reliability import Region
 from repro.reliability.precision import default_precision_registry, parse_precision
 from repro.reliability.registry import resolve_faults
 from repro.reliability.seeding import derive_fault_seed, fault_stream
-from repro.utils.tables import Table
 from repro.utils.validation import check_in
 
 __all__ = ["run", "run_batch", "SPEC"]
@@ -69,6 +67,10 @@ SPEC = ExperimentSpec(
     name="precision",
     title="Selective precision: solver x precision x preconditioner x fault "
           "matrix, inner vs outer placement",
+    claim="Selective precision: reduced precision placed on the inner stage only "
+          "(the FGMRES inner solve, or M^-1 v) still reaches the fp64-accurate "
+          "answer, while running the whole solve at fp32 pins it to the fp32 "
+          "residual floor and fails a double-precision tolerance.",
     tags=("precision", "registry", "srp", "mixed-precision"),
     smoke={"grid": 6, "solvers": ("gmres",),
            "precisions": ("fp64", "fp32"), "preconds": "none",
@@ -159,24 +161,6 @@ def run(
     )[0]
 
 
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E10 scenarios; results identical to per-scenario :func:`run`.
-
-    Scenarios that agree on everything except ``seed`` share one pass
-    of the driver body, one lane each (see
-    :func:`repro.experiments.common.run_batch_by_seed`).
-    """
-    return run_batch_by_seed(run, _run_lanes, params_list)
-
-
-_CLAIM = (
-    "Selective precision: reduced precision placed on the inner stage only "
-    "(the FGMRES inner solve, or M^-1 v) still reaches the fp64-accurate "
-    "answer, while running the whole solve at fp32 pins it to the fp32 "
-    "residual floor and fails a double-precision tolerance."
-)
-
-
 def _run_lanes(
     seeds, *, grid, solvers, precisions, preconds, faults, target, tol,
     maxiter, error_tolerance,
@@ -184,9 +168,10 @@ def _run_lanes(
     """The one E10 body: one lane per seed, everything else shared.
 
     Each (solver, precond, precision) cell solves all lanes as one
-    :func:`repro.krylov.registry.batch_solve` call (see
-    :func:`_solve_cell`); every lane draws the fault stream of its own
-    seed and is classified against its own trusted direct solution.
+    :meth:`~repro.experiments.common.TrustedProblem.solve` call, with
+    the inner stages built by :func:`_wire_cell`; every lane draws the
+    fault stream of its own seed and is classified against its own
+    trusted direct solution.
     """
     check_in(target, ("inner", "outer"), "target")
     registry = default_solver_registry()
@@ -203,22 +188,13 @@ def _run_lanes(
     fault_model = resolve_faults(faults)
     soft_model = fault_model.soft_component()
 
-    problem = TrustedProblem(grid, seeds)
-    matrix, b_list = problem.matrix, problem.b_list
-    lanes = range(len(seeds))
-
-    tables = [
-        Table(
-            ["solver", "precond", "precision", "iterations", "converged",
-             "faults", "error", "outcome"],
-            title=f"E10: solver x precision x preconditioner x fault matrix "
-                  f"(precision on the {target} stage)",
-        )
-        for _ in lanes
-    ]
-    low_runs = [0 for _ in lanes]
-    low_correct = [0 for _ in lanes]
-
+    problem = TrustedProblem(
+        grid, seeds,
+        ["solver", "precond", "precision", "iterations", "converged", "faults",
+         "error", "outcome"],
+        f"E10: solver x precision x preconditioner x fault matrix "
+        f"(precision on the {target} stage)",
+    )
     for solver_name in solver_list:
         solver = registry.get(solver_name)
         for precond_name in precond_list:
@@ -231,36 +207,31 @@ def _run_lanes(
                     )
                     for seed in seeds
                 ]
-
-                results, faults_hits = _solve_cell(
-                    solver, matrix, b_list, precond_name, pspec,
+                regions, options = _wire_cell(
+                    solver.name, problem.matrix, precond_name, pspec,
                     soft_model=soft_model, fault_seeds=fault_seeds,
-                    target=target, registry=registry, tol=tol, maxiter=maxiter,
+                    target=target, registry=registry,
                 )
-
-                for s in lanes:
-                    result = results[s]
-                    error_cell, outcome, correct = problem.classify(
-                        s, result, error_tolerance, faults_hits[s]
-                    )
-                    tables[s].add_row(
-                        solver.name,
-                        precond_label,
-                        precision_label,
-                        result.iterations,
-                        result.converged,
-                        faults_hits[s],
-                        error_cell,
-                        outcome,
+                cells = problem.solve(
+                    solver.name, error_tolerance, regions, tol=tol,
+                    **iteration_budget(solver.name, maxiter), **options,
+                )
+                for table, counts, cell in zip(problem.tables, problem.counts, cells):
+                    result, faults_hit, error_cell, outcome, correct = cell
+                    table.add_row(
+                        solver.name, precond_label, precision_label,
+                        result.iterations, result.converged, faults_hit,
+                        error_cell, outcome,
                     )
                     if not pspec.is_default:
-                        low_runs[s] += 1
-                        low_correct[s] += int(correct)
+                        counts.update(
+                            n_lowprecision_runs=1,
+                            n_lowprecision_correct=int(correct),
+                        )
 
-    out = []
-    for s in lanes:
-        counts = problem.counts[s]
-        summary = {
+    return problem.results(
+        SPEC,
+        lambda counts: {
             "n_runs": counts["n_runs"],
             "n_solvers": len(solver_list),
             "n_precisions": len(precision_list),
@@ -271,56 +242,51 @@ def _run_lanes(
             # The pinned claim, as counters: under target="inner" every
             # reduced-precision row should be correct; under
             # target="outer" they fail a double-precision tolerance.
-            "n_lowprecision_runs": low_runs[s],
-            "n_lowprecision_correct": low_correct[s],
+            "n_lowprecision_runs": counts["n_lowprecision_runs"],
+            "n_lowprecision_correct": counts["n_lowprecision_correct"],
             "target": target,
             "faults": fault_model.describe(),
-        }
-        out.append(
-            ExperimentResult(
-                experiment="E10",
-                claim=_CLAIM,
-                table=tables[s],
-                summary=summary,
-                parameters={
-                    "solvers": tuple(solver_list),
-                    "precisions": tuple(precision_list),
-                    "preconds": tuple(precond_list),
-                    "faults": fault_model.describe(),
-                },
-            )
-        )
-    return out
+        },
+        solvers=tuple(solver_list),
+        precisions=tuple(precision_list),
+        preconds=tuple(precond_list),
+        faults=fault_model.describe(),
+    )
 
 
-def _solve_cell(
-    solver, matrix, b_list, precond_name, pspec, *,
-    soft_model, fault_seeds, target, registry, tol, maxiter,
+#: Several scenarios at once, identical to per-scenario :func:`run` calls
+#: (see :func:`~repro.experiments.common.run_batch_by_seed`).
+run_batch = functools.partial(run_batch_by_seed, run, _run_lanes)
+
+
+def _wire_cell(
+    solver_name, matrix, precond_name, pspec, *,
+    soft_model, fault_seeds, target, registry,
 ):
-    """One (solver, precond, precision) cell for all lanes via ``batch_solve``.
+    """``(regions, batch_solve keywords)`` of one (solver, precond,
+    precision) cell.
 
-    Returns ``(results, faults_hits)``.  Each lane's inner stage is
-    built, wrapped and seeded on its own; ``batch_solve`` advances the
-    lanes in lockstep where the configuration has such a path (the
-    default-precision rows of ``gmres``/``cg``) and lane by lane
-    otherwise.
+    Each lane's inner stage is built, wrapped and seeded on its own;
+    ``batch_solve`` advances the lanes in lockstep where the
+    configuration has such a path (the default-precision rows of
+    ``gmres``/``cg``) and lane by lane otherwise.
     """
     precision_label = pspec.to_string()
-    params = {"tol": tol, **iteration_budget(solver.name, maxiter)}
+    options = {}
     # Setup runs reliably and in full precision: the preconditioner is
     # always built from the clean fp64 matrix, once per lane (stateful
     # preconditioners and the regions wrapping them must not be shared).
-    stages = [resolve_preconds(precond_name, matrix=matrix) for _ in b_list]
+    stages = [resolve_preconds(precond_name, matrix=matrix) for _ in fault_seeds]
     if target == "outer":
         # Whole solve at the swept precision; a region (if any) only
         # injects.  Spec-shaped preconditioners go through by name so
         # solve() builds them from the *cast* operator -- M^{-1} v then
         # runs at the swept precision natively, like every other kernel.
-        params["precision"] = precision_label
+        options["precision"] = precision_label
         region_precision = None
     else:
         region_precision = pspec
-        if solver.name == "fgmres":
+        if solver_name == "fgmres":
             # The flagship selective-precision configuration: a real
             # inner GMRES at the swept precision, fp64 outer.
             stages = [
@@ -329,7 +295,7 @@ def _solve_cell(
             ]
     inject = soft_model is not None and stages[0] is not None
     if target == "outer" and not inject:
-        stages, regions = [precond_name] * len(stages), []
+        regions, stages = None, [precond_name] * len(stages)
     else:
         # One region per lane: the stage's input and output are pinned
         # to the compute dtype (the bounded-error contract), and faults
@@ -337,7 +303,7 @@ def _solve_cell(
         # them on M^{-1} v (identity rounding when there is no stage).
         regions = [
             Region(
-                soft_model.injector(fault_stream(fault_seed, f"precision/{solver.name}"))
+                soft_model.injector(fault_stream(fault_seed, f"precision/{solver_name}"))
                 if inject else None,
                 precision=region_precision,
             )
@@ -347,9 +313,5 @@ def _solve_cell(
             region.preconditioner(stage, flops_per_call=float(matrix.nnz))
             for region, stage in zip(regions, stages)
         ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = batch_solve(
-            solver.name, matrix, b_list,
-            lane_params=[{"precond": stage} for stage in stages], **params,
-        )
-    return results, [region.faults_injected() for region in regions] or [0] * len(results)
+    options["lane_params"] = [{"precond": stage} for stage in stages]
+    return regions, options

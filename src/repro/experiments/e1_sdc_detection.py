@@ -15,8 +15,9 @@ same faults (how many silently wrong answers it returns).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
@@ -40,14 +41,11 @@ SPEC = ExperimentSpec(
     experiment="E1",
     name="sdc_detection",
     title="SDC detection in GMRES with skeptical checks",
+    claim="Cheap invariant checks in the Arnoldi process detect harmful bit flips "
+          "and eliminate silent data corruption at small overhead.",
     tags=("skeptical", "gmres", "faults", "sdc"),
     smoke={"grid": 8, "n_trials": 2, "inject_at": 5},
     golden={"grid": 10, "n_trials": 3, "inject_at": 5, "seed": 2013},
-)
-
-_CLAIM = (
-    "Cheap invariant checks in the Arnoldi process detect harmful bit flips "
-    "and eliminate silent data corruption at small overhead."
 )
 
 _BIT_CLASSES = {
@@ -121,17 +119,6 @@ def run(
         [seed], grid=grid, n_trials=n_trials, inject_at=inject_at, tol=tol,
         check_period=check_period, faults=faults,
     )[0]
-
-
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E1 scenarios; results identical to per-scenario :func:`run`.
-
-    Scenarios that agree on everything except ``seed`` share one pass
-    of the driver body (see
-    :func:`repro.experiments.common.run_batch_by_seed`), one lane per
-    seed and bit class of a :data:`_CLASSES_PER_BATCH`-class batch.
-    """
-    return run_batch_by_seed(run, _run_lanes, params_list)
 
 
 #: Bit classes whose lanes share one ``batch_solve`` call per (solver,
@@ -235,12 +222,16 @@ def _run_lanes(
                     skeptical, solver_flops[s],
                 )
     return [
-        ExperimentResult(
-            experiment="E1", claim=_CLAIM, table=tables[s],
-            summary={**summaries[s], "baseline_iterations": baselines[s].iterations},
+        SPEC.result(
+            tables[s], {**summaries[s], "baseline_iterations": baselines[s].iterations}
         )
         for s in lanes
     ]
+
+
+#: Several scenarios at once, identical to per-scenario :func:`run` calls
+#: (see :func:`~repro.experiments.common.run_batch_by_seed`).
+run_batch = functools.partial(run_batch_by_seed, run, _run_lanes)
 
 
 def _resolve_template(faults):

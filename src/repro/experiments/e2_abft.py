@@ -28,6 +28,8 @@ SPEC = ExperimentSpec(
     experiment="E2",
     name="abft",
     title="Checksum-based ABFT detection and correction",
+    claim="Checksum metadata detects corrupted results of matrix operations and "
+          "corrects single errors, at a cost that vanishes relative to the kernel.",
     tags=("abft", "checksum", "faults"),
     smoke={"sizes": (8,), "n_trials": 5},
     golden={"sizes": (8, 16), "n_trials": 6, "seed": 2013},
@@ -153,12 +155,4 @@ def run(
             "spmv", n, detected / n_trials, 0.0, false_pos / n_trials, overhead
         )
         summary[f"spmv_{n}_detection"] = detected / n_trials
-    return ExperimentResult(
-        experiment="E2",
-        claim=(
-            "Checksum metadata detects corrupted results of matrix operations and "
-            "corrects single errors, at a cost that vanishes relative to the kernel."
-        ),
-        table=table,
-        summary=summary,
-    )
+    return SPEC.result(table, summary)

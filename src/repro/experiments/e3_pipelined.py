@@ -41,6 +41,9 @@ SPEC = ExperimentSpec(
     experiment="E3",
     name="pipelined",
     title="Latency-tolerant (pipelined) Krylov methods under variability",
+    claim="Synchronous collectives plus performance variability limit scalability; "
+          "pipelined Krylov methods hide the latency and keep efficiency high at "
+          "large process counts without changing convergence.",
     tags=("rbsp", "pipelined", "scaling", "gmres", "cg"),
     smoke={"grid": 8, "rank_counts": (16, 1024), "iterations": 10},
     golden={
@@ -167,13 +170,4 @@ def run(
                 bound, "cg", grid=grid, tol=1e-8, maxiter=2000, seed=seed
             ),
         }
-    return ExperimentResult(
-        experiment="E3",
-        claim=(
-            "Synchronous collectives plus performance variability limit scalability; "
-            "pipelined Krylov methods hide the latency and keep efficiency high at "
-            "large process counts without changing convergence."
-        ),
-        table=scaling,
-        summary=summary,
-    )
+    return SPEC.result(scaling, summary)

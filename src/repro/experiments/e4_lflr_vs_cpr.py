@@ -33,6 +33,9 @@ SPEC = ExperimentSpec(
     experiment="E4",
     name="lflr_vs_cpr",
     title="Local recovery versus global checkpoint/restart",
+    claim="An explicit PDE solver recovers locally from process loss with the "
+          "correct answer, at a per-failure cost far below a global "
+          "checkpoint/restart of the same run.",
     tags=("lflr", "cpr", "pde", "faults"),
     smoke={"n_ranks": 4, "n_global": 32, "n_steps": 15, "failure_counts": (0, 1)},
     golden={
@@ -90,6 +93,20 @@ def run(
 
     def cpr_step(state, step_index):
         return {"u": heat_step_explicit(state["u"], heat.dt, heat.h, 1.0)}
+
+    def run_cpr(plan):
+        return run_cpr_stepped(
+            cpr_step,
+            {"u": heat.run(0)},
+            n_steps,
+            machine=machine,
+            n_ranks=n_ranks,
+            interval=checkpoint_interval,
+            step_time=step_time,
+            failure_plan=plan,
+        )
+
+    cpr_reference = run_cpr(FailurePlan.none())
 
     table = Table(
         [
@@ -150,26 +167,7 @@ def run(
         correct = bool(np.allclose(lflr.field, sequential, atol=1e-12))
         lflr_overhead = lflr.virtual_time - reference.virtual_time
 
-        cpr = run_cpr_stepped(
-            cpr_step,
-            {"u": heat.run(0)},
-            n_steps,
-            machine=machine,
-            n_ranks=n_ranks,
-            interval=checkpoint_interval,
-            step_time=step_time,
-            failure_plan=plan,
-        )
-        cpr_reference = run_cpr_stepped(
-            cpr_step,
-            {"u": heat.run(0)},
-            n_steps,
-            machine=machine,
-            n_ranks=n_ranks,
-            interval=checkpoint_interval,
-            step_time=step_time,
-            failure_plan=FailurePlan.none(),
-        )
+        cpr = run_cpr(plan)
         cpr_overhead = cpr.virtual_time - cpr_reference.virtual_time
         ratio = cpr_overhead / lflr_overhead if lflr_overhead > 0 else float("inf")
         table.add_row(
@@ -181,13 +179,4 @@ def run(
         if n_failures:
             summary[f"overhead_ratio_{n_failures}"] = ratio
     summary["reference_time"] = reference.virtual_time
-    return ExperimentResult(
-        experiment="E4",
-        claim=(
-            "An explicit PDE solver recovers locally from process loss with the "
-            "correct answer, at a per-failure cost far below a global "
-            "checkpoint/restart of the same run."
-        ),
-        table=table,
-        summary=summary,
-    )
+    return SPEC.result(table, summary)

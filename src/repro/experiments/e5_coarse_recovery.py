@@ -31,6 +31,9 @@ SPEC = ExperimentSpec(
     experiment="E5",
     name="coarse_recovery",
     title="Implicit-method state recovery from a redundant coarse model",
+    claim="A redundantly stored coarse model rebuilds a lost block accurately "
+          "enough that the implicit solver recovers at almost no extra iteration "
+          "cost, unlike naive zero or neighbour-average bootstraps.",
     tags=("lflr", "implicit", "pde", "recovery"),
     smoke={"n_points": 64, "steps_before_failure": 10, "coarsening_factors": (2,)},
     golden={
@@ -137,13 +140,4 @@ def run(
         )
         summary[f"coarse_{factor}_error"] = error
         summary[f"coarse_{factor}_extra_iters"] = iters - baseline_iters
-    return ExperimentResult(
-        experiment="E5",
-        claim=(
-            "A redundantly stored coarse model rebuilds a lost block accurately "
-            "enough that the implicit solver recovers at almost no extra iteration "
-            "cost, unlike naive zero or neighbour-average bootstraps."
-        ),
-        table=table,
-        summary=summary,
-    )
+    return SPEC.result(table, summary)

@@ -36,6 +36,9 @@ SPEC = ExperimentSpec(
     experiment="E6",
     name="ftgmres",
     title="FT-GMRES: reliable outer, unreliable inner iterations",
+    claim="With a reliable outer iteration, GMRES converges even when the bulk of "
+          "its work runs unreliably under fault injection, at a fraction of the "
+          "cost of making everything reliable.",
     tags=("srp", "ftgmres", "gmres", "faults"),
     smoke={
         "grid": 8,
@@ -201,13 +204,4 @@ def run(
                 seed=seed, restart=inner_maxiter,
             ),
         }
-    return ExperimentResult(
-        experiment="E6",
-        claim=(
-            "With a reliable outer iteration, GMRES converges even when the bulk of "
-            "its work runs unreliably under fault injection, at a fraction of the "
-            "cost of making everything reliable."
-        ),
-        table=table,
-        summary=summary,
-    )
+    return SPEC.result(table, summary)

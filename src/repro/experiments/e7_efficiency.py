@@ -35,6 +35,10 @@ SPEC = ExperimentSpec(
     experiment="E7",
     name="efficiency",
     title="Application efficiency: CPR vs local recovery at scale",
+    claim="Global checkpoint/restart efficiency collapses as the machine grows "
+          "(system MTBF ~ 1/P), while local-recovery efficiency stays near the "
+          "redundancy overhead, extending viability to cheaper, less reliable "
+          "systems.",
     tags=("cpr", "lflr", "analytic", "scaling"),
     smoke={"node_counts": (1_000, 100_000)},
     golden={
@@ -115,15 +119,5 @@ def run(
     )
     summary["crossover_mtbf_hours"] = crossover / 3600.0
     summary["sweep_table"] = sweep.render()
-    return ExperimentResult(
-        experiment="E7",
-        claim=(
-            "Global checkpoint/restart efficiency collapses as the machine grows "
-            "(system MTBF ~ 1/P), while local-recovery efficiency stays near the "
-            "redundancy overhead, extending viability to cheaper, less reliable "
-            "systems."
-        ),
-        table=table,
-        summary=summary,
-    )
+    return SPEC.result(table, summary)
 

@@ -30,9 +30,8 @@ the trusted-error classification of
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+import functools
+from typing import List, Optional, Sequence, Union
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -43,11 +42,10 @@ from repro.experiments.common import (
     records_parameters,
     run_batch_by_seed,
 )
-from repro.krylov.registry import SKEPTICAL_RESPONSES, batch_solve, default_solver_registry
+from repro.krylov.registry import SKEPTICAL_RESPONSES, default_solver_registry
 from repro.reliability.registry import resolve_faults
 from repro.reliability.seeding import derive_fault_seed
 from repro.skeptical.gmres_sdc import estimate_operator_norm
-from repro.utils.tables import Table
 
 __all__ = ["run", "run_batch", "SPEC"]
 
@@ -55,6 +53,9 @@ SPEC = ExperimentSpec(
     experiment="E8",
     name="solver_matrix",
     title="Unified solver engine: solver x resilience-policy x fault matrix",
+    claim="Resilience is an algorithmic layer: one solver engine composes every "
+          "registered solver with pluggable resilience policies, so solver choice, "
+          "policy and fault schedule are independent sweep axes.",
     tags=("engine", "registry", "solvers", "faults", "srp"),
     smoke={"grid": 6, "solvers": ("gmres", "cg"), "policy": "none",
            "fault_probability": 0.0},
@@ -112,23 +113,6 @@ def run(
     )[0]
 
 
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E8 scenarios; results identical to per-scenario :func:`run`.
-
-    Scenarios that agree on everything except ``seed`` share one pass
-    of the driver body, one lane each (see
-    :func:`repro.experiments.common.run_batch_by_seed`).
-    """
-    return run_batch_by_seed(run, _run_lanes, params_list)
-
-
-_CLAIM = (
-    "Resilience is an algorithmic layer: one solver engine composes every "
-    "registered solver with pluggable resilience policies, so solver choice, "
-    "policy and fault schedule are independent sweep axes."
-)
-
-
 def _run_lanes(
     seeds, *, grid, solvers, policy, faults, fault_probability, bit_range,
     tol, maxiter, error_tolerance,
@@ -136,10 +120,10 @@ def _run_lanes(
     """The one E8 body: one lane per seed, everything else shared.
 
     Each solver row solves all lanes as one
-    :func:`repro.krylov.registry.batch_solve` call, with per-lane
-    fault-injecting operators, so every lane draws the fault stream of
-    its own seed, and one trusted ``operator_norm`` estimate shared by
-    the skeptical solvers' lanes.
+    :meth:`~repro.experiments.common.TrustedProblem.solve` call, with
+    per-lane fault-injecting operators, so every lane draws the fault
+    stream of its own seed, and one trusted ``operator_norm`` estimate
+    shared by the skeptical solvers' lanes.
     """
     registry = default_solver_registry()
     names = as_axis(solvers, registry.names())
@@ -157,30 +141,28 @@ def _run_lanes(
     soft_model = fault_model.soft_component()
     fault_p = soft_model.probability if soft_model is not None else 0.0
 
-    problem = TrustedProblem(grid, seeds)
-    matrix, b_list = problem.matrix, problem.b_list
-    lanes = range(len(seeds))
+    problem = TrustedProblem(
+        grid, seeds,
+        ["solver", "policy", "iterations", "converged", "faults", "detected",
+         "error", "outcome"],
+        "E8: solver x resilience-policy x fault-schedule matrix",
+    )
+    matrix = problem.matrix
     # Setup runs in reliable mode (the SkP assumption): the skeptical
     # solvers get their ||A|| estimate from the *clean* matrix, never
     # through the fault-injecting operator wrapper.  The estimate reads
     # only the size of ``b``, so one serves every lane.
-    trusted_norm = estimate_operator_norm(matrix, b_list[0])
+    trusted_norm = estimate_operator_norm(matrix, problem.b_list[0])
 
-    tables = [
-        Table(
-            ["solver", "policy", "iterations", "converged", "faults", "detected",
-             "error", "outcome"],
-            title="E8: solver x resilience-policy x fault-schedule matrix",
-        )
-        for _ in lanes
-    ]
     for name in names:
         solver = registry.get(name)
-        fault_seeds = [derive_fault_seed(seed, name) for seed in seeds]
-        lane_params = [{} for _ in lanes]
+        lane_params = [{} for _ in seeds]
         regions = operators = None
         if soft_model is not None:
-            regions = [soft_model.environment(seed=fault_seed) for fault_seed in fault_seeds]
+            regions = [
+                soft_model.environment(seed=derive_fault_seed(seed, name))
+                for seed in seeds
+            ]
         params = iteration_budget(solver.name, maxiter)
         if solver.resolve_policy(policy) in SKEPTICAL_RESPONSES:
             params["operator_norm"] = trusted_norm
@@ -195,34 +177,21 @@ def _run_lanes(
                 for region in regions
             ]
 
-        # Overflow/NaN *is* the injected fault's expected effect.
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = batch_solve(
-                name, matrix, b_list, policy=policy, lane_params=lane_params,
-                operators=operators, tol=tol, **params,
-            )
-
-        for s in lanes:
-            result = results[s]
-            faults_hit = regions[s].faults_injected() if regions is not None else 0
-            error_cell, outcome, _ = problem.classify(
-                s, result, error_tolerance, faults_hit
-            )
-            tables[s].add_row(
-                solver.name,
-                result.info["policy_name"],
-                result.iterations,
-                result.converged,
-                faults_hit,
-                result.detected_faults,
-                error_cell,
+        cells = problem.solve(
+            solver.name, error_tolerance, regions, policy=policy,
+            lane_params=lane_params, operators=operators, tol=tol, **params,
+        )
+        for table, (result, faults_hit, error_cell, outcome, _) in zip(
+            problem.tables, cells
+        ):
+            table.add_row(
+                solver.name, result.info["policy_name"], result.iterations,
+                result.converged, faults_hit, result.detected_faults, error_cell,
                 outcome,
             )
 
-    out = []
-    for s in lanes:
-        counts = problem.counts[s]
-        summary = {
+    def summary(counts):
+        entries = {
             "n_solvers": len(names),
             "n_correct": counts["n_correct"],
             "n_detected_runs": counts["n_detected"],
@@ -232,14 +201,12 @@ def _run_lanes(
             "fault_probability": fault_probability if faults is None else fault_p,
         }
         if faults is not None:
-            summary["faults"] = fault_model.describe()
-        out.append(
-            ExperimentResult(
-                experiment="E8",
-                claim=_CLAIM,
-                table=tables[s],
-                summary=summary,
-                parameters={"solvers": tuple(names)},
-            )
-        )
-    return out
+            entries["faults"] = fault_model.describe()
+        return entries
+
+    return problem.results(SPEC, summary, solvers=tuple(names))
+
+
+#: Several scenarios at once, identical to per-scenario :func:`run` calls
+#: (see :func:`~repro.experiments.common.run_batch_by_seed`).
+run_batch = functools.partial(run_batch_by_seed, run, _run_lanes)

@@ -42,9 +42,8 @@ convergence across the board.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+import functools
+from typing import List, Optional, Sequence, Union
 
 from repro.experiments.common import (
     ExperimentResult,
@@ -55,12 +54,11 @@ from repro.experiments.common import (
     records_parameters,
     run_batch_by_seed,
 )
-from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.krylov.registry import default_solver_registry
 from repro.precond import parse_precond, precond_names, resolve_preconds
 from repro.reliability import unreliable
 from repro.reliability.registry import resolve_faults
 from repro.reliability.seeding import derive_fault_seed
-from repro.utils.tables import Table
 from repro.utils.validation import check_in
 
 __all__ = ["run", "run_batch", "SPEC"]
@@ -70,6 +68,10 @@ SPEC = ExperimentSpec(
     name="precond",
     title="Sweepable preconditioners: solver x preconditioner x fault matrix "
           "under selective reliability",
+    claim="Selective reliability: the preconditioner is the part of a flexible "
+          "Krylov solve that can run unreliably -- a corrupted M^-1 v only slows "
+          "convergence, while the same fault on the trusted operator degrades "
+          "or destroys the answer.",
     tags=("precond", "registry", "srp", "faults"),
     smoke={"grid": 6, "solvers": ("gmres", "cg"),
            "preconds": ("none", "jacobi"), "faults": "none"},
@@ -139,24 +141,6 @@ def run(
     )[0]
 
 
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E9 scenarios; results identical to per-scenario :func:`run`.
-
-    Scenarios that agree on everything except ``seed`` share one pass
-    of the driver body, one lane each (see
-    :func:`repro.experiments.common.run_batch_by_seed`).
-    """
-    return run_batch_by_seed(run, _run_lanes, params_list)
-
-
-_CLAIM = (
-    "Selective reliability: the preconditioner is the part of a flexible "
-    "Krylov solve that can run unreliably -- a corrupted M^-1 v only slows "
-    "convergence, while the same fault on the trusted operator degrades "
-    "or destroys the answer."
-)
-
-
 def _run_lanes(
     seeds, *, grid, solvers, preconds, faults, target, tol, maxiter,
     error_tolerance,
@@ -164,9 +148,10 @@ def _run_lanes(
     """The one E9 body: one lane per seed, everything else shared.
 
     Each (solver, preconditioner) cell solves all lanes as one
-    :func:`repro.krylov.registry.batch_solve` call (see
-    :func:`_solve_cell`); every lane draws the fault stream of its own
-    seed and is classified against its own trusted direct solution.
+    :meth:`~repro.experiments.common.TrustedProblem.solve` call, with
+    the faults wired by :func:`_wire_faults`; every lane draws the fault
+    stream of its own seed and is classified against its own trusted
+    direct solution.
     """
     check_in(target, ("precond", "operator"), "target")
     registry = default_solver_registry()
@@ -176,19 +161,11 @@ def _run_lanes(
     fault_model = resolve_faults(faults)
     soft_model = fault_model.soft_component()
 
-    problem = TrustedProblem(grid, seeds)
-    matrix, b_list = problem.matrix, problem.b_list
-    lanes = range(len(seeds))
-
-    tables = [
-        Table(
-            ["solver", "precond", "iterations", "converged", "faults", "error",
-             "outcome"],
-            title=f"E9: solver x preconditioner x fault matrix "
-                  f"(faults target the {target})",
-        )
-        for _ in lanes
-    ]
+    problem = TrustedProblem(
+        grid, seeds,
+        ["solver", "precond", "iterations", "converged", "faults", "error", "outcome"],
+        f"E9: solver x preconditioner x fault matrix (faults target the {target})",
+    )
     for solver_name in solver_list:
         solver = registry.get(solver_name)
         for precond_name in precond_list:
@@ -197,38 +174,32 @@ def _run_lanes(
             # once per lane, because stateful preconditioners (and the
             # injecting region wraps around them) must not be shared.
             builts = [
-                resolve_preconds(precond_name, matrix=matrix) for _ in lanes
+                resolve_preconds(precond_name, matrix=problem.matrix) for _ in seeds
             ]
             precond_label = parse_precond(precond_name).to_string()
             fault_seeds = [
                 derive_fault_seed(seed, f"{solver.name}/{precond_label}")
                 for seed in seeds
             ]
-
-            results, faults_hits = _solve_cell(
-                solver, matrix, b_list, builts, fault_seeds,
-                soft_model=soft_model, target=target, tol=tol, maxiter=maxiter,
+            regions, options = _wire_faults(
+                solver.name, problem.matrix, builts, fault_seeds,
+                soft_model=soft_model, target=target,
             )
-
-            for s in lanes:
-                result = results[s]
-                error_cell, outcome, _ = problem.classify(
-                    s, result, error_tolerance, faults_hits[s]
-                )
-                tables[s].add_row(
-                    solver.name,
-                    precond_label,
-                    result.iterations,
-                    result.converged,
-                    faults_hits[s],
-                    error_cell,
-                    outcome,
+            cells = problem.solve(
+                solver.name, error_tolerance, regions, tol=tol,
+                **iteration_budget(solver.name, maxiter), **options,
+            )
+            for table, (result, faults_hit, error_cell, outcome, _) in zip(
+                problem.tables, cells
+            ):
+                table.add_row(
+                    solver.name, precond_label, result.iterations,
+                    result.converged, faults_hit, error_cell, outcome,
                 )
 
-    out = []
-    for s in lanes:
-        counts = problem.counts[s]
-        summary = {
+    return problem.results(
+        SPEC,
+        lambda counts: {
             "n_runs": counts["n_runs"],
             "n_solvers": len(solver_list),
             "n_preconds": len(precond_list),
@@ -237,41 +208,32 @@ def _run_lanes(
             "total_faults_injected": counts["total_faults"],
             "target": target,
             "faults": fault_model.describe(),
-        }
-        out.append(
-            ExperimentResult(
-                experiment="E9",
-                claim=_CLAIM,
-                table=tables[s],
-                summary=summary,
-                parameters={
-                    "solvers": tuple(solver_list),
-                    "preconds": tuple(precond_list),
-                    "faults": fault_model.describe(),
-                },
-            )
-        )
-    return out
+        },
+        solvers=tuple(solver_list),
+        preconds=tuple(precond_list),
+        faults=fault_model.describe(),
+    )
 
 
-def _solve_cell(
-    solver, matrix, b_list, builts, fault_seeds, *,
-    soft_model, target, tol, maxiter,
-):
-    """One (solver, precond) cell for all lanes via ``batch_solve``.
+#: Several scenarios at once, identical to per-scenario :func:`run` calls
+#: (see :func:`~repro.experiments.common.run_batch_by_seed`).
+run_batch = functools.partial(run_batch_by_seed, run, _run_lanes)
+
+
+def _wire_faults(solver_name, matrix, builts, fault_seeds, *, soft_model, target):
+    """``(regions, batch_solve keywords)`` of one cell's lanes.
 
     Selective reliability stays per-lane: every lane's preconditioner
     is wrapped in its own :func:`~repro.reliability.unreliable` region
     (regions carry no global state, so ``S`` of them coexist), or gets
     its own fault-injecting operator when the fault targets the
-    operator, each seeded from that lane's fault seed.
+    operator, each seeded from that lane's fault seed.  A clean cell
+    has no regions.
     """
-    params = {"tol": tol, **iteration_budget(solver.name, maxiter)}
-    lane_params = [{} for _ in fault_seeds]
     regions = operators = None
     if soft_model is not None and target == "precond" and builts[0] is not None:
         regions = [
-            unreliable(soft_model, seed=fault_seed, name=f"precond/{solver.name}")
+            unreliable(soft_model, seed=fault_seed, name=f"precond/{solver_name}")
             for fault_seed in fault_seeds
         ]
         builts = [
@@ -284,13 +246,5 @@ def _solve_cell(
             region.operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
             for region in regions
         ]
-    for lane, built in zip(lane_params, builts):
-        lane["precond"] = built
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = batch_solve(
-            solver.name, matrix, b_list, lane_params=lane_params,
-            operators=operators, **params,
-        )
-    if regions is None:
-        return results, [0] * len(results)
-    return results, [region.faults_injected() for region in regions]
+    lane_params = [{"precond": built} for built in builts]
+    return regions, {"lane_params": lane_params, "operators": operators}

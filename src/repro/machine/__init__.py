@@ -11,10 +11,10 @@ models:
   the noise model; converts flop/byte counts into virtual seconds.
 * :mod:`repro.machine.noise` -- performance variability: ECC correction
   stalls applied per rank per operation.
-* :mod:`repro.machine.collective_cost` -- allreduce, broadcast and
-  barrier costs (binomial-tree / recursive-doubling latency terms
-  growing with ``log2 P``), and ``collective_time``, the per-kind rule
-  every communicator charges.
+* :mod:`repro.machine.collective_cost` -- ``collective_time``, the one
+  cost of a collective (binomial-tree / recursive-doubling latency
+  terms growing with ``log2 P``) that every communicator charges and
+  the RBSP scaling model prices its reductions with.
 * :mod:`repro.machine.efficiency` -- analytic application-efficiency
   models used by experiment E7: Young/Daly checkpoint-restart
   efficiency versus an LFLR-style local-recovery efficiency.
@@ -22,7 +22,7 @@ models:
 
 from repro.machine.model import MachineModel
 from repro.machine.noise import NoiseModel, NoNoise, EccStallNoise
-from repro.machine.collective_cost import allreduce_time, broadcast_time, barrier_time
+from repro.machine.collective_cost import collective_time
 from repro.machine.efficiency import (
     daly_optimal_interval,
     cpr_efficiency,
@@ -35,9 +35,7 @@ __all__ = [
     "NoiseModel",
     "NoNoise",
     "EccStallNoise",
-    "allreduce_time",
-    "broadcast_time",
-    "barrier_time",
+    "collective_time",
     "daly_optimal_interval",
     "cpr_efficiency",
     "lflr_efficiency",

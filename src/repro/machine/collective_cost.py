@@ -18,7 +18,7 @@ import math
 from repro.machine.model import MachineModel
 from repro.utils.validation import check_integer, check_non_negative
 
-__all__ = ["allreduce_time", "broadcast_time", "barrier_time", "collective_time"]
+__all__ = ["collective_time"]
 
 
 def _log2ceil(n_ranks: int) -> int:
@@ -27,43 +27,17 @@ def _log2ceil(n_ranks: int) -> int:
     return int(math.ceil(math.log2(n_ranks)))
 
 
-def allreduce_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float:
-    """Recursive-doubling allreduce cost.
+def collective_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float:
+    """Cost of one collective carrying ``n_bytes`` -- the one cost rule.
 
-    ``ceil(log2 P)`` rounds, each paying the latency plus transmission
-    of the (typically tiny) payload.  The collective latency factor of
-    the machine model scales the latency term.
+    ``ceil(log2 P)`` rounds of a recursive-doubling allreduce or a
+    binomial-tree broadcast, each paying the latency (scaled by the
+    machine model's collective latency factor) plus transmission of the
+    (typically tiny) payload.  A barrier is the zero-byte case, and an
+    allgather is charged as a broadcast of its largest contribution.
     """
     check_integer(n_ranks, "n_ranks")
     check_non_negative(n_bytes, "n_bytes")
     rounds = _log2ceil(n_ranks)
     alpha = machine.latency * machine.collective_latency_factor
     return rounds * (alpha + n_bytes / machine.bandwidth)
-
-
-def broadcast_time(machine: MachineModel, n_ranks: int, n_bytes: float) -> float:
-    """Binomial-tree broadcast cost."""
-    check_integer(n_ranks, "n_ranks")
-    check_non_negative(n_bytes, "n_bytes")
-    rounds = _log2ceil(n_ranks)
-    alpha = machine.latency * machine.collective_latency_factor
-    return rounds * (alpha + n_bytes / machine.bandwidth)
-
-
-def barrier_time(machine: MachineModel, n_ranks: int) -> float:
-    """Barrier modeled as a zero-byte allreduce."""
-    return allreduce_time(machine, n_ranks, 0.0)
-
-
-def collective_time(machine: MachineModel, kind: str, n_ranks: int, n_bytes: float) -> float:
-    """Cost of one collective of ``kind`` -- the communicators' one cost rule.
-
-    ``barrier`` is a zero-byte allreduce; ``bcast`` and ``allgather``
-    are modeled as a broadcast tree carrying ``n_bytes``; ``allreduce``
-    is itself.
-    """
-    if kind == "barrier":
-        return barrier_time(machine, n_ranks)
-    if kind in ("bcast", "allgather"):
-        return broadcast_time(machine, n_ranks, n_bytes)
-    return allreduce_time(machine, n_ranks, n_bytes)

@@ -14,7 +14,7 @@ Model of one Krylov iteration in a weak-scaling regime (fixed rows per
 rank):
 
 * local work: sparse matvec + vector updates, time ``t_flops``;
-* ``n_reductions`` global reductions, each ``allreduce_time(P)``;
+* ``n_reductions`` global reductions, each ``collective_time(P)``;
 * synchronous variant: each reduction also waits for the slowest rank's
   noise (expected maximum over P of the per-operation noise, which for
   exponential-type noise grows like the harmonic number H_P);
@@ -34,7 +34,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.machine.collective_cost import allreduce_time
+from repro.machine.collective_cost import collective_time
 from repro.machine.model import MachineModel
 from repro.utils.tables import Table
 from repro.utils.validation import check_integer, check_non_negative
@@ -123,7 +123,7 @@ def synchronous_iteration_time(
     compute = model.local_flops / machine.flop_rate
     noise_mean = machine.noise.mean_overhead(compute)
     straggler = noise_mean * _harmonic(n_ranks)
-    reduction = allreduce_time(machine, n_ranks, model.reduction_bytes)
+    reduction = collective_time(machine, n_ranks, model.reduction_bytes)
     # Every blocking reduction is a synchronization point: it pays the
     # collective latency plus the wait for the slowest rank.
     return compute + model.n_reductions * (reduction + straggler)
@@ -137,7 +137,7 @@ def pipelined_iteration_time(
     compute = model.local_flops / machine.flop_rate
     noise_mean = machine.noise.mean_overhead(compute)
     straggler = noise_mean * _harmonic(n_ranks)
-    reduction = allreduce_time(machine, n_ranks, model.reduction_bytes)
+    reduction = collective_time(machine, n_ranks, model.reduction_bytes)
     overlap_window = model.overlap_fraction * compute / model.pipeline_waves
     exposed_per_wave = max(reduction + straggler - overlap_window, 0.0)
     return compute + model.pipeline_waves * exposed_per_wave

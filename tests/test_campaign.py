@@ -7,6 +7,7 @@ just the examples the built-in campaigns happen to use.
 
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import inspect
@@ -228,6 +229,11 @@ _RUN_CONTRACT_CASES = {
                       "a run_batch driver defines its own _bind_defaults"),
     "compatible": ({"namespace": ("_compatible",)},
                    "a run_batch driver defines its own _compatible"),
+    "empty-claim": ({"claim": ""}, "SPEC.claim is empty"),
+    "result-by-hand": (
+        {"source": "def run(n=1):\n    return common.ExperimentResult('E2', CLAIM, table)\n"},
+        "the module calls ExperimentResult( instead of SPEC.result",
+    ),
 }
 
 
@@ -318,21 +324,27 @@ class TestRegistry:
 
     def test_drivers_keep_the_run_contract(self):
         for driver in default_registry():
-            namespace = vars(importlib.import_module(driver.module))
-            assert _contract_breaches(driver, namespace) == [], driver.module
+            module = importlib.import_module(driver.module)
+            breaches = _contract_breaches(driver, vars(module), inspect.getsource(module))
+            assert breaches == [], driver.module
 
     @pytest.mark.parametrize("case", sorted(_RUN_CONTRACT_CASES))
     def test_the_run_contract_flags_each_breach(self, case):
         changes, breach = _RUN_CONTRACT_CASES[case]
-        planted = {"experiment": "E2", "run": lambda n=1: n,
+        planted = {"experiment": "E2", "claim": "A planted claim.",
+                   "run": lambda n=1: n,
                    "run_batch": lambda params_list, check=True: params_list,
-                   "namespace": (), **changes}
+                   "namespace": (),
+                   "source": "def run(n=1):\n    return SPEC.result(table, {})\n",
+                   **changes}
         driver = RegisteredExperiment(
-            spec=ExperimentSpec(planted["experiment"], "planted"),
+            spec=ExperimentSpec(planted["experiment"], "planted", claim=planted["claim"]),
             module="repro.experiments.e2_planted",
             run=planted["run"], run_batch=planted["run_batch"],
         )
-        breaches = _contract_breaches(driver, dict.fromkeys(planted["namespace"]))
+        breaches = _contract_breaches(
+            driver, dict.fromkeys(planted["namespace"]), planted["source"]
+        )
         assert breaches == ([breach] if breach else [])
 
 
@@ -341,10 +353,11 @@ def listed_params(driver) -> list:
     return driver.row()[3].split(",")
 
 
-def _contract_breaches(driver, namespace):
+def _contract_breaches(driver, namespace, source):
     """What ``driver`` breaks of the protocol the runner calls it by
-    (``namespace`` is its module's globals): a bare ``run()`` works and
-    takes no ``*args``/``**kwargs``, the id is the file-name prefix,
+    (``namespace`` is its module's globals, ``source`` its text): a bare
+    ``run()`` works and takes no ``*args``/``**kwargs``, the id is the
+    file-name prefix, ``SPEC`` states a claim and builds every result,
     ``run_batch(params_list)`` needs nothing else, and default binding
     and grouping stay in ``experiments.common.run_batch_by_seed``."""
     breaches = []
@@ -353,6 +366,14 @@ def _contract_breaches(driver, namespace):
         breaches.append(
             f"experiment id {driver.experiment!r} does not match the file-name prefix {prefix!r}"
         )
+    if not driver.spec.claim:
+        breaches.append("SPEC.claim is empty")
+    if any(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ExperimentResult"
+        for node in ast.walk(ast.parse(source))
+    ):
+        breaches.append("the module calls ExperimentResult( instead of SPEC.result")
     for param in inspect.signature(driver.run).parameters.values():
         if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
             breaches.append(f"run takes {param}")
@@ -422,8 +443,20 @@ class TestRecordedParameters:
     At each driver's smoke parameters, the result records every name
     ``run`` accepts (``faults``/``backend`` only when given), changing
     any one of them changes what is recorded, and re-running with what
-    was recorded reproduces the result byte for byte.
+    was recorded reproduces the result byte for byte.  Every result,
+    from ``run`` and from ``run_batch``, carries ``SPEC``'s id and claim.
     """
+
+    @pytest.mark.parametrize("experiment", default_registry().names())
+    def test_results_carry_the_spec(self, experiment):
+        driver = default_registry().get(experiment)
+        smoke = dict(driver.spec.smoke)
+        results = [driver.run(**smoke)]
+        if driver.run_batch is not None:
+            results += driver.run_batch([smoke, {**smoke, "seed": 7}])
+        assert {(result.experiment, result.claim) for result in results} == {
+            (driver.spec.experiment, driver.spec.claim)
+        }
 
     @pytest.mark.parametrize("experiment", default_registry().names())
     def test_every_accepted_name_is_recorded(self, experiment):
@@ -825,13 +858,13 @@ class TestCli:
             assert f" {names} " in out
 
     def test_list_campaign_scenarios(self, capsys):
-        assert cli_main(["list", "--campaign", "smoke", "--experiment", "E7"]) == 0
+        assert cli_main(["list", "smoke", "--experiment", "E7"]) == 0
         out = capsys.readouterr().out
         assert "E7" in out and "E1" not in out.split("scenarios)")[1]
 
     def test_run_report_cycle(self, tmp_path, capsys):
         store = str(tmp_path / "cli.jsonl")
-        args = ["run", "--smoke", "--experiment", "E7", "--workers", "1",
+        args = ["run", "smoke", "--experiment", "E7", "--workers", "1",
                 "--store", store]
         assert cli_main(args) == 0
         first = capsys.readouterr().out
@@ -852,15 +885,15 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "nope"], "unknown campaign 'nope'"),
-        (["run", "--smoke", "--experiment", "E99"], "unknown experiment 'E99'"),
-        (["run", "--smoke", "--workers", "0"], "workers must be >= 1"),
-        (["run", "--smoke", "--chaos", "worker_crash:q=1"], "does not take parameters"),
-        (["run", "--smoke", "--batch", "-1"], "batch must be >= 0"),
-        (["run", "--smoke", "--retries", "0"], "max_attempts must be >= 1"),
-        (["run", "--smoke", "--timeout", "-1"], "timeout must be positive"),
-        (["run", "--smoke", "--backoff", "-1"], "backoff must be >= 0"),
+        (["run", "smoke", "--experiment", "E99"], "unknown experiment 'E99'"),
+        (["run", "smoke", "--workers", "0"], "workers must be >= 1"),
+        (["run", "smoke", "--chaos", "worker_crash:q=1"], "does not take parameters"),
+        (["run", "smoke", "--batch", "-1"], "batch must be >= 0"),
+        (["run", "smoke", "--retries", "0"], "max_attempts must be >= 1"),
+        (["run", "smoke", "--timeout", "-1"], "timeout must be positive"),
+        (["run", "smoke", "--backoff", "-1"], "backoff must be >= 0"),
         (["list", "--experiment", "E99"], "unknown experiment 'E99'"),
-        (["list", "--campaign", "nope"], "unknown campaign 'nope'"),
+        (["list", "nope"], "unknown campaign 'nope'"),
     ])
     def test_bad_input_is_a_usage_error(self, argv, message, tmp_path, capsys, monkeypatch):
         ran = []

@@ -700,7 +700,7 @@ class TestCrossBackend:
     def test_collective_time_is_one_rule_on_every_rank(self, kind, nbytes):
         """Every rank on both backends charges the largest contribution."""
         machine = MachineModel(flop_rate=5.0e9, latency=2.0e-6, bandwidth=5.0e9)
-        expected = collective_time(machine, kind, 2, nbytes)
+        expected = collective_time(machine, 2, nbytes)
         for backend in ("sim", "shmem"):
             times = launch(backend, 2, _uneven_collective_program, kind, machine=machine)
             assert times == [expected, expected], backend
@@ -1017,14 +1017,14 @@ class TestOneFrontEnd:
     def test_collective_cost_is_computed_once_per_key(self, monkeypatch):
         calls = []
 
-        def counting_time(machine, kind, n_ranks, nbytes):
-            calls.append((kind, n_ranks, nbytes))
-            return collective_time(machine, kind, n_ranks, nbytes)
+        def counting_time(machine, n_ranks, nbytes):
+            calls.append((n_ranks, nbytes))
+            return collective_time(machine, n_ranks, nbytes)
 
         monkeypatch.setattr(comm_base, "collective_time", counting_time)
         launch("sim", 2, _fifty_collectives_program)
         # One memo per rank; only the last arriver charges a collective.
-        assert set(calls) == {("allreduce", 2, 8), ("allgather", 2, 64)}
+        assert set(calls) == {(2, 8), (2, 64)}
         assert len(calls) <= 2 * len(set(calls))
 
     def test_nothing_registers_virtually(self):

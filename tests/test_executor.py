@@ -671,7 +671,7 @@ class TestRunnerResilience:
 class TestCliResilience:
     def test_chaos_quarantine_then_retry_failed(self, tmp_path, capsys):
         store = str(tmp_path / "cli.jsonl")
-        base = ["run", "--smoke", "--experiment", "E7", "--workers", "2",
+        base = ["run", "smoke", "--experiment", "E7", "--workers", "2",
                 "--store", store]
         # Every attempt crashes: both E7 scenarios quarantine, exit 1.
         assert cli_main(base + ["--chaos", "worker_crash:p=1",
@@ -706,7 +706,7 @@ class TestCliResilience:
         store = str(tmp_path / "cli.jsonl")
         # worker_hang on attempt 1 of every scenario; --timeout reaps
         # them and the retries complete the campaign.
-        args = ["run", "--smoke", "--experiment", "E7", "--workers", "2",
+        args = ["run", "smoke", "--experiment", "E7", "--workers", "2",
                 "--store", store, "--timeout", "1.0",
                 "--chaos", "worker_hang:p=1,attempts=1",
                 "--retries", "3", "--backoff", "0.01"]
@@ -715,7 +715,7 @@ class TestCliResilience:
         assert "2 ran" in out and "2 retried" in out
 
     def test_retry_failed_requires_ledger(self, tmp_path, capsys):
-        assert cli_main(["run", "--smoke", "--experiment", "E7",
+        assert cli_main(["run", "smoke", "--experiment", "E7",
                          "--no-store", "--retry-failed"]) == 2
         assert "--retry-failed needs a ledger" in capsys.readouterr().err
 

@@ -8,9 +8,7 @@ from repro.machine import (
     EccStallNoise,
     MachineModel,
     NoNoise,
-    allreduce_time,
-    barrier_time,
-    broadcast_time,
+    collective_time,
     cpr_efficiency,
     daly_optimal_interval,
     efficiency_crossover_mtbf,
@@ -66,24 +64,24 @@ class TestNoiseModels:
 class TestCollectiveCosts:
     def test_allreduce_log_scaling(self):
         machine = MachineModel(latency=1e-6, bandwidth=1e9)
-        t2 = allreduce_time(machine, 2, 8)
-        t1024 = allreduce_time(machine, 1024, 8)
+        t2 = collective_time(machine, 2, 8)
+        t1024 = collective_time(machine, 1024, 8)
         assert t1024 == pytest.approx(10 * t2, rel=1e-6)
 
     def test_single_rank_collectives_free(self):
         machine = MachineModel()
-        assert allreduce_time(machine, 1, 8) == 0.0
-        assert barrier_time(machine, 1) == 0.0
-        assert broadcast_time(machine, 1, 8) == 0.0
+        assert collective_time(machine, 1, 8) == 0.0
+        assert collective_time(machine, 1, 0) == 0.0
 
     def test_barrier_is_zero_byte_allreduce(self):
         machine = MachineModel()
-        assert barrier_time(machine, 64) == allreduce_time(machine, 64, 0.0)
+        alpha = machine.latency * machine.collective_latency_factor
+        assert collective_time(machine, 64, 0) == 6 * alpha
 
     def test_collective_latency_factor(self):
         slow = MachineModel(latency=1e-6, collective_latency_factor=2.0)
         fast = MachineModel(latency=1e-6, collective_latency_factor=1.0)
-        assert allreduce_time(slow, 16, 8) > allreduce_time(fast, 16, 8)
+        assert collective_time(slow, 16, 8) > collective_time(fast, 16, 8)
 
 
 class TestEfficiencyModels:
