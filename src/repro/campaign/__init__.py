@@ -17,8 +17,8 @@ sweepable scenario space:
   timeouts, crash detection + respawn), :class:`RetryPolicy`
   (deterministic backoff, transient-vs-poison classification,
   quarantine), :class:`FailureLedger` (crash-consistent JSONL attempt
-  journal) and :class:`ChaosSpec` (fault injection into the runner's
-  own workers).
+  journal) and :class:`ChaosFault` (fault injection into the runner's
+  own workers, composed with ``+``).
 * :mod:`repro.campaign.store` -- :class:`ResultStore`: a JSONL file of
   completed scenarios, round-tripping
   :class:`~repro.experiments.common.ExperimentResult`.
@@ -34,7 +34,7 @@ from repro.campaign.registry import ExperimentRegistry, default_registry
 from repro.campaign.store import ResultStore
 from repro.campaign.executor import (
     AttemptRecord,
-    ChaosSpec,
+    ChaosFault,
     FailureLedger,
     RetryPolicy,
     SupervisedExecutor,
@@ -51,7 +51,7 @@ __all__ = [
     "default_registry",
     "ResultStore",
     "AttemptRecord",
-    "ChaosSpec",
+    "ChaosFault",
     "FailureLedger",
     "RetryPolicy",
     "SupervisedExecutor",

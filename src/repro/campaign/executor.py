@@ -26,16 +26,17 @@ Pieces
     successes included, and every member of a batched unit -- so failure
     history survives the process and ``campaign run --retry-failed`` can
     re-target exactly the failed/quarantined set.
-:class:`ChaosSpec`
+:class:`ChaosFault`
     Fault injection for the runner's own workers, in the shared
     spec-string grammar (:mod:`repro.spec`):
     ``"worker_crash:p=0.1"`` hard-kills the worker (``os._exit``)
     before the scenario runs, ``"worker_hang:p=0.05"`` sleeps past any
     timeout, ``"result_corrupt:p=0.01"`` flips the result payload
     after it was checksummed.  Compose with ``+`` exactly like fault
-    specs.  Injection draws are pure functions of ``(chaos_seed,
-    scenario key, attempt, kind)``, so chaos runs are reproducible and
-    retried attempts see fresh, independent draws.
+    specs; the worker walks the composition's components.  Injection
+    draws are pure functions of ``(chaos_seed, scenario key, attempt,
+    kind)``, so chaos runs are reproducible and retried attempts see
+    fresh, independent draws.
 :class:`SupervisedExecutor`
     Long-lived worker processes, each a :class:`~repro.utils.child.Child`
     driven over its own channel.  The supervisor keeps up to
@@ -97,16 +98,16 @@ from typing import (
 
 from repro.campaign.registry import default_registry
 from repro.campaign.spec import canonical_json
-from repro.campaign.store import LineAppender
-from repro.spec import Axis, KindSpec, split_composed
+from repro.campaign.store import LineAppender, read_jsonl
+from repro.spec import COMPOSE_KIND, Axis, KindSpec
 from repro.utils.child import Channel, Child, stop_all, wait_ready
 
 __all__ = [
     "RetryPolicy",
     "AttemptRecord",
     "FailureLedger",
-    "ChaosSpec",
     "ChaosFault",
+    "parse_chaos",
     "ExecutionResult",
     "SupervisedExecutor",
     "default_execute",
@@ -325,16 +326,17 @@ class FailureLedger:
     One :class:`AttemptRecord` per line, appended (and flushed) as each
     attempt concludes, so a killed campaign leaves a valid ledger
     behind.  The file is created lazily on the first record.  Loading
-    tolerates a partial trailing line exactly like the result store,
-    and the first record after one starts on a fresh line
+    follows the result store's rule
+    (:func:`~repro.campaign.store.read_jsonl`): a partial trailing line
+    is dropped, a corrupt line before it is dropped with a warning; and
+    the first record after one starts on a fresh line
     (:class:`~repro.campaign.store.LineAppender`).
     """
 
     def __init__(self, path: str):
         self.path = str(path)
-        self._records: List[AttemptRecord] = []
+        self._records = read_jsonl(self.path, AttemptRecord.from_json)
         self._appender = LineAppender(self.path)
-        self._load()
 
     @staticmethod
     def path_for(store_path: str) -> str:
@@ -346,21 +348,6 @@ class FailureLedger:
         if base.endswith(".jsonl"):
             base = base[: -len(".jsonl")]
         return base + ".ledger.jsonl"
-
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    self._records.append(AttemptRecord.from_json(line))
-                except (json.JSONDecodeError, KeyError, ValueError):
-                    # Partial trailing line from an interrupted run.
-                    continue
 
     # ------------------------------------------------------------------
     def record(self, record: AttemptRecord) -> AttemptRecord:
@@ -432,6 +419,7 @@ CHAOS_KINDS = {
     "worker_crash": frozenset({"p", "attempts"}),
     "worker_hang": frozenset({"p", "attempts", "seconds"}),
     "result_corrupt": frozenset({"p", "attempts"}),
+    COMPOSE_KIND: frozenset(),
 }
 
 # Exit code of a chaos-crashed worker: distinguishable from SIGKILL
@@ -453,7 +441,12 @@ def _chaos_draw(chaos_seed: int, key: str, attempt: int, kind: str) -> float:
 
 
 class ChaosFault(KindSpec):
-    """One chaos fault: kind plus parameters.
+    """Declarative fault injection for the runner's own workers.
+
+    Shared spec-string grammar: ``"worker_crash:p=0.1"``,
+    ``"worker_hang:p=0.05,seconds=120"``, ``"result_corrupt:p=0.01"``,
+    composed with ``+`` like fault specs.  ``"none"`` is the identity
+    and never fires.
 
     Parameters (all kinds): ``p`` -- injection probability per attempt
     (default 1.0); ``attempts`` -- inject only on attempts ``<= N``
@@ -476,73 +469,22 @@ class ChaosFault(KindSpec):
             raise ValueError("chaos 'seconds' must be > 0")
 
     @property
-    def p(self) -> float:
-        return float(self.params.get("p", 1.0))
+    def active(self) -> bool:
+        """Whether any component can fire."""
+        return any(fault.kind != "none" for fault in self.components)
 
     def hits(self, chaos_seed: int, key: str, attempt: int) -> bool:
-        """Whether this fault fires on ``attempt`` of scenario ``key``."""
+        """Whether this single fault fires on ``attempt`` of scenario ``key``."""
         limit = self.params.get("attempts")
-        if limit is not None and attempt > int(limit):
+        if self.kind == "none" or (limit is not None and attempt > int(limit)):
             return False
-        if self.p >= 1.0:
-            return True
-        return _chaos_draw(chaos_seed, key, attempt, self.kind) < self.p
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Declarative fault injection for the runner's own workers.
-
-    Shared spec-string grammar: ``"worker_crash:p=0.1"``,
-    ``"worker_hang:p=0.05,seconds=120"``, ``"result_corrupt:p=0.01"``,
-    composed with ``+``.  ``"none"`` is the identity spec.
-    """
-
-    faults: Tuple[ChaosFault, ...] = ()
-
-    def __post_init__(self):
-        faults = tuple(
-            f for f in self.faults if f.kind != "none"
-        )
-        object.__setattr__(self, "faults", faults)
-
-    # -- parsing / serialization ---------------------------------------
-    @classmethod
-    def parse(cls, value: Union[str, Mapping, "ChaosSpec", None]) -> "ChaosSpec":
-        """Coerce a string, dict, ChaosSpec or None into a ChaosSpec."""
-        if value is None:
-            return cls(())
-        if isinstance(value, ChaosSpec):
-            return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        if isinstance(value, str):
-            return cls(
-                tuple(map(ChaosFault.parse, split_composed(value, "chaos spec")))
-            )
-        raise TypeError(
-            f"cannot parse a chaos spec from {type(value).__name__}"
-        )
-
-    def to_string(self) -> str:
-        if not self.faults:
-            return "none"
-        return "+".join(fault.to_string() for fault in self.faults)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ChaosSpec":
-        return cls(tuple(map(ChaosFault.from_dict, data.get("faults", ()))))
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    def __str__(self) -> str:
-        return self.to_string()
+        p = float(self.params.get("p", 1.0))
+        return p >= 1.0 or _chaos_draw(chaos_seed, key, attempt, self.kind) < p
 
     # -- injection (runs inside the worker) ----------------------------
     def pre_run(self, chaos_seed: int, key: str, attempt: int) -> None:
         """Crash or hang the calling worker, per the injection draws."""
-        for fault in self.faults:
+        for fault in self.components:
             if fault.kind == "worker_crash" and fault.hits(chaos_seed, key, attempt):
                 os._exit(CHAOS_EXIT_CODE)
             if fault.kind == "worker_hang" and fault.hits(chaos_seed, key, attempt):
@@ -552,7 +494,7 @@ class ChaosSpec:
         self, result: dict, chaos_seed: int, key: str, attempt: int
     ) -> dict:
         """Corrupt a result payload *after* it was checksummed."""
-        for fault in self.faults:
+        for fault in self.components:
             if fault.kind == "result_corrupt" and fault.hits(chaos_seed, key, attempt):
                 corrupted = dict(result)
                 corrupted["__chaos_corrupted__"] = attempt
@@ -560,10 +502,19 @@ class ChaosSpec:
         return result
 
 
+def parse_chaos(value: Union[str, Mapping, ChaosFault, None]) -> ChaosFault:
+    """Resolve anything chaos-shaped into a :class:`ChaosFault`.
+
+    ``None`` resolves to ``"none"``; strings, dicts and specs go
+    through :meth:`repro.spec.Axis.parse`.
+    """
+    return AXIS.parse(value)
+
+
 AXIS = Axis(
     name="chaos",
     spec=ChaosFault,
-    resolve=ChaosSpec.parse,
+    resolve=parse_chaos,
     keywords=("chaos",),
     identity="none",
 )
@@ -573,7 +524,7 @@ AXIS = Axis(
 # Worker process
 # ----------------------------------------------------------------------
 def _worker_main(channel: Channel, execute: Callable,
-                 chaos: Optional[ChaosSpec], chaos_seed: int) -> None:
+                 chaos: Optional[ChaosFault], chaos_seed: int) -> None:
     """Long-lived worker loop: recv a task on the channel, send the result back.
 
     Tasks are awaited in bounded poll slices; the shutdown frame or EOF
@@ -677,7 +628,7 @@ class SupervisedExecutor:
         :class:`RetryPolicy`; defaults to 3 attempts with a 50 ms
         doubling backoff.
     chaos:
-        Optional :class:`ChaosSpec` (or spec string/dict) injected into
+        Optional :class:`ChaosFault` (or spec string/dict) injected into
         the workers themselves.
     chaos_seed:
         Root of the chaos injection draws (pure-function, see
@@ -700,7 +651,7 @@ class SupervisedExecutor:
         workers: int = 2,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        chaos: Union[ChaosSpec, str, Mapping, None] = None,
+        chaos: Union[ChaosFault, str, Mapping, None] = None,
         chaos_seed: int = 0,
         ledger: Optional[FailureLedger] = None,
         execute: Optional[Callable] = None,
@@ -712,8 +663,8 @@ class SupervisedExecutor:
         self.workers = int(workers)
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.chaos = ChaosSpec.parse(chaos) if chaos is not None else ChaosSpec(())
-        if self.workers == 0 and (timeout is not None or self.chaos):
+        self.chaos = parse_chaos(chaos)
+        if self.workers == 0 and (timeout is not None or self.chaos.active):
             raise ValueError(
                 "workers=0 runs in the calling process, which can enforce "
                 "neither a timeout nor chaos"
@@ -757,7 +708,8 @@ class SupervisedExecutor:
 
         def spawn() -> None:
             worker = Child.start(
-                _worker_main, self.execute, self.chaos or None, self.chaos_seed
+                _worker_main, self.execute,
+                self.chaos if self.chaos.active else None, self.chaos_seed
             )
             workers.append(worker)
             idle.append(worker)

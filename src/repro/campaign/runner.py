@@ -38,11 +38,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.campaign.executor import (
     BATCH_PARAMS_KEY,
     BATCH_RESULTS_KEY,
-    ChaosSpec,
+    ChaosFault,
     ExecutionResult,
     FailureLedger,
     RetryPolicy,
     SupervisedExecutor,
+    parse_chaos,
 )
 from repro.campaign.registry import ExperimentRegistry, default_registry
 from repro.campaign.spec import Scenario, scenario_key
@@ -161,7 +162,7 @@ class CampaignRunner:
         :class:`~repro.campaign.executor.RetryPolicy`; defaults to
         3 attempts with a 50 ms doubling backoff.
     chaos:
-        Optional :class:`~repro.campaign.executor.ChaosSpec` (or spec
+        Optional :class:`~repro.campaign.executor.ChaosFault` (or spec
         string such as ``"worker_crash:p=0.1"``) injecting faults into
         the runner's own workers -- the chaos harness.
     ledger:
@@ -190,7 +191,7 @@ class CampaignRunner:
         progress: Optional[Callable[[ScenarioOutcome], None]] = None,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        chaos: Union[ChaosSpec, str, Mapping, None] = None,
+        chaos: Union[ChaosFault, str, Mapping, None] = None,
         ledger: bool = True,
         batch: int = 1,
     ):
@@ -207,7 +208,7 @@ class CampaignRunner:
         self.progress = progress
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.chaos = ChaosSpec.parse(chaos) if chaos is not None else ChaosSpec(())
+        self.chaos = parse_chaos(chaos)
         self.ledger = (
             FailureLedger(FailureLedger.path_for(store.path))
             if ledger and store is not None else None
@@ -321,7 +322,7 @@ class CampaignRunner:
                 self._report(outcome)
 
         in_process = (
-            self.workers == 1 and self.timeout is None and not self.chaos
+            self.workers == 1 and self.timeout is None and not self.chaos.active
         )
         SupervisedExecutor(
             workers=0 if in_process else self.workers,

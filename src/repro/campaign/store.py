@@ -7,10 +7,12 @@ One line per completed scenario::
 
 Appending is atomic at line granularity, so a crashed campaign leaves a
 valid store behind and a re-run resumes exactly where it stopped (the
-runner skips every key already present).  Loading tolerates trailing
-partial lines (a run killed mid-write) by discarding them, and the
-first append after such a line starts on a fresh line
-(:class:`LineAppender`), so the resumed record is not glued onto it.
+runner skips every key already present).  Loading tolerates a trailing
+partial line (a run killed mid-write) by discarding it and warns about
+corrupt lines before it (:func:`read_jsonl`), and the first append
+after such a line starts on a fresh line (:class:`LineAppender`), so
+the resumed record is not glued onto it.  The failure ledger shares
+both.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, TypeVar
 
 from repro.experiments.common import ExperimentResult
 from repro.utils.serialization import jsonify
 
-__all__ = ["StoreRecord", "ResultStore", "LineAppender"]
+__all__ = ["StoreRecord", "ResultStore", "LineAppender", "read_jsonl"]
+
+T = TypeVar("T")
 
 
 class LineAppender:
@@ -63,6 +67,43 @@ class LineAppender:
             handle.write(self._prefix + line + "\n")
             handle.flush()
         self._prefix = ""
+
+
+def read_jsonl(path: str, parse: Callable[[str], T]) -> List[T]:
+    """``parse`` of every non-blank line of a JSONL file, in file order.
+
+    Shared by the result store and the failure ledger.  A corrupt final
+    line is the benign signature of a run killed mid-append and is
+    dropped silently; anything corrupt before it is silent data loss,
+    dropped with a warning naming the lines.  A missing file has no
+    records.
+    """
+    if not os.path.exists(path):
+        return []
+    records: List[T] = []
+    corrupt: List[int] = []
+    last_number = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            last_number = number
+            try:
+                records.append(parse(line))
+            except (KeyError, TypeError, ValueError):
+                corrupt.append(number)
+    if corrupt and corrupt[-1] == last_number:
+        corrupt = corrupt[:-1]
+    if corrupt:
+        numbers = ", ".join(str(n) for n in corrupt)
+        warnings.warn(
+            f"{path}: dropped {len(corrupt)} corrupt mid-file "
+            f"JSONL line(s) (line {numbers})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return records
 
 
 @dataclass(frozen=True)
@@ -106,41 +147,10 @@ class ResultStore:
 
     def __init__(self, path: str):
         self.path = str(path)
-        self._records: Dict[str, StoreRecord] = {}
+        self._records: Dict[str, StoreRecord] = {
+            record.key: record for record in read_jsonl(self.path, StoreRecord.from_json)
+        }
         self._appender = LineAppender(self.path)
-        self._load()
-
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        corrupt: List[int] = []
-        last_number = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                last_number = number
-                try:
-                    record = StoreRecord.from_json(line)
-                except (json.JSONDecodeError, KeyError):
-                    corrupt.append(number)
-                else:
-                    self._records[record.key] = record
-        # A corrupt final line is the benign signature of a run killed
-        # mid-append; anything corrupt before it is silent data loss
-        # and deserves a warning naming the lines.
-        if corrupt and corrupt[-1] == last_number:
-            corrupt = corrupt[:-1]
-        if corrupt:
-            numbers = ", ".join(str(n) for n in corrupt)
-            warnings.warn(
-                f"{self.path}: dropped {len(corrupt)} corrupt mid-file "
-                f"JSONL line(s) (line {numbers})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

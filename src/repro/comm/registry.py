@@ -56,6 +56,11 @@ class RegisteredBackend:
     module: str
     launcher: str
 
+    @property
+    def spec(self) -> CommSpec:
+        """The spec the name stands for: the kind, no parameters."""
+        return CommSpec(self.name)
+
     def row(self) -> tuple:
         return (self.name, self.title)
 
@@ -152,11 +157,12 @@ def resolve_backend(
     """Resolve anything backend-shaped into a ready :class:`BoundBackend`.
 
     ``None`` resolves to the default ``"sim"`` backend; strings, dicts
-    and :class:`CommSpec` objects are parsed and looked up by kind.
+    and :class:`CommSpec` objects are parsed
+    (:meth:`repro.spec.Axis.parse`) and looked up by kind.
     """
     if isinstance(value, BoundBackend):
         return value
-    spec = CommSpec.parse(value if value is not None else "sim")
+    spec = AXIS.parse(value)
     return default_backend_registry().get(spec.kind).bind(spec)
 
 

@@ -25,6 +25,7 @@ from repro.experiments.common import ExperimentResult, ExperimentSpec, records_p
 from repro.krylov.registry import default_solver_registry
 from repro.linalg.matgen import convection_diffusion_2d
 from repro.reliability.cost import ReliabilityCostModel
+from repro.reliability.region import Region
 from repro.reliability.registry import resolve_faults
 from repro.reliability.spec import FaultSpec
 from repro.utils.rng import RngFactory
@@ -134,15 +135,9 @@ def run(
             iters = []
             for trial in range(n_trials):
                 rng = factory.spawn(f"plain-{prob}-{trial}")
-                injector = fault_model.injector(rng, target="plain_matvec")
-                calls = {"n": 0}
-
-                def unreliable_op(x, _inj=injector, _calls=calls):
-                    _calls["n"] += 1
-                    return _inj.maybe_inject(matrix.matvec(x), now=float(_calls["n"]))
-
+                region = Region(fault_model.injector(rng, target="plain_matvec"))
                 result = solvers.get("gmres").solve(
-                    unreliable_op, b, tol=tol, restart=30,
+                    region.operator(matrix), b, tol=tol, restart=30,
                     maxiter=outer_maxiter * inner_maxiter,
                 )
                 true_res = float(

@@ -126,7 +126,8 @@ def _run_lanes(
     shared by the skeptical solvers' lanes.
     """
     registry = default_solver_registry()
-    names = as_axis(solvers, registry.names())
+    # Canonical names seed the fault streams and label the result.
+    names = [registry.get(name).name for name in as_axis(solvers, registry.names())]
 
     if faults is None:
         fault_model = resolve_faults(
@@ -160,7 +161,7 @@ def _run_lanes(
         regions = operators = None
         if soft_model is not None:
             regions = [
-                soft_model.environment(seed=derive_fault_seed(seed, name))
+                soft_model.environment(seed=derive_fault_seed(seed, solver.name))
                 for seed in seeds
             ]
         params = iteration_budget(solver.name, maxiter)

@@ -49,7 +49,6 @@ names, serializes and builds them.
 from repro.precond.spec import PRECOND_KINDS, PrecondSpec
 from repro.precond.registry import (
     PrecondRegistry,
-    RegisteredPreconditioner,
     build_preconditioner,
     default_precond_registry,
     parse_precond,
@@ -60,7 +59,6 @@ from repro.precond.registry import (
 __all__ = [
     "PrecondSpec",
     "PRECOND_KINDS",
-    "RegisteredPreconditioner",
     "PrecondRegistry",
     "default_precond_registry",
     "precond_names",

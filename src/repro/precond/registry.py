@@ -42,7 +42,6 @@ from repro.precond.spec import PrecondSpec
 from repro.spec import Axis, RegisteredSpec, Registry
 
 __all__ = [
-    "RegisteredPreconditioner",
     "PrecondRegistry",
     "default_precond_registry",
     "precond_names",
@@ -94,50 +93,41 @@ def build_preconditioner(
         ) from exc
 
 
-class RegisteredPreconditioner(RegisteredSpec):
-    """One named preconditioner configuration."""
-
-    def build(self, matrix, **overrides) -> Optional[Preconditioner]:
-        """Instantiate for ``matrix``, with optional parameter overrides."""
-        spec = self.spec.with_params(**overrides) if overrides else self.spec
-        return build_preconditioner(spec, matrix)
-
-
-def _builtin_preconds() -> List[RegisteredPreconditioner]:
+def _builtin_preconds() -> List[RegisteredSpec]:
     spec = PrecondSpec.parse
 
     return [
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="none",
             spec=spec("none"),
             title="No preconditioning (M = I)",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="jacobi",
             spec=spec("jacobi"),
             title="Diagonal (Jacobi) scaling",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="ssor",
             spec=spec("ssor:omega=1.0"),
             title="Symmetric SOR, one forward + one backward sweep",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="ssor_over",
             spec=spec("ssor:omega=1.2"),
             title="Over-relaxed symmetric SOR (omega = 1.2)",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="poly2",
             spec=spec("poly:k=2"),
             title="Neumann-series polynomial, degree 2 (inner-product-free)",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="poly4",
             spec=spec("poly:k=4"),
             title="Neumann-series polynomial, degree 4 (inner-product-free)",
         ),
-        RegisteredPreconditioner(
+        RegisteredSpec(
             name="bjacobi8",
             spec=spec("bjacobi:bs=8"),
             title="Block Jacobi, 8-row blocks (per-subdomain solves)",
@@ -145,7 +135,7 @@ def _builtin_preconds() -> List[RegisteredPreconditioner]:
     ]
 
 
-class PrecondRegistry(Registry[RegisteredPreconditioner]):
+class PrecondRegistry(Registry[RegisteredSpec]):
     """Index of named preconditioner configurations."""
 
     NOUN = "preconditioner"
@@ -167,17 +157,13 @@ def parse_precond(
 ) -> PrecondSpec:
     """Resolve anything precond-shaped into a :class:`PrecondSpec`.
 
-    ``None`` resolves to the ``"none"`` spec.  Strings are looked up in
-    the registry first; anything else is parsed as a compact spec
-    string.  Already-built preconditioner objects are *not* accepted
-    here (they have no declarative form); use :func:`resolve_preconds`
-    when proxies or instances may appear.
+    ``None`` resolves to the ``"none"`` spec, a registered name to its
+    entry's spec, anything else through :meth:`repro.spec.Axis.parse`.
+    Already-built preconditioner objects are *not* accepted here (they
+    have no declarative form); use :func:`resolve_preconds` when
+    proxies or instances may appear.
     """
-    if value is None:
-        return PrecondSpec("none")
-    if isinstance(value, str) and value in default_precond_registry():
-        return default_precond_registry().get(value).spec
-    return PrecondSpec.parse(value)
+    return AXIS.parse(value)
 
 
 def resolve_preconds(

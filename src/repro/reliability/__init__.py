@@ -113,7 +113,6 @@ from repro.reliability.models import (
 )
 from repro.reliability.registry import (
     FaultRegistry,
-    RegisteredFaultModel,
     default_fault_registry,
     resolve_faults,
     unreliable,
@@ -121,7 +120,6 @@ from repro.reliability.registry import (
 from repro.reliability.precision import (
     PrecisionRegistry,
     PrecisionSpec,
-    RegisteredPrecision,
     default_precision_registry,
     parse_precision,
 )
@@ -170,12 +168,10 @@ __all__ = [
     "CompositeFaults",
     "build_model",
     "FaultRegistry",
-    "RegisteredFaultModel",
     "default_fault_registry",
     "resolve_faults",
     # precision (the fourth axis)
     "PrecisionSpec",
-    "RegisteredPrecision",
     "PrecisionRegistry",
     "default_precision_registry",
     "parse_precision",

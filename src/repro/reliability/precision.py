@@ -52,7 +52,6 @@ from repro.spec import Axis, KindSpec, RegisteredSpec, Registry
 __all__ = [
     "PrecisionSpec",
     "PRECISION_KINDS",
-    "RegisteredPrecision",
     "PrecisionRegistry",
     "default_precision_registry",
     "parse_precision",
@@ -141,25 +140,21 @@ class PrecisionSpec(KindSpec):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-class RegisteredPrecision(RegisteredSpec):
-    """One named precision configuration."""
-
-
-def _builtin_precisions() -> List[RegisteredPrecision]:
+def _builtin_precisions() -> List[RegisteredSpec]:
     spec = PrecisionSpec.parse
 
     return [
-        RegisteredPrecision(
+        RegisteredSpec(
             name="fp64",
             spec=spec("fp64"),
             title="Full double precision (the default path, bit for bit)",
         ),
-        RegisteredPrecision(
+        RegisteredSpec(
             name="fp32",
             spec=spec("fp32"),
             title="Single-precision compute (half the memory traffic)",
         ),
-        RegisteredPrecision(
+        RegisteredSpec(
             name="fp32_fp16",
             spec=spec("fp32:storage=fp16"),
             title="Single-precision compute over half-precision matrix storage",
@@ -167,7 +162,7 @@ def _builtin_precisions() -> List[RegisteredPrecision]:
     ]
 
 
-class PrecisionRegistry(Registry[RegisteredPrecision]):
+class PrecisionRegistry(Registry[RegisteredSpec]):
     """Index of named precision configurations."""
 
     NOUN = "precision"
@@ -184,15 +179,11 @@ def parse_precision(
 ) -> PrecisionSpec:
     """Resolve anything precision-shaped into a :class:`PrecisionSpec`.
 
-    ``None`` resolves to the ``"fp64"`` (identity) spec.  Strings are
-    looked up in the registry first; anything else is parsed as a
-    compact spec string.
+    ``None`` resolves to the ``"fp64"`` (identity) spec, a registered
+    name to its entry's spec, anything else through
+    :meth:`repro.spec.Axis.parse`.
     """
-    if value is None:
-        return PrecisionSpec("fp64")
-    if isinstance(value, str) and value in default_precision_registry():
-        return default_precision_registry().get(value).spec
-    return PrecisionSpec.parse(value)
+    return AXIS.parse(value)
 
 
 AXIS = Axis(

@@ -16,7 +16,6 @@ SRP :class:`~repro.reliability.region.Region` of such a model.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Mapping, Union
 
 from repro.reliability.models import FaultModel, build_model
@@ -26,7 +25,6 @@ from repro.reliability.spec import FaultSpec
 from repro.spec import Axis, RegisteredSpec, Registry
 
 __all__ = [
-    "RegisteredFaultModel",
     "FaultRegistry",
     "default_fault_registry",
     "resolve_faults",
@@ -35,60 +33,51 @@ __all__ = [
 ]
 
 
-class RegisteredFaultModel(RegisteredSpec):
-    """One named fault-model configuration."""
-
-    def build(self, **overrides) -> FaultModel:
-        """Instantiate the model, with optional parameter overrides."""
-        spec = self.spec.with_params(**overrides) if overrides else self.spec
-        return build_model(spec)
-
-
-def _builtin_models() -> List[RegisteredFaultModel]:
+def _builtin_models() -> List[RegisteredSpec]:
     spec = FaultSpec.parse
 
     return [
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="none",
             spec=spec("none"),
             title="Fault-free control",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="bitflip",
             spec=spec("bitflip:p=0.02"),
             title="Per-operation Bernoulli bit flip, any bit",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="bitflip_mantissa",
             spec=spec("bitflip:p=0.02,bits=0..51"),
             title="Bernoulli bit flip restricted to mantissa bits",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="bitflip_exponent",
             spec=spec("bitflip:p=0.02,bits=52..62"),
             title="Bernoulli bit flip restricted to exponent bits",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="basis_bitflip",
             spec=spec("basis_bitflip:bits=0..63"),
             title="Targeted single flip in the newest Krylov basis vector",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="sdc_value",
             spec=spec("perturb:p=0.01,scale=1000.0"),
             title="SDC value perturbation (scale one element x1e3)",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="msg_corrupt",
             spec=spec("msg_corrupt:p=0.001"),
             title="Per-send message payload corruption",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="proc_fail",
             spec=spec("proc_fail:mtbf=3600.0"),
             title="Exponential (memoryless) process failures",
         ),
-        RegisteredFaultModel(
+        RegisteredSpec(
             name="proc_fail_weibull",
             spec=spec("proc_fail:mtbf=3600.0,model=weibull,shape=0.7"),
             title="Weibull process failures (infant-mortality hazard)",
@@ -96,7 +85,7 @@ def _builtin_models() -> List[RegisteredFaultModel]:
     ]
 
 
-class FaultRegistry(Registry[RegisteredFaultModel]):
+class FaultRegistry(Registry[RegisteredSpec]):
     """Index of named fault-model configurations."""
 
     NOUN = "fault model"
@@ -108,38 +97,22 @@ class FaultRegistry(Registry[RegisteredFaultModel]):
 default_fault_registry = FaultRegistry.default
 
 
-@lru_cache(maxsize=256)
-def _parse_string(text: str) -> FaultSpec:
-    """:meth:`FaultSpec.parse` of a compact string, once per string.
-
-    Strings and specs are both immutable (a spec's ``params`` is a
-    read-only view), so every caller may share the one parse.
-    """
-    return FaultSpec.parse(text)
-
-
 def resolve_faults(
     value: Union[None, str, Mapping, FaultSpec, FaultModel],
     **overrides,
 ) -> FaultModel:
     """Resolve anything fault-shaped into a ready :class:`FaultModel`.
 
-    ``None`` resolves to the fault-free model.  Strings are looked up
-    in the registry first; anything else is parsed as a compact spec
-    string.  ``overrides`` merge into the spec's parameters (``None``
-    values are ignored), so drivers can forward optional arguments
-    like ``bits=bit_range`` without clobbering explicit spec values.
+    ``None`` resolves to the fault-free model, a registered name to its
+    entry's spec, anything else through :meth:`repro.spec.Axis.parse`.
+    ``overrides`` merge into the spec's parameters (``None`` values are
+    ignored), so drivers can forward optional arguments like
+    ``bits=bit_range`` without clobbering explicit spec values.
     """
     if isinstance(value, FaultModel):
         return value.with_params(**overrides) if overrides else value
-    if value is None:
-        value = "none"
-    if isinstance(value, str) and value in default_fault_registry():
-        return default_fault_registry().get(value).build(**overrides)
-    spec = _parse_string(value) if isinstance(value, str) else FaultSpec.parse(value)
-    if overrides:
-        spec = spec.with_params(**overrides)
-    return build_model(spec)
+    spec = AXIS.parse(value)
+    return build_model(spec.with_params(**overrides) if overrides else spec)
 
 
 def unreliable(faults="none", *, seed=None, name="unreliable") -> Region:

@@ -12,13 +12,15 @@ in another:
   ``"+"``-joined tokens, :func:`parse_spec_value` /
   :func:`format_spec_value` for the value forms;
 * :class:`KindSpec` -- the frozen ``(kind, params)`` base every spec
-  class extends with a kinds table and a value hook;
+  class extends with a kinds table and a value hook, and which owns
+  ``"+"`` composition for the classes that declare it;
 * :class:`Registry` -- the name-keyed index every registry extends with
   a noun, its listing columns and its builtin entries
   (:class:`RegisteredSpec` is the entry shape the spec-named axes share);
 * :class:`Axis` -- one record per axis tying the three together, which
   is what ``campaign list``, the ``spec-strings`` lint in ``tests/`` and the
-  axis contract test iterate (:func:`repro.axes.declared_axes`).
+  axis contract test iterate (:func:`repro.axes.declared_axes`), and
+  which resolves a value to a spec (:meth:`Axis.parse`).
 
 String grammar (see CAMPAIGNS.md for the full manual)::
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from types import MappingProxyType
 from typing import (
     Any,
@@ -64,6 +67,7 @@ __all__ = [
     "parse_kind_params",
     "format_kind_params",
     "split_composed",
+    "COMPOSE_KIND",
     "KindSpec",
     "Registry",
     "RegisteredSpec",
@@ -77,6 +81,10 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # exponent's "+" ("1e+16") is always followed by a digit, so the two
 # never collide.
 _COMPOSE_SPLIT = re.compile(r"\+(?=\s*[A-Za-z_])")
+
+#: The kind of a ``"+"`` composition; a spec class whose ``KINDS``
+#: lists it (with no parameters) composes.
+COMPOSE_KIND = "compose"
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +214,8 @@ def split_composed(text: str, label: str = "spec") -> List[str]:
     """Split a spec string on the ``+`` composition separator.
 
     Returns the non-empty single-spec tokens; raises on malformed
-    strings (empty components).  Shared by the spec flavours that
-    support ``"a:p=1+b:q=2"`` composition (faults and chaos).
+    strings (empty components).  :meth:`KindSpec.parse` calls it for
+    the spec classes that compose (faults and chaos).
     """
     parts = [part.strip() for part in _COMPOSE_SPLIT.split(text)]
     if not parts or any(not part for part in parts):
@@ -236,6 +244,11 @@ class KindSpec:
       the loose ``{"kind": "ssor", "omega": 1.2}`` -- what JSON stores;
     * **spec objects** -- what builders consume.
 
+    A class whose ``KINDS`` lists :data:`COMPOSE_KIND` composes:
+    ``"a:p=1+b:q=2"`` parses to a ``"compose"`` spec whose
+    :attr:`children` are the parts, in the dict form ``{"kind":
+    "compose", "children": [...]}``.
+
     Attributes
     ----------
     kind:
@@ -245,10 +258,13 @@ class KindSpec:
         scalars), as a read-only view: a spec never changes after
         construction, so a parse may be cached; derive a changed spec
         with :meth:`with_params`.
+    children:
+        The composed specs of a ``"compose"`` spec; empty otherwise.
     """
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
+    children: Tuple["KindSpec", ...] = ()
 
     #: What the axis calls one of its things ("preconditioner").
     NOUN: ClassVar[str] = "spec"
@@ -282,7 +298,13 @@ class KindSpec:
                     )
                 )
             params[name] = _normalize_value(self.params[name])
+        children = tuple(self.children)
+        if kind == COMPOSE_KIND and len(children) < 2:
+            raise ValueError("compose specs need at least two children")
+        if kind != COMPOSE_KIND and children:
+            raise ValueError(f"only {COMPOSE_KIND!r} specs may have children")
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "children", children)
         self._check_values(params)
         object.__setattr__(self, "params", MappingProxyType(params))
 
@@ -314,18 +336,40 @@ class KindSpec:
         if isinstance(value, Mapping):
             return cls.from_dict(value)
         if isinstance(value, str):
-            return cls._parse_string(value)
+            label = cls._label()
+            if COMPOSE_KIND not in cls.KINDS:
+                return cls(*parse_kind_params(value, label))
+            return cls.compose(*(
+                cls(*parse_kind_params(part, label))
+                for part in split_composed(value, label)
+            ))
         raise TypeError(
             f"cannot parse a {cls._label()} from {type(value).__name__}"
         )
 
     @classmethod
-    def _parse_string(cls, text: str):
-        return cls(*parse_kind_params(text, cls._label()))
+    def compose(cls, *specs):
+        """Compose several specs into one (``kind="compose"``).
+
+        Nested compositions are flattened, so ``compose(a, compose(b,
+        c))`` equals ``compose(a, b, c)``, and one spec composes to
+        itself.
+        """
+        children = [part for spec in specs for part in cls.parse(spec).components]
+        if len(children) == 1:
+            return children[0]
+        return cls(COMPOSE_KIND, {}, tuple(children))
+
+    @property
+    def components(self) -> Tuple["KindSpec", ...]:
+        """The single specs this one stands for: its children, or itself."""
+        return self.children or (self,)
 
     # -- serialization -------------------------------------------------
     def to_string(self) -> str:
         """Compact spec-string form; inverse of :meth:`parse`."""
+        if self.children:
+            return "+".join(child.to_string() for child in self.children)
         return format_kind_params(self.kind, self.params)
 
     def to_dict(self) -> dict:
@@ -336,6 +380,8 @@ class KindSpec:
                 name: list(value) if isinstance(value, tuple) else value
                 for name, value in self.params.items()
             }
+        if self.children:
+            data["children"] = [child.to_dict() for child in self.children]
         return data
 
     @classmethod
@@ -343,7 +389,11 @@ class KindSpec:
         """Rebuild a spec from :meth:`to_dict` output (or a loose dict)."""
         if "kind" not in data:
             raise ValueError(f"{cls._label()} dicts need a 'kind' entry")
-        if set(data) - {"kind", "params"}:
+        keys = set(data)
+        if "children" in keys and keys <= {"kind", "params", "children"}:
+            children = tuple(map(cls.from_dict, data["children"]))
+            return cls(str(data["kind"]), dict(data.get("params") or {}), children)
+        if keys - {"kind", "params"}:
             # Loose form: {"kind": "ssor", "omega": 1.2}.
             return cls(str(data["kind"]), {k: data[k] for k in data if k != "kind"})
         return cls(str(data["kind"]), dict(data.get("params") or {}))
@@ -353,8 +403,14 @@ class KindSpec:
         """Return a copy with ``overrides`` merged into the parameters.
 
         ``None`` overrides are dropped (they mean "keep the default"),
-        so callers can forward optional driver arguments verbatim.
+        so callers can forward optional driver arguments verbatim.  A
+        composition has no parameters of its own to override.
         """
+        if self.children:
+            raise ValueError(
+                "cannot override parameters of a compose spec; "
+                "override its children instead"
+            )
         merged = dict(self.params)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         return type(self)(self.kind, merged)
@@ -450,6 +506,12 @@ class RegisteredSpec:
 # ----------------------------------------------------------------------
 # The axis record
 # ----------------------------------------------------------------------
+# Strings and specs are both immutable, so every caller may share one parse.
+@lru_cache(maxsize=1024)
+def _parse_string(spec: Type[KindSpec], text: str) -> KindSpec:
+    return spec.parse(text)
+
+
 @dataclass(frozen=True)
 class Axis:
     """One declared axis: what iterates axes iterates these.
@@ -463,12 +525,13 @@ class Axis:
         The axis's :class:`KindSpec` class (``None``: entries are not
         spec-named -- the solver axis).
     registry:
-        Accessor of the process-wide :class:`Registry` (``None``: the
+        Accessor of the process-wide :class:`Registry`, whose entries
+        each carry the ``spec`` their name stands for (``None``: the
         axis has no named entries -- chaos).
     resolve:
         The axis entry point: anything axis-shaped (registered name,
         spec string, dict, spec object, ``None``) in, the resolved
-        object out.
+        object out.  It reaches the spec through :meth:`parse`.
     entry_points:
         Further public callables whose first argument is a spec of this
         axis; with ``resolve`` and ``<spec class>.parse`` these are the
@@ -486,3 +549,15 @@ class Axis:
     entry_points: Tuple[Callable, ...] = ()
     keywords: Tuple[str, ...] = ()
     identity: Optional[str] = None
+
+    def parse(self, value) -> KindSpec:
+        """The spec an axis-shaped value stands for: ``None`` is the
+        identity, a registered name its entry's spec; any other string
+        is parsed once per (spec class, string)."""
+        if value is None:
+            value = self.identity
+        if not isinstance(value, str):
+            return self.spec.parse(value)
+        if self.registry is not None and value in self.registry():
+            return self.registry().get(value).spec
+        return _parse_string(self.spec, value)

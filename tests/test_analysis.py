@@ -579,7 +579,7 @@ class TestSpecStringsRule:
         calls = _axis_tables().calls
         assert {"resolve_faults", "FaultSpec.parse", "parse_precond",
                 "resolve_preconds", "build_preconditioner", "parse_precision",
-                "resolve_backend", "CommSpec.parse", "ChaosSpec.parse"} <= set(calls)
+                "resolve_backend", "CommSpec.parse", "parse_chaos"} <= set(calls)
         assert "resolve_precisions" not in calls
         for name in calls:
             head, *rest = name.split(".")

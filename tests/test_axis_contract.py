@@ -1,7 +1,7 @@
 """The one contract every declared axis and every registry obeys.
 
 An axis is a declaration (:mod:`repro.spec`): a kinds table, a value
-hook, an entry type, a builtin list and an ``AXIS`` record.  What the
+hook, a builtin list and an ``AXIS`` record.  What the
 shared :class:`~repro.spec.KindSpec` and :class:`~repro.spec.Registry`
 promise is checked here once, parametrized over
 :func:`repro.axes.declared_axes` -- not per axis, and not in
@@ -22,10 +22,12 @@ import pytest
 from repro.axes import declared_axes
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.registry import default_registry
+from repro.krylov.registry import default_solver_registry
 from repro.linalg import poisson_2d
+from repro.precond import resolve_preconds
 from repro.reliability.models import MODEL_KINDS
 from repro.reliability.spec import FAULT_KINDS
-from repro.spec import KindSpec, Registry
+from repro.spec import Registry
 
 AXES = {axis.name: axis for axis in declared_axes()}
 SPEC_AXES = [axis for axis in AXES.values() if axis.spec is not None]
@@ -33,26 +35,26 @@ REGISTRY_AXES = [axis for axis in AXES.values() if axis.registry is not None]
 REGISTRIES = {axis.name: axis.registry() for axis in REGISTRY_AXES}
 REGISTRIES["experiment"] = default_registry()
 
-# Parameterized single-kind specs beyond the registered entries.
+# Parameterized specs beyond the registered entries.
 SAMPLES = {
-    "fault": ["bitflip:p=1e-4,bits=52..62", "proc_fail:times=1.5;3.0,ranks=1;2"],
+    "fault": ["bitflip:p=1e-4,bits=52..62", "proc_fail:times=1.5;3.0,ranks=1;2",
+              "bitflip:p=0.05+proc_fail:mtbf=3600.0"],
     "precond": ["ssor:omega=1.2", "bjacobi:bs=4"],
     "precision": ["fp32:storage=fp16", "fp64:storage=fp32"],
     "comm": ["sim:procs=2,watchdog=5.0", "shmem:procs=8,timeout=2.5", "shmem:procs=4"],
-    "chaos": ["worker_crash:p=0.1", "worker_hang:attempts=2,p=0.05,seconds=120.0"],
+    "chaos": ["worker_crash:p=0.1", "worker_hang:attempts=2,p=0.05,seconds=120.0",
+              "worker_crash:p=0.1+result_corrupt:p=0.01"],
 }
 
-# What an entry's build() needs beyond the entry itself.
-BUILD_ARGS = {"precond": (poisson_2d(6),)}
-
-
-def entry_spec(axis, entry) -> KindSpec:
-    """The spec an entry stands for (backend entries are named by kind)."""
-    return getattr(entry, "spec", None) or axis.spec.parse(entry.name)
+# An axis entry point that builds an entry, where ``resolve`` does not.
+BUILDERS = {
+    "solver": lambda name: default_solver_registry().get(name),
+    "precond": lambda name: resolve_preconds(name, poisson_2d(6)),
+}
 
 
 def specs_of(axis):
-    registered = [entry_spec(axis, e) for e in axis.registry()] if axis.registry else []
+    registered = [entry.spec for entry in axis.registry()] if axis.registry else []
     return registered + [axis.spec.parse(text) for text in SAMPLES[axis.name]]
 
 
@@ -130,10 +132,10 @@ class TestEntries:
             assert len(entry.row()) == len(registry.COLUMNS)
 
     def test_builds(self, axis):
+        build = BUILDERS.get(axis.name, axis.resolve)
         for entry in axis.registry():
-            if hasattr(entry, "build"):
-                built = entry.build(*BUILD_ARGS.get(axis.name, ()))
-                assert (built is None) == (axis.name == "precond" and entry.spec.kind == "none")
+            built = build(entry.name)
+            assert (built is None) == (axis.name == "precond" and entry.spec.kind == "none")
 
 
 @pytest.mark.parametrize(
@@ -141,7 +143,7 @@ class TestEntries:
 )
 def test_names_resolve_through_entry_point(axis):
     for entry in axis.registry():
-        expected = entry_spec(axis, entry).to_string()
+        expected = entry.spec.to_string()
         assert resolved_spec(axis, entry.name) == expected
         assert resolved_spec(axis, entry.name.upper()) == expected
 
@@ -173,8 +175,7 @@ class TestSpecs:
         """Kinds are case-folded, parameters sorted -- on every axis."""
         for spec in specs_of(axis):
             reversed_params = dict(reversed(list(spec.params.items())))
-            again = type(spec)(spec.kind.upper(), reversed_params,
-                               *([spec.children] if hasattr(spec, "children") else []))
+            again = type(spec)(spec.kind.upper(), reversed_params, spec.children)
             assert again == spec
             assert again.to_string() == spec.to_string()
             assert again.to_dict() == spec.to_dict()
@@ -184,7 +185,7 @@ class TestSpecs:
 
     def test_loose_dict_form(self, axis):
         for spec in specs_of(axis):
-            if getattr(spec, "children", ()):
+            if spec.children:
                 continue
             loose = {"kind": spec.kind, **spec.params}
             assert axis.spec.from_dict(loose) == spec
@@ -271,7 +272,8 @@ class TestDifferences:
     def test_plus_composes_faults_and_chaos_only(self):
         assert AXES["fault"].resolve("bitflip:p=0.05+proc_fail:mtbf=3600.0").kind == "compose"
         chaos = AXES["chaos"].resolve("worker_crash:p=0.1+result_corrupt:p=0.01")
-        assert [(f.kind, dict(f.params)) for f in chaos.faults] == [
+        assert chaos.kind == "compose"
+        assert [(f.kind, dict(f.params)) for f in chaos.children] == [
             ("worker_crash", {"p": 0.1}), ("result_corrupt", {"p": 0.01}),
         ]
         for name in ("precond", "precision", "comm"):

@@ -774,10 +774,13 @@ with pytest.raises(ValueError, match="does not accept"):
         with pytest.warns(RuntimeWarning, match="line 3"):
             store = ResultStore(str(path))
         assert len(store) == 3
-        rerun = CampaignRunner(store).run(scenarios)
+        # The ledger's partial line is mid-file now too, and warns alike.
+        with pytest.warns(RuntimeWarning, match="line 3"):
+            rerun = CampaignRunner(store).run(scenarios)
         assert [o.status for o in rerun] == ["cached"] * 3
         # The ledger kept the resumed attempt's terminal record.
-        outcomes = FailureLedger(ledger_path).outcomes()
+        with pytest.warns(RuntimeWarning, match="line 3"):
+            outcomes = FailureLedger(ledger_path).outcomes()
         assert {o.key for o in resumed} == set(outcomes)
         assert outcomes[resumed[2].key].outcome == "completed"
 

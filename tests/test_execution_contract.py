@@ -22,7 +22,7 @@ chaos.  Each example runs into a fresh store and ledger and asserts
 
 The explicit examples make every chaos path run on every run; the
 ``worker_hang`` one over E7 cells (each < 20 ms of honest work) is the
-property's only wall-clock wait.  Six drawn examples plus the three
+property's only wall-clock wait.  Six drawn examples plus the four
 explicit ones keep the property inside its 2.5 s budget (≈ 1.5 s on a
 2-core host).
 """
@@ -40,9 +40,10 @@ from hypothesis import strategies as st
 from repro.campaign.builtin import builtin_campaign, builtin_campaign_names
 from repro.campaign.executor import (
     BATCH_PARAMS_KEY,
-    ChaosSpec,
+    ChaosFault,
     FailureLedger,
     RetryPolicy,
+    parse_chaos,
 )
 from repro.campaign.runner import CampaignRunner, plan_batch_groups
 from repro.campaign.spec import Scenario, canonical_json, scenario_key
@@ -80,6 +81,13 @@ def _cells(experiment: str, tag: str, count: int) -> List[Scenario]:
     return found[:count]
 
 
+def _cell(experiment: str, tag: str, **params) -> Scenario:
+    """The one declared scenario with exactly these resolved parameters."""
+    (found,) = [s for s in SPACE if s.experiment == experiment and s.tag == tag
+                and dict(s.params) == params]
+    return found
+
+
 #: Reference payload per scenario key, kept across examples.
 _REFERENCE: Dict[str, str] = {}
 
@@ -92,13 +100,13 @@ def _reference(scenarios: List[Scenario]) -> Dict[str, str]:
     return {s.key: _REFERENCE[s.key] for s in scenarios}
 
 
-def _predicted(chaos: ChaosSpec, key: str) -> List[str]:
+def _predicted(chaos: ChaosFault, key: str) -> List[str]:
     """Attempt statuses of unit ``key``: crash and hang fire before the
     driver runs and corruption after it, each kind in fault order."""
     statuses: List[str] = []
     for attempt in range(1, RETRY.max_attempts + 1):
         fired = sorted(
-            (f.kind for f in chaos.faults if f.hits(BASE_SEED, key, attempt)),
+            (f.kind for f in chaos.components if f.hits(BASE_SEED, key, attempt)),
             key=lambda kind: kind == "result_corrupt",
         )
         if not fired:
@@ -137,7 +145,7 @@ def _chaos(draw) -> str:
 def _check_contract(scenarios, workers, batch, chaos, timeout):
     """One example of the property.  It lives outside the test function
     because ``derandomize`` seeds the draws from that function's source."""
-    spec = ChaosSpec.parse(chaos)
+    spec = parse_chaos(chaos)
     reference = _reference(scenarios)
     units = _unit_keys(scenarios, batch)
     predicted = {s.key: _predicted(spec, units[s.key]) for s in scenarios}
@@ -168,9 +176,10 @@ def _check_contract(scenarios, workers, batch, chaos, timeout):
             expected = list(enumerate(statuses, 1))
             assert [(r.attempt, r.status) for r in history[key]] == expected
             assert history[key][-1].outcome == "completed"
-        # A chaos kind that always fires is seen firing.
+        # Every predicted status is seen.  (A p=1 kind need not be: a
+        # crash on attempt 1 can close a one-attempt corrupt window.)
         seen = {r.status for records in history.values() for r in records}
-        assert {CHAOS_STATUS[f.kind] for f in spec.faults if f.p == 1.0} <= seen
+        assert {status for statuses in predicted.values() for status in statuses} <= seen
 
         # (b) a re-run executes nothing and writes nothing.
         before = store.read_bytes(), ledger.read_bytes()
@@ -193,5 +202,9 @@ def _check_contract(scenarios, workers, batch, chaos, timeout):
          chaos="result_corrupt:p=1,attempts=1", timeout=None)
 @example(scenarios=_cells("E7", "smoke", 2), workers=2, batch=1,
          chaos="worker_hang:p=1,attempts=1,seconds=60", timeout=0.3)
+@example(scenarios=[_cell("E1", "default", grid=10, n_trials=4, inject_at=6,
+                          check_period=1, seed=1227665446)],
+         workers=1, batch=1, timeout=None,
+         chaos="worker_crash:p=0.3,attempts=1+result_corrupt:p=1.0,attempts=1")
 def test_execution_never_changes_the_answer(scenarios, workers, batch, chaos, timeout):
     _check_contract(scenarios, workers, batch, chaos, timeout)

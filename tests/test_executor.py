@@ -22,10 +22,10 @@ from repro.campaign.executor import (
     FAILURE_OUTCOMES,
     AttemptRecord,
     ChaosFault,
-    ChaosSpec,
     FailureLedger,
     RetryPolicy,
     SupervisedExecutor,
+    parse_chaos,
     payload_checksum,
 )
 from repro.campaign.report import failure_table, render_report
@@ -135,31 +135,31 @@ class TestRetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# ChaosSpec
+# ChaosFault
 # ----------------------------------------------------------------------
-class TestChaosSpec:
+class TestChaosFault:
     def test_string_round_trip(self):
         text = "worker_crash:p=0.1+worker_hang:p=0.05,seconds=120.0+result_corrupt:p=0.01"
-        spec = ChaosSpec.parse(text)
+        spec = parse_chaos(text)
         assert spec.to_string() == text
-        assert ChaosSpec.parse(spec.to_string()) == spec
-        assert ChaosSpec.parse({"faults": [
-            {"kind": f.kind, "params": dict(f.params)} for f in spec.faults
+        assert parse_chaos(spec.to_string()) == spec
+        assert parse_chaos({"kind": "compose", "children": [
+            {"kind": f.kind, "params": dict(f.params)} for f in spec.children
         ]}) == spec
 
     def test_none_is_identity(self):
-        assert not ChaosSpec.parse("none")
-        assert not ChaosSpec.parse(None)
-        assert ChaosSpec.parse("none").to_string() == "none"
+        assert not parse_chaos("none").active
+        assert not parse_chaos(None).active
+        assert parse_chaos("none").to_string() == "none"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos kind"):
-            ChaosSpec.parse("worker_explode:p=0.5")  # repro: allow(spec-strings)
+            parse_chaos("worker_explode:p=0.5")  # repro: allow(spec-strings)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="does not take parameters"):
             # repro: allow(spec-strings) -- deliberately malformed fixture
-            ChaosSpec.parse("worker_crash:p=0.5,seconds=10")
+            parse_chaos("worker_crash:p=0.5,seconds=10")
 
     def test_probability_validated(self):
         with pytest.raises(ValueError, match="outside"):
@@ -179,13 +179,13 @@ class TestChaosSpec:
         assert not fault.hits(0, "k", 3)
 
     def test_corrupt_result_breaks_checksum(self):
-        spec = ChaosSpec.parse("result_corrupt:p=1")
+        spec = parse_chaos("result_corrupt:p=1")
         payload = {"summary": {"x": 1.0}}
         checksum = payload_checksum(payload)
         corrupted = spec.corrupt_result(payload, 0, "k", 1)
         assert payload_checksum(corrupted) != checksum
         # p=0 never corrupts.
-        clean = ChaosSpec.parse("result_corrupt:p=0").corrupt_result(payload, 0, "k", 1)
+        clean = parse_chaos("result_corrupt:p=0").corrupt_result(payload, 0, "k", 1)
         assert payload_checksum(clean) == checksum
 
 
@@ -222,6 +222,18 @@ class TestFailureLedger:
             handle.write('{"key": "k2", "trunc')
         assert len(FailureLedger(path)) == 1
 
+    def test_corrupt_midfile_line_warns_and_neighbours_load(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        ledger = FailureLedger(str(path))
+        ledger.record(AttemptRecord("k1", "E7", 1, "error", outcome="failed"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{corrupt mid-file line}\n")
+        ledger.record(AttemptRecord("k2", "E7", 1, "timeout", outcome="timeout"))
+        with pytest.warns(RuntimeWarning, match=r"line 2\)"):
+            reloaded = FailureLedger(str(path))
+        assert [r.key for r in reloaded._records] == ["k1", "k2"]
+        assert sorted(reloaded.failed_keys()) == ["k1", "k2"]
+
     def test_record_after_interrupted_write_is_not_lost(self, tmp_path):
         path = tmp_path / "l.jsonl"
         ledger = FailureLedger(str(path))
@@ -232,7 +244,9 @@ class TestFailureLedger:
         assert len(resumed) == 1
         resumed.record(AttemptRecord("k2", "E7", 1, "error", outcome="failed"))
         resumed.record(AttemptRecord("k3", "E7", 1, "ok", outcome="completed"))
-        reloaded = FailureLedger(str(path))
+        # The partial line is mid-file now: the result store's rule warns.
+        with pytest.warns(RuntimeWarning, match=r"line 2\)"):
+            reloaded = FailureLedger(str(path))
         # The first record after the partial line starts on a fresh
         # line instead of being glued onto it and dropped with it.
         assert [r.key for r in reloaded._records] == ["k1", "k2", "k3"]

@@ -21,6 +21,7 @@ from repro.experiments import (
     e5_coarse_recovery,
     e6_ftgmres,
     e7_efficiency,
+    e8_solvers,
 )
 from repro.experiments.common import ExperimentResult
 from repro.machine import EccStallNoise, MachineModel
@@ -180,3 +181,15 @@ class TestExperimentE7:
         result = e7_efficiency.run(node_counts=(1_000,))
         text = result.render()
         assert "E7" in text and "cpr_efficiency" in text
+
+
+class TestExperimentE8:
+    def test_solver_spelling_does_not_change_the_result(self):
+        # The canonical name seeds the fault stream and labels the result.
+        params = dict(grid=6, fault_probability=0.05, bit_range=(52, 62))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            upper, lower = (e8_solvers.run(solvers=name, **params)
+                            for name in ("GMRES", "gmres"))
+        assert upper.parameters["solvers"] == ("gmres",)
+        assert canonical_json(upper.to_dict()) == canonical_json(lower.to_dict())

@@ -135,7 +135,7 @@ class TestRegistryLookup:
         for entry in REGISTRY:
             assert PrecondSpec.parse(entry.spec.to_string()) == entry.spec
             assert PrecondSpec.from_dict(entry.spec.to_dict()) == entry.spec
-            built = entry.build(matrix)
+            built = resolve_preconds(entry.name, matrix)
             if entry.spec.kind == "none":
                 assert built is None
                 continue
