@@ -27,9 +27,10 @@ Semantics shared by all backends:
   collectives, the operations that genuinely depend on the peer;
 * any operation depending on a dead rank raises
   :class:`~repro.comm.errors.ProcFailure` (ULFM-style notification);
-* a bounded wait that expires raises
-  :class:`~repro.comm.errors.CommTimeoutError` -- no backend is
-  permitted to hang;
+* no backend may hang: a program that can never complete raises
+  :class:`~repro.comm.errors.SimDeadlockError`, decided from the
+  simulator's own state, or its subclass
+  :class:`~repro.comm.errors.CommTimeoutError` when a bounded wait expires;
 * an exception raised while a collective completes (a reduction over
   arrays of mismatched shapes) poisons it:
   every participant raises the same typed error, promptly -- nobody is

@@ -10,10 +10,11 @@ backend-agnostic:
 * :class:`ProcFailure` -- an operation depended on a rank that is gone.
   It *is* :class:`RankFailedError`: survivors of a simulated hard fault
   and survivors of a SIGKILLed shmem rank catch exactly this type.
+* :class:`SimDeadlockError` -- the simulator saw every live rank
+  blocked with none able to proceed.
 * :class:`CommTimeoutError` -- a bounded wait expired with no progress.
-  It subclasses :class:`SimDeadlockError` (the simulator's watchdog
-  verdict), so "deadlock-freedom under timeout" is one assertion on
-  every backend: the operation raises, it never hangs.
+  It subclasses :class:`SimDeadlockError`, so "deadlock-freedom" is one
+  assertion on every backend: the operation raises, it never hangs.
 * :class:`ProcessDeathError` -- raised *inside* a simulated rank when
   its scheduled hard fault strikes; the runtime wrapper catches it to
   mark the rank dead (application code normally never sees it).
@@ -21,7 +22,7 @@ backend-agnostic:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 __all__ = [
     "CommTimeoutError",
@@ -93,26 +94,24 @@ ProcFailure = RankFailedError
 
 
 class SimDeadlockError(SimMpiError):
-    """The runtime's wall-clock watchdog expired while a rank was waiting.
+    """Every live rank is blocked and none can proceed: a deadlock.
 
-    Indicates a bug in the simulated program (mismatched sends/receives
-    or collectives) rather than a modeled fault; raised so the test
-    suite fails fast instead of hanging.
+    Raised by the simulator in each blocked rank; ``blocked`` maps every
+    blocked rank to its operation.  A bug in the simulated program
+    (mismatched sends/receives or collectives), not a modeled fault.
     """
 
-    def __init__(self, rank: int, operation: str, waited: float):
+    def __init__(self, rank: int, operation: str, blocked: Mapping[int, str]):
+        self.rank, self.operation, self.blocked = rank, operation, dict(blocked)
+        waits = "; ".join(f"rank {r} in {op}" for r, op in sorted(self.blocked.items()))
         super().__init__(
-            f"rank {rank} waited {waited:.1f}s of wall-clock time in {operation}; "
-            "likely mismatched communication in the simulated program"
+            f"rank {rank} deadlocked in {operation}: every live rank is blocked "
+            f"({waits}); mismatched communication in the simulated program"
         )
-        self.rank = rank
-        self.operation = operation
-        self.waited = waited
 
     def __reduce__(self):
-        # See RankFailedError.__reduce__; type(self) keeps subclasses
-        # (CommTimeoutError) pickling as themselves.
-        return (type(self), (self.rank, self.operation, self.waited))
+        # See RankFailedError.__reduce__.
+        return (type(self), (self.rank, self.operation, self.blocked))
 
 
 class CommTimeoutError(SimDeadlockError):
@@ -122,3 +121,14 @@ class CommTimeoutError(SimDeadlockError):
     collective exceeds its deadline (mismatched communication in the
     program, or a peer wedged without dying).
     """
+
+    def __init__(self, rank: int, operation: str, waited: float):
+        self.rank, self.operation, self.waited = rank, operation, waited
+        SimMpiError.__init__(
+            self,
+            f"rank {rank} waited {waited:.1f}s of wall-clock time in {operation}; "
+            "likely mismatched communication in the program",
+        )
+
+    def __reduce__(self):
+        return (type(self), (self.rank, self.operation, self.waited))

@@ -100,14 +100,14 @@ class BoundBackend:
 
         Returns the per-rank return values in rank order (``None`` for
         ranks killed by an injected hard fault).  ``n_ranks`` defaults
-        to the spec's ``procs``; the spec's ``watchdog``/``timeout``
-        parameter becomes the backend's per-wait bound.  ``failure_plan``
-        is a :class:`~repro.reliability.process.FailurePlan` or ``None``;
+        to the spec's ``procs``; the spec's ``timeout`` parameter becomes
+        the launcher's ``timeout``.  ``failure_plan`` is a
+        :class:`~repro.reliability.process.FailurePlan` or ``None``;
         fault specs go through ``faults``
         (:func:`~repro.comm.base.resolve_job_faults`).
         """
         launch = getattr(importlib.import_module(self.entry.module), self.entry.launcher)
-        timeout = self.spec.get("timeout", self.spec.get("watchdog"))
+        timeout = self.spec.get("timeout")
         if timeout is not None:
             kwargs.setdefault("timeout", float(timeout))
         return launch(

@@ -36,6 +36,9 @@ care about:
   recovery function (see :mod:`repro.lflr`), and
   :meth:`Comm.advance_epoch` re-establishes collective matching after
   a repair, mirroring ULFM's revoke/shrink/spawn cycle.
+* Deadlock detection from the runtime's own state: once every live
+  rank is blocked and none can proceed, each raises
+  :class:`~repro.comm.errors.SimDeadlockError` naming every wait.
 
 :func:`run_spmd` is the backend's launcher under the uniform launch
 contract.  The runtime is intended for tens of ranks (tests and
@@ -46,6 +49,7 @@ models in :mod:`repro.machine` instead.
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -122,13 +126,6 @@ class Comm(BaseCommunicator):
         self._epoch = 0
         self._seq = 0
 
-    def _outgoing_payload(self, obj: Any, dest: int, tag: int) -> Any:
-        """Copy (and possibly corrupt) a payload entering the network."""
-        payload = copy_payload(obj)
-        if self._message_corruptor is not None:
-            payload = self._message_corruptor(payload, dest, tag)
-        return payload
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -165,7 +162,7 @@ class Comm(BaseCommunicator):
     def is_alive(self, rank: int) -> bool:
         """Whether ``rank`` is currently alive."""
         self._check_rank(rank)
-        return self._state.is_alive(rank)
+        return rank in self._state.alive  # a set read needs no lock
 
     # ------------------------------------------------------------------
     # Virtual time
@@ -246,8 +243,8 @@ class Comm(BaseCommunicator):
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking (buffered) send.
+    def _post(self, obj: Any, dest: int, tag: int) -> float:
+        """Buffer a message for ``dest``; return its transmission time.
 
         A buffered send never detects the death of its destination:
         the payload is accepted by the "network" (the mailbox) and the
@@ -260,16 +257,20 @@ class Comm(BaseCommunicator):
         simulation would stop being deterministic.)
         """
         self._check_peer(dest, "send to")
-        nbytes = payload_nbytes(obj)
-        cost = self._machine.message_time(nbytes)
+        tag = int(tag)
+        cost = self._machine.message_time(payload_nbytes(obj))
         with self._state.condition:
-            send_time = self.clock.now
-            available = send_time + cost
-            box = self._state.mailbox((self._epoch, self._rank, dest, int(tag)))
-            box.append((self._outgoing_payload(obj, dest, int(tag)), available))
+            payload = copy_payload(obj)
+            if self._message_corruptor is not None:
+                payload = self._message_corruptor(payload, dest, tag)
+            box = self._state.mailboxes[self._epoch, self._rank, dest, tag]
+            box.append((payload, self.clock.now + cost))
             self._state.condition.notify_all()
-        # Sender pays the message cost (eager protocol).
-        self.clock.advance(cost)
+        return cost
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Blocking (buffered) send; the sender pays the message time."""
+        self.clock.advance(self._post(obj, dest, tag))
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; the payload is buffered immediately.
@@ -277,16 +278,8 @@ class Comm(BaseCommunicator):
         The sender does not pay the transmission time until the request
         is waited on, modelling send/compute overlap.
         """
-        self._check_peer(dest, "send to")
-        nbytes = payload_nbytes(obj)
-        cost = self._machine.message_time(nbytes)
-        with self._state.condition:
-            # Buffered like send(): never detects peer death (see there).
-            send_time = self.clock.now
-            available = send_time + cost
-            box = self._state.mailbox((self._epoch, self._rank, dest, int(tag)))
-            box.append((self._outgoing_payload(obj, dest, int(tag)), available))
-            self._state.condition.notify_all()
+        send_time = self.clock.now
+        self._post(obj, dest, tag)
         latency = self._machine.latency
 
         def _complete(_req: Request) -> None:
@@ -311,14 +304,16 @@ class Comm(BaseCommunicator):
         self._check_peer(source, "recv from")
         key = (self._epoch, source, self._rank, int(tag))
         with self._state.condition:
-            box = self._state.mailbox(key)
+            box = self._state.mailboxes[key]
 
             def ready() -> bool:
                 return bool(box) or not self._state.may_still_operate(
                     source, self._epoch
                 )
 
-            self._state.wait_for(ready, rank=self._rank, operation=f"recv(src={source})")
+            self._state.wait_for(
+                ready, rank=self._rank, operation=f"recv(src={source}, tag={tag})"
+            )
             if not box:
                 if source in self._state.dead:
                     raise RankFailedError(
@@ -509,9 +504,6 @@ class SimRuntime:
         interconnect.
     fault_seed:
         Seed of the fault streams spec resolution draws from.
-    watchdog:
-        Wall-clock seconds a rank may block in one operation before the
-        runtime declares the simulated program deadlocked.
     """
 
     def __init__(
@@ -522,14 +514,13 @@ class SimRuntime:
         *,
         faults=None,
         fault_seed: Optional[int] = None,
-        watchdog: float = 30.0,
     ):
         self.failure_plan, self._corruptor_factory = resolve_job_faults(
             n_ranks, failure_plan, faults, fault_seed
         )
         self.n_ranks = int(n_ranks)
         self.machine = machine if machine is not None else MachineModel.ideal()
-        self.state = RuntimeState(self.n_ranks, watchdog=watchdog)
+        self.state = RuntimeState(self.n_ranks)
         self._threads: Dict[int, _RankThread] = {}
         self._extra_results: List[RankResult] = []
         self._started = False
@@ -683,7 +674,7 @@ class SimRuntime:
         thread.start()
 
     def join(self, timeout: float = 120.0) -> List[RankResult]:
-        """Wait for all rank threads and return their results.
+        """Wait at most ``timeout`` seconds for all rank threads; return their results.
 
         Raises the first unhandled exception of any rank (deadlock and
         programming errors should fail tests loudly); rank deaths from
@@ -692,9 +683,9 @@ class SimRuntime:
         """
         if not self._started:
             raise SimMpiError("runtime was never started")
+        deadline = time.monotonic() + timeout
         for entry in self._threads.values():
-            entry.thread.join(timeout=timeout)
-        for entry in self._threads.values():
+            entry.thread.join(timeout=max(0.0, deadline - time.monotonic()))
             if entry.thread.is_alive():
                 raise SimMpiError(
                     f"rank {entry.result.rank} did not finish within {timeout}s of wall time"
@@ -744,15 +735,16 @@ def run_spmd(
         totals = run_spmd(4, program)   # [6, 6, 6, 6]
 
     ``failure_plan`` and ``faults`` mean what they mean to
-    :class:`SimRuntime`; ``timeout`` -- the launch
-    contract's per-wait bound -- is the runtime's wall-clock
-    ``watchdog``.  The ``sim`` registry entry launches through here.
+    :class:`SimRuntime`.  The runtime decides deadlock from its own
+    state, so ``timeout`` -- the launch contract's wall-clock bound --
+    bounds the job's join: it stops only a rank stuck in compute.  The
+    ``sim`` registry entry launches through here.
     """
     runtime = SimRuntime(
         n_ranks, machine=machine, failure_plan=failure_plan,
-        faults=faults, fault_seed=fault_seed, watchdog=timeout,
+        faults=faults, fault_seed=fault_seed,
     )
-    results = runtime.run(func, *args, **kwargs)
+    results = runtime.run(func, *args, timeout=timeout, **kwargs)
     by_rank: Dict[int, Any] = {}
     for result in results:
         # Prefer a surviving incarnation's value over a dead one's.

@@ -4,9 +4,10 @@ One :class:`RuntimeState` instance is shared by all rank threads of a
 :class:`~repro.comm.sim.SimRuntime`.  It owns the single lock /
 condition variable protecting mailboxes, collective slots and the
 alive/dead sets.  All blocking waits go through
-:meth:`RuntimeState.wait_for`, which enforces a wall-clock watchdog so
-mismatched simulated programs fail fast instead of hanging the test
-suite.
+:meth:`RuntimeState.wait_for`, which decides deadlock from that state:
+once every live rank is blocked and none can proceed, every blocked
+rank raises, so a mismatched simulated program fails at once instead
+of hanging.
 
 Every simulated rank owns a :class:`VirtualClock`.  Compute intervals
 and message/collective costs advance it; synchronizing operations set
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-import time as _time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -60,15 +60,14 @@ class CollectiveSlot:
 class RuntimeState:
     """All mutable state shared between simulated ranks."""
 
-    def __init__(self, n_ranks: int, *, watchdog: float = 30.0):
+    def __init__(self, n_ranks: int):
         if n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = int(n_ranks)
-        self.watchdog = float(watchdog)
         self.condition = threading.Condition()
         self.alive: Set[int] = set(range(n_ranks))
         self.dead: Set[int] = set()
-        self.mailboxes: Dict[MailboxKey, deque] = {}
+        self.mailboxes: Dict[MailboxKey, deque] = defaultdict(deque)
         self.collectives: Dict[CollectiveKey, CollectiveSlot] = {}
         self.consumed_failures: Set[Tuple[int, float]] = set()
         self.death_times: Dict[int, float] = {}
@@ -80,6 +79,11 @@ class RuntimeState:
         # blocked operations resolve against.
         self.terminated: Set[int] = set()
         self.rank_epochs: Dict[int, int] = {}
+        # Deadlock (see wait_for): ranks alive and not terminated, each
+        # blocked rank's (predicate, operation), and verdicts not yet raised.
+        self.live = self.n_ranks
+        self.blocked: Dict[int, Tuple[Callable[[], bool], str]] = {}
+        self.deadlocked: Dict[int, Dict[int, str]] = {}
         self.log = EventLog()
 
     def revoke_epoch(self, epoch: int, *, rank: int, time: float) -> None:
@@ -105,8 +109,9 @@ class RuntimeState:
     # Liveness
     # ------------------------------------------------------------------
     def mark_dead(self, rank: int, time: float) -> None:
-        """Record the death of a rank and wake all waiters."""
+        """Record the death of a (running, so live) rank and wake all waiters."""
         with self.condition:
+            self.live -= 1
             self.alive.discard(rank)
             self.dead.add(rank)
             self.death_times[rank] = time
@@ -117,6 +122,7 @@ class RuntimeState:
     def mark_alive(self, rank: int, time: float) -> None:
         """Record that a (replacement) rank has joined."""
         with self.condition:
+            self.live += 1
             self.dead.discard(rank)
             self.terminated.discard(rank)
             self.alive.add(rank)
@@ -126,6 +132,7 @@ class RuntimeState:
     def mark_terminated(self, rank: int) -> None:
         """Record that a rank's thread returned (no further communication)."""
         with self.condition:
+            self.live -= rank in self.alive  # a dead rank already left the count
             self.terminated.add(rank)
             self._prune_collectives()
             self.condition.notify_all()
@@ -141,10 +148,6 @@ class RuntimeState:
                 self.rank_epochs[rank] = int(epoch)
             self._prune_collectives()
             self.condition.notify_all()
-
-    def is_alive(self, rank: int) -> bool:
-        """Whether the rank is currently alive (no lock needed for reads)."""
-        return rank in self.alive
 
     def may_still_operate(self, rank: int, epoch: int) -> bool:
         """Whether ``rank`` may still send/contribute in ``epoch``.
@@ -175,29 +178,35 @@ class RuntimeState:
     ) -> None:
         """Block until ``predicate()`` is true (caller must hold the lock).
 
-        Raises :class:`SimDeadlockError` if the wall-clock watchdog
-        expires first.  ``predicate`` is evaluated with the lock held.
+        A rank that cannot proceed registers ``predicate`` (evaluated
+        with the lock held) and ``operation``.  Only live ranks change
+        this state, and each change notifies, so once every live rank is
+        blocked and no blocked predicate holds, none ever will: each
+        blocked rank then raises :class:`SimDeadlockError` naming every
+        blocked operation.  The verdict is read before the predicate: the
+        first rank to raise leaves the job, which would otherwise resolve
+        its peers' waits as a failed rank.
         """
-        deadline = _time.monotonic() + self.watchdog
-        while not predicate():
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                raise SimDeadlockError(rank, operation, self.watchdog)
-            self.condition.wait(timeout=min(remaining, 0.25))
-
-    # ------------------------------------------------------------------
-    # Mailboxes
-    # ------------------------------------------------------------------
-    def mailbox(self, key: MailboxKey) -> deque:
-        """Return (creating if needed) the mailbox for ``key``.
-
-        Caller must hold the lock.
-        """
-        box = self.mailboxes.get(key)
-        if box is None:
-            box = deque()
-            self.mailboxes[key] = box
-        return box
+        if predicate():
+            return
+        blocked = self.blocked
+        blocked[rank] = (predicate, operation)
+        try:
+            while True:
+                if len(blocked) == self.live and not any(
+                    waiting() for waiting, _ in blocked.values()
+                ):
+                    cycle = {r: op for r, (_, op) in blocked.items()}
+                    self.deadlocked.update(dict.fromkeys(cycle, cycle))
+                    self.condition.notify_all()
+                else:
+                    self.condition.wait()
+                if rank in self.deadlocked:
+                    raise SimDeadlockError(rank, operation, self.deadlocked.pop(rank))
+                if predicate():
+                    return
+        finally:
+            del blocked[rank]
 
     # ------------------------------------------------------------------
     # Collectives

@@ -31,11 +31,10 @@ from repro.spec import KindSpec
 __all__ = ["CommSpec", "COMM_KINDS"]
 
 #: Known backend kinds and the parameter names each accepts.  ``procs``
-#: (a positive rank count) is meaningful everywhere; the simulator also
-#: takes a ``watchdog`` wall-clock budget, the shared-memory backend a
-#: per-operation ``timeout``.
+#: (a positive rank count) is meaningful everywhere; the shared-memory
+#: backend also takes a per-operation ``timeout``.
 COMM_KINDS: Dict[str, frozenset] = {
-    "sim": frozenset({"procs", "watchdog"}),
+    "sim": frozenset({"procs"}),
     "shmem": frozenset({"procs", "timeout"}),
 }
 

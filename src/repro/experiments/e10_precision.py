@@ -175,7 +175,7 @@ def _run_lanes(
     """
     check_in(target, ("inner", "outer"), "target")
     registry = default_solver_registry()
-    solver_list = as_axis(solvers, _DEFAULT_SOLVERS)
+    solver_list = [registry.get(name) for name in as_axis(solvers, _DEFAULT_SOLVERS)]
     # Canonical spec strings of the swept precisions.
     precision_list = [
         parse_precision(value).to_string()
@@ -195,8 +195,7 @@ def _run_lanes(
         f"E10: solver x precision x preconditioner x fault matrix "
         f"(precision on the {target} stage)",
     )
-    for solver_name in solver_list:
-        solver = registry.get(solver_name)
+    for solver in solver_list:
         for precond_name in precond_list:
             precond_label = parse_precond(precond_name).to_string()
             for precision_label in precision_list:
@@ -247,7 +246,7 @@ def _run_lanes(
             "target": target,
             "faults": fault_model.describe(),
         },
-        solvers=tuple(solver_list),
+        solvers=tuple(solver.name for solver in solver_list),
         precisions=tuple(precision_list),
         preconds=tuple(precond_list),
         faults=fault_model.describe(),

@@ -155,7 +155,7 @@ def _run_lanes(
     """
     check_in(target, ("precond", "operator"), "target")
     registry = default_solver_registry()
-    solver_list = as_axis(solvers, _DEFAULT_SOLVERS)
+    solver_list = [registry.get(name) for name in as_axis(solvers, _DEFAULT_SOLVERS)]
     precond_list = as_axis(preconds, precond_names())
 
     fault_model = resolve_faults(faults)
@@ -166,8 +166,7 @@ def _run_lanes(
         ["solver", "precond", "iterations", "converged", "faults", "error", "outcome"],
         f"E9: solver x preconditioner x fault matrix (faults target the {target})",
     )
-    for solver_name in solver_list:
-        solver = registry.get(solver_name)
+    for solver in solver_list:
         for precond_name in precond_list:
             # Setup runs in reliable mode (the SRP assumption): the
             # preconditioner is always built from the clean matrix --
@@ -209,7 +208,7 @@ def _run_lanes(
             "target": target,
             "faults": fault_model.describe(),
         },
-        solvers=tuple(solver_list),
+        solvers=tuple(solver.name for solver in solver_list),
         preconds=tuple(precond_list),
         faults=fault_model.describe(),
     )

@@ -84,8 +84,6 @@ def fgmres(
         inner solves were absorbed rather than amplified;
         ``info["kernels"]`` carries per-kernel counts and seconds.
     """
-    if restart <= 0 or maxiter <= 0:
-        raise ValueError("restart and maxiter must be positive")
     engine = SolverEngine(
         operator,
         ArnoldiScheme(

@@ -52,8 +52,6 @@ def pipelined_cg(
     ``info["overlapped_reductions"]`` counts how many reductions were
     overlapped with a matrix-vector product.
     """
-    if maxiter <= 0:
-        raise ValueError("maxiter must be positive")
     engine = SolverEngine(
         operator,
         PipelinedCgScheme(preconditioner, maxiter=maxiter),

@@ -70,8 +70,6 @@ def pipelined_gmres(
         (``info["mgs_equivalent_reductions"]``); ``info["kernels"]``
         carries per-kernel counts and seconds.
     """
-    if restart <= 0 or maxiter <= 0:
-        raise ValueError("restart and maxiter must be positive")
     engine = SolverEngine(
         operator,
         ArnoldiScheme(

@@ -183,7 +183,6 @@ def run_lflr_heat(
     fault_seed: Optional[int] = None,
     partner_offset: int = 1,
     history: int = 4,
-    watchdog: float = 60.0,
 ) -> LflrHeatResult:
     """Run the LFLR explicit heat solver end to end.
 
@@ -208,8 +207,6 @@ def run_lflr_heat(
     partner_offset, history:
         Persistent-store parameters (see
         :class:`~repro.lflr.store.PersistentStore`).
-    watchdog:
-        Wall-clock deadlock watchdog passed to the runtime.
 
     Returns
     -------
@@ -244,7 +241,7 @@ def run_lflr_heat(
     }
     runtime = SimRuntime(
         n_ranks, machine=machine, failure_plan=failure_plan,
-        faults=faults, fault_seed=fault_seed, watchdog=watchdog,
+        faults=faults, fault_seed=fault_seed,
     )
     results = runtime.run(_rank_program, runtime, config, timeout=300.0)
     payloads = [r.value for r in results if isinstance(r.value, dict)]

@@ -41,7 +41,7 @@ SAMPLES = {
               "bitflip:p=0.05+proc_fail:mtbf=3600.0"],
     "precond": ["ssor:omega=1.2", "bjacobi:bs=4"],
     "precision": ["fp32:storage=fp16", "fp64:storage=fp32"],
-    "comm": ["sim:procs=2,watchdog=5.0", "shmem:procs=8,timeout=2.5", "shmem:procs=4"],
+    "comm": ["sim:procs=2", "shmem:procs=8,timeout=2.5", "shmem:procs=4"],
     "chaos": ["worker_crash:p=0.1", "worker_hang:attempts=2,p=0.05,seconds=120.0",
               "worker_crash:p=0.1+result_corrupt:p=0.01"],
 }
@@ -247,9 +247,9 @@ class TestDifferences:
 
     def test_comm_specs_canonical(self):
         parse = AXES["comm"].spec.parse
-        one, other = parse("sim:watchdog=3,procs=2"), parse("sim:procs=2,watchdog=3")
+        one, other = parse("shmem:timeout=3,procs=2"), parse("shmem:procs=2,timeout=3")
         assert one == other and hash(one) == hash(other)
-        assert one.to_string() == other.to_string() == "sim:procs=2,watchdog=3"
+        assert one.to_string() == other.to_string() == "shmem:procs=2,timeout=3"
         assert parse("SIM:procs=2") == parse("sim:procs=2")
 
     def test_comm_dict_always_writes_params(self):

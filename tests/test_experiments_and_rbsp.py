@@ -22,6 +22,8 @@ from repro.experiments import (
     e6_ftgmres,
     e7_efficiency,
     e8_solvers,
+    e9_precond,
+    e10_precision,
 )
 from repro.experiments.common import ExperimentResult
 from repro.machine import EccStallNoise, MachineModel
@@ -193,3 +195,12 @@ class TestExperimentE8:
                             for name in ("GMRES", "gmres"))
         assert upper.parameters["solvers"] == ("gmres",)
         assert canonical_json(upper.to_dict()) == canonical_json(lower.to_dict())
+
+
+@pytest.mark.parametrize("driver", [e9_precond, e10_precision], ids=["E9", "E10"])
+def test_solver_spelling_does_not_change_the_recorded_result(driver):
+    # One experiment, one result: the solver axis is recorded canonically.
+    upper, lower = (driver.run(**dict(driver.SPEC.smoke, solvers=name))
+                    for name in ("GMRES", "gmres"))
+    assert upper.parameters["solvers"] == ("gmres",)
+    assert canonical_json(upper.to_dict()) == canonical_json(lower.to_dict())

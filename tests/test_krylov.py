@@ -238,6 +238,25 @@ class TestPipelinedVariants:
                               preconditioner=JacobiPreconditioner(poisson_small))
         assert result.converged
 
+    @pytest.mark.parametrize("solver, kwargs, message", [
+        (pipelined_gmres, dict(restart=0), "restart and maxiter must be positive"),
+        (pipelined_gmres, dict(maxiter=0), "restart and maxiter must be positive"),
+        (fgmres, dict(maxiter=-1), "restart and maxiter must be positive"),
+        (pipelined_cg, dict(maxiter=0), "maxiter must be positive"),
+    ])
+    def test_scheme_refuses_a_bad_budget_before_the_operator_runs(
+        self, poisson_tiny, solver, kwargs, message
+    ):
+        applied = []
+
+        def operator(v):
+            applied.append(1)
+            return poisson_tiny.matvec(v)
+
+        with pytest.raises(ValueError, match=message):
+            solver(operator, np.ones(poisson_tiny.n_rows), **kwargs)
+        assert applied == []
+
 
 class TestFgmres:
     def test_unpreconditioned_equals_gmres(self, convdiff_small, rng):

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm.errors import (
     CommTimeoutError,
     InvalidRankError,
     RankFailedError,
     SimDeadlockError,
+    SimMpiError,
 )
 from repro.comm.ops import MAX, MIN, SUM
 from repro.reliability import FailurePlan
@@ -131,8 +134,7 @@ class TestCollectives:
                 return type(exc).__name__
 
         # A collective that raises while completing poisons the slot:
-        # both ranks raise the typed error at once, nobody waits out the
-        # 30 s watchdog (which is what this test used to take).
+        # both ranks raise the typed error at once.
         start = time.monotonic()
         results = run_spmd(2, program)
         assert results == ["ValueError", "ValueError"]
@@ -251,11 +253,82 @@ class TestPointToPoint:
         assert times[1] == pytest.approx(expected)
 
 
+def _deadlock_errors(n_ranks, program, **launch):
+    """Run ``program`` through :func:`run_spmd`; return each rank's error."""
+
+    def caught(comm):
+        try:
+            program(comm)
+            return "completed"
+        except SimDeadlockError as exc:
+            return exc
+
+    start = time.monotonic()
+    errors = run_spmd(n_ranks, caught, **launch)
+    assert time.monotonic() - start < 0.5
+    return errors
+
+
+def _assert_each_rank_names(errors, cycle):
+    """Every rank raised, and each error names every blocked operation."""
+    for rank, error in enumerate(errors):
+        assert isinstance(error, SimDeadlockError)
+        assert (error.rank, error.operation) == (rank, cycle[rank])
+        assert error.blocked == cycle
+        assert all(op in str(error) for op in cycle.values())
+
+
+def _scripted(comm, steps, redirected):
+    """Run a script of matched steps, then a final barrier.
+
+    Step ``redirected`` (a point-to-point step) receives on a tag nobody
+    sends, so its receiver can never proceed.
+    """
+    for index, step in enumerate(steps):
+        if step[0] == "p2p":
+            (src, dest), tag = step[1], step[2]
+            if comm.rank == src:
+                comm.send((index, src), dest, tag=tag)
+            elif comm.rank == dest:
+                got = comm.recv(src, tag=99 if index == redirected else tag)
+                assert got == (index, src)
+        elif step[0] == "advance":
+            if comm.rank == step[1]:
+                comm.advance(step[2])
+        elif step[0] == "allreduce":
+            assert comm.allreduce(comm.rank) == sum(range(comm.size))
+        else:
+            comm.barrier()
+    comm.barrier()
+    return "completed"
+
+
+@st.composite
+def _scripts(draw):
+    n_ranks = draw(st.integers(2, 4))
+    pairs = st.tuples(
+        st.integers(0, n_ranks - 1), st.integers(1, n_ranks - 1)
+    ).map(lambda p: (p[0], (p[0] + p[1]) % n_ranks))
+    p2p = st.tuples(st.just("p2p"), pairs, st.integers(0, 2))
+    step = st.one_of(
+        p2p,
+        st.tuples(st.just("advance"), st.integers(0, n_ranks - 1),
+                  st.floats(0.0, 1e-3)),
+        st.just(("allreduce",)),
+        st.just(("barrier",)),
+    )
+    steps = draw(st.lists(step, max_size=4)) + [draw(p2p)]
+    steps += draw(st.lists(step, max_size=4))
+    redirected = draw(st.sampled_from(
+        [i for i, s in enumerate(steps) if s[0] == "p2p"]
+    ))
+    return n_ranks, steps, redirected
+
+
 class TestDeadlockAndErrors:
     def test_recv_from_returned_rank_fails_fast(self):
         # A receive whose source already returned can never be served;
-        # it fails immediately with RankFailedError rather than hanging
-        # until the watchdog.
+        # it fails immediately with RankFailedError, not as a deadlock.
         def program(comm):
             if comm.rank == 0:
                 try:
@@ -264,29 +337,86 @@ class TestDeadlockAndErrors:
                     return "failed fast"
             return "done"
 
-        runtime = SimRuntime(2, watchdog=5.0)
-        results = runtime.run(program)
+        results = SimRuntime(2).run(program)
         assert results[0].value == "failed fast"
 
     def test_mutual_recv_raises_deadlock(self):
         # A genuine cycle (both ranks blocked receiving from each other)
-        # is a bug in the simulated program; the watchdog breaks it.
-        def program(comm):
-            try:
-                comm.recv(source=1 - comm.rank)
-                return "received"
-            except SimDeadlockError:
-                return "deadlock"
-            except RankFailedError:
-                # The other rank broke out (watchdog) first; its exit
-                # cascades here as a failed receive.
-                return "cascaded"
+        # is a bug in the simulated program: both ranks raise at once.
+        errors = _deadlock_errors(2, lambda comm: comm.recv(source=1 - comm.rank))
+        _assert_each_rank_names(errors, {0: "recv(src=1, tag=0)", 1: "recv(src=0, tag=0)"})
 
-        runtime = SimRuntime(2, watchdog=0.2)
-        results = runtime.run(program)
-        values = {results[0].value, results[1].value}
-        assert "deadlock" in values
-        assert "received" not in values
+    def test_barrier_and_receive_cycle_raises_deadlock(self):
+        def program(comm):
+            if comm.rank == 0:
+                comm.barrier()
+            else:
+                comm.recv(source=(comm.rank + 1) % 3, tag=comm.rank)
+
+        errors = _deadlock_errors(3, program)
+        _assert_each_rank_names(
+            errors, {0: "barrier(0, 0)", 1: "recv(src=2, tag=1)", 2: "recv(src=0, tag=2)"}
+        )
+
+    def test_ranks_that_returned_or_died_do_not_hold_off_the_verdict(self):
+        def program(comm):
+            if comm.rank == 2:
+                return
+            if comm.rank == 3:
+                comm.advance(1.0)  # crosses its scheduled failure
+            comm.recv(source=1 - comm.rank)
+
+        errors = _deadlock_errors(
+            4, program, faults="proc_fail:times=0.5,ranks=3", timeout=5.0
+        )
+        cycle = {0: "recv(src=1, tag=0)", 1: "recv(src=0, tag=0)"}
+        assert [error.blocked for error in errors[:2]] == [cycle, cycle]
+        assert errors[2:] == ["completed", None]
+
+    def test_a_rank_blocked_on_a_sleeping_peer_gets_its_message(self):
+        # Blocked is not stuck while a peer still runs, however long.
+        def program(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)
+                comm.send("late", dest=0)
+                return None
+            return comm.recv(source=1)
+
+        assert run_spmd(2, program) == ["late", None]
+
+    def test_a_rank_stuck_in_compute_meets_the_join_bound(self):
+        # Not a deadlock (the sleeper still runs): the launcher's
+        # timeout bounds the whole join instead.
+        def program(comm):
+            if comm.rank == 1:
+                time.sleep(0.6)
+                comm.send("late", dest=0)
+                return None
+            return comm.recv(source=1)
+
+        start = time.monotonic()
+        with pytest.raises(SimMpiError, match="did not finish within 0.2s"):
+            run_spmd(2, program, timeout=0.2)
+        assert time.monotonic() - start < 0.5
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(script=_scripts())
+    def test_verdict_exactly_when_a_receive_is_redirected(self, script):
+        n_ranks, steps, redirected = script
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the rank threads finely
+        try:
+            completed = run_spmd(n_ranks, _scripted, steps, None)
+            errors = _deadlock_errors(
+                n_ranks, lambda comm: _scripted(comm, steps, redirected)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert completed == ["completed"] * n_ranks
+        assert all(isinstance(error, SimDeadlockError) for error in errors)
+        (src, dest), _ = steps[redirected][1:]
+        assert sorted(errors[0].blocked) == list(range(n_ranks))
+        assert errors[0].blocked[dest] == f"recv(src={src}, tag=99)"
 
     def test_collective_kind_mismatch_detected(self):
         def program(comm):
@@ -299,16 +429,16 @@ class TestDeadlockAndErrors:
             except Exception as exc:  # noqa: BLE001
                 return type(exc).__name__
 
-        runtime = SimRuntime(2, watchdog=2.0)
-        results = runtime.run(program)
+        results = SimRuntime(2).run(program)
         values = {r.value for r in results}
         assert "RuntimeError" in values or "SimDeadlockError" in values
 
     @pytest.mark.parametrize("error, fields", [
         (RankFailedError([3, 1], "allreduce", 2.5),
          {"failed_ranks": frozenset({1, 3}), "operation": "allreduce", "detected_at": 2.5}),
-        (SimDeadlockError(1, "recv", 4.0),
-         {"rank": 1, "operation": "recv", "waited": 4.0}),
+        (SimDeadlockError(1, "recv(src=0, tag=0)", {0: "barrier(0, 0)", 1: "recv(src=0, tag=0)"}),
+         {"rank": 1, "operation": "recv(src=0, tag=0)",
+          "blocked": {0: "barrier(0, 0)", 1: "recv(src=0, tag=0)"}}),
         (CommTimeoutError(0, "barrier", 30.0),
          {"rank": 0, "operation": "barrier", "waited": 30.0}),
     ], ids=["RankFailedError", "SimDeadlockError", "CommTimeoutError"])
@@ -435,7 +565,7 @@ class TestFailuresAndRecovery:
             except RankFailedError:
                 return "interrupted"
 
-        runtime = SimRuntime(3, machine=fast_recovery_machine, watchdog=10.0)
+        runtime = SimRuntime(3, machine=fast_recovery_machine)
         results = runtime.run(program)
         assert results[0].value == "revoked"
         assert results[1].value == "interrupted"
@@ -456,7 +586,7 @@ class TestFailuresAndRecovery:
             except RankFailedError:
                 return "interrupted"
 
-        runtime = SimRuntime(2, machine=fast_recovery_machine, watchdog=10.0)
+        runtime = SimRuntime(2, machine=fast_recovery_machine)
         results = runtime.run(program)
         assert results[0].value == "advanced"
         assert results[1].value == "interrupted"
@@ -509,7 +639,7 @@ class TestRuntimeLifecycle:
                 pass
             return "ok"
 
-        runtime = SimRuntime(2, watchdog=5.0)
+        runtime = SimRuntime(2)
         with pytest.raises(ValueError, match="boom"):
             runtime.run(program)
 
