@@ -37,11 +37,11 @@ if [[ "$FAST" == "1" ]]; then
     echo "(skipped: --fast)"
 else
     # Ran once inside the tier-1 suite; a fresh interpreter proves the
-    # cross-backend contract (p2p ordering, collectives, deadlock
-    # timeouts, fault observability) holds deterministically twice in
-    # a row -- including the real-process shmem backend, whose forked
-    # ranks and shared-memory segments must leave no residue between
-    # runs.
+    # cross-backend contract holds twice in a row.  Its property is
+    # derandomized, so both stages draw the same programs (p2p
+    # ordering, collectives, deadlocks, failures, corruption) -- and
+    # the real-process shmem backend's forked ranks and shared-memory
+    # segments must leave no residue between runs.
     python -m pytest tests/test_comm_conformance.py -q
 fi
 

@@ -21,7 +21,7 @@ The same :class:`FaultSpec` strings drive fault injection on every
 backend -- ``proc_fail`` is a virtual death on ``sim`` and a real
 SIGKILL on ``shmem``; ``msg_corrupt`` draws the identical corruption
 stream on both -- and ``tests/test_comm_conformance.py`` pins one
-contract suite plus a sim-vs-shmem differential across both.
+contract, a property over drawn programs, across both.
 
 Typical use::
 

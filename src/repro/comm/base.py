@@ -16,8 +16,8 @@ collectives also overrides ``_start_collective``, which otherwise
 completes eagerly.  Every backend completes a collective with the one
 rule :func:`complete_collective` and charges it with
 :meth:`BaseCommunicator._collective_cost`.  The conformance suite
-(``tests/test_comm_conformance.py``) runs one parametrized test body
-against every registered backend.
+(``tests/test_comm_conformance.py``) runs drawn programs on every
+registered backend and compares what their ranks observe.
 
 Semantics shared by all backends:
 
@@ -27,6 +27,8 @@ Semantics shared by all backends:
   collectives, the operations that genuinely depend on the peer;
 * any operation depending on a dead rank raises
   :class:`~repro.comm.errors.ProcFailure` (ULFM-style notification);
+* a rank that returned is departed, not dead: an operation depending on
+  it raises ``ProcFailure`` at once, naming no failed rank;
 * no backend may hang: a program that can never complete raises
   :class:`~repro.comm.errors.SimDeadlockError`, decided from the
   simulator's own state, or its subclass
@@ -75,6 +77,7 @@ __all__ = [
     "BaseCommunicator",
     "complete_collective",
     "copy_payload",
+    "operation_label",
     "payload_nbytes",
     "portable_error",
     "resolve_job_faults",
@@ -106,6 +109,15 @@ def copy_payload(obj: Any) -> Any:
     if isinstance(obj, (int, float, complex, bool, str, bytes, type(None), np.generic)):
         return obj
     return copy.deepcopy(obj)
+
+
+def operation_label(kind: str, *key: int) -> str:
+    """How an error names the operation it stopped, built only when one is raised:
+    ``recv(src=1, tag=0)`` for a receive, ``allreduce(0, 3)`` (epoch,
+    sequence) for a collective."""
+    if kind == "recv":
+        return "recv(src={}, tag={})".format(*key)
+    return f"{kind}{key}"
 
 
 def portable_error(exc: BaseException, rank: int) -> BaseException:

@@ -119,11 +119,13 @@ class CommTimeoutError(SimDeadlockError):
 
     Raised by the shared-memory backend when a blocking receive or a
     collective exceeds its deadline (mismatched communication in the
-    program, or a peer wedged without dying).
+    program, or a peer wedged without dying).  ``blocked`` holds the one
+    wait this rank knows of.
     """
 
     def __init__(self, rank: int, operation: str, waited: float):
         self.rank, self.operation, self.waited = rank, operation, waited
+        self.blocked = {rank: operation}
         SimMpiError.__init__(
             self,
             f"rank {rank} waited {waited:.1f}s of wall-clock time in {operation}; "

@@ -3,8 +3,8 @@
 Ranks are real OS processes, each a :class:`~repro.utils.child.Child`
 of :func:`launch_shmem` (one channel back to the launcher), wired with
 one single-writer/single-reader OS pipe per ordered rank pair.  The
-design rules are the ones the process-hazard scan in
-``tests/test_comm_conformance.py`` checks:
+design rules are the ones the ``process-hazards`` lint rule
+(``tests/test_analysis.py``) checks:
 
 * **no shared ``multiprocessing.Queue``** -- a queue's writer lock dies
   with whichever killable process holds it and silently wedges every
@@ -13,9 +13,10 @@ design rules are the ones the process-hazard scan in
 * **no unbounded blocking** -- every read waits on a ``select.poll``
   object (one per inbound pipe, built at construction) until an
   explicit deadline, so a mismatched program raises
-  :class:`~repro.comm.errors.CommTimeoutError` instead of hanging,
-  and a dead peer surfaces as a hang-up (EOF) on its pipe,
-  reported as :class:`~repro.comm.errors.ProcFailure` (ULFM-style);
+  :class:`~repro.comm.errors.CommTimeoutError` instead of hanging;
+  a rank's farewell frame (it returned or raised) or hang-up (it was
+  killed) is reported at once as :class:`~repro.comm.errors.ProcFailure`
+  (ULFM-style);
 * **large numeric arrays ride ``multiprocessing.shared_memory``** --
   the pipe carries a small descriptor, the data crosses via one shared
   segment (created by the sender, attached, copied and unlinked by the
@@ -77,6 +78,7 @@ from repro.comm.base import (
     BaseCommunicator,
     complete_collective,
     copy_payload,
+    operation_label,
     payload_nbytes,
     portable_error,
     resolve_job_faults,
@@ -316,47 +318,39 @@ class ShmemComm(BaseCommunicator):
         source: int,
         frames: Tuple[str, ...],
         key: int,
-        kind: str,
+        operation: Tuple,
         deadline: float,
     ) -> Tuple:
         """Next ``frames``-typed message from ``source`` keyed ``key``.
 
-        ``key`` is a p2p tag or a collective sequence number; ``kind``
-        names the operation should it fail.  Non-matching traffic (e.g.
-        a collective contribution arriving while we wait for a tagged
-        point-to-point message) is buffered in arrival order, preserving
-        per-(source, tag) FIFO delivery.  Bounded: raises
+        ``key`` is a p2p tag or a collective sequence number;
+        ``operation`` names the wait should it fail (the arguments of
+        :func:`~repro.comm.base.operation_label`).  Non-matching traffic
+        (e.g. a collective contribution arriving while we wait for a
+        tagged point-to-point message) is buffered in arrival order,
+        preserving per-(source, tag) FIFO delivery.  Bounded: raises
         :class:`CommTimeoutError` when nothing arrives by the deadline
-        and, once no buffered message matches, :class:`ProcFailure` on
-        EOF -- a dead peer's hang-up wakes the poller at once.
+        and, once no buffered message matches, :class:`ProcFailure` at
+        the source's farewell (naming it only if it raised) or hang-up.
         """
         pending = self._pending[source]
         for i, message in enumerate(pending):
             if message[1] == key and message[0] in frames:
                 del pending[i]
                 return message
-        channel = self._in[source]
-        while True:
+        while not pending or pending[-1][0] != "bye":
             try:
-                message = channel.recv(deadline)
+                message = self._in[source].recv(deadline)
             except TimeoutError:
-                raise CommTimeoutError(
-                    self._rank, self._operation(kind, source, key), self.timeout
-                ) from None
+                raise CommTimeoutError(self._rank, operation_label(*operation), self.timeout) from None
             except (EOFError, OSError):
-                self._dead.add(source)
-                raise ProcFailure(
-                    [source], self._operation(kind, source, key),
-                    detected_at=self._clock,
-                )
+                message = ("bye", None, [source])
             if message[1] == key and message[0] in frames:
                 return message
             pending.append(message)
-
-    @staticmethod
-    def _operation(kind: str, source: int, key: int) -> str:
-        """Error-message label of a blocked operation (built on failure only)."""
-        return f"recv(src={source})" if kind == "recv" else f"{kind}[{key}]"
+        dead = set(pending[-1][2])  # whom the source knew dead, itself included
+        self._dead |= dead
+        raise ProcFailure({source} & dead, operation_label(*operation), detected_at=self._clock)
 
     # -- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -372,7 +366,8 @@ class ShmemComm(BaseCommunicator):
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "recv from")
         message = self._next_from(
-            source, ("p2p",), int(tag), "recv", time.monotonic() + self.timeout
+            source, ("p2p",), int(tag), ("recv", source, int(tag)),
+            time.monotonic() + self.timeout,
         )
         return self._decode_payload(message[2])
 
@@ -385,11 +380,11 @@ class ShmemComm(BaseCommunicator):
     def _collective(self, kind: str, value: Any, op=None, root=None) -> Any:
         """Star-protocol collective through the rank-0 coordinator.
 
-        A missing contributor (EOF on its pipe) fails the collective:
-        the coordinator reports the failed set to every survivor before
-        raising, so all participants observe the same
-        :class:`ProcFailure` and nobody hangs; a coordinator death
-        surfaces as EOF to every non-root rank.  Contributions that
+        A missing contributor (its farewell or a hang-up) fails the
+        collective: the coordinator reports the failed set to every
+        survivor before raising, so all participants observe the same
+        :class:`ProcFailure` and nobody hangs; without a coordinator a
+        rank names every rank it knows dead.  Contributions that
         reached the pipe before the sender died still count (pipes are
         FIFO), matching the simulator's posted-before-death semantics.
         An exception raised while the coordinator completes the
@@ -402,6 +397,7 @@ class ShmemComm(BaseCommunicator):
         seq = self._coll_seq
         self._coll_seq += 1
         deadline = time.monotonic() + self.timeout
+        operation = (kind, 0, seq)
         if self._rank == 0:
             # The one contribution that never crosses a pipe: without a
             # copy the coordinator's result could alias its caller's input.
@@ -409,14 +405,14 @@ class ShmemComm(BaseCommunicator):
             failed: set = set()
             for source in range(1, self._size):
                 try:
-                    message = self._next_from(source, ("coll",), seq, kind, deadline)
-                except ProcFailure:
-                    failed.add(source)
+                    message = self._next_from(source, ("coll",), seq, operation, deadline)
+                except ProcFailure as exc:
+                    failed |= exc.failed_ranks
                     continue
                 contributions[source] = self._decode_payload(message[2])
-            if failed:
+            if len(contributions) < self._size:
                 self._poison(seq, sorted(failed), failed)
-                raise ProcFailure(failed, kind, detected_at=self._clock)
+                raise ProcFailure(failed, operation_label(*operation), detected_at=self._clock)
             try:
                 results = complete_collective(kind, contributions, op, root)
             except Exception as exc:
@@ -431,15 +427,16 @@ class ShmemComm(BaseCommunicator):
         else:
             # Encoding the frame is the defensive copy.
             self._post(0, ("coll", seq, self._encode_payload(value)))
-            message = self._next_from(
-                0, ("collres", "collfail"), seq, kind, deadline
-            )
+            try:
+                message = self._next_from(0, ("collres", "collfail"), seq, operation, deadline)
+            except ProcFailure:
+                message = ("collfail", seq, sorted(self._dead))
             if message[0] == "collfail":
                 verdict = message[2]
                 if isinstance(verdict, BaseException):
                     raise verdict
                 self._dead.update(verdict)
-                raise ProcFailure(verdict, kind, detected_at=self._clock)
+                raise ProcFailure(verdict, operation_label(*operation), detected_at=self._clock)
             result, cost = self._decode_payload(message[2]), message[3]
         # The simulator's cost rule, so proc_fail schedules strike at
         # comparable program points.
@@ -479,6 +476,11 @@ def _rank_main(channel: Channel, rank: int, size: int,
     except BaseException as exc:  # noqa: BLE001 - reported to the launcher
         exit_code = 1
         outcome = ("error", portable_error(exc, rank))
+    # The farewell, last on every outbound pipe: a peer waiting on this rank
+    # fails at once and learns whom it knew dead (itself if it raised).
+    farewell = ("bye", None, sorted(comm._dead | ({rank} if exit_code else set())))
+    for dest in outbound:
+        comm._post(dest, farewell)
     try:
         channel.send(outcome)
     except OSError:  # pragma: no cover - launcher gone

@@ -60,6 +60,7 @@ from repro.comm.base import (
     BaseCommunicator,
     complete_collective,
     copy_payload,
+    operation_label,
     payload_nbytes,
     portable_error,
     resolve_job_faults,
@@ -302,35 +303,24 @@ class Comm(BaseCommunicator):
         thread interleaving.
         """
         self._check_peer(source, "recv from")
-        key = (self._epoch, source, self._rank, int(tag))
+        operation = ("recv", source, int(tag))
         with self._state.condition:
-            box = self._state.mailboxes[key]
+            box = self._state.mailboxes[self._epoch, source, self._rank, int(tag)]
 
             def ready() -> bool:
                 return bool(box) or not self._state.may_still_operate(
                     source, self._epoch
                 )
 
-            self._state.wait_for(
-                ready, rank=self._rank, operation=f"recv(src={source}, tag={tag})"
-            )
+            self._state.wait_for(ready, rank=self._rank, operation=operation)
             if not box:
-                if source in self._state.dead:
-                    raise RankFailedError(
-                        [source], "recv", detected_at=self.clock.now
-                    )
-                # The source is alive but finished with this epoch
-                # (returned or moved on during recovery).  Report no
-                # failed ranks: naming the living source would invite a
-                # recovery layer to respawn it, and snapshotting the
-                # wall-clock dead set would make the payload depend on
-                # thread interleaving.  Recovery protocols read the
-                # authoritative dead set themselves (dead_ranks()).
-                raise RankFailedError(
-                    frozenset(),
-                    f"recv (source rank {source} departed the epoch)",
-                    detected_at=self.clock.now,
-                )
+                # A source alive but finished with this epoch (returned or
+                # moved on during recovery) departed: naming it failed would
+                # invite a recovery layer to respawn it, and snapshotting the
+                # wall-clock dead set would make the payload depend on thread
+                # interleaving.  Recovery protocols read dead_ranks() themselves.
+                raise RankFailedError({source} & self._state.dead, operation_label(*operation),
+                                      detected_at=self.clock.now)
             payload, available = box.popleft()
         self.clock.wait_until(available)
         return payload
@@ -410,7 +400,7 @@ class Comm(BaseCommunicator):
                 state.wait_for(
                     lambda: self._collective_resolved(slot),
                     rank=self._rank,
-                    operation=f"{kind}{slot.key}",
+                    operation=(kind, *slot.key),
                 )
             if not slot.done:
                 if slot.error is not None:
@@ -422,9 +412,8 @@ class Comm(BaseCommunicator):
                     collective=kind,
                     failed=sorted(slot.failed_ranks),
                 )
-                raise RankFailedError(
-                    slot.failed_ranks, kind, detected_at=self.clock.now
-                )
+                raise RankFailedError(slot.failed_ranks, operation_label(kind, *slot.key),
+                                      detected_at=self.clock.now)
             completion, result = slot.completion_time, slot.results[self._rank]
         self.clock.wait_until(completion)
         if isinstance(result, list):

@@ -24,6 +24,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.comm.base import operation_label
 from repro.comm.errors import SimDeadlockError
 from repro.utils.logging import EventLog
 from repro.utils.validation import check_non_negative
@@ -80,9 +81,9 @@ class RuntimeState:
         self.terminated: Set[int] = set()
         self.rank_epochs: Dict[int, int] = {}
         # Deadlock (see wait_for): ranks alive and not terminated, each
-        # blocked rank's (predicate, operation), and verdicts not yet raised.
+        # blocked rank's (predicate, operation key), and verdicts not yet raised.
         self.live = self.n_ranks
-        self.blocked: Dict[int, Tuple[Callable[[], bool], str]] = {}
+        self.blocked: Dict[int, Tuple[Callable[[], bool], Tuple]] = {}
         self.deadlocked: Dict[int, Dict[int, str]] = {}
         self.log = EventLog()
 
@@ -174,12 +175,13 @@ class RuntimeState:
         predicate: Callable[[], bool],
         *,
         rank: int,
-        operation: str,
+        operation: Tuple,
     ) -> None:
         """Block until ``predicate()`` is true (caller must hold the lock).
 
         A rank that cannot proceed registers ``predicate`` (evaluated
-        with the lock held) and ``operation``.  Only live ranks change
+        with the lock held) and ``operation``, the arguments of
+        :func:`~repro.comm.base.operation_label`.  Only live ranks change
         this state, and each change notifies, so once every live rank is
         blocked and no blocked predicate holds, none ever will: each
         blocked rank then raises :class:`SimDeadlockError` naming every
@@ -196,13 +198,14 @@ class RuntimeState:
                 if len(blocked) == self.live and not any(
                     waiting() for waiting, _ in blocked.values()
                 ):
-                    cycle = {r: op for r, (_, op) in blocked.items()}
+                    cycle = {r: operation_label(*op) for r, (_, op) in blocked.items()}
                     self.deadlocked.update(dict.fromkeys(cycle, cycle))
                     self.condition.notify_all()
                 else:
                     self.condition.wait()
                 if rank in self.deadlocked:
-                    raise SimDeadlockError(rank, operation, self.deadlocked.pop(rank))
+                    cycle = self.deadlocked.pop(rank)
+                    raise SimDeadlockError(rank, cycle[rank], cycle)
                 if predicate():
                     return
         finally:

@@ -1,4 +1,4 @@
-"""The repository lints itself: four rules over its sources and documents.
+"""The repository lints itself: five rules over its sources and documents.
 
 * ``determinism`` -- no global-state RNG, calendar clock or hash-order
   iteration in python (results must be pure functions of parameters and
@@ -14,6 +14,10 @@
 * ``matmul-dispatch`` -- no ``@`` operator in the sequential kernel
   modules (``ndarray.dot`` reaches the same BLAS call with the same bits
   for less dispatch, which dominates at the sizes campaigns sweep).
+* ``process-hazards`` -- every forked process in ``src/repro`` is a
+  ``utils.child.Child`` (the one ``os.fork``) whose reads wait on a
+  finite timeout, and no ``multiprocessing`` queue, pool or pipe exists
+  to orphan a lock when a rank or worker is SIGKILLed.
 
 Each rule is a plain function over one parsed file that yields
 ``(line, message)``.  ``TestSelfRun`` parses ``src/repro``, ``tests``,
@@ -387,8 +391,47 @@ def matmul_dispatch(source: Source) -> Iterator[Tuple[int, str]]:
                                 "call and bits; write a.dot(b) on the sequential path")
 
 
+def _within(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def process_hazards(source: Source) -> Iterator[Tuple[int, str]]:
+    """In ``src/``: ``os.fork`` outside ``utils/child.py``; ``multiprocessing``
+    imported as anything but ``shared_memory`` or ``resource_tracker``; a
+    ``.poll(`` that may wait forever (no timeout, ``None`` or a negative
+    constant), the ``select.poll()`` constructor aside."""
+    if source.tree is None or not source.rel.startswith("src/"):
+        return
+    forks_here = source.rel.endswith("repro/utils/child.py")
+    for node in ast.walk(source.tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+                if _within(name, "multiprocessing") and not any(
+                    _within(name, f"multiprocessing.{ok}") for ok in ("shared_memory", "resource_tracker")
+                ):
+                    yield node.lineno, f"imports {name}"
+                if name == "os.fork" and not forks_here:
+                    yield node.lineno, "forks outside utils/child.py"
+        elif isinstance(node, ast.Attribute) and node.attr == "fork":
+            if isinstance(node.value, ast.Name) and node.value.id == "os" and not forks_here:
+                yield node.lineno, "forks outside utils/child.py"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "poll"
+              and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "select")):
+            timeout = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "timeout")]
+            if not timeout or any(
+                (isinstance(t, ast.Constant) and t.value is None)
+                or (isinstance(t, ast.UnaryOp) and isinstance(t.op, ast.USub)
+                    and isinstance(t.operand, ast.Constant))
+                for t in timeout
+            ):
+                yield node.lineno, ".poll() without a finite timeout"
+
+
 RULES = {"determinism": determinism, "doc-links": doc_links,
-         "matmul-dispatch": matmul_dispatch, "spec-strings": spec_strings}
+         "matmul-dispatch": matmul_dispatch, "process-hazards": process_hazards,
+         "spec-strings": spec_strings}
 
 
 def lint(tmp_path, files, rule):
@@ -689,6 +732,43 @@ class TestMatmulDispatchRule:
                                     "src/repro/krylov/engine/batch.py": body},
                          "matmul-dispatch")
         assert [(f.path, f.line) for f in active] == [("src/repro/krylov/ops.py", 5)]
+
+
+# ---------------------------------------------------------------------------
+# Rule: process-hazards
+# ---------------------------------------------------------------------------
+
+
+class TestProcessHazardsRule:
+    # One planted module per case, and the one hazard found on its last line.
+    @pytest.mark.parametrize("planted, hazard", [
+        ("import os\npid = os.fork()\n", "forks outside utils/child.py"),
+        ("from os import fork\n", "forks outside utils/child.py"),
+        ("import multiprocessing\n", "imports multiprocessing"),
+        ("from multiprocessing import shared_memory, Queue\n", "imports multiprocessing.Queue"),
+        ("conn.poll()\n", ".poll() without a finite timeout"),
+        ("conn.poll(None)\n", ".poll() without a finite timeout"),
+        ("poller.poll(timeout=-1)\n", ".poll() without a finite timeout"),
+    ], ids=["fork", "fork-import", "multiprocessing", "queue", "poll-untimed", "poll-none",
+            "poll-negative"])
+    def test_each_hazard_flagged(self, tmp_path, planted, hazard):
+        active, _ = lint(tmp_path, {"src/repro/campaign/planted.py": planted}, "process-hazards")
+        assert [(f.line, f.message) for f in active] == [(planted.count("\n"), hazard)]
+
+    def test_bounded_waits_and_the_one_fork_pass(self, tmp_path):
+        planted = """\
+            import multiprocessing.resource_tracker
+            import select
+            from multiprocessing import shared_memory
+
+            def wait(conn, timeout):
+                poller = select.poll()
+                return conn.poll(0.5), poller.poll(timeout * 1000.0), conn.poll(timeout=0)
+            """
+        files = {"src/repro/campaign/planted.py": planted,
+                 "src/repro/utils/child.py": "import os\nos.fork()\n",
+                 "tests/test_planted.py": "import multiprocessing\n"}
+        assert lint(tmp_path, files, "process-hazards") == ([], [])
 
 
 # ---------------------------------------------------------------------------
