@@ -38,7 +38,7 @@ if [[ "$FAST" == "1" ]]; then
 else
     # Ran once inside the tier-1 suite; a fresh interpreter proves the
     # cross-backend contract holds twice in a row.  Its property is
-    # derandomized, so both stages draw the same programs (p2p
+    # seeded per stratum, so both stages draw the same programs (p2p
     # ordering, collectives, deadlocks, failures, corruption) -- and
     # the real-process shmem backend's forked ranks and shared-memory
     # segments must leave no residue between runs.

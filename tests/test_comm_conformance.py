@@ -10,7 +10,8 @@ and on ``shmem`` (see :func:`_play`), holding what the generator knows:
 a send's payload in per-tag FIFO order, a bcast root's payload, the
 ascending-rank, left-to-right fold that makes reductions bit-identical.
 A deadlock (the redirected receive) is compared by class only: which
-bounded wait expires first on ``shmem`` depends on timing.
+bounded wait expires first on ``shmem`` depends on timing.  The property
+runs in strata (``_STRATA`` at every rank count), each with its own seed.
 
 Examples cover what the property does not draw: one rank, overlap,
 poisoned collectives, peers that returned or carry on, the wire format
@@ -21,8 +22,10 @@ The front-end cases keep the communicator one implementation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import inspect
+import itertools
 import io
 import os
 import pathlib
@@ -33,7 +36,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import multiprocessing.connection
@@ -275,10 +278,11 @@ _ISSUE = {
     "iallreduce": lambda comm, x, op, tag: comm.iallreduce(x, op=_OPS[op][0]).wait(),
 }
 
-#: Each program's perturbation and its odds: a redirected receive waits
-#: out a bound on shmem, so it is drawn least.
-_PERTURBATIONS = {None: 0.19, "msg_corrupt": 0.19, "proc_fail": 0.25, "return": 0.25,
-                  "redirect": 0.12}
+#: The property's strata: a perturbation and, for a rank that dies or
+#: returns, its role.  shmem's coordinator (rank 0) fails a collective by
+#: another path than a member does, so each role gets its own examples.
+_STRATA = [(None, None), ("msg_corrupt", None), ("redirect", None),
+           *((kind, role) for kind in ("proc_fail", "return") for role in ("coordinator", "member"))]
 
 
 def _bits(value):
@@ -324,14 +328,13 @@ def _play(comm, programs):
 
 
 @st.composite
-def _programs(draw, max_ops=12):
-    """``(n, programs, expected, perturbation, target, launch kwargs)``:
+def _programs(draw, n, perturbation, role, max_ops=12):
+    """``(programs, expected, target, launch kwargs)`` on ``n`` ranks:
     ``programs[rank]`` lists ``(name, payload, arg, tag)``, ``expected[rank]``
-    each one's trace entry unperturbed, ``target`` is the perturbed rank.
-    Hypothesis draws the rank count and the steps; a generator seeded by the
-    whole draw fills in the rest, so the odds hold however often Hypothesis
-    repeats one of its draws."""
-    n = draw(st.integers(2, 4))
+    each one's trace entry unperturbed, ``target`` is the perturbed rank
+    (rank 0 for the ``"coordinator"`` role, another for ``"member"``).
+    Hypothesis draws the steps; a generator seeded by the whole draw fills
+    in the rest."""
     steps = ["p2p", "sendrecv", "barrier", "bcast", "allreduce", "allgather", "iallreduce"]
     kinds = draw(st.lists(st.sampled_from(steps), min_size=1, max_size=8))
     rng = np.random.default_rng([draw(st.integers(0, 2 ** 16)), n, *map(steps.index, kinds)])
@@ -339,7 +342,6 @@ def _programs(draw, max_ops=12):
     def pick(low, high):
         return int(rng.integers(low, high))
 
-    perturbation = rng.choice(list(_PERTURBATIONS), p=list(_PERTURBATIONS.values()))
     if perturbation == "redirect":
         kinds.insert(pick(0, len(kinds) + 1), "p2p")
     programs, expected = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -383,7 +385,7 @@ def _programs(draw, max_ops=12):
                 mine = None if kind == "barrier" or (kind == "bcast" and r != arg) else sent[r]
                 emit(r, kind, mine, arg, tag, out)
 
-    target, kwargs = pick(0, n), {}
+    target, kwargs = (0 if role == "coordinator" else pick(1, n)), {}
     if perturbation == "redirect":
         receives = [(r, i) for r in range(n) for i, op in enumerate(programs[r]) if op[0] == "recv"]
         assume(receives)
@@ -396,16 +398,35 @@ def _programs(draw, max_ops=12):
         programs[target].insert(pick(0, len(programs[target]) + 1), (step, None, None, 0))
         if step == "die":
             kwargs = {"faults": f"proc_fail:times=0.5,ranks={target}"}
-    return n, programs, expected, perturbation, target, kwargs
+    return programs, expected, target, kwargs
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(drawn=_programs())
-def test_every_backend_observes_a_drawn_program_alike(drawn):
-    n, programs, expected, perturbation, target, kwargs = drawn
-    event(f"perturbation: {perturbation}")
-    for name in sorted({op[0] for program in programs for op in program}):
-        event(f"operation: {name}")
+def _each_drawn(n, perturbation, role, check):
+    """``check(n, perturbation, *drawn)`` on five programs from the stratum's own seed."""
+    @seed(f"{perturbation}-{role}-{n}")
+    @settings(max_examples=5, deadline=None, database=None)
+    @given(drawn=_programs(n, perturbation, role))
+    def run(drawn):
+        check(n, perturbation, *drawn)
+
+    run()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("perturbation, role", _STRATA)
+def test_every_backend_observes_a_drawn_program_alike(perturbation, role, n):
+    _each_drawn(n, perturbation, role, _observe_alike)
+
+
+def test_the_strata_draw_every_operation():
+    drawn = collections.Counter()
+    for n, (perturbation, role) in itertools.product((2, 3, 4), _STRATA):
+        _each_drawn(n, perturbation, role, lambda n, p, programs, *_: drawn.update(
+            {op[0] for program in programs for op in program} & set(_ISSUE)))
+    assert len(drawn) == 9 and min(drawn.values()) >= 25, drawn
+
+
+def _observe_alike(n, perturbation, programs, expected, target, kwargs):
     redirected = perturbation == "redirect"
     traces = {}
     interval = sys.getswitchinterval()
