@@ -476,15 +476,16 @@ def _rank_main(channel: Channel, rank: int, size: int,
     except BaseException as exc:  # noqa: BLE001 - reported to the launcher
         exit_code = 1
         outcome = ("error", portable_error(exc, rank))
-    # The farewell, last on every outbound pipe: a peer waiting on this rank
-    # fails at once and learns whom it knew dead (itself if it raised).
     farewell = ("bye", None, sorted(comm._dead | ({rank} if exit_code else set())))
-    for dest in outbound:
-        comm._post(dest, farewell)
     try:
         channel.send(outcome)
     except OSError:  # pragma: no cover - launcher gone
         exit_code = 1
+    # The farewell, last on every outbound pipe: a peer waiting on this rank
+    # fails at once and learns whom it knew dead (itself if it raised).
+    # After the outcome, so a full pipe never holds the launcher up.
+    for dest in outbound:
+        comm._post(dest, farewell)
     # Shutdown handshake: hold shared-memory segments (and our pipe
     # ends) until the launcher has collected every outcome, so
     # receivers still draining messages can attach first.  Bounded:

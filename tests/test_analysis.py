@@ -41,6 +41,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import pytest
 
 from repro.axes import declared_axes
+from test_layers import _within
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -389,10 +390,6 @@ def matmul_dispatch(source: Source) -> Iterator[Tuple[int, str]]:
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             yield node.lineno, ("'@' costs more dispatch than ndarray.dot for the same BLAS "
                                 "call and bits; write a.dot(b) on the sequential path")
-
-
-def _within(module: str, package: str) -> bool:
-    return module == package or module.startswith(package + ".")
 
 
 def process_hazards(source: Source) -> Iterator[Tuple[int, str]]:
