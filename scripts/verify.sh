@@ -17,6 +17,11 @@
 #   scripts/verify.sh --fast     # skip the fresh-interpreter conformance run
 #
 # Exits non-zero on the first failure.
+#
+# Not a stage here: scripts/mutants.py, the mutation kill matrix, is a
+# measurement of what the suite catches (minutes, not seconds), never a
+# gate -- run it by hand after changing a target or the tests that kill
+# its mutants.
 
 set -euo pipefail
 

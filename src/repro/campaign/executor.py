@@ -80,7 +80,6 @@ import json
 import os
 import time
 import traceback
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -149,9 +148,8 @@ def default_execute(
     Returns ``(result_dict, error_traceback, elapsed)``.  ``attempt``
     is accepted (the executor passes it for test fixtures) but ignored:
     drivers must never see the attempt number, or retried results
-    would diverge from first-try ones.  Fault-injection drivers
-    intentionally overflow floats, so RuntimeWarnings are silenced here
-    exactly as the benchmark harness does.
+    would diverge from first-try ones.  A fault-injection driver scopes
+    the overflow it causes with ``np.errstate`` itself.
 
     When ``params`` carries :data:`BATCH_PARAMS_KEY` (a list of member
     param dicts), the driver's ``run_batch`` executes every member in
@@ -161,25 +159,23 @@ def default_execute(
     """
     start = time.perf_counter()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            driver = default_registry().get(experiment)
-            members = params.get(BATCH_PARAMS_KEY)
-            if members is not None:
-                if driver.run_batch is None:
-                    raise TypeError(
-                        f"{driver.experiment} has no run_batch; the runner "
-                        "must not dispatch batched units to it"
-                    )
-                results = driver.run_batch([dict(p) for p in members])
-                if len(results) != len(members):
-                    raise RuntimeError(
-                        f"{driver.experiment}.run_batch returned "
-                        f"{len(results)} results for {len(members)} scenarios"
-                    )
-                payload = {BATCH_RESULTS_KEY: [r.to_dict() for r in results]}
-                return payload, None, time.perf_counter() - start
-            result = driver.run(**params)
+        driver = default_registry().get(experiment)
+        members = params.get(BATCH_PARAMS_KEY)
+        if members is not None:
+            if driver.run_batch is None:
+                raise TypeError(
+                    f"{driver.experiment} has no run_batch; the runner "
+                    "must not dispatch batched units to it"
+                )
+            results = driver.run_batch([dict(p) for p in members])
+            if len(results) != len(members):
+                raise RuntimeError(
+                    f"{driver.experiment}.run_batch returned "
+                    f"{len(results)} results for {len(members)} scenarios"
+                )
+            payload = {BATCH_RESULTS_KEY: [r.to_dict() for r in results]}
+            return payload, None, time.perf_counter() - start
+        result = driver.run(**params)
         return result.to_dict(), None, time.perf_counter() - start
     except Exception:
         return None, traceback.format_exc(), time.perf_counter() - start
@@ -350,11 +346,10 @@ class FailureLedger:
         return base + ".ledger.jsonl"
 
     # ------------------------------------------------------------------
-    def record(self, record: AttemptRecord) -> AttemptRecord:
+    def record(self, record: AttemptRecord) -> None:
         """Append one attempt to the journal (flushed before return)."""
         self._appender.append(record.to_json())
         self._records.append(record)
-        return record
 
     def history(self) -> Dict[str, List[AttemptRecord]]:
         """Attempts grouped per scenario key, in journal order."""
@@ -384,7 +379,7 @@ class FailureLedger:
             if record.outcome in FAILURE_OUTCOMES
         ]
 
-    def mark_completed(self, key: str, experiment: str) -> AttemptRecord:
+    def mark_completed(self, key: str, experiment: str) -> None:
         """Reconcile a key the result store holds as completed.
 
         Appends a zero-attempt ``"completed"`` record so the key leaves
@@ -395,7 +390,7 @@ class FailureLedger:
         the store is authoritative for results, and the ledger must not
         keep reporting a completed scenario as failed.
         """
-        return self.record(
+        self.record(
             AttemptRecord(
                 key=key,
                 experiment=experiment,
@@ -803,7 +798,7 @@ class SupervisedExecutor:
             for state in states:
                 state.attempts = 1
                 result, error, elapsed = self.execute(
-                    state.experiment, state.params, 1
+                    state.experiment, state.params, state.attempts
                 )
                 conclude(state, "ok" if error is None else "error",
                          error=error, elapsed=elapsed, result=result)
@@ -834,9 +829,7 @@ class SupervisedExecutor:
                     except (EOFError, OSError):
                         reclaim(worker, "crashed")
                         continue
-                    queue = inflight.get(worker)
-                    if not queue:
-                        continue
+                    queue = inflight[worker]
                     received.append((worker, queue.popleft(), message))
                     if queue:  # the worker has started the next one
                         started[worker] = time.monotonic()
@@ -859,8 +852,8 @@ class SupervisedExecutor:
                         conclude(state, "ok", text=text,
                                  elapsed=elapsed, worker_pid=worker.pid)
 
-                # Deadlines: kill + respawn expired workers.
-                now = time.monotonic()
+                # Deadlines: kill + respawn expired workers (``now`` is the
+                # pass's: one that expires during the wait goes next pass).
                 for worker in list(inflight):
                     if self.timeout is not None and now >= started[worker] + self.timeout:
                         reclaim(worker, "timeout")

@@ -60,12 +60,11 @@ class LineAppender:
             return "" if handle.read(1) == b"\n" else "\n"
 
     def append(self, line: str) -> None:
-        """Write ``line`` plus a newline; flushed before return."""
+        """Write ``line`` plus a newline; closed (so flushed) before return."""
         if self._prefix is None:
             self._prefix = self._first_prefix()
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(self._prefix + line + "\n")
-            handle.flush()
         self._prefix = ""
 
 
@@ -177,14 +176,14 @@ class ResultStore:
         result: ExperimentResult,
         elapsed: float = 0.0,
         result_text: Optional[str] = None,
-    ) -> StoreRecord:
+    ) -> None:
         """Persist one completed scenario and index it.
 
-        Re-appending an existing key is a no-op returning the stored
-        record -- the store is idempotent by construction.
+        Re-appending an existing key is a no-op -- the store is
+        idempotent by construction.
         """
         if key in self._records:
-            return self._records[key]
+            return
         record = StoreRecord(
             key=key,
             experiment=experiment,
@@ -195,4 +194,3 @@ class ResultStore:
         )
         self._appender.append(record.to_json(result_text))
         self._records[key] = record
-        return record

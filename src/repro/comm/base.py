@@ -197,7 +197,7 @@ def resolve_job_faults(
             try:
                 plan = model.failure_plan(n_ranks=int(n_ranks), seed=fault_seed)
             except FaultCapabilityError:
-                plan = FailurePlan.none()
+                pass  # no proc_fail component: no plan, as below
         msg_model = model.component("msg_corrupt")
         if msg_model is not None:
             def factory(rank: int):

@@ -63,6 +63,7 @@ contribution (which never crosses a pipe) and a payload handed to a
 from __future__ import annotations
 
 import os
+import select
 import signal
 import time
 import uuid
@@ -381,10 +382,10 @@ class ShmemComm(BaseCommunicator):
         """Star-protocol collective through the rank-0 coordinator.
 
         A missing contributor (its farewell or a hang-up) fails the
-        collective: the coordinator reports the failed set to every
-        survivor before raising, so all participants observe the same
-        :class:`ProcFailure` and nobody hangs; without a coordinator a
-        rank names every rank it knows dead.  Contributions that
+        collective once seen: the coordinator reports the failed set to
+        every survivor before raising, so all participants observe the
+        same :class:`ProcFailure` and nobody hangs; without a
+        coordinator a rank names every rank it knows dead.  Contributions that
         reached the pipe before the sender died still count (pipes are
         FIFO), matching the simulator's posted-before-death semantics.
         An exception raised while the coordinator completes the
@@ -402,15 +403,8 @@ class ShmemComm(BaseCommunicator):
             # The one contribution that never crosses a pipe: without a
             # copy the coordinator's result could alias its caller's input.
             contributions: Dict[int, Any] = {0: copy_payload(value)}
-            failed: set = set()
-            for source in range(1, self._size):
-                try:
-                    message = self._next_from(source, ("coll",), seq, operation, deadline)
-                except ProcFailure as exc:
-                    failed |= exc.failed_ranks
-                    continue
-                contributions[source] = self._decode_payload(message[2])
-            if len(contributions) < self._size:
+            failed = self._gather(contributions, seq, operation, deadline)
+            if failed is not None:
                 self._poison(seq, sorted(failed), failed)
                 raise ProcFailure(failed, operation_label(*operation), detected_at=self._clock)
             try:
@@ -442,6 +436,29 @@ class ShmemComm(BaseCommunicator):
         # comparable program points.
         self._clock += cost
         return result
+
+    def _gather(self, contributions: Dict[int, Any], seq: int, operation: Tuple,
+                deadline: float) -> Optional[set]:
+        """Take the contributions to collective ``seq`` as they arrive; at the
+        first contributor gone, the failed set (the missing contributors
+        whose death is already here, as on the simulator), else ``None``."""
+        waiting, failed = set(range(1, self._size)), None
+        while waiting and failed is None:
+            for source in sorted(waiting):
+                if self._pending[source] or self._in[source].poll(0):
+                    try:  # a zero deadline: only what has arrived
+                        message = self._next_from(source, ("coll",), seq, operation, 0.0)
+                    except CommTimeoutError:
+                        continue
+                    except ProcFailure as exc:
+                        failed = (failed or set()) | exc.failed_ranks
+                    else:
+                        contributions[source] = self._decode_payload(message[2])
+                    waiting.discard(source)
+            if waiting and failed is None and not select.select(
+                    [self._in[s].fd for s in waiting], [], [], max(deadline - time.monotonic(), 0.0))[0]:
+                raise CommTimeoutError(self._rank, operation_label(*operation), self.timeout)
+        return failed
 
     def _poison(self, seq: int, verdict: Any, gone=()) -> None:
         """Fail collective ``seq`` on every peer not in ``gone``.

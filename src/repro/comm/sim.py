@@ -205,8 +205,7 @@ class Comm(BaseCommunicator):
     def revoke(self) -> None:
         """Revoke the current epoch (ULFM ``MPI_Comm_revoke`` analogue).
 
-        Records the revocation event and wakes every blocked rank so
-        failure propagation is prompt in wall-clock terms.  The actual
+        Records the revocation event, once per epoch.  The actual
         *failing* of pending operations is driven by the deterministic
         liveness predicate
         (:meth:`~repro.comm.simstate.RuntimeState.may_still_operate`):

@@ -62,8 +62,6 @@ class RuntimeState:
     """All mutable state shared between simulated ranks."""
 
     def __init__(self, n_ranks: int):
-        if n_ranks <= 0:
-            raise ValueError("n_ranks must be positive")
         self.n_ranks = int(n_ranks)
         self.condition = threading.Condition()
         self.alive: Set[int] = set(range(n_ranks))
@@ -88,7 +86,7 @@ class RuntimeState:
         self.log = EventLog()
 
     def revoke_epoch(self, epoch: int, *, rank: int, time: float) -> None:
-        """Record an ULFM-style revoke of ``epoch`` and wake all waiters.
+        """Record an ULFM-style revoke of ``epoch``, once per epoch.
 
         Revocation is an *event marker*, not an abort trigger: blocked
         operations are failed by the deterministic liveness predicate
@@ -104,7 +102,6 @@ class RuntimeState:
             if epoch not in self.revoked_epochs:
                 self.revoked_epochs.add(int(epoch))
                 self.log.record("epoch_revoked", time=time, rank=rank, epoch=int(epoch))
-            self.condition.notify_all()
 
     # ------------------------------------------------------------------
     # Liveness
@@ -281,13 +278,12 @@ class VirtualClock:
         self._busy += seconds
         return self._now
 
-    def wait_until(self, time: float) -> float:
+    def wait_until(self, time: float) -> None:
         """Advance the clock to ``time`` if that is in the future.
 
         The skipped interval is attributed to idle (synchronization)
-        time.  Returns the new current time.
+        time.
         """
         if time > self._now:
             self._idle += time - self._now
             self._now = time
-        return self._now

@@ -103,7 +103,7 @@ class CgAttempt:
 class CgScheme(IterationScheme):
     """Classic preconditioned conjugate gradients."""
 
-    def __init__(self, preconditioner=None, *, maxiter: int = 1000):
+    def __init__(self, preconditioner=None, *, maxiter: int):
         if maxiter <= 0:
             raise ValueError("maxiter must be positive")
         self.preconditioner = preconditioner
@@ -176,7 +176,7 @@ class CgScheme(IterationScheme):
 class PipelinedCgScheme(IterationScheme):
     """Pipelined (overlapped fused-reduction) conjugate gradients."""
 
-    def __init__(self, preconditioner=None, *, maxiter: int = 1000):
+    def __init__(self, preconditioner=None, *, maxiter: int):
         if maxiter <= 0:
             raise ValueError("maxiter must be positive")
         self.preconditioner = preconditioner
@@ -206,14 +206,7 @@ class PipelinedCgScheme(IterationScheme):
         breakdown = False
         iteration = 0
         overlapped = 0
-
-        gamma_old = 0.0
-        alpha_old = 0.0
-        z = None
-        q = None
-        s = None
-        p = None
-
+        # gamma_old, alpha_old, z, q, s and p are first set by step 0.
         while not converged and not breakdown and iteration < self.maxiter:
             # Start the fused reduction for gamma = (r, u) and
             # delta = (w, u): one non-blocking allreduce carrying both
@@ -235,13 +228,12 @@ class PipelinedCgScheme(IterationScheme):
                 break
 
             if iteration > 0:
-                if gamma_old == 0.0 or alpha_old == 0.0:
+                if alpha_old == 0.0:  # gamma_old == 0 makes alpha_old 0 too
                     breakdown = True
                     break
                 beta = gamma / gamma_old
                 denom = delta - beta * gamma / alpha_old
             else:
-                beta = 0.0
                 denom = delta
             if denom == 0.0 or not math.isfinite(denom):
                 breakdown = True

@@ -82,12 +82,8 @@ class RegionStage:
         region.flops += self.flops_per_call
         if region.injector is None:
             return result
-        arr = np.asarray(result)
-        if arr.dtype != np.float32:
-            # float32 data passes through natively so the injector flips
-            # 32-bit patterns instead of silently upcasting.
-            arr = np.asarray(arr, dtype=np.float64)
-        return region.injector.maybe_inject(arr, now=region.now)
+        # float32 data passes through natively: the injector flips 32-bit patterns.
+        return region.injector.maybe_inject(np.asarray(result), now=region.now)
 
     apply = __call__
 

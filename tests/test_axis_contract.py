@@ -17,6 +17,7 @@ import dataclasses
 import io
 import re
 
+import numpy as np
 import pytest
 
 from repro.axes import declared_axes
@@ -26,8 +27,8 @@ from repro.krylov.registry import default_solver_registry
 from repro.linalg import poisson_2d
 from repro.precond import resolve_preconds
 from repro.reliability.models import MODEL_KINDS
-from repro.reliability.spec import FAULT_KINDS
-from repro.spec import Registry
+from repro.reliability.spec import FAULT_KINDS, FaultSpec
+from repro.spec import Registry, format_spec_value, parse_kind_params, parse_spec_value, split_composed
 
 AXES = {axis.name: axis for axis in declared_axes()}
 SPEC_AXES = [axis for axis in AXES.values() if axis.spec is not None]
@@ -239,6 +240,34 @@ class TestSpecs:
 # ---------------------------------------------------------------------------
 # Declared differences and the defects the hand-rolled copies had drifted into
 # ---------------------------------------------------------------------------
+def test_the_value_grammar_refuses_and_formats_exactly():
+    for text, message in (("", "empty spec value"), ("a;;b", "malformed list"), ("x y", "cannot parse")):
+        with pytest.raises(ValueError, match=message):
+            parse_spec_value(text)
+    for text, message in ((":p=1", "malformed spec string"), ("k:p", "malformed parameter")):
+        with pytest.raises(ValueError, match=message):
+            parse_kind_params(text)
+    for value, message in ((("x y",), "bare names"), (object(), "unsupported spec value type")):
+        with pytest.raises((ValueError, TypeError), match=message):
+            format_spec_value(value)
+    with pytest.raises(ValueError, match="malformed spec string"):
+        split_composed("+a")
+    assert parse_spec_value(" name ") == "name" and parse_kind_params(" k :p=1") == ("k", {"p": 1})
+    assert [format_spec_value(v) for v in (None, ("a", "b"), (True, False))] == ["none", "a;b", "true;false"]
+    bit = FaultSpec("bitflip")
+    for kind, children, message in (("compose", (bit,), "at least two"), ("bitflip", (bit, bit), "children")):
+        with pytest.raises(ValueError, match=message):
+            FaultSpec(kind, {}, children)
+    with pytest.raises(ValueError, match="invalid parameter name"):
+        FaultSpec("bitflip", {"p q": 0.5})
+    pair = FaultSpec("compose", {}, [bit, bit])
+    assert pair.children == (bit, bit) and hash(pair) == hash(FaultSpec.compose(bit, bit))
+    with pytest.raises(ValueError, match="cannot override"):
+        FaultSpec.compose(bit, FaultSpec("proc_fail")).with_params(p=0.1)
+    value = FaultSpec("bitflip", {"p": np.float64(0.5)}).params["p"]
+    assert type(value) is float and value == 0.5
+
+
 class TestDifferences:
     def test_comm_loose_dict_form(self):
         spec = AXES["comm"].spec.parse({"kind": "sim", "procs": 2})

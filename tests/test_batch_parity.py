@@ -1053,4 +1053,4 @@ class TestLedgerReconciliation:
         ledger.mark_completed("k1", "E8")
         assert ledger.failed_keys() == []
         # Append-only history survives the reconciliation.
-        assert [r.outcome for r in ledger._records] == ["timeout", "completed"]
+        assert [(r.attempt, r.outcome) for r in ledger._records] == [(2, "timeout"), (0, "completed")]

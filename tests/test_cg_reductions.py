@@ -8,9 +8,9 @@ step needs is the squared norm its convergence test takes the root of
   reduced precisions, sequentially and through ``batch_solve``, plus a
   lockstep batch at fp64 -- a root taken in another dtype than the
   vector's moves the residual history without failing anything else;
-* a Hypothesis property that compares ``cg`` and the lockstep engine
-  with an in-test reference loop spelling the step with ``ops.norm``
-  and ``ops.dot``, the way it was written before the fusion;
+* pinned bytes (alphas and stopping flags too) of small dense systems
+  at fp64 and fp32 and in lockstep with staggered budgets: the bits CG
+  gave before the fusion, written with ``ops.norm`` and ``ops.dot``;
 * the collectives a distributed solve issues, counted by wrapping the
   rank's communicator methods inside the rank program: 2 ``allreduce``
   and 1 ``allgather`` per unpreconditioned iteration, 3 + 1 with a
@@ -20,18 +20,14 @@ step needs is the squared norm its convergence test takes the root of
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.comm import resolve_backend
 from repro.comm.distributed import DistributedRowMatrix, DistributedVector
-from repro.krylov import cg, ops
+from repro.krylov import cg
 from repro.krylov.cg import cg_engine
 from repro.krylov.engine import batch as batch_engine
 from repro.krylov.registry import batch_solve, default_solver_registry
@@ -77,6 +73,44 @@ PINNED_SEQUENTIAL = {
 PINNED_LOCKSTEP = ["e7a711df825b0d21", "c2c780b9888ec9fa", "fa0b9c925f7bce36"]
 
 
+def _spd_system(seed: int, n: int, shift: float):
+    """``m m^T + shift I`` (indefinite for a large negative shift) and three right-hand sides."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    return m.dot(m.T) + shift * np.eye(n), [rng.standard_normal(n) for _ in range(3)]
+
+
+def _full_digest(result) -> str:
+    """:func:`_digest` plus the alphas and the stopping flags."""
+    h = hashlib.sha256(_digest(result).encode())
+    h.update(np.asarray(result.info["alphas"], dtype=np.float64).tobytes())
+    h.update(repr((result.converged, result.breakdown, result.iterations)).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``(seed, n, shift, tol, maxiter)`` -> full digests of ``cg`` on the
+#: first right-hand side at fp64 and at fp32, and of the three lanes in
+#: lockstep (fp64, lane ``i`` stopped at ``maxiter - 3 i``): one step,
+#: a budget cut, staggered stops, an ill-conditioned system and an
+#: indefinite one that breaks down at once.  The bits are those of CG
+#: written before the fusion (``ops.norm`` for the convergence test,
+#: ``ops.dot`` on a copy of ``r`` for ``(r, z)``).
+PINNED_SMALL = {
+    (1, 1, 1.0, 1e-12, 4): ("ff8b802ba090f01e", "89603c48076b2a27",
+                            ["ff8b802ba090f01e", "870ccb0461c53786", "79a2396f3a6d17eb"]),
+    (2, 6, 1e-3, 1e-12, 3): ("acdc04e5549fda29", "cf467978abc170b1",
+                             ["acdc04e5549fda29", "2faec1e8b0c3d42c", "ec2557ca3cdea8fb"]),
+    (3, 10, 1.0, 1e-6, 12): ("ab69ffbcf2df1c5f", "f620bc9acfe491b5",
+                             ["ab69ffbcf2df1c5f", "cd2c62c4c62e4700", "efb33cc61d39a707"]),
+    (4, 8, 10.0, 1e-2, 18): ("a42ae1efdfdc9959", "00cd4ecd20e9e617",
+                             ["a42ae1efdfdc9959", "9696e09250594c6e", "ad2ed8b30571a92f"]),
+    (5, 10, 1e-3, 1e-12, 14): ("60091829f3743c9e", "17f69cb49d4dde25",
+                               ["60091829f3743c9e", "9bcac10742178cd8", "f89244344beb37e6"]),
+    (6, 3, -100.0, 1e-6, 8): ("f5ca44475f85ff2b", "bd840ce6a80e01ae",
+                              ["f5ca44475f85ff2b", "40eb69172272770c", "80c4e58a8378d569"]),
+}
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("precision", sorted(PINNED_SEQUENTIAL))
     def test_sequential(self, precision):
@@ -105,96 +139,16 @@ class TestPinnedBits:
         results = batch_engine.run_cg_batch(lanes)
         assert [_digest(result) for result in results] == PINNED_LOCKSTEP
 
-
-# ----------------------------------------------------------------------
-# The fused step against the unfused reference loop
-# ----------------------------------------------------------------------
-def reference_cg(operator, b, *, tol: float, maxiter: int):
-    """Unpreconditioned CG as written before the fusion: the convergence
-    norm from ``ops.norm`` and ``(r, z)`` from ``ops.dot`` on a copy."""
-    target = tol * ops.norm(b)
-    x = ops.zeros_like(b)
-    r = ops.xpby(b, -1.0, ops.matvec(operator, x))
-    z = ops.copy_vector(r)
-    p = ops.copy_vector(z)
-    rz = ops.dot(r, z)
-    residual = ops.norm(r)
-    norms, alphas, betas = [residual], [], []
-    converged, breakdown, iteration = residual <= target, False, 0
-    while not converged and not breakdown and iteration < maxiter:
-        ap = ops.matvec(operator, p)
-        p_ap = ops.dot(p, ap)
-        if p_ap <= 0.0 or not math.isfinite(p_ap):
-            breakdown = True
-            break
-        alpha = rz / p_ap
-        alphas.append(float(alpha))
-        x = ops.xpby(x, float(alpha), p)
-        r = ops.xpby(r, -float(alpha), ap)
-        residual = ops.norm(r)
-        iteration += 1
-        norms.append(residual)
-        if not math.isfinite(residual):
-            breakdown = True
-            break
-        if residual <= target:
-            converged = True
-            break
-        z = ops.copy_vector(r)
-        rz_next = ops.dot(r, z)
-        if not math.isfinite(rz_next):
-            breakdown = True
-            break
-        beta = rz_next / rz
-        betas.append(float(beta))
-        rz = rz_next
-        p = ops.xpby(z, float(beta), p)
-    return x, norms, alphas, betas, converged, breakdown, iteration
-
-
-def _assert_matches_reference(result, reference):
-    x, norms, alphas, betas, converged, breakdown, iteration = reference
-    assert result.residual_norms == norms
-    assert result.info["alphas"] == alphas
-    assert result.info["betas"] == betas
-    assert (result.converged, result.breakdown, result.iterations) == (
-        converged, breakdown, iteration,
-    )
-    assert np.asarray(result.x).tobytes() == np.asarray(x).tobytes()
-
-
-@st.composite
-def spd_systems(draw):
-    n = draw(st.integers(1, 10))
-    seed = draw(st.integers(0, 2**32 - 1))
-    shift = draw(st.sampled_from([1e-3, 1.0, 10.0]))
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    matrix = m.dot(m.T) + shift * np.eye(n)
-    bs = [rng.standard_normal(n) for _ in range(3)]
-    tol = draw(st.sampled_from([1e-2, 1e-6, 1e-12]))
-    maxiter = draw(st.integers(1, 2 * n + 2))
-    return matrix, bs, tol, maxiter
-
-
-class TestFusedStepProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(system=spd_systems(), dtype=st.sampled_from([np.float64, np.float32]))
-    def test_sequential_step_matches_reference(self, system, dtype):
-        matrix, bs, tol, maxiter = system
-        matrix, b = matrix.astype(dtype), bs[0].astype(dtype)
-        result = cg(matrix, b, tol=tol, maxiter=maxiter)
-        _assert_matches_reference(result, reference_cg(matrix, b, tol=tol, maxiter=maxiter))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(system=spd_systems())
-    def test_lockstep_step_matches_reference(self, system):
-        matrix, bs, tol, maxiter = system
-        lanes = [(cg_engine(matrix, tol=tol, maxiter=maxiter), b, None) for b in bs]
-        with mock.patch.object(batch_engine, "_CG_MIN_LANES", 1):
-            results = batch_engine.run_cg_batch(lanes)
-        for b, result in zip(bs, results):
-            _assert_matches_reference(result, reference_cg(matrix, b, tol=tol, maxiter=maxiter))
+    @pytest.mark.parametrize("case", sorted(PINNED_SMALL))
+    def test_small_systems(self, case, force_lockstep):
+        seed, n, shift, tol, maxiter = case
+        matrix, bs = _spd_system(seed, n, shift)
+        solo = [_full_digest(cg(matrix.astype(dtype), bs[0].astype(dtype), tol=tol, maxiter=maxiter))
+                for dtype in (np.float64, np.float32)]
+        lanes = [(cg_engine(matrix, tol=tol, maxiter=max(maxiter - 3 * i, 1)), b, None)
+                 for i, b in enumerate(bs)]
+        lockstep = [_full_digest(result) for result in batch_engine.run_cg_batch(lanes)]
+        assert (*solo, lockstep) == PINNED_SMALL[case]
 
 
 # ----------------------------------------------------------------------

@@ -516,6 +516,18 @@ class TestContract:
         assert time.monotonic() - start < 0.5
         assert trace == [("RankFailedError", label, [], None, [], list(range(procs)))]
 
+    def test_a_collective_fails_at_the_first_contributor_gone(self, backend):
+        """Rank 1 dies while rank 2 waits on the send rank 0 posts after its
+        allreduce: rank 0's verdict comes at once, not at its timeout."""
+        programs = [[("allreduce", np.ones(2), "SUM", 0), ("send", np.ones(2), 2, 0)],
+                    [("die", None, None, 0)],
+                    [("recv", None, 0, 0), ("allreduce", np.ones(2), "SUM", 0)]]
+        start = time.monotonic()
+        trace = launch(backend, 3, _play, programs, faults="proc_fail:times=0.5,ranks=1",
+                       timeout=2.0)[0]
+        assert time.monotonic() - start < 0.5
+        assert trace == [("RankFailedError", "allreduce(0, 0)", [1], None, [1], [0, 2])]
+
     @pytest.mark.parametrize("operation, failed", [("recv", []), ("allreduce", [2])])
     def test_a_departing_peer_passes_on_whom_it_knew_dead(self, backend, operation, failed):
         """Rank 2 dies, rank 0 fails on it and returns, rank 1 waits on rank 0."""

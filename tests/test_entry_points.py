@@ -2,11 +2,6 @@
 
 * Every example script runs end to end in a fresh interpreter, so a
   moved name fails here instead of in a reader's terminal.
-* ``repro.comm``, ``repro.comm.sim``, ``repro.comm.shmem`` and
-  ``repro.lflr`` each import first in a fresh interpreter: the
-  simulator's ``Comm`` subclasses the front end in ``repro.comm``, and
-  ``repro.lflr`` builds on the simulator, so an import cycle between
-  the two packages would fail here.
 * The benchmark ledger's calls into ``src/`` -- ``unreliable(spec,
   seed=)``, ``.operator(f)``, ``.faults_injected()`` and ``ft_gmres``'s
   ``info["kernels"]["seconds"]["inner_solve"]`` -- are exercised through
@@ -56,17 +51,6 @@ def test_example_runs(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
-
-
-@pytest.mark.parametrize(
-    "module", ["repro.comm", "repro.comm.sim", "repro.comm.shmem", "repro.lflr"]
-)
-def test_package_imports_first(module):
-    done = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
-        cwd=REPO_ROOT, env=_src_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

@@ -136,12 +136,41 @@ class TestCg:
         precond = cg(matrix, b, tol=1e-10, maxiter=2000,
                      preconditioner=JacobiPreconditioner(matrix))
         assert precond.converged and plain.converged
+        for result in (plain, precond):  # the preamble's application counted too
+            counts = result.info["kernels"]["counts"]
+            assert (counts["matvec"], counts["preconditioner"]) == (result.iterations + 1, result.iterations)
+        assert plain.info["kernels"]["seconds"]["preconditioner"] == 0.0  # z is r
 
-    def test_breakdown_on_indefinite(self, rng):
-        indefinite = np.diag([1.0, -1.0, 2.0, -2.0])
-        b = rng.standard_normal(4)
-        result = cg(indefinite, b, tol=1e-10, maxiter=50)
-        assert result.breakdown or not result.converged
+    def test_breakdown_on_indefinite(self):
+        # Zero curvature at the first step: (p, Ap) = 1 - 1.
+        result = cg(np.diag([1.0, -1.0]), np.ones(2), tol=1e-10, maxiter=50)
+        assert (result.breakdown, result.iterations) == (True, 0)
+        # A finite curvature whose step overflows r: the residual check stops it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = cg(np.array([[1e-10, 0.0], [1e300, 0.0]]), np.array([1.0, 0.0]), tol=1e-10, maxiter=50)
+        assert (result.breakdown, result.iterations, result.info["kernels"]["counts"]["preconditioner"]) == (True, 1, 1)
+        # A preconditioner that turns non-finite: the (r, z) check stops it.
+        scale = iter([1.0, np.inf])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = cg(np.diag([1.0, 2.0]), np.ones(2), tol=1e-12, maxiter=5,
+                        preconditioner=lambda v: v * next(scale))
+        assert (result.breakdown, result.iterations, result.info["betas"]) == (True, 1, [])
+        scale = iter([1.0, np.inf])  # pipelined: the fused (r, u), (w, u) check stops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = pipelined_cg(np.diag([1.0, 2.0, 3.0]), np.ones(3), tol=1e-12, maxiter=5,
+                                  preconditioner=lambda v: v * next(scale, np.inf))
+        assert (result.breakdown, result.iterations) == (True, 1)
+        # Pipelined stops at: a zero denominator, a zero step (r is
+        # orthogonal to M r), an overflowed residual (before step 1's matvec).
+        for b, preconditioner, operator, iterations, matvecs in (
+            (np.ones(2), lambda v: 0.0 * v, np.eye(2), 0, 3),
+            (np.array([1.0, 0.0]), lambda v: v[::-1].copy(), np.eye(2), 1, 4),
+            (np.array([1.0, 0.0]), None, np.array([[1e-10, 0.0], [1e300, 0.0]]), 1, 3),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = pipelined_cg(operator, b, tol=1e-12, maxiter=5, preconditioner=preconditioner)
+            assert (result.breakdown, result.iterations, result.info["kernels"]["counts"]["matvec"]) == (
+                True, iterations, matvecs)
 
     def test_iteration_hook(self, poisson_tiny, rng):
         b = rng.standard_normal(poisson_tiny.n_rows)
@@ -203,9 +232,14 @@ class TestPipelinedVariants:
         assert relative_residual(poisson_small, pipelined.x, b) < 1e-9
 
     def test_pipelined_cg_overlap_counter(self, poisson_tiny, rng):
-        b = rng.standard_normal(poisson_tiny.n_rows)
-        result = pipelined_cg(poisson_tiny, b, tol=1e-10)
-        assert result.info["overlapped_reductions"] >= result.iterations
+        b, x0 = rng.standard_normal(poisson_tiny.n_rows), np.full(poisson_tiny.n_rows, 0.5)
+        result = pipelined_cg(poisson_tiny, b, x0, tol=1e-10)
+        assert relative_residual(poisson_tiny, result.x, b) < 1e-9  # from a nonzero x0
+        k = result.iterations
+        assert result.info["overlapped_reductions"] == k  # one per step
+        counts = result.info["kernels"]["counts"]  # the preamble's r and w, then one each per step
+        assert (counts["matvec"], counts["preconditioner"]) == (k + 2, k + 1)
+        assert pipelined_cg(poisson_tiny, b, maxiter=1).iterations == 1
 
     def test_pipelined_gmres_matches_gmres(self, convdiff_small, rng):
         b = rng.standard_normal(convdiff_small.n_rows)

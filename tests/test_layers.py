@@ -215,11 +215,13 @@ def test_the_cycle_scan_finds_a_planted_back_edge():
 def test_each_package_root_imports_first():
     """One fresh interpreter imports every package root and top-level
     module in turn, dropping ``repro.*`` from ``sys.modules`` between
-    them, so a cycle that only an import order exposes fails."""
+    them, so a cycle that only an import order exposes fails.  The two
+    backends go too: the simulator's ``Comm`` subclasses the front end in
+    ``repro.comm``, and ``repro.lflr`` builds on the simulator."""
     roots = [
         _module_name(path) for path in sorted(SRC.rglob("*.py"))
         if path.name == "__init__.py" or path.parent == SRC
-    ]
+    ] + ["repro.comm.sim", "repro.comm.shmem"]
     script = textwrap.dedent("""\
         import importlib
         import sys

@@ -314,15 +314,16 @@ class TestLflrHeatDriver:
 
     def test_single_failure_recovers_exactly(self, lflr_machine):
         clean = run_lflr_heat(4, n_global=40, n_steps=25, machine=lflr_machine)
-        plan = FailurePlan.single(clean.virtual_time * 0.4, 2)
+        # Rank 0 fails: the designated survivor is the lowest rank never dead.
+        plan = FailurePlan.single(clean.virtual_time * 0.4, 0)
         faulty = run_lflr_heat(
             4, n_global=40, n_steps=25, machine=lflr_machine, failure_plan=plan
         )
         assert faulty.n_recoveries == 1
         assert np.allclose(faulty.field, clean.field, atol=1e-13)
         assert faulty.virtual_time > clean.virtual_time
-        assert faulty.events.get("rank_death", 0) == 1
-        assert faulty.events.get("rank_respawn", 0) == 1
+        assert {kind: faulty.events.get(kind) for kind in ("rank_death", "rank_respawn", "epoch_revoked")} == {
+            "rank_death": 1, "rank_respawn": 1, "epoch_revoked": 1}
 
     def test_two_spaced_failures_recover(self, lflr_machine):
         clean = run_lflr_heat(4, n_global=40, n_steps=30, machine=lflr_machine)

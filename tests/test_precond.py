@@ -80,12 +80,12 @@ def _spec_strategy():
 
 
 class TestPrecondSpec:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(_spec_strategy())
     def test_string_roundtrip_exact(self, spec):
         assert PrecondSpec.parse(spec.to_string()) == spec
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(_spec_strategy())
     def test_dict_roundtrip_exact(self, spec):
         assert PrecondSpec.from_dict(spec.to_dict()) == spec

@@ -280,7 +280,7 @@ def _as_lists(value):
 
 
 class TestScenarioKeyProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(experiment=st.sampled_from(["E1", "e8", "E10"]), params=_param_dict)
     def test_key_is_the_function_of_experiment_and_params(self, experiment, params):
         scenario = Scenario(experiment, params)
@@ -292,7 +292,7 @@ class TestScenarioKeyProperties:
         same = Scenario(experiment, dict(params))
         assert same == scenario and same is not scenario and same.key == scenario.key
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(params=_param_dict, overrides=_param_dict)
     def test_with_params_never_stales_a_key(self, params, overrides):
         scenario = Scenario("E8", params, tag="t")
@@ -389,7 +389,7 @@ def _matrices(rows, cols, elements=_any_float):
 
 
 class TestSkepticalCheckFastPaths:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         array=st.one_of(
             hnp.arrays(np.float64, st.integers(0, 40), elements=_any_float),
@@ -402,7 +402,7 @@ class TestSkepticalCheckFastPaths:
         strided = array[::2]  # a view, as the monitor's Hessenberg column is
         _same_verdict(finite_check(strided), _finite_oracle(strided))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         basis=st.one_of(
             _matrices(st.integers(0, 12), st.integers(0, 6)),
@@ -417,7 +417,7 @@ class TestSkepticalCheckFastPaths:
             oracle = _orthogonality_oracle(basis, n_vectors, tol)
         _same_verdict(result, oracle)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         hessenberg=st.one_of(
             _matrices(st.integers(0, 8), st.integers(0, 7)),
@@ -442,7 +442,7 @@ class TestSkepticalCheckFastPaths:
             oracle = _hessenberg_oracle(padded, norm, n_columns, safety)
         _same_verdict(result, oracle)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         history=st.lists(
             st.one_of(_any_float, st.floats(1e-3, 1e3)), min_size=0, max_size=9

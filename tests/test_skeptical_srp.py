@@ -292,6 +292,7 @@ class TestSrp:
         summary = region.summary(reliable_flops=100.0)
         assert summary["reliable_fraction_flops"] == pytest.approx(0.1)
         cost = region.cost_summary(reliable_flops=100.0)
+        assert cost["all_reliable_cost"] == region.cost_model.execution_cost(1000.0, 0.0)
         assert cost["savings_factor"] == pytest.approx(
             region.cost_model.speedup_vs_all_reliable(100.0, 900.0)
         )

@@ -267,7 +267,7 @@ class TestJsonify:
         value = 0.1 + 0.2  # not exactly 0.3
         assert json.loads(json.dumps(jsonify(value))) == value
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(value=_JSONIFY_VALUES)
     def test_container_fast_path_equals_the_old_body(self, value):
         """Exact ``dict``/``list``/``tuple`` first changes no output byte."""
