@@ -39,9 +39,9 @@ Pieces
     fresh, independent draws.
 :class:`SupervisedExecutor`
     Long-lived worker processes, each a :class:`~repro.utils.child.Child`
-    driven over its own channel.  The supervisor keeps up to
-    :data:`DEPTH` scenarios in flight per worker (the head runs, the next
-    waits in the channel), polls the channels, enforces per-scenario
+    driven over its own channel.  The supervisor sends a scenario only
+    to an idle worker, so each worker holds at most one, and its
+    deadline starts at the send.  It polls the channels, enforces the
     deadlines (kill + respawn on expiry), detects hard worker death by
     the channel's hang-up, verifies result checksums, and applies the
     retry policy until every scenario reaches a terminal state.
@@ -50,14 +50,8 @@ Pieces
     retried, one attempt per task.  Every campaign unit goes through
     :meth:`SupervisedExecutor.run`, which is the one code path that
     executes a unit, applies the retry policy and journals its attempts.
-
-    A task queues behind a busy worker only while the ready backlog
-    outnumbers the workers; its deadline starts when it becomes the head.
-    A crash or timeout charges the head alone: the tasks behind it never
-    started and are re-sent as the same attempt.  The largest builtin
-    task (a ``--batch 0`` sweep) pickles to 615 B, so a queued send
-    never waits on a full channel.  A result crosses once, as
-    checksummed canonical JSON text, spliced as is into the store line.
+    A result crosses once, as checksummed canonical JSON text, spliced
+    as is into the store line.
 
     One channel per worker is a correctness requirement: a worker dying
     mid-write (SIGKILL on timeout, a chaos ``os._exit``) can orphan a
@@ -73,7 +67,6 @@ run (``tests/test_execution_contract.py`` pins this).
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 import json
@@ -82,7 +75,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -595,12 +587,6 @@ class _TaskState:
     history: List[str] = field(default_factory=list)
 
 
-#: Tasks a worker holds at once: the head runs, the rest wait in its
-#: channel.  ``campaign_pool`` ``work_per_s`` over the encode-twice
-#: executor by depth: 1 +10.0 %, 2 +12.0 %, 3 +6.4 % (PERFORMANCE.md,
-#: *Campaign*).
-DEPTH = 2
-
 #: Longest wait (seconds) of the supervisor between liveness checks, and
 #: of an idle worker between looks at its channel.
 POLL_INTERVAL = 0.05
@@ -690,34 +676,19 @@ class SupervisedExecutor:
         if not states:
             return []
 
-        worker_count = min(self.workers, len(states))
         workers: List[Child] = []
-        idle: List[Child] = []
         # Dispatch order is min over the ready tasks of (ready_at, slot):
         # never-attempted tasks (ready_at 0) in slot order, then retries.
         fresh = deque(states)
         retries: List[Tuple[float, int, _TaskState]] = []  # heap
-        # Per busy worker: its tasks, running head first; head start time.
-        inflight: Dict[Child, deque[_TaskState]] = {}
-        started: Dict[Child, float] = {}
+        # Per busy worker: its one task and when it was sent.
+        running: Dict[Child, Tuple[_TaskState, float]] = {}
 
         def spawn() -> None:
-            worker = Child.start(
+            workers.append(Child.start(
                 _worker_main, self.execute,
                 self.chaos if self.chaos.active else None, self.chaos_seed
-            )
-            workers.append(worker)
-            idle.append(worker)
-
-        def send(worker: Child) -> None:
-            state = fresh.popleft() if fresh else heapq.heappop(retries)[2]
-            state.attempts += 1
-            try:
-                worker.send((state.slot, state.key, state.attempts,
-                             state.experiment, state.params))
-            except OSError:  # died between results: liveness reclaims it
-                pass
-            inflight.setdefault(worker, deque()).append(state)
+            ))
 
         def conclude(state: _TaskState, status: str, *, error=None,
                      elapsed=0.0, text=None, result=None,
@@ -754,12 +725,9 @@ class SupervisedExecutor:
                 completed(state.slot, final)
 
         def reclaim(worker: Child, status: str) -> None:
-            """Stop a dead (``crashed``) or overdue (``timeout``) worker and
-            respawn it; its head is charged, the tasks behind it requeued."""
-            queue = inflight.pop(worker, None)
-            if queue is None:
-                return
-            del started[worker]
+            """Stop a dead (``crashed``) or overdue (``timeout``) worker,
+            respawn it, and charge its task."""
+            state, _ = running.pop(worker)
             workers.remove(worker)
             exitcode = worker.kill()
             error = (
@@ -768,30 +736,27 @@ class SupervisedExecutor:
                 f"{exitcode} while running this scenario"
             )
             spawn()
-            head = queue.popleft()
-            for state in queue:  # never started: same attempt next time
-                state.attempts -= 1
-                if state.attempts:
-                    heapq.heappush(retries, (state.ready_at, state.slot, state))
-                else:  # back among the fresh, in slot order
-                    at = bisect.bisect(fresh, state.slot, key=attrgetter("slot"))
-                    fresh.insert(at, state)
-            conclude(head, status, worker_pid=worker.pid, error=error,
+            conclude(state, status, worker_pid=worker.pid, error=error,
                      elapsed=self.timeout if status == "timeout" else 0.0)
 
         def dispatch(now: float) -> None:
-            """Every ready task to an idle worker, then queue one behind a
-            busy worker's head while the ready backlog outnumbers the
-            workers (never in the tail)."""
-            while idle and (fresh or (retries and retries[0][0] <= now)):
-                worker = idle.pop(0)
-                send(worker)
-                started[worker] = now
-            ready = len(fresh) + sum(1 for entry in retries if entry[0] <= now)
-            for worker, queue in inflight.items():
-                while len(queue) < DEPTH and ready > worker_count:
-                    send(worker)
-                    ready -= 1
+            """The next ready task to each idle worker."""
+            for worker in workers:
+                if worker in running:
+                    continue
+                if fresh:
+                    state = fresh.popleft()
+                elif retries and retries[0][0] <= now:
+                    state = heapq.heappop(retries)[2]
+                else:
+                    return
+                state.attempts += 1
+                try:
+                    worker.send((state.slot, state.key, state.attempts,
+                                 state.experiment, state.params))
+                except OSError:  # died between results: liveness reclaims it
+                    pass
+                running[worker] = (state, now)
 
         if self.workers == 0:
             # In process an attempt is "ok" or "error", never retried.
@@ -805,37 +770,32 @@ class SupervisedExecutor:
             return list(results)  # type: ignore[return-value]
 
         try:
-            for _ in range(worker_count):
+            for _ in range(min(self.workers, len(states))):
                 spawn()
-            while fresh or retries or inflight:
+            while fresh or retries or running:
                 now = time.monotonic()
                 dispatch(now)
 
                 # How long we may block: next deadline, next backoff
                 # expiry, or the liveness poll interval.
                 wait = POLL_INTERVAL
-                if self.timeout is not None and started:
-                    wait = min(wait, min(started.values()) + self.timeout - now)
-                if idle and retries:  # a worker left idle: nothing fresh
+                if self.timeout is not None and running:
+                    first = min(sent for _, sent in running.values())
+                    wait = min(wait, first + self.timeout - now)
+                if retries and len(running) < len(workers):  # nothing fresh
                     wait = min(wait, retries[0][0] - now)
                 wait = max(wait, 0.005)
 
                 # Drain results.  A hang-up (EOF) means the worker died
                 # mid-scenario: it is its channel's only other holder.
                 received = []
-                for worker in wait_ready(inflight, wait):
+                for worker in wait_ready(running, wait):
                     try:
                         message = worker.recv(now)  # ready: never waits
                     except (EOFError, OSError):
                         reclaim(worker, "crashed")
                         continue
-                    queue = inflight[worker]
-                    received.append((worker, queue.popleft(), message))
-                    if queue:  # the worker has started the next one
-                        started[worker] = time.monotonic()
-                    else:
-                        del inflight[worker], started[worker]
-                        idle.append(worker)
+                    received.append((worker, running.pop(worker)[0], message))
                 # Refill the workers before the bookkeeping of what they sent.
                 if received:
                     dispatch(time.monotonic())
@@ -854,15 +814,15 @@ class SupervisedExecutor:
 
                 # Deadlines: kill + respawn expired workers (``now`` is the
                 # pass's: one that expires during the wait goes next pass).
-                for worker in list(inflight):
-                    if self.timeout is not None and now >= started[worker] + self.timeout:
+                for worker, (_, sent) in list(running.items()):
+                    if self.timeout is not None and now >= sent + self.timeout:
                         reclaim(worker, "timeout")
 
                 # Liveness: a dead worker with an in-flight task and
                 # nothing readable on its channel crashed mid-scenario.
                 # (Usually the channel's EOF gets there first and the
                 # drain above reclaims it; this is the backstop.)
-                for worker in list(inflight):
+                for worker in list(running):
                     if not (worker.alive() or worker.poll(0)):
                         reclaim(worker, "crashed")
         finally:

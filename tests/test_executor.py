@@ -55,15 +55,10 @@ def _hard_death_execute(experiment, params, attempt=1):
 
 
 def _hang_execute(experiment, params, attempt=1):
-    """Sleeps far past any test timeout on attempts <= hang_attempts."""
+    """Sleeps ``hang_seconds`` (default: far past any test timeout) on
+    attempts <= hang_attempts."""
     if attempt <= params.get("hang_attempts", 0):
-        time.sleep(60.0)
-    return _ok_execute(experiment, params, attempt)
-
-
-def _sleep_execute(experiment, params, attempt=1):
-    """Takes ``params["sleep"]`` seconds, then echoes its inputs."""
-    time.sleep(params["sleep"])
+        time.sleep(params.get("hang_seconds", 60.0))
     return _ok_execute(experiment, params, attempt)
 
 
@@ -466,14 +461,11 @@ class TestSupervisedExecutor:
         minimum over everything awaiting a worker.  The mirror of the
         backlog is rebuilt from the submits and the journal, not read
         off the executor: a task leaves it when sent, and comes back
-        when its attempt is journaled as retrying or when the worker it
-        was queued on crashes or times out before starting it.
+        when its attempt is journaled as retrying.
         """
         from repro.campaign import executor as ex
 
         states, waiting, mismatches, submits = {}, set(), [], []
-        held = {}  # worker pid -> (slot, attempt) sent to it, not journaled
-        requeued, unexplained = [], []
         real_state = ex._TaskState
 
         def recording_state(*args, **kwargs):
@@ -485,32 +477,19 @@ class TestSupervisedExecutor:
         real_submit = Child.send
 
         def checking_submit(handle, task):
-            slot, attempt = task[0], task[2]
+            slot = task[0]
             oracle = min(
                 (states[s] for s in waiting), key=lambda s: (s.ready_at, s.slot)
             )
             if oracle.slot != slot:
                 mismatches.append((len(submits), slot, oracle.slot))
-            if (slot, attempt) in submits:
-                if (slot, attempt) in requeued:
-                    requeued.remove((slot, attempt))
-                else:
-                    unexplained.append((slot, attempt))
             waiting.discard(slot)
-            submits.append((slot, attempt))
-            held.setdefault(handle.pid, []).append((slot, attempt))
+            submits.append((slot, task[2]))
             return real_submit(handle, task)
 
         real_journal = ex.SupervisedExecutor._journal
 
         def watching_journal(self, state, status, outcome, error, elapsed, pid):
-            mine = held[pid]
-            mine.remove((state.slot, state.attempts))
-            if status in ("crashed", "timeout"):
-                # Queued behind the charged head, never started.
-                for slot, attempt in held.pop(pid):
-                    waiting.add(slot)
-                    requeued.append((slot, attempt))
             if outcome is None:  # retrying: back into the backlog
                 waiting.add(state.slot)
             return real_journal(self, state, status, outcome, error, elapsed, pid)
@@ -525,59 +504,37 @@ class TestSupervisedExecutor:
             retry=RetryPolicy(max_attempts=8, backoff=0.01),
         ).run(_tasks(40))
         assert all(r.status == "completed" for r in results)
-        assert len(set(submits)) == sum(r.attempts for r in results) > 40
-        # A repeated (slot, attempt) only re-sends a task that was queued
-        # on a worker that crashed; every such task was re-sent.
-        assert len(submits) > len(set(submits))
-        assert unexplained == [] and requeued == []
+        # Every (slot, attempt) is sent exactly once.
+        assert len(submits) == len(set(submits)) == sum(r.attempts for r in results) > 40
         assert submits[:2] == [(0, 1), (1, 1)]
         assert mismatches == []
 
-    def test_queued_task_survives_its_workers_crash(self, tmp_path, monkeypatch):
-        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
-        submits = _record_submits(monkeypatch, [])
-        tasks = [("crashy", "EX", {"crash_attempts": 1}),
-                 ("queued", "EX", {}), ("last", "EX", {})]
+    def test_a_large_task_never_blinds_a_deadline(self):
+        # Task 0 hangs 3 s under a 0.5 s budget; its siblings pickle to
+        # 400 KB, more than a channel holds.  Were one sent to the busy
+        # worker, the send would block until task 0 came back "ok".
+        tasks = [("hung", "EX", {"hang_attempts": 1, "hang_seconds": 3.0})] + [
+            (f"big{i}", "EX", {"blob": "x" * 400_000}) for i in (1, 2)]
+        start = time.monotonic()
         results = _executor(
-            execute=_hard_death_execute, ledger=ledger, workers=1
+            execute=_hang_execute, workers=1, timeout=0.5,
+            retry=RetryPolicy(max_attempts=2, backoff=0.0),
         ).run(tasks)
-        assert [r.status for r in results] == ["completed"] * 3
-        # Sent behind the crashing head, then re-sent as the same attempt.
-        assert submits[:2] == [(0, 1), (1, 1)]
-        assert submits.count((1, 1)) == 2
-        assert [r.history for r in results] == [("crashed", "ok"), ("ok",), ("ok",)]
-        # One ledger record per attempt that really ran.
-        history = ledger.history()
-        assert [(r.attempt, r.status, r.elapsed) for r in history["crashy"]] == [
-            (1, "crashed", 0.0), (2, "ok", 0.01)]
-        assert [(r.attempt, r.status) for r in history["queued"]] == [(1, "ok")]
-        assert len(ledger) == sum(r.attempts for r in results)
-
-    def test_queued_task_survives_its_workers_timeout(self, tmp_path, monkeypatch):
-        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
-        submits = _record_submits(monkeypatch, [])
-        tasks = [("stuck", "EX", {"hang_attempts": 1}),
-                 ("queued", "EX", {}), ("last", "EX", {})]
-        results = _executor(
-            execute=_hang_execute, ledger=ledger, workers=1, timeout=0.5
-        ).run(tasks)
+        assert time.monotonic() - start < 2.0
         assert [r.history for r in results] == [("timeout", "ok"), ("ok",), ("ok",)]
-        assert submits[:2] == [(0, 1), (1, 1)]
-        assert submits.count((1, 1)) == 2
-        assert [(r.attempt, r.status) for r in ledger.history()["queued"]] == [(1, "ok")]
-        assert len(ledger) == sum(r.attempts for r in results)
 
-    def test_queued_task_deadline_starts_when_it_does(self, monkeypatch):
-        # Each task sleeps 0.3 s under a 0.5 s budget.  The second waits
-        # in the pipe behind the first; were its deadline counted from
-        # the send, it would expire 0.1 s before it finishes.
-        events = _record_submits(monkeypatch, [])
-        tasks = [(f"slow{i}", "EX", {"sleep": 0.3}) for i in range(3)]
-        results = _executor(execute=_sleep_execute, workers=1, timeout=0.5).run(
-            tasks, completed=lambda slot, r: events.append(("done", slot))
-        )
-        assert [r.history for r in results] == [("ok",)] * 3
-        assert events[:3] == [(0, 1), (1, 1), ("done", 0)]
+    def test_a_retry_waits_out_its_backoff(self, tmp_path):
+        # Task 0 crashes once; its fresh sibling runs during the backoff.
+        ledger = FailureLedger(str(tmp_path / "l.jsonl"))
+        tasks = [("crashy", "EX", {"crash_attempts": 1}), ("sibling", "EX", {})]
+        _executor(
+            execute=_hard_death_execute, ledger=ledger, workers=1,
+            retry=RetryPolicy(max_attempts=2, backoff=0.3),
+        ).run(tasks)
+        crash, _, retried = ledger._records
+        assert [(r.key, r.status, r.elapsed) for r in ledger._records] == [
+            ("crashy", "crashed", 0.0), ("sibling", "ok", 0.01), ("crashy", "ok", 0.01)]
+        assert 0.3 <= retried.wall_time - crash.wall_time < 0.6
 
     def test_in_process_mode_journals_like_a_worker(self, tmp_path, monkeypatch):
         # workers=0 runs the tasks in input order without a child and
@@ -618,13 +575,13 @@ class TestSupervisedExecutor:
             SupervisedExecutor(timeout=0)
         assert SupervisedExecutor().run([]) == []
 
-    def test_a_worker_holds_at_most_depth_tasks(self, monkeypatch):
-        # Five tasks, one worker: the head and one queued behind it; each
-        # result frees one place, filled before the result is reported.
+    def test_a_worker_holds_one_task(self, monkeypatch):
+        # Five tasks, one worker: each result frees the worker, which is
+        # sent the next task before the result is reported.
         events = _record_submits(monkeypatch, [])
         _executor(execute=_ok_execute, workers=1).run(
             _tasks(5), completed=lambda slot, r: events.append(("done", slot)))
-        assert events[:5] == [(0, 1), (1, 1), (2, 1), ("done", 0), (3, 1)]
+        assert events[:5] == [(0, 1), (1, 1), ("done", 0), (2, 1), ("done", 1)]
 
     def test_completed_callback_fires_per_terminal_result(self):
         seen = []
