@@ -536,6 +536,30 @@ class TestSupervisedExecutor:
             ("crashy", "crashed", 0.0), ("sibling", "ok", 0.01), ("crashy", "ok", 0.01)]
         assert 0.3 <= retried.wall_time - crash.wall_time < 0.6
 
+    def test_a_deadline_bounds_the_wait(self, monkeypatch):
+        # With a 3 s poll interval, only the deadline can end the wait
+        # on a hung worker in time; unbounded, its kill comes 3 s late.
+        monkeypatch.setattr(executor_module, "POLL_INTERVAL", 3.0)
+        start = time.monotonic()
+        results = _executor(
+            execute=_hang_execute, workers=1, timeout=0.3,
+            retry=RetryPolicy(max_attempts=2, backoff=0.0),
+        ).run([("hung", "EX", {"hang_attempts": 1})])
+        assert time.monotonic() - start < 2.0
+        assert results[0].history == ("timeout", "ok")
+
+    def test_a_backoff_bounds_the_wait(self, monkeypatch):
+        # With a 3 s poll interval and the worker idle, only the backoff's
+        # expiry can end the wait in time; unbounded, the retry is 3 s late.
+        monkeypatch.setattr(executor_module, "POLL_INTERVAL", 3.0)
+        start = time.monotonic()
+        results = _executor(
+            execute=_hard_death_execute, workers=1,
+            retry=RetryPolicy(max_attempts=2, backoff=0.3),
+        ).run([("crashy", "EX", {"crash_attempts": 1})])
+        assert time.monotonic() - start < 2.0
+        assert results[0].history == ("crashed", "ok")
+
     def test_in_process_mode_journals_like_a_worker(self, tmp_path, monkeypatch):
         # workers=0 runs the tasks in input order without a child and
         # journals what one worker does, apart from the worker pid.
